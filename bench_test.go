@@ -385,7 +385,7 @@ func BenchmarkExhaustiveBnB(b *testing.B) {
 // ---- Compiled-path microbenchmarks ----------------------------------------
 //
 // The three levers of the compiled cost model, measured in isolation: the
-// dense per-(object, class) time table vs the map-walking IOTime, the
+// dense per-(object, class-set) time table vs the map-walking IOTime, the
 // compact memo key vs the sorted 5-bytes-per-object map key, and (above,
 // BenchmarkExhaustive/BenchmarkDOTOptimize) delta vs full evaluation.
 
@@ -396,10 +396,7 @@ func BenchmarkIOTimeCompiledVsMap(b *testing.B) {
 		b.Fatal(err)
 	}
 	l := catalog.NewUniformLayout(in.Cat, device.HSSD)
-	cl, ok := catalog.CompactFromLayout(in.Cat, l)
-	if !ok {
-		b.Fatal("layout must encode")
-	}
+	cl := catalog.CompactUniform(in.Cat, device.Singleton(device.HSSD))
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -408,7 +405,7 @@ func BenchmarkIOTimeCompiledVsMap(b *testing.B) {
 			}
 		}
 	})
-	cp := iosim.CompileProfile(prof, in.Box, 1, in.Cat.NumObjects())
+	cp := iosim.CompileProfile(prof, in.Box, 1, in.Cat.NumObjects(), iosim.SingletonAlphabet(in.Box))
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -420,7 +417,7 @@ func BenchmarkIOTimeCompiledVsMap(b *testing.B) {
 	b.Run("compiled-delta", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cp.DeltaIOTime(1, device.HSSD, device.LSSD); err != nil {
+			if _, err := cp.DeltaIOTime(1, device.Singleton(device.HSSD), device.Singleton(device.LSSD)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -435,7 +432,7 @@ func BenchmarkMemoKey(b *testing.B) {
 		b.Fatal(err)
 	}
 	l := catalog.NewUniformLayout(in.Cat, device.HSSD)
-	cl, _ := catalog.CompactFromLayout(in.Cat, l)
+	cl := catalog.CompactUniform(in.Cat, device.Singleton(device.HSSD))
 	b.Run("map-string", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -3,21 +3,26 @@ package catalog
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 
 	"dotprov/internal/device"
 )
 
-// classUnset marks an object the compact layout does not place. It is
-// deliberately outside [0, device.NumClasses), so a compact key can never
-// confuse "absent" with a real class.
-const classUnset = 0xFF
+// slotUnset marks an object the compact layout does not place. It has bits
+// outside [0, device.NumClassSets), so a compact key can never confuse
+// "absent" with a real class set.
+const slotUnset = 0xFF
 
-// CompactLayout is the dense form of a Layout: one byte per catalog object,
-// indexed by DenseIndex(id), holding the object's storage class (or the
-// unset sentinel). ObjectIDs are assigned densely by the catalog, so the
-// slice covers the whole object set with no hashing, cloning is a flat
-// memcpy, and the raw byte string is a canonical memo key — the compiled
-// layout-search hot path is built on these three properties.
+// CompactLayout is the dense form of a SetLayout: one byte per catalog
+// object, indexed by DenseIndex(id), holding the device.ClassSet mask of the
+// classes with a copy (or the unset sentinel). A single-copy layout is the
+// all-singleton case — there is no separate class-byte encoding, so one
+// cost table, one memo and one search engine serve both.
+//
+// ObjectIDs are assigned densely by the catalog, so the slice covers the
+// whole object set with no hashing, cloning is a flat memcpy, and the raw
+// byte string is a canonical memo key — the compiled layout-search hot path
+// is built on these three properties.
 //
 // Two CompactLayouts over the same catalog have equal Keys iff their map
 // forms are Equal; conversion to and from the map form is lossless
@@ -51,43 +56,43 @@ func (c *Catalog) DenseSizeBytes() []int64 {
 func NewCompactLayout(n int) CompactLayout {
 	b := make([]byte, n)
 	for i := range b {
-		b[i] = classUnset
+		b[i] = slotUnset
 	}
 	return CompactLayout{b: b}
 }
 
-// CompactUniform places every object of the catalog on one class.
-func CompactUniform(c *Catalog, cls device.Class) CompactLayout {
-	if !device.ValidClass(cls) {
-		panic(fmt.Sprintf("catalog: CompactUniform with invalid class %v", cls))
+// CompactUniform places every object of the catalog on one class set.
+func CompactUniform(c *Catalog, set device.ClassSet) CompactLayout {
+	if !set.Valid() {
+		panic(fmt.Sprintf("catalog: CompactUniform with invalid set %v", set))
 	}
 	b := make([]byte, c.NumObjects())
 	for i := range b {
-		b[i] = byte(cls)
+		b[i] = byte(set)
 	}
 	return CompactLayout{b: b}
 }
 
-// CompactFromLayout converts a map layout to the compact form. It reports
-// ok=false when the layout cannot be encoded — an object ID outside the
-// catalog's dense range, or a class value outside the defined set — in
-// which case callers must stay on the map path.
-func CompactFromLayout(c *Catalog, l Layout) (CompactLayout, bool) {
+// CompactFromSetLayout converts a map layout to the compact form. It
+// reports ok=false when the layout cannot be encoded — an object ID outside
+// the catalog's dense range, or an invalid set — in which case callers must
+// stay on the map path.
+func CompactFromSetLayout(c *Catalog, l SetLayout) (CompactLayout, bool) {
 	cl := NewCompactLayout(c.NumObjects())
-	for id, cls := range l {
+	for id, set := range l {
 		i := DenseIndex(id)
-		if i < 0 || i >= len(cl.b) || !device.ValidClass(cls) {
+		if i < 0 || i >= len(cl.b) || !set.Valid() {
 			return CompactLayout{}, false
 		}
-		cl.b[i] = byte(cls)
+		cl.b[i] = byte(set)
 	}
 	return cl, true
 }
 
-// CompactFromBytes wraps a raw class-byte slice (as produced by Bytes or
-// AppendTo) without copying. The caller transfers ownership: the slice must
-// not be mutated afterwards. Intended for allocation-aware callers like the
-// search engine's memo arena.
+// CompactFromBytes wraps a raw mask-byte slice (as produced by Bytes)
+// without copying. The caller transfers ownership: the slice must not be
+// mutated afterwards. Intended for allocation-aware callers like the search
+// engine's memo arena.
 func CompactFromBytes(b []byte) CompactLayout { return CompactLayout{b: b} }
 
 // IsZero reports whether the layout is the zero value (no slots at all —
@@ -97,36 +102,36 @@ func (cl CompactLayout) IsZero() bool { return cl.b == nil }
 // Len returns the number of object slots.
 func (cl CompactLayout) Len() int { return len(cl.b) }
 
-// Bytes exposes the raw class bytes. Callers must treat the slice as
+// Bytes exposes the raw mask bytes. Callers must treat the slice as
 // read-only; it doubles as the memo key (see Key).
 func (cl CompactLayout) Bytes() []byte { return cl.b }
 
-// Class returns the placement of an object and whether it is placed.
-func (cl CompactLayout) Class(id ObjectID) (device.Class, bool) {
-	return cl.ClassAt(DenseIndex(id))
+// Get returns the placement of an object and whether it is placed.
+func (cl CompactLayout) Get(id ObjectID) (device.ClassSet, bool) {
+	return cl.At(DenseIndex(id))
 }
 
-// ClassAt is Class by dense slot index.
-func (cl CompactLayout) ClassAt(i int) (device.Class, bool) {
-	if i < 0 || i >= len(cl.b) || cl.b[i] == classUnset {
+// At is Get by dense slot index.
+func (cl CompactLayout) At(i int) (device.ClassSet, bool) {
+	if i < 0 || i >= len(cl.b) || cl.b[i] == slotUnset {
 		return 0, false
 	}
-	return device.Class(cl.b[i]), true
+	return device.ClassSet(cl.b[i]), true
 }
 
-// Set places an object. The class must be a defined storage class and the
-// ID must be in the catalog's dense range; violations are programming
-// errors and panic.
-func (cl CompactLayout) Set(id ObjectID, cls device.Class) {
-	if !device.ValidClass(cls) {
-		panic(fmt.Sprintf("catalog: CompactLayout.Set with invalid class %v", cls))
+// Set places an object. The set must be a valid placement and the ID must
+// be in the catalog's dense range; violations are programming errors and
+// panic.
+func (cl CompactLayout) Set(id ObjectID, set device.ClassSet) {
+	if !set.Valid() {
+		panic(fmt.Sprintf("catalog: CompactLayout.Set with invalid set %v", set))
 	}
-	cl.b[DenseIndex(id)] = byte(cls)
+	cl.b[DenseIndex(id)] = byte(set)
 }
 
 // Unset removes an object's placement.
 func (cl CompactLayout) Unset(id ObjectID) {
-	cl.b[DenseIndex(id)] = classUnset
+	cl.b[DenseIndex(id)] = slotUnset
 }
 
 // Clone returns an independent copy.
@@ -134,7 +139,7 @@ func (cl CompactLayout) Clone() CompactLayout {
 	return CompactLayout{b: append([]byte(nil), cl.b...)}
 }
 
-// Key returns the canonical memo key: the raw class bytes. It is one byte
+// Key returns the canonical memo key: the raw mask bytes. It is one byte
 // per object (the map form's Key is five), needs no sorting, and two
 // layouts over the same catalog have equal keys iff their map forms are
 // Equal. Allocation-sensitive callers probe maps with string(cl.Bytes())
@@ -146,45 +151,55 @@ func (cl CompactLayout) Equal(o CompactLayout) bool {
 	return bytes.Equal(cl.b, o.b)
 }
 
-// ToLayout materializes the map form. Unset slots stay absent, so a
-// CompactFromLayout/ToLayout round trip is lossless.
-func (cl CompactLayout) ToLayout() Layout {
-	out := make(Layout, len(cl.b))
+// ToSetLayout materializes the map form. Unset slots stay absent, so a
+// CompactFromSetLayout/ToSetLayout round trip is lossless.
+func (cl CompactLayout) ToSetLayout() SetLayout {
+	out := make(SetLayout, len(cl.b))
 	for i, v := range cl.b {
-		if v != classUnset {
-			out[ObjectID(i+1)] = device.Class(v)
+		if v != slotUnset {
+			out[ObjectID(i+1)] = device.ClassSet(v)
 		}
 	}
 	return out
 }
 
+// maskBits sizes the per-class accumulators of spaceDense by the mask
+// byte's width rather than device.NumClasses, so a byte naming an undefined
+// class surfaces as "class not present in box" instead of indexing out of
+// range.
+const maskBits = 8
+
 // spaceDense accumulates S_j (bytes per class) and per-class usage flags
-// over a dense size table. A class is "used" as soon as any object —
-// including a zero-sized one — is placed on it, mirroring the map form's
+// over a dense size table: every member class of a unit's set is charged
+// the unit's full size. A class is "used" as soon as any object — including
+// a zero-sized one — holds a copy on it, mirroring the map form's
 // SpaceByClass key set.
-func (cl CompactLayout) spaceDense(sizes []int64) (bytes [device.NumClasses]int64, used [device.NumClasses]bool) {
+func (cl CompactLayout) spaceDense(sizes []int64) (space [maskBits]int64, used [maskBits]bool) {
 	for i, v := range cl.b {
-		if v == classUnset {
+		if v == slotUnset {
 			continue
 		}
 		var sz int64
 		if i < len(sizes) {
 			sz = sizes[i]
 		}
-		bytes[v] += sz
-		used[v] = true
+		for m := v; m != 0; m &= m - 1 {
+			c := bits.TrailingZeros8(m)
+			space[c] += sz
+			used[c] = true
+		}
 	}
-	return bytes, used
+	return space, used
 }
 
 // CostCentsPerHourDense computes the linear layout cost C(L) over a dense
-// size table (see Layout.CostCentsPerHour). Classes are summed in
-// ascending order — the same order as the map form — so the two paths
-// produce bit-identical floats.
+// size table (see SetLayout.CostCentsPerHour). Classes are summed in
+// ascending order — the same order as the map forms — so the paths produce
+// bit-identical floats.
 func (cl CompactLayout) CostCentsPerHourDense(sizes []int64, box *device.Box) (float64, error) {
-	bytes, used := cl.spaceDense(sizes)
+	space, used := cl.spaceDense(sizes)
 	var cost float64
-	for c := 0; c < device.NumClasses; c++ {
+	for c := range used {
 		if !used[c] {
 			continue
 		}
@@ -192,46 +207,26 @@ func (cl CompactLayout) CostCentsPerHourDense(sizes []int64, box *device.Box) (f
 		if d == nil {
 			return 0, fmt.Errorf("catalog: layout uses class %v not present in box %q", device.Class(c), box.Name)
 		}
-		cost += d.PriceCents * float64(bytes[c]) / 1e9
+		cost += d.PriceCents * float64(space[c]) / 1e9
 	}
 	return cost, nil
 }
 
 // FitsCapacityDense reports whether the layout satisfies the capacity
-// constraints over a dense size table. It is CheckCapacityDense without
-// the diagnostic error — the search hot path only needs the verdict, and
-// over-capacity candidates are common enough that building a discarded
-// error per candidate shows up in profiles.
+// constraints over a dense size table (see SetLayout.CheckCapacity). It
+// returns the verdict without a diagnostic error — the search hot path only
+// needs the verdict, and over-capacity candidates are common enough that
+// building a discarded error per candidate shows up in profiles.
 func (cl CompactLayout) FitsCapacityDense(sizes []int64, box *device.Box) bool {
-	bytes, used := cl.spaceDense(sizes)
-	for c := 0; c < device.NumClasses; c++ {
+	space, used := cl.spaceDense(sizes)
+	for c := range used {
 		if !used[c] {
 			continue
 		}
 		d := box.Device(device.Class(c))
-		if d == nil || bytes[c] >= d.CapacityBytes {
+		if d == nil || space[c] >= d.CapacityBytes {
 			return false
 		}
 	}
 	return true
-}
-
-// CheckCapacityDense validates the capacity constraints over a dense size
-// table (see Layout.CheckCapacity).
-func (cl CompactLayout) CheckCapacityDense(sizes []int64, box *device.Box) error {
-	bytes, used := cl.spaceDense(sizes)
-	for c := 0; c < device.NumClasses; c++ {
-		if !used[c] {
-			continue
-		}
-		d := box.Device(device.Class(c))
-		if d == nil {
-			return fmt.Errorf("catalog: layout uses class %v not present in box %q", device.Class(c), box.Name)
-		}
-		if bytes[c] >= d.CapacityBytes {
-			return fmt.Errorf("catalog: class %v over capacity: %d bytes placed, capacity %d",
-				device.Class(c), bytes[c], d.CapacityBytes)
-		}
-	}
-	return nil
 }

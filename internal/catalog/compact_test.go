@@ -30,32 +30,44 @@ func compactFixture(t *testing.T, n int) *Catalog {
 	return c
 }
 
-// randomLayout draws a random (possibly partial) layout over the catalog.
-func randomLayout(rng *rand.Rand, c *Catalog, partial bool) Layout {
-	l := make(Layout)
+// randomSetLayout draws a random (possibly partial) layout over the
+// catalog from the given digit alphabet.
+func randomSetLayout(rng *rand.Rand, c *Catalog, alphabet []device.ClassSet, partial bool) SetLayout {
+	l := make(SetLayout)
 	for _, o := range c.Objects() {
 		if partial && rng.Intn(4) == 0 {
 			continue // leave unplaced
 		}
-		l[o.ID] = device.AllClasses[rng.Intn(len(device.AllClasses))]
+		l[o.ID] = alphabet[rng.Intn(len(alphabet))]
 	}
 	return l
 }
 
-// TestCompactRoundTripProperty: CompactFromLayout/ToLayout is lossless on
-// random full and partial layouts, and compact keys agree with map-form
-// equality — equal keys iff Equal layouts.
+// alphabets are the digit alphabets the table-vs-reference tests run over:
+// single copies only, and every set of up to two and up to three copies.
+func alphabets(classes []device.Class) [][]device.ClassSet {
+	return [][]device.ClassSet{
+		device.EnumerateClassSets(classes, 1),
+		device.EnumerateClassSets(classes, 2),
+		device.EnumerateClassSets(classes, 0),
+	}
+}
+
+// TestCompactRoundTripProperty: CompactFromSetLayout/ToSetLayout is
+// lossless on random full and partial layouts, and compact keys agree with
+// map-form equality — equal keys iff Equal layouts.
 func TestCompactRoundTripProperty(t *testing.T) {
 	cat := compactFixture(t, 7)
 	rng := rand.New(rand.NewSource(42))
-	seen := map[string]Layout{}
+	seen := map[string]SetLayout{}
+	alphas := alphabets(device.AllClasses)
 	for trial := 0; trial < 500; trial++ {
-		l := randomLayout(rng, cat, trial%2 == 0)
-		cl, ok := CompactFromLayout(cat, l)
+		l := randomSetLayout(rng, cat, alphas[trial%len(alphas)], trial%2 == 0)
+		cl, ok := CompactFromSetLayout(cat, l)
 		if !ok {
 			t.Fatalf("trial %d: layout %v should be encodable", trial, l)
 		}
-		back := cl.ToLayout()
+		back := cl.ToSetLayout()
 		if !back.Equal(l) {
 			t.Fatalf("trial %d: round trip lost placements: %v -> %v", trial, l, back)
 		}
@@ -68,7 +80,7 @@ func TestCompactRoundTripProperty(t *testing.T) {
 			seen[key] = l
 		}
 		// Same layout re-encoded must reproduce the key (keys are canonical).
-		cl2, _ := CompactFromLayout(cat, l.Clone())
+		cl2, _ := CompactFromSetLayout(cat, l.Clone())
 		if cl2.Key() != key {
 			t.Fatalf("trial %d: key not canonical", trial)
 		}
@@ -76,70 +88,90 @@ func TestCompactRoundTripProperty(t *testing.T) {
 }
 
 // TestCompactKeyAgreesWithEqual: two random layouts have equal compact keys
-// exactly when Layout.Equal holds (the memo-safety contract Layout.Key
+// exactly when SetLayout.Equal holds (the memo-safety contract Key
 // documents, on the compact form).
 func TestCompactKeyAgreesWithEqual(t *testing.T) {
 	cat := compactFixture(t, 5)
 	rng := rand.New(rand.NewSource(7))
+	alphabet := device.EnumerateClassSets([]device.Class{device.HDD, device.HSSD}, 0)
 	for trial := 0; trial < 300; trial++ {
-		a := randomLayout(rng, cat, true)
-		b := randomLayout(rng, cat, true)
-		ca, _ := CompactFromLayout(cat, a)
-		cb, _ := CompactFromLayout(cat, b)
+		a := randomSetLayout(rng, cat, alphabet, true)
+		b := randomSetLayout(rng, cat, alphabet, true)
+		ca, _ := CompactFromSetLayout(cat, a)
+		cb, _ := CompactFromSetLayout(cat, b)
 		if (ca.Key() == cb.Key()) != a.Equal(b) {
 			t.Fatalf("trial %d: key equality %v but Equal %v (a=%v b=%v)",
 				trial, ca.Key() == cb.Key(), a.Equal(b), a, b)
 		}
 		if ca.Equal(cb) != a.Equal(b) {
-			t.Fatalf("trial %d: CompactLayout.Equal diverges from Layout.Equal", trial)
+			t.Fatalf("trial %d: CompactLayout.Equal diverges from SetLayout.Equal", trial)
 		}
 	}
 }
 
-// TestCompactRejectsUnencodable: foreign object IDs and undefined classes
-// push conversion back to the map path instead of mis-encoding.
+// TestCompactRejectsUnencodable: foreign object IDs and invalid sets push
+// conversion back to the map path instead of mis-encoding.
 func TestCompactRejectsUnencodable(t *testing.T) {
 	cat := compactFixture(t, 2)
-	if _, ok := CompactFromLayout(cat, Layout{ObjectID(99): device.HDD}); ok {
+	if _, ok := CompactFromSetLayout(cat, SetLayout{ObjectID(99): device.Singleton(device.HDD)}); ok {
 		t.Fatal("foreign object ID must not encode")
 	}
-	if _, ok := CompactFromLayout(cat, Layout{1: device.Class(200)}); ok {
-		t.Fatal("undefined class must not encode")
+	for _, bad := range []device.ClassSet{0, 1 << device.NumClasses, 0xFF} {
+		if _, ok := CompactFromSetLayout(cat, SetLayout{1: bad}); ok {
+			t.Fatalf("invalid set %#x must not encode", uint8(bad))
+		}
 	}
 }
 
 // TestCompactDenseCostCapacityParity: the dense cost and capacity walks
-// must agree bit-for-bit with the map-form implementations on random
-// layouts.
+// must agree bit-for-bit with the map-form references on random layouts
+// over every alphabet — and, where every unit holds one copy, with the
+// single-class Layout form too (single-copy placement is the singleton
+// case of class-set placement, not a second cost model).
 func TestCompactDenseCostCapacityParity(t *testing.T) {
 	cat := compactFixture(t, 6)
 	box := device.NewBox("Box 1", device.HDDRAID0, device.LSSD, device.HSSD)
 	sizes := cat.DenseSizeBytes()
 	rng := rand.New(rand.NewSource(99))
-	boxClasses := box.Classes()
-	for trial := 0; trial < 300; trial++ {
-		l := make(Layout)
-		for _, o := range cat.Objects() {
-			l[o.ID] = boxClasses[rng.Intn(len(boxClasses))]
-		}
-		cl, _ := CompactFromLayout(cat, l)
-		wantCost, wantErr := l.CostCentsPerHour(cat, box)
-		gotCost, gotErr := cl.CostCentsPerHourDense(sizes, box)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: cost error mismatch: %v vs %v", trial, wantErr, gotErr)
-		}
-		if math.Float64bits(wantCost) != math.Float64bits(gotCost) {
-			t.Fatalf("trial %d: cost %v != dense cost %v", trial, wantCost, gotCost)
-		}
-		if (l.CheckCapacity(cat, box) == nil) != (cl.CheckCapacityDense(sizes, box) == nil) {
-			t.Fatalf("trial %d: capacity verdict mismatch", trial)
+	for ai, alphabet := range alphabets(box.Classes()) {
+		for trial := 0; trial < 300; trial++ {
+			l := randomSetLayout(rng, cat, alphabet, false)
+			cl, _ := CompactFromSetLayout(cat, l)
+			wantCost, wantErr := l.CostCentsPerHour(cat, box)
+			gotCost, gotErr := cl.CostCentsPerHourDense(sizes, box)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("alphabet %d trial %d: cost error mismatch: %v vs %v", ai, trial, wantErr, gotErr)
+			}
+			if math.Float64bits(wantCost) != math.Float64bits(gotCost) {
+				t.Fatalf("alphabet %d trial %d: cost %v != dense cost %v", ai, trial, wantCost, gotCost)
+			}
+			if (l.CheckCapacity(cat, box) == nil) != cl.FitsCapacityDense(sizes, box) {
+				t.Fatalf("alphabet %d trial %d: capacity verdict mismatch", ai, trial)
+			}
+			single, ok := l.SingleLayout()
+			if ok != (ai == 0) {
+				t.Fatalf("alphabet %d trial %d: SingleLayout ok=%v", ai, trial, ok)
+			}
+			if !ok {
+				continue
+			}
+			singleCost, err := single.CostCentsPerHour(cat, box)
+			if err != nil || math.Float64bits(singleCost) != math.Float64bits(gotCost) {
+				t.Fatalf("trial %d: single-class cost %v (%v) != class-set cost %v", trial, singleCost, err, gotCost)
+			}
+			if (single.CheckCapacity(cat, box) == nil) != (l.CheckCapacity(cat, box) == nil) {
+				t.Fatalf("trial %d: single-class and class-set capacity verdicts differ", trial)
+			}
+			if single.Key() == l.Key() && len(l) > 0 {
+				t.Fatalf("trial %d: class keys and mask keys must not collide", trial)
+			}
 		}
 	}
 	// A class absent from the box must error on both paths, even when only
 	// zero-size objects use it (the map form keys SpaceByClass regardless).
-	l := NewUniformLayout(cat, device.HSSD)
-	l[1] = device.HDD // plain HDD absent from this box
-	cl, _ := CompactFromLayout(cat, l)
+	l := NewUniformSetLayout(cat, device.Singleton(device.HSSD))
+	l[1] = device.Singleton(device.HDD) // plain HDD absent from this box
+	cl, _ := CompactFromSetLayout(cat, l)
 	if _, err := l.CostCentsPerHour(cat, box); err == nil {
 		t.Fatal("map cost must reject a class absent from the box")
 	}
@@ -151,23 +183,30 @@ func TestCompactDenseCostCapacityParity(t *testing.T) {
 // TestCompactMutators: Set/Unset/Clone behave like map writes.
 func TestCompactMutators(t *testing.T) {
 	cat := compactFixture(t, 3)
-	cl := CompactUniform(cat, device.HSSD)
+	hssd, pair := device.Singleton(device.HSSD), device.NewClassSet(device.HDD, device.LSSD)
+	cl := CompactUniform(cat, hssd)
 	if cl.Len() != cat.NumObjects() {
 		t.Fatalf("Len %d, want %d", cl.Len(), cat.NumObjects())
 	}
 	orig := cl.Clone()
-	cl.Set(2, device.HDD)
-	if c, ok := cl.Class(2); !ok || c != device.HDD {
-		t.Fatalf("Set did not take: %v %v", c, ok)
+	cl.Set(2, pair)
+	if s, ok := cl.Get(2); !ok || s != pair {
+		t.Fatalf("Set did not take: %v %v", s, ok)
 	}
-	if c, _ := orig.Class(2); c != device.HSSD {
+	if s, _ := orig.Get(2); s != hssd {
 		t.Fatal("Clone must be independent")
 	}
 	cl.Unset(2)
-	if _, ok := cl.Class(2); ok {
+	if _, ok := cl.Get(2); ok {
 		t.Fatal("Unset did not take")
 	}
-	if _, ok := cl.ToLayout()[2]; ok {
+	if _, ok := cl.ToSetLayout()[2]; ok {
 		t.Fatal("unset slot must be absent from the map form")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set must panic on the empty set")
+		}
+	}()
+	cl.Set(2, 0)
 }

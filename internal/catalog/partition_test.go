@@ -156,11 +156,11 @@ func TestPartitioningUniformCostParity(t *testing.T) {
 			if oc != uc {
 				t.Fatalf("seed %d class %v: map cost %v != %v", seed, cls, uc, oc)
 			}
-			ocl, ok := CompactFromLayout(c, ol)
+			ocl, ok := CompactFromSetLayout(c, SingletonSetLayout(ol))
 			if !ok {
 				t.Fatal("object layout must encode")
 			}
-			ucl, ok := CompactFromLayout(pt.UnitCatalog(), ul)
+			ucl, ok := CompactFromSetLayout(pt.UnitCatalog(), SingletonSetLayout(ul))
 			if !ok {
 				t.Fatal("unit layout must encode")
 			}

@@ -2,8 +2,7 @@ package catalog
 
 import (
 	"math"
-	"math/rand"
-	"strings"
+		"strings"
 	"testing"
 
 	"dotprov/internal/device"
@@ -22,60 +21,6 @@ func replicaFixture(t *testing.T) *Catalog {
 		c.SetSize(tab.ID, sz)
 	}
 	return c
-}
-
-// TestSetLayoutSingletonParity: a layout of singleton sets must price,
-// fit, and key exactly like its single-class form on both the map and the
-// dense compact paths — the foundation of the replicated search's
-// bit-parity guarantee.
-func TestSetLayoutSingletonParity(t *testing.T) {
-	c := replicaFixture(t)
-	box := device.Box1()
-	sizes := c.DenseSizeBytes()
-	rng := rand.New(rand.NewSource(7))
-	classes := box.Classes()
-	for trial := 0; trial < 100; trial++ {
-		single := make(Layout)
-		for _, o := range c.Objects() {
-			single[o.ID] = classes[rng.Intn(len(classes))]
-		}
-		set := SingletonSetLayout(single)
-
-		wantCost, err := single.CostCentsPerHour(c, box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotCost, err := set.CostCentsPerHour(c, box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(gotCost) != math.Float64bits(wantCost) {
-			t.Fatalf("trial %d: set cost %v != single cost %v", trial, gotCost, wantCost)
-		}
-		if (single.CheckCapacity(c, box) == nil) != (set.CheckCapacity(c, box) == nil) {
-			t.Fatalf("trial %d: capacity verdicts differ", trial)
-		}
-
-		cl, ok := CompactFromSetLayout(c, set)
-		if !ok {
-			t.Fatalf("trial %d: compact conversion failed", trial)
-		}
-		scl, _ := CompactFromLayout(c, single)
-		wantDense, err := scl.CostCentsPerHourDense(sizes, box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotDense, err := cl.SetCostCentsPerHourDense(sizes, box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(gotDense) != math.Float64bits(wantDense) {
-			t.Fatalf("trial %d: dense set cost %v != dense single cost %v", trial, gotDense, wantDense)
-		}
-		if cl.SetFitsCapacityDense(sizes, box) != scl.FitsCapacityDense(sizes, box) {
-			t.Fatalf("trial %d: dense capacity verdicts differ", trial)
-		}
-	}
 }
 
 // TestSetLayoutReplicaPricing: every member of a set is charged the
@@ -109,8 +54,8 @@ func TestSetLayoutReplicaPricing(t *testing.T) {
 	}
 
 	// Dense path agrees with the map path bit for bit.
-	cl := CompactUniformSet(c, pair)
-	dense, err := cl.SetCostCentsPerHourDense(c.DenseSizeBytes(), box)
+	cl := CompactUniform(c, pair)
+	dense, err := cl.CostCentsPerHourDense(c.DenseSizeBytes(), box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +79,11 @@ func TestSetLayoutRoundTripsAndKeys(t *testing.T) {
 	if back := cl.ToSetLayout(); !back.Equal(l) {
 		t.Fatalf("round trip lost placements:\n%v\nvs\n%v", back, l)
 	}
-	if m, ok := cl.MaskAt(DenseIndex(1)); !ok || m != device.Singleton(device.LSSD) {
-		t.Fatalf("MaskAt(0) = %v, %v", m, ok)
+	if m, ok := cl.At(DenseIndex(1)); !ok || m != device.Singleton(device.LSSD) {
+		t.Fatalf("At(0) = %v, %v", m, ok)
 	}
-	if _, ok := cl.MaskAt(-1); ok {
-		t.Fatal("MaskAt out of range must fail")
+	if _, ok := cl.At(-1); ok {
+		t.Fatal("At out of range must fail")
 	}
 
 	if _, ok := l.SingleLayout(); ok {
@@ -158,17 +103,10 @@ func TestSetLayoutRoundTripsAndKeys(t *testing.T) {
 	if l.Key() == other.Key() || l.Equal(other) {
 		t.Fatal("distinct layouts share a key")
 	}
-
-	// SetRaw stores mask bytes Set would reject.
-	raw := NewCompactLayout(c.NumObjects())
-	raw.SetRaw(1, byte(pair))
-	if m, ok := raw.MaskAt(0); !ok || m != pair {
-		t.Fatalf("SetRaw/MaskAt: %v, %v", m, ok)
-	}
 }
 
 // TestSetLayoutErrorPaths: absent classes and capacity overflows are
-// reported with the single-class wording.
+// reported the same way for one copy or several.
 func TestSetLayoutErrorPaths(t *testing.T) {
 	c := replicaFixture(t)
 	box := device.Box1() // no plain HDD
@@ -176,11 +114,11 @@ func TestSetLayoutErrorPaths(t *testing.T) {
 	if _, err := l.CostCentsPerHour(c, box); err == nil || !strings.Contains(err.Error(), "not present in box") {
 		t.Fatalf("want absent-class error, got %v", err)
 	}
-	cl := CompactUniformSet(c, device.NewClassSet(device.HDD, device.HSSD))
-	if _, err := cl.SetCostCentsPerHourDense(c.DenseSizeBytes(), box); err == nil || !strings.Contains(err.Error(), "not present in box") {
+	cl := CompactUniform(c, device.NewClassSet(device.HDD, device.HSSD))
+	if _, err := cl.CostCentsPerHourDense(c.DenseSizeBytes(), box); err == nil || !strings.Contains(err.Error(), "not present in box") {
 		t.Fatalf("dense: want absent-class error, got %v", err)
 	}
-	if cl.SetFitsCapacityDense(c.DenseSizeBytes(), box) {
+	if cl.FitsCapacityDense(c.DenseSizeBytes(), box) {
 		t.Fatal("layout on an absent class cannot fit")
 	}
 
@@ -198,8 +136,8 @@ func TestSetLayoutErrorPaths(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CompactUniformSet must panic on the empty set")
+			t.Fatal("CompactUniform must panic on the empty set")
 		}
 	}()
-	CompactUniformSet(c, 0)
+	CompactUniform(c, 0)
 }

@@ -54,14 +54,15 @@ func (in Input) StorageFloorBound(prof iosim.Profile) search.LowerBound {
 		}
 		return 0
 	}
-	return func(partial catalog.Layout, unassigned []catalog.ObjectID) (float64, error) {
+	return func(partial catalog.SetLayout, unassigned []catalog.ObjectID) (float64, error) {
 		var perHour float64
-		for id, cls := range partial {
-			d := in.Box.Device(cls)
-			if d == nil {
-				continue // enumeration only assigns box classes
+		for id, set := range partial {
+			// Enumeration only assigns box classes; every copy pays.
+			for _, d := range in.Box.Devices {
+				if set.Has(d.Class) {
+					perHour += d.PriceCents * sizeGB(id)
+				}
 			}
-			perHour += d.PriceCents * sizeGB(id)
 		}
 		for _, id := range unassigned {
 			perHour += minPrice * sizeGB(id)

@@ -191,20 +191,20 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 func TestCompiledEngineEngages(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()
-	if in.compiledConfig() == nil {
+	if in.compiledConfig(in.alphabet(1)) == nil {
 		t.Fatal("ObservedEstimator input should enable the compiled path")
 	}
 	in.NoCompile = true
-	if in.compiledConfig() != nil {
+	if in.compiledConfig(in.alphabet(1)) != nil {
 		t.Fatal("NoCompile must disable the compiled path")
 	}
 	in = f.input()
 	in.LayoutCost = func(l catalog.Layout) (float64, error) { return 1, nil }
-	if in.compiledConfig() != nil {
+	if in.compiledConfig(in.alphabet(1)) != nil {
 		t.Fatal("a LayoutCost without its compact mirror must disable the compiled path")
 	}
 	in.LayoutCostCompact = func(cl catalog.CompactLayout) (float64, error) { return 1, nil }
-	if in.compiledConfig() == nil {
+	if in.compiledConfig(in.alphabet(1)) == nil {
 		t.Fatal("a LayoutCost with its compact mirror keeps the compiled path")
 	}
 }

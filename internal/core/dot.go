@@ -69,11 +69,44 @@ type Input struct {
 	// value is the default behaviour; no knob changes any result, only the
 	// work done to reach it.
 	Search SearchTuning
-	// Replication configures the replicated (class-set) search entry points
-	// — OptimizeReplicated, ExhaustiveReplicated and their partitioned and
-	// incremental variants. The zero value leaves the single-class entry
-	// points untouched and lets the replicated ones use any replica count.
+	// Replication sets the per-unit copy cap of the entry points that place
+	// class sets — OptimizeReplicated, ExhaustiveReplicated and their
+	// partitioned and incremental variants. The single-copy entry points
+	// (Optimize, OptimizeBest, Exhaustive, ...) are the same searches at a
+	// cap of one and ignore it; the zero value lets the replicated ones use
+	// any replica count.
 	Replication ReplicationConfig
+}
+
+// ReplicationConfig is Input.Replication: how many copies of a unit the
+// search may place.
+type ReplicationConfig struct {
+	// Enabled marks the input as wanting replicated advise. The core entry
+	// points do not consult it — calling OptimizeReplicated is the opt-in —
+	// but the callers that take one input for both kinds of advise (serve,
+	// online, provision) search at Cap().
+	Enabled bool
+	// MaxReplicas caps the copies per unit. Values below 1 mean no cap (up
+	// to one copy per storage class); 1 restricts the search to singleton
+	// sets, which is single-copy placement.
+	MaxReplicas int
+}
+
+// maxReplicas resolves the per-unit copy cap.
+func (r ReplicationConfig) maxReplicas() int {
+	if r.MaxReplicas < 1 || r.MaxReplicas > device.NumClasses {
+		return device.NumClasses
+	}
+	return r.MaxReplicas
+}
+
+// Cap is the copy cap a caller honouring Enabled searches under: one copy
+// per unit unless replication is enabled.
+func (r ReplicationConfig) Cap() int {
+	if !r.Enabled {
+		return 1
+	}
+	return r.maxReplicas()
 }
 
 // SearchTuning is Input.Search: ablation and tuning knobs for the
@@ -125,6 +158,8 @@ func (o Options) validateSLA() error {
 
 // Result reports the recommended layout and its estimated economics.
 type Result struct {
+	// Layout is the recommendation in single-class form; nil when some unit
+	// holds more than one copy (see ReplicaResult.SetLayout).
 	Layout      catalog.Layout
 	Feasible    bool
 	TOCCents    float64 // estimated TOC (cents/workload for DSS, cents/task for OLTP)
@@ -145,8 +180,7 @@ type Result struct {
 	// best holds the incumbent evaluation; the Layout field is materialized
 	// from it once at the end of the run (materializing a map per
 	// improvement is pure allocation on the compiled path).
-	best     search.Eval
-	haveBest bool
+	best search.Eval
 }
 
 // consider adopts the evaluation when it is feasible and improves on the
@@ -158,11 +192,63 @@ func (r *Result) consider(ev search.Eval, cons workload.Constraints) bool {
 	if !r.Feasible || ev.TOCCents < r.TOCCents {
 		r.Feasible = true
 		r.best = ev
-		r.haveBest = true
 		r.TOCCents = ev.TOCCents
 		r.Metrics = ev.Metrics
 	}
 	return true
+}
+
+// ReplicaResult is a recommendation in class-set form — what every search
+// produces. The embedded Result carries the economics (TOC, metrics,
+// constraints, search statistics); its Layout field holds the single-class
+// collapse when every unit landed on exactly one copy, and nil when the
+// recommendation is genuinely replicated.
+type ReplicaResult struct {
+	*Result
+	// SetLayout maps every unit to the recommended set of classes holding a
+	// copy.
+	SetLayout catalog.SetLayout
+}
+
+// MaxCopies returns the largest replica count of any unit — 1 when the
+// recommendation degenerates to a single-class layout.
+func (r *ReplicaResult) MaxCopies() int {
+	max := 0
+	for _, set := range r.SetLayout {
+		if c := set.Count(); c > max {
+			max = c
+		}
+	}
+	return max
+}
+
+// ReplicatedCopies counts the extra copies the recommendation places beyond
+// one per unit.
+func (r *ReplicaResult) ReplicatedCopies() int {
+	extra := 0
+	for _, set := range r.SetLayout {
+		if c := set.Count(); c > 1 {
+			extra += c - 1
+		}
+	}
+	return extra
+}
+
+// finish materializes the recommendation from the incumbent evaluation:
+// once, at the end of a search, as a private copy — the engine's memo
+// retains every evaluated layout, and post-hoc mutation must not reach
+// shared state.
+func (r *Result) finish() *ReplicaResult {
+	sl := r.best.LayoutClone()
+	r.Layout, _ = sl.SingleLayout()
+	return &ReplicaResult{Result: r, SetLayout: sl}
+}
+
+// fallBack reports ev's numbers for a search that found nothing feasible.
+func (r *Result) fallBack(ev search.Eval) {
+	r.best = ev
+	r.TOCCents = ev.TOCCents
+	r.Metrics = ev.Metrics
 }
 
 func (in Input) validate() error {
@@ -182,55 +268,85 @@ func (in Input) conc() int {
 	return in.Concurrency
 }
 
-// toc computes the workload cost under the input's layout cost model.
-func (in Input) toc(m workload.Metrics, l catalog.Layout) (float64, error) {
-	if in.LayoutCost == nil {
-		return workload.TOCCents(m, l, in.Cat, in.Box)
-	}
-	perHour, err := in.LayoutCost(l)
-	if err != nil {
-		return 0, err
-	}
+// tocOf turns a layout's hourly cost and estimated metrics into the TOC
+// (paper §2.1/§2.3): C(L) / T cents per task for throughput workloads,
+// C(L) * t cents per run otherwise.
+func tocOf(perHour float64, m workload.Metrics) float64 {
 	if m.Throughput > 0 {
-		return perHour / m.Throughput, nil
+		return perHour / m.Throughput
 	}
-	return perHour * m.Elapsed.Hours(), nil
+	return perHour * m.Elapsed.Hours()
 }
 
-// engine builds the shared candidate-evaluation engine for this input: the
-// single estimate → price → check pipeline every search entry point runs
-// through, memoized by the canonical layout key and fanned out over
-// in.Workers. When the estimator is compact-capable the engine also gets
-// the compiled evaluation path (see compiledConfig); results are
-// bit-identical on either path.
-func (in Input) engine() (*search.Engine, error) {
+// toc computes the workload cost under the input's layout cost model. A
+// custom LayoutCost is a function of single-class layouts, which is all it
+// is ever asked about: engine refuses it at a copy cap above one.
+func (in Input) toc(m workload.Metrics, l catalog.SetLayout) (float64, error) {
+	if in.LayoutCost == nil {
+		perHour, err := l.CostCentsPerHour(in.Cat, in.Box)
+		return tocOf(perHour, m), err
+	}
+	single, ok := l.SingleLayout()
+	if !ok {
+		return 0, fmt.Errorf("core: custom layout cost cannot price a multi-copy layout")
+	}
+	perHour, err := in.LayoutCost(single)
+	return tocOf(perHour, m), err
+}
+
+// alphabet is the digit alphabet of a search at the given copy cap: every
+// set of at most that many of the box's classes, singletons first in
+// ascending class order — so a cap of one enumerates exactly the box's
+// classes, in the order a single-class search would.
+func (in Input) alphabet(copyCap int) []device.ClassSet {
+	return device.EnumerateClassSets(in.Box.Classes(), copyCap)
+}
+
+// engine builds the candidate-evaluation engine for this input at a copy
+// cap: the single estimate → price → check pipeline every search entry
+// point runs through, memoized by the canonical layout key and fanned out
+// over in.Workers. When the estimator is compact-capable the engine also
+// gets the compiled evaluation path (see compiledConfig); results are
+// bit-identical on either path. Placing more than one copy prices only
+// under the linear model — a custom LayoutCost is a function of
+// single-class layouts — and needs an estimator with a replica form.
+func (in Input) engine(copyCap int) (*search.Engine, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
+	}
+	if copyCap > 1 {
+		if in.LayoutCost != nil || in.LayoutCostCompact != nil {
+			return nil, fmt.Errorf("core: replicated search supports only the linear cost model")
+		}
+		if _, ok := in.Est.(workload.SetEstimator); !ok {
+			return nil, fmt.Errorf("core: estimator %T has no replica form", in.Est)
+		}
 	}
 	return search.New(search.Config{
 		Est:        in.Est,
 		Cost:       in.toc,
-		CapacityOK: func(l catalog.Layout) bool { return l.CheckCapacity(in.Cat, in.Box) == nil },
+		CapacityOK: func(l catalog.SetLayout) bool { return l.CheckCapacity(in.Cat, in.Box) == nil },
 		Workers:    in.Workers,
 		Budget:     in.Budget,
-		Compiled:   in.compiledConfig(),
+		Compiled:   in.compiledConfig(in.alphabet(copyCap)),
 	})
 }
 
 // compiledConfig assembles the engine's compiled path when the input
 // supports it: the estimator must be compact-capable (the profile-driven
-// estimators compile themselves via workload.CompileEstimator; plan-aware
-// estimators do not, and transparently stay on the map path), and a custom
-// LayoutCost needs its compact mirror. Returns nil when the compiled path
-// cannot engage.
-func (in Input) compiledConfig() *search.CompiledConfig {
+// estimators compile themselves via workload.CompileEstimator — here, once,
+// for exactly the alphabet the search will enumerate; plan-aware estimators
+// do not, and transparently stay on the map path), and a custom LayoutCost
+// needs its compact mirror. Returns nil when the compiled path cannot
+// engage.
+func (in Input) compiledConfig(alphabet []device.ClassSet) *search.CompiledConfig {
 	if in.NoCompile {
 		return nil
 	}
 	if in.LayoutCost != nil && in.LayoutCostCompact == nil {
 		return nil
 	}
-	est := workload.CompileEstimator(in.Est, in.Cat)
+	est := workload.CompileEstimator(in.Est, in.Cat, alphabet...)
 	ce, ok := est.(workload.CompactEstimator)
 	if !ok {
 		return nil
@@ -239,25 +355,19 @@ func (in Input) compiledConfig() *search.CompiledConfig {
 	// Sizes are frozen per engine, like the estimators' statistics; the
 	// dense snapshot keeps cost and capacity checks off the catalog's maps.
 	sizes := in.Cat.DenseSizeBytes()
-	perHour := func(cl catalog.CompactLayout) (float64, error) {
-		if in.LayoutCostCompact != nil {
-			return in.LayoutCostCompact(cl)
-		}
-		return cl.CostCentsPerHourDense(sizes, in.Box)
-	}
 	return &search.CompiledConfig{
 		Cat:   in.Cat,
 		Est:   ce,
 		Delta: de,
 		Cost: func(m workload.Metrics, cl catalog.CompactLayout) (float64, error) {
-			ph, err := perHour(cl)
-			if err != nil {
-				return 0, err
+			var perHour float64
+			var err error
+			if in.LayoutCostCompact != nil {
+				perHour, err = in.LayoutCostCompact(cl)
+			} else {
+				perHour, err = cl.CostCentsPerHourDense(sizes, in.Box)
 			}
-			if m.Throughput > 0 {
-				return ph / m.Throughput, nil
-			}
-			return ph * m.Elapsed.Hours(), nil
+			return tocOf(perHour, m), err
 		},
 		CapacityOK: func(cl catalog.CompactLayout) bool {
 			return cl.FitsCapacityDense(sizes, in.Box)
@@ -288,13 +398,26 @@ func (in Input) prep(opts Options, eng *search.Engine) (device.Class, search.Eva
 	return l0Class, ev0, cons, nil
 }
 
-// evaluateUniform evaluates the "all objects on cls" layout through the
-// engine, staying compact on the compiled path.
+// evaluateUniform evaluates the "one copy of every object on cls" layout
+// through the engine, staying compact on the compiled path.
 func (in Input) evaluateUniform(eng *search.Engine, cls device.Class) (search.Eval, error) {
 	if eng.Compiled() {
-		return eng.EvaluateCompact(catalog.CompactUniform(in.Cat, cls))
+		return eng.EvaluateCompact(catalog.CompactUniform(in.Cat, device.Singleton(cls)))
 	}
-	return eng.Evaluate(catalog.NewUniformLayout(in.Cat, cls))
+	return eng.Evaluate(catalog.NewUniformSetLayout(in.Cat, device.Singleton(cls)))
+}
+
+// evaluateLayout runs a caller-supplied layout (a deployed seed, a pinned
+// base) through the engine, staying compact on the compiled path. The
+// layout is cloned before the engine can retain it, so the caller's map
+// stays private.
+func (in Input) evaluateLayout(eng *search.Engine, l catalog.SetLayout) (search.Eval, error) {
+	if eng.Compiled() {
+		if cl, ok := catalog.CompactFromSetLayout(in.Cat, l); ok {
+			return eng.EvaluateCompact(cl)
+		}
+	}
+	return eng.Evaluate(l.Clone())
 }
 
 // enumerateMoves scores the move list for this input. The list depends
@@ -312,7 +435,7 @@ func (in Input) enumerateMoves(eng *search.Engine) ([]Move, error) {
 // on the most expensive class), apply the scored moves in order, keep every
 // feasible layout, and return the one with the minimum estimated TOC.
 func Optimize(in Input, opts Options) (*Result, error) {
-	eng, err := in.engine()
+	eng, err := in.engine(1)
 	if err != nil {
 		return nil, err
 	}
@@ -324,13 +447,22 @@ func Optimize(in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return optimizeWith(in, opts, eng, moves)
+	res, err := optimizeWith(in, opts, eng, moves, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.finish().Result, nil
 }
 
-// optimizeWith is Optimize against a caller-supplied engine and move list,
-// so OptimizeBest's two sweeps and OptimizeRelaxing's SLA halvings share
-// one memo table and one scored move list instead of recomputing both.
-func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move) (*Result, error) {
+// optimizeWith is one DOT pass against a caller-supplied engine and move
+// list, so OptimizeBest's two sweeps and OptimizeRelaxing's SLA halvings
+// share one memo table and one scored move list instead of recomputing
+// both: the L0 baseline, the uniform single-copy anchors, the move sweep,
+// and — when trans is non-nil, i.e. the copy cap admits replication — the
+// add/drop/swap refinement from the sweep's incumbent. The result carries
+// its incumbent evaluation; callers materialize the layout of the one they
+// keep (Result.finish).
+func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, trans [][]device.ClassSet) (*Result, error) {
 	start := time.Now()
 	stats0 := eng.Stats()
 	l0Class, ev0, cons, err := in.prep(opts, eng)
@@ -348,171 +480,210 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move) (*Re
 	// second storage class at a whole device). On the map path the seeds
 	// fan out across the engine's workers; on the compiled path they are a
 	// handful of flat-table estimates, evaluated inline.
-	if eng.Compiled() {
-		for _, d := range in.Box.SortedByPrice() {
-			if d.Class == l0Class {
-				continue
-			}
-			ev, err := eng.EvaluateCompact(catalog.CompactUniform(in.Cat, d.Class))
-			if err != nil {
-				return nil, err
-			}
-			res.Evaluated++
-			res.consider(ev, cons)
+	var seedEvs []search.Eval
+	var seeds []catalog.SetLayout
+	for _, d := range in.Box.SortedByPrice() {
+		if d.Class == l0Class {
+			continue
 		}
-	} else {
-		var seeds []catalog.Layout
-		for _, d := range in.Box.SortedByPrice() {
-			if d.Class == l0Class {
-				continue
-			}
-			seeds = append(seeds, catalog.NewUniformLayout(in.Cat, d.Class))
+		if !eng.Compiled() {
+			seeds = append(seeds, catalog.NewUniformSetLayout(in.Cat, device.Singleton(d.Class)))
+			continue
 		}
-		seedEvs, err := eng.EvaluateAll(seeds)
+		ev, err := in.evaluateUniform(eng, d.Class)
 		if err != nil {
 			return nil, err
 		}
-		for _, ev := range seedEvs {
-			res.Evaluated++
-			res.consider(ev, cons)
+		seedEvs = append(seedEvs, ev)
+	}
+	if seeds != nil {
+		if seedEvs, err = eng.EvaluateAll(seeds); err != nil {
+			return nil, err
 		}
+	}
+	for _, ev := range seedEvs {
+		res.Evaluated++
+		res.consider(ev, cons)
 	}
 
 	passes := opts.Passes
 	if passes < 1 {
 		passes = 2
 	}
-	if eng.Compiled() && !ev0.Compact.IsZero() {
-		err = dotSweepCompact(opts, eng, moves, ev0, cons, res, passes, nil)
-	} else {
-		err = dotSweepMap(opts, eng, moves, ev0, cons, res, passes, nil)
-	}
-	if err != nil {
+	if err := dotSweep(opts, newCursor(eng, ev0), moves, cons, res, passes, nil); err != nil {
 		return nil, err
+	}
+	if trans != nil {
+		from := ev0
+		if res.Feasible {
+			from = res.best
+		}
+		if err := refineSweep(newCursor(eng, from), in.Cat.Objects(), trans, cons, res, passes, nil); err != nil {
+			return nil, err
+		}
 	}
 	if !res.Feasible {
 		// No feasible layout found: report L0's numbers so the caller can
 		// decide how to relax the constraints (paper §3: "the performance
 		// constraints must be relaxed in order to compute a layout").
-		res.best = ev0
-		res.haveBest = true
-		res.TOCCents = ev0.TOCCents
-		res.Metrics = ev0.Metrics
+		res.fallBack(ev0)
 	}
-	// The engine's memo retains every evaluated layout; hand the caller a
-	// private copy so post-hoc mutation cannot reach shared state.
-	res.Layout = res.best.LayoutClone()
 	res.EstimatorCalls = eng.Stats().Sub(stats0).EstimatorCalls
 	res.PlanTime = time.Since(start)
 	res.Search.Candidates = res.Evaluated
 	return res, nil
 }
 
-// dotSweepMap is Procedure 1's move sweep on the map path: every candidate
-// is a cloned map layout run through Engine.Evaluate. A non-nil gate vets
-// candidates before they can be adopted or walked to (OptimizeIncremental's
-// migration budget plugs in here); the plain sweeps pass nil.
-func dotSweepMap(opts Options, eng *search.Engine, moves []Move, ev0 search.Eval, cons workload.Constraints, res *Result, passes int, gate func(search.Eval, workload.Constraints) bool) error {
-	l := ev0.LayoutMap()
-	curTOC := ev0.TOCCents
-	curFeasible := ev0.Feasible(cons)
-	for pass := 0; pass < passes; pass++ {
-		changed := false
-		for _, m := range moves {
-			lnew := m.Apply(l)
-			if lnew.Equal(l) {
-				continue
-			}
-			ev, err := eng.Evaluate(lnew)
-			if err != nil {
-				return err
-			}
-			res.Evaluated++
-			if gate != nil && !gate(ev, cons) {
-				continue
-			}
-			if !res.consider(ev, cons) {
-				continue
-			}
-			// Guard: only walk to layouts that do not worsen the running
-			// TOC (unless reproducing the literal Procedure 1). Infeasible
-			// starting points (L0 over capacity) always accept the first
-			// feasible layout.
-			if !opts.GreedyApply && curFeasible && ev.TOCCents > curTOC {
-				continue
-			}
-			l = lnew
-			curTOC = ev.TOCCents
-			curFeasible = true
-			changed = true
-		}
-		if !changed {
-			break
-		}
-	}
-	return nil
+// cursor is a sweep's running layout: at reads a unit's current placement,
+// try applies a candidate change and evaluates the result, and the sweep
+// then either commits it as the new running layout or reverts it. Both
+// sweeps are written once against it; the two implementations differ only
+// in how a candidate is materialized and evaluated, never in which
+// candidates are tried or in what order — so the map and the compiled path
+// walk move for move and return identical results.
+type cursor interface {
+	// eval is the running layout's evaluation.
+	eval() search.Eval
+	at(id catalog.ObjectID) (device.ClassSet, bool)
+	// try evaluates the running layout with changes applied. The slice is
+	// read until the following commit or revert and not retained after.
+	try(changes []workload.ObjectMove) (search.Eval, error)
+	commit()
+	revert()
 }
 
-// dotSweepCompact is the compiled move sweep: the running layout is one
-// scratch compact layout mutated in place, each candidate move is scored by
-// delta re-estimation from the current evaluation (Engine.EvaluateDelta),
-// and rejected moves are reverted exactly. Candidate order, skip rules and
-// accept rules mirror dotSweepMap move for move (including the optional
-// admission gate), so the walk — and the result — is identical.
-func dotSweepCompact(opts Options, eng *search.Engine, moves []Move, ev0 search.Eval, cons workload.Constraints, res *Result, passes int, gate func(search.Eval, workload.Constraints) bool) error {
-	cur := ev0
-	curTOC := ev0.TOCCents
-	curFeasible := ev0.Feasible(cons)
-	scratch := ev0.Compact.Clone()
+// newCursor starts a cursor at an evaluated layout: compact when the engine
+// is compiled (and the layout could be encoded), map otherwise — the
+// plan-aware DSS estimator, which cannot compile, and the NoCompile oracle.
+func newCursor(eng *search.Engine, ev search.Eval) cursor {
+	if eng.Compiled() && !ev.Compact.IsZero() {
+		return &compactCursor{eng: eng, cur: ev, scratch: ev.Compact.Clone()}
+	}
+	return &mapCursor{eng: eng, cur: ev, l: ev.LayoutMap()}
+}
+
+// compactCursor keeps the running layout in one scratch compact layout
+// mutated in place: a candidate is scored by delta re-estimation from the
+// current evaluation (Engine.EvaluateDelta) and a rejected one is reverted
+// exactly, so the sweep allocates nothing per candidate.
+type compactCursor struct {
+	eng     *search.Engine
+	cur     search.Eval
+	scratch catalog.CompactLayout
+	pending []workload.ObjectMove
+	next    search.Eval
+}
+
+func (c *compactCursor) eval() search.Eval { return c.cur }
+
+func (c *compactCursor) at(id catalog.ObjectID) (device.ClassSet, bool) { return c.scratch.Get(id) }
+
+func (c *compactCursor) try(changes []workload.ObjectMove) (search.Eval, error) {
+	deltaable := true
+	for _, ch := range changes {
+		// An empty From is a unit the running layout does not place. Sweeps
+		// start from total layouts, so this is unreachable; degrade to a full
+		// evaluation rather than delta from an unknown placement.
+		deltaable = deltaable && ch.From != 0
+		c.scratch.Set(ch.Obj, ch.To)
+	}
+	c.pending = changes
+	var err error
+	if deltaable {
+		c.next, err = c.eng.EvaluateDelta(c.cur, c.scratch, changes)
+	} else {
+		c.next, err = c.eng.EvaluateCompact(c.scratch)
+	}
+	return c.next, err
+}
+
+func (c *compactCursor) commit() { c.cur = c.next }
+
+func (c *compactCursor) revert() {
+	for _, ch := range c.pending {
+		if ch.From == 0 {
+			c.scratch.Unset(ch.Obj)
+		} else {
+			c.scratch.Set(ch.Obj, ch.From)
+		}
+	}
+}
+
+// mapCursor clones the running map layout per candidate and runs it through
+// Engine.Evaluate; the running layout itself is never mutated, so a revert
+// has nothing to undo.
+type mapCursor struct {
+	eng   *search.Engine
+	cur   search.Eval
+	l     catalog.SetLayout
+	next  search.Eval
+	nextL catalog.SetLayout
+}
+
+func (c *mapCursor) eval() search.Eval { return c.cur }
+
+func (c *mapCursor) at(id catalog.ObjectID) (device.ClassSet, bool) {
+	set, ok := c.l[id]
+	return set, ok
+}
+
+func (c *mapCursor) try(changes []workload.ObjectMove) (search.Eval, error) {
+	l := c.l.Clone()
+	for _, ch := range changes {
+		l[ch.Obj] = ch.To
+	}
+	var err error
+	c.nextL = l
+	c.next, err = c.eng.Evaluate(l)
+	return c.next, err
+}
+
+func (c *mapCursor) commit() { c.cur, c.l = c.next, c.nextL }
+
+func (c *mapCursor) revert() {}
+
+// gateFunc vets a candidate before a sweep may adopt or walk to it, on top
+// of capacity and the SLA (see IncrementalOptions.Accept).
+type gateFunc func(ev search.Eval, cons workload.Constraints) bool
+
+// dotSweep is Procedure 1's move sweep: walk the scored moves in order,
+// place each move's group on its pattern's classes (one copy each), keep
+// every feasible candidate in res, and walk on to it unless that worsens
+// the running TOC. A non-nil gate vets candidates before they can be
+// adopted or walked to (the incremental search's migration budget plugs in
+// here); the cold sweeps pass nil.
+func dotSweep(opts Options, cur cursor, moves []Move, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
+	curTOC := cur.eval().TOCCents
+	curFeasible := cur.eval().Feasible(cons)
 	var changes []workload.ObjectMove
 	for pass := 0; pass < passes; pass++ {
 		changed := false
 		for _, m := range moves {
 			changes = changes[:0]
-			deltaable := true
 			for i, obj := range m.Group.Objects {
-				from, placed := scratch.Class(obj)
-				if !placed {
-					// DOT starts from the total layout L0, so this is
-					// unreachable; degrade to full evaluation rather than
-					// delta from an unknown class.
-					deltaable = false
-				}
-				if !placed || from != m.Placement[i] {
-					changes = append(changes, workload.ObjectMove{Obj: obj, From: from, To: m.Placement[i]})
+				from, _ := cur.at(obj)
+				if to := device.Singleton(m.Placement[i]); from != to {
+					changes = append(changes, workload.ObjectMove{Obj: obj, From: from, To: to})
 				}
 			}
 			if len(changes) == 0 {
-				continue // identity move, as on the map path
+				continue // identity move
 			}
-			// SetRaw, not Set: the replicated sweep drives this same loop with
-			// class-set masks in the class slots, which Set would reject.
-			for _, ch := range changes {
-				scratch.SetRaw(ch.Obj, byte(ch.To))
-			}
-			var ev search.Eval
-			var err error
-			if deltaable {
-				ev, err = eng.EvaluateDelta(cur, scratch, changes)
-			} else {
-				ev, err = eng.EvaluateCompact(scratch)
-			}
+			ev, err := cur.try(changes)
 			if err != nil {
 				return err
 			}
 			res.Evaluated++
 			accepted := (gate == nil || gate(ev, cons)) && res.consider(ev, cons)
+			// Guard: only walk to layouts that do not worsen the running
+			// TOC (unless reproducing the literal Procedure 1). Infeasible
+			// starting points (L0 over capacity) always accept the first
+			// feasible layout.
 			if !accepted || (!opts.GreedyApply && curFeasible && ev.TOCCents > curTOC) {
-				if deltaable {
-					for _, ch := range changes {
-						scratch.SetRaw(ch.Obj, byte(ch.From))
-					}
-				} else {
-					scratch = cur.Compact.Clone()
-				}
+				cur.revert()
 				continue
 			}
-			cur = ev
+			cur.commit()
 			curTOC = ev.TOCCents
 			curFeasible = true
 			changed = true
@@ -524,23 +695,105 @@ func dotSweepCompact(opts Options, eng *search.Engine, moves []Move, ev0 search.
 	return nil
 }
 
-// OptimizeBest runs both application policies — the guarded sweep and the
-// paper's literal greedy sweep — and returns the feasible result with the
-// lower estimated TOC. The two are complementary: the guard wins when the
-// greedy walk would clobber good placements; the greedy walk wins when the
-// cost model has valleys a monotonic walk cannot cross (e.g. the
-// discrete-sized model of §5.2, where using a second storage class
-// temporarily raises cost until the first one empties).
+// replicaTransitions precomputes, per current class set, the candidate
+// target sets of the refinement sweep's three move kinds — add one copy,
+// drop one copy, swap one copy for another class — restricted to the box's
+// classes and the per-unit copy cap, in ascending mask order (deterministic
+// sweep order). A cap of one admits no second copy and returns nil: the
+// search is then the single-copy search and skips the refinement.
+func (in Input) replicaTransitions(copyCap int) [][]device.ClassSet {
+	if copyCap < 2 {
+		return nil
+	}
+	digits := in.alphabet(copyCap)
+	out := make([][]device.ClassSet, device.NumClassSets)
+	for _, cur := range in.alphabet(0) {
+		for _, tgt := range digits {
+			switch (cur ^ tgt).Count() {
+			case 1:
+				// add (tgt ⊃ cur) or drop (tgt ⊂ cur) one copy
+			case 2:
+				if tgt.Count() != cur.Count() {
+					continue // two-step change, reachable via add+drop
+				}
+				// swap one member for another
+			default:
+				continue
+			}
+			out[cur] = append(out[cur], tgt)
+		}
+	}
+	return out
+}
+
+// refineSweep is the copy refinement: for every unit in catalog order, try
+// each add/drop/swap transition of its current set, adopt TOC improvements
+// (strictly: an equal-TOC change is not worth a copy), and repeat per unit
+// until no transition helps. The gate vets candidates exactly as in
+// dotSweep.
+func refineSweep(cur cursor, objs []*catalog.Object, trans [][]device.ClassSet, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
+	curTOC := cur.eval().TOCCents
+	curFeasible := cur.eval().Feasible(cons)
+	var move [1]workload.ObjectMove
+	for pass := 0; pass < passes; pass++ {
+		changed := false
+		for _, o := range objs {
+			from, placed := cur.at(o.ID)
+			if !placed {
+				continue
+			}
+			// Chase improvements on this unit to a local fixed point; each
+			// adoption changes the transition list, so re-resolve it. The step
+			// bound caps pathological equal-TOC cycles.
+			for step := 0; step < device.NumClassSets; step++ {
+				improved := false
+				for _, tgt := range trans[from] {
+					move[0] = workload.ObjectMove{Obj: o.ID, From: from, To: tgt}
+					ev, err := cur.try(move[:])
+					if err != nil {
+						return err
+					}
+					res.Evaluated++
+					accepted := (gate == nil || gate(ev, cons)) && res.consider(ev, cons)
+					if !accepted || (curFeasible && ev.TOCCents >= curTOC) {
+						cur.revert()
+						continue
+					}
+					cur.commit()
+					curTOC, curFeasible = ev.TOCCents, true
+					from = tgt
+					improved, changed = true, true
+					break
+				}
+				if !improved {
+					break
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return nil
+}
+
+// optimizeBest runs both application policies of the DOT pass — the
+// guarded sweep and the paper's literal greedy sweep — at a copy cap and
+// returns the feasible result with the lower estimated TOC. The two are
+// complementary: the guard wins when the greedy walk would clobber good
+// placements; the greedy walk wins when the cost model has valleys a
+// monotonic walk cannot cross (e.g. the discrete-sized model of §5.2, where
+// using a second storage class temporarily raises cost until the first one
+// empties).
 //
-// Both sweeps share one search engine, so the second revisits the first's
+// Both passes share one search engine, so the second revisits the first's
 // memoized evaluations instead of re-estimating them; with Workers > 1 the
-// sweeps also run concurrently (the engine's semaphore still bounds
-// concurrent estimator calls at Workers). Evaluated and PlanTime report
-// the summed
-// work of both sweeps; EstimatorCalls reports the distinct layouts actually
-// estimated.
-func OptimizeBest(in Input, opts Options) (*Result, error) {
-	eng, err := in.engine()
+// passes also run concurrently (the engine's semaphore still bounds
+// concurrent estimator calls at Workers). Evaluated and PlanTime report the
+// summed work of both passes; EstimatorCalls reports the distinct layouts
+// actually estimated.
+func optimizeBest(in Input, opts Options, copyCap int) (*ReplicaResult, error) {
+	eng, err := in.engine(copyCap)
 	if err != nil {
 		return nil, err
 	}
@@ -551,6 +804,7 @@ func OptimizeBest(in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	trans := in.replicaTransitions(copyCap)
 	guarded, greedy := opts, opts
 	guarded.GreedyApply = false
 	greedy.GreedyApply = true
@@ -563,14 +817,14 @@ func OptimizeBest(in Input, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b, errB = optimizeWith(in, greedy, eng, moves)
+			b, errB = optimizeWith(in, greedy, eng, moves, trans)
 		}()
-		a, errA = optimizeWith(in, guarded, eng, moves)
+		a, errA = optimizeWith(in, guarded, eng, moves, trans)
 		wg.Wait()
 	} else {
-		a, errA = optimizeWith(in, guarded, eng, moves)
+		a, errA = optimizeWith(in, guarded, eng, moves, trans)
 		if errA == nil {
-			b, errB = optimizeWith(in, greedy, eng, moves)
+			b, errB = optimizeWith(in, greedy, eng, moves, trans)
 		}
 	}
 	if errA != nil {
@@ -587,7 +841,28 @@ func OptimizeBest(in Input, opts Options) (*Result, error) {
 	best.PlanTime = a.PlanTime + b.PlanTime
 	best.EstimatorCalls = eng.Stats().EstimatorCalls
 	best.Search.Candidates = best.Evaluated
-	return best, nil
+	return best.finish(), nil
+}
+
+// OptimizeBest is the cold DOT search placing one copy of every unit: both
+// application policies (see optimizeBest), the better feasible result.
+func OptimizeBest(in Input, opts Options) (*Result, error) {
+	res, err := optimizeBest(in, opts, 1)
+	if err != nil {
+		return nil, err
+	}
+	return res.Result, nil
+}
+
+// OptimizeReplicated is OptimizeBest over class sets, up to
+// Input.Replication.MaxReplicas copies per unit: a scan-friendly copy on
+// cheap sequential storage plus a point-lookup copy on fast random storage,
+// each query routed to its best copy, every write charged to all copies,
+// storage summed over members. Extra copies enter through the refinement
+// sweep's add/drop/swap moves; at a cap of one the search — and the result,
+// bit for bit — is OptimizeBest's.
+func OptimizeReplicated(in Input, opts Options) (*ReplicaResult, error) {
+	return optimizeBest(in, opts, in.Replication.maxReplicas())
 }
 
 // minSLAFloor guards the relaxing loops against a non-positive minSLA,
@@ -625,7 +900,7 @@ func relaxing(opts Options, minSLA float64, run func(Options) (*Result, error)) 
 // final SLA value. All rounds share one search engine: a layout estimated
 // at one SLA level is only re-checked, never re-estimated, at the next.
 func OptimizeRelaxing(in Input, opts Options, minSLA float64) (*Result, float64, error) {
-	eng, err := in.engine()
+	eng, err := in.engine(1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -637,6 +912,10 @@ func OptimizeRelaxing(in Input, opts Options, minSLA float64) (*Result, float64,
 		return nil, 0, err
 	}
 	return relaxing(opts, minSLA, func(o Options) (*Result, error) {
-		return optimizeWith(in, o, eng, moves)
+		res, err := optimizeWith(in, o, eng, moves, nil)
+		if err != nil {
+			return nil, err
+		}
+		return res.finish().Result, nil
 	})
 }

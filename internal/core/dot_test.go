@@ -399,14 +399,15 @@ func TestEnumerateMovesOrdering(t *testing.T) {
 			t.Fatalf("move %v has non-positive saving %g", m.Placement, m.DeltaCost)
 		}
 	}
-	// Apply must only touch the group's objects.
-	l0 := catalog.NewUniformLayout(f.cat, device.HSSD)
-	l1 := moves[0].Apply(l0)
+	// A move places exactly its group's objects.
 	changed := 0
-	for id := range l0 {
-		if l0[id] != l1[id] {
+	for i := range moves[0].Group.Objects {
+		if moves[0].Placement[i] != device.HSSD {
 			changed++
 		}
+	}
+	if len(moves[0].Placement) != moves[0].Group.Size() {
+		t.Fatalf("placement covers %d objects, group size %d", len(moves[0].Placement), moves[0].Group.Size())
 	}
 	if changed == 0 || changed > moves[0].Group.Size() {
 		t.Fatalf("move changed %d objects, group size %d", changed, moves[0].Group.Size())

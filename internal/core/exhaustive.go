@@ -26,24 +26,22 @@ const MaxExhaustiveLayouts = 5_000_000
 // assignment subtrees whose TOC floor already exceeds the incumbent; both
 // leave the result byte-identical to the sequential, unpruned enumeration.
 func Exhaustive(in Input, opts Options) (*Result, error) {
-	eng, err := in.engine()
+	res, err := exhaustive(in, opts, 1, in.allObjects(), nil)
 	if err != nil {
 		return nil, err
 	}
-	return exhaustiveWith(in, opts, eng)
+	return res.Result, nil
 }
 
-// exhaustiveWith is Exhaustive against a caller-supplied engine, so
-// ExhaustiveRelaxing's SLA halvings share one memo table: a layout
-// estimated at one SLA level is only re-checked, never re-estimated, at
-// the next.
-func exhaustiveWith(in Input, opts Options, eng *search.Engine) (*Result, error) {
-	objs := in.Cat.Objects()
-	free := make([]catalog.ObjectID, len(objs))
-	for i, o := range objs {
-		free[i] = o.ID
-	}
-	return exhaustSpace(in, opts, eng, free, nil)
+// ExhaustiveReplicated enumerates every replicated layout L: O -> 2^D
+// (member sets restricted to the box's classes and the copy cap) and
+// returns the feasible one with minimum TOC — the quality yardstick of the
+// replicated search, and the space that explodes from |D|^n to (2^|D|)^n.
+// It is Exhaustive over a wider digit alphabet: the same branch-and-bound
+// DFS, with suffix floors from exact per-(unit, set) storage prices and
+// elapsed rows and dominance over per-set signature rows.
+func ExhaustiveReplicated(in Input, opts Options) (*ReplicaResult, error) {
+	return exhaustive(in, opts, in.Replication.maxReplicas(), in.allObjects(), nil)
 }
 
 // ExhaustivePartial enumerates placements for only the given objects,
@@ -52,20 +50,51 @@ func exhaustiveWith(in Input, opts Options, eng *search.Engine) (*Result, error)
 // comparison of §4.5.3: we free the objects with the highest I/O pressure
 // and pin the tiny remainder).
 func ExhaustivePartial(in Input, opts Options, free []catalog.ObjectID, base catalog.Layout) (*Result, error) {
-	eng, err := in.engine()
+	res, err := exhaustive(in, opts, 1, free, catalog.SingletonSetLayout(base))
 	if err != nil {
 		return nil, err
 	}
-	return exhaustSpace(in, opts, eng, free, base)
+	return res.Result, nil
 }
 
-// exhaustSpace is the one enumeration loop behind Exhaustive and
-// ExhaustivePartial: derive the constraints from L0, sweep the assignment
-// space through the shared engine — the compiled DFS with its running
-// accumulators when the engine carries the compact path, the map
-// enumeration otherwise — and fall back to the pinned starting point when
-// nothing is feasible.
-func exhaustSpace(in Input, opts Options, eng *search.Engine, free []catalog.ObjectID, base catalog.Layout) (*Result, error) {
+// allObjects lists every catalog object — the free set of a full
+// enumeration.
+func (in Input) allObjects() []catalog.ObjectID {
+	objs := in.Cat.Objects()
+	free := make([]catalog.ObjectID, len(objs))
+	for i, o := range objs {
+		free[i] = o.ID
+	}
+	return free
+}
+
+// exhaustive builds the engine for the copy cap and enumerates.
+func exhaustive(in Input, opts Options, copyCap int, free []catalog.ObjectID, base catalog.SetLayout) (*ReplicaResult, error) {
+	eng, err := in.engine(copyCap)
+	if err != nil {
+		return nil, err
+	}
+	if copyCap > 1 && !eng.Compiled() {
+		// The (2^|D|)^n space is only tractable with delta chains and
+		// dominance collapse; the map walk has neither.
+		return nil, fmt.Errorf("core: replicated exhaustive search requires the compiled path (estimator %T does not compile, or NoCompile is set)", in.Est)
+	}
+	res, err := exhaustSpace(in, opts, eng, in.alphabet(copyCap), free, base)
+	if err != nil {
+		return nil, err
+	}
+	return res.finish(), nil
+}
+
+// exhaustSpace is the one enumeration loop behind every exhaustive entry
+// point: derive the constraints from L0, sweep the assignment space through
+// a caller-supplied engine (ExhaustiveRelaxing's SLA halvings share one
+// memo table: a layout estimated at one SLA level is only re-checked, never
+// re-estimated, at the next) — the branch-and-bound DFS when the engine
+// carries the compact path, the plain compiled DFS or the map enumeration
+// otherwise — and fall back to the pinned starting point when nothing is
+// feasible.
+func exhaustSpace(in Input, opts Options, eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout) (*Result, error) {
 	start := time.Now()
 	stats0 := eng.Stats()
 	_, ev0, cons, err := in.prep(opts, eng)
@@ -79,11 +108,11 @@ func exhaustSpace(in Input, opts Options, eng *search.Engine, free []catalog.Obj
 	// unless dominance collapses the canonical space back under it, in
 	// which case the branch-and-bound walk (which enumerates only canonical
 	// members) is admitted.
-	bsp, bnbOK := in.bnbSpace(eng, free, base, throughput)
-	n, m := len(free), len(in.Box.Classes())
+	bsp, bnbOK := in.bnbSpace(eng, digits, free, base, throughput)
+	n, m := len(free), len(digits)
 	if math.Pow(float64(m), float64(n)) > MaxExhaustiveLayouts {
 		if !bnbOK || search.CanonicalSpaceSize(bsp.Sigs, n, m) > MaxExhaustiveLayouts {
-			return nil, fmt.Errorf("core: exhaustive search over %d objects x %d classes exceeds the %d-layout bound",
+			return nil, fmt.Errorf("core: exhaustive search over %d objects x %d placements exceeds the %d-layout bound",
 				n, m, MaxExhaustiveLayouts)
 		}
 	}
@@ -99,10 +128,10 @@ func exhaustSpace(in Input, opts Options, eng *search.Engine, free []catalog.Obj
 			NoReorder:   in.Search.NoReorder,
 			NoDominance: in.Search.NoDominance,
 		})
-	} else if csp, ok := in.compactSpace(eng, free, base, throughput); ok {
+	} else if csp, ok := in.compactSpace(eng, digits, free, base, throughput); ok {
 		best, found, st, err = eng.ExhaustiveCompact(cons, csp)
 	} else {
-		sp := search.Space{Base: base, Free: free, Classes: in.Box.Classes()}
+		sp := search.Space{Base: base, Free: free, Digits: digits}
 		lb := in.LowerBound
 		if throughput {
 			// Throughput (OLTP) workloads price TOC as C(L)/T, not C(L)*t, so
@@ -126,54 +155,52 @@ func exhaustSpace(in Input, opts Options, eng *search.Engine, free []catalog.Obj
 	res.Evaluated = st.Candidates
 	res.Search = st
 	if found {
-		res.Feasible = true
-		res.Layout = best.LayoutClone()
-		res.TOCCents = best.TOCCents
-		res.Metrics = best.Metrics
+		res.consider(best, cons)
 	} else if base == nil {
 		// Full enumeration found nothing: report L0's numbers so the caller
 		// can decide how to relax the constraints.
-		res.Layout = ev0.LayoutClone()
-		res.TOCCents = ev0.TOCCents
-		res.Metrics = ev0.Metrics
+		res.fallBack(ev0)
 	} else {
 		// Partial enumeration found nothing: report the pinned base, with
 		// metrics and TOC both evaluated under it (unless pruning skipped
 		// the base's subtree, this is a memo hit).
-		evBase, err := eng.Evaluate(base.Clone())
+		evBase, err := in.evaluateLayout(eng, base)
 		if err != nil {
 			return nil, err
 		}
-		res.Layout = evBase.LayoutClone()
-		res.TOCCents = evBase.TOCCents
-		res.Metrics = evBase.Metrics
+		res.fallBack(evBase)
 	}
 	res.EstimatorCalls = eng.Stats().Sub(stats0).EstimatorCalls
 	res.PlanTime = time.Since(start)
 	return res, nil
 }
 
+// spaceBase encodes a pinned base layout for the compiled walks (an empty
+// compact layout when nothing is pinned). ok=false when the base cannot be
+// encoded and the enumeration must stay on the map path.
+func (in Input) spaceBase(base catalog.SetLayout) (catalog.CompactLayout, bool) {
+	if base == nil {
+		return catalog.NewCompactLayout(in.Cat.NumObjects()), true
+	}
+	return catalog.CompactFromSetLayout(in.Cat, base)
+}
+
 // compactSpace assembles the compiled DFS's assignment space. It reports
 // ok=false when the enumeration must stay on the map path: the engine is
 // not compiled, the base layout cannot be encoded, or a map-form LowerBound
 // is installed without its compact mirror (falling back preserves pruning).
-func (in Input) compactSpace(eng *search.Engine, free []catalog.ObjectID, base catalog.Layout, throughput bool) (search.CompactSpace, bool) {
+func (in Input) compactSpace(eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout, throughput bool) (search.CompactSpace, bool) {
 	if !eng.Compiled() {
 		return search.CompactSpace{}, false
 	}
 	if in.LowerBound != nil && in.CompactBound == nil && !throughput {
 		return search.CompactSpace{}, false
 	}
-	csp := search.CompactSpace{Free: free, Classes: in.Box.Classes()}
-	if base != nil {
-		bc, ok := catalog.CompactFromLayout(in.Cat, base)
-		if !ok {
-			return search.CompactSpace{}, false
-		}
-		csp.Base = bc
-	} else {
-		csp.Base = catalog.NewCompactLayout(in.Cat.NumObjects())
+	bc, ok := in.spaceBase(base)
+	if !ok {
+		return search.CompactSpace{}, false
 	}
+	csp := search.CompactSpace{Base: bc, Free: free, Digits: digits}
 	// The elapsed-time floor is inadmissible for throughput objectives,
 	// exactly as on the map path.
 	if in.CompactBound != nil && !throughput {
@@ -201,39 +228,35 @@ func (in Input) denseCostTables() ([]float64, [device.NumClasses]float64) {
 	return gb, prices
 }
 
-// bnbSpace assembles the branch-and-bound assignment space. ok=false sends
-// the enumeration to the legacy paths: BnB disabled, engine not compiled,
-// an unencodable base, a map-form LowerBound without its compact mirror
-// (the map walk preserves that pruning), or a caller-supplied CompactBound
-// the BnB floor cannot subsume (the accumulator walk preserves it).
-func (in Input) bnbSpace(eng *search.Engine, free []catalog.ObjectID, base catalog.Layout, throughput bool) (search.BnBSpace, bool) {
+// bnbSpace assembles the branch-and-bound assignment space over a digit
+// alphabet. ok=false sends the enumeration to the plain walks: BnB
+// disabled, engine not compiled, an unencodable base, a map-form LowerBound
+// without its compact mirror (the map walk preserves that pruning), or a
+// caller-supplied CompactBound the BnB floor cannot subsume (the
+// accumulator walk preserves it).
+func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout, throughput bool) (search.BnBSpace, bool) {
 	if in.Search.DisableBnB || !eng.Compiled() {
 		return search.BnBSpace{}, false
 	}
 	if in.LowerBound != nil && in.CompactBound == nil && !throughput {
 		return search.BnBSpace{}, false
 	}
-	bsp := search.BnBSpace{Free: free, Classes: in.Box.Classes()}
-	if base != nil {
-		bc, ok := catalog.CompactFromLayout(in.Cat, base)
-		if !ok {
-			return search.BnBSpace{}, false
-		}
-		bsp.Base = bc
-	} else {
-		bsp.Base = catalog.NewCompactLayout(in.Cat.NumObjects())
+	bc, ok := in.spaceBase(base)
+	if !ok {
+		return search.BnBSpace{}, false
 	}
+	bsp := search.BnBSpace{Base: bc, Free: free, Digits: digits}
 	bsp.SizeGB, bsp.PriceCents = in.denseCostTables()
 	est := eng.CompactEstimator()
 	linear := in.LayoutCost == nil && in.LayoutCostCompact == nil
 	// Cost bounding needs the linear pricing model, an elapsed (DSS)
 	// objective, and an estimator whose Elapsed decomposes into additive
-	// per-(unit, class) terms.
+	// per-(unit, digit) terms.
 	if linear && !throughput {
 		if dec, ok := est.(workload.ElapsedDecomposable); ok {
-			table := make([]time.Duration, in.Cat.NumObjects()*device.NumClasses)
-			if fixed, ok := dec.AccumulateElapsedTable(table); ok {
-				bsp.Bounds = in.unitBounds(table, fixed, free, base, bsp.Classes)
+			table := make([]time.Duration, in.Cat.NumObjects()*len(digits))
+			if fixed, ok := dec.AccumulateElapsedTable(table, digits); ok {
+				bsp.Bounds = unitBounds(table, fixed, free, base, digits)
 			}
 		}
 	}
@@ -265,34 +288,29 @@ func (in Input) bnbSpace(eng *search.Engine, free []catalog.ObjectID, base catal
 	return bsp, true
 }
 
-// unitBounds builds the per-unit bound table: each free unit's per-class
-// elapsed contribution over the space's classes, plus the fixed remainder
-// (the estimator's layout-independent share and every pinned object's
+// unitBounds builds the per-unit bound table from the estimator's elapsed
+// decomposition (dense, catalog.DenseIndex(id)*len(digits) + digit): each
+// free unit's per-digit elapsed contribution, plus the fixed remainder (the
+// estimator's layout-independent share and every pinned object's
 // contribution — integer sums, so grouping is exact).
-func (in Input) unitBounds(table []time.Duration, fixed time.Duration, free []catalog.ObjectID, base catalog.Layout, classes []device.Class) *search.UnitBounds {
-	m := len(classes)
+func unitBounds(table []time.Duration, fixed time.Duration, free []catalog.ObjectID, base catalog.SetLayout, digits []device.ClassSet) *search.UnitBounds {
+	m := len(digits)
 	ub := &search.UnitBounds{Time: make([]time.Duration, len(free)*m), Fixed: fixed}
+	inFree := make(map[catalog.ObjectID]bool, len(free))
 	for i, id := range free {
-		d := catalog.DenseIndex(id)
-		if d < 0 || (d+1)*device.NumClasses > len(table) {
-			continue
-		}
-		row := table[d*device.NumClasses : (d+1)*device.NumClasses]
-		for ci, c := range classes {
-			ub.Time[i*m+ci] = row[c]
+		inFree[id] = true
+		if d := catalog.DenseIndex(id); d >= 0 && (d+1)*m <= len(table) {
+			copy(ub.Time[i*m:(i+1)*m], table[d*m:(d+1)*m])
 		}
 	}
-	if base != nil {
-		inFree := make(map[catalog.ObjectID]bool, len(free))
-		for _, id := range free {
-			inFree[id] = true
+	for id, set := range base {
+		d := catalog.DenseIndex(id)
+		if inFree[id] || d < 0 || (d+1)*m > len(table) {
+			continue
 		}
-		for id, c := range base {
-			if inFree[id] || int(c) >= device.NumClasses {
-				continue
-			}
-			if d := catalog.DenseIndex(id); d >= 0 && (d+1)*device.NumClasses <= len(table) {
-				ub.Fixed += table[d*device.NumClasses+int(c)]
+		for ci, digit := range digits {
+			if digit == set {
+				ub.Fixed += table[d*m+ci]
 			}
 		}
 	}
@@ -305,11 +323,15 @@ func (in Input) unitBounds(table []time.Duration, fixed time.Duration, free []ca
 // engine, so each halving re-checks memoized evaluations instead of
 // re-estimating the whole space.
 func ExhaustiveRelaxing(in Input, opts Options, minSLA float64) (*Result, float64, error) {
-	eng, err := in.engine()
+	eng, err := in.engine(1)
 	if err != nil {
 		return nil, 0, err
 	}
 	return relaxing(opts, minSLA, func(o Options) (*Result, error) {
-		return exhaustiveWith(in, o, eng)
+		res, err := exhaustSpace(in, o, eng, in.alphabet(1), in.allObjects(), nil)
+		if err != nil {
+			return nil, err
+		}
+		return res.finish().Result, nil
 	})
 }

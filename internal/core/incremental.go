@@ -29,34 +29,62 @@ type IncrementalOptions struct {
 	Accept func(ev search.Eval, cons workload.Constraints) bool
 }
 
+// ReplicatedIncrementalOptions is IncrementalOptions with the deployed
+// layout in class-set form, for OptimizeReplicatedIncremental.
+type ReplicatedIncrementalOptions struct {
+	Options
+	// Seed is the currently deployed layout.
+	Seed catalog.SetLayout
+	// Accept optionally vets a candidate before adoption, exactly like
+	// IncrementalOptions.Accept.
+	Accept func(ev search.Eval, cons workload.Constraints) bool
+}
+
 // OptimizeIncremental is the online variant of Optimize: instead of walking
 // down from L0 (every object on the most expensive class), it seeds the
 // sweep with the layout currently deployed and looks for gated, TOC-
-// improving group moves away from it.
-//
-// The procedure evaluates the L0 baseline once (the relative SLA is defined
-// against it, exactly as in the offline search), evaluates Seed, and then
-// runs a single guarded move sweep (Options.Passes overrides; default 1)
-// from Seed on the engine's compiled/delta path when available. Compared to
-// a cold OptimizeBest this skips the uniform-layout anchors and the second
-// (greedy) policy sweep, so it evaluates strictly fewer candidates — the
-// point of re-advising online is that a small profile drift should cost a
-// small search.
-//
-// When no gated feasible candidate exists — Seed violates the drifted SLA
-// and every admissible move does too — the result reports Feasible=false
-// with Seed's numbers, and the caller decides whether to relax the gate or
-// fall back to a full cold search (online.Manager does the latter).
+// improving group moves away from it, one copy per unit.
 func OptimizeIncremental(in Input, opts IncrementalOptions) (*Result, error) {
-	eng, err := in.engine()
+	res, err := optimizeIncremental(in, opts.Options, catalog.SingletonSetLayout(opts.Seed), opts.Accept, 1)
+	if err != nil {
+		return nil, err
+	}
+	return res.Result, nil
+}
+
+// OptimizeReplicatedIncremental is OptimizeIncremental over class sets, up
+// to Input.Replication.MaxReplicas copies per unit: after the gated move
+// sweep, gated add/drop/swap refinements grow and shed copies from the
+// deployed sets. Copies drop as freely as they are added — a reverted
+// workload sheds its extra analytics copy on the next re-advise.
+func OptimizeReplicatedIncremental(in Input, opts ReplicatedIncrementalOptions) (*ReplicaResult, error) {
+	return optimizeIncremental(in, opts.Options, opts.Seed, opts.Accept, in.Replication.maxReplicas())
+}
+
+// optimizeIncremental evaluates the L0 baseline once (the relative SLA is
+// defined against it, exactly as in the offline search), evaluates the
+// seed, and then runs a single guarded pass (Options.Passes overrides;
+// default 1) from it on the engine's compiled/delta path when available.
+// Compared to a cold optimizeBest this skips the uniform-layout anchors
+// and the second (greedy) policy, so it evaluates strictly fewer
+// candidates — the point of re-advising online is that a small profile
+// drift should cost a small search.
+//
+// When no gated feasible candidate exists — the seed violates the drifted
+// SLA and every admissible move does too — the result reports
+// Feasible=false with the seed's numbers, and the caller decides whether to
+// relax the gate or fall back to a full cold search (online.Manager does
+// the latter).
+func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept gateFunc, copyCap int) (*ReplicaResult, error) {
+	eng, err := in.engine(copyCap)
 	if err != nil {
 		return nil, err
 	}
 	if err := opts.validateSLA(); err != nil {
 		return nil, err
 	}
-	if len(opts.Seed) == 0 {
-		return nil, fmt.Errorf("core: OptimizeIncremental requires a seed layout")
+	if len(seed) == 0 {
+		return nil, fmt.Errorf("core: incremental search requires a seed layout")
 	}
 	moves, err := in.enumerateMoves(eng)
 	if err != nil {
@@ -64,11 +92,11 @@ func OptimizeIncremental(in Input, opts IncrementalOptions) (*Result, error) {
 	}
 	start := time.Now()
 	stats0 := eng.Stats()
-	_, _, cons, err := in.prep(opts.Options, eng)
+	_, _, cons, err := in.prep(opts, eng)
 	if err != nil {
 		return nil, err
 	}
-	evSeed, err := in.evaluateSeed(eng, opts.Seed)
+	evSeed, err := in.evaluateLayout(eng, seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: estimating seed layout: %w", err)
 	}
@@ -82,39 +110,27 @@ func OptimizeIncremental(in Input, opts IncrementalOptions) (*Result, error) {
 	if passes < 1 {
 		passes = 1
 	}
-	sweepOpts := opts.Options
-	sweepOpts.GreedyApply = false
-	if eng.Compiled() && !evSeed.Compact.IsZero() {
-		err = dotSweepCompact(sweepOpts, eng, moves, evSeed, cons, res, passes, opts.Accept)
-	} else {
-		err = dotSweepMap(sweepOpts, eng, moves, evSeed, cons, res, passes, opts.Accept)
-	}
-	if err != nil {
+	opts.GreedyApply = false
+	if err := dotSweep(opts, newCursor(eng, evSeed), moves, cons, res, passes, accept); err != nil {
 		return nil, err
+	}
+	if trans := in.replicaTransitions(copyCap); trans != nil {
+		from := evSeed
+		if res.Feasible {
+			from = res.best
+		}
+		if err := refineSweep(newCursor(eng, from), in.Cat.Objects(), trans, cons, res, passes, accept); err != nil {
+			return nil, err
+		}
 	}
 	if !res.Feasible {
 		// No gated feasible layout: report the seed's numbers (not L0's) so
 		// the caller sees what the deployed layout costs under the drifted
 		// profile while deciding how to proceed.
-		res.best = evSeed
-		res.haveBest = true
-		res.TOCCents = evSeed.TOCCents
-		res.Metrics = evSeed.Metrics
+		res.fallBack(evSeed)
 	}
-	res.Layout = res.best.LayoutClone()
 	res.EstimatorCalls = eng.Stats().Sub(stats0).EstimatorCalls
 	res.PlanTime = time.Since(start)
-	return res, nil
-}
-
-// evaluateSeed runs the seed layout through the engine, staying compact on
-// the compiled path. The layout is cloned before the engine can retain it,
-// so the caller's map stays private.
-func (in Input) evaluateSeed(eng *search.Engine, seed catalog.Layout) (search.Eval, error) {
-	if eng.Compiled() {
-		if cl, ok := catalog.CompactFromLayout(in.Cat, seed); ok {
-			return eng.EvaluateCompact(cl)
-		}
-	}
-	return eng.Evaluate(seed.Clone())
+	res.Search.Candidates = res.Evaluated
+	return res.finish(), nil
 }

@@ -21,15 +21,6 @@ type Move struct {
 	Score     float64       // DeltaTime / DeltaCost (Eq. 4), lower is better
 }
 
-// Apply returns a new layout with the move applied.
-func (m Move) Apply(l catalog.Layout) catalog.Layout {
-	out := l.Clone()
-	for i, obj := range m.Group.Objects {
-		out[obj] = m.Placement[i]
-	}
-	return out
-}
-
 // EnumerateMoves is Procedure 2: for every object group, consider every
 // placement combination over the box's classes, score it against the
 // starting layout L0 (all objects on class l0), and return the moves sorted

@@ -12,9 +12,11 @@ import (
 // over it (profile-driven estimators apportion their observations by
 // extent heat; plan-aware estimators error), and the profile set is the
 // apportioned union profile for move scoring. Every search entry point —
-// Optimize, OptimizeBest, Exhaustive, the relaxing loops,
-// OptimizeIncremental — then runs unchanged at unit granularity, compiled
-// fast path included.
+// single-copy or replicated, cold, incremental or exhaustive — then runs
+// unchanged at unit granularity, compiled fast path included: granularity
+// (which catalog) and replication (the copy cap) are orthogonal. The
+// estimator is handed on uncompiled; the search's engine compiles it once,
+// for the alphabet it will enumerate.
 //
 // Custom cost models and pruning bounds (LayoutCost, LayoutCostCompact,
 // LowerBound, CompactBound) are closures over the object catalog and do
@@ -36,7 +38,7 @@ func (in Input) Partitioned(pt *catalog.Partitioning) (Input, error) {
 	}
 	out := in
 	out.Cat = pt.UnitCatalog()
-	out.Est = workload.CompileEstimator(est, out.Cat)
+	out.Est = est
 	ps := NewProfileSet()
 	ps.SetSingle(uprof)
 	out.Profiles = ps
@@ -83,6 +85,31 @@ func (r *PartitionedResult) SplitObjects() int {
 		}
 	}
 	return split
+}
+
+// PartitionedReplicaResult is a unit-granular replicated recommendation:
+// the inner ReplicaResult's SetLayout is keyed by the partitioning's unit
+// catalog.
+type PartitionedReplicaResult struct {
+	// ReplicaResult is the unit-granular replicated search result.
+	*ReplicaResult
+	// Partitioning maps the units back to their objects.
+	Partitioning *catalog.Partitioning
+}
+
+// OptimizeReplicatedPartitioned is OptimizePartitioned over class sets: a
+// hot extent can hold a second point-lookup copy while its cold tail keeps
+// one cheap sequential copy.
+func OptimizeReplicatedPartitioned(in Input, pt *catalog.Partitioning, opts Options) (*PartitionedReplicaResult, error) {
+	uin, err := in.Partitioned(pt)
+	if err != nil {
+		return nil, err
+	}
+	res, err := OptimizeReplicated(uin, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &PartitionedReplicaResult{ReplicaResult: res, Partitioning: pt}, nil
 }
 
 // OptimizePartitioned runs DOT at partition granularity: the input is

@@ -123,11 +123,11 @@ func TestIdentityPartitionCostParity(t *testing.T) {
 		if oc != uc {
 			t.Fatalf("class %v: unit storage cost %v != object %v", cls, uc, oc)
 		}
-		ocl, ok := catalog.CompactFromLayout(fx.Cat, ol)
+		ocl, ok := catalog.CompactFromSetLayout(fx.Cat, catalog.SingletonSetLayout(ol))
 		if !ok {
 			t.Fatal("object layout must encode")
 		}
-		ucl, ok := catalog.CompactFromLayout(pt.UnitCatalog(), ul)
+		ucl, ok := catalog.CompactFromSetLayout(pt.UnitCatalog(), catalog.SingletonSetLayout(ul))
 		if !ok {
 			t.Fatal("unit layout must encode")
 		}

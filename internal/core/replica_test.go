@@ -16,8 +16,8 @@ import (
 )
 
 // randomReplicaInput builds a random catalog, profile, and estimator over
-// the given box for the singleton-parity property test. oltp selects the
-// throughput objective.
+// the given box for the golden characterisation test (TestSearchGolden).
+// oltp selects the throughput objective.
 func randomReplicaInput(t *testing.T, rng *rand.Rand, box *device.Box, oltp bool) Input {
 	t.Helper()
 	cat := catalog.New()
@@ -60,49 +60,6 @@ func randomReplicaInput(t *testing.T, rng *rand.Rand, box *device.Box, oltp bool
 			PerQuery: []workload.QueryObservation{{Profile: prof, CPU: time.Duration(rng.Intn(int(time.Second)))}}}
 	}
 	return in
-}
-
-// TestReplicatedSingletonParity is the PR's property test: for random
-// catalogs, workloads, boxes and SLAs, OptimizeReplicated restricted to
-// singleton class-sets returns bit-identical layout, TOC, metrics and work
-// counters to OptimizeBest — on the compiled and the map path, for both
-// objectives. Run under -race in CI.
-func TestReplicatedSingletonParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	boxes := []func() *device.Box{device.Box1, device.Box2, device.BoxHTAP}
-	slas := []float64{1, 0.7, 0.3, 0.05}
-	for trial := 0; trial < 12; trial++ {
-		box := boxes[trial%len(boxes)]()
-		oltp := trial%2 == 1
-		in := randomReplicaInput(t, rng, box, oltp)
-		in.Replication = ReplicationConfig{Enabled: true, MaxReplicas: 1}
-		opts := Options{RelativeSLA: slas[rng.Intn(len(slas))]}
-		for _, noCompile := range []bool{false, true} {
-			in.NoCompile = noCompile
-			single, err := OptimizeBest(in, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			repl, err := OptimizeReplicated(in, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := box.Name
-			if oltp {
-				name += "/oltp"
-			}
-			if noCompile {
-				name += "/map"
-			}
-			requireSameResult(t, name, repl.Result, single)
-			if repl.MaxCopies() != 1 {
-				t.Fatalf("%s: singleton-restricted search placed %d copies", name, repl.MaxCopies())
-			}
-			if !repl.SetLayout.Equal(catalog.SingletonSetLayout(single.Layout)) {
-				t.Fatalf("%s: set layout is not the singleton lift of the single-class layout", name)
-			}
-		}
-	}
 }
 
 // htapScanLookupInput is the replication showcase: one 40 GB table (plus

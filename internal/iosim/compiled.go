@@ -10,35 +10,52 @@ import (
 )
 
 // CompiledProfile is a Profile compiled against one (box, concurrency)
-// pair: a dense per-(object, class) table of the object's total I/O time on
-// that class. IOTime over a compact layout becomes a flat array sum, and
-// DeltaIOTime re-costs a single object move in O(1) — the building blocks
-// of the search engine's allocation-free evaluation path.
+// pair for a digit alphabet — the class sets a search may place a unit on:
+// a dense per-(object, digit) table of the object's total I/O time on that
+// set, reads charged to the set's best member per I/O type and writes to
+// every member (each copy must be kept current). IOTime over a compact
+// layout becomes a flat array sum, and DeltaIOTime re-costs a one-object
+// change in O(1) — the building blocks of the search engine's
+// allocation-free evaluation path. Columns are sized to the alphabet (three
+// singletons on a three-class box, six digits at a two-copy cap), not to
+// the 32 possible masks.
 //
 // The table is a pure function of data frozen at compile time, so a
-// CompiledProfile is safe for concurrent use. Every per-(object, class)
-// entry is the same integer sum of per-type terms the map-form
-// Profile.IOTime accumulates, so the two paths return bit-identical
-// durations.
+// CompiledProfile is safe for concurrent use. Every entry is the same
+// integer sum of per-type terms the map-form Profile.SetIOTime accumulates
+// — and at a singleton set, the read minimum over one member and the write
+// sum over one member are exactly Profile.IOTime's terms in the same order
+// — so all three return bit-identical durations.
 type CompiledProfile struct {
 	boxName string
 	// objs lists the profiled ObjectIDs in ascending order; rows holds their
-	// per-class time subtotals, row k at rows[k*device.NumClasses:].
+	// per-digit time subtotals, row k at rows[k*cols:].
 	objs []catalog.ObjectID
 	rows []time.Duration
+	cols int
 	// rowOf maps DenseIndex(id) -> row index, -1 for unprofiled objects.
 	// Profiled IDs beyond the table (foreign to the catalog) are handled by
 	// the placement check, which fails before any row lookup.
 	rowOf []int32
-	// absent marks classes the box does not carry: placing a profiled object
-	// there is an error, exactly as on the map path.
-	absent [device.NumClasses]bool
+	// col maps a placement byte to its column, -1 for sets outside the
+	// alphabet (including every set with a member the box does not carry):
+	// placing a profiled object there is an error, exactly as on the map
+	// path.
+	col [device.NumClassSets]int8
 }
 
-// CompileProfile builds the dense table. n is the catalog's object count
-// (catalog.Catalog.NumObjects); profiled objects outside [1, n] are kept —
-// they surface the same "not placed by layout" error the map path reports.
-func CompileProfile(p Profile, box *device.Box, concurrency, n int) *CompiledProfile {
+// SingletonAlphabet returns the digit alphabet of single-copy placement on
+// a box: one singleton set per class, in ascending class order.
+func SingletonAlphabet(box *device.Box) []device.ClassSet {
+	return device.EnumerateClassSets(box.Classes(), 1)
+}
+
+// CompileProfile builds the dense table for the given alphabet. n is the
+// catalog's object count (catalog.Catalog.NumObjects); profiled objects
+// outside [1, n] are kept — they surface the same "not placed by layout"
+// error the map path reports. Alphabet digits that are not valid sets over
+// the box's classes are dropped (they stay errors at evaluation time).
+func CompileProfile(p Profile, box *device.Box, concurrency, n int, alphabet []device.ClassSet) *CompiledProfile {
 	cp := &CompiledProfile{
 		boxName: box.Name,
 		objs:    make([]catalog.ObjectID, 0, len(p)),
@@ -53,31 +70,33 @@ func CompileProfile(p Profile, box *device.Box, concurrency, n int) *CompiledPro
 	sort.Slice(cp.objs, func(i, j int) bool { return cp.objs[i] < cp.objs[j] })
 	// Per-class service times, resolved once.
 	var svc [device.NumClasses][device.NumIOTypes]time.Duration
-	for c := 0; c < device.NumClasses; c++ {
-		d := box.Device(device.Class(c))
-		if d == nil {
-			cp.absent[c] = true
+	var avail device.ClassSet
+	for _, d := range box.Devices {
+		if !device.ValidClass(d.Class) {
 			continue
 		}
+		avail = avail.Add(d.Class)
 		for _, t := range device.AllIOTypes {
-			svc[c][t] = d.ServiceTime(t, concurrency)
+			svc[d.Class][t] = d.ServiceTime(t, concurrency)
 		}
 	}
-	cp.rows = make([]time.Duration, len(cp.objs)*device.NumClasses)
+	for i := range cp.col {
+		cp.col[i] = -1
+	}
+	digits := make([]device.ClassSet, 0, len(alphabet))
+	for _, set := range alphabet {
+		if set.Valid() && set&^avail == 0 && cp.col[set] < 0 {
+			cp.col[set] = int8(len(digits))
+			digits = append(digits, set)
+		}
+	}
+	cp.cols = len(digits)
+	cp.rows = make([]time.Duration, len(cp.objs)*cp.cols)
 	for k, id := range cp.objs {
 		v := p[id]
-		row := cp.rows[k*device.NumClasses : (k+1)*device.NumClasses]
-		for c := 0; c < device.NumClasses; c++ {
-			if cp.absent[c] {
-				continue
-			}
-			var total time.Duration
-			for _, t := range device.AllIOTypes {
-				if n := v[t]; n > 0 {
-					total += time.Duration(n * float64(svc[c][t]))
-				}
-			}
-			row[c] = total
+		row := cp.rows[k*cp.cols : (k+1)*cp.cols]
+		for j, set := range digits {
+			row[j] = setIOTime(v, set, &svc)
 		}
 		if i := catalog.DenseIndex(id); i >= 0 && i < len(cp.rowOf) {
 			cp.rowOf[i] = int32(k)
@@ -86,88 +105,151 @@ func CompileProfile(p Profile, box *device.Box, concurrency, n int) *CompiledPro
 	return cp
 }
 
+// setIOTime prices one object's I/O vector on a class set from resolved
+// per-class service times — the one arithmetic behind both the compiled
+// tables and Profile.SetIOTime. Reads go to the best replica: minimum
+// member service time, ties to the lowest class (ascending scan, strict
+// improvement). Writes charge every replica, members in ascending class
+// order: one term per member, exactly the single-class term for it.
+func setIOTime(v *IOVector, set device.ClassSet, svc *[device.NumClasses][device.NumIOTypes]time.Duration) time.Duration {
+	var total time.Duration
+	for _, t := range device.AllIOTypes {
+		n := v[t]
+		if n <= 0 {
+			continue
+		}
+		if !t.IsRead() {
+			for c := 0; c < device.NumClasses; c++ {
+				if set.Has(device.Class(c)) {
+					total += time.Duration(n * float64(svc[c][t]))
+				}
+			}
+			continue
+		}
+		var best time.Duration
+		first := true
+		for c := 0; c < device.NumClasses; c++ {
+			if set.Has(device.Class(c)) && (first || svc[c][t] < best) {
+				best, first = svc[c][t], false
+			}
+		}
+		total += time.Duration(n * float64(best))
+	}
+	return total
+}
+
+// Covers reports whether every digit of the alphabet has a column — whether
+// a search enumerating that alphabet can run on this compile.
+func (cp *CompiledProfile) Covers(alphabet []device.ClassSet) bool {
+	for _, set := range alphabet {
+		if cp.column(set) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// column resolves a placement byte to its table column, -1 when the set is
+// outside the compiled alphabet.
+func (cp *CompiledProfile) column(set device.ClassSet) int {
+	if int(set) >= len(cp.col) {
+		return -1
+	}
+	return int(cp.col[set])
+}
+
+func (cp *CompiledProfile) unusable(id catalog.ObjectID, set device.ClassSet) error {
+	return fmt.Errorf("iosim: layout places object %d on class set %v unusable for box %q", id, set, cp.boxName)
+}
+
 // IOTime computes the profile's accumulated I/O time under a compact
-// layout: the compiled form of Profile.IOTime, with identical results and
-// identical error cases (profiled object not placed; profiled object on a
-// class absent from the box).
+// layout: the compiled form of Profile.SetIOTime, with identical results
+// and identical error cases (profiled object not placed; profiled object on
+// a set the box cannot hold).
 func (cp *CompiledProfile) IOTime(cl catalog.CompactLayout) (time.Duration, error) {
 	var total time.Duration
 	for k, id := range cp.objs {
-		cls, ok := cl.Class(id)
+		set, ok := cl.Get(id)
 		if !ok {
 			return 0, fmt.Errorf("iosim: object %d not placed by layout", id)
 		}
-		if int(cls) >= device.NumClasses || cp.absent[cls] {
-			return 0, fmt.Errorf("iosim: layout places object %d on class %v absent from box %q", id, cls, cp.boxName)
+		j := cp.column(set)
+		if j < 0 {
+			return 0, cp.unusable(id, set)
 		}
-		total += cp.rows[k*device.NumClasses+int(cls)]
+		total += cp.rows[k*cp.cols+j]
 	}
 	return total, nil
 }
 
-// AccumulateClassTimes adds every profiled object's per-class time row into
-// a dense table indexed by DenseIndex(id)*device.NumClasses + class. It is
-// the branch-and-bound search's raw material: summing several queries'
-// compiled profiles into one table yields, per (unit, class), the unit's
-// exact contribution to the workload's elapsed time, from which per-unit
-// minima (the admissible bound) and spreads (the expansion order) derive.
-// Profiled objects outside the table's dense range are skipped — any layout
-// over that catalog fails placement checks before a bound is ever consulted.
-func (cp *CompiledProfile) AccumulateClassTimes(table []time.Duration) {
+// DeltaIOTime returns the change in the profile's I/O time when object id
+// moves from one class set to another. Unprofiled objects contribute
+// nothing; a set outside the alphabet is an error, matching IOTime.
+func (cp *CompiledProfile) DeltaIOTime(id catalog.ObjectID, from, to device.ClassSet) (time.Duration, error) {
+	i := catalog.DenseIndex(id)
+	if i < 0 || i >= len(cp.rowOf) || cp.rowOf[i] < 0 {
+		return 0, nil
+	}
+	jf, jt := cp.column(from), cp.column(to)
+	if jf < 0 {
+		return 0, cp.unusable(id, from)
+	}
+	if jt < 0 {
+		return 0, cp.unusable(id, to)
+	}
+	row := cp.rows[int(cp.rowOf[i])*cp.cols:]
+	return row[jt] - row[jf], nil
+}
+
+// AccumulateTimes adds every profiled object's time on each digit of the
+// given alphabet into a dense table indexed by
+// DenseIndex(id)*len(alphabet) + position. It is the branch-and-bound
+// search's raw material: summing several queries' compiled profiles into
+// one table yields, per (unit, digit), the unit's exact contribution to the
+// workload's elapsed time, from which per-unit minima (the admissible
+// bound) and spreads (the expansion order) derive. Digits without a column
+// and profiled objects outside the table's dense range are skipped — any
+// layout using them fails placement checks before a bound is ever
+// consulted.
+func (cp *CompiledProfile) AccumulateTimes(table []time.Duration, alphabet []device.ClassSet) {
+	m := len(alphabet)
 	for k, id := range cp.objs {
 		i := catalog.DenseIndex(id)
-		if i < 0 || (i+1)*device.NumClasses > len(table) {
+		if i < 0 || (i+1)*m > len(table) {
 			continue
 		}
-		row := cp.rows[k*device.NumClasses : (k+1)*device.NumClasses]
-		dst := table[i*device.NumClasses : (i+1)*device.NumClasses]
-		for c := range row {
-			dst[c] += row[c]
+		row := cp.rows[k*cp.cols : (k+1)*cp.cols]
+		dst := table[i*m : (i+1)*m]
+		for pos, set := range alphabet {
+			if j := cp.column(set); j >= 0 {
+				dst[pos] += row[j]
+			}
 		}
 	}
 }
 
-// AppendRow appends object id's per-class time row as fixed-width bytes
-// (8 per class, big-endian) to dst and returns the extended slice.
+// AppendRow appends object id's per-digit time row as fixed-width bytes
+// (8 per column, big-endian) to dst and returns the extended slice.
 // Unprofiled objects append an all-zero row — correct for symmetry
 // detection, because an unprofiled object and a profiled object whose row
 // is all zeros contribute identically (nothing) to every estimate. Two
 // objects with equal appended rows are interchangeable under this profile:
-// swapping their class assignments leaves the profile's IOTime unchanged
-// for every layout (integer sums reorder exactly).
+// swapping their placements leaves the profile's IOTime unchanged for every
+// layout over the compiled alphabet (integer sums reorder exactly).
 func (cp *CompiledProfile) AppendRow(dst []byte, id catalog.ObjectID) []byte {
 	var row []time.Duration
 	if i := catalog.DenseIndex(id); i >= 0 && i < len(cp.rowOf) && cp.rowOf[i] >= 0 {
 		k := int(cp.rowOf[i])
-		row = cp.rows[k*device.NumClasses : (k+1)*device.NumClasses]
+		row = cp.rows[k*cp.cols : (k+1)*cp.cols]
 	}
-	for c := 0; c < device.NumClasses; c++ {
+	for j := 0; j < cp.cols; j++ {
 		var v uint64
 		if row != nil {
-			v = uint64(row[c])
+			v = uint64(row[j])
 		}
 		dst = append(dst,
 			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 	}
 	return dst
-}
-
-// DeltaIOTime returns the change in the profile's I/O time when object id
-// moves from one class to another. Unprofiled objects contribute nothing;
-// moving a profiled object to (or from) a class absent from the box is an
-// error, matching IOTime.
-func (cp *CompiledProfile) DeltaIOTime(id catalog.ObjectID, from, to device.Class) (time.Duration, error) {
-	i := catalog.DenseIndex(id)
-	if i < 0 || i >= len(cp.rowOf) || cp.rowOf[i] < 0 {
-		return 0, nil
-	}
-	if int(from) >= device.NumClasses || cp.absent[from] {
-		return 0, fmt.Errorf("iosim: layout places object %d on class %v absent from box %q", id, from, cp.boxName)
-	}
-	if int(to) >= device.NumClasses || cp.absent[to] {
-		return 0, fmt.Errorf("iosim: layout places object %d on class %v absent from box %q", id, to, cp.boxName)
-	}
-	row := cp.rows[int(cp.rowOf[i])*device.NumClasses:]
-	return row[to] - row[from], nil
 }

@@ -119,6 +119,55 @@ func (p Profile) IOTime(layout catalog.Layout, box *device.Box, concurrency int)
 	return total, nil
 }
 
+// SetIOTime is IOTime over class sets — the map-form reference the compiled
+// tables are tested against, deliberately written out on its own rather
+// than sharing their arithmetic: reads are charged to each object's best
+// member per I/O type (minimum service time, ties to the lowest class),
+// writes to every member in ascending class order. On a layout of singleton
+// sets it equals IOTime on the single-class form bit for bit (integer
+// Duration sums reorder exactly across the map's iteration order).
+func (p Profile) SetIOTime(layout catalog.SetLayout, box *device.Box, concurrency int) (time.Duration, error) {
+	var total time.Duration
+	for id, v := range p {
+		set, ok := layout[id]
+		if !ok {
+			return 0, fmt.Errorf("iosim: object %d not placed by layout", id)
+		}
+		if !set.Valid() {
+			return 0, fmt.Errorf("iosim: layout places object %d on invalid class set %v", id, set)
+		}
+		var devs [device.NumClasses]*device.Device
+		for _, c := range set.Classes() {
+			if devs[c] = box.Device(c); devs[c] == nil {
+				return 0, fmt.Errorf("iosim: layout places object %d on class set %v unusable for box %q", id, set, box.Name)
+			}
+		}
+		for _, t := range device.AllIOTypes {
+			n := v[t]
+			if n <= 0 {
+				continue
+			}
+			var best time.Duration
+			first := true
+			for _, d := range devs {
+				if d == nil {
+					continue
+				}
+				st := d.ServiceTime(t, concurrency)
+				if !t.IsRead() {
+					total += time.Duration(n * float64(st))
+				} else if first || st < best {
+					best, first = st, false
+				}
+			}
+			if t.IsRead() {
+				total += time.Duration(n * float64(best))
+			}
+		}
+	}
+	return total, nil
+}
+
 // ObjectIOTime computes the I/O time share of a single object under a given
 // storage class (the inner term of Eq. 1).
 func (p Profile) ObjectIOTime(id catalog.ObjectID, d *device.Device, concurrency int) time.Duration {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
@@ -26,7 +27,8 @@ type Drift struct {
 	ObsFingerprint string
 	// Divergence is the relative I/O-time divergence: the service-time-
 	// weighted L1 distance between the rate-normalized profiles under the
-	// deployed layout, divided by the reference profile's I/O time. 0 means
+	// deployed layout (reads at each unit's fastest copy, writes on every
+	// copy), divided by the reference profile's I/O time. 0 means
 	// identical placement-relevant behaviour; 1 means the difference costs
 	// as much I/O time as the whole reference profile. +Inf when the
 	// reference profile had no I/O time but the observed one does.
@@ -76,11 +78,39 @@ func (d Detector) minIOs() float64 {
 	return d.MinIOs
 }
 
+// serviceTime resolves one I/O type's service time under a copy set: reads
+// route to the fastest member, writes charge every member — the same model
+// the estimators price candidates with.
+func (d Detector) serviceTime(s device.ClassSet, t device.IOType) (time.Duration, error) {
+	if !s.Valid() {
+		return 0, fmt.Errorf("online: invalid replica set %#x", uint8(s))
+	}
+	var out time.Duration
+	var found device.ClassSet
+	for _, dev := range d.Box.Devices {
+		if !s.Has(dev.Class) {
+			continue
+		}
+		st := dev.ServiceTime(t, d.conc())
+		switch {
+		case !t.IsRead():
+			out += st
+		case found == 0 || st < out:
+			out = st
+		}
+		found = found.Add(dev.Class)
+	}
+	if found != s {
+		return 0, fmt.Errorf("online: deployed layout places a copy on class set %v, not all in box %q", s, d.Box.Name)
+	}
+	return out, nil
+}
+
 // Compare checks the observed window against the reference under the
 // deployed layout. The layout must place every object either profile
 // touches. Windows of different lengths are rate-normalized on virtual
 // elapsed time when both windows carry it, on total I/O count otherwise.
-func (d Detector) Compare(ref, obs Window, layout catalog.Layout) (Drift, error) {
+func (d Detector) Compare(ref, obs Window, layout catalog.SetLayout) (Drift, error) {
 	if d.Box == nil {
 		return Drift{}, fmt.Errorf("online: Detector requires a Box")
 	}
@@ -125,24 +155,24 @@ func (d Detector) Compare(ref, obs Window, layout catalog.Layout) (Drift, error)
 	// verdict between identical runs (the repo's determinism contract).
 	sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
 	for _, id := range union {
-		cls, ok := layout[id]
+		set, ok := layout[id]
 		if !ok {
 			return Drift{}, fmt.Errorf("online: object %d observed but not placed by the deployed layout", id)
-		}
-		dev := d.Box.Device(cls)
-		if dev == nil {
-			return Drift{}, fmt.Errorf("online: deployed layout places object %d on class %v absent from box %q", id, cls, d.Box.Name)
 		}
 		rv := ref.Profile.Get(id)
 		ov := obs.Profile.Get(id)
 		for _, t := range device.AllIOTypes {
 			diff := math.Abs(rv[t] - scale*ov[t])
 			if diff > 0 {
-				num += diff * float64(dev.ServiceTime(t, d.conc()))
+				st, err := d.serviceTime(set, t)
+				if err != nil {
+					return Drift{}, err
+				}
+				num += diff * float64(st)
 			}
 		}
 	}
-	refTime, err := ref.Profile.IOTime(layout, d.Box, d.conc())
+	refTime, err := ref.Profile.SetIOTime(layout, d.Box, d.conc())
 	if err != nil {
 		return Drift{}, err
 	}

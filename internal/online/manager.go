@@ -55,11 +55,12 @@ type Config struct {
 	// manager prices are unit-granular.
 	LayoutCost        func(l catalog.Layout) (float64, error)
 	LayoutCostCompact func(cl catalog.CompactLayout) (float64, error)
-	// Replication, when Enabled, advises replicated placement: the deployed
-	// layout generalizes to a catalog.SetLayout and every advise and
-	// re-advise searches over class sets (see replica.go). Replication
-	// prices only the linear cost model, so it cannot combine with
-	// LayoutCost.
+	// Replication, when Enabled, lets every advise and re-advise place up to
+	// MaxReplicas copies of a unit: reads route to the best copy per access
+	// pattern, writes land on every copy, drift is judged at replica-routed
+	// service times and migrations are priced per copy gained. Disabled, the
+	// same loop runs at a cap of one copy. Replication prices only the
+	// linear cost model, so it cannot combine with LayoutCost.
 	Replication core.ReplicationConfig
 	// Partitioning, when set, advises at partition granularity: observed
 	// profiles are apportioned onto the partitioning's units by extent
@@ -99,23 +100,19 @@ type Decision struct {
 	// left unchanged and the reference profile is NOT re-anchored, so the
 	// next check fires again and the manager keeps retrying.
 	Feasible bool
-	// From and To are the deployed layouts before and after the decision
-	// (To is nil when nothing was adopted). In replicated mode they are the
-	// single-class views of the set layouts, nil whenever the corresponding
-	// layout genuinely replicates some unit.
-	From, To catalog.Layout
-	// SetFrom and SetTo are the replicated layouts before and after the
-	// decision, populated only in replicated mode (SetTo nil when nothing
-	// was adopted).
+	// SetFrom and SetTo are the deployed layouts before and after the
+	// decision (SetTo is nil when nothing was adopted).
 	SetFrom, SetTo catalog.SetLayout
-	// Replica is the underlying replicated search result, populated only in
-	// replicated mode; Result then mirrors Replica.Result.
+	// From and To are their single-class views, nil whenever the
+	// corresponding layout holds more than one copy of some unit.
+	From, To catalog.Layout
+	// Replica is the underlying search result (nil when no search ran);
+	// Result is its embedded core.Result — evaluation counts, metrics, plan
+	// time.
 	Replica *core.ReplicaResult
+	Result  *core.Result
 	// Migration prices the adopted transition (empty when none).
 	Migration MigrationPlan
-	// Result is the underlying search result (evaluation counts, metrics,
-	// plan time).
-	Result *core.Result
 }
 
 // Manager runs the online advising loop for one workload stream: it owns
@@ -132,12 +129,9 @@ type Manager struct {
 	col *Collector
 
 	mu sync.Mutex
-	// cur is the deployed single-class layout; in replicated mode it is the
-	// single-class view of curSet (nil while some unit replicates).
-	cur catalog.Layout
-	// curSet is the deployed replicated layout, non-nil exactly when
-	// Config.Replication is enabled.
-	curSet catalog.SetLayout
+	// cur is the deployed layout: every unit's set of classes holding a
+	// copy, all singletons unless Config.Replication admits more.
+	cur    catalog.SetLayout
 	ref    Window
 	hasRef bool
 	stats  Stats
@@ -187,12 +181,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		},
 		mig: MigrationModel{Cat: cat, Box: cfg.Box},
 		col: NewCollector(cfg.Windows),
-		cur: deployed.Clone(),
-	}
-	if cfg.Replication.Enabled {
-		// A configured deployed layout is single-class; the replicated loop
-		// starts from its singleton lift and grows copies from there.
-		m.curSet = catalog.SingletonSetLayout(m.cur)
+		// A configured deployed layout is single-class; a replicated loop
+		// grows copies from there.
+		cur: catalog.SingletonSetLayout(deployed),
 	}
 	return m, nil
 }
@@ -226,17 +217,29 @@ func (m *Manager) Collector() *Collector { return m.col }
 // Observe ingests a window closed elsewhere (the /observe wire path).
 func (m *Manager) Observe(w Window) { m.col.Observe(w) }
 
-// CurrentLayout returns a copy of the deployed layout the manager advises
-// from. At partition granularity it is unit-granular (keyed by the
-// partitioning's unit catalog). In replicated mode it is the single-class
-// view of CurrentSetLayout — nil while some unit genuinely replicates.
+// CurrentSetLayout returns a copy of the deployed layout the manager
+// advises from. At partition granularity it is unit-granular (keyed by the
+// partitioning's unit catalog).
+func (m *Manager) CurrentSetLayout() catalog.SetLayout {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cur.Clone()
+}
+
+// CurrentLayout is the single-class view of CurrentSetLayout — what an
+// engine that runs one copy per object applies; nil while some unit holds
+// more than one copy.
 func (m *Manager) CurrentLayout() catalog.Layout {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cur == nil {
-		return nil
-	}
-	return m.cur.Clone()
+	return singleView(m.cur)
+}
+
+// singleView collapses an all-singleton layout to its single-class form, or
+// returns nil when any unit genuinely replicates.
+func singleView(sl catalog.SetLayout) catalog.Layout {
+	l, _ := sl.SingleLayout()
+	return l
 }
 
 // Advised reports whether an initial Advise has anchored a reference
@@ -281,18 +284,10 @@ func (m *Manager) input(w Window) (core.Input, error) {
 		if w.Elapsed <= 0 {
 			return core.Input{}, fmt.Errorf("online: transactional window (txns=%d) without elapsed time", w.Txns)
 		}
-		var pe *workload.ProfileEstimator
-		var err error
-		if m.curSet != nil {
-			// Replicated mode: the window was measured under the deployed
-			// set layout, so the throughput scaling must anchor on its
-			// replica-routed I/O time.
-			pe, err = workload.NewSetProfileEstimator(m.cfg.Box, m.conc(), w.Profile, w.CPU,
-				workload.RunStats{Txns: w.Txns, Elapsed: w.Elapsed}, m.curSet)
-		} else {
-			pe, err = workload.NewProfileEstimator(m.cfg.Box, m.conc(), w.Profile, w.CPU,
-				workload.RunStats{Txns: w.Txns, Elapsed: w.Elapsed}, m.cur)
-		}
+		// The window was measured under the deployed layout, so the
+		// throughput scaling anchors on its replica-routed I/O time.
+		pe, err := workload.NewSetProfileEstimator(m.cfg.Box, m.conc(), w.Profile, w.CPU,
+			workload.RunStats{Txns: w.Txns, Elapsed: w.Elapsed}, m.cur)
 		if err != nil {
 			return core.Input{}, err
 		}
@@ -304,7 +299,6 @@ func (m *Manager) input(w Window) (core.Input, error) {
 			PerQuery:    []workload.QueryObservation{{Profile: w.Profile, CPU: w.CPU}},
 		}
 	}
-	est = workload.CompileEstimator(est, m.cat)
 	ps := core.NewProfileSet()
 	ps.SetSingle(w.Profile)
 	return core.Input{
@@ -317,33 +311,31 @@ func (m *Manager) input(w Window) (core.Input, error) {
 		Budget:            m.cfg.Budget,
 		LayoutCost:        m.cfg.LayoutCost,
 		LayoutCostCompact: m.cfg.LayoutCostCompact,
-		Replication:       m.cfg.Replication,
+		// The searches place class sets at the configured cap — one copy
+		// unless replication is enabled.
+		Replication: core.ReplicationConfig{Enabled: true, MaxReplicas: m.cfg.Replication.Cap()},
 	}, nil
 }
 
-// SearchFunc runs one cold layout optimization — core.OptimizeBest's
-// shape. AdviseWith callers inject it to interpose on the search (the
-// serve fleet memo coalesces equal-fingerprint tenants here); it must be a
-// pure function of its input so an injected cache stays sound.
-type SearchFunc func(in core.Input, opts core.Options) (*core.Result, error)
+// SearchFunc runs one cold layout optimization — core.OptimizeReplicated's
+// shape, at the copy cap the input carries. AdviseWith callers inject it to
+// interpose on the search (the serve fleet memo coalesces equal-fingerprint
+// tenants here); it must be a pure function of its input so an injected
+// cache stays sound.
+type SearchFunc func(in core.Input, opts core.Options) (*core.ReplicaResult, error)
 
 // Advise runs the initial cold optimization off the collected profile and,
 // when feasible, adopts the layout and anchors the reference profile that
 // subsequent drift checks compare against.
-func (m *Manager) Advise() (*Decision, error) { return m.AdviseWith(core.OptimizeBest) }
+func (m *Manager) Advise() (*Decision, error) { return m.AdviseWith(core.OptimizeReplicated) }
 
 // AdviseWith is Advise with the cold search injected. The returned result
 // may be shared by other managers advising an identical workload (the
 // fleet memo path): the manager only reads it and clones its layout before
-// adopting, never mutating the result. In replicated mode the injected
-// search is not used — replicated results have their own shape and are
-// never memo-shared — and the call routes to the replicated body.
+// adopting, never mutating the result.
 func (m *Manager) AdviseWith(search SearchFunc) (*Decision, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.curSet != nil {
-		return m.adviseReplicatedLocked()
-	}
 	agg, n := m.col.Aggregate(m.aggWindows())
 	if n == 0 || agg.IOs() < m.det.minIOs() {
 		return nil, fmt.Errorf("online: no usable observations to advise from (windows=%d, ios=%g)", n, agg.IOs())
@@ -357,17 +349,31 @@ func (m *Manager) AdviseWith(search SearchFunc) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := &Decision{WindowsMerged: n, From: m.cur.Clone(), Result: res, Feasible: res.Feasible}
-	if !res.Feasible {
-		return dec, nil
-	}
-	dec.Migration = m.mig.Plan(m.cur, res.Layout)
-	dec.To = res.Layout.Clone()
-	dec.ReAdvised = len(dec.Migration.Moves) > 0
-	m.cur = res.Layout.Clone()
-	m.ref = agg
-	m.hasRef = true
+	dec := m.newDecision(Drift{}, n)
+	m.adopt(dec, res, agg)
+	m.hasRef = m.hasRef || res.Feasible
 	return dec, nil
+}
+
+// newDecision starts a decision off the deployed layout. Callers hold m.mu.
+func (m *Manager) newDecision(dr Drift, windows int) *Decision {
+	return &Decision{Drift: dr, WindowsMerged: windows, SetFrom: m.cur.Clone(), From: singleView(m.cur)}
+}
+
+// adopt records a search result on the decision and, when it is feasible,
+// prices the transition, installs the layout and re-anchors the reference
+// profile on the aggregate the search optimized. Callers hold m.mu.
+func (m *Manager) adopt(dec *Decision, res *core.ReplicaResult, agg Window) {
+	dec.Replica, dec.Result, dec.Feasible = res, res.Result, res.Feasible
+	if !res.Feasible {
+		return
+	}
+	dec.Migration = m.mig.Plan(m.cur, res.SetLayout)
+	dec.SetTo = res.SetLayout.Clone()
+	dec.To = singleView(res.SetLayout)
+	dec.ReAdvised = len(dec.Migration.Moves) > 0
+	m.cur = res.SetLayout.Clone()
+	m.ref = agg
 }
 
 // Check runs one drift check of the latest aggregate against the reference
@@ -392,13 +398,7 @@ func (m *Manager) checkLocked() (Drift, Window, int, error) {
 		return Drift{Thin: true}, agg, 0, nil
 	}
 	agg = m.lower(agg)
-	var dr Drift
-	var err error
-	if m.curSet != nil {
-		dr, err = m.det.CompareSet(m.ref, agg, m.curSet)
-	} else {
-		dr, err = m.det.Compare(m.ref, agg, m.cur)
-	}
+	dr, err := m.det.Compare(m.ref, agg, m.cur)
 	if err != nil {
 		return Drift{}, Window{}, n, err
 	}
@@ -412,50 +412,46 @@ func (m *Manager) checkLocked() (Drift, Window, int, error) {
 // ReAdvise runs the drift check and, when drift is detected (or force is
 // set), re-optimizes incrementally: the search is seeded with the deployed
 // layout and candidates are admitted through the migration gate, so a
-// small drift yields a small set of moves. When the gated search finds no
-// feasible layout the manager falls back to a full cold search. Adopting a
-// result (changed or confirmed) re-anchors the reference profile; an
-// infeasible outcome leaves both layout and reference untouched so the
-// next call retries.
+// small drift yields a small set of moves — copies grow and drop as freely
+// as units move. When the gated search finds no feasible layout the manager
+// falls back to a full cold search. Adopting a result (changed or
+// confirmed) re-anchors the reference profile; an infeasible outcome leaves
+// both layout and reference untouched so the next call retries.
 func (m *Manager) ReAdvise(force bool) (*Decision, error) {
 	return m.ReAdviseWith(force,
-		func(_ string, in core.Input, opts core.IncrementalOptions) (*core.Result, error) {
-			return core.OptimizeIncremental(in, opts)
+		func(_ string, in core.Input, opts core.ReplicatedIncrementalOptions) (*core.ReplicaResult, error) {
+			return core.OptimizeReplicatedIncremental(in, opts)
 		},
-		func(_ string, in core.Input, opts core.Options) (*core.Result, error) {
-			return core.OptimizeBest(in, opts)
+		func(_ string, in core.Input, opts core.Options) (*core.ReplicaResult, error) {
+			return core.OptimizeReplicated(in, opts)
 		})
 }
 
 // IncrementalSearchFunc runs one seeded, gated incremental layout
-// optimization — core.OptimizeIncremental's shape, plus the fingerprint of
-// the observed aggregate the search prices (online.Window.Fingerprint).
-// ReAdviseWith callers inject it to interpose on the re-advise search: the
-// serve fleet memo keys on (observed fingerprint, seed layout, box, SLA)
-// and coalesces tenants whose keys agree — the input, seed and migration
-// gate are then semantically identical, so a shared result stays sound.
-type IncrementalSearchFunc func(obsFP string, in core.Input, opts core.IncrementalOptions) (*core.Result, error)
+// optimization — core.OptimizeReplicatedIncremental's shape, plus the
+// fingerprint of the observed aggregate the search prices
+// (online.Window.Fingerprint). ReAdviseWith callers inject it to interpose
+// on the re-advise search: the serve fleet memo keys on (observed
+// fingerprint, seed layout, box, SLA) and coalesces tenants whose keys
+// agree — the input, seed and migration gate are then semantically
+// identical, so a shared result stays sound.
+type IncrementalSearchFunc func(obsFP string, in core.Input, opts core.ReplicatedIncrementalOptions) (*core.ReplicaResult, error)
 
 // ColdSearchFunc is SearchFunc plus the observed-aggregate fingerprint —
 // the cold-fallback half of ReAdviseWith's seam.
-type ColdSearchFunc func(obsFP string, in core.Input, opts core.Options) (*core.Result, error)
+type ColdSearchFunc func(obsFP string, in core.Input, opts core.Options) (*core.ReplicaResult, error)
 
 // ReAdviseWith is ReAdvise with the incremental search and the cold
 // fallback injected; both must be pure functions of their inputs so an
-// injected cache stays sound. In replicated mode the injected searches are
-// not used — replicated results have their own shape and are never
-// memo-shared — and the call routes to the replicated body.
+// injected cache stays sound.
 func (m *Manager) ReAdviseWith(force bool, inc IncrementalSearchFunc, cold ColdSearchFunc) (*Decision, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.curSet != nil {
-		return m.reAdviseReplicatedLocked(force)
-	}
 	dr, agg, n, err := m.checkLocked()
 	if err != nil {
 		return nil, err
 	}
-	dec := &Decision{Drift: dr, WindowsMerged: n, From: m.cur.Clone()}
+	dec := m.newDecision(dr, n)
 	// Thin aggregates are never actionable, forced or not: optimizing for
 	// a near-empty profile would find every layout trivially "feasible"
 	// and migrate the database onto whatever is cheapest.
@@ -466,7 +462,7 @@ func (m *Manager) ReAdviseWith(force bool, inc IncrementalSearchFunc, cold ColdS
 	if err != nil {
 		return nil, err
 	}
-	res, err := inc(dr.ObsFingerprint, in, core.IncrementalOptions{
+	res, err := inc(dr.ObsFingerprint, in, core.ReplicatedIncrementalOptions{
 		Options: core.Options{RelativeSLA: m.cfg.SLA},
 		Seed:    m.cur,
 		Accept:  m.mig.Gate(m.cur, m.cfg.HeadroomFraction),
@@ -474,30 +470,18 @@ func (m *Manager) ReAdviseWith(force bool, inc IncrementalSearchFunc, cold ColdS
 	if err != nil {
 		return nil, err
 	}
-	dec.Result = res
 	dec.Incremental = true
 	if !res.Feasible {
 		// The migration budget admits no feasible layout near the deployed
 		// one; re-solve from scratch (full migration is then priced, not
 		// gated — the operator sees it in the decision).
-		coldRes, err := cold(dr.ObsFingerprint, in, core.Options{RelativeSLA: m.cfg.SLA})
-		if err != nil {
+		if res, err = cold(dr.ObsFingerprint, in, core.Options{RelativeSLA: m.cfg.SLA}); err != nil {
 			return nil, err
 		}
-		dec.Result = coldRes
 		dec.Incremental = false
 		m.stats.Fallbacks++
-		res = coldRes
 	}
-	dec.Feasible = res.Feasible
-	if !res.Feasible {
-		return dec, nil
-	}
-	dec.Migration = m.mig.Plan(m.cur, res.Layout)
-	dec.To = res.Layout.Clone()
-	dec.ReAdvised = len(dec.Migration.Moves) > 0
-	m.cur = res.Layout.Clone()
-	m.ref = agg
+	m.adopt(dec, res, agg)
 	if dec.ReAdvised {
 		m.stats.ReAdvises++
 	}

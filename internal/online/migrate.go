@@ -17,21 +17,23 @@ import (
 const DefaultHeadroomFraction = 0.5
 
 // MigrationPlan prices moving the database from one layout to another:
-// every placement unit whose class changes is read sequentially from its
-// source class and rewritten, page at a time, at its destination class's
-// sequential-write rate — the "bytes moved × class write cost" of the
-// online objective. At partition granularity (a MigrationModel over a
-// partitioning's unit catalog) the moves are per-partition: re-advising a
-// drifted hot tail prices only the tail's extents, not its whole table.
+// every copy a placement unit gains is read sequentially off the unit's
+// fastest existing copy and rewritten, page at a time, at its destination
+// class's sequential-write rate — the "bytes moved × class write cost" of
+// the online objective — while dropping a copy is free (deleting bytes
+// moves nothing). A single-copy move is the case of one copy gained and one
+// dropped. At partition granularity (a MigrationModel over a partitioning's
+// unit catalog) the moves are per-partition: re-advising a drifted hot tail
+// prices only the tail's extents, not its whole table.
 type MigrationPlan struct {
 	// Moves lists the placement units (objects, or partitions at partition
-	// granularity) changing class.
+	// granularity) whose copy set changes.
 	Moves []workload.ObjectMove
-	// Bytes is the total size of the moved objects (bytes rewritten at
-	// their destination classes).
+	// Bytes is the total of bytes rewritten: unit size times copies gained,
+	// so a decision that only drops copies reports moves with zero bytes.
 	Bytes int64
-	// Time is the estimated migration time on the virtual clock: per moved
-	// object, pages × τ(SR, source) + pages × τ(SW, destination).
+	// Time is the estimated migration time on the virtual clock: per copy
+	// gained, pages × (τ(SR, fastest source) + τ(SW, destination)).
 	Time time.Duration
 }
 
@@ -54,27 +56,40 @@ func (m MigrationModel) conc() int {
 	return m.Concurrency
 }
 
-// moveTime prices relocating size bytes from one class to another.
-func (m MigrationModel) moveTime(size int64, from, to device.Class) time.Duration {
-	if size <= 0 {
+// moveTime prices transitioning one unit of size bytes between copy sets.
+// Each copy gained is read sequentially off the fastest existing member (a
+// brand-new unit has no source and is charged writes only) and rewritten at
+// its destination's sequential-write rate; dropped copies cost nothing.
+func (m MigrationModel) moveTime(size int64, from, to device.ClassSet) time.Duration {
+	added := to &^ from
+	if size <= 0 || added == 0 {
 		return 0
 	}
 	pages := (size + pagestore.PageSize - 1) / pagestore.PageSize
-	var t time.Duration
-	if d := m.Box.Device(from); d != nil {
-		t += time.Duration(pages) * d.ServiceTime(device.SeqRead, m.conc())
+	// The gate prices every candidate of a search through here: walk the
+	// box's devices rather than materializing member lists.
+	var src time.Duration
+	for _, d := range m.Box.Devices {
+		if from.Has(d.Class) {
+			if t := d.ServiceTime(device.SeqRead, m.conc()); src == 0 || t < src {
+				src = t
+			}
+		}
 	}
-	if d := m.Box.Device(to); d != nil {
-		t += time.Duration(pages) * d.ServiceTime(device.SeqWrite, m.conc())
+	var total time.Duration
+	for _, d := range m.Box.Devices {
+		if added.Has(d.Class) {
+			total += time.Duration(pages) * (src + d.ServiceTime(device.SeqWrite, m.conc()))
+		}
 	}
-	return t
+	return total
 }
 
 // Plan diffs two layouts and prices the transition. Objects absent from
 // either layout are ignored (a layout must be total over the catalog for
 // the engine to run it; partial inputs here would be a caller bug surfaced
 // elsewhere).
-func (m MigrationModel) Plan(from, to catalog.Layout) MigrationPlan {
+func (m MigrationModel) Plan(from, to catalog.SetLayout) MigrationPlan {
 	var p MigrationPlan
 	for _, o := range m.Cat.Objects() {
 		src, okFrom := from[o.ID]
@@ -83,33 +98,33 @@ func (m MigrationModel) Plan(from, to catalog.Layout) MigrationPlan {
 			continue
 		}
 		p.Moves = append(p.Moves, workload.ObjectMove{Obj: o.ID, From: src, To: dst})
-		p.Bytes += o.SizeBytes
+		p.Bytes += o.SizeBytes * int64((dst &^ src).Count())
 		p.Time += m.moveTime(o.SizeBytes, src, dst)
 	}
 	return p
 }
 
-// Gate builds the admission hook for core.OptimizeIncremental: a candidate
-// is admitted only when its migration time off the seed layout fits within
-// frac of the SLA headroom — allowed elapsed (baseline / relative SLA)
-// minus the candidate's own estimated elapsed. Candidates that move
-// nothing always pass; when the constraints carry no baseline elapsed
-// (nothing to budget against), the gate admits and the SLA check alone
-// governs. On the compiled path the diff is a flat byte comparison against
-// the seed's compact form; no maps are materialized per candidate.
-func (m MigrationModel) Gate(seed catalog.Layout, frac float64) func(search.Eval, workload.Constraints) bool {
+// Gate builds the admission hook for the incremental search: a candidate is
+// admitted only when the time to materialize its new copies off the seed
+// layout fits within frac of the SLA headroom — allowed elapsed (baseline /
+// relative SLA) minus the candidate's own estimated elapsed. Candidates
+// that copy nothing always pass; when the constraints carry no baseline
+// elapsed (nothing to budget against), the gate admits and the SLA check
+// alone governs. On the compiled path the diff is a flat byte comparison
+// against the seed's compact form; no maps are materialized per candidate.
+func (m MigrationModel) Gate(seed catalog.SetLayout, frac float64) func(search.Eval, workload.Constraints) bool {
 	if frac <= 0 {
 		frac = DefaultHeadroomFraction
 	}
 	sizes := m.Cat.DenseSizeBytes()
-	seedCompact, compactOK := catalog.CompactFromLayout(m.Cat, seed)
+	seedCompact, compactOK := catalog.CompactFromSetLayout(m.Cat, seed)
 	return func(ev search.Eval, cons workload.Constraints) bool {
 		var mig time.Duration
 		if compactOK && !ev.Compact.IsZero() {
 			sb, cb := seedCompact.Bytes(), ev.Compact.Bytes()
 			for i := 0; i < len(cb) && i < len(sb); i++ {
 				if sb[i] != cb[i] && i < len(sizes) {
-					mig += m.moveTime(sizes[i], device.Class(sb[i]), device.Class(cb[i]))
+					mig += m.moveTime(sizes[i], device.ClassSet(sb[i]), device.ClassSet(cb[i]))
 				}
 			}
 		} else {

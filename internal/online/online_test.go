@@ -125,7 +125,7 @@ func TestCollectorWindows(t *testing.T) {
 func TestDetectorNoDriftOnIdenticalAndScaled(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
-	layout := catalog.NewUniformLayout(cat, device.HSSD)
+	layout := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
 	det := Detector{Box: box, Concurrency: 1}
 
 	w := oltpWindow(ids)
@@ -161,7 +161,7 @@ func TestDetectorNoDriftOnIdenticalAndScaled(t *testing.T) {
 func TestDetectorFiresOnMixShift(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
-	layout := catalog.NewUniformLayout(cat, device.HSSD)
+	layout := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
 	det := Detector{Box: box, Concurrency: 1}
 	dr, err := det.Compare(oltpWindow(ids), dssWindow(ids), layout)
 	if err != nil {
@@ -173,12 +173,44 @@ func TestDetectorFiresOnMixShift(t *testing.T) {
 	if math.IsInf(dr.Divergence, 1) || dr.Divergence <= DefaultDriftThreshold {
 		t.Fatalf("implausible divergence %g", dr.Divergence)
 	}
+
+	// A mixed single-copy deployment, pinned to the bits the single-class
+	// detector produced before drift was judged over class sets: one copy
+	// per unit is the singleton case of replica routing, not a second model.
+	mixed := catalog.SingletonSetLayout(catalog.Layout{
+		ids["fact"]: device.HDDRAID0, ids["fact_pkey"]: device.LSSD,
+		ids["dim"]: device.HSSD, ids["dim_pkey"]: device.HSSD, ids["wal"]: device.LSSD,
+	})
+	det = Detector{Box: box}
+	single, err := det.Compare(oltpWindow(ids), dssWindow(ids), mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64bits(single.Divergence); got != 0x3ff116108f622ce2 || !single.Drifted {
+		t.Fatalf("single-copy divergence %v (%#x), want bits 0x3ff116108f622ce2", single.Divergence, got)
+	}
+	// Replicating the fact table on {HDD RAID 0, H-SSD} routes its
+	// sequential reads to the H-SSD, so the scan-heavy drift weighs
+	// differently against its reference time.
+	mixed[ids["fact"]] = device.NewClassSet(device.HDDRAID0, device.HSSD)
+	repl, err := det.Compare(oltpWindow(ids), dssWindow(ids), mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64bits(repl.Divergence); got != 0x3ff05e6e92feb6fb {
+		t.Fatalf("replica-routed divergence %v (%#x), want bits 0x3ff05e6e92feb6fb", repl.Divergence, got)
+	}
+	// A copy on a class the box does not carry is an error.
+	mixed[ids["fact"]] = device.NewClassSet(device.HDD, device.HSSD) // Box 1 has no plain HDD
+	if _, err := det.Compare(oltpWindow(ids), dssWindow(ids), mixed); err == nil {
+		t.Fatal("set member absent from the box must error")
+	}
 }
 
 func TestDetectorAbstainsOnThinWindows(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
-	layout := catalog.NewUniformLayout(cat, device.HSSD)
+	layout := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
 	det := Detector{Box: box, MinIOs: 100}
 	thin := Window{Profile: iosim.NewProfile(), Elapsed: time.Second}
 	thin.Profile.Add(ids["dim"], device.RandRead, 5)
@@ -195,9 +227,9 @@ func TestMigrationPlanAndGate(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
 	m := MigrationModel{Cat: cat, Box: box}
-	from := catalog.NewUniformLayout(cat, device.HSSD)
+	from := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
 	to := from.Clone()
-	to[ids["fact"]] = device.HDDRAID0
+	to[ids["fact"]] = device.Singleton(device.HDDRAID0)
 
 	p := m.Plan(from, to)
 	if len(p.Moves) != 1 || p.Bytes != 20e9 {
@@ -207,7 +239,7 @@ func TestMigrationPlanAndGate(t *testing.T) {
 		t.Fatal("migration of 20 GB must cost time")
 	}
 	// Moving everything costs strictly more.
-	all := catalog.NewUniformLayout(cat, device.HDDRAID0)
+	all := catalog.NewUniformSetLayout(cat, device.Singleton(device.HDDRAID0))
 	pAll := m.Plan(from, all)
 	if pAll.Time <= p.Time || pAll.Bytes <= p.Bytes {
 		t.Fatalf("full migration (%v) should dominate one object (%v)", pAll, p)

@@ -1,7 +1,7 @@
 package online
 
 import (
-	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,6 +122,75 @@ func TestManagerReplicatedLifecycle(t *testing.T) {
 	}
 }
 
+// TestManagerReplicatedExportRestore: a manager deployed on a genuinely
+// replicated layout exports the class sets and a fresh manager restores
+// them — the exported record used to carry the (empty) single-class view,
+// which its own RestoreState refused. A record holding more copies than
+// the restoring manager's cap admits is refused whole.
+func TestManagerReplicatedExportRestore(t *testing.T) {
+	cat, ids := htapCatalog(t)
+	cfg := Config{
+		Cat:         cat,
+		Box:         device.BoxHTAP(),
+		SLA:         0.5,
+		Replication: core.ReplicationConfig{Enabled: true, MaxReplicas: 2},
+	}
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Observe(scanLookupWindow(ids))
+	dec, err := m.Advise()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Replica.MaxCopies() < 2 {
+		t.Fatalf("fixture must deploy a replicated layout, got %d copies", dec.Replica.MaxCopies())
+	}
+	st := m.ExportState()
+	if !st.Layout.Equal(m.CurrentSetLayout()) {
+		t.Fatalf("exported layout %v, deployed %v", st.Layout, m.CurrentSetLayout())
+	}
+	wire, err := DecodeManagerState(AppendManagerState(nil, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreState(wire); err != nil {
+		t.Fatalf("a manager must restore its own replicated snapshot: %v", err)
+	}
+	if !restored.CurrentSetLayout().Equal(m.CurrentSetLayout()) {
+		t.Fatal("restored deployment differs from the exported one")
+	}
+	// Both resume identically: the reverted workload drops the copy.
+	m.Observe(lookupWindow(ids))
+	restored.Observe(lookupWindow(ids))
+	want, err := m.ReAdvise(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.ReAdvise(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.SetTo.Equal(want.SetTo) || got.Result.TOCCents != want.Result.TOCCents || got.Result.Evaluated != want.Result.Evaluated {
+		t.Fatalf("restored manager re-advised differently: %+v vs %+v", got.Result, want.Result)
+	}
+
+	single := cfg
+	single.Replication = core.ReplicationConfig{}
+	capped, err := NewManager(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := capped.RestoreState(wire); err == nil || !strings.Contains(err.Error(), "copies") {
+		t.Fatalf("a single-copy manager must refuse a replicated record, got %v", err)
+	}
+}
+
 // TestManagerReplicatedTransactionalWindow exercises the replica-routed
 // profile-estimator path: transactional windows anchor their throughput
 // scaling on the deployed set layout's I/O time.
@@ -173,7 +242,7 @@ func TestManagerReplicationRejectsLayoutCost(t *testing.T) {
 // TestPlanSetPricing pins the copy-transition cost model: adds are priced
 // as a sequential read off the fastest existing member plus a sequential
 // write onto each destination, drops are free, and singleton-to-singleton
-// transitions reproduce the single-class Plan exactly.
+// transitions cost what relocating the one copy costs.
 func TestPlanSetPricing(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
@@ -189,22 +258,22 @@ func TestPlanSetPricing(t *testing.T) {
 		return 0
 	}
 
-	// Singleton parity: pure moves price like Plan.
-	from := catalog.NewUniformLayout(cat, device.HSSD)
-	to := from.Clone()
-	to[ids["fact"]] = device.HDDRAID0
-	to[ids["dim"]] = device.LSSD
-	sp := model.PlanSet(catalog.SingletonSetLayout(from), catalog.SingletonSetLayout(to))
-	p := model.Plan(from, to)
-	if sp.Time != p.Time || sp.Bytes != p.Bytes || len(sp.Moves) != len(p.Moves) {
-		t.Fatalf("singleton PlanSet %+v != Plan %+v", sp, p)
+	// Pure single-copy moves — one copy gained, one dropped — price at the
+	// single-class model's numbers (source read + destination write over the
+	// unit's pages), pinned to what that model produced before plans were
+	// diffs of class sets.
+	sf := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
+	to := sf.Clone()
+	to[ids["fact"]] = device.Singleton(device.HDDRAID0)
+	to[ids["dim"]] = device.Singleton(device.LSSD)
+	if p := model.Plan(sf, to); p.Time != 70312545000 || p.Bytes != 21000000000 || len(p.Moves) != 2 {
+		t.Fatalf("single-copy plan %+v, want 70.312545s, 21 GB, 2 moves", p)
 	}
 
 	// Add-only: one new copy, read off the fastest existing member.
-	sf := catalog.SingletonSetLayout(from)
 	st := sf.Clone()
 	st[ids["fact"]] = device.NewClassSet(device.HSSD, device.HDDRAID0)
-	add := model.PlanSet(sf, st)
+	add := model.Plan(sf, st)
 	size := sizeOf("fact")
 	pages := (size + pagestore.PageSize - 1) / pagestore.PageSize
 	want := time.Duration(pages) * (box.Device(device.HSSD).ServiceTime(device.SeqRead, 1) +
@@ -218,7 +287,7 @@ func TestPlanSetPricing(t *testing.T) {
 
 	// Drop-only: the reverse transition moves no bytes and costs nothing,
 	// but still records the move.
-	drop := model.PlanSet(st, sf)
+	drop := model.Plan(st, sf)
 	if drop.Time != 0 || drop.Bytes != 0 {
 		t.Fatalf("dropping a copy must be free: %+v", drop)
 	}
@@ -235,7 +304,7 @@ func TestGateSetHeadroom(t *testing.T) {
 	box := device.Box1()
 	model := MigrationModel{Cat: cat, Box: box}
 	seed := catalog.SingletonSetLayout(catalog.NewUniformLayout(cat, device.HSSD))
-	gate := model.GateSet(seed, 0.5)
+	gate := model.Gate(seed, 0.5)
 
 	seedCompact, ok := catalog.CompactFromSetLayout(cat, seed)
 	if !ok {
@@ -263,51 +332,5 @@ func TestGateSetHeadroom(t *testing.T) {
 	roomy := workload.Constraints{Relative: 0.001, Baseline: workload.Metrics{Elapsed: 100 * time.Second}}
 	if !gate(loose, roomy) {
 		t.Fatal("copy growth within the headroom budget must be admitted")
-	}
-}
-
-// TestCompareSetSingletonParity: on an all-singleton deployed layout the
-// replicated drift check agrees with the single-class one bit for bit, and
-// on a genuinely replicated layout it routes reads to the fastest member.
-func TestCompareSetSingletonParity(t *testing.T) {
-	_, ids := testCatalog(t)
-	det := Detector{Box: device.Box1()}
-	ref, obs := oltpWindow(ids), dssWindow(ids)
-	layout := catalog.Layout{
-		ids["fact"]: device.HDDRAID0, ids["fact_pkey"]: device.LSSD,
-		ids["dim"]: device.HSSD, ids["dim_pkey"]: device.HSSD, ids["wal"]: device.LSSD,
-	}
-	want, err := det.Compare(ref, obs, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := det.CompareSet(ref, obs, catalog.SingletonSetLayout(layout))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got.Divergence) != math.Float64bits(want.Divergence) || got.Drifted != want.Drifted {
-		t.Fatalf("singleton CompareSet %+v != Compare %+v", got, want)
-	}
-
-	// Replicating the fact table on {HDD RAID 0, H-SSD} routes its
-	// sequential reads to the H-SSD, so the scan-heavy drift weighs less
-	// than under the RAID-only layout relative to its reference time.
-	sl := catalog.SingletonSetLayout(layout)
-	sl[ids["fact"]] = device.NewClassSet(device.HDDRAID0, device.HSSD)
-	repl, err := det.CompareSet(ref, obs, sl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repl.Divergence <= 0 || math.IsInf(repl.Divergence, 0) {
-		t.Fatalf("replicated divergence = %g, want finite positive", repl.Divergence)
-	}
-	if math.Float64bits(repl.Divergence) == math.Float64bits(got.Divergence) {
-		t.Fatal("replicated routing must change the divergence weighting")
-	}
-
-	// Error path: a set member absent from the box.
-	sl[ids["fact"]] = device.NewClassSet(device.HDD) // Box 1 has no plain HDD
-	if _, err := det.CompareSet(ref, obs, sl); err == nil {
-		t.Fatal("set member absent from the box must error")
 	}
 }

@@ -44,9 +44,9 @@ type CollectorState struct {
 // cold — the deployed layout, the reference profile that layout was
 // optimized for, the lifetime counters, and the collector's windows.
 type ManagerState struct {
-	// Layout is the deployed layout (unit-granular at partition
-	// granularity, like Manager.CurrentLayout).
-	Layout catalog.Layout
+	// Layout is the deployed layout in class-set form (unit-granular at
+	// partition granularity, like Manager.CurrentSetLayout).
+	Layout catalog.SetLayout
 	// HasRef reports whether an initial Advise anchored a reference; Ref
 	// is only meaningful when set.
 	HasRef bool
@@ -125,22 +125,27 @@ func (m *Manager) RestoreState(st ManagerState) error {
 }
 
 // validLayout checks a restored layout covers the manager's catalog
-// exactly with classes the box provisions.
-func (m *Manager) validLayout(l catalog.Layout) error {
+// exactly, with copy sets the box provisions and the manager's copy cap
+// admits — the sets its searches can start from.
+func (m *Manager) validLayout(l catalog.SetLayout) error {
 	objs := m.cat.Objects()
 	if len(l) != len(objs) {
 		return fmt.Errorf("layout places %d objects, catalog has %d", len(l), len(objs))
 	}
+	avail := device.NewClassSet(m.cfg.Box.Classes()...)
 	for _, o := range objs {
-		cls, ok := l[o.ID]
+		set, ok := l[o.ID]
 		if !ok {
 			return fmt.Errorf("object %q (%d) not placed", o.Name, o.ID)
 		}
-		if int(cls) >= device.NumClasses {
-			return fmt.Errorf("object %q placed on unknown class %d", o.Name, cls)
+		if !set.Valid() {
+			return fmt.Errorf("object %q placed on invalid class set %#x", o.Name, uint8(set))
 		}
-		if m.cfg.Box.Device(cls) == nil {
-			return fmt.Errorf("object %q placed on class %v absent from box %q", o.Name, cls, m.cfg.Box.Name)
+		if set&^avail != 0 {
+			return fmt.Errorf("object %q placed on %v, not all in box %q", o.Name, set, m.cfg.Box.Name)
+		}
+		if set.Count() > m.cfg.Replication.Cap() {
+			return fmt.Errorf("object %q holds %d copies, the manager's cap is %d", o.Name, set.Count(), m.cfg.Replication.Cap())
 		}
 	}
 	return nil
@@ -423,24 +428,35 @@ func readWindow(r *snapReader) (Window, error) {
 	return w, nil
 }
 
+// multiCopy flags a layout byte that carries a copy-set mask rather than a
+// class. A unit holding one copy is written as its class — the byte a
+// single-class deployment has always been recorded with, so those records
+// are unchanged — and only a unit holding several is written as a flagged
+// mask; each set therefore has exactly one encoding.
+const multiCopy = 0x80
+
 // appendLayout appends a layout's canonical encoding in ascending ID
 // order.
-func appendLayout(dst []byte, l catalog.Layout) []byte {
+func appendLayout(dst []byte, l catalog.SetLayout) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(l)))
 	for _, id := range sortedIDs(l) {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-		dst = append(dst, byte(l[id]))
+		if cls, ok := l[id].Single(); ok {
+			dst = append(dst, byte(cls))
+		} else {
+			dst = append(dst, multiCopy|byte(l[id]))
+		}
 	}
 	return dst
 }
 
 // readLayout reads one appendLayout encoding.
-func readLayout(r *snapReader) (catalog.Layout, error) {
+func readLayout(r *snapReader) (catalog.SetLayout, error) {
 	n, err := r.count(5)
 	if err != nil {
 		return nil, fmt.Errorf("layout: %w", err)
 	}
-	l := make(catalog.Layout, n)
+	l := make(catalog.SetLayout, n)
 	last := int64(-1)
 	for i := 0; i < n; i++ {
 		id, err := r.u32()
@@ -451,14 +467,20 @@ func readLayout(r *snapReader) (catalog.Layout, error) {
 			return nil, fmt.Errorf("layout IDs not strictly increasing at %d", id)
 		}
 		last = int64(id)
-		cls, err := r.u8()
+		b, err := r.u8()
 		if err != nil {
 			return nil, err
 		}
-		if int(cls) >= device.NumClasses {
-			return nil, fmt.Errorf("layout object %d: unknown class %d", id, cls)
+		set := device.ClassSet(b &^ multiCopy)
+		switch {
+		case b&multiCopy == 0 && int(b) < device.NumClasses:
+			set = device.Singleton(device.Class(b))
+		case b&multiCopy == 0:
+			return nil, fmt.Errorf("layout object %d: unknown class %d", id, b)
+		case !set.Valid() || set.IsSingleton():
+			return nil, fmt.Errorf("layout object %d: %#x is not a multi-copy class set", id, b)
 		}
-		l[catalog.ObjectID(id)] = device.Class(cls)
+		l[catalog.ObjectID(id)] = set
 	}
 	return l, nil
 }

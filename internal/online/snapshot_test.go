@@ -2,6 +2,8 @@ package online
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,13 +20,13 @@ import (
 // reference window, non-zero counters, ring windows and extent
 // histograms.
 func snapState(ids map[string]catalog.ObjectID) ManagerState {
-	l := catalog.Layout{
+	l := catalog.SingletonSetLayout(catalog.Layout{
 		ids["fact"]:      device.HDD,
 		ids["fact_pkey"]: device.LSSD,
 		ids["dim"]:       device.HSSD,
 		ids["dim_pkey"]:  device.HSSD,
 		ids["wal"]:       device.HDDRAID0,
-	}
+	})
 	ref := oltpWindow(ids)
 	return ManagerState{
 		Layout: l,
@@ -59,10 +61,27 @@ func TestManagerStateCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, re) {
 		t.Fatal("encode(decode(b)) != b: the codec is not canonical")
 	}
+	// A single-copy deployment's record is byte-for-byte the record written
+	// before layouts were class sets (one class byte per unit), so existing
+	// snapshots restore and crash recovery stays bit-identical.
+	if sum := sha256.Sum256(enc); len(enc) != 982 || hex.EncodeToString(sum[:]) != "b1516f769b25d343a90cdca37ccdd30b48858e98b162cf1186ff49bc5f11daee" {
+		t.Fatalf("single-copy state record changed: %d bytes, sha256 %x", len(enc), sum)
+	}
+
+	// Multi-copy sets round-trip through the flagged-mask byte, canonically.
+	st.Layout[ids["fact"]] = device.NewClassSet(device.HDD, device.HSSD)
+	st.Layout[ids["wal"]] = device.NewClassSet(device.HDDRAID0, device.LSSD, device.HSSD)
+	enc = AppendManagerState(nil, st)
+	if dec, err = DecodeManagerState(enc); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, dec) || !bytes.Equal(enc, AppendManagerState(nil, dec)) {
+		t.Fatalf("replicated state did not round-trip:\n got %+v\nwant %+v", dec.Layout, st.Layout)
+	}
 
 	// A state with no reference and empty collector round-trips too.
 	empty := ManagerState{
-		Layout:    catalog.Layout{ids["fact"]: device.HDD},
+		Layout:    catalog.SetLayout{ids["fact"]: device.Singleton(device.HDD)},
 		Collector: CollectorState{ExtPages: DefaultExtentPages, Cur: Window{}, Extents: map[catalog.ObjectID][]float64{}},
 	}
 	dec2, err := DecodeManagerState(AppendManagerState(nil, empty))
@@ -206,7 +225,7 @@ func TestRestoreRejectsForeignState(t *testing.T) {
 	}
 
 	offBox := base
-	offBox.Layout = catalog.NewUniformLayout(cat, device.LSSDRAID0)
+	offBox.Layout = catalog.NewUniformSetLayout(cat, device.Singleton(device.LSSDRAID0))
 	if device.Box1().Device(device.LSSDRAID0) != nil {
 		t.Fatal("fixture assumption broken: Box1 provisions lssd-raid0")
 	}

@@ -85,7 +85,7 @@ func TestDiscreteCostModelsParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl, ok := catalog.CompactFromLayout(in.Cat, l)
+			cl, ok := catalog.CompactFromSetLayout(in.Cat, catalog.SingletonSetLayout(l))
 			if !ok {
 				t.Fatal("layout must encode")
 			}

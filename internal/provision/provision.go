@@ -39,8 +39,13 @@ type Choice struct {
 
 // CandidateResult pairs a candidate with its DOT recommendation.
 type CandidateResult struct {
-	Name   string
+	Name string
+	// Result is the candidate's recommendation; its Layout is nil when some
+	// unit holds more than one copy.
 	Result *core.Result
+	// SetLayout is the recommendation in class-set form (SweepConfigurations
+	// only; nil otherwise).
+	SetLayout catalog.SetLayout
 	// Spec is the enumerated grid candidate behind this result
 	// (SweepConfigurations only; nil otherwise).
 	Spec *BoxSpec
@@ -140,11 +145,14 @@ func DiscreteCostModels(cat *catalog.Catalog, box *device.Box, alpha float64) (f
 	}
 	sizes := cat.DenseSizeBytes()
 	compactModel := func(cl catalog.CompactLayout) (float64, error) {
+		// The model is a function of single-class layouts: a placement byte
+		// is a singleton set, and its class the mask's one set bit. Bytes
+		// that are not singletons of a defined class are skipped, like
+		// unplaced slots.
 		var byClass [device.NumClasses]int64
-		b := cl.Bytes()
-		for i, v := range b {
-			if int(v) < device.NumClasses && i < len(sizes) {
-				byClass[v] += sizes[i]
+		for i, v := range cl.Bytes() {
+			if c, ok := device.ClassSet(v).Single(); ok && device.ValidClass(c) && i < len(sizes) {
+				byClass[c] += sizes[i]
 			}
 		}
 		var total float64

@@ -27,11 +27,16 @@ import (
 //     budget shared with other sweeps extends the bound across them (e.g.
 //     one server-wide budget over all concurrent requests).
 //
-// base supplies Cat, Est, Profiles, Concurrency and the worker budget; its
-// Box and LayoutCost are ignored and rebound per candidate. base.Est must
-// be bound to a box covering every class in the grid (see Grid.Universe)
-// and, when the budget is wider than 1, safe for concurrent use (the
-// workload.Estimator contract).
+// base supplies Cat, Est, Profiles, Concurrency, Replication and the worker
+// budget; its Box and LayoutCost are ignored and rebound per candidate.
+// base.Est must be bound to a box covering every class in the grid (see
+// Grid.Universe) and, when the budget is wider than 1, safe for concurrent
+// use (the workload.Estimator contract).
+//
+// With base.Replication enabled every candidate's inner search places class
+// sets up to the copy cap. Replication prices only under the linear cost
+// model — the discrete-sized models are functions of single-class layouts —
+// so such a sweep refuses grids with nonzero alpha points.
 //
 // The sweep is deterministic at any worker count: candidates keep their
 // enumeration index, every inner search is itself deterministic, and TOC
@@ -39,6 +44,14 @@ import (
 // Infeasible candidates carry a Failure diagnosis; a candidate whose search
 // errors fails the sweep with the lowest-index error.
 func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice, error) {
+	copyCap := base.Replication.Cap()
+	if copyCap > 1 {
+		for _, a := range grid.Alphas {
+			if a != 0 {
+				return nil, fmt.Errorf("provision: replicated sweep prices only the linear cost model (alpha 0), got alpha %g", a)
+			}
+		}
+	}
 	specs, err := grid.Enumerate()
 	if err != nil {
 		return nil, err
@@ -46,12 +59,14 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 	if base.Est == nil {
 		return nil, fmt.Errorf("provision: sweep requires an estimator")
 	}
-	// Compile the estimator ONCE for the whole sweep: the compiled
-	// per-(object, class) time tables depend only on the class service times
-	// (identical across candidate boxes), so every candidate's engine reuses
-	// one compilation, and the shared memo answers compact probes across
-	// candidates. Estimators without a compiled form pass through unchanged.
-	memoEst := search.Memoize(workload.CompileEstimator(base.Est, base.Cat), 0)
+	// Compile the estimator ONCE for the whole sweep, for every class set any
+	// candidate may enumerate: the compiled per-(object, class-set) time
+	// tables depend only on the class service times (identical across
+	// candidate boxes), so every candidate's engine reuses one compilation,
+	// and the shared memo answers compact probes across candidates.
+	// Estimators without a compiled form pass through unchanged.
+	alphabet := device.EnumerateClassSets(grid.Universe().Classes(), copyCap)
+	memoEst := search.Memoize(workload.CompileEstimator(base.Est, base.Cat, alphabet...), 0)
 	budget := base.Budget
 	if budget == nil {
 		budget = search.NewBudget(base.Workers)
@@ -60,30 +75,33 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 	err = search.Parallel(budget.Workers(), len(specs), func(i int) error {
 		spec := specs[i]
 		box := spec.Box()
-		model, compactModel, err := DiscreteCostModels(base.Cat, box, spec.Alpha)
-		if err != nil {
-			return err
-		}
 		in := base
 		in.Box = box
 		in.Est = memoEst
-		in.LayoutCost = model
-		in.LayoutCostCompact = compactModel
-		// The discrete model prices per-class byte totals only (ceil'd unit
-		// counts), so swapping equal-sized symmetric units between classes
-		// cannot change its value: dominance collapsing stays sound even
-		// though cost bounding is off for custom models.
-		in.LayoutCostClassSymmetric = true
 		in.Budget = budget
-		// OptimizeBest (guarded + greedy sweeps) rather than Optimize: the
-		// discrete-sized model has cost valleys a monotonic walk cannot
-		// cross, and both sweeps share the engine memo anyway.
-		res, err := core.OptimizeBest(in, opts)
+		in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: copyCap}
+		if copyCap == 1 {
+			model, compactModel, err := DiscreteCostModels(base.Cat, box, spec.Alpha)
+			if err != nil {
+				return err
+			}
+			in.LayoutCost = model
+			in.LayoutCostCompact = compactModel
+			// The discrete model prices per-class byte totals only (ceil'd unit
+			// counts), so swapping equal-sized symmetric units between classes
+			// cannot change its value: dominance collapsing stays sound even
+			// though cost bounding is off for custom models.
+			in.LayoutCostClassSymmetric = true
+		}
+		// Both application policies (guarded + greedy) rather than one pass:
+		// the discrete-sized model has cost valleys a monotonic walk cannot
+		// cross, and both passes share the engine memo anyway.
+		res, err := core.OptimizeReplicated(in, opts)
 		if err != nil {
 			return fmt.Errorf("provision: candidate %q: %w", spec.Name, err)
 		}
 		sp := spec
-		results[i] = CandidateResult{Name: spec.Name, Spec: &sp, Result: res}
+		results[i] = CandidateResult{Name: spec.Name, Spec: &sp, Result: res.Result, SetLayout: res.SetLayout}
 		if !res.Feasible {
 			results[i].Failure = InfeasibilityReason(base.Cat, box, opts)
 		}

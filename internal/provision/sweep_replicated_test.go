@@ -50,7 +50,7 @@ func replicaSweepBase(t *testing.T, grid Grid, workers int) core.Input {
 // TestSweepConfigurationsReplicated: the replicated sweep picks a feasible
 // minimum-TOC candidate, reports every candidate, and is deterministic
 // across worker counts.
-func TestSweepConfigurationsReplicated(t *testing.T) {
+func TestSweepConfigurations(t *testing.T) {
 	grid := Grid{
 		Devices: []DeviceOption{
 			{Class: device.HDDRAID0, Counts: []int{0, 1}},
@@ -64,7 +64,7 @@ func TestSweepConfigurationsReplicated(t *testing.T) {
 	}
 	opts := core.Options{RelativeSLA: 0.5}
 	base := replicaSweepBase(t, grid, 1)
-	ch, err := SweepConfigurationsReplicated(base, grid, opts)
+	ch, err := SweepConfigurations(base, grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,10 @@ func TestSweepConfigurationsReplicated(t *testing.T) {
 		t.Fatal("no feasible candidate in a grid containing the full box")
 	}
 	best := ch.Results[ch.Best]
-	if !best.Result.Feasible || best.Result.SetLayout == nil {
+	if !best.Result.Feasible || best.SetLayout == nil {
 		t.Fatalf("best candidate not feasible: %+v", best)
 	}
-	for id, s := range best.Result.SetLayout {
+	for id, s := range best.SetLayout {
 		if !s.Valid() {
 			t.Fatalf("object %d placed on invalid set %#x", id, uint8(s))
 		}
@@ -97,8 +97,14 @@ func TestSweepConfigurationsReplicated(t *testing.T) {
 	if ch.Evaluated <= 0 {
 		t.Fatal("sweep evaluated nothing")
 	}
+	// Candidates share the per-sweep metrics memo: estimator metrics depend
+	// on the layout alone, so a layout one box's search reached is not
+	// estimated again for another.
+	if ch.EstimatorCalls <= 0 || ch.EstimatorCalls >= ch.Evaluated {
+		t.Fatalf("sweep made %d estimator calls for %d evaluations — the shared memo saved nothing", ch.EstimatorCalls, ch.Evaluated)
+	}
 
-	par, err := SweepConfigurationsReplicated(replicaSweepBase(t, grid, 4), grid, opts)
+	par, err := SweepConfigurations(replicaSweepBase(t, grid, 4), grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,20 +116,20 @@ func TestSweepConfigurationsReplicated(t *testing.T) {
 }
 
 // TestSweepConfigurationsReplicatedRejectsAlpha: the discrete-sized cost
-// models cannot price replica masks.
+// models are functions of single-class layouts.
 func TestSweepConfigurationsReplicatedRejectsAlpha(t *testing.T) {
 	grid := Grid{
 		Devices: []DeviceOption{{Class: device.HSSD, Counts: []int{1}}},
 		Alphas:  []float64{0, 1},
 	}
 	base := replicaSweepBase(t, grid, 1)
-	_, err := SweepConfigurationsReplicated(base, grid, core.Options{RelativeSLA: 0.5})
+	_, err := SweepConfigurations(base, grid, core.Options{RelativeSLA: 0.5})
 	if err == nil || !strings.Contains(err.Error(), "alpha") {
 		t.Fatalf("nonzero alpha must be rejected, got %v", err)
 	}
 	base.Est = nil
 	grid.Alphas = nil
-	if _, err := SweepConfigurationsReplicated(base, grid, core.Options{RelativeSLA: 0.5}); err == nil {
+	if _, err := SweepConfigurations(base, grid, core.Options{RelativeSLA: 0.5}); err == nil {
 		t.Fatal("missing estimator must be rejected")
 	}
 }

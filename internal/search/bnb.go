@@ -7,7 +7,7 @@
 //     order (see UnitBounds), so every partial assignment is bounded by
 //     achievable costs in O(1);
 //  2. dominance: symmetric units (equal placement signatures) enumerate
-//     only non-decreasing class assignments, one canonical layout per
+//     only non-decreasing digit assignments, one canonical layout per
 //     symmetry orbit (see dominance.go for why that preserves the
 //     deterministic tie-break);
 //  3. expansion order: units sorted by descending cost spread, so
@@ -37,26 +37,21 @@ import (
 	"dotprov/internal/workload"
 )
 
-// BnBSpace is the branch-and-bound assignment space. Base, Free and
-// Classes mirror CompactSpace; SizeGB (dense, by catalog.DenseIndex) and
+// BnBSpace is the branch-and-bound assignment space. Base, Free and Digits
+// mirror CompactSpace; SizeGB (dense, by catalog.DenseIndex) and
 // PriceCents feed the storage accumulator. Bounds enables cost bounding
 // (nil: enumerate without a floor — the throughput objective), Sigs
-// enables dominance (nil: no symmetry collapse).
+// enables dominance (nil: no symmetry collapse). Only the storage price
+// reads a digit's members; hashing, cloning, delta chains, dominance and
+// ranks are byte-opaque.
 type BnBSpace struct {
 	Base       catalog.CompactLayout
 	Free       []catalog.ObjectID
-	Classes    []device.Class
+	Digits     []device.ClassSet
 	SizeGB     []float64
 	PriceCents [device.NumClasses]float64
 	Bounds     *UnitBounds
 	Sigs       [][]byte
-	// SetDigits declares the digit alphabet to be device.ClassSet masks
-	// rather than single classes: Classes holds the masks (cast to
-	// device.Class — both are one byte), placement bytes are masks, and a
-	// digit's storage price is the sum of its member-class prices (every
-	// replica charged its full size). Everything else — hashing, cloning,
-	// delta chains, dominance, ranks — is byte-opaque and unchanged.
-	SetDigits bool
 }
 
 // BnBOptions tunes the enumeration; the zero value is the default
@@ -87,7 +82,7 @@ type EnumStats struct {
 	// units.
 	Groups       int
 	GroupedUnits int
-	// SpaceSize is the full assignment space |Classes|^|Free|;
+	// SpaceSize is the full assignment space |Digits|^|Free|;
 	// CanonicalSize is what dominance collapses it to (equal when no
 	// symmetry was found).
 	SpaceSize     float64
@@ -219,7 +214,7 @@ type bnbShared struct {
 	order       []int
 	prevInGroup []int
 	// densePos maps free index -> dense slot; clsIdx maps a compact-layout
-	// class byte -> its digit (index in sp.Classes).
+	// placement byte -> its digit (index in sp.Digits).
 	densePos []int
 	clsIdx   [256]uint8
 	// Bounding state (bounding=false leaves the rest zero).
@@ -268,7 +263,7 @@ type bnbWalker struct {
 	rankBuf []byte
 	prev    Eval
 	prevOK  bool
-	prevCls device.Class
+	prevCls device.ClassSet
 	moves   [1]workload.ObjectMove
 	stats   EnumStats
 }
@@ -326,8 +321,8 @@ func (w *bnbWalker) rec(i int, storeAcc float64, timeAcc time.Duration) error {
 		// evaluation), the rest are deltas from their predecessor.
 		w.prevOK = false
 		for ci := w.digitFloor(i); ci < sh.m; ci++ {
-			c := sh.sp.Classes[ci]
-			w.scratch.SetRaw(obj, byte(c))
+			c := sh.sp.Digits[ci]
+			w.scratch.Set(obj, c)
 			w.digits[i] = uint8(ci)
 			if sh.bounding && sh.prune(storeAcc+sh.prices[ci]*size+sh.minStore[i+1], timeAcc+row[ci]+sh.minTime[i+1]) {
 				w.stats.BoundPruned++
@@ -355,7 +350,7 @@ func (w *bnbWalker) rec(i int, storeAcc float64, timeAcc time.Duration) error {
 		return nil
 	}
 	for ci := w.digitFloor(i); ci < sh.m; ci++ {
-		w.scratch.SetRaw(obj, byte(sh.sp.Classes[ci]))
+		w.scratch.Set(obj, sh.sp.Digits[ci])
 		w.digits[i] = uint8(ci)
 		sAcc, tAcc := storeAcc, timeAcc
 		if sh.bounding {
@@ -384,7 +379,7 @@ func (w *bnbWalker) runTask(prefix []uint8) error {
 	for i, d := range prefix {
 		u := sh.order[i]
 		ci := int(d)
-		w.scratch.SetRaw(sh.sp.Free[u], byte(sh.sp.Classes[ci]))
+		w.scratch.Set(sh.sp.Free[u], sh.sp.Digits[ci])
 		w.digits[i] = d
 		if sh.bounding {
 			storeAcc += sh.prices[ci] * sh.sp.SizeGB[sh.densePos[u]]
@@ -435,10 +430,10 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace, opt BnBOp
 	if e.cfg.Compiled == nil {
 		return Eval{}, false, stats, fmt.Errorf("search: ExhaustiveBnB on an engine without a compiled config")
 	}
-	if len(sp.Classes) == 0 {
+	if len(sp.Digits) == 0 {
 		return Eval{}, false, stats, fmt.Errorf("search: exhaustive space has no classes")
 	}
-	n, m := len(sp.Free), len(sp.Classes)
+	n, m := len(sp.Free), len(sp.Digits)
 	if sp.Bounds != nil && (sp.SizeGB == nil || len(sp.Bounds.Time) != n*m) {
 		return Eval{}, false, stats, fmt.Errorf("search: BnBSpace.Bounds requires SizeGB and a %dx%d time table", n, m)
 	}
@@ -463,7 +458,7 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace, opt BnBOp
 	for i, id := range sp.Free {
 		sh.densePos[i] = denseOf(id)
 	}
-	for ci, c := range sp.Classes {
+	for ci, c := range sp.Digits {
 		sh.clsIdx[byte(c)] = uint8(ci)
 	}
 
@@ -493,10 +488,10 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace, opt BnBOp
 	// Bounding state: base accumulators, per-unit floors, expansion order.
 	var impact []float64
 	if sh.bounding {
-		sh.prices = classPrices(&sp)
+		sh.prices = digitPrices(&sp.PriceCents, sp.Digits)
 		for i := 0; i < scratch.Len(); i++ {
-			if c, ok := scratch.ClassAt(i); ok {
-				sh.baseStore += digitPriceCents(&sp, byte(c)) * sp.SizeGB[i]
+			if set, ok := scratch.At(i); ok {
+				sh.baseStore += digitPriceCents(&sp.PriceCents, set) * sp.SizeGB[i]
 			}
 		}
 		sh.baseTime = sp.Bounds.Fixed

@@ -9,22 +9,25 @@ import (
 // UnitBounds carries the per-unit data the branch-and-bound enumeration
 // derives its admissible bound from: for every free unit, its exact
 // additive contribution to the workload's elapsed time on each candidate
-// class (compiled-table rows summed over queries), plus the
+// digit (compiled-table rows summed over queries), plus the
 // layout-independent remainder. Together with the space's per-unit sizes
 // and per-class prices this yields, at any partial assignment, a floor on
 // the TOC of every completion:
 //
 //	TOC(L) = C(L) x t(L).Hours()
-//	C(L)  >= storeAcc + sum over unassigned u of min over classes c of price[c]*size[u]
-//	t(L)  >= timeAcc  + sum over unassigned u of min over classes c of Time[u][c]
+//	C(L)  >= storeAcc + sum over unassigned u of min over digits d of price[d]*size[u]
+//	t(L)  >= timeAcc  + sum over unassigned u of min over digits d of Time[u][d]
 //
 // Both factors are positive, so the product of the floors bounds the
-// product. The per-unit minima are suffix-summed over the DFS's visiting
-// order once per search, making each bound check O(1).
+// product. A digit's price (the sum of its member classes' prices, every
+// copy charged its full size) and its time entry are exact, not floors, so
+// the minima stay admissible whatever the digit alphabet. The per-unit
+// minima are suffix-summed over the DFS's visiting order once per search,
+// making each bound check O(1).
 type UnitBounds struct {
-	// Time holds, per free unit (indexed like BnBSpace.Free) and per class
-	// (indexed like BnBSpace.Classes), the unit's elapsed-time contribution
-	// when placed on that class.
+	// Time holds, per free unit (indexed like BnBSpace.Free) and per digit
+	// (indexed like BnBSpace.Digits), the unit's elapsed-time contribution
+	// when placed on that class set.
 	Time []time.Duration
 	// Fixed is the layout-independent elapsed remainder: CPU plus the
 	// contribution of every pinned (base-assigned) object.
@@ -96,7 +99,7 @@ func spread(row []time.Duration, sizeGB float64, prices []float64, sFloor float6
 // [len(order)] is zero, so a leaf's floor is just the accumulators.
 func suffixFloors(sp *BnBSpace, order []int, prices []float64) (minStore []float64, minTime []time.Duration) {
 	n := len(order)
-	m := len(sp.Classes)
+	m := len(sp.Digits)
 	minStore = make([]float64, n+1)
 	minTime = make([]time.Duration, n+1)
 	for i := n - 1; i >= 0; i-- {
@@ -115,34 +118,25 @@ func suffixFloors(sp *BnBSpace, order []int, prices []float64) (minStore []float
 	return minStore, minTime
 }
 
-// classPrices resolves the space's per-digit prices in Classes order.
-func classPrices(sp *BnBSpace) []float64 {
-	out := make([]float64, len(sp.Classes))
-	for i, c := range sp.Classes {
-		out[i] = digitPriceCents(sp, byte(c))
+// digitPrices resolves an alphabet's per-digit storage prices.
+func digitPrices(classCents *[device.NumClasses]float64, digits []device.ClassSet) []float64 {
+	out := make([]float64, len(digits))
+	for i, set := range digits {
+		out[i] = digitPriceCents(classCents, set)
 	}
 	return out
 }
 
-// digitPriceCents resolves one placement byte's storage price under the
-// space's digit alphabet: the class price, or — with SetDigits — the sum
-// of the mask's member-class prices, since every replica is charged its
-// full size. Each digit's price is exact (not a floor), so the storage
-// suffix minima stay admissible for set digits with no further argument;
-// the same holds for the time floors, whose per-digit rows are exact
-// contributions whatever the digit alphabet.
-func digitPriceCents(sp *BnBSpace, b byte) float64 {
-	if !sp.SetDigits {
-		if int(b) < device.NumClasses {
-			return sp.PriceCents[b]
-		}
-		return 0
-	}
-	m := device.ClassSet(b)
+// digitPriceCents resolves one placement's storage price: the sum of the
+// set's member-class prices in ascending class order, since every copy is
+// charged its full size. For a singleton the sum is 0+p, which is p exactly,
+// so single-copy search accumulates the very floats a per-class table
+// would.
+func digitPriceCents(classCents *[device.NumClasses]float64, set device.ClassSet) float64 {
 	var sum float64
 	for c := 0; c < device.NumClasses; c++ {
-		if m.Has(device.Class(c)) {
-			sum += sp.PriceCents[c]
+		if set.Has(device.Class(c)) {
+			sum += classCents[c]
 		}
 	}
 	return sum

@@ -34,7 +34,7 @@ func (g *gaugeEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
 	return workload.Metrics{Elapsed: time.Millisecond}, nil
 }
 
-func budgetLayouts(t *testing.T, n int) []catalog.Layout {
+func budgetLayouts(t *testing.T, n int) []catalog.SetLayout {
 	t.Helper()
 	cat := catalog.New()
 	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})
@@ -42,9 +42,9 @@ func budgetLayouts(t *testing.T, n int) []catalog.Layout {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []catalog.Layout
+	var out []catalog.SetLayout
 	for i := 0; i < n; i++ {
-		out = append(out, catalog.Layout{tab.ID: device.AllClasses[i%len(device.AllClasses)]})
+		out = append(out, catalog.SetLayout{tab.ID: device.Singleton(device.AllClasses[i%len(device.AllClasses)])})
 	}
 	return out
 }
@@ -56,7 +56,7 @@ func TestBudgetBoundsAcrossEngines(t *testing.T) {
 		t.Fatalf("Workers = %d, want %d", b.Workers(), width)
 	}
 	est := &gaugeEstimator{}
-	cost := func(m workload.Metrics, l catalog.Layout) (float64, error) { return 1, nil }
+	cost := func(m workload.Metrics, l catalog.SetLayout) (float64, error) { return 1, nil }
 	var engines []*Engine
 	for i := 0; i < 4; i++ {
 		e, err := New(Config{Est: est, Cost: cost, Budget: b})
@@ -70,7 +70,7 @@ func TestBudgetBoundsAcrossEngines(t *testing.T) {
 	}
 	// Many distinct single-object layouts would collide in one engine's
 	// memo, so give each engine its own catalog's layouts.
-	batches := make([][]catalog.Layout, len(engines))
+	batches := make([][]catalog.SetLayout, len(engines))
 	for i := range engines {
 		batches[i] = budgetLayouts(t, 64)
 	}
@@ -96,7 +96,7 @@ func TestNewBudgetSequential(t *testing.T) {
 		t.Fatalf("Workers = %d, want 1", b.Workers())
 	}
 	est := &gaugeEstimator{}
-	e, err := New(Config{Est: est, Cost: func(m workload.Metrics, l catalog.Layout) (float64, error) { return 1, nil }, Budget: b})
+	e, err := New(Config{Est: est, Cost: func(m workload.Metrics, l catalog.SetLayout) (float64, error) { return 1, nil }, Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMemoEstimator(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, l := range ls {
-				if _, err := me.Estimate(l); err != nil {
+				if _, err := me.EstimateSet(l); err != nil {
 					t.Error(err)
 				}
 			}
@@ -145,7 +145,7 @@ func TestMemoEstimatorMemoizesErrors(t *testing.T) {
 	me := Memoize(est, 0)
 	l := budgetLayouts(t, 1)[0]
 	for i := 0; i < 3; i++ {
-		if _, err := me.Estimate(l); err == nil {
+		if _, err := me.EstimateSet(l); err == nil {
 			t.Fatal("expected error")
 		}
 	}
@@ -159,14 +159,14 @@ func TestMemoEstimatorLimit(t *testing.T) {
 	me := Memoize(est, 2)
 	ls := budgetLayouts(t, 5) // 5 distinct keys
 	for _, l := range ls {
-		if _, err := me.Estimate(l); err != nil {
+		if _, err := me.EstimateSet(l); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Revisit: the two retained keys answer from the memo, the other three
 	// are re-estimated.
 	for _, l := range ls {
-		if _, err := me.Estimate(l); err != nil {
+		if _, err := me.EstimateSet(l); err != nil {
 			t.Fatal(err)
 		}
 	}

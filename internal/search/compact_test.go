@@ -49,10 +49,11 @@ func newCompactFix(t *testing.T, n int) *compactFix {
 func (f *compactFix) config(compiled bool, workers int) Config {
 	cfg := Config{
 		Est: f.est,
-		Cost: func(m workload.Metrics, l catalog.Layout) (float64, error) {
-			return workload.TOCCents(m, l, f.cat, f.box)
+		Cost: func(m workload.Metrics, l catalog.SetLayout) (float64, error) {
+			perHour, err := l.CostCentsPerHour(f.cat, f.box)
+			return perHour * m.Elapsed.Hours(), err
 		},
-		CapacityOK: func(l catalog.Layout) bool { return l.CheckCapacity(f.cat, f.box) == nil },
+		CapacityOK: func(l catalog.SetLayout) bool { return l.CheckCapacity(f.cat, f.box) == nil },
 		Workers:    workers,
 	}
 	if compiled {
@@ -70,12 +71,15 @@ func (f *compactFix) config(compiled bool, workers int) Config {
 				return perHour * m.Elapsed.Hours(), nil
 			},
 			CapacityOK: func(cl catalog.CompactLayout) bool {
-				return cl.CheckCapacityDense(f.sizes, f.box) == nil
+				return cl.FitsCapacityDense(f.sizes, f.box)
 			},
 		}
 	}
 	return cfg
 }
+
+// digits is the fixture box's single-copy alphabet.
+func (f *compactFix) digits() []device.ClassSet { return iosim.SingletonAlphabet(f.box) }
 
 func evalEqual(a, b Eval) bool {
 	return math.Float64bits(a.TOCCents) == math.Float64bits(b.TOCCents) &&
@@ -93,12 +97,12 @@ func TestCompactEvaluateSharesMemoWithMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := catalog.NewUniformLayout(f.cat, device.HSSD)
+	l := catalog.NewUniformSetLayout(f.cat, device.Singleton(device.HSSD))
 	ev1, err := eng.Evaluate(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, _ := catalog.CompactFromLayout(f.cat, l)
+	cl, _ := catalog.CompactFromSetLayout(f.cat, l)
 	ev2, err := eng.EvaluateCompact(cl)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +129,8 @@ func TestEvaluateDeltaMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := catalog.CompactUniform(f.cat, device.HSSD)
+	hssd := device.Singleton(device.HSSD)
+	base := catalog.CompactUniform(f.cat, hssd)
 	evBase, err := engA.EvaluateCompact(base)
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +139,13 @@ func TestEvaluateDeltaMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range f.cat.Objects() {
-		for _, to := range f.box.Classes() {
-			if to == device.HSSD {
+		for _, to := range f.digits() {
+			if to == hssd {
 				continue
 			}
 			moved := base.Clone()
 			moved.Set(o.ID, to)
-			dv, err := engA.EvaluateDelta(evBase, moved, []workload.ObjectMove{{Obj: o.ID, From: device.HSSD, To: to}})
+			dv, err := engA.EvaluateDelta(evBase, moved, []workload.ObjectMove{{Obj: o.ID, From: hssd, To: to}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +161,7 @@ func TestEvaluateDeltaMatchesFull(t *testing.T) {
 	// Re-evaluating a delta-estimated layout answers from the memo.
 	calls := engA.Stats().EstimatorCalls
 	moved := base.Clone()
-	moved.Set(1, device.LSSD)
+	moved.Set(1, device.Singleton(device.LSSD))
 	if _, err := engA.EvaluateCompact(moved); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +186,7 @@ func TestExhaustiveCompactMatchesMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Free: free, Classes: f.box.Classes()}, nil)
+	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Free: free, Digits: f.digits()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +199,7 @@ func TestExhaustiveCompactMatchesMap(t *testing.T) {
 		ev, ok, st, err := eng.ExhaustiveCompact(cons, CompactSpace{
 			Base:    catalog.NewCompactLayout(f.cat.NumObjects()),
 			Free:    free,
-			Classes: f.box.Classes(),
+			Digits: f.digits(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -215,25 +220,25 @@ func TestExhaustiveCompactMatchesMap(t *testing.T) {
 // compact enumeration exactly like the map Space.Base.
 func TestExhaustiveCompactPartialBase(t *testing.T) {
 	f := newCompactFix(t, 4)
-	base := catalog.NewUniformLayout(f.cat, device.HSSD)
+	base := catalog.NewUniformSetLayout(f.cat, device.Singleton(device.HSSD))
 	free := []catalog.ObjectID{2}
-	baseline, err := f.est.Estimate(base)
+	baseline, err := f.est.Estimate(catalog.NewUniformLayout(f.cat, device.HSSD))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cons := workload.Constraints{Relative: 0.25, Baseline: baseline}
 
 	mapEng, _ := New(f.config(false, 1))
-	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Base: base, Free: free, Classes: f.box.Classes()}, nil)
+	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Base: base, Free: free, Digits: f.digits()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng, _ := New(f.config(true, 1))
-	bc, ok := catalog.CompactFromLayout(f.cat, base)
+	bc, ok := catalog.CompactFromSetLayout(f.cat, base)
 	if !ok {
 		t.Fatal("base must encode")
 	}
-	ev, found, st, err := eng.ExhaustiveCompact(cons, CompactSpace{Base: bc, Free: free, Classes: f.box.Classes()})
+	ev, found, st, err := eng.ExhaustiveCompact(cons, CompactSpace{Base: bc, Free: free, Digits: f.digits()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +246,7 @@ func TestExhaustiveCompactPartialBase(t *testing.T) {
 		t.Fatalf("compact partial ES diverges: count=%d want %d", st.Candidates, wantSt.Candidates)
 	}
 	// Pinned objects stay put in the winner.
-	if c, _ := ev.Compact.Class(1); c != device.HSSD {
+	if c, _ := ev.Compact.Get(1); c != device.Singleton(device.HSSD) {
 		t.Fatalf("pinned object moved to %v", c)
 	}
 }

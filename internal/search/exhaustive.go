@@ -12,9 +12,10 @@ import (
 )
 
 // Space is an assignment space for exhaustive enumeration: every Free
-// object ranges over Classes while Base pins everything else. Candidates
-// are generated in odometer order — Free[0] cycles fastest — matching the
-// paper's M^N enumeration.
+// object ranges over Digits — the alphabet of class sets a unit may be
+// placed on, the box's singletons for single-copy search — while Base pins
+// everything else. Candidates are generated in odometer order — Free[0]
+// cycles fastest — matching the paper's M^N enumeration.
 //
 // SizeGB (dense, indexed by catalog.DenseIndex), PriceCents and Bound are
 // the accumulator form of pruning, shared with CompactSpace: when Bound is
@@ -24,9 +25,9 @@ import (
 // Bound with it. A map-form LowerBound passed alongside is only used when
 // Bound is nil.
 type Space struct {
-	Base       catalog.Layout
+	Base       catalog.SetLayout
 	Free       []catalog.ObjectID
-	Classes    []device.Class
+	Digits     []device.ClassSet
 	SizeGB     []float64
 	PriceCents [device.NumClasses]float64
 	Bound      CompactBound
@@ -38,7 +39,7 @@ type Space struct {
 // open. Enumeration prunes a subtree only when the bound strictly exceeds
 // the incumbent feasible TOC, so an admissible bound never changes the
 // result — only how many candidates are evaluated.
-type LowerBound func(partial catalog.Layout, unassigned []catalog.ObjectID) (float64, error)
+type LowerBound func(partial catalog.SetLayout, unassigned []catalog.ObjectID) (float64, error)
 
 // CompactBound is the compiled path's admissible lower bound. Instead of
 // re-walking a partial layout per node, it receives the DFS's running
@@ -48,12 +49,13 @@ type LowerBound func(partial catalog.Layout, unassigned []catalog.ObjectID) (flo
 type CompactBound func(perHourCents float64, unassigned []catalog.ObjectID) (floor float64, ok bool)
 
 // CompactSpace is Space for the compiled DFS. SizeGB (dense, indexed by
-// catalog.DenseIndex) and PriceCents (per class) feed the running
-// storage-cost accumulator; both are required when Bound is set.
+// catalog.DenseIndex) and PriceCents (per class; a digit is priced at the
+// sum of its members) feed the running storage-cost accumulator; both are
+// required when Bound is set.
 type CompactSpace struct {
 	Base       catalog.CompactLayout
 	Free       []catalog.ObjectID
-	Classes    []device.Class
+	Digits     []device.ClassSet
 	SizeGB     []float64
 	PriceCents [device.NumClasses]float64
 	Bound      CompactBound
@@ -97,9 +99,9 @@ var errStopped = errors.New("search: enumeration stopped")
 // sp.Bound set, pruning runs on the incremental storage-cost accumulator
 // (no per-node partial walk); otherwise a LowerBound closure is consulted
 // per node. It returns the enumeration's statistics.
-func enumerate(sp Space, lb LowerBound, best *incumbent, emit func(idx int, l catalog.Layout) error) (EnumStats, error) {
+func enumerate(sp Space, lb LowerBound, best *incumbent, emit func(idx int, l catalog.SetLayout) error) (EnumStats, error) {
 	var stats EnumStats
-	partial := make(catalog.Layout)
+	partial := make(catalog.SetLayout)
 	if sp.Base != nil {
 		partial = sp.Base.Clone()
 	}
@@ -113,10 +115,12 @@ func enumerate(sp Space, lb LowerBound, best *incumbent, emit func(idx int, l ca
 	// in ascending dense order (deterministic — map iteration is not).
 	accum := sp.Bound != nil
 	var basePerHour float64
+	var prices []float64
 	if accum {
+		prices = digitPrices(&sp.PriceCents, sp.Digits)
 		for i := range sp.SizeGB {
-			if c, ok := partial[catalog.ObjectID(i+1)]; ok {
-				basePerHour += sp.PriceCents[c] * sp.SizeGB[i]
+			if set, ok := partial[catalog.ObjectID(i+1)]; ok {
+				basePerHour += digitPriceCents(&sp.PriceCents, set) * sp.SizeGB[i]
 			}
 		}
 	}
@@ -134,11 +138,11 @@ func enumerate(sp Space, lb LowerBound, best *incumbent, emit func(idx int, l ca
 		if accum {
 			size = sp.SizeGB[catalog.DenseIndex(obj)]
 		}
-		for _, c := range sp.Classes {
+		for ci, c := range sp.Digits {
 			partial[obj] = c
 			ph := perHour
 			if accum {
-				ph += sp.PriceCents[c] * size
+				ph += prices[ci] * size
 				if inc, ok := best.toc(); ok {
 					if floor, bounded := sp.Bound(ph, sp.Free[:i]); bounded && floor > inc {
 						stats.BoundPruned++
@@ -175,7 +179,7 @@ func enumerate(sp Space, lb LowerBound, best *incumbent, emit func(idx int, l ca
 // depends on how early the incumbent tightens (under parallel evaluation
 // that timing varies), but the returned best never does.
 func (e *Engine) Exhaustive(cons workload.Constraints, sp Space, lb LowerBound) (Eval, bool, EnumStats, error) {
-	if len(sp.Classes) == 0 {
+	if len(sp.Digits) == 0 {
 		return Eval{}, false, EnumStats{}, fmt.Errorf("search: exhaustive space has no classes")
 	}
 	if sp.Bound != nil && sp.SizeGB == nil {
@@ -184,7 +188,7 @@ func (e *Engine) Exhaustive(cons workload.Constraints, sp Space, lb LowerBound) 
 	best := &incumbent{}
 	workers := e.Workers()
 	if workers < 2 {
-		stats, err := enumerate(sp, lb, best, func(idx int, l catalog.Layout) error {
+		stats, err := enumerate(sp, lb, best, func(idx int, l catalog.SetLayout) error {
 			ev, err := e.Evaluate(l)
 			if err != nil {
 				return err
@@ -203,7 +207,7 @@ func (e *Engine) Exhaustive(cons workload.Constraints, sp Space, lb LowerBound) 
 
 	type job struct {
 		idx int
-		l   catalog.Layout
+		l   catalog.SetLayout
 	}
 	jobs := make(chan job, workers*2)
 	var (
@@ -237,7 +241,7 @@ func (e *Engine) Exhaustive(cons workload.Constraints, sp Space, lb LowerBound) 
 			}
 		}()
 	}
-	stats, genErr := enumerate(sp, lb, best, func(idx int, l catalog.Layout) error {
+	stats, genErr := enumerate(sp, lb, best, func(idx int, l catalog.SetLayout) error {
 		if stop.Load() {
 			return errStopped
 		}
@@ -269,9 +273,10 @@ type compactWalk struct {
 	scratch  catalog.CompactLayout
 	best     *incumbent
 	bounding bool
+	prices   []float64 // per digit, when bounding
 	idx      int
 	pruned   int
-	emit     func(idx int, leafObj catalog.ObjectID, leafClass device.Class, first bool) error
+	emit     func(idx int, leafObj catalog.ObjectID, leafSet device.ClassSet, first bool) error
 }
 
 func (w *compactWalk) run() error {
@@ -282,9 +287,10 @@ func (w *compactWalk) run() error {
 	}
 	var basePerHour float64
 	if w.bounding {
+		w.prices = digitPrices(&w.sp.PriceCents, w.sp.Digits)
 		for i := 0; i < w.scratch.Len(); i++ {
-			if c, ok := w.scratch.ClassAt(i); ok {
-				basePerHour += w.sp.PriceCents[c] * w.sp.SizeGB[i]
+			if set, ok := w.scratch.At(i); ok {
+				basePerHour += digitPriceCents(&w.sp.PriceCents, set) * w.sp.SizeGB[i]
 			}
 		}
 	}
@@ -309,12 +315,12 @@ func (w *compactWalk) rec(i int, perHour float64) error {
 		size = w.sp.SizeGB[catalog.DenseIndex(obj)]
 	}
 	if i == 0 {
-		// Innermost level: siblings differ only in obj's class, so emit
+		// Innermost level: siblings differ only in obj's digit, so emit
 		// carries the move for delta evaluation.
 		first := true
-		for _, c := range w.sp.Classes {
+		for ci, c := range w.sp.Digits {
 			w.scratch.Set(obj, c)
-			if w.bounding && w.prune(perHour+w.sp.PriceCents[c]*size, w.sp.Free[:0]) {
+			if w.bounding && w.prune(perHour+w.prices[ci]*size, w.sp.Free[:0]) {
 				w.pruned++
 				continue
 			}
@@ -326,11 +332,11 @@ func (w *compactWalk) rec(i int, perHour float64) error {
 		}
 		return nil
 	}
-	for _, c := range w.sp.Classes {
+	for ci, c := range w.sp.Digits {
 		w.scratch.Set(obj, c)
 		ph := perHour
 		if w.bounding {
-			ph += w.sp.PriceCents[c] * size
+			ph += w.prices[ci] * size
 			if w.prune(ph, w.sp.Free[:i]) {
 				w.pruned++
 				continue
@@ -354,7 +360,7 @@ func (e *Engine) ExhaustiveCompact(cons workload.Constraints, sp CompactSpace) (
 	if e.cfg.Compiled == nil {
 		return Eval{}, false, EnumStats{}, fmt.Errorf("search: ExhaustiveCompact on an engine without a compiled config")
 	}
-	if len(sp.Classes) == 0 {
+	if len(sp.Digits) == 0 {
 		return Eval{}, false, EnumStats{}, fmt.Errorf("search: exhaustive space has no classes")
 	}
 	if sp.Bound != nil && sp.SizeGB == nil {
@@ -376,10 +382,10 @@ func (e *Engine) ExhaustiveCompact(cons workload.Constraints, sp CompactSpace) (
 		var (
 			prev    Eval
 			prevOK  bool
-			prevCls device.Class
+			prevCls device.ClassSet
 			moves   [1]workload.ObjectMove
 		)
-		w.emit = func(idx int, leafObj catalog.ObjectID, leafCls device.Class, first bool) error {
+		w.emit = func(idx int, leafObj catalog.ObjectID, leafCls device.ClassSet, first bool) error {
 			// The first candidate of each innermost sibling group gets a full
 			// compiled estimate (levels above Free[0] changed); its siblings
 			// differ from it by one move and are re-estimated as deltas.
@@ -464,7 +470,7 @@ func (e *Engine) ExhaustiveCompact(cons workload.Constraints, sp CompactSpace) (
 		copy(out, b)
 		return catalog.CompactFromBytes(out)
 	}
-	w.emit = func(idx int, _ catalog.ObjectID, _ device.Class, _ bool) error {
+	w.emit = func(idx int, _ catalog.ObjectID, _ device.ClassSet, _ bool) error {
 		if stop.Load() {
 			return errStopped
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // MemoEstimator wraps an Estimator with a metrics memo keyed by the
-// canonical layout hash (catalog.Layout.Key). It is the sweep-level sibling
+// canonical layout encoding (Key of any layout form). It is the sweep-level sibling
 // of the Engine's memo: an Engine caches full evaluations (metrics + TOC +
 // capacity), which are only valid for one box and one cost model, whereas
 // the estimator's metrics depend solely on the layout and the per-class
@@ -63,23 +63,35 @@ func (me *MemoEstimator) lookup(key string) *memoEntry {
 	return ent
 }
 
-// Map-form and compact-form keys live in one memo but disjoint key spaces
-// (the prefixes), so the two access paths can never conflate layouts.
-func mapKey(l catalog.Layout) string             { return "m" + l.Key() }
+// The three layout forms' keys live in one memo but disjoint key spaces
+// (the prefixes), so the access paths can never conflate layouts — a class
+// byte and a mask byte can collide numerically.
 func compactKey(cl catalog.CompactLayout) string { return "c" + cl.Key() }
 
-// Estimate implements workload.Estimator.
-func (me *MemoEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
-	ent := me.lookup(mapKey(l))
+// memoized answers key from the memo, running estimate on a miss.
+func (me *MemoEstimator) memoized(key string, estimate func() (workload.Metrics, error)) (workload.Metrics, error) {
+	ent := me.lookup(key)
 	if ent == nil {
 		me.calls.Add(1)
-		return me.est.Estimate(l)
+		return estimate()
 	}
 	ent.once.Do(func() {
 		me.calls.Add(1)
-		ent.m, ent.err = me.est.Estimate(l)
+		ent.m, ent.err = estimate()
 	})
 	return ent.m, ent.err
+}
+
+// Estimate implements workload.Estimator.
+func (me *MemoEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
+	return me.memoized("m"+l.Key(), func() (workload.Metrics, error) { return me.est.Estimate(l) })
+}
+
+// EstimateSet implements workload.SetEstimator — the form the search
+// engine's map path asks through. A wrapped estimator without a replica
+// form answers for its single-class view (see workload.EstimateSet).
+func (me *MemoEstimator) EstimateSet(l catalog.SetLayout) (workload.Metrics, error) {
+	return me.memoized("s"+l.Key(), func() (workload.Metrics, error) { return workload.EstimateSet(me.est, l) })
 }
 
 // EstimateCompact implements workload.CompactEstimator: compact-capable
@@ -100,7 +112,7 @@ func (me *MemoEstimator) estimateCompactUncached(cl catalog.CompactLayout) (work
 		m, err := ce.EstimateCompact(cl)
 		return m, nil, err
 	}
-	m, err := me.est.Estimate(cl.ToLayout())
+	m, err := workload.EstimateSet(me.est, cl.ToSetLayout())
 	return m, nil, err
 }
 

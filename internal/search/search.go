@@ -4,7 +4,7 @@
 // it, check capacity and the SLA — which this package implements once, with
 //
 //   - a memo table keyed by the canonical layout encoding (the raw bytes of
-//     a catalog.CompactLayout on the compiled path, catalog.Layout.Key on
+//     a catalog.CompactLayout on the compiled path, catalog.SetLayout.Key on
 //     the map path), so repeated sweeps (OptimizeBest's two policies, SLA
 //     halving) never estimate the same layout twice;
 //   - a bounded worker pool that fans independent candidate evaluations out
@@ -14,9 +14,15 @@
 //     that lets exhaustive enumeration prune whole assignment subtrees
 //     whose TOC floor already exceeds the incumbent; and
 //   - an optional compiled evaluation path (Config.Compiled): compact
-//     layouts, dense per-(object, class) cost tables, and O(moves) delta
+//     layouts, dense per-(object, class-set) cost tables, and O(moves) delta
 //     re-estimation (EvaluateDelta) make the per-candidate hot path
 //     allocation-free while returning bit-identical results.
+//
+// A candidate places every unit on a set of storage classes
+// (catalog.SetLayout, densely catalog.CompactLayout); a single-copy layout
+// is the all-singleton case and takes the same path. The engine hashes,
+// clones and delta-chains placement bytes without interpreting them — only
+// the estimator and the cost hooks know what a byte means.
 //
 // Results are deterministic regardless of worker count: candidates carry
 // their enumeration index, and ties on TOC resolve to the lowest index,
@@ -34,7 +40,7 @@ import (
 )
 
 // CompiledConfig enables the engine's compiled evaluation path: candidates
-// are compact layouts (dense class bytes), the memo is keyed by their raw
+// are compact layouts (dense class-set bytes), the memo is keyed by their raw
 // byte strings, and metrics come from a CompactEstimator — with O(moves)
 // delta re-estimation when the estimator supports it. The compiled hooks
 // must price and capacity-check exactly like their map-path siblings in
@@ -59,14 +65,16 @@ type CompiledConfig struct {
 // Config assembles an Engine. Est and Cost are required; CapacityOK may be
 // nil (every layout then passes the capacity check).
 type Config struct {
-	// Est predicts workload metrics for a candidate layout. It is called at
-	// most once per distinct layout; when Workers > 1 it must be safe for
-	// concurrent use.
+	// Est predicts workload metrics for a candidate layout (through
+	// workload.EstimateSet: an estimator without a replica form sees the
+	// single-class view and cannot be asked about multi-copy layouts). It is
+	// called at most once per distinct layout; when Workers > 1 it must be
+	// safe for concurrent use.
 	Est workload.Estimator
 	// Cost prices the estimated metrics under the layout (the TOC model).
-	Cost func(m workload.Metrics, l catalog.Layout) (float64, error)
+	Cost func(m workload.Metrics, l catalog.SetLayout) (float64, error)
 	// CapacityOK reports whether the layout fits the box.
-	CapacityOK func(l catalog.Layout) bool
+	CapacityOK func(l catalog.SetLayout) bool
 	// Workers bounds the evaluation fan-out. Values below 2 select the
 	// sequential path (no goroutines, no concurrent estimator use).
 	Workers int
@@ -102,7 +110,7 @@ type Eval struct {
 	// Layout is the map form of the evaluated layout. On the compiled path
 	// it is nil — the layout lives in Compact — so callers that need the map
 	// form use LayoutMap/LayoutClone.
-	Layout catalog.Layout
+	Layout catalog.SetLayout
 	// Compact is the dense form; set on the compiled path only.
 	Compact    catalog.CompactLayout
 	Metrics    workload.Metrics
@@ -123,23 +131,23 @@ func (e Eval) Feasible(cons workload.Constraints) bool {
 // the compact form on the compiled path. The map-path result aliases the
 // memoized layout and must not be mutated; use LayoutClone for a private
 // copy.
-func (e Eval) LayoutMap() catalog.Layout {
+func (e Eval) LayoutMap() catalog.SetLayout {
 	if e.Layout != nil {
 		return e.Layout
 	}
 	if !e.Compact.IsZero() {
-		return e.Compact.ToLayout()
+		return e.Compact.ToSetLayout()
 	}
 	return nil
 }
 
 // LayoutClone returns a private map-form copy of the evaluated layout.
-func (e Eval) LayoutClone() catalog.Layout {
+func (e Eval) LayoutClone() catalog.SetLayout {
 	if e.Layout != nil {
 		return e.Layout.Clone()
 	}
 	if !e.Compact.IsZero() {
-		return e.Compact.ToLayout()
+		return e.Compact.ToSetLayout()
 	}
 	return nil
 }
@@ -178,7 +186,7 @@ type entry struct {
 	err  error
 }
 
-// hashBytes is FNV-1a over the compact layout's class bytes.
+// hashBytes is FNV-1a over the compact layout's placement bytes.
 func hashBytes(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -308,7 +316,7 @@ func (e *Engine) memoLimit() int {
 }
 
 // measure runs the estimate → price → capacity pipeline once, uncached.
-func (e *Engine) measure(l catalog.Layout) (Eval, error) {
+func (e *Engine) measure(l catalog.SetLayout) (Eval, error) {
 	if e.sem != nil {
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
@@ -318,7 +326,7 @@ func (e *Engine) measure(l catalog.Layout) (Eval, error) {
 		defer b.exit()
 	}
 	e.estCalls.Add(1)
-	m, err := e.cfg.Est.Estimate(l)
+	m, err := workload.EstimateSet(e.cfg.Est, l)
 	if err != nil {
 		return Eval{}, err
 	}
@@ -343,12 +351,12 @@ func (e *Engine) measure(l catalog.Layout) (Eval, error) {
 // On a compiled engine the layout is converted to its compact form and
 // evaluated through the compiled pipeline, sharing the compact memo — so
 // mixing Evaluate with EvaluateCompact never estimates a layout twice.
-func (e *Engine) Evaluate(l catalog.Layout) (Eval, error) {
+func (e *Engine) Evaluate(l catalog.SetLayout) (Eval, error) {
 	if cc := e.cfg.Compiled; cc != nil {
-		if cl, ok := catalog.CompactFromLayout(cc.Cat, l); ok {
+		if cl, ok := catalog.CompactFromSetLayout(cc.Cat, l); ok {
 			return e.evaluateCompact(cl, true, workload.Metrics{}, nil, nil)
 		}
-		// Unencodable layouts (IDs or classes outside the catalog's dense
+		// Unencodable layouts (IDs or sets outside the catalog's dense
 		// ranges) stay on the map pipeline; the marker prefix keeps their
 		// memo keys disjoint from the compact key space.
 		return e.evaluateMap("m"+l.Key(), l)
@@ -381,7 +389,7 @@ func (e *Engine) EvaluateDelta(base Eval, cl catalog.CompactLayout, moves []work
 }
 
 // evaluateMap is the memoized map-form pipeline.
-func (e *Engine) evaluateMap(key string, l catalog.Layout) (Eval, error) {
+func (e *Engine) evaluateMap(key string, l catalog.SetLayout) (Eval, error) {
 	e.evaluated.Add(1)
 	e.mu.Lock()
 	ent, ok := e.memo[key]
@@ -491,7 +499,7 @@ func (e *Engine) measureCompact(cl catalog.CompactLayout, baseM workload.Metrics
 // EvaluateAll evaluates the candidates, fanning out across the worker pool,
 // and returns the evaluations in input order. On error it returns the
 // lowest-index failure, so error reporting is deterministic too.
-func (e *Engine) EvaluateAll(layouts []catalog.Layout) ([]Eval, error) {
+func (e *Engine) EvaluateAll(layouts []catalog.SetLayout) ([]Eval, error) {
 	evs := make([]Eval, len(layouts))
 	errs := make([]error, len(layouts))
 	if err := Parallel(e.Workers(), len(layouts), func(i int) error {

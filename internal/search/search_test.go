@@ -35,6 +35,25 @@ func (f *fakeEst) Estimate(l catalog.Layout) (workload.Metrics, error) {
 
 var classes = []device.Class{device.HDD, device.LSSD, device.HSSD}
 
+// digits is the single-copy alphabet over classes (ascending masks follow
+// ascending classes, so digit order is class order).
+var digits = device.EnumerateClassSets(classes, 1)
+
+// single lifts a single-class layout literal to the engine's map form.
+func single(l catalog.Layout) catalog.SetLayout { return catalog.SingletonSetLayout(l) }
+
+// hourly prices a layout at the fixture's per-class prices, one copy per
+// member.
+func hourly(l catalog.SetLayout) float64 {
+	var perHour float64
+	for _, set := range l {
+		for _, c := range set.Classes() {
+			perHour += prices[c]
+		}
+	}
+	return perHour
+}
+
 // The H-SSD is priced out of proportion so that subtrees committing to it
 // are provably hopeless — what the pruning test relies on.
 var prices = map[device.Class]float64{device.HDD: 1, device.LSSD: 5, device.HSSD: 1000}
@@ -43,12 +62,8 @@ func newEngine(t *testing.T, workers int, est *fakeEst) *Engine {
 	t.Helper()
 	eng, err := New(Config{
 		Est: est,
-		Cost: func(m workload.Metrics, l catalog.Layout) (float64, error) {
-			var perHour float64
-			for _, c := range l {
-				perHour += prices[c]
-			}
-			return perHour * m.Elapsed.Hours(), nil
+		Cost: func(m workload.Metrics, l catalog.SetLayout) (float64, error) {
+			return hourly(l) * m.Elapsed.Hours(), nil
 		},
 		Workers: workers,
 	})
@@ -82,13 +97,13 @@ func TestNewRequiresEstAndCost(t *testing.T) {
 func TestEvaluateMemoizes(t *testing.T) {
 	est := testEst()
 	eng := newEngine(t, 1, est)
-	l := catalog.Layout{1: device.HSSD, 2: device.LSSD}
+	l := single(catalog.Layout{1: device.HSSD, 2: device.LSSD})
 	ev1, err := eng.Evaluate(l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-evaluating an equal (but distinct) map must be a memo hit.
-	ev2, err := eng.Evaluate(catalog.Layout{2: device.LSSD, 1: device.HSSD})
+	ev2, err := eng.Evaluate(single(catalog.Layout{2: device.LSSD, 1: device.HSSD}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +118,7 @@ func TestEvaluateMemoizes(t *testing.T) {
 		t.Fatalf("stats %+v, want 2 evaluated / 1 call / 1 hit", st)
 	}
 	// A different layout is a miss.
-	if _, err := eng.Evaluate(catalog.Layout{1: device.HDD, 2: device.LSSD}); err != nil {
+	if _, err := eng.Evaluate(single(catalog.Layout{1: device.HDD, 2: device.LSSD})); err != nil {
 		t.Fatal(err)
 	}
 	if est.calls.Load() != 2 {
@@ -115,14 +130,14 @@ func TestMemoLimitBoundsRetention(t *testing.T) {
 	est := testEst()
 	eng, err := New(Config{
 		Est:       est,
-		Cost:      func(m workload.Metrics, l catalog.Layout) (float64, error) { return 1, nil },
+		Cost:      func(m workload.Metrics, l catalog.SetLayout) (float64, error) { return 1, nil },
 		MemoLimit: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := catalog.Layout{1: device.HSSD}
-	overflow := catalog.Layout{1: device.LSSD}
+	cached := single(catalog.Layout{1: device.HSSD})
+	overflow := single(catalog.Layout{1: device.LSSD})
 	for i := 0; i < 3; i++ {
 		if _, err := eng.Evaluate(cached); err != nil {
 			t.Fatal(err)
@@ -156,7 +171,7 @@ func TestEvaluateMemoizesErrors(t *testing.T) {
 	est := testEst()
 	est.fail, est.failSet = device.HDD, true
 	eng := newEngine(t, 1, est)
-	l := catalog.Layout{1: device.HDD}
+	l := single(catalog.Layout{1: device.HDD})
 	if _, err := eng.Evaluate(l); err == nil {
 		t.Fatal("expected estimator error")
 	}
@@ -169,10 +184,10 @@ func TestEvaluateMemoizesErrors(t *testing.T) {
 }
 
 func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
-	var layouts []catalog.Layout
+	var layouts []catalog.SetLayout
 	for _, c1 := range classes {
 		for _, c2 := range classes {
-			layouts = append(layouts, catalog.Layout{1: c1, 2: c2})
+			layouts = append(layouts, single(catalog.Layout{1: c1, 2: c2}))
 		}
 	}
 	seqEng := newEngine(t, 1, testEst())
@@ -199,7 +214,7 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		est := testEst()
 		eng := newEngine(t, workers, est)
-		ev, ok, st, err := eng.Exhaustive(cs, Space{Free: free, Classes: classes}, nil)
+		ev, ok, st, err := eng.Exhaustive(cs, Space{Free: free, Digits: digits}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,12 +230,12 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 		// Brute force with the same pipeline, sequentially.
 		ref := newEngine(t, 1, testEst())
 		var bestTOC float64
-		var bestL catalog.Layout
+		var bestL catalog.SetLayout
 		found := false
 		for _, c3 := range classes {
 			for _, c2 := range classes {
 				for _, c1 := range classes {
-					l := catalog.Layout{1: c1, 2: c2, 3: c3}
+					l := single(catalog.Layout{1: c1, 2: c2, 3: c3})
 					e, err := ref.Evaluate(l)
 					if err != nil {
 						t.Fatal(err)
@@ -239,11 +254,11 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 }
 
 func TestExhaustiveHonoursBase(t *testing.T) {
-	base := catalog.Layout{1: device.HSSD, 2: device.HSSD, 3: device.HSSD}
+	base := single(catalog.Layout{1: device.HSSD, 2: device.HSSD, 3: device.HSSD})
 	baseline := workload.Metrics{PerQuery: []time.Duration{3 * 12 * time.Second}}
 	eng := newEngine(t, 1, testEst())
 	ev, ok, st, err := eng.Exhaustive(cons(baseline, 0.01),
-		Space{Base: base, Free: []catalog.ObjectID{3}, Classes: classes}, nil)
+		Space{Base: base, Free: []catalog.ObjectID{3}, Digits: digits}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +268,14 @@ func TestExhaustiveHonoursBase(t *testing.T) {
 	if !ok {
 		t.Fatal("expected a feasible layout")
 	}
-	if ev.Layout[1] != device.HSSD || ev.Layout[2] != device.HSSD {
+	hssd := device.Singleton(device.HSSD)
+	if ev.Layout[1] != hssd || ev.Layout[2] != hssd {
 		t.Fatal("pinned objects moved")
 	}
 	// With two objects pinned on the H-SSD the hourly price is already
 	// dominated by them, so stretching the elapsed time on a slow class
 	// costs more than the H-SSD's own price: the free object stays fast.
-	if ev.Layout[3] != device.HSSD {
+	if ev.Layout[3] != hssd {
 		t.Fatalf("free object should stay on the H-SSD, got %v", ev.Layout[3])
 	}
 }
@@ -269,7 +285,7 @@ func TestExhaustivePruningPreservesResult(t *testing.T) {
 	baseline := workload.Metrics{PerQuery: []time.Duration{4 * 12 * time.Second}}
 	cs := cons(baseline, 0.1)
 	full := newEngine(t, 1, testEst())
-	want, wantOK, wantSt, err := full.Exhaustive(cs, Space{Free: free, Classes: classes}, nil)
+	want, wantOK, wantSt, err := full.Exhaustive(cs, Space{Free: free, Digits: digits}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,18 +302,14 @@ func TestExhaustivePruningPreservesResult(t *testing.T) {
 			minSvc = est.t[c]
 		}
 	}
-	lb := func(partial catalog.Layout, unassigned []catalog.ObjectID) (float64, error) {
-		var perHour float64
-		for _, c := range partial {
-			perHour += prices[c]
-		}
-		perHour += float64(len(unassigned)) * prices[device.HDD]
+	lb := func(partial catalog.SetLayout, unassigned []catalog.ObjectID) (float64, error) {
+		perHour := hourly(partial) + float64(len(unassigned))*prices[device.HDD]
 		elapsed := time.Duration(len(partial)+len(unassigned)) * minSvc
 		return perHour * elapsed.Hours(), nil
 	}
 	for _, workers := range []int{1, 8} {
 		eng := newEngine(t, workers, testEst())
-		got, ok, st, err := eng.Exhaustive(cs, Space{Free: free, Classes: classes}, lb)
+		got, ok, st, err := eng.Exhaustive(cs, Space{Free: free, Digits: digits}, lb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +329,7 @@ func TestExhaustivePropagatesErrors(t *testing.T) {
 		est.fail, est.failSet = device.LSSD, true
 		eng := newEngine(t, workers, est)
 		_, _, _, err := eng.Exhaustive(cons(workload.Metrics{}, 0.5),
-			Space{Free: []catalog.ObjectID{1, 2}, Classes: classes}, nil)
+			Space{Free: []catalog.ObjectID{1, 2}, Digits: digits}, nil)
 		if err == nil {
 			t.Fatalf("workers=%d: expected estimator error to surface", workers)
 		}

@@ -243,12 +243,12 @@ type ReadyResponse struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// compiled is a WorkloadSpec lowered onto the in-process model: a catalog,
-// the workload profile, and the name mapping for rendering layouts back.
+// compiled is a WorkloadSpec lowered onto the in-process model: a catalog
+// (whose object names are the spec's, for rendering layouts back) and the
+// workload profile.
 type compiled struct {
 	cat     *catalog.Catalog
 	profile iosim.Profile
-	names   map[catalog.ObjectID]string
 	spec    WorkloadSpec
 }
 
@@ -267,7 +267,6 @@ func compileWorkload(spec WorkloadSpec) (*compiled, error) {
 		return nil, fmt.Errorf("transactional workloads (txns > 0) need elapsed_millis of the test run")
 	}
 	cat := catalog.New()
-	names := make(map[catalog.ObjectID]string)
 	// Synthetic single-column schema: serve placements care about object
 	// sizes and I/O counts, not row formats.
 	schema := types.NewSchema(types.Column{Name: "k", Kind: types.KindInt})
@@ -326,7 +325,6 @@ func compileWorkload(spec WorkloadSpec) (*compiled, error) {
 			return nil, fmt.Errorf("object %q: unknown kind %q (want table, index, temp or log)", o.Name, kind)
 		}
 		cat.SetSize(id, o.SizeBytes)
-		names[id] = o.Name
 	}
 	profile := iosim.NewProfile()
 	for _, io := range spec.IO {
@@ -342,7 +340,7 @@ func compileWorkload(spec WorkloadSpec) (*compiled, error) {
 		profile.Add(o.ID, device.SeqWrite, io.SeqWrite)
 		profile.Add(o.ID, device.RandWrite, io.RandWrite)
 	}
-	return &compiled{cat: cat, profile: profile, names: names, spec: spec}, nil
+	return &compiled{cat: cat, profile: profile, spec: spec}, nil
 }
 
 func (c *compiled) concurrency() int {
@@ -377,16 +375,16 @@ func (c *compiled) estimator(box *device.Box) (workload.Estimator, error) {
 }
 
 // input assembles the core.Input for this workload on a box, under the
-// server-wide search worker budget. The estimator is compiled here — once
-// per request — so every engine the request fans out to (OptimizeBest's
-// sweeps, a provisioning sweep's candidates) reuses the same dense time
-// tables on the search engine's compact/delta fast path.
+// server-wide search worker budget. The estimator is handed on uncompiled:
+// whoever builds the search engine (core for an advise, the provisioning
+// sweep once for all its candidates) compiles the dense time tables exactly
+// once, after the input has been lowered to its final granularity and for
+// the class sets that search enumerates.
 func (c *compiled) input(box *device.Box, budget *search.Budget) (core.Input, error) {
 	est, err := c.estimator(box)
 	if err != nil {
 		return core.Input{}, err
 	}
-	est = workload.CompileEstimator(est, c.cat)
 	ps := core.NewProfileSet()
 	ps.SetSingle(c.profile)
 	return core.Input{
@@ -399,34 +397,32 @@ func (c *compiled) input(box *device.Box, budget *search.Budget) (core.Input, er
 	}, nil
 }
 
-// renderSetLayout maps a replicated layout back to object names -> copy
-// class name lists (device.ClassSet member order).
-func (c *compiled) renderSetLayout(sl catalog.SetLayout) map[string][]string {
+// renderSetLayout maps a class-set layout onto placement-unit names -> copy
+// class name lists (device.ClassSet member order). cat is the catalog the
+// search ran on: unit catalogs name their objects after the units
+// ("orders[0:1024)"), so one renderer serves both granularities.
+func renderSetLayout(cat *catalog.Catalog, sl catalog.SetLayout) map[string][]string {
 	out := make(map[string][]string, len(sl))
 	for id, set := range sl {
-		if name, ok := c.names[id]; ok {
-			out[name] = classNames(set)
+		if o := cat.Object(id); o != nil {
+			members := set.Classes()
+			names := make([]string, len(members))
+			for i, cls := range members {
+				names[i] = cls.String()
+			}
+			out[o.Name] = names
 		}
 	}
 	return out
 }
 
-// classNames renders a class set's members as wire class names.
-func classNames(set device.ClassSet) []string {
-	members := set.Classes()
-	names := make([]string, len(members))
-	for i, cls := range members {
-		names[i] = cls.String()
-	}
-	return names
-}
-
-// renderLayout maps a layout back to object names -> class names.
-func (c *compiled) renderLayout(l catalog.Layout) map[string]string {
+// renderLayout maps a single-class layout onto placement-unit names ->
+// class names (see renderSetLayout for cat).
+func renderLayout(cat *catalog.Catalog, l catalog.Layout) map[string]string {
 	out := make(map[string]string, len(l))
 	for id, cls := range l {
-		if name, ok := c.names[id]; ok {
-			out[name] = cls.String()
+		if o := cat.Object(id); o != nil {
+			out[o.Name] = cls.String()
 		}
 	}
 	return out
@@ -519,30 +515,6 @@ func (c *compiled) partitioning() (*catalog.Partitioning, error) {
 		}
 	}
 	return catalog.BuildPartitioning(c.cat, stats, catalog.PartitionOptions{})
-}
-
-// renderUnitLayout maps a unit-granular layout to unit names -> class
-// names.
-func renderUnitLayout(pt *catalog.Partitioning, l catalog.Layout) map[string]string {
-	out := make(map[string]string, len(l))
-	for id, cls := range l {
-		if u := pt.Unit(id); u.Name != "" {
-			out[u.Name] = cls.String()
-		}
-	}
-	return out
-}
-
-// renderUnitSetLayout maps a replicated unit layout onto unit names ->
-// copy class name lists.
-func renderUnitSetLayout(pt *catalog.Partitioning, sl catalog.SetLayout) map[string][]string {
-	out := make(map[string][]string, len(sl))
-	for id, set := range sl {
-		if u := pt.Unit(id); u.Name != "" {
-			out[u.Name] = classNames(set)
-		}
-	}
-	return out
 }
 
 // parseGranularity validates a wire granularity value and reports whether

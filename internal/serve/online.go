@@ -168,10 +168,7 @@ func (st *stream) granularity() string {
 // render maps a decision layout onto wire names at the stream's
 // granularity.
 func (st *stream) render(l catalog.Layout) map[string]string {
-	if st.pt != nil {
-		return renderUnitLayout(st.pt, l)
-	}
-	return st.comp.renderLayout(l)
+	return renderLayout(searchCatalog(st.comp, st.pt), l)
 }
 
 // getStream returns the named stream, creating it (uninitialized) when
@@ -423,13 +420,13 @@ func (s *Server) initStream(st *stream, req ObserveRequest, comp *compiled, body
 	// manager clones it before adopting.
 	memoKey := fleetMemoKey(comp, box, req)
 	memoHit := false
-	dec, err := mgr.AdviseWith(func(in core.Input, opts core.Options) (*core.Result, error) {
-		v, hit, err := s.fleetMemo.Do(memoKey, func() (any, error) { return core.OptimizeBest(in, opts) })
+	dec, err := mgr.AdviseWith(func(in core.Input, opts core.Options) (*core.ReplicaResult, error) {
+		v, hit, err := s.fleetMemo.Do(memoKey, func() (any, error) { return core.OptimizeReplicated(in, opts) })
 		if err != nil {
 			return nil, err
 		}
 		memoHit = hit
-		return v.(*core.Result), nil
+		return v.(*core.ReplicaResult), nil
 	})
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
@@ -452,11 +449,7 @@ func (s *Server) initStream(st *stream, req ObserveRequest, comp *compiled, body
 		resp.Failure = provision.InfeasibilityReason(searchCatalog(comp, pt), box, coreOptions(req.SLA))
 		return resp, http.StatusOK, nil
 	}
-	if pt != nil {
-		resp.Layout = renderUnitLayout(pt, dec.To)
-	} else {
-		resp.Layout = comp.renderLayout(dec.To)
-	}
+	resp.Layout = renderLayout(searchCatalog(comp, pt), dec.To)
 	resp.TOCCents = dec.Result.TOCCents
 	st.comp = comp
 	st.objFP = comp.objectsFingerprint()
@@ -519,21 +512,21 @@ func readviseMemoBase(comp *compiled, box *device.Box, req ObserveRequest) strin
 // alone, since no seed or gate shapes it. Callers hold st.mu.
 func (s *Server) readvise(st *stream, force bool) (*online.Decision, error) {
 	return st.mgr.ReAdviseWith(force,
-		func(obsFP string, in core.Input, opts core.IncrementalOptions) (*core.Result, error) {
+		func(obsFP string, in core.Input, opts core.ReplicatedIncrementalOptions) (*core.ReplicaResult, error) {
 			key := "readvise-inc|" + st.rvKey + "|" + opts.Seed.Key() + "|" + obsFP
-			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeIncremental(in, opts) })
+			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeReplicatedIncremental(in, opts) })
 			if err != nil {
 				return nil, err
 			}
-			return v.(*core.Result), nil
+			return v.(*core.ReplicaResult), nil
 		},
-		func(obsFP string, in core.Input, opts core.Options) (*core.Result, error) {
+		func(obsFP string, in core.Input, opts core.Options) (*core.ReplicaResult, error) {
 			key := "readvise-cold|" + st.rvKey + "|" + obsFP
-			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeBest(in, opts) })
+			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeReplicated(in, opts) })
 			if err != nil {
 				return nil, err
 			}
-			return v.(*core.Result), nil
+			return v.(*core.ReplicaResult), nil
 		})
 }
 
@@ -638,11 +631,11 @@ func (s *Server) logf(format string, args ...any) {
 func (c *compiled) renameProfile(other *compiled, p iosim.Profile) iosim.Profile {
 	out := iosim.NewProfile()
 	for id, v := range p {
-		name, ok := other.names[id]
-		if !ok {
+		src := other.cat.Object(id)
+		if src == nil {
 			continue
 		}
-		o := c.cat.Lookup(name)
+		o := c.cat.Lookup(src.Name)
 		if o == nil {
 			continue
 		}

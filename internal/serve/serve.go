@@ -694,65 +694,79 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	if req.Replication && req.Alpha != 0 {
+		return nil, http.StatusBadRequest,
+			fmt.Errorf("replication prices only the paper's linear cost model; drop alpha %g", req.Alpha)
+	}
 	in, err := comp.input(box, s.budget)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	opts := core.Options{RelativeSLA: req.SLA}
-	if req.Replication {
-		if req.Alpha != 0 {
-			return nil, http.StatusBadRequest,
-				fmt.Errorf("replication prices only the paper's linear cost model; drop alpha %g", req.Alpha)
-		}
-		in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: req.MaxReplicas}
-		if partitioned {
-			return s.adviseReplicatedPartitioned(req, comp, box, in, opts)
-		}
-		return s.adviseReplicated(req, comp, box, in, opts)
-	}
+	// Granularity (which catalog the search places) and replication (how
+	// many copies of a unit it may place) are orthogonal: lower the input,
+	// set the cap, and one search and one response serve all four requests.
+	resp := AdviseResponse{Granularity: "object"}
+	var pt *catalog.Partitioning
 	if partitioned {
-		return s.advisePartitioned(req, comp, box, in, opts)
+		// The input is lowered onto the heat-based unit catalog built from
+		// the request's declared extents; the layout renders under unit
+		// names.
+		if pt, err = comp.partitioning(); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		if in, err = in.Partitioned(pt); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		resp.Granularity, resp.Units = "partition", pt.NumUnits()
+	}
+	in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: 1}
+	if req.Replication {
+		in.Replication.MaxReplicas = req.MaxReplicas
 	}
 	if req.Alpha != 0 {
-		model, compactModel, err := provision.DiscreteCostModels(comp.cat, box, req.Alpha)
+		model, compactModel, err := provision.DiscreteCostModels(in.Cat, box, req.Alpha)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
 		in.LayoutCost = model
 		in.LayoutCostCompact = compactModel
 	}
-	res, err := adviseSearch(in, opts, req.Exhaustive)
+	opts := core.Options{RelativeSLA: req.SLA}
+	// The greedy DOT passes by default, the exhaustive branch-and-bound
+	// enumeration when asked for the provable optimum.
+	search := core.OptimizeReplicated
+	if req.Exhaustive {
+		search = core.ExhaustiveReplicated
+	}
+	res, err := search(in, opts)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity,
-			&failureError{err: err, failure: capacityDiagnostic(comp.cat, box, opts)}
+			&failureError{err: err, failure: capacityDiagnostic(in.Cat, box, opts)}
 	}
-	resp := AdviseResponse{
-		Feasible:       res.Feasible,
-		Granularity:    "object",
-		TOCCents:       res.TOCCents,
-		Evaluated:      res.Evaluated,
-		EstimatorCalls: res.EstimatorCalls,
-		PlanMillis:     float64(res.PlanTime) / float64(time.Millisecond),
-		Search:         searchStatsOut(res.Search),
+	resp.Feasible = res.Feasible
+	resp.TOCCents = res.TOCCents
+	resp.Evaluated = res.Evaluated
+	resp.EstimatorCalls = res.EstimatorCalls
+	resp.PlanMillis = float64(res.PlanTime) / float64(time.Millisecond)
+	resp.Search = searchStatsOut(res.Search)
+	if !res.Feasible {
+		resp.Failure = provision.InfeasibilityReason(in.Cat, box, opts)
+		return resp, http.StatusOK, nil
 	}
-	if res.Feasible {
-		resp.Layout = comp.renderLayout(res.Layout)
-		resp.ElapsedMillis = float64(res.Metrics.Elapsed) / float64(time.Millisecond)
-		resp.ThroughputPerHour = res.Metrics.Throughput
-	} else {
-		resp.Failure = provision.InfeasibilityReason(comp.cat, box, opts)
+	resp.ElapsedMillis = float64(res.Metrics.Elapsed) / float64(time.Millisecond)
+	resp.ThroughputPerHour = res.Metrics.Throughput
+	if res.Layout != nil {
+		resp.Layout = renderLayout(in.Cat, res.Layout)
+		if pt != nil {
+			resp.SplitObjects = (&core.PartitionedResult{Result: res.Result, Partitioning: pt}).SplitObjects()
+		}
+	}
+	if req.Replication {
+		resp.Replicas = renderSetLayout(in.Cat, res.SetLayout)
+		resp.MaxCopies = res.MaxCopies()
+		resp.ReplicatedCopies = res.ReplicatedCopies()
 	}
 	return resp, http.StatusOK, nil
-}
-
-// adviseSearch runs the request's selected search: the greedy DOT sweeps by
-// default, the exhaustive branch-and-bound enumeration when asked for the
-// provable optimum.
-func adviseSearch(in core.Input, opts core.Options, exhaustive bool) (*core.Result, error) {
-	if exhaustive {
-		return core.Exhaustive(in, opts)
-	}
-	return core.OptimizeBest(in, opts)
 }
 
 // searchStatsOut lifts a result's enumeration stats onto the wire, or nil
@@ -771,138 +785,6 @@ func searchStatsOut(st search.EnumStats) *SearchStatsOut {
 		CanonicalSize:  st.CanonicalSize,
 		RootFloorCents: st.RootFloorCents,
 	}
-}
-
-// advisePartitioned is handleAdvise's partition-granular tail: the input
-// is lowered onto the heat-based unit catalog built from the request's
-// declared extents, the search runs over per-unit placements, and the
-// layout is rendered under unit names.
-func (s *Server) advisePartitioned(req AdviseRequest, comp *compiled, box *device.Box, in core.Input, opts core.Options) (any, int, error) {
-	pt, err := comp.partitioning()
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	uin, err := in.Partitioned(pt)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if req.Alpha != 0 {
-		model, compactModel, err := provision.DiscreteCostModels(pt.UnitCatalog(), box, req.Alpha)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		uin.LayoutCost = model
-		uin.LayoutCostCompact = compactModel
-	}
-	res, err := adviseSearch(uin, opts, req.Exhaustive)
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity,
-			&failureError{err: err, failure: capacityDiagnostic(searchCatalog(comp, pt), box, opts)}
-	}
-	pres := &core.PartitionedResult{Result: res, Partitioning: pt}
-	resp := AdviseResponse{
-		Feasible:       res.Feasible,
-		Granularity:    "partition",
-		Units:          pt.NumUnits(),
-		TOCCents:       res.TOCCents,
-		Evaluated:      res.Evaluated,
-		EstimatorCalls: res.EstimatorCalls,
-		PlanMillis:     float64(res.PlanTime) / float64(time.Millisecond),
-		Search:         searchStatsOut(res.Search),
-	}
-	if res.Feasible {
-		resp.Layout = renderUnitLayout(pt, res.Layout)
-		resp.SplitObjects = pres.SplitObjects()
-		resp.ElapsedMillis = float64(res.Metrics.Elapsed) / float64(time.Millisecond)
-		resp.ThroughputPerHour = res.Metrics.Throughput
-	} else {
-		resp.Failure = provision.InfeasibilityReason(pt.UnitCatalog(), box, opts)
-	}
-	return resp, http.StatusOK, nil
-}
-
-// adviseReplicatedSearch runs the request's selected replicated search:
-// the branch-and-bound set sweep by default, the pruned exhaustive set
-// enumeration when asked for the provable optimum.
-func adviseReplicatedSearch(in core.Input, opts core.Options, exhaustive bool) (*core.ReplicaResult, error) {
-	if exhaustive {
-		return core.ExhaustiveReplicated(in, opts)
-	}
-	return core.OptimizeReplicated(in, opts)
-}
-
-// replicaResponse lifts a replicated recommendation's common fields onto
-// the wire form; the caller fills granularity-specific rendering.
-func replicaResponse(res *core.ReplicaResult, gran string) AdviseResponse {
-	resp := AdviseResponse{
-		Feasible:       res.Feasible,
-		Granularity:    gran,
-		TOCCents:       res.TOCCents,
-		Evaluated:      res.Evaluated,
-		EstimatorCalls: res.EstimatorCalls,
-		PlanMillis:     float64(res.PlanTime) / float64(time.Millisecond),
-		Search:         searchStatsOut(res.Search),
-	}
-	if res.Feasible {
-		resp.MaxCopies = res.MaxCopies()
-		resp.ReplicatedCopies = res.ReplicatedCopies()
-		resp.ElapsedMillis = float64(res.Metrics.Elapsed) / float64(time.Millisecond)
-		resp.ThroughputPerHour = res.Metrics.Throughput
-	}
-	return resp
-}
-
-// adviseReplicated is handleAdvise's replicated tail at object
-// granularity: the search runs over per-object class sets and the
-// response carries each object's copy list (Layout only when every object
-// collapsed to a single copy).
-func (s *Server) adviseReplicated(req AdviseRequest, comp *compiled, box *device.Box, in core.Input, opts core.Options) (any, int, error) {
-	res, err := adviseReplicatedSearch(in, opts, req.Exhaustive)
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity,
-			&failureError{err: err, failure: capacityDiagnostic(comp.cat, box, opts)}
-	}
-	resp := replicaResponse(res, "object")
-	if res.Feasible {
-		resp.Replicas = comp.renderSetLayout(res.SetLayout)
-		if res.Layout != nil {
-			resp.Layout = comp.renderLayout(res.Layout)
-		}
-	} else {
-		resp.Failure = provision.InfeasibilityReason(comp.cat, box, opts)
-	}
-	return resp, http.StatusOK, nil
-}
-
-// adviseReplicatedPartitioned is the replicated tail at partition
-// granularity: per-unit class sets over the heat-based unit catalog — a
-// hot extent can hold a second point-lookup copy while its cold tail
-// keeps one cheap sequential copy.
-func (s *Server) adviseReplicatedPartitioned(req AdviseRequest, comp *compiled, box *device.Box, in core.Input, opts core.Options) (any, int, error) {
-	pt, err := comp.partitioning()
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	uin, err := in.Partitioned(pt)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	res, err := adviseReplicatedSearch(uin, opts, req.Exhaustive)
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity,
-			&failureError{err: err, failure: capacityDiagnostic(pt.UnitCatalog(), box, opts)}
-	}
-	resp := replicaResponse(res, "partition")
-	resp.Units = pt.NumUnits()
-	if res.Feasible {
-		resp.Replicas = renderUnitSetLayout(pt, res.SetLayout)
-		if res.Layout != nil {
-			resp.Layout = renderUnitLayout(pt, res.Layout)
-		}
-	} else {
-		resp.Failure = provision.InfeasibilityReason(pt.UnitCatalog(), box, opts)
-	}
-	return resp, http.StatusOK, nil
 }
 
 // provisionParams is a provision request parsed to its cache-relevant
@@ -1020,11 +902,7 @@ func (s *Server) handleProvision(body []byte) (any, int, error) {
 			out.Alpha = cr.Spec.Alpha
 		}
 		if cr.Result.Feasible {
-			if pt != nil {
-				out.Layout = renderUnitLayout(pt, cr.Result.Layout)
-			} else {
-				out.Layout = comp.renderLayout(cr.Result.Layout)
-			}
+			out.Layout = renderLayout(searchCatalog(comp, pt), cr.Result.Layout)
 		}
 		resp.Candidates = append(resp.Candidates, out)
 	}

@@ -1,9 +1,11 @@
 // Compiled estimators: the allocation-free evaluation path behind the
 // search engine's compact/delta pipeline. Profile-driven estimators
 // (ObservedEstimator, ProfileEstimator) compile their profiles into dense
-// per-(object, class) time tables (iosim.CompiledProfile) so a candidate
-// layout is estimated by flat array sums, and a candidate differing from an
-// evaluated base by a few object moves is re-estimated in O(moves).
+// per-(object, class-set) time tables (iosim.CompiledProfile) for the digit
+// alphabet the search will enumerate, so a candidate layout is estimated by
+// flat array sums, and a candidate differing from an evaluated base by a
+// few object moves is re-estimated in O(moves). Single-copy search is the
+// singleton alphabet of the same tables, not a second form.
 //
 // Every compiled path reuses the exact arithmetic of its map-path sibling
 // — integer I/O-time sums regrouped associatively, floats derived through
@@ -13,6 +15,7 @@
 package workload
 
 import (
+	"fmt"
 	"time"
 
 	"dotprov/internal/catalog"
@@ -20,11 +23,62 @@ import (
 	"dotprov/internal/iosim"
 )
 
-// ObjectMove describes one object changing storage class — the unit of
-// delta evaluation.
+// ObjectMove describes one object changing placement — the unit of delta
+// evaluation and of migration plans. A move between single copies has
+// singleton sets on both sides; the empty From marks an object that was not
+// placed before.
 type ObjectMove struct {
 	Obj      catalog.ObjectID
-	From, To device.Class
+	From, To device.ClassSet
+}
+
+// SetEstimator is implemented by estimators that can price a layout whose
+// units hold copies on several classes: reads route to each unit's best
+// member per I/O type, writes land on every member. The profile-driven
+// estimators do; plan-aware estimators re-plan per layout and have no
+// per-copy routing model.
+type SetEstimator interface {
+	Estimator
+	// EstimateSet must return exactly what Estimate returns when every set
+	// of l is a singleton.
+	EstimateSet(l catalog.SetLayout) (Metrics, error)
+}
+
+// EstimateSet prices a class-set layout with any estimator: through its
+// replica form when it has one, and otherwise through the layout's
+// single-class view — where a genuinely replicated layout is an error.
+func EstimateSet(est Estimator, l catalog.SetLayout) (Metrics, error) {
+	if se, ok := est.(SetEstimator); ok {
+		return se.EstimateSet(l)
+	}
+	single, ok := l.SingleLayout()
+	if !ok {
+		return Metrics{}, fmt.Errorf("workload: estimator %T has no replica form and cannot price a multi-copy layout", est)
+	}
+	return est.Estimate(single)
+}
+
+// NewSetEstimator returns est's replica form as a plain Estimator that
+// reads each catalog.Layout value as a device.ClassSet mask — the
+// independent map-path reference external checkers price replicated answers
+// with. ok=false when the estimator kind has no replica form.
+func NewSetEstimator(est Estimator) (Estimator, bool) {
+	se, ok := est.(SetEstimator)
+	if !ok {
+		return nil, false
+	}
+	return maskValued{se}, true
+}
+
+// maskValued adapts a SetEstimator to mask-valued catalog.Layouts.
+type maskValued struct{ est SetEstimator }
+
+func (e maskValued) Estimate(l catalog.Layout) (Metrics, error) {
+	sl := make(catalog.SetLayout, len(l))
+	for id, v := range l {
+		sl[id] = device.ClassSet(v)
+	}
+	return e.est.EstimateSet(sl)
 }
 
 // CompactEstimator is implemented by estimators that can evaluate a
@@ -59,54 +113,73 @@ type DeltaEstimator interface {
 
 // ElapsedDecomposable is implemented by compiled estimators whose predicted
 // Elapsed separates exactly into a layout-independent remainder plus one
-// additive per-(object, class) term per placed object:
+// additive per-(object, class-set) term per placed object:
 //
 //	Elapsed(L) = fixed + sum over objects o of table[o][L(o)]
 //
 // Durations are integers, so the sum regroups exactly; the decomposition is
 // the raw material of the branch-and-bound search's admissible per-unit
-// bound. AccumulateElapsedTable adds each object's per-class term into
-// table (dense, catalog.DenseIndex(id)*device.NumClasses + class; the
-// caller zeroes it) and returns the fixed remainder. ok=false declines —
-// the objective does not decompose this way (throughput estimators, whose
-// cost is C(L)/T) — and the caller must not bound.
+// bound — each digit's entry is the unit's exact contribution on that set,
+// so the minimum over the alphabet is a true per-unit floor with no
+// separate argument for reads and writes. AccumulateElapsedTable adds each
+// object's term on each digit of alphabet into table (dense,
+// catalog.DenseIndex(id)*len(alphabet) + position; the caller zeroes it)
+// and returns the fixed remainder. ok=false declines — the objective does
+// not decompose this way (throughput estimators, whose cost is C(L)/T) —
+// and the caller must not bound.
 type ElapsedDecomposable interface {
-	AccumulateElapsedTable(table []time.Duration) (fixed time.Duration, ok bool)
+	AccumulateElapsedTable(table []time.Duration, alphabet []device.ClassSet) (fixed time.Duration, ok bool)
 }
 
 // PlacementSignable is implemented by compiled estimators that can emit a
 // per-object placement signature: two objects with equal signatures are
-// interchangeable under the estimator — swapping their class assignments
-// leaves every estimate (all metrics fields) unchanged for every layout.
-// Combined with equal sizes this is the dominance relation the
-// branch-and-bound search collapses symmetric units with.
-// AppendPlacementSignature appends object id's signature bytes to dst and
-// returns the extended slice; the encoding is fixed-width per estimator, so
-// equal byte strings mean equal signatures.
+// interchangeable under the estimator — swapping their placements leaves
+// every estimate (all metrics fields) unchanged for every layout over the
+// compiled alphabet. Per-set rows are required — per-class rows are not
+// enough, because best-replica read routing mixes classes within a set
+// differently for different I/O-type mixes. Combined with equal sizes this
+// is the dominance relation the branch-and-bound search collapses symmetric
+// units with. AppendPlacementSignature appends object id's signature bytes
+// to dst and returns the extended slice; the encoding is fixed-width per
+// estimator, so equal byte strings mean equal signatures.
 type PlacementSignable interface {
 	AppendPlacementSignature(dst []byte, id catalog.ObjectID) []byte
 }
 
 // Compilable is implemented by estimators that can build a compiled
-// (compact/delta-capable) equivalent of themselves for a catalog.
+// (compact/delta-capable) equivalent of themselves for a catalog and a
+// digit alphabet.
 type Compilable interface {
 	// CompileFor returns an estimator whose Estimate matches the receiver's
 	// bit for bit and which additionally implements CompactEstimator (and
-	// usually DeltaEstimator).
-	CompileFor(cat *catalog.Catalog) (Estimator, error)
+	// usually DeltaEstimator) over compact layouts drawn from alphabet. An
+	// empty alphabet selects single-copy placement on the estimator's box.
+	CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error)
 }
 
 // CompileEstimator returns the compiled form of est when it supports one,
 // and est unchanged otherwise (including on compile errors — the map path
-// always works). It is idempotent: already-compiled estimators pass
-// through.
-func CompileEstimator(est Estimator, cat *catalog.Catalog) Estimator {
+// always works). The tables are built for the given digit alphabet — the
+// class sets the search will enumerate — and for single-copy placement on
+// the estimator's box when none is given. It is idempotent: an estimator
+// already compiled for this catalog and covering the alphabet passes
+// through, so a caller that compiles ahead of the search (one compile
+// shared by a provisioning sweep's candidates) is not compiled again.
+func CompileEstimator(est Estimator, cat *catalog.Catalog, alphabet ...device.ClassSet) Estimator {
 	if c, ok := est.(Compilable); ok {
-		if ce, err := c.CompileFor(cat); err == nil {
+		if ce, err := c.CompileFor(cat, alphabet); err == nil {
 			return ce
 		}
 	}
 	return est
+}
+
+// alphabetOr resolves CompileFor's alphabet default.
+func alphabetOr(alphabet []device.ClassSet, box *device.Box) []device.ClassSet {
+	if len(alphabet) == 0 {
+		return iosim.SingletonAlphabet(box)
+	}
+	return alphabet
 }
 
 // ---- ObservedEstimator (DSS per-query counts) -----------------------------
@@ -116,23 +189,38 @@ func CompileEstimator(est Estimator, cat *catalog.Catalog) Estimator {
 // times are recoverable exactly from the base Metrics (PerQuery minus CPU).
 type compiledObserved struct {
 	src     *ObservedEstimator
+	n       int // object count of the catalog compiled for
 	queries []*iosim.CompiledProfile
 	cpu     []time.Duration
 }
 
 // CompileFor implements Compilable.
-func (e *ObservedEstimator) CompileFor(cat *catalog.Catalog) (Estimator, error) {
-	c := &compiledObserved{src: e}
-	n := cat.NumObjects()
+func (e *ObservedEstimator) CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error) {
+	alphabet = alphabetOr(alphabet, e.Box)
+	c := &compiledObserved{src: e, n: cat.NumObjects()}
 	for _, q := range e.PerQuery {
-		c.queries = append(c.queries, iosim.CompileProfile(q.Profile, e.Box, e.Concurrency, n))
+		c.queries = append(c.queries, iosim.CompileProfile(q.Profile, e.Box, e.Concurrency, c.n, alphabet))
 		c.cpu = append(c.cpu, q.CPU)
 	}
 	return c, nil
 }
 
+// CompileFor implements Compilable: the receiver when it already serves the
+// catalog and the alphabet, a fresh compile of its source otherwise.
+func (e *compiledObserved) CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error) {
+	if e.n == cat.NumObjects() && (len(e.queries) == 0 || e.queries[0].Covers(alphabetOr(alphabet, e.src.Box))) {
+		return e, nil
+	}
+	return e.src.CompileFor(cat, alphabet)
+}
+
 // Estimate delegates to the map-path source, byte for byte.
 func (e *compiledObserved) Estimate(l catalog.Layout) (Metrics, error) { return e.src.Estimate(l) }
+
+// EstimateSet delegates to the map-path source, byte for byte.
+func (e *compiledObserved) EstimateSet(l catalog.SetLayout) (Metrics, error) {
+	return e.src.EstimateSet(l)
+}
 
 // EstimateCompact implements CompactEstimator.
 func (e *compiledObserved) EstimateCompact(cl catalog.CompactLayout) (Metrics, error) {
@@ -182,12 +270,12 @@ func (e *compiledObserved) EstimateDelta(cl catalog.CompactLayout, base Metrics,
 
 // AccumulateElapsedTable implements ElapsedDecomposable: Elapsed is the sum
 // of per-query I/O times plus CPU, and each query's I/O time is its compiled
-// profile's per-(object, class) row sum — so the union table over all
+// profile's per-(object, class-set) row sum — so the union table over all
 // queries decomposes Elapsed exactly (integer Duration sums regroup freely).
-func (e *compiledObserved) AccumulateElapsedTable(table []time.Duration) (time.Duration, bool) {
+func (e *compiledObserved) AccumulateElapsedTable(table []time.Duration, alphabet []device.ClassSet) (time.Duration, bool) {
 	var fixed time.Duration
 	for i, q := range e.queries {
-		q.AccumulateClassTimes(table)
+		q.AccumulateTimes(table, alphabet)
 		fixed += e.cpu[i]
 	}
 	return fixed, true
@@ -214,19 +302,36 @@ type throughputState time.Duration
 // compiledThroughput is the compiled form of ProfileEstimator.
 type compiledThroughput struct {
 	src *ProfileEstimator
+	n   int // object count of the catalog compiled for
 	cp  *iosim.CompiledProfile
 }
 
 // CompileFor implements Compilable.
-func (e *ProfileEstimator) CompileFor(cat *catalog.Catalog) (Estimator, error) {
+func (e *ProfileEstimator) CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error) {
+	n := cat.NumObjects()
 	return &compiledThroughput{
 		src: e,
-		cp:  iosim.CompileProfile(e.Profile, e.Box, e.Concurrency, cat.NumObjects()),
+		n:   n,
+		cp:  iosim.CompileProfile(e.Profile, e.Box, e.Concurrency, n, alphabetOr(alphabet, e.Box)),
 	}, nil
+}
+
+// CompileFor implements Compilable: the receiver when it already serves the
+// catalog and the alphabet, a fresh compile of its source otherwise.
+func (e *compiledThroughput) CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error) {
+	if e.n == cat.NumObjects() && e.cp.Covers(alphabetOr(alphabet, e.src.Box)) {
+		return e, nil
+	}
+	return e.src.CompileFor(cat, alphabet)
 }
 
 // Estimate delegates to the map-path source, byte for byte.
 func (e *compiledThroughput) Estimate(l catalog.Layout) (Metrics, error) { return e.src.Estimate(l) }
+
+// EstimateSet delegates to the map-path source, byte for byte.
+func (e *compiledThroughput) EstimateSet(l catalog.SetLayout) (Metrics, error) {
+	return e.src.EstimateSet(l)
+}
 
 // EstimateCompact implements CompactEstimator.
 func (e *compiledThroughput) EstimateCompact(cl catalog.CompactLayout) (Metrics, error) {
@@ -250,7 +355,7 @@ func (e *compiledThroughput) EstimateCompactState(cl catalog.CompactLayout) (Met
 // AccumulateElapsedTable implements ElapsedDecomposable by declining:
 // throughput metrics derive Elapsed through float division, and the TOC
 // objective is C(L)/T — an elapsed-time floor cannot bound it.
-func (e *compiledThroughput) AccumulateElapsedTable([]time.Duration) (time.Duration, bool) {
+func (e *compiledThroughput) AccumulateElapsedTable([]time.Duration, []device.ClassSet) (time.Duration, bool) {
 	return 0, false
 }
 

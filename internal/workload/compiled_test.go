@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,51 +47,88 @@ func metricsEqual(a, b Metrics) bool {
 	return true
 }
 
-// TestCompiledObservedParity: the compiled ObservedEstimator must return
-// bit-identical metrics through Estimate, EstimateCompact and chained
-// EstimateDelta calls.
-func TestCompiledObservedParity(t *testing.T) {
+// estimators returns the two profile-driven estimator kinds over the shared
+// fixture on Box1.
+func estimators(t *testing.T) (*catalog.Catalog, *ObservedEstimator, *ProfileEstimator) {
+	t.Helper()
 	cat, p1, p2 := estFixture(t)
 	box := device.Box1()
-	src := &ObservedEstimator{Box: box, Concurrency: 1, PerQuery: []QueryObservation{
+	obs := &ObservedEstimator{Box: box, Concurrency: 1, PerQuery: []QueryObservation{
 		{Profile: p1, CPU: 250 * time.Millisecond},
 		{Profile: p2, CPU: 40 * time.Millisecond},
 	}}
-	ce := CompileEstimator(src, cat)
-	if ce == Estimator(src) {
-		t.Fatal("ObservedEstimator should compile to a new estimator")
+	pe, err := NewProfileEstimator(box, 8, p1, 2*time.Second,
+		RunStats{Txns: 5000, Elapsed: 90 * time.Second}, catalog.NewUniformLayout(cat, device.HSSD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat, obs, pe
+}
+
+// maskMap lifts a class-set layout to the mask-valued catalog.Layout that
+// NewSetEstimator's reference form reads.
+func maskMap(l catalog.SetLayout) catalog.Layout {
+	out := make(catalog.Layout, len(l))
+	for id, s := range l {
+		out[id] = device.Class(s)
+	}
+	return out
+}
+
+// checkCompiledParity drives one estimator compiled for one alphabet
+// through a random walk of one-object moves and requires bit-identical
+// metrics from every path: the map-form replica reference
+// (NewSetEstimator), the full compiled estimate, and the chained
+// EstimateDelta — and, while every unit holds one copy, the single-class
+// Estimate too, since single-copy search is the singleton alphabet of the
+// same compiled form rather than a sibling implementation.
+func checkCompiledParity(t *testing.T, src Estimator, cat *catalog.Catalog, alphabet []device.ClassSet, seed int64) {
+	t.Helper()
+	ce := CompileEstimator(src, cat, alphabet...)
+	if ce == src {
+		t.Fatalf("%T should compile to a new estimator", src)
 	}
 	de, ok := ce.(DeltaEstimator)
 	if !ok {
-		t.Fatal("compiled ObservedEstimator must be delta-capable")
+		t.Fatalf("compiled %T must be delta-capable", src)
 	}
-	rng := rand.New(rand.NewSource(11))
-	classes := box.Classes()
-
-	cur := catalog.CompactUniform(cat, device.HSSD)
+	ref, ok := NewSetEstimator(src)
+	if !ok {
+		t.Fatalf("%T has no replica form", src)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	cur := catalog.CompactUniform(cat, device.Singleton(device.HSSD))
 	curM, curState, err := de.EstimateCompactState(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 200; trial++ {
-		// Random single-object move, applied as a delta and checked against
-		// both full paths.
+	for trial := 0; trial < 300; trial++ {
 		obj := catalog.ObjectID(1 + rng.Intn(cat.NumObjects()))
-		to := classes[rng.Intn(len(classes))]
-		from, _ := cur.Class(obj)
+		to := alphabet[rng.Intn(len(alphabet))]
+		from, _ := cur.Get(obj)
 		next := cur.Clone()
 		next.Set(obj, to)
+		sl := next.ToSetLayout()
 
-		want, err := src.Estimate(next.ToLayout())
+		want, err := ref.Estimate(maskMap(sl))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if single, ok := sl.SingleLayout(); ok {
+			got, err := ce.Estimate(single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !metricsEqual(got, want) {
+				t.Fatalf("%T trial %d: single-class Estimate %+v, replica reference %+v", src, trial, got, want)
+			}
 		}
 		full, err := de.EstimateCompact(next)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !metricsEqual(full, want) {
-			t.Fatalf("trial %d: EstimateCompact diverges from map Estimate: %+v vs %+v", trial, full, want)
+			t.Fatalf("%T trial %d: EstimateCompact diverges from the map reference: %+v vs %+v", src, trial, full, want)
 		}
 		if from != to {
 			dm, dstate, err := de.EstimateDelta(next, curM, curState, []ObjectMove{{Obj: obj, From: from, To: to}})
@@ -98,63 +136,147 @@ func TestCompiledObservedParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !metricsEqual(dm, want) {
-				t.Fatalf("trial %d: EstimateDelta diverges: %+v vs %+v", trial, dm, want)
+				t.Fatalf("%T trial %d: delta chain diverged: %+v vs %+v", src, trial, dm, want)
 			}
 			curM, curState = dm, dstate
-		} else {
-			curM, curState = full, nil
 		}
 		cur = next
 	}
+}
+
+// TestCompiledObservedParity: the compiled ObservedEstimator over the
+// single-copy alphabet.
+func TestCompiledObservedParity(t *testing.T) {
+	cat, obs, _ := estimators(t)
+	checkCompiledParity(t, obs, cat, iosim.SingletonAlphabet(obs.Box), 11)
 }
 
 // TestCompiledProfileEstimatorParity: same contract for the OLTP
 // ProfileEstimator, whose throughput floats are derived — the delta chain
 // must keep them bit-identical across hundreds of hops.
 func TestCompiledProfileEstimatorParity(t *testing.T) {
-	cat, p1, _ := estFixture(t)
-	box := device.Box1()
-	profiled := catalog.NewUniformLayout(cat, device.HSSD)
-	src, err := NewProfileEstimator(box, 8, p1, 2*time.Second,
-		RunStats{Txns: 5000, Elapsed: 90 * time.Second}, profiled)
-	if err != nil {
-		t.Fatal(err)
+	cat, _, pe := estimators(t)
+	checkCompiledParity(t, pe, cat, iosim.SingletonAlphabet(pe.Box), 23)
+}
+
+// TestSetEstimatorDeltaChain: the same walk over replica moves (adds,
+// drops, swaps) at a two-copy cap and over every usable set, on both
+// estimator kinds — the property the DOT sweep and the copy refinement rely
+// on.
+func TestSetEstimatorDeltaChain(t *testing.T) {
+	cat, obs, pe := estimators(t)
+	for _, cap := range []int{2, 0} {
+		alphabet := device.EnumerateClassSets(obs.Box.Classes(), cap)
+		checkCompiledParity(t, obs, cat, alphabet, 37)
+		checkCompiledParity(t, pe, cat, alphabet, 41)
 	}
-	de, ok := CompileEstimator(src, cat).(DeltaEstimator)
+}
+
+// TestSetEstimatorUnwrapAndFallback: an already-compiled estimator keeps
+// its replica form and is re-compiled from its source only when asked for
+// digits it lacks; estimator kinds without a replica form price class-set
+// layouts through their single-class view and refuse real replication.
+func TestSetEstimatorUnwrapAndFallback(t *testing.T) {
+	cat, obs, pe := estimators(t)
+	two := device.EnumerateClassSets(obs.Box.Classes(), 2)
+	for _, src := range []Estimator{obs, pe} {
+		pre := CompileEstimator(src, cat)
+		if _, ok := NewSetEstimator(pre); !ok {
+			t.Fatalf("the compiled %T must keep its replica form", src)
+		}
+		if again := CompileEstimator(pre, cat); again != pre {
+			t.Fatalf("re-compiling %T for the alphabet it has must pass through", src)
+		}
+		wide := CompileEstimator(pre, cat, two...)
+		if wide == pre {
+			t.Fatalf("a single-copy compile of %T cannot serve two-copy digits", src)
+		}
+		if CompileEstimator(wide, cat) != wide || CompileEstimator(wide, cat, two...) != wide {
+			t.Fatalf("a two-copy compile of %T covers the single-copy alphabet too", src)
+		}
+		pair := catalog.CompactUniform(cat, two[len(two)-1])
+		if _, err := wide.(CompactEstimator).EstimateCompact(pair); err != nil {
+			t.Fatalf("two-copy compile of %T: %v", src, err)
+		}
+		if _, err := pre.(CompactEstimator).EstimateCompact(pair); err == nil {
+			t.Fatalf("single-copy compile of %T must refuse a two-copy layout", src)
+		}
+	}
+	plain := &plainEst{}
+	if _, ok := NewSetEstimator(plain); ok {
+		t.Fatal("plan-aware estimators have no replica form")
+	}
+	if _, err := EstimateSet(plain, catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))); err != nil {
+		t.Fatalf("a singleton layout prices through the single-class view: %v", err)
+	}
+	if _, err := EstimateSet(plain, catalog.NewUniformSetLayout(cat, two[len(two)-1])); err == nil {
+		t.Fatal("a multi-copy layout needs a replica form")
+	}
+}
+
+// TestSetElapsedDecomposition: for the observed estimator, fixed plus the
+// per-object table entries of a layout reconstructs EstimateCompact's
+// Elapsed exactly, for any alphabet the compile covers; the throughput
+// estimator declines.
+func TestSetElapsedDecomposition(t *testing.T) {
+	cat, obs, pe := estimators(t)
+	all := device.EnumerateClassSets(obs.Box.Classes(), 0)
+	compiled := CompileEstimator(obs, cat, all...)
+	dec, ok := compiled.(ElapsedDecomposable)
 	if !ok {
-		t.Fatal("compiled ProfileEstimator must be delta-capable")
+		t.Fatal("compiled observed estimator must decompose")
 	}
-	rng := rand.New(rand.NewSource(23))
-	classes := box.Classes()
-	cur := catalog.CompactUniform(cat, device.HSSD)
-	curM, curState, err := de.EstimateCompactState(cur)
-	if err != nil {
-		t.Fatal(err)
+	ce := compiled.(CompactEstimator)
+	rng := rand.New(rand.NewSource(41))
+	for _, alphabet := range [][]device.ClassSet{iosim.SingletonAlphabet(obs.Box), device.EnumerateClassSets(obs.Box.Classes(), 2), all} {
+		table := make([]time.Duration, cat.NumObjects()*len(alphabet))
+		fixed, ok := dec.AccumulateElapsedTable(table, alphabet)
+		if !ok {
+			t.Fatal("observed decomposition declined")
+		}
+		for trial := 0; trial < 50; trial++ {
+			cl := catalog.NewCompactLayout(cat.NumObjects())
+			sum := fixed
+			for _, o := range cat.Objects() {
+				pos := rng.Intn(len(alphabet))
+				cl.Set(o.ID, alphabet[pos])
+				sum += table[catalog.DenseIndex(o.ID)*len(alphabet)+pos]
+			}
+			m, err := ce.EstimateCompact(cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum != m.Elapsed {
+				t.Fatalf("%d digits, trial %d: decomposed %v, estimated %v", len(alphabet), trial, sum, m.Elapsed)
+			}
+		}
 	}
-	if want, _ := src.Estimate(cur.ToLayout()); !metricsEqual(curM, want) {
-		t.Fatalf("base metrics diverge: %+v vs %+v", curM, want)
+
+	tdec, ok := CompileEstimator(pe, cat, all...).(ElapsedDecomposable)
+	if !ok {
+		t.Fatal("compiled throughput estimator must implement the interface")
 	}
-	for trial := 0; trial < 300; trial++ {
-		obj := catalog.ObjectID(1 + rng.Intn(cat.NumObjects()))
-		to := classes[rng.Intn(len(classes))]
-		from, _ := cur.Class(obj)
-		if from == to {
-			continue
-		}
-		next := cur.Clone()
-		next.Set(obj, to)
-		want, err := src.Estimate(next.ToLayout())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dm, dstate, err := de.EstimateDelta(next, curM, curState, []ObjectMove{{Obj: obj, From: from, To: to}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !metricsEqual(dm, want) {
-			t.Fatalf("trial %d: delta chain diverged: %+v vs %+v", trial, dm, want)
-		}
-		cur, curM, curState = next, dm, dstate
+	if _, ok := tdec.AccumulateElapsedTable(nil, all); ok {
+		t.Fatal("throughput objective must decline elapsed decomposition")
+	}
+}
+
+// TestSetPlacementSignatures: per-object signatures separate objects with
+// different behavior and match objects whose rows agree.
+func TestSetPlacementSignatures(t *testing.T) {
+	cat, obs, _ := estimators(t)
+	sig, ok := CompileEstimator(obs, cat, device.EnumerateClassSets(obs.Box.Classes(), 2)...).(PlacementSignable)
+	if !ok {
+		t.Fatal("compiled observed estimator must be signable")
+	}
+	s1 := sig.AppendPlacementSignature(nil, 1)
+	s1b := sig.AppendPlacementSignature(nil, 1)
+	s2 := sig.AppendPlacementSignature(nil, 2)
+	if !bytes.Equal(s1, s1b) {
+		t.Fatal("signature must be deterministic")
+	}
+	if bytes.Equal(s1, s2) {
+		t.Fatal("objects with different profiles must sign differently")
 	}
 }
 

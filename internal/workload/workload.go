@@ -256,6 +256,23 @@ func (e *ObservedEstimator) Estimate(l catalog.Layout) (Metrics, error) {
 	return m, nil
 }
 
+// EstimateSet implements SetEstimator: the same per-query accumulation over
+// replica-routed I/O times, term for term, so singleton layouts estimate
+// bit-identically to their single-class form.
+func (e *ObservedEstimator) EstimateSet(l catalog.SetLayout) (Metrics, error) {
+	m := Metrics{PerQuery: make([]time.Duration, 0, len(e.PerQuery))}
+	for _, q := range e.PerQuery {
+		io, err := q.Profile.SetIOTime(l, e.Box, e.Concurrency)
+		if err != nil {
+			return Metrics{}, err
+		}
+		t := io + q.CPU
+		m.PerQuery = append(m.PerQuery, t)
+		m.Elapsed += t
+	}
+	return m, nil
+}
+
 // Estimator returns the extended-optimizer estimator for this workload:
 // per-query times come from planning each query under the candidate layout
 // (paper §3.5). The estimator re-plans per layout, so plan changes (e.g. HJ
@@ -381,6 +398,26 @@ type ProfileEstimator struct {
 	profiledLayout catalog.Layout
 }
 
+// NewSetProfileEstimator builds a ProfileEstimator whose measured run
+// executed under a replicated deployment: the base I/O time the throughput
+// scaling anchors on is priced with per-pattern best-replica reads and
+// all-copy writes under profiledSet, exactly as the engine would route
+// them. On all-singleton sets it reduces to NewProfileEstimator bit for
+// bit. It does not retain an object-granular profiled layout, so it cannot
+// be re-based onto a partitioning with PartitionFor — build it over the
+// unit catalog directly instead.
+func NewSetProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile, cpu time.Duration, stats RunStats, profiledSet catalog.SetLayout) (*ProfileEstimator, error) {
+	base, err := profile.SetIOTime(profiledSet, box, concurrency)
+	if err != nil {
+		return nil, err
+	}
+	return &ProfileEstimator{
+		Box: box, Concurrency: concurrency,
+		Profile: profile, CPUTime: cpu, Stats: stats,
+		baseTime: base,
+	}, nil
+}
+
 // NewProfileEstimator builds the estimator; profiledLayout is the layout of
 // the test run (typically all H-SSD).
 func NewProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile, cpu time.Duration, stats RunStats, profiledLayout catalog.Layout) (*ProfileEstimator, error) {
@@ -399,6 +436,16 @@ func NewProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile
 // Estimate implements Estimator.
 func (e *ProfileEstimator) Estimate(l catalog.Layout) (Metrics, error) {
 	io, err := e.Profile.IOTime(l, e.Box, e.Concurrency)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return e.metricsFromIOTime(io)
+}
+
+// EstimateSet implements SetEstimator: the test run's profile re-priced
+// over class sets, funneled through the same metricsFromIOTime.
+func (e *ProfileEstimator) EstimateSet(l catalog.SetLayout) (Metrics, error) {
+	io, err := e.Profile.SetIOTime(l, e.Box, e.Concurrency)
 	if err != nil {
 		return Metrics{}, err
 	}
