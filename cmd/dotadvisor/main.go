@@ -165,7 +165,7 @@ func adviseSQL(box *device.Box, sla float64, schemaPath, queryPath string, searc
 	if err != nil {
 		return err
 	}
-	report(db.Cat, box, res)
+	report(db.Cat, box, &core.ReplicaResult{Result: res, SetLayout: catalog.SingletonSetLayout(res.Layout)})
 	if val != nil {
 		fmt.Printf("validated: PSR %.0f%% (measured %v for the workload)\n",
 			val.PSR*100, val.Measured.Elapsed.Round(time.Millisecond))
@@ -214,7 +214,7 @@ func adviseTPCH(box *device.Box, modified bool, sla, sf float64, seed int64, sea
 	if err != nil {
 		return err
 	}
-	report(db.Cat, box, res)
+	report(db.Cat, box, &core.ReplicaResult{Result: res, SetLayout: catalog.SingletonSetLayout(res.Layout)})
 	if val != nil {
 		fmt.Printf("validated: PSR %.0f%% (measured %v for the workload)\n",
 			val.PSR*100, val.Measured.Elapsed.Round(time.Millisecond))
@@ -275,31 +275,39 @@ func adviseTPCC(box *device.Box, sla float64, workers, searchWorkers int, seed i
 	if partitioned {
 		return adviseTPCCPartitioned(db, box, in, opts, col)
 	}
+	// One search for one copy per object or several: -replication raises the
+	// copy cap, so an object hammered by both scans and lookups can keep a
+	// copy on each pattern's best class.
+	in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: 1}
 	if *replicationFlag {
-		return adviseTPCCReplicated(db, box, in, opts, driver)
+		in.Replication.MaxReplicas = *maxReplicasFlag
 	}
-	var res *core.Result
+	search := core.OptimizeReplicated
 	if *exhaustiveFlag {
-		res, err = core.Exhaustive(in, opts)
-	} else {
-		res, err = core.OptimizeBest(in, opts)
+		search = core.ExhaustiveReplicated
 	}
+	res, err := search(in, opts)
 	if err != nil {
 		return err
 	}
 	report(db.Cat, box, res)
-	if res.Feasible {
-		if err := db.SetLayout(res.Layout); err != nil {
-			return err
-		}
-		db.ClearPool()
-		check, err := driver.Run(db)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("validated: %.0f tpmC on the recommended layout (floor %.0f)\n",
-			check.TpmC, probe.TpmC*sla)
+	if !res.Feasible {
+		return nil
 	}
+	if res.Layout == nil {
+		fmt.Println("validation skipped: the execution engine applies single-placement layouts only")
+		return nil
+	}
+	if err := db.SetLayout(res.Layout); err != nil {
+		return err
+	}
+	db.ClearPool()
+	check, err := driver.Run(db)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("validated: %.0f tpmC on the recommended layout (floor %.0f)\n",
+		check.TpmC, probe.TpmC*sla)
 	return nil
 }
 
@@ -329,7 +337,7 @@ func adviseTPCCPartitioned(db *engine.DB, box *device.Box, in core.Input, opts c
 	}
 	fmt.Printf("\nrecommended unit layout (optimized in %v over %d candidates, %d objects split):\n",
 		pres.PlanTime.Round(time.Millisecond), pres.Evaluated, pres.SplitObjects())
-	fmt.Print(flatLayout(pres.Layout, pt.UnitCatalog()))
+	fmt.Print(flatLayout(catalog.SingletonSetLayout(pres.Layout), pt.UnitCatalog()))
 	fmt.Printf("estimated TOC: %.4e cents per transaction (%.0f tasks/hour)\n",
 		pres.TOCCents, pres.Metrics.Throughput)
 	pcost, err := pres.Layout.CostCentsPerHour(pt.UnitCatalog(), box)
@@ -351,87 +359,20 @@ func adviseTPCCPartitioned(db *engine.DB, box *device.Box, in core.Input, opts c
 	return nil
 }
 
-// adviseTPCCReplicated is the -replication tail of adviseTPCC: the search
-// runs over per-object class sets, so an object hammered by both scans and
-// lookups can keep a copy on each pattern's best class. A recommendation
-// that collapses to single copies validates in place like the plain path;
-// a genuinely replicated one is reported only, since the execution engine
-// applies single-placement layouts.
-func adviseTPCCReplicated(db *engine.DB, box *device.Box, in core.Input, opts core.Options, driver *tpcc.Driver) error {
-	in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: *maxReplicasFlag}
-	var res *core.ReplicaResult
-	var err error
-	if *exhaustiveFlag {
-		res, err = core.ExhaustiveReplicated(in, opts)
-	} else {
-		res, err = core.OptimizeReplicated(in, opts)
-	}
-	if err != nil {
-		return err
-	}
-	if !res.Feasible {
-		fmt.Println("NO FEASIBLE LAYOUT — relax the SLA or add capacity")
-		return nil
-	}
-	fmt.Printf("\nrecommended replicated layout (optimized in %v over %d candidates, up to %d copies):\n",
-		res.PlanTime.Round(time.Millisecond), res.Evaluated, res.MaxCopies())
-	fmt.Print(flatSetLayout(res.SetLayout, db.Cat))
-	fmt.Printf("estimated TOC: %.4e cents per transaction (%.0f tasks/hour)\n",
-		res.TOCCents, res.Metrics.Throughput)
-	if cost, err := res.SetLayout.CostCentsPerHour(db.Cat, box); err == nil {
-		fmt.Printf("layout storage cost: %.4e cents/hour (%d extra copies)\n", cost, res.ReplicatedCopies())
-	}
-	if *searchStatsFlag {
-		printSearchStats(res.Result)
-	}
-	single, ok := res.SetLayout.SingleLayout()
-	if !ok {
-		fmt.Println("validation skipped: the execution engine applies single-placement layouts only")
-		return nil
-	}
-	if err := db.SetLayout(single); err != nil {
-		return err
-	}
-	db.ClearPool()
-	check, err := driver.Run(db)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("validated: %.0f tpmC on the recommended layout\n", check.TpmC)
-	return nil
-}
-
-// flatSetLayout renders a replicated layout one line per object, the copy
-// classes joined with " + ", sorted by object name.
-func flatSetLayout(sl catalog.SetLayout, cat *catalog.Catalog) string {
-	type row struct{ name, classes string }
-	rows := make([]row, 0, len(sl))
-	for id, set := range sl {
-		o := cat.Object(id)
-		if o == nil {
-			continue
-		}
-		parts := make([]string, 0, set.Count())
-		for _, cls := range set.Classes() {
-			parts = append(parts, cls.String())
-		}
-		rows = append(rows, row{o.Name, strings.Join(parts, " + ")})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-28s %s\n", r.name, r.classes)
-	}
-	return b.String()
-}
-
-func report(cat *catalog.Catalog, box *device.Box, res *core.Result) {
+// report prints a recommendation: the layout one line per object (a
+// replicated object lists its copy classes), the estimated TOC and the
+// storage cost.
+func report(cat *catalog.Catalog, box *device.Box, res *core.ReplicaResult) {
 	if !res.Feasible {
 		fmt.Println("NO FEASIBLE LAYOUT — relax the SLA or add capacity")
 		return
 	}
-	fmt.Printf("\nrecommended layout (optimized in %v over %d candidates):\n%s",
-		res.PlanTime.Round(time.Millisecond), res.Evaluated, flatLayout(res.Layout, cat))
+	copies := ""
+	if res.MaxCopies() > 1 {
+		copies = fmt.Sprintf(", up to %d copies", res.MaxCopies())
+	}
+	fmt.Printf("\nrecommended layout (optimized in %v over %d candidates%s):\n%s",
+		res.PlanTime.Round(time.Millisecond), res.Evaluated, copies, flatLayout(res.SetLayout, cat))
 	fmt.Printf("estimated TOC: %.4e cents", res.TOCCents)
 	if res.Metrics.Throughput > 0 {
 		fmt.Printf(" per transaction (%.0f tasks/hour)", res.Metrics.Throughput)
@@ -439,12 +380,15 @@ func report(cat *catalog.Catalog, box *device.Box, res *core.Result) {
 		fmt.Printf(" per workload run (%v)", res.Metrics.Elapsed.Round(time.Millisecond))
 	}
 	fmt.Println()
-	cost, err := res.Layout.CostCentsPerHour(cat, box)
-	if err == nil {
-		fmt.Printf("layout storage cost: %.4e cents/hour\n", cost)
+	if cost, err := res.SetLayout.CostCentsPerHour(cat, box); err == nil {
+		fmt.Printf("layout storage cost: %.4e cents/hour", cost)
+		if extra := res.ReplicatedCopies(); extra > 0 {
+			fmt.Printf(" (%d extra copies)", extra)
+		}
+		fmt.Println()
 	}
 	if *searchStatsFlag {
-		printSearchStats(res)
+		printSearchStats(res.Result)
 	}
 }
 
@@ -475,20 +419,27 @@ func printSearchStats(res *core.Result) {
 	}
 }
 
-// flatLayout renders a layout one line per placement unit, sorted by
-// object/unit name — a stable, diffable order regardless of map iteration.
-func flatLayout(l catalog.Layout, cat *catalog.Catalog) string {
-	type row struct{ name, class string }
-	rows := make([]row, 0, len(l))
-	for id, cls := range l {
-		if o := cat.Object(id); o != nil {
-			rows = append(rows, row{o.Name, cls.String()})
+// flatLayout renders a layout one line per placement unit, the copy classes
+// joined with " + ", sorted by object/unit name — a stable, diffable order
+// regardless of map iteration.
+func flatLayout(sl catalog.SetLayout, cat *catalog.Catalog) string {
+	type row struct{ name, classes string }
+	rows := make([]row, 0, len(sl))
+	for id, set := range sl {
+		o := cat.Object(id)
+		if o == nil {
+			continue
 		}
+		parts := make([]string, 0, set.Count())
+		for _, cls := range set.Classes() {
+			parts = append(parts, cls.String())
+		}
+		rows = append(rows, row{o.Name, strings.Join(parts, " + ")})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	var b strings.Builder
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-28s %s\n", r.name, r.class)
+		fmt.Fprintf(&b, "  %-28s %s\n", r.name, r.classes)
 	}
 	return b.String()
 }

@@ -4,8 +4,7 @@
 //
 //	dotserve -addr :8080
 //
-// Endpoints (the unversioned paths are deprecated aliases that answer
-// identically with a Deprecation header):
+// Endpoints:
 //
 //	POST /v1/advise     — single-workload DOT on box1/box2 or a custom class list
 //	POST /v1/provision  — full configuration sweep over a device grid

@@ -2,7 +2,7 @@ package catalog
 
 import (
 	"math"
-		"strings"
+	"strings"
 	"testing"
 
 	"dotprov/internal/device"

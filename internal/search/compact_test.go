@@ -197,8 +197,8 @@ func TestExhaustiveCompactMatchesMap(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev, ok, st, err := eng.ExhaustiveCompact(cons, CompactSpace{
-			Base:    catalog.NewCompactLayout(f.cat.NumObjects()),
-			Free:    free,
+			Base:   catalog.NewCompactLayout(f.cat.NumObjects()),
+			Free:   free,
 			Digits: f.digits(),
 		})
 		if err != nil {

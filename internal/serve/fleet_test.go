@@ -30,7 +30,7 @@ func defineTenant(t *testing.T, ts *httptest.Server, name string, spec WorkloadS
 // TestFleetEndpoint walks /v1/fleet through its contract: the empty fleet,
 // per-tenant rollups with memo attribution, the single-tenant query, the
 // unknown-tenant 404 (unified envelope), bad pagination 400s, and the
-// deprecated /fleet alias headers.
+// removed unversioned /fleet alias.
 func TestFleetEndpoint(t *testing.T) {
 	s := New(Config{Workers: 2, MaxStreams: 8})
 	defer s.Close()
@@ -118,24 +118,14 @@ func TestFleetEndpoint(t *testing.T) {
 		}
 	}
 
-	// The unversioned alias answers identically under deprecation headers.
+	// The unversioned alias is gone.
 	resp, err = ts.Client().Get(ts.URL + "/fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var aliased FleetResponse
-	if err := json.NewDecoder(resp.Body).Decode(&aliased); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("/fleet alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link != `</v1/fleet>; rel="successor-version"` {
-		t.Fatalf("/fleet alias Link = %q", link)
-	}
-	if aliased.Tenants != 3 {
-		t.Fatalf("alias answered differently: %+v", aliased)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/fleet answered %d, want 404 (alias removed)", resp.StatusCode)
 	}
 }
 

@@ -165,7 +165,7 @@ func TestOnlineEndToEnd(t *testing.T) {
 			req.DriftThreshold = 0.35
 		}
 		var out ObserveResponse
-		if status := post(t, ts, "/observe", req, &out); status != http.StatusOK {
+		if status := post(t, ts, "/v1/observe", req, &out); status != http.StatusOK {
 			t.Fatalf("observe status = %d", status)
 		}
 		return out
@@ -173,7 +173,7 @@ func TestOnlineEndToEnd(t *testing.T) {
 	readvise := func() ReadviseResponse {
 		t.Helper()
 		var out ReadviseResponse
-		if status := post(t, ts, "/readvise", ReadviseRequest{Stream: "e2e"}, &out); status != http.StatusOK {
+		if status := post(t, ts, "/v1/readvise", ReadviseRequest{Stream: "e2e"}, &out); status != http.StatusOK {
 			t.Fatalf("readvise status = %d", status)
 		}
 		return out
@@ -201,7 +201,7 @@ func TestOnlineEndToEnd(t *testing.T) {
 		}
 	}
 	var h HealthResponse
-	getJSON(t, ts, "/healthz", &h)
+	getJSON(t, ts, "/v1/healthz", &h)
 	if h.ReAdvised != 0 {
 		t.Fatalf("healthz counts %d re-advises before any drift", h.ReAdvised)
 	}
@@ -243,7 +243,7 @@ func TestOnlineEndToEnd(t *testing.T) {
 	// profile (via /advise, whose Evaluated reports the cold
 	// OptimizeBest).
 	var coldOut AdviseResponse
-	if status := post(t, ts, "/advise", AdviseRequest{Workload: lastSpec, Box: "box2", SLA: 0.25}, &coldOut); status != http.StatusOK {
+	if status := post(t, ts, "/v1/advise", AdviseRequest{Workload: lastSpec, Box: "box2", SLA: 0.25}, &coldOut); status != http.StatusOK {
 		t.Fatalf("cold advise status = %d", status)
 	}
 	if adopted.Evaluated >= coldOut.Evaluated {
@@ -306,30 +306,30 @@ func TestObserveReadviseWire(t *testing.T) {
 	defer ts.Close()
 
 	// /readvise on an unknown stream: 404.
-	if status := post(t, ts, "/readvise", ReadviseRequest{Stream: "nope"}, nil); status != http.StatusNotFound {
+	if status := post(t, ts, "/v1/readvise", ReadviseRequest{Stream: "nope"}, nil); status != http.StatusNotFound {
 		t.Fatalf("unknown stream status = %d, want 404", status)
 	}
 	// First observe without an SLA: 400.
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "s1", Workload: oltpObserveSpec(1, 0)}, nil); status != http.StatusBadRequest {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "s1", Workload: oltpObserveSpec(1, 0)}, nil); status != http.StatusBadRequest {
 		t.Fatalf("missing SLA status = %d, want 400", status)
 	}
 	// Proper definition.
 	var out ObserveResponse
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "s1", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.25}, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "s1", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.25}, &out); status != http.StatusOK {
 		t.Fatalf("define status = %d", status)
 	}
 	if !out.Initialized || !out.Feasible || len(out.Layout) != 3 {
 		t.Fatalf("define response: %+v", out)
 	}
 	// Identical window: no drift reported.
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "s1", Workload: oltpObserveSpec(1, 0)}, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "s1", Workload: oltpObserveSpec(1, 0)}, &out); status != http.StatusOK {
 		t.Fatalf("observe status = %d", status)
 	}
 	if out.Initialized || out.Drift == nil || out.Drift.Drifted {
 		t.Fatalf("identical window response: %+v drift=%+v", out, out.Drift)
 	}
 	var rv ReadviseResponse
-	if status := post(t, ts, "/readvise", ReadviseRequest{Stream: "s1"}, &rv); status != http.StatusOK {
+	if status := post(t, ts, "/v1/readvise", ReadviseRequest{Stream: "s1"}, &rv); status != http.StatusOK {
 		t.Fatalf("readvise status = %d", status)
 	}
 	if rv.ReAdvised {
@@ -337,13 +337,13 @@ func TestObserveReadviseWire(t *testing.T) {
 	}
 	// Shift the mix to sequential scans: drift reported, forced or
 	// organic re-advise succeeds.
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "s1", Workload: oltpObserveSpec(1, 0.95)}, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "s1", Workload: oltpObserveSpec(1, 0.95)}, &out); status != http.StatusOK {
 		t.Fatalf("shifted observe status = %d", status)
 	}
 	if out.Drift == nil || !out.Drift.Drifted {
 		t.Fatalf("mix shift not reported: %+v", out.Drift)
 	}
-	if status := post(t, ts, "/readvise", ReadviseRequest{Stream: "s1"}, &rv); status != http.StatusOK {
+	if status := post(t, ts, "/v1/readvise", ReadviseRequest{Stream: "s1"}, &rv); status != http.StatusOK {
 		t.Fatalf("readvise status = %d", status)
 	}
 	if !rv.Drift.Drifted || !rv.Feasible {
@@ -353,32 +353,32 @@ func TestObserveReadviseWire(t *testing.T) {
 	// Changed object list on an existing stream: 409.
 	changed := oltpObserveSpec(1, 0)
 	changed.Objects[0].SizeBytes = 11e9
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "s1", Workload: changed}, nil); status != http.StatusConflict {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "s1", Workload: changed}, nil); status != http.StatusConflict {
 		t.Fatalf("changed objects status = %d, want 409", status)
 	}
 
 	// A failed definition must NOT consume a stream slot: a bad SLA is a
 	// 400 and the same name can then be defined correctly.
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "s2", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 7}, nil); status != http.StatusBadRequest {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "s2", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 7}, nil); status != http.StatusBadRequest {
 		t.Fatalf("bad SLA definition status = %d, want 400", status)
 	}
 	var h0 HealthResponse
-	getJSON(t, ts, "/healthz", &h0)
+	getJSON(t, ts, "/v1/healthz", &h0)
 	if h0.Streams != 1 {
 		t.Fatalf("failed definition leaked a stream slot: %d streams", h0.Streams)
 	}
 
 	// Stream capacity: 2 streams allowed, the third is rejected.
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "s2", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.5}, nil); status != http.StatusOK {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "s2", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.5}, nil); status != http.StatusOK {
 		t.Fatal("second stream should fit")
 	}
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "s3", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.5}, nil); status != http.StatusTooManyRequests {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "s3", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.5}, nil); status != http.StatusTooManyRequests {
 		t.Fatalf("third stream status = %d, want 429", status)
 	}
 
 	// Healthz reflects the online counters.
 	var h HealthResponse
-	getJSON(t, ts, "/healthz", &h)
+	getJSON(t, ts, "/v1/healthz", &h)
 	if h.Streams != 2 || h.Observed < 4 {
 		t.Fatalf("healthz online counters: %+v", h)
 	}
@@ -392,18 +392,18 @@ func TestReadviseTicker(t *testing.T) {
 	defer ts.Close()
 
 	var out ObserveResponse
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "tick", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.25}, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "tick", Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.25}, &out); status != http.StatusOK {
 		t.Fatalf("define status = %d", status)
 	}
 	// Ship a strongly drifted window; the ticker must adopt a new layout
 	// without any /readvise call.
-	if status := post(t, ts, "/observe", ObserveRequest{Stream: "tick", Workload: oltpObserveSpec(1, 0.95)}, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: "tick", Workload: oltpObserveSpec(1, 0.95)}, &out); status != http.StatusOK {
 		t.Fatalf("drifted observe status = %d", status)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		var h HealthResponse
-		getJSON(t, ts, "/healthz", &h)
+		getJSON(t, ts, "/v1/healthz", &h)
 		if h.ReAdvised > 0 {
 			return
 		}

@@ -35,7 +35,7 @@ func TestAdvisePartitionGranularity(t *testing.T) {
 	defer ts.Close()
 
 	var objResp AdviseResponse
-	if code := post(t, ts, "/advise", AdviseRequest{Workload: skewWorkload(), Box: "box2", SLA: 0.2}, &objResp); code != http.StatusOK {
+	if code := post(t, ts, "/v1/advise", AdviseRequest{Workload: skewWorkload(), Box: "box2", SLA: 0.2}, &objResp); code != http.StatusOK {
 		t.Fatalf("object advise: status %d", code)
 	}
 	if !objResp.Feasible || objResp.Granularity != "object" {
@@ -44,7 +44,7 @@ func TestAdvisePartitionGranularity(t *testing.T) {
 
 	var partResp AdviseResponse
 	req := AdviseRequest{Workload: skewWorkload(), Box: "box2", SLA: 0.2, Granularity: "partition"}
-	if code := post(t, ts, "/advise", req, &partResp); code != http.StatusOK {
+	if code := post(t, ts, "/v1/advise", req, &partResp); code != http.StatusOK {
 		t.Fatalf("partition advise: status %d", code)
 	}
 	if !partResp.Feasible || partResp.Granularity != "partition" {
@@ -72,7 +72,7 @@ func TestAdvisePartitionGranularity(t *testing.T) {
 	}
 
 	var bad apiErrorProbe
-	if code := post(t, ts, "/advise", AdviseRequest{Workload: skewWorkload(), SLA: 0.5, Granularity: "page"}, &bad); code != http.StatusBadRequest {
+	if code := post(t, ts, "/v1/advise", AdviseRequest{Workload: skewWorkload(), SLA: 0.5, Granularity: "page"}, &bad); code != http.StatusBadRequest {
 		t.Fatalf("bad granularity: status %d, want 400", code)
 	}
 }
@@ -91,7 +91,7 @@ func TestObservePartitionedStream(t *testing.T) {
 	w.Txns = 5000
 	w.ElapsedMillis = 1000
 	var init ObserveResponse
-	code := post(t, ts, "/observe", ObserveRequest{
+	code := post(t, ts, "/v1/observe", ObserveRequest{
 		Stream: "skew", Workload: w, Box: "box2", SLA: 0.2, Granularity: "partition",
 	}, &init)
 	if code != http.StatusOK {
@@ -119,7 +119,7 @@ func TestObservePartitionedStream(t *testing.T) {
 		{Object: "facts_pkey", RandRead: 1.2e5},
 	}
 	var obs ObserveResponse
-	if code := post(t, ts, "/observe", ObserveRequest{Stream: "skew", Workload: w2}, &obs); code != http.StatusOK {
+	if code := post(t, ts, "/v1/observe", ObserveRequest{Stream: "skew", Workload: w2}, &obs); code != http.StatusOK {
 		t.Fatalf("second observe: status %d", code)
 	}
 	if obs.Granularity != "partition" {
@@ -127,7 +127,7 @@ func TestObservePartitionedStream(t *testing.T) {
 	}
 
 	var re ReadviseResponse
-	if code := post(t, ts, "/readvise", ReadviseRequest{Stream: "skew", Force: true}, &re); code != http.StatusOK {
+	if code := post(t, ts, "/v1/readvise", ReadviseRequest{Stream: "skew", Force: true}, &re); code != http.StatusOK {
 		t.Fatalf("readvise: status %d", code)
 	}
 	if re.Granularity != "partition" {

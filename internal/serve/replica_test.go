@@ -33,7 +33,7 @@ func TestAdviseReplicated(t *testing.T) {
 
 	var single AdviseResponse
 	req := AdviseRequest{Workload: htapAdviseSpec(), Box: "htap", SLA: 0.5}
-	if status := post(t, ts, "/advise", req, &single); status != http.StatusOK {
+	if status := post(t, ts, "/v1/advise", req, &single); status != http.StatusOK {
 		t.Fatalf("single advise status = %d", status)
 	}
 	if !single.Feasible {
@@ -43,7 +43,7 @@ func TestAdviseReplicated(t *testing.T) {
 	var out AdviseResponse
 	req.Replication = true
 	req.MaxReplicas = 2
-	if status := post(t, ts, "/advise", req, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/advise", req, &out); status != http.StatusOK {
 		t.Fatalf("replicated advise status = %d", status)
 	}
 	if !out.Feasible {
@@ -72,7 +72,7 @@ func TestAdviseReplicated(t *testing.T) {
 	// one-entry copy lists.
 	var capped AdviseResponse
 	req.MaxReplicas = 1
-	if status := post(t, ts, "/advise", req, &capped); status != http.StatusOK {
+	if status := post(t, ts, "/v1/advise", req, &capped); status != http.StatusOK {
 		t.Fatalf("capped advise status = %d", status)
 	}
 	if !capped.Feasible || capped.MaxCopies != 1 || capped.ReplicatedCopies != 0 {
@@ -95,7 +95,7 @@ func TestAdviseReplicated(t *testing.T) {
 	var ex AdviseResponse
 	req.MaxReplicas = 2
 	req.Exhaustive = true
-	if status := post(t, ts, "/advise", req, &ex); status != http.StatusOK {
+	if status := post(t, ts, "/v1/advise", req, &ex); status != http.StatusOK {
 		t.Fatalf("exhaustive replicated status = %d", status)
 	}
 	if !ex.Feasible || ex.MaxCopies < 2 || ex.TOCCents > out.TOCCents {
@@ -108,7 +108,7 @@ func TestAdviseReplicated(t *testing.T) {
 	// Replication prices only the linear cost model: alpha is a 400.
 	req.Exhaustive = false
 	req.Alpha = 1
-	if status := post(t, ts, "/advise", req, nil); status != http.StatusBadRequest {
+	if status := post(t, ts, "/v1/advise", req, nil); status != http.StatusBadRequest {
 		t.Fatalf("replication+alpha status = %d, want 400", status)
 	}
 }
@@ -126,7 +126,7 @@ func TestAdviseReplicatedPartitioned(t *testing.T) {
 	var out AdviseResponse
 	req := AdviseRequest{Workload: wl, Box: "htap", SLA: 0.5,
 		Granularity: "partition", Replication: true, MaxReplicas: 2}
-	if status := post(t, ts, "/advise", req, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/advise", req, &out); status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
 	if !out.Feasible || out.Granularity != "partition" || out.Units < 3 {
@@ -152,7 +152,7 @@ func TestReadviseFleetMemoCoalescing(t *testing.T) {
 		t.Helper()
 		var out ObserveResponse
 		req := ObserveRequest{Stream: stream, Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.25}
-		if status := post(t, ts, "/observe", req, &out); status != http.StatusOK {
+		if status := post(t, ts, "/v1/observe", req, &out); status != http.StatusOK {
 			t.Fatalf("define %s status = %d", stream, status)
 		}
 		if !out.Initialized || !out.Feasible {
@@ -162,14 +162,14 @@ func TestReadviseFleetMemoCoalescing(t *testing.T) {
 	observeShift := func(stream string) {
 		t.Helper()
 		req := ObserveRequest{Stream: stream, Workload: oltpObserveSpec(1, 0.95)}
-		if status := post(t, ts, "/observe", req, nil); status != http.StatusOK {
+		if status := post(t, ts, "/v1/observe", req, nil); status != http.StatusOK {
 			t.Fatalf("shift %s status = %d", stream, status)
 		}
 	}
 	readvise := func(stream string) ReadviseResponse {
 		t.Helper()
 		var out ReadviseResponse
-		if status := post(t, ts, "/readvise", ReadviseRequest{Stream: stream}, &out); status != http.StatusOK {
+		if status := post(t, ts, "/v1/readvise", ReadviseRequest{Stream: stream}, &out); status != http.StatusOK {
 			t.Fatalf("readvise %s status = %d", stream, status)
 		}
 		return out
@@ -177,7 +177,7 @@ func TestReadviseFleetMemoCoalescing(t *testing.T) {
 	health := func() HealthResponse {
 		t.Helper()
 		var h HealthResponse
-		getJSON(t, ts, "/healthz", &h)
+		getJSON(t, ts, "/v1/healthz", &h)
 		return h
 	}
 

@@ -3,8 +3,8 @@
 // offline run, but a stream of advise/provision requests against changing
 // workload profiles (cf. PAPERS.md on continuous placement).
 //
-// Endpoints (v1; the unversioned paths are deprecated aliases that answer
-// identically while emitting a Deprecation header):
+// Endpoints (all under /v1; the unversioned aliases of earlier releases are
+// gone and answer 404):
 //
 //	POST /v1/advise     — single-workload DOT on a fixed box (§3)
 //	POST /v1/provision  — full configuration sweep over a device grid (§5)
@@ -349,36 +349,30 @@ func (s *Server) refuseErr(state string) error {
 	return fmt.Errorf("server degraded: %d consecutive snapshot failures, refusing new optimization work until durability recovers", s.snapConsec.Load())
 }
 
-// Route is one row of the service's route table: the versioned path and,
-// when the endpoint predates versioning, its deprecated unversioned alias.
+// Route is one row of the service's route table.
 type Route struct {
 	// Method is the HTTP method the route answers.
 	Method string
-	// Path is the current (v1) path.
+	// Path is the route's (v1) path.
 	Path string
-	// Alias is the deprecated unversioned path kept for compatibility, ""
-	// when the route never had one. Alias responses carry a Deprecation
-	// header and a Link to the successor.
-	Alias string
 }
 
 // Routes returns the service's static route table — the single source of
 // truth Handler mounts and scripts/routelint checks OPERATIONS.md against.
 func Routes() []Route {
 	return []Route{
-		{Method: "GET", Path: "/v1/healthz", Alias: "/healthz"},
-		{Method: "GET", Path: "/v1/readyz", Alias: ""},
-		{Method: "GET", Path: "/v1/fleet", Alias: "/fleet"},
-		{Method: "POST", Path: "/v1/advise", Alias: "/advise"},
-		{Method: "POST", Path: "/v1/provision", Alias: "/provision"},
-		{Method: "POST", Path: "/v1/observe", Alias: "/observe"},
-		{Method: "POST", Path: "/v1/readvise", Alias: "/readvise"},
+		{Method: "GET", Path: "/v1/healthz"},
+		{Method: "GET", Path: "/v1/readyz"},
+		{Method: "GET", Path: "/v1/fleet"},
+		{Method: "POST", Path: "/v1/advise"},
+		{Method: "POST", Path: "/v1/provision"},
+		{Method: "POST", Path: "/v1/observe"},
+		{Method: "POST", Path: "/v1/readvise"},
 	}
 }
 
 // Handler returns the routed HTTP handler: every Routes() entry mounted on
-// its v1 path, plus the deprecated aliases answering identically under a
-// Deprecation header.
+// its v1 path.
 func (s *Server) Handler() http.Handler {
 	handlers := map[string]http.HandlerFunc{
 		"/v1/healthz":   s.handleHealthz,
@@ -396,22 +390,8 @@ func (s *Server) Handler() http.Handler {
 			panic("serve: route " + rt.Path + " has no handler")
 		}
 		mux.HandleFunc(rt.Method+" "+rt.Path, h)
-		if rt.Alias != "" {
-			mux.HandleFunc(rt.Method+" "+rt.Alias, deprecatedAlias(rt.Path, h))
-		}
 	}
 	return mux
-}
-
-// deprecatedAlias wraps a v1 handler for its unversioned alias: identical
-// behavior, plus the RFC 8594 Deprecation header and a successor-version
-// Link so clients can discover the v1 path mechanically.
-func deprecatedAlias(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // observeRouted is /v1/observe's content negotiation: JSON observations run

@@ -67,7 +67,7 @@ func post(t *testing.T, ts *httptest.Server, path string, req any, out any) int 
 func TestHealthz(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	resp, err := ts.Client().Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAdviseRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Workers: 4}).Handler())
 	defer ts.Close()
 	var out AdviseResponse
-	status := post(t, ts, "/advise", AdviseRequest{Workload: testWorkload(), Box: "box1", SLA: 0.25}, &out)
+	status := post(t, ts, "/v1/advise", AdviseRequest{Workload: testWorkload(), Box: "box1", SLA: 0.25}, &out)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
@@ -113,7 +113,7 @@ func TestAdviseRoundTrip(t *testing.T) {
 	wl.ElapsedMillis = 60000
 	wl.Concurrency = 8
 	out = AdviseResponse{}
-	if status := post(t, ts, "/advise", AdviseRequest{Workload: wl, Box: "box2", SLA: 0.25}, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/advise", AdviseRequest{Workload: wl, Box: "box2", SLA: 0.25}, &out); status != http.StatusOK {
 		t.Fatalf("oltp status = %d", status)
 	}
 	if !out.Feasible || out.ThroughputPerHour <= 0 {
@@ -127,7 +127,7 @@ func TestAdviseExhaustive(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Workers: 4}).Handler())
 	defer ts.Close()
 	var out AdviseResponse
-	status := post(t, ts, "/advise", AdviseRequest{Workload: testWorkload(), Box: "box1", SLA: 0.25, Exhaustive: true}, &out)
+	status := post(t, ts, "/v1/advise", AdviseRequest{Workload: testWorkload(), Box: "box1", SLA: 0.25, Exhaustive: true}, &out)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
@@ -154,7 +154,7 @@ func TestAdviseBadRequests(t *testing.T) {
 		{Workload: func() WorkloadSpec { w := testWorkload(); w.Txns = 5; return w }(), SLA: 0.5}, // txns without elapsed
 	}
 	for i, req := range cases {
-		if status := post(t, ts, "/advise", req, nil); status != http.StatusBadRequest {
+		if status := post(t, ts, "/v1/advise", req, nil); status != http.StatusBadRequest {
 			t.Fatalf("case %d: status = %d, want 400", i, status)
 		}
 	}
@@ -165,7 +165,7 @@ func TestProvisionRoundTripAndCache(t *testing.T) {
 	defer ts.Close()
 	req := ProvisionRequest{Workload: testWorkload(), Grid: testGrid(), SLA: 0.25}
 	var out ProvisionResponse
-	if status := post(t, ts, "/provision", req, &out); status != http.StatusOK {
+	if status := post(t, ts, "/v1/provision", req, &out); status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
 	if len(out.Candidates) != 8 {
@@ -186,7 +186,7 @@ func TestProvisionRoundTripAndCache(t *testing.T) {
 
 	// The identical request is answered from the LRU.
 	var cached ProvisionResponse
-	if status := post(t, ts, "/provision", req, &cached); status != http.StatusOK {
+	if status := post(t, ts, "/v1/provision", req, &cached); status != http.StatusOK {
 		t.Fatalf("cached status = %d", status)
 	}
 	if !cached.Cached {
@@ -199,7 +199,7 @@ func TestProvisionRoundTripAndCache(t *testing.T) {
 	// A different SLA misses the cache.
 	req.SLA = 0.5
 	var other ProvisionResponse
-	if status := post(t, ts, "/provision", req, &other); status != http.StatusOK {
+	if status := post(t, ts, "/v1/provision", req, &other); status != http.StatusOK {
 		t.Fatalf("other status = %d", status)
 	}
 	if other.Cached {
@@ -212,7 +212,7 @@ func TestProvisionBadGrid(t *testing.T) {
 	defer ts.Close()
 	req := ProvisionRequest{Workload: testWorkload(), SLA: 0.5,
 		Grid: GridSpec{Devices: []GridDeviceSpec{{Class: "floppy", Counts: []int{1}}}}}
-	if status := post(t, ts, "/provision", req, nil); status != http.StatusBadRequest {
+	if status := post(t, ts, "/v1/provision", req, nil); status != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", status)
 	}
 
@@ -223,11 +223,11 @@ func TestProvisionBadGrid(t *testing.T) {
 	wl.ElapsedMillis = 1000
 	req = ProvisionRequest{Workload: wl, SLA: 0.5,
 		Grid: GridSpec{Devices: []GridDeviceSpec{{Class: "hdd", Counts: []int{0}}}}}
-	if status := post(t, ts, "/provision", req, nil); status != http.StatusBadRequest {
+	if status := post(t, ts, "/v1/provision", req, nil); status != http.StatusBadRequest {
 		t.Fatalf("all-zero grid status = %d, want 400", status)
 	}
 	// The server is still alive.
-	if resp, err := ts.Client().Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+	if resp, err := ts.Client().Get(ts.URL + "/v1/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("server unhealthy after bad grid: %v", err)
 	} else {
 		resp.Body.Close()
@@ -253,11 +253,11 @@ func TestConcurrentLoad(t *testing.T) {
 			case 0:
 				// Distinct SLAs defeat the sweep cache, keeping work real.
 				sla := 0.1 + float64(i)*0.03
-				status = post(t, ts, "/provision", ProvisionRequest{Workload: testWorkload(), Grid: testGrid(), SLA: sla}, nil)
+				status = post(t, ts, "/v1/provision", ProvisionRequest{Workload: testWorkload(), Grid: testGrid(), SLA: sla}, nil)
 			case 1:
-				status = post(t, ts, "/advise", AdviseRequest{Workload: testWorkload(), Box: "box1", SLA: 0.25}, nil)
+				status = post(t, ts, "/v1/advise", AdviseRequest{Workload: testWorkload(), Box: "box1", SLA: 0.25}, nil)
 			default:
-				resp, err := ts.Client().Get(ts.URL + "/healthz")
+				resp, err := ts.Client().Get(ts.URL + "/v1/healthz")
 				if err != nil {
 					t.Error(err)
 					return
@@ -285,7 +285,7 @@ func TestConcurrentLoad(t *testing.T) {
 		t.Fatal("no request succeeded under load")
 	}
 	// The counters stay coherent.
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	resp, err := ts.Client().Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestRequestTimeout(t *testing.T) {
 	// A nanosecond budget expires before any sweep finishes.
 	ts := httptest.NewServer(New(Config{RequestTimeout: time.Nanosecond, Workers: 2}).Handler())
 	defer ts.Close()
-	status := post(t, ts, "/provision", ProvisionRequest{Workload: testWorkload(), Grid: testGrid(), SLA: 0.25}, nil)
+	status := post(t, ts, "/v1/provision", ProvisionRequest{Workload: testWorkload(), Grid: testGrid(), SLA: 0.25}, nil)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", status)
 	}
@@ -337,15 +337,15 @@ func TestLRUEviction(t *testing.T) {
 func TestMethodRouting(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/advise")
+	resp, err := ts.Client().Get(ts.URL + "/v1/advise")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /advise status = %d, want 405", resp.StatusCode)
+		t.Fatalf("GET /v1/advise status = %d, want 405", resp.StatusCode)
 	}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/advise", strings.NewReader("{not json"))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/advise", strings.NewReader("{not json"))
 	resp, err = ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -30,9 +30,9 @@ func decodeJSONBody(t *testing.T, resp *http.Response, out any) {
 	}
 }
 
-// TestV1RoutesAndAliases walks the route table: every v1 path answers
-// without deprecation headers, every alias answers the same request with
-// Deprecation: true and a successor-version Link.
+// TestV1RoutesAndAliases walks the route table: every v1 path is routed and
+// carries no deprecation headers, and the unversioned aliases earlier
+// releases kept (deprecated since the v1 API) are gone — they answer 404.
 func TestV1RoutesAndAliases(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Workers: 2}).Handler())
 	defer ts.Close()
@@ -65,19 +65,12 @@ func TestV1RoutesAndAliases(t *testing.T) {
 		if v1.Header.Get("Deprecation") != "" {
 			t.Fatalf("%s %s carries a Deprecation header", rt.Method, rt.Path)
 		}
-		if rt.Alias == "" {
-			continue
+		if !strings.HasPrefix(rt.Path, "/v1/") {
+			t.Fatalf("route %s is not versioned", rt.Path)
 		}
-		alias := hit(rt.Alias)
-		if alias.StatusCode != v1.StatusCode {
-			t.Fatalf("%s alias %s status=%d, v1 %s status=%d — aliases must answer identically",
-				rt.Method, rt.Alias, alias.StatusCode, rt.Path, v1.StatusCode)
-		}
-		if alias.Header.Get("Deprecation") != "true" {
-			t.Fatalf("%s %s missing Deprecation header", rt.Method, rt.Alias)
-		}
-		if link := alias.Header.Get("Link"); !strings.Contains(link, rt.Path) || !strings.Contains(link, "successor-version") {
-			t.Fatalf("%s %s Link header %q does not advertise %s", rt.Method, rt.Alias, link, rt.Path)
+		if alias := hit(strings.TrimPrefix(rt.Path, "/v1")); alias.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s answered %d: the unversioned aliases are removed and must 404",
+				rt.Method, strings.TrimPrefix(rt.Path, "/v1"), alias.StatusCode)
 		}
 	}
 }
