@@ -174,18 +174,32 @@ const maskBits = 8
 // the unit's full size. A class is "used" as soon as any object — including
 // a zero-sized one — holds a copy on it, mirroring the map form's
 // SpaceByClass key set.
+//
+// This walk runs twice per candidate on the search hot path, so sizes are
+// first summed per distinct mask — one indexed add per slot, what a
+// class-byte table would cost — and each mask seen (three on a three-class
+// single-copy search) is then charged to its members. Integer sums regroup
+// exactly, so the totals are those of the slot-by-slot definition.
 func (cl CompactLayout) spaceDense(sizes []int64) (space [maskBits]int64, used [maskBits]bool) {
+	var byMask [device.NumClassSets]int64
+	var seen uint32
 	for i, v := range cl.b {
-		if v == slotUnset {
+		if v >= device.NumClassSets {
+			if v != slotUnset {
+				used[bits.Len8(v)-1] = true // names an undefined class
+			}
 			continue
 		}
-		var sz int64
+		seen |= 1 << v
 		if i < len(sizes) {
-			sz = sizes[i]
+			byMask[v] += sizes[i]
 		}
-		for m := v; m != 0; m &= m - 1 {
+	}
+	for ; seen != 0; seen &= seen - 1 {
+		v := bits.TrailingZeros32(seen)
+		for m := uint8(v); m != 0; m &= m - 1 {
 			c := bits.TrailingZeros8(m)
-			space[c] += sz
+			space[c] += byMask[v]
 			used[c] = true
 		}
 	}

@@ -40,8 +40,9 @@ type CompiledProfile struct {
 	// col maps a placement byte to its column, -1 for sets outside the
 	// alphabet (including every set with a member the box does not carry):
 	// placing a profiled object there is an error, exactly as on the map
-	// path.
-	col [device.NumClassSets]int8
+	// path. It spans every byte value, so the hot lookups index it without
+	// a range check.
+	col [256]int8
 }
 
 // SingletonAlphabet returns the digit alphabet of single-copy placement on
@@ -151,12 +152,7 @@ func (cp *CompiledProfile) Covers(alphabet []device.ClassSet) bool {
 
 // column resolves a placement byte to its table column, -1 when the set is
 // outside the compiled alphabet.
-func (cp *CompiledProfile) column(set device.ClassSet) int {
-	if int(set) >= len(cp.col) {
-		return -1
-	}
-	return int(cp.col[set])
-}
+func (cp *CompiledProfile) column(set device.ClassSet) int { return int(cp.col[set]) }
 
 func (cp *CompiledProfile) unusable(id catalog.ObjectID, set device.ClassSet) error {
 	return fmt.Errorf("iosim: layout places object %d on class set %v unusable for box %q", id, set, cp.boxName)

@@ -137,7 +137,10 @@ func (p Profile) SetIOTime(layout catalog.SetLayout, box *device.Box, concurrenc
 			return 0, fmt.Errorf("iosim: layout places object %d on invalid class set %v", id, set)
 		}
 		var devs [device.NumClasses]*device.Device
-		for _, c := range set.Classes() {
+		for c := device.Class(0); int(c) < device.NumClasses; c++ {
+			if !set.Has(c) {
+				continue
+			}
 			if devs[c] = box.Device(c); devs[c] == nil {
 				return 0, fmt.Errorf("iosim: layout places object %d on class set %v unusable for box %q", id, set, box.Name)
 			}
