@@ -536,20 +536,24 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 
 // cursor is a sweep's running layout: at reads a unit's current placement,
 // try applies a candidate change and evaluates the result, and the sweep
-// then either commits it as the new running layout or reverts it. Both
-// sweeps are written once against it; the two implementations differ only
-// in how a candidate is materialized and evaluated, never in which
-// candidates are tried or in what order — so the map and the compiled path
-// walk move for move and return identical results.
+// then either commits that evaluation as the new running layout or reverts
+// the change. Both sweeps are written once against it; the two
+// implementations differ only in how a candidate is materialized and
+// evaluated, never in which candidates are tried or in what order — so the
+// map and the compiled path walk move for move and return identical
+// results. A cursor keeps nothing between try and the commit or revert that
+// follows: the sweep hands the evaluation (or the change list) back, so a
+// rejected candidate costs no heap write.
 type cursor interface {
 	// eval is the running layout's evaluation.
 	eval() search.Eval
 	at(id catalog.ObjectID) (device.ClassSet, bool)
-	// try evaluates the running layout with changes applied. The slice is
-	// read until the following commit or revert and not retained after.
+	// try evaluates the running layout with changes applied.
 	try(changes []workload.ObjectMove) (search.Eval, error)
-	commit()
-	revert()
+	// commit makes the layout try just evaluated the running layout.
+	commit(ev search.Eval)
+	// revert undoes the changes try just applied.
+	revert(changes []workload.ObjectMove)
 }
 
 // newCursor starts a cursor at an evaluated layout: compact when the engine
@@ -570,8 +574,6 @@ type compactCursor struct {
 	eng     *search.Engine
 	cur     search.Eval
 	scratch catalog.CompactLayout
-	pending []workload.ObjectMove
-	next    search.Eval
 }
 
 func (c *compactCursor) eval() search.Eval { return c.cur }
@@ -587,20 +589,16 @@ func (c *compactCursor) try(changes []workload.ObjectMove) (search.Eval, error) 
 		deltaable = deltaable && ch.From != 0
 		c.scratch.Set(ch.Obj, ch.To)
 	}
-	c.pending = changes
-	var err error
 	if deltaable {
-		c.next, err = c.eng.EvaluateDelta(c.cur, c.scratch, changes)
-	} else {
-		c.next, err = c.eng.EvaluateCompact(c.scratch)
+		return c.eng.EvaluateDelta(c.cur, c.scratch, changes)
 	}
-	return c.next, err
+	return c.eng.EvaluateCompact(c.scratch)
 }
 
-func (c *compactCursor) commit() { c.cur = c.next }
+func (c *compactCursor) commit(ev search.Eval) { c.cur = ev }
 
-func (c *compactCursor) revert() {
-	for _, ch := range c.pending {
+func (c *compactCursor) revert(changes []workload.ObjectMove) {
+	for _, ch := range changes {
 		if ch.From == 0 {
 			c.scratch.Unset(ch.Obj)
 		} else {
@@ -611,13 +609,12 @@ func (c *compactCursor) revert() {
 
 // mapCursor clones the running map layout per candidate and runs it through
 // Engine.Evaluate; the running layout itself is never mutated, so a revert
-// has nothing to undo.
+// has nothing to undo, and a commit adopts the (engine-retained, read-only)
+// layout of the evaluation.
 type mapCursor struct {
-	eng   *search.Engine
-	cur   search.Eval
-	l     catalog.SetLayout
-	next  search.Eval
-	nextL catalog.SetLayout
+	eng *search.Engine
+	cur search.Eval
+	l   catalog.SetLayout
 }
 
 func (c *mapCursor) eval() search.Eval { return c.cur }
@@ -632,15 +629,12 @@ func (c *mapCursor) try(changes []workload.ObjectMove) (search.Eval, error) {
 	for _, ch := range changes {
 		l[ch.Obj] = ch.To
 	}
-	var err error
-	c.nextL = l
-	c.next, err = c.eng.Evaluate(l)
-	return c.next, err
+	return c.eng.Evaluate(l)
 }
 
-func (c *mapCursor) commit() { c.cur, c.l = c.next, c.nextL }
+func (c *mapCursor) commit(ev search.Eval) { c.cur, c.l = ev, ev.LayoutMap() }
 
-func (c *mapCursor) revert() {}
+func (c *mapCursor) revert([]workload.ObjectMove) {}
 
 // gateFunc vets a candidate before a sweep may adopt or walk to it, on top
 // of capacity and the SLA (see IncrementalOptions.Accept).
@@ -680,10 +674,10 @@ func dotSweep(opts Options, cur cursor, moves []Move, cons workload.Constraints,
 			// starting points (L0 over capacity) always accept the first
 			// feasible layout.
 			if !accepted || (!opts.GreedyApply && curFeasible && ev.TOCCents > curTOC) {
-				cur.revert()
+				cur.revert(changes)
 				continue
 			}
-			cur.commit()
+			cur.commit(ev)
 			curTOC = ev.TOCCents
 			curFeasible = true
 			changed = true
@@ -756,10 +750,10 @@ func refineSweep(cur cursor, objs []*catalog.Object, trans [][]device.ClassSet, 
 					res.Evaluated++
 					accepted := (gate == nil || gate(ev, cons)) && res.consider(ev, cons)
 					if !accepted || (curFeasible && ev.TOCCents >= curTOC) {
-						cur.revert()
+						cur.revert(move[:])
 						continue
 					}
-					cur.commit()
+					cur.commit(ev)
 					curTOC, curFeasible = ev.TOCCents, true
 					from = tgt
 					improved, changed = true, true
