@@ -21,7 +21,7 @@
 //
 // Example:
 //
-//	curl -s localhost:8080/provision -d '{
+//	curl -s localhost:8080/v1/provision -d '{
 //	  "workload": {
 //	    "objects": [{"name": "orders", "size_bytes": 10000000000},
 //	                {"name": "orders_pkey", "kind": "index", "table": "orders", "size_bytes": 1000000000}],

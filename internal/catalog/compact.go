@@ -175,32 +175,32 @@ const maskBits = 8
 // a zero-sized one — holds a copy on it, mirroring the map form's
 // SpaceByClass key set.
 //
-// This walk runs twice per candidate on the search hot path, so sizes are
-// first summed per distinct mask — one indexed add per slot, what a
-// class-byte table would cost — and each mask seen (three on a three-class
-// single-copy search) is then charged to its members. Integer sums regroup
-// exactly, so the totals are those of the slot-by-slot definition.
+// This walk runs twice per candidate on the search hot path (profiles of a
+// 500-unit advise put it above 40% of the search), so a slot's first member
+// — its only one in single-copy search — costs one indexed add, further
+// copies loop, and the usage flags are derived afterwards from the few
+// distinct masks seen rather than stored per slot.
 func (cl CompactLayout) spaceDense(sizes []int64) (space [maskBits]int64, used [maskBits]bool) {
-	var byMask [device.NumClassSets]int64
 	var seen uint32
 	for i, v := range cl.b {
-		if v >= device.NumClassSets {
-			if v != slotUnset {
-				used[bits.Len8(v)-1] = true // names an undefined class
+		if v-1 >= device.NumClassSets-1 { // unset, empty, or naming an undefined class
+			if v != slotUnset && v != 0 {
+				used[bits.Len8(v)-1] = true
 			}
 			continue
 		}
 		seen |= 1 << v
-		if i < len(sizes) {
-			byMask[v] += sizes[i]
+		if i >= len(sizes) {
+			continue
+		}
+		space[bits.TrailingZeros8(v)] += sizes[i]
+		for m := v & (v - 1); m != 0; m &= m - 1 {
+			space[bits.TrailingZeros8(m)] += sizes[i]
 		}
 	}
 	for ; seen != 0; seen &= seen - 1 {
-		v := bits.TrailingZeros32(seen)
-		for m := uint8(v); m != 0; m &= m - 1 {
-			c := bits.TrailingZeros8(m)
-			space[c] += byMask[v]
-			used[c] = true
+		for m := uint8(bits.TrailingZeros32(seen)); m != 0; m &= m - 1 {
+			used[bits.TrailingZeros8(m)] = true
 		}
 	}
 	return space, used

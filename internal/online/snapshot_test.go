@@ -109,6 +109,11 @@ func TestDecodeManagerStateRejects(t *testing.T) {
 	mutate("trailing byte", func(b []byte) []byte { return append(b, 0) })
 	mutate("empty", func(b []byte) []byte { return nil })
 	mutate("bad class", func(b []byte) []byte { b[8] = 200; return b })
+	// Every copy set has one encoding: a lone copy is its class byte, never
+	// a flagged one-bit mask; flagged masks must be valid multi-copy sets.
+	mutate("singleton as a flagged mask", func(b []byte) []byte { b[8] = 0x80 | 0x01; return b })
+	mutate("flagged empty mask", func(b []byte) []byte { b[8] = 0x80; return b })
+	mutate("flagged mask with an undefined class", func(b []byte) []byte { b[8] = 0x80 | 0x21; return b })
 	mutate("unsorted layout IDs", func(b []byte) []byte {
 		// Swap the first two (id, class) layout entries.
 		copy(b[4:9], []byte{b[9], b[10], b[11], b[12], b[13]})

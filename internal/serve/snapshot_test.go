@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"dotprov/internal/catalog"
+	"dotprov/internal/device"
 	"dotprov/internal/faultinject"
 	"dotprov/internal/online"
 )
@@ -450,6 +452,21 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			objFP:  "fp",
 			config: []byte(`{"stream":"orders"}`),
 			state:  online.ManagerState{Collector: online.CollectorState{ExtPages: 64}},
+		}},
+	}))
+	// A replicated deployment: one lone copy (a class byte) and one unit on
+	// two classes (a flagged mask) in the layout record.
+	f.Add(appendSnapshotPayload(nil, snapshotPayload{
+		streams: []streamRecord{{
+			name:   "htap",
+			config: []byte(`{"stream":"htap"}`),
+			state: online.ManagerState{
+				Layout: catalog.SetLayout{
+					1: device.Singleton(device.LSSD),
+					2: device.NewClassSet(device.HDD, device.HSSD),
+				},
+				Collector: online.CollectorState{ExtPages: 64},
+			},
 		}},
 	}))
 	f.Fuzz(func(t *testing.T, body []byte) {
