@@ -6,14 +6,14 @@ import (
 )
 
 // ClassSet is a set of storage classes encoded as a bitmask: bit c is set
-// when class c is a member. It is the placement value of a replicated
-// layout — each placement unit maps to the set of classes holding a copy —
-// and fits one byte because NumClasses <= 8, so replicated compact layouts
-// reuse the single-byte-per-unit encoding of catalog.CompactLayout.
+// when class c is a member. It is the placement value of the layout search
+// — each placement unit maps to the set of classes holding a copy — and
+// fits one byte because NumClasses <= 8, which is the byte a
+// catalog.CompactLayout stores per unit.
 //
 // The empty set is not a valid placement (every unit needs at least one
-// copy); singleton sets are exactly the single-class placements of the
-// non-replicated path.
+// copy); singleton sets are exactly the paper's single-class placements
+// L: O -> D, so single-copy search is the search over singleton sets.
 type ClassSet uint8
 
 // NumClassSets sizes dense per-(unit, class-set) tables: class-set masks
@@ -96,8 +96,9 @@ func (s ClassSet) String() string {
 // EnumerateClassSets lists every non-empty subset of the given classes with
 // at most maxReplicas members, in ascending mask order. Ascending mask
 // order makes singleton sets appear in ascending class order (mask 1<<c
-// grows with c), so a maxReplicas=1 enumeration visits exactly the classes
-// in the order the single-class search does. maxReplicas < 1 means no cap.
+// grows with c), so a maxReplicas=1 enumeration visits exactly the classes,
+// in class order — the alphabet of single-copy search. maxReplicas < 1
+// means no cap.
 func EnumerateClassSets(classes []Class, maxReplicas int) []ClassSet {
 	var avail ClassSet
 	for _, c := range classes {

@@ -38,8 +38,8 @@ const (
 var AllClasses = []Class{HDD, HDDRAID0, LSSD, LSSDRAID0, HSSD}
 
 // NumClasses is the number of storage classes. Class values are dense in
-// [0, NumClasses), so they can index fixed-width tables (the compiled cost
-// model's per-(object, class) time tables and per-class byte accumulators).
+// [0, NumClasses), so they can index fixed-width tables (per-class service
+// times and byte accumulators) and number the bits of a ClassSet.
 const NumClasses = int(numClasses)
 
 // ValidClass reports whether c is one of the defined storage classes.
