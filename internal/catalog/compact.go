@@ -175,72 +175,64 @@ const maskBits = 8
 // a zero-sized one — holds a copy on it, mirroring the map form's
 // SpaceByClass key set.
 //
-// This walk runs twice per candidate on the search hot path (profiles of a
-// 500-unit advise put it above 40% of the search), so a slot's first member
-// — its only one in single-copy search — costs one indexed add, further
-// copies loop, and the usage flags are derived afterwards from the few
-// distinct masks seen rather than stored per slot.
+// This walk is the search's hot loop (profiles of a 500-unit advise put it
+// above 40% of the search), so sizes are first summed per distinct mask —
+// one indexed add per slot, what a class-byte table costs — and each mask
+// seen (three on a three-class single-copy search) is then charged to its
+// members. Integer sums regroup exactly, so the totals are those of the
+// slot-by-slot definition.
 func (cl CompactLayout) spaceDense(sizes []int64) (space [maskBits]int64, used [maskBits]bool) {
+	var byMask [device.NumClassSets]int64
 	var seen uint32
-	for i, v := range cl.b {
-		if v-1 >= device.NumClassSets-1 { // unset, empty, or naming an undefined class
-			if v != slotUnset && v != 0 {
-				used[bits.Len8(v)-1] = true
-			}
-			continue
-		}
-		seen |= 1 << v
-		if i >= len(sizes) {
-			continue
-		}
-		space[bits.TrailingZeros8(v)] += sizes[i]
-		for m := v & (v - 1); m != 0; m &= m - 1 {
-			space[bits.TrailingZeros8(m)] += sizes[i]
+	sized := cl.b[:min(len(cl.b), len(sizes))]
+	for i, v := range sized {
+		if v < device.NumClassSets {
+			seen |= 1 << v
+			byMask[v] += sizes[i]
+		} else if v != slotUnset {
+			used[bits.Len8(v)-1] = true // names an undefined class
 		}
 	}
-	for ; seen != 0; seen &= seen - 1 {
-		for m := uint8(bits.TrailingZeros32(seen)); m != 0; m &= m - 1 {
-			used[bits.TrailingZeros8(m)] = true
+	for _, v := range cl.b[len(sized):] {
+		if v < device.NumClassSets {
+			seen |= 1 << v
+		} else if v != slotUnset {
+			used[bits.Len8(v)-1] = true
+		}
+	}
+	for seen &^= 1; seen != 0; seen &= seen - 1 { // the empty set holds no copy
+		v := bits.TrailingZeros32(seen)
+		for m := uint8(v); m != 0; m &= m - 1 {
+			c := bits.TrailingZeros8(m)
+			space[c] += byMask[v]
+			used[c] = true
 		}
 	}
 	return space, used
 }
 
-// CostCentsPerHourDense computes the linear layout cost C(L) over a dense
-// size table (see SetLayout.CostCentsPerHour). Classes are summed in
-// ascending order — the same order as the map forms — so the paths produce
-// bit-identical floats.
-func (cl CompactLayout) CostCentsPerHourDense(sizes []int64, box *device.Box) (float64, error) {
+// PriceDense computes the linear layout cost C(L) in cents/hour and the
+// capacity verdict over a dense size table, in one walk of the layout (see
+// SetLayout.CostCentsPerHour and CheckCapacity, the map-form references).
+// Classes are summed in ascending order — the same order as the map forms —
+// so the paths produce bit-identical floats. A copy on a class the box does
+// not carry is an error (and does not fit). The verdict comes without a
+// diagnostic: the search only needs the bit, and over-capacity candidates
+// are common enough that building a discarded error per candidate shows up
+// in profiles.
+func (cl CompactLayout) PriceDense(sizes []int64, box *device.Box) (cost float64, fits bool, err error) {
 	space, used := cl.spaceDense(sizes)
-	var cost float64
+	fits = true
 	for c := range used {
 		if !used[c] {
 			continue
 		}
 		d := box.Device(device.Class(c))
 		if d == nil {
-			return 0, fmt.Errorf("catalog: layout uses class %v not present in box %q", device.Class(c), box.Name)
+			return 0, false, fmt.Errorf("catalog: layout uses class %v not present in box %q", device.Class(c), box.Name)
 		}
 		cost += d.PriceCents * float64(space[c]) / 1e9
+		fits = fits && space[c] < d.CapacityBytes
 	}
-	return cost, nil
-}
-
-// FitsCapacityDense reports whether the layout satisfies the capacity
-// constraints over a dense size table (see SetLayout.CheckCapacity). It
-// returns the verdict without a diagnostic error — the search hot path only
-// needs the verdict, and over-capacity candidates are common enough that
-// building a discarded error per candidate shows up in profiles.
-func (cl CompactLayout) FitsCapacityDense(sizes []int64, box *device.Box) bool {
-	space, used := cl.spaceDense(sizes)
-	for c := range used {
-		if !used[c] {
-			continue
-		}
-		d := box.Device(device.Class(c))
-		if d == nil || space[c] >= d.CapacityBytes {
-			return false
-		}
-	}
-	return true
+	return cost, fits, nil
 }

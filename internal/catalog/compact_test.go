@@ -138,14 +138,14 @@ func TestCompactDenseCostCapacityParity(t *testing.T) {
 			l := randomSetLayout(rng, cat, alphabet, false)
 			cl, _ := CompactFromSetLayout(cat, l)
 			wantCost, wantErr := l.CostCentsPerHour(cat, box)
-			gotCost, gotErr := cl.CostCentsPerHourDense(sizes, box)
+			gotCost, fits, gotErr := cl.PriceDense(sizes, box)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("alphabet %d trial %d: cost error mismatch: %v vs %v", ai, trial, wantErr, gotErr)
 			}
 			if math.Float64bits(wantCost) != math.Float64bits(gotCost) {
 				t.Fatalf("alphabet %d trial %d: cost %v != dense cost %v", ai, trial, wantCost, gotCost)
 			}
-			if (l.CheckCapacity(cat, box) == nil) != cl.FitsCapacityDense(sizes, box) {
+			if (l.CheckCapacity(cat, box) == nil) != fits {
 				t.Fatalf("alphabet %d trial %d: capacity verdict mismatch", ai, trial)
 			}
 			single, ok := l.SingleLayout()
@@ -175,8 +175,8 @@ func TestCompactDenseCostCapacityParity(t *testing.T) {
 	if _, err := l.CostCentsPerHour(cat, box); err == nil {
 		t.Fatal("map cost must reject a class absent from the box")
 	}
-	if _, err := cl.CostCentsPerHourDense(sizes, box); err == nil {
-		t.Fatal("dense cost must reject a class absent from the box")
+	if _, fits, err := cl.PriceDense(sizes, box); err == nil || fits {
+		t.Fatal("dense pricing must reject a class absent from the box")
 	}
 }
 

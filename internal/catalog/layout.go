@@ -121,7 +121,7 @@ func SortedClasses[V any](m map[device.Class]V) []device.Class {
 
 // CostCentsPerHour computes the layout cost C(L) = sum_j p_j * S_j in
 // cents per hour (paper §2.1). Classes are summed in ascending order so the
-// float total is deterministic and matches CostCentsPerHourDense bit for
+// float total is deterministic and matches CompactLayout.PriceDense bit for
 // bit.
 func (l Layout) CostCentsPerHour(c *Catalog, box *device.Box) (float64, error) {
 	return spaceCost(l.SpaceByClass(c), box)
@@ -261,7 +261,7 @@ func (l SetLayout) SpaceByClass(c *Catalog) map[device.Class]int64 {
 // CostCentsPerHour computes the layout cost sum_j p_j * S_j with every copy
 // charged its full size. Classes are summed in ascending order with the
 // single-class expression, so a layout of singleton sets prices
-// bit-identically to its Layout form and to CostCentsPerHourDense.
+// bit-identically to its Layout form and to CompactLayout.PriceDense.
 func (l SetLayout) CostCentsPerHour(c *Catalog, box *device.Box) (float64, error) {
 	return spaceCost(l.SpaceByClass(c), box)
 }

@@ -164,11 +164,11 @@ func TestPartitioningUniformCostParity(t *testing.T) {
 			if !ok {
 				t.Fatal("unit layout must encode")
 			}
-			odc, err := ocl.CostCentsPerHourDense(sizes, box)
+			odc, _, err := ocl.PriceDense(sizes, box)
 			if err != nil {
 				t.Fatal(err)
 			}
-			udc, err := ucl.CostCentsPerHourDense(usizes, box)
+			udc, _, err := ucl.PriceDense(usizes, box)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,7 +55,7 @@ func TestSetLayoutReplicaPricing(t *testing.T) {
 
 	// Dense path agrees with the map path bit for bit.
 	cl := CompactUniform(c, pair)
-	dense, err := cl.CostCentsPerHourDense(c.DenseSizeBytes(), box)
+	dense, _, err := cl.PriceDense(c.DenseSizeBytes(), box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,8 @@ func TestSetLayoutErrorPaths(t *testing.T) {
 		t.Fatalf("want absent-class error, got %v", err)
 	}
 	cl := CompactUniform(c, device.NewClassSet(device.HDD, device.HSSD))
-	if _, err := cl.CostCentsPerHourDense(c.DenseSizeBytes(), box); err == nil || !strings.Contains(err.Error(), "not present in box") {
-		t.Fatalf("dense: want absent-class error, got %v", err)
-	}
-	if cl.FitsCapacityDense(c.DenseSizeBytes(), box) {
-		t.Fatal("layout on an absent class cannot fit")
+	if _, fits, err := cl.PriceDense(c.DenseSizeBytes(), box); err == nil || !strings.Contains(err.Error(), "not present in box") || fits {
+		t.Fatalf("dense: want absent-class error and no fit, got %v (fits %v)", err, fits)
 	}
 
 	huge := New()

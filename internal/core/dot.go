@@ -294,12 +294,30 @@ func (in Input) toc(m workload.Metrics, l catalog.SetLayout) (float64, error) {
 	return tocOf(perHour, m), err
 }
 
+// price is the engine's map-path hook: the TOC and the capacity verdict.
+func (in Input) price(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
+	toc, err := in.toc(m, l)
+	if err != nil {
+		return 0, false, err
+	}
+	return toc, l.CheckCapacity(in.Cat, in.Box) == nil, nil
+}
+
 // alphabet is the digit alphabet of a search at the given copy cap: every
-// set of at most that many of the box's classes, singletons first in
-// ascending class order — so a cap of one enumerates exactly the box's
-// classes, in the order a single-class search would.
+// set of at most that many of the box's classes. A cap of one is the
+// paper's L: O -> D and enumerates the box's classes in the order the box
+// declares them (exhaustive ties break toward the earlier digit, so the
+// order is part of the search); wider alphabets run in ascending mask
+// order.
 func (in Input) alphabet(copyCap int) []device.ClassSet {
-	return device.EnumerateClassSets(in.Box.Classes(), copyCap)
+	if copyCap != 1 {
+		return device.EnumerateClassSets(in.Box.Classes(), copyCap)
+	}
+	digits := make([]device.ClassSet, len(in.Box.Devices))
+	for i, d := range in.Box.Devices {
+		digits[i] = device.Singleton(d.Class)
+	}
+	return digits
 }
 
 // engine builds the candidate-evaluation engine for this input at a copy
@@ -323,12 +341,11 @@ func (in Input) engine(copyCap int) (*search.Engine, error) {
 		}
 	}
 	return search.New(search.Config{
-		Est:        in.Est,
-		Cost:       in.toc,
-		CapacityOK: func(l catalog.SetLayout) bool { return l.CheckCapacity(in.Cat, in.Box) == nil },
-		Workers:    in.Workers,
-		Budget:     in.Budget,
-		Compiled:   in.compiledConfig(in.alphabet(copyCap)),
+		Est:      in.Est,
+		Price:    in.price,
+		Workers:  in.Workers,
+		Budget:   in.Budget,
+		Compiled: in.compiledConfig(in.alphabet(copyCap)),
 	})
 }
 
@@ -359,18 +376,14 @@ func (in Input) compiledConfig(alphabet []device.ClassSet) *search.CompiledConfi
 		Cat:   in.Cat,
 		Est:   ce,
 		Delta: de,
-		Cost: func(m workload.Metrics, cl catalog.CompactLayout) (float64, error) {
-			var perHour float64
-			var err error
+		Price: func(m workload.Metrics, cl catalog.CompactLayout) (float64, bool, error) {
+			perHour, fits, err := cl.PriceDense(sizes, in.Box)
 			if in.LayoutCostCompact != nil {
+				// The custom model prices; the walk still decides the fit (a
+				// copy on a class the box lacks does not fit).
 				perHour, err = in.LayoutCostCompact(cl)
-			} else {
-				perHour, err = cl.CostCentsPerHourDense(sizes, in.Box)
 			}
-			return tocOf(perHour, m), err
-		},
-		CapacityOK: func(cl catalog.CompactLayout) bool {
-			return cl.FitsCapacityDense(sizes, in.Box)
+			return tocOf(perHour, m), fits, err
 		},
 	}
 }
@@ -701,7 +714,7 @@ func (in Input) replicaTransitions(copyCap int) [][]device.ClassSet {
 	}
 	digits := in.alphabet(copyCap)
 	out := make([][]device.ClassSet, device.NumClassSets)
-	for _, cur := range in.alphabet(0) {
+	for _, cur := range in.alphabet(device.NumClasses) {
 		for _, tgt := range digits {
 			switch (cur ^ tgt).Count() {
 			case 1:

@@ -56,10 +56,10 @@ func TestBudgetBoundsAcrossEngines(t *testing.T) {
 		t.Fatalf("Workers = %d, want %d", b.Workers(), width)
 	}
 	est := &gaugeEstimator{}
-	cost := func(m workload.Metrics, l catalog.SetLayout) (float64, error) { return 1, nil }
+	price := func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) { return 1, true, nil }
 	var engines []*Engine
 	for i := 0; i < 4; i++ {
-		e, err := New(Config{Est: est, Cost: cost, Budget: b})
+		e, err := New(Config{Est: est, Price: price, Budget: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestNewBudgetSequential(t *testing.T) {
 		t.Fatalf("Workers = %d, want 1", b.Workers())
 	}
 	est := &gaugeEstimator{}
-	e, err := New(Config{Est: est, Cost: func(m workload.Metrics, l catalog.SetLayout) (float64, error) { return 1, nil }, Budget: b})
+	e, err := New(Config{Est: est, Price: func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) { return 1, true, nil }, Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,12 +49,11 @@ func newCompactFix(t *testing.T, n int) *compactFix {
 func (f *compactFix) config(compiled bool, workers int) Config {
 	cfg := Config{
 		Est: f.est,
-		Cost: func(m workload.Metrics, l catalog.SetLayout) (float64, error) {
+		Price: func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
 			perHour, err := l.CostCentsPerHour(f.cat, f.box)
-			return perHour * m.Elapsed.Hours(), err
+			return perHour * m.Elapsed.Hours(), l.CheckCapacity(f.cat, f.box) == nil, err
 		},
-		CapacityOK: func(l catalog.SetLayout) bool { return l.CheckCapacity(f.cat, f.box) == nil },
-		Workers:    workers,
+		Workers: workers,
 	}
 	if compiled {
 		ce := f.est.(workload.CompactEstimator)
@@ -63,15 +62,9 @@ func (f *compactFix) config(compiled bool, workers int) Config {
 			Cat:   f.cat,
 			Est:   ce,
 			Delta: de,
-			Cost: func(m workload.Metrics, cl catalog.CompactLayout) (float64, error) {
-				perHour, err := cl.CostCentsPerHourDense(f.sizes, f.box)
-				if err != nil {
-					return 0, err
-				}
-				return perHour * m.Elapsed.Hours(), nil
-			},
-			CapacityOK: func(cl catalog.CompactLayout) bool {
-				return cl.FitsCapacityDense(f.sizes, f.box)
+			Price: func(m workload.Metrics, cl catalog.CompactLayout) (float64, bool, error) {
+				perHour, fits, err := cl.PriceDense(f.sizes, f.box)
+				return perHour * m.Elapsed.Hours(), fits, err
 			},
 		}
 	}

@@ -1,7 +1,8 @@
 // Package search is the shared layout-search engine behind DOT, exhaustive
 // search and the SLA-relaxing wrappers (paper §3, §4.4.3, §4.5.3). All of
 // them reduce to the same inner loop — estimate a candidate layout, price
-// it, check capacity and the SLA — which this package implements once, with
+// it (cost and capacity fit), check the SLA — which this package implements
+// once, with
 //
 //   - a memo table keyed by the canonical layout encoding (the raw bytes of
 //     a catalog.CompactLayout on the compiled path, catalog.SetLayout.Key on
@@ -42,8 +43,8 @@ import (
 // CompiledConfig enables the engine's compiled evaluation path: candidates
 // are compact layouts (dense class-set bytes), the memo is keyed by their raw
 // byte strings, and metrics come from a CompactEstimator — with O(moves)
-// delta re-estimation when the estimator supports it. The compiled hooks
-// must price and capacity-check exactly like their map-path siblings in
+// delta re-estimation when the estimator supports it. The compiled hook
+// must price and capacity-check exactly like its map-path sibling in
 // Config; results are bit-identical either way, the compiled path just
 // stops allocating per candidate.
 type CompiledConfig struct {
@@ -54,16 +55,12 @@ type CompiledConfig struct {
 	// Delta optionally re-estimates single/grouped object moves in O(moves)
 	// from a base evaluation. Nil falls back to full compact estimation.
 	Delta workload.DeltaEstimator
-	// Cost prices the estimated metrics under a compact layout. Required;
-	// must agree bit-for-bit with Config.Cost.
-	Cost func(m workload.Metrics, cl catalog.CompactLayout) (float64, error)
-	// CapacityOK reports whether the compact layout fits the box; nil passes
-	// every layout. Must agree with Config.CapacityOK.
-	CapacityOK func(cl catalog.CompactLayout) bool
+	// Price is Config.Price over a compact layout. Required; must agree with
+	// it bit for bit.
+	Price func(m workload.Metrics, cl catalog.CompactLayout) (toc float64, fits bool, err error)
 }
 
-// Config assembles an Engine. Est and Cost are required; CapacityOK may be
-// nil (every layout then passes the capacity check).
+// Config assembles an Engine. Est and Price are required.
 type Config struct {
 	// Est predicts workload metrics for a candidate layout (through
 	// workload.EstimateSet: an estimator without a replica form sees the
@@ -71,10 +68,11 @@ type Config struct {
 	// called at most once per distinct layout; when Workers > 1 it must be
 	// safe for concurrent use.
 	Est workload.Estimator
-	// Cost prices the estimated metrics under the layout (the TOC model).
-	Cost func(m workload.Metrics, l catalog.SetLayout) (float64, error)
-	// CapacityOK reports whether the layout fits the box.
-	CapacityOK func(l catalog.SetLayout) bool
+	// Price prices the estimated metrics under the layout (the TOC model)
+	// and reports whether the layout fits the box — one hook, because both
+	// answers read the same per-class byte totals and the walk that produces
+	// them dominates a candidate's cost on wide catalogs.
+	Price func(m workload.Metrics, l catalog.SetLayout) (toc float64, fits bool, err error)
 	// Workers bounds the evaluation fan-out. Values below 2 select the
 	// sequential path (no goroutines, no concurrent estimator use).
 	Workers int
@@ -226,11 +224,11 @@ type Engine struct {
 // New builds an engine. It returns an error when the config lacks the
 // estimator or the cost model, or when the compiled config is incomplete.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Est == nil || cfg.Cost == nil {
-		return nil, fmt.Errorf("search: Config requires Est and Cost")
+	if cfg.Est == nil || cfg.Price == nil {
+		return nil, fmt.Errorf("search: Config requires Est and Price")
 	}
-	if cc := cfg.Compiled; cc != nil && (cc.Cat == nil || cc.Est == nil || cc.Cost == nil) {
-		return nil, fmt.Errorf("search: CompiledConfig requires Cat, Est and Cost")
+	if cc := cfg.Compiled; cc != nil && (cc.Cat == nil || cc.Est == nil || cc.Price == nil) {
+		return nil, fmt.Errorf("search: CompiledConfig requires Cat, Est and Price")
 	}
 	e := &Engine{cfg: cfg, memo: make(map[string]*entry)}
 	if cfg.Compiled != nil {
@@ -315,7 +313,7 @@ func (e *Engine) memoLimit() int {
 	}
 }
 
-// measure runs the estimate → price → capacity pipeline once, uncached.
+// measure runs the estimate → price pipeline once, uncached.
 func (e *Engine) measure(l catalog.SetLayout) (Eval, error) {
 	if e.sem != nil {
 		e.sem <- struct{}{}
@@ -330,16 +328,11 @@ func (e *Engine) measure(l catalog.SetLayout) (Eval, error) {
 	if err != nil {
 		return Eval{}, err
 	}
-	toc, err := e.cfg.Cost(m, l)
+	toc, fits, err := e.cfg.Price(m, l)
 	if err != nil {
 		return Eval{}, err
 	}
-	return Eval{
-		Layout:     l,
-		Metrics:    m,
-		TOCCents:   toc,
-		CapacityOK: e.cfg.CapacityOK == nil || e.cfg.CapacityOK(l),
-	}, nil
+	return Eval{Layout: l, Metrics: m, TOCCents: toc, CapacityOK: fits}, nil
 }
 
 // Evaluate runs one layout through the pipeline, answering from the memo
@@ -454,8 +447,8 @@ func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, baseM wor
 	return ent.ev, ent.err
 }
 
-// measureCompact runs the compiled estimate → price → capacity pipeline
-// once, uncached.
+// measureCompact runs the compiled estimate → price pipeline once,
+// uncached.
 func (e *Engine) measureCompact(cl catalog.CompactLayout, baseM workload.Metrics, baseState workload.DeltaState, moves []workload.ObjectMove) (Eval, error) {
 	if e.sem != nil {
 		e.sem <- struct{}{}
@@ -483,17 +476,11 @@ func (e *Engine) measureCompact(cl catalog.CompactLayout, baseM workload.Metrics
 	if err != nil {
 		return Eval{}, err
 	}
-	toc, err := cc.Cost(m, cl)
+	toc, fits, err := cc.Price(m, cl)
 	if err != nil {
 		return Eval{}, err
 	}
-	return Eval{
-		Compact:    cl,
-		Metrics:    m,
-		TOCCents:   toc,
-		CapacityOK: cc.CapacityOK == nil || cc.CapacityOK(cl),
-		state:      st,
-	}, nil
+	return Eval{Compact: cl, Metrics: m, TOCCents: toc, CapacityOK: fits, state: st}, nil
 }
 
 // EvaluateAll evaluates the candidates, fanning out across the worker pool,

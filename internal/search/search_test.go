@@ -62,8 +62,8 @@ func newEngine(t *testing.T, workers int, est *fakeEst) *Engine {
 	t.Helper()
 	eng, err := New(Config{
 		Est: est,
-		Cost: func(m workload.Metrics, l catalog.SetLayout) (float64, error) {
-			return hourly(l) * m.Elapsed.Hours(), nil
+		Price: func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
+			return hourly(l) * m.Elapsed.Hours(), true, nil
 		},
 		Workers: workers,
 	})
@@ -130,7 +130,7 @@ func TestMemoLimitBoundsRetention(t *testing.T) {
 	est := testEst()
 	eng, err := New(Config{
 		Est:       est,
-		Cost:      func(m workload.Metrics, l catalog.SetLayout) (float64, error) { return 1, nil },
+		Price:     func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) { return 1, true, nil },
 		MemoLimit: 1,
 	})
 	if err != nil {
