@@ -107,8 +107,9 @@ func CompileProfile(p Profile, box *device.Box, concurrency, n int, alphabet []d
 }
 
 // setIOTime prices one object's I/O vector on a class set from resolved
-// per-class service times — the one arithmetic behind both the compiled
-// tables and Profile.SetIOTime. Reads go to the best replica: minimum
+// per-class service times — the arithmetic of every compiled table entry
+// (Profile.SetIOTime is the separately written reference it is tested
+// against). Reads go to the best replica: minimum
 // member service time, ties to the lowest class (ascending scan, strict
 // improvement). Writes charge every replica, members in ascending class
 // order: one term per member, exactly the single-class term for it.

@@ -145,19 +145,18 @@ func DiscreteCostModels(cat *catalog.Catalog, box *device.Box, alpha float64) (f
 	}
 	sizes := cat.DenseSizeBytes()
 	compactModel := func(cl catalog.CompactLayout) (float64, error) {
-		// The model is a function of single-class layouts: a placement byte
-		// is a singleton set, and its class the mask's one set bit. Bytes
-		// that are not singletons of a defined class are skipped, like
-		// unplaced slots.
-		var byClass [device.NumClasses]int64
+		// The model is a function of single-class layouts: sizes are summed
+		// per placement byte and only the singleton masks are read back, so
+		// any other byte is skipped, like an unplaced slot.
+		var byMask [device.NumClassSets]int64
 		for i, v := range cl.Bytes() {
-			if c, ok := device.ClassSet(v).Single(); ok && device.ValidClass(c) && i < len(sizes) {
-				byClass[c] += sizes[i]
+			if v < device.NumClassSets && i < len(sizes) {
+				byMask[v] += sizes[i]
 			}
 		}
 		var total float64
 		for c := 0; c < device.NumClasses; c++ {
-			bytes := byClass[c]
+			bytes := byMask[device.Singleton(device.Class(c))]
 			if bytes == 0 {
 				continue
 			}

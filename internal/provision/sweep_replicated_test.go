@@ -50,7 +50,7 @@ func replicaSweepBase(t *testing.T, grid Grid, workers int) core.Input {
 // TestSweepConfigurationsReplicated: the replicated sweep picks a feasible
 // minimum-TOC candidate, reports every candidate, and is deterministic
 // across worker counts.
-func TestSweepConfigurations(t *testing.T) {
+func TestSweepConfigurationsReplicated(t *testing.T) {
 	grid := Grid{
 		Devices: []DeviceOption{
 			{Class: device.HDDRAID0, Counts: []int{0, 1}},
