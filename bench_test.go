@@ -21,8 +21,11 @@ import (
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
 	"dotprov/internal/device"
+	"dotprov/internal/engine"
 	"dotprov/internal/iosim"
 	"dotprov/internal/online"
+	"dotprov/internal/plan"
+	"dotprov/internal/tpch"
 	"dotprov/internal/types"
 	"dotprov/internal/workload"
 )
@@ -866,6 +869,74 @@ func BenchmarkPartitionedReplicatedDOT(b *testing.B) {
 			b.ReportMetric(float64(res.EstimatorCalls), "est-calls")
 			b.ReportMetric(float64(res.Evaluated), "evaluated")
 			b.ReportMetric(float64(pt.NumUnits()), "units")
+		})
+	}
+}
+
+// ---- Executor benchmarks ---------------------------------------------------
+
+// BenchmarkExecutorTPCH executes single TPC-H plans over a loaded database —
+// the work DOT's validation phase repeats for every query of every test run
+// — and reports, beside -benchmem's B/op, the bytes allocated per row of the
+// tables the query names (B/row). Q1 is scan->aggregate over lineitem, Q3 and
+// Q5 add hash joins below the aggregate, inlj is the modified Q9 on an
+// all-H-SSD layout, where the optimizer switches to indexed nested-loop
+// joins. The executor lends its tuples and decodes only the columns a plan
+// reads, so B/op must not scale with the rows scanned: benchguard gate 11
+// holds Q1's B/op under a fixed ceiling.
+func BenchmarkExecutorTPCH(b *testing.B) {
+	cfg := tpch.Config{ScaleFactor: 0.01, Seed: 1}
+	db := engine.New(device.Box2(), engine.DefaultPoolPages)
+	if err := tpch.Build(db, cfg); err != nil {
+		b.Fatal(err)
+	}
+	original, modified := tpch.OriginalWorkload(cfg, 2).Queries, tpch.ModifiedWorkload(cfg, 2).Queries
+	for _, c := range []struct {
+		name  string
+		q     *plan.Query
+		class device.Class
+		inlj  bool
+	}{
+		{"Q1", original[0], device.HDD, false},
+		{"Q3", original[2], device.HDD, false},
+		{"Q5", original[4], device.HDD, false},
+		{"inlj", modified[2], device.HSSD, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, c.class)); err != nil {
+				b.Fatal(err)
+			}
+			pl, err := db.Plan(c.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if algos := pl.JoinAlgos(); c.inlj != (len(algos) > 0 && algos[0] == plan.IndexNLJoin) {
+				b.Fatalf("%s plans %v", c.q.Name, algos)
+			}
+			rows := 0
+			for _, t := range c.q.Tables {
+				tab, err := db.Cat.TableByName(t)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += int(db.Heap(tab.ID).NumRows())
+			}
+			sess, err := db.NewSession()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.RunPlan(pl); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(rows), "B/row")
 		})
 	}
 }

@@ -125,7 +125,7 @@ func (s *Session) LookupEq(indexName string, vals ...types.Value) ([]types.Tuple
 			return false
 		}
 		s.acct.ChargeCPU(plan.CPUTupleTime)
-		tuples = append(tuples, tu.Clone())
+		tuples = append(tuples, tu)
 		rids = append(rids, rid)
 		return true
 	})

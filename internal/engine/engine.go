@@ -139,12 +139,16 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool) (*c
 		return nil, err
 	}
 	heap := db.heaps[t.ID]
-	n := t.Schema.Len()
+	// One reused row, decoding the key columns only.
+	tu := make(types.Tuple, t.Schema.Len())
+	mask := make([]bool, len(tu))
+	for _, p := range pos {
+		mask[p] = true
+	}
 	var key []byte
+	var decodeErr error
 	err = heap.Scan(db.pool, bufferpool.NopCharger{}, func(rid pagestore.RID, rec []byte) bool {
-		tu, _, derr := types.DecodeTuple(rec, n)
-		if derr != nil {
-			err = derr
+		if _, decodeErr = types.DecodeTupleInto(tu, rec, mask); decodeErr != nil {
 			return false
 		}
 		key = key[:0]
@@ -154,6 +158,9 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool) (*c
 		tree.Insert(db.pool, bufferpool.NopCharger{}, key, rid)
 		return true
 	})
+	if decodeErr != nil {
+		return nil, decodeErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -309,9 +316,9 @@ func (db *DB) Analyze() error {
 		}
 		var key []byte
 		var decodeErr error
+		tu := make(types.Tuple, n) // reused: only Values are copied out of it
 		heap.Scan(db.pool, bufferpool.NopCharger{}, func(_ pagestore.RID, rec []byte) bool {
-			tu, _, err := types.DecodeTuple(rec, n)
-			if err != nil {
+			if _, err := types.DecodeTupleInto(tu, rec, nil); err != nil {
 				decodeErr = err
 				return false
 			}

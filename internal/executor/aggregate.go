@@ -55,14 +55,16 @@ func (a *aggState) result() types.Value {
 }
 
 func (e *exec) aggregate(a *plan.AggNode, emit func(types.Tuple) bool) error {
+	// The input is asked for the group-by and aggregated columns only.
 	inSchema := a.Input.Schema()
+	ask := make([]bool, len(inSchema))
 	groupPos := make([]int, len(a.GroupBy))
 	for i, g := range a.GroupBy {
 		p, err := colPos(inSchema, g)
 		if err != nil {
 			return err
 		}
-		groupPos[i] = p
+		groupPos[i], ask[p] = p, true
 	}
 	aggPos := make([]int, len(a.Aggs))
 	for i, g := range a.Aggs {
@@ -74,19 +76,19 @@ func (e *exec) aggregate(a *plan.AggNode, emit func(types.Tuple) bool) error {
 		if err != nil {
 			return err
 		}
-		aggPos[i] = p
+		aggPos[i], ask[p] = p, true
 	}
 
 	type group struct {
 		key    types.Tuple
-		states []*aggState
+		states []aggState
 	}
 	groups := make(map[string]*group)
-	order := make([]string, 0, 16) // deterministic output order (first seen)
+	var order []*group // deterministic output order (first seen)
 	var keyBuf []byte
 	perRow := plan.CPUHashTime + plan.CPUAggTime*time.Duration(len(a.Aggs))
 
-	err := e.run(a.Input, func(tu types.Tuple) bool {
+	err := e.run(a.Input, ask, func(tu types.Tuple) bool {
 		e.acct.ChargeCPU(perRow)
 		keyBuf = keyBuf[:0]
 		for _, p := range groupPos {
@@ -94,21 +96,21 @@ func (e *exec) aggregate(a *plan.AggNode, emit func(types.Tuple) bool) error {
 		}
 		g, ok := groups[string(keyBuf)]
 		if !ok {
-			g = &group{states: make([]*aggState, len(a.Aggs))}
+			g = &group{key: make(types.Tuple, len(groupPos)), states: make([]aggState, len(a.Aggs))}
 			for i := range g.states {
-				g.states[i] = &aggState{fn: a.Aggs[i].Func}
+				g.states[i].fn = a.Aggs[i].Func
 			}
-			for _, p := range groupPos {
-				g.key = append(g.key, tu[p])
+			for i, p := range groupPos {
+				g.key[i] = tu[p]
 			}
 			groups[string(keyBuf)] = g
-			order = append(order, string(keyBuf))
+			order = append(order, g)
 		}
-		for i, st := range g.states {
+		for i := range g.states {
 			if aggPos[i] < 0 {
-				st.add(types.NewInt(1))
+				g.states[i].add(types.NewInt(1))
 			} else {
-				st.add(tu[aggPos[i]])
+				g.states[i].add(tu[aggPos[i]])
 			}
 		}
 		return true
@@ -116,9 +118,10 @@ func (e *exec) aggregate(a *plan.AggNode, emit func(types.Tuple) bool) error {
 	if err != nil {
 		return err
 	}
+	// Output rows are assembled in one reused tuple.
+	out := make(types.Tuple, 0, len(a.GroupBy)+len(a.Aggs))
 	// A global aggregate over an empty input still yields one row (count=0).
 	if len(groups) == 0 && len(a.GroupBy) == 0 {
-		out := make(types.Tuple, 0, len(a.Aggs))
 		for _, g := range a.Aggs {
 			if g.Func == plan.Count {
 				out = append(out, types.NewInt(0))
@@ -129,12 +132,10 @@ func (e *exec) aggregate(a *plan.AggNode, emit func(types.Tuple) bool) error {
 		emit(out)
 		return nil
 	}
-	for _, k := range order {
-		g := groups[k]
-		out := make(types.Tuple, 0, len(g.key)+len(g.states))
-		out = append(out, g.key...)
-		for _, st := range g.states {
-			out = append(out, st.result())
+	for _, g := range order {
+		out = append(out[:0], g.key...)
+		for i := range g.states {
+			out = append(out, g.states[i].result())
 		}
 		if !emit(out) {
 			return nil

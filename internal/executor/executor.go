@@ -13,6 +13,19 @@
 // its own between runs; all device accounting flows through the
 // iosim.Accountant it is handed, which is what makes profiles captured
 // during execution exact (the online collector taps that same stream).
+//
+// Tuples are borrowed: the tuple an operator hands to its consumer is valid
+// for that one call, because scans decode every record into one reused row
+// and joins assemble every match in one reused tuple. Only what retains a
+// row copies it — Run into Result.Tuples, a hash join's build side into its
+// chunks, an aggregate its group keys and extremes. And each consumer says,
+// top-down, which columns it reads (nil = all, which is what Run asks of
+// the root, so results are complete): an aggregate needs its group-by and
+// aggregated columns, a join adds its key to what it asks of each child, a
+// scan adds its predicates' columns and skips decoding the rest. Neither
+// rule changes a charge: the same rows flow in the same order through the
+// same page accesses, so virtual time, profiles and results are exactly
+// those of an executor that materialised every row (testdata/tpch.golden).
 package executor
 
 import (
@@ -49,9 +62,22 @@ type Result struct {
 // Run executes a plan on behalf of one worker, charging I/O and CPU to the
 // accountant, and returns the result.
 func Run(st Storage, acct *iosim.Accountant, p *plan.Plan) (*Result, error) {
-	e := &exec{st: st, acct: acct}
+	return (&exec{st: st, acct: acct}).collect(p.Root)
+}
+
+type exec struct {
+	st   Storage
+	acct *iosim.Accountant
+	// wrap, when set, is put around every emit an operator is handed. Only
+	// tests set it, to poison borrowed tuples once the consumer returns.
+	wrap func(emit func(types.Tuple) bool) func(types.Tuple) bool
+}
+
+// collect runs the plan asking for every column and copies the first
+// MaxResultTuples rows out of the operators' scratch.
+func (e *exec) collect(root plan.Node) (*Result, error) {
 	res := &Result{}
-	err := e.run(p.Root, func(t types.Tuple) bool {
+	err := e.run(root, nil, func(t types.Tuple) bool {
 		res.Rows++
 		if len(res.Tuples) < MaxResultTuples {
 			res.Tuples = append(res.Tuples, t.Clone())
@@ -64,39 +90,37 @@ func Run(st Storage, acct *iosim.Accountant, p *plan.Plan) (*Result, error) {
 	return res, nil
 }
 
-type exec struct {
-	st   Storage
-	acct *iosim.Accountant
-}
-
 // run pushes the node's output tuples into emit; emit returning false stops
-// execution early (limit).
-func (e *exec) run(n plan.Node, emit func(types.Tuple) bool) error {
+// execution early (limit). need marks the positions of the node's schema
+// the consumer reads (nil = all); a tuple always has the schema's full
+// width, but only those positions of it are filled in. A tuple is only lent
+// to emit — the operator reuses its storage for the next row — so a
+// consumer that keeps a row copies it.
+func (e *exec) run(n plan.Node, need []bool, emit func(types.Tuple) bool) error {
+	if e.wrap != nil {
+		emit = e.wrap(emit)
+	}
 	switch t := n.(type) {
 	case *plan.SeqScan:
-		return e.seqScan(t, emit)
+		return e.seqScan(t, need, emit)
 	case *plan.IndexScan:
-		return e.indexScan(t, emit)
+		return e.indexScan(t, need, emit)
 	case *plan.Join:
 		if t.Algo == plan.HashJoin {
-			return e.hashJoin(t, emit)
+			return e.hashJoin(t, need, emit)
 		}
-		return e.indexNLJoin(t, emit)
+		return e.indexNLJoin(t, need, emit)
 	case *plan.AggNode:
 		return e.aggregate(t, emit)
 	case *plan.LimitNode:
 		left := t.N
-		err := e.run(t.Input, func(tu types.Tuple) bool {
+		return e.run(t.Input, need, func(tu types.Tuple) bool {
 			if left <= 0 {
 				return false
 			}
 			left--
-			if !emit(tu) {
-				return false
-			}
-			return left > 0
+			return emit(tu) && left > 0
 		})
-		return err
 	default:
 		return fmt.Errorf("executor: unknown node %T", n)
 	}
@@ -124,34 +148,73 @@ func matchAll(tu types.Tuple, preds []plan.Pred, idx []int) bool {
 	return true
 }
 
-func (e *exec) seqScan(s *plan.SeqScan, emit func(types.Tuple) bool) error {
-	sch := e.st.TableSchema(s.Table)
-	if sch == nil {
-		return fmt.Errorf("executor: no schema for table %q", s.Table)
+// rowDecoder turns one table's heap records into the tuples an operator
+// emits. It decodes into one reused row only the columns somebody reads —
+// the consumer's need plus the predicates' — and evaluates the predicates
+// there.
+type rowDecoder struct {
+	e      *exec
+	heap   *pagestore.HeapFile
+	row    types.Tuple
+	mask   []bool // columns decoded into row (nil = all)
+	preds  []plan.Pred
+	idx    []int
+	perRow time.Duration
+}
+
+func (e *exec) decoder(table string, id catalog.ObjectID, preds []plan.Pred, need []bool) (*rowDecoder, error) {
+	sch, heap := e.st.TableSchema(table), e.st.Heap(id)
+	if sch == nil || heap == nil {
+		return nil, fmt.Errorf("executor: no schema or heap for table %q", table)
 	}
-	heap := e.st.Heap(s.TableID)
-	if heap == nil {
-		return fmt.Errorf("executor: no heap for table %q", s.Table)
+	idx, err := predIdx(sch, preds)
+	if err != nil {
+		return nil, err
 	}
-	idx, err := predIdx(sch, s.Filter)
+	d := &rowDecoder{e: e, heap: heap, row: make(types.Tuple, sch.Len()), preds: preds, idx: idx,
+		perRow: plan.CPUTupleTime + time.Duration(len(preds))*plan.CPUPredTime}
+	if need != nil {
+		d.mask = make([]bool, sch.Len())
+		copy(d.mask, need)
+		for _, p := range idx {
+			d.mask[p] = true
+		}
+	}
+	return d, nil
+}
+
+// decode charges one row's CPU and returns the record's tuple, borrowed
+// until the next decode, and whether it passed the predicates.
+func (d *rowDecoder) decode(rec []byte) (types.Tuple, bool, error) {
+	if _, err := types.DecodeTupleInto(d.row, rec, d.mask); err != nil {
+		return nil, false, err
+	}
+	d.e.acct.ChargeCPU(d.perRow)
+	return d.row, matchAll(d.row, d.preds, d.idx), nil
+}
+
+// fetch is decode on the row an index entry points at.
+func (d *rowDecoder) fetch(rid pagestore.RID) (types.Tuple, bool, error) {
+	rec, err := d.heap.Fetch(d.e.st.Pool(), d.e.acct, rid)
+	if err != nil {
+		return nil, false, err
+	}
+	return d.decode(rec)
+}
+
+func (e *exec) seqScan(s *plan.SeqScan, need []bool, emit func(types.Tuple) bool) error {
+	d, err := e.decoder(s.Table, s.TableID, s.Filter, need)
 	if err != nil {
 		return err
 	}
-	pool := e.st.Pool()
 	var decodeErr error
-	n := len(sch.Columns)
-	perRow := plan.CPUTupleTime + time.Duration(len(s.Filter))*plan.CPUPredTime
-	scanErr := heap.Scan(pool, e.acct, func(_ pagestore.RID, rec []byte) bool {
-		tu, _, err := types.DecodeTuple(rec, n)
+	scanErr := d.heap.Scan(e.st.Pool(), e.acct, func(_ pagestore.RID, rec []byte) bool {
+		tu, ok, err := d.decode(rec)
 		if err != nil {
 			decodeErr = err
 			return false
 		}
-		e.acct.ChargeCPU(perRow)
-		if !matchAll(tu, s.Filter, idx) {
-			return true
-		}
-		return emit(tu)
+		return !ok || emit(tu)
 	})
 	if decodeErr != nil {
 		return decodeErr
@@ -180,41 +243,25 @@ func rangeBounds(s *plan.IndexScan) (lo, hi []byte, loIncl, hiIncl bool) {
 	}
 }
 
-func (e *exec) indexScan(s *plan.IndexScan, emit func(types.Tuple) bool) error {
-	sch := e.st.TableSchema(s.Table)
-	if sch == nil {
-		return fmt.Errorf("executor: no schema for table %q", s.Table)
-	}
-	heap := e.st.Heap(s.TableID)
-	tree := e.st.Tree(s.IndexID)
-	if heap == nil || tree == nil {
-		return fmt.Errorf("executor: missing storage for index scan on %q", s.Table)
-	}
-	idx, err := predIdx(sch, s.Residual)
+func (e *exec) indexScan(s *plan.IndexScan, need []bool, emit func(types.Tuple) bool) error {
+	d, err := e.decoder(s.Table, s.TableID, s.Residual, need)
 	if err != nil {
 		return err
 	}
-	pool := e.st.Pool()
+	tree := e.st.Tree(s.IndexID)
+	if tree == nil {
+		return fmt.Errorf("executor: no tree for index %q", s.Index)
+	}
 	lo, hi, loIncl, hiIncl := rangeBounds(s)
 	var innerErr error
-	n := len(sch.Columns)
-	tree.Range(pool, e.acct, lo, hi, loIncl, hiIncl, func(_ []byte, rid pagestore.RID) bool {
+	tree.Range(e.st.Pool(), e.acct, lo, hi, loIncl, hiIncl, func(_ []byte, rid pagestore.RID) bool {
 		e.acct.ChargeCPU(plan.CPUIndexTime)
-		rec, err := heap.Fetch(pool, e.acct, rid)
+		tu, ok, err := d.fetch(rid)
 		if err != nil {
 			innerErr = err
 			return false
 		}
-		tu, _, err := types.DecodeTuple(rec, n)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		e.acct.ChargeCPU(plan.CPUTupleTime + time.Duration(len(s.Residual))*plan.CPUPredTime)
-		if !matchAll(tu, s.Residual, idx) {
-			return true
-		}
-		return emit(tu)
+		return !ok || emit(tu)
 	})
 	return innerErr
 }
@@ -229,97 +276,174 @@ func colPos(sch []plan.ColRef, c plan.ColRef) (int, error) {
 	return 0, fmt.Errorf("executor: column %v not in schema %v", c, sch)
 }
 
-func (e *exec) hashJoin(j *plan.Join, emit func(types.Tuple) bool) error {
-	innerPos, err := colPos(j.Inner.Schema(), j.InnerCol)
+// widen returns what a join asks of the child holding positions [lo, hi) of
+// its schema: the parent's need there plus the join key (nil stays all).
+func widen(need []bool, lo, hi, key int) []bool {
+	if need == nil {
+		return nil
+	}
+	ask := append([]bool(nil), need[lo:hi]...)
+	ask[key] = true
+	return ask
+}
+
+// wanted lists, relative to lo, the positions in [lo, hi) that need marks.
+func wanted(need []bool, lo, hi int) []int {
+	var out []int
+	for p := lo; p < hi; p++ {
+		if need == nil || need[p] {
+			out = append(out, p-lo)
+		}
+	}
+	return out
+}
+
+// copyAt copies the listed positions of src to the same positions of dst.
+func copyAt(dst, src types.Tuple, pos []int) {
+	for _, p := range pos {
+		dst[p] = src[p]
+	}
+}
+
+// chunkRows is how many build rows one chunk of a buildSide holds.
+const chunkRows = 256
+
+// buildSide retains a hash join's build rows: the wanted columns of each,
+// packed into chunks rather than one allocation a row, with the link that
+// chains the rows of one key in arrival order (tail is kept on a key's
+// first row).
+type buildSide struct {
+	keep   []int // the columns retained
+	n      int32
+	chunks []*buildChunk
+}
+
+type buildChunk struct {
+	vals       []types.Value
+	next, tail [chunkRows]int32
+}
+
+// add retains tu as the next row, chained behind the rows of the key whose
+// first row is head (-1 = a new key), and returns its number.
+func (b *buildSide) add(tu types.Tuple, head int32) int32 {
+	r := b.n
+	b.n++
+	if r%chunkRows == 0 {
+		b.chunks = append(b.chunks, &buildChunk{vals: make([]types.Value, 0, chunkRows*len(b.keep))})
+	}
+	c := b.chunks[r/chunkRows]
+	for _, p := range b.keep {
+		c.vals = append(c.vals, tu[p])
+	}
+	c.next[r%chunkRows], c.tail[r%chunkRows] = -1, r
+	if head >= 0 {
+		h := b.chunks[head/chunkRows]
+		last := h.tail[head%chunkRows]
+		b.chunks[last/chunkRows].next[last%chunkRows] = r
+		h.tail[head%chunkRows] = r
+	}
+	return r
+}
+
+// row returns the retained columns of row r and the next row of its key
+// (-1 = none).
+func (b *buildSide) row(r int32) (types.Tuple, int32) {
+	c, i, w := b.chunks[r/chunkRows], int(r%chunkRows), len(b.keep)
+	return c.vals[i*w : (i+1)*w], c.next[i]
+}
+
+func (e *exec) hashJoin(j *plan.Join, need []bool, emit func(types.Tuple) bool) error {
+	outerSch, innerSch := j.Outer.Schema(), j.Inner.Schema()
+	innerPos, err := colPos(innerSch, j.InnerCol)
 	if err != nil {
 		return err
 	}
-	outerPos, err := colPos(j.Outer.Schema(), j.OuterCol)
+	outerPos, err := colPos(outerSch, j.OuterCol)
 	if err != nil {
 		return err
 	}
-	// Build phase: hash the inner input in memory.
-	table := make(map[string][]types.Tuple)
+	wo, w := len(outerSch), len(outerSch)+len(innerSch)
+	// Build phase: hash the inner input in memory, retaining of each row
+	// the columns the parent reads.
+	heads := make(map[string]int32) // key -> its first build row
+	build := buildSide{keep: wanted(need, wo, w)}
 	var keyBuf []byte
-	err = e.run(j.Inner, func(tu types.Tuple) bool {
+	err = e.run(j.Inner, widen(need, wo, w, innerPos), func(tu types.Tuple) bool {
 		e.acct.ChargeCPU(plan.CPUHashTime)
 		keyBuf = types.EncodeKey(keyBuf[:0], tu[innerPos])
-		table[string(keyBuf)] = append(table[string(keyBuf)], tu.Clone())
+		if head, ok := heads[string(keyBuf)]; ok {
+			build.add(tu, head)
+		} else {
+			heads[string(keyBuf)] = build.add(tu, -1)
+		}
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	// Probe phase.
-	stopped := false
-	err = e.run(j.Outer, func(outer types.Tuple) bool {
+	// Probe phase: matches are assembled in one reused tuple.
+	joined, outerKeep := make(types.Tuple, w), wanted(need, 0, wo)
+	return e.run(j.Outer, widen(need, 0, wo, outerPos), func(outer types.Tuple) bool {
 		e.acct.ChargeCPU(plan.CPUHashTime)
 		keyBuf = types.EncodeKey(keyBuf[:0], outer[outerPos])
-		for _, inner := range table[string(keyBuf)] {
+		r, ok := heads[string(keyBuf)]
+		if !ok {
+			return true
+		}
+		for r >= 0 {
+			var inner types.Tuple
+			inner, r = build.row(r)
 			e.acct.ChargeCPU(plan.CPUTupleTime)
-			joined := make(types.Tuple, 0, len(outer)+len(inner))
-			joined = append(joined, outer...)
-			joined = append(joined, inner...)
+			copyAt(joined, outer, outerKeep)
+			for i, p := range build.keep {
+				joined[wo+p] = inner[i]
+			}
 			if !emit(joined) {
-				stopped = true
 				return false
 			}
 		}
 		return true
 	})
-	_ = stopped
-	return err
 }
 
-func (e *exec) indexNLJoin(j *plan.Join, emit func(types.Tuple) bool) error {
-	outerPos, err := colPos(j.Outer.Schema(), j.OuterCol)
+func (e *exec) indexNLJoin(j *plan.Join, need []bool, emit func(types.Tuple) bool) error {
+	outerSch := j.Outer.Schema()
+	outerPos, err := colPos(outerSch, j.OuterCol)
 	if err != nil {
 		return err
 	}
-	sch := e.st.TableSchema(j.InnerTable)
-	if sch == nil {
-		return fmt.Errorf("executor: no schema for inner table %q", j.InnerTable)
+	wo, w := len(outerSch), len(outerSch)+len(j.InnerCols)
+	var innerNeed []bool
+	if need != nil {
+		innerNeed = need[wo:]
 	}
-	heap := e.st.Heap(j.InnerTableID)
+	d, err := e.decoder(j.InnerTable, j.InnerTableID, j.InnerResidual, innerNeed)
+	if err != nil {
+		return err
+	}
 	tree := e.st.Tree(j.InnerIndexID)
-	if heap == nil || tree == nil {
-		return fmt.Errorf("executor: missing storage for INLJ inner %q", j.InnerTable)
+	if tree == nil {
+		return fmt.Errorf("executor: no tree for index %q", j.InnerIndex)
 	}
-	idx, err := predIdx(sch, j.InnerResidual)
-	if err != nil {
-		return err
-	}
-	pool := e.st.Pool()
-	n := len(sch.Columns)
+	joined, outerKeep, innerKeep := make(types.Tuple, w), wanted(need, 0, wo), wanted(need, wo, w)
 	var keyBuf []byte
 	var innerErr error
-	err = e.run(j.Outer, func(outer types.Tuple) bool {
+	err = e.run(j.Outer, widen(need, 0, wo, outerPos), func(outer types.Tuple) bool {
 		e.acct.ChargeCPU(plan.CPUIndexTime)
 		keyBuf = types.EncodeKey(keyBuf[:0], outer[outerPos])
 		keep := true
-		tree.Range(pool, e.acct, keyBuf, keyBuf, true, true, func(_ []byte, rid pagestore.RID) bool {
-			rec, err := heap.Fetch(pool, e.acct, rid)
+		tree.Range(e.st.Pool(), e.acct, keyBuf, keyBuf, true, true, func(_ []byte, rid pagestore.RID) bool {
+			inner, ok, err := d.fetch(rid)
 			if err != nil {
 				innerErr = err
 				return false
 			}
-			tu, _, err := types.DecodeTuple(rec, n)
-			if err != nil {
-				innerErr = err
-				return false
+			if ok {
+				copyAt(joined, outer, outerKeep)
+				copyAt(joined[wo:], inner, innerKeep)
+				keep = emit(joined)
 			}
-			e.acct.ChargeCPU(plan.CPUTupleTime + time.Duration(len(j.InnerResidual))*plan.CPUPredTime)
-			if !matchAll(tu, j.InnerResidual, idx) {
-				return true
-			}
-			joined := make(types.Tuple, 0, len(outer)+len(tu))
-			joined = append(joined, outer...)
-			joined = append(joined, tu...)
-			if !emit(joined) {
-				keep = false
-				return false
-			}
-			return true
+			return keep
 		})
 		return keep && innerErr == nil
 	})

@@ -223,45 +223,65 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 // DecodeTuple parses a tuple of n values from b. It returns the tuple and
 // the number of bytes consumed.
 func DecodeTuple(b []byte, n int) (Tuple, int, error) {
-	t := make(Tuple, 0, n)
+	t := make(Tuple, n)
+	off, err := DecodeTupleInto(t, b, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, off, nil
+}
+
+// DecodeTupleInto parses len(dst) values from b into dst, overwriting it,
+// and returns the number of bytes consumed — DecodeTuple without the
+// allocation, for callers that look at one row at a time. A non-nil mask
+// (len(dst) long) selects the positions wanted: an unselected value's tag
+// and length are still walked and checked, so a damaged record fails
+// exactly as it does unmasked, but no payload is decoded, no string is
+// materialised, and that position of dst is left untouched.
+func DecodeTupleInto(dst Tuple, b []byte, mask []bool) (int, error) {
 	off := 0
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		if off >= len(b) {
-			return nil, 0, fmt.Errorf("types: truncated tuple (value %d of %d)", i, n)
+			return 0, fmt.Errorf("types: truncated tuple (value %d of %d)", i, len(dst))
 		}
+		want := mask == nil || mask[i]
 		k := Kind(b[off])
 		off++
 		switch k {
 		case KindInt, KindDate:
 			if off+8 > len(b) {
-				return nil, 0, fmt.Errorf("types: truncated int at value %d", i)
+				return 0, fmt.Errorf("types: truncated int at value %d", i)
 			}
-			u := binary.LittleEndian.Uint64(b[off : off+8])
+			if want {
+				dst[i] = Value{Kind: k, Int: int64(binary.LittleEndian.Uint64(b[off:]))}
+			}
 			off += 8
-			t = append(t, Value{Kind: k, Int: int64(u)})
 		case KindFloat:
 			if off+8 > len(b) {
-				return nil, 0, fmt.Errorf("types: truncated float at value %d", i)
+				return 0, fmt.Errorf("types: truncated float at value %d", i)
 			}
-			u := binary.LittleEndian.Uint64(b[off : off+8])
+			if want {
+				dst[i] = Value{Kind: KindFloat, F: math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))}
+			}
 			off += 8
-			t = append(t, Value{Kind: KindFloat, F: math.Float64frombits(u)})
 		case KindString:
 			l, m := binary.Uvarint(b[off:])
 			if m <= 0 {
-				return nil, 0, fmt.Errorf("types: bad string length at value %d", i)
+				return 0, fmt.Errorf("types: bad string length at value %d", i)
 			}
 			off += m
-			if off+int(l) > len(b) {
-				return nil, 0, fmt.Errorf("types: truncated string at value %d", i)
+			if l > uint64(len(b)-off) {
+				return 0, fmt.Errorf("types: truncated string at value %d", i)
 			}
-			t = append(t, Value{Kind: KindString, Str: string(b[off : off+int(l)])})
+			if want {
+				dst[i] = Value{Kind: KindString, Str: string(b[off : off+int(l)])}
+			}
 			off += int(l)
 		default:
-			return nil, 0, fmt.Errorf("types: unknown kind tag %d at value %d", k, i)
+			return 0, fmt.Errorf("types: unknown kind tag %d at value %d", k, i)
 		}
 	}
-	return t, off, nil
+	return off, nil
 }
 
 // ---- Order-preserving key encoding ---------------------------------------

@@ -65,6 +65,13 @@
 #      parity of check 1 covers the replicated sweep via the same pair
 #      naming.
 #
+#  11. the executor lends its tuples and decodes only the columns a plan
+#      reads, so what a scan-under-aggregate allocates is set by its groups,
+#      not its rows: BenchmarkExecutorTPCH/Q1 (60k lineitem rows at SF 0.01)
+#      stays under 650,000 B/op — twice the ~322 KB recorded when the
+#      borrowed-tuple flow landed (27 MB before it). One allocation per
+#      scanned row brought back costs megabytes and fails the gate.
+#
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
 # which needs a timed benchtime for throughput to mean anything
@@ -77,7 +84,7 @@ benchtime="${BENCHTIME:-1x}"
 ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 
 raw=$(go test -run '^$' \
-  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustivePruned|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT' \
+  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustivePruned|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH' \
   -benchmem -benchtime "$benchtime" .)
 raw_ingest=$(go test -run '^$' \
   -bench 'BenchmarkCollectorIngest' -benchtime "$ingest_benchtime" .)
@@ -98,7 +105,7 @@ echo "$raw" | awk -v cpus="$(nproc)" '
   rec = "{\"name\":\"" name "\",\"iterations\":" $2
   for (i=3; i<NF; i++) {
     u=$(i+1)
-    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s") {
+    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s" || u=="B/row") {
       key=u; gsub(/\//, "_per_", key); gsub(/-/, "_", key)
       rec = rec ",\"" key "\":" $i
       i++
@@ -319,4 +326,16 @@ END {
   if (!found) { print "benchguard: BenchmarkPartitionedReplicatedDOT/compiled missing — benchmark names changed?"; exit 1 }
   if (ns+0 >= 2.5e8) { printf("REGRESSION: 500-unit replicated partitioned advise took %s ns/op (budget 2.5e8)\n", ns); exit 1 }
   printf("benchguard OK: 500-unit replicated partitioned advise at %s ns/op (budget 2.5e8)\n", ns)
+}'
+
+# Gate 11: a scan under an aggregate allocates for its groups, not its rows.
+echo "$raw" | awk '
+/^BenchmarkExecutorTPCH\/Q1/ {
+  for (i=3; i<NF; i++) if ($(i+1)=="B/op") bytes=$i
+  found=1
+}
+END {
+  if (!found) { print "benchguard: BenchmarkExecutorTPCH/Q1 missing — benchmark names changed?"; exit 1 }
+  if (bytes+0 >= 650000) { printf("REGRESSION: TPC-H Q1 allocated %s B/op (ceiling 650000): a per-row allocation is back in the executor\n", bytes); exit 1 }
+  printf("benchguard OK: TPC-H Q1 at %s B/op (ceiling 650000)\n", bytes)
 }'
