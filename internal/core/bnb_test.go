@@ -19,7 +19,6 @@ import (
 // templates, so duplicated templates produce dominance-collapsible units.
 type randExhaustiveFixture struct {
 	in   Input
-	prof iosim.Profile
 	dups bool
 }
 
@@ -66,7 +65,7 @@ func newRandExhaustiveFixture(t *testing.T, rng *rand.Rand, oltp bool) *randExha
 	if rng.Intn(2) == 0 {
 		box = device.Box2()
 	}
-	f := &randExhaustiveFixture{prof: prof, dups: dups}
+	f := &randExhaustiveFixture{dups: dups}
 	ps := NewProfileSet()
 	ps.SetSingle(prof)
 	if oltp {
@@ -90,52 +89,57 @@ func newRandExhaustiveFixture(t *testing.T, rng *rand.Rand, oltp bool) *randExha
 
 // TestBnBPropertyMatchesPlain is the branch-and-bound engine's property
 // test: across random catalogs (with engineered symmetric units), random
-// device boxes, both objectives and several SLAs, every BnB configuration
-// — default, reorder off, dominance off, sequential and parallel — must
-// return the bit-identical result of the plain unpruned map enumeration.
+// device boxes, both objectives and several SLAs, the BnB walk —
+// sequential and parallel — must return the bit-identical result of the
+// plain unpruned map enumeration, over the same reported space. The last
+// twelve trials pin a random base layout (not L0) and free a random subset
+// of the objects, so the partial entry point is held to the same contract.
 // Run it under -race to exercise the work-stealing walkers.
 func TestBnBPropertyMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1971))
 	slas := []float64{0.2, 0.5, 1.0}
 	sawGroups := false
-	for trial := 0; trial < 24; trial++ {
+	for trial := 0; trial < 36; trial++ {
 		oltp := trial%3 == 2
 		f := newRandExhaustiveFixture(t, rng, oltp)
 		opts := Options{RelativeSLA: slas[rng.Intn(len(slas))]}
 
+		classes := f.in.Box.Classes()
+		free := f.in.allObjects()
+		var base catalog.Layout
+		if trial >= 24 {
+			base = make(catalog.Layout)
+			for _, id := range free {
+				base[id] = classes[rng.Intn(len(classes))]
+			}
+			rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+			free = free[:1+rng.Intn(len(free))]
+		}
+		run := func(in Input) (*Result, error) {
+			if base == nil {
+				return Exhaustive(in, opts)
+			}
+			return ExhaustivePartial(in, opts, free, base)
+		}
+
 		plainIn := f.in
 		plainIn.NoCompile = true
-		plain, err := Exhaustive(plainIn, opts)
+		plain, err := run(plainIn)
 		if err != nil {
 			t.Fatalf("trial %d: plain: %v", trial, err)
 		}
+		space := math.Pow(float64(len(classes)), float64(len(free)))
+		if plain.Search.SpaceSize != space || plain.Evaluated != int(space) {
+			t.Fatalf("trial %d: plain walked %d of a reported %g, want %g", trial, plain.Evaluated, plain.Search.SpaceSize, space)
+		}
 
-		variants := []struct {
+		for _, v := range []struct {
 			name    string
 			workers int
-			tune    SearchTuning
-			pruned  bool
-		}{
-			{"legacy-compiled", 1, SearchTuning{DisableBnB: true}, false},
-			{"legacy-pruned", 1, SearchTuning{DisableBnB: true}, true},
-			{"bnb", 1, SearchTuning{}, false},
-			{"bnb-par", 8, SearchTuning{}, false},
-			{"bnb-noreorder", 1, SearchTuning{NoReorder: true}, false},
-			{"bnb-nodominance", 8, SearchTuning{NoDominance: true}, false},
-			{"map-pruned", 1, SearchTuning{DisableBnB: true}, true},
-		}
-		for _, v := range variants {
+		}{{"bnb", 1}, {"bnb-par", 8}} {
 			in := f.in
 			in.Workers = v.workers
-			in.Search = v.tune
-			if v.pruned {
-				in.CompactBound = in.StorageFloorBoundCompact(f.prof)
-				in.LowerBound = in.StorageFloorBound(f.prof)
-			}
-			if v.name == "map-pruned" {
-				in.NoCompile = true
-			}
-			res, err := Exhaustive(in, opts)
+			res, err := run(in)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, v.name, err)
 			}
@@ -149,16 +153,14 @@ func TestBnBPropertyMatchesPlain(t *testing.T) {
 			if res.Evaluated > plain.Evaluated {
 				t.Fatalf("trial %d %s: evaluated %d > plain %d", trial, v.name, res.Evaluated, plain.Evaluated)
 			}
-			if v.name == "bnb" {
-				if res.Search.SpaceSize != math.Pow(float64(len(f.in.Box.Classes())), float64(f.in.Cat.NumObjects())) {
-					t.Fatalf("trial %d: space size %g", trial, res.Search.SpaceSize)
-				}
-				if f.dups && res.Search.Groups > 0 {
-					sawGroups = true
-					if res.Search.CanonicalSize >= res.Search.SpaceSize {
-						t.Fatalf("trial %d: dominance found groups but no collapse: %g >= %g",
-							trial, res.Search.CanonicalSize, res.Search.SpaceSize)
-					}
+			if res.Search.SpaceSize != plain.Search.SpaceSize {
+				t.Fatalf("trial %d %s: space size %g, plain reports %g", trial, v.name, res.Search.SpaceSize, plain.Search.SpaceSize)
+			}
+			if base == nil && f.dups && res.Search.Groups > 0 {
+				sawGroups = true
+				if res.Search.CanonicalSize >= res.Search.SpaceSize {
+					t.Fatalf("trial %d: dominance found groups but no collapse: %g >= %g",
+						trial, res.Search.CanonicalSize, res.Search.SpaceSize)
 				}
 			}
 		}
@@ -170,35 +172,38 @@ func TestBnBPropertyMatchesPlain(t *testing.T) {
 
 // TestBnBCollapseAdmitsLargeSymmetricSpace: a space whose raw M^N exceeds
 // MaxExhaustiveLayouts is admitted when dominance collapses its canonical
-// form back under the cap — and still refused when BnB or dominance is
-// off.
+// form back under the cap — and still refused when there is no symmetry to
+// collapse, or on the map walk, which visits the raw space.
 func TestBnBCollapseAdmitsLargeSymmetricSpace(t *testing.T) {
-	cat := catalog.New()
 	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})
-	prof := iosim.NewProfile()
-	// 16 objects, 14 of them identical: 3^16 ≈ 43M raw layouts, but the
-	// canonical space is C(14+2,14) * 3^2 = 1080.
-	for i := 0; i < 16; i++ {
-		tb, err := cat.CreateTable("t"+string(rune('a'+i)), sch, []string{"id"})
-		if err != nil {
-			t.Fatal(err)
+	// 16 objects, 14 of them identical unless distinct: 3^16 ≈ 43M raw
+	// layouts, but the canonical space is C(14+2,14) * 3^2 = 1080.
+	fixture := func(distinct bool) Input {
+		cat := catalog.New()
+		prof := iosim.NewProfile()
+		for i := 0; i < 16; i++ {
+			tb, err := cat.CreateTable("t"+string(rune('a'+i)), sch, []string{"id"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i < 14 && !distinct {
+				cat.SetSize(tb.ID, 1e9)
+				prof.Add(tb.ID, device.RandRead, 50000)
+			} else {
+				cat.SetSize(tb.ID, int64(float64(i+1)*1e9))
+				prof.Add(tb.ID, device.SeqRead, float64(i+1)*1e6)
+			}
 		}
-		if i < 14 {
-			cat.SetSize(tb.ID, 1e9)
-			prof.Add(tb.ID, device.RandRead, 50000)
-		} else {
-			cat.SetSize(tb.ID, int64(float64(i)*1e9))
-			prof.Add(tb.ID, device.SeqRead, float64(i)*1e6)
-		}
+		box := device.Box1()
+		ps := NewProfileSet()
+		ps.SetSingle(prof)
+		return Input{Cat: cat, Box: box, Est: &workload.ObservedEstimator{
+			Box: box, Concurrency: 1,
+			PerQuery: []workload.QueryObservation{{Profile: prof, CPU: time.Second}},
+		}, Profiles: ps, Concurrency: 1, Workers: 8}
 	}
-	box := device.Box1()
-	ps := NewProfileSet()
-	ps.SetSingle(prof)
-	in := Input{Cat: cat, Box: box, Est: &workload.ObservedEstimator{
-		Box: box, Concurrency: 1,
-		PerQuery: []workload.QueryObservation{{Profile: prof, CPU: time.Second}},
-	}, Profiles: ps, Concurrency: 1, Workers: 8}
 
+	in := fixture(false)
 	res, err := Exhaustive(in, Options{RelativeSLA: 0.5})
 	if err != nil {
 		t.Fatalf("collapse-admissible space refused: %v", err)
@@ -217,14 +222,13 @@ func TestBnBCollapseAdmitsLargeSymmetricSpace(t *testing.T) {
 		t.Fatalf("evaluated %d candidates, canonical space is 1080", res.Search.Candidates)
 	}
 
-	in.Search.DisableBnB = true
+	in.NoCompile = true
 	if _, err := Exhaustive(in, Options{RelativeSLA: 0.5}); err == nil ||
 		!strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("without BnB the raw space must be refused, got %v", err)
+		t.Fatalf("the map walk must refuse the raw space, got %v", err)
 	}
-	in.Search = SearchTuning{NoDominance: true}
-	if _, err := Exhaustive(in, Options{RelativeSLA: 0.5}); err == nil ||
+	if _, err := Exhaustive(fixture(true), Options{RelativeSLA: 0.5}); err == nil ||
 		!strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("without dominance the raw space must be refused, got %v", err)
+		t.Fatalf("without symmetry the raw space must be refused, got %v", err)
 	}
 }

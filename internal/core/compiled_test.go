@@ -122,10 +122,13 @@ func requireSameResult(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-// TestCompiledPathMatchesMapPath is the tentpole's safety net: every search
-// entry point must return byte-identical results (layout, TOC bits,
-// metrics, evaluated and estimator-call counts) on the compiled path vs the
-// map path, for DSS and OLTP objectives, sequential and parallel.
+// TestCompiledPathMatchesMapPath is the compiled path's safety net: every
+// search entry point must return byte-identical results (layout, TOC bits,
+// metrics) on the compiled path vs the map path, for DSS and OLTP
+// objectives, sequential and parallel — with identical evaluated and
+// estimator-call counts for the DOT sweeps, and no more evaluations than
+// the map walk for the exhaustive ones (the compiled walk is
+// branch-and-bound).
 func TestCompiledPathMatchesMapPath(t *testing.T) {
 	type variant struct {
 		name string
@@ -133,7 +136,7 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 	}
 	for _, v := range []variant{{"dss", false}, {"oltp", true}} {
 		for _, workers := range []int{1, 8} {
-			run := func(noCompile bool, tune SearchTuning) map[string]*Result {
+			run := func(noCompile bool) map[string]*Result {
 				f := newCompiledFix(t)
 				var in Input
 				if v.oltp {
@@ -143,7 +146,6 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 				}
 				in.Workers = workers
 				in.NoCompile = noCompile
-				in.Search = tune
 				out := map[string]*Result{}
 				rec := func(name string, res *Result, err error) {
 					if err != nil {
@@ -170,16 +172,19 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 				rec("es-relaxing", res, err)
 				return out
 			}
-			// The legacy compiled enumeration must match the map path on full
-			// counts; the branch-and-bound default may evaluate fewer
-			// candidates but must report the bit-identical winner.
-			compiled := run(false, SearchTuning{DisableBnB: true})
-			bnb := run(false, SearchTuning{})
-			mapped := run(true, SearchTuning{})
-			for name, want := range mapped {
+			compiled := run(false)
+			for name, want := range run(true) {
 				label := v.name + "/" + name + "/workers=" + string(rune('0'+workers))
-				requireSameResult(t, label, compiled[name], want)
-				requireSameOutcome(t, label+"/bnb", bnb[name], want)
+				got := compiled[name]
+				switch name {
+				case "exhaustive", "partial", "es-relaxing":
+					requireSameOutcome(t, label, got, want)
+					if got.Evaluated > want.Evaluated {
+						t.Fatalf("%s: branch-and-bound evaluated %d, the map walk %d", label, got.Evaluated, want.Evaluated)
+					}
+				default:
+					requireSameResult(t, label, got, want)
+				}
 			}
 		}
 	}
@@ -206,56 +211,6 @@ func TestCompiledEngineEngages(t *testing.T) {
 	in.LayoutCostCompact = func(cl catalog.CompactLayout) (float64, error) { return 1, nil }
 	if in.compiledConfig(in.alphabet(1)) == nil {
 		t.Fatal("a LayoutCost with its compact mirror keeps the compiled path")
-	}
-}
-
-// TestCompiledPrunedExhaustive: the compact storage-floor bound must leave
-// the result identical to the unpruned compiled run while evaluating no
-// more candidates, and the pruned compiled run must agree with the pruned
-// map run.
-func TestCompiledPrunedExhaustive(t *testing.T) {
-	f := newCompiledFix(t)
-	plain, err := Exhaustive(f.input(), Options{RelativeSLA: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := f.input()
-	in.CompactBound = in.StorageFloorBoundCompact(f.prof)
-	if in.CompactBound == nil {
-		t.Fatal("linear cost model should yield a compact bound")
-	}
-	in.LowerBound = in.StorageFloorBound(f.prof)
-	pruned, err := Exhaustive(in, Options{RelativeSLA: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pruned.Layout.Equal(plain.Layout) ||
-		math.Float64bits(pruned.TOCCents) != math.Float64bits(plain.TOCCents) ||
-		pruned.Feasible != plain.Feasible {
-		t.Fatalf("pruned compiled ES result differs: %.6g vs %.6g", pruned.TOCCents, plain.TOCCents)
-	}
-	if pruned.Evaluated > plain.Evaluated {
-		t.Fatalf("pruning evaluated more candidates (%d) than plain (%d)", pruned.Evaluated, plain.Evaluated)
-	}
-	t.Logf("compiled pruned ES evaluated %d of %d candidates", pruned.Evaluated, plain.Evaluated)
-
-	// A map-form LowerBound without its compact mirror falls back to the map
-	// enumeration — pruning still happens, result still identical.
-	in2 := f.input()
-	in2.LowerBound = in2.StorageFloorBound(f.prof)
-	fallback, err := Exhaustive(in2, Options{RelativeSLA: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fallback.Layout.Equal(plain.Layout) ||
-		math.Float64bits(fallback.TOCCents) != math.Float64bits(plain.TOCCents) {
-		t.Fatal("map-bound fallback diverged")
-	}
-	// A custom cost model disables the compact floor like the map floor.
-	in3 := f.input()
-	in3.LayoutCostCompact = func(cl catalog.CompactLayout) (float64, error) { return 1, nil }
-	if in3.StorageFloorBoundCompact(f.prof) != nil {
-		t.Fatal("custom cost model must disable the compact storage floor")
 	}
 }
 

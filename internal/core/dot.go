@@ -40,19 +40,6 @@ type Input struct {
 	// like LayoutCost; setting LayoutCost without it disables the compiled
 	// fast path rather than risk divergent pricing.
 	LayoutCostCompact func(cl catalog.CompactLayout) (float64, error)
-	// LowerBound optionally supplies an admissible TOC lower bound for
-	// partial assignments, letting Exhaustive/ExhaustivePartial prune whole
-	// subtrees whose floor already exceeds the incumbent (see
-	// Input.StorageFloorBound for the profile-separable construction). An
-	// admissible bound never changes the result, only the number of
-	// candidates evaluated. The hook is ignored for throughput (OLTP)
-	// workloads, whose C(L)/T objective elapsed-time floors cannot bound.
-	LowerBound search.LowerBound
-	// CompactBound mirrors LowerBound on the compiled path, fed by the
-	// DFS's running storage-cost accumulator (Input.StorageFloorBoundCompact
-	// builds one). When LowerBound is set without it, exhaustive search
-	// stays on the map enumeration so pruning is preserved.
-	CompactBound search.CompactBound
 	// NoCompile disables the compiled (compact/delta) evaluation fast path,
 	// forcing map-based evaluation everywhere. Results are bit-identical
 	// either way; the switch exists for benchmarks and equivalence tests.
@@ -65,10 +52,6 @@ type Input struct {
 	// custom model; cost bounding stays off regardless, since the floor
 	// assumes linear pricing. Ignored when no custom cost is installed.
 	LayoutCostClassSymmetric bool
-	// Search tunes the exhaustive branch-and-bound enumeration. The zero
-	// value is the default behaviour; no knob changes any result, only the
-	// work done to reach it.
-	Search SearchTuning
 	// Replication sets the per-unit copy cap of the entry points that place
 	// class sets — OptimizeReplicated, ExhaustiveReplicated and their
 	// partitioned and incremental variants. The single-copy entry points
@@ -107,23 +90,6 @@ func (r ReplicationConfig) Cap() int {
 		return 1
 	}
 	return r.maxReplicas()
-}
-
-// SearchTuning is Input.Search: ablation and tuning knobs for the
-// branch-and-bound exhaustive enumeration. It is a value type on purpose —
-// derived inputs (Input.Partitioned) copy it through.
-type SearchTuning struct {
-	// DisableBnB falls back to the legacy enumeration (compiled DFS with the
-	// accumulator bound, or the map walk), as before the branch-and-bound
-	// engine. Results are bit-identical either way.
-	DisableBnB bool
-	// NoReorder keeps the odometer unit order instead of the descending
-	// cost-spread order.
-	NoReorder bool
-	// NoDominance disables symmetric-unit collapsing.
-	NoDominance bool
-	// SplitDepth fixes the parallel frontier depth (0 = automatic).
-	SplitDepth int
 }
 
 // Options controls one optimization run.

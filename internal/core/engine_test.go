@@ -200,39 +200,3 @@ func TestExhaustivePartialInfeasibleFallbackConsistent(t *testing.T) {
 		t.Fatalf("fallback TOC %g, want %g (priced under base)", res.TOCCents, wantTOC)
 	}
 }
-
-// TestExhaustivePrunedMatchesUnpruned: the storage-floor lower bound must
-// cut candidates without changing the recommendation.
-func TestExhaustivePrunedMatchesUnpruned(t *testing.T) {
-	f := newFix(t)
-	plain, err := Exhaustive(f.input(), Options{RelativeSLA: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Evaluated != 81 {
-		t.Fatalf("unpruned ES evaluated %d, want 81", plain.Evaluated)
-	}
-	in := f.input()
-	in.LowerBound = in.StorageFloorBound(f.prof)
-	if in.LowerBound == nil {
-		t.Fatal("linear cost model should yield a bound")
-	}
-	pruned, err := Exhaustive(in, Options{RelativeSLA: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pruned.Layout.Equal(plain.Layout) || pruned.TOCCents != plain.TOCCents ||
-		pruned.Feasible != plain.Feasible {
-		t.Fatalf("pruned ES result differs: %.6g %v vs %.6g %v",
-			pruned.TOCCents, pruned.Layout, plain.TOCCents, plain.Layout)
-	}
-	if pruned.Evaluated > plain.Evaluated {
-		t.Fatalf("pruning evaluated more candidates (%d) than plain ES (%d)", pruned.Evaluated, plain.Evaluated)
-	}
-	t.Logf("pruned ES evaluated %d of %d candidates", pruned.Evaluated, plain.Evaluated)
-	// A custom cost model disables the linear-model floor.
-	in.LayoutCost = func(l catalog.Layout) (float64, error) { return 1, nil }
-	if in.StorageFloorBound(f.prof) != nil {
-		t.Fatal("custom cost model must disable the storage floor")
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -22,9 +23,10 @@ const MaxExhaustiveLayouts = 5_000_000
 // Exhaustive enumerates every layout L: O -> D and returns the feasible one
 // with minimum estimated TOC, using the same estimator and constraints as
 // DOT. It is the quality yardstick of §4.4.3/§4.5.3. Candidates fan out
-// across Input.Workers goroutines, and an Input.LowerBound hook prunes
-// assignment subtrees whose TOC floor already exceeds the incumbent; both
-// leave the result byte-identical to the sequential, unpruned enumeration.
+// across Input.Workers goroutines, and on the compiled path the
+// branch-and-bound walk skips subtrees whose TOC floor already exceeds the
+// incumbent; both leave the result byte-identical to the sequential,
+// unpruned enumeration.
 func Exhaustive(in Input, opts Options) (*Result, error) {
 	res, err := exhaustive(in, opts, 1, in.allObjects(), nil)
 	if err != nil {
@@ -37,9 +39,11 @@ func Exhaustive(in Input, opts Options) (*Result, error) {
 // (member sets restricted to the box's classes and the copy cap) and
 // returns the feasible one with minimum TOC — the quality yardstick of the
 // replicated search, and the space that explodes from |D|^n to (2^|D|)^n.
-// It is Exhaustive over a wider digit alphabet: the same branch-and-bound
-// DFS, with suffix floors from exact per-(unit, set) storage prices and
-// elapsed rows and dominance over per-set signature rows.
+// It is Exhaustive over a wider digit alphabet: the same two walks, the
+// branch-and-bound DFS with suffix floors from exact per-(unit, set)
+// storage prices and elapsed rows and dominance over per-set signature
+// rows. The map walk visits the raw space and is bounded by
+// MaxExhaustiveLayouts like any other.
 func ExhaustiveReplicated(in Input, opts Options) (*ReplicaResult, error) {
 	return exhaustive(in, opts, in.Replication.maxReplicas(), in.allObjects(), nil)
 }
@@ -74,11 +78,6 @@ func exhaustive(in Input, opts Options, copyCap int, free []catalog.ObjectID, ba
 	if err != nil {
 		return nil, err
 	}
-	if copyCap > 1 && !eng.Compiled() {
-		// The (2^|D|)^n space is only tractable with delta chains and
-		// dominance collapse; the map walk has neither.
-		return nil, fmt.Errorf("core: replicated exhaustive search requires the compiled path (estimator %T does not compile, or NoCompile is set)", in.Est)
-	}
 	res, err := exhaustSpace(in, opts, eng, in.alphabet(copyCap), free, base)
 	if err != nil {
 		return nil, err
@@ -91,24 +90,33 @@ func exhaustive(in Input, opts Options, copyCap int, free []catalog.ObjectID, ba
 // a caller-supplied engine (ExhaustiveRelaxing's SLA halvings share one
 // memo table: a layout estimated at one SLA level is only re-checked, never
 // re-estimated, at the next) — the branch-and-bound DFS when the engine
-// carries the compact path, the plain compiled DFS or the map enumeration
+// carries the compact path and the base encodes, the map enumeration
 // otherwise — and fall back to the pinned starting point when nothing is
 // feasible.
 func exhaustSpace(in Input, opts Options, eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout) (*Result, error) {
 	start := time.Now()
 	stats0 := eng.Stats()
+	seen := make(map[catalog.ObjectID]bool, len(free))
+	for _, id := range free {
+		if in.Cat.Object(id) == nil {
+			return nil, fmt.Errorf("core: exhaustive search over object %d, which is not in the catalog", id)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("core: exhaustive search lists object %d twice", id)
+		}
+		seen[id] = true
+	}
 	_, ev0, cons, err := in.prep(opts, eng)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Constraints: cons}
-	throughput := ev0.Metrics.Throughput > 0
 
 	// Space cap: the raw M^N enumeration is refused beyond the bound —
 	// unless dominance collapses the canonical space back under it, in
 	// which case the branch-and-bound walk (which enumerates only canonical
 	// members) is admitted.
-	bsp, bnbOK := in.bnbSpace(eng, digits, free, base, throughput)
+	bsp, bnbOK := in.bnbSpace(eng, digits, free, base, ev0.Metrics.Throughput > 0)
 	n, m := len(free), len(digits)
 	if math.Pow(float64(m), float64(n)) > MaxExhaustiveLayouts {
 		if !bnbOK || search.CanonicalSpaceSize(bsp.Sigs, n, m) > MaxExhaustiveLayouts {
@@ -123,31 +131,9 @@ func exhaustSpace(in Input, opts Options, eng *search.Engine, digits []device.Cl
 		st    search.EnumStats
 	)
 	if bnbOK {
-		best, found, st, err = eng.ExhaustiveBnB(cons, bsp, search.BnBOptions{
-			SplitDepth:  in.Search.SplitDepth,
-			NoReorder:   in.Search.NoReorder,
-			NoDominance: in.Search.NoDominance,
-		})
-	} else if csp, ok := in.compactSpace(eng, digits, free, base, throughput); ok {
-		best, found, st, err = eng.ExhaustiveCompact(cons, csp)
+		best, found, st, err = eng.ExhaustiveBnB(cons, bsp)
 	} else {
-		sp := search.Space{Base: base, Free: free, Digits: digits}
-		lb := in.LowerBound
-		if throughput {
-			// Throughput (OLTP) workloads price TOC as C(L)/T, not C(L)*t, so
-			// elapsed-time floors like StorageFloorBound are not admissible
-			// there: pruning could silently discard the true optimum. Disable
-			// the hook rather than risk a wrong result.
-			lb = nil
-		} else if in.CompactBound != nil {
-			// Accumulator pruning on the map path: the same floor the compiled
-			// walk consults, fed by an incrementally maintained storage cost —
-			// no per-node partial-layout walk.
-			sp.SizeGB, sp.PriceCents = in.denseCostTables()
-			sp.Bound = in.CompactBound
-			lb = nil
-		}
-		best, found, st, err = eng.Exhaustive(cons, sp, lb)
+		best, found, st, err = eng.Exhaustive(cons, search.Space{Base: base, Free: free, Digits: digits})
 	}
 	if err != nil {
 		return nil, err
@@ -175,83 +161,39 @@ func exhaustSpace(in Input, opts Options, eng *search.Engine, digits []device.Cl
 	return res, nil
 }
 
-// spaceBase encodes a pinned base layout for the compiled walks (an empty
-// compact layout when nothing is pinned). ok=false when the base cannot be
-// encoded and the enumeration must stay on the map path.
-func (in Input) spaceBase(base catalog.SetLayout) (catalog.CompactLayout, bool) {
-	if base == nil {
-		return catalog.NewCompactLayout(in.Cat.NumObjects()), true
-	}
-	return catalog.CompactFromSetLayout(in.Cat, base)
-}
-
-// compactSpace assembles the compiled DFS's assignment space. It reports
-// ok=false when the enumeration must stay on the map path: the engine is
-// not compiled, the base layout cannot be encoded, or a map-form LowerBound
-// is installed without its compact mirror (falling back preserves pruning).
-func (in Input) compactSpace(eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout, throughput bool) (search.CompactSpace, bool) {
+// bnbSpace assembles the branch-and-bound assignment space over a digit
+// alphabet. ok=false sends the enumeration to the map walk: the engine is
+// not compiled, or the pinned base cannot be encoded.
+func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout, throughput bool) (search.BnBSpace, bool) {
 	if !eng.Compiled() {
-		return search.CompactSpace{}, false
+		return search.BnBSpace{}, false
 	}
-	if in.LowerBound != nil && in.CompactBound == nil && !throughput {
-		return search.CompactSpace{}, false
-	}
-	bc, ok := in.spaceBase(base)
-	if !ok {
-		return search.CompactSpace{}, false
-	}
-	csp := search.CompactSpace{Base: bc, Free: free, Digits: digits}
-	// The elapsed-time floor is inadmissible for throughput objectives,
-	// exactly as on the map path.
-	if in.CompactBound != nil && !throughput {
-		csp.SizeGB, csp.PriceCents = in.denseCostTables()
-		csp.Bound = in.CompactBound
-	}
-	return csp, true
-}
-
-// denseCostTables snapshots the linear cost model's inputs: per-object
-// sizes in GB (dense, by catalog.DenseIndex) and per-class prices in
-// cents/GB/hour.
-func (in Input) denseCostTables() ([]float64, [device.NumClasses]float64) {
-	sizes := in.Cat.DenseSizeBytes()
-	gb := make([]float64, len(sizes))
-	for i, s := range sizes {
-		gb[i] = float64(s) / 1e9
-	}
-	var prices [device.NumClasses]float64
-	for _, d := range in.Box.Devices {
-		if int(d.Class) < device.NumClasses {
-			prices[d.Class] = d.PriceCents
+	bc := catalog.NewCompactLayout(in.Cat.NumObjects())
+	if base != nil {
+		var ok bool
+		if bc, ok = catalog.CompactFromSetLayout(in.Cat, base); !ok {
+			return search.BnBSpace{}, false
 		}
 	}
-	return gb, prices
-}
-
-// bnbSpace assembles the branch-and-bound assignment space over a digit
-// alphabet. ok=false sends the enumeration to the plain walks: BnB
-// disabled, engine not compiled, an unencodable base, a map-form LowerBound
-// without its compact mirror (the map walk preserves that pruning), or a
-// caller-supplied CompactBound the BnB floor cannot subsume (the
-// accumulator walk preserves it).
-func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout, throughput bool) (search.BnBSpace, bool) {
-	if in.Search.DisableBnB || !eng.Compiled() {
-		return search.BnBSpace{}, false
-	}
-	if in.LowerBound != nil && in.CompactBound == nil && !throughput {
-		return search.BnBSpace{}, false
-	}
-	bc, ok := in.spaceBase(base)
-	if !ok {
-		return search.BnBSpace{}, false
-	}
 	bsp := search.BnBSpace{Base: bc, Free: free, Digits: digits}
-	bsp.SizeGB, bsp.PriceCents = in.denseCostTables()
+	// The linear cost model's inputs: per-object sizes in GB (dense, by
+	// catalog.DenseIndex) and per-class prices in cents/GB/hour.
+	sizes := in.Cat.DenseSizeBytes()
+	bsp.SizeGB = make([]float64, len(sizes))
+	for i, sz := range sizes {
+		bsp.SizeGB[i] = float64(sz) / 1e9
+	}
+	for _, d := range in.Box.Devices {
+		if int(d.Class) < device.NumClasses {
+			bsp.PriceCents[d.Class] = d.PriceCents
+		}
+	}
 	est := eng.CompactEstimator()
 	linear := in.LayoutCost == nil && in.LayoutCostCompact == nil
 	// Cost bounding needs the linear pricing model, an elapsed (DSS)
-	// objective, and an estimator whose Elapsed decomposes into additive
-	// per-(unit, digit) terms.
+	// objective — throughput workloads price TOC as C(L)/T, which an
+	// elapsed-time floor cannot bound — and an estimator whose Elapsed
+	// decomposes into additive per-(unit, digit) terms.
 	if linear && !throughput {
 		if dec, ok := est.(workload.ElapsedDecomposable); ok {
 			table := make([]time.Duration, in.Cat.NumObjects()*len(digits))
@@ -260,29 +202,18 @@ func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []ca
 			}
 		}
 	}
-	if in.CompactBound != nil && !throughput && bsp.Bounds == nil {
-		return search.BnBSpace{}, false
-	}
 	// Dominance needs the layout cost to be symmetric in per-class byte
 	// totals (true of the linear model, declared for custom ones) and an
 	// estimator that can emit placement signatures. The unit's size joins
 	// the signature: interchangeability needs equal per-class cost and
 	// capacity contributions too.
-	if (linear || in.LayoutCostClassSymmetric) && !in.Search.NoDominance {
+	if linear || in.LayoutCostClassSymmetric {
 		if sig, ok := est.(workload.PlacementSignable); ok {
-			sizes := in.Cat.DenseSizeBytes()
-			sigs := make([][]byte, len(free))
+			bsp.Sigs = make([][]byte, len(free))
 			for i, id := range free {
-				s := sig.AppendPlacementSignature(nil, id)
-				var sz int64
-				if d := catalog.DenseIndex(id); d >= 0 && d < len(sizes) {
-					sz = sizes[d]
-				}
-				sigs[i] = append(s,
-					byte(uint64(sz)>>56), byte(uint64(sz)>>48), byte(uint64(sz)>>40), byte(uint64(sz)>>32),
-					byte(uint64(sz)>>24), byte(uint64(sz)>>16), byte(uint64(sz)>>8), byte(uint64(sz)))
+				bsp.Sigs[i] = binary.BigEndian.AppendUint64(
+					sig.AppendPlacementSignature(nil, id), uint64(sizes[catalog.DenseIndex(id)]))
 			}
-			bsp.Sigs = sigs
 		}
 	}
 	return bsp, true
@@ -299,9 +230,8 @@ func unitBounds(table []time.Duration, fixed time.Duration, free []catalog.Objec
 	inFree := make(map[catalog.ObjectID]bool, len(free))
 	for i, id := range free {
 		inFree[id] = true
-		if d := catalog.DenseIndex(id); d >= 0 && (d+1)*m <= len(table) {
-			copy(ub.Time[i*m:(i+1)*m], table[d*m:(d+1)*m])
-		}
+		d := catalog.DenseIndex(id)
+		copy(ub.Time[i*m:(i+1)*m], table[d*m:(d+1)*m])
 	}
 	for id, set := range base {
 		d := catalog.DenseIndex(id)

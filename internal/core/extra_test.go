@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"dotprov/internal/catalog"
@@ -48,13 +49,39 @@ func TestExhaustivePartialValidation(t *testing.T) {
 	if _, err := ExhaustivePartial(in, Options{RelativeSLA: 0}, nil, base); err == nil {
 		t.Fatal("zero SLA should fail")
 	}
-	// Too many free objects trips the bound.
-	var free []catalog.ObjectID
-	for i := 0; i < 20; i++ {
-		free = append(free, f.ids["big"]) // duplicates still multiply the bound
-	}
-	if _, err := ExhaustivePartial(in, Options{RelativeSLA: 0.5}, free, base); err == nil {
-		t.Fatal("oversized free set should trip the enumeration bound")
+}
+
+// TestExhaustivePartialRejectsBadFreeList: a free list naming an object the
+// catalog does not have, or the same object twice, is an error on both
+// walks, before any space is built — the compiled walk indexes dense
+// tables by ID, and a repeated ID has the two walks count different spaces.
+func TestExhaustivePartialRejectsBadFreeList(t *testing.T) {
+	f := newCompiledFix(t)
+	base := catalog.NewUniformLayout(f.cat, device.HSSD)
+	big, ix := f.ids["big"], f.ids["big_pkey"]
+	for _, tc := range []struct {
+		name string
+		free []catalog.ObjectID
+		want string // "" = accepted
+	}{
+		{"valid", []catalog.ObjectID{big, ix}, ""},
+		{"unknown", []catalog.ObjectID{big, 999}, "not in the catalog"},
+		{"zero id", []catalog.ObjectID{0}, "not in the catalog"},
+		{"duplicate", []catalog.ObjectID{big, ix, big}, "twice"},
+	} {
+		for _, noCompile := range []bool{false, true} {
+			in := f.input()
+			in.NoCompile = noCompile
+			res, err := ExhaustivePartial(in, Options{RelativeSLA: 0.5}, tc.free, base)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("%s (NoCompile=%v): %v", tc.name, noCompile, err)
+			case tc.want == "" && res.Search.SpaceSize != 9:
+				t.Fatalf("%s (NoCompile=%v): space of %g, want 9", tc.name, noCompile, res.Search.SpaceSize)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("%s (NoCompile=%v): want an error naming %q, got %v", tc.name, noCompile, tc.want, err)
+			}
+		}
 	}
 }
 

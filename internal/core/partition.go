@@ -18,10 +18,10 @@ import (
 // estimator is handed on uncompiled; the search's engine compiles it once,
 // for the alphabet it will enumerate.
 //
-// Custom cost models and pruning bounds (LayoutCost, LayoutCostCompact,
-// LowerBound, CompactBound) are closures over the object catalog and do
-// not carry over; they are cleared, and callers that need them rebuild
-// over Partitioned's unit catalog (provision's partitioned sweeps do).
+// Custom cost models (LayoutCost, LayoutCostCompact) are closures over the
+// object catalog and do not carry over; they are cleared, and callers that
+// need them rebuild over Partitioned's unit catalog (provision's
+// partitioned sweeps do).
 func (in Input) Partitioned(pt *catalog.Partitioning) (Input, error) {
 	if err := in.validate(); err != nil {
 		return Input{}, err
@@ -43,7 +43,6 @@ func (in Input) Partitioned(pt *catalog.Partitioning) (Input, error) {
 	ps.SetSingle(uprof)
 	out.Profiles = ps
 	out.LayoutCost, out.LayoutCostCompact = nil, nil
-	out.LowerBound, out.CompactBound = nil, nil
 	return out, nil
 }
 

@@ -187,8 +187,8 @@ func TestReplicationBeatsSingleOnHTAPBox(t *testing.T) {
 
 // TestExhaustiveReplicatedPrunedMatchesPlain: bound pruning and dominance
 // collapsing change how much of the (2^|D|)^n space is visited, never which
-// replicated layout wins — plain enumeration, pruned DFS, and the parallel
-// work-stealing walk all land on the same bits.
+// replicated layout wins — the plain map enumeration (NoCompile), the
+// pruned DFS, and the parallel work-stealing walk all land on the same bits.
 func TestExhaustiveReplicatedPrunedMatchesPlain(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()
@@ -196,7 +196,7 @@ func TestExhaustiveReplicatedPrunedMatchesPlain(t *testing.T) {
 	opts := Options{RelativeSLA: 0.3}
 
 	plainIn := in
-	plainIn.Search.DisableBnB = true
+	plainIn.NoCompile = true
 	plainIn.Workers = 1
 	plain, err := ExhaustiveReplicated(plainIn, opts)
 	if err != nil {
@@ -309,7 +309,8 @@ func TestOptimizeReplicatedPartitioned(t *testing.T) {
 }
 
 // TestReplicatedErrorPaths: the replicated entry points refuse what they
-// cannot price or search.
+// cannot price or search — and only that: without the compiled path the
+// replicated enumeration runs on the map walk.
 func TestReplicatedErrorPaths(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()
@@ -334,8 +335,17 @@ func TestReplicatedErrorPaths(t *testing.T) {
 
 	noCompile := in
 	noCompile.NoCompile = true
-	if _, err := ExhaustiveReplicated(noCompile, opts); err == nil || !strings.Contains(err.Error(), "compiled path") {
-		t.Fatalf("map-only exhaustive must error, got %v", err)
+	mapped, err := ExhaustiveReplicated(noCompile, opts)
+	if err != nil {
+		t.Fatalf("map-only replicated exhaustive must answer, got %v", err)
+	}
+	compiled, err := ExhaustiveReplicated(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameOutcome(t, "map-vs-compiled", mapped.Result, compiled.Result)
+	if !mapped.SetLayout.Equal(compiled.SetLayout) {
+		t.Fatal("map and compiled replicated exhaustive place different sets")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Branch-and-bound enumeration on the compiled path: the M^N odometer of
-// ExhaustiveCompact rebuilt as a best-first DFS with three pruning levers
-// layered on top of the compact/delta evaluation pipeline —
+// Exhaustive rebuilt as a best-first DFS over one scratch compact layout,
+// with three pruning levers layered on top of the compact/delta evaluation
+// pipeline —
 //
 //  1. tight admissible bounds: per-unit best-class storage and time floors
 //     precomputed from the compiled tables and suffix-summed over the DFS
@@ -13,15 +14,15 @@
 //  3. expansion order: units sorted by descending cost spread, so
 //     high-impact decisions bind near the root and the bound cuts deep.
 //
-// Parallel runs split the tree at a configurable depth into frontier
-// subtrees served from one work-stealing deque per worker (Chase-Lev
-// style: the owner pops newest from the bottom, thieves steal oldest from
-// the top) around a shared incumbent whose TOC is published through one
-// atomic word — a prune check never takes a lock. Results are bit-identical
-// to the sequential, unpruned map enumeration: the bound only cuts
-// subtrees that provably cannot beat the incumbent, and TOC ties resolve
-// by the candidate's canonical rank — the odometer index in positional
-// form — at any worker count.
+// Parallel runs split the tree at a depth chosen from the worker count
+// into frontier subtrees served from one work-stealing deque per worker
+// (Chase-Lev style: the owner pops newest from the bottom, thieves steal
+// oldest from the top) around a shared incumbent whose TOC is published
+// through one atomic word — a prune check never takes a lock. Results are
+// bit-identical to the sequential, unpruned map enumeration: the bound
+// only cuts subtrees that provably cannot beat the incumbent, and TOC ties
+// resolve by the candidate's canonical rank — the odometer index in
+// positional form — at any worker count.
 package search
 
 import (
@@ -38,10 +39,12 @@ import (
 )
 
 // BnBSpace is the branch-and-bound assignment space. Base, Free and Digits
-// mirror CompactSpace; SizeGB (dense, by catalog.DenseIndex) and
+// mirror Space in compact form; SizeGB (dense, by catalog.DenseIndex) and
 // PriceCents feed the storage accumulator. Bounds enables cost bounding
-// (nil: enumerate without a floor — the throughput objective), Sigs
-// enables dominance (nil: no symmetry collapse). Only the storage price
+// and the descending-spread expansion order (nil: enumerate in odometer
+// order without a floor — the throughput objective), Sigs enables
+// dominance (nil: no symmetry collapse). With both nil the walk is the
+// plain compiled enumeration of the whole space. Only the storage price
 // reads a digit's members; hashing, cloning, delta chains, dominance and
 // ranks are byte-opaque.
 type BnBSpace struct {
@@ -54,23 +57,10 @@ type BnBSpace struct {
 	Sigs       [][]byte
 }
 
-// BnBOptions tunes the enumeration; the zero value is the default
-// behaviour. No option changes the result, only the work done.
-type BnBOptions struct {
-	// SplitDepth fixes the parallel frontier depth (prefix length at which
-	// the tree splits into stealable subtree tasks); 0 selects it
-	// automatically from the worker count.
-	SplitDepth int
-	// NoReorder keeps the original unit order instead of the descending-
-	// spread order (ablation and testing).
-	NoReorder bool
-	// NoDominance ignores Sigs (ablation and testing).
-	NoDominance bool
-}
-
 // EnumStats describes one exhaustive enumeration's work: how large the
 // space was, how much of it was actually evaluated, and where the rest
-// went. The plain enumerations fill Candidates and BoundPruned only.
+// went. The map walk prunes nothing: it fills Candidates and the two
+// (equal) space sizes.
 type EnumStats struct {
 	// Candidates is the number of layouts evaluated.
 	Candidates int
@@ -233,7 +223,7 @@ type bnbShared struct {
 
 // fail records an evaluation error, keeping the lowest-rank one so error
 // reporting is deterministic at any worker count (the analogue of the
-// plain paths' lowest-index rule), and stops the enumeration.
+// map walk's lowest-index rule), and stops the enumeration.
 func (sh *bnbShared) fail(rank []byte, err error) {
 	sh.errMu.Lock()
 	if sh.err == nil || bytes.Compare(rank, sh.errRank) < 0 {
@@ -302,8 +292,7 @@ func (w *bnbWalker) digitFloor(i int) int {
 // rec walks visit positions [i, n) depth-first. storeAcc/timeAcc carry the
 // running storage cost and elapsed time of the base plus every assigned
 // unit (meaningless when not bounding). The innermost position chains
-// siblings through one-move delta evaluation, exactly like the plain
-// compact walk.
+// siblings through one-move delta evaluation.
 func (w *bnbWalker) rec(i int, storeAcc float64, timeAcc time.Duration) error {
 	sh := w.sh
 	u := sh.order[i]
@@ -420,12 +409,12 @@ func genFrontier(sh *bnbShared, d int) [][]uint8 {
 
 // ExhaustiveBnB enumerates the space with branch-and-bound and returns the
 // feasible evaluation with the minimum TOC, ties to the lowest canonical
-// rank — the layout the plain enumeration's lowest-index rule would
+// rank — the layout the map enumeration's lowest-index rule would
 // report, bit for bit — plus the enumeration's statistics. The bound and
 // the dominance collapse only ever discard candidates that provably
 // cannot change the result; see bound.go and dominance.go for the
 // admissibility and canonicity arguments.
-func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace, opt BnBOptions) (Eval, bool, EnumStats, error) {
+func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace) (Eval, bool, EnumStats, error) {
 	var stats EnumStats
 	if e.cfg.Compiled == nil {
 		return Eval{}, false, stats, fmt.Errorf("search: ExhaustiveBnB on an engine without a compiled config")
@@ -467,7 +456,7 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace, opt BnBOp
 	for i := range rep {
 		rep[i] = i
 	}
-	if sp.Sigs != nil && !opt.NoDominance {
+	if sp.Sigs != nil {
 		rep, stats.Groups, stats.GroupedUnits = groupUnits(sp.Sigs)
 	}
 	stats.SpaceSize = math.Pow(float64(m), float64(n))
@@ -524,7 +513,7 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace, opt BnBOp
 	for i := range sh.order {
 		sh.order[i] = n - 1 - i
 	}
-	if sh.bounding && !opt.NoReorder {
+	if sh.bounding {
 		sortOrder(sh.order, func(a, b int) bool {
 			if impact[a] != impact[b] {
 				return impact[a] > impact[b]
@@ -568,21 +557,13 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace, opt BnBOp
 		return ev, ok, stats, nil
 	}
 
-	// Parallel: split the tree at the frontier depth into subtree tasks.
-	depth := opt.SplitDepth
-	if depth > n-1 {
-		depth = n - 1
-	}
-	auto := depth <= 0
-	if auto {
-		depth = 1
-	}
+	// Parallel: split the tree into subtree tasks at the shallowest depth
+	// that gives every worker several to steal.
+	depth := 1
 	tasks := genFrontier(sh, depth)
-	if auto {
-		for depth < n-1 && len(tasks) < workers*8 && len(tasks)*m <= maxFrontier {
-			depth++
-			tasks = genFrontier(sh, depth)
-		}
+	for depth < n-1 && len(tasks) < workers*8 && len(tasks)*m <= maxFrontier {
+		depth++
+		tasks = genFrontier(sh, depth)
 	}
 	stats.SplitDepth = depth
 	stats.FrontierTasks = len(tasks)

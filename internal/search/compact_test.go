@@ -163,9 +163,40 @@ func TestEvaluateDeltaMatchesFull(t *testing.T) {
 	}
 }
 
-// TestExhaustiveCompactMatchesMap: the compiled DFS must reproduce the map
-// enumeration bit for bit — same winner, same TOC, same evaluated count —
-// at any worker width, with and without a pinned base.
+// bnbSpace assembles the fixture's branch-and-bound space over the given
+// free objects; bounded adds the elapsed/storage floor from the compiled
+// estimator's decomposition.
+func (f *compactFix) bnbSpace(t *testing.T, base catalog.CompactLayout, free []catalog.ObjectID, bounded bool) BnBSpace {
+	t.Helper()
+	sp := BnBSpace{Base: base, Free: free, Digits: f.digits()}
+	if !bounded {
+		return sp
+	}
+	sp.SizeGB = make([]float64, len(f.sizes))
+	for i, sz := range f.sizes {
+		sp.SizeGB[i] = float64(sz) / 1e9
+	}
+	for _, d := range f.box.Devices {
+		sp.PriceCents[d.Class] = d.PriceCents
+	}
+	m := len(sp.Digits)
+	table := make([]time.Duration, f.cat.NumObjects()*m)
+	fixed, ok := f.est.(workload.ElapsedDecomposable).AccumulateElapsedTable(table, sp.Digits)
+	if !ok {
+		t.Fatal("fixture estimator must decompose")
+	}
+	sp.Bounds = &UnitBounds{Fixed: fixed}
+	for _, id := range free {
+		d := catalog.DenseIndex(id)
+		sp.Bounds.Time = append(sp.Bounds.Time, table[d*m:(d+1)*m]...)
+	}
+	return sp
+}
+
+// TestExhaustiveCompactMatchesMap: the compiled DFS with neither a bound
+// nor dominance is the plain enumeration, and must reproduce the map walk
+// bit for bit — same winner, same TOC, same evaluated count, same reported
+// space — at any worker width.
 func TestExhaustiveCompactMatchesMap(t *testing.T) {
 	f := newCompactFix(t, 4)
 	free := []catalog.ObjectID{1, 2, 3, 4}
@@ -179,25 +210,24 @@ func TestExhaustiveCompactMatchesMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Free: free, Digits: f.digits()}, nil)
+	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Free: free, Digits: f.digits()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCount := wantSt.Candidates
+	if wantSt.SpaceSize != 81 || wantSt.CanonicalSize != 81 {
+		t.Fatalf("map walk reports a space of %v (%v canonical), want 81", wantSt.SpaceSize, wantSt.CanonicalSize)
+	}
 	for _, workers := range []int{1, 8} {
 		eng, err := New(f.config(true, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, ok, st, err := eng.ExhaustiveCompact(cons, CompactSpace{
-			Base:   catalog.NewCompactLayout(f.cat.NumObjects()),
-			Free:   free,
-			Digits: f.digits(),
-		})
+		ev, ok, st, err := eng.ExhaustiveBnB(cons, f.bnbSpace(t, catalog.NewCompactLayout(f.cat.NumObjects()), free, false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok != wantOK || st.Candidates != wantCount || !evalEqual(ev, wantEv) {
+		if ok != wantOK || st.Candidates != wantCount || st.SpaceSize != wantSt.SpaceSize || !evalEqual(ev, wantEv) {
 			t.Fatalf("workers=%d: compact ES (ok=%v count=%d toc=%v) != map ES (ok=%v count=%d toc=%v)",
 				workers, ok, st.Candidates, ev.TOCCents, wantOK, wantCount, wantEv.TOCCents)
 		}
@@ -222,7 +252,7 @@ func TestExhaustiveCompactPartialBase(t *testing.T) {
 	cons := workload.Constraints{Relative: 0.25, Baseline: baseline}
 
 	mapEng, _ := New(f.config(false, 1))
-	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Base: base, Free: free, Digits: f.digits()}, nil)
+	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Base: base, Free: free, Digits: f.digits()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +261,7 @@ func TestExhaustiveCompactPartialBase(t *testing.T) {
 	if !ok {
 		t.Fatal("base must encode")
 	}
-	ev, found, st, err := eng.ExhaustiveCompact(cons, CompactSpace{Base: bc, Free: free, Digits: f.digits()})
+	ev, found, st, err := eng.ExhaustiveBnB(cons, f.bnbSpace(t, bc, free, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,5 +271,42 @@ func TestExhaustiveCompactPartialBase(t *testing.T) {
 	// Pinned objects stay put in the winner.
 	if c, _ := ev.Compact.Get(1); c != device.Singleton(device.HSSD) {
 		t.Fatalf("pinned object moved to %v", c)
+	}
+}
+
+// TestExhaustivePruningPreservesResult: the branch-and-bound floor only
+// cuts subtrees that cannot win — the bounded walk returns the map walk's
+// layout bit for bit at any worker width, after evaluating strictly fewer
+// candidates.
+func TestExhaustivePruningPreservesResult(t *testing.T) {
+	f := newCompactFix(t, 5)
+	free := []catalog.ObjectID{1, 2, 3, 4, 5}
+	baseline, err := f.est.Estimate(catalog.NewUniformLayout(f.cat, device.HSSD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := workload.Constraints{Relative: 0.25, Baseline: baseline}
+	mapEng, _ := New(f.config(false, 1))
+	want, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Free: free, Digits: f.digits()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantSt.Candidates != 243 {
+		t.Fatalf("unpruned evaluated %d, want 243", wantSt.Candidates)
+	}
+	for _, workers := range []int{1, 8} {
+		eng, _ := New(f.config(true, workers))
+		got, ok, st, err := eng.ExhaustiveBnB(cons, f.bnbSpace(t, catalog.NewCompactLayout(f.cat.NumObjects()), free, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != wantOK || !evalEqual(got, want) {
+			t.Fatalf("workers=%d pruned result differs: %.6g %v vs %.6g %v",
+				workers, got.TOCCents, got.LayoutMap(), want.TOCCents, want.LayoutMap())
+		}
+		if st.BoundPruned == 0 || st.Candidates >= wantSt.Candidates {
+			t.Fatalf("workers=%d pruning evaluated %d of %d candidates (%d cuts) — no subtree was cut",
+				workers, st.Candidates, wantSt.Candidates, st.BoundPruned)
+		}
 	}
 }

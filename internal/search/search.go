@@ -11,9 +11,10 @@
 //   - a bounded worker pool that fans independent candidate evaluations out
 //     across goroutines (estimators must be safe for concurrent use — see
 //     the workload.Estimator contract);
-//   - an optional admissible lower-bound hook (LowerBound / CompactBound)
-//     that lets exhaustive enumeration prune whole assignment subtrees
-//     whose TOC floor already exceeds the incumbent; and
+//   - two exhaustive walks: the map enumeration (Exhaustive), which visits
+//     every layout, and the compiled branch-and-bound DFS (ExhaustiveBnB),
+//     whose admissible floor and dominance collapse skip only candidates
+//     that provably cannot change the result; and
 //   - an optional compiled evaluation path (Config.Compiled): compact
 //     layouts, dense per-(object, class-set) cost tables, and O(moves) delta
 //     re-estimation (EvaluateDelta) make the per-candidate hot path

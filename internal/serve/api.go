@@ -119,9 +119,9 @@ type AdviseResponse struct {
 	Evaluated         int               `json:"evaluated"`
 	EstimatorCalls    int               `json:"estimator_calls"`
 	PlanMillis        float64           `json:"plan_millis"`
-	// Search carries the enumeration's work profile when the advisor ran a
-	// branch-and-bound or pruned exhaustive walk; absent for the greedy
-	// optimizer's hill-climbing searches.
+	// Search carries the enumeration's work profile when the advisor ran
+	// an exhaustive walk; absent for the greedy optimizer's hill-climbing
+	// searches.
 	Search *SearchStatsOut `json:"search,omitempty"`
 	// Replicas maps each unit to its recommended copy classes when the
 	// request asked for replication; a single-entry list is a single-copy

@@ -5,10 +5,14 @@
 # compiled IOTime, memo keys, online re-advise), converts the results to
 # JSON (first argument, default bench.json), and asserts
 #
-#   1. the map and compiled variants of each benchmark report IDENTICAL
-#      est-calls and evaluated metrics: the compiled path is a mechanical
-#      speedup, not a different search, so any count drift is a
-#      correctness regression, not noise; and
+#   1. the map and compiled variants of each DOT benchmark (cold, online
+#      re-advise, partitioned, replicated) report IDENTICAL est-calls and
+#      evaluated metrics: there the compiled path is a mechanical speedup,
+#      not a different search, so any count drift is a correctness
+#      regression, not noise. BenchmarkExhaustive is the one pair held to
+#      an inequality instead: its compiled variant is the branch-and-bound
+#      walk, which must evaluate NO MORE candidates than the map walk's
+#      full enumeration; and
 #   2. the seeded incremental re-advise (BenchmarkReAdvise) evaluates
 #      STRICTLY FEWER candidates than the cold re-search of the same
 #      drifted profile (BenchmarkReAdviseCold) — the point of online
@@ -22,27 +26,22 @@
 #      check 1 covers the unit path too: both new benchmarks run as
 #      map/compiled pairs; and
 #
-#   4. the storage-floor bound prunes for profit on BOTH evaluation paths:
-#      BenchmarkExhaustivePruned's pruned-map/pruned-compiled variants run
-#      STRICTLY FASTER than their plain siblings — a bound whose per-node
-#      cost eats its savings is a regression; and
-#
-#   5. the branch-and-bound walk (BenchmarkExhaustiveBnB/bnb) beats the
-#      plain full enumeration of the same space STRICTLY — the tentpole's
+#   4. the branch-and-bound walk (BenchmarkExhaustiveBnB/bnb) beats the
+#      unpruned map enumeration of the same 3^12 space STRICTLY — its
 #      reason to exist; and
 #
-#   6. the 500-unit partition-granular advise
+#   5. the 500-unit partition-granular advise
 #      (BenchmarkPartitionedDOT500/compiled) completes under 100ms per
 #      advise — the scale contract of the compiled unit path.
 #
-#   7. the sharded observation plane (BenchmarkCollectorIngest/sharded)
+#   6. the sharded observation plane (BenchmarkCollectorIngest/sharded)
 #      beats the locked pre-sharding baseline. The full >= 10x throughput
 #      gate needs real parallel contention, so it applies on machines with
 #      >= 8 CPUs; below that the gate degrades to the scale-independent
 #      floors a single core can witness: >= 4x the locked baseline AND
 #      >= 1e8 charges/s absolute (single-digit ns per charge); and
 #
-#   8. the multi-tenant fleet fold plane (BenchmarkFleetFold) scales with
+#   7. the multi-tenant fleet fold plane (BenchmarkFleetFold) scales with
 #      its shard ring: on machines with >= 8 CPUs the one-shard-per-CPU
 #      run must ingest >= 4x the frames/s of the single-shard run. Below
 #      8 CPUs the scaling headroom is not there to witness, so the gate
@@ -50,22 +49,21 @@
 #      runs are the same configuration) an absolute floor of 5e4 frames/s
 #      keeps the fold path itself honest; and
 #
-#   9. the replicated branch-and-bound walk (BenchmarkReplicatedBnB)
+#   8. the replicated branch-and-bound walk (BenchmarkReplicatedBnB)
 #      prunes for profit: the bounded walk (pruned) runs STRICTLY FASTER
-#      than the plain unbounded enumeration of the same 6^8 class-set
-#      space — the replicated tentpole's reason to exist. The wide
-#      variant (3-class x 12-unit, 6^12 nominal) must also be present:
-#      it witnesses that the dominance-collapsed bounded walk covers a
-#      space a plain enumeration is refused outright; and
+#      than the unpruned map enumeration of the same 6^6 class-set space.
+#      The wide variant (3-class x 12-unit, 6^12 nominal) must also be
+#      present: it witnesses that the dominance-collapsed bounded walk
+#      covers a space the map walk is refused outright; and
 #
-#  10. the 500-unit partition-granular REPLICATED advise
+#   9. the 500-unit partition-granular REPLICATED advise
 #      (BenchmarkPartitionedReplicatedDOT/compiled) completes under 250ms
 #      per advise — every unit choosing a class set costs at most 2.5x
-#      the single-class scale contract of gate 6. The map/compiled count
+#      the single-class scale contract of gate 5. The map/compiled count
 #      parity of check 1 covers the replicated sweep via the same pair
 #      naming.
 #
-#  11. the executor lends its tuples and decodes only the columns a plan
+#  10. the executor lends its tuples and decodes only the columns a plan
 #      reads, so what a scan-under-aggregate allocates is set by its groups,
 #      not its rows: BenchmarkExecutorTPCH/Q1 (60k lineitem rows at SF 0.01)
 #      stays under 650,000 B/op — twice the ~322 KB recorded when the
@@ -84,7 +82,7 @@ benchtime="${BENCHTIME:-1x}"
 ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 
 raw=$(go test -run '^$' \
-  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustivePruned|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH' \
+  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH' \
   -benchmem -benchtime "$benchtime" .)
 raw_ingest=$(go test -run '^$' \
   -bench 'BenchmarkCollectorIngest' -benchtime "$ingest_benchtime" .)
@@ -134,16 +132,23 @@ echo "$raw" | awk '
   if (name ~ /\/compiled$/) { sub(/\/compiled$/, "", base); estcomp[base]=est; evcomp[base]=ev }
 }
 END {
-  bad=0; pairs=0
+  bad=0; pairs=0; walks=0
   for (b in estmap) {
     if (!(b in estcomp)) continue
+    if (b ~ /^BenchmarkExhaustive\//) {
+      # The compiled exhaustive walk is branch-and-bound: it may skip
+      # candidates the map walk visits, never visit more.
+      walks++
+      if (evcomp[b]+0 > evmap[b]+0) { printf("REGRESSION: %s compiled walk evaluated %s, map walk %s\n", b, evcomp[b], evmap[b]); bad=1 }
+      continue
+    }
     pairs++
     if (estmap[b] != estcomp[b]) { printf("MISMATCH est-calls %s: map=%s compiled=%s\n", b, estmap[b], estcomp[b]); bad=1 }
     if (evmap[b]  != evcomp[b])  { printf("MISMATCH evaluated %s: map=%s compiled=%s\n", b, evmap[b],  evcomp[b]);  bad=1 }
   }
-  if (pairs == 0) { print "benchguard: no map/compiled pairs found — benchmark names changed?"; exit 1 }
+  if (pairs == 0 || walks == 0) { print "benchguard: no map/compiled pairs found — benchmark names changed?"; exit 1 }
   if (bad) exit 1
-  printf("benchguard OK: est-calls/evaluated identical across %d map/compiled pairs\n", pairs)
+  printf("benchguard OK: est-calls/evaluated identical across %d map/compiled pairs; compiled exhaustive evaluates no more than map on %d spaces\n", pairs, walks)
 }'
 
 echo "$raw" | awk '
@@ -190,29 +195,6 @@ END {
 }'
 
 echo "$raw" | awk '
-/^BenchmarkExhaustivePruned\// {
-  name=$1; sub(/-[0-9]+$/, "", name)
-  ns=""
-  for (i=3; i<NF; i++) if ($(i+1)=="ns/op") ns=$i
-  if (ns=="") next
-  v=name; sub(/^BenchmarkExhaustivePruned\//, "", v)
-  t[v]=ns
-}
-END {
-  pairs=0; bad=0
-  for (p in t) {
-    if (p !~ /^pruned-/) continue
-    plain="plain-" substr(p, 8)
-    if (!(plain in t)) continue
-    pairs++
-    if (t[p]+0 >= t[plain]+0) { printf("REGRESSION: %s (%s ns/op) not faster than %s (%s ns/op)\n", p, t[p], plain, t[plain]); bad=1 }
-  }
-  if (pairs == 0) { print "benchguard: no plain/pruned exhaustive pairs found — benchmark names changed?"; exit 1 }
-  if (bad) exit 1
-  printf("benchguard OK: storage-floor pruning is strictly faster than plain enumeration on %d paths\n", pairs)
-}'
-
-echo "$raw" | awk '
 /^BenchmarkExhaustiveBnB\// {
   name=$1; sub(/-[0-9]+$/, "", name)
   ns=""
@@ -223,8 +205,8 @@ echo "$raw" | awk '
 }
 END {
   if (!("plain" in t) || !("bnb" in t)) { print "benchguard: BnB benchmark variants missing — benchmark names changed?"; exit 1 }
-  if (t["bnb"]+0 >= t["plain"]+0) { printf("REGRESSION: branch-and-bound (%s ns/op) not faster than plain enumeration (%s ns/op)\n", t["bnb"], t["plain"]); exit 1 }
-  printf("benchguard OK: branch-and-bound (%s ns/op) beats plain enumeration (%s ns/op)\n", t["bnb"], t["plain"])
+  if (t["bnb"]+0 >= t["plain"]+0) { printf("REGRESSION: branch-and-bound (%s ns/op) not faster than the map enumeration (%s ns/op)\n", t["bnb"], t["plain"]); exit 1 }
+  printf("benchguard OK: branch-and-bound (%s ns/op) beats the map enumeration (%s ns/op)\n", t["bnb"], t["plain"])
 }'
 
 echo "$raw" | awk -v cpus="$(nproc)" '
@@ -294,8 +276,8 @@ END {
   printf("benchguard OK: 500-unit partitioned advise at %s ns/op (budget 1e8)\n", ns)
 }'
 
-# Gate 9: the replicated bounded walk beats plain enumeration strictly, and
-# the wide (12-unit) point — which only the dominance-collapsed bounded
+# Gate 8: the replicated bounded walk beats the map enumeration strictly,
+# and the wide (12-unit) point — which only the dominance-collapsed bounded
 # walk may legally enumerate — is present. Names are stripped of exactly
 # the "-GOMAXPROCS" suffix, as the converter does, so sub-bench names keep
 # any digits of their own.
@@ -312,11 +294,11 @@ echo "$raw" | awk -v cpus="$(nproc)" '
 END {
   if (!("plain" in t) || !("pruned" in t)) { print "benchguard: ReplicatedBnB plain/pruned variants missing — benchmark names changed?"; exit 1 }
   if (!("wide" in t)) { print "benchguard: ReplicatedBnB/wide (12-unit) variant missing — benchmark names changed?"; exit 1 }
-  if (t["pruned"]+0 >= t["plain"]+0) { printf("REGRESSION: replicated bounded walk (%s ns/op) not faster than plain enumeration (%s ns/op)\n", t["pruned"], t["plain"]); exit 1 }
-  printf("benchguard OK: replicated bounded walk (%s ns/op) beats plain enumeration (%s ns/op); wide 12-unit point at %s ns/op\n", t["pruned"], t["plain"], t["wide"])
+  if (t["pruned"]+0 >= t["plain"]+0) { printf("REGRESSION: replicated bounded walk (%s ns/op) not faster than the map enumeration (%s ns/op)\n", t["pruned"], t["plain"]); exit 1 }
+  printf("benchguard OK: replicated bounded walk (%s ns/op) beats the map enumeration (%s ns/op); wide 12-unit point at %s ns/op\n", t["pruned"], t["plain"], t["wide"])
 }'
 
-# Gate 10: the 500-unit replicated partitioned advise stays under 250ms.
+# Gate 9: the 500-unit replicated partitioned advise stays under 250ms.
 echo "$raw" | awk '
 /^BenchmarkPartitionedReplicatedDOT\/compiled/ {
   for (i=3; i<NF; i++) if ($(i+1)=="ns/op") ns=$i
@@ -328,7 +310,7 @@ END {
   printf("benchguard OK: 500-unit replicated partitioned advise at %s ns/op (budget 2.5e8)\n", ns)
 }'
 
-# Gate 11: a scan under an aggregate allocates for its groups, not its rows.
+# Gate 10: a scan under an aggregate allocates for its groups, not its rows.
 echo "$raw" | awk '
 /^BenchmarkExecutorTPCH\/Q1/ {
   for (i=3; i<NF; i++) if ($(i+1)=="B/op") bytes=$i
