@@ -14,8 +14,10 @@ package dotprov_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"dotprov/internal/bench"
 	"dotprov/internal/catalog"
@@ -25,6 +27,7 @@ import (
 	"dotprov/internal/iosim"
 	"dotprov/internal/online"
 	"dotprov/internal/plan"
+	"dotprov/internal/search"
 	"dotprov/internal/tpch"
 	"dotprov/internal/types"
 	"dotprov/internal/workload"
@@ -381,43 +384,174 @@ func BenchmarkIOTimeCompiledVsMap(b *testing.B) {
 	})
 }
 
-// BenchmarkMemoKey: building the memo key for a 64-object layout — the
-// sorted, 5-bytes-per-object map key vs the compact layout's raw bytes.
-func BenchmarkMemoKey(b *testing.B) {
-	in, _, err := synthetic(32)
-	if err != nil {
-		b.Fatal(err)
+// candidateEngine builds, over a linear-cost input whose estimator compiles,
+// the compiled search engine core builds for it, so the benchmarks below can
+// drive the engine's memo and cursor directly. memoLimit is
+// search.Config.MemoLimit (0: the default).
+func candidateEngine(in core.Input, memoLimit int) (*search.Engine, error) {
+	est := workload.CompileEstimator(in.Est, in.Cat)
+	de, ok := est.(workload.DeltaEstimator)
+	if !ok {
+		return nil, fmt.Errorf("estimator %T has no delta form", est)
 	}
-	l := catalog.NewUniformLayout(in.Cat, device.HSSD)
-	cl := catalog.CompactUniform(in.Cat, device.Singleton(device.HSSD))
-	b.Run("map-string", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if len(l.Key()) == 0 {
-				b.Fatal("empty key")
-			}
-		}
+	return search.New(search.Config{
+		Est:       est,
+		MemoLimit: memoLimit,
+		Price: func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
+			perHour, err := l.CostCentsPerHour(in.Cat, in.Box)
+			return perHour * m.Elapsed.Hours(), l.CheckCapacity(in.Cat, in.Box) == nil, err
+		},
+		Compiled: &search.CompiledConfig{
+			Cat: in.Cat, Est: de, Delta: de,
+			Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
+				perHour, fits, err := sp.PriceLinear(in.Box)
+				return perHour * m.Elapsed.Hours(), fits, err
+			},
+		},
 	})
-	b.Run("compact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if len(cl.Key()) == 0 {
-				b.Fatal("empty key")
-			}
+}
+
+// BenchmarkMemoKey: what the compact memo pays to key a probe, at 64 and
+// 512 slots. "full" hashes the whole layout (Engine.EvaluateCompact: seeds
+// and cursor construction); "update" derives the hash from the running one
+// with two slot mixes (a Cursor's Try, reverted). Every probe is a memo hit,
+// so neither variant estimates or prices — what is left beside the hash is
+// the lock, the chain lookup and the key comparison, the same for both.
+func BenchmarkMemoKey(b *testing.B) {
+	lssd := device.Singleton(device.LSSD)
+	for _, tables := range []int{32, 256} { // table + pkey each
+		in, _, err := synthetic(tables)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("compact-probe", func(b *testing.B) {
-		// The engine's hot probe: map lookup via string(bytes) stays off the
-		// heap entirely. The map construction is setup, not probe cost.
-		m := map[string]int{cl.Key(): 1}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if m[string(cl.Bytes())] != 1 {
-				b.Fatal("probe missed")
-			}
+		eng, err := candidateEngine(in, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		base := catalog.CompactUniform(in.Cat, device.Singleton(device.HSSD))
+		ev, err := eng.EvaluateCompact(base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		moved := base.Clone()
+		moved.Set(1, lssd)
+		if _, err := eng.EvaluateCompact(moved); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("full/slots-%d", base.Len()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.EvaluateCompact(moved); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("update/slots-%d", base.Len()), func(b *testing.B) {
+			cur := eng.NewCursor(ev)
+			move := []workload.ObjectMove{{Obj: 1, From: device.Singleton(device.HSSD), To: lssd}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cur.Try(move); err != nil {
+					b.Fatal(err)
+				}
+				cur.Revert(move)
+			}
+		})
+		if calls := eng.Stats().EstimatorCalls; calls != 2 {
+			b.Fatalf("probes re-estimated: %d estimator calls, want 2", calls)
+		}
+	}
+}
+
+// One BenchmarkSweepCandidate operation is sweepCandidateRounds batches of
+// sweepCandidateBatch candidates, each batch timed on its own: enough that a
+// -benchtime 1x smoke run still has several batches to take the best of.
+const (
+	sweepCandidateBatch  = 256
+	sweepCandidateRounds = 32
+)
+
+// BenchmarkSweepCandidate: what one sweep candidate costs — a cursor Try of
+// a one-unit move off L0, then Revert — when the memo does not know it, on
+// the skew fixture partitioned into 128 and into 2048 placement units.
+// B/candidate is the mean over the run; ns/candidate is the fastest batch's,
+// because a candidate's key copy is garbage at once and a collection landing
+// in a batch costs more than the batch. The engine's memo is full from the
+// start (MemoLimit 1, taken by L0), so every candidate is a miss that is
+// hashed, probed, copied, estimated and priced but not retained, and the
+// heap stays flat however long the run. Hash, delta estimate, totals and
+// price are O(moves), so 16x the units must cost far less than 16x — what
+// still grows with the catalog is the copy of the candidate's key.
+// benchguard gates the ratio.
+func BenchmarkSweepCandidate(b *testing.B) {
+	for _, extents := range []int{31, 511} { // 4 tables + 4 indexes -> 128 and 2048 units
+		fx, err := workload.Skewed(workload.SkewedConfig{Tables: 4, Extents: extents})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pt, err := catalog.BuildPartitioning(fx.Cat, fx.Stats, catalog.PartitionOptions{
+			MaxUnitsPerObject: extents, MergeRatio: 1, MinUnitBytes: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		box := device.Box2()
+		in, err := core.Input{Cat: fx.Cat, Box: box, Est: fx.Estimator(box, 1)}.Partitioned(pt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		units := in.Cat.NumObjects()
+		eng, err := candidateEngine(in, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l0 := device.Singleton(device.HSSD)
+		ev, err := eng.EvaluateCompact(catalog.CompactUniform(in.Cat, l0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		targets := []device.ClassSet{device.Singleton(device.LSSDRAID0), device.Singleton(device.HDD)}
+		b.Run(fmt.Sprintf("units-%d", units), func(b *testing.B) {
+			cur := eng.NewCursor(ev)
+			move := make([]workload.ObjectMove, 1)
+			batch := func() time.Duration {
+				start := time.Now()
+				for j := 0; j < sweepCandidateBatch; j++ {
+					// Spread the batch over the whole catalog; the second half
+					// revisits the units with the other target.
+					u := (j % 128) * (units / 128)
+					move[0] = workload.ObjectMove{Obj: catalog.ObjectID(u + 1), From: l0, To: targets[j/128%2]}
+					if _, err := cur.Try(move); err != nil {
+						b.Fatal(err)
+					}
+					cur.Revert(move)
+				}
+				return time.Since(start)
+			}
+			for i := 0; i < sweepCandidateRounds; i++ {
+				batch() // warm the allocator's size class and the caches
+			}
+			calls := eng.Stats().EstimatorCalls
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			allocated := ms.TotalAlloc
+			best := time.Duration(math.MaxInt64)
+			b.ResetTimer()
+			for i := 0; i < b.N*sweepCandidateRounds; i++ {
+				best = min(best, batch())
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			candidates := b.N * sweepCandidateRounds * sweepCandidateBatch
+			if got := eng.Stats().EstimatorCalls - calls; got != candidates {
+				b.Fatalf("%d of %d candidates missed the memo", got, candidates)
+			}
+			b.ReportMetric(float64(best.Nanoseconds())/sweepCandidateBatch, "ns/candidate")
+			b.ReportMetric(float64(ms.TotalAlloc-allocated)/float64(candidates), "B/candidate")
+			b.ReportMetric(float64(units), "units")
+		})
+	}
 }
 
 // syntheticDrifted returns the scan-shifted sibling of synthetic(n): the

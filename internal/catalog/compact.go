@@ -163,76 +163,115 @@ func (cl CompactLayout) ToSetLayout() SetLayout {
 	return out
 }
 
-// maskBits sizes the per-class accumulators of spaceDense by the mask
+// maskBits sizes the per-class accumulators of ClassSpace by the mask
 // byte's width rather than device.NumClasses, so a byte naming an undefined
 // class surfaces as "class not present in box" instead of indexing out of
 // range.
 const maskBits = 8
 
-// spaceDense accumulates S_j (bytes per class) and per-class usage flags
-// over a dense size table: every member class of a unit's set is charged
-// the unit's full size. A class is "used" as soon as any object — including
-// a zero-sized one — holds a copy on it, mirroring the map form's
-// SpaceByClass key set.
+// ClassSpace is what a layout's price and capacity verdict depend on: S_j,
+// the bytes each class holds (every member class of a unit's set is charged
+// the unit's full size), and how many units hold a copy on each class. The
+// holder count — not S_j > 0 — decides whether a class is used: a
+// zero-sized unit still marks its class, mirroring the map form's
+// SpaceByClass key set. A slot byte naming an undefined class (bits outside
+// the class-set range) counts one holder at its highest bit and no bytes,
+// so PriceLinear reports it as a class the box lacks.
 //
-// This walk is the search's hot loop (profiles of a 500-unit advise put it
-// above 40% of the search), so sizes are first summed per distinct mask —
-// one indexed add per slot, what a class-byte table costs — and each mask
-// seen (three on a three-class single-copy search) is then charged to its
-// members. Integer sums regroup exactly, so the totals are those of the
-// slot-by-slot definition.
-func (cl CompactLayout) spaceDense(sizes []int64) (space [maskBits]int64, used [maskBits]bool) {
+// Both fields are integer sums over units, so they regroup exactly: Move
+// keeps a running ClassSpace equal to Space of the mutated layout, which is
+// how the search prices a candidate from its predecessor's totals in
+// O(moves) instead of walking the layout.
+type ClassSpace struct {
+	Bytes   [maskBits]int64
+	Holders [maskBits]int32
+}
+
+// charge adds n holders of size bytes each to the classes slot byte v names.
+func (s *ClassSpace) charge(v byte, size int64, n int32) {
+	switch {
+	case v < device.NumClassSets:
+		for m := v; m != 0; m &= m - 1 {
+			c := bits.TrailingZeros8(m)
+			s.Bytes[c] += size * int64(n)
+			s.Holders[c] += n
+		}
+	case v != slotUnset:
+		s.Holders[bits.Len8(v)-1] += n // names an undefined class
+	}
+}
+
+// Move re-homes one unit of the given size from one slot value to another.
+// A slot value is a class set, or — for a unit that holds no copy, so that
+// placing and unplacing are moves too — the empty set or the raw byte of an
+// unset slot.
+func (s *ClassSpace) Move(size int64, from, to device.ClassSet) {
+	s.charge(byte(from), size, -1)
+	s.charge(byte(to), size, 1)
+}
+
+// Space totals the layout over a dense size table (slots beyond the table
+// count as zero-sized). It is the reference walk: the search calls it once
+// per seed evaluation and cursor and derives every candidate's totals from
+// there with Move. Sizes are first summed per distinct mask — one indexed
+// add per slot — and each mask seen is then charged to its members.
+func (cl CompactLayout) Space(sizes []int64) ClassSpace {
+	var s ClassSpace
 	var byMask [device.NumClassSets]int64
-	var seen uint32
+	var holders [device.NumClassSets]int32
 	sized := cl.b[:min(len(cl.b), len(sizes))]
 	for i, v := range sized {
 		if v < device.NumClassSets {
-			seen |= 1 << v
+			holders[v]++
 			byMask[v] += sizes[i]
-		} else if v != slotUnset {
-			used[bits.Len8(v)-1] = true // names an undefined class
+		} else {
+			s.charge(v, 0, 1)
 		}
 	}
 	for _, v := range cl.b[len(sized):] {
-		if v < device.NumClassSets {
-			seen |= 1 << v
-		} else if v != slotUnset {
-			used[bits.Len8(v)-1] = true
-		}
+		s.charge(v, 0, 1)
 	}
-	for seen &^= 1; seen != 0; seen &= seen - 1 { // the empty set holds no copy
-		v := bits.TrailingZeros32(seen)
+	for v, n := range holders {
+		if n == 0 {
+			continue
+		}
 		for m := uint8(v); m != 0; m &= m - 1 {
 			c := bits.TrailingZeros8(m)
-			space[c] += byMask[v]
-			used[c] = true
+			s.Bytes[c] += byMask[v]
+			s.Holders[c] += n
 		}
 	}
-	return space, used
+	return s
 }
 
-// PriceDense computes the linear layout cost C(L) in cents/hour and the
-// capacity verdict over a dense size table, in one walk of the layout (see
-// SetLayout.CostCentsPerHour and CheckCapacity, the map-form references).
-// Classes are summed in ascending order — the same order as the map forms —
-// so the paths produce bit-identical floats. A copy on a class the box does
-// not carry is an error (and does not fit). The verdict comes without a
-// diagnostic: the search only needs the bit, and over-capacity candidates
-// are common enough that building a discarded error per candidate shows up
-// in profiles.
-func (cl CompactLayout) PriceDense(sizes []int64, box *device.Box) (cost float64, fits bool, err error) {
-	space, used := cl.spaceDense(sizes)
+// PriceLinear computes the linear layout cost C(L) in cents/hour and the
+// capacity verdict from the per-class totals (see SetLayout.CostCentsPerHour
+// and CheckCapacity, the map-form references). Classes are summed in
+// ascending order — the same order as the map forms — so the paths produce
+// bit-identical floats. A copy on a class the box does not carry is an
+// error (and does not fit). The verdict comes without a diagnostic: the
+// search only needs the bit, and over-capacity candidates are common enough
+// that building a discarded error per candidate shows up in profiles.
+func (s *ClassSpace) PriceLinear(box *device.Box) (cost float64, fits bool, err error) {
 	fits = true
-	for c := range used {
-		if !used[c] {
+	for c, n := range s.Holders {
+		if n == 0 {
 			continue
 		}
 		d := box.Device(device.Class(c))
 		if d == nil {
 			return 0, false, fmt.Errorf("catalog: layout uses class %v not present in box %q", device.Class(c), box.Name)
 		}
-		cost += d.PriceCents * float64(space[c]) / 1e9
-		fits = fits && space[c] < d.CapacityBytes
+		cost += d.PriceCents * float64(s.Bytes[c]) / 1e9
+		fits = fits && s.Bytes[c] < d.CapacityBytes
 	}
 	return cost, fits, nil
+}
+
+// PriceDense is Space followed by PriceLinear: the full-walk form, used by
+// evaluations that have no predecessor to derive totals from and by the
+// parity tests.
+func (cl CompactLayout) PriceDense(sizes []int64, box *device.Box) (cost float64, fits bool, err error) {
+	s := cl.Space(sizes)
+	return s.PriceLinear(box)
 }

@@ -210,3 +210,117 @@ func TestCompactMutators(t *testing.T) {
 	}()
 	cl.Set(2, 0)
 }
+
+// TestClassSpaceMovesMatchFullWalk: a ClassSpace kept current by Move is the
+// Space of the mutated layout after every step of a random walk — over
+// zero-sized units, unset slots, multi-copy masks and classes the box lacks,
+// through steps that empty a class and refill it — and PriceLinear over it
+// is PriceDense and the map-form references, bit for bit and error for
+// error.
+func TestClassSpaceMovesMatchFullWalk(t *testing.T) {
+	cat := compactFixture(t, 6)
+	box := device.NewBox("Box 1", device.HDDRAID0, device.LSSD, device.HSSD)
+	rng := rand.New(rand.NewSource(15))
+	for _, o := range cat.Objects() {
+		if rng.Intn(3) == 0 {
+			cat.SetSize(o.ID, 0)
+		} else {
+			cat.SetSize(o.ID, rng.Int63n(400e9))
+		}
+	}
+	sizes := cat.DenseSizeBytes()
+	// Mostly the box's own classes (so most layouts price), sometimes any
+	// class (so some name a class the box lacks).
+	digits := append(alphabets(box.Classes()), device.EnumerateClassSets(device.AllClasses, 2))
+	check := func(what string, running ClassSpace, cl CompactLayout) {
+		t.Helper()
+		if full := cl.Space(sizes); running != full {
+			t.Fatalf("%s: running totals %+v, full walk %+v (layout %v)", what, running, full, cl.Bytes())
+		}
+		cost, fits, err := running.PriceLinear(box)
+		denseCost, denseFits, denseErr := cl.PriceDense(sizes, box)
+		l := cl.ToSetLayout()
+		mapCost, mapErr := l.CostCentsPerHour(cat, box)
+		if (err == nil) != (denseErr == nil) || (err == nil) != (mapErr == nil) {
+			t.Fatalf("%s: errors diverge: running %v, dense %v, map %v", what, err, denseErr, mapErr)
+		}
+		if err != nil {
+			if err.Error() != denseErr.Error() || fits || denseFits {
+				t.Fatalf("%s: running error %q (fits %v), dense %q (fits %v)", what, err, fits, denseErr, denseFits)
+			}
+			return
+		}
+		if math.Float64bits(cost) != math.Float64bits(denseCost) || math.Float64bits(cost) != math.Float64bits(mapCost) {
+			t.Fatalf("%s: cost running %v, dense %v, map %v", what, cost, denseCost, mapCost)
+		}
+		if fits != denseFits || fits != (l.CheckCapacity(cat, box) == nil) {
+			t.Fatalf("%s: capacity verdicts diverge (running %v, dense %v)", what, fits, denseFits)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		alphabet := digits[trial%len(digits)]
+		cl, _ := CompactFromSetLayout(cat, randomSetLayout(rng, cat, alphabet, true))
+		running := cl.Space(sizes)
+		move := func(what string, id ObjectID, to device.ClassSet) {
+			from, _ := cl.Get(id)
+			running.Move(sizes[DenseIndex(id)], from, to)
+			if to == 0 {
+				cl.Unset(id)
+			} else {
+				cl.Set(id, to)
+			}
+			check(what, running, cl)
+		}
+		objs := cat.Objects()
+		for step := 0; step < 40; step++ {
+			var to device.ClassSet // one step in five unplaces the unit
+			if rng.Intn(5) != 0 {
+				to = alphabet[rng.Intn(len(alphabet))]
+			}
+			move("random step", objs[rng.Intn(len(objs))].ID, to)
+		}
+		// Empty every class but one, unit by unit, then refill from there.
+		home := alphabet[rng.Intn(len(alphabet))]
+		for _, o := range objs {
+			move("gather", o.ID, home)
+		}
+		for _, o := range objs {
+			move("scatter", o.ID, alphabet[rng.Intn(len(alphabet))])
+		}
+	}
+}
+
+// TestClassSpaceUndefinedClassByte: a slot byte naming a class bit outside
+// the class-set range fails pricing with the same error whether the totals
+// come from the full walk or from moves made around it, and stops failing
+// once the unit itself is moved to a real placement.
+func TestClassSpaceUndefinedClassByte(t *testing.T) {
+	cat := compactFixture(t, 2)
+	box := device.NewBox("Box 1", device.HDDRAID0, device.LSSD, device.HSSD)
+	sizes := cat.DenseSizeBytes()
+	hssd, lssd := device.Singleton(device.HSSD), device.Singleton(device.LSSD)
+	b := CompactUniform(cat, hssd).Bytes()
+	const undefined = 0x41 // bit 6: no such class
+	b[1] = undefined
+	cl := CompactFromBytes(b)
+	running := cl.Space(sizes)
+	_, _, before := running.PriceLinear(box)
+	if before == nil {
+		t.Fatal("a byte naming an undefined class must not price")
+	}
+	running.Move(sizes[0], hssd, lssd)
+	b[0] = byte(lssd)
+	_, fits, after := running.PriceLinear(box)
+	_, _, full := cl.PriceDense(sizes, box)
+	if after == nil || fits || after.Error() != before.Error() || full == nil || full.Error() != before.Error() {
+		t.Fatalf("error changed across a move: before %q, after %q, full walk %q", before, after, full)
+	}
+	running.Move(sizes[1], undefined, hssd)
+	b[1] = byte(hssd)
+	if running != cl.Space(sizes) {
+		t.Fatalf("moving the undefined byte away: running %+v, full walk %+v", running, cl.Space(sizes))
+	}
+	if _, _, err := running.PriceLinear(box); err != nil {
+		t.Fatalf("layout without the undefined byte must price: %v", err)
+	}
+}

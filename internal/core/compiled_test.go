@@ -208,7 +208,7 @@ func TestCompiledEngineEngages(t *testing.T) {
 	if in.compiledConfig(in.alphabet(1)) != nil {
 		t.Fatal("a LayoutCost without its compact mirror must disable the compiled path")
 	}
-	in.LayoutCostCompact = func(cl catalog.CompactLayout) (float64, error) { return 1, nil }
+	in.LayoutCostCompact = func(sp catalog.ClassSpace) (float64, error) { return 1, nil }
 	if in.compiledConfig(in.alphabet(1)) == nil {
 		t.Fatal("a LayoutCost with its compact mirror keeps the compiled path")
 	}

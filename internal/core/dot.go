@@ -35,23 +35,18 @@ type Input struct {
 	// cent/hour (default: the linear model of §2.1). The discrete-sized
 	// model of §5.2 plugs in here.
 	LayoutCost func(l catalog.Layout) (float64, error)
-	// LayoutCostCompact optionally mirrors LayoutCost for compact layouts
-	// (provision.DiscreteCostModels builds the pair). It must price exactly
-	// like LayoutCost; setting LayoutCost without it disables the compiled
-	// fast path rather than risk divergent pricing.
-	LayoutCostCompact func(cl catalog.CompactLayout) (float64, error)
+	// LayoutCostCompact optionally mirrors LayoutCost on the compiled path
+	// (provision.DiscreteCostModels builds the pair): the same price from the
+	// layout's per-class totals, which is all the compiled path keeps of a
+	// candidate — so a model with a mirror depends on nothing else, and
+	// exhaustive search keeps its dominance collapse under it. It must price
+	// exactly like LayoutCost; setting LayoutCost without it disables the
+	// compiled fast path rather than risk divergent pricing.
+	LayoutCostCompact func(sp catalog.ClassSpace) (float64, error)
 	// NoCompile disables the compiled (compact/delta) evaluation fast path,
 	// forcing map-based evaluation everywhere. Results are bit-identical
 	// either way; the switch exists for benchmarks and equivalence tests.
 	NoCompile bool
-	// LayoutCostClassSymmetric declares that a custom LayoutCost /
-	// LayoutCostCompact pair depends only on the per-class byte totals of
-	// the layout (as the linear and discrete-sized models both do), not on
-	// which objects produce them. The declaration lets exhaustive search
-	// keep dominance pruning — collapsing symmetric units — under the
-	// custom model; cost bounding stays off regardless, since the floor
-	// assumes linear pricing. Ignored when no custom cost is installed.
-	LayoutCostClassSymmetric bool
 	// Replication sets the per-unit copy cap of the entry points that place
 	// class sets — OptimizeReplicated, ExhaustiveReplicated and their
 	// partitioned and incremental variants. The single-copy entry points
@@ -138,7 +133,11 @@ type Result struct {
 	// fallback) evaluations — which is why it can slightly exceed the
 	// memo-miss share of Evaluated.
 	EstimatorCalls int
-	PlanTime       time.Duration // wall-clock optimization time
+	// PlanTime is wall-clock search time: for the DOT entry points the whole
+	// call, engine construction and move scoring included; for one round of
+	// a relaxing loop or an exhaustive search, from the baseline evaluation
+	// on.
+	PlanTime time.Duration
 	// Search reports the enumeration's statistics — candidates evaluated,
 	// subtrees cut by the bound, dominance groups, space sizes. Exhaustive
 	// entry points fill every field; the DOT sweeps fill Candidates only.
@@ -335,19 +334,16 @@ func (in Input) compiledConfig(alphabet []device.ClassSet) *search.CompiledConfi
 		return nil
 	}
 	de, _ := est.(workload.DeltaEstimator)
-	// Sizes are frozen per engine, like the estimators' statistics; the
-	// dense snapshot keeps cost and capacity checks off the catalog's maps.
-	sizes := in.Cat.DenseSizeBytes()
 	return &search.CompiledConfig{
 		Cat:   in.Cat,
 		Est:   ce,
 		Delta: de,
-		Price: func(m workload.Metrics, cl catalog.CompactLayout) (float64, bool, error) {
-			perHour, fits, err := cl.PriceDense(sizes, in.Box)
+		Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
+			perHour, fits, err := sp.PriceLinear(in.Box)
 			if in.LayoutCostCompact != nil {
-				// The custom model prices; the walk still decides the fit (a
-				// copy on a class the box lacks does not fit).
-				perHour, err = in.LayoutCostCompact(cl)
+				// The custom model prices; the linear pass still decides the fit
+				// (a copy on a class the box lacks does not fit).
+				perHour, err = in.LayoutCostCompact(sp)
 			}
 			return tocOf(perHour, m), fits, err
 		},
@@ -414,6 +410,7 @@ func (in Input) enumerateMoves(eng *search.Engine) ([]Move, error) {
 // on the most expensive class), apply the scored moves in order, keep every
 // feasible layout, and return the one with the minimum estimated TOC.
 func Optimize(in Input, opts Options) (*Result, error) {
+	start := time.Now()
 	eng, err := in.engine(1)
 	if err != nil {
 		return nil, err
@@ -430,6 +427,7 @@ func Optimize(in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.PlanTime = time.Since(start)
 	return res.finish().Result, nil
 }
 
@@ -513,77 +511,39 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 	return res, nil
 }
 
-// cursor is a sweep's running layout: at reads a unit's current placement,
-// try applies a candidate change and evaluates the result, and the sweep
-// then either commits that evaluation as the new running layout or reverts
+// cursor is a sweep's running layout: At reads a unit's current placement,
+// Try applies a candidate change and evaluates the result, and the sweep
+// then either Commits that evaluation as the new running layout or Reverts
 // the change. Both sweeps are written once against it; the two
 // implementations differ only in how a candidate is materialized and
 // evaluated, never in which candidates are tried or in what order — so the
 // map and the compiled path walk move for move and return identical
-// results. A cursor keeps nothing between try and the commit or revert that
-// follows: the sweep hands the evaluation (or the change list) back, so a
-// rejected candidate costs no heap write.
+// results. The sweep hands the evaluation (or the change list) back to the
+// Commit or Revert that follows a Try, so a cursor need not remember the
+// candidate.
 type cursor interface {
-	// eval is the running layout's evaluation.
-	eval() search.Eval
-	at(id catalog.ObjectID) (device.ClassSet, bool)
-	// try evaluates the running layout with changes applied.
-	try(changes []workload.ObjectMove) (search.Eval, error)
-	// commit makes the layout try just evaluated the running layout.
-	commit(ev search.Eval)
-	// revert undoes the changes try just applied.
-	revert(changes []workload.ObjectMove)
+	// Eval is the running layout's evaluation.
+	Eval() search.Eval
+	At(id catalog.ObjectID) (device.ClassSet, bool)
+	// Try evaluates the running layout with changes applied.
+	Try(changes []workload.ObjectMove) (search.Eval, error)
+	// Commit makes the layout Try just evaluated the running layout.
+	Commit(ev search.Eval)
+	// Revert undoes the changes Try just applied.
+	Revert(changes []workload.ObjectMove)
 }
 
-// newCursor starts a cursor at an evaluated layout: compact when the engine
-// is compiled (and the layout could be encoded), map otherwise — the
-// plan-aware DSS estimator, which cannot compile, and the NoCompile oracle.
+// newCursor starts a cursor at an evaluated layout: the engine's own
+// (search.Cursor — one scratch compact layout mutated in place, a candidate
+// derived from the running evaluation in O(moves), a rejected one reverted
+// exactly) when the engine is compiled and the layout could be encoded, the
+// map cursor otherwise — the plan-aware DSS estimator, which cannot
+// compile, and the NoCompile oracle.
 func newCursor(eng *search.Engine, ev search.Eval) cursor {
-	if eng.Compiled() && !ev.Compact.IsZero() {
-		return &compactCursor{eng: eng, cur: ev, scratch: ev.Compact.Clone()}
+	if c := eng.NewCursor(ev); c != nil {
+		return c
 	}
 	return &mapCursor{eng: eng, cur: ev, l: ev.LayoutMap()}
-}
-
-// compactCursor keeps the running layout in one scratch compact layout
-// mutated in place: a candidate is scored by delta re-estimation from the
-// current evaluation (Engine.EvaluateDelta) and a rejected one is reverted
-// exactly, so the sweep allocates nothing per candidate.
-type compactCursor struct {
-	eng     *search.Engine
-	cur     search.Eval
-	scratch catalog.CompactLayout
-}
-
-func (c *compactCursor) eval() search.Eval { return c.cur }
-
-func (c *compactCursor) at(id catalog.ObjectID) (device.ClassSet, bool) { return c.scratch.Get(id) }
-
-func (c *compactCursor) try(changes []workload.ObjectMove) (search.Eval, error) {
-	deltaable := true
-	for _, ch := range changes {
-		// An empty From is a unit the running layout does not place. Sweeps
-		// start from total layouts, so this is unreachable; degrade to a full
-		// evaluation rather than delta from an unknown placement.
-		deltaable = deltaable && ch.From != 0
-		c.scratch.Set(ch.Obj, ch.To)
-	}
-	if deltaable {
-		return c.eng.EvaluateDelta(c.cur, c.scratch, changes)
-	}
-	return c.eng.EvaluateCompact(c.scratch)
-}
-
-func (c *compactCursor) commit(ev search.Eval) { c.cur = ev }
-
-func (c *compactCursor) revert(changes []workload.ObjectMove) {
-	for _, ch := range changes {
-		if ch.From == 0 {
-			c.scratch.Unset(ch.Obj)
-		} else {
-			c.scratch.Set(ch.Obj, ch.From)
-		}
-	}
 }
 
 // mapCursor clones the running map layout per candidate and runs it through
@@ -596,14 +556,14 @@ type mapCursor struct {
 	l   catalog.SetLayout
 }
 
-func (c *mapCursor) eval() search.Eval { return c.cur }
+func (c *mapCursor) Eval() search.Eval { return c.cur }
 
-func (c *mapCursor) at(id catalog.ObjectID) (device.ClassSet, bool) {
+func (c *mapCursor) At(id catalog.ObjectID) (device.ClassSet, bool) {
 	set, ok := c.l[id]
 	return set, ok
 }
 
-func (c *mapCursor) try(changes []workload.ObjectMove) (search.Eval, error) {
+func (c *mapCursor) Try(changes []workload.ObjectMove) (search.Eval, error) {
 	l := c.l.Clone()
 	for _, ch := range changes {
 		l[ch.Obj] = ch.To
@@ -611,9 +571,9 @@ func (c *mapCursor) try(changes []workload.ObjectMove) (search.Eval, error) {
 	return c.eng.Evaluate(l)
 }
 
-func (c *mapCursor) commit(ev search.Eval) { c.cur, c.l = ev, ev.LayoutMap() }
+func (c *mapCursor) Commit(ev search.Eval) { c.cur, c.l = ev, ev.LayoutMap() }
 
-func (c *mapCursor) revert([]workload.ObjectMove) {}
+func (c *mapCursor) Revert([]workload.ObjectMove) {}
 
 // gateFunc vets a candidate before a sweep may adopt or walk to it, on top
 // of capacity and the SLA (see IncrementalOptions.Accept).
@@ -626,15 +586,15 @@ type gateFunc func(ev search.Eval, cons workload.Constraints) bool
 // adopted or walked to (the incremental search's migration budget plugs in
 // here); the cold sweeps pass nil.
 func dotSweep(opts Options, cur cursor, moves []Move, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
-	curTOC := cur.eval().TOCCents
-	curFeasible := cur.eval().Feasible(cons)
+	curTOC := cur.Eval().TOCCents
+	curFeasible := cur.Eval().Feasible(cons)
 	var changes []workload.ObjectMove
 	for pass := 0; pass < passes; pass++ {
 		changed := false
 		for _, m := range moves {
 			changes = changes[:0]
 			for i, obj := range m.Group.Objects {
-				from, _ := cur.at(obj)
+				from, _ := cur.At(obj)
 				if to := device.Singleton(m.Placement[i]); from != to {
 					changes = append(changes, workload.ObjectMove{Obj: obj, From: from, To: to})
 				}
@@ -642,7 +602,7 @@ func dotSweep(opts Options, cur cursor, moves []Move, cons workload.Constraints,
 			if len(changes) == 0 {
 				continue // identity move
 			}
-			ev, err := cur.try(changes)
+			ev, err := cur.Try(changes)
 			if err != nil {
 				return err
 			}
@@ -653,10 +613,10 @@ func dotSweep(opts Options, cur cursor, moves []Move, cons workload.Constraints,
 			// starting points (L0 over capacity) always accept the first
 			// feasible layout.
 			if !accepted || (!opts.GreedyApply && curFeasible && ev.TOCCents > curTOC) {
-				cur.revert(changes)
+				cur.Revert(changes)
 				continue
 			}
-			cur.commit(ev)
+			cur.Commit(ev)
 			curTOC = ev.TOCCents
 			curFeasible = true
 			changed = true
@@ -705,13 +665,13 @@ func (in Input) replicaTransitions(copyCap int) [][]device.ClassSet {
 // until no transition helps. The gate vets candidates exactly as in
 // dotSweep.
 func refineSweep(cur cursor, objs []*catalog.Object, trans [][]device.ClassSet, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
-	curTOC := cur.eval().TOCCents
-	curFeasible := cur.eval().Feasible(cons)
+	curTOC := cur.Eval().TOCCents
+	curFeasible := cur.Eval().Feasible(cons)
 	var move [1]workload.ObjectMove
 	for pass := 0; pass < passes; pass++ {
 		changed := false
 		for _, o := range objs {
-			from, placed := cur.at(o.ID)
+			from, placed := cur.At(o.ID)
 			if !placed {
 				continue
 			}
@@ -722,17 +682,17 @@ func refineSweep(cur cursor, objs []*catalog.Object, trans [][]device.ClassSet, 
 				improved := false
 				for _, tgt := range trans[from] {
 					move[0] = workload.ObjectMove{Obj: o.ID, From: from, To: tgt}
-					ev, err := cur.try(move[:])
+					ev, err := cur.Try(move[:])
 					if err != nil {
 						return err
 					}
 					res.Evaluated++
 					accepted := (gate == nil || gate(ev, cons)) && res.consider(ev, cons)
 					if !accepted || (curFeasible && ev.TOCCents >= curTOC) {
-						cur.revert(move[:])
+						cur.Revert(move[:])
 						continue
 					}
-					cur.commit(ev)
+					cur.Commit(ev)
 					curTOC, curFeasible = ev.TOCCents, true
 					from = tgt
 					improved, changed = true, true
@@ -762,10 +722,12 @@ func refineSweep(cur cursor, objs []*catalog.Object, trans [][]device.ClassSet, 
 // Both passes share one search engine, so the second revisits the first's
 // memoized evaluations instead of re-estimating them; with Workers > 1 the
 // passes also run concurrently (the engine's semaphore still bounds
-// concurrent estimator calls at Workers). Evaluated and PlanTime report the
-// summed work of both passes; EstimatorCalls reports the distinct layouts
-// actually estimated.
+// concurrent estimator calls at Workers). Evaluated reports the summed work
+// of both passes, EstimatorCalls the distinct layouts actually estimated,
+// and PlanTime the wall clock of this whole call — not the sum of two passes
+// that may have overlapped.
 func optimizeBest(in Input, opts Options, copyCap int) (*ReplicaResult, error) {
+	start := time.Now()
 	eng, err := in.engine(copyCap)
 	if err != nil {
 		return nil, err
@@ -811,9 +773,9 @@ func optimizeBest(in Input, opts Options, copyCap int) (*ReplicaResult, error) {
 		best = b
 	}
 	best.Evaluated = a.Evaluated + b.Evaluated
-	best.PlanTime = a.PlanTime + b.PlanTime
 	best.EstimatorCalls = eng.Stats().EstimatorCalls
 	best.Search.Candidates = best.Evaluated
+	best.PlanTime = time.Since(start)
 	return best.finish(), nil
 }
 

@@ -202,18 +202,19 @@ func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []ca
 			}
 		}
 	}
-	// Dominance needs the layout cost to be symmetric in per-class byte
-	// totals (true of the linear model, declared for custom ones) and an
-	// estimator that can emit placement signatures. The unit's size joins
-	// the signature: interchangeability needs equal per-class cost and
-	// capacity contributions too.
-	if linear || in.LayoutCostClassSymmetric {
-		if sig, ok := est.(workload.PlacementSignable); ok {
-			bsp.Sigs = make([][]byte, len(free))
-			for i, id := range free {
-				bsp.Sigs[i] = binary.BigEndian.AppendUint64(
-					sig.AppendPlacementSignature(nil, id), uint64(sizes[catalog.DenseIndex(id)]))
-			}
+	// Dominance needs the layout cost to be symmetric in per-class totals —
+	// which every model on this walk is: the compiled path prices from a
+	// catalog.ClassSpace and nothing else, the linear model and a custom
+	// model's LayoutCostCompact mirror alike (cost bounding stays off for the
+	// latter, since the floor assumes linear pricing) — and an estimator that
+	// can emit placement signatures. The unit's size joins the signature:
+	// interchangeability needs equal per-class cost and capacity
+	// contributions too.
+	if sig, ok := est.(workload.PlacementSignable); ok {
+		bsp.Sigs = make([][]byte, len(free))
+		for i, id := range free {
+			bsp.Sigs[i] = binary.BigEndian.AppendUint64(
+				sig.AppendPlacementSignature(nil, id), uint64(sizes[catalog.DenseIndex(id)]))
 		}
 	}
 	return bsp, true

@@ -120,7 +120,9 @@ func TestSearchGolden(t *testing.T) {
 				rres, err = OptimizeReplicatedIncremental(in, ReplicatedIncrementalOptions{Options: opts, Seed: s})
 				replica(tag+"incremental", rres, err)
 				if !noCompile {
-					// The replicated enumeration exists on the compiled path only.
+					// The map walk enumerates replicated spaces too — it is the
+					// unpruned reference of TestExhaustiveReplicatedPrunedMatchesPlain —
+					// but the golden pins the replicated space on the compiled walk only.
 					rres, err = ExhaustiveReplicated(in, opts)
 					replica(tag+"exhaustive", rres, err)
 				}

@@ -76,6 +76,7 @@ func OptimizeReplicatedIncremental(in Input, opts ReplicatedIncrementalOptions) 
 // relax the gate or fall back to a full cold search (online.Manager does
 // the latter).
 func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept gateFunc, copyCap int) (*ReplicaResult, error) {
+	start := time.Now()
 	eng, err := in.engine(copyCap)
 	if err != nil {
 		return nil, err
@@ -90,7 +91,6 @@ func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept 
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	stats0 := eng.Stats()
 	_, _, cons, err := in.prep(opts, eng)
 	if err != nil {

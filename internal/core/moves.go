@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"dotprov/internal/catalog"
@@ -94,19 +94,39 @@ func EnumerateMoves(cat *catalog.Catalog, box *device.Box, ps *ProfileSet, l0 de
 	}); err != nil {
 		return nil, err
 	}
-	var moves []Move
-	for _, gm := range perGroup {
-		moves = append(moves, gm...)
+	// Order references into perGroup, then gather once: the sort swaps
+	// pointers instead of ~100-byte moves and the list is allocated at its
+	// final size.
+	var refs []*Move
+	for gi := range perGroup {
+		for mi := range perGroup[gi] {
+			refs = append(refs, &perGroup[gi][mi])
+		}
 	}
-	sort.SliceStable(moves, func(i, j int) bool {
-		if moves[i].Score != moves[j].Score {
-			return moves[i].Score < moves[j].Score
+	slices.SortStableFunc(refs, func(a, b *Move) int {
+		switch {
+		case moveBefore(a, b):
+			return -1
+		case moveBefore(b, a):
+			return 1
 		}
-		// Deterministic tie-break: larger saving first, then group order.
-		if moves[i].DeltaCost != moves[j].DeltaCost {
-			return moves[i].DeltaCost > moves[j].DeltaCost
-		}
-		return moves[i].Group.Objects[0] < moves[j].Group.Objects[0]
+		return 0
 	})
+	moves := make([]Move, len(refs))
+	for i, m := range refs {
+		moves[i] = *m
+	}
 	return moves, nil
+}
+
+// moveBefore orders the move list: ascending score, then — a deterministic
+// tie-break — larger saving first, then group order.
+func moveBefore(a, b *Move) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	if a.DeltaCost != b.DeltaCost {
+		return a.DeltaCost > b.DeltaCost
+	}
+	return a.Group.Objects[0] < b.Group.Objects[0]
 }

@@ -54,7 +54,7 @@ type Config struct {
 	// Partitioning they must be built over its unit catalog — layouts the
 	// manager prices are unit-granular.
 	LayoutCost        func(l catalog.Layout) (float64, error)
-	LayoutCostCompact func(cl catalog.CompactLayout) (float64, error)
+	LayoutCostCompact func(sp catalog.ClassSpace) (float64, error)
 	// Replication, when Enabled, lets every advise and re-advise place up to
 	// MaxReplicas copies of a unit: reads route to the best copy per access
 	// pattern, writes land on every copy, drift is judged at replica-routed

@@ -228,7 +228,7 @@ func TestManagerReplicatedTransactionalWindow(t *testing.T) {
 func TestManagerReplicationRejectsLayoutCost(t *testing.T) {
 	cat, _ := htapCatalog(t)
 	lc := func(l catalog.Layout) (float64, error) { return 0, nil }
-	lcc := func(cl catalog.CompactLayout) (float64, error) { return 0, nil }
+	lcc := func(sp catalog.ClassSpace) (float64, error) { return 0, nil }
 	_, err := NewManager(Config{
 		Cat: cat, Box: device.BoxHTAP(), SLA: 0.5,
 		Replication: core.ReplicationConfig{Enabled: true},

@@ -7,6 +7,8 @@ import (
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
 	"dotprov/internal/device"
+	"dotprov/internal/iosim"
+	"dotprov/internal/types"
 	"dotprov/internal/workload"
 )
 
@@ -89,7 +91,7 @@ func TestDiscreteCostModelsParity(t *testing.T) {
 			if !ok {
 				t.Fatal("layout must encode")
 			}
-			got, err := compactModel(cl)
+			got, err := compactModel(cl.Space(in.Cat.DenseSizeBytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,5 +102,61 @@ func TestDiscreteCostModelsParity(t *testing.T) {
 	}
 	if _, _, err := DiscreteCostModels(in.Cat, box, 1.5); err == nil {
 		t.Fatal("alpha out of range must error")
+	}
+}
+
+// TestExhaustiveDiscreteCollapsesSymmetricUnits: under the §5.2 model the
+// compiled exhaustive walk keeps its dominance collapse — the model's
+// compact mirror reads per-class totals only, so interchangeable units are
+// interchangeable under it too — and still returns what the map walk's full
+// enumeration returns, bit for bit, after fewer candidates.
+func TestExhaustiveDiscreteCollapsesSymmetricUnits(t *testing.T) {
+	cat := catalog.New()
+	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})
+	prof := iosim.NewProfile()
+	for i := 0; i < 6; i++ {
+		tab, err := cat.CreateTable(string(rune('a'+i)), sch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := int64(i/3 + 1) // two groups of three identical tables
+		cat.SetSize(tab.ID, k*12e9)
+		prof.Add(tab.ID, device.SeqRead, float64(k)*4e5)
+		prof.Add(tab.ID, device.RandRead, float64(k)*2e4)
+	}
+	box := device.Box1()
+	for _, alpha := range []float64{0.35, 1} {
+		model, mirror, err := DiscreteCostModels(cat, box, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := core.Input{
+			Cat: cat, Box: box, Concurrency: 1,
+			Est: &workload.ObservedEstimator{Box: box, Concurrency: 1,
+				PerQuery: []workload.QueryObservation{{Profile: prof}}},
+			LayoutCost: model, LayoutCostCompact: mirror,
+		}
+		opts := core.Options{RelativeSLA: 0.3}
+		got, err := core.Exhaustive(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.NoCompile = true
+		want, err := core.Exhaustive(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Feasible || got.Feasible != want.Feasible || !got.Layout.Equal(want.Layout) ||
+			math.Float64bits(got.TOCCents) != math.Float64bits(want.TOCCents) {
+			t.Fatalf("alpha=%g: collapsed walk found %v at %v, full enumeration %v at %v",
+				alpha, got.Layout, got.TOCCents, want.Layout, want.TOCCents)
+		}
+		if got.Layout[1] == got.Layout[3] {
+			t.Fatalf("alpha=%g: winner %v does not split a symmetry group — the tie-break goes untested", alpha, got.Layout)
+		}
+		if got.Search.Groups != 2 || got.Evaluated >= want.Evaluated {
+			t.Fatalf("alpha=%g: %d symmetry groups, %d candidates of the full walk's %d — nothing collapsed",
+				alpha, got.Search.Groups, got.Evaluated, want.Evaluated)
+		}
 	}
 }

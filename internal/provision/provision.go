@@ -120,10 +120,12 @@ func DiscreteCostModel(cat *catalog.Catalog, box *device.Box, alpha float64) (fu
 }
 
 // DiscreteCostModels returns the §5.2 model in both forms — the map-layout
-// function for Input.LayoutCost and its compact mirror for
+// function for Input.LayoutCost and its mirror over per-class totals for
 // Input.LayoutCostCompact — so the compiled search path prices candidates
-// without materializing map layouts. The two price bit-identically.
-func DiscreteCostModels(cat *catalog.Catalog, box *device.Box, alpha float64) (func(catalog.Layout) (float64, error), func(catalog.CompactLayout) (float64, error), error) {
+// without materializing map layouts, or walking them: the model reads the
+// bytes each class holds and nothing else. On the single-class layouts the
+// model is defined for, the two price bit-identically.
+func DiscreteCostModels(cat *catalog.Catalog, box *device.Box, alpha float64) (func(catalog.Layout) (float64, error), func(catalog.ClassSpace) (float64, error), error) {
 	if alpha < 0 || alpha > 1 {
 		return nil, nil, fmt.Errorf("provision: alpha must be in [0, 1], got %g", alpha)
 	}
@@ -143,20 +145,10 @@ func DiscreteCostModels(cat *catalog.Catalog, box *device.Box, alpha float64) (f
 		}
 		return total, nil
 	}
-	sizes := cat.DenseSizeBytes()
-	compactModel := func(cl catalog.CompactLayout) (float64, error) {
-		// The model is a function of single-class layouts: sizes are summed
-		// per placement byte and only the singleton masks are read back, so
-		// any other byte is skipped, like an unplaced slot.
-		var byMask [device.NumClassSets]int64
-		for i, v := range cl.Bytes() {
-			if v < device.NumClassSets && i < len(sizes) {
-				byMask[v] += sizes[i]
-			}
-		}
+	compactModel := func(sp catalog.ClassSpace) (float64, error) {
 		var total float64
 		for c := 0; c < device.NumClasses; c++ {
-			bytes := byMask[device.Singleton(device.Class(c))]
+			bytes := sp.Bytes[c]
 			if bytes == 0 {
 				continue
 			}
@@ -182,7 +174,7 @@ func CompareAlphas(in core.Input, opts core.Options, alphas []float64) ([]Candid
 		return nil, fmt.Errorf("provision: CompareAlphas requires an estimator")
 	}
 	models := make([]func(catalog.Layout) (float64, error), len(alphas))
-	compactModels := make([]func(catalog.CompactLayout) (float64, error), len(alphas))
+	compactModels := make([]func(catalog.ClassSpace) (float64, error), len(alphas))
 	for i, a := range alphas {
 		model, compactModel, err := DiscreteCostModels(in.Cat, in.Box, a)
 		if err != nil {

@@ -87,11 +87,6 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 			}
 			in.LayoutCost = model
 			in.LayoutCostCompact = compactModel
-			// The discrete model prices per-class byte totals only (ceil'd unit
-			// counts), so swapping equal-sized symmetric units between classes
-			// cannot change its value: dominance collapsing stays sound even
-			// though cost bounding is off for custom models.
-			in.LayoutCostClassSymmetric = true
 		}
 		// Both application policies (guarded + greedy) rather than one pass:
 		// the discrete-sized model has cost valleys a monotonic walk cannot

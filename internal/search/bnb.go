@@ -245,15 +245,16 @@ func (sh *bnbShared) prune(store float64, t time.Duration) bool {
 	return store*t.Hours()*(1-boundSlack) > sh.best.toc()
 }
 
-// bnbWalker is one worker's mutable walk state.
+// bnbWalker is one worker's mutable walk state. chain is a cursor over
+// scratch that serves the innermost level only: the levels above write
+// scratch directly, so each sibling group re-seats it.
 type bnbWalker struct {
 	sh      *bnbShared
 	scratch catalog.CompactLayout
+	chain   *Cursor
 	digits  []uint8
 	rankBuf []byte
-	prev    Eval
 	prevOK  bool
-	prevCls device.ClassSet
 	moves   [1]workload.ObjectMove
 	stats   EnumStats
 }
@@ -305,13 +306,14 @@ func (w *bnbWalker) rec(i int, storeAcc float64, timeAcc time.Duration) error {
 		size = sh.sp.SizeGB[sh.densePos[u]]
 	}
 	if i == sh.n-1 {
-		// Innermost: siblings differ by one move; the first sibling of the
-		// group needs a full estimate (levels above changed since the last
-		// evaluation), the rest are deltas from their predecessor.
+		// Innermost: siblings differ by one move; the first evaluated sibling
+		// of the group is hashed, totalled and estimated in full (levels above
+		// changed since the last evaluation), the rest are O(1) steps of the
+		// chain cursor from their predecessor. A pruned sibling is never
+		// written to scratch.
 		w.prevOK = false
 		for ci := w.digitFloor(i); ci < sh.m; ci++ {
 			c := sh.sp.Digits[ci]
-			w.scratch.Set(obj, c)
 			w.digits[i] = uint8(ci)
 			if sh.bounding && sh.prune(storeAcc+sh.prices[ci]*size+sh.minStore[i+1], timeAcc+row[ci]+sh.minTime[i+1]) {
 				w.stats.BoundPruned++
@@ -320,10 +322,14 @@ func (w *bnbWalker) rec(i int, storeAcc float64, timeAcc time.Duration) error {
 			var ev Eval
 			var err error
 			if w.prevOK {
-				w.moves[0] = workload.ObjectMove{Obj: obj, From: w.prevCls, To: c}
-				ev, err = sh.e.EvaluateDelta(w.prev, w.scratch, w.moves[:])
+				from, _ := w.chain.At(obj) // the last evaluated sibling
+				w.moves[0] = workload.ObjectMove{Obj: obj, From: from, To: c}
+				if ev, err = w.chain.Try(w.moves[:]); err == nil {
+					w.chain.Commit(ev)
+				}
 			} else {
-				ev, err = sh.e.EvaluateCompact(w.scratch)
+				w.scratch.Set(obj, c)
+				ev, err = w.chain.reseat()
 			}
 			if err != nil {
 				w.computeRank()
@@ -331,7 +337,7 @@ func (w *bnbWalker) rec(i int, storeAcc float64, timeAcc time.Duration) error {
 				return errStopped
 			}
 			w.stats.Candidates++
-			w.prev, w.prevOK, w.prevCls = ev, true, c
+			w.prevOK = true
 			if ev.Feasible(sh.cons) {
 				w.offer(ev)
 			}
@@ -540,7 +546,7 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace) (Eval, bo
 	}
 
 	newWalker := func(cl catalog.CompactLayout) *bnbWalker {
-		return &bnbWalker{sh: sh, scratch: cl, digits: make([]uint8, n), rankBuf: make([]byte, n)}
+		return &bnbWalker{sh: sh, scratch: cl, chain: &Cursor{e: e, scratch: cl}, digits: make([]uint8, n), rankBuf: make([]byte, n)}
 	}
 
 	workers := e.Workers()

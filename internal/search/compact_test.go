@@ -18,6 +18,7 @@ type compactFix struct {
 	cat   *catalog.Catalog
 	box   *device.Box
 	sizes []int64
+	src   workload.Estimator // the estimator est was compiled from
 	est   workload.Estimator // compiled (compact/delta-capable)
 }
 
@@ -42,6 +43,7 @@ func newCompactFix(t *testing.T, n int) *compactFix {
 		cat:   cat,
 		box:   box,
 		sizes: cat.DenseSizeBytes(),
+		src:   src,
 		est:   workload.CompileEstimator(src, cat),
 	}
 }
@@ -62,8 +64,8 @@ func (f *compactFix) config(compiled bool, workers int) Config {
 			Cat:   f.cat,
 			Est:   ce,
 			Delta: de,
-			Price: func(m workload.Metrics, cl catalog.CompactLayout) (float64, bool, error) {
-				perHour, fits, err := cl.PriceDense(f.sizes, f.box)
+			Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
+				perHour, fits, err := sp.PriceLinear(f.box)
 				return perHour * m.Elapsed.Hours(), fits, err
 			},
 		}
@@ -109,9 +111,9 @@ func TestCompactEvaluateSharesMemoWithMap(t *testing.T) {
 	}
 }
 
-// TestEvaluateDeltaMatchesFull: delta evaluation from a base must produce
-// the same Eval (bit-identical TOC) as a fresh full evaluation, and memo
-// revisits must not re-estimate.
+// TestEvaluateDeltaMatchesFull: a cursor's delta evaluation from a base
+// must produce the same Eval (bit-identical TOC) as a fresh full
+// evaluation, and memo revisits must not re-estimate.
 func TestEvaluateDeltaMatchesFull(t *testing.T) {
 	f := newCompactFix(t, 5)
 	engA, err := New(f.config(true, 1))
@@ -131,6 +133,7 @@ func TestEvaluateDeltaMatchesFull(t *testing.T) {
 	if _, err := engB.EvaluateCompact(base); err != nil {
 		t.Fatal(err)
 	}
+	cur := engA.NewCursor(evBase)
 	for _, o := range f.cat.Objects() {
 		for _, to := range f.digits() {
 			if to == hssd {
@@ -138,10 +141,12 @@ func TestEvaluateDeltaMatchesFull(t *testing.T) {
 			}
 			moved := base.Clone()
 			moved.Set(o.ID, to)
-			dv, err := engA.EvaluateDelta(evBase, moved, []workload.ObjectMove{{Obj: o.ID, From: hssd, To: to}})
+			move := []workload.ObjectMove{{Obj: o.ID, From: hssd, To: to}}
+			dv, err := cur.Try(move)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cur.Revert(move)
 			fv, err := engB.EvaluateCompact(moved)
 			if err != nil {
 				t.Fatal(err)

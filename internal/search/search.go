@@ -5,9 +5,11 @@
 // once, with
 //
 //   - a memo table keyed by the canonical layout encoding (the raw bytes of
-//     a catalog.CompactLayout on the compiled path, catalog.SetLayout.Key on
-//     the map path), so repeated sweeps (OptimizeBest's two policies, SLA
-//     halving) never estimate the same layout twice;
+//     a catalog.CompactLayout on the compiled path — chained per 64-bit
+//     position-keyed XOR hash and resolved by comparing the bytes —
+//     catalog.SetLayout.Key on the map path), so repeated sweeps
+//     (OptimizeBest's two policies, SLA halving) never estimate the same
+//     layout twice;
 //   - a bounded worker pool that fans independent candidate evaluations out
 //     across goroutines (estimators must be safe for concurrent use — see
 //     the workload.Estimator contract);
@@ -16,15 +18,17 @@
 //     whose admissible floor and dominance collapse skip only candidates
 //     that provably cannot change the result; and
 //   - an optional compiled evaluation path (Config.Compiled): compact
-//     layouts, dense per-(object, class-set) cost tables, and O(moves) delta
-//     re-estimation (EvaluateDelta) make the per-candidate hot path
+//     layouts, dense per-(object, class-set) cost tables, and a Cursor that
+//     derives a candidate's memo hash, estimate and per-class totals from
+//     its predecessor's in O(moves) make the per-candidate hot path
 //     allocation-free while returning bit-identical results.
 //
 // A candidate places every unit on a set of storage classes
 // (catalog.SetLayout, densely catalog.CompactLayout); a single-copy layout
 // is the all-singleton case and takes the same path. The engine hashes,
 // clones and delta-chains placement bytes without interpreting them — only
-// the estimator and the cost hooks know what a byte means.
+// the estimator and catalog.ClassSpace, which totals them per class for the
+// cost hook, know what a byte means.
 //
 // Results are deterministic regardless of worker count: candidates carry
 // their enumeration index, and ties on TOC resolve to the lowest index,
@@ -44,21 +48,25 @@ import (
 // CompiledConfig enables the engine's compiled evaluation path: candidates
 // are compact layouts (dense class-set bytes), the memo is keyed by their raw
 // byte strings, and metrics come from a CompactEstimator — with O(moves)
-// delta re-estimation when the estimator supports it. The compiled hook
-// must price and capacity-check exactly like its map-path sibling in
-// Config; results are bit-identical either way, the compiled path just
-// stops allocating per candidate.
+// delta re-estimation (through a Cursor) when the estimator supports it.
+// The compiled hook must price and capacity-check exactly like its map-path
+// sibling in Config; results are bit-identical either way, the compiled
+// path just stops allocating per candidate.
 type CompiledConfig struct {
-	// Cat anchors dense object indexing for map <-> compact conversion.
+	// Cat anchors dense object indexing for map <-> compact conversion; its
+	// object sizes, snapshotted when the engine is built, are what a
+	// layout's per-class totals sum.
 	Cat *catalog.Catalog
 	// Est evaluates compact layouts. Required.
 	Est workload.CompactEstimator
 	// Delta optionally re-estimates single/grouped object moves in O(moves)
 	// from a base evaluation. Nil falls back to full compact estimation.
 	Delta workload.DeltaEstimator
-	// Price is Config.Price over a compact layout. Required; must agree with
-	// it bit for bit.
-	Price func(m workload.Metrics, cl catalog.CompactLayout) (toc float64, fits bool, err error)
+	// Price is Config.Price over the layout's per-class totals — all a
+	// price or a capacity verdict may depend on, which is what lets a Cursor
+	// price a candidate without walking it. Required; must agree with
+	// Config.Price bit for bit.
+	Price func(m workload.Metrics, sp catalog.ClassSpace) (toc float64, fits bool, err error)
 }
 
 // Config assembles an Engine. Est and Price are required.
@@ -116,7 +124,7 @@ type Eval struct {
 	TOCCents   float64
 	CapacityOK bool
 	// state is the estimator's delta snapshot (compiled path, delta-capable
-	// estimators only); EvaluateDelta derives moved layouts from it.
+	// estimators only); a Cursor derives moved layouts from it.
 	state workload.DeltaState
 }
 
@@ -185,16 +193,6 @@ type entry struct {
 	err  error
 }
 
-// hashBytes is FNV-1a over the compact layout's placement bytes.
-func hashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Engine evaluates candidate layouts through the memoized
 // estimate → price → check pipeline. An Engine is safe for concurrent use;
 // share one across sweeps to share its memo table. Layouts passed to an
@@ -203,12 +201,19 @@ type Engine struct {
 	cfg  Config
 	mu   sync.Mutex
 	memo map[string]*entry
-	// memoC is the compiled path's memo: entries chained per FNV-1a hash of
-	// the compact layout bytes, resolved by byte comparison — probing and
-	// inserting never build a key string. memoCount tracks retained entries
-	// across both memos for the MemoLimit.
+	// memoC is the compiled path's memo: entries chained per layoutHash of
+	// the compact layout bytes (masked by hashMask), resolved by byte
+	// comparison — probing and inserting never build a key string, and a
+	// Cursor supplies the hash without reading the bytes. memoCount tracks
+	// retained entries across both memos for the MemoLimit.
 	memoC     map[uint64]*entry
 	memoCount int
+	// hashMask is all ones. Tests zero it so that every layout lands on one
+	// chain: the memo's answers rest on the byte comparison, not the hash.
+	hashMask uint64
+	// sizes is the catalog's dense size table (compiled engines), frozen per
+	// engine like the estimators' statistics.
+	sizes []int64
 	// Memo-insert arenas (guarded by mu): distinct candidates are the hot
 	// allocation site of an exhaustive run, so entries and compact-layout
 	// clones are carved from chunks instead of allocated one by one.
@@ -231,9 +236,10 @@ func New(cfg Config) (*Engine, error) {
 	if cc := cfg.Compiled; cc != nil && (cc.Cat == nil || cc.Est == nil || cc.Price == nil) {
 		return nil, fmt.Errorf("search: CompiledConfig requires Cat, Est and Price")
 	}
-	e := &Engine{cfg: cfg, memo: make(map[string]*entry)}
+	e := &Engine{cfg: cfg, memo: make(map[string]*entry), hashMask: ^uint64(0)}
 	if cfg.Compiled != nil {
 		e.memoC = make(map[uint64]*entry)
+		e.sizes = cfg.Compiled.Cat.DenseSizeBytes()
 	}
 	if cfg.Budget != nil {
 		e.sem = cfg.Budget.sem
@@ -344,11 +350,12 @@ func (e *Engine) measure(l catalog.SetLayout) (Eval, error) {
 //
 // On a compiled engine the layout is converted to its compact form and
 // evaluated through the compiled pipeline, sharing the compact memo — so
-// mixing Evaluate with EvaluateCompact never estimates a layout twice.
+// mixing Evaluate with EvaluateCompact or a Cursor never estimates a layout
+// twice.
 func (e *Engine) Evaluate(l catalog.SetLayout) (Eval, error) {
 	if cc := e.cfg.Compiled; cc != nil {
 		if cl, ok := catalog.CompactFromSetLayout(cc.Cat, l); ok {
-			return e.evaluateCompact(cl, true, workload.Metrics{}, nil, nil)
+			return e.evaluateCompact(cl, true, layoutHash(cl.Bytes()), nil)
 		}
 		// Unencodable layouts (IDs or sets outside the catalog's dense
 		// ranges) stay on the map pipeline; the marker prefix keeps their
@@ -358,28 +365,16 @@ func (e *Engine) Evaluate(l catalog.SetLayout) (Eval, error) {
 	return e.evaluateMap(l.Key(), l)
 }
 
-// EvaluateCompact is Evaluate for compact layouts: the compiled hot path.
-// The engine clones cl if it needs to retain it, so callers may pass a
-// scratch layout they mutate afterwards. Only valid on compiled engines.
+// EvaluateCompact is Evaluate for compact layouts, hashed and totalled in
+// full: seeds and other layouts with no evaluated predecessor (a sweep's
+// candidates go through a Cursor). The engine clones cl if it needs to
+// retain it, so callers may pass a scratch layout they mutate afterwards.
+// Only valid on compiled engines.
 func (e *Engine) EvaluateCompact(cl catalog.CompactLayout) (Eval, error) {
 	if e.cfg.Compiled == nil {
 		return Eval{}, fmt.Errorf("search: EvaluateCompact on an engine without a compiled config")
 	}
-	return e.evaluateCompact(cl, false, workload.Metrics{}, nil, nil)
-}
-
-// EvaluateDelta evaluates cl, which differs from base's layout by moves.
-// With a delta-capable estimator a memo miss re-estimates in O(moves)
-// instead of O(objects); results are bit-identical to EvaluateCompact. The
-// moves slice is only read during the call, so callers may reuse it.
-func (e *Engine) EvaluateDelta(base Eval, cl catalog.CompactLayout, moves []workload.ObjectMove) (Eval, error) {
-	if e.cfg.Compiled == nil {
-		return Eval{}, fmt.Errorf("search: EvaluateDelta on an engine without a compiled config")
-	}
-	if len(moves) == 0 {
-		return e.evaluateCompact(cl, false, workload.Metrics{}, nil, nil)
-	}
-	return e.evaluateCompact(cl, false, base.Metrics, base.state, moves)
+	return e.evaluateCompact(cl, false, layoutHash(cl.Bytes()), nil)
 }
 
 // evaluateMap is the memoized map-form pipeline.
@@ -409,12 +404,13 @@ func (e *Engine) evaluateMap(key string, l catalog.SetLayout) (Eval, error) {
 
 // evaluateCompact is the memoized compiled pipeline. owned marks cl as
 // transferable (already a private copy), letting the engine retain it
-// without another clone; moves != nil requests delta estimation from the
-// supplied base metrics/state.
-func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, baseM workload.Metrics, baseState workload.DeltaState, moves []workload.ObjectMove) (Eval, error) {
+// without another clone; h is layoutHash of cl's bytes. A non-nil cur is
+// the cursor whose candidate cl is: a miss then takes its totals, and its
+// delta base and moves, from the cursor instead of walking cl.
+func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, h uint64, cur *Cursor) (Eval, error) {
 	e.evaluated.Add(1)
 	b := cl.Bytes()
-	h := hashBytes(b)
+	h &= e.hashMask
 	e.mu.Lock()
 	ent := e.memoC[h]
 	for ent != nil && !bytes.Equal(ent.cl.Bytes(), b) {
@@ -426,7 +422,7 @@ func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, baseM wor
 			if !owned {
 				cl = cl.Clone()
 			}
-			return e.measureCompact(cl, baseM, baseState, moves)
+			return e.measureCompact(cl, cur)
 		}
 		ent = e.newEntry()
 		if !owned {
@@ -442,15 +438,17 @@ func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, baseM wor
 		return ent.ev, ent.err
 	}
 	ent.once.Do(func() {
-		ent.ev, ent.err = e.measureCompact(ent.cl, baseM, baseState, moves)
+		ent.ev, ent.err = e.measureCompact(ent.cl, cur)
 		ent.done.Store(true)
 	})
 	return ent.ev, ent.err
 }
 
 // measureCompact runs the compiled estimate → price pipeline once,
-// uncached.
-func (e *Engine) measureCompact(cl catalog.CompactLayout, baseM workload.Metrics, baseState workload.DeltaState, moves []workload.ObjectMove) (Eval, error) {
+// uncached. cl is the engine-owned copy of the layout; cur, when non-nil,
+// is the cursor that derived its totals and (unless it asked for a full
+// estimate) its moves from the running evaluation.
+func (e *Engine) measureCompact(cl catalog.CompactLayout, cur *Cursor) (Eval, error) {
 	if e.sem != nil {
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
@@ -467,8 +465,8 @@ func (e *Engine) measureCompact(cl catalog.CompactLayout, baseM workload.Metrics
 		err error
 	)
 	switch {
-	case cc.Delta != nil && moves != nil:
-		m, st, err = cc.Delta.EstimateDelta(cl, baseM, baseState, moves)
+	case cc.Delta != nil && cur != nil && cur.moves != nil:
+		m, st, err = cc.Delta.EstimateDelta(cl, cur.cur.Metrics, cur.cur.state, cur.moves)
 	case cc.Delta != nil:
 		m, st, err = cc.Delta.EstimateCompactState(cl)
 	default:
@@ -477,7 +475,13 @@ func (e *Engine) measureCompact(cl catalog.CompactLayout, baseM workload.Metrics
 	if err != nil {
 		return Eval{}, err
 	}
-	toc, fits, err := cc.Price(m, cl)
+	var sp catalog.ClassSpace
+	if cur != nil {
+		sp = cur.candSpace
+	} else {
+		sp = cl.Space(e.sizes)
+	}
+	toc, fits, err := cc.Price(m, sp)
 	if err != nil {
 		return Eval{}, err
 	}

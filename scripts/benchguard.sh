@@ -70,6 +70,14 @@
 #      borrowed-tuple flow landed (27 MB before it). One allocation per
 #      scanned row brought back costs megabytes and fails the gate.
 #
+#  11. a sweep candidate's cost does not grow with the catalog: on the skew
+#      fixture a memo-missing cursor step over 2048 placement units
+#      (BenchmarkSweepCandidate/units-2048, ns/candidate, best of three
+#      runs) costs under 3x what it costs over 128. Hash, delta estimate, per-class totals and
+#      price are O(moves); the copy of the key is the one per-unit cost
+#      left, and measures about 2x. One whole-layout walk per candidate — a
+#      rehash, a re-totalling — measures 11-14x and fails the gate.
+#
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
 # which needs a timed benchtime for throughput to mean anything
@@ -84,11 +92,17 @@ ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 raw=$(go test -run '^$' \
   -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH' \
   -benchmem -benchtime "$benchtime" .)
+# Gate 11 compares two sub-microsecond figures, so it takes the best of three
+# runs of each: a noisy neighbour inflates one run, a per-candidate walk of
+# the layout inflates all of them.
+raw_sweep=$(go test -run '^$' \
+  -bench 'BenchmarkSweepCandidate' -benchtime "$benchtime" -count 3 .)
 raw_ingest=$(go test -run '^$' \
   -bench 'BenchmarkCollectorIngest' -benchtime "$ingest_benchtime" .)
 raw_fleet=$(go test -run '^$' \
   -bench 'BenchmarkFleetFold' -benchtime "$ingest_benchtime" ./internal/serve)
 raw="$raw
+$raw_sweep
 $raw_ingest
 $raw_fleet"
 echo "$raw"
@@ -103,7 +117,7 @@ echo "$raw" | awk -v cpus="$(nproc)" '
   rec = "{\"name\":\"" name "\",\"iterations\":" $2
   for (i=3; i<NF; i++) {
     u=$(i+1)
-    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s" || u=="B/row") {
+    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s" || u=="B/row" || u=="ns/candidate" || u=="B/candidate") {
       key=u; gsub(/\//, "_per_", key); gsub(/-/, "_", key)
       rec = rec ",\"" key "\":" $i
       i++
@@ -320,4 +334,23 @@ END {
   if (!found) { print "benchguard: BenchmarkExecutorTPCH/Q1 missing — benchmark names changed?"; exit 1 }
   if (bytes+0 >= 650000) { printf("REGRESSION: TPC-H Q1 allocated %s B/op (ceiling 650000): a per-row allocation is back in the executor\n", bytes); exit 1 }
   printf("benchguard OK: TPC-H Q1 at %s B/op (ceiling 650000)\n", bytes)
+}'
+
+# Gate 11: a sweep candidate costs O(moves), not O(units). Names are
+# stripped of exactly the "-GOMAXPROCS" suffix, as the converter does.
+echo "$raw" | awk -v cpus="$(nproc)" '
+/^BenchmarkSweepCandidate\/units-/ {
+  name=$1
+  if (cpus+0 > 1) sub("-" cpus "$", "", name)
+  ns=""
+  for (i=3; i<NF; i++) if ($(i+1)=="ns/candidate") ns=$i
+  if (ns=="") next
+  v=name; sub(/^BenchmarkSweepCandidate\/units-/, "", v)
+  if (!(v in t) || ns+0 < t[v]+0) t[v]=ns
+}
+END {
+  if (!("128" in t) || !("2048" in t)) { print "benchguard: BenchmarkSweepCandidate/units-128 and units-2048 missing — benchmark names changed?"; exit 1 }
+  ratio = (t["2048"]+0) / (t["128"]+0)
+  if (ratio >= 3) { printf("REGRESSION: a sweep candidate costs %s ns over 2048 units, %.1fx the %s ns over 128 (gate: 3x): a per-candidate walk of the layout is back\n", t["2048"], ratio, t["128"]); exit 1 }
+  printf("benchguard OK: a sweep candidate costs %s ns over 2048 units, %.1fx the %s ns over 128 (gate: 3x for 16x the units)\n", t["2048"], ratio, t["128"])
 }'
