@@ -27,6 +27,7 @@ import (
 	"dotprov/internal/iosim"
 	"dotprov/internal/online"
 	"dotprov/internal/plan"
+	"dotprov/internal/profiler"
 	"dotprov/internal/search"
 	"dotprov/internal/tpch"
 	"dotprov/internal/types"
@@ -186,6 +187,72 @@ func BenchmarkExhaustive(b *testing.B) {
 				return core.Exhaustive(in, core.Options{RelativeSLA: 0.5})
 			})
 		})
+	}
+}
+
+// BenchmarkDSSEstimate drives the plan-aware TPC-H estimator through the
+// two searches that use it — DOT on the full 16-object catalog, and the
+// §4.4.3 exhaustive search over the 8-object subset (3^8 = 6,561 layouts) —
+// on both evaluation paths, with a fresh estimator per search. Beside the
+// search's est-calls and evaluated (which benchguard holds identical across
+// map/compiled) it reports the estimator's own counts: per-query cost
+// lookups, and how many of them had to plan. A query is planned once per
+// placement of the objects it can read, so plans stay a small share of
+// lookups; the counts repeat exactly from run to run, which is what makes
+// them a gate (benchguard check 12) where a time would flake.
+func BenchmarkDSSEstimate(b *testing.B) {
+	cfg := tpch.Config{ScaleFactor: 0.001, Seed: 1}
+	for _, bc := range []struct {
+		name   string
+		subset bool
+		run    func(core.Input) (*core.Result, error)
+	}{
+		{"dot", false, func(in core.Input) (*core.Result, error) {
+			return core.Optimize(in, core.Options{RelativeSLA: 0.5})
+		}},
+		{"es", true, func(in core.Input) (*core.Result, error) {
+			return core.Exhaustive(in, core.Options{RelativeSLA: 0.5})
+		}},
+	} {
+		box := device.Box1()
+		db := engine.New(box, engine.DefaultPoolPages)
+		build, mk := tpch.Build, tpch.OriginalWorkload
+		if bc.subset {
+			build, mk = tpch.BuildSubset, tpch.SubsetWorkload
+		}
+		if err := build(db, cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, box.MostExpensive().Class)); err != nil {
+			b.Fatal(err)
+		}
+		w := mk(cfg, 2)
+		ps, err := profiler.ProfileDSSEstimates(db, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range []struct {
+			name      string
+			noCompile bool
+		}{{"map", true}, {"compiled", false}} {
+			b.Run(bc.name+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var res *core.Result
+				var lookups, plans int64
+				for i := 0; i < b.N; i++ {
+					est := w.Estimator(db)
+					in := core.Input{Cat: db.Cat, Box: box, Est: est, Profiles: ps, Concurrency: 1, NoCompile: v.noCompile}
+					if res, err = bc.run(in); err != nil {
+						b.Fatal(err)
+					}
+					lookups, plans = est.(interface{ PlanCounts() (int64, int64) }).PlanCounts()
+				}
+				b.ReportMetric(float64(res.EstimatorCalls), "est-calls")
+				b.ReportMetric(float64(res.Evaluated), "evaluated")
+				b.ReportMetric(float64(lookups), "lookups")
+				b.ReportMetric(float64(plans), "plans")
+			})
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ type tpchEnv struct {
 	db   *engine.DB
 	box  *device.Box
 	w    *workload.DSS
+	pw   *workload.PreparedDSS // w's queries, prepared once for inljShare
 	ps   *core.ProfileSet
 	est  workload.Estimator
 	base workload.Metrics // measured on All H-SSD
@@ -62,7 +63,11 @@ func newTpchEnv(box *device.Box, opts Options, modified bool, subset bool) (*tpc
 	if err != nil {
 		return nil, err
 	}
-	return &tpchEnv{db: db, box: box, w: w, ps: ps, est: w.Estimator(db), base: base}, nil
+	pw, err := w.Prepare(db)
+	if err != nil {
+		return nil, err
+	}
+	return &tpchEnv{db: db, box: box, w: w, pw: pw, ps: ps, est: w.Estimator(db), base: base}, nil
 }
 
 func (e *tpchEnv) input() core.Input {
@@ -99,8 +104,8 @@ func (e *tpchEnv) measure(name string, l catalog.Layout, cons workload.Constrain
 // joins under a layout (the paper's %INLJ observation, §4.4.2).
 func (e *tpchEnv) inljShare(l catalog.Layout) (float64, error) {
 	var joins, inlj int
-	for _, q := range e.w.Queries {
-		pl, err := e.db.PlanUnder(q, l)
+	for i := 0; i < e.pw.Len(); i++ {
+		pl, err := e.pw.Plan(i, l)
 		if err != nil {
 			return 0, err
 		}

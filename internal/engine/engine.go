@@ -372,8 +372,23 @@ func (db *DB) Analyze() error {
 	return nil
 }
 
-// Optimizer returns the current optimizer (nil before Analyze).
+// Optimizer returns the current optimizer (nil before Analyze), whether or
+// not its statistics are still current; planning goes through Planner.
 func (db *DB) Optimizer() *optimizer.Optimizer { return db.opt }
+
+// Planner returns the optimizer holding the latest Analyze's statistics, or
+// the error every planning entry point reports while there are none to plan
+// from: before the first Analyze, and after DDL or DML invalidated them.
+// Analyze builds a new optimizer each time, so callers that keep
+// optimizer.Prepared queries (or costs derived from them) across calls
+// compare the pointer — and its Concurrency, which SetConcurrency updates
+// in place — to know when what they hold is stale.
+func (db *DB) Planner() (*optimizer.Optimizer, error) {
+	if !db.analyzed || db.opt == nil {
+		return nil, fmt.Errorf("engine: Analyze must run before planning")
+	}
+	return db.opt, nil
+}
 
 // Plan plans a query under the engine's current layout.
 func (db *DB) Plan(q *plan.Query) (*plan.Plan, error) {
@@ -382,12 +397,15 @@ func (db *DB) Plan(q *plan.Query) (*plan.Plan, error) {
 
 // PlanUnder plans a query under a hypothetical layout without installing
 // it — the estimation entry point DOT drives (paper Procedure 1's
-// estimateTOC).
+// estimateTOC). It prepares the query afresh; callers that plan the same
+// queries under many layouts (workload.DSS) prepare them once through
+// Planner.
 func (db *DB) PlanUnder(q *plan.Query, l catalog.Layout) (*plan.Plan, error) {
-	if !db.analyzed || db.opt == nil {
-		return nil, fmt.Errorf("engine: Analyze must run before planning")
+	opt, err := db.Planner()
+	if err != nil {
+		return nil, err
 	}
-	return db.opt.Plan(q, l)
+	return opt.Plan(q, l)
 }
 
 // Run plans and executes a query in the session, returning the result.

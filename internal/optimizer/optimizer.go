@@ -11,11 +11,11 @@ import (
 )
 
 // Optimizer plans queries against a box of storage devices. Tables register
-// their statistics (engine.Analyze feeds them); Plan is then a pure reader
-// of those statistics — all per-call state lives in the planner — so it is
-// safe for repeated AND concurrent use across candidate layouts (the
-// search engine's worker pool relies on this). AddTable must not be called
-// concurrently with Plan.
+// their statistics (engine.Analyze feeds them); Prepare and Plan are then
+// pure readers of those statistics — all per-call state lives on the
+// planning call's stack — so they are safe for repeated AND concurrent use
+// across candidate layouts (the search engine's worker pool relies on
+// this). AddTable must not be called concurrently with either.
 type Optimizer struct {
 	Box         *device.Box
 	Concurrency int
@@ -32,75 +32,6 @@ func New(box *device.Box, concurrency int) *Optimizer {
 
 // AddTable registers or replaces a table's statistics.
 func (o *Optimizer) AddTable(ti *TableInfo) { o.Tables[ti.Name] = ti }
-
-// planner is the per-call state: the candidate layout and the resolved
-// service times for every object the query can touch.
-type planner struct {
-	o      *Optimizer
-	layout catalog.Layout
-	svc    map[catalog.ObjectID]*[device.NumIOTypes]time.Duration
-}
-
-func (p *planner) resolve(obj catalog.ObjectID) (*[device.NumIOTypes]time.Duration, error) {
-	if s, ok := p.svc[obj]; ok {
-		return s, nil
-	}
-	cls, ok := p.layout[obj]
-	if !ok {
-		return nil, fmt.Errorf("optimizer: object %d not placed by layout", obj)
-	}
-	d := p.o.Box.Device(cls)
-	if d == nil {
-		return nil, fmt.Errorf("optimizer: layout places object %d on class %v absent from box", obj, cls)
-	}
-	var times [device.NumIOTypes]time.Duration
-	for _, t := range device.AllIOTypes {
-		times[t] = d.ServiceTime(t, p.o.Concurrency)
-	}
-	p.svc[obj] = &times
-	return &times, nil
-}
-
-// cand is a costed sub-plan during enumeration.
-type cand struct {
-	node    plan.Node
-	rows    float64
-	profile iosim.Profile
-	io      time.Duration
-	cpu     time.Duration
-	tables  map[string]bool
-}
-
-func (c *cand) time() time.Duration { return c.io + c.cpu }
-
-func (c *cand) clone() *cand {
-	t := make(map[string]bool, len(c.tables))
-	for k := range c.tables {
-		t[k] = true
-	}
-	return &cand{
-		node: c.node, rows: c.rows, profile: c.profile.Clone(),
-		io: c.io, cpu: c.cpu, tables: t,
-	}
-}
-
-// charge adds n I/Os of type t on obj to the candidate's profile and time.
-func (p *planner) charge(c *cand, obj catalog.ObjectID, t device.IOType, n float64) {
-	if n <= 0 {
-		return
-	}
-	times, _ := p.resolve(obj) // resolved earlier; see Plan preflight
-	c.profile.Add(obj, t, n)
-	c.io += time.Duration(n * float64(times[t]))
-}
-
-func allCols(ti *TableInfo) []plan.ColRef {
-	out := make([]plan.ColRef, 0, ti.Schema.Len())
-	for _, col := range ti.Schema.Columns {
-		out = append(out, plan.ColRef{Table: ti.Name, Column: col.Name})
-	}
-	return out
-}
 
 // predSel estimates the selectivity of one predicate.
 func predSel(ti *TableInfo, pr plan.Pred) float64 {
@@ -142,64 +73,8 @@ func combinedSel(ti *TableInfo, preds []plan.Pred) float64 {
 	return clampSel(s)
 }
 
-// bestAccessPath picks the cheapest way to produce a table's filtered rows:
-// a sequential scan, or an index range scan on any index whose leading
-// column carries a predicate. The choice depends on the layout through the
-// device service times (paper §3.5: the seq-vs-index decision flips between
-// storage classes).
-func (p *planner) bestAccessPath(ti *TableInfo, preds []plan.Pred) *cand {
-	outRows := ti.Rows * combinedSel(ti, preds)
-
-	// Sequential scan.
-	seq := &cand{
-		profile: iosim.NewProfile(),
-		rows:    outRows,
-		tables:  map[string]bool{ti.Name: true},
-	}
-	p.charge(seq, ti.ID, device.SeqRead, ti.Pages)
-	seq.cpu = time.Duration(ti.Rows) * (plan.CPUTupleTime + time.Duration(len(preds))*plan.CPUPredTime)
-	seq.node = &plan.SeqScan{
-		Table: ti.Name, TableID: ti.ID, Filter: preds, Cols: allCols(ti), Rows: outRows,
-	}
-
-	best := seq
-	for i, pr := range preds {
-		ix := ti.IndexOn(pr.Column)
-		if ix == nil {
-			continue
-		}
-		rangeSel := clampSel(predSel(ti, pr))
-		matched := ti.Rows * rangeSel
-		c := &cand{
-			profile: iosim.NewProfile(),
-			rows:    outRows,
-			tables:  map[string]bool{ti.Name: true},
-		}
-		// Index descent plus the leaf pages the range covers.
-		p.charge(c, ix.ID, device.RandRead, ix.Height+ix.LeafPages*rangeSel)
-		// One random heap fetch per matching entry (tables are unclustered;
-		// the paper shuffles them explicitly, §4.4).
-		p.charge(c, ti.ID, device.RandRead, matched)
-		residual := make([]plan.Pred, 0, len(preds)-1)
-		residual = append(residual, preds[:i]...)
-		residual = append(residual, preds[i+1:]...)
-		c.cpu = time.Duration(matched) * (plan.CPUIndexTime + plan.CPUTupleTime +
-			time.Duration(len(residual))*plan.CPUPredTime)
-		c.node = &plan.IndexScan{
-			Table: ti.Name, TableID: ti.ID,
-			Index: ix.Name, IndexID: ix.ID,
-			Column: pr.Column, Op: pr.Op, Lo: pr.Lo, Hi: pr.Hi,
-			Residual: residual, Cols: allCols(ti), Rows: outRows,
-		}
-		if c.time() < best.time() {
-			best = c
-		}
-	}
-	return best
-}
-
 // joinSelectivity follows the classical 1/max(ndv_left, ndv_right) rule.
-func (p *planner) joinSelectivity(lt *TableInfo, lcol string, rt *TableInfo, rcol string) float64 {
+func joinSelectivity(lt *TableInfo, lcol string, rt *TableInfo, rcol string) float64 {
 	ln := lt.Col(lcol).NDV
 	rn := rt.Col(rcol).NDV
 	n := ln
@@ -212,104 +87,185 @@ func (p *planner) joinSelectivity(lt *TableInfo, lcol string, rt *TableInfo, rco
 	return clampSel(1 / n)
 }
 
-// connector finds a join predicate linking the joined set to table name,
-// returning the column on the joined side and the column on the new side.
-func connector(q *plan.Query, joined map[string]bool, name string) (outer plan.ColRef, inner string, ok bool) {
-	for _, j := range q.Joins {
-		if joined[j.LeftTable] && j.RightTable == name {
-			return plan.ColRef{Table: j.LeftTable, Column: j.LeftColumn}, j.RightColumn, true
-		}
-		if joined[j.RightTable] && j.LeftTable == name {
-			return plan.ColRef{Table: j.RightTable, Column: j.RightColumn}, j.LeftColumn, true
-		}
-	}
-	return plan.ColRef{}, "", false
-}
-
 // Plan produces the cheapest physical plan for the query under the given
 // layout, together with its Estimate (rows, per-object I/O profile, I/O and
-// CPU time).
+// CPU time). It is Prepare followed by the prepared query's Plan; callers
+// that plan one query under many layouts keep the Prepared.
 func (o *Optimizer) Plan(q *plan.Query, layout catalog.Layout) (*plan.Plan, error) {
-	if err := q.Validate(); err != nil {
+	p, err := o.Prepare(q)
+	if err != nil {
 		return nil, err
 	}
-	p := &planner{o: o, layout: layout, svc: make(map[catalog.ObjectID]*[device.NumIOTypes]time.Duration)}
-	// Preflight: resolve every object the query may touch so that charge()
-	// cannot encounter an unplaced object mid-enumeration.
-	for _, name := range q.Tables {
-		ti, ok := o.Tables[name]
-		if !ok {
-			return nil, fmt.Errorf("optimizer: no statistics for table %q (run Analyze)", name)
+	var buf [16]device.Class
+	classes, err := p.Placements(buf[:0], func(id catalog.ObjectID) (device.Class, bool) {
+		cls, ok := layout[id]
+		return cls, ok
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.Plan(classes)
+}
+
+func absentClass(id catalog.ObjectID, cls device.Class) error {
+	return fmt.Errorf("optimizer: layout places object %d on class %v absent from box", id, cls)
+}
+
+// cost is what a sub-plan is compared on. Durations are integers, so the
+// sums that build one are exact in any order; rows multiply in join order.
+type cost struct {
+	rows float64
+	io   time.Duration
+	cpu  time.Duration
+}
+
+func (c cost) time() time.Duration { return c.io + c.cpu }
+
+// planner is the per-call state: the service times of the classes the
+// placement uses, resolved once each.
+type planner struct {
+	p       *Prepared
+	classes []device.Class
+	svc     [device.NumClasses][device.NumIOTypes]time.Duration
+}
+
+// price is the time of n I/Os of type t on the object at index obj of the
+// prepared query's object list. Counts that are not positive cost nothing
+// and leave no trace in the profile.
+func (pl *planner) price(obj int, t device.IOType, n float64) time.Duration {
+	if n <= 0 {
+		return 0
+	}
+	return time.Duration(n * float64(pl.svc[pl.classes[obj]][t]))
+}
+
+// Plan produces the cheapest physical plan under one placement: classes[i]
+// is the class of Objects()[i], as Placements returns them (which is also
+// where a placement the box cannot serve is reported). Alternatives are
+// compared on scalar costs; the plan node, the joined-table set and the I/O
+// profile are built only for the alternative that wins each step.
+func (p *Prepared) Plan(classes []device.Class) (*plan.Plan, error) {
+	if p.missing != nil {
+		return nil, p.missing
+	}
+	if len(classes) != len(p.objs) {
+		return nil, fmt.Errorf("optimizer: query %q resolves %d objects, placement gives %d", p.Query.Name, len(p.objs), len(classes))
+	}
+	o, q := p.opt, p.Query
+	pl := &planner{p: p, classes: classes}
+	var resolved [device.NumClasses]bool
+	for i, cls := range classes {
+		if device.ValidClass(cls) && resolved[cls] {
+			continue
 		}
-		if _, err := p.resolve(ti.ID); err != nil {
-			return nil, err
+		d := o.Box.Device(cls)
+		if d == nil || !device.ValidClass(cls) {
+			return nil, absentClass(p.objs[i], cls)
 		}
-		for _, ix := range ti.Indexes {
-			if _, err := p.resolve(ix.ID); err != nil {
-				return nil, err
-			}
+		for _, t := range device.AllIOTypes {
+			pl.svc[cls][t] = d.ServiceTime(t, o.Concurrency)
 		}
+		resolved[cls] = true
 	}
 
-	// Best access path per table.
-	paths := make(map[string]*cand, len(q.Tables))
-	for _, name := range q.Tables {
-		ti := o.Tables[name]
-		paths[name] = p.bestAccessPath(ti, q.TablePreds(name))
+	// Best access path per table, computed once: joins below reuse it for
+	// every alternative that attaches the table.
+	n := len(p.tables)
+	tabs := make([]struct {
+		path   *accessPath
+		cost   cost
+		joined bool
+	}, n)
+	for i := range p.tables {
+		t := &p.tables[i]
+		for k := range t.paths {
+			ap := &t.paths[k]
+			c := cost{rows: t.rows, cpu: ap.cpu}
+			for _, ch := range ap.io {
+				c.io += pl.price(ch.obj, ch.typ, ch.n)
+			}
+			if k == 0 || c.time() < tabs[i].cost.time() {
+				tabs[i].path, tabs[i].cost = ap, c
+			}
+		}
 	}
 
 	// Greedy left-deep join enumeration: start from the most selective
 	// table, then repeatedly attach the connected table that minimises the
-	// accumulated time, choosing HJ orientation or INLJ per step.
-	var cur *cand
-	startName := ""
-	for _, name := range q.Tables {
-		c := paths[name]
-		if cur == nil || c.rows < cur.rows || (c.rows == cur.rows && c.time() < cur.time()) {
-			cur = c
-			startName = name
+	// accumulated time, choosing HJ or INLJ per step.
+	start := 0
+	for i := 1; i < n; i++ {
+		if c, s := tabs[i].cost, tabs[start].cost; c.rows < s.rows || (c.rows == s.rows && c.time() < s.time()) {
+			start = i
 		}
 	}
-	cur = cur.clone()
-	remaining := make(map[string]bool, len(q.Tables))
-	for _, name := range q.Tables {
-		if name != startName {
-			remaining[name] = true
+	cur := tabs[start].cost
+	node := tabs[start].path.node
+	profile := iosim.NewProfile()
+	charge := func(id catalog.ObjectID, t device.IOType, n float64) {
+		if n > 0 {
+			profile.Add(id, t, n)
 		}
 	}
+	for _, ch := range tabs[start].path.io {
+		charge(ch.id, ch.typ, ch.n)
+	}
+	tabs[start].joined = true
 
-	for len(remaining) > 0 {
-		var bestNext *cand
-		bestTable := ""
-		for _, name := range q.Tables {
-			if !remaining[name] {
+	for left := n - 1; left > 0; left-- {
+		var (
+			best     cost
+			bestT    = -1
+			bestEdge *joinEdge
+			bestINLJ bool
+		)
+		for i := range p.tables {
+			if tabs[i].joined {
 				continue
 			}
-			outerCol, innerCol, ok := connector(q, cur.tables, name)
-			if !ok {
-				continue
-			}
-			if c := p.joinCandidates(q, cur, name, outerCol, innerCol); c != nil {
-				if bestNext == nil || c.time() < bestNext.time() {
-					bestNext = c
-					bestTable = name
+			t := &p.tables[i]
+			// The first join predicate linking the joined set to the table.
+			var e *joinEdge
+			for k := range t.edges {
+				if tabs[t.edges[k].other].joined {
+					e = &t.edges[k]
+					break
 				}
 			}
+			if e == nil {
+				continue
+			}
+			c, inlj := pl.join(cur, t, tabs[i].cost, e)
+			if bestT < 0 || c.time() < best.time() {
+				best, bestT, bestEdge, bestINLJ = c, i, e, inlj
+			}
 		}
-		if bestNext == nil {
+		if bestT < 0 {
 			return nil, fmt.Errorf("optimizer: query %q has a disconnected join graph", q.Name)
 		}
-		cur = bestNext
-		delete(remaining, bestTable)
+		t, e := &p.tables[bestT], bestEdge
+		j := &plan.Join{Algo: plan.HashJoin, Outer: node, OuterCol: e.outer, Rows: best.rows}
+		if bestINLJ {
+			j.Algo = plan.IndexNLJoin
+			j.InnerTable, j.InnerTableID = t.ti.Name, t.ti.ID
+			j.InnerIndex, j.InnerIndexID = e.ix.Name, e.ix.ID
+			j.InnerResidual, j.InnerCols = t.preds, t.cols
+			charge(e.ix.ID, device.RandRead, cur.rows*e.ix.Height)
+			charge(t.ti.ID, device.RandRead, cur.rows*e.matches)
+		} else {
+			j.Inner, j.InnerCol = tabs[bestT].path.node, plan.ColRef{Table: t.ti.Name, Column: e.inner}
+			for _, ch := range tabs[bestT].path.io {
+				charge(ch.id, ch.typ, ch.n)
+			}
+		}
+		node, cur = j, best
+		tabs[bestT].joined = true
 	}
 
-	root := cur.node
+	root := node
 	rows := cur.rows
 	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
-		groups := 1.0
-		for _, g := range q.GroupBy {
-			groups *= o.Tables[g.Table].Col(g.Column).NDV
-		}
+		groups := p.groupNDV
 		if groups > rows {
 			groups = rows
 		}
@@ -332,7 +288,7 @@ func (o *Optimizer) Plan(q *plan.Query, layout catalog.Layout) (*plan.Plan, erro
 		Root:  root,
 		Est: plan.Estimate{
 			Rows:    rows,
-			Profile: cur.profile,
+			Profile: profile,
 			IOTime:  cur.io,
 			CPUTime: cur.cpu,
 		},
@@ -346,88 +302,43 @@ func max1(n int) int {
 	return n
 }
 
-// joinCandidates costs the ways to attach table name to the current result
-// and returns the cheapest: hash join (either orientation) or indexed
-// nested-loop join when the new table has an index on its join column.
-func (p *planner) joinCandidates(q *plan.Query, cur *cand, name string, outerCol plan.ColRef, innerCol string) *cand {
-	o := p.o
-	ti := o.Tables[name]
-	path := paths1(p, q, name)
-	outerTi := o.Tables[outerCol.Table]
-	jsel := p.joinSelectivity(outerTi, outerCol.Column, ti, innerCol)
-	outRows := cur.rows * path.rows * jsel
+// join costs the ways to attach table t (best access path cost path) to the
+// current result through edge e and returns the cheapest, and whether it is
+// the indexed nested-loop join: a hash join building on the new table's
+// filtered rows, or — when the table has an index on its join column — one
+// index probe per outer row. (Building the hash table on the accumulated
+// side instead costs exactly the same under this model — build and probe
+// are priced alike and integer sums commute — so it is not a separate
+// alternative.)
+func (pl *planner) join(cur cost, t *prepTable, path cost, e *joinEdge) (cost, bool) {
+	outRows := cur.rows * path.rows * e.jsel
 	if outRows < 0.01 {
 		outRows = 0.01
 	}
-
-	// Hash join, build on the new table's filtered rows.
-	mk := func() *cand {
-		c := cur.clone()
-		c.profile.Merge(path.profile)
-		c.io += path.io
-		c.cpu += path.cpu
-		c.tables[name] = true
-		c.rows = outRows
-		return c
+	best := cost{
+		rows: outRows,
+		io:   cur.io + path.io,
+		cpu: cur.cpu + path.cpu +
+			time.Duration(path.rows)*plan.CPUHashTime + // build
+			time.Duration(cur.rows)*plan.CPUHashTime + // probe
+			time.Duration(outRows)*plan.CPUTupleTime,
 	}
-	hj1 := mk()
-	hj1.cpu += time.Duration(path.rows)*plan.CPUHashTime + // build
-		time.Duration(cur.rows)*plan.CPUHashTime + // probe
-		time.Duration(outRows)*plan.CPUTupleTime
-	hj1.node = &plan.Join{
-		Algo: plan.HashJoin, Outer: cur.node, OuterCol: outerCol,
-		Inner: path.node, InnerCol: plan.ColRef{Table: name, Column: innerCol},
-		Rows: outRows,
+	if e.ix == nil {
+		return best, false
 	}
-
-	// Hash join, build on the current result (useful when the accumulated
-	// side is smaller than the new table).
-	hj2 := mk()
-	hj2.cpu += time.Duration(cur.rows)*plan.CPUHashTime +
-		time.Duration(path.rows)*plan.CPUHashTime +
-		time.Duration(outRows)*plan.CPUTupleTime
-	hj2.node = &plan.Join{
-		Algo: plan.HashJoin, Outer: path.node, OuterCol: plan.ColRef{Table: name, Column: innerCol},
-		Inner: cur.node, InnerCol: outerCol,
-		Rows: outRows,
+	probes := cur.rows
+	inlj := cost{
+		rows: outRows,
+		io: cur.io +
+			pl.price(e.ixObj, device.RandRead, probes*e.ix.Height) +
+			pl.price(t.obj, device.RandRead, probes*e.matches),
+		cpu: cur.cpu +
+			time.Duration(probes)*plan.CPUIndexTime +
+			time.Duration(probes*e.matches)*
+				(plan.CPUTupleTime+time.Duration(len(t.preds))*plan.CPUPredTime),
 	}
-
-	best := hj1
-	if hj2.time() < best.time() {
-		best = hj2
+	if inlj.time() < best.time() {
+		return inlj, true
 	}
-
-	// Indexed nested-loop join: probe the new table's index on the join
-	// column once per outer row.
-	if ix := ti.IndexOn(innerCol); ix != nil {
-		preds := q.TablePreds(name)
-		matchesPerProbe := ti.Rows * jsel
-		inlj := cur.clone()
-		inlj.tables[name] = true
-		inlj.rows = outRows
-		probes := cur.rows
-		p.charge(inlj, ix.ID, device.RandRead, probes*ix.Height)
-		p.charge(inlj, ti.ID, device.RandRead, probes*matchesPerProbe)
-		inlj.cpu += time.Duration(probes) * plan.CPUIndexTime
-		inlj.cpu += time.Duration(probes*matchesPerProbe) *
-			(plan.CPUTupleTime + time.Duration(len(preds))*plan.CPUPredTime)
-		inlj.node = &plan.Join{
-			Algo: plan.IndexNLJoin, Outer: cur.node, OuterCol: outerCol,
-			InnerTable: name, InnerTableID: ti.ID,
-			InnerIndex: ix.Name, InnerIndexID: ix.ID,
-			InnerResidual: preds, InnerCols: allCols(ti),
-			Rows: outRows,
-		}
-		if inlj.time() < best.time() {
-			best = inlj
-		}
-	}
-	return best
-}
-
-// paths1 returns the best access path for a single table of the query
-// (re-derived; the planner caches nothing across joinCandidates calls other
-// than service times, keeping enumeration state simple).
-func paths1(p *planner, q *plan.Query, name string) *cand {
-	return p.bestAccessPath(p.o.Tables[name], q.TablePreds(name))
+	return best, false
 }

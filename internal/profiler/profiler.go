@@ -22,12 +22,17 @@ import (
 // ProfileDSSEstimates builds the profile set for a DSS workload by asking
 // the extended optimizer for per-object I/O counts on every baseline
 // layout. With M classes and a maximum group size K this plans the workload
-// on M^K baselines (the paper's complexity argument for K << N).
+// on M^K baselines (the paper's complexity argument for K << N); the
+// queries are prepared once for all of them.
 func ProfileDSSEstimates(db *engine.DB, w *workload.DSS) (*core.ProfileSet, error) {
+	pw, err := w.Prepare(db)
+	if err != nil {
+		return nil, err
+	}
 	ps := core.NewProfileSet()
 	for _, pattern := range core.BaselinePatterns(db.Cat, db.Box) {
 		layout := core.BaselineLayout(db.Cat, pattern)
-		prof, err := w.EstimateProfile(db, layout)
+		prof, err := pw.EstimateProfile(layout)
 		if err != nil {
 			return nil, fmt.Errorf("profiler: baseline %v: %w", pattern, err)
 		}

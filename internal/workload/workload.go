@@ -35,12 +35,12 @@ type Metrics struct {
 //
 // Concurrency contract: the search engine fans candidate evaluations out
 // across a worker pool, so Estimate must be safe for concurrent use by
-// multiple goroutines once estimation starts. In practice this means
-// Estimate must not mutate shared state: the estimators in this repository
-// (ObservedEstimator, ProfileEstimator, and the DSS re-planning estimator)
-// all guarantee it by being pure readers of statistics frozen at
-// construction/Analyze time. Implementations that cannot meet the contract
-// must be driven with Workers <= 1.
+// multiple goroutines once estimation starts. ObservedEstimator and
+// ProfileEstimator guarantee it by being pure readers of statistics frozen
+// at construction; the DSS plan-aware estimator reads Analyze-time
+// statistics and shares per-query cost tables behind a lock (see dss.go).
+// Implementations that cannot meet the contract must be driven with
+// Workers <= 1.
 type Estimator interface {
 	Estimate(l catalog.Layout) (Metrics, error)
 }
@@ -271,51 +271,6 @@ func (e *ObservedEstimator) EstimateSet(l catalog.SetLayout) (Metrics, error) {
 		m.Elapsed += t
 	}
 	return m, nil
-}
-
-// Estimator returns the extended-optimizer estimator for this workload:
-// per-query times come from planning each query under the candidate layout
-// (paper §3.5). The estimator re-plans per layout, so plan changes (e.g. HJ
-// -> INLJ) are reflected in the estimates. Planning keeps all per-call
-// state on the stack (optimizer.Plan is a pure reader of the Analyze-time
-// statistics), so Estimate is safe for concurrent use as long as nothing
-// re-runs Analyze or SetLayout concurrently.
-func (w *DSS) Estimator(db *engine.DB) Estimator {
-	return &dssEstimator{db: db, w: w}
-}
-
-type dssEstimator struct {
-	db *engine.DB
-	w  *DSS
-}
-
-func (e *dssEstimator) Estimate(l catalog.Layout) (Metrics, error) {
-	m := Metrics{PerQuery: make([]time.Duration, 0, len(e.w.Queries))}
-	for _, q := range e.w.Queries {
-		pl, err := e.db.PlanUnder(q, l)
-		if err != nil {
-			return Metrics{}, err
-		}
-		t := pl.Est.Time()
-		m.PerQuery = append(m.PerQuery, t)
-		m.Elapsed += t
-	}
-	return m, nil
-}
-
-// EstimateProfile returns the per-object I/O profile the optimizer predicts
-// for the whole workload under a layout (the profiling-phase building block
-// for baseline layouts, paper §3.4).
-func (w *DSS) EstimateProfile(db *engine.DB, l catalog.Layout) (iosim.Profile, error) {
-	total := iosim.NewProfile()
-	for _, q := range w.Queries {
-		pl, err := db.PlanUnder(q, l)
-		if err != nil {
-			return nil, err
-		}
-		total.Merge(pl.Est.Profile)
-	}
-	return total, nil
 }
 
 // ---- OLTP ----------------------------------------------------------------

@@ -78,6 +78,19 @@
 #      left, and measures about 2x. One whole-layout walk per candidate — a
 #      rehash, a re-totalling — measures 11-14x and fails the gate.
 #
+#  12. the plan-aware TPC-H estimator plans a query once per placement of
+#      the objects it can read, not once per candidate layout. On
+#      BenchmarkDSSEstimate the map variant looks every query up for every
+#      estimate, so its plans/lookups is the share of (estimate, query)
+#      pairs that had to plan: at most 1/2 on the DOT run (measured 2,667 of
+#      7,986) and at most 3% on the 6,561-layout exhaustive run (5,211 of
+#      216,513; the two six-object joins Q3 and Q18 alone have 3^6
+#      signatures per instance, 2% of the lookups). The compiled variant
+#      must plan exactly as often — a miss is a miss on either path — with
+#      no more lookups (its delta re-looks-up only the queries a move
+#      touches). est-calls/evaluated parity of the pair is check 1. These
+#      are counts: they repeat exactly, so the gate cannot flake.
+#
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
 # which needs a timed benchtime for throughput to mean anything
@@ -90,7 +103,7 @@ benchtime="${BENCHTIME:-1x}"
 ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 
 raw=$(go test -run '^$' \
-  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH' \
+  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate' \
   -benchmem -benchtime "$benchtime" .)
 # Gate 11 compares two sub-microsecond figures, so it takes the best of three
 # runs of each: a noisy neighbour inflates one run, a per-candidate walk of
@@ -117,7 +130,7 @@ echo "$raw" | awk -v cpus="$(nproc)" '
   rec = "{\"name\":\"" name "\",\"iterations\":" $2
   for (i=3; i<NF; i++) {
     u=$(i+1)
-    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s" || u=="B/row" || u=="ns/candidate" || u=="B/candidate") {
+    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s" || u=="B/row" || u=="ns/candidate" || u=="B/candidate" || u=="lookups" || u=="plans") {
       key=u; gsub(/\//, "_per_", key); gsub(/-/, "_", key)
       rec = rec ",\"" key "\":" $i
       i++
@@ -353,4 +366,31 @@ END {
   ratio = (t["2048"]+0) / (t["128"]+0)
   if (ratio >= 3) { printf("REGRESSION: a sweep candidate costs %s ns over 2048 units, %.1fx the %s ns over 128 (gate: 3x): a per-candidate walk of the layout is back\n", t["2048"], ratio, t["128"]); exit 1 }
   printf("benchguard OK: a sweep candidate costs %s ns over 2048 units, %.1fx the %s ns over 128 (gate: 3x for 16x the units)\n", t["2048"], ratio, t["128"])
+}'
+
+# Gate 12: the plan-aware estimator plans per placement, not per candidate.
+echo "$raw" | awk -v cpus="$(nproc)" '
+/^BenchmarkDSSEstimate\// {
+  name=$1
+  if (cpus+0 > 1) sub("-" cpus "$", "", name)
+  v=name; sub(/^BenchmarkDSSEstimate\//, "", v)
+  for (i=3; i<NF; i++) {
+    if ($(i+1)=="lookups") lookups[v]=$i
+    if ($(i+1)=="plans") plans[v]=$i
+  }
+}
+END {
+  n=split("dot/map dot/compiled es/map es/compiled", want, " ")
+  for (i=1; i<=n; i++) if (!(want[i] in plans) || lookups[want[i]]+0 == 0) { printf("benchguard: BenchmarkDSSEstimate/%s lookups/plans missing — benchmark names changed?\n", want[i]); exit 1 }
+  bad=0
+  if (plans["dot/map"]*2 > lookups["dot/map"]+0) { printf("REGRESSION: the DOT run planned %s of %s query lookups (gate: 1/2)\n", plans["dot/map"], lookups["dot/map"]); bad=1 }
+  if (plans["es/map"]*100 > lookups["es/map"]*3) { printf("REGRESSION: the exhaustive run planned %s of %s query lookups (gate: 3%%)\n", plans["es/map"], lookups["es/map"]); bad=1 }
+  split("dot es", runs, " ")
+  for (i=1; i<=2; i++) {
+    r=runs[i]
+    if (plans[r "/compiled"] != plans[r "/map"]) { printf("MISMATCH plans %s: map=%s compiled=%s\n", r, plans[r "/map"], plans[r "/compiled"]); bad=1 }
+    if (lookups[r "/compiled"]+0 > lookups[r "/map"]+0) { printf("REGRESSION: compiled %s run made %s lookups, the map run %s\n", r, lookups[r "/compiled"], lookups[r "/map"]); bad=1 }
+  }
+  if (bad) exit 1
+  printf("benchguard OK: plan-aware estimator planned %s of %s lookups on DOT (gate 1/2) and %s of %s on ES (gate 3%%); compiled plans equal, lookups %s and %s\n", plans["dot/map"], lookups["dot/map"], plans["es/map"], lookups["es/map"], lookups["dot/compiled"], lookups["es/compiled"])
 }'
