@@ -98,14 +98,14 @@ func run(wl string, boxNo int, sla, sf float64, workers, searchWorkers int, seed
 	case "partition":
 		partitioned = true
 		if wl != "tpcc" {
-			return fmt.Errorf("partition granularity needs the profile-driven tpcc workload (the DSS paths re-plan per layout and cannot apportion)")
+			return fmt.Errorf("partition granularity needs the profile-driven tpcc workload (the DSS paths plan against object statistics and cannot apportion)")
 		}
 	default:
 		return fmt.Errorf("unknown granularity %q (want object or partition)", granularity)
 	}
 	if *replicationFlag {
 		if wl != "tpcc" {
-			return fmt.Errorf("-replication needs the profile-driven tpcc workload (the DSS estimators re-plan per layout and have no replica form)")
+			return fmt.Errorf("-replication needs the profile-driven tpcc workload (the DSS estimators plan single-class placements and have no replica form)")
 		}
 		if partitioned {
 			return fmt.Errorf("-replication places whole objects; drop -granularity partition")

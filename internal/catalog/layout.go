@@ -11,7 +11,7 @@ import (
 
 // Layout is a data layout L: O -> D mapping every object to a storage class
 // (paper §2.2). It is the single-copy public map form — what the execution
-// engine applies and the plan-aware estimators read; the search itself
+// engine applies and the planner prices; the search itself
 // places class sets (SetLayout) and treats a Layout as its all-singleton
 // case, converting at the API edge with SingletonSetLayout / SingleLayout.
 type Layout map[ObjectID]device.Class

@@ -45,7 +45,9 @@ type Input struct {
 	LayoutCostCompact func(sp catalog.ClassSpace) (float64, error)
 	// NoCompile disables the compiled (compact/delta) evaluation fast path,
 	// forcing map-based evaluation everywhere. Results are bit-identical
-	// either way; the switch exists for benchmarks and equivalence tests.
+	// either way; no shipped estimator needs it (all of them compile), so
+	// the switch exists for benchmarks and as the oracle of the equivalence
+	// tests.
 	NoCompile bool
 	// Replication sets the per-unit copy cap of the entry points that place
 	// class sets — OptimizeReplicated, ExhaustiveReplicated and their
@@ -315,12 +317,14 @@ func (in Input) engine(copyCap int) (*search.Engine, error) {
 }
 
 // compiledConfig assembles the engine's compiled path when the input
-// supports it: the estimator must be compact-capable (the profile-driven
-// estimators compile themselves via workload.CompileEstimator — here, once,
-// for exactly the alphabet the search will enumerate; plan-aware estimators
-// do not, and transparently stay on the map path), and a custom LayoutCost
-// needs its compact mirror. Returns nil when the compiled path cannot
-// engage.
+// supports it: the estimator must be compact-capable (every shipped
+// estimator compiles itself via workload.CompileEstimator — here, once, for
+// exactly the alphabet the search will enumerate; the plan-aware DSS
+// estimator does so for single-copy alphabets, as the same cost tables read
+// through compact layouts; an estimator wrapped in another, or one that
+// declines the alphabet, transparently stays on the map path), and a custom
+// LayoutCost needs its compact mirror. Returns nil when the compiled path
+// cannot engage.
 func (in Input) compiledConfig(alphabet []device.ClassSet) *search.CompiledConfig {
 	if in.NoCompile {
 		return nil
@@ -537,8 +541,9 @@ type cursor interface {
 // (search.Cursor — one scratch compact layout mutated in place, a candidate
 // derived from the running evaluation in O(moves), a rejected one reverted
 // exactly) when the engine is compiled and the layout could be encoded, the
-// map cursor otherwise — the plan-aware DSS estimator, which cannot
-// compile, and the NoCompile oracle.
+// map cursor otherwise — an estimator the engine could not compile (wrapped
+// in another Estimator, or declining the alphabet) and the NoCompile
+// oracle; no unwrapped estimator of this repository takes it.
 func newCursor(eng *search.Engine, ev search.Eval) cursor {
 	if c := eng.NewCursor(ev); c != nil {
 		return c

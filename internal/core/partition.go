@@ -10,8 +10,8 @@ import (
 // Partitioned derives the unit-granular sibling of an Input: the catalog
 // becomes the partitioning's unit catalog, the estimator is re-derived
 // over it (profile-driven estimators apportion their observations by
-// extent heat; plan-aware estimators error), and the profile set is the
-// apportioned union profile for move scoring. Every search entry point —
+// extent heat; the plan-aware DSS estimator errors), and the profile set is
+// the apportioned union profile for move scoring. Every search entry point —
 // single-copy or replicated, cold, incremental or exhaustive — then runs
 // unchanged at unit granularity, compiled fast path included: granularity
 // (which catalog) and replication (the copy cap) are orthogonal. The

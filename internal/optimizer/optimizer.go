@@ -124,7 +124,6 @@ func (c cost) time() time.Duration { return c.io + c.cpu }
 // planner is the per-call state: the service times of the classes the
 // placement uses, resolved once each.
 type planner struct {
-	p       *Prepared
 	classes []device.Class
 	svc     [device.NumClasses][device.NumIOTypes]time.Duration
 }
@@ -149,17 +148,20 @@ func (p *Prepared) Plan(classes []device.Class) (*plan.Plan, error) {
 		return nil, p.missing
 	}
 	if len(classes) != len(p.objs) {
-		return nil, fmt.Errorf("optimizer: query %q resolves %d objects, placement gives %d", p.Query.Name, len(p.objs), len(classes))
+		return nil, fmt.Errorf("optimizer: query %q resolves %d objects, placement gives %d", p.query.Name, len(p.objs), len(classes))
 	}
-	o, q := p.opt, p.Query
-	pl := &planner{p: p, classes: classes}
+	o, q := p.opt, p.query
+	pl := &planner{classes: classes}
 	var resolved [device.NumClasses]bool
 	for i, cls := range classes {
-		if device.ValidClass(cls) && resolved[cls] {
+		if !device.ValidClass(cls) {
+			return nil, absentClass(p.objs[i], cls)
+		}
+		if resolved[cls] {
 			continue
 		}
 		d := o.Box.Device(cls)
-		if d == nil || !device.ValidClass(cls) {
+		if d == nil {
 			return nil, absentClass(p.objs[i], cls)
 		}
 		for _, t := range device.AllIOTypes {

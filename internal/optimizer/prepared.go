@@ -25,10 +25,9 @@ import (
 // stale once the statistics are replaced (engine.Analyze builds a new
 // optimizer rather than refreshing one).
 type Prepared struct {
-	Query *plan.Query
-
+	query  *plan.Query
 	opt    *Optimizer
-	tables []prepTable // in Query.Tables order
+	tables []prepTable // in the query's table order
 	// objs lists every object Plan resolves, in resolution order: per table
 	// its heap, then each of its indexes. A layout must place all of them on
 	// classes of the box, whether or not a plan can read them — the
@@ -57,7 +56,7 @@ type prepTable struct {
 	// index, in predicate order — the order ties resolve in.
 	paths []accessPath
 	// edges are the query's join predicates incident to this table, in
-	// Query.Joins order.
+	// the order the query lists them.
 	edges []joinEdge
 }
 
@@ -99,7 +98,7 @@ func (o *Optimizer) Prepare(q *plan.Query) (*Prepared, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Prepared{Query: q, opt: o, tables: make([]prepTable, 0, len(q.Tables)), groupNDV: 1}
+	p := &Prepared{query: q, opt: o, tables: make([]prepTable, 0, len(q.Tables)), groupNDV: 1}
 	pos := make(map[string]int, len(q.Tables))
 	isRelevant := map[catalog.ObjectID]bool{}
 	for i, name := range q.Tables {

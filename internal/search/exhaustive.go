@@ -80,10 +80,13 @@ func enumerate(sp Space, emit func(idx int, l catalog.SetLayout) error) (int, er
 // Exhaustive enumerates the whole space on the map path and returns the
 // feasible evaluation with the minimum TOC (ties to the earliest candidate
 // in enumeration order), whether one exists, and the enumeration's
-// statistics. It is the walk of estimators that do not compile (the
-// plan-aware DSS estimator) and the unpruned reference ExhaustiveBnB is
-// checked against. Candidates fan out across the engine's worker pool; the
-// result is the same at any worker count.
+// statistics. Every estimator this repository ships compiles — the
+// plan-aware DSS estimator included, whose ExhaustiveBnB walk has neither
+// bound nor dominance and so visits the same candidates — which leaves this
+// walk to estimators wrapped in something that hides CompileFor, to
+// alphabets an estimator declines, and to NoCompile: the unpruned reference
+// ExhaustiveBnB is checked against. Candidates fan out across the engine's
+// worker pool; the result is the same at any worker count.
 func (e *Engine) Exhaustive(cons workload.Constraints, sp Space) (Eval, bool, EnumStats, error) {
 	if len(sp.Digits) == 0 {
 		return Eval{}, false, EnumStats{}, fmt.Errorf("search: exhaustive space has no classes")

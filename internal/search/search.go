@@ -16,7 +16,8 @@
 //   - two exhaustive walks: the map enumeration (Exhaustive), which visits
 //     every layout, and the compiled branch-and-bound DFS (ExhaustiveBnB),
 //     whose admissible floor and dominance collapse skip only candidates
-//     that provably cannot change the result; and
+//     that provably cannot change the result (an estimator offering neither
+//     — the plan-aware DSS estimator — gets the same walk unpruned); and
 //   - an optional compiled evaluation path (Config.Compiled): compact
 //     layouts, dense per-(object, class-set) cost tables, and a Cursor that
 //     derives a candidate's memo hash, estimate and per-class totals from

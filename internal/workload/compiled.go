@@ -9,9 +9,15 @@
 //
 // Every compiled path reuses the exact arithmetic of its map-path sibling
 // — integer I/O-time sums regrouped associatively, floats derived through
-// the same shared expression — so results are bit-identical. Plan-aware
-// estimators (the DSS re-planning estimator) do not compile; the search
-// engine transparently falls back to their full map-form Estimate.
+// the same shared expression — so results are bit-identical. The plan-aware
+// DSS estimator compiles too (dss.go), in its own way: its compiled form
+// reads placements from the compact layout's bytes and re-looks-up only the
+// queries a move can touch, over the same per-query cost tables its map
+// form reads. What stays on the map form is an estimator the search cannot
+// see into — one wrapped in another Estimator (which hides CompileFor), or
+// one that declines the alphabet (the plan-aware estimator has no replica
+// routing, so it declines multi-member sets) — and Input.NoCompile, the
+// oracle of the parity tests.
 package workload
 
 import (
@@ -35,8 +41,8 @@ type ObjectMove struct {
 // SetEstimator is implemented by estimators that can price a layout whose
 // units hold copies on several classes: reads route to each unit's best
 // member per I/O type, writes land on every member. The profile-driven
-// estimators do; plan-aware estimators re-plan per layout and have no
-// per-copy routing model.
+// estimators do; the plan-aware estimator plans against single-class
+// placements and has no per-copy routing model.
 type SetEstimator interface {
 	Estimator
 	// EstimateSet must return exactly what Estimate returns when every set

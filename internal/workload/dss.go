@@ -228,12 +228,18 @@ func (e *dssEstimator) tables() (*dssTables, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t := e.tab.Load(); t != nil && t.pw.opt == opt && t.conc == opt.Concurrency {
+	fresh := func() *dssTables {
+		if t := e.tab.Load(); t != nil && t.pw.opt == opt && t.conc == opt.Concurrency {
+			return t
+		}
+		return nil
+	}
+	if t := fresh(); t != nil {
 		return t, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if t := e.tab.Load(); t != nil && t.pw.opt == opt && t.conc == opt.Concurrency {
+	if t := fresh(); t != nil {
 		return t, nil
 	}
 	pw, err := e.w.Prepare(e.db)
@@ -244,15 +250,14 @@ func (e *dssEstimator) tables() (*dssTables, error) {
 	for i, p := range pw.queries {
 		q := &t.queries[i]
 		q.times = make(map[string]time.Duration)
+		q.resolves = make([]bool, e.db.Cat.NumObjects())
 		if pw.errs[i] != nil {
 			continue
 		}
 		for _, id := range p.Objects() {
-			d := catalog.DenseIndex(id)
-			for len(q.resolves) <= d {
-				q.resolves = append(q.resolves, false)
+			if d := catalog.DenseIndex(id); d >= 0 && d < len(q.resolves) {
+				q.resolves[d] = true
 			}
-			q.resolves[d] = true
 		}
 	}
 	e.tab.Store(t)
@@ -288,15 +293,14 @@ func (e *dssEstimator) queryTime(t *dssTables, i int, v *placement) (time.Durati
 		return 0, err
 	}
 	d = pl.Est.Time()
-	if t.retained.Add(1) > e.limit {
-		t.retained.Add(-1)
-		return d, nil
-	}
 	q.mu.Lock()
-	if _, dup := q.times[string(key)]; dup {
-		t.retained.Add(-1) // a concurrent miss on the same key got here first
-	} else {
-		q.times[string(key)] = d
+	// A concurrent miss on the same key may have got here first.
+	if _, dup := q.times[string(key)]; !dup {
+		if t.retained.Add(1) <= e.limit {
+			q.times[string(key)] = d
+		} else {
+			t.retained.Add(-1)
+		}
 	}
 	q.mu.Unlock()
 	return d, nil

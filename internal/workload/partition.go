@@ -7,10 +7,12 @@
 // the object-granular layout does — and a layout that splits a hot extent
 // from its cold tail is priced for exactly that split.
 //
-// Plan-aware estimators (the DSS re-planning estimator) cannot apportion:
-// their per-query costs come from re-planning against object statistics.
-// They are rejected with a descriptive error; partition-granular advising
-// requires the profile-driven paths (§4.5's test run or observed counts).
+// The plan-aware DSS estimator cannot apportion: its per-query costs come
+// from planning against object statistics, and it compiles for its engine's
+// object catalog only (never a unit catalog). It is rejected with a
+// descriptive error; partition-granular advising requires the
+// profile-driven paths (§4.5's test run or observed counts). Partition-
+// granular planning is a follow-up, not something the cost tables give.
 package workload
 
 import (
