@@ -108,12 +108,7 @@ func (o *Optimizer) Prepare(q *plan.Query) (*Prepared, error) {
 			return p, nil
 		}
 		pos[name] = i
-		t := prepTable{ti: ti, obj: len(p.objs), cols: allCols(ti)}
-		for _, pr := range q.Preds {
-			if pr.Table == name {
-				t.preds = append(t.preds, pr)
-			}
-		}
+		t := prepTable{ti: ti, obj: len(p.objs), preds: q.TablePreds(name), cols: allCols(ti)}
 		p.objs = append(p.objs, ti.ID)
 		isRelevant[ti.ID] = true
 		for _, ix := range ti.Indexes {
