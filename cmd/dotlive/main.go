@@ -101,7 +101,7 @@ func runSkew(boxNo int, sla float64) error {
 	}
 	// The demo runs the exact fixture input the CI-gated experiment and
 	// benchmarks use; at -sla 0.2 (bench.SkewSLA, the gated setting) its
-	// numbers reproduce BENCH_5.json/EXPERIMENTS.md.
+	// numbers reproduce EXPERIMENTS.md's partition-granular table.
 	in, fx, err := bench.SkewFixtureInput(box)
 	if err != nil {
 		return err

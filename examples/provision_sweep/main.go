@@ -58,7 +58,6 @@ func run() error {
 	prof.Add(ix.ID, device.RandRead, 2e5)
 	prof.Add(wal.ID, device.SeqWrite, 1e6)
 
-	est := &profileEstimator{prof: prof}
 	ps := core.NewProfileSet()
 	ps.SetSingle(prof)
 
@@ -72,7 +71,14 @@ func run() error {
 		},
 		Alphas: []float64{0, 0.5, 1},
 	}
-	est.box = grid.Universe()
+	// The estimator prices the frozen profile on the grid's universe box,
+	// which carries every class a candidate may contain; the sweep compiles
+	// it once for all candidates.
+	est := &workload.ObservedEstimator{
+		Box:         grid.Universe(),
+		Concurrency: 1,
+		PerQuery:    []workload.QueryObservation{{Profile: prof}},
+	}
 
 	base := core.Input{
 		Cat:         cat,
@@ -86,7 +92,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("swept %d candidate configurations in %v (%d layouts investigated, %d estimator calls thanks to the shared memo)\n\n",
+	fmt.Printf("swept %d candidate configurations in %v (%d layouts investigated, %d of them estimated; the rest were memo hits)\n\n",
 		len(choice.Results), time.Since(start).Round(time.Millisecond), choice.Evaluated, choice.EstimatorCalls)
 	for i, r := range choice.Results {
 		marker := "  "
@@ -105,19 +111,4 @@ func run() error {
 	best := choice.Results[choice.Best]
 	fmt.Printf("\nbuy: %s\n%s", best.Name, best.Result.Layout.String(cat))
 	return nil
-}
-
-// profileEstimator prices the frozen profile under candidate layouts (a
-// pure reader, so it is safe for the sweep's concurrent searches).
-type profileEstimator struct {
-	box  *device.Box
-	prof iosim.Profile
-}
-
-func (e *profileEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
-	t, err := e.prof.IOTime(l, e.box, 1)
-	if err != nil {
-		return workload.Metrics{}, err
-	}
-	return workload.Metrics{Elapsed: t, PerQuery: []time.Duration{t}}, nil
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"dotprov/internal/core"
-	"dotprov/internal/provision"
 )
 
 // Experiment is one reproducible paper artifact.
@@ -69,21 +66,11 @@ func Experiments() map[string]Experiment {
 		"discrete": {
 			ID: "discrete", Title: "Sec 5.2: discrete-sized storage cost model",
 			Run: func(w io.Writer, o Options) error {
-				_, err := Discrete(w, o, []float64{0, 0.5, 1}, discreteModel)
+				_, err := Discrete(w, o, []float64{0, 0.5, 1})
 				return err
 			},
 		},
 	}
-}
-
-// discreteModel installs the §5.2 cost model into a DOT input.
-func discreteModel(in core.Input, alpha float64) (core.Input, error) {
-	model, err := provision.DiscreteCostModel(in.Cat, in.Box, alpha)
-	if err != nil {
-		return core.Input{}, err
-	}
-	in.LayoutCost = model
-	return in, nil
 }
 
 // IDs returns the experiment ids in stable order.

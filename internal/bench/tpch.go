@@ -10,6 +10,7 @@ import (
 	"dotprov/internal/engine"
 	"dotprov/internal/plan"
 	"dotprov/internal/profiler"
+	"dotprov/internal/provision"
 	"dotprov/internal/tpch"
 	"dotprov/internal/workload"
 )
@@ -252,56 +253,46 @@ func Sec443(w io.Writer, opts Options) (*FigureResult, error) {
 // configurations for the original TPC-H workload.
 func Provision(w io.Writer, opts Options) (*FigureResult, error) {
 	fig := &FigureResult{ID: "Sec 5.1: generalized provisioning (pick the box)", Layouts: map[string]string{}}
-	var cands []provisionCand
+	var cands []provision.Candidate
 	for _, box := range boxes() {
 		env, err := newTpchEnv(box, opts, false, false)
 		if err != nil {
 			return nil, err
 		}
-		cands = append(cands, provisionCand{env: env})
+		cands = append(cands, provision.Candidate{Name: box.Name, In: env.input()})
 	}
-	best := -1
-	for i, c := range cands {
-		res, err := core.Optimize(c.env.input(), core.Options{RelativeSLA: 0.5})
-		if err != nil {
-			return nil, err
-		}
-		cands[i].res = res
-		if res.Feasible && (best < 0 || res.TOCCents < cands[best].res.TOCCents) {
-			best = i
-		}
-		fig.addRow(c.env.box.Name, LayoutRow{
+	choice, err := provision.ChooseConfiguration(cands, core.Options{RelativeSLA: 0.5})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range choice.Results {
+		fig.addRow(r.Name, LayoutRow{
 			Name:     "DOT recommendation",
-			Elapsed:  res.Metrics.Elapsed,
-			TOCCents: res.TOCCents,
+			Elapsed:  r.Result.Metrics.Elapsed,
+			TOCCents: r.Result.TOCCents,
 			PSR:      1,
 		})
 	}
-	if best >= 0 {
-		fig.note("chosen configuration: %s (estimated TOC %.4e cents)",
-			cands[best].env.box.Name, cands[best].res.TOCCents)
-		fig.Layouts["chosen "+cands[best].env.box.Name] = cands[best].res.Layout.String(cands[best].env.db.Cat)
+	if choice.Best >= 0 {
+		best := choice.Results[choice.Best]
+		fig.note("chosen configuration: %s (estimated TOC %.4e cents)", best.Name, best.Result.TOCCents)
+		fig.Layouts["chosen "+best.Name] = best.Result.Layout.String(cands[choice.Best].In.Cat)
 	}
 	fig.print(w)
 	return fig, nil
 }
 
-type provisionCand struct {
-	env *tpchEnv
-	res *core.Result
-}
-
 // Discrete reproduces §5.2: DOT under the discrete-sized cost model for a
 // sweep of alpha values on Box 1.
-func Discrete(w io.Writer, opts Options, alphas []float64, model func(in core.Input, alpha float64) (core.Input, error)) (*FigureResult, error) {
+func Discrete(w io.Writer, opts Options, alphas []float64) (*FigureResult, error) {
 	fig := &FigureResult{ID: "Sec 5.2: discrete-sized storage cost model", Layouts: map[string]string{}}
 	env, err := newTpchEnv(device.Box1(), opts, false, false)
 	if err != nil {
 		return nil, err
 	}
 	for _, a := range alphas {
-		in, err := model(env.input(), a)
-		if err != nil {
+		in := env.input()
+		if in.LayoutCost, err = provision.DiscreteCost(in.Box, a); err != nil {
 			return nil, err
 		}
 		res, err := core.OptimizeBest(in, core.Options{RelativeSLA: 0.5})

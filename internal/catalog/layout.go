@@ -258,6 +258,20 @@ func (l SetLayout) SpaceByClass(c *Catalog) map[device.Class]int64 {
 	return out
 }
 
+// Space totals the layout per class in the form the search prices from —
+// the map-form sibling of CompactLayout.Space, with which it agrees on every
+// layout both can express. Objects absent from the catalog count for
+// nothing, as in SpaceByClass.
+func (l SetLayout) Space(c *Catalog) ClassSpace {
+	var s ClassSpace
+	for id, set := range l {
+		if o := c.Object(id); o != nil {
+			s.charge(byte(set), o.SizeBytes, 1)
+		}
+	}
+	return s
+}
+
 // CostCentsPerHour computes the layout cost sum_j p_j * S_j with every copy
 // charged its full size. Classes are summed in ascending order with the
 // single-class expression, so a layout of singleton sets prices

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -204,13 +205,83 @@ func TestCompiledEngineEngages(t *testing.T) {
 		t.Fatal("NoCompile must disable the compiled path")
 	}
 	in = f.input()
-	in.LayoutCost = func(l catalog.Layout) (float64, error) { return 1, nil }
-	if in.compiledConfig(in.alphabet(1)) != nil {
-		t.Fatal("a LayoutCost without its compact mirror must disable the compiled path")
-	}
-	in.LayoutCostCompact = func(sp catalog.ClassSpace) (float64, error) { return 1, nil }
+	in.LayoutCost = func(catalog.ClassSpace) (float64, error) { return 1, nil }
 	if in.compiledConfig(in.alphabet(1)) == nil {
-		t.Fatal("a LayoutCost with its compact mirror keeps the compiled path")
+		t.Fatal("a custom LayoutCost keeps the compiled path")
+	}
+}
+
+// consolidationCost is a custom cost model with the §5.2 model's shape: a
+// flat fee for every class holding data on top of the linear share, so
+// spreading over classes is not free.
+func consolidationCost(box *device.Box) func(catalog.ClassSpace) (float64, error) {
+	return func(sp catalog.ClassSpace) (float64, error) {
+		var total float64
+		for c, bytes := range sp.Bytes {
+			if bytes == 0 {
+				continue
+			}
+			d := box.Device(device.Class(c))
+			if d == nil {
+				return 0, fmt.Errorf("class %v absent from box %q", device.Class(c), box.Name)
+			}
+			total += 0.25 + d.PriceCents*float64(bytes)/1e9
+		}
+		return total, nil
+	}
+}
+
+// TestCustomLayoutCostOnBothPaths: one LayoutCost function serves the
+// compiled path (handed the cursor's running totals) and the map path
+// (handed the map layout's totals) with identical results, and carries over
+// to a partitioned input — under an identity partitioning the unit problem
+// prices bit-identically to the object problem.
+func TestCustomLayoutCostOnBothPaths(t *testing.T) {
+	f := newCompiledFix(t)
+	opts := Options{RelativeSLA: 0.25}
+	for name, in := range map[string]Input{"dss": f.input(), "oltp": f.oltpInput(t)} {
+		linear, err := OptimizeBest(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.LayoutCost = consolidationCost(in.Box)
+		if in.compiledConfig(in.alphabet(1)) == nil {
+			t.Fatalf("%s: the custom model must not cost the compiled path", name)
+		}
+		mapped := in
+		mapped.NoCompile = true
+		best, err := OptimizeBest(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best.TOCCents == linear.TOCCents {
+			t.Fatalf("%s: the custom model priced like the linear one (%v)", name, best.TOCCents)
+		}
+		want, err := OptimizeBest(mapped, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, name+"/best", best, want)
+		es, err := Exhaustive(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = Exhaustive(mapped, opts); err != nil {
+			t.Fatal(err)
+		}
+		requireSameOutcome(t, name+"/exhaustive", es, want)
+
+		pt := catalog.IdentityPartitioning(in.Cat)
+		for _, unit := range []Input{in, mapped} {
+			part, err := OptimizePartitioned(unit, pt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(part.TOCCents) != math.Float64bits(best.TOCCents) || part.Feasible != best.Feasible {
+				t.Fatalf("%s (NoCompile=%v): identity-partitioned search found TOC %v, object search %v — the cost model did not carry over",
+					name, unit.NoCompile, part.TOCCents, best.TOCCents)
+			}
+		}
 	}
 }
 

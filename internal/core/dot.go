@@ -32,17 +32,14 @@ type Input struct {
 	// run at once. Results are identical with or without it.
 	Budget *search.Budget
 	// LayoutCost optionally overrides the layout cost model C(L) in
-	// cent/hour (default: the linear model of §2.1). The discrete-sized
-	// model of §5.2 plugs in here.
-	LayoutCost func(l catalog.Layout) (float64, error)
-	// LayoutCostCompact optionally mirrors LayoutCost on the compiled path
-	// (provision.DiscreteCostModels builds the pair): the same price from the
-	// layout's per-class totals, which is all the compiled path keeps of a
-	// candidate — so a model with a mirror depends on nothing else, and
-	// exhaustive search keeps its dominance collapse under it. It must price
-	// exactly like LayoutCost; setting LayoutCost without it disables the
-	// compiled fast path rather than risk divergent pricing.
-	LayoutCostCompact func(sp catalog.ClassSpace) (float64, error)
+	// cent/hour (default: the linear model of §2.1); the discrete-sized
+	// model of §5.2 plugs in here (provision.DiscreteCost). A model is a
+	// function of the layout's per-class totals — all a search keeps of a
+	// candidate, and all a price may read — so the one function prices on
+	// the compiled and the map path alike, exhaustive search keeps its
+	// dominance collapse under it, and it carries over to a partitioned
+	// input unchanged. It applies to single-copy search only.
+	LayoutCost func(sp catalog.ClassSpace) (float64, error)
 	// NoCompile disables the compiled (compact/delta) evaluation fast path,
 	// forcing map-based evaluation everywhere. Results are bit-identical
 	// either way; no shipped estimator needs it (all of them compile), so
@@ -245,19 +242,14 @@ func tocOf(perHour float64, m workload.Metrics) float64 {
 	return perHour * m.Elapsed.Hours()
 }
 
-// toc computes the workload cost under the input's layout cost model. A
-// custom LayoutCost is a function of single-class layouts, which is all it
-// is ever asked about: engine refuses it at a copy cap above one.
+// toc computes the workload cost under the input's layout cost model; a
+// custom LayoutCost is handed the map layout's per-class totals.
 func (in Input) toc(m workload.Metrics, l catalog.SetLayout) (float64, error) {
 	if in.LayoutCost == nil {
 		perHour, err := l.CostCentsPerHour(in.Cat, in.Box)
 		return tocOf(perHour, m), err
 	}
-	single, ok := l.SingleLayout()
-	if !ok {
-		return 0, fmt.Errorf("core: custom layout cost cannot price a multi-copy layout")
-	}
-	perHour, err := in.LayoutCost(single)
+	perHour, err := in.LayoutCost(l.Space(in.Cat))
 	return tocOf(perHour, m), err
 }
 
@@ -293,14 +285,13 @@ func (in Input) alphabet(copyCap int) []device.ClassSet {
 // over in.Workers. When the estimator is compact-capable the engine also
 // gets the compiled evaluation path (see compiledConfig); results are
 // bit-identical on either path. Placing more than one copy prices only
-// under the linear model — a custom LayoutCost is a function of
-// single-class layouts — and needs an estimator with a replica form.
+// under the linear model and needs an estimator with a replica form.
 func (in Input) engine(copyCap int) (*search.Engine, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	if copyCap > 1 {
-		if in.LayoutCost != nil || in.LayoutCostCompact != nil {
+		if in.LayoutCost != nil {
 			return nil, fmt.Errorf("core: replicated search supports only the linear cost model")
 		}
 		if _, ok := in.Est.(workload.SetEstimator); !ok {
@@ -322,14 +313,10 @@ func (in Input) engine(copyCap int) (*search.Engine, error) {
 // exactly the alphabet the search will enumerate; the plan-aware DSS
 // estimator does so for single-copy alphabets, as the same cost tables read
 // through compact layouts; an estimator wrapped in another, or one that
-// declines the alphabet, transparently stays on the map path), and a custom
-// LayoutCost needs its compact mirror. Returns nil when the compiled path
-// cannot engage.
+// declines the alphabet, transparently stays on the map path). Returns nil
+// when the compiled path cannot engage.
 func (in Input) compiledConfig(alphabet []device.ClassSet) *search.CompiledConfig {
 	if in.NoCompile {
-		return nil
-	}
-	if in.LayoutCost != nil && in.LayoutCostCompact == nil {
 		return nil
 	}
 	est := workload.CompileEstimator(in.Est, in.Cat, alphabet...)
@@ -344,10 +331,10 @@ func (in Input) compiledConfig(alphabet []device.ClassSet) *search.CompiledConfi
 		Delta: de,
 		Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
 			perHour, fits, err := sp.PriceLinear(in.Box)
-			if in.LayoutCostCompact != nil {
+			if in.LayoutCost != nil {
 				// The custom model prices; the linear pass still decides the fit
 				// (a copy on a class the box lacks does not fit).
-				perHour, err = in.LayoutCostCompact(sp)
+				perHour, err = in.LayoutCost(sp)
 			}
 			return tocOf(perHour, m), fits, err
 		},

@@ -189,7 +189,7 @@ func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []ca
 		}
 	}
 	est := eng.CompactEstimator()
-	linear := in.LayoutCost == nil && in.LayoutCostCompact == nil
+	linear := in.LayoutCost == nil
 	// Cost bounding needs the linear pricing model, an elapsed (DSS)
 	// objective — throughput workloads price TOC as C(L)/T, which an
 	// elapsed-time floor cannot bound — and an estimator whose Elapsed
@@ -205,8 +205,8 @@ func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []ca
 	// Dominance needs the layout cost to be symmetric in per-class totals —
 	// which every model on this walk is: the compiled path prices from a
 	// catalog.ClassSpace and nothing else, the linear model and a custom
-	// model's LayoutCostCompact mirror alike (cost bounding stays off for the
-	// latter, since the floor assumes linear pricing) — and an estimator that
+	// LayoutCost alike (cost bounding stays off for the latter, since the
+	// floor assumes linear pricing) — and an estimator that
 	// can emit placement signatures. The unit's size joins the signature:
 	// interchangeability needs equal per-class cost and capacity
 	// contributions too.

@@ -173,7 +173,7 @@ func TestCustomLayoutCostFlowsThroughTOC(t *testing.T) {
 	// A cost model that charges a flat fee regardless of layout: every
 	// candidate then has TOC proportional to elapsed time only, so the
 	// fastest feasible layout (L0) must win.
-	in.LayoutCost = func(l catalog.Layout) (float64, error) { return 42, nil }
+	in.LayoutCost = func(catalog.ClassSpace) (float64, error) { return 42, nil }
 	res, err := Optimize(in, Options{RelativeSLA: 0.5})
 	if err != nil {
 		t.Fatal(err)

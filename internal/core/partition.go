@@ -16,12 +16,8 @@ import (
 // unchanged at unit granularity, compiled fast path included: granularity
 // (which catalog) and replication (the copy cap) are orthogonal. The
 // estimator is handed on uncompiled; the search's engine compiles it once,
-// for the alphabet it will enumerate.
-//
-// Custom cost models (LayoutCost, LayoutCostCompact) are closures over the
-// object catalog and do not carry over; they are cleared, and callers that
-// need them rebuild over Partitioned's unit catalog (provision's
-// partitioned sweeps do).
+// for the alphabet it will enumerate. A custom LayoutCost carries over: it
+// prices per-class totals, which mean the same at either granularity.
 func (in Input) Partitioned(pt *catalog.Partitioning) (Input, error) {
 	if err := in.validate(); err != nil {
 		return Input{}, err
@@ -42,7 +38,6 @@ func (in Input) Partitioned(pt *catalog.Partitioning) (Input, error) {
 	ps := NewProfileSet()
 	ps.SetSingle(uprof)
 	out.Profiles = ps
-	out.LayoutCost, out.LayoutCostCompact = nil, nil
 	return out, nil
 }
 

@@ -317,7 +317,7 @@ func TestReplicatedErrorPaths(t *testing.T) {
 	opts := Options{RelativeSLA: 0.5}
 
 	custom := in
-	custom.LayoutCost = func(catalog.Layout) (float64, error) { return 0, nil }
+	custom.LayoutCost = func(catalog.ClassSpace) (float64, error) { return 0, nil }
 	if _, err := OptimizeReplicated(custom, opts); err == nil || !strings.Contains(err.Error(), "linear cost model") {
 		t.Fatalf("custom cost model must be refused, got %v", err)
 	}

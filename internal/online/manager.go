@@ -49,12 +49,10 @@ type Config struct {
 	// its server-wide budget here).
 	Workers int
 	Budget  *search.Budget
-	// LayoutCost / LayoutCostCompact optionally install the §5.2
-	// discrete-sized cost model pair (provision.DiscreteCostModels). With a
-	// Partitioning they must be built over its unit catalog — layouts the
-	// manager prices are unit-granular.
-	LayoutCost        func(l catalog.Layout) (float64, error)
-	LayoutCostCompact func(sp catalog.ClassSpace) (float64, error)
+	// LayoutCost optionally installs a custom cost model over per-class
+	// totals — the §5.2 discrete-sized model (provision.DiscreteCost) — in
+	// every search (see core.Input.LayoutCost).
+	LayoutCost func(sp catalog.ClassSpace) (float64, error)
 	// Replication, when Enabled, lets every advise and re-advise place up to
 	// MaxReplicas copies of a unit: reads route to the best copy per access
 	// pattern, writes land on every copy, drift is judged at replica-routed
@@ -147,9 +145,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.SLA <= 0 || cfg.SLA > 1 {
 		return nil, fmt.Errorf("online: SLA must be in (0, 1], got %g", cfg.SLA)
-	}
-	if (cfg.LayoutCost == nil) != (cfg.LayoutCostCompact == nil) {
-		return nil, fmt.Errorf("online: LayoutCost and LayoutCostCompact must be set together")
 	}
 	if cfg.Replication.Enabled && cfg.LayoutCost != nil {
 		return nil, fmt.Errorf("online: replicated advising prices only the linear cost model; drop LayoutCost or Replication")
@@ -302,15 +297,14 @@ func (m *Manager) input(w Window) (core.Input, error) {
 	ps := core.NewProfileSet()
 	ps.SetSingle(w.Profile)
 	return core.Input{
-		Cat:               m.cat,
-		Box:               m.cfg.Box,
-		Est:               est,
-		Profiles:          ps,
-		Concurrency:       m.conc(),
-		Workers:           m.cfg.Workers,
-		Budget:            m.cfg.Budget,
-		LayoutCost:        m.cfg.LayoutCost,
-		LayoutCostCompact: m.cfg.LayoutCostCompact,
+		Cat:         m.cat,
+		Box:         m.cfg.Box,
+		Est:         est,
+		Profiles:    ps,
+		Concurrency: m.conc(),
+		Workers:     m.cfg.Workers,
+		Budget:      m.cfg.Budget,
+		LayoutCost:  m.cfg.LayoutCost,
 		// The searches place class sets at the configured cap — one copy
 		// unless replication is enabled.
 		Replication: core.ReplicationConfig{Enabled: true, MaxReplicas: m.cfg.Replication.Cap()},

@@ -227,12 +227,10 @@ func TestManagerReplicatedTransactionalWindow(t *testing.T) {
 // linear cost model.
 func TestManagerReplicationRejectsLayoutCost(t *testing.T) {
 	cat, _ := htapCatalog(t)
-	lc := func(l catalog.Layout) (float64, error) { return 0, nil }
-	lcc := func(sp catalog.ClassSpace) (float64, error) { return 0, nil }
 	_, err := NewManager(Config{
 		Cat: cat, Box: device.BoxHTAP(), SLA: 0.5,
 		Replication: core.ReplicationConfig{Enabled: true},
-		LayoutCost:  lc, LayoutCostCompact: lcc,
+		LayoutCost:  func(catalog.ClassSpace) (float64, error) { return 0, nil },
 	})
 	if err == nil {
 		t.Fatal("replication plus LayoutCost must be rejected")

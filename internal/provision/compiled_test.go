@@ -2,6 +2,7 @@ package provision
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"dotprov/internal/catalog"
@@ -28,8 +29,8 @@ func compiledSweepBase(t *testing.T, grid Grid, workers int) core.Input {
 
 // TestSweepCompiledMatchesMap: the full §5 grid sweep must pick the same
 // winner with bit-identical TOCs on the compiled path as with NoCompile, at
-// any worker width, and spend the same number of underlying estimator
-// calls (the shared memo dedups identically on both paths).
+// any worker width, and spend the same number of estimator calls (the
+// candidates' engine memos miss identically on both paths).
 func TestSweepCompiledMatchesMap(t *testing.T) {
 	grid := sweepGrid()
 	opts := core.Options{RelativeSLA: 0.25}
@@ -68,46 +69,63 @@ func TestSweepCompiledMatchesMap(t *testing.T) {
 	}
 }
 
-// TestDiscreteCostModelsParity: the compact form of the §5.2 model must
-// price every layout bit-identically to the map form, including the
-// degenerate alpha endpoints.
-func TestDiscreteCostModelsParity(t *testing.T) {
-	grid := sweepGrid()
-	in := compiledSweepBase(t, grid, 1)
-	box := grid.Universe()
-	for _, alpha := range []float64{0, 0.35, 1} {
-		mapModel, compactModel, err := DiscreteCostModels(in.Cat, box, alpha)
+// TestDiscreteCostAdapterParity: the layout-form adapter (what reports and
+// the benchmark's checker price with) agrees bit for bit with the search's
+// model on the layout's per-class totals, however those were obtained — a
+// full compact walk here — over random layouts, including the degenerate
+// alpha endpoints.
+func TestDiscreteCostAdapterParity(t *testing.T) {
+	cat, _, _ := goldenFixture(t)
+	box := sweepGrid().Universe()
+	classes := box.Classes()
+	rng := rand.New(rand.NewSource(52))
+	for _, alpha := range []float64{0, 0.35, 0.5, 1} {
+		adapter, err := DiscreteCostModel(cat, box, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cls := range box.Classes() {
-			l := catalog.NewUniformLayout(in.Cat, cls)
-			l[1] = device.HSSD // mixed layout
-			want, err := mapModel(l)
+		model, err := DiscreteCost(box, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 50; trial++ {
+			l := make(catalog.Layout)
+			for _, o := range cat.Objects() {
+				l[o.ID] = classes[rng.Intn(len(classes))]
+			}
+			want, err := adapter(l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl, ok := catalog.CompactFromSetLayout(in.Cat, catalog.SingletonSetLayout(l))
+			cl, ok := catalog.CompactFromSetLayout(cat, catalog.SingletonSetLayout(l))
 			if !ok {
 				t.Fatal("layout must encode")
 			}
-			got, err := compactModel(cl.Space(in.Cat.DenseSizeBytes()))
+			got, err := model(cl.Space(cat.DenseSizeBytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("alpha=%g class=%v: map %v vs compact %v", alpha, cls, want, got)
+				t.Fatalf("alpha=%g layout %v: adapter %v vs model %v", alpha, l, want, got)
 			}
 		}
 	}
-	if _, _, err := DiscreteCostModels(in.Cat, box, 1.5); err == nil {
+	if _, err := DiscreteCost(box, 1.5); err == nil {
 		t.Fatal("alpha out of range must error")
+	}
+	// A class the box lacks is an error on either form.
+	adapter, err := DiscreteCostModel(cat, device.Box1(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adapter(catalog.NewUniformLayout(cat, device.LSSDRAID0)); err == nil {
+		t.Fatal("a layout on a class absent from the box must not price")
 	}
 }
 
 // TestExhaustiveDiscreteCollapsesSymmetricUnits: under the §5.2 model the
-// compiled exhaustive walk keeps its dominance collapse — the model's
-// compact mirror reads per-class totals only, so interchangeable units are
+// compiled exhaustive walk keeps its dominance collapse — the model reads
+// per-class totals only, so interchangeable units are
 // interchangeable under it too — and still returns what the map walk's full
 // enumeration returns, bit for bit, after fewer candidates.
 func TestExhaustiveDiscreteCollapsesSymmetricUnits(t *testing.T) {
@@ -126,7 +144,7 @@ func TestExhaustiveDiscreteCollapsesSymmetricUnits(t *testing.T) {
 	}
 	box := device.Box1()
 	for _, alpha := range []float64{0.35, 1} {
-		model, mirror, err := DiscreteCostModels(cat, box, alpha)
+		model, err := DiscreteCost(box, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +152,7 @@ func TestExhaustiveDiscreteCollapsesSymmetricUnits(t *testing.T) {
 			Cat: cat, Box: box, Concurrency: 1,
 			Est: &workload.ObservedEstimator{Box: box, Concurrency: 1,
 				PerQuery: []workload.QueryObservation{{Profile: prof}}},
-			LayoutCost: model, LayoutCostCompact: mirror,
+			LayoutCost: model,
 		}
 		opts := core.Options{RelativeSLA: 0.3}
 		got, err := core.Exhaustive(in, opts)

@@ -27,11 +27,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/sweep.golden fro
 // part of the file that follows a change of the hook's type.
 func withDiscreteModel(t *testing.T, in core.Input, alpha float64) core.Input {
 	t.Helper()
-	model, mirror, err := DiscreteCostModels(in.Cat, in.Box, alpha)
+	model, err := DiscreteCost(in.Box, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.LayoutCost, in.LayoutCostCompact = model, mirror
+	in.LayoutCost = model
 	return in
 }
 

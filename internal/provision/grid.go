@@ -162,8 +162,8 @@ func (g Grid) Enumerate() ([]BoxSpec, error) {
 // Universe returns a box containing one device of every class that appears
 // in the grid with a positive count. Estimators bound to the universe box
 // can price I/O for ANY candidate's layouts (service times are per class,
-// not per unit count), which is what lets a sweep share one metrics memo
-// across all candidates.
+// not per unit count), which is what lets a sweep compile its estimator
+// once for all candidates.
 func (g Grid) Universe() *device.Box {
 	classes := make(map[device.Class]bool)
 	for _, o := range g.Devices {

@@ -2,18 +2,19 @@
 // provisioning problem (§5.1 — choose the storage configuration, i.e. the
 // box, together with its layout) and the discrete-sized storage cost model
 // (§5.2 — devices are bought in whole units, blended with the linear
-// proportional cost by a parameter alpha).
+// proportional cost by a parameter alpha). Both run on the search engine as
+// every other caller uses it: a candidate configuration is one core search
+// with an engine of its own, and the §5.2 model is one function of a
+// layout's per-class totals (DiscreteCost) installed as that search's
+// core.Input.LayoutCost.
 package provision
 
 import (
 	"fmt"
-	"time"
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
 	"dotprov/internal/device"
-	"dotprov/internal/search"
-	"dotprov/internal/workload"
 )
 
 // Candidate is one storage configuration option f_i of §5.1: a box plus the
@@ -30,10 +31,11 @@ type Choice struct {
 	// Evaluated sums the layouts investigated across every candidate's
 	// search (memoized revisits included).
 	Evaluated int
-	// EstimatorCalls counts underlying estimator invocations for sweeps that
-	// share a metrics memo across candidates (SweepConfigurations,
-	// CompareAlphas); 0 for ChooseConfiguration, whose candidates own
-	// independent estimators.
+	// EstimatorCalls sums the candidates' Result.EstimatorCalls: the
+	// evaluations that missed their candidate's engine memo. Every candidate
+	// searches with an engine of its own (an evaluation is valid for one box
+	// and one cost model), so a layout two candidates both reach is counted,
+	// and estimated, once for each.
 	EstimatorCalls int
 }
 
@@ -75,21 +77,25 @@ func ChooseConfiguration(cands []Candidate, opts core.Options) (*Choice, error) 
 		if !res.Feasible {
 			cr.Failure = InfeasibilityReason(c.In.Cat, c.In.Box, opts)
 		}
-		ch.Results = append(ch.Results, cr)
-		ch.Evaluated += res.Evaluated
-		if !res.Feasible {
-			continue
-		}
-		if ch.Best < 0 || res.TOCCents < ch.Results[ch.Best].Result.TOCCents {
-			ch.Best = len(ch.Results) - 1
-		}
+		ch.add(cr)
 	}
 	return ch, nil
 }
 
+// add appends a candidate's outcome: the totals grow by its search's work,
+// and it becomes Best when it is feasible and strictly cheaper than the
+// incumbent — so ties go to the candidate added first.
+func (ch *Choice) add(cr CandidateResult) {
+	ch.Results = append(ch.Results, cr)
+	ch.Evaluated += cr.Result.Evaluated
+	ch.EstimatorCalls += cr.Result.EstimatorCalls
+	if cr.Result.Feasible && (ch.Best < 0 || cr.Result.TOCCents < ch.Results[ch.Best].Result.TOCCents) {
+		ch.Best = len(ch.Results) - 1
+	}
+}
+
 // discreteClassCost prices one class holding `bytes` bytes under the §5.2
-// blend. Both forms of the model call it per class in ascending class
-// order, so the map and compact paths produce bit-identical totals.
+// blend.
 func discreteClassCost(d *device.Device, bytes int64, alpha float64) float64 {
 	// One unit is one physical device of the class: scaled boxes
 	// (device.NewScaled) still buy — and price — whole units.
@@ -106,49 +112,25 @@ func discreteClassCost(d *device.Device, bytes int64, alpha float64) float64 {
 	return alpha*discrete + (1-alpha)*linear
 }
 
-// DiscreteCostModel returns the layout cost function of §5.2:
+// DiscreteCost returns the layout cost model of §5.2 on a box, in the form
+// core.Input.LayoutCost and online.Config.LayoutCost take:
 //
 //	C(L) = sum_j [ alpha * (p_j * c_j) + (1-alpha) * (S_j/c_j) * (p_j * c_j) ]
 //
 // where the first term is the discrete cost of the devices a class needs
-// (paid in whole units as soon as the class is used) and the second is the
-// proportional cost; alpha in [0, 1] blends them. alpha = 0 degenerates to
-// the paper's linear model of §2.1.
-func DiscreteCostModel(cat *catalog.Catalog, box *device.Box, alpha float64) (func(catalog.Layout) (float64, error), error) {
-	m, _, err := DiscreteCostModels(cat, box, alpha)
-	return m, err
-}
-
-// DiscreteCostModels returns the §5.2 model in both forms — the map-layout
-// function for Input.LayoutCost and its mirror over per-class totals for
-// Input.LayoutCostCompact — so the compiled search path prices candidates
-// without materializing map layouts, or walking them: the model reads the
-// bytes each class holds and nothing else. On the single-class layouts the
-// model is defined for, the two price bit-identically.
-func DiscreteCostModels(cat *catalog.Catalog, box *device.Box, alpha float64) (func(catalog.Layout) (float64, error), func(catalog.ClassSpace) (float64, error), error) {
+// (paid in whole units as soon as the class holds data) and the second is
+// the proportional cost; alpha in [0, 1] blends them. alpha = 0 degenerates
+// to the paper's linear model of §2.1. The model reads the bytes each class
+// holds and nothing else, so it prices object- and partition-granular
+// layouts alike, and classes are summed in ascending order on every path
+// that reaches it.
+func DiscreteCost(box *device.Box, alpha float64) (func(catalog.ClassSpace) (float64, error), error) {
 	if alpha < 0 || alpha > 1 {
-		return nil, nil, fmt.Errorf("provision: alpha must be in [0, 1], got %g", alpha)
+		return nil, fmt.Errorf("provision: alpha must be in [0, 1], got %g", alpha)
 	}
-	mapModel := func(l catalog.Layout) (float64, error) {
-		space := l.SpaceByClass(cat)
+	return func(sp catalog.ClassSpace) (float64, error) {
 		var total float64
-		for _, cls := range catalog.SortedClasses(space) {
-			bytes := space[cls]
-			if bytes == 0 {
-				continue
-			}
-			d := box.Device(cls)
-			if d == nil {
-				return 0, fmt.Errorf("provision: layout uses class %v absent from box %q", cls, box.Name)
-			}
-			total += discreteClassCost(d, bytes, alpha)
-		}
-		return total, nil
-	}
-	compactModel := func(sp catalog.ClassSpace) (float64, error) {
-		var total float64
-		for c := 0; c < device.NumClasses; c++ {
-			bytes := sp.Bytes[c]
+		for c, bytes := range sp.Bytes {
 			if bytes == 0 {
 				continue
 			}
@@ -159,66 +141,19 @@ func DiscreteCostModels(cat *catalog.Catalog, box *device.Box, alpha float64) (f
 			total += discreteClassCost(d, bytes, alpha)
 		}
 		return total, nil
-	}
-	return mapModel, compactModel, nil
+	}, nil
 }
 
-// CompareAlphas runs DOT under the discrete model for each alpha and
-// returns the recommendations, for the §5.2 sensitivity sweep. The alpha
-// points share one metrics memo (the estimator never re-prices a layout two
-// alphas both reach) and one worker budget of width in.Workers, under which
-// they run concurrently; results are deterministic and in alpha order. When
-// in.Workers > 1, in.Est must be safe for concurrent use.
-func CompareAlphas(in core.Input, opts core.Options, alphas []float64) ([]CandidateResult, error) {
-	if in.Est == nil {
-		return nil, fmt.Errorf("provision: CompareAlphas requires an estimator")
-	}
-	models := make([]func(catalog.Layout) (float64, error), len(alphas))
-	compactModels := make([]func(catalog.ClassSpace) (float64, error), len(alphas))
-	for i, a := range alphas {
-		model, compactModel, err := DiscreteCostModels(in.Cat, in.Box, a)
-		if err != nil {
-			return nil, err
-		}
-		models[i], compactModels[i] = model, compactModel
-	}
-	// One compilation of the estimator serves every alpha point; the memo
-	// keeps compact/delta capability, so each point's engine stays on the
-	// compiled path.
-	memoEst := search.Memoize(workload.CompileEstimator(in.Est, in.Cat), 0)
-	budget := in.Budget
-	if budget == nil {
-		budget = search.NewBudget(in.Workers)
-	}
-	out := make([]CandidateResult, len(alphas))
-	err := search.Parallel(budget.Workers(), len(alphas), func(i int) error {
-		in2 := in
-		in2.Est = memoEst
-		in2.LayoutCost = models[i]
-		in2.LayoutCostCompact = compactModels[i]
-		in2.Budget = budget
-		res, err := core.Optimize(in2, opts)
-		if err != nil {
-			return fmt.Errorf("provision: alpha %g: %w", alphas[i], err)
-		}
-		out[i] = CandidateResult{Name: fmt.Sprintf("alpha=%g", alphas[i]), Result: res}
-		if !res.Feasible {
-			out[i].Failure = InfeasibilityReason(in.Cat, in.Box, opts)
-		}
-		return nil
-	})
+// DiscreteCostModel is DiscreteCost for callers that hold a single-class
+// map layout rather than a search (reports, the benchmark's independent
+// checker): the layout is totalled per class over cat and priced by the
+// same function.
+func DiscreteCostModel(cat *catalog.Catalog, box *device.Box, alpha float64) (func(catalog.Layout) (float64, error), error) {
+	model, err := DiscreteCost(box, alpha)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// Amortize converts a one-off TOC measurement into a cents/hour figure for
-// reporting (helper for harnesses that compare DSS runs of different
-// lengths).
-func Amortize(tocCents float64, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return tocCents / elapsed.Hours()
+	return func(l catalog.Layout) (float64, error) {
+		return model(catalog.SingletonSetLayout(l).Space(cat))
+	}, nil
 }

@@ -69,10 +69,17 @@ func TestChooseConfiguration(t *testing.T) {
 		t.Fatalf("results = %d, want 2", len(ch.Results))
 	}
 	best := ch.Results[ch.Best]
+	evaluated, calls := 0, 0
 	for _, r := range ch.Results {
 		if r.Result.Feasible && r.Result.TOCCents < best.Result.TOCCents {
 			t.Fatal("Best is not the cheapest feasible candidate")
 		}
+		evaluated += r.Result.Evaluated
+		calls += r.Result.EstimatorCalls
+	}
+	if calls == 0 || ch.Evaluated != evaluated || ch.EstimatorCalls != calls {
+		t.Fatalf("Choice totals %d evaluated / %d estimator calls, candidates sum to %d / %d",
+			ch.Evaluated, ch.EstimatorCalls, evaluated, calls)
 	}
 	if _, err := ChooseConfiguration(nil, core.Options{RelativeSLA: 0.5}); err == nil {
 		t.Fatal("no candidates should fail")
@@ -153,44 +160,5 @@ func TestDiscreteCostModel(t *testing.T) {
 	}
 	if _, err := DiscreteCostModel(in.Cat, in.Box, 1.1); err == nil {
 		t.Fatal("alpha > 1 should fail")
-	}
-}
-
-func TestCompareAlphas(t *testing.T) {
-	in := fixture(t, device.Box1())
-	out, err := CompareAlphas(in, core.Options{RelativeSLA: 0.25}, []float64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("results = %d, want 2", len(out))
-	}
-	for _, r := range out {
-		if !r.Result.Feasible {
-			t.Fatalf("%s infeasible", r.Name)
-		}
-	}
-	// At alpha=1 the layout should consolidate onto a single class.
-	classes := map[device.Class]bool{}
-	for _, c := range out[1].Result.Layout {
-		classes[c] = true
-	}
-	if len(classes) != 1 {
-		t.Fatalf("alpha=1 layout uses %d classes, want 1 (consolidation)", len(classes))
-	}
-	if _, err := CompareAlphas(in, core.Options{RelativeSLA: 0.25}, []float64{2}); err == nil {
-		t.Fatal("invalid alpha should fail")
-	}
-}
-
-func TestAmortize(t *testing.T) {
-	if got := Amortize(10, time.Hour); got != 10 {
-		t.Fatalf("Amortize = %g, want 10", got)
-	}
-	if got := Amortize(10, 30*time.Minute); got != 20 {
-		t.Fatalf("Amortize = %g, want 20", got)
-	}
-	if Amortize(10, 0) != 0 {
-		t.Fatal("zero duration should yield 0")
 	}
 }

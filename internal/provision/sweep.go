@@ -13,14 +13,15 @@ import (
 // SweepConfigurations solves the generalized provisioning problem over a
 // declarative grid (§5.1 + §5.2): every candidate box enumerated from the
 // grid is priced with its alpha blend point of the discrete-sized cost
-// model, and each candidate's inner layout search runs through the shared
-// layout-search engine (internal/search) under
+// model, and each candidate's inner layout search runs on an engine of its
+// own (internal/search) under
 //
-//   - a per-sweep metrics memo: base.Est is wrapped in one
-//     search.MemoEstimator shared by every candidate, so a layout estimated
-//     while searching one box is never re-estimated for another (estimator
-//     metrics depend only on the layout's classes, not on unit counts or
-//     prices); and
+//   - one compilation of the estimator: base.Est is compiled once, for every
+//     class set any candidate may place, and every candidate's engine reads
+//     those tables (estimator metrics depend only on the layout's classes,
+//     not on unit counts or prices). Nothing else is shared between
+//     candidates — a compiled estimate costs less than a shared memo's
+//     probe; and
 //   - a global worker budget: base.Budget (or a fresh budget of width
 //     base.Workers when unset) bounds concurrent estimator invocations
 //     across ALL in-flight candidate searches, not per candidate. Passing a
@@ -28,15 +29,15 @@ import (
 //     one server-wide budget over all concurrent requests).
 //
 // base supplies Cat, Est, Profiles, Concurrency, Replication and the worker
-// budget; its Box and LayoutCost are ignored and rebound per candidate.
+// budget; its Box and LayoutCost are ignored and rebound per candidate. For
+// a sweep at partition granularity, lower base first (core.Input.Partitioned).
 // base.Est must be bound to a box covering every class in the grid (see
 // Grid.Universe) and, when the budget is wider than 1, safe for concurrent
 // use (the workload.Estimator contract).
 //
 // With base.Replication enabled every candidate's inner search places class
 // sets up to the copy cap. Replication prices only under the linear cost
-// model — the discrete-sized models are functions of single-class layouts —
-// so such a sweep refuses grids with nonzero alpha points.
+// model, so such a sweep refuses grids with nonzero alpha points.
 //
 // The sweep is deterministic at any worker count: candidates keep their
 // enumeration index, every inner search is itself deterministic, and TOC
@@ -62,11 +63,10 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 	// Compile the estimator ONCE for the whole sweep, for every class set any
 	// candidate may enumerate: the compiled per-(object, class-set) time
 	// tables depend only on the class service times (identical across
-	// candidate boxes), so every candidate's engine reuses one compilation,
-	// and the shared memo answers compact probes across candidates.
+	// candidate boxes), so every candidate's engine reuses one compilation.
 	// Estimators without a compiled form pass through unchanged.
 	alphabet := device.EnumerateClassSets(grid.Universe().Classes(), copyCap)
-	memoEst := search.Memoize(workload.CompileEstimator(base.Est, base.Cat, alphabet...), 0)
+	est := workload.CompileEstimator(base.Est, base.Cat, alphabet...)
 	budget := base.Budget
 	if budget == nil {
 		budget = search.NewBudget(base.Workers)
@@ -77,16 +77,15 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 		box := spec.Box()
 		in := base
 		in.Box = box
-		in.Est = memoEst
+		in.Est = est
 		in.Budget = budget
 		in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: copyCap}
 		if copyCap == 1 {
-			model, compactModel, err := DiscreteCostModels(base.Cat, box, spec.Alpha)
+			model, err := DiscreteCost(box, spec.Alpha)
 			if err != nil {
 				return err
 			}
 			in.LayoutCost = model
-			in.LayoutCostCompact = compactModel
 		}
 		// Both application policies (guarded + greedy) rather than one pass:
 		// the discrete-sized model has cost valleys a monotonic walk cannot
@@ -105,32 +104,11 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 	if err != nil {
 		return nil, err
 	}
-	ch := &Choice{Best: -1, Results: results, EstimatorCalls: memoEst.Calls()}
-	for i, r := range results {
-		ch.Evaluated += r.Result.Evaluated
-		if !r.Result.Feasible {
-			continue
-		}
-		if ch.Best < 0 || r.Result.TOCCents < results[ch.Best].Result.TOCCents {
-			ch.Best = i
-		}
+	ch := &Choice{Best: -1}
+	for _, r := range results {
+		ch.add(r)
 	}
 	return ch, nil
-}
-
-// SweepConfigurationsPartitioned is SweepConfigurations at partition
-// granularity: the base input is lowered once onto the partitioning's unit
-// catalog (estimator apportioned by extent heat, profile set rebuilt), and
-// the whole grid sweeps over per-unit placements. Each candidate's §5.2
-// discrete-sized cost model is rebuilt over the unit catalog inside the
-// sweep, so whole-device pricing sees unit-granular class usage. The
-// partitioning must be built from base.Cat.
-func SweepConfigurationsPartitioned(base core.Input, pt *catalog.Partitioning, grid Grid, opts core.Options) (*Choice, error) {
-	ubase, err := base.Partitioned(pt)
-	if err != nil {
-		return nil, err
-	}
-	return SweepConfigurations(ubase, grid, opts)
 }
 
 // InfeasibilityReason explains why a candidate produced no feasible layout:

@@ -97,11 +97,10 @@ func TestSweepConfigurationsReplicated(t *testing.T) {
 	if ch.Evaluated <= 0 {
 		t.Fatal("sweep evaluated nothing")
 	}
-	// Candidates share the per-sweep metrics memo: estimator metrics depend
-	// on the layout alone, so a layout one box's search reached is not
-	// estimated again for another.
+	// A candidate's sweeps (two policies, the copy refinement) share its
+	// engine memo, so misses stay below evaluations.
 	if ch.EstimatorCalls <= 0 || ch.EstimatorCalls >= ch.Evaluated {
-		t.Fatalf("sweep made %d estimator calls for %d evaluations — the shared memo saved nothing", ch.EstimatorCalls, ch.Evaluated)
+		t.Fatalf("sweep made %d estimator calls for %d evaluations — the engine memos saved nothing", ch.EstimatorCalls, ch.Evaluated)
 	}
 
 	par, err := SweepConfigurations(replicaSweepBase(t, grid, 4), grid, opts)

@@ -16,7 +16,7 @@ import (
 )
 
 // countingEstimator is a concurrency-safe profile estimator that counts its
-// invocations, for memo-reuse assertions.
+// invocations.
 type countingEstimator struct {
 	box   *device.Box
 	prof  iosim.Profile
@@ -180,39 +180,49 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSweepSharesMemoAcrossCandidates(t *testing.T) {
+// TestSweepEstimatorCallsSumCandidates: a sweep's EstimatorCalls is exactly
+// the work its candidates' engines did — the sum of their memo misses, which
+// is also what the estimator saw — at any worker count. Within a candidate
+// the two DOT policies still share one memo, so misses stay below
+// evaluations.
+func TestSweepEstimatorCallsSumCandidates(t *testing.T) {
 	grid := sweepGrid()
-	base, est := sweepBase(t, grid, 4)
-	ch, err := SweepConfigurations(base, grid, core.Options{RelativeSLA: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := int(est.calls.Load())
-	if ch.EstimatorCalls != calls {
-		t.Fatalf("Choice.EstimatorCalls = %d, estimator saw %d", ch.EstimatorCalls, calls)
-	}
-	// 14 candidates over a 2-object database: without the shared memo every
-	// candidate would re-estimate its layouts (hundreds of calls); with it
-	// the whole sweep estimates each distinct layout once. 2 objects x 3
-	// classes = at most 9 placements plus universe-box baselines.
-	if calls >= ch.Evaluated/4 {
-		t.Fatalf("estimator calls = %d for %d evaluations: the sweep memo is not shared", calls, ch.Evaluated)
-	}
-	if calls > 16 {
-		t.Fatalf("estimator calls = %d, want <= 16 distinct layouts", calls)
-	}
-	// The winner is the cheapest feasible candidate, lowest index on ties.
-	for i, r := range ch.Results {
-		if !r.Result.Feasible {
-			continue
+	var calls []int
+	for _, workers := range []int{1, 8} {
+		base, est := sweepBase(t, grid, workers)
+		ch, err := SweepConfigurations(base, grid, core.Options{RelativeSLA: 0.25})
+		if err != nil {
+			t.Fatal(err)
 		}
-		best := ch.Results[ch.Best].Result
-		if r.Result.TOCCents < best.TOCCents {
-			t.Fatalf("candidate %d (%g) beats Best (%g)", i, r.Result.TOCCents, best.TOCCents)
+		sum := 0
+		for _, r := range ch.Results {
+			sum += r.Result.EstimatorCalls
 		}
-		if r.Result.TOCCents == best.TOCCents && i < ch.Best {
-			t.Fatalf("tie at %g should break to index %d, got %d", best.TOCCents, i, ch.Best)
+		if saw := int(est.calls.Load()); ch.EstimatorCalls != sum || ch.EstimatorCalls != saw {
+			t.Fatalf("workers=%d: Choice.EstimatorCalls = %d, candidates sum to %d, estimator saw %d",
+				workers, ch.EstimatorCalls, sum, saw)
 		}
+		if ch.EstimatorCalls >= ch.Evaluated {
+			t.Fatalf("workers=%d: %d estimator calls for %d evaluations: the candidates' engine memos saved nothing",
+				workers, ch.EstimatorCalls, ch.Evaluated)
+		}
+		calls = append(calls, ch.EstimatorCalls)
+		// The winner is the cheapest feasible candidate, lowest index on ties.
+		for i, r := range ch.Results {
+			if !r.Result.Feasible {
+				continue
+			}
+			best := ch.Results[ch.Best].Result
+			if r.Result.TOCCents < best.TOCCents {
+				t.Fatalf("candidate %d (%g) beats Best (%g)", i, r.Result.TOCCents, best.TOCCents)
+			}
+			if r.Result.TOCCents == best.TOCCents && i < ch.Best {
+				t.Fatalf("tie at %g should break to index %d, got %d", best.TOCCents, i, ch.Best)
+			}
+		}
+	}
+	if calls[0] != calls[1] {
+		t.Fatalf("EstimatorCalls %d at Workers=1, %d at Workers=8", calls[0], calls[1])
 	}
 }
 
@@ -251,34 +261,5 @@ func TestSweepFailureReasons(t *testing.T) {
 	}
 	if ch.Best < 0 {
 		t.Fatal("the HDD RAID 0 box should be feasible")
-	}
-}
-
-func TestCompareAlphasParallelMatchesSequential(t *testing.T) {
-	in := fixture(t, device.Box1())
-	alphas := []float64{0, 0.25, 0.5, 0.75, 1}
-	seq, err := CompareAlphas(in, core.Options{RelativeSLA: 0.25}, alphas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in8 := fixture(t, device.Box1())
-	in8.Workers = 8
-	par, err := CompareAlphas(in8, core.Options{RelativeSLA: 0.25}, alphas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Name != par[i].Name ||
-			seq[i].Result.TOCCents != par[i].Result.TOCCents ||
-			!seq[i].Result.Layout.Equal(par[i].Result.Layout) {
-			t.Fatalf("alpha %s differs between Workers=1 and Workers=8", seq[i].Name)
-		}
-	}
-	// A missing estimator is an error, not a panic inside the memo wrapper.
-	if _, err := CompareAlphas(core.Input{Cat: in.Cat, Box: in.Box}, core.Options{RelativeSLA: 0.5}, []float64{0}); err == nil {
-		t.Fatal("nil estimator should fail")
 	}
 }

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +16,6 @@ import (
 type gaugeEstimator struct {
 	inFlight atomic.Int64
 	peak     atomic.Int64
-	calls    atomic.Int64
 }
 
 func (g *gaugeEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
@@ -29,7 +27,6 @@ func (g *gaugeEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
 			break
 		}
 	}
-	g.calls.Add(1)
 	time.Sleep(100 * time.Microsecond) // widen the race window
 	return workload.Metrics{Elapsed: time.Millisecond}, nil
 }
@@ -105,72 +102,5 @@ func TestNewBudgetSequential(t *testing.T) {
 	}
 	if _, err := e.EvaluateAll(budgetLayouts(t, 8)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMemoEstimator(t *testing.T) {
-	est := &gaugeEstimator{}
-	me := Memoize(est, 0)
-	ls := budgetLayouts(t, 10) // 10 layouts over 5 classes -> 5 distinct keys
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, l := range ls {
-				if _, err := me.EstimateSet(l); err != nil {
-					t.Error(err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := me.Calls(); got != 5 {
-		t.Fatalf("underlying calls = %d, want 5 (one per distinct layout)", got)
-	}
-	if got := est.calls.Load(); got != 5 {
-		t.Fatalf("estimator saw %d calls, want 5", got)
-	}
-}
-
-type errEstimator struct{ calls atomic.Int64 }
-
-func (e *errEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
-	e.calls.Add(1)
-	return workload.Metrics{}, fmt.Errorf("boom")
-}
-
-func TestMemoEstimatorMemoizesErrors(t *testing.T) {
-	est := &errEstimator{}
-	me := Memoize(est, 0)
-	l := budgetLayouts(t, 1)[0]
-	for i := 0; i < 3; i++ {
-		if _, err := me.EstimateSet(l); err == nil {
-			t.Fatal("expected error")
-		}
-	}
-	if got := est.calls.Load(); got != 1 {
-		t.Fatalf("estimator called %d times, want 1 (errors memoized)", got)
-	}
-}
-
-func TestMemoEstimatorLimit(t *testing.T) {
-	est := &gaugeEstimator{}
-	me := Memoize(est, 2)
-	ls := budgetLayouts(t, 5) // 5 distinct keys
-	for _, l := range ls {
-		if _, err := me.EstimateSet(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Revisit: the two retained keys answer from the memo, the other three
-	// are re-estimated.
-	for _, l := range ls {
-		if _, err := me.EstimateSet(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := me.Calls(); got != 8 {
-		t.Fatalf("underlying calls = %d, want 8 (5 + 3 uncached revisits)", got)
 	}
 }

@@ -9,7 +9,10 @@
 //     position-keyed XOR hash and resolved by comparing the bytes —
 //     catalog.SetLayout.Key on the map path), so repeated sweeps
 //     (OptimizeBest's two policies, SLA halving) never estimate the same
-//     layout twice;
+//     layout twice. It is the only memo there is: an evaluation holds for
+//     one box and one cost model, so searches over different boxes (a
+//     provisioning sweep's candidates) share an estimator and a Budget,
+//     never evaluations;
 //   - a bounded worker pool that fans independent candidate evaluations out
 //     across goroutines (estimators must be safe for concurrent use — see
 //     the workload.Estimator contract);

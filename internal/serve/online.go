@@ -374,12 +374,9 @@ func (s *Server) streamConfig(req ObserveRequest, comp *compiled) (online.Config
 		Partitioning:     pt,
 	}
 	if req.Alpha != 0 {
-		model, compactModel, err := provision.DiscreteCostModels(searchCatalog(comp, pt), box, req.Alpha)
-		if err != nil {
+		if cfg.LayoutCost, err = provision.DiscreteCost(box, req.Alpha); err != nil {
 			return online.Config{}, nil, err
 		}
-		cfg.LayoutCost = model
-		cfg.LayoutCostCompact = compactModel
 	}
 	return cfg, pt, nil
 }

@@ -704,12 +704,9 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 		in.Replication.MaxReplicas = req.MaxReplicas
 	}
 	if req.Alpha != 0 {
-		model, compactModel, err := provision.DiscreteCostModels(in.Cat, box, req.Alpha)
-		if err != nil {
+		if in.LayoutCost, err = provision.DiscreteCost(box, req.Alpha); err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		in.LayoutCost = model
-		in.LayoutCostCompact = compactModel
 	}
 	opts := core.Options{RelativeSLA: req.SLA}
 	// The greedy DOT passes by default, the exhaustive branch-and-bound
@@ -850,21 +847,21 @@ func (s *Server) handleProvision(body []byte) (any, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 	opts := core.Options{RelativeSLA: req.SLA}
-	var pt *catalog.Partitioning
 	if p.partitioned {
-		if pt, err = comp.partitioning(); err != nil {
+		// Lowered once onto the heat-based unit catalog: the whole grid sweeps
+		// over per-unit placements, and layouts render under unit names.
+		pt, err := comp.partitioning()
+		if err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		if base, err = base.Partitioned(pt); err != nil {
 			return nil, http.StatusBadRequest, err
 		}
 	}
-	var choice *provision.Choice
-	if pt != nil {
-		choice, err = provision.SweepConfigurationsPartitioned(base, pt, grid, opts)
-	} else {
-		choice, err = provision.SweepConfigurations(base, grid, opts)
-	}
+	choice, err := provision.SweepConfigurations(base, grid, opts)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity,
-			&failureError{err: err, failure: capacityDiagnostic(searchCatalog(comp, pt), grid.Universe(), opts)}
+			&failureError{err: err, failure: capacityDiagnostic(base.Cat, grid.Universe(), opts)}
 	}
 	resp := &ProvisionResponse{
 		Best:           choice.Best,
@@ -882,7 +879,7 @@ func (s *Server) handleProvision(body []byte) (any, int, error) {
 			out.Alpha = cr.Spec.Alpha
 		}
 		if cr.Result.Feasible {
-			out.Layout = renderLayout(searchCatalog(comp, pt), cr.Result.Layout)
+			out.Layout = renderLayout(base.Cat, cr.Result.Layout)
 		}
 		resp.Candidates = append(resp.Candidates, out)
 	}
