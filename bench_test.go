@@ -833,8 +833,8 @@ func BenchmarkPartitionedDOT500(b *testing.B) {
 // collector with per-worker write-combining lanes (each worker flushes its
 // lane at end of run, exactly as reading an accountant's results does).
 // benchguard gates the sharded path at ≥ 10× the locked throughput
-// (first measured at commit 8abbd92, PR 7). GOMAXPROCS is pinned to 8 so small CI machines still run
-// eight concurrent chargers.
+// (first measured at commit 8abbd92, PR 7). GOMAXPROCS is pinned to 8 so
+// small CI machines still run eight concurrent chargers.
 func BenchmarkCollectorIngest(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	// The charge pattern mirrors the buffer pool's miss path: short

@@ -65,10 +65,7 @@ func Experiments() map[string]Experiment {
 		},
 		"discrete": {
 			ID: "discrete", Title: "Sec 5.2: discrete-sized storage cost model",
-			Run: func(w io.Writer, o Options) error {
-				_, err := Discrete(w, o, []float64{0, 0.5, 1})
-				return err
-			},
+			Run: wrap(Discrete),
 		},
 	}
 }

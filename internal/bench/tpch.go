@@ -282,15 +282,15 @@ func Provision(w io.Writer, opts Options) (*FigureResult, error) {
 	return fig, nil
 }
 
-// Discrete reproduces §5.2: DOT under the discrete-sized cost model for a
-// sweep of alpha values on Box 1.
-func Discrete(w io.Writer, opts Options, alphas []float64) (*FigureResult, error) {
+// Discrete reproduces §5.2: DOT under the discrete-sized cost model at
+// alpha 0, 0.5 and 1 on Box 1.
+func Discrete(w io.Writer, opts Options) (*FigureResult, error) {
 	fig := &FigureResult{ID: "Sec 5.2: discrete-sized storage cost model", Layouts: map[string]string{}}
 	env, err := newTpchEnv(device.Box1(), opts, false, false)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range alphas {
+	for _, a := range []float64{0, 0.5, 1} {
 		in := env.input()
 		if in.LayoutCost, err = provision.DiscreteCost(in.Box, a); err != nil {
 			return nil, err

@@ -242,24 +242,21 @@ func tocOf(perHour float64, m workload.Metrics) float64 {
 	return perHour * m.Elapsed.Hours()
 }
 
-// toc computes the workload cost under the input's layout cost model; a
-// custom LayoutCost is handed the map layout's per-class totals.
-func (in Input) toc(m workload.Metrics, l catalog.SetLayout) (float64, error) {
-	if in.LayoutCost == nil {
-		perHour, err := l.CostCentsPerHour(in.Cat, in.Box)
-		return tocOf(perHour, m), err
-	}
-	perHour, err := in.LayoutCost(l.Space(in.Cat))
-	return tocOf(perHour, m), err
-}
-
-// price is the engine's map-path hook: the TOC and the capacity verdict.
+// price is the engine's map-path hook: the TOC under the input's layout cost
+// model (a custom LayoutCost is handed the map layout's per-class totals)
+// and the capacity verdict.
 func (in Input) price(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
-	toc, err := in.toc(m, l)
+	var perHour float64
+	var err error
+	if in.LayoutCost != nil {
+		perHour, err = in.LayoutCost(l.Space(in.Cat))
+	} else {
+		perHour, err = l.CostCentsPerHour(in.Cat, in.Box)
+	}
 	if err != nil {
 		return 0, false, err
 	}
-	return toc, l.CheckCapacity(in.Cat, in.Box) == nil, nil
+	return tocOf(perHour, m), l.CheckCapacity(in.Cat, in.Box) == nil, nil
 }
 
 // alphabet is the digit alphabet of a search at the given copy cap: every

@@ -206,8 +206,8 @@ func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []ca
 	// which every model on this walk is: the compiled path prices from a
 	// catalog.ClassSpace and nothing else, the linear model and a custom
 	// LayoutCost alike (cost bounding stays off for the latter, since the
-	// floor assumes linear pricing) — and an estimator that
-	// can emit placement signatures. The unit's size joins the signature:
+	// floor assumes linear pricing) — and an estimator that can emit
+	// placement signatures. The unit's size joins the signature:
 	// interchangeability needs equal per-class cost and capacity
 	// contributions too.
 	if sig, ok := est.(workload.PlacementSignable); ok {

@@ -36,7 +36,7 @@ func TestExhaustivePartial(t *testing.T) {
 	// Full ES over the free set can never be beaten by DOT restricted the
 	// same way, and must not be worse than staying at base.
 	baseMetrics, _ := in.Est.Estimate(base)
-	baseTOC, _ := in.toc(baseMetrics, catalog.SingletonSetLayout(base))
+	baseTOC, _, _ := in.price(baseMetrics, catalog.SingletonSetLayout(base))
 	if res.TOCCents > baseTOC {
 		t.Fatalf("partial ES TOC %g worse than pinned base %g", res.TOCCents, baseTOC)
 	}

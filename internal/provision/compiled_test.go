@@ -69,12 +69,12 @@ func TestSweepCompiledMatchesMap(t *testing.T) {
 	}
 }
 
-// TestDiscreteCostAdapterParity: the layout-form adapter (what reports and
-// the benchmark's checker price with) agrees bit for bit with the search's
-// model on the layout's per-class totals, however those were obtained — a
-// full compact walk here — over random layouts, including the degenerate
-// alpha endpoints.
-func TestDiscreteCostAdapterParity(t *testing.T) {
+// TestDiscreteCostModelsParity: the §5.2 model's two forms agree bit for
+// bit — the layout-form adapter (what reports and the benchmark's checker
+// price with) and the function the search calls on the layout's per-class
+// totals, however those were obtained (a full compact walk here) — over
+// random layouts, including the degenerate alpha endpoints.
+func TestDiscreteCostModelsParity(t *testing.T) {
 	cat, _, _ := goldenFixture(t)
 	box := sweepGrid().Universe()
 	classes := box.Classes()
@@ -125,9 +125,9 @@ func TestDiscreteCostAdapterParity(t *testing.T) {
 
 // TestExhaustiveDiscreteCollapsesSymmetricUnits: under the §5.2 model the
 // compiled exhaustive walk keeps its dominance collapse — the model reads
-// per-class totals only, so interchangeable units are
-// interchangeable under it too — and still returns what the map walk's full
-// enumeration returns, bit for bit, after fewer candidates.
+// per-class totals only, so interchangeable units are interchangeable under
+// it too — and still returns what the map walk's full enumeration returns,
+// bit for bit, after fewer candidates.
 func TestExhaustiveDiscreteCollapsesSymmetricUnits(t *testing.T) {
 	cat := catalog.New()
 	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})

@@ -2,11 +2,10 @@
 // provisioning problem (§5.1 — choose the storage configuration, i.e. the
 // box, together with its layout) and the discrete-sized storage cost model
 // (§5.2 — devices are bought in whole units, blended with the linear
-// proportional cost by a parameter alpha). Both run on the search engine as
-// every other caller uses it: a candidate configuration is one core search
-// with an engine of its own, and the §5.2 model is one function of a
-// layout's per-class totals (DiscreteCost) installed as that search's
-// core.Input.LayoutCost.
+// proportional cost by a parameter alpha). A candidate configuration is one
+// ordinary core search with an engine of its own, and the §5.2 model is one
+// function of a layout's per-class totals (DiscreteCost) installed as that
+// search's core.Input.LayoutCost.
 package provision
 
 import (

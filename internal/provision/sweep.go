@@ -60,11 +60,8 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 	if base.Est == nil {
 		return nil, fmt.Errorf("provision: sweep requires an estimator")
 	}
-	// Compile the estimator ONCE for the whole sweep, for every class set any
-	// candidate may enumerate: the compiled per-(object, class-set) time
-	// tables depend only on the class service times (identical across
-	// candidate boxes), so every candidate's engine reuses one compilation.
-	// Estimators without a compiled form pass through unchanged.
+	// One compilation for every class set any candidate may enumerate;
+	// estimators without a compiled form pass through unchanged.
 	alphabet := device.EnumerateClassSets(grid.Universe().Classes(), copyCap)
 	est := workload.CompileEstimator(base.Est, base.Cat, alphabet...)
 	budget := base.Budget
@@ -94,8 +91,7 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 		if err != nil {
 			return fmt.Errorf("provision: candidate %q: %w", spec.Name, err)
 		}
-		sp := spec
-		results[i] = CandidateResult{Name: spec.Name, Spec: &sp, Result: res.Result, SetLayout: res.SetLayout}
+		results[i] = CandidateResult{Name: spec.Name, Spec: &spec, Result: res.Result, SetLayout: res.SetLayout}
 		if !res.Feasible {
 			results[i].Failure = InfeasibilityReason(base.Cat, box, opts)
 		}

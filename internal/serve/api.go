@@ -469,9 +469,9 @@ func (c *compiled) fingerprint() string {
 
 // searchCatalog returns the catalog a request's search actually runs on:
 // the partitioning's unit catalog at partition granularity, the compiled
-// object catalog otherwise. Cost models and infeasibility diagnostics must
-// be computed over this catalog — at partition granularity an object too
-// big for every class may still fit split.
+// object catalog otherwise. Layouts render and infeasibility is diagnosed
+// over it — at partition granularity an object too big for every class
+// may still fit split.
 func searchCatalog(comp *compiled, pt *catalog.Partitioning) *catalog.Catalog {
 	if pt != nil {
 		return pt.UnitCatalog()
