@@ -52,12 +52,14 @@ func normFrame(f online.Frame) online.Frame {
 	return f
 }
 
-func TestFrameRoundTrip(t *testing.T) {
+// frameRoundTripCases are the named batches TestFrameRoundTrip round-trips
+// and TestFramesGolden pins byte for byte.
+func frameRoundTripCases() map[string][]online.Frame {
 	maxExt := make([]float64, 512)
 	for i := range maxExt {
 		maxExt[i] = float64(i * 3)
 	}
-	cases := map[string][]online.Frame{
+	return map[string][]online.Frame{
 		"empty window": {{}},
 		"scalars only": {{CPU: time.Second, Elapsed: time.Minute, Txns: 42}},
 		"objects no extents": {{
@@ -81,12 +83,17 @@ func TestFrameRoundTrip(t *testing.T) {
 			{CPU: 3 * time.Second, Elapsed: 2 * time.Second},
 		},
 	}
-	for name, frames := range cases {
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	for name, frames := range frameRoundTripCases() {
 		t.Run(name, func(t *testing.T) { roundTripFrames(t, frames) })
 	}
 }
 
-func TestFrameDecodeRejects(t *testing.T) {
+// frameRejectCases are the named malformed batches TestFrameDecodeRejects
+// refuses and TestFramesGolden pins the refusal text of.
+func frameRejectCases() map[string][]byte {
 	valid := online.EncodeFrames([]online.Frame{{
 		ExtentPages: 64, Elapsed: time.Second,
 		Objects: []online.FrameObject{{Index: 0, Extents: []float64{1, 2}}},
@@ -96,7 +103,7 @@ func TestFrameDecodeRejects(t *testing.T) {
 		mut(b)
 		return b
 	}
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"empty body":         {},
 		"truncated prefix":   valid[:3],
 		"truncated payload":  valid[:len(valid)-4],
@@ -109,7 +116,10 @@ func TestFrameDecodeRejects(t *testing.T) {
 		"negative extent":    corrupt(func(b []byte) { writeF64(b, 4+40+4+32+4, f64bits(-1)) }),
 		"object count short": corrupt(func(b []byte) { b[40] = 9 }),
 	}
-	for name, body := range cases {
+}
+
+func TestFrameDecodeRejects(t *testing.T) {
+	for name, body := range frameRejectCases() {
 		t.Run(name, func(t *testing.T) {
 			if _, err := DecodeExtentFrames(body); err == nil {
 				t.Fatalf("decoder accepted %s", name)
