@@ -348,7 +348,7 @@ func BenchmarkOptimizeBestMemo(b *testing.B) {
 
 // BenchmarkExhaustiveWorkers scales the M^N enumeration across the worker
 // pool (sequential vs all cores). On the default compiled path this is now
-// the branch-and-bound walk, so the scaling measured is the work-stealing
+// the branch-and-bound walk, so the scaling measured is the shared
 // frontier's, not the fixed odometer split's.
 func BenchmarkExhaustiveWorkers(b *testing.B) {
 	widths := []int{1, 2, runtime.NumCPU()}
@@ -376,7 +376,7 @@ func BenchmarkExhaustiveWorkers(b *testing.B) {
 
 // BenchmarkExhaustiveBnB measures the branch-and-bound compact DFS —
 // tight per-unit suffix bounds, dominance collapsing, and (bnb-par) the
-// work-stealing parallel frontier — against the unpruned map enumeration
+// parallel frontier — against the unpruned map enumeration
 // (NoCompile) of the same 3^12 space. benchguard asserts bnb beats plain
 // strictly; the evaluated metric shows why (the bound discards most of the
 // space before evaluation).
@@ -933,7 +933,7 @@ func replicatedSymmetric(n int) (core.Input, error) {
 // key and memo entry per layout fit a -benchtime 1x smoke — so their times
 // compare like for like: plain is the unpruned map enumeration (NoCompile,
 // one worker), pruned is the compiled walk with its suffix bounds and
-// dominance collapse, parallel adds the work-stealing frontier. wide is
+// dominance collapse, parallel adds the shared frontier. wide is
 // the 3-class x 12-unit point: 6^12 ≈ 2.2e9 nominal layouts, where a plain
 // enumeration is refused by MaxExhaustiveLayouts outright and only the
 // dominance-collapsed bounded walk covers the space (milliseconds; the

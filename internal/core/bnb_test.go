@@ -94,7 +94,7 @@ func newRandExhaustiveFixture(t *testing.T, rng *rand.Rand, oltp bool) *randExha
 // plain unpruned map enumeration, over the same reported space. The last
 // twelve trials pin a random base layout (not L0) and free a random subset
 // of the objects, so the partial entry point is held to the same contract.
-// Run it under -race to exercise the work-stealing walkers.
+// Run it under -race to exercise the parallel walkers.
 func TestBnBPropertyMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1971))
 	slas := []float64{0.2, 0.5, 1.0}

@@ -188,7 +188,7 @@ func TestReplicationBeatsSingleOnHTAPBox(t *testing.T) {
 // TestExhaustiveReplicatedPrunedMatchesPlain: bound pruning and dominance
 // collapsing change how much of the (2^|D|)^n space is visited, never which
 // replicated layout wins — the plain map enumeration (NoCompile), the
-// pruned DFS, and the parallel work-stealing walk all land on the same bits.
+// pruned DFS, and the parallel walk all land on the same bits.
 func TestExhaustiveReplicatedPrunedMatchesPlain(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()

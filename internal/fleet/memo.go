@@ -7,7 +7,8 @@ import (
 )
 
 // Memo is a fingerprint-keyed, single-flight result cache: the fleet-wide
-// sweep memo. Tenants whose defining workloads share a fingerprint key hit
+// advise memo, and the cache /v1/provision answers repeated sweeps from.
+// Tenants whose defining workloads share a fingerprint key hit
 // the same cached search result, and concurrent misses on one key coalesce
 // into a single search — the loser goroutines block until the winner's
 // compute returns and then share its value. Completed values are retained
@@ -59,11 +60,8 @@ func NewMemo(max int) *Memo {
 func (m *Memo) Do(key string, fn func() (any, error)) (v any, hit bool, err error) {
 	for {
 		m.mu.Lock()
-		if el, ok := m.items[key]; ok {
-			m.ll.MoveToFront(el)
-			v = el.Value.(*memoEntry).val
+		if v, ok := m.getLocked(key); ok {
 			m.mu.Unlock()
-			m.hits.Add(1)
 			return v, true, nil
 		}
 		if f, ok := m.inflight[key]; ok {
@@ -94,14 +92,31 @@ func (m *Memo) Do(key string, fn func() (any, error)) (v any, hit bool, err erro
 	}
 }
 
-// insert adds a completed value, evicting the LRU tail past max. Callers
-// hold m.mu.
-func (m *Memo) insert(key string, val any) {
-	if el, ok := m.items[key]; ok {
-		m.ll.MoveToFront(el)
-		el.Value.(*memoEntry).val = val
-		return
+// Get returns the completed value cached for key, never computing and never
+// waiting on another caller's compute — the probe for a caller that must
+// not start a search. A value found counts as a hit and becomes the most
+// recently used.
+func (m *Memo) Get(key string) (any, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.getLocked(key)
+}
+
+// getLocked is the cached-value lookup Do and Get share. Callers hold m.mu.
+func (m *Memo) getLocked(key string) (any, bool) {
+	el, ok := m.items[key]
+	if !ok {
+		return nil, false
 	}
+	m.ll.MoveToFront(el)
+	m.hits.Add(1)
+	return el.Value.(*memoEntry).val, true
+}
+
+// insert adds a completed value, evicting the LRU tail past max. The key
+// is never present already: a key's one flight is the only writer, and it
+// starts only on a miss. Callers hold m.mu.
+func (m *Memo) insert(key string, val any) {
 	m.items[key] = m.ll.PushFront(&memoEntry{key: key, val: val})
 	for m.ll.Len() > m.max {
 		oldest := m.ll.Back()
@@ -110,8 +125,8 @@ func (m *Memo) insert(key string, val any) {
 	}
 }
 
-// Hits returns how many Do calls were answered without running their fn
-// (cached values plus coalesced waits).
+// Hits returns how many lookups were answered without running a compute:
+// cached values (from Do or Get) plus Do's coalesced waits.
 func (m *Memo) Hits() int64 { return m.hits.Load() }
 
 // Misses returns how many Do calls ran their fn.

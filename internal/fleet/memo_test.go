@@ -86,4 +86,32 @@ func TestMemoLRUBound(t *testing.T) {
 	if _, hit, _ := m.Do("k2", nil); !hit {
 		t.Fatal("k2 evicted, want retained")
 	}
+
+	// Recency, not insertion order, picks the victim: a probed entry
+	// outlives a newer one that was not. Get neither computes nor counts a
+	// miss, and a found value is a hit.
+	r := NewMemo(2)
+	put := func(key string, v int) {
+		t.Helper()
+		if _, _, err := r.Do(key, func() (any, error) { return v, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("a", 1)
+	put("b", 2)
+	if v, ok := r.Get("a"); !ok || v != 1 {
+		t.Fatalf("Get(a) = %v %v, want the cached 1", v, ok)
+	}
+	put("c", 3) // evicts b: a was just used
+	if _, ok := r.Get("b"); ok {
+		t.Fatal("b should have been evicted")
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok := r.Get(k); !ok {
+			t.Fatalf("%s should be cached", k)
+		}
+	}
+	if r.Len() != 2 || r.Hits() != 3 || r.Misses() != 3 {
+		t.Fatalf("len=%d hits=%d misses=%d, want 2, 3 and 3", r.Len(), r.Hits(), r.Misses())
+	}
 }

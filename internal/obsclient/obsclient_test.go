@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dotprov/internal/online"
-	"dotprov/internal/serve"
 )
 
 // frameSink is an httptest handler that decodes delivered batches and
@@ -60,7 +59,7 @@ func (fs *frameSink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	frames, err := serve.DecodeExtentFrames(body)
+	frames, err := online.DecodeFrames(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

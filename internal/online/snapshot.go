@@ -2,18 +2,19 @@
 // form of a Manager (deployed layout, drift reference, counters) and its
 // Collector (rolling windows, cumulative extent histograms), plus the
 // strict canonical binary codec the snapshot store persists them with.
-// The codec follows the observation wire format's discipline (wire.go):
-// little-endian, length-and-count prefixed, canonical object order — and
-// the decoder rejects truncation, trailing bytes, non-finite or negative
-// counts, and unsorted IDs, so decode(encode(s)) == s and
-// encode(decode(b)) == b for every accepted input (FuzzDecodeSnapshot
-// leans on the second identity).
+// The codec follows the observation wire format's discipline (wire.go)
+// and decodes through the same strict Reader (reader.go): little-endian,
+// length-and-count prefixed, canonical object order — and the decoder
+// rejects truncation, trailing bytes, non-finite or negative counts, and
+// unsorted IDs, so decode(encode(s)) == s and encode(decode(b)) == b for
+// every accepted input (FuzzDecodeSnapshot leans on the second identity).
 package online
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"dotprov/internal/catalog"
@@ -238,13 +239,9 @@ func AppendManagerState(dst []byte, st ManagerState) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Stats.WindowsClosed))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Stats.Checks))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Stats.Drifts))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Stats.ReAdvises))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Stats.Fallbacks))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Collector.Total))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Collector.ExtPages))
+	for _, v := range [...]int64{st.Stats.WindowsClosed, st.Stats.Checks, st.Stats.Drifts, st.Stats.ReAdvises, st.Stats.Fallbacks, st.Collector.Total, st.Collector.ExtPages} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
 	dst = appendWindow(dst, st.Collector.Cur)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(st.Collector.Closed)))
 	for _, w := range st.Collector.Closed {
@@ -267,46 +264,45 @@ func AppendManagerState(dst []byte, st ManagerState) []byte {
 // duplicate IDs, unknown flags, and non-finite or negative values are all
 // errors.
 func DecodeManagerState(b []byte) (ManagerState, error) {
-	r := &snapReader{b: b}
+	r := NewReader(b)
 	st, err := readManagerState(r)
+	if err == nil && r.Rest() != 0 {
+		err = fmt.Errorf("%d trailing bytes", r.Rest())
+	}
 	if err != nil {
 		return ManagerState{}, err
-	}
-	if r.rest() != 0 {
-		return ManagerState{}, fmt.Errorf("%d trailing bytes", r.rest())
 	}
 	return st, nil
 }
 
-// readManagerState reads one manager-state record from r, leaving any
-// following bytes unread (the serve-layer snapshot embeds several).
-func readManagerState(r *snapReader) (ManagerState, error) {
+// readManagerState reads one manager-state record from r. Where Count has
+// vouched for a run of fixed-size entries the reads inside it cannot fail
+// and go unchecked.
+func readManagerState(r *Reader) (ManagerState, error) {
 	var st ManagerState
 	var err error
 	if st.Layout, err = readLayout(r); err != nil {
 		return st, err
 	}
-	flag, err := r.u8()
-	if err != nil {
-		return st, err
-	}
-	switch flag {
-	case 0:
-	case 1:
+	switch flag := r.U8(); {
+	case r.Err() != nil:
+		return st, r.Err()
+	case flag == 1:
 		st.HasRef = true
 		if st.Ref, err = readWindow(r); err != nil {
 			return st, fmt.Errorf("reference window: %w", err)
 		}
-	default:
+	case flag != 0:
 		return st, fmt.Errorf("unknown reference flag %d", flag)
 	}
 	for _, f := range []*int64{&st.Stats.WindowsClosed, &st.Stats.Checks, &st.Stats.Drifts, &st.Stats.ReAdvises, &st.Stats.Fallbacks, &st.Collector.Total} {
-		if *f, err = r.nonNegI64(); err != nil {
-			return st, fmt.Errorf("counter: %w", err)
-		}
+		*f = r.NonNegI64()
 	}
-	if st.Collector.ExtPages, err = r.nonNegI64(); err != nil {
-		return st, fmt.Errorf("extent width: %w", err)
+	if r.Err() != nil {
+		return st, fmt.Errorf("counter: %w", r.Err())
+	}
+	if st.Collector.ExtPages = r.NonNegI64(); r.Err() != nil {
+		return st, fmt.Errorf("extent width: %w", r.Err())
 	}
 	if st.Collector.ExtPages < 1 {
 		return st, fmt.Errorf("extent bucket width %d below 1 page", st.Collector.ExtPages)
@@ -314,9 +310,9 @@ func readManagerState(r *snapReader) (ManagerState, error) {
 	if st.Collector.Cur, err = readWindow(r); err != nil {
 		return st, fmt.Errorf("current window: %w", err)
 	}
-	nclosed, err := r.count(windowMinBytes)
-	if err != nil {
-		return st, fmt.Errorf("closed windows: %w", err)
+	nclosed := r.Count(windowMinBytes)
+	if r.Err() != nil {
+		return st, fmt.Errorf("closed windows: %w", r.Err())
 	}
 	for i := 0; i < nclosed; i++ {
 		w, err := readWindow(r)
@@ -325,35 +321,28 @@ func readManagerState(r *snapReader) (ManagerState, error) {
 		}
 		st.Collector.Closed = append(st.Collector.Closed, w)
 	}
-	next, err := r.count(8)
-	if err != nil {
-		return st, fmt.Errorf("extent histograms: %w", err)
+	next := r.Count(8)
+	if r.Err() != nil {
+		return st, fmt.Errorf("extent histograms: %w", r.Err())
 	}
 	st.Collector.Extents = make(map[catalog.ObjectID][]float64, next)
 	last := int64(-1)
 	for i := 0; i < next; i++ {
-		id, err := r.u32()
-		if err != nil {
-			return st, err
+		id := r.U32()
+		if r.Err() != nil {
+			return st, r.Err()
 		}
 		if int64(id) <= last {
 			return st, fmt.Errorf("extent histogram IDs not strictly increasing at %d", id)
 		}
 		last = int64(id)
-		nb, err := r.count(8)
-		if err != nil {
-			return st, fmt.Errorf("extent histogram %d: %w", id, err)
+		nb := r.Count(8)
+		if r.Err() != nil {
+			return st, fmt.Errorf("extent histogram %d: %w", id, r.Err())
 		}
 		h := make([]float64, nb)
-		for bkt := 0; bkt < nb; bkt++ {
-			v, err := r.f64()
-			if err != nil {
-				return st, err
-			}
-			if !validSnapCount(v) {
-				return st, fmt.Errorf("extent histogram %d bucket %d: invalid count %v", id, bkt, v)
-			}
-			h[bkt] = v
+		if bkt := r.Counts(h); bkt >= 0 {
+			return st, fmt.Errorf("extent histogram %d bucket %d: invalid count %v", id, bkt, h[bkt])
 		}
 		st.Collector.Extents[catalog.ObjectID(id)] = h
 	}
@@ -383,45 +372,26 @@ func appendWindow(dst []byte, w Window) []byte {
 }
 
 // readWindow reads one appendWindow encoding.
-func readWindow(r *snapReader) (Window, error) {
+func readWindow(r *Reader) (Window, error) {
 	var w Window
-	cpu, err := r.nonNegI64()
-	if err != nil {
-		return w, err
-	}
-	elapsed, err := r.nonNegI64()
-	if err != nil {
-		return w, err
-	}
-	if w.Txns, err = r.nonNegI64(); err != nil {
-		return w, err
-	}
-	w.CPU, w.Elapsed = time.Duration(cpu), time.Duration(elapsed)
-	n, err := r.count(4 + 8*device.NumIOTypes)
-	if err != nil {
-		return w, err
+	w.CPU = time.Duration(r.NonNegI64())
+	w.Elapsed = time.Duration(r.NonNegI64())
+	w.Txns = r.NonNegI64()
+	n := r.Count(4 + 8*device.NumIOTypes)
+	if r.Err() != nil {
+		return w, r.Err()
 	}
 	w.Profile = iosim.NewProfile()
 	last := int64(-1)
 	for i := 0; i < n; i++ {
-		id, err := r.u32()
-		if err != nil {
-			return w, err
-		}
+		id := r.U32()
 		if int64(id) <= last {
 			return w, fmt.Errorf("profile IDs not strictly increasing at %d", id)
 		}
 		last = int64(id)
 		var vec iosim.IOVector
-		for t := 0; t < device.NumIOTypes; t++ {
-			v, err := r.f64()
-			if err != nil {
-				return w, err
-			}
-			if !validSnapCount(v) {
-				return w, fmt.Errorf("object %d: invalid I/O count %v", id, v)
-			}
-			vec[t] = v
+		if t := r.Counts(vec[:]); t >= 0 {
+			return w, fmt.Errorf("object %d: invalid I/O count %v", id, vec[t])
 		}
 		w.Profile[catalog.ObjectID(id)] = &vec
 	}
@@ -451,26 +421,19 @@ func appendLayout(dst []byte, l catalog.SetLayout) []byte {
 }
 
 // readLayout reads one appendLayout encoding.
-func readLayout(r *snapReader) (catalog.SetLayout, error) {
-	n, err := r.count(5)
-	if err != nil {
-		return nil, fmt.Errorf("layout: %w", err)
+func readLayout(r *Reader) (catalog.SetLayout, error) {
+	n := r.Count(5)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("layout: %w", r.Err())
 	}
 	l := make(catalog.SetLayout, n)
 	last := int64(-1)
 	for i := 0; i < n; i++ {
-		id, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
+		id, b := r.U32(), r.U8()
 		if int64(id) <= last {
 			return nil, fmt.Errorf("layout IDs not strictly increasing at %d", id)
 		}
 		last = int64(id)
-		b, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
 		set := device.ClassSet(b &^ multiCopy)
 		switch {
 		case b&multiCopy == 0 && int(b) < device.NumClasses:
@@ -492,100 +455,6 @@ func sortedIDs[V any](m map[catalog.ObjectID]V) []catalog.ObjectID {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	return ids
-}
-
-// validSnapCount accepts the finite non-negative doubles the collector can
-// produce, mirroring the observation decoder's discipline.
-func validSnapCount(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
-}
-
-// snapReader is the strict little-endian reader the snapshot decoders
-// share. Every read is bounds-checked; counts are validated against the
-// remaining bytes before any allocation, so a hostile length cannot
-// balloon memory.
-type snapReader struct {
-	b   []byte
-	off int
-}
-
-// rest returns the unread byte count.
-func (r *snapReader) rest() int { return len(r.b) - r.off }
-
-// take consumes n bytes.
-func (r *snapReader) take(n int) ([]byte, error) {
-	if r.rest() < n {
-		return nil, fmt.Errorf("truncated: need %d bytes, %d remain", n, r.rest())
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-// u8 reads one byte.
-func (r *snapReader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-// u32 reads a little-endian uint32.
-func (r *snapReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-// u64 reads a little-endian uint64.
-func (r *snapReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// nonNegI64 reads an int64 and rejects negatives.
-func (r *snapReader) nonNegI64() (int64, error) {
-	u, err := r.u64()
-	if err != nil {
-		return 0, err
-	}
-	v := int64(u)
-	if v < 0 {
-		return 0, fmt.Errorf("negative value %d", v)
-	}
-	return v, nil
-}
-
-// f64 reads a little-endian float64.
-func (r *snapReader) f64() (float64, error) {
-	u, err := r.u64()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(u), nil
-}
-
-// count reads a u32 element count and rejects counts that could not fit
-// in the remaining bytes at minBytes per element.
-func (r *snapReader) count(minBytes int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int64(n)*int64(minBytes) > int64(r.rest()) {
-		return 0, fmt.Errorf("count %d exceeds remaining %d bytes", n, r.rest())
-	}
-	return int(n), nil
 }

@@ -4,13 +4,15 @@
 // allocation-heavy decode per window; a frame is a flat little-endian
 // record a producer can append per window close and a server can decode
 // without touching the optimizer, which is what keeps the observation
-// plane cheap at production page-charge rates. The encoder lives here so
-// producers (engines, agents, tests) need only internal/online; the
-// decoder lives in internal/serve next to the endpoint that consumes it.
+// plane cheap at production page-charge rates. Encoder and decoder live
+// here side by side, so producers (engines, agents, tests) and the server
+// need only internal/online and the layout is written down once.
 package online
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -62,12 +64,16 @@ type Frame struct {
 // count.
 const frameScalarBytes = 4 + 8*4 + 4
 
+// frameObjectBytes is the fixed wire size of one frame object minus its
+// extent buckets: index word, the I/O doubles, and the bucket count word.
+const frameObjectBytes = 4 + 8*device.NumIOTypes + 4
+
 // EncodedSize returns the exact encoding size of the frame in bytes,
 // including the length prefix.
 func (f Frame) EncodedSize() int {
 	n := 4 + frameScalarBytes
 	for _, o := range f.Objects {
-		n += 4 + 8*device.NumIOTypes + 4 + 8*len(o.Extents)
+		n += frameObjectBytes + 8*len(o.Extents)
 	}
 	return n
 }
@@ -121,6 +127,90 @@ func EncodeFrames(frames []Frame) []byte {
 		dst = AppendFrame(dst, f)
 	}
 	return dst
+}
+
+// DecodeFrames decodes a batch of back-to-back frames — the exact inverse
+// of AppendFrame/EncodeFrames. It is strict: unknown versions, non-zero
+// reserved bytes, negative scalars, non-finite or negative counts,
+// truncated payloads and trailing garbage are all errors — a frame either
+// round-trips bit-identically or is rejected whole, so fuzzing the decoder
+// (FuzzDecodeExtentFrame) can assert encode(decode(b)) == b for every
+// accepted input.
+func DecodeFrames(body []byte) ([]Frame, error) {
+	var frames []Frame
+	for r := NewReader(body); r.Rest() > 0; {
+		if r.Rest() < 4 {
+			return nil, fmt.Errorf("frame %d: truncated length prefix", len(frames))
+		}
+		plen := int(r.U32())
+		if plen > r.Rest() {
+			return nil, fmt.Errorf("frame %d: declares %d payload bytes, %d remain", len(frames), plen, r.Rest())
+		}
+		f, err := decodeFrame(r.Take(plen))
+		if err != nil {
+			return nil, fmt.Errorf("frame %d: %w", len(frames), err)
+		}
+		frames = append(frames, f)
+	}
+	if len(frames) == 0 {
+		return nil, errors.New("empty frame batch")
+	}
+	return frames, nil
+}
+
+// decodeFrame decodes one frame payload (the bytes after its length
+// prefix), which must be consumed exactly. Every read sits behind a check
+// of the bytes that remain, so the reader itself never fails here.
+func decodeFrame(p []byte) (Frame, error) {
+	var f Frame
+	if len(p) < frameScalarBytes {
+		return f, fmt.Errorf("payload too short (%d bytes)", len(p))
+	}
+	r := NewReader(p)
+	if head := r.Take(4); head[0] != FrameVersion {
+		return f, fmt.Errorf("unsupported frame version %d (want %d)", head[0], FrameVersion)
+	} else if head[1] != 0 || head[2] != 0 || head[3] != 0 {
+		return f, errors.New("non-zero reserved bytes")
+	}
+	f.ExtentPages = int64(r.U64())
+	f.CPU = time.Duration(r.U64())
+	f.Elapsed = time.Duration(r.U64())
+	f.Txns = int64(r.U64())
+	if f.ExtentPages < 0 || f.CPU < 0 || f.Elapsed < 0 || f.Txns < 0 {
+		return f, errors.New("negative window scalar")
+	}
+	nobj := int(r.U32())
+	if nobj > 0 {
+		// Sized by what the payload can hold, not by what it declares.
+		f.Objects = make([]FrameObject, 0, min(nobj, r.Rest()/frameObjectBytes))
+	}
+	for i := 0; i < nobj; i++ {
+		if r.Rest() < frameObjectBytes {
+			return f, fmt.Errorf("object %d: truncated", i)
+		}
+		o := FrameObject{Index: r.U32()}
+		if t := r.Counts(o.IO[:]); t >= 0 {
+			return f, fmt.Errorf("object %d: invalid I/O count %v", i, o.IO[t])
+		}
+		nbuck := int(r.U32())
+		if nbuck > r.Rest()/8 {
+			return f, fmt.Errorf("object %d: declares %d extent buckets, %d bytes remain", i, nbuck, r.Rest())
+		}
+		if nbuck > 0 {
+			if f.ExtentPages <= 0 {
+				return f, fmt.Errorf("object %d: extent buckets without a positive extent width", i)
+			}
+			o.Extents = make([]float64, nbuck)
+			if b := r.Counts(o.Extents); b >= 0 {
+				return f, fmt.Errorf("object %d bucket %d: invalid count %v", i, b, o.Extents[b])
+			}
+		}
+		f.Objects = append(f.Objects, o)
+	}
+	if r.Rest() != 0 {
+		return f, fmt.Errorf("%d trailing payload bytes", r.Rest())
+	}
+	return f, nil
 }
 
 // WindowFrame lifts a closed window into wire form over a name→index

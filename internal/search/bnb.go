@@ -15,10 +15,9 @@
 //     high-impact decisions bind near the root and the bound cuts deep.
 //
 // Parallel runs split the tree at a depth chosen from the worker count
-// into frontier subtrees served from one work-stealing deque per worker
-// (Chase-Lev style: the owner pops newest from the bottom, thieves steal
-// oldest from the top) around a shared incumbent whose TOC is published
-// through one atomic word — a prune check never takes a lock. Results are
+// into frontier subtrees that workers claim in order through one atomic
+// cursor, around a shared incumbent whose TOC is published through one
+// atomic word — a prune check never takes a lock. Results are
 // bit-identical to the sequential, unpruned map enumeration: the bound
 // only cuts subtrees that provably cannot beat the incumbent, and TOC ties
 // resolve by the candidate's canonical rank — the odometer index in
@@ -136,57 +135,6 @@ func (b *bnbIncumbent) get() (Eval, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.ev, b.ok
-}
-
-// wsDeque is the per-worker task queue. The frontier is generated up front
-// and never grows, so this is the Chase-Lev discipline over a fixed
-// backing array: the owner pops from the bottom (newest), thieves CAS the
-// top (oldest) forward. The backing array is immutable once workers start,
-// which removes the buffer-recycling hazards of the growable variant.
-type wsDeque struct {
-	tasks  [][]uint8
-	top    atomic.Int64
-	bottom atomic.Int64
-}
-
-func newWSDeque(tasks [][]uint8) *wsDeque {
-	d := &wsDeque{tasks: tasks}
-	d.bottom.Store(int64(len(tasks)))
-	return d
-}
-
-// popBottom takes the newest task; owner-only.
-func (d *wsDeque) popBottom() ([]uint8, bool) {
-	b := d.bottom.Add(-1)
-	t := d.top.Load()
-	if b > t {
-		return d.tasks[b], true
-	}
-	if b == t && d.top.CompareAndSwap(t, t+1) {
-		// Won the race for the last task; park the deque empty behind it.
-		d.bottom.Store(t + 1)
-		return d.tasks[b], true
-	}
-	// Empty (b < t), or a thief won the last task. Either way top cannot
-	// move again while bottom trails it, so parking bottom at top leaves
-	// the deque empty.
-	d.bottom.Store(d.top.Load())
-	return nil, false
-}
-
-// steal takes the oldest task; safe from any goroutine.
-func (d *wsDeque) steal() ([]uint8, bool) {
-	for {
-		t := d.top.Load()
-		b := d.bottom.Load()
-		if t >= b {
-			return nil, false
-		}
-		task := d.tasks[t]
-		if d.top.CompareAndSwap(t, t+1) {
-			return task, true
-		}
-	}
 }
 
 // maxFrontier caps the number of pre-split subtree tasks.
@@ -382,7 +330,7 @@ func (w *bnbWalker) runTask(prefix []uint8) error {
 		}
 	}
 	if sh.bounding && sh.prune(storeAcc+sh.minStore[len(prefix)], timeAcc+sh.minTime[len(prefix)]) {
-		// The whole stolen subtree is beaten by the incumbent.
+		// The whole claimed subtree is beaten by the incumbent.
 		w.stats.BoundPruned++
 		return nil
 	}
@@ -545,77 +493,43 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace) (Eval, bo
 		stats.RootFloorCents = (sh.baseStore + sh.minStore[0]) * (sh.baseTime + sh.minTime[0]).Hours()
 	}
 
-	newWalker := func(cl catalog.CompactLayout) *bnbWalker {
-		return &bnbWalker{sh: sh, scratch: cl, chain: &Cursor{e: e, scratch: cl}, digits: make([]uint8, n), rankBuf: make([]byte, n)}
-	}
-
-	workers := e.Workers()
-	if workers < 2 || n < 2 {
-		w := newWalker(scratch)
-		if err := w.rec(0, sh.baseStore, sh.baseTime); err != nil && err != errStopped {
-			return Eval{}, false, stats, err
-		}
-		if sh.err != nil {
-			return Eval{}, false, stats, sh.err
-		}
-		stats.add(w.stats)
-		ev, ok := sh.best.get()
-		return ev, ok, stats, nil
-	}
-
-	// Parallel: split the tree into subtree tasks at the shallowest depth
-	// that gives every worker several to steal.
-	depth := 1
-	tasks := genFrontier(sh, depth)
-	for depth < n-1 && len(tasks) < workers*8 && len(tasks)*m <= maxFrontier {
-		depth++
+	// One walker over the whole tree, or — with workers to spare — the tree
+	// split into subtree tasks at the shallowest depth that gives every
+	// worker several to claim.
+	workers, tasks := 1, [][]uint8{nil}
+	if e.Workers() >= 2 && n >= 2 {
+		workers = e.Workers()
+		depth := 1
 		tasks = genFrontier(sh, depth)
-	}
-	stats.SplitDepth = depth
-	stats.FrontierTasks = len(tasks)
-
-	// Deal tasks round-robin, each deque loaded in reverse so the owner's
-	// bottom pops ascend in frontier order (mirroring the sequential walk)
-	// while thieves steal from the far end of a victim's range.
-	deques := make([]*wsDeque, workers)
-	for k := 0; k < workers; k++ {
-		var mine [][]uint8
-		for i := k; i < len(tasks); i += workers {
-			mine = append(mine, tasks[i])
+		for depth < n-1 && len(tasks) < workers*8 && len(tasks)*m <= maxFrontier {
+			depth++
+			tasks = genFrontier(sh, depth)
 		}
-		// Reverse: popBottom then yields ascending frontier order.
-		for l, r := 0, len(mine)-1; l < r; l, r = l+1, r-1 {
-			mine[l], mine[r] = mine[r], mine[l]
-		}
-		deques[k] = newWSDeque(mine)
+		stats.SplitDepth = depth
+		stats.FrontierTasks = len(tasks)
 	}
 
+	// The frontier is generated up front and never grows, so one atomic
+	// cursor over it is the whole scheduler: workers claim subtrees in
+	// frontier order — the sequential walk's order, which is what finds
+	// good incumbents early — until the slice or the search runs out.
+	var next atomic.Int64
 	walkers := make([]*bnbWalker, workers)
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		w := newWalker(scratch.Clone())
+	for k := range walkers {
+		cl := scratch.Clone()
+		w := &bnbWalker{sh: sh, scratch: cl, chain: &Cursor{e: e, scratch: cl}, digits: make([]uint8, n), rankBuf: make([]byte, n)}
 		walkers[k] = w
 		wg.Add(1)
-		go func(k int, w *bnbWalker) {
+		go func() {
 			defer wg.Done()
-			for {
-				if sh.stop.Load() {
-					return
-				}
-				task, ok := deques[k].popBottom()
-				if !ok {
-					for off := 1; off < workers && !ok; off++ {
-						task, ok = deques[(k+off)%workers].steal()
-					}
-					if !ok {
-						return
-					}
-				}
-				if err := w.runTask(task); err != nil {
+			for !sh.stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(tasks) || w.runTask(tasks[i]) != nil {
 					return
 				}
 			}
-		}(k, w)
+		}()
 	}
 	wg.Wait()
 	if sh.err != nil {

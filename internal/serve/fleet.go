@@ -248,20 +248,6 @@ func boxKey(b *device.Box) string {
 	return strings.Join(parts, ",")
 }
 
-// evictTicker runs the idle-tenant janitor every interval until Close.
-func (s *Server) evictTicker(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.guard("evict janitor", func() { s.evictIdle() })
-		}
-	}
-}
-
 // evictIdle evicts every initialized stream idle for at least StreamTTL,
 // least recently touched first (the LRU order), parking each as a snapshot
 // record. Evicted tenants keep surviving restarts — exportPayload merges
@@ -289,13 +275,10 @@ func (s *Server) evictIdle() {
 // lost on rematerialization, a bounded, documented cost of eviction (the
 // same window would be lost to a crash; the ingest path stays lock-free).
 func (s *Server) evictStream(st *stream) {
-	st.mu.Lock()
-	if st.mgr == nil || len(st.cfgJSON) == 0 {
-		st.mu.Unlock()
+	rec, ok := st.record()
+	if !ok {
 		return
 	}
-	rec := streamRecord{name: st.name, objFP: st.objFP, config: st.cfgJSON, state: st.mgr.ExportState()}
-	st.mu.Unlock()
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
 	if v, ok := s.streams.Load(st.name); !ok || v.(*stream) != st {

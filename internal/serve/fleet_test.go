@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -331,6 +332,57 @@ func TestFleetShardParity(t *testing.T) {
 	}
 }
 
+// TestRematerializeFailureIsInternal: a parked tenant whose record no longer
+// rebuilds is a server fault no retry fixes — every path that touches it
+// answers 500 "internal", not the retry-later 429 it used to — while the
+// real capacity refusal, a parked tenant waiting for a slot, stays 429
+// "stream_capacity".
+func TestRematerializeFailureIsInternal(t *testing.T) {
+	s := New(Config{Workers: 2, MaxStreams: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	defineTenant(t, ts, "a", oltpObserveSpec(1, 0))
+	st, err := s.loadStream("a")
+	if err != nil || st == nil {
+		t.Fatalf("loadStream: %v %v", st, err)
+	}
+	s.evictStream(st)
+	// The record's fingerprint no longer matches what its config compiles to
+	// (a schema the binary reads differently since the record was written).
+	s.streamMu.Lock()
+	rec := s.parked["a"]
+	good := rec.objFP
+	rec.objFP = strings.Repeat("0", len(good))
+	s.parked["a"] = rec
+	s.streamMu.Unlock()
+
+	wantInternal := func(what string, status int, code string) {
+		t.Helper()
+		if status != http.StatusInternalServerError || code != "internal" {
+			t.Fatalf("%s on an unrebuildable tenant: status=%d code=%q, want 500 internal", what, status, code)
+		}
+	}
+	status, e := postEnvelope(t, ts, "/v1/readvise", ReadviseRequest{Stream: "a", Force: true})
+	wantInternal("readvise", status, e.Code)
+	status, e = postEnvelope(t, ts, "/v1/observe", ObserveRequest{Stream: "a", Workload: oltpObserveSpec(1, 0)})
+	wantInternal("JSON observe", status, e.Code)
+	var fe errEnvelope
+	status, _ = postFrames(t, ts, "a", online.EncodeFrames([]online.Frame{{}}), &fe)
+	wantInternal("binary observe", status, fe.Code)
+
+	// Repaired, the record rebuilds — unless another tenant holds the slot.
+	s.streamMu.Lock()
+	rec.objFP = good
+	s.parked["a"] = rec
+	s.streamMu.Unlock()
+	defineTenant(t, ts, "b", oltpObserveSpec(1, 0))
+	if status, e := postEnvelope(t, ts, "/v1/readvise", ReadviseRequest{Stream: "a", Force: true}); status != http.StatusTooManyRequests || e.Code != "stream_capacity" {
+		t.Fatalf("readvise with the registry full: status=%d code=%q, want 429 stream_capacity", status, e.Code)
+	}
+}
+
 // BenchmarkFleetFold measures the ingest fold plane's frame throughput at
 // one shard versus one shard per CPU: frames are enqueued directly onto
 // the shard queues (bypassing HTTP) and the benchmark clock stops when the
@@ -386,7 +438,7 @@ func BenchmarkFleetFold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := sts[i%tenants]
 				s.queued.Add(1)
-				s.shardQ[st.shard] <- ingestItem{st: st, frame: frame}
+				s.shardQ[st.shard] <- ingestItem{st: st, objs: *st.wire.Load(), frame: frame}
 			}
 			for s.ingested.Load()-start < int64(b.N) {
 				time.Sleep(50 * time.Microsecond)

@@ -1,154 +1,37 @@
-// Binary observation ingest: the decoder for online.Frame batches
+// Binary observation ingest: HTTP admission of online.Frame batches
 // (Content-Type: application/x-dot-extents on /v1/observe) and the bounded
 // queue + background worker that folds accepted frames into stream windows.
 // This is the server half of the high-throughput observation plane: a
-// producer ships length-prefixed little-endian frames (encoded by
-// online.AppendFrame), admission is all-or-nothing against a bounded queue,
+// producer ships length-prefixed little-endian frames (the codec is
+// online/wire.go), admission is all-or-nothing against a bounded queue,
 // and overflow sheds with 429 + Retry-After so a slow advisor backpressures
 // the tap instead of stalling the engine being observed.
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"mime"
 	"net/http"
-	"time"
 
-	"dotprov/internal/catalog"
 	"dotprov/internal/device"
 	"dotprov/internal/iosim"
 	"dotprov/internal/online"
 )
-
-// ContentTypeFrames is the media type selecting the binary observation
-// path on /v1/observe. Any other content type takes the JSON path. It
-// aliases online.ContentTypeFrames, the wire package's canonical home.
-const ContentTypeFrames = online.ContentTypeFrames
 
 // isFrameContent reports whether a request Content-Type selects the binary
 // frame path (parameters like charset are ignored; a malformed header
 // falls back to the JSON path, whose decoder produces the error).
 func isFrameContent(ct string) bool {
 	mt, _, err := mime.ParseMediaType(ct)
-	if err != nil {
-		return false
-	}
-	return mt == ContentTypeFrames
+	return err == nil && mt == online.ContentTypeFrames
 }
 
-// frameIOBytes is the fixed wire size of one frame object minus its extent
-// buckets: index word, the I/O doubles, and the bucket count word.
-const frameIOBytes = 4 + 8*device.NumIOTypes + 4
-
-// DecodeExtentFrames decodes a batch of back-to-back binary observation
-// frames (the exact inverse of online.AppendFrame/EncodeFrames). It is
-// strict: unknown versions, non-zero reserved bytes, negative scalars,
-// non-finite or negative counts, truncated payloads and trailing garbage
-// are all errors — a frame either round-trips bit-identically or is
-// rejected whole, so fuzzing the decoder (FuzzDecodeExtentFrame) can assert
-// encode(decode(b)) == b for every accepted input.
-func DecodeExtentFrames(body []byte) ([]online.Frame, error) {
-	var frames []online.Frame
-	for off := 0; off < len(body); {
-		if len(body)-off < 4 {
-			return nil, fmt.Errorf("frame %d: truncated length prefix", len(frames))
-		}
-		plen := int(binary.LittleEndian.Uint32(body[off:]))
-		off += 4
-		if plen > len(body)-off {
-			return nil, fmt.Errorf("frame %d: declares %d payload bytes, %d remain", len(frames), plen, len(body)-off)
-		}
-		f, err := decodeFrame(body[off : off+plen])
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", len(frames), err)
-		}
-		frames = append(frames, f)
-		off += plen
-	}
-	if len(frames) == 0 {
-		return nil, errors.New("empty frame batch")
-	}
-	return frames, nil
-}
-
-// decodeFrame decodes one frame payload (the bytes after its length
-// prefix), which must be consumed exactly.
-func decodeFrame(p []byte) (online.Frame, error) {
-	var f online.Frame
-	if len(p) < frameScalarBytesServe {
-		return f, fmt.Errorf("payload too short (%d bytes)", len(p))
-	}
-	if p[0] != online.FrameVersion {
-		return f, fmt.Errorf("unsupported frame version %d (want %d)", p[0], online.FrameVersion)
-	}
-	if p[1] != 0 || p[2] != 0 || p[3] != 0 {
-		return f, errors.New("non-zero reserved bytes")
-	}
-	f.ExtentPages = int64(binary.LittleEndian.Uint64(p[4:]))
-	f.CPU = time.Duration(binary.LittleEndian.Uint64(p[12:]))
-	f.Elapsed = time.Duration(binary.LittleEndian.Uint64(p[20:]))
-	f.Txns = int64(binary.LittleEndian.Uint64(p[28:]))
-	if f.ExtentPages < 0 || f.CPU < 0 || f.Elapsed < 0 || f.Txns < 0 {
-		return f, errors.New("negative window scalar")
-	}
-	nobj := int(binary.LittleEndian.Uint32(p[36:]))
-	off := frameScalarBytesServe
-	for i := 0; i < nobj; i++ {
-		if len(p)-off < frameIOBytes {
-			return f, fmt.Errorf("object %d: truncated", i)
-		}
-		var o online.FrameObject
-		o.Index = binary.LittleEndian.Uint32(p[off:])
-		off += 4
-		for t := 0; t < device.NumIOTypes; t++ {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
-			if !validCount(v) {
-				return f, fmt.Errorf("object %d: invalid I/O count %v", i, v)
-			}
-			o.IO[t] = v
-			off += 8
-		}
-		nbuck := int(binary.LittleEndian.Uint32(p[off:]))
-		off += 4
-		if nbuck > (len(p)-off)/8 {
-			return f, fmt.Errorf("object %d: declares %d extent buckets, %d bytes remain", i, nbuck, len(p)-off)
-		}
-		if nbuck > 0 {
-			if f.ExtentPages <= 0 {
-				return f, fmt.Errorf("object %d: extent buckets without a positive extent width", i)
-			}
-			o.Extents = make([]float64, nbuck)
-			for b := 0; b < nbuck; b++ {
-				v := math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
-				if !validCount(v) {
-					return f, fmt.Errorf("object %d bucket %d: invalid count %v", i, b, v)
-				}
-				o.Extents[b] = v
-				off += 8
-			}
-		}
-		f.Objects = append(f.Objects, o)
-	}
-	if off != len(p) {
-		return f, fmt.Errorf("%d trailing payload bytes", len(p)-off)
-	}
-	return f, nil
-}
-
-// frameScalarBytesServe mirrors online's fixed payload prefix size; the
-// decoder cannot reach the unexported constant across packages.
-const frameScalarBytesServe = 4 + 8*4 + 4
-
-// validCount accepts the finite non-negative doubles the collector can
-// produce. NaN and ±Inf would silently poison every window aggregate they
-// are folded into, so they are rejected at the wire.
-func validCount(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
-}
+// DecodeExtentFrames forwards to online.DecodeFrames, the decoder's home
+// beside its encoder; the name stays because the end-to-end benchmark
+// calls it.
+func DecodeExtentFrames(body []byte) ([]online.Frame, error) { return online.DecodeFrames(body) }
 
 // ObserveFramesResponse acknowledges an accepted binary observe: the batch
 // is queued, not yet folded — drift verdicts come from /v1/readvise or the
@@ -162,9 +45,11 @@ type ObserveFramesResponse struct {
 	Queued int64 `json:"queued"`
 }
 
-// ingestItem is one admitted frame awaiting the background fold.
+// ingestItem is one admitted frame awaiting the background fold, with the
+// pinned object list admission validated it against.
 type ingestItem struct {
 	st    *stream
+	objs  []wireObject
 	frame online.Frame
 }
 
@@ -191,7 +76,7 @@ func (s *Server) handleObserveFrames(w http.ResponseWriter, r *http.Request) {
 	name := streamName(r.URL.Query().Get("stream"))
 	st, err := s.loadStream(name)
 	if err != nil {
-		writeError(w, http.StatusTooManyRequests, err)
+		writeError(w, streamErrStatus(err), err)
 		return
 	}
 	if st == nil {
@@ -204,16 +89,25 @@ func (s *Server) handleObserveFrames(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("stream %q is not initialized; binary frames address its pinned object list, so the defining observe must be JSON", name))
 		return
 	}
-	nIDs := len(*wire)
-	frames, err := DecodeExtentFrames(body)
+	objs := *wire
+	frames, err := online.DecodeFrames(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding extent frames: %w", err))
 		return
 	}
 	for fi, f := range frames {
 		for _, o := range f.Objects {
-			if int(o.Index) >= nIDs {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("frame %d: object index %d out of range (stream pins %d objects)", fi, o.Index, nIDs))
+			if int(o.Index) >= len(objs) {
+				writeError(w, http.StatusBadRequest, fmt.Errorf("frame %d: object index %d out of range (stream pins %d objects)", fi, o.Index, len(objs)))
+				return
+			}
+			// The fold grows an object's histogram to the last bucket a frame
+			// addresses, so that bucket must start inside the object. Divide,
+			// never multiply: a hostile width overflows the product. (The
+			// decoder admits buckets only under a positive width.)
+			pages := objs[o.Index].pages
+			if n := int64(len(o.Extents)); n > 0 && n-1 > (max(pages, 1)-1)/f.ExtentPages {
+				writeError(w, http.StatusBadRequest, fmt.Errorf("frame %d: object index %d ships %d extent buckets of %d pages, past the object's %d pages", fi, o.Index, n, f.ExtentPages, pages))
 				return
 			}
 		}
@@ -240,7 +134,7 @@ func (s *Server) handleObserveFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	q := s.shardQ[st.shard]
 	for _, f := range frames {
-		q <- ingestItem{st: st, frame: f}
+		q <- ingestItem{st: st, objs: objs, frame: f}
 	}
 	writeJSON(w, http.StatusAccepted, ObserveFramesResponse{Stream: name, Frames: len(frames), Queued: s.queued.Load()})
 }
@@ -270,23 +164,14 @@ func (s *Server) ingestLoop(shard int) {
 // manager's collector. Releases the frame's queue reservation when done.
 func (s *Server) ingestFrame(it ingestItem) {
 	defer s.queued.Add(-1)
-	st := it.st
-	wire := st.wire.Load()
-	if wire == nil {
-		// The stream never finished initializing; the frame's index space
-		// does not exist. Drop silently — admission raced a drop.
-		return
-	}
-	ids := *wire
+	st, objs := it.st, it.objs
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.mgr.Observe(frameWindow(it.frame, ids))
-	if it.frame.ExtentPages > 0 {
-		col := st.mgr.Collector()
-		for _, o := range it.frame.Objects {
-			if len(o.Extents) > 0 && int(o.Index) < len(ids) {
-				col.ObserveExtents(ids[o.Index], it.frame.ExtentPages, o.Extents)
-			}
+	st.mgr.Observe(frameWindow(it.frame, objs))
+	col := st.mgr.Collector()
+	for _, o := range it.frame.Objects {
+		if len(o.Extents) > 0 && int(o.Index) < len(objs) {
+			col.ObserveExtents(objs[o.Index].id, it.frame.ExtentPages, o.Extents)
 		}
 	}
 	s.ingested.Add(1)
@@ -294,18 +179,18 @@ func (s *Server) ingestFrame(it ingestItem) {
 }
 
 // frameWindow lowers a decoded frame onto an online.Window over the
-// stream's pinned object IDs — the binary twin of compiled.window +
+// stream's pinned object list — the binary twin of compiled.window +
 // renameProfile on the JSON path (only positive counts are added, so the
 // two paths produce identical profiles for identical observations).
-func frameWindow(f online.Frame, ids []catalog.ObjectID) online.Window {
+func frameWindow(f online.Frame, objs []wireObject) online.Window {
 	p := iosim.NewProfile()
 	for _, o := range f.Objects {
-		if int(o.Index) >= len(ids) {
+		if int(o.Index) >= len(objs) {
 			continue
 		}
 		for t := 0; t < device.NumIOTypes; t++ {
 			if o.IO[t] > 0 {
-				p.Add(ids[o.Index], device.IOType(t), o.IO[t])
+				p.Add(objs[o.Index].id, device.IOType(t), o.IO[t])
 			}
 		}
 	}

@@ -137,30 +137,6 @@ func writeF64(b []byte, off int, bits uint64) {
 func nanBits() uint64          { return 0x7ff8000000000001 }
 func f64bits(v float64) uint64 { return math.Float64bits(v) }
 
-// FuzzDecodeExtentFrame fuzzes the binary decoder: any input either errors
-// or decodes to frames whose re-encoding is bit-identical to the input —
-// the round-trip property the JSON/binary equivalence tests build on.
-func FuzzDecodeExtentFrame(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(online.EncodeFrames([]online.Frame{{}}))
-	f.Add(online.EncodeFrames([]online.Frame{{
-		ExtentPages: 64, CPU: time.Second, Elapsed: time.Minute, Txns: 3,
-		Objects: []online.FrameObject{
-			{Index: 0, IO: [device.NumIOTypes]float64{1, 2, 3, 4}, Extents: []float64{5, 0, 7}},
-			{Index: 5},
-		},
-	}}))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		frames, err := DecodeExtentFrames(body)
-		if err != nil {
-			return
-		}
-		if re := online.EncodeFrames(frames); !bytes.Equal(re, body) {
-			t.Fatalf("accepted input does not round-trip: %x -> %x", body, re)
-		}
-	})
-}
-
 // frameFromSpec lowers a WorkloadSpec observation onto a binary frame over
 // the spec's own object order — the producer side of the binary path.
 func frameFromSpec(spec WorkloadSpec) online.Frame {
@@ -193,7 +169,7 @@ func postFrames(t *testing.T, ts *httptest.Server, stream string, body []byte, o
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", ContentTypeFrames)
+	req.Header.Set("Content-Type", online.ContentTypeFrames)
 	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -312,5 +288,39 @@ func TestBinaryObserveErrors(t *testing.T) {
 	}
 	if want := fmt.Sprintf("stream pins %d objects", 3); e.Error == "" || !bytes.Contains([]byte(e.Error), []byte(want)) {
 		t.Fatalf("out-of-range error %q does not mention the pinned list size", e.Error)
+	}
+	// Extent buckets address pages of the pinned object ("wal": 1e9 bytes,
+	// 122,071 pages). A frame whose last bucket starts past the object's
+	// last page would have the fold grow the histogram to wherever it
+	// points — one ~100-byte frame, 64 MB at width 1<<30, a negative index
+	// at 1<<62 — so admission refuses it: 400, nothing queued, no fold to
+	// panic.
+	const walPages = 122071
+	extentFrame := func(width int64, buckets int) []byte {
+		ext := make([]float64, buckets)
+		ext[buckets-1] = 1
+		return online.EncodeFrames([]online.Frame{{ExtentPages: width, Objects: []online.FrameObject{{Index: 2, Extents: ext}}}})
+	}
+	for name, tc := range map[string]struct {
+		body []byte
+		want int
+	}{
+		"bucket 1 a terabyte in":       {extentFrame(1<<30, 2), http.StatusBadRequest},
+		"width overflowing the bucket": {extentFrame(1<<62, 3), http.StatusBadRequest},
+		"bucket starting at the end":   {extentFrame(walPages, 2), http.StatusBadRequest},
+		"bucket on the last page":      {extentFrame(walPages-1, 2), http.StatusAccepted},
+		"one wide bucket":              {extentFrame(1<<62, 1), http.StatusAccepted},
+		"a full histogram":             {extentFrame(128, 512), http.StatusAccepted},
+	} {
+		e.Code = ""
+		if status, _ := postFrames(t, ts, "s", tc.body, &e); status != tc.want || (tc.want == http.StatusBadRequest && e.Code != "bad_request") {
+			t.Fatalf("%s: status=%d code=%q, want %d", name, status, e.Code, tc.want)
+		}
+	}
+	waitIngested(t, s, 3)
+	var h HealthResponse
+	getJSON(t, ts, "/v1/healthz", &h)
+	if h.Queued != 0 || h.Ingested != 3 || h.Panics != 0 {
+		t.Fatalf("after the hostile frames: queued=%d ingested=%d panics=%d, want 0, 3 and 0", h.Queued, h.Ingested, h.Panics)
 	}
 }

@@ -143,10 +143,11 @@ type stream struct {
 	// rendered under unit names.
 	pt *catalog.Partitioning
 	// wire maps binary-frame object indexes (position in the defining
-	// observe's object list) onto the stream's catalog IDs. Published once
-	// at initialization and immutable after, so the binary admission path
-	// reads it lock-free (nil means the stream is not initialized yet).
-	wire atomic.Pointer[[]catalog.ObjectID]
+	// observe's object list) onto the stream's catalog IDs and page counts.
+	// Published once at initialization and immutable after, so the binary
+	// admission path reads it lock-free (nil means the stream is not
+	// initialized yet).
+	wire atomic.Pointer[[]wireObject]
 	// cfgJSON is the raw defining observe request body, kept verbatim so
 	// snapshots can persist the stream's exact configuration and recovery
 	// can replay it through the same initialization path (see snapshot.go).
@@ -297,7 +298,7 @@ func (s *Server) handleObserve(body []byte) (any, int, error) {
 	}
 	st, err := s.getStream(name)
 	if err != nil {
-		return nil, http.StatusTooManyRequests, err
+		return nil, streamErrStatus(err), err
 	}
 	st.touch()
 	st.mu.Lock()
@@ -386,11 +387,22 @@ func (s *Server) streamConfig(req ObserveRequest, comp *compiled) (online.Config
 // validated every name, so the lookups cannot miss). Published last — a
 // non-nil wire list implies the stream's manager is in place.
 func (st *stream) pinWire(comp *compiled) {
-	wireIDs := make([]catalog.ObjectID, len(comp.spec.Objects))
+	objs := make([]wireObject, len(comp.spec.Objects))
 	for i, o := range comp.spec.Objects {
-		wireIDs[i] = comp.cat.Lookup(o.Name).ID
+		objs[i] = wireObject{
+			id:    comp.cat.Lookup(o.Name).ID,
+			pages: (o.SizeBytes + catalog.DefaultPageBytes - 1) / catalog.DefaultPageBytes,
+		}
 	}
-	st.wire.Store(&wireIDs)
+	st.wire.Store(&objs)
+}
+
+// wireObject is one entry of a stream's binary-frame index space: the
+// catalog ID a frame index names, and the object's length in pages — the
+// bound on the extent buckets a frame may address.
+type wireObject struct {
+	id    catalog.ObjectID
+	pages int64
 }
 
 // initStream defines a stream from its first observe: builds the manager,
@@ -469,7 +481,7 @@ func (s *Server) handleReadvise(body []byte) (any, int, error) {
 	name := streamName(req.Stream)
 	st, err := s.loadStream(name)
 	if err != nil {
-		return nil, http.StatusTooManyRequests, err
+		return nil, streamErrStatus(err), err
 	}
 	if st == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("unknown stream %q (define it with /observe first)", name)
@@ -568,27 +580,17 @@ func (s *Server) readviseResponse(st *stream, dec *online.Decision) ReadviseResp
 	return resp
 }
 
-// readviseTicker is one shard's background loop: every interval, re-advise
-// every initialized stream the shard owns (drift-gated, never forced) and
-// log the decisions. One ticker runs per shard, so a tenant's background
+// readviseShard is one tick of a shard's background loop: re-advise every
+// initialized stream the shard owns (drift-gated, never forced) and log
+// the decisions. One ticker runs per shard, so a tenant's background
 // re-advises happen on exactly its owning shard and a slow search on one
 // shard never delays another shard's sweep. Each stream's step runs under
 // guard, so one panicking search is counted and contained while the sweep
 // — and the ticker — live on.
-func (s *Server) readviseTicker(shard int, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			for _, st := range s.snapshotStreams() {
-				if st.shard != shard {
-					continue
-				}
-				s.guard("re-advise ticker", func() { s.readviseOne(st) })
-			}
+func (s *Server) readviseShard(shard int) {
+	for _, st := range s.snapshotStreams() {
+		if st.shard == shard {
+			s.guard("re-advise ticker", func() { s.readviseOne(st) })
 		}
 	}
 }

@@ -175,10 +175,9 @@ type Server struct {
 	// request's engines, so concurrent requests split — not multiply — the
 	// configured evaluation width.
 	budget   *search.Budget
-	cache    *lruCache
+	cache    *fleet.Memo
 	start    time.Time
 	served   atomic.Int64
-	hits     atomic.Int64
 	rejected atomic.Int64
 
 	// Online streams (see online.go): defined by /observe, re-advised by
@@ -247,7 +246,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
 		budget:    search.NewBudget(cfg.Workers),
-		cache:     newLRU(cfg.CacheEntries),
+		cache:     fleet.NewMemo(cfg.CacheEntries),
 		start:     time.Now(),
 		stop:      make(chan struct{}),
 		shardQ:    make([]chan ingestItem, cfg.Shards),
@@ -269,16 +268,17 @@ func New(cfg Config) *Server {
 		} else {
 			s.snap = store
 			s.restoreSnapshot()
-			go s.snapshotTicker(cfg.SnapshotEvery)
+			// Snapshot itself logs failures, so the tick drops its error.
+			go s.every(cfg.SnapshotEvery, func() { s.guard("snapshot ticker", func() { _, _ = s.Snapshot() }) })
 		}
 	}
 	if cfg.ReadviseEvery > 0 {
 		for i := 0; i < cfg.Shards; i++ {
-			go s.readviseTicker(i, cfg.ReadviseEvery)
+			go s.every(cfg.ReadviseEvery, func() { s.readviseShard(i) })
 		}
 	}
 	if cfg.StreamTTL > 0 {
-		go s.evictTicker(cfg.EvictEvery)
+		go s.every(cfg.EvictEvery, func() { s.guard("evict janitor", s.evictIdle) })
 	}
 	return s
 }
@@ -312,6 +312,21 @@ func (s *Server) Close() error {
 		}
 	})
 	return s.closeErr
+}
+
+// every runs step on each tick of interval until Close: the one loop behind
+// the snapshot, re-advise and eviction tickers.
+func (s *Server) every(interval time.Duration, step func()) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-t.C:
+			step()
+		}
+	}
 }
 
 // guard runs a background-goroutine step, containing any panic: the panic
@@ -483,6 +498,18 @@ func errorCode(status int, err error) string {
 	}
 }
 
+// streamErrStatus is the status of a getStream/loadStream failure. The
+// capacity refusal (the one coded error they return) passes once a slot
+// frees, so it answers 429; a parked record that no longer rebuilds is a
+// server fault no retry fixes, and answers 500.
+func streamErrStatus(err error) int {
+	var ce *codedError
+	if errors.As(err, &ce) {
+		return http.StatusTooManyRequests
+	}
+	return http.StatusInternalServerError
+}
+
 // writeError writes the unified error envelope for a failed request.
 func writeError(w http.ResponseWriter, status int, err error) {
 	e := apiError{Error: err.Error(), Code: errorCode(status, err)}
@@ -614,7 +641,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:         status,
 		UptimeSeconds:  int64(time.Since(s.start).Seconds()),
 		Served:         s.served.Load(),
-		CacheHits:      s.hits.Load(),
+		CacheHits:      s.cache.Hits(),
 		Rejected:       s.rejected.Load(),
 		Streams:        streams,
 		Observed:       s.observed.Load(),
@@ -812,7 +839,7 @@ func parseProvision(body []byte) (*provisionParams, error) {
 	}, nil
 }
 
-// provisionCached probes the sweep LRU for a request without running any
+// provisionCached probes the sweep cache for a request without running any
 // optimization — the degraded-mode path: a degraded server keeps
 // answering provisions it has already computed.
 func (s *Server) provisionCached(body []byte) (any, bool) {
@@ -820,28 +847,40 @@ func (s *Server) provisionCached(body []byte) (any, bool) {
 	if err != nil {
 		return nil, false
 	}
-	v, ok := s.cache.get(p.key)
+	v, ok := s.cache.Get(p.key)
 	if !ok {
 		return nil, false
 	}
-	s.hits.Add(1)
 	resp := *v.(*ProvisionResponse)
 	resp.Cached = true
 	return resp, true
 }
 
+// handleProvision answers a sweep from the cache or runs it; concurrent
+// misses on one key share a single sweep (fleet.Memo's single flight), and
+// a failed sweep is never cached.
 func (s *Server) handleProvision(body []byte) (any, int, error) {
 	p, err := parseProvision(body)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	req, grid, comp := p.req, p.grid, p.comp
-	if v, ok := s.cache.get(p.key); ok {
-		s.hits.Add(1)
-		resp := *v.(*ProvisionResponse)
-		resp.Cached = true
-		return resp, http.StatusOK, nil
+	status := http.StatusOK
+	v, hit, err := s.cache.Do(p.key, func() (any, error) {
+		resp, code, err := s.sweep(p)
+		status = code
+		return resp, err
+	})
+	if err != nil {
+		return nil, status, err
 	}
+	resp := *v.(*ProvisionResponse)
+	resp.Cached = hit
+	return resp, http.StatusOK, nil
+}
+
+// sweep runs one provisioning sweep and renders its response.
+func (s *Server) sweep(p *provisionParams) (*ProvisionResponse, int, error) {
+	req, grid, comp := p.req, p.grid, p.comp
 	base, err := comp.input(grid.Universe(), s.budget)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -883,6 +922,5 @@ func (s *Server) handleProvision(body []byte) (any, int, error) {
 		}
 		resp.Candidates = append(resp.Candidates, out)
 	}
-	s.cache.put(p.key, resp)
-	return *resp, http.StatusOK, nil
+	return resp, http.StatusOK, nil
 }

@@ -309,31 +309,6 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a should be cached")
-	}
-	c.put("c", 3) // evicts b (a was just used)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b should have been evicted")
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
-			t.Fatalf("%s should be cached", k)
-		}
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	c.put("a", 9)
-	if v, _ := c.get("a"); v.(int) != 9 {
-		t.Fatal("put must update existing entries")
-	}
-}
-
 func TestMethodRouting(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()

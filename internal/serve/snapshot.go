@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"dotprov/internal/online"
 )
@@ -46,6 +45,17 @@ type streamRecord struct {
 	objFP  string
 	config []byte
 	state  online.ManagerState
+}
+
+// record captures the stream as a snapshot record; false while the stream
+// is not initialized (it holds no state worth keeping).
+func (st *stream) record() (streamRecord, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.mgr == nil || len(st.cfgJSON) == 0 {
+		return streamRecord{}, false
+	}
+	return streamRecord{name: st.name, objFP: st.objFP, config: st.cfgJSON, state: st.mgr.ExportState()}, true
 }
 
 // streamRecordMinBytes is the smallest wire size of one stream record:
@@ -80,78 +90,28 @@ func appendBlob(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// payloadReader walks a snapshot payload with strict bounds checks.
-type payloadReader struct {
-	b   []byte
-	off int
-}
-
-func (r *payloadReader) rest() int { return len(r.b) - r.off }
-
-func (r *payloadReader) u32(what string) (uint32, error) {
-	if r.rest() < 4 {
-		return 0, fmt.Errorf("%s: truncated", what)
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *payloadReader) nonNegI64(what string) (int64, error) {
-	if r.rest() < 8 {
-		return 0, fmt.Errorf("%s: truncated", what)
-	}
-	v := int64(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	if v < 0 {
-		return 0, fmt.Errorf("%s: negative value %d", what, v)
-	}
-	return v, nil
-}
-
-func (r *payloadReader) blob(what string) ([]byte, error) {
-	n, err := r.u32(what + " length")
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > r.rest() {
-		return nil, fmt.Errorf("%s: declares %d bytes, %d remain", what, n, r.rest())
-	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
-// decodeSnapshotPayload is appendSnapshotPayload's strict inverse: a
-// payload either decodes to state that re-encodes bit-identically or is
-// rejected whole (truncation, trailing bytes, negative counters, unsorted
-// or empty stream names, non-JSON configs, and every manager-state defect
+// decodeSnapshotPayload is appendSnapshotPayload's strict inverse, read
+// through online.Reader like the record it embeds: a payload either decodes
+// to state that re-encodes bit-identically or is rejected whole
+// (truncation, trailing bytes, negative counters, unsorted or empty stream
+// names, non-JSON configs, and every manager-state defect
 // online.DecodeManagerState rejects).
 func decodeSnapshotPayload(b []byte) (snapshotPayload, error) {
 	var p snapshotPayload
-	r := &payloadReader{b: b}
-	var err error
-	if p.observed, err = r.nonNegI64("observed"); err != nil {
-		return p, err
+	r := online.NewReader(b)
+	p.observed = r.NamedNonNegI64("observed")
+	p.readvised = r.NamedNonNegI64("readvised")
+	p.ingested = r.NamedNonNegI64("ingested")
+	p.shed = r.NamedNonNegI64("shed")
+	n := int(r.NamedU32("stream count"))
+	if r.Err() != nil {
+		return p, r.Err()
 	}
-	if p.readvised, err = r.nonNegI64("readvised"); err != nil {
-		return p, err
-	}
-	if p.ingested, err = r.nonNegI64("ingested"); err != nil {
-		return p, err
-	}
-	if p.shed, err = r.nonNegI64("shed"); err != nil {
-		return p, err
-	}
-	n, err := r.u32("stream count")
-	if err != nil {
-		return p, err
-	}
-	if int(n)*streamRecordMinBytes > r.rest() {
-		return p, fmt.Errorf("declares %d streams, %d bytes remain", n, r.rest())
+	if n*streamRecordMinBytes > r.Rest() {
+		return p, fmt.Errorf("declares %d streams, %d bytes remain", n, r.Rest())
 	}
 	prev := ""
-	for i := 0; i < int(n); i++ {
+	for i := 0; i < n; i++ {
 		rec, err := readStreamRecord(r)
 		if err != nil {
 			return p, fmt.Errorf("stream %d: %w", i, err)
@@ -162,45 +122,33 @@ func decodeSnapshotPayload(b []byte) (snapshotPayload, error) {
 		prev = rec.name
 		p.streams = append(p.streams, rec)
 	}
-	if r.rest() != 0 {
-		return p, fmt.Errorf("%d trailing payload bytes", r.rest())
+	if r.Rest() != 0 {
+		return p, fmt.Errorf("%d trailing payload bytes", r.Rest())
 	}
 	return p, nil
 }
 
-// readStreamRecord decodes one stream record at the reader's position.
-func readStreamRecord(r *payloadReader) (streamRecord, error) {
+// readStreamRecord decodes one stream record at the reader's position. The
+// reader keeps the first failure, so each field is read and judged in wire
+// order and a refusal after a failed read changes nothing.
+func readStreamRecord(r *online.Reader) (streamRecord, error) {
 	var rec streamRecord
-	name, err := r.blob("name")
-	if err != nil {
-		return rec, err
+	if rec.name = string(r.Blob("name")); rec.name == "" {
+		r.Fail(errors.New("empty stream name"))
 	}
-	rec.name = string(name)
-	if rec.name == "" {
-		return rec, errors.New("empty stream name")
+	if rec.objFP = string(r.Blob("object fingerprint")); rec.objFP == "" {
+		r.Fail(errors.New("empty object fingerprint"))
 	}
-	fp, err := r.blob("object fingerprint")
-	if err != nil {
-		return rec, err
+	if rec.config = r.Blob("defining observe"); !json.Valid(rec.config) {
+		r.Fail(errors.New("defining observe is not valid JSON"))
 	}
-	rec.objFP = string(fp)
-	if rec.objFP == "" {
-		return rec, errors.New("empty object fingerprint")
+	if state := r.Blob("manager state"); r.Err() == nil {
+		var err error
+		if rec.state, err = online.DecodeManagerState(state); err != nil {
+			r.Fail(fmt.Errorf("manager state: %w", err))
+		}
 	}
-	if rec.config, err = r.blob("defining observe"); err != nil {
-		return rec, err
-	}
-	if !json.Valid(rec.config) {
-		return rec, errors.New("defining observe is not valid JSON")
-	}
-	stateB, err := r.blob("manager state")
-	if err != nil {
-		return rec, err
-	}
-	if rec.state, err = online.DecodeManagerState(stateB); err != nil {
-		return rec, fmt.Errorf("manager state: %w", err)
-	}
-	return rec, nil
+	return rec, r.Err()
 }
 
 // exportPayload assembles the snapshot payload from live state: every
@@ -218,14 +166,9 @@ func (s *Server) exportPayload() snapshotPayload {
 		shed:      s.shed.Load(),
 	}
 	for _, st := range s.snapshotStreams() {
-		st.mu.Lock()
-		if st.mgr == nil || len(st.cfgJSON) == 0 {
-			st.mu.Unlock()
-			continue
+		if rec, ok := st.record(); ok {
+			p.streams = append(p.streams, rec)
 		}
-		rec := streamRecord{name: st.name, objFP: st.objFP, config: st.cfgJSON, state: st.mgr.ExportState()}
-		st.mu.Unlock()
-		p.streams = append(p.streams, rec)
 	}
 	seen := make(map[string]bool, len(p.streams))
 	for _, rec := range p.streams {
@@ -267,22 +210,6 @@ func (s *Server) Snapshot() (uint64, error) {
 	s.snapConsec.Store(0)
 	s.snapGen.Store(gen)
 	return gen, nil
-}
-
-// snapshotTicker snapshots every interval until Close. Each tick runs
-// under guard: a panicking export is counted and the ticker lives on.
-// Snapshot itself logs failures, so the tick drops its error.
-func (s *Server) snapshotTicker(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.guard("snapshot ticker", func() { _, _ = s.Snapshot() })
-		}
-	}
 }
 
 // restoreSnapshot restores the newest valid snapshot generation at boot.
@@ -330,32 +257,27 @@ func (s *Server) applySnapshot(p snapshotPayload) error {
 			s.parked[rec.name] = rec
 		}
 		s.streamMu.Unlock()
-		s.observed.Store(p.observed)
-		s.readvised.Store(p.readvised)
-		s.ingested.Store(p.ingested)
-		s.shed.Store(p.shed)
-		s.restored.Store(int64(len(p.streams)))
-		return nil
-	}
-	if len(p.streams) > s.cfg.MaxStreams {
-		return fmt.Errorf("snapshot holds %d streams, server caps at %d", len(p.streams), s.cfg.MaxStreams)
-	}
-	rebuilt := make([]*stream, 0, len(p.streams))
-	for _, rec := range p.streams {
-		st, err := s.rebuildStream(rec)
-		if err != nil {
-			return fmt.Errorf("stream %q: %w", rec.name, err)
+	} else {
+		if len(p.streams) > s.cfg.MaxStreams {
+			return fmt.Errorf("snapshot holds %d streams, server caps at %d", len(p.streams), s.cfg.MaxStreams)
 		}
-		rebuilt = append(rebuilt, st)
-	}
-	for _, st := range rebuilt {
-		s.registerStream(st)
+		rebuilt := make([]*stream, 0, len(p.streams))
+		for _, rec := range p.streams {
+			st, err := s.rebuildStream(rec)
+			if err != nil {
+				return fmt.Errorf("stream %q: %w", rec.name, err)
+			}
+			rebuilt = append(rebuilt, st)
+		}
+		for _, st := range rebuilt {
+			s.registerStream(st)
+		}
 	}
 	s.observed.Store(p.observed)
 	s.readvised.Store(p.readvised)
 	s.ingested.Store(p.ingested)
 	s.shed.Store(p.shed)
-	s.restored.Store(int64(len(rebuilt)))
+	s.restored.Store(int64(len(p.streams)))
 	return nil
 }
 

@@ -26,19 +26,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
-	"syscall"
 	"time"
 
 	"dotprov/internal/online"
 	"dotprov/internal/serve"
+	"dotprov/scripts/internal/harness"
 )
 
 func main() {
@@ -83,11 +80,11 @@ func runAll(bin string) error {
 // restore with SIGKILL so it cannot write a newer generation — and demand
 // bit-identical forced re-advise answers.
 func phaseDeterminism(bin, dir string) error {
-	s, err := start(bin, "-snapshot-dir", dir, "-snapshot-every", "1h")
+	s, err := harness.Start(bin, "-snapshot-dir", dir, "-snapshot-every", "1h")
 	if err != nil {
 		return err
 	}
-	defer s.kill()
+	defer s.Kill()
 	if err := defineStream(s); err != nil {
 		return err
 	}
@@ -96,29 +93,29 @@ func phaseDeterminism(bin, dir string) error {
 			return err
 		}
 	}
-	if err := waitHealth(s, func(h health) bool { return h.Observed >= 3 }, "3 observations folded"); err != nil {
+	if err := s.WaitHealth(func(h serve.HealthResponse) bool { return h.Observed >= 3 }, "3 observations folded", 5*time.Second); err != nil {
 		return err
 	}
-	if err := s.terminate(); err != nil {
+	if err := s.Terminate(); err != nil {
 		return err
 	}
 
 	var answers [][]byte
 	for i := 0; i < 2; i++ {
-		r, err := start(bin, "-snapshot-dir", dir, "-snapshot-every", "1h")
+		r, err := harness.Start(bin, "-snapshot-dir", dir, "-snapshot-every", "1h")
 		if err != nil {
 			return fmt.Errorf("restore %d: %w", i+1, err)
 		}
-		h, err := getHealth(r)
+		h, err := r.Health()
 		if err == nil && h.Restored != 1 {
 			err = fmt.Errorf("restored_streams = %d, want 1", h.Restored)
 		}
 		if err != nil {
-			r.kill()
+			r.Kill()
 			return fmt.Errorf("restore %d: %w", i+1, err)
 		}
 		ans, rerr := canonicalReadvise(r)
-		r.kill() // no clean shutdown: the next restore must see the same newest generation
+		r.Kill() // no clean shutdown: the next restore must see the same newest generation
 		if rerr != nil {
 			return fmt.Errorf("restore %d: %w", i+1, rerr)
 		}
@@ -144,11 +141,11 @@ func phaseDeterminism(bin, dir string) error {
 // kill. The 2x margin covers a fold in flight plus a snapshot in flight.
 func phaseKillMidIngest(bin, dir string) error {
 	const interval = 150 * time.Millisecond
-	s, err := start(bin, "-snapshot-dir", dir, "-snapshot-every", interval.String())
+	s, err := harness.Start(bin, "-snapshot-dir", dir, "-snapshot-every", interval.String())
 	if err != nil {
 		return err
 	}
-	defer s.kill()
+	defer s.Kill()
 	if err := defineStream(s); err != nil {
 		return err
 	}
@@ -165,14 +162,14 @@ func phaseKillMidIngest(bin, dir string) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	killedAt := time.Now()
-	s.kill()
+	s.Kill()
 
-	r, err := start(bin, "-snapshot-dir", dir, "-snapshot-every", "1h")
+	r, err := harness.Start(bin, "-snapshot-dir", dir, "-snapshot-every", "1h")
 	if err != nil {
 		return fmt.Errorf("restart after kill: %w", err)
 	}
-	defer r.kill()
-	h, err := getHealth(r)
+	defer r.Kill()
+	h, err := r.Health()
 	if err != nil {
 		return err
 	}
@@ -192,7 +189,7 @@ func phaseKillMidIngest(bin, dir string) error {
 	}
 	log.Printf("crashtest: kill mid-ingest ok (%d acks, %d owed by the snapshot contract, %d restored)",
 		len(ackTimes), owed, h.Observed)
-	return r.terminate() // leaves dir with a fresh newest generation for the torn-snapshot phase
+	return r.Terminate() // leaves dir with a fresh newest generation for the torn-snapshot phase
 }
 
 // phaseTornSnapshot truncates the newest generation in dir (freshly
@@ -215,12 +212,12 @@ func phaseTornSnapshot(bin, dir string) error {
 	if err := os.Truncate(newest, info.Size()/2); err != nil {
 		return err
 	}
-	s, err := start(bin, "-snapshot-dir", dir, "-snapshot-every", "1h")
+	s, err := harness.Start(bin, "-snapshot-dir", dir, "-snapshot-every", "1h")
 	if err != nil {
 		return err
 	}
-	defer s.kill()
-	h, err := getHealth(s)
+	defer s.Kill()
+	h, err := s.Health()
 	if err != nil {
 		return err
 	}
@@ -235,7 +232,8 @@ func phaseTornSnapshot(bin, dir string) error {
 		return fmt.Errorf("restore reports generation %d, but generation %d was torn — fallback did not happen", h.SnapshotGen, torn)
 	}
 	log.Printf("crashtest: torn snapshot ok (generation %d rejected, restored %d)", torn, h.SnapshotGen)
-	return s.kill()
+	s.Kill()
+	return nil
 }
 
 // phaseFaultInjection arms the snapshot fault plan so every write fails,
@@ -243,27 +241,27 @@ func phaseTornSnapshot(bin, dir string) error {
 // reports the failures, readyz and fresh advise go 503, and the binary
 // observation path keeps accepting.
 func phaseFaultInjection(bin, dir string) error {
-	s, err := start(bin,
+	s, err := harness.Start(bin,
 		"-snapshot-dir", dir, "-snapshot-every", "100ms",
 		"-faults", "seed=7,write=1")
 	if err != nil {
 		return err
 	}
-	defer s.kill()
+	defer s.Kill()
 	if err := defineStream(s); err != nil {
 		return err
 	}
-	if err := waitHealth(s, func(h health) bool { return h.SnapshotFails >= 3 }, "3 consecutive snapshot failures"); err != nil {
+	if err := s.WaitHealth(func(h serve.HealthResponse) bool { return h.SnapshotFails >= 3 }, "3 consecutive snapshot failures", 5*time.Second); err != nil {
 		return err
 	}
-	h, err := getHealth(s)
+	h, err := s.Health()
 	if err != nil {
 		return err
 	}
 	if h.Status != "degraded" {
 		return fmt.Errorf("healthz status %q with %d snapshot failures, want degraded", h.Status, h.SnapshotFails)
 	}
-	if status, _ := get(s, "/v1/readyz"); status != http.StatusServiceUnavailable {
+	if status, _ := s.Get("/v1/readyz"); status != http.StatusServiceUnavailable {
 		return fmt.Errorf("readyz = %d while degraded, want 503", status)
 	}
 	status, err := postFrames(s, driftFrame())
@@ -273,7 +271,7 @@ func phaseFaultInjection(bin, dir string) error {
 	if status != http.StatusAccepted {
 		return fmt.Errorf("binary observe = %d while degraded, want 202 (ingest stays open)", status)
 	}
-	status, _, err = postJSON(s, "/v1/readvise", serve.ReadviseRequest{Stream: "crash", Force: true})
+	status, _, err = s.PostJSON("/v1/readvise", serve.ReadviseRequest{Stream: "crash", Force: true})
 	if err != nil {
 		return err
 	}
@@ -281,165 +279,22 @@ func phaseFaultInjection(bin, dir string) error {
 		return fmt.Errorf("forced readvise = %d while degraded, want 503", status)
 	}
 	log.Printf("crashtest: fault injection ok (%d snapshot failures, degraded but alive, ingest open)", h.SnapshotFails)
-	return s.kill()
-}
-
-// ---------------------------------------------------------------- server
-
-// server is one dotserve process under test. done closes after the
-// process exits (waitErr then holds the exec.Wait result), so kill and
-// terminate are safely re-enterable — every phase defers a kill on top of
-// its explicit shutdown.
-type server struct {
-	cmd     *exec.Cmd
-	base    string
-	done    chan struct{}
-	waitErr error
-}
-
-// start launches the binary on a free port and waits for healthz.
-func start(bin string, args ...string) (*server, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	cmd := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	s := &server{cmd: cmd, base: "http://" + addr, done: make(chan struct{})}
-	go func() { s.waitErr = cmd.Wait(); close(s.done) }()
-	// A -race build on a loaded CI runner can take a while to come up.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		select {
-		case <-s.done:
-			return nil, fmt.Errorf("dotserve exited during startup: %v", s.waitErr)
-		default:
-		}
-		if status, _ := get(s, "/v1/healthz"); status == http.StatusOK {
-			return s, nil
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	s.kill()
-	return nil, fmt.Errorf("dotserve did not answer healthz within 30s")
-}
-
-// kill SIGKILLs the process — the crash under test. Idempotent.
-func (s *server) kill() error {
-	s.cmd.Process.Kill()
-	<-s.done
+	s.Kill()
 	return nil
-}
-
-// terminate SIGTERMs the process and waits for the graceful shutdown
-// (drain + final snapshot) to complete.
-func (s *server) terminate() error {
-	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	select {
-	case <-s.done:
-		if s.waitErr != nil {
-			return fmt.Errorf("graceful shutdown: %w", s.waitErr)
-		}
-		return nil
-	case <-time.After(30 * time.Second):
-		s.kill()
-		return fmt.Errorf("graceful shutdown timed out")
-	}
 }
 
 // ---------------------------------------------------------------- client
 
-// httpc bounds every exchange: a wedged server must fail a phase, not
-// hang the harness.
-var httpc = &http.Client{Timeout: 15 * time.Second}
-
-// health mirrors the serve.HealthResponse fields the harness asserts on.
-type health struct {
-	Status        string `json:"status"`
-	Observed      int64  `json:"observed"`
-	Restored      int64  `json:"restored_streams"`
-	Snapshots     int64  `json:"snapshots"`
-	SnapshotFails int64  `json:"snapshot_failures"`
-	SnapshotGen   uint64 `json:"snapshot_generation"`
-}
-
-func get(s *server, path string) (int, []byte) {
-	resp, err := httpc.Get(s.base + path)
-	if err != nil {
-		return 0, nil
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, b
-}
-
-func getHealth(s *server) (health, error) {
-	var h health
-	status, body := get(s, "/v1/healthz")
-	if status != http.StatusOK {
-		return h, fmt.Errorf("healthz = %d", status)
-	}
-	return h, json.Unmarshal(body, &h)
-}
-
-// waitHealth polls healthz until cond holds or five seconds pass.
-func waitHealth(s *server, cond func(health) bool, what string) error {
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if h, err := getHealth(s); err == nil && cond(h) {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return fmt.Errorf("timed out waiting for %s", what)
-}
-
-func postJSON(s *server, path string, req any) (int, []byte, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := httpc.Post(s.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, nil
-}
-
 // postFrames ships one binary observation batch to the crash stream.
-// Transport errors are errors; HTTP refusals (429, 503) are statuses the
-// phases decide about.
-func postFrames(s *server, frames ...online.Frame) (int, error) {
-	req, err := http.NewRequest(http.MethodPost, s.base+"/v1/observe?stream=crash",
-		bytes.NewReader(online.EncodeFrames(frames)))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", online.ContentTypeFrames)
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
+func postFrames(s *harness.Server, frames ...online.Frame) (int, error) {
+	return s.PostFrames("crash", online.EncodeFrames(frames))
 }
 
 // defineStream creates the "crash" stream with an OLTP-shaped workload
 // whose later windows (driftFrame) shift to sequential scans — the same
 // shape the serve test suite drifts.
-func defineStream(s *server) error {
-	status, body, err := postJSON(s, "/v1/observe", serve.ObserveRequest{
+func defineStream(s *harness.Server) error {
+	status, body, err := s.PostJSON("/v1/observe", serve.ObserveRequest{
 		Stream:   "crash",
 		Workload: oltpSpec(0),
 		Box:      "box1",
@@ -497,8 +352,8 @@ func driftFrame() online.Frame {
 
 // canonicalReadvise forces a re-advise and strips the only wall-clock
 // field (plan_millis) so two runs over identical state compare equal.
-func canonicalReadvise(s *server) ([]byte, error) {
-	status, body, err := postJSON(s, "/v1/readvise", serve.ReadviseRequest{Stream: "crash", Force: true})
+func canonicalReadvise(s *harness.Server) ([]byte, error) {
+	status, body, err := s.PostJSON("/v1/readvise", serve.ReadviseRequest{Stream: "crash", Force: true})
 	if err != nil {
 		return nil, err
 	}

@@ -32,21 +32,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"net/http"
-	"os"
-	"os/exec"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"dotprov/internal/online"
 	"dotprov/internal/serve"
+	"dotprov/scripts/internal/harness"
 )
 
 // opts carries the harness knobs.
@@ -128,7 +123,7 @@ type fleetRun struct {
 }
 
 func runFleet(o opts, shards int) (*fleetRun, error) {
-	s, err := start(o.bin,
+	s, err := harness.Start(o.bin,
 		"-shards", fmt.Sprint(shards),
 		"-max-streams", fmt.Sprint(o.tenants),
 		"-max-concurrent", fmt.Sprint(o.workers),
@@ -137,7 +132,7 @@ func runFleet(o opts, shards int) (*fleetRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.kill()
+	defer s.Kill()
 	log.Printf("fleetload: [%d shards] defining %d tenants over %d shapes", shards, o.tenants, o.shapes)
 
 	r := &fleetRun{defines: make(map[string]string, o.tenants), decides: make(map[string]string)}
@@ -168,7 +163,7 @@ func runFleet(o opts, shards int) (*fleetRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := getHealth(s)
+	h, err := s.Health()
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +186,7 @@ func runFleet(o opts, shards int) (*fleetRun, error) {
 				}
 			}
 			for {
-				status, err := postFrames(s, name, frame)
+				status, err := s.PostFrames(name, frame)
 				if err != nil {
 					return fmt.Errorf("frames %s: %w", name, err)
 				}
@@ -218,7 +213,7 @@ func runFleet(o opts, shards int) (*fleetRun, error) {
 
 	// Phase 3: drain — every admitted frame folds.
 	want := int64(o.tenants * o.frames)
-	if err := waitHealth(s, func(h health) bool { return h.Ingested >= want && h.Queued == 0 },
+	if err := s.WaitHealth(func(h serve.HealthResponse) bool { return h.Ingested >= want && h.Queued == 0 },
 		fmt.Sprintf("%d frames folded", want), time.Minute); err != nil {
 		return nil, err
 	}
@@ -248,10 +243,10 @@ func runFleet(o opts, shards int) (*fleetRun, error) {
 	}
 
 	// Clean shutdown: a -race build that observed a race exits non-zero.
-	if err := s.terminate(); err != nil {
-		return nil, fmt.Errorf("graceful shutdown: %w", err)
+	if err := s.Terminate(); err != nil {
+		return nil, err
 	}
-	if s.sawRace() {
+	if s.SawRace() {
 		return nil, fmt.Errorf("race detector fired (see stderr above)")
 	}
 	return r, nil
@@ -343,176 +338,27 @@ func canonical(body []byte) (string, error) {
 	return string(out), err
 }
 
-// ---------------------------------------------------------------- server
-
-// server is one dotserve process under test; stderr is teed so the
-// harness can scan for race reports after a clean-looking exit.
-type server struct {
-	cmd     *exec.Cmd
-	base    string
-	done    chan struct{}
-	waitErr error
-	errBuf  bytes.Buffer
-	errMu   sync.Mutex
-}
-
-// raceScanner tees the child's stderr to ours while keeping a copy.
-type raceScanner struct{ s *server }
-
-// Write appends to the retained buffer and mirrors to os.Stderr.
-func (w raceScanner) Write(p []byte) (int, error) {
-	w.s.errMu.Lock()
-	w.s.errBuf.Write(p)
-	w.s.errMu.Unlock()
-	return os.Stderr.Write(p)
-}
-
-func (s *server) sawRace() bool {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return strings.Contains(s.errBuf.String(), "DATA RACE")
-}
-
-// start launches the binary on a free port and waits for healthz.
-func start(bin string, args ...string) (*server, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	s := &server{base: "http://" + addr, done: make(chan struct{})}
-	s.cmd = exec.Command(bin, append([]string{"-addr", addr}, args...)...)
-	s.cmd.Stdout = os.Stderr
-	s.cmd.Stderr = raceScanner{s}
-	if err := s.cmd.Start(); err != nil {
-		return nil, err
-	}
-	go func() { s.waitErr = s.cmd.Wait(); close(s.done) }()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		select {
-		case <-s.done:
-			return nil, fmt.Errorf("dotserve exited during startup: %v", s.waitErr)
-		default:
-		}
-		if status, _ := get(s, "/v1/healthz"); status == http.StatusOK {
-			return s, nil
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	s.kill()
-	return nil, fmt.Errorf("dotserve did not answer healthz within 30s")
-}
-
-// kill SIGKILLs the process. Idempotent.
-func (s *server) kill() {
-	s.cmd.Process.Kill()
-	<-s.done
-}
-
-// terminate SIGTERMs and waits for the graceful drain.
-func (s *server) terminate() error {
-	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	select {
-	case <-s.done:
-		return s.waitErr
-	case <-time.After(30 * time.Second):
-		s.kill()
-		return fmt.Errorf("shutdown timed out")
-	}
-}
-
 // ---------------------------------------------------------------- client
-
-// httpc bounds every exchange so a wedged server fails fast.
-var httpc = &http.Client{Timeout: 30 * time.Second}
-
-// health mirrors the serve.HealthResponse fields the harness asserts on.
-type health struct {
-	Queued     int64 `json:"queued"`
-	Ingested   int64 `json:"ingested"`
-	Shed       int64 `json:"shed"`
-	MemoHits   int64 `json:"memo_hits"`
-	MemoMisses int64 `json:"memo_misses"`
-}
-
-func get(s *server, path string) (int, []byte) {
-	resp, err := httpc.Get(s.base + path)
-	if err != nil {
-		return 0, nil
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, b
-}
-
-func getHealth(s *server) (health, error) {
-	var h health
-	status, body := get(s, "/v1/healthz")
-	if status != http.StatusOK {
-		return h, fmt.Errorf("healthz = %d", status)
-	}
-	return h, json.Unmarshal(body, &h)
-}
-
-// waitHealth polls healthz until cond holds or the deadline passes.
-func waitHealth(s *server, cond func(health) bool, what string, patience time.Duration) error {
-	deadline := time.Now().Add(patience)
-	for time.Now().Before(deadline) {
-		if h, err := getHealth(s); err == nil && cond(h) {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	h, _ := getHealth(s)
-	return fmt.Errorf("timed out waiting for %s (health: %+v)", what, h)
-}
 
 // postRetry posts JSON and retries transient refusals (429 shed/capacity
 // backpressure, 503 saturation) until the server answers 200.
-func postRetry(s *server, path string, req any) ([]byte, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+func postRetry(s *harness.Server, path string, req any) ([]byte, error) {
 	deadline := time.Now().Add(time.Minute)
 	for {
-		resp, err := httpc.Post(s.base+path, "application/json", bytes.NewReader(body))
+		status, b, err := s.PostJSON(path, req)
 		if err != nil {
 			return nil, err
 		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
+		switch status {
 		case http.StatusOK:
 			return b, nil
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("%s: still %d after a minute of retries: %s", path, resp.StatusCode, bytes.TrimSpace(b))
+				return nil, fmt.Errorf("%s: still %d after a minute of retries: %s", path, status, bytes.TrimSpace(b))
 			}
 			time.Sleep(5 * time.Millisecond)
 		default:
-			return nil, fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, bytes.TrimSpace(b))
+			return nil, fmt.Errorf("%s: status %d: %s", path, status, bytes.TrimSpace(b))
 		}
 	}
-}
-
-// postFrames ships one binary batch; HTTP refusals are statuses the
-// caller decides about.
-func postFrames(s *server, stream string, batch []byte) (int, error) {
-	req, err := http.NewRequest(http.MethodPost, s.base+"/v1/observe?stream="+stream, bytes.NewReader(batch))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", online.ContentTypeFrames)
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
 }
