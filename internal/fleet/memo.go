@@ -84,7 +84,14 @@ func (m *Memo) Do(key string, fn func() (any, error)) (v any, hit bool, err erro
 		m.mu.Lock()
 		delete(m.inflight, key)
 		if f.err == nil {
-			m.insert(key, f.val)
+			// The key cannot be present: its one flight is the only writer,
+			// and a flight starts only on a miss.
+			m.items[key] = m.ll.PushFront(&memoEntry{key: key, val: f.val})
+			for m.ll.Len() > m.max {
+				oldest := m.ll.Back()
+				m.ll.Remove(oldest)
+				delete(m.items, oldest.Value.(*memoEntry).key)
+			}
 		}
 		m.mu.Unlock()
 		close(f.done)
@@ -111,18 +118,6 @@ func (m *Memo) getLocked(key string) (any, bool) {
 	m.ll.MoveToFront(el)
 	m.hits.Add(1)
 	return el.Value.(*memoEntry).val, true
-}
-
-// insert adds a completed value, evicting the LRU tail past max. The key
-// is never present already: a key's one flight is the only writer, and it
-// starts only on a miss. Callers hold m.mu.
-func (m *Memo) insert(key string, val any) {
-	m.items[key] = m.ll.PushFront(&memoEntry{key: key, val: val})
-	for m.ll.Len() > m.max {
-		oldest := m.ll.Back()
-		m.ll.Remove(oldest)
-		delete(m.items, oldest.Value.(*memoEntry).key)
-	}
 }
 
 // Hits returns how many lookups were answered without running a compute:

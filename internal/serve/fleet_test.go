@@ -438,7 +438,7 @@ func BenchmarkFleetFold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := sts[i%tenants]
 				s.queued.Add(1)
-				s.shardQ[st.shard] <- ingestItem{st: st, objs: *st.wire.Load(), frame: frame}
+				s.shardQ[st.shard] <- ingestItem{st: st, frame: frame}
 			}
 			for s.ingested.Load()-start < int64(b.N) {
 				time.Sleep(50 * time.Microsecond)

@@ -45,11 +45,9 @@ type ObserveFramesResponse struct {
 	Queued int64 `json:"queued"`
 }
 
-// ingestItem is one admitted frame awaiting the background fold, with the
-// pinned object list admission validated it against.
+// ingestItem is one admitted frame awaiting the background fold.
 type ingestItem struct {
 	st    *stream
-	objs  []wireObject
 	frame online.Frame
 }
 
@@ -134,7 +132,7 @@ func (s *Server) handleObserveFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	q := s.shardQ[st.shard]
 	for _, f := range frames {
-		q <- ingestItem{st: st, objs: objs, frame: f}
+		q <- ingestItem{st: st, frame: f}
 	}
 	writeJSON(w, http.StatusAccepted, ObserveFramesResponse{Stream: name, Frames: len(frames), Queued: s.queued.Load()})
 }
@@ -164,7 +162,9 @@ func (s *Server) ingestLoop(shard int) {
 // manager's collector. Releases the frame's queue reservation when done.
 func (s *Server) ingestFrame(it ingestItem) {
 	defer s.queued.Add(-1)
-	st, objs := it.st, it.objs
+	st := it.st
+	// Admission saw the list published, and it is never unpublished.
+	objs := *st.wire.Load()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.mgr.Observe(frameWindow(it.frame, objs))
