@@ -41,22 +41,25 @@ func (r *Reader) Fail(err error) {
 	}
 }
 
-// u reads an n-byte little-endian unsigned integer; 0 after a failure.
-func (r *Reader) u(n int) (v uint64) {
-	for i, b := range r.Take(n) {
-		v |= uint64(b) << (8 * i)
+// zeroes is what a failed fixed-width read yields.
+var zeroes [8]byte
+
+// fixed consumes n <= 8 bytes; n zero bytes after a failure.
+func (r *Reader) fixed(n int) []byte {
+	if b := r.Take(n); b != nil {
+		return b
 	}
-	return v
+	return zeroes[:n]
 }
 
 // U8 reads one byte.
-func (r *Reader) U8() byte { return byte(r.u(1)) }
+func (r *Reader) U8() byte { return r.fixed(1)[0] }
 
 // U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 { return uint32(r.u(4)) }
+func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
 
 // U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 { return r.u(8) }
+func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
 
 // Counts fills dst with little-endian float64s and returns the index of the
 // first that is not a count the collector can produce — NaN and ±Inf would
@@ -81,7 +84,7 @@ func (r *Reader) Counts(dst []float64) int {
 func (r *Reader) NonNegI64() int64 { return r.nonNeg("") }
 
 func (r *Reader) nonNeg(prefix string) int64 {
-	v := int64(r.u(8))
+	v := int64(r.U64())
 	if v < 0 {
 		r.Fail(fmt.Errorf("%snegative value %d", prefix, v))
 		return 0
