@@ -83,10 +83,13 @@ func (r *Reader) Counts(dst []float64) int {
 // NonNegI64 reads an int64 and rejects negatives.
 func (r *Reader) NonNegI64() int64 { return r.nonNeg("") }
 
-func (r *Reader) nonNeg(prefix string) int64 {
+func (r *Reader) nonNeg(what string) int64 {
 	v := int64(r.U64())
 	if v < 0 {
-		r.Fail(fmt.Errorf("%snegative value %d", prefix, v))
+		if what != "" {
+			what += ": "
+		}
+		r.Fail(fmt.Errorf("%snegative value %d", what, v))
 		return 0
 	}
 	return v
@@ -111,7 +114,7 @@ func (r *Reader) NamedU32(what string) uint32 {
 // NamedNonNegI64 is NonNegI64 whose errors name the field.
 func (r *Reader) NamedNonNegI64(what string) int64 {
 	r.named(what, 8)
-	return r.nonNeg(what + ": ")
+	return r.nonNeg(what)
 }
 
 // Count reads a u32 element count and rejects one that could not fit in
@@ -145,7 +148,10 @@ func (r *Reader) Take(n int) []byte {
 // Blob reads a u32-length-prefixed byte string named what; the declared
 // length is checked against the remaining bytes. Nil after a failure.
 func (r *Reader) Blob(what string) []byte {
-	n := int(r.NamedU32(what + " length"))
+	if r.err == nil && r.Rest() < 4 {
+		r.err = fmt.Errorf("%s length: truncated", what)
+	}
+	n := int(r.U32())
 	if r.err == nil && n > r.Rest() {
 		r.err = fmt.Errorf("%s: declares %d bytes, %d remain", what, n, r.Rest())
 	}

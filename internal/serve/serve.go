@@ -499,12 +499,12 @@ func errorCode(status int, err error) string {
 }
 
 // streamErrStatus is the status of a getStream/loadStream failure. The
-// capacity refusal (the one coded error they return) passes once a slot
-// frees, so it answers 429; a parked record that no longer rebuilds is a
-// server fault no retry fixes, and answers 500.
+// capacity refusal passes once a slot frees, so it answers 429; anything
+// else — a parked record that no longer rebuilds — is a server fault no
+// retry fixes, and answers 500.
 func streamErrStatus(err error) int {
 	var ce *codedError
-	if errors.As(err, &ce) {
+	if errors.As(err, &ce) && ce.code == "stream_capacity" {
 		return http.StatusTooManyRequests
 	}
 	return http.StatusInternalServerError
