@@ -85,8 +85,8 @@ func BenchmarkSec52_DiscreteCost(b *testing.B) {
 
 // synthetic builds an N-table catalog with a profile-driven, compilable
 // estimator (workload.ObservedEstimator), so the optimizers benchmark both
-// evaluation paths: the compiled compact/delta pipeline by default, the
-// map pipeline under Input.NoCompile. It also returns the profile for the
+// estimator forms: the compiled form (delta, bound, signatures) by default,
+// the map form under Input.NoCompile. It also returns the profile for the
 // pruning-bound and compiled-IOTime benchmarks.
 func synthetic(n int) (core.Input, iosim.Profile, error) {
 	cat := catalog.New()
@@ -122,8 +122,8 @@ func synthetic(n int) (core.Input, iosim.Profile, error) {
 	}, prof, nil
 }
 
-// pathVariants runs a sub-benchmark on the map path (NoCompile) and the
-// compiled path, reporting est-calls and evaluated as custom metrics. The
+// pathVariants runs a sub-benchmark over the map form (NoCompile) and the
+// compiled form, reporting est-calls and evaluated as custom metrics. The
 // two variants of a DOT sweep must report identical counts — the CI
 // bench-regression step asserts it — because there the compiled path is a
 // mechanical speedup, not a different search; BenchmarkExhaustive's
@@ -152,9 +152,9 @@ func pathVariants(b *testing.B, in core.Input, run func(core.Input) (*core.Resul
 
 // BenchmarkDOTOptimize measures DOT planning cost at the paper's catalog
 // sizes (TPC-H: 8 groups, TPC-C: 9+ groups) and beyond, on both evaluation
-// paths: the compiled variant scores each candidate move by O(moves) delta
-// re-estimation on compact layouts; the map variant clones and re-walks
-// map layouts per candidate.
+// estimator forms: the compiled variant scores each candidate move by
+// O(moves) delta re-estimation; the map variant materializes the candidate's
+// map form and estimates it in full.
 func BenchmarkDOTOptimize(b *testing.B) {
 	for _, n := range []int{8, 16, 32} {
 		in, _, err := synthetic(n)
@@ -170,12 +170,12 @@ func BenchmarkDOTOptimize(b *testing.B) {
 }
 
 // BenchmarkExhaustive measures the M^N baseline the paper contrasts DOT
-// against (§4.4.3: DOT in seconds vs ES in hundreds of seconds) on its two
-// walks. The map variant visits every layout and pays a map clone, a
-// sorted key and two per-class map walks per candidate; the compiled
-// variant is the branch-and-bound DFS over one scratch compact layout, so
-// it evaluates fewer candidates by design — benchguard holds it to
-// "no more than the map walk", not to count equality.
+// against (§4.4.3: DOT in seconds vs ES in hundreds of seconds) over both
+// estimator forms. The map form offers the branch-and-bound walk no bound
+// and no dominance, so its variant visits every layout and estimates each
+// in full through its map form; the compiled variant prunes, so it
+// evaluates fewer candidates by design — benchguard holds it to "no more
+// than the map variant", not to count equality.
 func BenchmarkExhaustive(b *testing.B) {
 	for _, n := range []int{4, 6} { // 3^8 and 3^12 layouts
 		in, _, err := synthetic(n)
@@ -347,9 +347,8 @@ func BenchmarkOptimizeBestMemo(b *testing.B) {
 }
 
 // BenchmarkExhaustiveWorkers scales the M^N enumeration across the worker
-// pool (sequential vs all cores). On the default compiled path this is now
-// the branch-and-bound walk, so the scaling measured is the shared
-// frontier's, not the fixed odometer split's.
+// pool (sequential vs all cores). It is the branch-and-bound walk, so the
+// scaling measured is the shared frontier's, not a fixed odometer split's.
 func BenchmarkExhaustiveWorkers(b *testing.B) {
 	widths := []int{1, 2, runtime.NumCPU()}
 	seen := map[int]bool{}
@@ -376,8 +375,8 @@ func BenchmarkExhaustiveWorkers(b *testing.B) {
 
 // BenchmarkExhaustiveBnB measures the branch-and-bound compact DFS —
 // tight per-unit suffix bounds, dominance collapsing, and (bnb-par) the
-// parallel frontier — against the unpruned map enumeration
-// (NoCompile) of the same 3^12 space. benchguard asserts bnb beats plain
+// parallel frontier — against the unpruned enumeration under NoCompile of
+// the same 3^12 space. benchguard asserts bnb beats plain
 // strictly; the evaluated metric shows why (the bound discards most of the
 // space before evaluation).
 func BenchmarkExhaustiveBnB(b *testing.B) {
@@ -452,8 +451,8 @@ func BenchmarkIOTimeCompiledVsMap(b *testing.B) {
 }
 
 // candidateEngine builds, over a linear-cost input whose estimator compiles,
-// the compiled search engine core builds for it, so the benchmarks below can
-// drive the engine's memo and cursor directly. memoLimit is
+// the search engine core builds for it, so the benchmarks below can drive
+// the engine's memo and cursor directly. memoLimit is
 // search.Config.MemoLimit (0: the default).
 func candidateEngine(in core.Input, memoLimit int) (*search.Engine, error) {
 	est := workload.CompileEstimator(in.Est, in.Cat)
@@ -462,18 +461,12 @@ func candidateEngine(in core.Input, memoLimit int) (*search.Engine, error) {
 		return nil, fmt.Errorf("estimator %T has no delta form", est)
 	}
 	return search.New(search.Config{
-		Est:       est,
+		Cat:       in.Cat,
+		Est:       de,
 		MemoLimit: memoLimit,
-		Price: func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
-			perHour, err := l.CostCentsPerHour(in.Cat, in.Box)
-			return perHour * m.Elapsed.Hours(), l.CheckCapacity(in.Cat, in.Box) == nil, err
-		},
-		Compiled: &search.CompiledConfig{
-			Cat: in.Cat, Est: de, Delta: de,
-			Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
-				perHour, fits, err := sp.PriceLinear(in.Box)
-				return perHour * m.Elapsed.Hours(), fits, err
-			},
+		Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
+			perHour, fits, err := sp.PriceLinear(in.Box)
+			return perHour * m.Elapsed.Hours(), fits, err
 		},
 	})
 }
@@ -929,11 +922,12 @@ func replicatedSymmetric(n int) (core.Input, error) {
 
 // BenchmarkReplicatedBnB measures the replicated exhaustive walk over
 // class-set digits. plain/pruned/parallel share one space — 6 units over 6
-// set digits, 6^6 ≈ 47k layouts, small enough that the map walk's clone,
-// key and memo entry per layout fit a -benchtime 1x smoke — so their times
-// compare like for like: plain is the unpruned map enumeration (NoCompile,
-// one worker), pruned is the compiled walk with its suffix bounds and
-// dominance collapse, parallel adds the shared frontier. wide is
+// set digits, 6^6 ≈ 47k layouts, small enough that a full map-form
+// estimate and a memo entry per layout fit a -benchtime 1x smoke — so
+// their times compare like for like: plain is the unpruned enumeration
+// under NoCompile (one worker), pruned is the walk over the compiled form
+// with its suffix bounds and dominance collapse, parallel adds the shared
+// frontier. wide is
 // the 3-class x 12-unit point: 6^12 ≈ 2.2e9 nominal layouts, where a plain
 // enumeration is refused by MaxExhaustiveLayouts outright and only the
 // dominance-collapsed bounded walk covers the space (milliseconds; the

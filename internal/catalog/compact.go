@@ -75,8 +75,8 @@ func CompactUniform(c *Catalog, set device.ClassSet) CompactLayout {
 
 // CompactFromSetLayout converts a map layout to the compact form. It
 // reports ok=false when the layout cannot be encoded — an object ID outside
-// the catalog's dense range, or an invalid set — in which case callers must
-// stay on the map path.
+// the catalog's dense range, or an invalid set — which is then no layout
+// the search can place, and callers refuse it.
 func CompactFromSetLayout(c *Catalog, l SetLayout) (CompactLayout, bool) {
 	cl := NewCompactLayout(c.NumObjects())
 	for id, set := range l {

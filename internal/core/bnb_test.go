@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -87,14 +88,70 @@ func newRandExhaustiveFixture(t *testing.T, rng *rand.Rand, oltp bool) *randExha
 	return f
 }
 
+// odometer is the exhaustive reference that runs through no
+// branch-and-bound code: every layout of the space in odometer order
+// (free[0] cycles fastest) over base, each evaluated in turn through
+// Engine.Evaluate on the estimator's map form, a feasible candidate winning
+// only at a strictly lower TOC — ties to the lowest index — and, when
+// nothing is feasible, the exhaustive entry points' fallback (L0, or the
+// pinned base).
+func odometer(t *testing.T, in Input, opts Options, copyCap int, free []catalog.ObjectID, base catalog.SetLayout) *ReplicaResult {
+	t.Helper()
+	in.NoCompile, in.Workers = true, 1
+	eng, err := in.engine(copyCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ev0, cons, err := in.prep(opts, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digits := in.alphabet(copyCap)
+	l := catalog.SetLayout{}
+	if base != nil {
+		l = base.Clone()
+	}
+	res := &Result{Constraints: cons}
+	pos := make([]int, len(free))
+	for done := false; !done; {
+		for i, id := range free {
+			l[id] = digits[pos[i]]
+		}
+		ev, err := eng.Evaluate(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.consider(ev, cons)
+		done = true
+		for i := range pos {
+			if pos[i]++; pos[i] < len(digits) {
+				done = false
+				break
+			}
+			pos[i] = 0
+		}
+	}
+	if !res.Feasible {
+		fallback := ev0
+		if base != nil {
+			if fallback, err = eng.Evaluate(base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res.fallBack(fallback)
+	}
+	return res.finish()
+}
+
 // TestBnBPropertyMatchesPlain is the branch-and-bound engine's property
 // test: across random catalogs (with engineered symmetric units), random
 // device boxes, both objectives and several SLAs, the BnB walk —
 // sequential and parallel — must return the bit-identical result of the
-// plain unpruned map enumeration, over the same reported space. The last
-// twelve trials pin a random base layout (not L0) and free a random subset
-// of the objects, so the partial entry point is held to the same contract.
-// Run it under -race to exercise the parallel walkers.
+// plain unpruned enumeration under NoCompile, over the same reported
+// space, and both must return the odometer's. The last twelve trials pin a
+// random base layout (not L0) and free a random subset of the objects, so
+// the partial entry point is held to the same contract. Run it under -race
+// to exercise the parallel walkers.
 func TestBnBPropertyMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1971))
 	slas := []float64{0.2, 0.5, 1.0}
@@ -132,6 +189,11 @@ func TestBnBPropertyMatchesPlain(t *testing.T) {
 		if plain.Search.SpaceSize != space || plain.Evaluated != int(space) {
 			t.Fatalf("trial %d: plain walked %d of a reported %g, want %g", trial, plain.Evaluated, plain.Search.SpaceSize, space)
 		}
+		var baseSet catalog.SetLayout
+		if base != nil {
+			baseSet = catalog.SingletonSetLayout(base)
+		}
+		requireSameOutcome(t, fmt.Sprintf("trial %d plain-vs-odometer", trial), plain, odometer(t, f.in, opts, 1, free, baseSet).Result)
 
 		for _, v := range []struct {
 			name    string
@@ -173,7 +235,7 @@ func TestBnBPropertyMatchesPlain(t *testing.T) {
 // TestBnBCollapseAdmitsLargeSymmetricSpace: a space whose raw M^N exceeds
 // MaxExhaustiveLayouts is admitted when dominance collapses its canonical
 // form back under the cap — and still refused when there is no symmetry to
-// collapse, or on the map walk, which visits the raw space.
+// collapse, or under NoCompile, whose map form offers no signatures.
 func TestBnBCollapseAdmitsLargeSymmetricSpace(t *testing.T) {
 	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})
 	// 16 objects, 14 of them identical unless distinct: 3^16 ≈ 43M raw
@@ -225,7 +287,7 @@ func TestBnBCollapseAdmitsLargeSymmetricSpace(t *testing.T) {
 	in.NoCompile = true
 	if _, err := Exhaustive(in, Options{RelativeSLA: 0.5}); err == nil ||
 		!strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("the map walk must refuse the raw space, got %v", err)
+		t.Fatalf("the map form must refuse the raw space, got %v", err)
 	}
 	if _, err := Exhaustive(fixture(true), Options{RelativeSLA: 0.5}); err == nil ||
 		!strings.Contains(err.Error(), "exceeds") {

@@ -15,7 +15,8 @@ import (
 
 // compiledFix mirrors newFix but drives the search through a compilable
 // estimator (workload.ObservedEstimator), so the compiled fast path
-// engages; in.NoCompile selects the map baseline for equivalence checks.
+// engages; in.NoCompile selects the map-form baseline for equivalence
+// checks.
 type compiledFix struct {
 	cat  *catalog.Catalog
 	box  *device.Box
@@ -125,11 +126,11 @@ func requireSameResult(t *testing.T, name string, a, b *Result) {
 
 // TestCompiledPathMatchesMapPath is the compiled path's safety net: every
 // search entry point must return byte-identical results (layout, TOC bits,
-// metrics) on the compiled path vs the map path, for DSS and OLTP
-// objectives, sequential and parallel — with identical evaluated and
-// estimator-call counts for the DOT sweeps, and no more evaluations than
-// the map walk for the exhaustive ones (the compiled walk is
-// branch-and-bound).
+// metrics) with the compiled estimator as with its map form (NoCompile),
+// for DSS and OLTP objectives, sequential and parallel — with identical
+// evaluated and estimator-call counts for the DOT sweeps, and no more
+// evaluations than the unpruned walk for the exhaustive ones (the map form
+// offers the walk no bound and no dominance).
 func TestCompiledPathMatchesMapPath(t *testing.T) {
 	type variant struct {
 		name string
@@ -181,7 +182,7 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 				case "exhaustive", "partial", "es-relaxing":
 					requireSameOutcome(t, label, got, want)
 					if got.Evaluated > want.Evaluated {
-						t.Fatalf("%s: branch-and-bound evaluated %d, the map walk %d", label, got.Evaluated, want.Evaluated)
+						t.Fatalf("%s: branch-and-bound evaluated %d, the unpruned walk %d", label, got.Evaluated, want.Evaluated)
 					}
 				default:
 					requireSameResult(t, label, got, want)
@@ -191,23 +192,24 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 	}
 }
 
-// TestCompiledEngineEngages: the fixture's estimator really does put the
-// engine on the compiled path (guarding against silent fallback, which
-// would make the equivalence suite vacuous).
+// TestCompiledEngineEngages: the fixture's estimator really does hand the
+// engine its compiled form (guarding against a silent fallback to the map
+// form, which would make the equivalence suite vacuous), and NoCompile
+// really does hand it the map form.
 func TestCompiledEngineEngages(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()
-	if in.compiledConfig(in.alphabet(1)) == nil {
-		t.Fatal("ObservedEstimator input should enable the compiled path")
+	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.DeltaEstimator); !ok {
+		t.Fatal("ObservedEstimator input should search its compiled form")
 	}
 	in.NoCompile = true
-	if in.compiledConfig(in.alphabet(1)) != nil {
-		t.Fatal("NoCompile must disable the compiled path")
+	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.DeltaEstimator); ok {
+		t.Fatal("NoCompile must hand the search the map form")
 	}
 	in = f.input()
 	in.LayoutCost = func(catalog.ClassSpace) (float64, error) { return 1, nil }
-	if in.compiledConfig(in.alphabet(1)) == nil {
-		t.Fatal("a custom LayoutCost keeps the compiled path")
+	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.DeltaEstimator); !ok {
+		t.Fatal("a custom LayoutCost keeps the compiled form")
 	}
 }
 
@@ -231,11 +233,11 @@ func consolidationCost(box *device.Box) func(catalog.ClassSpace) (float64, error
 	}
 }
 
-// TestCustomLayoutCostOnBothPaths: one LayoutCost function serves the
-// compiled path (handed the cursor's running totals) and the map path
-// (handed the map layout's totals) with identical results, and carries over
-// to a partitioned input — under an identity partitioning the unit problem
-// prices bit-identically to the object problem.
+// TestCustomLayoutCostOnBothPaths: one LayoutCost function prices the
+// search over the compiled estimator and over its map form with identical
+// results, and carries over to a partitioned input — under an identity
+// partitioning the unit problem prices bit-identically to the object
+// problem.
 func TestCustomLayoutCostOnBothPaths(t *testing.T) {
 	f := newCompiledFix(t)
 	opts := Options{RelativeSLA: 0.25}
@@ -245,8 +247,8 @@ func TestCustomLayoutCostOnBothPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.LayoutCost = consolidationCost(in.Box)
-		if in.compiledConfig(in.alphabet(1)) == nil {
-			t.Fatalf("%s: the custom model must not cost the compiled path", name)
+		if _, ok := in.searchEstimator(in.alphabet(1)).(workload.DeltaEstimator); !ok {
+			t.Fatalf("%s: the custom model must not cost the compiled form", name)
 		}
 		mapped := in
 		mapped.NoCompile = true

@@ -35,16 +35,18 @@ type Input struct {
 	// cent/hour (default: the linear model of §2.1); the discrete-sized
 	// model of §5.2 plugs in here (provision.DiscreteCost). A model is a
 	// function of the layout's per-class totals — all a search keeps of a
-	// candidate, and all a price may read — so the one function prices on
-	// the compiled and the map path alike, exhaustive search keeps its
-	// dominance collapse under it, and it carries over to a partitioned
-	// input unchanged. It applies to single-copy search only.
+	// candidate, and all a price may read — so a sweep prices a candidate
+	// from its predecessor's totals, exhaustive search keeps its dominance
+	// collapse under it, and it carries over to a partitioned input
+	// unchanged. It applies to single-copy search only.
 	LayoutCost func(sp catalog.ClassSpace) (float64, error)
-	// NoCompile disables the compiled (compact/delta) evaluation fast path,
-	// forcing map-based evaluation everywhere. Results are bit-identical
-	// either way; no shipped estimator needs it (all of them compile), so
-	// the switch exists for benchmarks and as the oracle of the equivalence
-	// tests.
+	// NoCompile hands the search the estimator's map form
+	// (workload.MapForm) instead of its compiled form: every candidate is
+	// estimated in full through Estimate/EstimateSet, with no delta, bound
+	// or dominance. It is the map-estimate oracle — the search walks the
+	// same candidates to the same answer, so results are bit-identical and
+	// exhaustive search enumerates the unpruned space — kept for the
+	// equivalence tests and benchmarks; no shipped estimator needs it.
 	NoCompile bool
 	// Replication sets the per-unit copy cap of the entry points that place
 	// class sets — OptimizeReplicated, ExhaustiveReplicated and their
@@ -143,7 +145,7 @@ type Result struct {
 	Search search.EnumStats
 	// best holds the incumbent evaluation; the Layout field is materialized
 	// from it once at the end of the run (materializing a map per
-	// improvement is pure allocation on the compiled path).
+	// improvement is pure allocation).
 	best search.Eval
 }
 
@@ -199,11 +201,9 @@ func (r *ReplicaResult) ReplicatedCopies() int {
 }
 
 // finish materializes the recommendation from the incumbent evaluation:
-// once, at the end of a search, as a private copy — the engine's memo
-// retains every evaluated layout, and post-hoc mutation must not reach
-// shared state.
+// once, at the end of a search, as a private map.
 func (r *Result) finish() *ReplicaResult {
-	sl := r.best.LayoutClone()
+	sl := r.best.Compact.ToSetLayout()
 	r.Layout, _ = sl.SingleLayout()
 	return &ReplicaResult{Result: r, SetLayout: sl}
 }
@@ -242,21 +242,17 @@ func tocOf(perHour float64, m workload.Metrics) float64 {
 	return perHour * m.Elapsed.Hours()
 }
 
-// price is the engine's map-path hook: the TOC under the input's layout cost
-// model (a custom LayoutCost is handed the map layout's per-class totals)
-// and the capacity verdict.
-func (in Input) price(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
-	var perHour float64
-	var err error
+// cost is the engine's price hook: the TOC under the input's layout cost
+// model, priced from the layout's per-class totals, and the capacity
+// verdict.
+func (in Input) cost(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
+	perHour, fits, err := sp.PriceLinear(in.Box)
 	if in.LayoutCost != nil {
-		perHour, err = in.LayoutCost(l.Space(in.Cat))
-	} else {
-		perHour, err = l.CostCentsPerHour(in.Cat, in.Box)
+		// The custom model prices; the linear pass still decides the fit (a
+		// copy on a class the box lacks does not fit).
+		perHour, err = in.LayoutCost(sp)
 	}
-	if err != nil {
-		return 0, false, err
-	}
-	return tocOf(perHour, m), l.CheckCapacity(in.Cat, in.Box) == nil, nil
+	return tocOf(perHour, m), fits, err
 }
 
 // alphabet is the digit alphabet of a search at the given copy cap: every
@@ -278,11 +274,10 @@ func (in Input) alphabet(copyCap int) []device.ClassSet {
 
 // engine builds the candidate-evaluation engine for this input at a copy
 // cap: the single estimate → price → check pipeline every search entry
-// point runs through, memoized by the canonical layout key and fanned out
-// over in.Workers. When the estimator is compact-capable the engine also
-// gets the compiled evaluation path (see compiledConfig); results are
-// bit-identical on either path. Placing more than one copy prices only
-// under the linear model and needs an estimator with a replica form.
+// point runs through, memoized by layout and fanned out over in.Workers,
+// with the estimator in the form searchEstimator picks. Placing more than
+// one copy prices only under the linear model and needs an estimator with
+// a replica form.
 func (in Input) engine(copyCap int) (*search.Engine, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -296,46 +291,28 @@ func (in Input) engine(copyCap int) (*search.Engine, error) {
 		}
 	}
 	return search.New(search.Config{
-		Est:      in.Est,
-		Price:    in.price,
-		Workers:  in.Workers,
-		Budget:   in.Budget,
-		Compiled: in.compiledConfig(in.alphabet(copyCap)),
+		Cat:     in.Cat,
+		Est:     in.searchEstimator(in.alphabet(copyCap)),
+		Price:   in.cost,
+		Workers: in.Workers,
+		Budget:  in.Budget,
 	})
 }
 
-// compiledConfig assembles the engine's compiled path when the input
-// supports it: the estimator must be compact-capable (every shipped
-// estimator compiles itself via workload.CompileEstimator — here, once, for
-// exactly the alphabet the search will enumerate; the plan-aware DSS
-// estimator does so for single-copy alphabets, as the same cost tables read
-// through compact layouts; an estimator wrapped in another, or one that
-// declines the alphabet, transparently stays on the map path). Returns nil
-// when the compiled path cannot engage.
-func (in Input) compiledConfig(alphabet []device.ClassSet) *search.CompiledConfig {
-	if in.NoCompile {
-		return nil
+// searchEstimator is the estimator the engine searches with: the input
+// estimator compiled for exactly the alphabet the search will enumerate
+// (workload.CompileEstimator — every shipped estimator compiles, the
+// plan-aware DSS estimator for single-copy alphabets), and its map form
+// (workload.MapForm) when there is no compiled form — an estimator wrapped
+// in another, or one that declines the alphabet — or under NoCompile. The
+// choice changes what a candidate costs, never the search.
+func (in Input) searchEstimator(alphabet []device.ClassSet) workload.CompactEstimator {
+	if !in.NoCompile {
+		if ce, ok := workload.CompileEstimator(in.Est, in.Cat, alphabet...).(workload.CompactEstimator); ok {
+			return ce
+		}
 	}
-	est := workload.CompileEstimator(in.Est, in.Cat, alphabet...)
-	ce, ok := est.(workload.CompactEstimator)
-	if !ok {
-		return nil
-	}
-	de, _ := est.(workload.DeltaEstimator)
-	return &search.CompiledConfig{
-		Cat:   in.Cat,
-		Est:   ce,
-		Delta: de,
-		Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
-			perHour, fits, err := sp.PriceLinear(in.Box)
-			if in.LayoutCost != nil {
-				// The custom model prices; the linear pass still decides the fit
-				// (a copy on a class the box lacks does not fit).
-				perHour, err = in.LayoutCost(sp)
-			}
-			return tocOf(perHour, m), fits, err
-		},
-	}
+	return workload.MapForm(in.Est)
 }
 
 // prep evaluates the starting layout L0 (every object on the most expensive
@@ -349,7 +326,7 @@ func (in Input) prep(opts Options, eng *search.Engine) (device.Class, search.Eva
 		return 0, zero, workload.Constraints{}, err
 	}
 	l0Class := in.Box.MostExpensive().Class
-	ev0, err := in.evaluateUniform(eng, l0Class)
+	ev0, err := eng.EvaluateCompact(catalog.CompactUniform(in.Cat, device.Singleton(l0Class)))
 	if err != nil {
 		return 0, zero, workload.Constraints{}, fmt.Errorf("core: estimating baseline: %w", err)
 	}
@@ -361,26 +338,25 @@ func (in Input) prep(opts Options, eng *search.Engine) (device.Class, search.Eva
 	return l0Class, ev0, cons, nil
 }
 
-// evaluateUniform evaluates the "one copy of every object on cls" layout
-// through the engine, staying compact on the compiled path.
-func (in Input) evaluateUniform(eng *search.Engine, cls device.Class) (search.Eval, error) {
-	if eng.Compiled() {
-		return eng.EvaluateCompact(catalog.CompactUniform(in.Cat, device.Singleton(cls)))
+// encode converts a caller-supplied layout (a deployed seed, a pinned base)
+// to the compact form the engine searches. A layout that places an object
+// the catalog lacks, or places one on something that is not a class set,
+// is refused with an error naming the lowest such object: it is no
+// candidate, and must never come back in an answer.
+func (in Input) encode(what string, l catalog.SetLayout) (catalog.CompactLayout, error) {
+	if cl, ok := catalog.CompactFromSetLayout(in.Cat, l); ok {
+		return cl, nil
 	}
-	return eng.Evaluate(catalog.NewUniformSetLayout(in.Cat, device.Singleton(cls)))
-}
-
-// evaluateLayout runs a caller-supplied layout (a deployed seed, a pinned
-// base) through the engine, staying compact on the compiled path. The
-// layout is cloned before the engine can retain it, so the caller's map
-// stays private.
-func (in Input) evaluateLayout(eng *search.Engine, l catalog.SetLayout) (search.Eval, error) {
-	if eng.Compiled() {
-		if cl, ok := catalog.CompactFromSetLayout(in.Cat, l); ok {
-			return eng.EvaluateCompact(cl)
+	bad := ^catalog.ObjectID(0) // lowered to the lowest offending ID
+	for id, set := range l {
+		if (in.Cat.Object(id) == nil || !set.Valid()) && id < bad {
+			bad = id
 		}
 	}
-	return eng.Evaluate(l.Clone())
+	if in.Cat.Object(bad) == nil {
+		return catalog.CompactLayout{}, fmt.Errorf("core: %s layout places object %d, which is not in the catalog", what, bad)
+	}
+	return catalog.CompactLayout{}, fmt.Errorf("core: %s layout places object %d on %v, which is not a class set", what, bad, l[bad])
 }
 
 // enumerateMoves scores the move list for this input. The list depends
@@ -442,31 +418,15 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 	// Seed the candidates with the uniform ("All <class>") layouts. They
 	// cost M extra evaluations and anchor the search under cost models with
 	// consolidation discounts (the discrete-sized model of §5.2 prices any
-	// second storage class at a whole device). On the map path the seeds
-	// fan out across the engine's workers; on the compiled path they are a
-	// handful of flat-table estimates, evaluated inline.
-	var seedEvs []search.Eval
-	var seeds []catalog.SetLayout
+	// second storage class at a whole device).
 	for _, d := range in.Box.SortedByPrice() {
 		if d.Class == l0Class {
 			continue
 		}
-		if !eng.Compiled() {
-			seeds = append(seeds, catalog.NewUniformSetLayout(in.Cat, device.Singleton(d.Class)))
-			continue
-		}
-		ev, err := in.evaluateUniform(eng, d.Class)
+		ev, err := eng.EvaluateCompact(catalog.CompactUniform(in.Cat, device.Singleton(d.Class)))
 		if err != nil {
 			return nil, err
 		}
-		seedEvs = append(seedEvs, ev)
-	}
-	if seeds != nil {
-		if seedEvs, err = eng.EvaluateAll(seeds); err != nil {
-			return nil, err
-		}
-	}
-	for _, ev := range seedEvs {
 		res.Evaluated++
 		res.consider(ev, cons)
 	}
@@ -475,7 +435,7 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 	if passes < 1 {
 		passes = 2
 	}
-	if err := dotSweep(opts, newCursor(eng, ev0), moves, cons, res, passes, nil); err != nil {
+	if err := dotSweep(opts, eng.NewCursor(ev0), moves, cons, res, passes, nil); err != nil {
 		return nil, err
 	}
 	if trans != nil {
@@ -483,7 +443,7 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 		if res.Feasible {
 			from = res.best
 		}
-		if err := refineSweep(newCursor(eng, from), in.Cat.Objects(), trans, cons, res, passes, nil); err != nil {
+		if err := refineSweep(eng.NewCursor(from), in.Cat.Objects(), trans, cons, res, passes, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -499,71 +459,6 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 	return res, nil
 }
 
-// cursor is a sweep's running layout: At reads a unit's current placement,
-// Try applies a candidate change and evaluates the result, and the sweep
-// then either Commits that evaluation as the new running layout or Reverts
-// the change. Both sweeps are written once against it; the two
-// implementations differ only in how a candidate is materialized and
-// evaluated, never in which candidates are tried or in what order — so the
-// map and the compiled path walk move for move and return identical
-// results. The sweep hands the evaluation (or the change list) back to the
-// Commit or Revert that follows a Try, so a cursor need not remember the
-// candidate.
-type cursor interface {
-	// Eval is the running layout's evaluation.
-	Eval() search.Eval
-	At(id catalog.ObjectID) (device.ClassSet, bool)
-	// Try evaluates the running layout with changes applied.
-	Try(changes []workload.ObjectMove) (search.Eval, error)
-	// Commit makes the layout Try just evaluated the running layout.
-	Commit(ev search.Eval)
-	// Revert undoes the changes Try just applied.
-	Revert(changes []workload.ObjectMove)
-}
-
-// newCursor starts a cursor at an evaluated layout: the engine's own
-// (search.Cursor — one scratch compact layout mutated in place, a candidate
-// derived from the running evaluation in O(moves), a rejected one reverted
-// exactly) when the engine is compiled and the layout could be encoded, the
-// map cursor otherwise — an estimator the engine could not compile (wrapped
-// in another Estimator, or declining the alphabet) and the NoCompile
-// oracle; no unwrapped estimator of this repository takes it.
-func newCursor(eng *search.Engine, ev search.Eval) cursor {
-	if c := eng.NewCursor(ev); c != nil {
-		return c
-	}
-	return &mapCursor{eng: eng, cur: ev, l: ev.LayoutMap()}
-}
-
-// mapCursor clones the running map layout per candidate and runs it through
-// Engine.Evaluate; the running layout itself is never mutated, so a revert
-// has nothing to undo, and a commit adopts the (engine-retained, read-only)
-// layout of the evaluation.
-type mapCursor struct {
-	eng *search.Engine
-	cur search.Eval
-	l   catalog.SetLayout
-}
-
-func (c *mapCursor) Eval() search.Eval { return c.cur }
-
-func (c *mapCursor) At(id catalog.ObjectID) (device.ClassSet, bool) {
-	set, ok := c.l[id]
-	return set, ok
-}
-
-func (c *mapCursor) Try(changes []workload.ObjectMove) (search.Eval, error) {
-	l := c.l.Clone()
-	for _, ch := range changes {
-		l[ch.Obj] = ch.To
-	}
-	return c.eng.Evaluate(l)
-}
-
-func (c *mapCursor) Commit(ev search.Eval) { c.cur, c.l = ev, ev.LayoutMap() }
-
-func (c *mapCursor) Revert([]workload.ObjectMove) {}
-
 // gateFunc vets a candidate before a sweep may adopt or walk to it, on top
 // of capacity and the SLA (see IncrementalOptions.Accept).
 type gateFunc func(ev search.Eval, cons workload.Constraints) bool
@@ -574,7 +469,7 @@ type gateFunc func(ev search.Eval, cons workload.Constraints) bool
 // the running TOC. A non-nil gate vets candidates before they can be
 // adopted or walked to (the incremental search's migration budget plugs in
 // here); the cold sweeps pass nil.
-func dotSweep(opts Options, cur cursor, moves []Move, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
+func dotSweep(opts Options, cur *search.Cursor, moves []Move, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
 	curTOC := cur.Eval().TOCCents
 	curFeasible := cur.Eval().Feasible(cons)
 	var changes []workload.ObjectMove
@@ -653,7 +548,7 @@ func (in Input) replicaTransitions(copyCap int) [][]device.ClassSet {
 // (strictly: an equal-TOC change is not worth a copy), and repeat per unit
 // until no transition helps. The gate vets candidates exactly as in
 // dotSweep.
-func refineSweep(cur cursor, objs []*catalog.Object, trans [][]device.ClassSet, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
+func refineSweep(cur *search.Cursor, objs []*catalog.Object, trans [][]device.ClassSet, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
 	curTOC := cur.Eval().TOCCents
 	curFeasible := cur.Eval().Feasible(cons)
 	var move [1]workload.ObjectMove

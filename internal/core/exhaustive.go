@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"dotprov/internal/catalog"
@@ -22,11 +21,11 @@ const MaxExhaustiveLayouts = 5_000_000
 
 // Exhaustive enumerates every layout L: O -> D and returns the feasible one
 // with minimum estimated TOC, using the same estimator and constraints as
-// DOT. It is the quality yardstick of §4.4.3/§4.5.3. Candidates fan out
-// across Input.Workers goroutines, and on the compiled path the
-// branch-and-bound walk skips subtrees whose TOC floor already exceeds the
-// incumbent; both leave the result byte-identical to the sequential,
-// unpruned enumeration.
+// DOT. It is the quality yardstick of §4.4.3/§4.5.3. The walk is
+// branch-and-bound: it skips subtrees whose TOC floor already exceeds the
+// incumbent and fans subtrees out across Input.Workers goroutines, and
+// both leave the result byte-identical to the sequential, unpruned
+// enumeration.
 func Exhaustive(in Input, opts Options) (*Result, error) {
 	res, err := exhaustive(in, opts, 1, in.allObjects(), nil)
 	if err != nil {
@@ -39,11 +38,9 @@ func Exhaustive(in Input, opts Options) (*Result, error) {
 // (member sets restricted to the box's classes and the copy cap) and
 // returns the feasible one with minimum TOC — the quality yardstick of the
 // replicated search, and the space that explodes from |D|^n to (2^|D|)^n.
-// It is Exhaustive over a wider digit alphabet: the same two walks, the
-// branch-and-bound DFS with suffix floors from exact per-(unit, set)
-// storage prices and elapsed rows and dominance over per-set signature
-// rows. The map walk visits the raw space and is bounded by
-// MaxExhaustiveLayouts like any other.
+// It is Exhaustive over a wider digit alphabet: the same walk, with suffix
+// floors from exact per-(unit, set) storage prices and elapsed rows and
+// dominance over per-set signature rows.
 func ExhaustiveReplicated(in Input, opts Options) (*ReplicaResult, error) {
 	return exhaustive(in, opts, in.Replication.maxReplicas(), in.allObjects(), nil)
 }
@@ -52,7 +49,8 @@ func ExhaustiveReplicated(in Input, opts Options) (*ReplicaResult, error) {
 // keeping every other object pinned at base. It makes the ES comparison
 // tractable for catalogs whose full M^N space is out of reach (the TPC-C
 // comparison of §4.5.3: we free the objects with the highest I/O pressure
-// and pin the tiny remainder).
+// and pin the tiny remainder). A base that places an object the catalog
+// lacks, or places one on a class that is not one, is refused.
 func ExhaustivePartial(in Input, opts Options, free []catalog.ObjectID, base catalog.Layout) (*Result, error) {
 	res, err := exhaustive(in, opts, 1, free, catalog.SingletonSetLayout(base))
 	if err != nil {
@@ -78,22 +76,21 @@ func exhaustive(in Input, opts Options, copyCap int, free []catalog.ObjectID, ba
 	if err != nil {
 		return nil, err
 	}
-	res, err := exhaustSpace(in, opts, eng, in.alphabet(copyCap), free, base)
+	res, err := in.enumerate(opts, eng, in.alphabet(copyCap), free, base)
 	if err != nil {
 		return nil, err
 	}
 	return res.finish(), nil
 }
 
-// exhaustSpace is the one enumeration loop behind every exhaustive entry
-// point: derive the constraints from L0, sweep the assignment space through
-// a caller-supplied engine (ExhaustiveRelaxing's SLA halvings share one
-// memo table: a layout estimated at one SLA level is only re-checked, never
-// re-estimated, at the next) — the branch-and-bound DFS when the engine
-// carries the compact path and the base encodes, the map enumeration
-// otherwise — and fall back to the pinned starting point when nothing is
-// feasible.
-func exhaustSpace(in Input, opts Options, eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout) (*Result, error) {
+// enumerate is the one enumeration behind every exhaustive entry point:
+// derive the constraints from L0, walk the assignment space through a
+// caller-supplied engine (ExhaustiveRelaxing's SLA halvings share one memo
+// table: a layout estimated at one SLA level is only re-checked, never
+// re-estimated, at the next), and fall back to the pinned starting point
+// when nothing is feasible. The walk prunes with whatever the engine's
+// estimator offers (see pruning) and, without it, visits every layout.
+func (in Input) enumerate(opts Options, eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout) (*Result, error) {
 	start := time.Now()
 	stats0 := eng.Stats()
 	seen := make(map[catalog.ObjectID]bool, len(free))
@@ -106,35 +103,29 @@ func exhaustSpace(in Input, opts Options, eng *search.Engine, digits []device.Cl
 		}
 		seen[id] = true
 	}
+	bsp := search.BnBSpace{Base: catalog.NewCompactLayout(in.Cat.NumObjects()), Free: free, Digits: digits}
+	if base != nil {
+		var err error
+		if bsp.Base, err = in.encode("base", base); err != nil {
+			return nil, err
+		}
+	}
 	_, ev0, cons, err := in.prep(opts, eng)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Constraints: cons}
+	in.pruning(&bsp, eng.CompactEstimator(), base, ev0.Metrics.Throughput > 0)
 
 	// Space cap: the raw M^N enumeration is refused beyond the bound —
-	// unless dominance collapses the canonical space back under it, in
-	// which case the branch-and-bound walk (which enumerates only canonical
-	// members) is admitted.
-	bsp, bnbOK := in.bnbSpace(eng, digits, free, base, ev0.Metrics.Throughput > 0)
-	n, m := len(free), len(digits)
-	if math.Pow(float64(m), float64(n)) > MaxExhaustiveLayouts {
-		if !bnbOK || search.CanonicalSpaceSize(bsp.Sigs, n, m) > MaxExhaustiveLayouts {
-			return nil, fmt.Errorf("core: exhaustive search over %d objects x %d placements exceeds the %d-layout bound",
-				n, m, MaxExhaustiveLayouts)
-		}
+	// unless dominance collapses the canonical space, which is all the walk
+	// visits, back under it.
+	if search.CanonicalSpaceSize(bsp.Sigs, len(free), len(digits)) > MaxExhaustiveLayouts {
+		return nil, fmt.Errorf("core: exhaustive search over %d objects x %d placements exceeds the %d-layout bound",
+			len(free), len(digits), MaxExhaustiveLayouts)
 	}
 
-	var (
-		best  search.Eval
-		found bool
-		st    search.EnumStats
-	)
-	if bnbOK {
-		best, found, st, err = eng.ExhaustiveBnB(cons, bsp)
-	} else {
-		best, found, st, err = eng.Exhaustive(cons, search.Space{Base: base, Free: free, Digits: digits})
-	}
+	best, found, st, err := eng.ExhaustiveBnB(cons, bsp)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +141,7 @@ func exhaustSpace(in Input, opts Options, eng *search.Engine, digits []device.Cl
 		// Partial enumeration found nothing: report the pinned base, with
 		// metrics and TOC both evaluated under it (unless pruning skipped
 		// the base's subtree, this is a memo hit).
-		evBase, err := in.evaluateLayout(eng, base)
+		evBase, err := eng.EvaluateCompact(bsp.Base)
 		if err != nil {
 			return nil, err
 		}
@@ -161,21 +152,15 @@ func exhaustSpace(in Input, opts Options, eng *search.Engine, digits []device.Cl
 	return res, nil
 }
 
-// bnbSpace assembles the branch-and-bound assignment space over a digit
-// alphabet. ok=false sends the enumeration to the map walk: the engine is
-// not compiled, or the pinned base cannot be encoded.
-func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout, throughput bool) (search.BnBSpace, bool) {
-	if !eng.Compiled() {
-		return search.BnBSpace{}, false
-	}
-	bc := catalog.NewCompactLayout(in.Cat.NumObjects())
-	if base != nil {
-		var ok bool
-		if bc, ok = catalog.CompactFromSetLayout(in.Cat, base); !ok {
-			return search.BnBSpace{}, false
-		}
-	}
-	bsp := search.BnBSpace{Base: bc, Free: free, Digits: digits}
+// pruning arms the walk's two levers from what the estimator offers: the
+// cost bound (needing the linear pricing model, an elapsed — DSS —
+// objective, since throughput workloads price TOC as C(L)/T, which an
+// elapsed-time floor cannot bound, and an estimator whose Elapsed
+// decomposes into additive per-(unit, digit) terms) and dominance (needing
+// an estimator that emits placement signatures). An estimator offering
+// neither — workload.MapForm, or the plan-aware DSS estimator — leaves the
+// walk the plain enumeration.
+func (in Input) pruning(bsp *search.BnBSpace, est workload.CompactEstimator, base catalog.SetLayout, throughput bool) {
 	// The linear cost model's inputs: per-object sizes in GB (dense, by
 	// catalog.DenseIndex) and per-class prices in cents/GB/hour.
 	sizes := in.Cat.DenseSizeBytes()
@@ -188,36 +173,24 @@ func (in Input) bnbSpace(eng *search.Engine, digits []device.ClassSet, free []ca
 			bsp.PriceCents[d.Class] = d.PriceCents
 		}
 	}
-	est := eng.CompactEstimator()
-	linear := in.LayoutCost == nil
-	// Cost bounding needs the linear pricing model, an elapsed (DSS)
-	// objective — throughput workloads price TOC as C(L)/T, which an
-	// elapsed-time floor cannot bound — and an estimator whose Elapsed
-	// decomposes into additive per-(unit, digit) terms.
-	if linear && !throughput {
-		if dec, ok := est.(workload.ElapsedDecomposable); ok {
-			table := make([]time.Duration, in.Cat.NumObjects()*len(digits))
-			if fixed, ok := dec.AccumulateElapsedTable(table, digits); ok {
-				bsp.Bounds = unitBounds(table, fixed, free, base, digits)
-			}
+	if dec, ok := est.(workload.ElapsedDecomposable); ok && in.LayoutCost == nil && !throughput {
+		table := make([]time.Duration, in.Cat.NumObjects()*len(bsp.Digits))
+		if fixed, ok := dec.AccumulateElapsedTable(table, bsp.Digits); ok {
+			bsp.Bounds = unitBounds(table, fixed, bsp.Free, base, bsp.Digits)
 		}
 	}
-	// Dominance needs the layout cost to be symmetric in per-class totals —
-	// which every model on this walk is: the compiled path prices from a
-	// catalog.ClassSpace and nothing else, the linear model and a custom
-	// LayoutCost alike (cost bounding stays off for the latter, since the
-	// floor assumes linear pricing) — and an estimator that can emit
-	// placement signatures. The unit's size joins the signature:
-	// interchangeability needs equal per-class cost and capacity
-	// contributions too.
+	// Dominance needs the layout cost to be symmetric in per-class totals,
+	// which every price the engine admits is (a custom LayoutCost included:
+	// cost bounding stays off for it, since the floor assumes linear
+	// pricing). The unit's size joins the signature: interchangeability
+	// needs equal per-class cost and capacity contributions too.
 	if sig, ok := est.(workload.PlacementSignable); ok {
-		bsp.Sigs = make([][]byte, len(free))
-		for i, id := range free {
+		bsp.Sigs = make([][]byte, len(bsp.Free))
+		for i, id := range bsp.Free {
 			bsp.Sigs[i] = binary.BigEndian.AppendUint64(
 				sig.AppendPlacementSignature(nil, id), uint64(sizes[catalog.DenseIndex(id)]))
 		}
 	}
-	return bsp, true
 }
 
 // unitBounds builds the per-unit bound table from the estimator's elapsed
@@ -259,7 +232,7 @@ func ExhaustiveRelaxing(in Input, opts Options, minSLA float64) (*Result, float6
 		return nil, 0, err
 	}
 	return relaxing(opts, minSLA, func(o Options) (*Result, error) {
-		res, err := exhaustSpace(in, o, eng, in.alphabet(1), in.allObjects(), nil)
+		res, err := in.enumerate(o, eng, in.alphabet(1), in.allObjects(), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestExhaustivePartial(t *testing.T) {
 	// Full ES over the free set can never be beaten by DOT restricted the
 	// same way, and must not be worse than staying at base.
 	baseMetrics, _ := in.Est.Estimate(base)
-	baseTOC, _, _ := in.price(baseMetrics, catalog.SingletonSetLayout(base))
+	baseTOC, _ := workload.TOCCents(baseMetrics, base, f.cat, f.box)
 	if res.TOCCents > baseTOC {
 		t.Fatalf("partial ES TOC %g worse than pinned base %g", res.TOCCents, baseTOC)
 	}
@@ -52,9 +53,9 @@ func TestExhaustivePartialValidation(t *testing.T) {
 }
 
 // TestExhaustivePartialRejectsBadFreeList: a free list naming an object the
-// catalog does not have, or the same object twice, is an error on both
-// walks, before any space is built — the compiled walk indexes dense
-// tables by ID, and a repeated ID has the two walks count different spaces.
+// catalog does not have, or the same object twice, is an error with either
+// estimator form, before any space is built — the walk indexes dense
+// tables by ID, and a repeated ID would count a different space.
 func TestExhaustivePartialRejectsBadFreeList(t *testing.T) {
 	f := newCompiledFix(t)
 	base := catalog.NewUniformLayout(f.cat, device.HSSD)
@@ -80,6 +81,57 @@ func TestExhaustivePartialRejectsBadFreeList(t *testing.T) {
 				t.Fatalf("%s (NoCompile=%v): space of %g, want 9", tc.name, noCompile, res.Search.SpaceSize)
 			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("%s (NoCompile=%v): want an error naming %q, got %v", tc.name, noCompile, tc.want, err)
+			}
+		}
+	}
+}
+
+// TestPhantomObjectRefused: a caller-supplied layout — a pinned base, a
+// deployed seed — that places an object the catalog does not have, or
+// places one on something that is not a class set, is refused with an error
+// naming the object, on either evaluation form. It must never come back in
+// the answer.
+func TestPhantomObjectRefused(t *testing.T) {
+	f := newCompiledFix(t)
+	big := f.ids["big"]
+	phantom := catalog.NewUniformLayout(f.cat, device.HSSD)
+	phantom[999] = device.HDD
+	badClass := catalog.NewUniformLayout(f.cat, device.HSSD)
+	badClass[big] = device.Class(device.NumClasses + 1)
+	badSet := catalog.SingletonSetLayout(catalog.NewUniformLayout(f.cat, device.HSSD))
+	badSet[big] = 0
+	opts := Options{RelativeSLA: 0.5}
+	for _, noCompile := range []bool{false, true} {
+		in := f.input()
+		in.NoCompile = noCompile
+		for _, tc := range []struct {
+			name string
+			obj  catalog.ObjectID
+			run  func() (*Result, error)
+		}{
+			{"partial base, unknown object", 999, func() (*Result, error) {
+				return ExhaustivePartial(in, opts, []catalog.ObjectID{big}, phantom)
+			}},
+			{"partial base, invalid class", big, func() (*Result, error) {
+				return ExhaustivePartial(in, opts, []catalog.ObjectID{f.ids["small"]}, badClass)
+			}},
+			{"seed, unknown object", 999, func() (*Result, error) {
+				return OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: phantom})
+			}},
+			{"replicated seed, empty set", big, func() (*Result, error) {
+				res, err := OptimizeReplicatedIncremental(in, ReplicatedIncrementalOptions{Options: opts, Seed: badSet})
+				if err != nil {
+					return nil, err
+				}
+				return res.Result, nil
+			}},
+		} {
+			res, err := tc.run()
+			if err == nil {
+				t.Fatalf("%s (NoCompile=%v): accepted, feasible=%v layout=%v", tc.name, noCompile, res.Feasible, res.Layout)
+			}
+			if want := fmt.Sprintf("object %d", tc.obj); !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s (NoCompile=%v): error %q does not name %s", tc.name, noCompile, err, want)
 			}
 		}
 	}

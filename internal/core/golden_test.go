@@ -120,9 +120,10 @@ func TestSearchGolden(t *testing.T) {
 				rres, err = OptimizeReplicatedIncremental(in, ReplicatedIncrementalOptions{Options: opts, Seed: s})
 				replica(tag+"incremental", rres, err)
 				if !noCompile {
-					// The map walk enumerates replicated spaces too — it is the
-					// unpruned reference of TestExhaustiveReplicatedPrunedMatchesPlain —
-					// but the golden pins the replicated space on the compiled walk only.
+					// The unpruned walk over the map form enumerates replicated
+					// spaces too — it is a reference of
+					// TestExhaustiveReplicatedPrunedMatchesPlain — but the golden pins
+					// the replicated space over the compiled form only.
 					rres, err = ExhaustiveReplicated(in, opts)
 					replica(tag+"exhaustive", rres, err)
 				}

@@ -64,7 +64,8 @@ func OptimizeReplicatedIncremental(in Input, opts ReplicatedIncrementalOptions) 
 // optimizeIncremental evaluates the L0 baseline once (the relative SLA is
 // defined against it, exactly as in the offline search), evaluates the
 // seed, and then runs a single guarded pass (Options.Passes overrides;
-// default 1) from it on the engine's compiled/delta path when available.
+// default 1) from it. A seed that places an object the catalog lacks, or
+// places one on something that is not a class set, is refused.
 // Compared to a cold optimizeBest this skips the uniform-layout anchors
 // and the second (greedy) policy, so it evaluates strictly fewer
 // candidates — the point of re-advising online is that a small profile
@@ -87,6 +88,10 @@ func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept 
 	if len(seed) == 0 {
 		return nil, fmt.Errorf("core: incremental search requires a seed layout")
 	}
+	seedCompact, err := in.encode("seed", seed)
+	if err != nil {
+		return nil, err
+	}
 	moves, err := in.enumerateMoves(eng)
 	if err != nil {
 		return nil, err
@@ -96,7 +101,7 @@ func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept 
 	if err != nil {
 		return nil, err
 	}
-	evSeed, err := in.evaluateLayout(eng, seed)
+	evSeed, err := eng.EvaluateCompact(seedCompact)
 	if err != nil {
 		return nil, fmt.Errorf("core: estimating seed layout: %w", err)
 	}
@@ -111,7 +116,7 @@ func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept 
 		passes = 1
 	}
 	opts.GreedyApply = false
-	if err := dotSweep(opts, newCursor(eng, evSeed), moves, cons, res, passes, accept); err != nil {
+	if err := dotSweep(opts, eng.NewCursor(evSeed), moves, cons, res, passes, accept); err != nil {
 		return nil, err
 	}
 	if trans := in.replicaTransitions(copyCap); trans != nil {
@@ -119,7 +124,7 @@ func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept 
 		if res.Feasible {
 			from = res.best
 		}
-		if err := refineSweep(newCursor(eng, from), in.Cat.Objects(), trans, cons, res, passes, accept); err != nil {
+		if err := refineSweep(eng.NewCursor(from), in.Cat.Objects(), trans, cons, res, passes, accept); err != nil {
 			return nil, err
 		}
 	}

@@ -93,9 +93,9 @@ func TestOptimizeIncrementalGateBlocksMoves(t *testing.T) {
 
 func TestOptimizeIncrementalCompiledMatchesMap(t *testing.T) {
 	f := newFix(t)
-	// ObservedEstimator compiles, so the incremental sweep runs the
-	// engine's compact/delta path; NoCompile forces the map path. The two
-	// must agree bit for bit.
+	// ObservedEstimator compiles, so the incremental sweep runs its delta
+	// form; NoCompile hands the sweep the map form. The two must agree bit
+	// for bit.
 	mkInput := func(noCompile bool) Input {
 		in := f.input()
 		in.Est = &workload.ObservedEstimator{

@@ -111,8 +111,8 @@ func OptimizeReplicatedPartitioned(in Input, pt *catalog.Partitioning, opts Opti
 // per-unit placements — a hot extent can land on a fast class while its
 // cold tail ships to a cheap one. With an identity partitioning the unit
 // problem mirrors the object problem object for object (same sizes, same
-// dense IDs), and uniform or expanded layouts price bit-identically on
-// both the map and the compiled path.
+// dense IDs), and uniform or expanded layouts price bit-identically with
+// either estimator form.
 func OptimizePartitioned(in Input, pt *catalog.Partitioning, opts Options) (*PartitionedResult, error) {
 	uin, err := in.Partitioned(pt)
 	if err != nil {

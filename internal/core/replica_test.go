@@ -134,7 +134,7 @@ func TestReplicationBeatsSingleOnHTAPBox(t *testing.T) {
 		t.Fatal("a genuinely replicated recommendation must not collapse to a single-class layout")
 	}
 
-	// Map path agrees with the compiled path bit for bit.
+	// The map form agrees with the compiled form bit for bit.
 	mapIn := in
 	mapIn.NoCompile = true
 	mrepl, err := OptimizeReplicated(mapIn, opts)
@@ -187,8 +187,9 @@ func TestReplicationBeatsSingleOnHTAPBox(t *testing.T) {
 
 // TestExhaustiveReplicatedPrunedMatchesPlain: bound pruning and dominance
 // collapsing change how much of the (2^|D|)^n space is visited, never which
-// replicated layout wins — the plain map enumeration (NoCompile), the
-// pruned DFS, and the parallel walk all land on the same bits.
+// replicated layout wins — the odometer, the plain enumeration
+// (NoCompile), the pruned DFS, and the parallel walk all land on the same
+// bits.
 func TestExhaustiveReplicatedPrunedMatchesPlain(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()
@@ -215,9 +216,11 @@ func TestExhaustiveReplicatedPrunedMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	ref := odometer(t, in, opts, 2, in.allObjects(), nil)
+	requireSameOutcome(t, "plain-vs-odometer", plain.Result, ref.Result)
 	requireSameOutcome(t, "pruned-vs-plain", pruned.Result, plain.Result)
 	requireSameOutcome(t, "parallel-vs-plain", par.Result, plain.Result)
-	if !pruned.SetLayout.Equal(plain.SetLayout) || !par.SetLayout.Equal(plain.SetLayout) {
+	if !plain.SetLayout.Equal(ref.SetLayout) || !pruned.SetLayout.Equal(plain.SetLayout) || !par.SetLayout.Equal(plain.SetLayout) {
 		t.Fatal("replica set layouts differ across search variants")
 	}
 	if pruned.Search.Candidates >= plain.Search.Candidates {
@@ -309,8 +312,8 @@ func TestOptimizeReplicatedPartitioned(t *testing.T) {
 }
 
 // TestReplicatedErrorPaths: the replicated entry points refuse what they
-// cannot price or search — and only that: without the compiled path the
-// replicated enumeration runs on the map walk.
+// cannot price or search — and only that: over the map form (NoCompile)
+// the replicated enumeration still answers, unpruned.
 func TestReplicatedErrorPaths(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()

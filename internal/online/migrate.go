@@ -110,31 +110,24 @@ func (m MigrationModel) Plan(from, to catalog.SetLayout) MigrationPlan {
 // relative SLA) minus the candidate's own estimated elapsed. Candidates
 // that copy nothing always pass; when the constraints carry no baseline
 // elapsed (nothing to budget against), the gate admits and the SLA check
-// alone governs. On the compiled path the diff is a flat byte comparison
-// against the seed's compact form; no maps are materialized per candidate.
+// alone governs. The diff is a flat byte comparison of the candidate's
+// compact layout against the seed's; no maps are materialized per
+// candidate.
 func (m MigrationModel) Gate(seed catalog.SetLayout, frac float64) func(search.Eval, workload.Constraints) bool {
 	if frac <= 0 {
 		frac = DefaultHeadroomFraction
 	}
 	sizes := m.Cat.DenseSizeBytes()
-	seedCompact, compactOK := catalog.CompactFromSetLayout(m.Cat, seed)
+	// A seed that does not encode never reaches a candidate: the search
+	// refuses it before the sweep starts.
+	seedCompact, _ := catalog.CompactFromSetLayout(m.Cat, seed)
+	sb := seedCompact.Bytes()
 	return func(ev search.Eval, cons workload.Constraints) bool {
 		var mig time.Duration
-		if compactOK && !ev.Compact.IsZero() {
-			sb, cb := seedCompact.Bytes(), ev.Compact.Bytes()
-			for i := 0; i < len(cb) && i < len(sb); i++ {
-				if sb[i] != cb[i] && i < len(sizes) {
-					mig += m.moveTime(sizes[i], device.ClassSet(sb[i]), device.ClassSet(cb[i]))
-				}
-			}
-		} else {
-			cand := ev.LayoutMap()
-			for _, o := range m.Cat.Objects() {
-				src, okFrom := seed[o.ID]
-				dst, okTo := cand[o.ID]
-				if okFrom && okTo && src != dst {
-					mig += m.moveTime(o.SizeBytes, src, dst)
-				}
+		cb := ev.Compact.Bytes()
+		for i := 0; i < len(cb) && i < len(sb); i++ {
+			if sb[i] != cb[i] && i < len(sizes) {
+				mig += m.moveTime(sizes[i], device.ClassSet(sb[i]), device.ClassSet(cb[i]))
 			}
 		}
 		if mig == 0 {

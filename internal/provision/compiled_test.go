@@ -126,8 +126,8 @@ func TestDiscreteCostModelsParity(t *testing.T) {
 // TestExhaustiveDiscreteCollapsesSymmetricUnits: under the §5.2 model the
 // compiled exhaustive walk keeps its dominance collapse — the model reads
 // per-class totals only, so interchangeable units are interchangeable under
-// it too — and still returns what the map walk's full enumeration returns,
-// bit for bit, after fewer candidates.
+// it too — and still returns what the unpruned enumeration under NoCompile
+// returns, bit for bit, after fewer candidates.
 func TestExhaustiveDiscreteCollapsesSymmetricUnits(t *testing.T) {
 	cat := catalog.New()
 	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})

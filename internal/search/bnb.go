@@ -1,7 +1,6 @@
-// Branch-and-bound enumeration on the compiled path: the M^N odometer of
-// Exhaustive rebuilt as a best-first DFS over one scratch compact layout,
-// with three pruning levers layered on top of the compact/delta evaluation
-// pipeline —
+// Branch-and-bound enumeration: the paper's M^N odometer as a best-first
+// DFS over one scratch compact layout, with three pruning levers layered on
+// top of the engine's evaluation pipeline —
 //
 //  1. tight admissible bounds: per-unit best-class storage and time floors
 //     precomputed from the compiled tables and suffix-summed over the DFS
@@ -18,14 +17,17 @@
 // into frontier subtrees that workers claim in order through one atomic
 // cursor, around a shared incumbent whose TOC is published through one
 // atomic word — a prune check never takes a lock. Results are
-// bit-identical to the sequential, unpruned map enumeration: the bound
+// bit-identical to the sequential, unpruned odometer enumeration: the bound
 // only cuts subtrees that provably cannot beat the incumbent, and TOC ties
 // resolve by the candidate's canonical rank — the odometer index in
-// positional form — at any worker count.
+// positional form — at any worker count. With neither lever (an estimator
+// that cannot bound or sign, such as workload.MapForm) the walk is that
+// enumeration: every layout, in odometer order.
 package search
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -37,13 +39,16 @@ import (
 	"dotprov/internal/workload"
 )
 
-// BnBSpace is the branch-and-bound assignment space. Base, Free and Digits
-// mirror Space in compact form; SizeGB (dense, by catalog.DenseIndex) and
+// BnBSpace is the branch-and-bound assignment space: every Free unit ranges
+// over Digits — the alphabet of class sets a unit may be placed on, the
+// box's singletons for single-copy search — while Base pins everything
+// else (a zero Base pins nothing); Free[0] cycles fastest in the odometer
+// order that ranks candidates. SizeGB (dense, by catalog.DenseIndex) and
 // PriceCents feed the storage accumulator. Bounds enables cost bounding
 // and the descending-spread expansion order (nil: enumerate in odometer
 // order without a floor — the throughput objective), Sigs enables
 // dominance (nil: no symmetry collapse). With both nil the walk is the
-// plain compiled enumeration of the whole space. Only the storage price
+// plain enumeration of the whole space. Only the storage price
 // reads a digit's members; hashing, cloning, delta chains, dominance and
 // ranks are byte-opaque.
 type BnBSpace struct {
@@ -58,8 +63,7 @@ type BnBSpace struct {
 
 // EnumStats describes one exhaustive enumeration's work: how large the
 // space was, how much of it was actually evaluated, and where the rest
-// went. The map walk prunes nothing: it fills Candidates and the two
-// (equal) space sizes.
+// went.
 type EnumStats struct {
 	// Candidates is the number of layouts evaluated.
 	Candidates int
@@ -170,8 +174,8 @@ type bnbShared struct {
 }
 
 // fail records an evaluation error, keeping the lowest-rank one so error
-// reporting is deterministic at any worker count (the analogue of the
-// map walk's lowest-index rule), and stops the enumeration.
+// reporting is deterministic at any worker count (the sequential walk's
+// first error), and stops the enumeration.
 func (sh *bnbShared) fail(rank []byte, err error) {
 	sh.errMu.Lock()
 	if sh.err == nil || bytes.Compare(rank, sh.errRank) < 0 {
@@ -361,18 +365,18 @@ func genFrontier(sh *bnbShared, d int) [][]uint8 {
 	return tasks
 }
 
+// errStopped unwinds a walk once the search has stopped.
+var errStopped = errors.New("search: enumeration stopped")
+
 // ExhaustiveBnB enumerates the space with branch-and-bound and returns the
 // feasible evaluation with the minimum TOC, ties to the lowest canonical
-// rank — the layout the map enumeration's lowest-index rule would
+// rank — the layout a sequential odometer walk's lowest-index rule would
 // report, bit for bit — plus the enumeration's statistics. The bound and
 // the dominance collapse only ever discard candidates that provably
 // cannot change the result; see bound.go and dominance.go for the
 // admissibility and canonicity arguments.
 func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace) (Eval, bool, EnumStats, error) {
 	var stats EnumStats
-	if e.cfg.Compiled == nil {
-		return Eval{}, false, stats, fmt.Errorf("search: ExhaustiveBnB on an engine without a compiled config")
-	}
 	if len(sp.Digits) == 0 {
 		return Eval{}, false, stats, fmt.Errorf("search: exhaustive space has no classes")
 	}
@@ -386,7 +390,7 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace) (Eval, bo
 
 	scratch := sp.Base.Clone()
 	if scratch.IsZero() {
-		scratch = catalog.NewCompactLayout(e.cfg.Compiled.Cat.NumObjects())
+		scratch = catalog.NewCompactLayout(e.cfg.Cat.NumObjects())
 	}
 	for _, id := range sp.Free {
 		scratch.Unset(id)

@@ -31,7 +31,11 @@ func (g *gaugeEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
 	return workload.Metrics{Elapsed: time.Millisecond}, nil
 }
 
-func budgetLayouts(t *testing.T, n int) []catalog.SetLayout {
+// budgetEngine builds an engine over a one-table catalog that estimates
+// through est's map form under the budget, and the layouts it is fed: n
+// placements of that table, cycling through every class — distinct layouts
+// until the classes run out, memo hits after.
+func budgetEngine(t *testing.T, b *Budget, est workload.Estimator, n int) (*Engine, []catalog.SetLayout) {
 	t.Helper()
 	cat := catalog.New()
 	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})
@@ -39,11 +43,28 @@ func budgetLayouts(t *testing.T, n int) []catalog.SetLayout {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, err := New(Config{
+		Cat:    cat,
+		Est:    workload.MapForm(est),
+		Price:  func(workload.Metrics, catalog.ClassSpace) (float64, bool, error) { return 1, true, nil },
+		Budget: b,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []catalog.SetLayout
 	for i := 0; i < n; i++ {
 		out = append(out, catalog.SetLayout{tab.ID: device.Singleton(device.AllClasses[i%len(device.AllClasses)])})
 	}
-	return out
+	return e, out
+}
+
+// evaluateAll evaluates the layouts through Parallel at the engine's width.
+func evaluateAll(e *Engine, layouts []catalog.SetLayout) error {
+	return Parallel(e.Workers(), len(layouts), func(i int) error {
+		_, err := e.Evaluate(layouts[i])
+		return err
+	})
 }
 
 func TestBudgetBoundsAcrossEngines(t *testing.T) {
@@ -53,30 +74,20 @@ func TestBudgetBoundsAcrossEngines(t *testing.T) {
 		t.Fatalf("Workers = %d, want %d", b.Workers(), width)
 	}
 	est := &gaugeEstimator{}
-	price := func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) { return 1, true, nil }
-	var engines []*Engine
-	for i := 0; i < 4; i++ {
-		e, err := New(Config{Est: est, Price: price, Budget: b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Workers() != width {
-			t.Fatalf("engine Workers = %d, want budget width %d", e.Workers(), width)
-		}
-		engines = append(engines, e)
-	}
-	// Many distinct single-object layouts would collide in one engine's
-	// memo, so give each engine its own catalog's layouts.
+	engines := make([]*Engine, 4)
 	batches := make([][]catalog.SetLayout, len(engines))
 	for i := range engines {
-		batches[i] = budgetLayouts(t, 64)
+		engines[i], batches[i] = budgetEngine(t, b, est, 64)
+		if engines[i].Workers() != width {
+			t.Fatalf("engine Workers = %d, want budget width %d", engines[i].Workers(), width)
+		}
 	}
 	var wg sync.WaitGroup
 	for i, e := range engines {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.EvaluateAll(batches[i]); err != nil {
+			if err := evaluateAll(e, batches[i]); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -85,6 +96,9 @@ func TestBudgetBoundsAcrossEngines(t *testing.T) {
 	if got := est.peak.Load(); got > width {
 		t.Fatalf("peak concurrent estimator calls = %d, want <= %d (shared budget)", got, width)
 	}
+	if got := b.HighWater(); got > width {
+		t.Fatalf("budget high water = %d, want <= %d", got, width)
+	}
 }
 
 func TestNewBudgetSequential(t *testing.T) {
@@ -92,15 +106,11 @@ func TestNewBudgetSequential(t *testing.T) {
 	if b.Workers() != 1 {
 		t.Fatalf("Workers = %d, want 1", b.Workers())
 	}
-	est := &gaugeEstimator{}
-	e, err := New(Config{Est: est, Price: func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) { return 1, true, nil }, Budget: b})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, layouts := budgetEngine(t, b, &gaugeEstimator{}, 8)
 	if e.Workers() != 1 {
 		t.Fatalf("engine Workers = %d, want 1", e.Workers())
 	}
-	if _, err := e.EvaluateAll(budgetLayouts(t, 8)); err != nil {
+	if err := evaluateAll(e, layouts); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"dotprov/internal/workload"
 )
 
-// compactFix builds a catalog, a profile-backed compiled estimator, and a
-// pair of engines over the same inputs: one map-only, one compiled.
+// compactFix builds a catalog and a profile-backed estimator, for engines
+// over its compiled form or its map form.
 type compactFix struct {
 	cat   *catalog.Catalog
 	box   *device.Box
@@ -48,29 +48,22 @@ func newCompactFix(t *testing.T, n int) *compactFix {
 	}
 }
 
-func (f *compactFix) config(compiled bool, workers int) Config {
-	cfg := Config{
-		Est: f.est,
-		Price: func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
-			perHour, err := l.CostCentsPerHour(f.cat, f.box)
-			return perHour * m.Elapsed.Hours(), l.CheckCapacity(f.cat, f.box) == nil, err
+// config assembles an engine over the compiled estimator, or (mapForm)
+// over the source estimator's map form, priced by the linear model.
+func (f *compactFix) config(workers int, mapForm bool) Config {
+	est := f.est.(workload.CompactEstimator)
+	if mapForm {
+		est = workload.MapForm(f.src)
+	}
+	return Config{
+		Cat: f.cat,
+		Est: est,
+		Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
+			perHour, fits, err := sp.PriceLinear(f.box)
+			return perHour * m.Elapsed.Hours(), fits, err
 		},
 		Workers: workers,
 	}
-	if compiled {
-		ce := f.est.(workload.CompactEstimator)
-		de, _ := f.est.(workload.DeltaEstimator)
-		cfg.Compiled = &CompiledConfig{
-			Cat:   f.cat,
-			Est:   ce,
-			Delta: de,
-			Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
-				perHour, fits, err := sp.PriceLinear(f.box)
-				return perHour * m.Elapsed.Hours(), fits, err
-			},
-		}
-	}
-	return cfg
 }
 
 // digits is the fixture box's single-copy alphabet.
@@ -80,15 +73,14 @@ func evalEqual(a, b Eval) bool {
 	return math.Float64bits(a.TOCCents) == math.Float64bits(b.TOCCents) &&
 		a.CapacityOK == b.CapacityOK &&
 		a.Metrics.Elapsed == b.Metrics.Elapsed &&
-		a.LayoutMap().Equal(b.LayoutMap())
+		a.Compact.Equal(b.Compact)
 }
 
-// TestCompactEvaluateSharesMemoWithMap: on a compiled engine, Evaluate(map)
-// and EvaluateCompact of the same layout hit one memo entry — the
-// estimator runs once.
+// TestCompactEvaluateSharesMemoWithMap: Evaluate(map) and EvaluateCompact
+// of the same layout hit one memo entry — the estimator runs once.
 func TestCompactEvaluateSharesMemoWithMap(t *testing.T) {
 	f := newCompactFix(t, 4)
-	eng, err := New(f.config(true, 1))
+	eng, err := New(f.config(1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +108,11 @@ func TestCompactEvaluateSharesMemoWithMap(t *testing.T) {
 // evaluation, and memo revisits must not re-estimate.
 func TestEvaluateDeltaMatchesFull(t *testing.T) {
 	f := newCompactFix(t, 5)
-	engA, err := New(f.config(true, 1))
+	engA, err := New(f.config(1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	engB, err := New(f.config(true, 1))
+	engB, err := New(f.config(1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +190,26 @@ func (f *compactFix) bnbSpace(t *testing.T, base catalog.CompactLayout, free []c
 	return sp
 }
 
+// mapOdometer is the reference walk over the fixture's map form: the
+// sequential odometer (see odometer) on an engine that estimates through
+// workload.MapForm.
+func (f *compactFix) mapOdometer(t *testing.T, cs workload.Constraints, base catalog.SetLayout, free []catalog.ObjectID) (Eval, bool, int) {
+	t.Helper()
+	eng, err := New(f.config(1, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, ok, n, err := odometer(eng, cs, base, free, f.digits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev, ok, n
+}
+
 // TestExhaustiveCompactMatchesMap: the compiled DFS with neither a bound
-// nor dominance is the plain enumeration, and must reproduce the map walk
-// bit for bit — same winner, same TOC, same evaluated count, same reported
-// space — at any worker width.
+// nor dominance is the plain enumeration, and must reproduce the odometer
+// over the map form bit for bit — same winner, same TOC, same evaluated
+// count — at any worker width.
 func TestExhaustiveCompactMatchesMap(t *testing.T) {
 	f := newCompactFix(t, 4)
 	free := []catalog.ObjectID{1, 2, 3, 4}
@@ -210,21 +218,9 @@ func TestExhaustiveCompactMatchesMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := workload.Constraints{Relative: 0.25, Baseline: baseline}
-
-	mapEng, err := New(f.config(false, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Free: free, Digits: f.digits()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCount := wantSt.Candidates
-	if wantSt.SpaceSize != 81 || wantSt.CanonicalSize != 81 {
-		t.Fatalf("map walk reports a space of %v (%v canonical), want 81", wantSt.SpaceSize, wantSt.CanonicalSize)
-	}
+	wantEv, wantOK, wantCount := f.mapOdometer(t, cons, nil, free)
 	for _, workers := range []int{1, 8} {
-		eng, err := New(f.config(true, workers))
+		eng, err := New(f.config(workers, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,9 +228,9 @@ func TestExhaustiveCompactMatchesMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok != wantOK || st.Candidates != wantCount || st.SpaceSize != wantSt.SpaceSize || !evalEqual(ev, wantEv) {
-			t.Fatalf("workers=%d: compact ES (ok=%v count=%d toc=%v) != map ES (ok=%v count=%d toc=%v)",
-				workers, ok, st.Candidates, ev.TOCCents, wantOK, wantCount, wantEv.TOCCents)
+		if ok != wantOK || st.Candidates != wantCount || st.SpaceSize != 81 || st.CanonicalSize != 81 || !evalEqual(ev, wantEv) {
+			t.Fatalf("workers=%d: compact ES (ok=%v count=%d space=%v toc=%v) != odometer (ok=%v count=%d toc=%v)",
+				workers, ok, st.Candidates, st.SpaceSize, ev.TOCCents, wantOK, wantCount, wantEv.TOCCents)
 		}
 		// Sequential delta path and parallel full path agree with each other
 		// through the engine stats: every distinct candidate estimated once.
@@ -245,7 +241,7 @@ func TestExhaustiveCompactMatchesMap(t *testing.T) {
 }
 
 // TestExhaustiveCompactPartialBase: a pinned base layout restricts the
-// compact enumeration exactly like the map Space.Base.
+// compact enumeration exactly like the odometer's base.
 func TestExhaustiveCompactPartialBase(t *testing.T) {
 	f := newCompactFix(t, 4)
 	base := catalog.NewUniformSetLayout(f.cat, device.Singleton(device.HSSD))
@@ -255,13 +251,8 @@ func TestExhaustiveCompactPartialBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := workload.Constraints{Relative: 0.25, Baseline: baseline}
-
-	mapEng, _ := New(f.config(false, 1))
-	wantEv, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Base: base, Free: free, Digits: f.digits()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, _ := New(f.config(true, 1))
+	wantEv, wantOK, wantCount := f.mapOdometer(t, cons, base, free)
+	eng, _ := New(f.config(1, false))
 	bc, ok := catalog.CompactFromSetLayout(f.cat, base)
 	if !ok {
 		t.Fatal("base must encode")
@@ -270,8 +261,8 @@ func TestExhaustiveCompactPartialBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if found != wantOK || st.Candidates != wantSt.Candidates || !evalEqual(ev, wantEv) {
-		t.Fatalf("compact partial ES diverges: count=%d want %d", st.Candidates, wantSt.Candidates)
+	if found != wantOK || st.Candidates != wantCount || !evalEqual(ev, wantEv) {
+		t.Fatalf("compact partial ES diverges: count=%d want %d", st.Candidates, wantCount)
 	}
 	// Pinned objects stay put in the winner.
 	if c, _ := ev.Compact.Get(1); c != device.Singleton(device.HSSD) {
@@ -280,7 +271,7 @@ func TestExhaustiveCompactPartialBase(t *testing.T) {
 }
 
 // TestExhaustivePruningPreservesResult: the branch-and-bound floor only
-// cuts subtrees that cannot win — the bounded walk returns the map walk's
+// cuts subtrees that cannot win — the bounded walk returns the odometer's
 // layout bit for bit at any worker width, after evaluating strictly fewer
 // candidates.
 func TestExhaustivePruningPreservesResult(t *testing.T) {
@@ -291,27 +282,23 @@ func TestExhaustivePruningPreservesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := workload.Constraints{Relative: 0.25, Baseline: baseline}
-	mapEng, _ := New(f.config(false, 1))
-	want, wantOK, wantSt, err := mapEng.Exhaustive(cons, Space{Free: free, Digits: f.digits()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantSt.Candidates != 243 {
-		t.Fatalf("unpruned evaluated %d, want 243", wantSt.Candidates)
+	want, wantOK, wantCount := f.mapOdometer(t, cons, nil, free)
+	if wantCount != 243 {
+		t.Fatalf("unpruned evaluated %d, want 243", wantCount)
 	}
 	for _, workers := range []int{1, 8} {
-		eng, _ := New(f.config(true, workers))
+		eng, _ := New(f.config(workers, false))
 		got, ok, st, err := eng.ExhaustiveBnB(cons, f.bnbSpace(t, catalog.NewCompactLayout(f.cat.NumObjects()), free, true))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok != wantOK || !evalEqual(got, want) {
 			t.Fatalf("workers=%d pruned result differs: %.6g %v vs %.6g %v",
-				workers, got.TOCCents, got.LayoutMap(), want.TOCCents, want.LayoutMap())
+				workers, got.TOCCents, got.Compact.ToSetLayout(), want.TOCCents, want.Compact.ToSetLayout())
 		}
-		if st.BoundPruned == 0 || st.Candidates >= wantSt.Candidates {
+		if st.BoundPruned == 0 || st.Candidates >= wantCount {
 			t.Fatalf("workers=%d pruning evaluated %d of %d candidates (%d cuts) — no subtree was cut",
-				workers, st.Candidates, wantSt.Candidates, st.BoundPruned)
+				workers, st.Candidates, wantCount, st.BoundPruned)
 		}
 	}
 }

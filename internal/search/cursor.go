@@ -29,10 +29,10 @@ func layoutHash(b []byte) uint64 {
 	return h
 }
 
-// Cursor is a running layout on a compiled engine and the engine's delta
-// API: Try evaluates the running layout with a few units moved, and the
-// caller then either Commits that evaluation as the new running layout or
-// Reverts the moves. Beside the scratch layout and its evaluation the
+// Cursor is a running layout on an engine and the engine's delta API: Try
+// evaluates the running layout with a few units moved, and the caller then
+// either Commits that evaluation as the new running layout or Reverts the
+// moves. Every DOT, refinement and incremental sweep walks one. Beside the scratch layout and its evaluation the
 // cursor carries the layout's memo hash and per-class totals, and derives a
 // candidate's from them, so every stage of a candidate — memo hash,
 // estimate (with a delta-capable estimator), totals, price — costs
@@ -56,12 +56,8 @@ type Cursor struct {
 }
 
 // NewCursor starts a cursor at an evaluated layout, on a private copy of
-// it. It returns nil when the engine is not compiled or the evaluation has
-// no compact form; such a sweep walks the map form.
+// it.
 func (e *Engine) NewCursor(ev Eval) *Cursor {
-	if e.cfg.Compiled == nil || ev.Compact.IsZero() {
-		return nil
-	}
 	c := &Cursor{e: e, scratch: ev.Compact.Clone()}
 	c.walk()
 	c.Commit(ev)

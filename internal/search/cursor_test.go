@@ -27,11 +27,11 @@ func TestCursorRunningStateMatchesFullWalk(t *testing.T) {
 	f.sizes = f.cat.DenseSizeBytes()
 	alphabet := device.EnumerateClassSets(f.box.Classes(), 2)
 	f.est = workload.CompileEstimator(f.src, f.cat, alphabet...)
-	eng, err := New(f.config(true, 1))
+	eng, err := New(f.config(1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(f.config(true, 1))
+	ref, err := New(f.config(1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,19 +142,19 @@ func collisionRun(t *testing.T, f *compactFix, eng *Engine) ([]Eval, Stats) {
 func TestMemoSurvivesTotalHashCollision(t *testing.T) {
 	f := newCompactFix(t, 5)
 	for _, workers := range []int{1, 4} {
-		eng, err := New(f.config(true, workers))
+		eng, err := New(f.config(workers, false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		colliding, err := New(f.config(true, workers))
+		colliding, err := New(f.config(workers, false))
 		if err != nil {
 			t.Fatal(err)
 		}
 		colliding.hashMask = 0
 		want, wantStats := collisionRun(t, f, eng)
 		got, gotStats := collisionRun(t, f, colliding)
-		if len(colliding.memoC) != 1 {
-			t.Fatalf("workers=%d: colliding engine spread over %d chains", workers, len(colliding.memoC))
+		if len(colliding.memo) != 1 {
+			t.Fatalf("workers=%d: colliding engine spread over %d chains", workers, len(colliding.memo))
 		}
 		if wantStats.MemoHits() == 0 {
 			t.Fatalf("workers=%d: the run never revisited a layout: %+v", workers, wantStats)

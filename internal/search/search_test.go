@@ -8,6 +8,7 @@ import (
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
+	"dotprov/internal/types"
 	"dotprov/internal/workload"
 )
 
@@ -42,14 +43,12 @@ var digits = device.EnumerateClassSets(classes, 1)
 // single lifts a single-class layout literal to the engine's map form.
 func single(l catalog.Layout) catalog.SetLayout { return catalog.SingletonSetLayout(l) }
 
-// hourly prices a layout at the fixture's per-class prices, one copy per
-// member.
-func hourly(l catalog.SetLayout) float64 {
+// hourly prices a layout's per-class totals at the fixture's per-class
+// prices, one charge per copy.
+func hourly(sp catalog.ClassSpace) float64 {
 	var perHour float64
-	for _, set := range l {
-		for _, c := range set.Classes() {
-			perHour += prices[c]
-		}
+	for c, n := range sp.Holders {
+		perHour += float64(n) * prices[device.Class(c)]
 	}
 	return perHour
 }
@@ -58,12 +57,28 @@ func hourly(l catalog.SetLayout) float64 {
 // the SLA forces it.
 var prices = map[device.Class]float64{device.HDD: 1, device.LSSD: 5, device.HSSD: 1000}
 
+// tables returns a catalog of n tables, IDs 1 to n.
+func tables(t *testing.T, n int) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	sch := types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})
+	for i := 0; i < n; i++ {
+		if _, err := cat.CreateTable(string(rune('a'+i)), sch, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// newEngine builds an engine over a three-table catalog that estimates
+// through est's map form.
 func newEngine(t *testing.T, workers int, est *fakeEst) *Engine {
 	t.Helper()
 	eng, err := New(Config{
-		Est: est,
-		Price: func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) {
-			return hourly(l) * m.Elapsed.Hours(), true, nil
+		Cat: tables(t, 3),
+		Est: workload.MapForm(est),
+		Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
+			return hourly(sp) * m.Elapsed.Hours(), true, nil
 		},
 		Workers: workers,
 	})
@@ -85,11 +100,49 @@ func cons(baseline workload.Metrics, rel float64) workload.Constraints {
 	return workload.Constraints{Relative: rel, Baseline: baseline}
 }
 
+// odometer is the reference exhaustive walk the branch-and-bound search is
+// held to: every layout of the space in odometer order (free[0] cycles
+// fastest) over base, each evaluated in turn through Engine.Evaluate, with
+// a feasible candidate replacing the incumbent only at a strictly lower TOC
+// — so ties go to the lowest index. It returns the winner, whether there is
+// one, how many layouts it evaluated, and the first error.
+func odometer(eng *Engine, cs workload.Constraints, base catalog.SetLayout, free []catalog.ObjectID, digits []device.ClassSet) (Eval, bool, int, error) {
+	l := catalog.SetLayout{}
+	if base != nil {
+		l = base.Clone()
+	}
+	pos := make([]int, len(free))
+	var best Eval
+	found := false
+	for n := 1; ; n++ {
+		for i, id := range free {
+			l[id] = digits[pos[i]]
+		}
+		ev, err := eng.Evaluate(l)
+		if err != nil {
+			return Eval{}, false, n, err
+		}
+		if ev.Feasible(cs) && (!found || ev.TOCCents < best.TOCCents) {
+			best, found = ev, true
+		}
+		i := 0
+		for ; i < len(free); i++ {
+			if pos[i]++; pos[i] < len(digits) {
+				break
+			}
+			pos[i] = 0
+		}
+		if i == len(free) {
+			return best, found, n, nil
+		}
+	}
+}
+
 func TestNewRequiresEstAndCost(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config should fail")
 	}
-	if _, err := New(Config{Est: testEst()}); err == nil {
+	if _, err := New(Config{Cat: tables(t, 1), Est: workload.MapForm(testEst())}); err == nil {
 		t.Fatal("missing cost model should fail")
 	}
 }
@@ -124,13 +177,18 @@ func TestEvaluateMemoizes(t *testing.T) {
 	if est.calls.Load() != 2 {
 		t.Fatalf("estimator called %d times, want 2", est.calls.Load())
 	}
+	// A layout naming an object the catalog lacks is no candidate.
+	if _, err := eng.Evaluate(single(catalog.Layout{1: device.HDD, 9: device.LSSD})); err == nil {
+		t.Fatal("a layout that does not encode must be refused")
+	}
 }
 
 func TestMemoLimitBoundsRetention(t *testing.T) {
 	est := testEst()
 	eng, err := New(Config{
-		Est:       est,
-		Price:     func(m workload.Metrics, l catalog.SetLayout) (float64, bool, error) { return 1, true, nil },
+		Cat:       tables(t, 1),
+		Est:       workload.MapForm(est),
+		Price:     func(workload.Metrics, catalog.ClassSpace) (float64, bool, error) { return 1, true, nil },
 		MemoLimit: 1,
 	})
 	if err != nil {
@@ -183,38 +241,58 @@ func TestEvaluateMemoizesErrors(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
+// TestParallelEvaluateMatchesSequential: evaluations fanned out over eight
+// goroutines through Parallel — every layout twice, so concurrent requests
+// for one layout meet in the memo — equal the sequential ones, and each
+// distinct layout is estimated once. Run it under -race.
+func TestParallelEvaluateMatchesSequential(t *testing.T) {
 	var layouts []catalog.SetLayout
-	for _, c1 := range classes {
-		for _, c2 := range classes {
-			layouts = append(layouts, single(catalog.Layout{1: c1, 2: c2}))
+	for pass := 0; pass < 2; pass++ {
+		for _, c1 := range classes {
+			for _, c2 := range classes {
+				layouts = append(layouts, single(catalog.Layout{1: c1, 2: c2}))
+			}
 		}
 	}
-	seqEng := newEngine(t, 1, testEst())
-	seq, err := seqEng.EvaluateAll(layouts)
-	if err != nil {
-		t.Fatal(err)
+	evaluate := func(workers int) ([]Eval, *fakeEst) {
+		est := testEst()
+		eng := newEngine(t, workers, est)
+		evs := make([]Eval, len(layouts))
+		if err := Parallel(workers, len(layouts), func(i int) (err error) {
+			evs[i], err = eng.Evaluate(layouts[i])
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return evs, est
 	}
-	parEng := newEngine(t, 8, testEst())
-	par, err := parEng.EvaluateAll(layouts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, _ := evaluate(1)
+	par, est := evaluate(8)
 	for i := range seq {
-		if seq[i].TOCCents != par[i].TOCCents || !seq[i].Layout.Equal(par[i].Layout) {
+		if seq[i].TOCCents != par[i].TOCCents || !seq[i].Compact.Equal(par[i].Compact) {
 			t.Fatalf("candidate %d differs between widths", i)
 		}
 	}
+	if got := est.calls.Load(); got != int64(len(layouts)/2) {
+		t.Fatalf("%d estimator calls for %d distinct layouts", got, len(layouts)/2)
+	}
 }
 
+// TestExhaustiveMatchesBruteForce: the branch-and-bound walk over an
+// estimator that offers neither bound nor signatures visits every layout
+// once and returns the odometer's winner, sequentially and in parallel.
 func TestExhaustiveMatchesBruteForce(t *testing.T) {
 	free := []catalog.ObjectID{1, 2, 3}
 	baseline := workload.Metrics{PerQuery: []time.Duration{3 * 12 * time.Second}}
 	cs := cons(baseline, 0.1)
+	want, wantOK, n, err := odometer(newEngine(t, 1, testEst()), cs, nil, free, digits)
+	if err != nil || !wantOK || n != 27 {
+		t.Fatalf("odometer: %d layouts, found=%v, %v", n, wantOK, err)
+	}
 	for _, workers := range []int{1, 8} {
 		est := testEst()
 		eng := newEngine(t, workers, est)
-		ev, ok, st, err := eng.Exhaustive(cs, Space{Free: free, Digits: digits})
+		ev, ok, st, err := eng.ExhaustiveBnB(cs, BnBSpace{Free: free, Digits: digits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,31 +302,9 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 		if int(est.calls.Load()) != 27 {
 			t.Fatalf("workers=%d estimator calls %d, want 27", workers, est.calls.Load())
 		}
-		if !ok {
-			t.Fatal("a feasible layout exists")
-		}
-		// Brute force with the same pipeline, sequentially.
-		ref := newEngine(t, 1, testEst())
-		var bestTOC float64
-		var bestL catalog.SetLayout
-		found := false
-		for _, c3 := range classes {
-			for _, c2 := range classes {
-				for _, c1 := range classes {
-					l := single(catalog.Layout{1: c1, 2: c2, 3: c3})
-					e, err := ref.Evaluate(l)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if e.Feasible(cs) && (!found || e.TOCCents < bestTOC) {
-						found, bestTOC, bestL = true, e.TOCCents, l
-					}
-				}
-			}
-		}
-		if !found || ev.TOCCents != bestTOC || !ev.Layout.Equal(bestL) {
-			t.Fatalf("workers=%d best %.4g %v, brute force %.4g %v",
-				workers, ev.TOCCents, ev.Layout, bestTOC, bestL)
+		if !ok || !evalEqual(ev, want) {
+			t.Fatalf("workers=%d best %.4g %v, odometer %.4g %v",
+				workers, ev.TOCCents, ev.Compact.ToSetLayout(), want.TOCCents, want.Compact.ToSetLayout())
 		}
 	}
 }
@@ -256,9 +312,14 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 func TestExhaustiveHonoursBase(t *testing.T) {
 	base := single(catalog.Layout{1: device.HSSD, 2: device.HSSD, 3: device.HSSD})
 	baseline := workload.Metrics{PerQuery: []time.Duration{3 * 12 * time.Second}}
+	cs := cons(baseline, 0.01)
+	free := []catalog.ObjectID{3}
 	eng := newEngine(t, 1, testEst())
-	ev, ok, st, err := eng.Exhaustive(cons(baseline, 0.01),
-		Space{Base: base, Free: []catalog.ObjectID{3}, Digits: digits})
+	bc, ok := catalog.CompactFromSetLayout(eng.cfg.Cat, base)
+	if !ok {
+		t.Fatal("base must encode")
+	}
+	ev, ok, st, err := eng.ExhaustiveBnB(cs, BnBSpace{Base: bc, Free: free, Digits: digits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,27 +329,39 @@ func TestExhaustiveHonoursBase(t *testing.T) {
 	if !ok {
 		t.Fatal("expected a feasible layout")
 	}
+	want, _, _, err := odometer(newEngine(t, 1, testEst()), cs, base, free, digits)
+	if err != nil || !evalEqual(ev, want) {
+		t.Fatalf("winner %v, odometer %v (%v)", ev.Compact.ToSetLayout(), want.Compact.ToSetLayout(), err)
+	}
 	hssd := device.Singleton(device.HSSD)
-	if ev.Layout[1] != hssd || ev.Layout[2] != hssd {
+	got := ev.Compact.ToSetLayout()
+	if got[1] != hssd || got[2] != hssd {
 		t.Fatal("pinned objects moved")
 	}
 	// With two objects pinned on the H-SSD the hourly price is already
 	// dominated by them, so stretching the elapsed time on a slow class
 	// costs more than the H-SSD's own price: the free object stays fast.
-	if ev.Layout[3] != hssd {
-		t.Fatalf("free object should stay on the H-SSD, got %v", ev.Layout[3])
+	if got[3] != hssd {
+		t.Fatalf("free object should stay on the H-SSD, got %v", got[3])
 	}
 }
 
 func TestExhaustivePropagatesErrors(t *testing.T) {
-	for _, workers := range []int{1, 8} {
+	free := []catalog.ObjectID{1, 2}
+	failing := func() *fakeEst {
 		est := testEst()
 		est.fail, est.failSet = device.LSSD, true
-		eng := newEngine(t, workers, est)
-		_, _, _, err := eng.Exhaustive(cons(workload.Metrics{}, 0.5),
-			Space{Free: []catalog.ObjectID{1, 2}, Digits: digits})
-		if err == nil {
-			t.Fatalf("workers=%d: expected estimator error to surface", workers)
+		return est
+	}
+	_, _, _, want := odometer(newEngine(t, 1, failing()), cons(workload.Metrics{}, 0.5), nil, free, digits)
+	if want == nil {
+		t.Fatal("odometer: expected the estimator error")
+	}
+	for _, workers := range []int{1, 8} {
+		eng := newEngine(t, workers, failing())
+		_, _, _, err := eng.ExhaustiveBnB(cons(workload.Metrics{}, 0.5), BnBSpace{Free: free, Digits: digits})
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("workers=%d: error %v, odometer %v", workers, err, want)
 		}
 	}
 }

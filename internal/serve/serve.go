@@ -16,8 +16,9 @@
 //
 // The server bounds concurrent optimization requests (excess requests get
 // 503 immediately rather than queuing unboundedly), applies a per-request
-// timeout (504), and answers repeated provisioning sweeps from an LRU keyed
-// by (workload fingerprint, grid, SLA). Binary observations bypass the
+// timeout (504), and answers repeated provisioning sweeps from a
+// single-flight fleet.Memo keyed by (workload fingerprint, grid, SLA):
+// concurrent identical sweeps run once, later ones are cache hits. Binary observations bypass the
 // optimization gate onto a bounded ingest queue that sheds with 429 +
 // Retry-After when full — a slow advisor degrades the tap, never the
 // engine. All error responses share one envelope: {error, code, failure?}.
@@ -53,7 +54,7 @@ type Config struct {
 	// request gets 504 and the abandoned search finishes (and releases its
 	// concurrency slot) in the background (default 30s).
 	RequestTimeout time.Duration
-	// CacheEntries sizes the sweep-result LRU (default 64).
+	// CacheEntries sizes the sweep-result memo (default 64).
 	CacheEntries int
 	// Workers is the layout-search worker budget, shared by ALL in-flight
 	// requests (default: number of CPUs) — MaxConcurrent requests cannot

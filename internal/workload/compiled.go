@@ -7,17 +7,21 @@
 // few object moves is re-estimated in O(moves). Single-copy search is the
 // singleton alphabet of the same tables, not a second form.
 //
-// Every compiled path reuses the exact arithmetic of its map-path sibling
+// Every compiled path reuses the exact arithmetic of its map-form sibling
 // — integer I/O-time sums regrouped associatively, floats derived through
 // the same shared expression — so results are bit-identical. The plan-aware
 // DSS estimator compiles too (dss.go), in its own way: its compiled form
 // reads placements from the compact layout's bytes and re-looks-up only the
 // queries a move can touch, over the same per-query cost tables its map
-// form reads. What stays on the map form is an estimator the search cannot
-// see into — one wrapped in another Estimator (which hides CompileFor), or
-// one that declines the alphabet (the plan-aware estimator has no replica
-// routing, so it declines multi-member sets) — and Input.NoCompile, the
-// oracle of the parity tests.
+// form reads.
+//
+// The search engine takes compact estimators only. An estimator without a
+// compiled form for the search's alphabet — one wrapped in another
+// Estimator (which hides CompileFor), one that declines the alphabet (the
+// plan-aware estimator has no replica routing, so it declines multi-member
+// sets), an external one — reaches it through MapForm, as every estimator
+// does under core's Input.NoCompile, the oracle of the parity tests. The
+// adapter costs speed, not answers.
 package workload
 
 import (
@@ -164,7 +168,7 @@ type Compilable interface {
 }
 
 // CompileEstimator returns the compiled form of est when it supports one,
-// and est unchanged otherwise (including on compile errors — the map path
+// and est unchanged otherwise (including on compile errors — MapForm
 // always works). The tables are built for the given digit alphabet — the
 // class sets the search will enumerate — and for single-copy placement on
 // the estimator's box when none is given. It is idempotent: an estimator
@@ -178,6 +182,24 @@ func CompileEstimator(est Estimator, cat *catalog.Catalog, alphabet ...device.Cl
 		}
 	}
 	return est
+}
+
+// MapForm adapts any estimator to the compact form the search engine takes:
+// a compact layout is estimated through the estimator's own EstimateSet (or
+// Estimate, for a single-copy layout of an estimator without a replica form)
+// on the layout's map form. It offers no delta, elapsed decomposition or
+// placement signature, so a search over it estimates every candidate in
+// full and enumerates without pruning — the same candidates, the same
+// answers, each paid for in full.
+func MapForm(est Estimator) CompactEstimator { return mapForm{est} }
+
+// mapForm embeds the interface, so it exposes Estimate and nothing else of
+// the estimator it adapts.
+type mapForm struct{ Estimator }
+
+// EstimateCompact implements CompactEstimator.
+func (e mapForm) EstimateCompact(cl catalog.CompactLayout) (Metrics, error) {
+	return EstimateSet(e.Estimator, cl.ToSetLayout())
 }
 
 // alphabetOr resolves CompileFor's alphabet default.

@@ -5,14 +5,14 @@
 # compiled IOTime, memo keys, online re-advise), converts the results to
 # JSON (first argument, default bench.json), and asserts
 #
-#   1. the map and compiled variants of each DOT benchmark (cold, online
-#      re-advise, partitioned, replicated) report IDENTICAL est-calls and
-#      evaluated metrics: there the compiled path is a mechanical speedup,
-#      not a different search, so any count drift is a correctness
-#      regression, not noise. BenchmarkExhaustive is the one pair held to
-#      an inequality instead: its compiled variant is the branch-and-bound
-#      walk, which must evaluate NO MORE candidates than the map walk's
-#      full enumeration; and
+#   1. the map (NoCompile: the estimator's map form) and compiled variants
+#      of each DOT benchmark (cold, online re-advise, partitioned,
+#      replicated) report IDENTICAL est-calls and evaluated metrics: there
+#      the compiled form is a mechanical speedup, not a different search, so
+#      any count drift is a correctness regression, not noise.
+#      BenchmarkExhaustive is the one pair held to an inequality instead:
+#      its compiled variant prunes, and must evaluate NO MORE candidates
+#      than the unpruned enumeration under NoCompile; and
 #   2. the seeded incremental re-advise (BenchmarkReAdvise) evaluates
 #      STRICTLY FEWER candidates than the cold re-search of the same
 #      drifted profile (BenchmarkReAdviseCold) — the point of online
@@ -27,8 +27,8 @@
 #      map/compiled pairs; and
 #
 #   4. the branch-and-bound walk (BenchmarkExhaustiveBnB/bnb) beats the
-#      unpruned map enumeration of the same 3^12 space STRICTLY — its
-#      reason to exist; and
+#      unpruned enumeration under NoCompile of the same 3^12 space STRICTLY
+#      — its reason to exist; and
 #
 #   5. the 500-unit partition-granular advise
 #      (BenchmarkPartitionedDOT500/compiled) completes under 100ms per
@@ -51,10 +51,11 @@
 #
 #   8. the replicated branch-and-bound walk (BenchmarkReplicatedBnB)
 #      prunes for profit: the bounded walk (pruned) runs STRICTLY FASTER
-#      than the unpruned map enumeration of the same 6^6 class-set space.
-#      The wide variant (3-class x 12-unit, 6^12 nominal) must also be
-#      present: it witnesses that the dominance-collapsed bounded walk
-#      covers a space the map walk is refused outright; and
+#      than the unpruned enumeration under NoCompile of the same 6^6
+#      class-set space. The wide variant (3-class x 12-unit, 6^12 nominal)
+#      must also be present: it witnesses that the dominance-collapsed
+#      bounded walk covers a space the unpruned enumeration is refused
+#      outright; and
 #
 #   9. the 500-unit partition-granular REPLICATED advise
 #      (BenchmarkPartitionedReplicatedDOT/compiled) completes under 250ms
@@ -163,10 +164,10 @@ END {
   for (b in estmap) {
     if (!(b in estcomp)) continue
     if (b ~ /^BenchmarkExhaustive\//) {
-      # The compiled exhaustive walk is branch-and-bound: it may skip
-      # candidates the map walk visits, never visit more.
+      # The compiled form prunes the walk: it may skip candidates the
+      # unpruned enumeration under NoCompile visits, never visit more.
       walks++
-      if (evcomp[b]+0 > evmap[b]+0) { printf("REGRESSION: %s compiled walk evaluated %s, map walk %s\n", b, evcomp[b], evmap[b]); bad=1 }
+      if (evcomp[b]+0 > evmap[b]+0) { printf("REGRESSION: %s compiled walk evaluated %s, unpruned walk %s\n", b, evcomp[b], evmap[b]); bad=1 }
       continue
     }
     pairs++
@@ -232,8 +233,8 @@ echo "$raw" | awk '
 }
 END {
   if (!("plain" in t) || !("bnb" in t)) { print "benchguard: BnB benchmark variants missing — benchmark names changed?"; exit 1 }
-  if (t["bnb"]+0 >= t["plain"]+0) { printf("REGRESSION: branch-and-bound (%s ns/op) not faster than the map enumeration (%s ns/op)\n", t["bnb"], t["plain"]); exit 1 }
-  printf("benchguard OK: branch-and-bound (%s ns/op) beats the map enumeration (%s ns/op)\n", t["bnb"], t["plain"])
+  if (t["bnb"]+0 >= t["plain"]+0) { printf("REGRESSION: branch-and-bound (%s ns/op) not faster than the unpruned enumeration (%s ns/op)\n", t["bnb"], t["plain"]); exit 1 }
+  printf("benchguard OK: branch-and-bound (%s ns/op) beats the unpruned enumeration (%s ns/op)\n", t["bnb"], t["plain"])
 }'
 
 echo "$raw" | awk -v cpus="$(nproc)" '
@@ -303,11 +304,11 @@ END {
   printf("benchguard OK: 500-unit partitioned advise at %s ns/op (budget 1e8)\n", ns)
 }'
 
-# Gate 8: the replicated bounded walk beats the map enumeration strictly,
-# and the wide (12-unit) point — which only the dominance-collapsed bounded
-# walk may legally enumerate — is present. Names are stripped of exactly
-# the "-GOMAXPROCS" suffix, as the converter does, so sub-bench names keep
-# any digits of their own.
+# Gate 8: the replicated bounded walk beats the unpruned enumeration under
+# NoCompile strictly, and the wide (12-unit) point — which only the
+# dominance-collapsed bounded walk may legally enumerate — is present. Names
+# are stripped of exactly the "-GOMAXPROCS" suffix, as the converter does,
+# so sub-bench names keep any digits of their own.
 echo "$raw" | awk -v cpus="$(nproc)" '
 /^BenchmarkReplicatedBnB\// {
   name=$1
@@ -321,8 +322,8 @@ echo "$raw" | awk -v cpus="$(nproc)" '
 END {
   if (!("plain" in t) || !("pruned" in t)) { print "benchguard: ReplicatedBnB plain/pruned variants missing — benchmark names changed?"; exit 1 }
   if (!("wide" in t)) { print "benchguard: ReplicatedBnB/wide (12-unit) variant missing — benchmark names changed?"; exit 1 }
-  if (t["pruned"]+0 >= t["plain"]+0) { printf("REGRESSION: replicated bounded walk (%s ns/op) not faster than the map enumeration (%s ns/op)\n", t["pruned"], t["plain"]); exit 1 }
-  printf("benchguard OK: replicated bounded walk (%s ns/op) beats the map enumeration (%s ns/op); wide 12-unit point at %s ns/op\n", t["pruned"], t["plain"], t["wide"])
+  if (t["pruned"]+0 >= t["plain"]+0) { printf("REGRESSION: replicated bounded walk (%s ns/op) not faster than the unpruned enumeration (%s ns/op)\n", t["pruned"], t["plain"]); exit 1 }
+  printf("benchguard OK: replicated bounded walk (%s ns/op) beats the unpruned enumeration (%s ns/op); wide 12-unit point at %s ns/op\n", t["pruned"], t["plain"], t["wide"])
 }'
 
 # Gate 9: the 500-unit replicated partitioned advise stays under 250ms.
