@@ -32,12 +32,12 @@ func layoutHash(b []byte) uint64 {
 // Cursor is a running layout on an engine and the engine's delta API: Try
 // evaluates the running layout with a few units moved, and the caller then
 // either Commits that evaluation as the new running layout or Reverts the
-// moves. Every DOT, refinement and incremental sweep walks one. Beside the scratch layout and its evaluation the
-// cursor carries the layout's memo hash and per-class totals, and derives a
-// candidate's from them, so every stage of a candidate — memo hash,
-// estimate (with a delta-capable estimator), totals, price — costs
-// O(moves). What still touches every slot is the memo's key comparison on
-// a hit and its key copy on a miss.
+// moves. Every DOT, refinement and incremental sweep walks one. Beside the
+// scratch layout and its evaluation the cursor carries the layout's memo
+// hash and per-class totals, and derives a candidate's from them, so every
+// stage of a candidate — memo hash, estimate (with a delta-capable
+// estimator), totals, price — costs O(moves). What still touches every
+// slot is the memo's key comparison on a hit and its key copy on a miss.
 //
 // A Cursor is not safe for concurrent use; concurrent sweeps over one
 // engine each take their own.
