@@ -256,45 +256,6 @@ func BenchmarkDSSEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_MovePolicy compares the move-application policies of
-// Procedure 1 (see Options.GreedyApply/Passes): the literal greedy sweep,
-// the guarded sweep, and the two-pass guarded sweep that the library
-// defaults to. Lower TOC at equal feasibility is better; the benchmark
-// reports the achieved TOC as a custom metric.
-func BenchmarkAblation_MovePolicy(b *testing.B) {
-	in, _, err := synthetic(12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Capacity pressure makes move order matter. On profile-separable
-	// instances like this one the policies typically converge to the same
-	// TOC (reported as the custom metric) and differ only in planning cost;
-	// the es-tpch experiment shows the quality divergence on real plans,
-	// where the optimizer's plan changes make the objective non-separable.
-	in.Box.SetCapacity(device.HSSD, 40e9)
-	cases := []struct {
-		name string
-		opts core.Options
-	}{
-		{"greedy-1pass", core.Options{RelativeSLA: 0.5, GreedyApply: true, Passes: 1}},
-		{"guarded-1pass", core.Options{RelativeSLA: 0.5, Passes: 1}},
-		{"guarded-2pass", core.Options{RelativeSLA: 0.5, Passes: 2}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var toc float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Optimize(in, c.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				toc = res.TOCCents
-			}
-			b.ReportMetric(toc*1e6, "microcents-TOC")
-		})
-	}
-}
-
 func sizeName(n int) string {
 	return "tables-" + string(rune('0'+n/10)) + string(rune('0'+n%10))
 }
@@ -306,45 +267,6 @@ func sizeName(n int) string {
 // and prunes exhaustive subtrees under an admissible TOC floor. These
 // benchmarks quantify each lever; results are byte-identical across all
 // variants.
-
-// BenchmarkOptimizeBestMemo shows the memo table halving OptimizeBest's
-// estimator bill: its two sweeps share one engine, so the reported
-// est-calls metric is well below the two-independent-sweeps variant.
-func BenchmarkOptimizeBestMemo(b *testing.B) {
-	in, _, err := synthetic(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := core.Options{RelativeSLA: 0.5}
-	b.Run("two-optimize", func(b *testing.B) {
-		b.ReportAllocs()
-		var calls int
-		for i := 0; i < b.N; i++ {
-			guarded, err := core.Optimize(in, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			greedy, err := core.Optimize(in, core.Options{RelativeSLA: 0.5, GreedyApply: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			calls = guarded.EstimatorCalls + greedy.EstimatorCalls
-		}
-		b.ReportMetric(float64(calls), "est-calls")
-	})
-	b.Run("optimize-best-memo", func(b *testing.B) {
-		b.ReportAllocs()
-		var calls int
-		for i := 0; i < b.N; i++ {
-			res, err := core.OptimizeBest(in, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			calls = res.EstimatorCalls
-		}
-		b.ReportMetric(float64(calls), "est-calls")
-	})
-}
 
 // BenchmarkExhaustiveWorkers scales the M^N enumeration across the worker
 // pool (sequential vs all cores). It is the branch-and-bound walk, so the
@@ -645,7 +567,7 @@ func syntheticDrifted(in core.Input) core.Input {
 // layout is the cold optimum of the transactional profile; the input is
 // the drifted analytical profile that the incremental search re-optimizes
 // against, seeded with that layout.
-func reAdviseFixture(b *testing.B, n int) (core.Input, catalog.Layout) {
+func reAdviseFixture(b *testing.B, n int) (core.Input, catalog.SetLayout) {
 	b.Helper()
 	base, _, err := synthetic(n)
 	if err != nil {
@@ -661,7 +583,7 @@ func reAdviseFixture(b *testing.B, n int) (core.Input, catalog.Layout) {
 	if !cold.Feasible {
 		b.Fatal("baseline advise infeasible")
 	}
-	return syntheticDrifted(base), cold.Layout
+	return syntheticDrifted(base), cold.SetLayout
 }
 
 // BenchmarkReAdvise measures the online re-advise under a drifted profile:
@@ -956,9 +878,9 @@ func BenchmarkReplicatedBnB(b *testing.B) {
 	}{{"plain", plain}, {"pruned", pruned}, {"parallel", par}, {"wide", wide}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var res *core.ReplicaResult
+			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				if res, err = core.ExhaustiveReplicated(c.in, core.Options{RelativeSLA: 0.5}); err != nil {
+				if res, err = core.Exhaustive(c.in, core.Options{RelativeSLA: 0.5}); err != nil {
 					b.Fatal(err)
 				}
 				if !res.Feasible {
@@ -1007,9 +929,9 @@ func BenchmarkPartitionedReplicatedDOT(b *testing.B) {
 			vin := in
 			vin.NoCompile = v.noCompile
 			b.ReportAllocs()
-			var res *core.PartitionedReplicaResult
+			var res *core.PartitionedResult
 			for i := 0; i < b.N; i++ {
-				if res, err = core.OptimizeReplicatedPartitioned(vin, pt, core.Options{RelativeSLA: bench.SkewSLA}); err != nil {
+				if res, err = core.OptimizePartitioned(vin, pt, core.Options{RelativeSLA: bench.SkewSLA}); err != nil {
 					b.Fatal(err)
 				}
 				if !res.Feasible {

@@ -165,7 +165,7 @@ func adviseSQL(box *device.Box, sla float64, schemaPath, queryPath string, searc
 	if err != nil {
 		return err
 	}
-	report(db.Cat, box, &core.ReplicaResult{Result: res, SetLayout: catalog.SingletonSetLayout(res.Layout)})
+	report(db.Cat, box, res)
 	if val != nil {
 		fmt.Printf("validated: PSR %.0f%% (measured %v for the workload)\n",
 			val.PSR*100, val.Measured.Elapsed.Round(time.Millisecond))
@@ -214,7 +214,7 @@ func adviseTPCH(box *device.Box, modified bool, sla, sf float64, seed int64, sea
 	if err != nil {
 		return err
 	}
-	report(db.Cat, box, &core.ReplicaResult{Result: res, SetLayout: catalog.SingletonSetLayout(res.Layout)})
+	report(db.Cat, box, res)
 	if val != nil {
 		fmt.Printf("validated: PSR %.0f%% (measured %v for the workload)\n",
 			val.PSR*100, val.Measured.Elapsed.Round(time.Millisecond))
@@ -270,21 +270,18 @@ func adviseTPCC(box *device.Box, sla float64, workers, searchWorkers int, seed i
 	}
 	ps := core.NewProfileSet()
 	ps.SetSingle(probe.Profile)
-	in := core.Input{Cat: db.Cat, Box: box, Est: est, Profiles: ps, Concurrency: workers, Workers: searchWorkers}
+	// One search for one copy per object or several: -replication raises the
+	// copy cap, so an object hammered by both scans and lookups can keep a
+	// copy on each pattern's best class.
+	in := core.Input{Cat: db.Cat, Box: box, Est: est, Profiles: ps, Concurrency: workers, Workers: searchWorkers,
+		Replication: core.ReplicationConfig{Enabled: *replicationFlag, MaxReplicas: *maxReplicasFlag}}
 	opts := core.Options{RelativeSLA: sla, Baseline: &probe.Metrics}
 	if partitioned {
 		return adviseTPCCPartitioned(db, box, in, opts, col)
 	}
-	// One search for one copy per object or several: -replication raises the
-	// copy cap, so an object hammered by both scans and lookups can keep a
-	// copy on each pattern's best class.
-	in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: 1}
-	if *replicationFlag {
-		in.Replication.MaxReplicas = *maxReplicasFlag
-	}
-	search := core.OptimizeReplicated
+	search := core.OptimizeBest
 	if *exhaustiveFlag {
-		search = core.ExhaustiveReplicated
+		search = core.Exhaustive
 	}
 	res, err := search(in, opts)
 	if err != nil {
@@ -337,7 +334,7 @@ func adviseTPCCPartitioned(db *engine.DB, box *device.Box, in core.Input, opts c
 	}
 	fmt.Printf("\nrecommended unit layout (optimized in %v over %d candidates, %d objects split):\n",
 		pres.PlanTime.Round(time.Millisecond), pres.Evaluated, pres.SplitObjects())
-	fmt.Print(flatLayout(catalog.SingletonSetLayout(pres.Layout), pt.UnitCatalog()))
+	fmt.Print(flatLayout(pres.SetLayout, pt.UnitCatalog()))
 	fmt.Printf("estimated TOC: %.4e cents per transaction (%.0f tasks/hour)\n",
 		pres.TOCCents, pres.Metrics.Throughput)
 	pcost, err := pres.Layout.CostCentsPerHour(pt.UnitCatalog(), box)
@@ -362,7 +359,7 @@ func adviseTPCCPartitioned(db *engine.DB, box *device.Box, in core.Input, opts c
 // report prints a recommendation: the layout one line per object (a
 // replicated object lists its copy classes), the estimated TOC and the
 // storage cost.
-func report(cat *catalog.Catalog, box *device.Box, res *core.ReplicaResult) {
+func report(cat *catalog.Catalog, box *device.Box, res *core.Result) {
 	if !res.Feasible {
 		fmt.Println("NO FEASIBLE LAYOUT — relax the SLA or add capacity")
 		return
@@ -388,7 +385,7 @@ func report(cat *catalog.Catalog, box *device.Box, res *core.ReplicaResult) {
 		fmt.Println()
 	}
 	if *searchStatsFlag {
-		printSearchStats(res.Result)
+		printSearchStats(res)
 	}
 }
 

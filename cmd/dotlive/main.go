@@ -210,7 +210,7 @@ func runReplicated(sla float64, windows, shiftAt, revertAt, maxCopies int, headr
 				return fmt.Errorf("initial advise infeasible at SLA %g", sla)
 			}
 			fmt.Printf("window %d [%s]: initial advise — max %d copies per object, TOC %.4e cents, %d candidates\n",
-				w, label, dec.Replica.MaxCopies(), dec.Result.TOCCents, dec.Result.Evaluated)
+				w, label, dec.Result.MaxCopies(), dec.Result.TOCCents, dec.Result.Evaluated)
 			printSet(dec.SetTo)
 			continue
 		}
@@ -237,7 +237,7 @@ func runReplicated(sla float64, windows, shiftAt, revertAt, maxCopies int, headr
 				mode = "full fallback"
 			}
 			verb := "re-placed"
-			if grew := dec.Replica.MaxCopies() - maxSetCopies(dec.SetFrom); grew > 0 {
+			if grew := dec.Result.MaxCopies() - maxSetCopies(dec.SetFrom); grew > 0 {
 				verb = "GREW a copy"
 			} else if grew < 0 {
 				verb = "DROPPED a copy"
@@ -401,11 +401,11 @@ func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Dura
 			if !dec.Feasible {
 				return fmt.Errorf("initial advise infeasible at SLA %g", sla)
 			}
-			if err := db.SetLayout(dec.To); err != nil {
+			if err := db.SetLayout(dec.Result.Layout); err != nil {
 				return err
 			}
 			fmt.Printf("window %d [%s]: initial advise — %d objects placed, TOC %.4e cents/txn, %d candidates in %v\n",
-				w, label, len(dec.To), dec.Result.TOCCents, dec.Result.Evaluated,
+				w, label, len(dec.Result.Layout), dec.Result.TOCCents, dec.Result.Evaluated,
 				dec.Result.PlanTime.Round(time.Millisecond))
 			continue
 		}
@@ -436,7 +436,7 @@ func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Dura
 				float64(dec.Migration.Bytes)/1e6, dec.Migration.Time.Round(time.Millisecond),
 				dec.Result.TOCCents, dec.Result.Evaluated,
 				dec.Result.PlanTime.Round(time.Millisecond))
-			if err := db.SetLayout(dec.To); err != nil {
+			if err := db.SetLayout(dec.Result.Layout); err != nil {
 				return err
 			}
 		}

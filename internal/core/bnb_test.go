@@ -95,7 +95,7 @@ func newRandExhaustiveFixture(t *testing.T, rng *rand.Rand, oltp bool) *randExha
 // only at a strictly lower TOC — ties to the lowest index — and, when
 // nothing is feasible, the exhaustive entry points' fallback (L0, or the
 // pinned base).
-func odometer(t *testing.T, in Input, opts Options, copyCap int, free []catalog.ObjectID, base catalog.SetLayout) *ReplicaResult {
+func odometer(t *testing.T, in Input, opts Options, copyCap int, free []catalog.ObjectID, base catalog.SetLayout) *Result {
 	t.Helper()
 	in.NoCompile, in.Workers = true, 1
 	eng, err := in.engine(copyCap)
@@ -193,7 +193,7 @@ func TestBnBPropertyMatchesPlain(t *testing.T) {
 		if base != nil {
 			baseSet = catalog.SingletonSetLayout(base)
 		}
-		requireSameOutcome(t, fmt.Sprintf("trial %d plain-vs-odometer", trial), plain, odometer(t, f.in, opts, 1, free, baseSet).Result)
+		requireSameOutcome(t, fmt.Sprintf("trial %d plain-vs-odometer", trial), plain, odometer(t, f.in, opts, 1, free, baseSet))
 
 		for _, v := range []struct {
 			name    string

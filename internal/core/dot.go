@@ -38,7 +38,7 @@ type Input struct {
 	// candidate, and all a price may read — so a sweep prices a candidate
 	// from its predecessor's totals, exhaustive search keeps its dominance
 	// collapse under it, and it carries over to a partitioned input
-	// unchanged. It applies to single-copy search only.
+	// unchanged. It applies at a copy cap of one only.
 	LayoutCost func(sp catalog.ClassSpace) (float64, error)
 	// NoCompile hands the search the estimator's map form
 	// (workload.MapForm) instead of its compiled form: every candidate is
@@ -48,44 +48,34 @@ type Input struct {
 	// exhaustive search enumerates the unpruned space — kept for the
 	// equivalence tests and benchmarks; no shipped estimator needs it.
 	NoCompile bool
-	// Replication sets the per-unit copy cap of the entry points that place
-	// class sets — OptimizeReplicated, ExhaustiveReplicated and their
-	// partitioned and incremental variants. The single-copy entry points
-	// (Optimize, OptimizeBest, Exhaustive, ...) are the same searches at a
-	// cap of one and ignore it; the zero value lets the replicated ones use
-	// any replica count.
+	// Replication is the per-unit copy cap OptimizeBest, OptimizeIncremental,
+	// OptimizePartitioned and Exhaustive search at (Replication.Cap()); the
+	// paper's single-copy procedures — Optimize, OptimizeRelaxing,
+	// ExhaustiveRelaxing, ExhaustivePartial and OptimizeValidated — ignore it.
 	Replication ReplicationConfig
 }
 
 // ReplicationConfig is Input.Replication: how many copies of a unit the
 // search may place.
 type ReplicationConfig struct {
-	// Enabled marks the input as wanting replicated advise. The core entry
-	// points do not consult it — calling OptimizeReplicated is the opt-in —
-	// but the callers that take one input for both kinds of advise (serve,
-	// online, provision) search at Cap().
+	// Enabled admits more than one copy per unit; the zero value places one.
 	Enabled bool
-	// MaxReplicas caps the copies per unit. Values below 1 mean no cap (up
-	// to one copy per storage class); 1 restricts the search to singleton
-	// sets, which is single-copy placement.
+	// MaxReplicas caps the copies per unit when Enabled. Values below 1 mean
+	// no cap (up to one copy per storage class); 1 restricts the search to
+	// singleton sets, which is single-copy placement.
 	MaxReplicas int
 }
 
-// maxReplicas resolves the per-unit copy cap.
-func (r ReplicationConfig) maxReplicas() int {
-	if r.MaxReplicas < 1 || r.MaxReplicas > device.NumClasses {
+// Cap is the copy cap the search entry points search at: one copy per unit
+// unless replication is enabled, MaxReplicas (or one per class) otherwise.
+func (r ReplicationConfig) Cap() int {
+	switch {
+	case !r.Enabled:
+		return 1
+	case r.MaxReplicas < 1 || r.MaxReplicas > device.NumClasses:
 		return device.NumClasses
 	}
 	return r.MaxReplicas
-}
-
-// Cap is the copy cap a caller honouring Enabled searches under: one copy
-// per unit unless replication is enabled.
-func (r ReplicationConfig) Cap() int {
-	if !r.Enabled {
-		return 1
-	}
-	return r.maxReplicas()
 }
 
 // Options controls one optimization run.
@@ -96,17 +86,6 @@ type Options struct {
 	// Baseline optionally overrides the estimated L0 metrics when deriving
 	// constraints (e.g. to use measured baseline numbers).
 	Baseline *workload.Metrics
-	// Passes bounds the number of sweeps over the move list (default 2).
-	// Procedure 1 in the paper is a single sweep; a second sweep lets a
-	// group's placement be revisited after the rest of the layout has
-	// settled, which closes most of the gap to exhaustive search (see the
-	// ablation benchmark). Sweeps stop early at a fixed point.
-	Passes int
-	// GreedyApply disables the TOC-improvement guard, reproducing the
-	// paper's literal Procedure 1 where every feasible move is applied to
-	// L even when it worsens the running layout (L* still tracks the best
-	// prefix). Kept for the ablation benchmark.
-	GreedyApply bool
 }
 
 // validateSLA checks the relative SLA bounds shared by every search entry
@@ -120,8 +99,11 @@ func (o Options) validateSLA() error {
 
 // Result reports the recommended layout and its estimated economics.
 type Result struct {
-	// Layout is the recommendation in single-class form; nil when some unit
-	// holds more than one copy (see ReplicaResult.SetLayout).
+	// SetLayout maps every unit to the recommended set of classes holding a
+	// copy.
+	SetLayout catalog.SetLayout
+	// Layout is SetLayout's single-class form; nil when some unit holds more
+	// than one copy.
 	Layout      catalog.Layout
 	Feasible    bool
 	TOCCents    float64 // estimated TOC (cents/workload for DSS, cents/task for OLTP)
@@ -143,9 +125,9 @@ type Result struct {
 	// subtrees cut by the bound, dominance groups, space sizes. Exhaustive
 	// entry points fill every field; the DOT sweeps fill Candidates only.
 	Search search.EnumStats
-	// best holds the incumbent evaluation; the Layout field is materialized
-	// from it once at the end of the run (materializing a map per
-	// improvement is pure allocation).
+	// best holds the incumbent evaluation; the layouts are materialized from
+	// it once at the end of the run (materializing a map per improvement is
+	// pure allocation).
 	best search.Eval
 }
 
@@ -164,21 +146,9 @@ func (r *Result) consider(ev search.Eval, cons workload.Constraints) bool {
 	return true
 }
 
-// ReplicaResult is a recommendation in class-set form — what every search
-// produces. The embedded Result carries the economics (TOC, metrics,
-// constraints, search statistics); its Layout field holds the single-class
-// collapse when every unit landed on exactly one copy, and nil when the
-// recommendation is genuinely replicated.
-type ReplicaResult struct {
-	*Result
-	// SetLayout maps every unit to the recommended set of classes holding a
-	// copy.
-	SetLayout catalog.SetLayout
-}
-
 // MaxCopies returns the largest replica count of any unit — 1 when the
 // recommendation degenerates to a single-class layout.
-func (r *ReplicaResult) MaxCopies() int {
+func (r *Result) MaxCopies() int {
 	max := 0
 	for _, set := range r.SetLayout {
 		if c := set.Count(); c > max {
@@ -190,7 +160,7 @@ func (r *ReplicaResult) MaxCopies() int {
 
 // ReplicatedCopies counts the extra copies the recommendation places beyond
 // one per unit.
-func (r *ReplicaResult) ReplicatedCopies() int {
+func (r *Result) ReplicatedCopies() int {
 	extra := 0
 	for _, set := range r.SetLayout {
 		if c := set.Count(); c > 1 {
@@ -201,11 +171,11 @@ func (r *ReplicaResult) ReplicatedCopies() int {
 }
 
 // finish materializes the recommendation from the incumbent evaluation:
-// once, at the end of a search, as a private map.
-func (r *Result) finish() *ReplicaResult {
-	sl := r.best.Compact.ToSetLayout()
-	r.Layout, _ = sl.SingleLayout()
-	return &ReplicaResult{Result: r, SetLayout: sl}
+// once, at the end of a search, as private maps.
+func (r *Result) finish() *Result {
+	r.SetLayout = r.best.Compact.ToSetLayout()
+	r.Layout, _ = r.SetLayout.SingleLayout()
+	return r
 }
 
 // fallBack reports ev's numbers for a search that found nothing feasible.
@@ -359,15 +329,28 @@ func (in Input) encode(what string, l catalog.SetLayout) (catalog.CompactLayout,
 	return catalog.CompactLayout{}, fmt.Errorf("core: %s layout places object %d on %v, which is not a class set", what, bad, l[bad])
 }
 
-// enumerateMoves scores the move list for this input. The list depends
-// only on the input (never on Options or the SLA), so callers that run
-// several sweeps against one engine — OptimizeBest, the relaxing loop —
-// compute it once and pass it to every optimizeWith call.
-func (in Input) enumerateMoves(eng *search.Engine) ([]Move, error) {
-	if in.Profiles == nil {
-		return nil, fmt.Errorf("core: Optimize requires workload profiles (run the profiling phase)")
+// setup builds the engine at a copy cap, checks the SLA and scores the move
+// list — the preamble of every DOT entry point. The move list depends only
+// on the input (never on Options or the SLA), so callers that run several
+// sweeps against one engine — OptimizeBest, the relaxing loop — compute it
+// once and pass it to every optimizeWith call.
+func (in Input) setup(opts Options, copyCap int) (*search.Engine, []Move, error) {
+	eng, err := in.engine(copyCap)
+	if err != nil {
+		return nil, nil, err
 	}
-	return EnumerateMoves(in.Cat, in.Box, in.Profiles, in.Box.MostExpensive().Class, in.conc(), eng.Workers())
+	// Fail on a bad SLA before scoring the move list.
+	if err := opts.validateSLA(); err != nil {
+		return nil, nil, err
+	}
+	if in.Profiles == nil {
+		return nil, nil, fmt.Errorf("core: Optimize requires workload profiles (run the profiling phase)")
+	}
+	moves, err := EnumerateMoves(in.Cat, in.Box, in.Profiles, in.Box.MostExpensive().Class, in.conc(), eng.Workers())
+	if err != nil {
+		return nil, nil, err
+	}
+	return eng, moves, nil
 }
 
 // Optimize is Procedure 1, the DOT heuristic: start from L0 (every object
@@ -375,35 +358,45 @@ func (in Input) enumerateMoves(eng *search.Engine) ([]Move, error) {
 // feasible layout, and return the one with the minimum estimated TOC.
 func Optimize(in Input, opts Options) (*Result, error) {
 	start := time.Now()
-	eng, err := in.engine(1)
+	eng, moves, err := in.setup(opts, 1)
 	if err != nil {
 		return nil, err
 	}
-	// Fail on a bad SLA before scoring the move list.
-	if err := opts.validateSLA(); err != nil {
-		return nil, err
-	}
-	moves, err := in.enumerateMoves(eng)
-	if err != nil {
-		return nil, err
-	}
-	res, err := optimizeWith(in, opts, eng, moves, nil)
+	res, err := optimizeWith(in, opts, eng, moves, nil, guarded)
 	if err != nil {
 		return nil, err
 	}
 	res.PlanTime = time.Since(start)
-	return res.finish().Result, nil
+	return res.finish(), nil
 }
 
-// optimizeWith is one DOT pass against a caller-supplied engine and move
-// list, so OptimizeBest's two sweeps and OptimizeRelaxing's SLA halvings
-// share one memo table and one scored move list instead of recomputing
-// both: the L0 baseline, the uniform single-copy anchors, the move sweep,
-// and — when trans is non-nil, i.e. the copy cap admits replication — the
-// add/drop/swap refinement from the sweep's incumbent. The result carries
-// its incumbent evaluation; callers materialize the layout of the one they
-// keep (Result.finish).
-func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, trans [][]device.ClassSet) (*Result, error) {
+// sweepPasses bounds a cold DOT search's sweeps over the move list.
+// Procedure 1 in the paper is a single sweep; a second sweep lets a group's
+// placement be revisited after the rest of the layout has settled, which
+// closes most of the gap to exhaustive search. Sweeps stop early at a fixed
+// point.
+const sweepPasses = 2
+
+// policy is how a DOT sweep walks: guarded walks on only to candidates that
+// do not worsen the running TOC; greedy is the paper's literal Procedure 1,
+// which walks to every feasible candidate even when that worsens the
+// running layout (L* still tracks the best prefix).
+type policy bool
+
+const (
+	guarded policy = false
+	greedy  policy = true
+)
+
+// optimizeWith is one DOT pass under a policy against a caller-supplied
+// engine and move list, so OptimizeBest's two sweeps and OptimizeRelaxing's
+// SLA halvings share one memo table and one scored move list instead of
+// recomputing both: the L0 baseline, the uniform single-copy anchors, the
+// move sweep, and — when trans is non-nil, i.e. the copy cap admits
+// replication — the add/drop/swap refinement from the sweep's incumbent.
+// The result carries its incumbent evaluation; callers materialize the
+// layout of the one they keep (Result.finish).
+func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, trans [][]device.ClassSet, pol policy) (*Result, error) {
 	start := time.Now()
 	stats0 := eng.Stats()
 	l0Class, ev0, cons, err := in.prep(opts, eng)
@@ -431,11 +424,7 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 		res.consider(ev, cons)
 	}
 
-	passes := opts.Passes
-	if passes < 1 {
-		passes = 2
-	}
-	if err := dotSweep(opts, eng.NewCursor(ev0), moves, cons, res, passes, nil); err != nil {
+	if err := dotSweep(eng.NewCursor(ev0), moves, cons, res, sweepPasses, pol, nil); err != nil {
 		return nil, err
 	}
 	if trans != nil {
@@ -443,7 +432,7 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 		if res.Feasible {
 			from = res.best
 		}
-		if err := refineSweep(eng.NewCursor(from), in.Cat.Objects(), trans, cons, res, passes, nil); err != nil {
+		if err := refineSweep(eng.NewCursor(from), in.Cat.Objects(), trans, cons, res, sweepPasses, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -465,11 +454,11 @@ type gateFunc func(ev search.Eval, cons workload.Constraints) bool
 
 // dotSweep is Procedure 1's move sweep: walk the scored moves in order,
 // place each move's group on its pattern's classes (one copy each), keep
-// every feasible candidate in res, and walk on to it unless that worsens
-// the running TOC. A non-nil gate vets candidates before they can be
-// adopted or walked to (the incremental search's migration budget plugs in
-// here); the cold sweeps pass nil.
-func dotSweep(opts Options, cur *search.Cursor, moves []Move, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
+// every feasible candidate in res, and walk on to it as the policy allows.
+// A non-nil gate vets candidates before they can be adopted or walked to
+// (the incremental search's migration budget plugs in here); the cold
+// sweeps pass nil.
+func dotSweep(cur *search.Cursor, moves []Move, cons workload.Constraints, res *Result, passes int, pol policy, gate gateFunc) error {
 	curTOC := cur.Eval().TOCCents
 	curFeasible := cur.Eval().Feasible(cons)
 	var changes []workload.ObjectMove
@@ -496,7 +485,7 @@ func dotSweep(opts Options, cur *search.Cursor, moves []Move, cons workload.Cons
 			// TOC (unless reproducing the literal Procedure 1). Infeasible
 			// starting points (L0 over capacity) always accept the first
 			// feasible layout.
-			if !accepted || (!opts.GreedyApply && curFeasible && ev.TOCCents > curTOC) {
+			if !accepted || (pol == guarded && curFeasible && ev.TOCCents > curTOC) {
 				cur.Revert(changes)
 				continue
 			}
@@ -594,14 +583,18 @@ func refineSweep(cur *search.Cursor, objs []*catalog.Object, trans [][]device.Cl
 	return nil
 }
 
-// optimizeBest runs both application policies of the DOT pass — the
-// guarded sweep and the paper's literal greedy sweep — at a copy cap and
-// returns the feasible result with the lower estimated TOC. The two are
-// complementary: the guard wins when the greedy walk would clobber good
-// placements; the greedy walk wins when the cost model has valleys a
-// monotonic walk cannot cross (e.g. the discrete-sized model of §5.2, where
-// using a second storage class temporarily raises cost until the first one
-// empties).
+// OptimizeBest is the cold DOT search at the input's copy cap: both
+// application policies of the DOT pass — the guarded sweep and the paper's
+// literal greedy sweep — and the feasible result with the lower estimated
+// TOC. The two are complementary: the guard wins when the greedy walk would
+// clobber good placements; the greedy walk wins when the cost model has
+// valleys a monotonic walk cannot cross (e.g. the discrete-sized model of
+// §5.2, where using a second storage class temporarily raises cost until
+// the first one empties). Above a cap of one, extra copies enter through
+// the refinement sweep's add/drop/swap moves: a scan-friendly copy on cheap
+// sequential storage plus a point-lookup copy on fast random storage, each
+// query routed to its best copy, every write charged to all copies, storage
+// summed over members.
 //
 // Both passes share one search engine, so the second revisits the first's
 // memoized evaluations instead of re-estimating them; with Workers > 1 the
@@ -610,23 +603,14 @@ func refineSweep(cur *search.Cursor, objs []*catalog.Object, trans [][]device.Cl
 // of both passes, EstimatorCalls the distinct layouts actually estimated,
 // and PlanTime the wall clock of this whole call — not the sum of two passes
 // that may have overlapped.
-func optimizeBest(in Input, opts Options, copyCap int) (*ReplicaResult, error) {
+func OptimizeBest(in Input, opts Options) (*Result, error) {
 	start := time.Now()
-	eng, err := in.engine(copyCap)
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.validateSLA(); err != nil {
-		return nil, err
-	}
-	moves, err := in.enumerateMoves(eng)
+	copyCap := in.Replication.Cap()
+	eng, moves, err := in.setup(opts, copyCap)
 	if err != nil {
 		return nil, err
 	}
 	trans := in.replicaTransitions(copyCap)
-	guarded, greedy := opts, opts
-	guarded.GreedyApply = false
-	greedy.GreedyApply = true
 	var (
 		a, b       *Result
 		errA, errB error
@@ -636,14 +620,14 @@ func optimizeBest(in Input, opts Options, copyCap int) (*ReplicaResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b, errB = optimizeWith(in, greedy, eng, moves, trans)
+			b, errB = optimizeWith(in, opts, eng, moves, trans, greedy)
 		}()
-		a, errA = optimizeWith(in, guarded, eng, moves, trans)
+		a, errA = optimizeWith(in, opts, eng, moves, trans, guarded)
 		wg.Wait()
 	} else {
-		a, errA = optimizeWith(in, guarded, eng, moves, trans)
+		a, errA = optimizeWith(in, opts, eng, moves, trans, guarded)
 		if errA == nil {
-			b, errB = optimizeWith(in, greedy, eng, moves, trans)
+			b, errB = optimizeWith(in, opts, eng, moves, trans, greedy)
 		}
 	}
 	if errA != nil {
@@ -663,25 +647,17 @@ func optimizeBest(in Input, opts Options, copyCap int) (*ReplicaResult, error) {
 	return best.finish(), nil
 }
 
-// OptimizeBest is the cold DOT search placing one copy of every unit: both
-// application policies (see optimizeBest), the better feasible result.
-func OptimizeBest(in Input, opts Options) (*Result, error) {
-	res, err := optimizeBest(in, opts, 1)
+// ReplicaResult is the result type of the OptimizeReplicated forward.
+type ReplicaResult struct{ *Result }
+
+// OptimizeReplicated forwards to OptimizeBest; it stays because the
+// end-to-end benchmark harness (benchmarks/e2e) names it.
+func OptimizeReplicated(in Input, opts Options) (*ReplicaResult, error) {
+	res, err := OptimizeBest(in, opts)
 	if err != nil {
 		return nil, err
 	}
-	return res.Result, nil
-}
-
-// OptimizeReplicated is OptimizeBest over class sets, up to
-// Input.Replication.MaxReplicas copies per unit: a scan-friendly copy on
-// cheap sequential storage plus a point-lookup copy on fast random storage,
-// each query routed to its best copy, every write charged to all copies,
-// storage summed over members. Extra copies enter through the refinement
-// sweep's add/drop/swap moves; at a cap of one the search — and the result,
-// bit for bit — is OptimizeBest's.
-func OptimizeReplicated(in Input, opts Options) (*ReplicaResult, error) {
-	return optimizeBest(in, opts, in.Replication.maxReplicas())
+	return &ReplicaResult{res}, nil
 }
 
 // minSLAFloor guards the relaxing loops against a non-positive minSLA,
@@ -719,22 +695,15 @@ func relaxing(opts Options, minSLA float64, run func(Options) (*Result, error)) 
 // final SLA value. All rounds share one search engine: a layout estimated
 // at one SLA level is only re-checked, never re-estimated, at the next.
 func OptimizeRelaxing(in Input, opts Options, minSLA float64) (*Result, float64, error) {
-	eng, err := in.engine(1)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := opts.validateSLA(); err != nil {
-		return nil, 0, err
-	}
-	moves, err := in.enumerateMoves(eng)
+	eng, moves, err := in.setup(opts, 1)
 	if err != nil {
 		return nil, 0, err
 	}
 	return relaxing(opts, minSLA, func(o Options) (*Result, error) {
-		res, err := optimizeWith(in, o, eng, moves, nil)
+		res, err := optimizeWith(in, o, eng, moves, nil, guarded)
 		if err != nil {
 			return nil, err
 		}
-		return res.finish().Result, nil
+		return res.finish(), nil
 	})
 }

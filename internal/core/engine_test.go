@@ -69,12 +69,7 @@ func TestOptimizeBestSharesMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy := opts
-	greedy.GreedyApply = true
-	b, err := Optimize(in, greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := optimizeGreedy(t, in, opts)
 	best, err := OptimizeBest(in, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -19,30 +19,17 @@ import (
 // member per orbit), the search is admitted.
 const MaxExhaustiveLayouts = 5_000_000
 
-// Exhaustive enumerates every layout L: O -> D and returns the feasible one
-// with minimum estimated TOC, using the same estimator and constraints as
-// DOT. It is the quality yardstick of §4.4.3/§4.5.3. The walk is
-// branch-and-bound: it skips subtrees whose TOC floor already exceeds the
-// incumbent and fans subtrees out across Input.Workers goroutines, and
-// both leave the result byte-identical to the sequential, unpruned
-// enumeration.
+// Exhaustive enumerates every layout at the input's copy cap — L: O -> D at
+// a cap of one, L: O -> 2^D (member sets restricted to the box's classes and
+// the cap) above it, the space that explodes from |D|^n to (2^|D|)^n — and
+// returns the feasible one with minimum estimated TOC, using the same
+// estimator and constraints as DOT. It is the quality yardstick of
+// §4.4.3/§4.5.3. The walk is branch-and-bound: it skips subtrees whose TOC
+// floor already exceeds the incumbent and fans subtrees out across
+// Input.Workers goroutines, and both leave the result byte-identical to the
+// sequential, unpruned enumeration.
 func Exhaustive(in Input, opts Options) (*Result, error) {
-	res, err := exhaustive(in, opts, 1, in.allObjects(), nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.Result, nil
-}
-
-// ExhaustiveReplicated enumerates every replicated layout L: O -> 2^D
-// (member sets restricted to the box's classes and the copy cap) and
-// returns the feasible one with minimum TOC — the quality yardstick of the
-// replicated search, and the space that explodes from |D|^n to (2^|D|)^n.
-// It is Exhaustive over a wider digit alphabet: the same walk, with suffix
-// floors from exact per-(unit, set) storage prices and elapsed rows and
-// dominance over per-set signature rows.
-func ExhaustiveReplicated(in Input, opts Options) (*ReplicaResult, error) {
-	return exhaustive(in, opts, in.Replication.maxReplicas(), in.allObjects(), nil)
+	return exhaustive(in, opts, in.Replication.Cap(), in.allObjects(), nil)
 }
 
 // ExhaustivePartial enumerates placements for only the given objects,
@@ -52,11 +39,7 @@ func ExhaustiveReplicated(in Input, opts Options) (*ReplicaResult, error) {
 // and pin the tiny remainder). A base that places an object the catalog
 // lacks, or places one on a class that is not one, is refused.
 func ExhaustivePartial(in Input, opts Options, free []catalog.ObjectID, base catalog.Layout) (*Result, error) {
-	res, err := exhaustive(in, opts, 1, free, catalog.SingletonSetLayout(base))
-	if err != nil {
-		return nil, err
-	}
-	return res.Result, nil
+	return exhaustive(in, opts, 1, free, catalog.SingletonSetLayout(base))
 }
 
 // allObjects lists every catalog object — the free set of a full
@@ -71,7 +54,7 @@ func (in Input) allObjects() []catalog.ObjectID {
 }
 
 // exhaustive builds the engine for the copy cap and enumerates.
-func exhaustive(in Input, opts Options, copyCap int, free []catalog.ObjectID, base catalog.SetLayout) (*ReplicaResult, error) {
+func exhaustive(in Input, opts Options, copyCap int, free []catalog.ObjectID, base catalog.SetLayout) (*Result, error) {
 	eng, err := in.engine(copyCap)
 	if err != nil {
 		return nil, err
@@ -236,6 +219,6 @@ func ExhaustiveRelaxing(in Input, opts Options, minSLA float64) (*Result, float6
 		if err != nil {
 			return nil, err
 		}
-		return res.finish().Result, nil
+		return res.finish(), nil
 	})
 }

@@ -116,14 +116,10 @@ func TestPhantomObjectRefused(t *testing.T) {
 				return ExhaustivePartial(in, opts, []catalog.ObjectID{f.ids["small"]}, badClass)
 			}},
 			{"seed, unknown object", 999, func() (*Result, error) {
-				return OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: phantom})
+				return OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: catalog.SingletonSetLayout(phantom)})
 			}},
-			{"replicated seed, empty set", big, func() (*Result, error) {
-				res, err := OptimizeReplicatedIncremental(in, ReplicatedIncrementalOptions{Options: opts, Seed: badSet})
-				if err != nil {
-					return nil, err
-				}
-				return res.Result, nil
+			{"seed, empty set", big, func() (*Result, error) {
+				return OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: badSet})
 			}},
 		} {
 			res, err := tc.run()
@@ -161,10 +157,7 @@ func TestOptimizeBestNotWorseThanEither(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := Optimize(in, Options{RelativeSLA: 0.25, GreedyApply: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	greedy := optimizeGreedy(t, in, opts)
 	best, err := OptimizeBest(in, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -181,14 +174,26 @@ func TestOptimizeBestNotWorseThanEither(t *testing.T) {
 	}
 }
 
-func TestGreedyApplyStillTracksBestPrefix(t *testing.T) {
-	// The literal Procedure 1 (GreedyApply) must never return an infeasible
-	// layout as feasible and must satisfy its own constraints.
-	f := newFix(t)
-	res, err := Optimize(f.input(), Options{RelativeSLA: 0.5, GreedyApply: true, Passes: 1})
+// optimizeGreedy is Optimize under the greedy policy, the paper's literal
+// Procedure 1.
+func optimizeGreedy(t *testing.T, in Input, opts Options) *Result {
+	t.Helper()
+	eng, moves, err := in.setup(opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := optimizeWith(in, opts, eng, moves, nil, greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.finish()
+}
+
+func TestGreedyApplyStillTracksBestPrefix(t *testing.T) {
+	// The literal Procedure 1 (the greedy policy) must never return an
+	// infeasible layout as feasible and must satisfy its own constraints.
+	f := newFix(t)
+	res := optimizeGreedy(t, f.input(), Options{RelativeSLA: 0.5})
 	if !res.Feasible {
 		t.Fatal("greedy sweep should find a feasible layout at SLA 0.5")
 	}
@@ -209,10 +214,7 @@ func TestGuardedNeverWorseThanGreedyOnSeparableCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		greedy, err := Optimize(f.input(), Options{RelativeSLA: sla, GreedyApply: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		greedy := optimizeGreedy(t, f.input(), Options{RelativeSLA: sla})
 		if guarded.TOCCents > greedy.TOCCents+1e-15 {
 			t.Errorf("SLA %g: guarded TOC %g worse than greedy %g", sla, guarded.TOCCents, greedy.TOCCents)
 		}

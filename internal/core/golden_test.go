@@ -18,9 +18,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/search.golden from the current implementation")
 
 // goldenLine renders one search outcome: the recommended placement as the
-// canonical class-set key (a single-class layout is recorded as its
-// singleton lift, so the single-class and the replicated entry points are
-// comparable), the TOC bits and the work counters.
+// canonical class-set key (a single-copy recommendation is its singleton
+// lift, so searches at every copy cap are comparable), the TOC bits and the
+// work counters.
 func goldenLine(name string, sl catalog.SetLayout, res *Result) string {
 	return fmt.Sprintf("%s layout=%s feasible=%v toc=%016x evaluated=%d estimator_calls=%d\n",
 		name, hex.EncodeToString([]byte(sl.Key())), res.Feasible,
@@ -30,9 +30,10 @@ func goldenLine(name string, sl catalog.SetLayout, res *Result) string {
 // TestSearchGolden pins the search itself — which layout wins, at which TOC
 // bits, after how many evaluations and estimator calls — for every public
 // entry point over seeded random inputs: 3 boxes x DSS/OLTP (plus the HTAP
-// scan+lookup fixture) x copy cap {1, 2} x {compiled, map} x {cold DOT,
-// incremental, exhaustive, partitioned}. A refactor of the evaluation path must leave the file
-// byte-identical; a diff means a different search, not a different speed.
+// scan+lookup fixture) x copy cap {1 (zero config), 1, 2} x {compiled, map}
+// x {cold DOT, incremental, exhaustive, partitioned}. A refactor of the
+// evaluation path must leave the file byte-identical; a diff means a
+// different search, not a different speed.
 // Regenerate with `go test ./internal/core -run TestSearchGolden -update`
 // only when a change of search is intended.
 func TestSearchGolden(t *testing.T) {
@@ -80,58 +81,51 @@ func TestSearchGolden(t *testing.T) {
 		for _, noCompile := range []bool{false, true} {
 			in.NoCompile = noCompile
 			name := fmt.Sprintf("trial%02d/%s", trial, map[bool]string{false: "compiled", true: "map"}[noCompile])
-			single := func(what string, res *Result, err error) {
+			record := func(what string, res *Result, err error) {
 				t.Helper()
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, what, err)
 				}
-				out.WriteString(goldenLine(name+"/"+what, catalog.SingletonSetLayout(res.Layout), res))
+				out.WriteString(goldenLine(name+"/"+what, res.SetLayout, res))
 			}
-			replica := func(what string, res *ReplicaResult, err error) {
+			partitioned := func(what string, in Input) {
 				t.Helper()
+				pres, err := OptimizePartitioned(in, pt, opts)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, what, err)
 				}
-				out.WriteString(goldenLine(name+"/"+what, res.SetLayout, res.Result))
+				record(what, pres.Result, nil)
 			}
 
 			in.Replication = ReplicationConfig{}
 			res, err := OptimizeBest(in, opts)
-			single("best", res, err)
-			res, err = OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: seed})
-			single("incremental", res, err)
+			record("best", res, err)
+			res, err = OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: catalog.SingletonSetLayout(seed)})
+			record("incremental", res, err)
 			res, err = Exhaustive(in, opts)
-			single("exhaustive", res, err)
-			pres, err := OptimizePartitioned(in, pt, opts)
-			if err != nil {
-				t.Fatalf("%s/partitioned: %v", name, err)
-			}
-			single("partitioned", pres.Result, nil)
+			record("exhaustive", res, err)
+			partitioned("partitioned", in)
 
 			for _, cap := range []int{1, 2} {
 				in.Replication = ReplicationConfig{Enabled: true, MaxReplicas: cap}
 				tag := fmt.Sprintf("cap%d/", cap)
-				rres, err := OptimizeReplicated(in, opts)
-				replica(tag+"best", rres, err)
+				res, err := OptimizeBest(in, opts)
+				record(tag+"best", res, err)
 				s := seedSet
 				if cap == 1 {
 					s = catalog.SingletonSetLayout(seed)
 				}
-				rres, err = OptimizeReplicatedIncremental(in, ReplicatedIncrementalOptions{Options: opts, Seed: s})
-				replica(tag+"incremental", rres, err)
+				res, err = OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: s})
+				record(tag+"incremental", res, err)
 				if !noCompile {
 					// The unpruned walk over the map form enumerates replicated
 					// spaces too — it is a reference of
 					// TestExhaustiveReplicatedPrunedMatchesPlain — but the golden pins
 					// the replicated space over the compiled form only.
-					rres, err = ExhaustiveReplicated(in, opts)
-					replica(tag+"exhaustive", rres, err)
+					res, err = Exhaustive(in, opts)
+					record(tag+"exhaustive", res, err)
 				}
-				prres, err := OptimizeReplicatedPartitioned(in, pt, opts)
-				if err != nil {
-					t.Fatalf("%s/%spartitioned: %v", name, tag, err)
-				}
-				replica(tag+"partitioned", prres.ReplicaResult, nil)
+				partitioned(tag+"partitioned", in)
 			}
 		}
 	}

@@ -16,8 +16,8 @@ type IncrementalOptions struct {
 	Options
 	// Seed is the currently deployed layout. The sweep starts from it (not
 	// from L0), so under a mildly drifted profile most groups keep their
-	// placement and the recommendation is a small set of object moves.
-	Seed catalog.Layout
+	// placement and the recommendation is a small set of unit moves.
+	Seed catalog.SetLayout
 	// Accept optionally vets a candidate before it can be adopted or walked
 	// to, on top of capacity and the SLA. It receives the constraint set
 	// derived from the L0 baseline so gates can reason about SLA headroom.
@@ -29,44 +29,19 @@ type IncrementalOptions struct {
 	Accept func(ev search.Eval, cons workload.Constraints) bool
 }
 
-// ReplicatedIncrementalOptions is IncrementalOptions with the deployed
-// layout in class-set form, for OptimizeReplicatedIncremental.
-type ReplicatedIncrementalOptions struct {
-	Options
-	// Seed is the currently deployed layout.
-	Seed catalog.SetLayout
-	// Accept optionally vets a candidate before adoption, exactly like
-	// IncrementalOptions.Accept.
-	Accept func(ev search.Eval, cons workload.Constraints) bool
-}
-
-// OptimizeIncremental is the online variant of Optimize: instead of walking
-// down from L0 (every object on the most expensive class), it seeds the
-// sweep with the layout currently deployed and looks for gated, TOC-
-// improving group moves away from it, one copy per unit.
-func OptimizeIncremental(in Input, opts IncrementalOptions) (*Result, error) {
-	res, err := optimizeIncremental(in, opts.Options, catalog.SingletonSetLayout(opts.Seed), opts.Accept, 1)
-	if err != nil {
-		return nil, err
-	}
-	return res.Result, nil
-}
-
-// OptimizeReplicatedIncremental is OptimizeIncremental over class sets, up
-// to Input.Replication.MaxReplicas copies per unit: after the gated move
-// sweep, gated add/drop/swap refinements grow and shed copies from the
-// deployed sets. Copies drop as freely as they are added — a reverted
+// OptimizeIncremental is the online variant of OptimizeBest at the input's
+// copy cap: instead of walking down from L0 (every object on the most
+// expensive class), it seeds the sweep with the layout currently deployed
+// and looks for gated, TOC-improving group moves away from it; above a cap
+// of one, gated add/drop/swap refinements then grow and shed copies from
+// the deployed sets. Copies drop as freely as they are added — a reverted
 // workload sheds its extra analytics copy on the next re-advise.
-func OptimizeReplicatedIncremental(in Input, opts ReplicatedIncrementalOptions) (*ReplicaResult, error) {
-	return optimizeIncremental(in, opts.Options, opts.Seed, opts.Accept, in.Replication.maxReplicas())
-}
-
-// optimizeIncremental evaluates the L0 baseline once (the relative SLA is
-// defined against it, exactly as in the offline search), evaluates the
-// seed, and then runs a single guarded pass (Options.Passes overrides;
-// default 1) from it. A seed that places an object the catalog lacks, or
-// places one on something that is not a class set, is refused.
-// Compared to a cold optimizeBest this skips the uniform-layout anchors
+//
+// It evaluates the L0 baseline once (the relative SLA is defined against
+// it, exactly as in the offline search), evaluates the seed, and then runs
+// a single guarded pass from it. A seed that places an object the catalog
+// lacks, or places one on something that is not a class set, is refused.
+// Compared to a cold OptimizeBest this skips the uniform-layout anchors
 // and the second (greedy) policy, so it evaluates strictly fewer
 // candidates — the point of re-advising online is that a small profile
 // drift should cost a small search.
@@ -76,28 +51,22 @@ func OptimizeReplicatedIncremental(in Input, opts ReplicatedIncrementalOptions) 
 // Feasible=false with the seed's numbers, and the caller decides whether to
 // relax the gate or fall back to a full cold search (online.Manager does
 // the latter).
-func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept gateFunc, copyCap int) (*ReplicaResult, error) {
+func OptimizeIncremental(in Input, opts IncrementalOptions) (*Result, error) {
 	start := time.Now()
-	eng, err := in.engine(copyCap)
+	copyCap := in.Replication.Cap()
+	eng, moves, err := in.setup(opts.Options, copyCap)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.validateSLA(); err != nil {
-		return nil, err
-	}
-	if len(seed) == 0 {
+	if len(opts.Seed) == 0 {
 		return nil, fmt.Errorf("core: incremental search requires a seed layout")
 	}
-	seedCompact, err := in.encode("seed", seed)
-	if err != nil {
-		return nil, err
-	}
-	moves, err := in.enumerateMoves(eng)
+	seedCompact, err := in.encode("seed", opts.Seed)
 	if err != nil {
 		return nil, err
 	}
 	stats0 := eng.Stats()
-	_, _, cons, err := in.prep(opts, eng)
+	_, _, cons, err := in.prep(opts.Options, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -111,12 +80,7 @@ func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept 
 	// would be a full-database migration).
 	res.consider(evSeed, cons)
 
-	passes := opts.Passes
-	if passes < 1 {
-		passes = 1
-	}
-	opts.GreedyApply = false
-	if err := dotSweep(opts, eng.NewCursor(evSeed), moves, cons, res, passes, accept); err != nil {
+	if err := dotSweep(eng.NewCursor(evSeed), moves, cons, res, 1, guarded, opts.Accept); err != nil {
 		return nil, err
 	}
 	if trans := in.replicaTransitions(copyCap); trans != nil {
@@ -124,7 +88,7 @@ func optimizeIncremental(in Input, opts Options, seed catalog.SetLayout, accept 
 		if res.Feasible {
 			from = res.best
 		}
-		if err := refineSweep(eng.NewCursor(from), in.Cat.Objects(), trans, cons, res, passes, accept); err != nil {
+		if err := refineSweep(eng.NewCursor(from), in.Cat.Objects(), trans, cons, res, 1, opts.Accept); err != nil {
 			return nil, err
 		}
 	}

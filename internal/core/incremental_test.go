@@ -19,7 +19,7 @@ func TestOptimizeIncrementalStableAtOptimum(t *testing.T) {
 	if !cold.Feasible {
 		t.Fatal("cold search infeasible")
 	}
-	inc, err := OptimizeIncremental(f.input(), IncrementalOptions{Options: opts, Seed: cold.Layout})
+	inc, err := OptimizeIncremental(f.input(), IncrementalOptions{Options: opts, Seed: cold.SetLayout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestOptimizeIncrementalImprovesDriftedSeed(t *testing.T) {
 	// Seed with the all-H-SSD layout: feasible but expensive; the
 	// incremental sweep must find the same economics a cold search does on
 	// this instance while evaluating fewer candidates.
-	seed := catalog.NewUniformLayout(f.cat, device.HSSD)
+	seed := catalog.SingletonSetLayout(catalog.NewUniformLayout(f.cat, device.HSSD))
 	cold, err := OptimizeBest(f.input(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestOptimizeIncrementalGateBlocksMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := catalog.NewUniformLayout(f.cat, device.HSSD)
+	seed := catalog.SingletonSetLayout(catalog.NewUniformLayout(f.cat, device.HSSD))
 	inc, err := OptimizeIncremental(f.input(), IncrementalOptions{
 		Options: opts,
 		Seed:    seed,
@@ -82,7 +82,7 @@ func TestOptimizeIncrementalGateBlocksMoves(t *testing.T) {
 	if !inc.Feasible {
 		t.Fatal("seed itself is feasible; a blocking gate must not make the run infeasible")
 	}
-	if !inc.Layout.Equal(seed) {
+	if !inc.SetLayout.Equal(seed) {
 		t.Fatalf("gate blocked every move but layout changed: %v", inc.Layout)
 	}
 	if inc.TOCCents <= cold.TOCCents {
@@ -106,7 +106,7 @@ func TestOptimizeIncrementalCompiledMatchesMap(t *testing.T) {
 		in.NoCompile = noCompile
 		return in
 	}
-	seed := catalog.NewUniformLayout(f.cat, device.HSSD)
+	seed := catalog.SingletonSetLayout(catalog.NewUniformLayout(f.cat, device.HSSD))
 	opts := IncrementalOptions{Options: Options{RelativeSLA: 0.5}, Seed: seed}
 	compiled, err := OptimizeIncremental(mkInput(false), opts)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // over it (profile-driven estimators apportion their observations by
 // extent heat; the plan-aware DSS estimator errors), and the profile set is
 // the apportioned union profile for move scoring. Every search entry point —
-// single-copy or replicated, cold, incremental or exhaustive — then runs
+// at any copy cap, cold, incremental or exhaustive — then runs
 // unchanged at unit granularity, compiled fast path included: granularity
 // (which catalog) and replication (the copy cap) are orthogonal. The
 // estimator is handed on uncompiled; the search's engine compiles it once,
@@ -42,7 +42,7 @@ func (in Input) Partitioned(pt *catalog.Partitioning) (Input, error) {
 }
 
 // PartitionedResult is a unit-granular recommendation: the inner Result's
-// Layout is keyed by the partitioning's unit catalog.
+// layouts are keyed by the partitioning's unit catalog.
 type PartitionedResult struct {
 	// Result is the unit-granular search result.
 	*Result
@@ -81,35 +81,11 @@ func (r *PartitionedResult) SplitObjects() int {
 	return split
 }
 
-// PartitionedReplicaResult is a unit-granular replicated recommendation:
-// the inner ReplicaResult's SetLayout is keyed by the partitioning's unit
-// catalog.
-type PartitionedReplicaResult struct {
-	// ReplicaResult is the unit-granular replicated search result.
-	*ReplicaResult
-	// Partitioning maps the units back to their objects.
-	Partitioning *catalog.Partitioning
-}
-
-// OptimizeReplicatedPartitioned is OptimizePartitioned over class sets: a
-// hot extent can hold a second point-lookup copy while its cold tail keeps
-// one cheap sequential copy.
-func OptimizeReplicatedPartitioned(in Input, pt *catalog.Partitioning, opts Options) (*PartitionedReplicaResult, error) {
-	uin, err := in.Partitioned(pt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := OptimizeReplicated(uin, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &PartitionedReplicaResult{ReplicaResult: res, Partitioning: pt}, nil
-}
-
 // OptimizePartitioned runs DOT at partition granularity: the input is
 // lowered onto the partitioning's unit catalog and OptimizeBest searches
-// per-unit placements — a hot extent can land on a fast class while its
-// cold tail ships to a cheap one. With an identity partitioning the unit
+// per-unit placements at the input's copy cap — a hot extent can land on a
+// fast class (or hold a second point-lookup copy) while its cold tail ships
+// to a cheap one. With an identity partitioning the unit
 // problem mirrors the object problem object for object (same sizes, same
 // dense IDs), and uniform or expanded layouts price bit-identically with
 // either estimator form.

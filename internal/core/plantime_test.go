@@ -96,6 +96,6 @@ func TestPlanTimeIsTheWallClockOfTheCall(t *testing.T) {
 		t.Fatal("skew fixture infeasible")
 	}
 	check("OptimizeIncremental", func(in Input) (*Result, error) {
-		return OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: cold.Layout})
+		return OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: cold.SetLayout})
 	})
 }

@@ -109,15 +109,17 @@ func htapScanLookupInput(t *testing.T) Input {
 func TestReplicationBeatsSingleOnHTAPBox(t *testing.T) {
 	in := htapScanLookupInput(t)
 	opts := Options{RelativeSLA: 0.5}
+	singleIn := in
+	singleIn.Replication = ReplicationConfig{}
 
-	single, err := OptimizeBest(in, opts)
+	single, err := OptimizeBest(singleIn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !single.Feasible {
 		t.Fatal("single placement must be feasible (all on H-SSD)")
 	}
-	repl, err := OptimizeReplicated(in, opts)
+	repl, err := OptimizeBest(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +132,14 @@ func TestReplicationBeatsSingleOnHTAPBox(t *testing.T) {
 	if repl.TOCCents >= single.TOCCents {
 		t.Fatalf("replication did not beat single placement: %v >= %v", repl.TOCCents, single.TOCCents)
 	}
-	if repl.Result.Layout != nil {
+	if repl.Layout != nil {
 		t.Fatal("a genuinely replicated recommendation must not collapse to a single-class layout")
 	}
 
 	// The map form agrees with the compiled form bit for bit.
 	mapIn := in
 	mapIn.NoCompile = true
-	mrepl, err := OptimizeReplicated(mapIn, opts)
+	mrepl, err := OptimizeBest(mapIn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestReplicationBeatsSingleOnHTAPBox(t *testing.T) {
 
 	// The exhaustive replicated optimum is no worse than the heuristic and
 	// also replicates.
-	ex, err := ExhaustiveReplicated(in, opts)
+	ex, err := Exhaustive(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +171,12 @@ func TestReplicationBeatsSingleOnHTAPBox(t *testing.T) {
 	b1.Box = device.Box1()
 	b1.Est = &workload.ObservedEstimator{Box: b1.Box, Concurrency: 1,
 		PerQuery: in.Est.(*workload.ObservedEstimator).PerQuery}
-	s1, err := OptimizeBest(b1, opts)
+	r1, err := OptimizeBest(b1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := OptimizeReplicated(b1, opts)
+	b1.Replication = ReplicationConfig{}
+	s1, err := OptimizeBest(b1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,27 +202,27 @@ func TestExhaustiveReplicatedPrunedMatchesPlain(t *testing.T) {
 	plainIn := in
 	plainIn.NoCompile = true
 	plainIn.Workers = 1
-	plain, err := ExhaustiveReplicated(plainIn, opts)
+	plain, err := Exhaustive(plainIn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prunedIn := in
 	prunedIn.Workers = 1
-	pruned, err := ExhaustiveReplicated(prunedIn, opts)
+	pruned, err := Exhaustive(prunedIn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parIn := in
 	parIn.Workers = 4
-	par, err := ExhaustiveReplicated(parIn, opts)
+	par, err := Exhaustive(parIn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ref := odometer(t, in, opts, 2, in.allObjects(), nil)
-	requireSameOutcome(t, "plain-vs-odometer", plain.Result, ref.Result)
-	requireSameOutcome(t, "pruned-vs-plain", pruned.Result, plain.Result)
-	requireSameOutcome(t, "parallel-vs-plain", par.Result, plain.Result)
+	requireSameOutcome(t, "plain-vs-odometer", plain, ref)
+	requireSameOutcome(t, "pruned-vs-plain", pruned, plain)
+	requireSameOutcome(t, "parallel-vs-plain", par, plain)
 	if !plain.SetLayout.Equal(ref.SetLayout) || !pruned.SetLayout.Equal(plain.SetLayout) || !par.SetLayout.Equal(plain.SetLayout) {
 		t.Fatal("replica set layouts differ across search variants")
 	}
@@ -229,7 +232,7 @@ func TestExhaustiveReplicatedPrunedMatchesPlain(t *testing.T) {
 	}
 
 	// The exhaustive optimum bounds the heuristic from below.
-	heur, err := OptimizeReplicated(in, opts)
+	heur, err := OptimizeBest(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +250,7 @@ func TestReplicatedIncremental(t *testing.T) {
 
 	// A gate that rejects everything pins the result to the seed.
 	seed := catalog.SingletonSetLayout(catalog.NewUniformLayout(in.Cat, device.HSSD))
-	pinned, err := OptimizeReplicatedIncremental(in, ReplicatedIncrementalOptions{
+	pinned, err := OptimizeIncremental(in, IncrementalOptions{
 		Options: opts, Seed: seed,
 		Accept: func(_ search.Eval, _ workload.Constraints) bool { return false },
 	})
@@ -259,7 +262,7 @@ func TestReplicatedIncremental(t *testing.T) {
 	}
 
 	// Ungated, the HTAP shift adds a scan copy on the stripe.
-	shifted, err := OptimizeReplicatedIncremental(in, ReplicatedIncrementalOptions{Options: opts, Seed: seed})
+	shifted, err := OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +275,7 @@ func TestReplicatedIncremental(t *testing.T) {
 	lookupOnly := in
 	lookupOnly.Est = &workload.ObservedEstimator{Box: in.Box, Concurrency: 1,
 		PerQuery: in.Est.(*workload.ObservedEstimator).PerQuery[1:]}
-	reverted, err := OptimizeReplicatedIncremental(lookupOnly, ReplicatedIncrementalOptions{
+	reverted, err := OptimizeIncremental(lookupOnly, IncrementalOptions{
 		Options: opts, Seed: shifted.SetLayout,
 	})
 	if err != nil {
@@ -294,7 +297,7 @@ func TestOptimizeReplicatedPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimizeReplicatedPartitioned(in, pt, Options{RelativeSLA: 0.3})
+	res, err := OptimizePartitioned(in, pt, Options{RelativeSLA: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,42 +314,43 @@ func TestOptimizeReplicatedPartitioned(t *testing.T) {
 	}
 }
 
-// TestReplicatedErrorPaths: the replicated entry points refuse what they
-// cannot price or search — and only that: over the map form (NoCompile)
-// the replicated enumeration still answers, unpruned.
+// TestReplicatedErrorPaths: the entry points refuse, above a copy cap of
+// one, what they cannot price or search — and only that: over the map form
+// (NoCompile) the replicated enumeration still answers, unpruned.
 func TestReplicatedErrorPaths(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()
+	in.Replication = ReplicationConfig{Enabled: true}
 	opts := Options{RelativeSLA: 0.5}
 
 	custom := in
 	custom.LayoutCost = func(catalog.ClassSpace) (float64, error) { return 0, nil }
-	if _, err := OptimizeReplicated(custom, opts); err == nil || !strings.Contains(err.Error(), "linear cost model") {
+	if _, err := OptimizeBest(custom, opts); err == nil || !strings.Contains(err.Error(), "linear cost model") {
 		t.Fatalf("custom cost model must be refused, got %v", err)
 	}
 
 	plan := in
 	plan.Est = &planOnlyEst{}
-	if _, err := OptimizeReplicated(plan, opts); err == nil || !strings.Contains(err.Error(), "no replica form") {
+	if _, err := OptimizeBest(plan, opts); err == nil || !strings.Contains(err.Error(), "no replica form") {
 		t.Fatalf("plan-only estimator must be refused, got %v", err)
 	}
 
-	if _, err := OptimizeReplicatedIncremental(in, ReplicatedIncrementalOptions{Options: opts}); err == nil ||
+	if _, err := OptimizeIncremental(in, IncrementalOptions{Options: opts}); err == nil ||
 		!strings.Contains(err.Error(), "seed layout") {
 		t.Fatalf("incremental without a seed must error, got %v", err)
 	}
 
 	noCompile := in
 	noCompile.NoCompile = true
-	mapped, err := ExhaustiveReplicated(noCompile, opts)
+	mapped, err := Exhaustive(noCompile, opts)
 	if err != nil {
 		t.Fatalf("map-only replicated exhaustive must answer, got %v", err)
 	}
-	compiled, err := ExhaustiveReplicated(in, opts)
+	compiled, err := Exhaustive(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameOutcome(t, "map-vs-compiled", mapped.Result, compiled.Result)
+	requireSameOutcome(t, "map-vs-compiled", mapped, compiled)
 	if !mapped.SetLayout.Equal(compiled.SetLayout) {
 		t.Fatal("map and compiled replicated exhaustive place different sets")
 	}
@@ -357,4 +361,91 @@ type planOnlyEst struct{}
 
 func (*planOnlyEst) Estimate(catalog.Layout) (workload.Metrics, error) {
 	return workload.Metrics{}, nil
+}
+
+// TestCopyCapIsInput: the copy cap every entry point searches at is
+// Input.Replication.Cap() and nothing else. A config that is not Enabled
+// answers bit for bit like the zero config whatever its MaxReplicas, an
+// enabled config without a cap like a cap of one copy per class, and the
+// OptimizeReplicated forward like OptimizeBest at caps 1 and 2.
+func TestCopyCapIsInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	boxes := []func() *device.Box{device.Box1, device.Box2, device.BoxHTAP}
+	opts := Options{RelativeSLA: 0.5}
+	replicates := false
+	for trial := 0; trial < 6; trial++ {
+		in := randomReplicaInput(t, rng, boxes[trial%len(boxes)](), trial%2 == 1)
+		seed := catalog.NewUniformSetLayout(in.Cat, device.Singleton(in.Box.Cheapest().Class))
+		stats := catalog.ExtentStats{ByObject: make(map[catalog.ObjectID][]catalog.Extent)}
+		for _, o := range in.Cat.Objects() {
+			pages := (o.SizeBytes + catalog.DefaultPageBytes - 1) / catalog.DefaultPageBytes
+			for e := 0; e < 3; e++ {
+				stats.ByObject[o.ID] = append(stats.ByObject[o.ID],
+					catalog.Extent{Pages: pages/3 + 1, Count: float64(rng.Intn(50_000))})
+			}
+		}
+		pt, err := catalog.BuildPartitioning(in.Cat, stats, catalog.PartitionOptions{MaxUnitsPerObject: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers := func(r ReplicationConfig) map[string]string {
+			t.Helper()
+			in := in
+			in.Replication = r
+			out := map[string]string{}
+			record := func(what string, res *Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("trial %d %+v %s: %v", trial, r, what, err)
+				}
+				out[what] = goldenLine("", res.SetLayout, res)
+			}
+			res, err := OptimizeBest(in, opts)
+			record("best", res, err)
+			res, err = OptimizeIncremental(in, IncrementalOptions{Options: opts, Seed: seed})
+			record("incremental", res, err)
+			res, err = Exhaustive(in, opts)
+			record("exhaustive", res, err)
+			pres, err := OptimizePartitioned(in, pt, opts)
+			if err == nil {
+				res = pres.Result
+			}
+			record("partitioned", res, err)
+			fwd, err := OptimizeReplicated(in, opts)
+			if err == nil {
+				res = fwd.Result
+			}
+			record("forward", res, err)
+			return out
+		}
+		for _, c := range []struct {
+			what      string
+			got, want ReplicationConfig
+		}{
+			{"disabled", ReplicationConfig{MaxReplicas: 2}, ReplicationConfig{}},
+			{"uncapped", ReplicationConfig{Enabled: true}, ReplicationConfig{Enabled: true, MaxReplicas: device.NumClasses}},
+		} {
+			got, want := answers(c.got), answers(c.want)
+			for what, w := range want {
+				if got[what] != w {
+					t.Errorf("trial %d %s/%s: %+v answered %s\n  %+v answered %s", trial, c.what, what, c.got, got[what], c.want, w)
+				}
+			}
+		}
+		var byCap [3]map[string]string
+		for _, cap := range []int{1, 2} {
+			a := answers(ReplicationConfig{Enabled: true, MaxReplicas: cap})
+			if a["forward"] != a["best"] {
+				t.Errorf("trial %d cap %d: OptimizeReplicated answered %s\n  OptimizeBest answered %s", trial, cap, a["forward"], a["best"])
+			}
+			byCap[cap] = a
+		}
+		for what, a := range byCap[1] {
+			replicates = replicates || byCap[2][what] != a
+		}
+	}
+	// The disabled config must have had copies to ignore.
+	if !replicates {
+		t.Fatal("no trial searched differently at caps 1 and 2")
+	}
 }

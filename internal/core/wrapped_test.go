@@ -109,9 +109,9 @@ func TestWrappedEstimatorMatchesBare(t *testing.T) {
 	for _, c := range cases {
 		objs := c.in.Cat.Objects()
 		classes := c.in.Box.Classes()
-		seed := make(catalog.Layout)
+		seed := make(catalog.SetLayout)
 		for i, o := range objs {
-			seed[o.ID] = classes[i%len(classes)]
+			seed[o.ID] = device.Singleton(classes[i%len(classes)])
 		}
 		free := []catalog.ObjectID{objs[0].ID, objs[len(objs)/2].ID, objs[len(objs)-1].ID}
 		base := catalog.NewUniformLayout(c.in.Cat, c.in.Box.Cheapest().Class)
@@ -119,33 +119,25 @@ func TestWrappedEstimatorMatchesBare(t *testing.T) {
 		// run returns one line per entry point: the full line and the answer.
 		run := func(in core.Input) (full, ans map[string]string) {
 			t.Helper()
-			in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: c.cap}
 			full, ans = map[string]string{}, map[string]string{}
-			record := func(what string, res *core.ReplicaResult, err error) {
+			record := func(what string, res *core.Result, err error) {
 				t.Helper()
 				if err != nil {
 					t.Fatalf("%s/%s (NoCompile=%v): %v", c.name, what, in.NoCompile, err)
 				}
-				full[what], ans[what] = line(res.SetLayout, res.Result), answer(res.SetLayout, res.Result)
-			}
-			single := func(what string, res *core.Result, err error) {
-				t.Helper()
-				var rres *core.ReplicaResult
-				if err == nil {
-					rres = &core.ReplicaResult{Result: res, SetLayout: catalog.SingletonSetLayout(res.Layout)}
-				}
-				record(what, rres, err)
+				full[what], ans[what] = line(res.SetLayout, res), answer(res.SetLayout, res)
 			}
 			res, err := core.OptimizeBest(in, opts)
-			single("best", res, err)
-			rres, err := core.OptimizeReplicated(in, opts)
-			record("replicated", rres, err)
+			record("best", res, err)
 			res, err = core.OptimizeIncremental(in, core.IncrementalOptions{Options: opts, Seed: seed})
-			single("incremental", res, err)
+			record("incremental", res, err)
 			res, err = core.Exhaustive(in, opts)
-			single("exhaustive", res, err)
+			record("exhaustive", res, err)
 			res, err = core.ExhaustivePartial(in, opts, free, base)
-			single("partial", res, err)
+			record("partial", res, err)
+			in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: c.cap}
+			res, err = core.OptimizeBest(in, opts)
+			record("replicated", res, err)
 			return full, ans
 		}
 		for _, noCompile := range []bool{true, false} {

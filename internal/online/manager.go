@@ -53,12 +53,12 @@ type Config struct {
 	// totals — the §5.2 discrete-sized model (provision.DiscreteCost) — in
 	// every search (see core.Input.LayoutCost).
 	LayoutCost func(sp catalog.ClassSpace) (float64, error)
-	// Replication, when Enabled, lets every advise and re-advise place up to
-	// MaxReplicas copies of a unit: reads route to the best copy per access
-	// pattern, writes land on every copy, drift is judged at replica-routed
-	// service times and migrations are priced per copy gained. Disabled, the
-	// same loop runs at a cap of one copy. Replication prices only the
-	// linear cost model, so it cannot combine with LayoutCost.
+	// Replication is the copy cap every advise and re-advise searches at
+	// (core.ReplicationConfig.Cap): above one copy, reads route to the best
+	// copy per access pattern, writes land on every copy, drift is judged at
+	// replica-routed service times and migrations are priced per copy
+	// gained. A cap above one prices only the linear cost model, so it
+	// cannot combine with LayoutCost.
 	Replication core.ReplicationConfig
 	// Partitioning, when set, advises at partition granularity: observed
 	// profiles are apportioned onto the partitioning's units by extent
@@ -101,14 +101,11 @@ type Decision struct {
 	// SetFrom and SetTo are the deployed layouts before and after the
 	// decision (SetTo is nil when nothing was adopted).
 	SetFrom, SetTo catalog.SetLayout
-	// From and To are their single-class views, nil whenever the
-	// corresponding layout holds more than one copy of some unit.
-	From, To catalog.Layout
-	// Replica is the underlying search result (nil when no search ran);
-	// Result is its embedded core.Result — evaluation counts, metrics, plan
-	// time.
-	Replica *core.ReplicaResult
-	Result  *core.Result
+	// Result is the underlying search result (nil when no search ran):
+	// evaluation counts, metrics, plan time, and the recommendation whose
+	// single-class Layout is nil while some unit holds more than one copy.
+	// It may be shared with other managers (see AdviseWith): read it only.
+	Result *core.Result
 	// Migration prices the adopted transition (empty when none).
 	Migration MigrationPlan
 }
@@ -146,7 +143,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.SLA <= 0 || cfg.SLA > 1 {
 		return nil, fmt.Errorf("online: SLA must be in (0, 1], got %g", cfg.SLA)
 	}
-	if cfg.Replication.Enabled && cfg.LayoutCost != nil {
+	if cfg.Replication.Cap() > 1 && cfg.LayoutCost != nil {
 		return nil, fmt.Errorf("online: replicated advising prices only the linear cost model; drop LayoutCost or Replication")
 	}
 	cat := cfg.Cat
@@ -221,22 +218,6 @@ func (m *Manager) CurrentSetLayout() catalog.SetLayout {
 	return m.cur.Clone()
 }
 
-// CurrentLayout is the single-class view of CurrentSetLayout — what an
-// engine that runs one copy per object applies; nil while some unit holds
-// more than one copy.
-func (m *Manager) CurrentLayout() catalog.Layout {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return singleView(m.cur)
-}
-
-// singleView collapses an all-singleton layout to its single-class form, or
-// returns nil when any unit genuinely replicates.
-func singleView(sl catalog.SetLayout) catalog.Layout {
-	l, _ := sl.SingleLayout()
-	return l
-}
-
 // Advised reports whether an initial Advise has anchored a reference
 // profile (ReAdvise requires it).
 func (m *Manager) Advised() bool {
@@ -305,23 +286,21 @@ func (m *Manager) input(w Window) (core.Input, error) {
 		Workers:     m.cfg.Workers,
 		Budget:      m.cfg.Budget,
 		LayoutCost:  m.cfg.LayoutCost,
-		// The searches place class sets at the configured cap — one copy
-		// unless replication is enabled.
-		Replication: core.ReplicationConfig{Enabled: true, MaxReplicas: m.cfg.Replication.Cap()},
+		Replication: m.cfg.Replication,
 	}, nil
 }
 
-// SearchFunc runs one cold layout optimization — core.OptimizeReplicated's
+// SearchFunc runs one cold layout optimization — core.OptimizeBest's
 // shape, at the copy cap the input carries. AdviseWith callers inject it to
 // interpose on the search (the serve fleet memo coalesces equal-fingerprint
 // tenants here); it must be a pure function of its input so an injected
 // cache stays sound.
-type SearchFunc func(in core.Input, opts core.Options) (*core.ReplicaResult, error)
+type SearchFunc func(in core.Input, opts core.Options) (*core.Result, error)
 
 // Advise runs the initial cold optimization off the collected profile and,
 // when feasible, adopts the layout and anchors the reference profile that
 // subsequent drift checks compare against.
-func (m *Manager) Advise() (*Decision, error) { return m.AdviseWith(core.OptimizeReplicated) }
+func (m *Manager) Advise() (*Decision, error) { return m.AdviseWith(core.OptimizeBest) }
 
 // AdviseWith is Advise with the cold search injected. The returned result
 // may be shared by other managers advising an identical workload (the
@@ -351,20 +330,19 @@ func (m *Manager) AdviseWith(search SearchFunc) (*Decision, error) {
 
 // newDecision starts a decision off the deployed layout. Callers hold m.mu.
 func (m *Manager) newDecision(dr Drift, windows int) *Decision {
-	return &Decision{Drift: dr, WindowsMerged: windows, SetFrom: m.cur.Clone(), From: singleView(m.cur)}
+	return &Decision{Drift: dr, WindowsMerged: windows, SetFrom: m.cur.Clone()}
 }
 
 // adopt records a search result on the decision and, when it is feasible,
 // prices the transition, installs the layout and re-anchors the reference
 // profile on the aggregate the search optimized. Callers hold m.mu.
-func (m *Manager) adopt(dec *Decision, res *core.ReplicaResult, agg Window) {
-	dec.Replica, dec.Result, dec.Feasible = res, res.Result, res.Feasible
+func (m *Manager) adopt(dec *Decision, res *core.Result, agg Window) {
+	dec.Result, dec.Feasible = res, res.Feasible
 	if !res.Feasible {
 		return
 	}
 	dec.Migration = m.mig.Plan(m.cur, res.SetLayout)
 	dec.SetTo = res.SetLayout.Clone()
-	dec.To = singleView(res.SetLayout)
 	dec.ReAdvised = len(dec.Migration.Moves) > 0
 	m.cur = res.SetLayout.Clone()
 	m.ref = agg
@@ -413,27 +391,27 @@ func (m *Manager) checkLocked() (Drift, Window, int, error) {
 // both layout and reference untouched so the next call retries.
 func (m *Manager) ReAdvise(force bool) (*Decision, error) {
 	return m.ReAdviseWith(force,
-		func(_ string, in core.Input, opts core.ReplicatedIncrementalOptions) (*core.ReplicaResult, error) {
-			return core.OptimizeReplicatedIncremental(in, opts)
+		func(_ string, in core.Input, opts core.IncrementalOptions) (*core.Result, error) {
+			return core.OptimizeIncremental(in, opts)
 		},
-		func(_ string, in core.Input, opts core.Options) (*core.ReplicaResult, error) {
-			return core.OptimizeReplicated(in, opts)
+		func(_ string, in core.Input, opts core.Options) (*core.Result, error) {
+			return core.OptimizeBest(in, opts)
 		})
 }
 
 // IncrementalSearchFunc runs one seeded, gated incremental layout
-// optimization — core.OptimizeReplicatedIncremental's shape, plus the
+// optimization — core.OptimizeIncremental's shape, plus the
 // fingerprint of the observed aggregate the search prices
 // (online.Window.Fingerprint). ReAdviseWith callers inject it to interpose
 // on the re-advise search: the serve fleet memo keys on (observed
 // fingerprint, seed layout, box, SLA) and coalesces tenants whose keys
 // agree — the input, seed and migration gate are then semantically
 // identical, so a shared result stays sound.
-type IncrementalSearchFunc func(obsFP string, in core.Input, opts core.ReplicatedIncrementalOptions) (*core.ReplicaResult, error)
+type IncrementalSearchFunc func(obsFP string, in core.Input, opts core.IncrementalOptions) (*core.Result, error)
 
 // ColdSearchFunc is SearchFunc plus the observed-aggregate fingerprint —
 // the cold-fallback half of ReAdviseWith's seam.
-type ColdSearchFunc func(obsFP string, in core.Input, opts core.Options) (*core.ReplicaResult, error)
+type ColdSearchFunc func(obsFP string, in core.Input, opts core.Options) (*core.Result, error)
 
 // ReAdviseWith is ReAdvise with the incremental search and the cold
 // fallback injected; both must be pure functions of their inputs so an
@@ -456,7 +434,7 @@ func (m *Manager) ReAdviseWith(force bool, inc IncrementalSearchFunc, cold ColdS
 	if err != nil {
 		return nil, err
 	}
-	res, err := inc(dr.ObsFingerprint, in, core.ReplicatedIncrementalOptions{
+	res, err := inc(dr.ObsFingerprint, in, core.IncrementalOptions{
 		Options: core.Options{RelativeSLA: m.cfg.SLA},
 		Seed:    m.cur,
 		Accept:  m.mig.Gate(m.cur, m.cfg.HeadroomFraction),

@@ -35,7 +35,7 @@ func newTestManager(t *testing.T, cfg Config) (*Manager, map[string]catalog.Obje
 
 func TestManagerNoDriftNoReAdvise(t *testing.T) {
 	mgr, ids := newTestManager(t, Config{})
-	before := mgr.CurrentLayout()
+	before := mgr.CurrentSetLayout()
 	// Replay the identical window: fingerprints match, zero re-advises.
 	for i := 0; i < 3; i++ {
 		mgr.Observe(oltpWindow(ids))
@@ -47,7 +47,7 @@ func TestManagerNoDriftNoReAdvise(t *testing.T) {
 			t.Fatalf("undrifted window %d triggered a re-advise: %+v", i, dec)
 		}
 	}
-	if !mgr.CurrentLayout().Equal(before) {
+	if !mgr.CurrentSetLayout().Equal(before) {
 		t.Fatal("layout changed without drift")
 	}
 	st := mgr.Stats()
@@ -58,7 +58,7 @@ func TestManagerNoDriftNoReAdvise(t *testing.T) {
 
 func TestManagerDriftTriggersIncrementalReAdvise(t *testing.T) {
 	mgr, ids := newTestManager(t, Config{})
-	before := mgr.CurrentLayout()
+	before := mgr.CurrentSetLayout()
 
 	// Build the cold-search yardstick for the drifted profile BEFORE the
 	// manager re-advises: same input construction, full OptimizeBest.
@@ -98,7 +98,7 @@ func TestManagerDriftTriggersIncrementalReAdvise(t *testing.T) {
 	if !dec.Result.Constraints.Satisfied(dec.Result.Metrics) {
 		t.Fatalf("adopted layout violates the SLA: %+v", dec.Result.Metrics)
 	}
-	if mgr.CurrentLayout().Equal(before) {
+	if mgr.CurrentSetLayout().Equal(before) {
 		t.Fatal("deployed layout did not change")
 	}
 	if len(dec.Migration.Moves) == 0 || dec.Migration.Bytes <= 0 || dec.Migration.Time <= 0 {
@@ -132,7 +132,7 @@ func TestManagerMigrationGateNeverRegressesSLA(t *testing.T) {
 		if !dec.Feasible {
 			// Allowed: a budget so tight nothing is admissible and even the
 			// fallback fails — but then the layout must be unchanged.
-			if dec.To != nil {
+			if dec.SetTo != nil {
 				t.Fatalf("frac %g: infeasible decision adopted a layout", frac)
 			}
 			continue
@@ -160,7 +160,7 @@ func TestManagerThinWindowsAbstain(t *testing.T) {
 	// Even a FORCED re-advise must abstain on a thin window: optimizing
 	// for a near-empty profile would migrate the database onto whatever
 	// is cheapest at ~zero estimated I/O time.
-	before := mgr.CurrentLayout()
+	before := mgr.CurrentSetLayout()
 	dec, err = mgr.ReAdvise(true)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestManagerThinWindowsAbstain(t *testing.T) {
 	if dec.ReAdvised || dec.Result != nil {
 		t.Fatalf("forced thin re-advise ran a search: %+v", dec)
 	}
-	if !mgr.CurrentLayout().Equal(before) {
+	if !mgr.CurrentSetLayout().Equal(before) {
 		t.Fatal("forced thin re-advise changed the layout")
 	}
 }

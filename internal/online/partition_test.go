@@ -79,10 +79,10 @@ func TestManagerPartitionGranular(t *testing.T) {
 	if !dec.Feasible {
 		t.Fatal("initial partitioned advise infeasible")
 	}
-	if len(dec.To) != pt.NumUnits() {
-		t.Fatalf("decision layout has %d entries, want %d units", len(dec.To), pt.NumUnits())
+	if len(dec.Result.Layout) != pt.NumUnits() {
+		t.Fatalf("decision layout has %d entries, want %d units", len(dec.Result.Layout), pt.NumUnits())
 	}
-	if _, ok := pt.CollapseLayout(dec.To); ok {
+	if _, ok := pt.CollapseLayout(dec.Result.Layout); ok {
 		t.Fatal("expected a genuinely sub-object layout (some object split)")
 	}
 	// The deployed layout starts at L0 (everything on H-SSD); the advise
@@ -99,7 +99,8 @@ func TestManagerPartitionGranular(t *testing.T) {
 	}
 	// Per-partition accounting: the moved bytes equal the sizes of exactly
 	// the units that changed class.
-	if want := workload.UnitMigrationBytes(pt, dec.From, dec.To); dec.Migration.Bytes != want {
+	from, _ := dec.SetFrom.SingleLayout()
+	if want := workload.UnitMigrationBytes(pt, from, dec.Result.Layout); dec.Migration.Bytes != want {
 		t.Fatalf("migration bytes %d != per-unit accounting %d", dec.Migration.Bytes, want)
 	}
 	// Undrifted follow-up window: no re-advise.

@@ -10,6 +10,7 @@ import (
 	"dotprov/internal/device"
 	"dotprov/internal/iosim"
 	"dotprov/internal/pagestore"
+	"dotprov/internal/provision"
 	"dotprov/internal/search"
 	"dotprov/internal/types"
 	"dotprov/internal/workload"
@@ -75,17 +76,14 @@ func TestManagerReplicatedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Feasible || dec.Replica == nil || dec.SetTo == nil {
+	if !dec.Feasible || dec.Result == nil || dec.SetTo == nil {
 		t.Fatalf("replicated advise did not adopt: %+v", dec)
 	}
-	if dec.Replica.MaxCopies() < 2 {
-		t.Fatalf("mixed scan+lookup profile on the HTAP box should replicate, got %d copies", dec.Replica.MaxCopies())
+	if dec.Result.MaxCopies() < 2 {
+		t.Fatalf("mixed scan+lookup profile on the HTAP box should replicate, got %d copies", dec.Result.MaxCopies())
 	}
-	if dec.To != nil {
+	if dec.Result.Layout != nil {
 		t.Fatal("single-class view of a replicated layout must be nil")
-	}
-	if m.CurrentLayout() != nil {
-		t.Fatal("CurrentLayout must be nil while a unit replicates")
 	}
 	cs := m.CurrentSetLayout()
 	if len(cs) != cat.NumObjects() {
@@ -105,13 +103,13 @@ func TestManagerReplicatedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec2.Feasible || dec2.Replica == nil {
+	if !dec2.Feasible || dec2.Result == nil {
 		t.Fatalf("reverted re-advise did not adopt: %+v", dec2)
 	}
-	if dec2.Replica.MaxCopies() != 1 {
-		t.Fatalf("lookup-only profile should not replicate, got %d copies", dec2.Replica.MaxCopies())
+	if dec2.Result.MaxCopies() != 1 {
+		t.Fatalf("lookup-only profile should not replicate, got %d copies", dec2.Result.MaxCopies())
 	}
-	if dec2.To == nil || m.CurrentLayout() == nil {
+	if _, single := m.CurrentSetLayout().SingleLayout(); dec2.Result.Layout == nil || !single {
 		t.Fatal("all-singleton adoption must restore the single-class view")
 	}
 	if !dec2.ReAdvised {
@@ -144,8 +142,8 @@ func TestManagerReplicatedExportRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Replica.MaxCopies() < 2 {
-		t.Fatalf("fixture must deploy a replicated layout, got %d copies", dec.Replica.MaxCopies())
+	if dec.Result.MaxCopies() < 2 {
+		t.Fatalf("fixture must deploy a replicated layout, got %d copies", dec.Result.MaxCopies())
 	}
 	st := m.ExportState()
 	if !st.Layout.Equal(m.CurrentSetLayout()) {
@@ -223,17 +221,30 @@ func TestManagerReplicatedTransactionalWindow(t *testing.T) {
 	}
 }
 
-// TestManagerReplicationRejectsLayoutCost: replication prices only the
-// linear cost model.
+// TestManagerReplicationRejectsLayoutCost: a copy cap above one prices only
+// the linear cost model; a cap of one is single-copy placement and takes
+// any LayoutCost, enabled or not.
 func TestManagerReplicationRejectsLayoutCost(t *testing.T) {
 	cat, _ := htapCatalog(t)
+	box := device.BoxHTAP()
 	_, err := NewManager(Config{
-		Cat: cat, Box: device.BoxHTAP(), SLA: 0.5,
+		Cat: cat, Box: box, SLA: 0.5,
 		Replication: core.ReplicationConfig{Enabled: true},
 		LayoutCost:  func(catalog.ClassSpace) (float64, error) { return 0, nil },
 	})
 	if err == nil {
 		t.Fatal("replication plus LayoutCost must be rejected")
+	}
+	discrete, err := provision.DiscreteCost(box, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewManager(Config{
+		Cat: cat, Box: box, SLA: 0.5,
+		Replication: core.ReplicationConfig{Enabled: true, MaxReplicas: 1},
+		LayoutCost:  discrete,
+	}); err != nil {
+		t.Fatalf("a copy cap of one with the discrete cost model must be accepted: %v", err)
 	}
 }
 

@@ -162,7 +162,7 @@ func TestManagerExportRestoreResumesDrift(t *testing.T) {
 	if !restored.Advised() {
 		t.Fatal("restored manager lost its reference profile")
 	}
-	if !restored.CurrentLayout().Equal(orig.CurrentLayout()) {
+	if !restored.CurrentSetLayout().Equal(orig.CurrentSetLayout()) {
 		t.Fatal("restored deployed layout differs")
 	}
 	if got, want := restored.Stats(), orig.Stats(); got != want {
@@ -187,11 +187,11 @@ func TestManagerExportRestoreResumesDrift(t *testing.T) {
 	if !do.Drift.Drifted {
 		t.Fatal("fixture did not drift; the test is vacuous")
 	}
-	if do.ReAdvised != dr.ReAdvised || (do.To == nil) != (dr.To == nil) {
+	if do.ReAdvised != dr.ReAdvised || (do.SetTo == nil) != (dr.SetTo == nil) {
 		t.Fatalf("re-advise outcomes diverged: %+v vs %+v", do, dr)
 	}
-	if do.To != nil && !do.To.Equal(dr.To) {
-		t.Fatalf("adopted layouts diverged:\n got %v\nwant %v", dr.To, do.To)
+	if do.SetTo != nil && !do.SetTo.Equal(dr.SetTo) {
+		t.Fatalf("adopted layouts diverged:\n got %v\nwant %v", dr.SetTo, do.SetTo)
 	}
 }
 

@@ -182,7 +182,7 @@ func TestSweepGolden(t *testing.T) {
 						}
 						for i, cr := range ch.Results {
 							fmt.Fprintf(&out, "%s/%02d name=%q feasible=%v layout=%s toc=%016x evaluated=%d estimator_calls=%d failure=%q\n",
-								name, i, cr.Name, cr.Result.Feasible, compactHex(t, base.Cat, cr.SetLayout),
+								name, i, cr.Name, cr.Result.Feasible, compactHex(t, base.Cat, cr.Result.SetLayout),
 								math.Float64bits(cr.Result.TOCCents), cr.Result.Evaluated, cr.Result.EstimatorCalls, cr.Failure)
 						}
 						fmt.Fprintf(&out, "%s best=%d evaluated=%d\n", name, ch.Best, ch.Evaluated)
@@ -209,7 +209,7 @@ func TestSweepGolden(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					fmt.Fprintf(&out, "%s feasible=%v layout=%s toc=%016x evaluated=%d estimator_calls=%d\n",
-						name, res.Feasible, compactHex(t, cat, catalog.SingletonSetLayout(res.Layout)),
+						name, res.Feasible, compactHex(t, cat, res.SetLayout),
 						math.Float64bits(res.TOCCents), res.Evaluated, res.EstimatorCalls)
 				}
 			}

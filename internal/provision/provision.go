@@ -44,9 +44,6 @@ type CandidateResult struct {
 	// Result is the candidate's recommendation; its Layout is nil when some
 	// unit holds more than one copy.
 	Result *core.Result
-	// SetLayout is the recommendation in class-set form (SweepConfigurations
-	// only; nil otherwise).
-	SetLayout catalog.SetLayout
 	// Spec is the enumerated grid candidate behind this result
 	// (SweepConfigurations only; nil otherwise).
 	Spec *BoxSpec

@@ -35,9 +35,9 @@ import (
 // Grid.Universe) and, when the budget is wider than 1, safe for concurrent
 // use (the workload.Estimator contract).
 //
-// With base.Replication enabled every candidate's inner search places class
-// sets up to the copy cap. Replication prices only under the linear cost
-// model, so such a sweep refuses grids with nonzero alpha points.
+// Every candidate's inner search places class sets up to base's copy cap
+// (base.Replication.Cap()). A cap above one prices only under the linear
+// cost model, so such a sweep refuses grids with nonzero alpha points.
 //
 // The sweep is deterministic at any worker count: candidates keep their
 // enumeration index, every inner search is itself deterministic, and TOC
@@ -76,7 +76,6 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 		in.Box = box
 		in.Est = est
 		in.Budget = budget
-		in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: copyCap}
 		if copyCap == 1 {
 			model, err := DiscreteCost(box, spec.Alpha)
 			if err != nil {
@@ -87,11 +86,11 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 		// Both application policies (guarded + greedy) rather than one pass:
 		// the discrete-sized model has cost valleys a monotonic walk cannot
 		// cross, and both passes share the engine memo anyway.
-		res, err := core.OptimizeReplicated(in, opts)
+		res, err := core.OptimizeBest(in, opts)
 		if err != nil {
 			return fmt.Errorf("provision: candidate %q: %w", spec.Name, err)
 		}
-		results[i] = CandidateResult{Name: spec.Name, Spec: &spec, Result: res.Result, SetLayout: res.SetLayout}
+		results[i] = CandidateResult{Name: spec.Name, Spec: &spec, Result: res}
 		if !res.Feasible {
 			results[i].Failure = InfeasibilityReason(base.Cat, box, opts)
 		}

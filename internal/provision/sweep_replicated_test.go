@@ -75,10 +75,10 @@ func TestSweepConfigurationsReplicated(t *testing.T) {
 		t.Fatal("no feasible candidate in a grid containing the full box")
 	}
 	best := ch.Results[ch.Best]
-	if !best.Result.Feasible || best.SetLayout == nil {
+	if !best.Result.Feasible || best.Result.SetLayout == nil {
 		t.Fatalf("best candidate not feasible: %+v", best)
 	}
-	for id, s := range best.SetLayout {
+	for id, s := range best.Result.SetLayout {
 		if !s.Valid() {
 			t.Fatalf("object %d placed on invalid set %#x", id, uint8(s))
 		}

@@ -208,7 +208,7 @@ func (st *stream) rollup() TenantRollup {
 	ru.LastDecision = st.lastKind
 	ru.TOCCents = st.lastTOC
 	ru.MemoHit = st.memoHit
-	if cost, err := st.mgr.CurrentLayout().CostCentsPerHour(searchCatalog(st.comp, st.pt), st.mgr.Box()); err == nil {
+	if cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(searchCatalog(st.comp, st.pt), st.mgr.Box()); err == nil {
 		ru.StorageCentsPerHour = cost
 	}
 	return ru

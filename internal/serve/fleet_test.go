@@ -77,6 +77,15 @@ func TestFleetEndpoint(t *testing.T) {
 		if ru.Shard < 0 || ru.Shard >= s.cfg.Shards {
 			t.Fatalf("rollup %s shard %d out of ring [0,%d)", want, ru.Shard, s.cfg.Shards)
 		}
+		// The storage price is the deployed set layout's, every copy charged.
+		st, err := s.loadStream(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(searchCatalog(st.comp, st.pt), st.mgr.Box())
+		if err != nil || ru.StorageCentsPerHour != cost {
+			t.Fatalf("rollup %s storage %v cents/hour, deployed set layout prices %v (%v)", want, ru.StorageCentsPerHour, cost, err)
+		}
 	}
 	if fr.Rollups[0].MemoHit || !fr.Rollups[1].MemoHit || fr.Rollups[2].MemoHit {
 		t.Fatalf("memo attribution: alpha=%v beta=%v gamma=%v, want false/true/false",

@@ -429,13 +429,13 @@ func (s *Server) initStream(st *stream, req ObserveRequest, comp *compiled, body
 	// manager clones it before adopting.
 	memoKey := fleetMemoKey(comp, box, req)
 	memoHit := false
-	dec, err := mgr.AdviseWith(func(in core.Input, opts core.Options) (*core.ReplicaResult, error) {
-		v, hit, err := s.fleetMemo.Do(memoKey, func() (any, error) { return core.OptimizeReplicated(in, opts) })
+	dec, err := mgr.AdviseWith(func(in core.Input, opts core.Options) (*core.Result, error) {
+		v, hit, err := s.fleetMemo.Do(memoKey, func() (any, error) { return core.OptimizeBest(in, opts) })
 		if err != nil {
 			return nil, err
 		}
 		memoHit = hit
-		return v.(*core.ReplicaResult), nil
+		return v.(*core.Result), nil
 	})
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
@@ -458,7 +458,7 @@ func (s *Server) initStream(st *stream, req ObserveRequest, comp *compiled, body
 		resp.Failure = provision.InfeasibilityReason(searchCatalog(comp, pt), box, coreOptions(req.SLA))
 		return resp, http.StatusOK, nil
 	}
-	resp.Layout = renderLayout(searchCatalog(comp, pt), dec.To)
+	resp.Layout = renderLayout(searchCatalog(comp, pt), dec.Result.Layout)
 	resp.TOCCents = dec.Result.TOCCents
 	st.comp = comp
 	st.objFP = comp.objectsFingerprint()
@@ -521,21 +521,21 @@ func readviseMemoBase(comp *compiled, box *device.Box, req ObserveRequest) strin
 // alone, since no seed or gate shapes it. Callers hold st.mu.
 func (s *Server) readvise(st *stream, force bool) (*online.Decision, error) {
 	return st.mgr.ReAdviseWith(force,
-		func(obsFP string, in core.Input, opts core.ReplicatedIncrementalOptions) (*core.ReplicaResult, error) {
+		func(obsFP string, in core.Input, opts core.IncrementalOptions) (*core.Result, error) {
 			key := "readvise-inc|" + st.rvKey + "|" + opts.Seed.Key() + "|" + obsFP
-			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeReplicatedIncremental(in, opts) })
+			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeIncremental(in, opts) })
 			if err != nil {
 				return nil, err
 			}
-			return v.(*core.ReplicaResult), nil
+			return v.(*core.Result), nil
 		},
-		func(obsFP string, in core.Input, opts core.Options) (*core.ReplicaResult, error) {
+		func(obsFP string, in core.Input, opts core.Options) (*core.Result, error) {
 			key := "readvise-cold|" + st.rvKey + "|" + obsFP
-			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeReplicated(in, opts) })
+			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeBest(in, opts) })
 			if err != nil {
 				return nil, err
 			}
-			return v.(*core.ReplicaResult), nil
+			return v.(*core.Result), nil
 		})
 }
 
@@ -564,7 +564,7 @@ func (s *Server) readviseResponse(st *stream, dec *online.Decision) ReadviseResp
 		}
 	}
 	if dec.ReAdvised {
-		resp.Layout = st.render(dec.To)
+		resp.Layout = st.render(dec.Result.Layout)
 		resp.MovedObjects = len(dec.Migration.Moves)
 		resp.MovedBytes = dec.Migration.Bytes
 		resp.MigrationMillis = float64(dec.Migration.Time) / float64(time.Millisecond)

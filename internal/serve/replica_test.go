@@ -105,11 +105,20 @@ func TestAdviseReplicated(t *testing.T) {
 		t.Fatalf("exhaustive replicated reports no search stats: %+v", ex.Search)
 	}
 
-	// Replication prices only the linear cost model: alpha is a 400.
+	// A copy cap above one prices only the linear cost model: alpha is a
+	// 400 there, while a cap of one is single-copy placement and takes it.
 	req.Exhaustive = false
 	req.Alpha = 1
 	if status := post(t, ts, "/v1/advise", req, nil); status != http.StatusBadRequest {
 		t.Fatalf("replication+alpha status = %d, want 400", status)
+	}
+	var discrete AdviseResponse
+	req.MaxReplicas = 1
+	if status := post(t, ts, "/v1/advise", req, &discrete); status != http.StatusOK {
+		t.Fatalf("max_replicas 1 + alpha status = %d, want 200", status)
+	}
+	if !discrete.Feasible || discrete.MaxCopies != 1 {
+		t.Fatalf("max_replicas 1 + alpha: %+v", discrete)
 	}
 }
 

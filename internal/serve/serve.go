@@ -702,7 +702,8 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if req.Replication && req.Alpha != 0 {
+	replication := core.ReplicationConfig{Enabled: req.Replication, MaxReplicas: req.MaxReplicas}
+	if replication.Cap() > 1 && req.Alpha != 0 {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("replication prices only the paper's linear cost model; drop alpha %g", req.Alpha)
 	}
@@ -711,8 +712,9 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 	// Granularity (which catalog the search places) and replication (how
-	// many copies of a unit it may place) are orthogonal: lower the input,
-	// set the cap, and one search and one response serve all four requests.
+	// many copies of a unit it may place) are orthogonal: set the cap, lower
+	// the input, and one search and one response serve all four requests.
+	in.Replication = replication
 	resp := AdviseResponse{Granularity: "object"}
 	var pt *catalog.Partitioning
 	if partitioned {
@@ -727,10 +729,6 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 		}
 		resp.Granularity, resp.Units = "partition", pt.NumUnits()
 	}
-	in.Replication = core.ReplicationConfig{Enabled: true, MaxReplicas: 1}
-	if req.Replication {
-		in.Replication.MaxReplicas = req.MaxReplicas
-	}
 	if req.Alpha != 0 {
 		if in.LayoutCost, err = provision.DiscreteCost(box, req.Alpha); err != nil {
 			return nil, http.StatusBadRequest, err
@@ -739,9 +737,9 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	opts := core.Options{RelativeSLA: req.SLA}
 	// The greedy DOT passes by default, the exhaustive branch-and-bound
 	// enumeration when asked for the provable optimum.
-	search := core.OptimizeReplicated
+	search := core.OptimizeBest
 	if req.Exhaustive {
-		search = core.ExhaustiveReplicated
+		search = core.Exhaustive
 	}
 	res, err := search(in, opts)
 	if err != nil {
@@ -763,7 +761,7 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	if res.Layout != nil {
 		resp.Layout = renderLayout(in.Cat, res.Layout)
 		if pt != nil {
-			resp.SplitObjects = (&core.PartitionedResult{Result: res.Result, Partitioning: pt}).SplitObjects()
+			resp.SplitObjects = (&core.PartitionedResult{Result: res, Partitioning: pt}).SplitObjects()
 		}
 	}
 	if req.Replication {
