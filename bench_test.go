@@ -28,6 +28,7 @@ import (
 	"dotprov/internal/online"
 	"dotprov/internal/plan"
 	"dotprov/internal/profiler"
+	"dotprov/internal/provision"
 	"dotprov/internal/search"
 	"dotprov/internal/tpch"
 	"dotprov/internal/types"
@@ -534,6 +535,39 @@ func BenchmarkSweepCandidate(b *testing.B) {
 			b.ReportMetric(float64(units), "units")
 		})
 	}
+}
+
+// BenchmarkSweepAllocs: what one provisioning sweep allocates. It is the
+// shape of the end-to-end provision_sweep request without the HTTP around
+// it: synthetic(16) — 32 objects — swept over the 3-class grid (HDD 0-2,
+// L-SSD 0-2, H-SSD 0-1 units) at alphas {0, 0.5}, 34 candidate searches on
+// two workers. Each candidate's engine draws its memo store from the pool
+// an earlier candidate released it into, so one iteration already reports
+// the steady B/op. benchguard gates it.
+func BenchmarkSweepAllocs(b *testing.B) {
+	in, prof, err := synthetic(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := provision.Grid{
+		Devices: []provision.DeviceOption{
+			{Class: device.HDD, Counts: []int{0, 1, 2}},
+			{Class: device.LSSD, Counts: []int{0, 1, 2}},
+			{Class: device.HSSD, Counts: []int{0, 1}},
+		},
+		Alphas: []float64{0, 0.5},
+	}
+	in.Est = &workload.ObservedEstimator{Box: grid.Universe(), Concurrency: 1,
+		PerQuery: []workload.QueryObservation{{Profile: prof}}}
+	in.Workers = 2
+	b.ReportAllocs()
+	var ch *provision.Choice
+	for i := 0; i < b.N; i++ {
+		if ch, err = provision.SweepConfigurations(in, grid, core.Options{RelativeSLA: 0.5}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(ch.Results)), "candidates")
 }
 
 // syntheticDrifted returns the scan-shifted sibling of synthetic(n): the

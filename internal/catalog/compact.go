@@ -92,7 +92,7 @@ func CompactFromSetLayout(c *Catalog, l SetLayout) (CompactLayout, bool) {
 // CompactFromBytes wraps a raw mask-byte slice (as produced by Bytes)
 // without copying. The caller transfers ownership: the slice must not be
 // mutated afterwards. Intended for allocation-aware callers like the search
-// engine's memo arena.
+// engine's memo store.
 func CompactFromBytes(b []byte) CompactLayout { return CompactLayout{b: b} }
 
 // IsZero reports whether the layout is the zero value (no slots at all —

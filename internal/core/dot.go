@@ -171,10 +171,15 @@ func (r *Result) ReplicatedCopies() int {
 }
 
 // finish materializes the recommendation from the incumbent evaluation:
-// once, at the end of a search, as private maps.
+// once, at the end of a search, as private maps. It then drops the
+// incumbent, whose layout bytes are the engine's memo storage: the entry
+// points release their engine as they return, and a kept Result —
+// memoized by the fleet, held by a deployed decision — must not pin (or
+// read) storage the next search reuses.
 func (r *Result) finish() *Result {
 	r.SetLayout = r.best.Compact.ToSetLayout()
 	r.Layout, _ = r.SetLayout.SingleLayout()
+	r.best = search.Eval{}
 	return r
 }
 
@@ -362,6 +367,7 @@ func Optimize(in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer eng.Release()
 	res, err := optimizeWith(in, opts, eng, moves, nil, guarded)
 	if err != nil {
 		return nil, err
@@ -610,6 +616,8 @@ func OptimizeBest(in Input, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Deferred, so it runs after the greedy pass is joined and after finish.
+	defer eng.Release()
 	trans := in.replicaTransitions(copyCap)
 	var (
 		a, b       *Result
@@ -699,6 +707,7 @@ func OptimizeRelaxing(in Input, opts Options, minSLA float64) (*Result, float64,
 	if err != nil {
 		return nil, 0, err
 	}
+	defer eng.Release()
 	return relaxing(opts, minSLA, func(o Options) (*Result, error) {
 		res, err := optimizeWith(in, o, eng, moves, nil, guarded)
 		if err != nil {

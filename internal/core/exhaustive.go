@@ -59,6 +59,7 @@ func exhaustive(in Input, opts Options, copyCap int, free []catalog.ObjectID, ba
 	if err != nil {
 		return nil, err
 	}
+	defer eng.Release()
 	res, err := in.enumerate(opts, eng, in.alphabet(copyCap), free, base)
 	if err != nil {
 		return nil, err
@@ -214,6 +215,7 @@ func ExhaustiveRelaxing(in Input, opts Options, minSLA float64) (*Result, float6
 	if err != nil {
 		return nil, 0, err
 	}
+	defer eng.Release()
 	return relaxing(opts, minSLA, func(o Options) (*Result, error) {
 		res, err := in.enumerate(o, eng, in.alphabet(1), in.allObjects(), nil)
 		if err != nil {

@@ -25,7 +25,9 @@ type IncrementalOptions struct {
 	// whose migration time (bytes moved off Seed — read sequentially at
 	// the source class, rewritten at the destination class's write rate)
 	// exceeds the headroom is rejected even if its steady-state TOC is
-	// lower. Nil admits every candidate.
+	// lower. Nil admits every candidate. A gate must not retain ev: its
+	// layout bytes are the engine's memo storage, recycled once the search
+	// returns.
 	Accept func(ev search.Eval, cons workload.Constraints) bool
 }
 
@@ -58,6 +60,7 @@ func OptimizeIncremental(in Input, opts IncrementalOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer eng.Release()
 	if len(opts.Seed) == 0 {
 		return nil, fmt.Errorf("core: incremental search requires a seed layout")
 	}

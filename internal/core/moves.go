@@ -34,7 +34,6 @@ type Move struct {
 func EnumerateMoves(cat *catalog.Catalog, box *device.Box, ps *ProfileSet, l0 device.Class, concurrency, workers int) ([]Move, error) {
 	l0Dev := box.Device(l0)
 	groups := cat.Groups()
-	perGroup := make([][]Move, len(groups))
 	// Patterns depend only on the group size; enumerate each size once up
 	// front instead of per group (k is typically uniform across groups, so
 	// this also keeps pattern slices off the scoring loop's profile).
@@ -44,6 +43,22 @@ func EnumerateMoves(cat *catalog.Catalog, box *device.Box, ps *ProfileSet, l0 de
 		if _, ok := patternsByK[g.Size()]; !ok {
 			patternsByK[g.Size()] = enumeratePatterns(classes, g.Size())
 		}
+	}
+	// A group keeps at most one move per pattern but the identity, so one
+	// backing array holds every group's moves: each group appends into a
+	// disjoint window of it, capped so that it cannot spill into the next.
+	perGroup := make([][]Move, len(groups))
+	room := func(g catalog.Group) int { return max(len(patternsByK[g.Size()])-1, 0) }
+	total := 0
+	for _, g := range groups {
+		total += room(g)
+	}
+	all := make([]Move, total)
+	off := 0
+	for gi, g := range groups {
+		n := room(g)
+		perGroup[gi] = all[off : off : off+n]
+		off += n
 	}
 	if err := search.Parallel(workers, len(groups), func(gi int) error {
 		g := groups[gi]
@@ -97,7 +112,11 @@ func EnumerateMoves(cat *catalog.Catalog, box *device.Box, ps *ProfileSet, l0 de
 	// Order references into perGroup, then gather once: the sort swaps
 	// pointers instead of ~100-byte moves and the list is allocated at its
 	// final size.
-	var refs []*Move
+	kept := 0
+	for _, ms := range perGroup {
+		kept += len(ms)
+	}
+	refs := make([]*Move, 0, kept)
 	for gi := range perGroup {
 		for mi := range perGroup[gi] {
 			refs = append(refs, &perGroup[gi][mi])

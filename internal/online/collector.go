@@ -743,11 +743,13 @@ func (c *Collector) Roll(elapsed time.Duration) Window {
 }
 
 // Observe ingests a window closed elsewhere (e.g. shipped over /observe).
-// The collector keeps its own copy.
+// The collector keeps the window itself, not a copy — aggregation only
+// reads the windows it retains — so the caller hands it over and must not
+// modify it (its profile included) afterwards.
 func (c *Collector) Observe(w Window) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.push(w.Clone())
+	c.push(w)
 }
 
 // push appends a closed window, evicting the oldest past capacity. Callers

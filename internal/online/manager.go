@@ -206,7 +206,8 @@ func (m *Manager) lower(w Window) Window {
 // engine's tap (engine.DB.SetTap) or feed it windows via Observe.
 func (m *Manager) Collector() *Collector { return m.col }
 
-// Observe ingests a window closed elsewhere (the /observe wire path).
+// Observe ingests a window closed elsewhere (the /observe wire path). The
+// collector keeps w itself: the caller must not modify it afterwards.
 func (m *Manager) Observe(w Window) { m.col.Observe(w) }
 
 // CurrentSetLayout returns a copy of the deployed layout the manager

@@ -2,6 +2,7 @@ package online
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -119,6 +120,28 @@ func TestCollectorWindows(t *testing.T) {
 	// Aggregating more than retained clamps.
 	if _, n := c.Aggregate(100); n != 3 {
 		t.Fatalf("aggregate clamp: %d, want 3", n)
+	}
+}
+
+// TestObserveLeavesWindowUntouched: Observe keeps the window it is handed,
+// not a copy, which is sound only because nothing the collector does
+// writes a retained window. The same window observed twice and aggregated —
+// and the aggregate then scaled — must still deep-equal a copy taken
+// before it was handed over.
+func TestObserveLeavesWindowUntouched(t *testing.T) {
+	_, ids := testCatalog(t)
+	w := oltpWindow(ids)
+	before := w.Clone()
+	c := NewCollector(4)
+	c.Observe(w)
+	c.Observe(w)
+	agg, n := c.Aggregate(2)
+	if n != 2 || agg.Txns != 2*w.Txns || agg.Profile.Get(ids["wal"])[device.SeqWrite] != 2*w.Profile.Get(ids["wal"])[device.SeqWrite] {
+		t.Fatalf("aggregate of the window twice: %d windows, %+v", n, agg)
+	}
+	agg.Profile.Scale(10)
+	if !reflect.DeepEqual(w, before) {
+		t.Fatalf("the observed window changed:\nnow    %+v\nbefore %+v", w, before)
 	}
 }
 

@@ -153,8 +153,8 @@ func TestMemoSurvivesTotalHashCollision(t *testing.T) {
 		colliding.hashMask = 0
 		want, wantStats := collisionRun(t, f, eng)
 		got, gotStats := collisionRun(t, f, colliding)
-		if len(colliding.memo) != 1 {
-			t.Fatalf("workers=%d: colliding engine spread over %d chains", workers, len(colliding.memo))
+		if len(colliding.st.memo) != 1 {
+			t.Fatalf("workers=%d: colliding engine spread over %d chains", workers, len(colliding.st.memo))
 		}
 		if wantStats.MemoHits() == 0 {
 			t.Fatalf("workers=%d: the run never revisited a layout: %+v", workers, wantStats)
@@ -173,9 +173,11 @@ func TestMemoSurvivesTotalHashCollision(t *testing.T) {
 }
 
 // TestEvalAndEntrySizes: the cursor keeps the running hash and totals, so
-// neither Eval nor the memo entry — allocated per distinct candidate —
-// grew to carry them (104 and 168 bytes before the cursor existed; an
-// entry past its size class costs every request hundreds of KB).
+// neither Eval nor the memo entry — one per distinct candidate — grew to
+// carry them (104 and 168 bytes before the cursor existed). Entries are
+// carved from recycled store chunks, so a larger entry no longer costs
+// every request fresh chunks, but it widens every chunk the pool keeps
+// and every entry Release zeroes.
 func TestEvalAndEntrySizes(t *testing.T) {
 	if got := unsafe.Sizeof(Eval{}); got > 104 {
 		t.Fatalf("Eval is %d bytes, want at most 104", got)

@@ -12,7 +12,10 @@
 //     layout twice. It is the only memo there is: an evaluation holds for
 //     one box and one cost model, so searches over different boxes (a
 //     provisioning sweep's candidates) share an estimator and a Budget,
-//     never evaluations;
+//     never evaluations. Its storage — table, entries, key bytes — is
+//     recycled: Engine.Release returns it to a pool the next engine draws
+//     from, so a sweep of many small searches allocates it about once, and
+//     nothing an engine returned may be read after its Release;
 //   - a Cursor that derives a sweep candidate's memo hash, estimate (from a
 //     workload.DeltaEstimator) and per-class totals from its predecessor's
 //     in O(moves), so the per-candidate hot path does not allocate;
@@ -39,6 +42,7 @@ package search
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -93,7 +97,8 @@ const DefaultMemoLimit = 1 << 18
 // valid across OptimizeBest's sweeps and the relaxing loops' SLA halvings.
 type Eval struct {
 	// Compact is the evaluated layout. The engine retains it: callers must
-	// not mutate it (ToSetLayout materializes a private map form).
+	// not mutate it, nor read it after the engine's Release (ToSetLayout
+	// materializes a private map form).
 	Compact    catalog.CompactLayout
 	Metrics    workload.Metrics
 	TOCCents   float64
@@ -126,6 +131,9 @@ func (s Stats) Sub(o Stats) Stats {
 	return Stats{Evaluated: s.Evaluated - o.Evaluated, EstimatorCalls: s.EstimatorCalls - o.EstimatorCalls}
 }
 
+// errReleased is what a released engine answers every evaluation with.
+var errReleased = errors.New("search: engine used after Release")
+
 type entry struct {
 	once sync.Once
 	// done mirrors once's completion so memo hits can return without
@@ -143,31 +151,92 @@ type entry struct {
 	err  error
 }
 
+// Chunk sizes of a store: entries and key bytes are carved from chunks of
+// this many, and a key longer than keyChunk gets a chunk of its own.
+const (
+	entChunk = 256
+	keyChunk = 1 << 16
+)
+
+// store is an engine's memo storage: the hash-chained table and the chunks
+// its entries and key bytes are carved from. Distinct candidates are the
+// hot allocation site of a search, and most searches keep few of them, so
+// stores are recycled through storePool rather than allocated per engine:
+// a recycled store carves from the chunks it already has before it
+// allocates another.
+type store struct {
+	// memo chains entries per layoutHash of the layout bytes (masked by
+	// hashMask), resolved by byte comparison — probing and inserting never
+	// build a key string, and a Cursor supplies the hash without reading
+	// the bytes.
+	memo map[uint64]*entry
+	// ents holds the entry chunks; the first used of them (in order) are
+	// in the memo, so used is also the retained count the MemoLimit bounds.
+	ents [][]entry
+	used int
+	// keys holds the key-byte chunks; key and keyOff locate the next free
+	// byte.
+	keys        [][]byte
+	key, keyOff int
+}
+
+// storePool recycles the stores of released engines.
+var storePool = sync.Pool{New: func() any { return &store{memo: make(map[uint64]*entry)} }}
+
+// newEntry carves a memo entry from the store's chunks.
+func (s *store) newEntry() *entry {
+	c := s.used / entChunk
+	if c == len(s.ents) {
+		s.ents = append(s.ents, make([]entry, entChunk))
+	}
+	ent := &s.ents[c][s.used%entChunk]
+	s.used++
+	return ent
+}
+
+// cloneBytes copies b into the store's key chunks.
+func (s *store) cloneBytes(b []byte) []byte {
+	for s.key < len(s.keys) && len(s.keys[s.key])-s.keyOff < len(b) {
+		s.key, s.keyOff = s.key+1, 0
+	}
+	if s.key == len(s.keys) {
+		s.keys = append(s.keys, make([]byte, max(keyChunk, len(b))))
+	}
+	out := s.keys[s.key][s.keyOff : s.keyOff+len(b) : s.keyOff+len(b)]
+	s.keyOff += len(b)
+	copy(out, b)
+	return out
+}
+
+// reset empties the store for its next engine. It zeroes the used entries
+// — so a pooled store keeps no estimator state, metrics or error reachable,
+// and every entry's sync.Once is fresh — and clears the table. Key bytes
+// hold no pointers and are simply overwritten.
+func (s *store) reset() {
+	for c := 0; c*entChunk < s.used; c++ {
+		clear(s.ents[c][:min(entChunk, s.used-c*entChunk)])
+	}
+	clear(s.memo)
+	s.used, s.key, s.keyOff = 0, 0, 0
+}
+
 // Engine evaluates candidate layouts through the memoized
 // estimate → price → check pipeline. An Engine is safe for concurrent use;
-// share one across sweeps to share its memo table.
+// share one across sweeps to share its memo table. Its memo storage is
+// recycled once the search is over: see Release.
 type Engine struct {
 	cfg Config
 	// delta is cfg.Est's delta form, when it has one.
 	delta workload.DeltaEstimator
-	mu    sync.Mutex
-	// memo chains entries per layoutHash of the layout bytes (masked by
-	// hashMask), resolved by byte comparison — probing and inserting never
-	// build a key string, and a Cursor supplies the hash without reading
-	// the bytes. memoCount tracks retained entries for the MemoLimit.
-	memo      map[uint64]*entry
-	memoCount int
+	// mu guards st, which is nil once the engine is released.
+	mu sync.Mutex
+	st *store
 	// hashMask is all ones. Tests zero it so that every layout lands on one
 	// chain: the memo's answers rest on the byte comparison, not the hash.
 	hashMask uint64
 	// sizes is the catalog's dense size table, frozen per engine like the
 	// estimators' statistics.
 	sizes []int64
-	// Memo-insert arenas (guarded by mu): distinct candidates are the hot
-	// allocation site of an exhaustive run, so entries and layout clones are
-	// carved from chunks instead of allocated one by one.
-	entArena  []entry
-	byteArena []byte
 	// sem bounds concurrent estimator invocations at Workers across ALL
 	// concurrent operations on the engine — concurrent sweeps sharing one
 	// engine (OptimizeBest) cannot oversubscribe past the configured width.
@@ -176,13 +245,14 @@ type Engine struct {
 	estCalls  atomic.Int64
 }
 
-// New builds an engine. It returns an error when the config lacks the
-// catalog, the estimator or the cost model.
+// New builds an engine on a recycled memo store (see Release). It returns
+// an error when the config lacks the catalog, the estimator or the cost
+// model.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Cat == nil || cfg.Est == nil || cfg.Price == nil {
 		return nil, fmt.Errorf("search: Config requires Cat, Est and Price")
 	}
-	e := &Engine{cfg: cfg, memo: make(map[uint64]*entry), hashMask: ^uint64(0), sizes: cfg.Cat.DenseSizeBytes()}
+	e := &Engine{cfg: cfg, st: storePool.Get().(*store), hashMask: ^uint64(0), sizes: cfg.Cat.DenseSizeBytes()}
 	e.delta, _ = cfg.Est.(workload.DeltaEstimator)
 	if cfg.Budget != nil {
 		e.sem = cfg.Budget.sem
@@ -198,29 +268,23 @@ func New(cfg Config) (*Engine, error) {
 // bounds and dominance groups.
 func (e *Engine) CompactEstimator() workload.CompactEstimator { return e.cfg.Est }
 
-// newEntry carves a memo entry from the arena. Callers hold e.mu.
-func (e *Engine) newEntry() *entry {
-	if len(e.entArena) == 0 {
-		e.entArena = make([]entry, 256)
+// Release ends the engine's life: its memo store goes back to the pool for
+// the next engine, and every later evaluation — Evaluate, EvaluateCompact,
+// a Cursor's Try, ExhaustiveBnB — fails with an error. Nothing the engine
+// returned may be read afterwards, an Eval's Compact bytes (the memo's own
+// key) included, so a caller that keeps a result materializes it first. It
+// must not run concurrently with any other use of the engine; a second
+// Release is a no-op. An engine that is never released is simply
+// collected.
+func (e *Engine) Release() {
+	e.mu.Lock()
+	st := e.st
+	e.st = nil
+	e.mu.Unlock()
+	if st != nil {
+		st.reset()
+		storePool.Put(st)
 	}
-	ent := &e.entArena[0]
-	e.entArena = e.entArena[1:]
-	return ent
-}
-
-// cloneBytes copies b into the byte arena. Callers hold e.mu.
-func (e *Engine) cloneBytes(b []byte) []byte {
-	if len(e.byteArena) < len(b) {
-		n := 1 << 16
-		if n < len(b) {
-			n = len(b)
-		}
-		e.byteArena = make([]byte, n)
-	}
-	out := e.byteArena[:len(b):len(b)]
-	e.byteArena = e.byteArena[len(b):]
-	copy(out, b)
-	return out
 }
 
 // Workers returns the effective fan-out width (the shared budget's width
@@ -283,30 +347,34 @@ func (e *Engine) EvaluateCompact(cl catalog.CompactLayout) (Eval, error) {
 // candidate cl is: a miss then takes its totals, and its delta base and
 // moves, from the cursor instead of walking cl.
 func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, h uint64, cur *Cursor) (Eval, error) {
-	e.evaluated.Add(1)
 	b := cl.Bytes()
 	h &= e.hashMask
 	e.mu.Lock()
-	ent := e.memo[h]
+	st := e.st
+	if st == nil {
+		e.mu.Unlock()
+		return Eval{}, errReleased
+	}
+	e.evaluated.Add(1)
+	ent := st.memo[h]
 	for ent != nil && !bytes.Equal(ent.cl.Bytes(), b) {
 		ent = ent.next
 	}
 	if ent == nil {
-		if e.memoCount >= e.memoLimit() {
+		if st.used >= e.memoLimit() {
 			e.mu.Unlock()
 			if !owned {
 				cl = cl.Clone()
 			}
 			return e.measureCompact(cl, cur)
 		}
-		ent = e.newEntry()
+		ent = st.newEntry()
 		if !owned {
-			cl = catalog.CompactFromBytes(e.cloneBytes(b))
+			cl = catalog.CompactFromBytes(st.cloneBytes(b))
 		}
 		ent.cl = cl
-		ent.next = e.memo[h]
-		e.memo[h] = ent
-		e.memoCount++
+		ent.next = st.memo[h]
+		st.memo[h] = ent
 	}
 	e.mu.Unlock()
 	if ent.done.Load() {

@@ -11,7 +11,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"mime"
 	"net/http"
 
@@ -56,7 +55,7 @@ type ingestItem struct {
 // the bounded queue or shed the whole batch with 429 + Retry-After. It
 // never takes an optimization slot and never blocks on a stream lock.
 func (s *Server) handleObserveFrames(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return

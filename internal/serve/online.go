@@ -419,7 +419,10 @@ func (s *Server) initStream(st *stream, req ObserveRequest, comp *compiled, body
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	mgr.Observe(comp.window())
+	// The collector keeps the window it is given, and this one's profile is
+	// the compiled workload's own (the fleet-memo key below reads it), so
+	// hand it a copy — once per define.
+	mgr.Observe(comp.window().Clone())
 	s.observed.Add(1)
 	// The initial cold advise runs through the fleet memo: equal-workload
 	// tenants (same fingerprint, box, SLA, alpha, granularity) coalesce

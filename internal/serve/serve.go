@@ -429,6 +429,23 @@ func (s *Server) observeRouted() http.HandlerFunc {
 // even wide schemas fit comfortably.
 const maxBodyBytes = 8 << 20
 
+// readBody reads a request body of at most maxBodyBytes. A body whose
+// declared Content-Length is within the cap is read into one buffer of
+// exactly that size — io.ReadAll would grow one through a chain of copies —
+// and one that ends early is an error; a body of unknown or larger length
+// goes through io.ReadAll, whose MaxBytesReader refuses it past the cap.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(body)
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -542,7 +559,7 @@ func (s *Server) boundedWith(fn func(body []byte) (any, int, error), cached func
 		// Read the body BEFORE taking a concurrency slot: a client trickling
 		// its upload must not park an optimization slot (the server's
 		// ReadTimeout bounds the upload itself).
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := readBody(w, r)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 			return

@@ -92,6 +92,16 @@
 #      touches). est-calls/evaluated parity of the pair is check 1. These
 #      are counts: they repeat exactly, so the gate cannot flake.
 #
+#  13. a provisioning sweep recycles its candidates' memo storage instead of
+#      allocating it per candidate: BenchmarkSweepAllocs (synthetic(16), 32
+#      objects, swept over the 3-class grid at alphas {0, 0.5}, 34 candidate
+#      searches on two workers) stays under 1,500,000 B/op — about twice the
+#      550-800 KB recorded when the pooled store landed (4.4 MB before it,
+#      when every candidate's engine opened a 64 KB key arena and a 43 KB
+#      entry arena of its own). An engine that stops releasing its store, or
+#      a store that stops being reused, fails the gate. Stores recycle across
+#      the candidates of one sweep, so one iteration gives a steady figure.
+#
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
 # which needs a timed benchtime for throughput to mean anything
@@ -104,7 +114,7 @@ benchtime="${BENCHTIME:-1x}"
 ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 
 raw=$(go test -run '^$' \
-  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate' \
+  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate|BenchmarkSweepAllocs' \
   -benchmem -benchtime "$benchtime" .)
 # Gate 11 compares two sub-microsecond figures, so it takes the best of three
 # runs of each: a noisy neighbour inflates one run, a per-candidate walk of
@@ -394,4 +404,16 @@ END {
   }
   if (bad) exit 1
   printf("benchguard OK: plan-aware estimator planned %s of %s lookups on DOT (gate 1/2) and %s of %s on ES (gate 3%%); compiled plans equal, lookups %s and %s\n", plans["dot/map"], lookups["dot/map"], plans["es/map"], lookups["es/map"], lookups["dot/compiled"], lookups["es/compiled"])
+}'
+
+# Gate 13: a sweep's candidates share recycled memo storage.
+echo "$raw" | awk '
+/^BenchmarkSweepAllocs/ {
+  for (i=3; i<NF; i++) if ($(i+1)=="B/op") bytes=$i
+  found=1
+}
+END {
+  if (!found) { print "benchguard: BenchmarkSweepAllocs missing — benchmark names changed?"; exit 1 }
+  if (bytes+0 >= 1500000) { printf("REGRESSION: a 34-candidate provisioning sweep allocated %s B/op (ceiling 1500000): the search memo store is allocated per candidate again\n", bytes); exit 1 }
+  printf("benchguard OK: a 34-candidate provisioning sweep at %s B/op (ceiling 1500000)\n", bytes)
 }'
