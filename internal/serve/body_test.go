@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,7 +20,8 @@ import (
 // observe and a JSON route — accept a body of declared length and one of
 // unknown (chunked) length alike, refuse one past maxBodyBytes with 400 and
 // the text they have always answered, and refuse with 400 a body that ends
-// before its declared length.
+// before its declared length. A body that declares far more than it has
+// sent is not allocated up front.
 func TestReadBody(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -45,6 +47,24 @@ func TestReadBody(t *testing.T) {
 	if got, err := readBody(httptest.NewRecorder(), httptest.NewRequest("POST", "/", bytes.NewReader(advise))); err != nil ||
 		!bytes.Equal(got, advise) || cap(got) != len(advise) {
 		t.Fatalf("readBody of a declared %d bytes: %d bytes in a buffer of %d (%v)", len(advise), len(got), cap(got), err)
+	}
+	// A client that declares the whole cap, sends a few bytes and stalls
+	// holds no buffer of its declared size while it stalls.
+	stalled := &stallingBody{head: []byte("0123456789abcdef"), stalled: make(chan struct{}), resume: make(chan struct{})}
+	req := httptest.NewRequest("POST", "/", stalled)
+	req.ContentLength = maxBodyBytes
+	var before, during runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan error)
+	go func() { _, err := readBody(httptest.NewRecorder(), req); done <- err }()
+	<-stalled.stalled
+	runtime.ReadMemStats(&during)
+	close(stalled.resume)
+	if err := <-done; err == nil {
+		t.Fatal("readBody of a body that ends 16 bytes into a declared maxBodyBytes: no error")
+	}
+	if grown := during.TotalAlloc - before.TotalAlloc; grown >= maxBodyBytes/2 {
+		t.Fatalf("a stalled body that declared %d bytes and sent 16 cost %d bytes before it sent more", maxBodyBytes, grown)
 	}
 	over := make([]byte, maxBodyBytes+1)
 	const tooLarge = "reading request body: http: request body too large"
@@ -83,6 +103,24 @@ func TestReadBody(t *testing.T) {
 			t.Fatalf("%s, body shorter than declared: %d %q, want 400 reading request body", rt.name, status, text)
 		}
 	}
+}
+
+// stallingBody yields head, then blocks a read (closing stalled) until
+// resume is closed and ends early with io.ErrUnexpectedEOF.
+type stallingBody struct {
+	head            []byte
+	stalled, resume chan struct{}
+}
+
+func (b *stallingBody) Read(p []byte) (int, error) {
+	if len(b.head) > 0 {
+		n := copy(p, b.head)
+		b.head = b.head[n:]
+		return n, nil
+	}
+	close(b.stalled)
+	<-b.resume
+	return 0, io.ErrUnexpectedEOF
 }
 
 // envelope reads a response's status and, when it failed, its error text.

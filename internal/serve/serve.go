@@ -429,14 +429,21 @@ func (s *Server) observeRouted() http.HandlerFunc {
 // even wide schemas fit comfortably.
 const maxBodyBytes = 8 << 20
 
+// exactBodyBytes bounds the declared Content-Length readBody allocates for
+// before any byte arrives. It covers real frame batches and JSON requests
+// (tens of KB); a client that declares the whole cap and stalls pins no more
+// than this.
+const exactBodyBytes = 64 << 10
+
 // readBody reads a request body of at most maxBodyBytes. A body whose
-// declared Content-Length is within the cap is read into one buffer of
-// exactly that size — io.ReadAll would grow one through a chain of copies —
-// and one that ends early is an error; a body of unknown or larger length
-// goes through io.ReadAll, whose MaxBytesReader refuses it past the cap.
+// declared Content-Length is within exactBodyBytes is read into one buffer
+// of exactly that size — io.ReadAll would grow one through a chain of
+// copies — and one that ends early is an error; any other body goes through
+// io.ReadAll, which grows only as bytes arrive and whose MaxBytesReader
+// refuses it past the cap.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+	if n := r.ContentLength; n > 0 && n <= exactBodyBytes {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(body, buf); err != nil {
 			return nil, err
