@@ -27,9 +27,9 @@ type TenantRollup struct {
 	// ring (frames fold and ticker re-advises run there).
 	Stream string `json:"stream"`
 	Shard  int    `json:"shard"`
-	// State is the tenant's lifecycle state: "active" (initialized, advised),
-	// "defining" (created but no feasible initial advise yet), or "evicted"
-	// (idle past StreamTTL, parked as a snapshot record until touched).
+	// State is the tenant's lifecycle state: "active" (defined and
+	// registered) or "evicted" (idle past StreamTTL, parked as a snapshot
+	// record until touched).
 	State       string  `json:"state"`
 	Granularity string  `json:"granularity,omitempty"`
 	SLA         float64 `json:"sla,omitempty"`
@@ -58,8 +58,8 @@ type TenantRollup struct {
 // FleetResponse is the /v1/fleet body: fleet-wide counters plus one rollup
 // per tenant in the requested page, sorted by stream name.
 type FleetResponse struct {
-	// Tenants counts every known tenant (active + defining + evicted);
-	// Active and Evicted split it. Shards is the ring width.
+	// Tenants counts every known tenant; Active and Evicted split it.
+	// Shards is the ring width.
 	Tenants int `json:"tenants"`
 	Active  int `json:"active"`
 	Evicted int `json:"evicted"`
@@ -174,8 +174,8 @@ func (s *Server) allRollups() (rollups []TenantRollup, active int) {
 // tenantRollup builds one named tenant's rollup; ok is false when the name
 // is neither live nor parked.
 func (s *Server) tenantRollup(name string) (TenantRollup, bool) {
-	if st := s.lookupLive(name); st != nil {
-		return st.rollup(), true
+	if v, ok := s.streams.Load(name); ok {
+		return v.(*stream).rollup(), true
 	}
 	s.streamMu.Lock()
 	_, parked := s.parked[name]
@@ -188,15 +188,9 @@ func (s *Server) tenantRollup(name string) (TenantRollup, bool) {
 
 // rollup snapshots one live stream's row.
 func (st *stream) rollup() TenantRollup {
-	ru := TenantRollup{Stream: st.name, Shard: st.shard}
+	ru := TenantRollup{Stream: st.name, Shard: st.shard, State: "active", Granularity: st.granularity()}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.mgr == nil {
-		ru.State = "defining"
-		return ru
-	}
-	ru.State = "active"
-	ru.Granularity = st.granularity()
 	ru.SLA = st.mgr.SLA()
 	stats := st.mgr.Stats()
 	ru.Windows = stats.WindowsClosed
@@ -208,7 +202,7 @@ func (st *stream) rollup() TenantRollup {
 	ru.LastDecision = st.lastKind
 	ru.TOCCents = st.lastTOC
 	ru.MemoHit = st.memoHit
-	if cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(searchCatalog(st.comp, st.pt), st.mgr.Box()); err == nil {
+	if cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(st.searchCatalog(), st.mgr.Box()); err == nil {
 		ru.StorageCentsPerHour = cost
 	}
 	return ru
@@ -248,7 +242,7 @@ func boxKey(b *device.Box) string {
 	return strings.Join(parts, ",")
 }
 
-// evictIdle evicts every initialized stream idle for at least StreamTTL,
+// evictIdle evicts every registered stream idle for at least StreamTTL,
 // least recently touched first (the LRU order), parking each as a snapshot
 // record. Evicted tenants keep surviving restarts — exportPayload merges
 // parked records into disk snapshots — and rematerialize on their next
@@ -275,52 +269,14 @@ func (s *Server) evictIdle() {
 // lost on rematerialization, a bounded, documented cost of eviction (the
 // same window would be lost to a crash; the ingest path stays lock-free).
 func (s *Server) evictStream(st *stream) {
-	rec, ok := st.record()
-	if !ok {
-		return
-	}
+	rec := st.record()
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
 	if v, ok := s.streams.Load(st.name); !ok || v.(*stream) != st {
-		return // a racing re-definition owns the name now
+		return // evicted and rematerialized since: another instance holds the name
 	}
 	s.streams.Delete(st.name)
 	s.streamN--
 	s.parked[st.name] = rec
 	s.evicted.Add(1)
-}
-
-// rematerializeLocked revives a parked stream record: the stream is rebuilt
-// through the exact snapshot-recovery path and re-registered, resuming
-// drift detection mid-window with its deployed layout and reference
-// intact. Callers hold streamMu; the parked record is consumed only on
-// success.
-func (s *Server) rematerializeLocked(name string) (*stream, error) {
-	rec, ok := s.parked[name]
-	if !ok {
-		return nil, nil
-	}
-	if s.streamN >= s.cfg.MaxStreams {
-		return nil, &codedError{code: "stream_capacity",
-			err: fmt.Errorf("stream capacity reached (%d); evicted stream %q cannot rematerialize until a slot frees", s.cfg.MaxStreams, name)}
-	}
-	st, err := s.rebuildStream(rec)
-	if err != nil {
-		return nil, fmt.Errorf("rematerializing evicted stream %q: %w", name, err)
-	}
-	st.touch()
-	delete(s.parked, name)
-	s.streams.Store(name, st)
-	s.streamN++
-	s.rematerialized.Add(1)
-	return st, nil
-}
-
-// lookupLive returns the named registered stream without rematerializing,
-// nil when absent.
-func (s *Server) lookupLive(name string) *stream {
-	if v, ok := s.streams.Load(name); ok {
-		return v.(*stream)
-	}
-	return nil
 }

@@ -78,11 +78,11 @@ func TestFleetEndpoint(t *testing.T) {
 			t.Fatalf("rollup %s shard %d out of ring [0,%d)", want, ru.Shard, s.cfg.Shards)
 		}
 		// The storage price is the deployed set layout's, every copy charged.
-		st, err := s.loadStream(want)
+		st, err := s.lookup(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(searchCatalog(st.comp, st.pt), st.mgr.Box())
+		cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(st.searchCatalog(), st.mgr.Box())
 		if err != nil || ru.StorageCentsPerHour != cost {
 			t.Fatalf("rollup %s storage %v cents/hour, deployed set layout prices %v (%v)", want, ru.StorageCentsPerHour, cost, err)
 		}
@@ -353,9 +353,9 @@ func TestRematerializeFailureIsInternal(t *testing.T) {
 	defer ts.Close()
 
 	defineTenant(t, ts, "a", oltpObserveSpec(1, 0))
-	st, err := s.loadStream("a")
+	st, err := s.lookup("a")
 	if err != nil || st == nil {
-		t.Fatalf("loadStream: %v %v", st, err)
+		t.Fatalf("lookup: %v %v", st, err)
 	}
 	s.evictStream(st)
 	// The record's fingerprint no longer matches what its config compiles to
@@ -431,9 +431,9 @@ func BenchmarkFleetFold(b *testing.B) {
 				if resp.StatusCode != http.StatusOK {
 					b.Fatalf("define %s: status=%d", name, resp.StatusCode)
 				}
-				st, err := s.loadStream(name)
+				st, err := s.lookup(name)
 				if err != nil || st == nil {
-					b.Fatalf("loadStream %s: %v", name, err)
+					b.Fatalf("lookup %s: %v", name, err)
 				}
 				sts[i] = st
 			}

@@ -71,7 +71,7 @@ func (s *Server) handleObserveFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := streamName(r.URL.Query().Get("stream"))
-	st, err := s.loadStream(name)
+	st, err := s.lookup(name)
 	if err != nil {
 		writeError(w, streamErrStatus(err), err)
 		return
@@ -81,12 +81,7 @@ func (s *Server) handleObserveFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.touch()
-	wire := st.wire.Load()
-	if wire == nil {
-		writeError(w, http.StatusConflict, fmt.Errorf("stream %q is not initialized; binary frames address its pinned object list, so the defining observe must be JSON", name))
-		return
-	}
-	objs := *wire
+	objs := st.wire
 	frames, err := online.DecodeFrames(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding extent frames: %w", err))
@@ -161,9 +156,7 @@ func (s *Server) ingestLoop(shard int) {
 // manager's collector. Releases the frame's queue reservation when done.
 func (s *Server) ingestFrame(it ingestItem) {
 	defer s.queued.Add(-1)
-	st := it.st
-	// Admission saw the list published, and it is never unpublished.
-	objs := *st.wire.Load()
+	st, objs := it.st, it.st.wire
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.mgr.Observe(frameWindow(it.frame, objs))
@@ -178,9 +171,9 @@ func (s *Server) ingestFrame(it ingestItem) {
 }
 
 // frameWindow lowers a decoded frame onto an online.Window over the
-// stream's pinned object list — the binary twin of compiled.window +
-// renameProfile on the JSON path (only positive counts are added, so the
-// two paths produce identical profiles for identical observations).
+// stream's pinned object list — the binary twin of compiled.window on the
+// JSON observe path (both keep only positive counts, so the two paths
+// produce identical profiles for identical observations).
 func frameWindow(f online.Frame, objs []wireObject) online.Window {
 	p := iosim.NewProfile()
 	for _, o := range f.Objects {

@@ -257,10 +257,9 @@ func TestBinaryObserveMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestBinaryObserveErrors covers the binary path's error envelope: unknown
-// stream (404), uninitialized index space (409 is covered by the define
-// requirement), malformed frames (400), and out-of-range object indexes
-// (400).
+// TestBinaryObserveErrors covers the binary path's error envelope: a name
+// with no defined stream (404), malformed frames (400), out-of-range object
+// indexes (400), and extent buckets past the object they address (400).
 func TestBinaryObserveErrors(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()

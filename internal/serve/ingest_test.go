@@ -28,7 +28,7 @@ func TestIngestBackpressure(t *testing.T) {
 	// Stall the background fold: the worker blocks acquiring the stream
 	// lock inside ingestFrame, so admitted frames keep their queue
 	// reservations and the bound fills deterministically.
-	st, _ := s.loadStream("bp")
+	st, _ := s.lookup("bp")
 	if st == nil {
 		t.Fatal("stream not registered")
 	}

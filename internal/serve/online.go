@@ -15,7 +15,6 @@ import (
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
 	"dotprov/internal/device"
-	"dotprov/internal/iosim"
 	"dotprov/internal/online"
 	"dotprov/internal/provision"
 )
@@ -113,10 +112,12 @@ type ReadviseResponse struct {
 	ThroughputPerHour float64 `json:"throughput_per_hour,omitempty"`
 }
 
-// stream is one online-advised workload: the compiled object mapping
-// (frozen at initialization) and its manager. Its mutex serializes
-// initialization against observation — per stream, so concurrent tenant
-// streams never serialize on each other.
+// stream is one online-advised workload: the compiled object mapping and
+// its manager. newStream builds it whole, and it is registered only once
+// defined, so its manager, wire index and object fingerprint are fixed for
+// as long as it is registered. Its mutex serializes observation, re-advise
+// and export — per stream, so concurrent tenant streams never serialize on
+// each other.
 type stream struct {
 	mu    sync.Mutex
 	name  string
@@ -138,112 +139,99 @@ type stream struct {
 	lastFeasible bool
 	lastTOC      float64
 	memoHit      bool
-	// pt is the stream's partitioning at partition granularity (nil at
-	// object granularity); decisions' layouts are then unit-granular and
-	// rendered under unit names.
-	pt *catalog.Partitioning
 	// wire maps binary-frame object indexes (position in the defining
 	// observe's object list) onto the stream's catalog IDs and page counts.
-	// Published once at initialization and immutable after, so the binary
-	// admission path reads it lock-free (nil means the stream is not
-	// initialized yet).
-	wire atomic.Pointer[[]wireObject]
+	// Immutable, so the binary admission path reads it without the lock.
+	wire []wireObject
 	// cfgJSON is the raw defining observe request body, kept verbatim so
 	// snapshots can persist the stream's exact configuration and recovery
-	// can replay it through the same initialization path (see snapshot.go).
+	// can replay it through newStream (see snapshot.go).
 	cfgJSON []byte
 	// rvKey is the drift-invariant half of the stream's re-advise memo key
 	// (defining fingerprint, box, SLA, alpha, granularity, migration
-	// headroom), fixed at initialization; see Server.readvise.
+	// headroom); see Server.readvise.
 	rvKey string
 }
 
 // granularity returns the stream's wire granularity label.
 func (st *stream) granularity() string {
-	if st.pt != nil {
+	if st.mgr.Partitioning() != nil {
 		return "partition"
 	}
 	return "object"
 }
 
-// render maps a decision layout onto wire names at the stream's
-// granularity.
-func (st *stream) render(l catalog.Layout) map[string]string {
-	return renderLayout(searchCatalog(st.comp, st.pt), l)
+// searchCatalog returns the catalog the stream's searches run on; decision
+// layouts are keyed by it.
+func (st *stream) searchCatalog() *catalog.Catalog {
+	return searchCatalog(st.comp, st.mgr.Partitioning())
 }
 
-// getStream returns the named stream, creating it (uninitialized) when
-// absent and capacity allows. The existing-stream path is a lock-free
-// sync.Map Load — the multi-tenant hot path; only creation (and
-// rematerialization of an evicted stream) takes streamMu for the slot
-// accounting.
-func (s *Server) getStream(name string) (*stream, error) {
+// lookup returns the named stream: a registered one through a lock-free
+// sync.Map Load — the multi-tenant hot path — or a parked one
+// rematerialized under streamMu; nil when the name is unknown.
+func (s *Server) lookup(name string) (*stream, error) {
 	if v, ok := s.streams.Load(name); ok {
 		return v.(*stream), nil
 	}
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
+	return s.lookupLocked(name)
+}
+
+// lookupLocked is lookup under streamMu. A parked record is rebuilt and
+// registered in its place, resuming drift detection mid-window with its
+// deployed layout and reference intact; the record is consumed only on
+// success.
+func (s *Server) lookupLocked(name string) (*stream, error) {
 	if v, ok := s.streams.Load(name); ok {
 		return v.(*stream), nil
 	}
-	if st, err := s.rematerializeLocked(name); err != nil {
+	rec, ok := s.parked[name]
+	if !ok {
+		return nil, nil
+	}
+	if err := s.capacityLocked(fmt.Sprintf("evicted stream %q cannot rematerialize until a slot frees", name)); err != nil {
 		return nil, err
-	} else if st != nil {
-		return st, nil
 	}
-	if s.streamN >= s.cfg.MaxStreams {
-		return nil, &codedError{code: "stream_capacity",
-			err: fmt.Errorf("stream capacity reached (%d); reuse an existing stream or restart dotserve with a larger -max-streams", s.cfg.MaxStreams)}
+	st, err := s.revive(rec)
+	if err != nil {
+		return nil, fmt.Errorf("rematerializing evicted stream %q: %w", name, err)
 	}
-	st := &stream{name: name, shard: s.ring.Shard(name)}
+	delete(s.parked, name)
 	s.streams.Store(name, st)
+	s.streamN++
+	s.rematerialized.Add(1)
+	return st, nil
+}
+
+// insert registers a defined stream. The first definition of a name wins:
+// when the name is registered, or parked and rematerialized now, insert
+// returns that stream instead of st. A full registry refuses st.
+func (s *Server) insert(st *stream) (*stream, error) {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
+	if cur, err := s.lookupLocked(st.name); cur != nil || err != nil {
+		return cur, err
+	}
+	if err := s.capacityLocked(defineHint); err != nil {
+		return nil, err
+	}
+	s.streams.Store(st.name, st)
 	s.streamN++
 	return st, nil
 }
 
-// loadStream returns the named stream, rematerializing it from a parked
-// eviction record when needed; (nil, nil) when the name is unknown.
-func (s *Server) loadStream(name string) (*stream, error) {
-	if v, ok := s.streams.Load(name); ok {
-		return v.(*stream), nil
-	}
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	if v, ok := s.streams.Load(name); ok {
-		return v.(*stream), nil
-	}
-	return s.rematerializeLocked(name)
-}
+// defineHint is what a define refused for capacity can do about it.
+const defineHint = "reuse an existing stream or restart dotserve with a larger -max-streams"
 
-// dropStream unregisters a stream if the registry still maps its name to
-// this exact instance (a racing re-definition may have replaced it).
-func (s *Server) dropStream(st *stream) {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	if v, ok := s.streams.Load(st.name); ok && v.(*stream) == st {
-		s.streams.Delete(st.name)
-		s.streamN--
+// capacityLocked refuses a further stream once MaxStreams are registered;
+// hint says what the refused caller can do. Callers hold streamMu.
+func (s *Server) capacityLocked(hint string) error {
+	if s.streamN < s.cfg.MaxStreams {
+		return nil
 	}
-}
-
-// registerStream (re-)inserts an initialized stream. The slot was reserved
-// by getStream; re-inserting after a successful init also heals the rare
-// race where a failed concurrent definition dropped the entry while this
-// one was waiting on st.mu. If a racing definition already re-took the
-// name with a DIFFERENT instance, that one wins — never clobber a
-// registered stream's manager and window history.
-func (s *Server) registerStream(st *stream) {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	if v, ok := s.streams.Load(st.name); ok {
-		if v.(*stream) != st {
-			return
-		}
-		s.streams.Store(st.name, st)
-		return
-	}
-	s.streams.Store(st.name, st)
-	s.streamN++
+	return &codedError{code: "stream_capacity", err: fmt.Errorf("stream capacity reached (%d); %s", s.cfg.MaxStreams, hint)}
 }
 
 // snapshotStreams copies the stream list for the ticker (never hold
@@ -296,34 +284,35 @@ func (s *Server) handleObserve(body []byte) (any, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	st, err := s.getStream(name)
+	st, err := s.lookup(name)
 	if err != nil {
 		return nil, streamErrStatus(err), err
 	}
+	if st == nil {
+		return s.define(name, req, comp, body)
+	}
+	return s.observe(st, comp)
+}
+
+// observe ingests one JSON window into a registered stream and answers its
+// drift verdict.
+func (s *Server) observe(st *stream, comp *compiled) (any, int, error) {
 	st.touch()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.mgr == nil {
-		v, status, err := s.initStream(st, req, comp, body)
-		if st.mgr == nil {
-			// Initialization did not complete (bad config, infeasible
-			// advise): release the stream slot so failed definitions cannot
-			// exhaust MaxStreams. We still hold st.mu, so a concurrent
-			// definer of the same name re-registers via initStream's
-			// success path after us.
-			s.dropStream(st)
-		}
-		return v, status, err
-	}
 	if fp := comp.objectsFingerprint(); fp != st.objFP {
 		return nil, http.StatusConflict,
-			fmt.Errorf("stream %q: object list differs from the stream's definition (got %s, want %s); use a new stream for a changed schema", name, fp[:12], st.objFP[:12])
+			fmt.Errorf("stream %q: object list differs from the stream's definition (got %s, want %s); use a new stream for a changed schema", st.name, fp[:12], st.objFP[:12])
 	}
-	// Translate the incoming profile onto the stream's object IDs by name:
-	// IDs are assigned in declaration order so they coincide, but mapping
-	// by name keeps the stream correct even if that invariant ever bends.
+	// Equal object lists compile to equal object IDs, so the window lands
+	// on the stream's catalog as it is. Only positive counts enter it, as on
+	// the binary path (frameWindow).
 	w := comp.window()
-	w.Profile = st.comp.renameProfile(comp, w.Profile)
+	for id, v := range w.Profile {
+		if v.Total() == 0 {
+			delete(w.Profile, id)
+		}
+	}
 	st.mgr.Observe(w)
 	s.observed.Add(1)
 	dr, _, err := st.mgr.Check()
@@ -332,7 +321,7 @@ func (s *Server) handleObserve(body []byte) (any, int, error) {
 	}
 	d := driftOut(dr)
 	return ObserveResponse{
-		Stream:      name,
+		Stream:      st.name,
 		Granularity: st.granularity(),
 		Windows:     st.mgr.Stats().WindowsClosed,
 		Feasible:    true,
@@ -340,27 +329,28 @@ func (s *Server) handleObserve(body []byte) (any, int, error) {
 	}, http.StatusOK, nil
 }
 
-// streamConfig lowers a defining observe onto the stream's online.Config
-// and partitioning. It is the single configuration path shared by
-// initStream and snapshot recovery's rebuildStream (see snapshot.go), so
-// a restored stream is configured bit-identically to the original — the
-// precondition for bit-identical re-advise decisions after recovery.
-func (s *Server) streamConfig(req ObserveRequest, comp *compiled) (online.Config, *catalog.Partitioning, error) {
+// newStream builds a complete stream from its defining observe. It is the
+// one constructor behind a define, a snapshot restore and the
+// rematerialization of an evicted tenant, so a rebuilt stream is
+// configured bit-identically to the original — the precondition for
+// bit-identical re-advise decisions after recovery. body is the raw
+// defining request, kept as the stream's durable configuration.
+func (s *Server) newStream(name string, req ObserveRequest, comp *compiled, body []byte) (*stream, error) {
 	if err := validSLA(req.SLA); err != nil {
-		return online.Config{}, nil, fmt.Errorf("first observe for stream %q must configure the stream: %w", streamName(req.Stream), err)
+		return nil, fmt.Errorf("first observe for stream %q must configure the stream: %w", name, err)
 	}
 	box, err := parseBox(AdviseRequest{Box: req.Box, Classes: req.Classes})
 	if err != nil {
-		return online.Config{}, nil, err
+		return nil, err
 	}
 	partitioned, err := parseGranularity(req.Granularity)
 	if err != nil {
-		return online.Config{}, nil, err
+		return nil, err
 	}
 	var pt *catalog.Partitioning
 	if partitioned {
 		if pt, err = comp.partitioning(); err != nil {
-			return online.Config{}, nil, err
+			return nil, err
 		}
 	}
 	cfg := online.Config{
@@ -376,25 +366,26 @@ func (s *Server) streamConfig(req ObserveRequest, comp *compiled) (online.Config
 	}
 	if req.Alpha != 0 {
 		if cfg.LayoutCost, err = provision.DiscreteCost(box, req.Alpha); err != nil {
-			return online.Config{}, nil, err
+			return nil, err
 		}
 	}
-	return cfg, pt, nil
-}
-
-// pinWire publishes the stream's binary-frame index space: frame objects
-// address the defining observe's object list by position (compileWorkload
-// validated every name, so the lookups cannot miss). Published last — a
-// non-nil wire list implies the stream's manager is in place.
-func (st *stream) pinWire(comp *compiled) {
-	objs := make([]wireObject, len(comp.spec.Objects))
+	mgr, err := online.NewManager(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Frame objects address the defining object list by position
+	// (compileWorkload validated every name, so the lookups cannot miss).
+	wire := make([]wireObject, len(comp.spec.Objects))
 	for i, o := range comp.spec.Objects {
-		objs[i] = wireObject{
+		wire[i] = wireObject{
 			id:    comp.cat.Lookup(o.Name).ID,
 			pages: (o.SizeBytes + catalog.DefaultPageBytes - 1) / catalog.DefaultPageBytes,
 		}
 	}
-	st.wire.Store(&objs)
+	st := &stream{name: name, objFP: comp.objectsFingerprint(), comp: comp, mgr: mgr, shard: s.ring.Shard(name),
+		wire: wire, cfgJSON: body, rvKey: readviseMemoBase(comp, box, req)}
+	st.touch()
+	return st, nil
 }
 
 // wireObject is one entry of a stream's binary-frame index space: the
@@ -405,74 +396,71 @@ type wireObject struct {
 	pages int64
 }
 
-// initStream defines a stream from its first observe: builds the manager,
-// ingests the first window and runs the initial cold advise. body is the
-// raw request, retained as the stream's durable configuration. Callers
-// hold st.mu.
-func (s *Server) initStream(st *stream, req ObserveRequest, comp *compiled, body []byte) (any, int, error) {
-	cfg, pt, err := s.streamConfig(req, comp)
+// define answers the first observe of a name: it builds the stream, ingests
+// the first window and runs the initial cold advise, and registers the
+// stream only once that advise is feasible. A define that loses the name
+// to a concurrent one is answered as an observe of the winner.
+func (s *Server) define(name string, req ObserveRequest, comp *compiled, body []byte) (any, int, error) {
+	// A full registry refuses before searching; insert makes the final check.
+	s.streamMu.Lock()
+	err := s.capacityLocked(defineHint)
+	s.streamMu.Unlock()
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusTooManyRequests, err
 	}
-	box := cfg.Box
-	mgr, err := online.NewManager(cfg)
+	st, err := s.newStream(name, req, comp, body)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	// The collector keeps the window it is given, and this one's profile is
 	// the compiled workload's own (the fleet-memo key below reads it), so
 	// hand it a copy — once per define.
-	mgr.Observe(comp.window().Clone())
-	s.observed.Add(1)
+	st.mgr.Observe(comp.window().Clone())
 	// The initial cold advise runs through the fleet memo: equal-workload
 	// tenants (same fingerprint, box, SLA, alpha, granularity) coalesce
 	// onto one search and share its result. Identical specs compile
 	// identical catalogs — object IDs are assigned in declaration order —
 	// so the shared layout is valid for every tenant with the key, and the
 	// manager clones it before adopting.
-	memoKey := fleetMemoKey(comp, box, req)
-	memoHit := false
-	dec, err := mgr.AdviseWith(func(in core.Input, opts core.Options) (*core.Result, error) {
+	memoKey := fleetMemoKey(comp, st.mgr.Box(), req)
+	dec, err := st.mgr.AdviseWith(func(in core.Input, opts core.Options) (*core.Result, error) {
 		v, hit, err := s.fleetMemo.Do(memoKey, func() (any, error) { return core.OptimizeBest(in, opts) })
 		if err != nil {
 			return nil, err
 		}
-		memoHit = hit
+		st.memoHit = hit
 		return v.(*core.Result), nil
 	})
 	if err != nil {
+		s.observed.Add(1)
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	resp := ObserveResponse{
-		Stream:      st.name,
-		Granularity: req.Granularity,
-		Initialized: true,
-		Windows:     mgr.Stats().WindowsClosed,
-		Feasible:    dec.Feasible,
-	}
-	if resp.Granularity == "" {
-		resp.Granularity = "object"
+		Stream:      name,
+		Granularity: st.granularity(),
+		Windows:     st.mgr.Stats().WindowsClosed,
 	}
 	if !dec.Feasible {
-		// The stream stays UNDEFINED — the next observe must re-send the
-		// configuration (e.g. at a corrected SLA) — so the wire flag must
-		// say so. Diagnose against the catalog the search actually ran on.
-		resp.Initialized = false
-		resp.Failure = provision.InfeasibilityReason(searchCatalog(comp, pt), box, coreOptions(req.SLA))
+		// The stream stays undefined — the next observe must re-send the
+		// configuration (e.g. at a corrected SLA) — and is never registered.
+		// Diagnose against the catalog the search actually ran on.
+		s.observed.Add(1)
+		resp.Failure = provision.InfeasibilityReason(st.searchCatalog(), st.mgr.Box(), core.Options{RelativeSLA: req.SLA})
 		return resp, http.StatusOK, nil
 	}
-	resp.Layout = renderLayout(searchCatalog(comp, pt), dec.Result.Layout)
+	st.noteDecision("advise", true, dec.Result.TOCCents)
+	cur, err := s.insert(st)
+	if err != nil {
+		return nil, streamErrStatus(err), err
+	}
+	if cur != st {
+		return s.observe(cur, comp)
+	}
+	s.observed.Add(1)
+	resp.Initialized = true
+	resp.Feasible = true
+	resp.Layout = renderLayout(st.searchCatalog(), dec.Result.Layout)
 	resp.TOCCents = dec.Result.TOCCents
-	st.comp = comp
-	st.objFP = comp.objectsFingerprint()
-	st.mgr = mgr
-	st.pt = pt
-	st.cfgJSON = body
-	st.rvKey = readviseMemoBase(comp, box, req)
-	st.memoHit = memoHit
-	st.noteDecision("advise", dec.Feasible, dec.Result.TOCCents)
-	st.pinWire(comp)
-	s.registerStream(st)
 	return resp, http.StatusOK, nil
 }
 
@@ -482,7 +470,7 @@ func (s *Server) handleReadvise(body []byte) (any, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 	name := streamName(req.Stream)
-	st, err := s.loadStream(name)
+	st, err := s.lookup(name)
 	if err != nil {
 		return nil, streamErrStatus(err), err
 	}
@@ -492,9 +480,6 @@ func (s *Server) handleReadvise(body []byte) (any, int, error) {
 	st.touch()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.mgr == nil {
-		return nil, http.StatusConflict, fmt.Errorf("stream %q has no feasible initial advise yet", name)
-	}
 	dec, err := s.readvise(st, req.Force)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
@@ -567,7 +552,7 @@ func (s *Server) readviseResponse(st *stream, dec *online.Decision) ReadviseResp
 		}
 	}
 	if dec.ReAdvised {
-		resp.Layout = st.render(dec.Result.Layout)
+		resp.Layout = renderLayout(st.searchCatalog(), dec.Result.Layout)
 		resp.MovedObjects = len(dec.Migration.Moves)
 		resp.MovedBytes = dec.Migration.Bytes
 		resp.MigrationMillis = float64(dec.Migration.Time) / float64(time.Millisecond)
@@ -584,7 +569,7 @@ func (s *Server) readviseResponse(st *stream, dec *online.Decision) ReadviseResp
 }
 
 // readviseShard is one tick of a shard's background loop: re-advise every
-// initialized stream the shard owns (drift-gated, never forced) and log
+// registered stream the shard owns (drift-gated, never forced) and log
 // the decisions. One ticker runs per shard, so a tenant's background
 // re-advises happen on exactly its owning shard and a slow search on one
 // shard never delays another shard's sweep. Each stream's step runs under
@@ -603,9 +588,6 @@ func (s *Server) readviseShard(shard int) {
 func (s *Server) readviseOne(st *stream) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.mgr == nil {
-		return
-	}
 	dec, err := s.readvise(st, false)
 	if err != nil {
 		s.logf("readvise stream=%s error: %v", st.name, err)
@@ -627,28 +609,3 @@ func (s *Server) logf(format string, args ...any) {
 		s.cfg.Logf(format, args...)
 	}
 }
-
-// renameProfile maps a profile compiled against other's catalog onto the
-// receiver's object IDs by object name.
-func (c *compiled) renameProfile(other *compiled, p iosim.Profile) iosim.Profile {
-	out := iosim.NewProfile()
-	for id, v := range p {
-		src := other.cat.Object(id)
-		if src == nil {
-			continue
-		}
-		o := c.cat.Lookup(src.Name)
-		if o == nil {
-			continue
-		}
-		for _, t := range device.AllIOTypes {
-			if v[t] > 0 {
-				out.Add(o.ID, t, v[t])
-			}
-		}
-	}
-	return out
-}
-
-// coreOptions is the shared lowering of a request SLA onto core.Options.
-func coreOptions(sla float64) core.Options { return core.Options{RelativeSLA: sla} }

@@ -411,3 +411,31 @@ func TestReadviseTicker(t *testing.T) {
 	}
 	t.Fatal("background ticker never re-advised the drifted stream")
 }
+
+// TestObserveDropsZeroCounts holds the JSON observe path to the binary
+// one's rule that only positive counts enter a window: an IO entry of all
+// zeros leaves the observed window, and so its fingerprint, unchanged.
+func TestObserveDropsZeroCounts(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 2}).Handler())
+	defer ts.Close()
+	withCold := func(spec WorkloadSpec) WorkloadSpec {
+		spec.Objects = append(spec.Objects, ObjectSpec{Name: "cold", SizeBytes: 1e9})
+		return spec
+	}
+	drift := make([]*DriftOut, 2)
+	for i, name := range []string{"plain", "zeros"} {
+		defineTenant(t, ts, name, withCold(oltpObserveSpec(1, 0)))
+		spec := withCold(oltpObserveSpec(1, 0.5))
+		if name == "zeros" {
+			spec.IO = append(spec.IO, IOSpec{Object: "cold"})
+		}
+		var out ObserveResponse
+		if status := post(t, ts, "/v1/observe", ObserveRequest{Stream: name, Workload: spec}, &out); status != http.StatusOK || out.Drift == nil {
+			t.Fatalf("observe %s: status=%d %+v", name, status, out)
+		}
+		drift[i] = out.Drift
+	}
+	if *drift[0] != *drift[1] {
+		t.Fatalf("an all-zero IO entry changed the drift verdict:\nwithout %+v\nwith    %+v", *drift[0], *drift[1])
+	}
+}

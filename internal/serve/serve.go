@@ -37,7 +37,6 @@ import (
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
-	"dotprov/internal/device"
 	"dotprov/internal/faultinject"
 	"dotprov/internal/fleet"
 	"dotprov/internal/online"
@@ -70,7 +69,7 @@ type Config struct {
 	// 429 + Retry-After; /v1/healthz counts sheds.
 	IngestQueue int
 	// ReadviseEvery, when positive, starts the background re-advise
-	// tickers: every interval each initialized stream runs a drift-gated
+	// tickers: every interval each defined stream runs a drift-gated
 	// (never forced) re-advise on its owning shard, sharing the server's
 	// search worker budget. Stop them with Close.
 	ReadviseEvery time.Duration
@@ -182,10 +181,11 @@ type Server struct {
 	rejected atomic.Int64
 
 	// Online streams (see online.go): defined by /observe, re-advised by
-	// /readvise and the background ticker. The registry is a sync.Map so
-	// concurrent tenants' hot paths (observe an existing stream, readvise)
-	// are lock-free Loads that never serialize on each other; streamMu only
-	// guards the create/drop slot accounting (streamN vs MaxStreams).
+	// /readvise and the background ticker. The registry holds only defined
+	// streams. It is a sync.Map so concurrent tenants' hot paths (observe an
+	// existing stream, readvise) are lock-free Loads that never serialize on
+	// each other; streamMu guards every insert and removal and the slot
+	// accounting (streamN vs MaxStreams).
 	streams   sync.Map // map[string]*stream
 	streamMu  sync.Mutex
 	streamN   int
@@ -523,7 +523,7 @@ func errorCode(status int, err error) string {
 	}
 }
 
-// streamErrStatus is the status of a getStream/loadStream failure. The
+// streamErrStatus is the status of a lookup or insert failure. The
 // capacity refusal passes once a slot frees, so it answers 429; anything
 // else — a parked record that no longer rebuilds — is a server fault no
 // retry fixes, and answers 500.
@@ -621,19 +621,6 @@ func (s *Server) boundedWith(fn func(body []byte) (any, int, error), cached func
 			// Client went away; nothing useful to write.
 		}
 	}
-}
-
-// capacityDiagnostic returns the advisor's infeasibility diagnosis for a
-// FAILED (errored) optimization, but only when it identifies a concrete
-// capacity problem. The SLA-unmet diagnosis is deliberately not attached
-// here: it claims "no evaluated layout satisfied the relative SLA", which
-// is not something an errored run established — there the error itself is
-// the diagnosis. (Infeasible but successful runs report the full
-// InfeasibilityReason in their 200 body.) cat must be the catalog the
-// search actually ran on — the unit catalog at partition granularity,
-// where an object too big for every class may still fit split.
-func capacityDiagnostic(cat *catalog.Catalog, box *device.Box, _ core.Options) string {
-	return provision.CapacityInfeasibility(cat, box)
 }
 
 func decode[T any](body []byte) (T, error) {
@@ -767,8 +754,17 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	}
 	res, err := search(in, opts)
 	if err != nil {
+		// A failed (errored) optimization carries the capacity diagnosis
+		// only, when it names a concrete problem. The SLA-unmet diagnosis is
+		// deliberately not attached: it claims "no evaluated layout satisfied
+		// the relative SLA", which is not something an errored run
+		// established — there the error itself is the diagnosis. (Infeasible
+		// but successful runs report the full InfeasibilityReason in their
+		// 200 body.) The catalog is the one the search ran on — the unit
+		// catalog at partition granularity, where an object too big for
+		// every class may still fit split.
 		return nil, http.StatusUnprocessableEntity,
-			&failureError{err: err, failure: capacityDiagnostic(in.Cat, box, opts)}
+			&failureError{err: err, failure: provision.CapacityInfeasibility(in.Cat, box)}
 	}
 	resp.Feasible = res.Feasible
 	resp.TOCCents = res.TOCCents
@@ -922,8 +918,9 @@ func (s *Server) sweep(p *provisionParams) (*ProvisionResponse, int, error) {
 	}
 	choice, err := provision.SweepConfigurations(base, grid, opts)
 	if err != nil {
+		// Capacity diagnosis only, as in handleAdvise.
 		return nil, http.StatusUnprocessableEntity,
-			&failureError{err: err, failure: capacityDiagnostic(base.Cat, grid.Universe(), opts)}
+			&failureError{err: err, failure: provision.CapacityInfeasibility(base.Cat, grid.Universe())}
 	}
 	resp := &ProvisionResponse{
 		Best:           choice.Best,

@@ -1,7 +1,7 @@
 // Durable snapshots of the online plane — the serve half; the per-stream
 // manager-state codec and the generation store live in internal/online.
 //
-// A snapshot captures every initialized stream: its defining observe
+// A snapshot captures every defined stream: its defining observe
 // request (the raw JSON body, so recovery replays the exact configuration
 // path), its pinned object fingerprint, and its manager state (deployed
 // layout, drift reference, rolling windows, extent histograms) — plus the
@@ -28,7 +28,7 @@ import (
 )
 
 // snapshotPayload is the online plane's durable state: the counters that
-// survive a restart and one record per initialized stream.
+// survive a restart and one record per defined stream.
 type snapshotPayload struct {
 	observed  int64
 	readvised int64
@@ -47,15 +47,11 @@ type streamRecord struct {
 	state  online.ManagerState
 }
 
-// record captures the stream as a snapshot record; false while the stream
-// is not initialized (it holds no state worth keeping).
-func (st *stream) record() (streamRecord, bool) {
+// record captures the stream as a snapshot record.
+func (st *stream) record() streamRecord {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.mgr == nil || len(st.cfgJSON) == 0 {
-		return streamRecord{}, false
-	}
-	return streamRecord{name: st.name, objFP: st.objFP, config: st.cfgJSON, state: st.mgr.ExportState()}, true
+	return streamRecord{name: st.name, objFP: st.objFP, config: st.cfgJSON, state: st.mgr.ExportState()}
 }
 
 // streamRecordMinBytes is the smallest wire size of one stream record:
@@ -152,12 +148,10 @@ func readStreamRecord(r *online.Reader) (streamRecord, error) {
 }
 
 // exportPayload assembles the snapshot payload from live state: every
-// initialized stream plus every parked (idle-evicted) stream's record,
+// registered stream plus every parked (idle-evicted) stream's record,
 // sorted by name for the canonical byte form, plus the durable counters.
-// Uninitialized streams — defined but without a feasible advise, or
-// mid-initialization — are skipped: they hold no state worth surviving a
-// crash. Parked records ARE included, so evicted tenants survive restarts
-// exactly like live ones.
+// Parked records are included, so evicted tenants survive restarts exactly
+// like live ones.
 func (s *Server) exportPayload() snapshotPayload {
 	p := snapshotPayload{
 		observed:  s.observed.Load(),
@@ -166,9 +160,7 @@ func (s *Server) exportPayload() snapshotPayload {
 		shed:      s.shed.Load(),
 	}
 	for _, st := range s.snapshotStreams() {
-		if rec, ok := st.record(); ok {
-			p.streams = append(p.streams, rec)
-		}
+		p.streams = append(p.streams, st.record())
 	}
 	seen := make(map[string]bool, len(p.streams))
 	for _, rec := range p.streams {
@@ -263,15 +255,18 @@ func (s *Server) applySnapshot(p snapshotPayload) error {
 		}
 		rebuilt := make([]*stream, 0, len(p.streams))
 		for _, rec := range p.streams {
-			st, err := s.rebuildStream(rec)
+			st, err := s.revive(rec)
 			if err != nil {
 				return fmt.Errorf("stream %q: %w", rec.name, err)
 			}
 			rebuilt = append(rebuilt, st)
 		}
+		s.streamMu.Lock()
 		for _, st := range rebuilt {
-			s.registerStream(st)
+			s.streams.Store(st.name, st)
+			s.streamN++
 		}
+		s.streamMu.Unlock()
 	}
 	s.observed.Store(p.observed)
 	s.readvised.Store(p.readvised)
@@ -281,13 +276,12 @@ func (s *Server) applySnapshot(p snapshotPayload) error {
 	return nil
 }
 
-// rebuildStream reconstructs one stream from its record: the defining
-// observe request re-runs the exact initialization path (compile +
-// streamConfig + NewManager), then the manager's state is restored
-// instead of re-advised — the stream resumes drift detection mid-window
-// with its deployed layout and reference intact, and a forced re-advise
-// after recovery is bit-identical to one before the crash.
-func (s *Server) rebuildStream(rec streamRecord) (*stream, error) {
+// revive rebuilds a stream from its snapshot record: the defining observe
+// goes through newStream, then the manager's state is restored instead of
+// re-advised — the stream resumes drift detection mid-window with its
+// deployed layout and reference intact, and a forced re-advise after
+// recovery is bit-identical to one before the crash.
+func (s *Server) revive(rec streamRecord) (*stream, error) {
 	req, err := decode[ObserveRequest](rec.config)
 	if err != nil {
 		return nil, fmt.Errorf("defining observe: %w", err)
@@ -302,20 +296,13 @@ func (s *Server) rebuildStream(rec streamRecord) (*stream, error) {
 	if fp := comp.objectsFingerprint(); fp != rec.objFP {
 		return nil, fmt.Errorf("object fingerprint %s differs from the snapshot's %s", fp[:12], rec.objFP[:12])
 	}
-	cfg, pt, err := s.streamConfig(req, comp)
+	st, err := s.newStream(rec.name, req, comp, rec.config)
 	if err != nil {
 		return nil, err
 	}
-	mgr, err := online.NewManager(cfg)
-	if err != nil {
+	if err := st.mgr.RestoreState(rec.state); err != nil {
 		return nil, err
 	}
-	if err := mgr.RestoreState(rec.state); err != nil {
-		return nil, err
-	}
-	st := &stream{name: rec.name, objFP: rec.objFP, comp: comp, mgr: mgr, pt: pt, cfgJSON: rec.config, shard: s.ring.Shard(rec.name),
-		rvKey: readviseMemoBase(comp, cfg.Box, req)}
 	st.noteDecision("advise", true, 0)
-	st.pinWire(comp)
 	return st, nil
 }

@@ -352,7 +352,7 @@ func TestCloseDrainsIngestQueue(t *testing.T) {
 
 	// Stall the fold worker on the stream lock so acknowledged frames sit
 	// in the queue when Close begins.
-	st, _ := s.loadStream("dr")
+	st, _ := s.lookup("dr")
 	st.mu.Lock()
 	frame := frameFromSpec(oltpObserveSpec(1, 0))
 	batch := online.EncodeFrames([]online.Frame{frame, frame, frame})
@@ -406,7 +406,7 @@ func TestCloseDrainDeadline(t *testing.T) {
 	defer ts.Close()
 	defineStream(t, ts, "stuck")
 
-	st, _ := s.loadStream("stuck")
+	st, _ := s.lookup("stuck")
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	batch := online.EncodeFrames([]online.Frame{frameFromSpec(oltpObserveSpec(1, 0))})
