@@ -40,6 +40,11 @@ type Input struct {
 	// collapse under it, and it carries over to a partitioned input
 	// unchanged. It applies at a copy cap of one only.
 	LayoutCost func(sp catalog.ClassSpace) (float64, error)
+	// Moves optionally shares scored move lists with other searches over
+	// the same catalog and profile set (provision.SweepConfigurations shares
+	// one between its candidates); nil scores the list for this search
+	// alone. Results are identical either way.
+	Moves *MoveLists
 	// NoCompile hands the search the estimator's map form
 	// (workload.MapForm) instead of its compiled form: every candidate is
 	// estimated in full through Estimate/EstimateSet, with no delta, bound
@@ -351,7 +356,7 @@ func (in Input) setup(opts Options, copyCap int) (*search.Engine, []Move, error)
 	if in.Profiles == nil {
 		return nil, nil, fmt.Errorf("core: Optimize requires workload profiles (run the profiling phase)")
 	}
-	moves, err := EnumerateMoves(in.Cat, in.Box, in.Profiles, in.Box.MostExpensive().Class, in.conc(), eng.Workers())
+	moves, err := in.Moves.get(in, eng.Workers())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"dotprov/internal/catalog"
@@ -109,33 +112,108 @@ func EnumerateMoves(cat *catalog.Catalog, box *device.Box, ps *ProfileSet, l0 de
 	}); err != nil {
 		return nil, err
 	}
-	// Order references into perGroup, then gather once: the sort swaps
-	// pointers instead of ~100-byte moves and the list is allocated at its
-	// final size.
-	kept := 0
+	// Close the gaps dropped moves left (no window starts before the moves
+	// kept ahead of it), sort indices, and permute the backing array in
+	// place: the sort swaps 4-byte indices instead of ~72-byte moves, and
+	// the list is the array it was scored into, not a sorted copy of it.
+	moves := all[:0]
 	for _, ms := range perGroup {
-		kept += len(ms)
+		moves = append(moves, ms...)
 	}
-	refs := make([]*Move, 0, kept)
-	for gi := range perGroup {
-		for mi := range perGroup[gi] {
-			refs = append(refs, &perGroup[gi][mi])
-		}
+	order := make([]int32, len(moves))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	slices.SortStableFunc(refs, func(a, b *Move) int {
+	slices.SortStableFunc(order, func(a, b int32) int {
 		switch {
-		case moveBefore(a, b):
+		case moveBefore(&moves[a], &moves[b]):
 			return -1
-		case moveBefore(b, a):
+		case moveBefore(&moves[b], &moves[a]):
 			return 1
 		}
 		return 0
 	})
-	moves := make([]Move, len(refs))
-	for i, m := range refs {
-		moves[i] = *m
+	// Position j takes the move at order[j]; walk each cycle once.
+	for i := range moves {
+		if order[i] < 0 {
+			continue
+		}
+		first, j := moves[i], i
+		for k := int(order[j]); k != i; k = int(order[j]) {
+			moves[j], order[j] = moves[k], -1
+			j = k
+		}
+		moves[j], order[j] = first, -1
 	}
 	return moves, nil
+}
+
+// MoveLists shares scored move lists between the searches of one catalog
+// and profile set — the candidates of a provisioning sweep. A move's score
+// reads each device's class, price and service times and nothing else, so
+// boxes that list the same classes in the same order with the same
+// economics score the same list, whatever their capacities: a sweep over a
+// unit-count grid scores one list per class list instead of one per
+// candidate box. Each list is scored once, by the first search that needs
+// it, and then only read. The zero value is ready to use and safe for
+// concurrent searches; a nil *MoveLists scores a private list per search.
+type MoveLists struct {
+	mu    sync.Mutex
+	cat   *catalog.Catalog
+	ps    *ProfileSet
+	lists map[string]*moveList
+}
+
+// moveList is one shared list, scored under once.
+type moveList struct {
+	once  sync.Once
+	moves []Move
+	err   error
+}
+
+// get returns the input's scored move list: its box's shared list when ml
+// is non-nil, a freshly scored one otherwise. A MoveLists serves one
+// catalog and one profile set; an input naming others is refused.
+func (ml *MoveLists) get(in Input, workers int) ([]Move, error) {
+	score := func() ([]Move, error) {
+		return EnumerateMoves(in.Cat, in.Box, in.Profiles, in.Box.MostExpensive().Class, in.conc(), workers)
+	}
+	if ml == nil {
+		return score()
+	}
+	key := moveKey(in.Box, in.conc())
+	ml.mu.Lock()
+	if ml.lists == nil {
+		ml.cat, ml.ps, ml.lists = in.Cat, in.Profiles, make(map[string]*moveList)
+	}
+	if ml.cat != in.Cat || ml.ps != in.Profiles {
+		ml.mu.Unlock()
+		return nil, fmt.Errorf("core: shared move lists serve one catalog and profile set")
+	}
+	l := ml.lists[key]
+	if l == nil {
+		l = &moveList{}
+		ml.lists[key] = l
+	}
+	ml.mu.Unlock()
+	l.once.Do(func() { l.moves, l.err = score() })
+	return l.moves, l.err
+}
+
+// moveKey is all a box contributes to its move list: per device, in box
+// order (the order patterns are enumerated and ties broken in), the class,
+// the price and every I/O type's service time at the concurrency. The
+// starting class L0 is the priciest device, so the key fixes it too.
+func moveKey(box *device.Box, concurrency int) string {
+	b := make([]byte, 0, len(box.Devices)*(1+8*(1+device.NumIOTypes)))
+	for _, d := range box.Devices {
+		b = append(b, byte(d.Class))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.PriceCents))
+		for _, t := range device.AllIOTypes {
+			b = binary.LittleEndian.AppendUint64(b, uint64(d.ServiceTime(t, concurrency)))
+		}
+	}
+	return string(b)
 }
 
 // moveBefore orders the move list: ascending score, then — a deterministic

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"dotprov/internal/catalog"
@@ -90,5 +92,81 @@ func TestEnumerateMovesOrderMatchesStableSort(t *testing.T) {
 					l0, tiedScores, tiedSavings, freeWins)
 			}
 		}
+	}
+}
+
+// TestMoveListsShareByEconomics: one MoveLists hands boxes that differ only
+// in capacity the very same list, and every box that scores differently —
+// classes reordered, a class repriced, another concurrency, a class fewer —
+// a list of its own. Each list equals the one EnumerateMoves scores for its
+// box alone, and eight searches asking at once all get the one slice. An
+// input over another catalog is refused.
+func TestMoveListsShareByEconomics(t *testing.T) {
+	f := newFix(t)
+	ps := NewProfileSet()
+	ps.SetSingle(f.prof)
+	box := func(units int, classes ...device.Class) *device.Box {
+		b := &device.Box{Name: "moves"}
+		for _, c := range classes {
+			b.Devices = append(b.Devices, device.NewScaled(c, units))
+		}
+		return b
+	}
+	three := []device.Class{device.HDDRAID0, device.LSSD, device.HSSD}
+	repriced := box(1, three...)
+	repriced.Devices[1].PriceCents *= 2
+	cases := []struct {
+		name   string
+		box    *device.Box
+		conc   int
+		shares string // the earlier case whose list this one must be
+	}{
+		{name: "one unit", box: box(1, three...), conc: 1},
+		{name: "two units", box: box(2, three...), conc: 1, shares: "one unit"},
+		{name: "reordered", box: box(1, device.LSSD, device.HDDRAID0, device.HSSD), conc: 1},
+		{name: "repriced", box: repriced, conc: 1},
+		{name: "concurrency 300", box: box(1, three...), conc: 300},
+		{name: "two classes", box: box(3, three[1:]...), conc: 1},
+	}
+	var ml MoveLists
+	seen := make(map[string][]Move)
+	for _, c := range cases {
+		in := Input{Cat: f.cat, Box: c.box, Profiles: ps, Concurrency: c.conc}
+		lists := make([][]Move, 8)
+		errs := make([]error, len(lists))
+		var wg sync.WaitGroup
+		for i := range lists {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				lists[i], errs[i] = ml.get(in, 2)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: search %d: %v", c.name, i, err)
+			}
+			if &lists[i][0] != &lists[0][0] {
+				t.Fatalf("%s: search %d got a list of its own", c.name, i)
+			}
+		}
+		want, err := EnumerateMoves(f.cat, c.box, ps, c.box.MostExpensive().Class, c.conc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lists[0], want) {
+			t.Fatalf("%s: the shared list differs from the box's own", c.name)
+		}
+		for name, prev := range seen {
+			if shared := &prev[0] == &lists[0][0]; shared != (name == c.shares) {
+				t.Fatalf("%s shares the list of %s: %v, want %v", c.name, name, shared, !shared)
+			}
+		}
+		seen[c.name] = lists[0]
+	}
+	other := newFix(t)
+	if _, err := ml.get(Input{Cat: other.cat, Box: box(1, three...), Profiles: ps, Concurrency: 1}, 1); err == nil {
+		t.Fatal("a MoveLists answered for a second catalog")
 	}
 }

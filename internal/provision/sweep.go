@@ -19,9 +19,13 @@ import (
 //   - one compilation of the estimator: base.Est is compiled once, for every
 //     class set any candidate may place, and every candidate's engine reads
 //     those tables (estimator metrics depend only on the layout's classes,
-//     not on unit counts or prices). Nothing else is shared between
+//     not on unit counts or prices). No evaluation is shared between
 //     candidates — a compiled estimate costs less than a shared memo's
-//     probe; and
+//     probe;
+//   - one scoring of the move list per class list: a move's score reads
+//     each class's price and service times, never a unit count, so every
+//     candidate box that lists the same classes searches one shared,
+//     read-only move list (core.MoveLists); and
 //   - a global worker budget: base.Budget (or a fresh budget of width
 //     base.Workers when unset) bounds concurrent estimator invocations
 //     across ALL in-flight candidate searches, not per candidate. Passing a
@@ -29,7 +33,7 @@ import (
 //     one server-wide budget over all concurrent requests).
 //
 // base supplies Cat, Est, Profiles, Concurrency, Replication and the worker
-// budget; its Box and LayoutCost are ignored and rebound per candidate. For
+// budget; its Box, LayoutCost and Moves are ignored and rebound. For
 // a sweep at partition granularity, lower base first (core.Input.Partitioned).
 // base.Est must be bound to a box covering every class in the grid (see
 // Grid.Universe) and, when the budget is wider than 1, safe for concurrent
@@ -64,6 +68,7 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 	// estimators without a compiled form pass through unchanged.
 	alphabet := device.EnumerateClassSets(grid.Universe().Classes(), copyCap)
 	est := workload.CompileEstimator(base.Est, base.Cat, alphabet...)
+	moves := &core.MoveLists{}
 	budget := base.Budget
 	if budget == nil {
 		budget = search.NewBudget(base.Workers)
@@ -75,6 +80,7 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 		in := base
 		in.Box = box
 		in.Est = est
+		in.Moves = moves
 		in.Budget = budget
 		if copyCap == 1 {
 			model, err := DiscreteCost(box, spec.Alpha)
