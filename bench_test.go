@@ -542,8 +542,9 @@ func BenchmarkSweepCandidate(b *testing.B) {
 // it: synthetic(16) — 32 objects — swept over the 3-class grid (HDD 0-2,
 // L-SSD 0-2, H-SSD 0-1 units) at alphas {0, 0.5}, 34 candidate searches on
 // two workers. Each candidate's engine draws its memo store from the pool
-// an earlier candidate released it into, so one iteration already reports
-// the steady B/op. benchguard gates it.
+// an earlier candidate released it into, and the 34 candidates search
+// seven scored move lists, one per class list, so one iteration already
+// reports the steady B/op. benchguard gates it.
 func BenchmarkSweepAllocs(b *testing.B) {
 	in, prof, err := synthetic(16)
 	if err != nil {

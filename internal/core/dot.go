@@ -43,7 +43,9 @@ type Input struct {
 	// Moves optionally shares scored move lists with other searches over
 	// the same catalog and profile set (provision.SweepConfigurations shares
 	// one between its candidates); nil scores the list for this search
-	// alone. Results are identical either way.
+	// alone. Results are identical either way. Partitioned and
+	// OptimizeValidated's refinement rounds, which score over another
+	// catalog or profile set, drop it.
 	Moves *MoveLists
 	// NoCompile hands the search the estimator's map form
 	// (workload.MapForm) instead of its compiled form: every candidate is

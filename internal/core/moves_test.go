@@ -12,6 +12,7 @@ import (
 	"dotprov/internal/device"
 	"dotprov/internal/iosim"
 	"dotprov/internal/types"
+	"dotprov/internal/workload"
 )
 
 // TestEnumerateMovesOrderMatchesStableSort: the move list comes out exactly
@@ -169,4 +170,69 @@ func TestMoveListsShareByEconomics(t *testing.T) {
 	if _, err := ml.get(Input{Cat: other.cat, Box: box(1, three...), Profiles: ps, Concurrency: 1}, 1); err == nil {
 		t.Fatal("a MoveLists answered for a second catalog")
 	}
+}
+
+// TestSharedMoveListsStayWithTheirInputs: an input carrying a MoveLists
+// searches exactly like one without it through the two paths that change
+// what a move list is scored over — OptimizeValidated's refinement rounds
+// (new profiles) and Partitioned (a unit catalog) — instead of being
+// refused for naming a second profile set or catalog.
+func TestSharedMoveListsStayWithTheirInputs(t *testing.T) {
+	same := func(name string, got, want *Result) {
+		t.Helper()
+		if !got.Layout.Equal(want.Layout) || got.TOCCents != want.TOCCents || got.Evaluated != want.Evaluated {
+			t.Fatalf("%s: shared move lists changed the search: toc %v/%v evaluated %d/%d",
+				name, got.TOCCents, want.TOCCents, got.Evaluated, want.Evaluated)
+		}
+	}
+
+	f := newFix(t)
+	runner := &offBaselineRunner{l0: f.input().Box.MostExpensive().Class,
+		base: &skewRunner{f: f, skew: 1}, off: &skewRunner{f: f, skew: 3}}
+	want, _, err := OptimizeValidated(f.input(), Options{RelativeSLA: 0.5}, runner, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := f.input()
+	in.Moves = &MoveLists{}
+	got, _, err := OptimizeValidated(in, Options{RelativeSLA: 0.5}, runner, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("validated", got, want)
+
+	pin, fx := skewInput(t, device.Box2())
+	pt, err := catalog.BuildPartitioning(fx.Cat, fx.Stats, catalog.PartitionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pwant, err := OptimizePartitioned(pin, pt, Options{RelativeSLA: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin.Moves = &MoveLists{}
+	if _, err := Optimize(pin, Options{RelativeSLA: 0.2}); err != nil {
+		t.Fatal(err) // binds the lists to the object catalog
+	}
+	pgot, err := OptimizePartitioned(pin, pt, Options{RelativeSLA: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("partitioned", pgot.Result, pwant.Result)
+}
+
+// offBaselineRunner measures the baseline L0 exactly and every other layout
+// through off, so a validation fails and the refinement rounds run.
+type offBaselineRunner struct {
+	l0        device.Class
+	base, off Runner
+}
+
+func (r *offBaselineRunner) Run(l catalog.Layout) (workload.Observation, error) {
+	for _, c := range l {
+		if c != r.l0 {
+			return r.off.Run(l)
+		}
+	}
+	return r.base.Run(l)
 }

@@ -38,6 +38,7 @@ func (in Input) Partitioned(pt *catalog.Partitioning) (Input, error) {
 	ps := NewProfileSet()
 	ps.SetSingle(uprof)
 	out.Profiles = ps
+	out.Moves = nil // shared lists are scored over the object catalog
 	return out, nil
 }
 

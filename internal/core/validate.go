@@ -79,6 +79,7 @@ func OptimizeValidated(in Input, opts Options, runner Runner, maxRounds int) (*R
 		refined.SetSingle(val.Obs.Profile)
 		in2 := in
 		in2.Profiles = refined
+		in2.Moves = nil // shared lists are scored over the estimated profiles
 		in2.Est = &workload.ObservedEstimator{
 			Box:         in.Box,
 			Concurrency: in.conc(),

@@ -186,7 +186,7 @@ func (g Grid) Universe() *device.Box {
 }
 
 // Key returns a canonical string encoding of the grid, for use in cache
-// keys (e.g. dotserve's sweep LRU).
+// keys (e.g. dotserve's sweep-result memo).
 func (g Grid) Key() string {
 	var b strings.Builder
 	for _, o := range g.Devices {

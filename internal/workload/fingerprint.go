@@ -17,7 +17,7 @@ import (
 // Fingerprint builds a stable identity for a workload's estimator-relevant
 // content — the I/O profile, CPU time, concurrency, test-run numbers —
 // so control planes can key caches of optimization results by "same
-// workload" (dotserve's sweep LRU). Equal inputs written in the same order
+// workload" (dotserve's sweep-result memo). Equal inputs written in the same order
 // produce equal digests across processes and platforms; every field is
 // length- or tag-delimited, so concatenation ambiguities cannot collide.
 //

@@ -92,15 +92,16 @@
 #      touches). est-calls/evaluated parity of the pair is check 1. These
 #      are counts: they repeat exactly, so the gate cannot flake.
 #
-#  13. a provisioning sweep recycles its candidates' memo storage instead of
-#      allocating it per candidate: BenchmarkSweepAllocs (synthetic(16), 32
-#      objects, swept over the 3-class grid at alphas {0, 0.5}, 34 candidate
-#      searches on two workers) stays under 1,500,000 B/op — about twice the
-#      550-800 KB recorded when the pooled store landed (4.4 MB before it,
-#      when every candidate's engine opened a 64 KB key arena and a 43 KB
-#      entry arena of its own). An engine that stops releasing its store, or
-#      a store that stops being reused, fails the gate. Stores recycle across
-#      the candidates of one sweep, so one iteration gives a steady figure.
+#  13. a provisioning sweep recycles its candidates' memo storage and scores
+#      one move list per class list instead of allocating either per
+#      candidate: BenchmarkSweepAllocs (synthetic(16), 32 objects, swept over
+#      the 3-class grid at alphas {0, 0.5}, 34 candidate searches on two
+#      workers, seven class lists) stays under 650,000 B/op. One iteration
+#      reads ~490 KB; scoring the move list per candidate again reads ~790
+#      KB, and allocating the memo store per candidate 4.4 MB (every engine
+#      opened a 64 KB key arena and a 43 KB entry arena of its own). Stores
+#      and move lists are shared across the candidates of one sweep, so one
+#      iteration gives a steady figure.
 #
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
@@ -406,7 +407,7 @@ END {
   printf("benchguard OK: plan-aware estimator planned %s of %s lookups on DOT (gate 1/2) and %s of %s on ES (gate 3%%); compiled plans equal, lookups %s and %s\n", plans["dot/map"], lookups["dot/map"], plans["es/map"], lookups["es/map"], lookups["dot/compiled"], lookups["es/compiled"])
 }'
 
-# Gate 13: a sweep's candidates share recycled memo storage.
+# Gate 13: a sweep's candidates share recycled memo storage and move lists.
 echo "$raw" | awk '
 /^BenchmarkSweepAllocs/ {
   for (i=3; i<NF; i++) if ($(i+1)=="B/op") bytes=$i
@@ -414,6 +415,6 @@ echo "$raw" | awk '
 }
 END {
   if (!found) { print "benchguard: BenchmarkSweepAllocs missing — benchmark names changed?"; exit 1 }
-  if (bytes+0 >= 1500000) { printf("REGRESSION: a 34-candidate provisioning sweep allocated %s B/op (ceiling 1500000): the search memo store is allocated per candidate again\n", bytes); exit 1 }
-  printf("benchguard OK: a 34-candidate provisioning sweep at %s B/op (ceiling 1500000)\n", bytes)
+  if (bytes+0 >= 650000) { printf("REGRESSION: a 34-candidate provisioning sweep allocated %s B/op (ceiling 650000): the search memo store or the move list is allocated per candidate again\n", bytes); exit 1 }
+  printf("benchguard OK: a 34-candidate provisioning sweep at %s B/op (ceiling 650000)\n", bytes)
 }'
