@@ -99,9 +99,10 @@
 #      workers, seven class lists) stays under 650,000 B/op. One iteration
 #      reads ~490 KB; scoring the move list per candidate again reads ~790
 #      KB, and allocating the memo store per candidate 4.4 MB (every engine
-#      opened a 64 KB key arena and a 43 KB entry arena of its own). Stores
-#      and move lists are shared across the candidates of one sweep, so one
-#      iteration gives a steady figure.
+#      opened a 64 KB key arena and a 43 KB entry arena of its own). One
+#      iteration includes the first fill of the memo-store pool, about half
+#      its figure (20 iterations read ~240 KB/op); the ceiling is set on the
+#      one-iteration figure CI runs.
 #
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
