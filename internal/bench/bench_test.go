@@ -65,6 +65,41 @@ func TestFigure3Shapes(t *testing.T) {
 	}
 }
 
+// TestFigure5And7Shapes runs Figures 5 and 7 (modified TPC-H at relative
+// SLA 0.5 and 0.25) at reduced scale and asserts the paper's shapes on each
+// box: DOT's TOC is below All H-SSD's and below OA's, and relaxing the SLA
+// from 0.5 to 0.25 does not make DOT's layout cost more.
+func TestFigure5And7Shapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment too heavy for -short")
+	}
+	fig5, err := Figure5(io.Discard, Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig7, err := Figure7(io.Discard, Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, box := range []string{"Box 1", "Box 2"} {
+		for _, fig := range []*FigureResult{fig5, fig7} {
+			dot, hssd, oa := fig.Row(box, "DOT"), fig.Row(box, "All H-SSD"), fig.Row(box, "OA")
+			if dot == nil || hssd == nil || oa == nil {
+				t.Fatalf("%s, %s: missing rows: %+v", fig.ID, box, fig.BoxRows[box])
+			}
+			if dot.TOCCents >= hssd.TOCCents {
+				t.Errorf("%s, %s: DOT TOC %.3e not below All H-SSD %.3e", fig.ID, box, dot.TOCCents, hssd.TOCCents)
+			}
+			if dot.TOCCents >= oa.TOCCents {
+				t.Errorf("%s, %s: DOT TOC %.3e not below OA %.3e", fig.ID, box, dot.TOCCents, oa.TOCCents)
+			}
+		}
+		if strict, relaxed := fig5.Row(box, "DOT").TOCCents, fig7.Row(box, "DOT").TOCCents; relaxed > strict {
+			t.Errorf("%s: DOT TOC %.3e at SLA 0.25 above its %.3e at SLA 0.5", box, relaxed, strict)
+		}
+	}
+}
+
 func TestFigure8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment too heavy for -short")

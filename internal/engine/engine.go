@@ -307,14 +307,10 @@ func (db *DB) Analyze() error {
 		}
 		// Column statistics: exact NDV and min/max by one uncharged pass.
 		n := t.Schema.Len()
-		distinct := make([]map[string]struct{}, n)
+		distinct := make([]types.KeyMap[struct{}], n)
 		mins := make([]types.Value, n)
 		maxs := make([]types.Value, n)
 		seen := make([]bool, n)
-		for i := range distinct {
-			distinct[i] = make(map[string]struct{})
-		}
-		var key []byte
 		var decodeErr error
 		tu := make(types.Tuple, n) // reused: only Values are copied out of it
 		heap.Scan(db.pool, bufferpool.NopCharger{}, func(_ pagestore.RID, rec []byte) bool {
@@ -323,8 +319,7 @@ func (db *DB) Analyze() error {
 				return false
 			}
 			for i, v := range tu {
-				key = types.EncodeKey(key[:0], v)
-				distinct[i][string(key)] = struct{}{}
+				distinct[i].Put(v, struct{}{})
 				if !seen[i] {
 					mins[i], maxs[i], seen[i] = v, v, true
 				} else {
@@ -342,7 +337,7 @@ func (db *DB) Analyze() error {
 			return decodeErr
 		}
 		for i, col := range t.Schema.Columns {
-			st := &optimizer.ColStats{NDV: float64(len(distinct[i]))}
+			st := &optimizer.ColStats{NDV: float64(distinct[i].Len())}
 			if st.NDV < 1 {
 				st.NDV = 1
 			}

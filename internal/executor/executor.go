@@ -9,10 +9,11 @@
 // The entry point is Run: it walks the plan tree (sequential scan, index
 // scan/probe, hash join, indexed nested-loop join, aggregation) pushing
 // tuples through a callback, charging every page touch to the worker's
-// accountant via the shared buffer pool. The executor holds no state of
-// its own between runs; all device accounting flows through the
-// iosim.Accountant it is handed, which is what makes profiles captured
-// during execution exact (the online collector taps that same stream).
+// accountant via the shared buffer pool. The executor keeps nothing
+// between runs but the cleared storage its hash joins recycle (below); all
+// device accounting flows through the iosim.Accountant it is handed, which
+// is what makes profiles captured during execution exact (the online
+// collector taps that same stream).
 //
 // Tuples are borrowed: the tuple an operator hands to its consumer is valid
 // for that one call, because scans decode every record into one reused row
@@ -26,10 +27,18 @@
 // rule changes a charge: the same rows flow in the same order through the
 // same page accesses, so virtual time, profiles and results are exactly
 // those of an executor that materialised every row (testdata/tpch.golden).
+//
+// A hash join hashes its keys on the value, through types.KeyMap — a
+// number by types.KeyBits, a string by itself — so it pairs exactly the
+// rows whose types.EncodeKey bytes are equal without encoding a key or
+// allocating one. Its build side's storage is recycled: the chunks and key
+// index come from a package free list and go back, cleared, when the probe
+// ends, which is safe because nothing a join lends outlives its emit.
 package executor
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dotprov/internal/btree"
@@ -311,11 +320,15 @@ const chunkRows = 256
 // buildSide retains a hash join's build rows: the wanted columns of each,
 // packed into chunks rather than one allocation a row, with the link that
 // chains the rows of one key in arrival order (tail is kept on a key's
-// first row).
+// first row), and the first row of each key. A validation run executes
+// hundreds of joins, so a build side and its chunks come from spare and go
+// back once the probe is done. Chunks go back one by one: a join holds as
+// many as its rows fill, whichever joins filled them before.
 type buildSide struct {
 	keep   []int // the columns retained
 	n      int32
 	chunks []*buildChunk
+	heads  types.KeyMap[int32] // key -> its first row
 }
 
 type buildChunk struct {
@@ -323,26 +336,86 @@ type buildChunk struct {
 	next, tail [chunkRows]int32
 }
 
-// add retains tu as the next row, chained behind the rows of the key whose
-// first row is head (-1 = a new key), and returns its number.
-func (b *buildSide) add(tu types.Tuple, head int32) int32 {
+// spare holds the storage of finished joins for the next ones to reuse, so
+// it grows to the most that joins running at once have held. It is not a
+// sync.Pool: under the race detector a sync.Pool drops a quarter of what it
+// is given at random, and what a query allocates must not depend on chance.
+var spare struct {
+	sync.Mutex
+	sides  []*buildSide
+	chunks []*buildChunk
+}
+
+// newBuildSide takes an empty build side retaining the keep columns.
+func newBuildSide(keep []int) *buildSide {
+	var b *buildSide
+	spare.Lock()
+	if n := len(spare.sides); n > 0 {
+		b, spare.sides = spare.sides[n-1], spare.sides[:n-1]
+	}
+	spare.Unlock()
+	if b == nil {
+		b = new(buildSide)
+	}
+	b.keep = keep
+	return b
+}
+
+// newChunk takes an empty chunk with room for chunkRows rows of w columns.
+func newChunk(w int) *buildChunk {
+	var c *buildChunk
+	spare.Lock()
+	if n := len(spare.chunks); n > 0 {
+		c, spare.chunks = spare.chunks[n-1], spare.chunks[:n-1]
+	}
+	spare.Unlock()
+	if c == nil {
+		c = new(buildChunk)
+	}
+	if cap(c.vals) < chunkRows*w {
+		c.vals = make([]types.Value, 0, chunkRows*w)
+	}
+	return c
+}
+
+// release gives b and its chunks back to spare. Their values are cleared
+// first so that spare keeps no string alive; nothing b lent out outlives
+// the probe, since a consumer that keeps a row copies it.
+func (b *buildSide) release() {
+	for _, c := range b.chunks {
+		clear(c.vals)
+		c.vals = c.vals[:0]
+	}
+	b.heads.Clear()
+	spare.Lock()
+	spare.chunks = append(spare.chunks, b.chunks...)
+	clear(b.chunks)
+	b.keep, b.n, b.chunks = nil, 0, b.chunks[:0]
+	spare.sides = append(spare.sides, b)
+	spare.Unlock()
+}
+
+// add retains tu as the next row, chained behind the earlier rows of key.
+func (b *buildSide) add(tu types.Tuple, key types.Value) {
 	r := b.n
 	b.n++
 	if r%chunkRows == 0 {
-		b.chunks = append(b.chunks, &buildChunk{vals: make([]types.Value, 0, chunkRows*len(b.keep))})
+		b.chunks = append(b.chunks, newChunk(len(b.keep)))
 	}
 	c := b.chunks[r/chunkRows]
 	for _, p := range b.keep {
 		c.vals = append(c.vals, tu[p])
 	}
 	c.next[r%chunkRows], c.tail[r%chunkRows] = -1, r
-	if head >= 0 {
-		h := b.chunks[head/chunkRows]
-		last := h.tail[head%chunkRows]
-		b.chunks[last/chunkRows].next[last%chunkRows] = r
-		h.tail[head%chunkRows] = r
+	head, ok := b.heads.Get(key)
+	if !ok {
+		b.heads.Put(key, r)
+		return
 	}
-	return r
+	h := b.chunks[head/chunkRows]
+	last := h.tail[head%chunkRows]
+	b.chunks[last/chunkRows].next[last%chunkRows] = r
+	h.tail[head%chunkRows] = r
 }
 
 // row returns the retained columns of row r and the next row of its key
@@ -365,17 +438,11 @@ func (e *exec) hashJoin(j *plan.Join, need []bool, emit func(types.Tuple) bool) 
 	wo, w := len(outerSch), len(outerSch)+len(innerSch)
 	// Build phase: hash the inner input in memory, retaining of each row
 	// the columns the parent reads.
-	heads := make(map[string]int32) // key -> its first build row
-	build := buildSide{keep: wanted(need, wo, w)}
-	var keyBuf []byte
+	build := newBuildSide(wanted(need, wo, w))
+	defer build.release()
 	err = e.run(j.Inner, widen(need, wo, w, innerPos), func(tu types.Tuple) bool {
 		e.acct.ChargeCPU(plan.CPUHashTime)
-		keyBuf = types.EncodeKey(keyBuf[:0], tu[innerPos])
-		if head, ok := heads[string(keyBuf)]; ok {
-			build.add(tu, head)
-		} else {
-			heads[string(keyBuf)] = build.add(tu, -1)
-		}
+		build.add(tu, tu[innerPos])
 		return true
 	})
 	if err != nil {
@@ -385,8 +452,7 @@ func (e *exec) hashJoin(j *plan.Join, need []bool, emit func(types.Tuple) bool) 
 	joined, outerKeep := make(types.Tuple, w), wanted(need, 0, wo)
 	return e.run(j.Outer, widen(need, 0, wo, outerPos), func(outer types.Tuple) bool {
 		e.acct.ChargeCPU(plan.CPUHashTime)
-		keyBuf = types.EncodeKey(keyBuf[:0], outer[outerPos])
-		r, ok := heads[string(keyBuf)]
+		r, ok := build.heads.Get(outer[outerPos])
 		if !ok {
 			return true
 		}

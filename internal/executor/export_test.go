@@ -27,3 +27,19 @@ func RunPoisoned(st Storage, acct *iosim.Accountant, root plan.Node, consume fun
 	}
 	return e.run(root, nil, consume)
 }
+
+// SpareValues counts the values the spare chunks still hold, up to their
+// capacity: a released build side's must all have been cleared.
+func SpareValues() int {
+	spare.Lock()
+	defer spare.Unlock()
+	n := 0
+	for _, c := range spare.chunks {
+		for _, v := range c.vals[:cap(c.vals)] {
+			if v != (types.Value{}) {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -112,6 +114,42 @@ func FuzzDecodeTupleInto(f *testing.F) {
 			if !mask[i] && !sameValue(dst[i], sentinel) {
 				t.Fatalf("masked: unselected value %d was overwritten with %v", i, dst[i])
 			}
+		}
+	})
+}
+
+// FuzzKeyBits holds the hash join's key to the B+-tree's on any two numeric
+// values: KeyBits is the EncodeKey encoding read as a word, so the words are
+// equal exactly when the encodings are and order as the encodings do, and
+// two values whose keys are equal compare equal.
+func FuzzKeyBits(f *testing.F) {
+	kinds := []Kind{KindInt, KindDate, KindFloat}
+	value := func(k uint8, bits uint64) Value {
+		switch kind := kinds[int(k)%len(kinds)]; kind {
+		case KindFloat:
+			return NewFloat(math.Float64frombits(bits))
+		default:
+			return Value{Kind: kind, Int: int64(bits)}
+		}
+	}
+	f.Add(uint8(0), uint64(5), uint8(1), uint64(5))                              // int against date
+	f.Add(uint8(2), uint64(0), uint8(2), math.Float64bits(math.Copysign(0, -1))) // +0 against -0
+	f.Add(uint8(0), uint64(1)<<63, uint8(0), uint64(1)<<63-1)                    // MinInt64 against MaxInt64
+	f.Add(uint8(2), math.Float64bits(math.NaN()), uint8(2), math.Float64bits(math.Inf(1)))
+	f.Add(uint8(0), uint64(0xbff0000000000000^1<<63), uint8(2), math.Float64bits(1)) // an int keyed like 1.0
+	f.Fuzz(func(t *testing.T, ka uint8, a uint64, kb uint8, b uint64) {
+		va, vb := value(ka, a), value(kb, b)
+		ea, eb := EncodeKey(nil, va), EncodeKey(nil, vb)
+		wa, wb := KeyBits(va), KeyBits(vb)
+		if len(ea) != 8 || binary.BigEndian.Uint64(ea) != wa {
+			t.Fatalf("KeyBits(%v %v) = %#016x, EncodeKey %x", va.Kind, va, wa, ea)
+		}
+		if got, want := cmp.Compare(wa, wb), bytes.Compare(ea, eb); got != want {
+			t.Fatalf("%v %v against %v %v: words compare %d, keys %d", va.Kind, va, vb.Kind, vb, got, want)
+		}
+		sameKind := (va.Kind == KindFloat) == (vb.Kind == KindFloat)
+		if wa == wb && sameKind && va.AsFloat() == va.AsFloat() && Compare(va, vb) != 0 {
+			t.Fatalf("%v %v and %v %v share a key but compare unequal", va.Kind, va, vb.Kind, vb)
 		}
 	})
 }

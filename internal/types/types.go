@@ -295,20 +295,8 @@ func DecodeTupleInto(dst Tuple, b []byte, mask []bool) (int, error) {
 func EncodeKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		switch v.Kind {
-		case KindInt, KindDate:
-			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], uint64(v.Int)^(1<<63))
-			dst = append(dst, buf[:]...)
-		case KindFloat:
-			bits := math.Float64bits(v.F)
-			if bits&(1<<63) != 0 {
-				bits = ^bits
-			} else {
-				bits |= 1 << 63
-			}
-			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], bits)
-			dst = append(dst, buf[:]...)
+		case KindInt, KindDate, KindFloat:
+			dst = binary.BigEndian.AppendUint64(dst, KeyBits(v))
 		case KindString:
 			for i := 0; i < len(v.Str); i++ {
 				c := v.Str[i]
@@ -322,4 +310,65 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 		}
 	}
 	return dst
+}
+
+// KeyBits returns a numeric value's EncodeKey encoding — its 8 bytes read
+// big-endian — as one word, so two numeric values encode alike exactly when
+// their KeyBits are equal, and order alike as the words do. Hash joins key
+// on it rather than on the bytes. v must be an int, date or float.
+func KeyBits(v Value) uint64 {
+	if v.Kind != KindFloat {
+		return uint64(v.Int) ^ (1 << 63)
+	}
+	bits := math.Float64bits(v.F)
+	if bits&(1<<63) != 0 {
+		return ^bits
+	}
+	return bits | 1<<63
+}
+
+// KeyMap maps values to V under the equality of their EncodeKey encodings
+// without encoding them: a numeric value is looked up by its KeyBits, a
+// string by itself. So an int and a date of the same day number share an
+// entry, -0 and +0 do not, and no key is allocated. A string never meets a
+// number here — EncodeKey can equate the two only by a coincidence of
+// bytes, and no schema compares a string column with a numeric one. The
+// zero KeyMap is empty and ready to use.
+type KeyMap[V any] struct {
+	nums map[uint64]V
+	strs map[string]V
+}
+
+// Get returns the entry of v's key and whether there is one.
+func (m *KeyMap[V]) Get(v Value) (V, bool) {
+	if v.Kind == KindString {
+		x, ok := m.strs[v.Str]
+		return x, ok
+	}
+	x, ok := m.nums[KeyBits(v)]
+	return x, ok
+}
+
+// Put sets the entry of v's key to x.
+func (m *KeyMap[V]) Put(v Value, x V) {
+	if v.Kind == KindString {
+		if m.strs == nil {
+			m.strs = make(map[string]V)
+		}
+		m.strs[v.Str] = x
+		return
+	}
+	if m.nums == nil {
+		m.nums = make(map[uint64]V)
+	}
+	m.nums[KeyBits(v)] = x
+}
+
+// Len returns the number of distinct keys.
+func (m *KeyMap[V]) Len() int { return len(m.nums) + len(m.strs) }
+
+// Clear removes every entry, keeping the storage for reuse.
+func (m *KeyMap[V]) Clear() {
+	clear(m.nums)
+	clear(m.strs)
 }

@@ -2,6 +2,8 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -209,6 +211,43 @@ func TestKeyStringPrefixNotEqual(t *testing.T) {
 	k3 := EncodeKey(nil, NewString("abc"))
 	if !(bytes.Compare(k1, k2) < 0 && bytes.Compare(k2, k3) < 0) {
 		t.Fatalf("NUL escaping broke ordering: %x %x %x", k1, k2, k3)
+	}
+}
+
+// TestKeyBitsIsEncodeKey is the key-equality contract hash joins rely on:
+// KeyBits is a numeric value's EncodeKey bytes read as a big-endian word,
+// so keying on it matches exactly the pairs byte-equal keys matched. The
+// words are written out for the edge values, so neither side can drift
+// with the other: ints and dates agree with each other, -0 and +0 differ,
+// and a NaN keys as its own bits.
+func TestKeyBitsIsEncodeKey(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	for _, c := range []struct {
+		v    Value
+		want uint64
+	}{
+		{NewInt(0), 0x8000000000000000},
+		{NewDate(0), 0x8000000000000000},
+		{NewInt(-1), 0x7fffffffffffffff},
+		{NewInt(math.MinInt64), 0},
+		{NewInt(math.MaxInt64), 0xffffffffffffffff},
+		{NewDate(9000), 0x8000000000002328},
+		{NewFloat(0), 0x8000000000000000},
+		{NewFloat(math.Copysign(0, -1)), 0x7fffffffffffffff},
+		{NewFloat(1), 0xbff0000000000000},
+		{NewFloat(-1), 0x400fffffffffffff},
+		{NewFloat(math.Inf(1)), 0xfff0000000000000},
+		{NewFloat(math.Inf(-1)), 0x000fffffffffffff},
+		{NewFloat(nan), 0xfff8000000000001},
+		{NewFloat(-nan), 0x0007fffffffffffe},
+	} {
+		enc := EncodeKey(nil, c.v)
+		if got := KeyBits(c.v); got != c.want {
+			t.Errorf("KeyBits(%v %v) = %#016x, want %#016x", c.v.Kind, c.v, got, c.want)
+		}
+		if len(enc) != 8 || binary.BigEndian.Uint64(enc) != c.want {
+			t.Errorf("EncodeKey(%v %v) = %x, want the 8 bytes of %#016x", c.v.Kind, c.v, enc, c.want)
+		}
 	}
 }
 

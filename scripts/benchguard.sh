@@ -104,6 +104,12 @@
 #      its figure (20 iterations read ~240 KB/op); the ceiling is set on the
 #      one-iteration figure CI runs.
 #
+#  14. a hash join builds in recycled storage and keys its rows on the value,
+#      not on an encoding of it: BenchmarkExecutorTPCH/Q5 (six-way join at SF
+#      0.01, measured after one untimed run of the query) stays under
+#      600,000 B/op. It reads ~23 KB at 1x and at 20x; a build side
+#      allocated per join, with a string allocated per join key, read 6.2 MB.
+#
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
 # which needs a timed benchtime for throughput to mean anything
@@ -418,4 +424,16 @@ END {
   if (!found) { print "benchguard: BenchmarkSweepAllocs missing — benchmark names changed?"; exit 1 }
   if (bytes+0 >= 650000) { printf("REGRESSION: a 34-candidate provisioning sweep allocated %s B/op (ceiling 650000): the search memo store or the move list is allocated per candidate again\n", bytes); exit 1 }
   printf("benchguard OK: a 34-candidate provisioning sweep at %s B/op (ceiling 650000)\n", bytes)
+}'
+
+# Gate 14: a hash join reuses its build storage and allocates no key.
+echo "$raw" | awk '
+/^BenchmarkExecutorTPCH\/Q5/ {
+  for (i=3; i<NF; i++) if ($(i+1)=="B/op") bytes=$i
+  found=1
+}
+END {
+  if (!found) { print "benchguard: BenchmarkExecutorTPCH/Q5 missing — benchmark names changed?"; exit 1 }
+  if (bytes+0 >= 600000) { printf("REGRESSION: TPC-H Q5 allocated %s B/op (ceiling 600000): hash-join build storage or join keys are allocated per join again\n", bytes); exit 1 }
+  printf("benchguard OK: TPC-H Q5 at %s B/op (ceiling 600000)\n", bytes)
 }'
