@@ -61,6 +61,7 @@ type DB struct {
 	opt         *optimizer.Optimizer
 	analyzed    bool
 	tap         iosim.Charger
+	spare       executor.Spare
 }
 
 // New creates an empty database on a box. poolPages <= 0 selects the
@@ -100,6 +101,9 @@ func (db *DB) TableSchema(name string) *types.Schema {
 
 // Pool implements executor.Storage.
 func (db *DB) Pool() *bufferpool.Pool { return db.pool }
+
+// Spare implements executor.Storage.
+func (db *DB) Spare() *executor.Spare { return &db.spare }
 
 // ---- DDL ------------------------------------------------------------------
 

@@ -9,11 +9,10 @@
 // The entry point is Run: it walks the plan tree (sequential scan, index
 // scan/probe, hash join, indexed nested-loop join, aggregation) pushing
 // tuples through a callback, charging every page touch to the worker's
-// accountant via the shared buffer pool. The executor keeps nothing
-// between runs but the cleared storage its hash joins recycle (below); all
-// device accounting flows through the iosim.Accountant it is handed, which
-// is what makes profiles captured during execution exact (the online
-// collector taps that same stream).
+// accountant via the shared buffer pool. The executor holds no state of
+// its own between runs; all device accounting flows through the
+// iosim.Accountant it is handed, which is what makes profiles captured
+// during execution exact (the online collector taps that same stream).
 //
 // Tuples are borrowed: the tuple an operator hands to its consumer is valid
 // for that one call, because scans decode every record into one reused row
@@ -32,8 +31,8 @@
 // number by types.KeyBits, a string by itself — so it pairs exactly the
 // rows whose types.EncodeKey bytes are equal without encoding a key or
 // allocating one. Its build side's storage is recycled: the chunks and key
-// index come from a package free list and go back, cleared, when the probe
-// ends, which is safe because nothing a join lends outlives its emit.
+// index come from the database's Spare and go back, cleared, when the
+// probe ends, which is safe because nothing a join lends outlives its emit.
 package executor
 
 import (
@@ -56,6 +55,8 @@ type Storage interface {
 	Tree(id catalog.ObjectID) *btree.Tree
 	TableSchema(name string) *types.Schema
 	Pool() *bufferpool.Pool
+	// Spare is where the database's hash joins recycle their build storage.
+	Spare() *Spare
 }
 
 // MaxResultTuples caps how many output tuples Run materialises in the
@@ -321,10 +322,12 @@ const chunkRows = 256
 // packed into chunks rather than one allocation a row, with the link that
 // chains the rows of one key in arrival order (tail is kept on a key's
 // first row), and the first row of each key. A validation run executes
-// hundreds of joins, so a build side and its chunks come from spare and go
-// back once the probe is done. Chunks go back one by one: a join holds as
-// many as its rows fill, whichever joins filled them before.
+// hundreds of joins, so a build side and its chunks come from the
+// database's Spare and go back once the probe is done. Chunks go back one
+// by one: a join holds as many as its rows fill, whichever joins filled
+// them before.
 type buildSide struct {
+	spare  *Spare
 	keep   []int // the columns retained
 	n      int32
 	chunks []*buildChunk
@@ -336,39 +339,41 @@ type buildChunk struct {
 	next, tail [chunkRows]int32
 }
 
-// spare holds the storage of finished joins for the next ones to reuse, so
-// it grows to the most that joins running at once have held. It is not a
-// sync.Pool: under the race detector a sync.Pool drops a quarter of what it
-// is given at random, and what a query allocates must not depend on chance.
-var spare struct {
-	sync.Mutex
+// Spare holds the build storage of a database's finished hash joins for
+// its next ones to reuse: it grows to the most that joins running at once
+// on the database have held, and goes when the database goes. It is not a
+// sync.Pool: under the race detector a sync.Pool drops a quarter of what
+// it is given at random, and what a query allocates must not depend on
+// chance. The zero Spare is empty and ready to use.
+type Spare struct {
+	mu     sync.Mutex
 	sides  []*buildSide
 	chunks []*buildChunk
 }
 
-// newBuildSide takes an empty build side retaining the keep columns.
-func newBuildSide(keep []int) *buildSide {
+// side takes an empty build side retaining the keep columns.
+func (s *Spare) side(keep []int) *buildSide {
 	var b *buildSide
-	spare.Lock()
-	if n := len(spare.sides); n > 0 {
-		b, spare.sides = spare.sides[n-1], spare.sides[:n-1]
+	s.mu.Lock()
+	if n := len(s.sides); n > 0 {
+		b, s.sides = s.sides[n-1], s.sides[:n-1]
 	}
-	spare.Unlock()
+	s.mu.Unlock()
 	if b == nil {
-		b = new(buildSide)
+		b = &buildSide{spare: s}
 	}
 	b.keep = keep
 	return b
 }
 
-// newChunk takes an empty chunk with room for chunkRows rows of w columns.
-func newChunk(w int) *buildChunk {
+// chunk takes an empty chunk with room for chunkRows rows of w columns.
+func (s *Spare) chunk(w int) *buildChunk {
 	var c *buildChunk
-	spare.Lock()
-	if n := len(spare.chunks); n > 0 {
-		c, spare.chunks = spare.chunks[n-1], spare.chunks[:n-1]
+	s.mu.Lock()
+	if n := len(s.chunks); n > 0 {
+		c, s.chunks = s.chunks[n-1], s.chunks[:n-1]
 	}
-	spare.Unlock()
+	s.mu.Unlock()
 	if c == nil {
 		c = new(buildChunk)
 	}
@@ -378,21 +383,22 @@ func newChunk(w int) *buildChunk {
 	return c
 }
 
-// release gives b and its chunks back to spare. Their values are cleared
-// first so that spare keeps no string alive; nothing b lent out outlives
-// the probe, since a consumer that keeps a row copies it.
+// release gives b and its chunks back to its Spare. Their values are
+// cleared first so that the Spare keeps no string alive; nothing b lent out
+// outlives the probe, since a consumer that keeps a row copies it.
 func (b *buildSide) release() {
 	for _, c := range b.chunks {
 		clear(c.vals)
 		c.vals = c.vals[:0]
 	}
 	b.heads.Clear()
-	spare.Lock()
-	spare.chunks = append(spare.chunks, b.chunks...)
+	s := b.spare
+	s.mu.Lock()
+	s.chunks = append(s.chunks, b.chunks...)
 	clear(b.chunks)
 	b.keep, b.n, b.chunks = nil, 0, b.chunks[:0]
-	spare.sides = append(spare.sides, b)
-	spare.Unlock()
+	s.sides = append(s.sides, b)
+	s.mu.Unlock()
 }
 
 // add retains tu as the next row, chained behind the earlier rows of key.
@@ -400,7 +406,7 @@ func (b *buildSide) add(tu types.Tuple, key types.Value) {
 	r := b.n
 	b.n++
 	if r%chunkRows == 0 {
-		b.chunks = append(b.chunks, newChunk(len(b.keep)))
+		b.chunks = append(b.chunks, b.spare.chunk(len(b.keep)))
 	}
 	c := b.chunks[r/chunkRows]
 	for _, p := range b.keep {
@@ -438,7 +444,7 @@ func (e *exec) hashJoin(j *plan.Join, need []bool, emit func(types.Tuple) bool) 
 	wo, w := len(outerSch), len(outerSch)+len(innerSch)
 	// Build phase: hash the inner input in memory, retaining of each row
 	// the columns the parent reads.
-	build := newBuildSide(wanted(need, wo, w))
+	build := e.st.Spare().side(wanted(need, wo, w))
 	defer build.release()
 	err = e.run(j.Inner, widen(need, wo, w, innerPos), func(tu types.Tuple) bool {
 		e.acct.ChargeCPU(plan.CPUHashTime)

@@ -28,13 +28,14 @@ func RunPoisoned(st Storage, acct *iosim.Accountant, root plan.Node, consume fun
 	return e.run(root, nil, consume)
 }
 
-// SpareValues counts the values the spare chunks still hold, up to their
+// SpareValues counts the values st's spare chunks still hold, up to their
 // capacity: a released build side's must all have been cleared.
-func SpareValues() int {
-	spare.Lock()
-	defer spare.Unlock()
+func SpareValues(st Storage) int {
+	s := st.Spare()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	for _, c := range spare.chunks {
+	for _, c := range s.chunks {
 		for _, v := range c.vals[:cap(c.vals)] {
 			if v != (types.Value{}) {
 				n++

@@ -203,18 +203,17 @@ func TestResultSurvivesRecycledBuildStorage(t *testing.T) {
 			t.Errorf("result %d changed after later joins reused the build storage", i)
 		}
 	}
-	if n := executor.SpareValues(); n != 0 {
+	if n := executor.SpareValues(db); n != 0 {
 		t.Errorf("the recycled chunks still hold %d values of finished joins", n)
 	}
 }
 
 // TestConcurrentJoinsShareNoStorage runs the joins of
-// TestResultSurvivesRecycledBuildStorage on two sessions at once. The
-// pools are the package's, shared by every database in the process, while
-// a database's buffer pool belongs to one goroutine at a time, so each
-// session has a database of its own, as two advisor requests validating at
-// once do. Under -race any build storage the two share shows as a race,
-// and every run must answer as the joins did alone.
+// TestResultSurvivesRecycledBuildStorage on two sessions at once, each on
+// a database of its own, as two advisor requests validating at once do (a
+// database's buffer pool belongs to one goroutine at a time). Build storage
+// is recycled per database, so under -race any of it the two share shows
+// as a race, and every run must answer as the joins did alone.
 func TestConcurrentJoinsShareNoStorage(t *testing.T) {
 	var want [][]byte
 	var wg sync.WaitGroup
