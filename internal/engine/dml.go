@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"dotprov/internal/bufferpool"
 	"dotprov/internal/catalog"
@@ -30,26 +31,45 @@ func (db *DB) insert(ch bufferpool.IOCharger, table string, tu types.Tuple, rand
 	if random {
 		wt = device.RandWrite
 	}
-	rec := types.EncodeTuple(nil, tu)
-	rid, err := heapInsert(heap, db.pool, ch, rec, wt)
+	db.rec = types.EncodeTuple(db.rec[:0], tu)
+	rid, err := heapInsert(heap, db.pool, ch, db.rec, wt)
 	if err != nil {
 		return err
 	}
-	var key []byte
-	for _, ix := range db.Cat.TableIndexes(t.ID) {
-		pos, err := db.colPositions(t, ix.Columns)
-		if err != nil {
-			return err
-		}
-		key = key[:0]
-		for _, p := range pos {
-			key = types.EncodeKey(key, tu[p])
-		}
-		db.trees[ix.ID].Insert(db.pool, ch, key, rid)
-		ch.ChargeIO(ix.ID, wt, 1)
+	for _, ix := range db.writes[t.ID].indexes {
+		db.key = encodeKey(db.key[:0], tu, ix.pos)
+		ix.tree.Insert(db.pool, ch, db.key, rid)
+		ch.ChargeIO(ix.id, wt, 1)
 	}
 	db.analyzed = false
 	return nil
+}
+
+// encodeKey appends the index key of the columns at pos of tu to dst.
+func encodeKey(dst []byte, tu types.Tuple, pos []int) []byte {
+	for _, p := range pos {
+		dst = types.EncodeKey(dst, tu[p])
+	}
+	return dst
+}
+
+// oldKeys fetches the row at rid and decodes its index-key columns into the
+// DB's reused row, which it returns; the other positions hold whatever an
+// earlier row left there. The fetch is charged like any RID read.
+func (db *DB) oldKeys(ch bufferpool.IOCharger, t *catalog.Table, heap *pagestore.HeapFile, rid pagestore.RID) (types.Tuple, error) {
+	rec, err := heap.Fetch(db.pool, ch, rid)
+	if err != nil {
+		return nil, err
+	}
+	n := t.Schema.Len()
+	if cap(db.old) < n {
+		db.old = make(types.Tuple, n)
+	}
+	old := db.old[:n]
+	if _, err := types.DecodeTupleInto(old, rec, db.writes[t.ID].mask); err != nil {
+		return nil, err
+	}
+	return old, nil
 }
 
 // heapInsert wraps HeapFile.Insert to honour the caller's choice of write
@@ -90,7 +110,15 @@ func (s *Session) InsertRandom(table string, tu types.Tuple) error {
 
 // LookupEq returns the tuples (and their RIDs) whose index key equals the
 // given values, charging the index descent and one random heap read per
-// match.
+// match. Fewer values than the index has columns look up a key prefix.
+//
+// The result is borrowed from the session: the tuples, their values and
+// the RID slice are valid until the session's next LookupEq, which reuses
+// their storage. A caller that keeps a tuple past that clones it, and one
+// that looks up again while iterating a result copies out what it still
+// needs first. UpdateByRID, DeleteByRID and the inserts leave the result
+// untouched, and the values passed in may come from the result being
+// replaced: the search key is encoded before any match is decoded.
 func (s *Session) LookupEq(indexName string, vals ...types.Value) ([]types.Tuple, []pagestore.RID, error) {
 	db := s.db
 	ix, err := db.Cat.IndexByName(indexName)
@@ -100,39 +128,47 @@ func (s *Session) LookupEq(indexName string, vals ...types.Value) ([]types.Tuple
 	t := db.Cat.Table(ix.TableID)
 	tree := db.trees[ix.ID]
 	heap := db.heaps[t.ID]
-	key := types.EncodeKey(nil, vals...)
-	var tuples []types.Tuple
-	var rids []pagestore.RID
-	var innerErr error
-	n := t.Schema.Len()
-	prefix := len(vals) < len(ix.Columns)
-	hi := key
-	if prefix {
+	s.key = types.EncodeKey(s.key[:0], vals...)
+	hi := s.key
+	if len(vals) < len(ix.Columns) {
 		// Prefix lookup: the encoded prefix is a lower bound; extend the
 		// upper bound so all completions match.
-		hi = append(append([]byte(nil), key...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+		s.hi = append(append(s.hi[:0], s.key...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+		hi = s.hi
 	}
-	tree.Range(db.pool, s.acct, key, hi, true, true, func(_ []byte, rid pagestore.RID) bool {
+	if db.lookupHook != nil {
+		db.lookupHook(s)
+	}
+	n := t.Schema.Len()
+	s.vals, s.rids = s.vals[:0], s.rids[:0]
+	var innerErr error
+	tree.Range(db.pool, s.acct, s.key, hi, true, true, func(_ []byte, rid pagestore.RID) bool {
 		s.acct.ChargeCPU(plan.CPUIndexTime)
 		rec, err := heap.Fetch(db.pool, s.acct, rid)
 		if err != nil {
 			innerErr = err
 			return false
 		}
-		tu, _, err := types.DecodeTuple(rec, n)
-		if err != nil {
+		off := len(s.vals)
+		s.vals = slices.Grow(s.vals, n)[:off+n]
+		if _, err := types.DecodeTupleInto(s.vals[off:], rec, nil); err != nil {
 			innerErr = err
 			return false
 		}
 		s.acct.ChargeCPU(plan.CPUTupleTime)
-		tuples = append(tuples, tu)
-		rids = append(rids, rid)
+		s.rids = append(s.rids, rid)
 		return true
 	})
 	if innerErr != nil {
 		return nil, nil, innerErr
 	}
-	return tuples, rids, nil
+	// The slab may have moved while it grew: slice the tuples out of it
+	// only now, each capped so an append to one cannot reach the next.
+	s.tuples = s.tuples[:0]
+	for i := range s.rids {
+		s.tuples = append(s.tuples, s.vals[i*n:(i+1)*n:(i+1)*n])
+	}
+	return s.tuples, s.rids, nil
 }
 
 // UpdateByRID rewrites a row in place (random write), maintaining any index
@@ -147,25 +183,18 @@ func (s *Session) UpdateByRID(table string, rid pagestore.RID, newTu types.Tuple
 		return fmt.Errorf("engine: update %q: %d values for %d columns", table, len(newTu), t.Schema.Len())
 	}
 	heap := db.heaps[t.ID]
-	oldRec, err := heap.Fetch(db.pool, s.acct, rid)
-	if err != nil {
-		return err
-	}
-	oldTu, _, err := types.DecodeTuple(oldRec, t.Schema.Len())
+	oldTu, err := db.oldKeys(s.acct, t, heap, rid)
 	if err != nil {
 		return err
 	}
 	s.acct.ChargeCPU(plan.CPUPerRowWrite)
-	if err := heap.Update(db.pool, s.acct, rid, types.EncodeTuple(nil, newTu)); err != nil {
+	db.rec = types.EncodeTuple(db.rec[:0], newTu)
+	if err := heap.Update(db.pool, s.acct, rid, db.rec); err != nil {
 		return err
 	}
-	for _, ix := range db.Cat.TableIndexes(t.ID) {
-		pos, err := db.colPositions(t, ix.Columns)
-		if err != nil {
-			return err
-		}
+	for _, ix := range db.writes[t.ID].indexes {
 		changed := false
-		for _, p := range pos {
+		for _, p := range ix.pos {
 			if !types.Equal(oldTu[p], newTu[p]) {
 				changed = true
 				break
@@ -174,15 +203,11 @@ func (s *Session) UpdateByRID(table string, rid pagestore.RID, newTu types.Tuple
 		if !changed {
 			continue
 		}
-		var oldKey, newKey []byte
-		for _, p := range pos {
-			oldKey = types.EncodeKey(oldKey, oldTu[p])
-			newKey = types.EncodeKey(newKey, newTu[p])
-		}
-		tree := db.trees[ix.ID]
-		tree.Delete(db.pool, s.acct, oldKey, rid)
-		tree.Insert(db.pool, s.acct, newKey, rid)
-		s.acct.ChargeIO(ix.ID, device.RandWrite, 1)
+		db.oldKey = encodeKey(db.oldKey[:0], oldTu, ix.pos)
+		db.key = encodeKey(db.key[:0], newTu, ix.pos)
+		ix.tree.Delete(db.pool, s.acct, db.oldKey, rid)
+		ix.tree.Insert(db.pool, s.acct, db.key, rid)
+		s.acct.ChargeIO(ix.id, device.RandWrite, 1)
 	}
 	return nil
 }
@@ -195,11 +220,7 @@ func (s *Session) DeleteByRID(table string, rid pagestore.RID) error {
 		return err
 	}
 	heap := db.heaps[t.ID]
-	oldRec, err := heap.Fetch(db.pool, s.acct, rid)
-	if err != nil {
-		return err
-	}
-	oldTu, _, err := types.DecodeTuple(oldRec, t.Schema.Len())
+	oldTu, err := db.oldKeys(s.acct, t, heap, rid)
 	if err != nil {
 		return err
 	}
@@ -207,18 +228,10 @@ func (s *Session) DeleteByRID(table string, rid pagestore.RID) error {
 	if err := heap.Delete(db.pool, s.acct, rid); err != nil {
 		return err
 	}
-	var key []byte
-	for _, ix := range db.Cat.TableIndexes(t.ID) {
-		pos, err := db.colPositions(t, ix.Columns)
-		if err != nil {
-			return err
-		}
-		key = key[:0]
-		for _, p := range pos {
-			key = types.EncodeKey(key, oldTu[p])
-		}
-		db.trees[ix.ID].Delete(db.pool, s.acct, key, rid)
-		s.acct.ChargeIO(ix.ID, device.RandWrite, 1)
+	for _, ix := range db.writes[t.ID].indexes {
+		db.key = encodeKey(db.key[:0], oldTu, ix.pos)
+		ix.tree.Delete(db.pool, s.acct, db.key, rid)
+		s.acct.ChargeIO(ix.id, device.RandWrite, 1)
 	}
 	return nil
 }

@@ -32,8 +32,9 @@ var driverGoldenPath = filepath.Join("..", "tpcc", "testdata", "driver.golden")
 // count, tpmC and CPU time; the exact per-object, per-I/O-type profile;
 // the pool's hits and misses; and, after the run, a digest of every
 // table's rows in heap order and of every index's (key, RID) entries in
-// key order.
-func driverGolden(t *testing.T) []byte {
+// key order. prepare, when not nil, is applied to each database before
+// its run.
+func driverGolden(t *testing.T, prepare func(*engine.DB)) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	for _, seed := range []int64{1, 2} {
@@ -51,6 +52,9 @@ func driverGolden(t *testing.T) []byte {
 		db.ResizePool(pages)
 		if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, box.MostExpensive().Class)); err != nil {
 			t.Fatal(err)
+		}
+		if prepare != nil {
+			prepare(db)
 		}
 		driver := &tpcc.Driver{Cfg: cfg, Workers: 8, Period: 500 * time.Millisecond, Seed: seed}
 		res, err := driver.Run(db)
@@ -127,7 +131,7 @@ func compareDriverGolden(t *testing.T, got []byte) {
 // `go test ./internal/engine -run TestDriverGolden -update` only when that
 // is intended.
 func TestDriverGolden(t *testing.T) {
-	got := driverGolden(t)
+	got := driverGolden(t, nil)
 	if *updateDriverGolden {
 		if err := os.MkdirAll(filepath.Dir(driverGoldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -138,4 +142,13 @@ func TestDriverGolden(t *testing.T) {
 		return
 	}
 	compareDriverGolden(t, got)
+}
+
+// TestBorrowedLookupsSurvivePoisoning reruns the pinned driver with every
+// LookupEq result overwritten as soon as the session's next LookupEq
+// starts: the run must reproduce driver.golden exactly. It is the test
+// that fails when a transaction reads a lookup result after looking up
+// again without having copied what it needed (StockLevel's item ids).
+func TestBorrowedLookupsSurvivePoisoning(t *testing.T) {
+	compareDriverGolden(t, driverGolden(t, engine.PoisonLookups))
 }

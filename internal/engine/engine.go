@@ -23,6 +23,11 @@
 //     sessions after SetLayout/SetConcurrency.
 //   - DML invalidates Analyze-time statistics; Analyze must run again
 //     before planning (Plan/PlanUnder error otherwise).
+//   - LookupEq lends its result, as the executor lends its tuples: the
+//     tuples, their values and the RIDs live in the session's storage and
+//     are valid until that session's next LookupEq. A caller clones what
+//     it keeps longer. Writes encode their records and keys into scratch
+//     on the DB, which, like the buffer pool, serves one session at a time.
 //   - SetTap installs a live I/O observer mirrored into every later
 //     session's accountant — the online advisor's profile capture point
 //     (see internal/online).
@@ -62,6 +67,36 @@ type DB struct {
 	analyzed    bool
 	tap         iosim.Charger
 	spare       executor.Spare
+	// writes holds, per table, what a write needs of its indexes.
+	writes map[catalog.ObjectID]*tableWrites
+
+	// Write-path scratch, reused from row to row under the buffer pool's
+	// single-writer rule: the page copies rec, a tree copies the key it
+	// keeps, and old holds only the index-key columns of the row being
+	// updated or deleted.
+	rec, key, oldKey []byte
+	old              types.Tuple
+
+	// lookupHook, set only by tests, runs in every LookupEq after the
+	// search key is encoded and before the session's result storage is
+	// reused.
+	lookupHook func(*Session)
+}
+
+// tableWrites is a table's indexes in creation order, resolved once by
+// CreateIndex, plus the mask of the columns any of them keys on: the part
+// of an old row UpdateByRID and DeleteByRID decode.
+type tableWrites struct {
+	indexes []indexKey
+	mask    []bool
+}
+
+// indexKey is one index as a write maintains it: its tree and the
+// positions of its key columns in the table's schema.
+type indexKey struct {
+	id   catalog.ObjectID
+	tree *btree.Tree
+	pos  []int
 }
 
 // New creates an empty database on a box. poolPages <= 0 selects the
@@ -77,6 +112,7 @@ func New(box *device.Box, poolPages int) *DB {
 		pool:        bufferpool.New(poolPages),
 		heaps:       make(map[catalog.ObjectID]*pagestore.HeapFile),
 		trees:       make(map[catalog.ObjectID]*btree.Tree),
+		writes:      make(map[catalog.ObjectID]*tableWrites),
 		layout:      catalog.Layout{},
 		concurrency: 1,
 	}
@@ -115,6 +151,7 @@ func (db *DB) CreateTable(name string, schema *types.Schema, primaryKey []string
 		return nil, err
 	}
 	db.heaps[t.ID] = pagestore.NewHeapFile(t.ID)
+	db.writes[t.ID] = &tableWrites{mask: make([]bool, schema.Len())}
 	if len(primaryKey) > 0 {
 		if _, err := db.CreateIndex(name+"_pkey", name, primaryKey, true); err != nil {
 			return nil, err
@@ -135,19 +172,21 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool) (*c
 	if err != nil {
 		return nil, err
 	}
+	pos := make([]int, len(columns)) // the catalog has checked the columns
+	for i, c := range columns {
+		pos[i] = t.Schema.ColIndex(c)
+	}
 	tree := btree.New(ix.ID)
 	db.trees[ix.ID] = tree
-	// Backfill.
-	pos, err := db.colPositions(t, columns)
-	if err != nil {
-		return nil, err
-	}
+	w := db.writes[t.ID]
+	w.indexes = append(w.indexes, indexKey{id: ix.ID, tree: tree, pos: pos})
+	// Backfill: one reused row, decoding the key columns only.
 	heap := db.heaps[t.ID]
-	// One reused row, decoding the key columns only.
 	tu := make(types.Tuple, t.Schema.Len())
 	mask := make([]bool, len(tu))
 	for _, p := range pos {
 		mask[p] = true
+		w.mask[p] = true
 	}
 	var key []byte
 	var decodeErr error
@@ -170,18 +209,6 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool) (*c
 	}
 	db.analyzed = false
 	return ix, nil
-}
-
-func (db *DB) colPositions(t *catalog.Table, columns []string) ([]int, error) {
-	pos := make([]int, len(columns))
-	for i, c := range columns {
-		p := t.Schema.ColIndex(c)
-		if p < 0 {
-			return nil, fmt.Errorf("engine: table %q has no column %q", t.Name, c)
-		}
-		pos[i] = p
-	}
-	return pos, nil
 }
 
 // ---- Layout & concurrency --------------------------------------------------
@@ -262,6 +289,14 @@ func (db *DB) Load(table string, tu types.Tuple) error {
 type Session struct {
 	db   *DB
 	acct *iosim.Accountant
+
+	// LookupEq's storage: its search key and upper bound, and the result it
+	// lends its caller until the next LookupEq — the matches decoded into
+	// one slab of values, the tuples slicing it, and their RIDs.
+	key, hi []byte
+	vals    []types.Value
+	tuples  []types.Tuple
+	rids    []pagestore.RID
 }
 
 // SetTap installs a live I/O observer on the engine: every device charge a

@@ -67,7 +67,6 @@ func (d *Driver) Run(db *engine.DB) (*RunResult, error) {
 			}
 			res.TotalTxns++
 		}
-		res.TotalTxns += 0
 		if e := sess.Acct().Now(); e > maxElapsed {
 			maxElapsed = e
 		}

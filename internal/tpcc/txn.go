@@ -16,6 +16,11 @@ type txnState struct {
 	w    int // home warehouse
 	seq  int64
 	last struct{ newOrders int64 }
+	// StockLevel's scratch: its copy of an order's item ids, which it
+	// keeps while looking up their stock (a LookupEq result lives only
+	// until the session's next LookupEq), and the items it has seen.
+	items []int64
+	seen  map[int64]bool
 }
 
 func ival(v types.Value) int64   { return v.Int }
@@ -290,7 +295,11 @@ func (t *txnState) StockLevel(sess *engine.Session) error {
 		return nil
 	}
 	nextO := ival(dT[0][4])
-	seen := map[int64]bool{}
+	if t.seen == nil {
+		t.seen = map[int64]bool{}
+	}
+	clear(t.seen)
+	seen := t.seen
 	low := 0
 	for o := nextO - 20; o < nextO; o++ {
 		if o < 0 {
@@ -301,8 +310,11 @@ func (t *txnState) StockLevel(sess *engine.Session) error {
 		if err != nil {
 			return err
 		}
+		t.items = t.items[:0]
 		for _, ol := range ols {
-			item := ival(ol[4])
+			t.items = append(t.items, ival(ol[4]))
+		}
+		for _, item := range t.items {
 			if seen[item] {
 				continue
 			}
