@@ -110,6 +110,15 @@
 #      600,000 B/op. It reads ~23 KB at 1x and at 20x; a build side
 #      allocated per join, with a string allocated per join key, read 6.2 MB.
 #
+#  15. TPC-C's lookups and writes borrow the engine's scratch: a LookupEq
+#      result lives in its session's reused storage until the next
+#      LookupEq, and a write encodes its record and keys into the
+#      database's. BenchmarkTPCCRun (one driver run — DefaultConfig, Box 2,
+#      eight workers, 500 ms — after one untimed run) stays under 4,400,000
+#      B/op, twice the 2,179,112 it reads at 1x. Decoding every match into
+#      a fresh tuple and encoding every row and key into fresh bytes, as
+#      before, read 11,985,104.
+#
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
 # which needs a timed benchtime for throughput to mean anything
@@ -122,7 +131,7 @@ benchtime="${BENCHTIME:-1x}"
 ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 
 raw=$(go test -run '^$' \
-  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate|BenchmarkSweepAllocs' \
+  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate|BenchmarkSweepAllocs|BenchmarkTPCCRun' \
   -benchmem -benchtime "$benchtime" .)
 # Gate 11 compares two sub-microsecond figures, so it takes the best of three
 # runs of each: a noisy neighbour inflates one run, a per-candidate walk of
@@ -436,4 +445,16 @@ END {
   if (!found) { print "benchguard: BenchmarkExecutorTPCH/Q5 missing — benchmark names changed?"; exit 1 }
   if (bytes+0 >= 600000) { printf("REGRESSION: TPC-H Q5 allocated %s B/op (ceiling 600000): hash-join build storage or join keys are allocated per join again\n", bytes); exit 1 }
   printf("benchguard OK: TPC-H Q5 at %s B/op (ceiling 600000)\n", bytes)
+}'
+
+# Gate 15: TPC-C's DML allocates what it keeps, not a tuple per match.
+echo "$raw" | awk '
+/^BenchmarkTPCCRun/ {
+  for (i=3; i<NF; i++) if ($(i+1)=="B/op") bytes=$i
+  found=1
+}
+END {
+  if (!found) { print "benchguard: BenchmarkTPCCRun missing — benchmark names changed?"; exit 1 }
+  if (bytes+0 >= 4400000) { printf("REGRESSION: a TPC-C driver run allocated %s B/op (ceiling 4400000): lookups or writes allocate per row again\n", bytes); exit 1 }
+  printf("benchguard OK: a TPC-C driver run at %s B/op (ceiling 4400000)\n", bytes)
 }'
