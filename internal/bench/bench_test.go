@@ -100,6 +100,39 @@ func TestFigure5And7Shapes(t *testing.T) {
 	}
 }
 
+// TestFigure9Shapes runs Figure 9 (ES against DOT on TPC-C, Box 2, SLA
+// 0.25, without and with an H-SSD cap of 70% of the database) at reduced
+// scale and asserts its shapes: the exhaustive search over the hottest
+// objects, seeded with DOT's layout, never ends above DOT's TOC, and
+// capping the H-SSD never makes either search's layout cheaper.
+func TestFigure9Shapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment too heavy for -short")
+	}
+	fig, err := Figure9(io.Discard, Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const box, capped = "Box 2", "H-SSD cap 70% of DB"
+	toc := func(name string) float64 {
+		row := fig.Row(box, name)
+		if row == nil {
+			t.Fatalf("missing row %q: %+v", name, fig.BoxRows[box])
+		}
+		return row.TOCCents
+	}
+	for _, label := range []string{"no limit", capped} {
+		if es, dot := toc("ES "+label), toc("DOT "+label); es > dot {
+			t.Errorf("%s: ES TOC %.3e above DOT's %.3e", label, es, dot)
+		}
+	}
+	for _, search := range []string{"DOT", "ES"} {
+		if free, limited := toc(search+" no limit"), toc(search+" "+capped); limited < free {
+			t.Errorf("%s: TOC %.3e under the H-SSD cap below its %.3e without it", search, limited, free)
+		}
+	}
+}
+
 func TestFigure8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment too heavy for -short")
