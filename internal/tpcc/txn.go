@@ -299,7 +299,6 @@ func (t *txnState) StockLevel(sess *engine.Session) error {
 		t.seen = map[int64]bool{}
 	}
 	clear(t.seen)
-	seen := t.seen
 	low := 0
 	for o := nextO - 20; o < nextO; o++ {
 		if o < 0 {
@@ -315,10 +314,10 @@ func (t *txnState) StockLevel(sess *engine.Session) error {
 			t.items = append(t.items, ival(ol[4]))
 		}
 		for _, item := range t.items {
-			if seen[item] {
+			if t.seen[item] {
 				continue
 			}
-			seen[item] = true
+			t.seen[item] = true
 			sT, _, err := sess.LookupEq("stock_pkey", types.NewInt(int64(t.w)), types.NewInt(item))
 			if err != nil {
 				return err
