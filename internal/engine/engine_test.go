@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -101,6 +102,115 @@ func TestAnalyzeStats(t *testing.T) {
 	tab, _ := db.Cat.TableByName("orders")
 	if tab.SizeBytes == 0 {
 		t.Fatal("catalog size not refreshed by Analyze")
+	}
+}
+
+// TestAnalyzeStatsAcrossTables checks every column's NDV and range after one
+// Analyze over four tables against a brute-force count of the rows loaded.
+// The tables share column positions, a later table's values are disjoint
+// from an earlier one's at the same position, their widths differ, and the
+// last is empty — so statistics that leak from one table into the next
+// (a distinct set, a running min or max) cannot go unnoticed.
+func TestAnalyzeStatsAcrossTables(t *testing.T) {
+	type table struct {
+		name string
+		cols []types.Column
+		rows []types.Tuple
+	}
+	col := func(name string, k types.Kind) types.Column { return types.Column{Name: name, Kind: k} }
+	a := table{name: "a", cols: []types.Column{
+		col("a0", types.KindInt), col("a1", types.KindInt), col("a2", types.KindString),
+		col("a3", types.KindFloat), col("a4", types.KindDate),
+	}}
+	for i := 0; i < 900; i++ {
+		a.rows = append(a.rows, types.Tuple{
+			types.NewInt(int64(i)), types.NewInt(int64(i % 300)),
+			types.NewString(fmt.Sprintf("a-%d", i%170)),
+			types.NewFloat(float64(i%40) - 19.5), types.NewDate(int64(9000 + i%65)),
+		})
+	}
+	b := table{name: "b", cols: []types.Column{
+		col("b0", types.KindInt), col("b1", types.KindInt), col("b2", types.KindString),
+	}}
+	for i := 0; i < 400; i++ {
+		b.rows = append(b.rows, types.Tuple{
+			types.NewInt(int64(5000 + i)), types.NewInt(int64(1000 + i%7)),
+			types.NewString(fmt.Sprintf("b-%d", i%13)),
+		})
+	}
+	c := table{name: "c", cols: []types.Column{
+		col("c0", types.KindInt), col("c1", types.KindFloat), col("c2", types.KindString),
+		col("c3", types.KindInt),
+	}}
+	for i := 0; i < 250; i++ {
+		c.rows = append(c.rows, types.Tuple{
+			types.NewInt(int64(-i)), types.NewFloat(float64(i%11) * 0.25),
+			types.NewString(fmt.Sprintf("c-%d", i%3)), types.NewInt(int64(i % 2)),
+		})
+	}
+	empty := table{name: "empty", cols: []types.Column{
+		col("e0", types.KindInt), col("e1", types.KindInt), col("e2", types.KindString),
+	}}
+	tables := []table{a, b, c, empty}
+
+	db := New(device.Box1(), 64)
+	for _, tab := range tables {
+		if _, err := db.CreateTable(tab.name, types.NewSchema(tab.cols...), []string{tab.cols[0].Name}); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tab.rows {
+			if err := db.Load(tab.name, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range tables {
+		ti := db.Optimizer().Tables[tab.name]
+		if ti == nil {
+			t.Fatalf("no stats for %s", tab.name)
+		}
+		if ti.Rows != float64(len(tab.rows)) {
+			t.Fatalf("%s rows = %g, want %d", tab.name, ti.Rows, len(tab.rows))
+		}
+		for i, cl := range tab.cols {
+			distinct := map[string]bool{}
+			var lo, hi types.Value
+			for r, row := range tab.rows {
+				v := row[i]
+				distinct[string(types.EncodeKey(nil, v))] = true
+				if r == 0 || types.Compare(v, lo) < 0 {
+					lo = v
+				}
+				if r == 0 || types.Compare(v, hi) > 0 {
+					hi = v
+				}
+			}
+			ndv := float64(len(distinct))
+			if ndv < 1 {
+				ndv = 1
+			}
+			hasRange := len(tab.rows) > 0 && cl.Kind != types.KindString
+			st := ti.Col(cl.Name)
+			if st == nil {
+				t.Fatalf("%s.%s: no column stats", tab.name, cl.Name)
+			}
+			if st.NDV != ndv {
+				t.Errorf("%s.%s: NDV = %g, want %g", tab.name, cl.Name, st.NDV, ndv)
+			}
+			if st.HasRange != hasRange {
+				t.Errorf("%s.%s: HasRange = %v, want %v", tab.name, cl.Name, st.HasRange, hasRange)
+				continue
+			}
+			if hasRange && (!types.Equal(st.Min, lo) || !types.Equal(st.Max, hi)) {
+				t.Errorf("%s.%s: range [%v, %v], want [%v, %v]", tab.name, cl.Name, st.Min, st.Max, lo, hi)
+			}
+		}
 	}
 }
 
