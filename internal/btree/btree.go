@@ -18,6 +18,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"dotprov/internal/bufferpool"
 	"dotprov/internal/catalog"
@@ -206,57 +207,60 @@ func (t *Tree) Insert(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte
 	}
 }
 
-// parentPath re-descends to collect the ancestors of the leaf covering key.
+// parentOf re-descends toward key to find the parent of child, a node on
+// the insertion path of key whose ancestors the split has not touched yet.
 // Splits are rare, so the extra walk keeps nodes parent-pointer-free.
-func (t *Tree) parentPath(key []byte) []*node {
-	var path []*node
+func (t *Tree) parentOf(child *node, key []byte) *node {
 	n := t.root
 	for !n.leaf {
-		path = append(path, n)
-		n = n.children[childIndex(n, key)]
+		next := n.children[childIndex(n, key)]
+		if next == child {
+			return n
+		}
+		n = next
 	}
-	return path
+	panic("btree: split orphan (corrupt tree)")
 }
 
+// splitLeaf moves the upper half of an overfull leaf into a new right
+// sibling. The right leaf is allocated at the most a leaf holds (leafCap+1
+// entries, the overflow that splits it), and the left keeps its backing
+// arrays with the vacated tail cleared, so neither reallocates as it fills
+// again. The separator shares the right leaf's first key: keys are never
+// written after Insert copies them.
 func (t *Tree) splitLeaf(leaf *node, key []byte) {
 	mid := len(leaf.keys) / 2
 	right := t.newNode(true)
-	right.keys = append(right.keys, leaf.keys[mid:]...)
-	right.rids = append(right.rids, leaf.rids[mid:]...)
-	leaf.keys = leaf.keys[:mid:mid]
-	leaf.rids = leaf.rids[:mid:mid]
+	right.keys = append(make([][]byte, 0, t.leafCap+1), leaf.keys[mid:]...)
+	right.rids = append(make([]pagestore.RID, 0, t.leafCap+1), leaf.rids[mid:]...)
+	clear(leaf.keys[mid:])
+	leaf.keys = leaf.keys[:mid]
+	leaf.rids = leaf.rids[:mid]
 	right.next = leaf.next
 	leaf.next = right
-	sep := append([]byte(nil), right.keys[0]...)
-	t.insertIntoParent(leaf, right, sep, key)
+	t.insertIntoParent(leaf, right, right.keys[0], key)
+}
+
+// newInternal creates an internal node whose arrays hold the most an
+// internal node holds: order+1 children and order separators, the overflow
+// that splits it.
+func (t *Tree) newInternal() *node {
+	n := t.newNode(false)
+	n.keys = make([][]byte, 0, t.order)
+	n.children = make([]*node, 0, t.order+1)
+	return n
 }
 
 func (t *Tree) insertIntoParent(left, right *node, sep, key []byte) {
 	if left == t.root {
-		newRoot := t.newNode(false)
-		newRoot.keys = [][]byte{sep}
-		newRoot.children = []*node{left, right}
+		newRoot := t.newInternal()
+		newRoot.keys = append(newRoot.keys, sep)
+		newRoot.children = append(newRoot.children, left, right)
 		t.root = newRoot
 		t.height++
 		return
 	}
-	path := t.parentPath(key)
-	// Find left's parent on the path.
-	var parent *node
-	for i := len(path) - 1; i >= 0; i-- {
-		for _, c := range path[i].children {
-			if c == left {
-				parent = path[i]
-				break
-			}
-		}
-		if parent != nil {
-			break
-		}
-	}
-	if parent == nil {
-		panic("btree: split orphan (corrupt tree)")
-	}
+	parent := t.parentOf(left, key)
 	pos := 0
 	for pos < len(parent.children) && parent.children[pos] != left {
 		pos++
@@ -272,14 +276,19 @@ func (t *Tree) insertIntoParent(left, right *node, sep, key []byte) {
 	}
 }
 
+// splitInternal moves the upper half of an overfull internal node into a
+// new right sibling at full capacity and pushes the middle separator up;
+// the left keeps its arrays with the vacated tail cleared.
 func (t *Tree) splitInternal(n *node, key []byte) {
 	midKey := len(n.keys) / 2
 	sep := n.keys[midKey]
-	right := t.newNode(false)
+	right := t.newInternal()
 	right.keys = append(right.keys, n.keys[midKey+1:]...)
 	right.children = append(right.children, n.children[midKey+1:]...)
-	n.keys = n.keys[:midKey:midKey]
-	n.children = n.children[: midKey+1 : midKey+1]
+	clear(n.keys[midKey:])
+	clear(n.children[midKey+1:])
+	n.keys = n.keys[:midKey]
+	n.children = n.children[:midKey+1]
 	t.insertIntoParent(n, right, sep, key)
 }
 
@@ -352,8 +361,8 @@ func (t *Tree) Delete(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte
 		pos := lowerBoundLeaf(leaf, key)
 		for ; pos < len(leaf.keys) && bytes.Equal(leaf.keys[pos], key); pos++ {
 			if leaf.rids[pos] == rid {
-				leaf.keys = append(leaf.keys[:pos], leaf.keys[pos+1:]...)
-				leaf.rids = append(leaf.rids[:pos], leaf.rids[pos+1:]...)
+				leaf.keys = slices.Delete(leaf.keys, pos, pos+1) // clears the vacated slot
+				leaf.rids = slices.Delete(leaf.rids, pos, pos+1)
 				t.entries--
 				return true
 			}

@@ -101,7 +101,7 @@ func New(capacity int) *Pool {
 	}
 	return &Pool{
 		capacity: capacity,
-		index:    make(map[PageKey]int, capacity),
+		index:    make(map[PageKey]int),
 	}
 }
 
@@ -185,6 +185,6 @@ func (p *Pool) Invalidate(obj catalog.ObjectID) {
 // Clear empties the pool (cold cache between experiment runs).
 func (p *Pool) Clear() {
 	p.frames = p.frames[:0]
-	p.index = make(map[PageKey]int, p.capacity)
+	clear(p.index)
 	p.hand = 0
 }

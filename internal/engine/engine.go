@@ -333,6 +333,9 @@ func (s *Session) Acct() *iosim.Accountant { return s.acct }
 // before planning.
 func (db *DB) Analyze() error {
 	opt := optimizer.New(db.Box, db.concurrency)
+	// One distinct-value set per column position, reused from table to
+	// table: each keeps its storage and is cleared before the next table.
+	var distinct []types.KeyMap[struct{}]
 	for _, t := range db.Cat.Tables() {
 		heap := db.heaps[t.ID]
 		db.Cat.SetSize(t.ID, heap.SizeBytes())
@@ -346,7 +349,12 @@ func (db *DB) Analyze() error {
 		}
 		// Column statistics: exact NDV and min/max by one uncharged pass.
 		n := t.Schema.Len()
-		distinct := make([]types.KeyMap[struct{}], n)
+		for len(distinct) < n {
+			distinct = append(distinct, types.KeyMap[struct{}]{})
+		}
+		for i := range n {
+			distinct[i].Clear()
+		}
 		mins := make([]types.Value, n)
 		maxs := make([]types.Value, n)
 		seen := make([]bool, n)

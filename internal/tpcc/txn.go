@@ -21,6 +21,16 @@ type txnState struct {
 	// until the session's next LookupEq), and the items it has seen.
 	items []int64
 	seen  map[int64]bool
+	// upd is the one row a transaction is editing: edit copies a borrowed
+	// lookup result into it, and the next edit overwrites it.
+	upd types.Tuple
+}
+
+// edit copies row into the worker's edit scratch and returns it, for the
+// caller to change and write back. It is valid until the next edit.
+func (t *txnState) edit(row types.Tuple) types.Tuple {
+	t.upd = append(t.upd[:0], row...)
+	return t.upd
 }
 
 func ival(v types.Value) int64   { return v.Int }
@@ -40,7 +50,7 @@ func (t *txnState) NewOrder(sess *engine.Session) error {
 	if len(dTuples) != 1 {
 		return fmt.Errorf("tpcc: district (%d,%d) missing", t.w, d)
 	}
-	dist := dTuples[0].Clone()
+	dist := t.edit(dTuples[0])
 	oid := ival(dist[4])
 	dist[4] = types.NewInt(oid + 1)
 	if err := sess.UpdateByRID("district", dRids[0], dist); err != nil {
@@ -88,7 +98,7 @@ func (t *txnState) NewOrder(sess *engine.Session) error {
 			return err
 		}
 		if len(sTuples) == 1 {
-			st := sTuples[0].Clone()
+			st := t.edit(sTuples[0])
 			q := ival(st[2])
 			if q > 10 {
 				st[2] = types.NewInt(q - int64(1+t.r.Intn(5)))
@@ -126,7 +136,7 @@ func (t *txnState) Payment(sess *engine.Session) error {
 		return err
 	}
 	if len(wT) == 1 {
-		w := wT[0].Clone()
+		w := t.edit(wT[0])
 		w[3] = types.NewFloat(fval(w[3]) + amount)
 		if err := sess.UpdateByRID("warehouse", wR[0], w); err != nil {
 			return err
@@ -137,7 +147,7 @@ func (t *txnState) Payment(sess *engine.Session) error {
 		return err
 	}
 	if len(dT) == 1 {
-		ds := dT[0].Clone()
+		ds := t.edit(dT[0])
 		ds[3] = types.NewFloat(fval(ds[3]) + amount)
 		if err := sess.UpdateByRID("district", dR[0], ds); err != nil {
 			return err
@@ -163,7 +173,7 @@ func (t *txnState) Payment(sess *engine.Session) error {
 	}
 	if len(cT) > 0 {
 		mid := len(cT) / 2 // TPC-C picks the median match
-		cu := cT[mid].Clone()
+		cu := t.edit(cT[mid])
 		cu[5] = types.NewFloat(fval(cu[5]) - amount)
 		cu[6] = types.NewFloat(fval(cu[6]) + amount)
 		cu[7] = types.NewInt(ival(cu[7]) + 1)
@@ -251,7 +261,7 @@ func (t *txnState) Delivery(sess *engine.Session) error {
 		if len(oT) != 1 {
 			continue
 		}
-		ord := oT[0].Clone()
+		ord := t.edit(oT[0])
 		ord[5] = carrier
 		if err := sess.UpdateByRID("orders", oR[0], ord); err != nil {
 			return err
@@ -271,7 +281,7 @@ func (t *txnState) Delivery(sess *engine.Session) error {
 			return err
 		}
 		if len(cT) == 1 {
-			cu := cT[0].Clone()
+			cu := t.edit(cT[0])
 			cu[5] = types.NewFloat(fval(cu[5]) + total)
 			if err := sess.UpdateByRID("customer", cRids[0], cu); err != nil {
 				return err
