@@ -13,6 +13,16 @@
 //
 // Deletion is lazy (no rebalancing), as in PostgreSQL: entries are removed
 // from leaves but nodes are never merged.
+//
+// Memory: a node's arrays are allocated once, at the most the node holds —
+// leafCap+1 entries for a leaf, order separators and order+1 children for
+// an internal node, the overflow that splits it. A split allocates only
+// its new right node (and a new root when the root splits); the left node
+// keeps its arrays, and a split or a delete clears the slots it vacates, so
+// no node holds a key or child past its length. Only the first leaf grows
+// by appending, until it first splits. An inserted key is copied once and
+// never written again: separators share those bytes, and Range's callback
+// must not modify the key it is handed.
 package btree
 
 import (
@@ -305,8 +315,9 @@ func (t *Tree) SearchEq(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []by
 
 // Range iterates entries with lo <= key <= hi (bounds controlled by
 // loIncl/hiIncl; a nil lo starts at the smallest key, a nil hi runs to the
-// end). Iteration stops early when fn returns false. Every leaf page
-// visited charges one random read (on buffer miss).
+// end). Iteration stops early when fn returns false; fn must not modify
+// the key it is handed. Every leaf page visited charges one random read
+// (on buffer miss).
 func (t *Tree) Range(pool *bufferpool.Pool, ch bufferpool.IOCharger, lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte, rid pagestore.RID) bool) {
 	var leaf *node
 	var pos int

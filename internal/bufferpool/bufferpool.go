@@ -182,7 +182,8 @@ func (p *Pool) Invalidate(obj catalog.ObjectID) {
 	}
 }
 
-// Clear empties the pool (cold cache between experiment runs).
+// Clear empties the pool (cold cache between experiment runs), keeping the
+// storage of its frames and index for the next run.
 func (p *Pool) Clear() {
 	p.frames = p.frames[:0]
 	clear(p.index)

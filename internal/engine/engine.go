@@ -25,9 +25,16 @@
 //     before planning (Plan/PlanUnder error otherwise).
 //   - LookupEq lends its result, as the executor lends its tuples: the
 //     tuples, their values and the RIDs live in the session's storage and
-//     are valid until that session's next LookupEq. A caller clones what
-//     it keeps longer. Writes encode their records and keys into scratch
-//     on the DB, which, like the buffer pool, serves one session at a time.
+//     are valid until that session's next LookupEq. A caller copies what
+//     it keeps longer; TPC-C's transactions copy the one row they edit
+//     into their worker's scratch tuple, whose next edit overwrites it.
+//     Writes encode their records and keys into scratch on the DB, which,
+//     like the buffer pool, serves one session at a time. What a write
+//     keeps — a page's bytes, an index's key copy and the nodes a split
+//     adds — is allocated once (see internal/btree). Analyze reuses one
+//     distinct-value set per column position from table to table, cleared
+//     before each, and the buffer pool's index map grows with what it holds
+//     and is cleared, not reallocated, between runs.
 //   - SetTap installs a live I/O observer mirrored into every later
 //     session's accountant — the online advisor's profile capture point
 //     (see internal/online).
