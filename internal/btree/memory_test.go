@@ -84,6 +84,8 @@ func TestSplitsAllocateOneNodeEach(t *testing.T) {
 			// pool holds, so the pool's storage never grows.
 			pool := bufferpool.New(1)
 			ch := bufferpool.NopCharger{}
+			// Three batches: the warm-up below, then AllocsPerRun's own
+			// warm-up and its measured run.
 			keys := make([][]byte, 3*n)
 			for i := range keys {
 				keys[i] = intKey(dir.key(i))
