@@ -248,9 +248,8 @@ func adviseTPCC(box *device.Box, sla float64, workers, searchWorkers int, seed i
 	}
 	// At partition granularity the collector tap captures the test run's
 	// page-located charges — the per-extent heat statistics the partitioner
-	// splits on. Object-granular runs skip the tap: even with the lock-free
-	// write-combining lanes the tap costs a few ns per charge, for extent
-	// data the object path never reads.
+	// splits on. Object-granular runs skip the tap: it takes the collector
+	// mutex on every charge, for extent data the object path never reads.
 	var col *online.Collector
 	if partitioned {
 		col = online.NewCollector(1)

@@ -63,7 +63,6 @@ func main() {
 		period     = flag.Duration("period", 2*time.Second, "virtual measured period per window and worker")
 		poolPages  = flag.Int("pool-pages", 512, "buffer pool pages")
 		threshold  = flag.Float64("drift-threshold", 0.2, "relative I/O-time divergence that triggers re-advising")
-		mergeEach  = flag.Duration("merge-every", 0, "background shard-merge interval for the collector (0 merges only at window reads)")
 		skew       = flag.Bool("skew", false, "replay the Zipf hot/cold fixture and contrast object- vs partition-granular DOT")
 		replicated = flag.Bool("replication", false, "drive the replica-set advisor on the HTAP box: grow a scan copy when analytics join the mix, drop it on revert")
 		revertAt   = flag.Int("revert-at", 5, "-replication: window (1-based) at which the analytical scans fade again")
@@ -85,7 +84,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*boxNo, *sla, *windows, *shiftAt, *workers, *period, *poolPages, *threshold, *mergeEach, *observeURL, *observeStr); err != nil {
+	if err := run(*boxNo, *sla, *windows, *shiftAt, *workers, *period, *poolPages, *threshold, *observeURL, *observeStr); err != nil {
 		log.Fatalf("dotlive: %v", err)
 	}
 }
@@ -299,7 +298,7 @@ func analyticsMix() *workload.DSS {
 	}}
 }
 
-func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Duration, poolPages int, threshold float64, mergeEvery time.Duration, observeURL, observeStream string) error {
+func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Duration, poolPages int, threshold float64, observeURL, observeStream string) error {
 	box := device.Box1()
 	boxName := "box1"
 	if boxNo == 2 {
@@ -334,14 +333,6 @@ func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Dura
 	// The capture point: every buffer miss and row write any session
 	// charges from here on streams into the collector's current window.
 	db.SetTap(mgr.Collector())
-	if mergeEvery > 0 {
-		// Keep the current window fresh between window reads: the ticker
-		// folds the sharded accumulators so a mid-window inspection (or a
-		// dashboard scraping the manager) sees recent traffic, not just
-		// whatever the last Roll forced in.
-		mgr.Collector().StartMerger(mergeEvery)
-		defer mgr.Collector().Close()
-	}
 
 	driver := &tpcc.Driver{Cfg: cfg, Workers: workers, Period: period, Seed: 42}
 	analytics := analyticsMix()

@@ -32,10 +32,9 @@ type PageIOCharger interface {
 
 // ChargePage charges n I/Os of type t on a known page: through ChargePageIO
 // when the charger is page-aware, through plain ChargeIO otherwise. This is
-// the engine's observation hot path — with a sharded tap installed (see
-// iosim.LaneCharger) the whole chain ChargePage → Accountant → collector
-// lane is lock-free, so observation never contends on the engine's critical
-// path.
+// the engine's observation path: with a tap installed, the chain is
+// ChargePage → Accountant → tap, and an online.Collector tap takes its
+// mutex once per charge.
 func ChargePage(ch IOCharger, id catalog.ObjectID, t device.IOType, page int64, n int64) {
 	if pc, ok := ch.(PageIOCharger); ok {
 		pc.ChargePageIO(id, t, page, n)

@@ -310,10 +310,9 @@ type Session struct {
 // session makes from now on (buffer-pool misses, row writes) is mirrored to
 // tap, keyed by object and I/O type. Sessions capture the tap at creation,
 // so install it before NewSession. The tap must be safe for concurrent use
-// when sessions are driven from multiple goroutines (online.Collector is).
-// A tap implementing iosim.LaneCharger (online.Collector does) is resolved
-// to a private sharded lane per session at NewSession, so concurrent
-// sessions never contend on the observer. Nil uninstalls. This is the
+// when sessions are driven from multiple goroutines (online.Collector is:
+// every charge takes the collector mutex, so sessions on several
+// goroutines share one collector safely). Nil uninstalls. This is the
 // capture point of the online advising loop: the running workload profiles
 // itself as a side effect of execution.
 func (db *DB) SetTap(tap iosim.Charger) { db.tap = tap }

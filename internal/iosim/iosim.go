@@ -203,28 +203,10 @@ type PageCharger interface {
 	ChargePageIO(id catalog.ObjectID, t device.IOType, page int64, n int64)
 }
 
-// LaneCharger is a sharded observer that can mint private ingestion lanes.
-// A lane is a PageCharger bound to one internal shard; charges through it
-// accumulate in single-owner write-combining buffers and publish to that
-// shard's padded atomic counters in batches, so per-worker lanes never
-// contend with each other. online.Collector implements this. SetTap resolves
-// a lane automatically, which is how each engine session (one Accountant
-// per worker) lands on its own shard without any coordination.
-type LaneCharger interface {
-	Charger
-	// Lane returns a PageCharger privately bound to one shard of the
-	// observer. Lanes are cheap to mint and safe to discard, but
-	// single-owner: a lane must only ever be used by one goroutine at a
-	// time, the same contract as the Accountant that wraps it.
-	Lane() PageCharger
-}
-
-// Flusher is implemented by batching observers (write-combining collector
-// lanes): Flush publishes privately buffered charges to the shared view.
-// The Accountant flushes its tap automatically whenever its results are
-// read (Profile, IOTime, CPUTime), so a driver that collects a session's
-// results — which every driver does at run end — also publishes the
-// session's tail of tap charges before any window rolls.
+// Flusher is declared only because the end-to-end benchmark's
+// collector_charge_ns probe (benchmarks/e2e/offline.go) type-asserts its
+// charger against it. Nothing in this module implements or calls it;
+// delete it once that probe times ChargePageIO directly.
 type Flusher interface {
 	// Flush publishes any privately buffered charges.
 	Flush()
@@ -237,7 +219,8 @@ type Flusher interface {
 // An Accountant is not safe for concurrent use; each simulated worker owns
 // its own and results are merged afterwards. A tap installed with SetTap
 // may however be shared across accountants — it must then be safe for
-// concurrent use itself (online.Collector is).
+// concurrent use itself (online.Collector is: every charge takes its
+// mutex).
 type Accountant struct {
 	clock   *vclock.Clock
 	svc     map[catalog.ObjectID]*[device.NumIOTypes]time.Duration
@@ -248,9 +231,6 @@ type Accountant struct {
 	// pageTap is tap's page-aware view, resolved once at SetTap so the
 	// charge hot path never type-asserts.
 	pageTap PageCharger
-	// tapFlush is tap's Flusher view (nil when the tap does not batch),
-	// resolved once at SetTap like pageTap.
-	tapFlush Flusher
 }
 
 // SetTap installs a live observer that every subsequent ChargeIO is
@@ -259,35 +239,12 @@ type Accountant struct {
 // online advisor's rolling profile windows without touching the measured
 // accounting. A tap that also implements PageCharger additionally receives
 // the page-located charges (ChargePageIO), the locality feed for
-// heat-based partitioning. A LaneCharger tap is resolved to a private
-// per-accountant lane, so concurrent workers charge disjoint shards and the
-// observation plane stays off the engine's critical path.
+// heat-based partitioning. The tap sees each charge as it is made, so an
+// observer read after a charge has that charge.
 func (a *Accountant) SetTap(t Charger) {
-	a.flushTap() // publish any batch owed to the previous tap
-	if lc, ok := t.(LaneCharger); ok && lc != nil {
-		lane := lc.Lane()
-		a.tap = lane
-		a.pageTap = lane
-		a.tapFlush, _ = lane.(Flusher)
-		return
-	}
 	a.tap = t
 	a.pageTap, _ = t.(PageCharger)
-	a.tapFlush, _ = t.(Flusher)
 }
-
-// flushTap publishes the tap lane's batched charges, if the tap batches.
-func (a *Accountant) flushTap() {
-	if a.tapFlush != nil {
-		a.tapFlush.Flush()
-	}
-}
-
-// Flush publishes any charges the accountant's tap lane has batched. The
-// result getters call it implicitly; explicit calls are only needed when a
-// long-lived session should make its tap charges visible mid-run without
-// reading results.
-func (a *Accountant) Flush() { a.flushTap() }
 
 // NewAccountant validates that the layout places every object on a device
 // present in the box and resolves service times at the given degree of
@@ -375,35 +332,21 @@ func (a *Accountant) Clock() *vclock.Clock { return a.clock }
 // Now returns the worker's current virtual time.
 func (a *Accountant) Now() time.Duration { return a.clock.Now() }
 
-// IOTime returns the accumulated device time charged so far. Reading
-// results flushes the tap lane's batch (see Flusher).
-func (a *Accountant) IOTime() time.Duration {
-	a.flushTap()
-	return a.ioTime
-}
+// IOTime returns the accumulated device time charged so far.
+func (a *Accountant) IOTime() time.Duration { return a.ioTime }
 
-// CPUTime returns the accumulated compute time charged so far. Reading
-// results flushes the tap lane's batch (see Flusher).
-func (a *Accountant) CPUTime() time.Duration {
-	a.flushTap()
-	return a.cpuTime
-}
+// CPUTime returns the accumulated compute time charged so far.
+func (a *Accountant) CPUTime() time.Duration { return a.cpuTime }
 
 // Profile returns the live profile of I/Os charged so far. The caller must
-// not mutate it; use Profile().Clone() to keep a snapshot. Reading results
-// flushes the tap lane's batch (see Flusher), so once a driver has merged
-// a session's profile, the observation plane has seen every charge too.
-func (a *Accountant) Profile() Profile {
-	a.flushTap()
-	return a.profile
-}
+// not mutate it; use Profile().Clone() to keep a snapshot.
+func (a *Accountant) Profile() Profile { return a.profile }
 
 // ResetCounters clears the profile and time tallies but leaves the clock
-// running, so a warm-up phase can be excluded from measurement. The tap
-// lane's batch is flushed first: warm-up charges already mirrored to the
-// tap stay with the tap (the collector owner excludes warm-up by rolling).
+// running, so a warm-up phase can be excluded from measurement. Warm-up
+// charges already mirrored to the tap stay with the tap (the collector
+// owner excludes warm-up by rolling).
 func (a *Accountant) ResetCounters() {
-	a.flushTap()
 	a.profile = NewProfile()
 	a.ioTime = 0
 	a.cpuTime = 0

@@ -220,52 +220,3 @@ func TestIOVector(t *testing.T) {
 		t.Fatalf("IOVector wrong: %+v", v)
 	}
 }
-
-// batchingTap is a fake write-combining tap: charges buffer privately and
-// publish only on Flush, mimicking a collector lane.
-type batchingTap struct {
-	buffered  int64
-	published int64
-	flushes   int
-}
-
-func (b *batchingTap) ChargeIO(catalog.ObjectID, device.IOType, int64) { b.buffered++ }
-func (b *batchingTap) ChargePageIO(catalog.ObjectID, device.IOType, int64, int64) {
-	b.buffered++
-}
-func (b *batchingTap) Flush() {
-	b.published += b.buffered
-	b.buffered = 0
-	b.flushes++
-}
-
-// TestAccountantFlushesBatchingTap pins the Flusher contract: reading any
-// of the accountant's results publishes the tap's batch, so a driver that
-// merges a session's profile at run end has also pushed the session's tail
-// of tap charges to the observation plane.
-func TestAccountantFlushesBatchingTap(t *testing.T) {
-	_, box, l, tabID, _ := testSetup(t)
-	a, _ := NewAccountant(box, l, 1, nil)
-	tap := &batchingTap{}
-	a.SetTap(tap)
-	a.ChargeIO(tabID, device.RandRead, 1)
-	a.ChargePageIO(tabID, device.SeqRead, 3, 1)
-	if tap.published != 0 {
-		t.Fatalf("tap published %d charges before any result read", tap.published)
-	}
-	_ = a.Profile()
-	if tap.published != 2 || tap.buffered != 0 {
-		t.Fatalf("after Profile(): published=%d buffered=%d, want 2/0", tap.published, tap.buffered)
-	}
-	a.ChargeIO(tabID, device.SeqWrite, 1)
-	_ = a.IOTime()
-	if tap.published != 3 {
-		t.Fatalf("after IOTime(): published=%d, want 3", tap.published)
-	}
-	// Re-tapping flushes the batch owed to the old tap.
-	a.ChargeIO(tabID, device.SeqWrite, 1)
-	a.SetTap(nil)
-	if tap.published != 4 {
-		t.Fatalf("after SetTap(nil): published=%d, want 4", tap.published)
-	}
-}

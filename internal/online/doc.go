@@ -36,12 +36,13 @@
 //     small layout moves; only when no gated feasible layout exists does
 //     the Manager fall back to a full cold search.
 //
-// Concurrency contract: Collector is safe for concurrent use (engine
-// sessions on multiple goroutines may share one tap); Manager serializes
-// its own state behind a mutex, so Observe/Check/ReAdvise may be called
-// from concurrent server handlers. Neither takes locks while calling the
-// search engine's estimators beyond its own, so a Manager re-advise may
-// overlap Collector ingestion. Windowing is virtual-time based and caller
+// Concurrency contract: Collector is safe for concurrent use — every
+// charge and every read takes the collector mutex, so engine sessions on
+// multiple goroutines may share one tap; Manager serializes its own state
+// behind a mutex, so Observe/Check/ReAdvise may be called from concurrent
+// server handlers. Neither takes locks while calling the search engine's
+// estimators beyond its own, so a Manager re-advise may overlap Collector
+// ingestion. Windowing is virtual-time based and caller
 // paced: the driver decides when a window closes (Collector.Roll with the
 // elapsed virtual time it covered) or ships pre-closed windows; the
 // Manager aggregates the most recent AggregateWindows windows for every

@@ -2,7 +2,9 @@ package online
 
 import (
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,6 +122,102 @@ func TestCollectorWindows(t *testing.T) {
 	// Aggregating more than retained clamps.
 	if _, n := c.Aggregate(100); n != 3 {
 		t.Fatalf("aggregate clamp: %d, want 3", n)
+	}
+}
+
+// TestConcurrentChargesMatchSerial has eight goroutines, each charging
+// one collector through its own tapped accountant, while a ninth reads
+// ExtentStats and ExportState throughout; once they have joined, the
+// rolled window and the histograms must equal a serial tally of every
+// charge, bit for bit, and no export may have seen fewer I/Os than the
+// one before it.
+func TestConcurrentChargesMatchSerial(t *testing.T) {
+	cat, ids := testCatalog(t)
+	objs := []catalog.ObjectID{ids["fact"], ids["fact_pkey"], ids["dim"], ids["dim_pkey"], ids["wal"]}
+	layout := catalog.NewUniformLayout(cat, device.HSSD)
+	const workers, ops, extPages = 8, 4000, 32
+	type op struct {
+		id      catalog.ObjectID
+		t       device.IOType
+		page, n int64
+		located bool
+	}
+	want := newSerialTally(4, extPages)
+	scripts := make([][]op, workers)
+	for w := range scripts {
+		rng := rand.New(rand.NewPCG(uint64(w), 8))
+		for range ops {
+			o := op{
+				id:      objs[rng.IntN(len(objs))],
+				t:       device.AllIOTypes[rng.IntN(len(device.AllIOTypes))],
+				page:    rng.Int64N(8192),
+				n:       1 + rng.Int64N(3),
+				located: rng.IntN(4) != 0,
+			}
+			scripts[w] = append(scripts[w], o)
+			want.charge(o.id, o.t, o.page, o.n, o.located)
+		}
+		want.cur.CPU += time.Duration(w+1) * time.Millisecond
+		want.cur.Txns += int64(w + 1)
+	}
+
+	c := NewCollector(4)
+	c.SetExtentPages(extPages)
+	accts := make([]*iosim.Accountant, workers)
+	for w := range accts {
+		a, err := iosim.NewAccountant(device.Box1(), layout, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SetTap(c)
+		accts[w] = a
+	}
+	done := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		last := -1.0
+		for {
+			_ = c.ExtentStats()
+			st := c.ExportState()
+			if ios := st.Cur.IOs(); ios < last {
+				t.Errorf("export saw %v I/Os after an earlier one saw %v", ios, last)
+			} else {
+				last = ios
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range scripts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := accts[w]
+			for _, o := range scripts[w] {
+				if o.located {
+					a.ChargePageIO(o.id, o.t, o.page, o.n)
+				} else {
+					a.ChargeIO(o.id, o.t, o.n)
+				}
+			}
+			c.AddCPU(time.Duration(w+1) * time.Millisecond)
+			c.AddTxns(int64(w + 1))
+		}()
+	}
+	wg.Wait()
+	close(done)
+	<-readerDone
+
+	if err := sameExtentStats(c.ExtentStats(), want); err != nil {
+		t.Fatalf("extent stats: %v", err)
+	}
+	if err := sameWindow(c.Roll(time.Second), want.roll(time.Second)); err != nil {
+		t.Fatalf("rolled window: %v", err)
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 
 // CollectorState is a Collector's durable state: the closed-window ring,
 // the partially filled current window, the lifetime window count, and the
-// cumulative extent histograms with their bucket width. Shard/lane
-// accumulators are merged into Cur at export, so the state is exact at
-// the moment of capture.
+// cumulative extent histograms with their bucket width. Every charge made
+// before the export is in Cur, so the state is exact at the moment of
+// capture.
 type CollectorState struct {
 	// Total is the lifetime closed-window count (ring evictions included).
 	Total int64
@@ -59,9 +59,8 @@ type ManagerState struct {
 	Collector CollectorState
 }
 
-// ExportState captures the manager's durable state. Outstanding sharded
-// charges are merged first, so the export is exact at the moment of
-// capture; the charge hot path is never touched.
+// ExportState captures the manager's durable state, exact at the moment of
+// capture.
 func (m *Manager) ExportState() ManagerState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -170,15 +169,13 @@ func validStats(s Stats) error {
 	return nil
 }
 
-// ExportState captures the collector's durable state, merging outstanding
-// shard charges into the current window first.
+// ExportState captures the collector's durable state.
 func (c *Collector) ExportState() CollectorState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mergeLocked()
 	st := CollectorState{
 		Total:    c.total,
-		ExtPages: c.extPages.Load(),
+		ExtPages: c.extPages,
 		Cur:      c.cur.Clone(),
 		Extents:  make(map[catalog.ObjectID][]float64, len(c.ext)),
 	}
@@ -191,9 +188,9 @@ func (c *Collector) ExportState() CollectorState {
 	return st
 }
 
-// RestoreState replaces the collector's cold state (windows, histograms,
-// counters) with a previously exported one. Outstanding shard charges are
-// merged and discarded with the replaced state; the ring keeps its
+// RestoreState replaces the collector's state (windows, histograms,
+// counters) with a previously exported one; charges made before the
+// restore are discarded with the replaced state. The ring keeps its
 // configured capacity, dropping the oldest restored windows if the
 // snapshot retained more.
 func (c *Collector) RestoreState(st CollectorState) error {
@@ -205,7 +202,6 @@ func (c *Collector) RestoreState(st CollectorState) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mergeLocked()
 	closed := st.Closed
 	if len(closed) > c.max {
 		closed = closed[len(closed)-c.max:]
@@ -220,7 +216,7 @@ func (c *Collector) RestoreState(st CollectorState) error {
 	}
 	c.cur = cur
 	c.total = st.Total
-	c.extPages.Store(st.ExtPages)
+	c.extPages = st.ExtPages
 	c.ext = make(map[catalog.ObjectID][]float64, len(st.Extents))
 	for id, h := range st.Extents {
 		c.ext[id] = append([]float64(nil), h...)

@@ -34,12 +34,14 @@
 #      (BenchmarkPartitionedDOT500/compiled) completes under 100ms per
 #      advise — the scale contract of the compiled unit path.
 #
-#   6. the sharded observation plane (BenchmarkCollectorIngest/sharded)
-#      beats the locked pre-sharding baseline. The full >= 10x throughput
-#      gate needs real parallel contention, so it applies on machines with
-#      >= 8 CPUs; below that the gate degrades to the scale-independent
-#      floors a single core can witness: >= 4x the locked baseline AND
-#      >= 1e8 charges/s absolute (single-digit ns per charge); and
+#   6. a charge into the online collector allocates nothing:
+#      BenchmarkCollectorCharge (one goroutine, page-located charges through
+#      an accountant tapped to an online.Collector, every object and extent
+#      bucket touched before the timer starts) reports 0 allocs/op. A
+#      charge takes the collector mutex and adds into a profile vector and
+#      a histogram bucket that already exist; a charge that allocates — a
+#      vector or a histogram copied per charge — fails the gate. A count,
+#      not a time, so it cannot flake; and
 #
 #   7. the multi-tenant fleet fold plane (BenchmarkFleetFold) scales with
 #      its shard ring: on machines with >= 8 CPUs the one-shard-per-CPU
@@ -124,9 +126,8 @@
 #      11,985,104.
 #
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
-# recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
-# which needs a timed benchtime for throughput to mean anything
-# (default 1s).
+# recorded snapshot). INGEST_BENCHTIME controls the fleet-fold run, which
+# needs a timed benchtime for throughput to mean anything (default 1s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,20 +136,17 @@ benchtime="${BENCHTIME:-1x}"
 ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 
 raw=$(go test -run '^$' \
-  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate|BenchmarkSweepAllocs|BenchmarkTPCCRun' \
+  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate|BenchmarkSweepAllocs|BenchmarkTPCCRun|BenchmarkCollectorCharge' \
   -benchmem -benchtime "$benchtime" .)
 # Gate 11 compares two sub-microsecond figures, so it takes the best of three
 # runs of each: a noisy neighbour inflates one run, a per-candidate walk of
 # the layout inflates all of them.
 raw_sweep=$(go test -run '^$' \
   -bench 'BenchmarkSweepCandidate' -benchtime "$benchtime" -count 3 .)
-raw_ingest=$(go test -run '^$' \
-  -bench 'BenchmarkCollectorIngest' -benchtime "$ingest_benchtime" .)
 raw_fleet=$(go test -run '^$' \
   -bench 'BenchmarkFleetFold' -benchtime "$ingest_benchtime" ./internal/serve)
 raw="$raw
 $raw_sweep
-$raw_ingest
 $raw_fleet"
 echo "$raw"
 
@@ -162,7 +160,7 @@ echo "$raw" | awk -v cpus="$(nproc)" '
   rec = "{\"name\":\"" name "\",\"iterations\":" $2
   for (i=3; i<NF; i++) {
     u=$(i+1)
-    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s" || u=="B/row" || u=="ns/candidate" || u=="B/candidate" || u=="lookups" || u=="plans") {
+    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="frames/s" || u=="B/row" || u=="ns/candidate" || u=="B/candidate" || u=="lookups" || u=="plans") {
       key=u; gsub(/\//, "_per_", key); gsub(/-/, "_", key)
       rec = rec ",\"" key "\":" $i
       i++
@@ -268,26 +266,15 @@ END {
   printf("benchguard OK: branch-and-bound (%s ns/op) beats the unpruned enumeration (%s ns/op)\n", t["bnb"], t["plain"])
 }'
 
-echo "$raw" | awk -v cpus="$(nproc)" '
-/^BenchmarkCollectorIngest\// {
-  name=$1; sub(/-[0-9]+$/, "", name)
-  cs=""
-  for (i=3; i<NF; i++) if ($(i+1)=="charges/s") cs=$i
-  if (cs=="") next
-  v=name; sub(/^BenchmarkCollectorIngest\//, "", v)
-  t[v]=cs
+# Gate 6: a collector charge allocates nothing in steady state.
+echo "$raw" | awk '
+/^BenchmarkCollectorCharge/ {
+  for (i=3; i<NF; i++) if ($(i+1)=="allocs/op") allocs=$i
 }
 END {
-  if (!("locked" in t) || !("sharded" in t)) { print "benchguard: CollectorIngest locked/sharded variants missing — benchmark names changed?"; exit 1 }
-  ratio = (t["sharded"]+0) / (t["locked"]+0)
-  if (cpus+0 >= 8) {
-    if (ratio < 10) { printf("REGRESSION: sharded ingest only %.1fx the locked baseline (%.0f vs %.0f charges/s) on %d CPUs (gate: 10x)\n", ratio, t["sharded"]+0, t["locked"]+0, cpus); exit 1 }
-    printf("benchguard OK: sharded ingest %.1fx locked (%.0f vs %.0f charges/s) on %d CPUs\n", ratio, t["sharded"]+0, t["locked"]+0, cpus)
-  } else {
-    if (ratio < 4) { printf("REGRESSION: sharded ingest only %.1fx the locked baseline (single-core floor: 4x)\n", ratio); exit 1 }
-    if (t["sharded"]+0 < 1e8) { printf("REGRESSION: sharded ingest %.0f charges/s below the 1e8/s single-core floor\n", t["sharded"]+0); exit 1 }
-    printf("benchguard OK: sharded ingest %.1fx locked at %.0f charges/s (%d CPUs < 8, single-core floors 4x and 1e8/s; the 10x contention gate needs >= 8 CPUs)\n", ratio, t["sharded"]+0, cpus)
-  }
+  if (allocs=="") { print "benchguard: BenchmarkCollectorCharge allocs/op missing — benchmark names changed?"; exit 1 }
+  if (allocs+0 != 0) { printf("REGRESSION: a collector charge allocated %s times per op (gate: 0)\n", allocs); exit 1 }
+  printf("benchguard OK: a collector charge through a tapped accountant allocates %s times per op (gate: 0)\n", allocs)
 }'
 
 echo "$raw" | awk -v cpus="$(nproc)" '
