@@ -3,6 +3,7 @@ package provision
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"dotprov/internal/core"
 	"dotprov/internal/device"
 	"dotprov/internal/iosim"
+	"dotprov/internal/search"
 	"dotprov/internal/types"
 	"dotprov/internal/workload"
 )
@@ -223,6 +225,73 @@ func TestSweepEstimatorCallsSumCandidates(t *testing.T) {
 	}
 	if calls[0] != calls[1] {
 		t.Fatalf("EstimatorCalls %d at Workers=1, %d at Workers=8", calls[0], calls[1])
+	}
+}
+
+// gauge records the peak number of estimator calls in flight at once
+// across every gaugingEstimator sharing it.
+type gauge struct{ inFlight, peak atomic.Int64 }
+
+// gaugingEstimator is a countingEstimator whose calls are charged to a
+// shared gauge.
+type gaugingEstimator struct {
+	*countingEstimator
+	g *gauge
+}
+
+func (e gaugingEstimator) Estimate(l catalog.Layout) (workload.Metrics, error) {
+	n := e.g.inFlight.Add(1)
+	defer e.g.inFlight.Add(-1)
+	for {
+		p := e.g.peak.Load()
+		if n <= p || e.g.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(50 * time.Microsecond) // widen the window for an overlap
+	return e.countingEstimator.Estimate(l)
+}
+
+// TestSweepHonoursSharedBudget: a sweep's candidate searches draw on the
+// budget they are given, not on Workers — two sweeps sharing one width-2
+// budget, each asking for eight workers, never have more than two
+// estimator calls in flight between them, and give every slot back.
+func TestSweepHonoursSharedBudget(t *testing.T) {
+	const width = 2
+	grid := sweepGrid()
+	budget := search.NewBudget(width)
+	var (
+		g     gauge
+		calls [2]*countingEstimator
+		wg    sync.WaitGroup
+	)
+	for i := range calls {
+		base, est := sweepBase(t, grid, 8)
+		calls[i] = est
+		base.Est = gaugingEstimator{countingEstimator: est, g: &g}
+		base.Budget = budget
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := SweepConfigurations(base, grid, core.Options{RelativeSLA: 0.25}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := g.peak.Load(); p > width {
+		t.Fatalf("%d estimator calls in flight at once under a width-%d budget", p, width)
+	}
+	for i, est := range calls {
+		if est.calls.Load() == 0 {
+			t.Fatalf("sweep %d never called its estimator", i)
+		}
+	}
+	if hw := budget.HighWater(); hw > width || hw < 1 {
+		t.Fatalf("budget high water %d, want 1..%d", hw, width)
+	}
+	if in := budget.InUse(); in != 0 {
+		t.Fatalf("%d budget slots still charged after both sweeps returned", in)
 	}
 }
 

@@ -114,3 +114,72 @@ func TestNewBudgetSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// admit and release take and give back one budget slot the way an engine's
+// measureCompact does around an estimator call.
+func admit(b *Budget) {
+	if b.sem != nil {
+		b.sem <- struct{}{}
+	}
+	b.enter()
+}
+
+func release(b *Budget) {
+	b.exit()
+	if b.sem != nil {
+		<-b.sem
+	}
+}
+
+// TestBudgetAdmissionUnderContention hammers one budget with far more
+// callers than slots: 32 goroutines each take and give back a slot 10,000
+// times. No more than the width may ever hold a slot at once (by the
+// budget's own high-water mark and by an independent gauge), every slot
+// comes back (InUse reads 0 afterwards), and every caller finishes — a
+// wakeup lost between a release and a parked caller hangs the test until
+// its deadline.
+func TestBudgetAdmissionUnderContention(t *testing.T) {
+	const (
+		callers = 32
+		rounds  = 10000
+	)
+	for _, width := range []int{2, 3} {
+		b := NewBudget(width)
+		var held, peak atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					admit(b)
+					n := held.Add(1)
+					for {
+						p := peak.Load()
+						if n <= p || peak.CompareAndSwap(p, n) {
+							break
+						}
+					}
+					held.Add(-1)
+					release(b)
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("width %d: callers still waiting for a slot after 2 minutes (in use %d)", width, b.InUse())
+		}
+		if hw := b.HighWater(); hw > width || hw < 1 {
+			t.Fatalf("width %d: high water %d, want 1..%d", width, hw, width)
+		}
+		if p := peak.Load(); p > int64(width) {
+			t.Fatalf("width %d: %d callers held a slot at once", width, p)
+		}
+		if in := b.InUse(); in != 0 {
+			t.Fatalf("width %d: %d slots still charged after every caller returned", width, in)
+		}
+	}
+}
