@@ -553,6 +553,30 @@ func BenchmarkSweepAllocs(b *testing.B) {
 	b.ReportMetric(float64(len(ch.Results)), "candidates")
 }
 
+// BenchmarkBudgetAdmit: what admission to the shared search.Budget costs
+// an estimator call — one Enter/Exit pair, with two goroutines per CPU
+// contending for a width-2 budget, as two in-flight provisioning requests'
+// candidate searches do on a 2-CPU server. A free slot is one
+// compare-and-swap; a full budget parks the caller until a slot is handed
+// over. benchguard gate 16 holds it at 0 allocs/op: a caller that parks
+// allocates nothing either. Run it for at least a few thousand iterations:
+// RunParallel's own goroutines are counted in the allocations, and one
+// iteration would divide them by one.
+func BenchmarkBudgetAdmit(b *testing.B) {
+	bud := search.NewBudget(2)
+	b.ReportAllocs()
+	b.SetParallelism(2)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			bud.Enter()
+			bud.Exit()
+		}
+	})
+	if bud.InUse() != 0 || bud.HighWater() > 2 {
+		b.Fatalf("budget left %d slots in use, high water %d", bud.InUse(), bud.HighWater())
+	}
+}
+
 // syntheticDrifted returns the scan-shifted sibling of synthetic(n): the
 // same catalog, but the workload profile has turned analytical — every
 // table is now read sequentially at 20x the transactional volume while the

@@ -611,7 +611,7 @@ func refineSweep(cur *search.Cursor, objs []*catalog.Object, trans [][]device.Cl
 //
 // Both passes share one search engine, so the second revisits the first's
 // memoized evaluations instead of re-estimating them; with Workers > 1 the
-// passes also run concurrently (the engine's semaphore still bounds
+// passes also run concurrently (the engine's worker budget still bounds
 // concurrent estimator calls at Workers). Evaluated reports the summed work
 // of both passes, EstimatorCalls the distinct layouts actually estimated,
 // and PlanTime the wall clock of this whole call — not the sum of two passes

@@ -11,7 +11,7 @@ import (
 // 64 tenant managers share one width-8 search.Budget and force re-advises
 // concurrently, and the budget's atomic high-water mark proves concurrent
 // estimator invocations never exceeded the global cap. Run under -race this
-// also exercises the managers' locking against the shared semaphore.
+// also exercises the managers' locking against the shared admission counter.
 func TestSharedBudgetCapsFleetReAdvise(t *testing.T) {
 	const (
 		managers = 64

@@ -10,58 +10,115 @@ import "sync/atomic"
 // candidates are in flight — the property that keeps one tenant's re-advise
 // storm from starving the rest of a multi-tenant fleet.
 //
+// Admission is one atomic word that is both the gate and the gauge: the
+// number of slots in use and, above it, the number of callers parked for
+// one. A caller takes a free slot with a single compare-and-swap, no lock
+// and no channel operation; only when every slot is taken does it park,
+// until a caller giving a slot back wakes it to try again.
+//
 // A Budget is safe for concurrent use. The zero value is not usable; call
 // NewBudget.
 type Budget struct {
+	_ [cacheLine - 8]byte
+	// state holds the slots in use in its low 32 bits and the parked
+	// callers above them. It sits on a cache line of its own: every
+	// admission writes it, and nothing else here changes after NewBudget
+	// but the high-water mark, which moves at most Workers times.
+	state atomic.Uint64
+	_     [cacheLine - 8]byte
+	// high is the lifetime high-water mark of the slots in use, so tests
+	// (and operators) can assert the cap was never exceeded rather than
+	// trusting it was.
+	high    atomic.Int64
 	workers int
-	sem     chan struct{}
-	// inUse counts estimator invocations currently charged to the budget;
-	// high is the lifetime high-water mark. Engines maintain them around
-	// every charged evaluation, so tests (and operators) can assert the cap
-	// was never exceeded rather than trusting it was.
-	inUse atomic.Int64
-	high  atomic.Int64
+	// wake carries one wakeup to one parked caller; Exit sends one for
+	// every caller it takes off the parked count.
+	wake chan struct{}
 }
+
+const (
+	cacheLine = 64
+	// parked is one parked caller in Budget.state.
+	parked    = 1 << 32
+	inUseMask = parked - 1
+)
 
 // NewBudget returns a budget of the given width. Widths below 2 select the
 // sequential path: engines sharing the budget evaluate on their calling
-// goroutines only.
+// goroutines only, and the budget counts their estimator invocations
+// without gating them.
 func NewBudget(workers int) *Budget {
 	if workers < 1 {
 		workers = 1
 	}
-	b := &Budget{workers: workers}
-	if workers > 1 {
-		b.sem = make(chan struct{}, workers)
-	}
-	return b
+	return &Budget{workers: workers, wake: make(chan struct{}, workers)}
 }
 
 // Workers returns the budget's width.
 func (b *Budget) Workers() int { return b.workers }
 
-// enter charges one estimator invocation to the budget and maintains the
-// high-water mark. Engines call it after acquiring the budget's semaphore.
-func (b *Budget) enter() {
-	v := b.inUse.Add(1)
+// Enter takes one slot of the budget for an estimator invocation, waiting
+// while all Workers() of them are taken (widths below 2 count the call and
+// never wait), and keeps the high-water mark. Every Enter must be paired
+// with one Exit. A caller must not Enter while it holds a slot, of this
+// budget or another: a slot is never held while blocked on another, which
+// is what keeps engines that share a budget — or wait on one another's
+// memo entries — from deadlocking.
+func (b *Budget) Enter() {
 	for {
-		h := b.high.Load()
-		if v <= h || b.high.CompareAndSwap(h, v) {
+		v := b.state.Load()
+		if n := int(v & inUseMask); n < b.workers || b.workers < 2 {
+			if b.state.CompareAndSwap(v, v+1) {
+				b.noteHigh(int64(n + 1))
+				return
+			}
+			continue
+		}
+		// Every slot is taken. Registering is a compare-and-swap against
+		// that full count, so no Exit can give a slot back between the
+		// check and the registration: every Exit after it sees a caller
+		// parked and wakes one. A woken caller checks the count again —
+		// a running caller may have taken the slot first.
+		if b.state.CompareAndSwap(v, v+parked) {
+			<-b.wake
+		}
+	}
+}
+
+// Exit gives back the slot of one Enter and, when callers are parked,
+// wakes one of them.
+func (b *Budget) Exit() {
+	for {
+		v := b.state.Load()
+		if v < parked {
+			if b.state.CompareAndSwap(v, v-1) {
+				return
+			}
+			continue
+		}
+		if b.state.CompareAndSwap(v, v-1-parked) {
+			b.wake <- struct{}{}
 			return
 		}
 	}
 }
 
-// exit releases one charged invocation.
-func (b *Budget) exit() { b.inUse.Add(-1) }
+// noteHigh raises the high-water mark to n.
+func (b *Budget) noteHigh(n int64) {
+	for {
+		h := b.high.Load()
+		if n <= h || b.high.CompareAndSwap(h, n) {
+			return
+		}
+	}
+}
 
 // InUse returns the number of estimator invocations currently charged.
-func (b *Budget) InUse() int { return int(b.inUse.Load()) }
+func (b *Budget) InUse() int { return int(b.state.Load() & inUseMask) }
 
 // HighWater returns the lifetime peak of concurrently charged estimator
 // invocations. For budgets of width >= 2 it can never exceed Workers() —
-// every engine sharing the budget gates its evaluations on the common
-// semaphore; width-1 budgets take the sequential path (each engine
-// evaluates on its calling goroutine), so concurrent CALLERS may still
-// overlap there.
+// every engine sharing the budget is admitted through it; width-1 budgets
+// take the sequential path (each engine evaluates on its calling
+// goroutine), so concurrent CALLERS may still overlap there.
 func (b *Budget) HighWater() int { return int(b.high.Load()) }

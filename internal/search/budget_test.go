@@ -115,22 +115,6 @@ func TestNewBudgetSequential(t *testing.T) {
 	}
 }
 
-// admit and release take and give back one budget slot the way an engine's
-// measureCompact does around an estimator call.
-func admit(b *Budget) {
-	if b.sem != nil {
-		b.sem <- struct{}{}
-	}
-	b.enter()
-}
-
-func release(b *Budget) {
-	b.exit()
-	if b.sem != nil {
-		<-b.sem
-	}
-}
-
 // TestBudgetAdmissionUnderContention hammers one budget with far more
 // callers than slots: 32 goroutines each take and give back a slot 10,000
 // times. No more than the width may ever hold a slot at once (by the
@@ -152,7 +136,7 @@ func TestBudgetAdmissionUnderContention(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
-					admit(b)
+					b.Enter()
 					n := held.Add(1)
 					for {
 						p := peak.Load()
@@ -161,7 +145,7 @@ func TestBudgetAdmissionUnderContention(t *testing.T) {
 						}
 					}
 					held.Add(-1)
-					release(b)
+					b.Exit()
 				}
 			}()
 		}
@@ -169,8 +153,8 @@ func TestBudgetAdmissionUnderContention(t *testing.T) {
 		go func() { wg.Wait(); close(done) }()
 		select {
 		case <-done:
-		case <-time.After(2 * time.Minute):
-			t.Fatalf("width %d: callers still waiting for a slot after 2 minutes (in use %d)", width, b.InUse())
+		case <-time.After(time.Minute):
+			t.Fatalf("width %d: callers still waiting for a slot after a minute (in use %d)", width, b.InUse())
 		}
 		if hw := b.HighWater(); hw > width || hw < 1 {
 			t.Fatalf("width %d: high water %d, want 1..%d", width, hw, width)

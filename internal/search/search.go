@@ -237,10 +237,11 @@ type Engine struct {
 	// sizes is the catalog's dense size table, frozen per engine like the
 	// estimators' statistics.
 	sizes []int64
-	// sem bounds concurrent estimator invocations at Workers across ALL
-	// concurrent operations on the engine — concurrent sweeps sharing one
-	// engine (OptimizeBest) cannot oversubscribe past the configured width.
-	sem       chan struct{}
+	// budget admits every estimator invocation: cfg.Budget, or a private
+	// budget of width Workers, so concurrent sweeps sharing one engine
+	// (OptimizeBest) cannot oversubscribe past the configured width. It is
+	// nil on the sequential path.
+	budget    *Budget
 	evaluated atomic.Int64
 	estCalls  atomic.Int64
 }
@@ -255,9 +256,9 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, st: storePool.Get().(*store), hashMask: ^uint64(0), sizes: cfg.Cat.DenseSizeBytes()}
 	e.delta, _ = cfg.Est.(workload.DeltaEstimator)
 	if cfg.Budget != nil {
-		e.sem = cfg.Budget.sem
+		e.budget = cfg.Budget
 	} else if w := e.Workers(); w > 1 {
-		e.sem = make(chan struct{}, w)
+		e.budget = NewBudget(w)
 	}
 	return e, nil
 }
@@ -392,13 +393,9 @@ func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, h uint64,
 // that derived its totals and (unless it asked for a full estimate) its
 // moves from the running evaluation.
 func (e *Engine) measureCompact(cl catalog.CompactLayout, cur *Cursor) (Eval, error) {
-	if e.sem != nil {
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-	}
-	if b := e.cfg.Budget; b != nil {
-		b.enter()
-		defer b.exit()
+	if b := e.budget; b != nil {
+		b.Enter()
+		defer b.Exit()
 	}
 	e.estCalls.Add(1)
 	var (

@@ -125,6 +125,14 @@
 #      fresh tuple and encoding every row and key into fresh bytes read
 #      11,985,104.
 #
+#  16. admission to the shared search budget allocates nothing:
+#      BenchmarkBudgetAdmit (an Enter/Exit pair, two goroutines per CPU
+#      contending for a width-2 budget, so callers park as well as take a
+#      free slot) reports 0 allocs/op. A count, not a time, so it cannot
+#      flake. It runs 20,000 iterations whatever BENCHTIME says:
+#      RunParallel's own goroutines count as allocations, and at one
+#      iteration they would read as a dozen per op.
+#
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the fleet-fold run, which
 # needs a timed benchtime for throughput to mean anything (default 1s).
@@ -145,9 +153,12 @@ raw_sweep=$(go test -run '^$' \
   -bench 'BenchmarkSweepCandidate' -benchtime "$benchtime" -count 3 .)
 raw_fleet=$(go test -run '^$' \
   -bench 'BenchmarkFleetFold' -benchtime "$ingest_benchtime" ./internal/serve)
+raw_admit=$(go test -run '^$' \
+  -bench 'BenchmarkBudgetAdmit' -benchmem -benchtime 20000x .)
 raw="$raw
 $raw_sweep
-$raw_fleet"
+$raw_fleet
+$raw_admit"
 echo "$raw"
 
 echo "$raw" | awk -v cpus="$(nproc)" '
@@ -449,4 +460,15 @@ END {
   if (!found) { print "benchguard: BenchmarkTPCCRun missing — benchmark names changed?"; exit 1 }
   if (bytes+0 >= 2400000) { printf("REGRESSION: a TPC-C driver run allocated %s B/op (ceiling 2400000): lookups or writes allocate per row again\n", bytes); exit 1 }
   printf("benchguard OK: a TPC-C driver run at %s B/op (ceiling 2400000)\n", bytes)
+}'
+
+# Gate 16: admission to the shared search budget allocates nothing.
+echo "$raw" | awk '
+/^BenchmarkBudgetAdmit/ {
+  for (i=3; i<NF; i++) if ($(i+1)=="allocs/op") allocs=$i
+}
+END {
+  if (allocs=="") { print "benchguard: BenchmarkBudgetAdmit allocs/op missing — benchmark names changed?"; exit 1 }
+  if (allocs+0 != 0) { printf("REGRESSION: a budget admission allocated %s times per op (gate: 0)\n", allocs); exit 1 }
+  printf("benchguard OK: a budget admission allocates %s times per op (gate: 0)\n", allocs)
 }'
