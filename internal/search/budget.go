@@ -32,7 +32,9 @@ type Budget struct {
 	high    atomic.Int64
 	workers int
 	// wake carries one wakeup to one parked caller; Exit sends one for
-	// every caller it takes off the parked count.
+	// every caller it takes off the parked count. It is buffered to the
+	// width so that the up to Workers holders exiting at once need not wait
+	// for the callers they wake to be scheduled.
 	wake chan struct{}
 }
 

@@ -236,12 +236,7 @@ type Engine struct {
 	hashMask uint64
 	// sizes is the catalog's dense size table, frozen per engine like the
 	// estimators' statistics.
-	sizes []int64
-	// budget admits every estimator invocation: cfg.Budget, or a private
-	// budget of width Workers, so concurrent sweeps sharing one engine
-	// (OptimizeBest) cannot oversubscribe past the configured width. It is
-	// nil on the sequential path.
-	budget    *Budget
+	sizes     []int64
 	evaluated atomic.Int64
 	estCalls  atomic.Int64
 }
@@ -255,10 +250,11 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, st: storePool.Get().(*store), hashMask: ^uint64(0), sizes: cfg.Cat.DenseSizeBytes()}
 	e.delta, _ = cfg.Est.(workload.DeltaEstimator)
-	if cfg.Budget != nil {
-		e.budget = cfg.Budget
-	} else if w := e.Workers(); w > 1 {
-		e.budget = NewBudget(w)
+	// cfg.Budget admits every estimator invocation. An engine fanning out
+	// on its own gets a private budget of its width, so concurrent sweeps
+	// sharing it (OptimizeBest) cannot oversubscribe past that width.
+	if cfg.Budget == nil && cfg.Workers > 1 {
+		e.cfg.Budget = NewBudget(cfg.Workers)
 	}
 	return e, nil
 }
@@ -393,7 +389,7 @@ func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, h uint64,
 // that derived its totals and (unless it asked for a full estimate) its
 // moves from the running evaluation.
 func (e *Engine) measureCompact(cl catalog.CompactLayout, cur *Cursor) (Eval, error) {
-	if b := e.budget; b != nil {
+	if b := e.cfg.Budget; b != nil {
 		b.Enter()
 		defer b.Exit()
 	}
