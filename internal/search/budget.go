@@ -88,20 +88,16 @@ func (b *Budget) Enter() {
 }
 
 // Exit gives back the slot of one Enter and, when callers are parked,
-// wakes one of them.
+// takes one of them off the parked count and wakes it. Concurrent Exits
+// that all see parked callers wake no more of them than there are.
 func (b *Budget) Exit() {
-	for {
-		v := b.state.Load()
-		if v < parked {
-			if b.state.CompareAndSwap(v, v-1) {
-				return
-			}
-			continue
-		}
-		if b.state.CompareAndSwap(v, v-1-parked) {
+	v := b.state.Add(^uint64(0))
+	for v >= parked {
+		if b.state.CompareAndSwap(v, v-parked) {
 			b.wake <- struct{}{}
 			return
 		}
+		v = b.state.Load()
 	}
 }
 
