@@ -557,8 +557,8 @@ func BenchmarkSweepAllocs(b *testing.B) {
 // an estimator call — one Enter/Exit pair, with two goroutines per CPU
 // contending for a width-2 budget, as two in-flight provisioning requests'
 // candidate searches do on a 2-CPU server. A free slot is one
-// compare-and-swap; a full budget parks the caller until a slot is handed
-// over. benchguard gate 16 holds it at 0 allocs/op: a caller that parks
+// compare-and-swap; a full budget parks the caller until an Exit wakes
+// it. benchguard gate 16 holds it at 0 allocs/op: a caller that parks
 // allocates nothing either. Run it for at least a few thousand iterations:
 // RunParallel's own goroutines are counted in the allocations, and one
 // iteration would divide them by one.
