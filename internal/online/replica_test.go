@@ -343,3 +343,78 @@ func TestGateSetHeadroom(t *testing.T) {
 		t.Fatal("copy growth within the headroom budget must be admitted")
 	}
 }
+
+// TestDetectorRoutesHTAPReads pins drift's replica routing by hand on the
+// HTAP box, whose HDD stripe out-reads flash sequentially while its random
+// reads stay seek-bound: on a {HDD, H-SSD} copy set the sequential reads
+// are weighed at the stripe's service time and the random reads at the
+// H-SSD's, so the two patterns route to different members. Writes, which
+// land on both copies, are equal in the two windows and weigh nothing.
+func TestDetectorRoutesHTAPReads(t *testing.T) {
+	_, ids := htapCatalog(t)
+	box := device.BoxHTAP()
+	hdd, hssd := box.Device(device.HDD), box.Device(device.HSSD)
+	sr := func(d *device.Device) time.Duration { return d.ServiceTime(device.SeqRead, 1) }
+	rr := func(d *device.Device) time.Duration { return d.ServiceTime(device.RandRead, 1) }
+	if sr(hdd) >= sr(hssd) || rr(hssd) >= rr(hdd) {
+		t.Fatal("fixture premise: the stripe must win sequential reads and the H-SSD random ones")
+	}
+	window := func(seq, rand float64) Window {
+		p := iosim.NewProfile()
+		p.Add(ids["orders"], device.SeqRead, seq)
+		p.Add(ids["orders"], device.RandRead, rand)
+		p.Add(ids["orders"], device.SeqWrite, 2000)
+		p.Add(ids["orders"], device.RandWrite, 500)
+		return Window{Profile: p, Elapsed: time.Hour}
+	}
+	ref, obs := window(1e6, 1e4), window(4e5, 3e4)
+	layout := catalog.SetLayout{
+		ids["orders"]:      device.NewClassSet(device.HDD, device.HSSD),
+		ids["orders_pkey"]: device.Singleton(device.HSSD),
+	}
+	dr, err := Detector{Box: box}.Compare(ref, obs, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	num := 6e5 * float64(sr(hdd))
+	num += 2e4 * float64(rr(hssd))
+	refTime := time.Duration(1e6*float64(sr(hdd))) + time.Duration(1e4*float64(rr(hssd))) +
+		time.Duration(2000*float64(hdd.ServiceTime(device.SeqWrite, 1))) +
+		time.Duration(2000*float64(hssd.ServiceTime(device.SeqWrite, 1))) +
+		time.Duration(500*float64(hdd.ServiceTime(device.RandWrite, 1))) +
+		time.Duration(500*float64(hssd.ServiceTime(device.RandWrite, 1)))
+	if want := num / float64(refTime); dr.Divergence != want {
+		t.Fatalf("divergence %v, hand-priced %v", dr.Divergence, want)
+	}
+}
+
+// TestPlanHTAPCopySource pins the migration source pick by hand on the
+// HTAP box: a copy added to a two-member set is read off the member that
+// reads sequentially fastest — the HDD stripe of {HDD, L-SSD}, the H-SSD
+// (the higher class) of {L-SSD, H-SSD} — and written at the new member's
+// sequential-write rate.
+func TestPlanHTAPCopySource(t *testing.T) {
+	cat, ids := htapCatalog(t)
+	box := device.BoxHTAP()
+	model := MigrationModel{Cat: cat, Box: box}
+	size := int64(40e9) // orders
+	pages := (size + pagestore.PageSize - 1) / pagestore.PageSize
+	sr := func(c device.Class) time.Duration { return box.Device(c).ServiceTime(device.SeqRead, 1) }
+	sw := func(c device.Class) time.Duration { return box.Device(c).ServiceTime(device.SeqWrite, 1) }
+	for _, tc := range []struct {
+		from     device.ClassSet
+		src, dst device.Class
+	}{
+		{device.NewClassSet(device.HDD, device.LSSD), device.HDD, device.HSSD},
+		{device.NewClassSet(device.LSSD, device.HSSD), device.HSSD, device.HDD},
+	} {
+		from := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
+		from[ids["orders"]] = tc.from
+		to := from.Clone()
+		to[ids["orders"]] = tc.from.Add(tc.dst)
+		p := model.Plan(from, to)
+		if want := time.Duration(pages) * (sr(tc.src) + sw(tc.dst)); p.Time != want || p.Bytes != size || len(p.Moves) != 1 {
+			t.Fatalf("%v + %v: plan %+v, want time %v (source %v), %d bytes, 1 move", tc.from, tc.dst, p, want, tc.src, size)
+		}
+	}
+}
