@@ -232,3 +232,46 @@ func TestReadviseFleetMemoCoalescing(t *testing.T) {
 		t.Fatalf("per-tenant migration accounting differs on identical deployments: %+v vs %+v", rv1, rv2)
 	}
 }
+
+// TestReadvisesKeepDefineMemoEntries: re-advises never share a search
+// (observed windows carry jitter, so no two agree), so they must not take
+// the fleet memo's entries from the defines they coalesce. With room for
+// four entries, six forced re-advises of t1 over six different windows
+// leave t1's define entry in place, and t2, defined with t1's shape, is
+// answered by it without a search.
+func TestReadvisesKeepDefineMemoEntries(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 2, MaxStreams: 4, MemoEntries: 4}).Handler())
+	defer ts.Close()
+	define := func(stream string) {
+		t.Helper()
+		var out ObserveResponse
+		req := ObserveRequest{Stream: stream, Workload: oltpObserveSpec(1, 0), Box: "box1", SLA: 0.25}
+		if status := post(t, ts, "/v1/observe", req, &out); status != http.StatusOK || !out.Initialized || !out.Feasible {
+			t.Fatalf("define %s: status %d, %+v", stream, status, out)
+		}
+	}
+	health := func() HealthResponse {
+		t.Helper()
+		var h HealthResponse
+		getJSON(t, ts, "/v1/healthz", &h)
+		return h
+	}
+
+	define("t1")
+	for i := 1; i <= 6; i++ {
+		shift := ObserveRequest{Stream: "t1", Workload: oltpObserveSpec(1, 0.15*float64(i))}
+		if status := post(t, ts, "/v1/observe", shift, nil); status != http.StatusOK {
+			t.Fatalf("shift %d status = %d", i, status)
+		}
+		if status := post(t, ts, "/v1/readvise", ReadviseRequest{Stream: "t1", Force: true}, nil); status != http.StatusOK {
+			t.Fatalf("forced readvise %d status = %d", i, status)
+		}
+	}
+	before := health()
+	define("t2")
+	after := health()
+	if after.MemoMisses != before.MemoMisses || after.MemoHits != before.MemoHits+1 {
+		t.Fatalf("t2's define searched again: memo hits %d -> %d, misses %d -> %d",
+			before.MemoHits, after.MemoHits, before.MemoMisses, after.MemoMisses)
+	}
+}
