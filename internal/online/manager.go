@@ -391,33 +391,6 @@ func (m *Manager) checkLocked() (Drift, Window, int, error) {
 // confirmed) re-anchors the reference profile; an infeasible outcome leaves
 // both layout and reference untouched so the next call retries.
 func (m *Manager) ReAdvise(force bool) (*Decision, error) {
-	return m.ReAdviseWith(force,
-		func(_ string, in core.Input, opts core.IncrementalOptions) (*core.Result, error) {
-			return core.OptimizeIncremental(in, opts)
-		},
-		func(_ string, in core.Input, opts core.Options) (*core.Result, error) {
-			return core.OptimizeBest(in, opts)
-		})
-}
-
-// IncrementalSearchFunc runs one seeded, gated incremental layout
-// optimization — core.OptimizeIncremental's shape, plus the
-// fingerprint of the observed aggregate the search prices
-// (online.Window.Fingerprint). ReAdviseWith callers inject it to interpose
-// on the re-advise search: the serve fleet memo keys on (observed
-// fingerprint, seed layout, box, SLA) and coalesces tenants whose keys
-// agree — the input, seed and migration gate are then semantically
-// identical, so a shared result stays sound.
-type IncrementalSearchFunc func(obsFP string, in core.Input, opts core.IncrementalOptions) (*core.Result, error)
-
-// ColdSearchFunc is SearchFunc plus the observed-aggregate fingerprint —
-// the cold-fallback half of ReAdviseWith's seam.
-type ColdSearchFunc func(obsFP string, in core.Input, opts core.Options) (*core.Result, error)
-
-// ReAdviseWith is ReAdvise with the incremental search and the cold
-// fallback injected; both must be pure functions of their inputs so an
-// injected cache stays sound.
-func (m *Manager) ReAdviseWith(force bool, inc IncrementalSearchFunc, cold ColdSearchFunc) (*Decision, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	dr, agg, n, err := m.checkLocked()
@@ -435,7 +408,7 @@ func (m *Manager) ReAdviseWith(force bool, inc IncrementalSearchFunc, cold ColdS
 	if err != nil {
 		return nil, err
 	}
-	res, err := inc(dr.ObsFingerprint, in, core.IncrementalOptions{
+	res, err := core.OptimizeIncremental(in, core.IncrementalOptions{
 		Options: core.Options{RelativeSLA: m.cfg.SLA},
 		Seed:    m.cur,
 		Accept:  m.mig.Gate(m.cur, m.cfg.HeadroomFraction),
@@ -448,7 +421,7 @@ func (m *Manager) ReAdviseWith(force bool, inc IncrementalSearchFunc, cold ColdS
 		// The migration budget admits no feasible layout near the deployed
 		// one; re-solve from scratch (full migration is then priced, not
 		// gated — the operator sees it in the decision).
-		if res, err = cold(dr.ObsFingerprint, in, core.Options{RelativeSLA: m.cfg.SLA}); err != nil {
+		if res, err = core.OptimizeBest(in, core.Options{RelativeSLA: m.cfg.SLA}); err != nil {
 			return nil, err
 		}
 		dec.Incremental = false

@@ -14,7 +14,6 @@ import (
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
-	"dotprov/internal/device"
 	"dotprov/internal/online"
 	"dotprov/internal/provision"
 )
@@ -147,10 +146,6 @@ type stream struct {
 	// snapshots can persist the stream's exact configuration and recovery
 	// can replay it through newStream (see snapshot.go).
 	cfgJSON []byte
-	// rvKey is the drift-invariant half of the stream's re-advise memo key
-	// (defining fingerprint, box, SLA, alpha, granularity, migration
-	// headroom); see Server.readvise.
-	rvKey string
 }
 
 // granularity returns the stream's wire granularity label.
@@ -383,7 +378,7 @@ func (s *Server) newStream(name string, req ObserveRequest, comp *compiled, body
 		}
 	}
 	st := &stream{name: name, objFP: comp.objectsFingerprint(), comp: comp, mgr: mgr, shard: s.ring.Shard(name),
-		wire: wire, cfgJSON: body, rvKey: readviseMemoBase(comp, box, req)}
+		wire: wire, cfgJSON: body}
 	st.touch()
 	return st, nil
 }
@@ -480,51 +475,12 @@ func (s *Server) handleReadvise(body []byte) (any, int, error) {
 	st.touch()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	dec, err := s.readvise(st, req.Force)
+	dec, err := st.mgr.ReAdvise(req.Force)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	resp := s.readviseResponse(st, dec)
 	return resp, http.StatusOK, nil
-}
-
-// readviseMemoBase is the drift-invariant part of a stream's re-advise
-// memo key: the defining workload fingerprint, box, SLA, alpha and
-// granularity (fleetMemoKey) plus the migration headroom fraction, which
-// parameterizes the incremental search's acceptance gate. The per-decision
-// parts — the deployed seed layout and the observed-aggregate fingerprint
-// — join in Server.readvise.
-func readviseMemoBase(comp *compiled, box *device.Box, req ObserveRequest) string {
-	return fmt.Sprintf("%s|%g", fleetMemoKey(comp, box, req), req.HeadroomFraction)
-}
-
-// readvise runs one re-advise for the stream through the fleet re-advise
-// memo: tenants whose defining configuration, deployed layout and
-// observed-aggregate fingerprint all agree run the drifted search once and
-// share its result — the manager clones the layout before adopting, and
-// migration planning stays per-tenant after the search returns. Both seam
-// halves are keyed: the seeded incremental search on (base, seed layout,
-// observed fingerprint) — equal keys imply an identical input, seed and
-// migration gate — and the cold fallback on (base, observed fingerprint)
-// alone, since no seed or gate shapes it. Callers hold st.mu.
-func (s *Server) readvise(st *stream, force bool) (*online.Decision, error) {
-	return st.mgr.ReAdviseWith(force,
-		func(obsFP string, in core.Input, opts core.IncrementalOptions) (*core.Result, error) {
-			key := "readvise-inc|" + st.rvKey + "|" + opts.Seed.Key() + "|" + obsFP
-			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeIncremental(in, opts) })
-			if err != nil {
-				return nil, err
-			}
-			return v.(*core.Result), nil
-		},
-		func(obsFP string, in core.Input, opts core.Options) (*core.Result, error) {
-			key := "readvise-cold|" + st.rvKey + "|" + obsFP
-			v, _, err := s.fleetMemo.Do(key, func() (any, error) { return core.OptimizeBest(in, opts) })
-			if err != nil {
-				return nil, err
-			}
-			return v.(*core.Result), nil
-		})
 }
 
 // readviseResponse lowers a decision onto the wire form. Callers hold
@@ -588,7 +544,7 @@ func (s *Server) readviseShard(shard int) {
 func (s *Server) readviseOne(st *stream) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	dec, err := s.readvise(st, false)
+	dec, err := st.mgr.ReAdvise(false)
 	if err != nil {
 		s.logf("readvise stream=%s error: %v", st.name, err)
 		return

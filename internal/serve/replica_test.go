@@ -150,9 +150,9 @@ func TestAdviseReplicatedPartitioned(t *testing.T) {
 }
 
 // TestReadviseFleetMemoCoalescing: two tenants defined with the same
-// workload shape drift the same way; the second tenant's re-advise is
-// answered by the fleet re-advise memo — zero fresh searches — and adopts
-// the identical decision.
+// workload shape drift the same way; each re-advises on its own search and
+// both adopt the identical decision with identical per-tenant migration
+// accounting. Only the defines coalesce on the fleet memo.
 func TestReadviseFleetMemoCoalescing(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Workers: 2, MaxStreams: 4}).Handler())
 	defer ts.Close()
@@ -197,30 +197,17 @@ func TestReadviseFleetMemoCoalescing(t *testing.T) {
 		t.Fatalf("initial-advise memo: hits=%d misses=%d, want 1 and 1", h0.MemoHits, h0.MemoMisses)
 	}
 
-	// Both tenants drift identically: same observed-aggregate fingerprint,
-	// same deployed layout, same configuration — one re-advise search total.
+	// Both tenants drift identically: same observed aggregate, same
+	// deployed layout, same configuration.
 	observeShift("t1")
 	observeShift("t2")
 	rv1 := readvise("t1")
 	if !rv1.Drift.Drifted || !rv1.Feasible || !rv1.ReAdvised {
 		t.Fatalf("t1 drifted readvise: %+v", rv1)
 	}
-	h1 := health()
-	searches := h1.MemoMisses - h0.MemoMisses
-	if searches < 1 {
-		t.Fatalf("t1's re-advise ran no memoized search: %+v", h1)
-	}
-
 	rv2 := readvise("t2")
 	if !rv2.ReAdvised || !rv2.Feasible {
 		t.Fatalf("t2 drifted readvise: %+v", rv2)
-	}
-	h2 := health()
-	if h2.MemoMisses != h1.MemoMisses {
-		t.Fatalf("t2's re-advise missed the memo: misses %d -> %d", h1.MemoMisses, h2.MemoMisses)
-	}
-	if h2.MemoHits != h1.MemoHits+searches {
-		t.Fatalf("t2's re-advise hits = %d, want %d", h2.MemoHits, h1.MemoHits+searches)
 	}
 	if !reflect.DeepEqual(rv1.Layout, rv2.Layout) {
 		t.Fatalf("coalesced decisions disagree: %v vs %v", rv1.Layout, rv2.Layout)
