@@ -3,6 +3,7 @@ package device
 import (
 	"math/bits"
 	"strings"
+	"time"
 )
 
 // ClassSet is a set of storage classes encoded as a bitmask: bit c is set
@@ -61,6 +62,28 @@ func (s ClassSet) Single() (Class, bool) {
 		return 0, false
 	}
 	return Class(bits.TrailingZeros8(uint8(s))), true
+}
+
+// Route returns the members an I/O of type t on a unit held by s is
+// charged to — the one replica routing rule every pricer of a class set
+// shares. A write is charged to every member, since each copy must be kept
+// current. A read is charged to the one member fastest at t under svc,
+// ties to the lower class; svc is asked about members only.
+func (s ClassSet) Route(t IOType, svc func(Class) time.Duration) ClassSet {
+	if !t.IsRead() {
+		return s
+	}
+	var fastest ClassSet
+	var best time.Duration
+	for c := Class(0); int(c) < NumClasses; c++ {
+		if !s.Has(c) {
+			continue
+		}
+		if st := svc(c); fastest == 0 || st < best {
+			fastest, best = Singleton(c), st
+		}
+	}
+	return fastest
 }
 
 // Classes returns the members in ascending class order.

@@ -22,10 +22,10 @@ import (
 //
 // The table is a pure function of data frozen at compile time, so a
 // CompiledProfile is safe for concurrent use. Every entry is the same
-// integer sum of per-type terms the map-form Profile.SetIOTime accumulates
-// — and at a singleton set, the read minimum over one member and the write
-// sum over one member are exactly Profile.IOTime's terms in the same order
-// — so all three return bit-identical durations.
+// integer sum of per-type terms over the members device.ClassSet.Route
+// picks that the map-form Profile.SetIOTime and Profile.IOTime accumulate,
+// so all three return bit-identical durations; what the table adds is its
+// indexing and DeltaIOTime's arithmetic, which the map form checks.
 type CompiledProfile struct {
 	boxName string
 	// objs lists the profiled ObjectIDs in ascending order; rows holds their
@@ -107,12 +107,9 @@ func CompileProfile(p Profile, box *device.Box, concurrency, n int, alphabet []d
 }
 
 // setIOTime prices one object's I/O vector on a class set from resolved
-// per-class service times — the arithmetic of every compiled table entry
-// (Profile.SetIOTime is the separately written reference it is tested
-// against). Reads go to the best replica: minimum
-// member service time, ties to the lowest class (ascending scan, strict
-// improvement). Writes charge every replica, members in ascending class
-// order: one term per member, exactly the single-class term for it.
+// per-class service times — the arithmetic of every compiled table entry:
+// each I/O type's count times the service time of every member
+// device.ClassSet.Route charges it to, members in ascending class order.
 func setIOTime(v *IOVector, set device.ClassSet, svc *[device.NumClasses][device.NumIOTypes]time.Duration) time.Duration {
 	var total time.Duration
 	for _, t := range device.AllIOTypes {
@@ -120,22 +117,12 @@ func setIOTime(v *IOVector, set device.ClassSet, svc *[device.NumClasses][device
 		if n <= 0 {
 			continue
 		}
-		if !t.IsRead() {
-			for c := 0; c < device.NumClasses; c++ {
-				if set.Has(device.Class(c)) {
-					total += time.Duration(n * float64(svc[c][t]))
-				}
-			}
-			continue
-		}
-		var best time.Duration
-		first := true
+		to := set.Route(t, func(c device.Class) time.Duration { return svc[c][t] })
 		for c := 0; c < device.NumClasses; c++ {
-			if set.Has(device.Class(c)) && (first || svc[c][t] < best) {
-				best, first = svc[c][t], false
+			if to.Has(device.Class(c)) {
+				total += time.Duration(n * float64(svc[c][t]))
 			}
 		}
-		total += time.Duration(n * float64(best))
 	}
 	return total
 }
@@ -168,7 +155,7 @@ func (cp *CompiledProfile) IOTime(cl catalog.CompactLayout) (time.Duration, erro
 	for k, id := range cp.objs {
 		set, ok := cl.Get(id)
 		if !ok {
-			return 0, fmt.Errorf("iosim: object %d not placed by layout", id)
+			return 0, notPlaced(id)
 		}
 		j := cp.column(set)
 		if j < 0 {

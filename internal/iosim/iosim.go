@@ -97,44 +97,51 @@ func (p Profile) Scale(f float64) {
 
 // IOTime computes the accumulated I/O time of the profile under a layout:
 // sum over objects and types of chi_r[o] * tau(type, class(o)) — the paper's
-// Eq. 1, extended over the whole profile.
+// Eq. 1, extended over the whole profile. It is SetIOTime over singleton
+// sets, failing with its own error for a class the box does not carry.
 func (p Profile) IOTime(layout catalog.Layout, box *device.Box, concurrency int) (time.Duration, error) {
-	var total time.Duration
-	for id, v := range p {
+	return p.ioTime(box, concurrency, func(id catalog.ObjectID) (device.ClassSet, error) {
 		cls, ok := layout[id]
 		if !ok {
-			return 0, fmt.Errorf("iosim: object %d not placed by layout", id)
+			return 0, notPlaced(id)
 		}
-		d := box.Device(cls)
-		if d == nil {
+		if box.Device(cls) == nil {
 			return 0, fmt.Errorf("iosim: layout places object %d on class %v absent from box %q", id, cls, box.Name)
 		}
-		for _, t := range device.AllIOTypes {
-			n := v[t]
-			if n > 0 {
-				total += time.Duration(n * float64(d.ServiceTime(t, concurrency)))
-			}
-		}
-	}
-	return total, nil
+		return device.Singleton(cls), nil
+	})
 }
 
-// SetIOTime is IOTime over class sets — the map-form reference the compiled
-// tables are tested against, deliberately written out on its own rather
-// than sharing their arithmetic: reads are charged to each object's best
-// member per I/O type (minimum service time, ties to the lowest class),
-// writes to every member in ascending class order. On a layout of singleton
-// sets it equals IOTime on the single-class form bit for bit (integer
-// Duration sums reorder exactly across the map's iteration order).
+// SetIOTime is IOTime over class sets, with reads and writes charged to
+// the members device.ClassSet.Route picks. It is the map-form reference
+// the compiled tables are tested against: CompiledProfile shares its
+// per-entry arithmetic, not its indexing or delta arithmetic. Integer
+// Duration sums reorder exactly across the map's iteration order.
 func (p Profile) SetIOTime(layout catalog.SetLayout, box *device.Box, concurrency int) (time.Duration, error) {
-	var total time.Duration
-	for id, v := range p {
+	return p.ioTime(box, concurrency, func(id catalog.ObjectID) (device.ClassSet, error) {
 		set, ok := layout[id]
 		if !ok {
-			return 0, fmt.Errorf("iosim: object %d not placed by layout", id)
+			return 0, notPlaced(id)
 		}
 		if !set.Valid() {
 			return 0, fmt.Errorf("iosim: layout places object %d on invalid class set %v", id, set)
+		}
+		return set, nil
+	})
+}
+
+func notPlaced(id catalog.ObjectID) error {
+	return fmt.Errorf("iosim: object %d not placed by layout", id)
+}
+
+// ioTime is the one body of IOTime and SetIOTime: place resolves each
+// profiled object's class set, or the error its layout form reports.
+func (p Profile) ioTime(box *device.Box, concurrency int, place func(catalog.ObjectID) (device.ClassSet, error)) (time.Duration, error) {
+	var total time.Duration
+	for id, v := range p {
+		set, err := place(id)
+		if err != nil {
+			return 0, err
 		}
 		var devs [device.NumClasses]*device.Device
 		for c := device.Class(0); int(c) < device.NumClasses; c++ {
@@ -150,21 +157,17 @@ func (p Profile) SetIOTime(layout catalog.SetLayout, box *device.Box, concurrenc
 			if n <= 0 {
 				continue
 			}
-			var best time.Duration
-			first := true
-			for _, d := range devs {
-				if d == nil {
-					continue
-				}
-				st := d.ServiceTime(t, concurrency)
-				if !t.IsRead() {
-					total += time.Duration(n * float64(st))
-				} else if first || st < best {
-					best, first = st, false
+			var st [device.NumClasses]time.Duration
+			for c, d := range devs {
+				if d != nil {
+					st[c] = d.ServiceTime(t, concurrency)
 				}
 			}
-			if t.IsRead() {
-				total += time.Duration(n * float64(best))
+			to := set.Route(t, func(c device.Class) time.Duration { return st[c] })
+			for c := range st {
+				if to.Has(device.Class(c)) {
+					total += time.Duration(n * float64(st[c]))
+				}
 			}
 		}
 	}

@@ -57,13 +57,6 @@ type Detector struct {
 	MinIOs float64
 }
 
-func (d Detector) conc() int {
-	if d.Concurrency < 1 {
-		return 1
-	}
-	return d.Concurrency
-}
-
 func (d Detector) threshold() float64 {
 	if d.Threshold <= 0 {
 		return DefaultDriftThreshold
@@ -78,30 +71,28 @@ func (d Detector) minIOs() float64 {
 	return d.MinIOs
 }
 
-// serviceTime resolves one I/O type's service time under a copy set: reads
-// route to the fastest member, writes charge every member — the same model
+// serviceTime resolves one I/O type's service time under a copy set: the
+// sum over the members device.ClassSet.Route charges it to — the same rule
 // the estimators price candidates with.
 func (d Detector) serviceTime(s device.ClassSet, t device.IOType) (time.Duration, error) {
 	if !s.Valid() {
 		return 0, fmt.Errorf("online: invalid replica set %#x", uint8(s))
 	}
-	var out time.Duration
-	var found device.ClassSet
-	for _, dev := range d.Box.Devices {
-		if !s.Has(dev.Class) {
+	var devs [device.NumClasses]*device.Device
+	for c := device.Class(0); int(c) < device.NumClasses; c++ {
+		if !s.Has(c) {
 			continue
 		}
-		st := dev.ServiceTime(t, d.conc())
-		switch {
-		case !t.IsRead():
-			out += st
-		case found == 0 || st < out:
-			out = st
+		if devs[c] = d.Box.Device(c); devs[c] == nil {
+			return 0, fmt.Errorf("online: deployed layout places a copy on class set %v, not all in box %q", s, d.Box.Name)
 		}
-		found = found.Add(dev.Class)
 	}
-	if found != s {
-		return 0, fmt.Errorf("online: deployed layout places a copy on class set %v, not all in box %q", s, d.Box.Name)
+	var out time.Duration
+	to := s.Route(t, func(c device.Class) time.Duration { return devs[c].ServiceTime(t, d.Concurrency) })
+	for c, dev := range devs {
+		if to.Has(device.Class(c)) {
+			out += dev.ServiceTime(t, d.Concurrency)
+		}
 	}
 	return out, nil
 }
@@ -172,7 +163,7 @@ func (d Detector) Compare(ref, obs Window, layout catalog.SetLayout) (Drift, err
 			}
 		}
 	}
-	refTime, err := ref.Profile.SetIOTime(layout, d.Box, d.conc())
+	refTime, err := ref.Profile.SetIOTime(layout, d.Box, d.Concurrency)
 	if err != nil {
 		return Drift{}, err
 	}

@@ -236,13 +236,6 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-func (m *Manager) conc() int {
-	if m.cfg.Concurrency < 1 {
-		return 1
-	}
-	return m.cfg.Concurrency
-}
-
 func (m *Manager) aggWindows() int {
 	if m.cfg.AggregateWindows < 1 {
 		return 1
@@ -263,7 +256,7 @@ func (m *Manager) input(w Window) (core.Input, error) {
 		}
 		// The window was measured under the deployed layout, so the
 		// throughput scaling anchors on its replica-routed I/O time.
-		pe, err := workload.NewSetProfileEstimator(m.cfg.Box, m.conc(), w.Profile, w.CPU,
+		pe, err := workload.NewSetProfileEstimator(m.cfg.Box, m.cfg.Concurrency, w.Profile, w.CPU,
 			workload.RunStats{Txns: w.Txns, Elapsed: w.Elapsed}, m.cur)
 		if err != nil {
 			return core.Input{}, err
@@ -272,7 +265,7 @@ func (m *Manager) input(w Window) (core.Input, error) {
 	} else {
 		est = &workload.ObservedEstimator{
 			Box:         m.cfg.Box,
-			Concurrency: m.conc(),
+			Concurrency: m.cfg.Concurrency,
 			PerQuery:    []workload.QueryObservation{{Profile: w.Profile, CPU: w.CPU}},
 		}
 	}
@@ -283,7 +276,7 @@ func (m *Manager) input(w Window) (core.Input, error) {
 		Box:         m.cfg.Box,
 		Est:         est,
 		Profiles:    ps,
-		Concurrency: m.conc(),
+		Concurrency: m.cfg.Concurrency,
 		Workers:     m.cfg.Workers,
 		Budget:      m.cfg.Budget,
 		LayoutCost:  m.cfg.LayoutCost,

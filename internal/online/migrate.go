@@ -49,13 +49,6 @@ type MigrationModel struct {
 	Concurrency int
 }
 
-func (m MigrationModel) conc() int {
-	if m.Concurrency < 1 {
-		return 1
-	}
-	return m.Concurrency
-}
-
 // moveTime prices transitioning one unit of size bytes between copy sets.
 // Each copy gained is read sequentially off the fastest existing member (a
 // brand-new unit has no source and is charged writes only) and rewritten at
@@ -67,19 +60,21 @@ func (m MigrationModel) moveTime(size int64, from, to device.ClassSet) time.Dura
 	}
 	pages := (size + pagestore.PageSize - 1) / pagestore.PageSize
 	// The gate prices every candidate of a search through here: walk the
-	// box's devices rather than materializing member lists.
-	var src time.Duration
+	// box's devices rather than materializing member lists. A member the
+	// box does not carry is no source.
+	var inBox device.ClassSet
 	for _, d := range m.Box.Devices {
-		if from.Has(d.Class) {
-			if t := d.ServiceTime(device.SeqRead, m.conc()); src == 0 || t < src {
-				src = t
-			}
-		}
+		inBox = inBox.Add(d.Class)
+	}
+	seqRead := func(c device.Class) time.Duration { return m.Box.Device(c).ServiceTime(device.SeqRead, m.Concurrency) }
+	var src time.Duration
+	if c, ok := (from & inBox).Route(device.SeqRead, seqRead).Single(); ok {
+		src = seqRead(c)
 	}
 	var total time.Duration
 	for _, d := range m.Box.Devices {
 		if added.Has(d.Class) {
-			total += time.Duration(pages) * (src + d.ServiceTime(device.SeqWrite, m.conc()))
+			total += time.Duration(pages) * (src + d.ServiceTime(device.SeqWrite, m.Concurrency))
 		}
 	}
 	return total
