@@ -215,8 +215,10 @@ func alphabetOr(alphabet []device.ClassSet, box *device.Box) []device.ClassSet {
 // compiledObserved is the compiled form of ObservedEstimator: one dense
 // time table per observed query. Its delta state is nil — per-query I/O
 // times are recoverable exactly from the base Metrics (PerQuery minus CPU).
+// The embedded source answers the map forms (Estimate, EstimateSet) and
+// PartitionFor, byte for byte.
 type compiledObserved struct {
-	src     *ObservedEstimator
+	*ObservedEstimator
 	n       int // object count of the catalog compiled for
 	queries []*iosim.CompiledProfile
 	cpu     []time.Duration
@@ -225,7 +227,7 @@ type compiledObserved struct {
 // CompileFor implements Compilable.
 func (e *ObservedEstimator) CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error) {
 	alphabet = alphabetOr(alphabet, e.Box)
-	c := &compiledObserved{src: e, n: cat.NumObjects()}
+	c := &compiledObserved{ObservedEstimator: e, n: cat.NumObjects()}
 	for _, q := range e.PerQuery {
 		c.queries = append(c.queries, iosim.CompileProfile(q.Profile, e.Box, e.Concurrency, c.n, alphabet))
 		c.cpu = append(c.cpu, q.CPU)
@@ -236,18 +238,10 @@ func (e *ObservedEstimator) CompileFor(cat *catalog.Catalog, alphabet []device.C
 // CompileFor implements Compilable: the receiver when it already serves the
 // catalog and the alphabet, a fresh compile of its source otherwise.
 func (e *compiledObserved) CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error) {
-	if e.n == cat.NumObjects() && (len(e.queries) == 0 || e.queries[0].Covers(alphabetOr(alphabet, e.src.Box))) {
+	if e.n == cat.NumObjects() && (len(e.queries) == 0 || e.queries[0].Covers(alphabetOr(alphabet, e.Box))) {
 		return e, nil
 	}
-	return e.src.CompileFor(cat, alphabet)
-}
-
-// Estimate delegates to the map-path source, byte for byte.
-func (e *compiledObserved) Estimate(l catalog.Layout) (Metrics, error) { return e.src.Estimate(l) }
-
-// EstimateSet delegates to the map-path source, byte for byte.
-func (e *compiledObserved) EstimateSet(l catalog.SetLayout) (Metrics, error) {
-	return e.src.EstimateSet(l)
+	return e.ObservedEstimator.CompileFor(cat, alphabet)
 }
 
 // EstimateCompact implements CompactEstimator.
@@ -327,47 +321,37 @@ func (e *compiledObserved) AppendPlacementSignature(dst []byte, id catalog.Objec
 // to delta from.
 type throughputState time.Duration
 
-// compiledThroughput is the compiled form of ProfileEstimator.
+// compiledThroughput is the compiled form of ProfileEstimator. The
+// embedded source answers the map forms (Estimate, EstimateSet) and
+// PartitionFor, byte for byte.
 type compiledThroughput struct {
-	src *ProfileEstimator
-	n   int // object count of the catalog compiled for
-	cp  *iosim.CompiledProfile
+	*ProfileEstimator
+	n  int // object count of the catalog compiled for
+	cp *iosim.CompiledProfile
 }
 
 // CompileFor implements Compilable.
 func (e *ProfileEstimator) CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error) {
 	n := cat.NumObjects()
 	return &compiledThroughput{
-		src: e,
-		n:   n,
-		cp:  iosim.CompileProfile(e.Profile, e.Box, e.Concurrency, n, alphabetOr(alphabet, e.Box)),
+		ProfileEstimator: e,
+		n:                n,
+		cp:               iosim.CompileProfile(e.Profile, e.Box, e.Concurrency, n, alphabetOr(alphabet, e.Box)),
 	}, nil
 }
 
 // CompileFor implements Compilable: the receiver when it already serves the
 // catalog and the alphabet, a fresh compile of its source otherwise.
 func (e *compiledThroughput) CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error) {
-	if e.n == cat.NumObjects() && e.cp.Covers(alphabetOr(alphabet, e.src.Box)) {
+	if e.n == cat.NumObjects() && e.cp.Covers(alphabetOr(alphabet, e.Box)) {
 		return e, nil
 	}
-	return e.src.CompileFor(cat, alphabet)
-}
-
-// Estimate delegates to the map-path source, byte for byte.
-func (e *compiledThroughput) Estimate(l catalog.Layout) (Metrics, error) { return e.src.Estimate(l) }
-
-// EstimateSet delegates to the map-path source, byte for byte.
-func (e *compiledThroughput) EstimateSet(l catalog.SetLayout) (Metrics, error) {
-	return e.src.EstimateSet(l)
+	return e.ProfileEstimator.CompileFor(cat, alphabet)
 }
 
 // EstimateCompact implements CompactEstimator.
 func (e *compiledThroughput) EstimateCompact(cl catalog.CompactLayout) (Metrics, error) {
-	io, err := e.cp.IOTime(cl)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return e.src.metricsFromIOTime(io)
+	return e.metricsFromIOTime(e.cp.IOTime(cl))
 }
 
 // EstimateCompactState implements DeltaEstimator.
@@ -376,7 +360,7 @@ func (e *compiledThroughput) EstimateCompactState(cl catalog.CompactLayout) (Met
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	m, err := e.src.metricsFromIOTime(io)
+	m, err := e.metricsFromIOTime(io, nil)
 	return m, throughputState(io), err
 }
 
@@ -408,6 +392,6 @@ func (e *compiledThroughput) EstimateDelta(cl catalog.CompactLayout, _ Metrics, 
 		}
 		io += d
 	}
-	m, err := e.src.metricsFromIOTime(io)
+	m, err := e.metricsFromIOTime(io, nil)
 	return m, throughputState(io), err
 }

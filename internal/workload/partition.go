@@ -70,18 +70,6 @@ func (e *ProfileEstimator) PartitionFor(pt *catalog.Partitioning) (Estimator, io
 	return pe, up, nil
 }
 
-// PartitionFor implements Partitionable by re-deriving the map-path source
-// (the caller re-compiles for the unit catalog).
-func (e *compiledObserved) PartitionFor(pt *catalog.Partitioning) (Estimator, iosim.Profile, error) {
-	return e.src.PartitionFor(pt)
-}
-
-// PartitionFor implements Partitionable by re-deriving the map-path source
-// (the caller re-compiles for the unit catalog).
-func (e *compiledThroughput) PartitionFor(pt *catalog.Partitioning) (Estimator, iosim.Profile, error) {
-	return e.src.PartitionFor(pt)
-}
-
 // UnitMigrationBytes sums the sizes of the units a unit-granular layout
 // transition moves. Production migration accounting comes from
 // online.MigrationModel (which also prices the moves); this is the

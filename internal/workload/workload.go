@@ -45,18 +45,23 @@ type Estimator interface {
 	Estimate(l catalog.Layout) (Metrics, error)
 }
 
-// TOCCents computes the workload cost (paper §2.1/§2.3): for DSS workloads
-// C(L) * t — cents to run the workload once; for OLTP workloads C(L) / T —
-// cents per task.
+// TOC is the workload cost (paper §2.1/§2.3) of a layout costing perHour
+// cents per hour: for OLTP workloads C(L) / T — cents per task; for DSS
+// workloads C(L) * t — cents to run the workload once.
+func TOC(perHour float64, m Metrics) float64 {
+	if m.Throughput > 0 {
+		return perHour / m.Throughput
+	}
+	return perHour * m.Elapsed.Hours()
+}
+
+// TOCCents is TOC under a single-class layout's linear storage cost.
 func TOCCents(m Metrics, l catalog.Layout, cat *catalog.Catalog, box *device.Box) (float64, error) {
 	perHour, err := l.CostCentsPerHour(cat, box)
 	if err != nil {
 		return 0, err
 	}
-	if m.Throughput > 0 {
-		return perHour / m.Throughput, nil
-	}
-	return perHour * m.Elapsed.Hours(), nil
+	return TOC(perHour, m), nil
 }
 
 // Constraints is the performance SLA (paper §2.4): relative to a baseline
@@ -243,26 +248,22 @@ type ObservedEstimator struct {
 
 // Estimate implements Estimator.
 func (e *ObservedEstimator) Estimate(l catalog.Layout) (Metrics, error) {
-	m := Metrics{PerQuery: make([]time.Duration, 0, len(e.PerQuery))}
-	for _, q := range e.PerQuery {
-		io, err := q.Profile.IOTime(l, e.Box, e.Concurrency)
-		if err != nil {
-			return Metrics{}, err
-		}
-		t := io + q.CPU
-		m.PerQuery = append(m.PerQuery, t)
-		m.Elapsed += t
-	}
-	return m, nil
+	return e.estimate(func(p iosim.Profile) (time.Duration, error) { return p.IOTime(l, e.Box, e.Concurrency) })
 }
 
 // EstimateSet implements SetEstimator: the same per-query accumulation over
-// replica-routed I/O times, term for term, so singleton layouts estimate
-// bit-identically to their single-class form.
+// replica-routed I/O times, so singleton layouts estimate bit-identically
+// to their single-class form.
 func (e *ObservedEstimator) EstimateSet(l catalog.SetLayout) (Metrics, error) {
+	return e.estimate(func(p iosim.Profile) (time.Duration, error) { return p.SetIOTime(l, e.Box, e.Concurrency) })
+}
+
+// estimate is the one body of Estimate and EstimateSet: each query's I/O
+// time under the layout plus its CPU time.
+func (e *ObservedEstimator) estimate(ioTime func(iosim.Profile) (time.Duration, error)) (Metrics, error) {
 	m := Metrics{PerQuery: make([]time.Duration, 0, len(e.PerQuery))}
 	for _, q := range e.PerQuery {
-		io, err := q.Profile.SetIOTime(l, e.Box, e.Concurrency)
+		io, err := ioTime(q.Profile)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -362,55 +363,47 @@ type ProfileEstimator struct {
 // be re-based onto a partitioning with PartitionFor — build it over the
 // unit catalog directly instead.
 func NewSetProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile, cpu time.Duration, stats RunStats, profiledSet catalog.SetLayout) (*ProfileEstimator, error) {
-	base, err := profile.SetIOTime(profiledSet, box, concurrency)
-	if err != nil {
-		return nil, err
-	}
-	return &ProfileEstimator{
-		Box: box, Concurrency: concurrency,
-		Profile: profile, CPUTime: cpu, Stats: stats,
-		baseTime: base,
-	}, nil
+	e := &ProfileEstimator{Box: box, Concurrency: concurrency, Profile: profile, CPUTime: cpu, Stats: stats}
+	return e.based(profile.SetIOTime(profiledSet, box, concurrency))
 }
 
 // NewProfileEstimator builds the estimator; profiledLayout is the layout of
 // the test run (typically all H-SSD).
 func NewProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile, cpu time.Duration, stats RunStats, profiledLayout catalog.Layout) (*ProfileEstimator, error) {
-	base, err := profile.IOTime(profiledLayout, box, concurrency)
+	e := &ProfileEstimator{Box: box, Concurrency: concurrency, Profile: profile, CPUTime: cpu, Stats: stats,
+		profiledLayout: profiledLayout.Clone()}
+	return e.based(profile.IOTime(profiledLayout, box, concurrency))
+}
+
+// based sets the base I/O time the constructors priced, or fails with
+// their pricing error.
+func (e *ProfileEstimator) based(base time.Duration, err error) (*ProfileEstimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ProfileEstimator{
-		Box: box, Concurrency: concurrency,
-		Profile: profile, CPUTime: cpu, Stats: stats,
-		baseTime:       base,
-		profiledLayout: profiledLayout.Clone(),
-	}, nil
+	e.baseTime = base
+	return e, nil
 }
 
 // Estimate implements Estimator.
 func (e *ProfileEstimator) Estimate(l catalog.Layout) (Metrics, error) {
-	io, err := e.Profile.IOTime(l, e.Box, e.Concurrency)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return e.metricsFromIOTime(io)
+	return e.metricsFromIOTime(e.Profile.IOTime(l, e.Box, e.Concurrency))
 }
 
 // EstimateSet implements SetEstimator: the test run's profile re-priced
 // over class sets, funneled through the same metricsFromIOTime.
 func (e *ProfileEstimator) EstimateSet(l catalog.SetLayout) (Metrics, error) {
-	io, err := e.Profile.SetIOTime(l, e.Box, e.Concurrency)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return e.metricsFromIOTime(io)
+	return e.metricsFromIOTime(e.Profile.SetIOTime(l, e.Box, e.Concurrency))
 }
 
 // metricsFromIOTime derives the metrics from a candidate layout's profile
-// I/O time. The map path and the compiled path both funnel through this one
-// arithmetic, so their floats are bit-identical.
-func (e *ProfileEstimator) metricsFromIOTime(io time.Duration) (Metrics, error) {
+// I/O time, or passes on the error pricing it. The map path and the
+// compiled path both funnel through this one arithmetic, so their floats
+// are bit-identical.
+func (e *ProfileEstimator) metricsFromIOTime(io time.Duration, err error) (Metrics, error) {
+	if err != nil {
+		return Metrics{}, err
+	}
 	// Scale the measured elapsed time by the predicted change in total work.
 	base := e.baseTime + e.CPUTime
 	cand := io + e.CPUTime
