@@ -236,7 +236,7 @@ func runReplicated(sla float64, windows, shiftAt, revertAt, maxCopies int, headr
 				mode = "full fallback"
 			}
 			verb := "re-placed"
-			if grew := dec.Result.MaxCopies() - maxSetCopies(dec.SetFrom); grew > 0 {
+			if grew := dec.Result.MaxCopies() - dec.SetFrom.MaxCopies(); grew > 0 {
 				verb = "GREW a copy"
 			} else if grew < 0 {
 				verb = "DROPPED a copy"
@@ -253,17 +253,6 @@ func runReplicated(sla float64, windows, shiftAt, revertAt, maxCopies int, headr
 	fmt.Printf("done: %d windows, %d drift checks, %d drifted, %d re-advises (%d full fallbacks)\n",
 		st.WindowsClosed, st.Checks, st.Drifts, st.ReAdvises, st.Fallbacks)
 	return nil
-}
-
-// maxSetCopies is the largest replica count in a set layout (0 when nil).
-func maxSetCopies(sl catalog.SetLayout) int {
-	max := 0
-	for _, s := range sl {
-		if c := s.Count(); c > max {
-			max = c
-		}
-	}
-	return max
 }
 
 // analyticsMix is the TPC-H-style read side of the HTAP phase: full scans

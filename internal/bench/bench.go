@@ -11,7 +11,6 @@ import (
 	"sort"
 	"time"
 
-	"dotprov/internal/catalog"
 	"dotprov/internal/device"
 	"dotprov/internal/tpcc"
 )
@@ -132,11 +131,6 @@ func (f *FigureResult) print(w io.Writer) {
 	for _, n := range f.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
-}
-
-// measuredTOC computes C(L) x elapsed (DSS) in cents.
-func measuredTOC(l catalog.Layout, cat *catalog.Catalog, box *device.Box, elapsed time.Duration) (float64, error) {
-	return l.TOCCents(cat, box, elapsed)
 }
 
 // boxes returns fresh clones of the paper's two box configurations.

@@ -84,7 +84,7 @@ func (e *tpchEnv) measure(name string, l catalog.Layout, cons workload.Constrain
 	if err != nil {
 		return LayoutRow{}, err
 	}
-	toc, err := measuredTOC(l, e.db.Cat, e.box, m.Elapsed)
+	toc, err := workload.TOCCents(m, l, e.db.Cat, e.box)
 	if err != nil {
 		return LayoutRow{}, err
 	}

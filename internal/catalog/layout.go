@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"dotprov/internal/device"
 )
@@ -140,16 +139,6 @@ func spaceCost(space map[device.Class]int64, box *device.Box) (float64, error) {
 	return cost, nil
 }
 
-// TOCCents computes the workload cost C(L,W) = C(L) * t (paper §2.3) given
-// the workload's execution time.
-func (l Layout) TOCCents(c *Catalog, box *device.Box, elapsed time.Duration) (float64, error) {
-	perHour, err := l.CostCentsPerHour(c, box)
-	if err != nil {
-		return 0, err
-	}
-	return perHour * elapsed.Hours(), nil
-}
-
 // CheckCapacity validates the capacity constraints sum_{o in Oj} s_i < c_j
 // (paper §2.2). It returns nil when the layout fits.
 func (l Layout) CheckCapacity(c *Catalog, box *device.Box) error {
@@ -226,6 +215,16 @@ func (l SetLayout) SingleLayout() (Layout, bool) {
 		out[id] = c
 	}
 	return out, true
+}
+
+// MaxCopies returns the largest replica count of any unit — 1 on a
+// single-class layout, 0 on an empty one.
+func (l SetLayout) MaxCopies() int {
+	n := 0
+	for _, set := range l {
+		n = max(n, set.Count())
+	}
+	return n
 }
 
 // Clone returns a copy of the layout.

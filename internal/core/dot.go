@@ -153,17 +153,9 @@ func (r *Result) consider(ev search.Eval, cons workload.Constraints) bool {
 	return true
 }
 
-// MaxCopies returns the largest replica count of any unit — 1 when the
-// recommendation degenerates to a single-class layout.
-func (r *Result) MaxCopies() int {
-	max := 0
-	for _, set := range r.SetLayout {
-		if c := set.Count(); c > max {
-			max = c
-		}
-	}
-	return max
-}
+// MaxCopies returns the recommendation's catalog.SetLayout.MaxCopies — 1
+// when it degenerates to a single-class layout.
+func (r *Result) MaxCopies() int { return r.SetLayout.MaxCopies() }
 
 // ReplicatedCopies counts the extra copies the recommendation places beyond
 // one per unit.
@@ -214,16 +206,6 @@ func (in Input) conc() int {
 	return in.Concurrency
 }
 
-// tocOf turns a layout's hourly cost and estimated metrics into the TOC
-// (paper §2.1/§2.3): C(L) / T cents per task for throughput workloads,
-// C(L) * t cents per run otherwise.
-func tocOf(perHour float64, m workload.Metrics) float64 {
-	if m.Throughput > 0 {
-		return perHour / m.Throughput
-	}
-	return perHour * m.Elapsed.Hours()
-}
-
 // cost is the engine's price hook: the TOC under the input's layout cost
 // model, priced from the layout's per-class totals, and the capacity
 // verdict.
@@ -234,7 +216,7 @@ func (in Input) cost(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, 
 		// copy on a class the box lacks does not fit).
 		perHour, err = in.LayoutCost(sp)
 	}
-	return tocOf(perHour, m), fits, err
+	return workload.TOC(perHour, m), fits, err
 }
 
 // alphabet is the digit alphabet of a search at the given copy cap: every
