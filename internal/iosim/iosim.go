@@ -130,6 +130,8 @@ func (p Profile) SetIOTime(layout catalog.SetLayout, box *device.Box, concurrenc
 	})
 }
 
+// notPlaced is the error every I/O-time pricer reports for a profiled
+// object its layout does not place.
 func notPlaced(id catalog.ObjectID) error {
 	return fmt.Errorf("iosim: object %d not placed by layout", id)
 }
