@@ -74,6 +74,7 @@ type DB struct {
 	analyzed    bool
 	tap         iosim.Charger
 	spare       executor.Spare
+	decoded     executor.Decoded
 	// writes holds, per table, what a write needs of its indexes.
 	writes map[catalog.ObjectID]*tableWrites
 
@@ -147,6 +148,9 @@ func (db *DB) Pool() *bufferpool.Pool { return db.pool }
 
 // Spare implements executor.Storage.
 func (db *DB) Spare() *executor.Spare { return &db.spare }
+
+// Decoded implements executor.Storage.
+func (db *DB) Decoded() *executor.Decoded { return &db.decoded }
 
 // ---- DDL ------------------------------------------------------------------
 

@@ -9,23 +9,35 @@
 // The entry point is Run: it walks the plan tree (sequential scan, index
 // scan/probe, hash join, indexed nested-loop join, aggregation) pushing
 // tuples through a callback, charging every page touch to the worker's
-// accountant via the shared buffer pool. The executor holds no state of
-// its own between runs; all device accounting flows through the
-// iosim.Accountant it is handed, which is what makes profiles captured
-// during execution exact (the online collector taps that same stream).
+// accountant via the shared buffer pool. All device accounting flows
+// through the iosim.Accountant it is handed, which is what makes profiles
+// captured during execution exact (the online collector taps that same
+// stream).
+//
+// A sequential scan reads decoded pages. The database keeps, in its
+// Decoded, a column-major copy of every heap page a scan has read (see
+// types.PageColumns), made once per write version of the page
+// (pagestore.HeapFile bumps it on every insert, update and delete), so the
+// queries of a validation run, and the runs after it, decode each page
+// once instead of once per scan. The scan still charges the page read as
+// the pool decides, and each row's CPU in slot order, where a scan that
+// decoded record by record would; it evaluates its predicates a column at
+// a time and fills in only the columns its consumer reads. Index fetches
+// decode the one record they read (types.DecodeTupleInto).
 //
 // Tuples are borrowed: the tuple an operator hands to its consumer is valid
-// for that one call, because scans decode every record into one reused row
-// and joins assemble every match in one reused tuple. Only what retains a
-// row copies it — Run into Result.Tuples, a hash join's build side into its
+// for that one call, because scans write every row into one reused row and
+// joins assemble every match in one reused tuple. Only what retains a row
+// copies it — Run into Result.Tuples, a hash join's build side into its
 // chunks, an aggregate its group keys and extremes. And each consumer says,
 // top-down, which columns it reads (nil = all, which is what Run asks of
 // the root, so results are complete): an aggregate needs its group-by and
-// aggregated columns, a join adds its key to what it asks of each child, a
-// scan adds its predicates' columns and skips decoding the rest. Neither
-// rule changes a charge: the same rows flow in the same order through the
-// same page accesses, so virtual time, profiles and results are exactly
-// those of an executor that materialised every row (testdata/tpch.golden).
+// aggregated columns, a join adds its key to what it asks of each child,
+// and a scan fills in only those; an index fetch also decodes its residual
+// predicates' columns and skips the rest. Neither rule changes a charge:
+// the same rows flow in the same order through the same page accesses, so
+// virtual time, profiles and results are exactly those of an executor that
+// materialised every row (testdata/tpch.golden).
 //
 // A hash join hashes its keys on the value, through types.KeyMap — a
 // number by types.KeyBits, a string by itself — so it pairs exactly the
@@ -37,6 +49,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,6 +70,9 @@ type Storage interface {
 	Pool() *bufferpool.Pool
 	// Spare is where the database's hash joins recycle their build storage.
 	Spare() *Spare
+	// Decoded is where the database's sequential scans keep the pages they
+	// have decoded.
+	Decoded() *Decoded
 }
 
 // MaxResultTuples caps how many output tuples Run materialises in the
@@ -149,19 +165,10 @@ func predIdx(sch *types.Schema, preds []plan.Pred) ([]int, error) {
 	return out, nil
 }
 
-func matchAll(tu types.Tuple, preds []plan.Pred, idx []int) bool {
-	for i, p := range preds {
-		if !p.Matches(tu[idx[i]]) {
-			return false
-		}
-	}
-	return true
-}
-
-// rowDecoder turns one table's heap records into the tuples an operator
-// emits. It decodes into one reused row only the columns somebody reads —
-// the consumer's need plus the predicates' — and evaluates the predicates
-// there.
+// rowDecoder turns the heap records an index points at into the tuples an
+// operator emits. It decodes into one reused row only the columns somebody
+// reads — the consumer's need plus the predicates' — and evaluates the
+// predicates there.
 type rowDecoder struct {
 	e      *exec
 	heap   *pagestore.HeapFile
@@ -172,17 +179,28 @@ type rowDecoder struct {
 	perRow time.Duration
 }
 
-func (e *exec) decoder(table string, id catalog.ObjectID, preds []plan.Pred, need []bool) (*rowDecoder, error) {
+// table resolves a scanned table's schema, heap and predicate positions.
+func (e *exec) table(table string, id catalog.ObjectID, preds []plan.Pred) (*types.Schema, *pagestore.HeapFile, []int, error) {
 	sch, heap := e.st.TableSchema(table), e.st.Heap(id)
 	if sch == nil || heap == nil {
-		return nil, fmt.Errorf("executor: no schema or heap for table %q", table)
+		return nil, nil, nil, fmt.Errorf("executor: no schema or heap for table %q", table)
 	}
 	idx, err := predIdx(sch, preds)
+	return sch, heap, idx, err
+}
+
+// rowCPU is what a scan charges for each row it reads, whether or not the
+// row passes its predicates.
+func rowCPU(preds []plan.Pred) time.Duration {
+	return plan.CPUTupleTime + time.Duration(len(preds))*plan.CPUPredTime
+}
+
+func (e *exec) decoder(table string, id catalog.ObjectID, preds []plan.Pred, need []bool) (*rowDecoder, error) {
+	sch, heap, idx, err := e.table(table, id, preds)
 	if err != nil {
 		return nil, err
 	}
-	d := &rowDecoder{e: e, heap: heap, row: make(types.Tuple, sch.Len()), preds: preds, idx: idx,
-		perRow: plan.CPUTupleTime + time.Duration(len(preds))*plan.CPUPredTime}
+	d := &rowDecoder{e: e, heap: heap, row: make(types.Tuple, sch.Len()), preds: preds, idx: idx, perRow: rowCPU(preds)}
 	if need != nil {
 		d.mask = make([]bool, sch.Len())
 		copy(d.mask, need)
@@ -193,43 +211,133 @@ func (e *exec) decoder(table string, id catalog.ObjectID, preds []plan.Pred, nee
 	return d, nil
 }
 
-// decode charges one row's CPU and returns the record's tuple, borrowed
-// until the next decode, and whether it passed the predicates.
-func (d *rowDecoder) decode(rec []byte) (types.Tuple, bool, error) {
-	if _, err := types.DecodeTupleInto(d.row, rec, d.mask); err != nil {
-		return nil, false, err
-	}
-	d.e.acct.ChargeCPU(d.perRow)
-	return d.row, matchAll(d.row, d.preds, d.idx), nil
-}
-
-// fetch is decode on the row an index entry points at.
+// fetch reads the row an index entry points at and charges its CPU. It
+// returns the row's tuple, borrowed until the next fetch, and whether it
+// passed the predicates.
 func (d *rowDecoder) fetch(rid pagestore.RID) (types.Tuple, bool, error) {
 	rec, err := d.heap.Fetch(d.e.st.Pool(), d.e.acct, rid)
 	if err != nil {
 		return nil, false, err
 	}
-	return d.decode(rec)
+	if _, err := types.DecodeTupleInto(d.row, rec, d.mask); err != nil {
+		return nil, false, err
+	}
+	d.e.acct.ChargeCPU(d.perRow)
+	for i, p := range d.preds {
+		if !p.Matches(d.row[d.idx[i]]) {
+			return d.row, false, nil
+		}
+	}
+	return d.row, true, nil
 }
 
+// Decoded keeps, for one database, the decoded columns of every heap page
+// a sequential scan has read, keyed by object and page, each with the
+// write version of the page it was decoded at: an entry whose page has
+// been written since is decoded again. Entries are never changed once
+// made, so scans on several sessions at once may read one while another
+// replaces it. It goes when the database goes. The zero Decoded is empty
+// and ready to use.
+type Decoded struct {
+	mu    sync.Mutex
+	pages map[bufferpool.PageKey]decodedPage
+}
+
+type decodedPage struct {
+	version uint64
+	cols    *types.PageColumns
+}
+
+// get returns the page's columns as decoded at version, or nil.
+func (d *Decoded) get(key bufferpool.PageKey, version uint64) *types.PageColumns {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p, ok := d.pages[key]; ok && p.version == version {
+		return p.cols
+	}
+	return nil
+}
+
+// put keeps the page's columns as decoded at version.
+func (d *Decoded) put(key bufferpool.PageKey, version uint64, cols *types.PageColumns) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.pages == nil {
+		d.pages = make(map[bufferpool.PageKey]decodedPage)
+	}
+	d.pages[key] = decodedPage{version, cols}
+}
+
+// seqScan reads the table page by page, each page's records decoded once
+// per write version into the database's Decoded. On each page it first
+// evaluates the predicates a column at a time into a selection, then walks
+// the rows in slot order, charging each row's CPU where a row-at-a-time
+// scan would, and emits each selected row's wanted columns in one reused
+// row. A record that does not decode ends the scan with its error after
+// the rows before it, as it would row at a time.
 func (e *exec) seqScan(s *plan.SeqScan, need []bool, emit func(types.Tuple) bool) error {
-	d, err := e.decoder(s.Table, s.TableID, s.Filter, need)
+	sch, heap, idx, err := e.table(s.Table, s.TableID, s.Filter)
 	if err != nil {
 		return err
 	}
-	var decodeErr error
-	scanErr := d.heap.Scan(e.st.Pool(), e.acct, func(_ pagestore.RID, rec []byte) bool {
-		tu, ok, err := d.decode(rec)
-		if err != nil {
-			decodeErr = err
-			return false
+	perRow, width := rowCPU(s.Filter), sch.Len()
+	row, out := make(types.Tuple, width), wanted(need, 0, width)
+	decoded := e.st.Decoded()
+	var (
+		recs [][]byte
+		strs []byte
+		sel  []bool
+	)
+	heap.ScanPages(e.st.Pool(), e.acct, func(pg int, p *pagestore.Page, version uint64) bool {
+		key := bufferpool.PageKey{Object: s.TableID, Page: uint32(pg)}
+		cols := decoded.get(key, version)
+		if cols == nil {
+			recs = p.Records(recs[:0])
+			cols, strs = types.DecodePage(recs, width, strs)
+			decoded.put(key, version, cols)
 		}
-		return !ok || emit(tu)
+		sel = selectRows(sel, cols, s.Filter, idx)
+		for r, ok := range sel {
+			e.acct.ChargeCPU(perRow)
+			if !ok {
+				continue
+			}
+			for _, c := range out {
+				row[c] = cols.Value(c, r)
+			}
+			if !emit(row) {
+				return false
+			}
+		}
+		err = cols.Err()
+		return err == nil
 	})
-	if decodeErr != nil {
-		return decodeErr
+	return err
+}
+
+// selectRows marks in sel, resized to the page's rows, the rows that pass
+// every predicate, evaluating one predicate at a time down its column. An
+// int or date column compared with int or date bounds is filtered on its
+// words (plan.Pred.IntRange); any other goes value by value through
+// plan.Pred.Matches.
+func selectRows(sel []bool, cols *types.PageColumns, preds []plan.Pred, idx []int) []bool {
+	sel = slices.Grow(sel[:0], cols.Rows())[:cols.Rows()]
+	for r := range sel {
+		sel[r] = true
 	}
-	return scanErr
+	for i, p := range preds {
+		words, kind, uniform := cols.Column(idx[i])
+		if lo, hi, ok := p.IntRange(); ok && uniform && (kind == types.KindInt || kind == types.KindDate) {
+			for r, w := range words {
+				sel[r] = sel[r] && lo <= int64(w) && int64(w) <= hi
+			}
+			continue
+		}
+		for r := range sel {
+			sel[r] = sel[r] && p.Matches(cols.Value(idx[i], r))
+		}
+	}
+	return sel
 }
 
 // rangeBounds converts an index-scan predicate into B+-tree range bounds.

@@ -21,10 +21,16 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 // time is charged through the buffer pool: sequential reads during scans,
 // random reads for RID fetches, and per-row write charges for inserts and
 // updates (matching the units of the paper's Table 1).
+//
+// Each page has a write version, bumped by every insert, update and delete
+// that lands on it, so a reader that keeps something derived from a page's
+// records — the executor's decoded columns — knows when it is stale. The
+// versions live here rather than on Page, which is exactly PageSize bytes.
 type HeapFile struct {
-	obj   catalog.ObjectID
-	pages []*Page
-	rows  int64
+	obj      catalog.ObjectID
+	pages    []*Page
+	versions []uint64 // per page, bumped on every write to it
+	rows     int64
 	// insertHint is the page that last accepted an insert; appends go there
 	// first, then fall through to a new page.
 	insertHint int
@@ -52,6 +58,7 @@ func (h *HeapFile) SizeBytes() int64 { return int64(len(h.pages)) * PageSize }
 func (h *HeapFile) Insert(pool *bufferpool.Pool, ch bufferpool.IOCharger, rec []byte) (RID, error) {
 	if h.insertHint < len(h.pages) {
 		if slot, err := h.pages[h.insertHint].Insert(rec); err == nil {
+			h.versions[h.insertHint]++
 			ch.ChargeIO(h.obj, device.SeqWrite, 1)
 			pool.Touch(h.obj, uint32(h.insertHint))
 			h.rows++
@@ -66,6 +73,7 @@ func (h *HeapFile) Insert(pool *bufferpool.Pool, ch bufferpool.IOCharger, rec []
 		return RID{}, err
 	}
 	h.pages = append(h.pages, p)
+	h.versions = append(h.versions, 1)
 	h.insertHint = len(h.pages) - 1
 	bufferpool.ChargePage(ch, h.obj, device.SeqWrite, int64(h.insertHint), 1)
 	pool.Touch(h.obj, uint32(h.insertHint))
@@ -92,6 +100,7 @@ func (h *HeapFile) Update(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RI
 	if err := h.pages[rid.Page].Update(int(rid.Slot), rec); err != nil {
 		return err
 	}
+	h.versions[rid.Page]++
 	bufferpool.ChargePage(ch, h.obj, device.RandWrite, int64(rid.Page), 1)
 	pool.Touch(h.obj, rid.Page)
 	return nil
@@ -105,30 +114,45 @@ func (h *HeapFile) Delete(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RI
 	if err := h.pages[rid.Page].Delete(int(rid.Slot)); err != nil {
 		return err
 	}
+	h.versions[rid.Page]++
 	bufferpool.ChargePage(ch, h.obj, device.RandWrite, int64(rid.Page), 1)
 	h.rows--
 	return nil
 }
 
-// Scan iterates every live record in physical order, charging one
-// sequential page read per page (on buffer miss). The callback's record
-// slice aliases the page. Iteration stops when fn returns false.
-func (h *HeapFile) Scan(pool *bufferpool.Pool, ch bufferpool.IOCharger, fn func(rid RID, rec []byte) bool) error {
-	for pg := 0; pg < len(h.pages); pg++ {
+// ScanPages visits every page in physical order with its write version,
+// charging one sequential page read per page (on buffer miss) just before
+// the visit. Iteration stops when fn returns false. fn must not write to
+// the file.
+func (h *HeapFile) ScanPages(pool *bufferpool.Pool, ch bufferpool.IOCharger, fn func(pg int, p *Page, version uint64) bool) {
+	for pg, p := range h.pages {
 		pool.Access(ch, h.obj, uint32(pg), device.SeqRead)
-		p := h.pages[pg]
-		for s := 0; s < p.NumSlots(); s++ {
-			rec, err := p.Get(s)
-			if err == ErrNoSlot {
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			if !fn(RID{Page: uint32(pg), Slot: uint16(s)}, rec) {
-				return nil
-			}
+		if !fn(pg, p, h.versions[pg]) {
+			return
 		}
 	}
-	return nil
+}
+
+// Scan iterates every live record in physical order, page by page as
+// ScanPages charges them. The callback's record slice aliases the page.
+// Iteration stops when fn returns false.
+func (h *HeapFile) Scan(pool *bufferpool.Pool, ch bufferpool.IOCharger, fn func(rid RID, rec []byte) bool) error {
+	var err error
+	h.ScanPages(pool, ch, func(pg int, p *Page, _ uint64) bool {
+		for s := 0; s < p.NumSlots(); s++ {
+			rec, e := p.Get(s)
+			if e == ErrNoSlot {
+				continue
+			}
+			if e != nil {
+				err = e
+				return false
+			}
+			if !fn(RID{Page: uint32(pg), Slot: uint16(s)}, rec) {
+				return false
+			}
+		}
+		return true
+	})
+	return err
 }

@@ -126,6 +126,17 @@ func (p *Page) Get(slot int) ([]byte, error) {
 	return p.buf[off : off+ln], nil
 }
 
+// Records appends the page's live records to dst in slot order and returns
+// it. The records alias the page, as Get's do.
+func (p *Page) Records(dst [][]byte) [][]byte {
+	for s := 0; s < p.slotCount(); s++ {
+		if rec, err := p.Get(s); err == nil {
+			dst = append(dst, rec)
+		}
+	}
+	return dst
+}
+
 // Delete removes a record, leaving the slot number allocated (RIDs of other
 // records remain stable).
 func (p *Page) Delete(slot int) error {

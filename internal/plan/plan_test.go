@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,45 @@ func TestPredMatches(t *testing.T) {
 	for i, c := range cases {
 		if got := c.p.Matches(c.v); got != c.want {
 			t.Errorf("case %d: %v.Matches(%v) = %v, want %v", i, c.p, c.v, got, c.want)
+		}
+	}
+}
+
+// TestIntRangeMatchesMatches: on every operator, with int and date bounds
+// and values at and around the bounds and the ends of int64, a value lies
+// in IntRange exactly when Matches accepts it; bounds that are not ints or
+// dates have no range.
+func TestIntRangeMatchesMatches(t *testing.T) {
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -5, -1, 0, 1, 2, 5, math.MaxInt64 - 1, math.MaxInt64}
+	kinds := []func(int64) types.Value{types.NewInt, types.NewDate}
+	for op := Eq; op <= Between+1; op++ {
+		for _, lo := range edges {
+			for _, hi := range edges {
+				for _, lk := range kinds {
+					p := Pred{Op: op, Lo: lk(lo), Hi: kinds[1](hi)}
+					rlo, rhi, ok := p.IntRange()
+					if !ok {
+						t.Fatalf("%v: no range for integral bounds", p)
+					}
+					for _, x := range edges {
+						for _, vk := range kinds {
+							v := vk(x)
+							if in := rlo <= x && x <= rhi; in != p.Matches(v) {
+								t.Fatalf("op %d lo %d hi %d: %d in [%d, %d] is %v, Matches %v", op, lo, hi, x, rlo, rhi, in, p.Matches(v))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, p := range []Pred{
+		{Op: Eq, Lo: types.NewFloat(1)},
+		{Op: Lt, Lo: types.NewString("x")},
+		{Op: Between, Lo: types.NewInt(1), Hi: types.NewFloat(2)},
+	} {
+		if _, _, ok := p.IntRange(); ok {
+			t.Errorf("%v: a range for bounds that are not all ints or dates", p)
 		}
 	}
 }

@@ -20,6 +20,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"dotprov/internal/types"
@@ -87,6 +88,41 @@ func (p Pred) Matches(v types.Value) bool {
 		return c >= 0 && types.Compare(v, p.Hi) <= 0
 	default:
 		return false
+	}
+}
+
+// IntRange returns the inclusive range [lo, hi] of the integers an int or
+// date value must hold to match, when the predicate's bounds are ints or
+// dates (ok is false otherwise). For such a value v, Matches(v) is exactly
+// lo <= v.Int && v.Int <= hi, so a scan can filter an integer column on its
+// words alone. An empty range has lo > hi.
+func (p Pred) IntRange() (lo, hi int64, ok bool) {
+	integral := func(v types.Value) bool { return v.Kind == types.KindInt || v.Kind == types.KindDate }
+	if !integral(p.Lo) || p.Op == Between && !integral(p.Hi) {
+		return 0, 0, false
+	}
+	v := p.Lo.Int
+	switch p.Op {
+	case Eq:
+		return v, v, true
+	case Lt:
+		if v == math.MinInt64 {
+			return 1, 0, true
+		}
+		return math.MinInt64, v - 1, true
+	case Le:
+		return math.MinInt64, v, true
+	case Gt:
+		if v == math.MaxInt64 {
+			return 1, 0, true
+		}
+		return v + 1, math.MaxInt64, true
+	case Ge:
+		return v, math.MaxInt64, true
+	case Between:
+		return v, p.Hi.Int, true
+	default:
+		return 1, 0, true
 	}
 }
 

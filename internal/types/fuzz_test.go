@@ -118,6 +118,88 @@ func FuzzDecodeTupleInto(f *testing.F) {
 	})
 }
 
+// FuzzDecodePage holds the page decoder to DecodeTupleInto on arbitrary
+// records: cut b into records at the lengths in cuts, decode them as a
+// page, and the page must stop at the first record DecodeTupleInto rejects,
+// with its error, and hold every value before it exactly as DecodeTupleInto
+// decodes it — also after the records' bytes are overwritten — with each
+// uniform column's kind and words those of its values.
+func FuzzDecodePage(f *testing.F) {
+	rows := []Tuple{
+		{NewInt(-7), NewString("MAIL"), NewFloat(0.04), NewDate(9000)},
+		{NewInt(8), NewString(""), NewFloat(math.NaN()), NewDate(-1)},
+		{NewDate(3), NewString("a longer comment"), NewInt(2), NewString("mixed")},
+	}
+	var page, cuts []byte
+	for _, r := range rows {
+		rec := EncodeTuple(nil, r)
+		page, cuts = append(page, rec...), append(cuts, byte(len(rec)))
+	}
+	f.Add(page, uint8(4), cuts)
+	f.Add(page, uint8(3), cuts)
+	f.Add(page, uint8(5), cuts)                              // every record one value short
+	f.Add(page, uint8(0), cuts)                              // no columns
+	f.Add(page, uint8(4), []byte{cuts[0], cuts[1] - 3, 200}) // the second record truncated
+	f.Add([]byte{byte(KindInt)}, uint8(1), []byte{})
+	f.Add([]byte{0xEE, 1, 2, 3}, uint8(1), []byte{0})
+
+	f.Fuzz(func(t *testing.T, b []byte, n uint8, cuts []byte) {
+		width := int(n % 9)
+		b = append([]byte(nil), b...)
+		var recs [][]byte
+		rest := b
+		for _, c := range cuts {
+			l := min(int(c), len(rest))
+			recs, rest = append(recs, rest[:l:l]), rest[l:]
+		}
+		recs = append(recs, rest)
+
+		var want []Tuple
+		var wantErr error
+		for _, rec := range recs {
+			tu := make(Tuple, width)
+			if _, err := DecodeTupleInto(tu, rec, nil); err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, tu)
+		}
+
+		cols, _ := DecodePage(recs, width, nil)
+		for i := range b {
+			b[i] = ^b[i]
+		}
+		if cols.Rows() != len(want) {
+			t.Fatalf("page decoded %d rows, DecodeTupleInto %d", cols.Rows(), len(want))
+		}
+		if err := cols.Err(); (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("page error %v, DecodeTupleInto %v", err, wantErr)
+		}
+		for c := 0; c < width; c++ {
+			words, kind, uniform := cols.Column(c)
+			if len(words) != len(want) {
+				t.Fatalf("column %d: %d words for %d rows", c, len(words), len(want))
+			}
+			for r, tu := range want {
+				v := cols.Value(c, r)
+				if !sameValue(v, tu[c]) {
+					t.Fatalf("row %d column %d = %v, DecodeTupleInto %v", r, c, v, tu[c])
+				}
+				if !uniform {
+					continue
+				}
+				if v.Kind != kind {
+					t.Fatalf("column %d reads uniform %v, row %d holds %v", c, kind, r, v.Kind)
+				}
+				if (kind == KindInt || kind == KindDate) && words[r] != uint64(v.Int) ||
+					kind == KindFloat && words[r] != math.Float64bits(v.F) {
+					t.Fatalf("row %d column %d: word %#x for %v", r, c, words[r], v)
+				}
+			}
+		}
+	})
+}
+
 // FuzzKeyBits holds the hash join's key to the B+-tree's on any two numeric
 // values: KeyBits is the EncodeKey encoding read as a word, so the words are
 // equal exactly when the encodings are and order as the encodings do, and

@@ -241,47 +241,165 @@ func DecodeTuple(b []byte, n int) (Tuple, int, error) {
 func DecodeTupleInto(dst Tuple, b []byte, mask []bool) (int, error) {
 	off := 0
 	for i := range dst {
-		if off >= len(b) {
-			return 0, fmt.Errorf("types: truncated tuple (value %d of %d)", i, len(dst))
+		k, w, next, err := field(b, off, i, len(dst))
+		if err != nil {
+			return 0, err
 		}
-		want := mask == nil || mask[i]
-		k := Kind(b[off])
-		off++
-		switch k {
-		case KindInt, KindDate:
-			if off+8 > len(b) {
-				return 0, fmt.Errorf("types: truncated int at value %d", i)
+		if mask == nil || mask[i] {
+			switch k {
+			case KindInt, KindDate:
+				dst[i] = Value{Kind: k, Int: int64(w)}
+			case KindFloat:
+				dst[i] = Value{Kind: KindFloat, F: math.Float64frombits(w)}
+			default:
+				dst[i] = Value{Kind: KindString, Str: string(b[next-int(w) : next])}
 			}
-			if want {
-				dst[i] = Value{Kind: k, Int: int64(binary.LittleEndian.Uint64(b[off:]))}
-			}
-			off += 8
-		case KindFloat:
-			if off+8 > len(b) {
-				return 0, fmt.Errorf("types: truncated float at value %d", i)
-			}
-			if want {
-				dst[i] = Value{Kind: KindFloat, F: math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))}
-			}
-			off += 8
-		case KindString:
-			l, m := binary.Uvarint(b[off:])
-			if m <= 0 {
-				return 0, fmt.Errorf("types: bad string length at value %d", i)
-			}
-			off += m
-			if l > uint64(len(b)-off) {
-				return 0, fmt.Errorf("types: truncated string at value %d", i)
-			}
-			if want {
-				dst[i] = Value{Kind: KindString, Str: string(b[off : off+int(l)])}
-			}
-			off += int(l)
-		default:
-			return 0, fmt.Errorf("types: unknown kind tag %d at value %d", k, i)
 		}
+		off = next
 	}
 	return off, nil
+}
+
+// field is the one reader of a record's values: it checks and reads value
+// i of n, which starts at b[off], and returns its kind, its word — a
+// number's 8 payload bytes, a string's length, whose bytes end at next —
+// and the offset of the next value.
+func field(b []byte, off, i, n int) (k Kind, w uint64, next int, err error) {
+	if off >= len(b) {
+		return 0, 0, 0, fmt.Errorf("types: truncated tuple (value %d of %d)", i, n)
+	}
+	k = Kind(b[off])
+	off++
+	switch k {
+	case KindInt, KindDate:
+		if off+8 > len(b) {
+			return 0, 0, 0, fmt.Errorf("types: truncated int at value %d", i)
+		}
+		return k, binary.LittleEndian.Uint64(b[off:]), off + 8, nil
+	case KindFloat:
+		if off+8 > len(b) {
+			return 0, 0, 0, fmt.Errorf("types: truncated float at value %d", i)
+		}
+		return k, binary.LittleEndian.Uint64(b[off:]), off + 8, nil
+	case KindString:
+		l, m := binary.Uvarint(b[off:])
+		if m <= 0 {
+			return 0, 0, 0, fmt.Errorf("types: bad string length at value %d", i)
+		}
+		off += m
+		if l > uint64(len(b)-off) {
+			return 0, 0, 0, fmt.Errorf("types: truncated string at value %d", i)
+		}
+		return k, l, off + int(l), nil
+	default:
+		return 0, 0, 0, fmt.Errorf("types: unknown kind tag %d at value %d", k, i)
+	}
+}
+
+// mixedKind marks a column of PageColumns whose rows do not all hold one
+// kind; the kinds of its rows are then kept row by row.
+const mixedKind Kind = 0xFF
+
+// PageColumns is one page's records decoded column-major: per column, the
+// kind its rows hold and one 8-byte word per row — a number's bits, or a
+// string's offset<<32|length into one string holding every string of the
+// page — so decoding a page allocates no string per value. It is built by
+// DecodePage and read-only afterwards, so any number of goroutines may
+// read one.
+type PageColumns struct {
+	rows, stride int
+	err          error
+	kinds        []Kind   // per column; mixedKind when the rows differ
+	rowKinds     [][]Kind // per column, each row's kind; nil unless mixed
+	words        []uint64 // column c, row r at c*stride+r
+	strs         string
+}
+
+// DecodePage decodes the page's records recs, in order, as tuples of
+// width values, checking every value of every record exactly as
+// DecodeTupleInto does. At the first record DecodeTupleInto rejects it
+// stops: Rows counts the records before that one and Err returns the
+// error DecodeTupleInto gives for it. scratch is storage for the page's
+// strings while they are gathered; DecodePage returns it, grown, for the
+// next page. The columns hold no reference to recs or scratch.
+func DecodePage(recs [][]byte, width int, scratch []byte) (*PageColumns, []byte) {
+	p := &PageColumns{stride: len(recs), kinds: make([]Kind, width), words: make([]uint64, width*len(recs))}
+	strs := scratch[:0]
+	for r, rec := range recs {
+		off := 0
+		for c := 0; c < width; c++ {
+			k, w, next, err := field(rec, off, c, width)
+			if err != nil {
+				p.err = err
+				break
+			}
+			if k == KindString {
+				w |= uint64(len(strs)) << 32
+				strs = append(strs, rec[next-int(w&0xFFFFFFFF):next]...)
+			}
+			p.words[c*p.stride+r] = w
+			p.setKind(c, r, k)
+			off = next
+		}
+		if p.err != nil {
+			break
+		}
+		p.rows++
+	}
+	p.strs = string(strs)
+	return p, strs
+}
+
+// setKind records that row r of column c holds kind k.
+func (p *PageColumns) setKind(c, r int, k Kind) {
+	switch {
+	case r == 0:
+		p.kinds[c] = k
+	case p.kinds[c] == mixedKind:
+		p.rowKinds[c][r] = k
+	case p.kinds[c] != k:
+		if p.rowKinds == nil {
+			p.rowKinds = make([][]Kind, len(p.kinds))
+		}
+		rk := make([]Kind, p.stride)
+		for i := range r {
+			rk[i] = p.kinds[c]
+		}
+		rk[r] = k
+		p.rowKinds[c], p.kinds[c] = rk, mixedKind
+	}
+}
+
+// Rows returns how many records were decoded.
+func (p *PageColumns) Rows() int { return p.rows }
+
+// Err returns why the record after the last decoded one was rejected, or
+// nil when every record was decoded.
+func (p *PageColumns) Err() error { return p.err }
+
+// Column returns column c's words, one per decoded row, and the kind
+// every row of it holds; uniform is false when the rows' kinds differ
+// (Value then reads each row's own).
+func (p *PageColumns) Column(c int) (words []uint64, kind Kind, uniform bool) {
+	return p.words[c*p.stride : c*p.stride+p.rows], p.kinds[c], p.kinds[c] != mixedKind
+}
+
+// Value returns row r's value in column c. A string shares the page's one
+// string; nothing is allocated.
+func (p *PageColumns) Value(c, r int) Value {
+	k, w := p.kinds[c], p.words[c*p.stride+r]
+	if k == mixedKind {
+		k = p.rowKinds[c][r]
+	}
+	switch k {
+	case KindInt, KindDate:
+		return Value{Kind: k, Int: int64(w)}
+	case KindFloat:
+		return Value{Kind: KindFloat, F: math.Float64frombits(w)}
+	default:
+		off := w >> 32
+		return Value{Kind: KindString, Str: p.strs[off : off+w&0xFFFFFFFF]}
+	}
 }
 
 // ---- Order-preserving key encoding ---------------------------------------
