@@ -482,6 +482,50 @@ func TestValidateAndRefine(t *testing.T) {
 	}
 }
 
+// TestValidationMeasuresBaselineOnce: the L0 baseline is run once, first,
+// and every refinement round is checked against it, so a pipeline that
+// validates n times calls its runner n+1 times. The fixture refines: the
+// workload really makes random reads of big that the estimate does not
+// know of, so the first recommendation misses the SLA and the refined one,
+// priced on the observed reads, is another layout.
+func TestValidationMeasuresBaselineOnce(t *testing.T) {
+	f := newFix(t)
+	real := f.prof.Clone()
+	real.Add(f.ids["big"], device.RandRead, 2e5)
+	runner := &countingRunner{est: &profEstimator{box: f.box, prof: real, conc: 1}}
+	if _, _, err := OptimizeValidated(f.input(), Options{RelativeSLA: 0.5}, runner, 3); err != nil {
+		t.Fatal(err)
+	}
+	l0 := catalog.NewUniformLayout(f.cat, f.box.MostExpensive().Class)
+	if len(runner.runs) < 3 {
+		t.Fatalf("%d runner calls: the fixture must validate at least twice", len(runner.runs))
+	}
+	if !runner.runs[0].Equal(l0) {
+		t.Fatal("the first run is not the L0 baseline")
+	}
+	for i, l := range runner.runs[1:] {
+		if l.Equal(l0) {
+			t.Fatalf("run %d of %d repeats the L0 baseline", i+1, len(runner.runs))
+		}
+	}
+}
+
+// countingRunner records every layout it is asked to run and measures it
+// as est prices it, observing est's profile as one query's.
+type countingRunner struct {
+	est  *profEstimator
+	runs []catalog.Layout
+}
+
+func (r *countingRunner) Run(l catalog.Layout) (workload.Observation, error) {
+	r.runs = append(r.runs, l.Clone())
+	m, err := r.est.Estimate(l)
+	if err != nil {
+		return workload.Observation{}, err
+	}
+	return workload.Observation{Metrics: m, Profile: r.est.prof, PerQuery: []workload.QueryObservation{{Profile: r.est.prof}}}, nil
+}
+
 // skewRunner measures the profile-model time inflated by a constant factor,
 // emulating estimation error. It reports the true profile per "query" so
 // the refinement phase has real statistics to re-price.

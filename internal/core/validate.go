@@ -25,18 +25,12 @@ type Validation struct {
 }
 
 // Validate runs the workload on the recommended layout and checks the
-// measured performance against constraints derived from a measured baseline
-// run on L0.
-func Validate(in Input, runner Runner, sla float64, layout catalog.Layout) (*Validation, workload.Constraints, error) {
-	l0 := catalog.NewUniformLayout(in.Cat, in.Box.MostExpensive().Class)
-	base, err := runner.Run(l0)
-	if err != nil {
-		return nil, workload.Constraints{}, fmt.Errorf("core: baseline test run: %w", err)
-	}
-	cons := workload.Constraints{Relative: sla, Baseline: base.Metrics}
+// measured performance against cons, the constraints derived from a
+// measured baseline run on L0.
+func Validate(runner Runner, cons workload.Constraints, layout catalog.Layout) (*Validation, error) {
 	obs, err := runner.Run(layout)
 	if err != nil {
-		return nil, cons, fmt.Errorf("core: validation test run: %w", err)
+		return nil, fmt.Errorf("core: validation test run: %w", err)
 	}
 	return &Validation{
 		Layout:    layout,
@@ -44,7 +38,7 @@ func Validate(in Input, runner Runner, sla float64, layout catalog.Layout) (*Val
 		Obs:       obs,
 		Satisfied: cons.Satisfied(obs.Metrics),
 		PSR:       cons.PSR(obs.Metrics),
-	}, cons, nil
+	}, nil
 }
 
 // OptimizeValidated runs the full pipeline of Figure 2: optimize, validate
@@ -53,7 +47,11 @@ func Validate(in Input, runner Runner, sla float64, layout catalog.Layout) (*Val
 // I/O counts become both the move-scoring profile and the estimator
 // (paper §3: the refinement phase "uses real runtime statistics ... as the
 // input (instead of going to the profiling phase) to redo the optimization
-// phase"). At most maxRounds refinement rounds run.
+// phase"). At most maxRounds refinement rounds run. The baseline the SLA
+// is relative to is measured once, on L0, before the first validation run,
+// and every round is checked against that one measurement: the runs are
+// the costly part of the pipeline, and a runner with state must not move
+// the reference between rounds.
 func OptimizeValidated(in Input, opts Options, runner Runner, maxRounds int) (*Result, *Validation, error) {
 	res, err := Optimize(in, opts)
 	if err != nil {
@@ -62,7 +60,12 @@ func OptimizeValidated(in Input, opts Options, runner Runner, maxRounds int) (*R
 	if !res.Feasible {
 		return res, nil, nil
 	}
-	val, cons, err := Validate(in, runner, opts.RelativeSLA, res.Layout)
+	base, err := runner.Run(catalog.NewUniformLayout(in.Cat, in.Box.MostExpensive().Class))
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: baseline test run: %w", err)
+	}
+	cons := workload.Constraints{Relative: opts.RelativeSLA, Baseline: base.Metrics}
+	val, err := Validate(runner, cons, res.Layout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,11 +107,10 @@ func OptimizeValidated(in Input, opts Options, runner Runner, maxRounds int) (*R
 			return res, val, nil
 		}
 		prev = res.Layout
-		val, cons, err = Validate(in, runner, opts.RelativeSLA, res.Layout)
+		val, err = Validate(runner, cons, res.Layout)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	_ = cons
 	return res, val, nil
 }
