@@ -357,7 +357,9 @@ func (db *DB) Analyze() error {
 			Cols:   make(map[string]*optimizer.ColStats, t.Schema.Len()),
 			Schema: t.Schema,
 		}
-		// Column statistics: exact NDV and min/max by one uncharged pass.
+		// Column statistics: exact NDV and, over the numbers, min/max by one
+		// uncharged pass. The planner keeps numeric ranges only, so strings
+		// are not ranged.
 		n := t.Schema.Len()
 		for len(distinct) < n {
 			distinct = append(distinct, types.KeyMap[struct{}]{})
@@ -377,6 +379,9 @@ func (db *DB) Analyze() error {
 			}
 			for i, v := range tu {
 				distinct[i].Put(v, struct{}{})
+				if v.Kind == types.KindString {
+					continue
+				}
 				if !seen[i] {
 					mins[i], maxs[i], seen[i] = v, v, true
 				} else {
@@ -398,7 +403,7 @@ func (db *DB) Analyze() error {
 			if st.NDV < 1 {
 				st.NDV = 1
 			}
-			if seen[i] && mins[i].IsNumeric() {
+			if seen[i] {
 				st.Min, st.Max, st.HasRange = mins[i], maxs[i], true
 			}
 			ti.Cols[col.Name] = st
