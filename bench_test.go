@@ -980,13 +980,14 @@ func BenchmarkPartitionedReplicatedDOT(b *testing.B) {
 // tables the query names (B/row). Q1 is scan->aggregate over lineitem, Q3 and
 // Q5 add hash joins below the aggregate, inlj is the modified Q9 on an
 // all-H-SSD layout, where the optimizer switches to indexed nested-loop
-// joins. The executor lends its tuples and decodes only the columns a plan
-// reads, so B/op must not scale with the rows scanned: benchguard gate 10
-// holds Q1's B/op under a fixed ceiling. A hash join's build storage is
-// recycled from join to join, so each query runs once untimed first: every
-// iteration then measures the steady state the later queries of a
-// validation run see, even at -benchtime 1x, and gate 14 holds Q5's B/op
-// under a ceiling that building in fresh storage exceeds tenfold.
+// joins. The executor lends its tuples, so B/op must not scale with the
+// rows scanned: benchguard gate 10 holds Q1's B/op under a fixed ceiling.
+// Each query runs once untimed first. That run decodes every page its scans
+// read into the database's decoded copy, which later scans read instead of
+// the records, and grows the recycled storage of its hash joins' build
+// sides; every iteration then measures the steady state the later queries
+// of a validation run see, even at -benchtime 1x, and gate 14 holds Q5's
+// B/op under a ceiling that building in fresh storage exceeds tenfold.
 func BenchmarkExecutorTPCH(b *testing.B) {
 	cfg := tpch.Config{ScaleFactor: 0.01, Seed: 1}
 	db := engine.New(device.Box2(), engine.DefaultPoolPages)

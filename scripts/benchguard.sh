@@ -66,12 +66,14 @@
 #      parity of check 1 covers the replicated sweep via the same pair
 #      naming.
 #
-#  10. the executor lends its tuples and decodes only the columns a plan
+#  10. the executor lends its tuples and fills in only the columns a plan
 #      reads, so what a scan-under-aggregate allocates is set by its groups,
 #      not its rows: BenchmarkExecutorTPCH/Q1 (60k lineitem rows at SF 0.01)
 #      stays under 650,000 B/op — twice the ~322 KB recorded when the
-#      borrowed-tuple flow landed (27 MB before it). One allocation per
-#      scanned row brought back costs megabytes and fails the gate.
+#      borrowed-tuple flow landed (27 MB before it); since scans read the
+#      database's decoded pages, which hold a page's strings in one string,
+#      it reads ~22 KB. One allocation per scanned row brought back costs
+#      megabytes and fails the gate.
 #
 #  11. a sweep candidate's cost does not grow with the catalog: on the skew
 #      fixture a memo-missing cursor step over 2048 placement units
