@@ -241,59 +241,47 @@ func DecodeTuple(b []byte, n int) (Tuple, int, error) {
 func DecodeTupleInto(dst Tuple, b []byte, mask []bool) (int, error) {
 	off := 0
 	for i := range dst {
-		k, w, next, err := field(b, off, i, len(dst))
-		if err != nil {
-			return 0, err
+		if off >= len(b) {
+			return 0, fmt.Errorf("types: truncated tuple (value %d of %d)", i, len(dst))
 		}
-		if mask == nil || mask[i] {
-			switch k {
-			case KindInt, KindDate:
-				dst[i] = Value{Kind: k, Int: int64(w)}
-			case KindFloat:
-				dst[i] = Value{Kind: KindFloat, F: math.Float64frombits(w)}
-			default:
-				dst[i] = Value{Kind: KindString, Str: string(b[next-int(w) : next])}
+		want := mask == nil || mask[i]
+		k := Kind(b[off])
+		off++
+		switch k {
+		case KindInt, KindDate:
+			if off+8 > len(b) {
+				return 0, fmt.Errorf("types: truncated int at value %d", i)
 			}
+			if want {
+				dst[i] = Value{Kind: k, Int: int64(binary.LittleEndian.Uint64(b[off:]))}
+			}
+			off += 8
+		case KindFloat:
+			if off+8 > len(b) {
+				return 0, fmt.Errorf("types: truncated float at value %d", i)
+			}
+			if want {
+				dst[i] = Value{Kind: KindFloat, F: math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))}
+			}
+			off += 8
+		case KindString:
+			l, m := binary.Uvarint(b[off:])
+			if m <= 0 {
+				return 0, fmt.Errorf("types: bad string length at value %d", i)
+			}
+			off += m
+			if l > uint64(len(b)-off) {
+				return 0, fmt.Errorf("types: truncated string at value %d", i)
+			}
+			if want {
+				dst[i] = Value{Kind: KindString, Str: string(b[off : off+int(l)])}
+			}
+			off += int(l)
+		default:
+			return 0, fmt.Errorf("types: unknown kind tag %d at value %d", k, i)
 		}
-		off = next
 	}
 	return off, nil
-}
-
-// field is the one reader of a record's values: it checks and reads value
-// i of n, which starts at b[off], and returns its kind, its word — a
-// number's 8 payload bytes, a string's length, whose bytes end at next —
-// and the offset of the next value.
-func field(b []byte, off, i, n int) (k Kind, w uint64, next int, err error) {
-	if off >= len(b) {
-		return 0, 0, 0, fmt.Errorf("types: truncated tuple (value %d of %d)", i, n)
-	}
-	k = Kind(b[off])
-	off++
-	switch k {
-	case KindInt, KindDate:
-		if off+8 > len(b) {
-			return 0, 0, 0, fmt.Errorf("types: truncated int at value %d", i)
-		}
-		return k, binary.LittleEndian.Uint64(b[off:]), off + 8, nil
-	case KindFloat:
-		if off+8 > len(b) {
-			return 0, 0, 0, fmt.Errorf("types: truncated float at value %d", i)
-		}
-		return k, binary.LittleEndian.Uint64(b[off:]), off + 8, nil
-	case KindString:
-		l, m := binary.Uvarint(b[off:])
-		if m <= 0 {
-			return 0, 0, 0, fmt.Errorf("types: bad string length at value %d", i)
-		}
-		off += m
-		if l > uint64(len(b)-off) {
-			return 0, 0, 0, fmt.Errorf("types: truncated string at value %d", i)
-		}
-		return k, l, off + int(l), nil
-	default:
-		return 0, 0, 0, fmt.Errorf("types: unknown kind tag %d at value %d", k, i)
-	}
 }
 
 // mixedKind marks a column of PageColumns whose rows do not all hold one
@@ -316,38 +304,71 @@ type PageColumns struct {
 }
 
 // DecodePage decodes the page's records recs, in order, as tuples of
-// width values, checking every value of every record exactly as
-// DecodeTupleInto does. At the first record DecodeTupleInto rejects it
-// stops: Rows counts the records before that one and Err returns the
-// error DecodeTupleInto gives for it. scratch is storage for the page's
-// strings while they are gathered; DecodePage returns it, grown, for the
-// next page. The columns hold no reference to recs or scratch.
+// width values. It reads the record format as DecodeTupleInto does, with
+// the same checks and error texts, and checks every value of every
+// record: at the first record DecodeTupleInto rejects it stops, Rows
+// counts the records before that one, and Err returns the error
+// DecodeTupleInto gives for it (FuzzDecodePage holds the two together).
+// scratch is storage for the page's strings while they are gathered;
+// DecodePage returns it, grown, for the next page. The columns hold no
+// reference to recs or scratch.
 func DecodePage(recs [][]byte, width int, scratch []byte) (*PageColumns, []byte) {
 	p := &PageColumns{stride: len(recs), kinds: make([]Kind, width), words: make([]uint64, width*len(recs))}
 	strs := scratch[:0]
-	for r, rec := range recs {
-		off := 0
-		for c := 0; c < width; c++ {
-			k, w, next, err := field(rec, off, c, width)
-			if err != nil {
-				p.err = err
-				break
-			}
-			if k == KindString {
-				w |= uint64(len(strs)) << 32
-				strs = append(strs, rec[next-int(w&0xFFFFFFFF):next]...)
-			}
-			p.words[c*p.stride+r] = w
-			p.setKind(c, r, k)
-			off = next
-		}
-		if p.err != nil {
+	for r, b := range recs {
+		n := len(strs)
+		if p.err = p.decode(r, b, &strs); p.err != nil {
+			strs = strs[:n]
 			break
 		}
 		p.rows++
 	}
 	p.strs = string(strs)
 	return p, strs
+}
+
+// decode reads record b into row r, appending its strings to strs.
+func (p *PageColumns) decode(r int, b []byte, strs *[]byte) error {
+	off, width := 0, len(p.kinds)
+	for c := 0; c < width; c++ {
+		if off >= len(b) {
+			return fmt.Errorf("types: truncated tuple (value %d of %d)", c, width)
+		}
+		k := Kind(b[off])
+		off++
+		var w uint64
+		switch k {
+		case KindInt, KindDate:
+			if off+8 > len(b) {
+				return fmt.Errorf("types: truncated int at value %d", c)
+			}
+			w = binary.LittleEndian.Uint64(b[off:])
+			off += 8
+		case KindFloat:
+			if off+8 > len(b) {
+				return fmt.Errorf("types: truncated float at value %d", c)
+			}
+			w = binary.LittleEndian.Uint64(b[off:])
+			off += 8
+		case KindString:
+			l, m := binary.Uvarint(b[off:])
+			if m <= 0 {
+				return fmt.Errorf("types: bad string length at value %d", c)
+			}
+			off += m
+			if l > uint64(len(b)-off) {
+				return fmt.Errorf("types: truncated string at value %d", c)
+			}
+			w = uint64(len(*strs))<<32 | l
+			*strs = append(*strs, b[off:off+int(l)]...)
+			off += int(l)
+		default:
+			return fmt.Errorf("types: unknown kind tag %d at value %d", k, c)
+		}
+		p.words[c*p.stride+r] = w
+		p.setKind(c, r, k)
+	}
+	return nil
 }
 
 // setKind records that row r of column c holds kind k.
