@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -452,6 +453,41 @@ func TestInsertAndDelete(t *testing.T) {
 	}
 	if got, _, _ := sess.LookupEq("item_pkey", types.NewInt(5000)); len(got) != 0 {
 		t.Fatal("deleted row still visible")
+	}
+}
+
+// TestWritesRejectWrongKinds: a value whose kind differs from its column's
+// is refused by every write path, with an error naming the column, and
+// leaves the table as it was.
+func TestWritesRejectWrongKinds(t *testing.T) {
+	db := newTestDB(t)
+	tab, _ := db.Cat.TableByName("item")
+	pages := db.heaps[tab.ID].NumPages()
+	bad := types.Tuple{types.NewInt(5000), types.NewString("1.5"), types.NewString("new")}
+	if err := db.Load("item", bad); err == nil || !strings.Contains(err.Error(), "i_price") {
+		t.Fatalf("Load of a STRING into FLOAT i_price: err = %v, want one naming i_price", err)
+	}
+	sess, _ := db.NewSession()
+	if err := sess.Insert("item", bad); err == nil || !strings.Contains(err.Error(), "i_price") {
+		t.Fatalf("Insert of a STRING into FLOAT i_price: err = %v, want one naming i_price", err)
+	}
+	if got, _, _ := sess.LookupEq("item_pkey", types.NewInt(5000)); len(got) != 0 {
+		t.Fatal("a refused row reached the index")
+	}
+	if db.heaps[tab.ID].NumPages() != pages {
+		t.Fatal("a refused row reached the heap")
+	}
+	tuples, rids, err := sess.LookupEq("item_pkey", types.NewInt(7))
+	if err != nil || len(tuples) != 1 {
+		t.Fatalf("lookup: %v %v", tuples, err)
+	}
+	upd := tuples[0].Clone()
+	upd[0] = types.NewFloat(7)
+	if err := sess.UpdateByRID("item", rids[0], upd); err == nil || !strings.Contains(err.Error(), "i_id") {
+		t.Fatalf("update of a FLOAT into INT i_id: err = %v, want one naming i_id", err)
+	}
+	if got, _, _ := sess.LookupEq("item_pkey", types.NewInt(7)); len(got) != 1 || got[0][0].Kind != types.KindInt {
+		t.Fatalf("a refused update changed the row: %v", got)
 	}
 }
 
