@@ -14,34 +14,45 @@ import (
 
 // insert is the shared write path: encode, append to the heap, maintain
 // every index. Writes are charged per row on each touched object, matching
-// how the paper benchmarked write costs (Table 1 SW/RW are ms/row).
-// `random` selects RandWrite charging (OLTP inserts landing in arbitrary
-// key positions); bulk loads and monotonically increasing inserts use
-// SeqWrite.
-func (db *DB) insert(ch bufferpool.IOCharger, table string, tu types.Tuple, random bool) error {
+// how the paper benchmarked write costs (Table 1 SW/RW are ms/row): an
+// insert appends, so it charges SeqWrite.
+func (db *DB) insert(ch bufferpool.IOCharger, table string, tu types.Tuple) error {
 	t, err := db.Cat.TableByName(table)
 	if err != nil {
 		return err
 	}
-	if len(tu) != t.Schema.Len() {
-		return fmt.Errorf("engine: insert into %q: %d values for %d columns", table, len(tu), t.Schema.Len())
+	if err := checkRow(t, tu, "insert into"); err != nil {
+		return err
 	}
 	heap := db.heaps[t.ID]
-	wt := device.SeqWrite
-	if random {
-		wt = device.RandWrite
-	}
 	db.rec = types.EncodeTuple(db.rec[:0], tu)
-	rid, err := heapInsert(heap, db.pool, ch, db.rec, wt)
+	rid, err := heap.Insert(db.pool, ch, db.rec)
 	if err != nil {
 		return err
 	}
 	for _, ix := range db.writes[t.ID].indexes {
 		db.key = encodeKey(db.key[:0], tu, ix.pos)
 		ix.tree.Insert(db.pool, ch, db.key, rid)
-		ch.ChargeIO(ix.id, wt, 1)
+		ch.ChargeIO(ix.id, device.SeqWrite, 1)
 	}
 	db.analyzed = false
+	return nil
+}
+
+// checkRow refuses a row that does not match t's schema: a width other
+// than the column count, or a value whose kind differs from its column's.
+// A stored value of the wrong kind would compare by kind, not by value,
+// against predicates and statistics.
+func checkRow(t *catalog.Table, tu types.Tuple, op string) error {
+	cols := t.Schema.Columns
+	if len(tu) != len(cols) {
+		return fmt.Errorf("engine: %s %q: %d values for %d columns", op, t.Name, len(tu), len(cols))
+	}
+	for i := range cols {
+		if tu[i].Kind != cols[i].Kind {
+			return fmt.Errorf("engine: %s %q: column %s is %v, value is %v", op, t.Name, cols[i].Name, cols[i].Kind, tu[i].Kind)
+		}
+	}
 	return nil
 }
 
@@ -72,40 +83,10 @@ func (db *DB) oldKeys(ch bufferpool.IOCharger, t *catalog.Table, heap *pagestore
 	return old, nil
 }
 
-// heapInsert wraps HeapFile.Insert to honour the caller's choice of write
-// type. HeapFile charges SeqWrite itself; for random inserts we charge the
-// difference explicitly.
-func heapInsert(h *pagestore.HeapFile, pool *bufferpool.Pool, ch bufferpool.IOCharger, rec []byte, wt device.IOType) (pagestore.RID, error) {
-	if wt == device.SeqWrite {
-		return h.Insert(pool, ch, rec)
-	}
-	rid, err := h.Insert(pool, swapWriteCharger{ch}, rec)
-	return rid, err
-}
-
-// swapWriteCharger converts the heap's SeqWrite row charge into RandWrite.
-type swapWriteCharger struct {
-	inner bufferpool.IOCharger
-}
-
-func (s swapWriteCharger) ChargeIO(id catalog.ObjectID, t device.IOType, n int64) {
-	if t == device.SeqWrite {
-		t = device.RandWrite
-	}
-	s.inner.ChargeIO(id, t, n)
-}
-
 // Insert appends a row within a session (sequential write pattern).
 func (s *Session) Insert(table string, tu types.Tuple) error {
 	s.acct.ChargeCPU(plan.CPUPerRowWrite)
-	return s.db.insert(s.acct, table, tu, false)
-}
-
-// InsertRandom appends a row whose key lands in an arbitrary position
-// (OLTP-style), charged as a random write.
-func (s *Session) InsertRandom(table string, tu types.Tuple) error {
-	s.acct.ChargeCPU(plan.CPUPerRowWrite)
-	return s.db.insert(s.acct, table, tu, true)
+	return s.db.insert(s.acct, table, tu)
 }
 
 // LookupEq returns the tuples (and their RIDs) whose index key equals the
@@ -116,7 +97,7 @@ func (s *Session) InsertRandom(table string, tu types.Tuple) error {
 // the RID slice are valid until the session's next LookupEq, which reuses
 // their storage. A caller that keeps a tuple past that clones it, and one
 // that looks up again while iterating a result copies out what it still
-// needs first. UpdateByRID, DeleteByRID and the inserts leave the result
+// needs first. UpdateByRID, DeleteByRID and Insert leave the result
 // untouched, and the values passed in may come from the result being
 // replaced: the search key is encoded before any match is decoded.
 func (s *Session) LookupEq(indexName string, vals ...types.Value) ([]types.Tuple, []pagestore.RID, error) {
@@ -179,8 +160,8 @@ func (s *Session) UpdateByRID(table string, rid pagestore.RID, newTu types.Tuple
 	if err != nil {
 		return err
 	}
-	if len(newTu) != t.Schema.Len() {
-		return fmt.Errorf("engine: update %q: %d values for %d columns", table, len(newTu), t.Schema.Len())
+	if err := checkRow(t, newTu, "update"); err != nil {
+		return err
 	}
 	heap := db.heaps[t.ID]
 	oldTu, err := db.oldKeys(s.acct, t, heap, rid)

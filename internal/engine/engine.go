@@ -290,7 +290,7 @@ func (db *DB) TotalPages() int {
 
 // Load appends a row outside measurement (bulk load), updating indexes.
 func (db *DB) Load(table string, tu types.Tuple) error {
-	return db.insert(bufferpool.NopCharger{}, table, tu, false)
+	return db.insert(bufferpool.NopCharger{}, table, tu)
 }
 
 // ---- Sessions ---------------------------------------------------------------

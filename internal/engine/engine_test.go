@@ -435,7 +435,7 @@ func TestKeyUpdateMaintainsIndex(t *testing.T) {
 func TestInsertAndDelete(t *testing.T) {
 	db := newTestDB(t)
 	sess, _ := db.NewSession()
-	if err := sess.InsertRandom("item", types.Tuple{
+	if err := sess.Insert("item", types.Tuple{
 		types.NewInt(5000), types.NewFloat(1), types.NewString("new"),
 	}); err != nil {
 		t.Fatal(err)
@@ -445,8 +445,8 @@ func TestInsertAndDelete(t *testing.T) {
 		t.Fatalf("inserted row not found: %v %v", tuples, err)
 	}
 	tab, _ := db.Cat.TableByName("item")
-	if got := sess.Acct().Profile().Get(tab.ID)[device.RandWrite]; got != 1 {
-		t.Fatalf("random insert should charge 1 RW on the table, got %g", got)
+	if got := sess.Acct().Profile().Get(tab.ID)[device.SeqWrite]; got != 1 {
+		t.Fatalf("insert should charge 1 SW on the table, got %g", got)
 	}
 	if err := sess.DeleteByRID("item", rids[0]); err != nil {
 		t.Fatal(err)
