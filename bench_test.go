@@ -726,12 +726,16 @@ func BenchmarkPartitionedDOT(b *testing.B) {
 		if err != nil {
 			return nil, 0, err
 		}
-		res, err := core.OptimizePartitioned(in, pt, core.Options{RelativeSLA: bench.SkewSLA})
+		uin, err := in.Partitioned(pt)
+		if err != nil {
+			return nil, 0, err
+		}
+		res, err := core.OptimizeBest(uin, core.Options{RelativeSLA: bench.SkewSLA})
 		if err != nil {
 			return nil, 0, err
 		}
 		cost, err := res.Layout.CostCentsPerHour(pt.UnitCatalog(), in.Box)
-		return res.Result, cost, err
+		return res, cost, err
 	})
 }
 
@@ -767,9 +771,13 @@ func BenchmarkPartitionedDOT500(b *testing.B) {
 			vin := in
 			vin.NoCompile = v.noCompile
 			b.ReportAllocs()
-			var res *core.PartitionedResult
+			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				if res, err = core.OptimizePartitioned(vin, pt, core.Options{RelativeSLA: bench.SkewSLA}); err != nil {
+				uin, err := vin.Partitioned(pt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res, err = core.OptimizeBest(uin, core.Options{RelativeSLA: bench.SkewSLA}); err != nil {
 					b.Fatal(err)
 				}
 				if !res.Feasible {
@@ -956,9 +964,13 @@ func BenchmarkPartitionedReplicatedDOT(b *testing.B) {
 			vin := in
 			vin.NoCompile = v.noCompile
 			b.ReportAllocs()
-			var res *core.PartitionedResult
+			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				if res, err = core.OptimizePartitioned(vin, pt, core.Options{RelativeSLA: bench.SkewSLA}); err != nil {
+				uin, err := vin.Partitioned(pt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res, err = core.OptimizeBest(uin, core.Options{RelativeSLA: bench.SkewSLA}); err != nil {
 					b.Fatal(err)
 				}
 				if !res.Feasible {

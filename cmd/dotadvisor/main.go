@@ -323,7 +323,11 @@ func adviseTPCCPartitioned(db *engine.DB, box *device.Box, in core.Input, opts c
 	if err != nil {
 		return err
 	}
-	pres, err := core.OptimizePartitioned(in, pt, opts)
+	uin, err := in.Partitioned(pt)
+	if err != nil {
+		return err
+	}
+	pres, err := core.OptimizeBest(uin, opts)
 	if err != nil {
 		return err
 	}
@@ -332,7 +336,7 @@ func adviseTPCCPartitioned(db *engine.DB, box *device.Box, in core.Input, opts c
 		return nil
 	}
 	fmt.Printf("\nrecommended unit layout (optimized in %v over %d candidates, %d objects split):\n",
-		pres.PlanTime.Round(time.Millisecond), pres.Evaluated, pres.SplitObjects())
+		pres.PlanTime.Round(time.Millisecond), pres.Evaluated, pt.SplitObjects(pres.Layout))
 	fmt.Print(flatLayout(pres.SetLayout, pt.UnitCatalog()))
 	fmt.Printf("estimated TOC: %.4e cents per transaction (%.0f tasks/hour)\n",
 		pres.TOCCents, pres.Metrics.Throughput)
@@ -342,7 +346,7 @@ func adviseTPCCPartitioned(db *engine.DB, box *device.Box, in core.Input, opts c
 	}
 	fmt.Printf("layout storage cost: %.4e cents/hour\n", pcost)
 	if *searchStatsFlag {
-		printSearchStats(pres.Result)
+		printSearchStats(pres)
 	}
 	if obj.Feasible {
 		ocost, err := obj.Layout.CostCentsPerHour(db.Cat, box)

@@ -115,7 +115,11 @@ func runSkew(boxNo int, sla float64) error {
 	if err != nil {
 		return err
 	}
-	pres, err := core.OptimizePartitioned(in, pt, opts)
+	uin, err := in.Partitioned(pt)
+	if err != nil {
+		return err
+	}
+	pres, err := core.OptimizeBest(uin, opts)
 	if err != nil {
 		return err
 	}
@@ -133,7 +137,7 @@ func runSkew(boxNo int, sla float64) error {
 	fmt.Printf("\nobject-granular DOT (%d candidates): storage %.4e cents/h\n%s",
 		obj.Evaluated, ocost, obj.Layout.String(fx.Cat))
 	fmt.Printf("\npartition-granular DOT (%d units, %d candidates, %d objects split): storage %.4e cents/h\n%s",
-		pt.NumUnits(), pres.Evaluated, pres.SplitObjects(), pcost, pres.Layout.String(pt.UnitCatalog()))
+		pt.NumUnits(), pres.Evaluated, pt.SplitObjects(pres.Layout), pcost, pres.Layout.String(pt.UnitCatalog()))
 	fmt.Printf("\nsame SLA, %.1fx cheaper storage with partition-granular placement\n", ocost/pcost)
 	return nil
 }

@@ -76,7 +76,11 @@ func CompareSkew(box *device.Box) (SkewComparison, error) {
 	if err != nil {
 		return SkewComparison{}, err
 	}
-	pres, err := core.OptimizePartitioned(in, pt, opts)
+	uin, err := in.Partitioned(pt)
+	if err != nil {
+		return SkewComparison{}, err
+	}
+	pres, err := core.OptimizeBest(uin, opts)
 	if err != nil {
 		return SkewComparison{}, err
 	}
@@ -102,7 +106,7 @@ func CompareSkew(box *device.Box) (SkewComparison, error) {
 			StorageCents: partCost,
 			Evaluated:    pres.Evaluated,
 			Units:        pt.NumUnits(),
-			SplitObjects: pres.SplitObjects(),
+			SplitObjects: pt.SplitObjects(pres.Layout),
 		},
 	}, nil
 }

@@ -420,3 +420,19 @@ func (pt *Partitioning) CollapseLayout(ul Layout) (Layout, bool) {
 	}
 	return out, true
 }
+
+// SplitObjects counts the objects a unit-granular layout splits across
+// storage classes: those whose units do not all sit on one class.
+func (pt *Partitioning) SplitObjects(ul Layout) int {
+	split := 0
+	for _, o := range pt.base.Objects() {
+		us := pt.byObj[o.ID]
+		for _, u := range us {
+			if ul[u] != ul[us[0]] {
+				split++
+				break
+			}
+		}
+	}
+	return split
+}

@@ -292,6 +292,31 @@ func TestPartitioningAccessors(t *testing.T) {
 	}
 }
 
+// TestPartitioningSplitObjects: a uniform unit layout splits no object, and
+// moving one unit of a multi-unit object to another class splits exactly
+// that object.
+func TestPartitioningSplitObjects(t *testing.T) {
+	c, stats := randomCatalogAndStats(t, 7)
+	pt, err := BuildPartitioning(c, stats, PartitionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ul := pt.ExpandLayout(NewUniformLayout(c, device.HSSD))
+	if n := pt.SplitObjects(ul); n != 0 {
+		t.Fatalf("uniform layout splits %d objects, want 0", n)
+	}
+	for _, o := range c.Objects() {
+		if us := pt.UnitsOf(o.ID); len(us) > 1 {
+			ul[us[len(us)-1]] = device.HDD
+			if n := pt.SplitObjects(ul); n != 1 {
+				t.Fatalf("moving one unit of %q splits %d objects, want 1", o.Name, n)
+			}
+			return
+		}
+	}
+	t.Fatal("fixture has no object split into several units")
+}
+
 // TestPartitioningOverflowHeatConserved: access counts recorded past the
 // cataloged object size (a table that grew after sizing) fold into the
 // final unit instead of vanishing.

@@ -170,8 +170,6 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 				}
 				res, _, err := OptimizeRelaxing(in, Options{RelativeSLA: 0.9}, 0.01)
 				rec("relaxing", res, err)
-				res, _, err = ExhaustiveRelaxing(in, Options{RelativeSLA: 0.9}, 0.01)
-				rec("es-relaxing", res, err)
 				return out
 			}
 			compiled := run(false)
@@ -179,7 +177,7 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 				label := v.name + "/" + name + "/workers=" + string(rune('0'+workers))
 				got := compiled[name]
 				switch name {
-				case "exhaustive", "partial", "es-relaxing":
+				case "exhaustive", "partial":
 					requireSameOutcome(t, label, got, want)
 					if got.Evaluated > want.Evaluated {
 						t.Fatalf("%s: branch-and-bound evaluated %d, the unpruned walk %d", label, got.Evaluated, want.Evaluated)
@@ -275,7 +273,7 @@ func TestCustomLayoutCostOnBothPaths(t *testing.T) {
 
 		pt := catalog.IdentityPartitioning(in.Cat)
 		for _, unit := range []Input{in, mapped} {
-			part, err := OptimizePartitioned(unit, pt, opts)
+			part, err := optimizePartitioned(unit, pt, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

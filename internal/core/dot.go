@@ -55,10 +55,11 @@ type Input struct {
 	// exhaustive search enumerates the unpruned space — kept for the
 	// equivalence tests and benchmarks; no shipped estimator needs it.
 	NoCompile bool
-	// Replication is the per-unit copy cap OptimizeBest, OptimizeIncremental,
-	// OptimizePartitioned and Exhaustive search at (Replication.Cap()); the
-	// paper's single-copy procedures — Optimize, OptimizeRelaxing,
-	// ExhaustiveRelaxing, ExhaustivePartial and OptimizeValidated — ignore it.
+	// Replication is the per-unit copy cap OptimizeBest, OptimizeIncremental
+	// and Exhaustive search at (Replication.Cap()), over an object or a
+	// Partitioned input alike; the paper's single-copy procedures —
+	// Optimize, OptimizeRelaxing, ExhaustivePartial and OptimizeValidated —
+	// ignore it.
 	Replication ReplicationConfig
 }
 
@@ -657,34 +658,9 @@ func OptimizeReplicated(in Input, opts Options) (*ReplicaResult, error) {
 	return &ReplicaResult{res}, nil
 }
 
-// minSLAFloor guards the relaxing loops against a non-positive minSLA,
+// minSLAFloor guards the relaxing loop against a non-positive minSLA,
 // which could otherwise halve forever without ever clamping.
 const minSLAFloor = 1e-9
-
-// relaxing is the shared SLA-halving loop of §4.5.3: run the search,
-// halve the relative SLA while infeasible, clamp at minSLA, and stop at the
-// first feasible result (or at the clamp).
-func relaxing(opts Options, minSLA float64, run func(Options) (*Result, error)) (*Result, float64, error) {
-	if minSLA < minSLAFloor {
-		minSLA = minSLAFloor
-	}
-	sla := opts.RelativeSLA
-	for {
-		o := opts
-		o.RelativeSLA = sla
-		res, err := run(o)
-		if err != nil {
-			return nil, 0, err
-		}
-		if res.Feasible || sla <= minSLA {
-			return res, sla, nil
-		}
-		sla /= 2
-		if sla < minSLA {
-			sla = minSLA
-		}
-	}
-}
 
 // OptimizeRelaxing runs Optimize, halving the relative SLA until a feasible
 // layout appears (the paper's loop in §4.5.3: "we slightly relax the
@@ -697,11 +673,23 @@ func OptimizeRelaxing(in Input, opts Options, minSLA float64) (*Result, float64,
 		return nil, 0, err
 	}
 	defer eng.Release()
-	return relaxing(opts, minSLA, func(o Options) (*Result, error) {
+	if minSLA < minSLAFloor {
+		minSLA = minSLAFloor
+	}
+	sla := opts.RelativeSLA
+	for {
+		o := opts
+		o.RelativeSLA = sla
 		res, err := optimizeWith(in, o, eng, moves, nil, guarded)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return res.finish(), nil
-	})
+		if res.Feasible || sla <= minSLA {
+			return res.finish(), sla, nil
+		}
+		sla /= 2
+		if sla < minSLA {
+			sla = minSLA
+		}
+	}
 }

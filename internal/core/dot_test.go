@@ -285,25 +285,6 @@ func TestExhaustiveRefusesHugeInstances(t *testing.T) {
 	}
 }
 
-func TestExhaustiveRelaxing(t *testing.T) {
-	f := newFix(t)
-	for _, c := range f.box.Classes() {
-		if c != device.HDDRAID0 {
-			f.box.SetCapacity(c, 3e9)
-		}
-	}
-	res, sla, err := ExhaustiveRelaxing(f.input(), Options{RelativeSLA: 0.99}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("ES relaxation should find a layout")
-	}
-	if sla >= 0.99 {
-		t.Fatal("SLA should have been relaxed")
-	}
-}
-
 func TestObjectAdvisorGreedy(t *testing.T) {
 	f := newFix(t)
 	layout, err := ObjectAdvisor(f.input())

@@ -53,30 +53,18 @@ func (in Input) allObjects() []catalog.ObjectID {
 	return free
 }
 
-// exhaustive builds the engine for the copy cap and enumerates.
+// exhaustive is the one enumeration behind every exhaustive entry point:
+// build the engine for the copy cap, derive the constraints from L0, walk
+// the assignment space, and fall back to the pinned starting point when
+// nothing is feasible. The walk prunes with whatever the engine's estimator
+// offers (see pruning) and, without it, visits every layout.
 func exhaustive(in Input, opts Options, copyCap int, free []catalog.ObjectID, base catalog.SetLayout) (*Result, error) {
 	eng, err := in.engine(copyCap)
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Release()
-	res, err := in.enumerate(opts, eng, in.alphabet(copyCap), free, base)
-	if err != nil {
-		return nil, err
-	}
-	return res.finish(), nil
-}
-
-// enumerate is the one enumeration behind every exhaustive entry point:
-// derive the constraints from L0, walk the assignment space through a
-// caller-supplied engine (ExhaustiveRelaxing's SLA halvings share one memo
-// table: a layout estimated at one SLA level is only re-checked, never
-// re-estimated, at the next), and fall back to the pinned starting point
-// when nothing is feasible. The walk prunes with whatever the engine's
-// estimator offers (see pruning) and, without it, visits every layout.
-func (in Input) enumerate(opts Options, eng *search.Engine, digits []device.ClassSet, free []catalog.ObjectID, base catalog.SetLayout) (*Result, error) {
 	start := time.Now()
-	stats0 := eng.Stats()
 	seen := make(map[catalog.ObjectID]bool, len(free))
 	for _, id := range free {
 		if in.Cat.Object(id) == nil {
@@ -87,9 +75,9 @@ func (in Input) enumerate(opts Options, eng *search.Engine, digits []device.Clas
 		}
 		seen[id] = true
 	}
+	digits := in.alphabet(copyCap)
 	bsp := search.BnBSpace{Base: catalog.NewCompactLayout(in.Cat.NumObjects()), Free: free, Digits: digits}
 	if base != nil {
-		var err error
 		if bsp.Base, err = in.encode("base", base); err != nil {
 			return nil, err
 		}
@@ -131,9 +119,9 @@ func (in Input) enumerate(opts Options, eng *search.Engine, digits []device.Clas
 		}
 		res.fallBack(evBase)
 	}
-	res.EstimatorCalls = eng.Stats().Sub(stats0).EstimatorCalls
+	res.EstimatorCalls = eng.Stats().EstimatorCalls
 	res.PlanTime = time.Since(start)
-	return res, nil
+	return res.finish(), nil
 }
 
 // pruning arms the walk's two levers from what the estimator offers: the
@@ -203,24 +191,4 @@ func unitBounds(table []time.Duration, fixed time.Duration, free []catalog.Objec
 		}
 	}
 	return ub
-}
-
-// ExhaustiveRelaxing mirrors OptimizeRelaxing for the ES baseline: halve
-// the SLA until ES finds a feasible layout (paper §4.5.3: "This process
-// stops when ES finds a feasible solution"). All rounds share one search
-// engine, so each halving re-checks memoized evaluations instead of
-// re-estimating the whole space.
-func ExhaustiveRelaxing(in Input, opts Options, minSLA float64) (*Result, float64, error) {
-	eng, err := in.engine(1)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer eng.Release()
-	return relaxing(opts, minSLA, func(o Options) (*Result, error) {
-		res, err := in.enumerate(o, eng, in.alphabet(1), in.allObjects(), nil)
-		if err != nil {
-			return nil, err
-		}
-		return res.finish(), nil
-	})
 }

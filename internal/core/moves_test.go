@@ -206,7 +206,7 @@ func TestSharedMoveListsStayWithTheirInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pwant, err := OptimizePartitioned(pin, pt, Options{RelativeSLA: 0.2})
+	pwant, err := optimizePartitioned(pin, pt, Options{RelativeSLA: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +214,11 @@ func TestSharedMoveListsStayWithTheirInputs(t *testing.T) {
 	if _, err := Optimize(pin, Options{RelativeSLA: 0.2}); err != nil {
 		t.Fatal(err) // binds the lists to the object catalog
 	}
-	pgot, err := OptimizePartitioned(pin, pt, Options{RelativeSLA: 0.2})
+	pgot, err := optimizePartitioned(pin, pt, Options{RelativeSLA: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	same("partitioned", pgot.Result, pwant.Result)
+	same("partitioned", pgot, pwant)
 }
 
 // offBaselineRunner measures the baseline L0 exactly and every other layout

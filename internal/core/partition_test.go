@@ -58,7 +58,7 @@ func TestPartitionedSkewBeatsObjectGranular(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			part, err := OptimizePartitioned(in, pt, Options{RelativeSLA: sla})
+			part, err := optimizePartitioned(in, pt, Options{RelativeSLA: sla})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,10 +156,20 @@ func TestIdentityPartitionCostParity(t *testing.T) {
 	}
 }
 
+// optimizePartitioned runs OptimizeBest over in lowered onto pt, as the
+// shipped callers do.
+func optimizePartitioned(in Input, pt *catalog.Partitioning, opts Options) (*Result, error) {
+	uin, err := in.Partitioned(pt)
+	if err != nil {
+		return nil, err
+	}
+	return OptimizeBest(uin, opts)
+}
+
 // TestPartitionedResultViews covers the object-granular views of a
-// partitioned result: SplitObjects counts the split tables, ObjectLayout
-// refuses to collapse genuinely sub-object layouts and collapses
-// uniform-per-object ones.
+// partitioned result: pt.SplitObjects counts the split tables, and
+// pt.CollapseLayout refuses to collapse genuinely sub-object layouts and
+// collapses uniform-per-object ones.
 func TestPartitionedResultViews(t *testing.T) {
 	box := device.Box2()
 	in, fx := skewInput(t, box)
@@ -167,27 +177,24 @@ func TestPartitionedResultViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := OptimizePartitioned(in, pt, Options{RelativeSLA: 0.2})
+	pres, err := optimizePartitioned(in, pt, Options{RelativeSLA: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pres.Feasible {
 		t.Fatal("skew fixture must be feasible at SLA 0.2")
 	}
-	if pres.SplitObjects() == 0 {
+	if pt.SplitObjects(pres.Layout) == 0 {
 		t.Fatal("expected split objects on the skew fixture")
 	}
-	if _, ok := pres.ObjectLayout(); ok {
+	if _, ok := pt.CollapseLayout(pres.Layout); ok {
 		t.Fatal("a split recommendation must refuse to collapse")
 	}
-	uniform := &PartitionedResult{
-		Result:       &Result{Layout: pt.ExpandLayout(catalog.NewUniformLayout(fx.Cat, device.HSSD))},
-		Partitioning: pt,
-	}
-	if uniform.SplitObjects() != 0 {
+	uniform := pt.ExpandLayout(catalog.NewUniformLayout(fx.Cat, device.HSSD))
+	if pt.SplitObjects(uniform) != 0 {
 		t.Fatal("uniform layout reports split objects")
 	}
-	ol, ok := uniform.ObjectLayout()
+	ol, ok := pt.CollapseLayout(uniform)
 	if !ok || !ol.Equal(catalog.NewUniformLayout(fx.Cat, device.HSSD)) {
 		t.Fatal("uniform layout must collapse losslessly")
 	}

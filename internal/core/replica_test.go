@@ -297,7 +297,7 @@ func TestOptimizeReplicatedPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimizePartitioned(in, pt, Options{RelativeSLA: 0.3})
+	res, err := optimizePartitioned(in, pt, Options{RelativeSLA: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,10 +406,7 @@ func TestCopyCapIsInput(t *testing.T) {
 			record("incremental", res, err)
 			res, err = Exhaustive(in, opts)
 			record("exhaustive", res, err)
-			pres, err := OptimizePartitioned(in, pt, opts)
-			if err == nil {
-				res = pres.Result
-			}
+			res, err = optimizePartitioned(in, pt, opts)
 			record("partitioned", res, err)
 			fwd, err := OptimizeReplicated(in, opts)
 			if err == nil {

@@ -1,5 +1,5 @@
 // Package search is the shared layout-search engine behind DOT, exhaustive
-// search and the SLA-relaxing wrappers (paper §3, §4.4.3, §4.5.3). All of
+// search and DOT's SLA-relaxing loop (paper §3, §4.4.3, §4.5.3). All of
 // them reduce to the same inner loop — estimate a candidate layout, price
 // it (cost and capacity fit), check the SLA — which this package implements
 // once, over one representation: a candidate places every unit on a set of
@@ -94,7 +94,7 @@ const DefaultMemoLimit = 1 << 18
 // Eval is one candidate's constraint-free evaluation: everything about the
 // layout that does not depend on the SLA. Feasibility against a concrete
 // constraint set is checked per use (Feasible), so a memoized Eval stays
-// valid across OptimizeBest's sweeps and the relaxing loops' SLA halvings.
+// valid across OptimizeBest's sweeps and the relaxing loop's SLA halvings.
 type Eval struct {
 	// Compact is the evaluated layout. The engine retains it: callers must
 	// not mutate it, nor read it after the engine's Release (ToSetLayout

@@ -781,7 +781,7 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	if res.Layout != nil {
 		resp.Layout = renderLayout(in.Cat, res.Layout)
 		if pt != nil {
-			resp.SplitObjects = (&core.PartitionedResult{Result: res, Partitioning: pt}).SplitObjects()
+			resp.SplitObjects = pt.SplitObjects(res.Layout)
 		}
 	}
 	if req.Replication {
