@@ -66,15 +66,6 @@ type Stats struct {
 	Misses int64
 }
 
-// HitRate returns the fraction of accesses served from the buffer.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type frame struct {
 	key PageKey
 	ref bool
@@ -109,9 +100,6 @@ func (p *Pool) Capacity() int { return p.capacity }
 
 // Stats returns the hit/miss counters.
 func (p *Pool) Stats() Stats { return p.stats }
-
-// ResetStats clears the hit/miss counters.
-func (p *Pool) ResetStats() { p.stats = Stats{} }
 
 // Resident reports whether the page is currently buffered.
 func (p *Pool) Resident(key PageKey) bool {

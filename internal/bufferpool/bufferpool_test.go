@@ -34,7 +34,7 @@ func TestMissThenHit(t *testing.T) {
 		t.Fatalf("charged %d RR, want 1", ch.n[device.RandRead])
 	}
 	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.HitRate() != 0.5 {
+	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats wrong: %+v", st)
 	}
 }
@@ -163,8 +163,3 @@ func TestPoolInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestHitRateZeroWhenEmpty(t *testing.T) {
-	if (Stats{}).HitRate() != 0 {
-		t.Fatal("empty stats hit rate should be 0")
-	}
-}

@@ -18,9 +18,6 @@ import (
 // catalog in creation order, so they can index slices.
 type ObjectID uint32
 
-// InvalidObject is the zero ObjectID; valid IDs start at 1.
-const InvalidObject ObjectID = 0
-
 // ObjectKind classifies database objects.
 type ObjectKind uint8
 

@@ -339,13 +339,5 @@ func (d *Device) ServiceTimeMs(t IOType, concurrency int) float64 {
 	return float64(d.ServiceTime(t, concurrency)) / float64(time.Millisecond)
 }
 
-// CostCents returns the storage cost, in cents, of holding `bytes` bytes on
-// this device for duration dur: price(cent/GB/hour) x GB x hours.
-func (d *Device) CostCents(bytes int64, dur time.Duration) float64 {
-	gb := float64(bytes) / 1e9
-	hours := dur.Hours()
-	return d.PriceCents * gb * hours
-}
-
 // String identifies the device by class name.
 func (d *Device) String() string { return d.Class.String() }

@@ -117,19 +117,6 @@ func TestTable1Ratios(t *testing.T) {
 	}
 }
 
-func TestCostCents(t *testing.T) {
-	d := New(HSSD)
-	// 10 GB for 2 hours at 0.169 cent/GB/hour ~= 3.38 cents.
-	got := d.CostCents(10e9, 2*time.Hour)
-	want := d.PriceCents * 10 * 2
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("CostCents = %g, want %g", got, want)
-	}
-	if d.CostCents(0, time.Hour) != 0 {
-		t.Fatal("zero bytes should cost zero")
-	}
-}
-
 func TestParseClass(t *testing.T) {
 	for _, c := range AllClasses {
 		got, err := ParseClass(c.String())

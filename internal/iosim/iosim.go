@@ -347,12 +347,3 @@ func (a *Accountant) CPUTime() time.Duration { return a.cpuTime }
 // not mutate it; use Profile().Clone() to keep a snapshot.
 func (a *Accountant) Profile() Profile { return a.profile }
 
-// ResetCounters clears the profile and time tallies but leaves the clock
-// running, so a warm-up phase can be excluded from measurement. Warm-up
-// charges already mirrored to the tap stay with the tap (the collector
-// owner excludes warm-up by rolling).
-func (a *Accountant) ResetCounters() {
-	a.profile = NewProfile()
-	a.ioTime = 0
-	a.cpuTime = 0
-}

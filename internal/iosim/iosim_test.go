@@ -98,20 +98,6 @@ func TestChargeUnknownObjectPanics(t *testing.T) {
 	a.ChargeIO(9999, device.SeqRead, 1)
 }
 
-func TestResetCountersKeepsClock(t *testing.T) {
-	_, box, l, tabID, _ := testSetup(t)
-	a, _ := NewAccountant(box, l, 1, nil)
-	a.ChargeIO(tabID, device.SeqRead, 100)
-	before := a.Now()
-	a.ResetCounters()
-	if a.Now() != before {
-		t.Fatal("ResetCounters must not rewind the clock")
-	}
-	if a.IOTime() != 0 || a.CPUTime() != 0 || len(a.Profile()) != 0 {
-		t.Fatal("counters not cleared")
-	}
-}
-
 func TestSharedClockAcrossAccountants(t *testing.T) {
 	_, box, l, tabID, ixID := testSetup(t)
 	clk := &vclock.Clock{}

@@ -104,8 +104,8 @@ type Collector struct {
 	ext      map[catalog.ObjectID][]float64
 }
 
-// DefaultWindows is the ring capacity when Config.Windows is 0: enough
-// history to aggregate a few windows while bounding retained profiles.
+// DefaultWindows is a Manager's collector ring capacity: enough history to
+// aggregate a few windows while bounding retained profiles.
 const DefaultWindows = 8
 
 // DefaultExtentPages is the extent-histogram bucket width: 128 pages

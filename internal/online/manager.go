@@ -28,9 +28,6 @@ type Config struct {
 	// selects the all-most-expensive uniform layout L0 (the paper's
 	// profiling default).
 	Deployed catalog.Layout
-	// Windows is the collector's ring capacity (0 selects
-	// DefaultWindows).
-	Windows int
 	// AggregateWindows is how many of the most recent closed windows merge
 	// into the profile each drift check and re-advise sees (0 selects 1:
 	// judge the latest window alone).
@@ -172,7 +169,7 @@ func NewManager(cfg Config) (*Manager, error) {
 			MinIOs:      cfg.MinWindowIOs,
 		},
 		mig: MigrationModel{Cat: cat, Box: cfg.Box},
-		col: NewCollector(cfg.Windows),
+		col: NewCollector(DefaultWindows),
 		// A configured deployed layout is single-class; a replicated loop
 		// grows copies from there.
 		cur: catalog.SingletonSetLayout(deployed),

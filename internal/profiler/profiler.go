@@ -3,11 +3,11 @@
 // layouts L_p — one layout per group placement pattern — and packages them
 // as the ProfileSet that DOT's move scoring consumes.
 //
-// Two capture methods exist, matching the paper:
-//
-//   - estimates from the extended query optimizer (used for TPC-H, §4.4),
-//   - an actual test run of the workload (used for TPC-C, §4.5, where one
-//     baseline layout suffices because the plans never change).
+// It captures them as estimates from the extended query optimizer (the
+// paper's method for TPC-H, §4.4). The other method, an actual test run
+// (TPC-C, §4.5, where one baseline layout suffices because the plans never
+// change), needs no package: its callers measure one run and hand the
+// profile to core.ProfileSet.SetSingle.
 package profiler
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"dotprov/internal/core"
 	"dotprov/internal/engine"
-	"dotprov/internal/iosim"
 	"dotprov/internal/workload"
 )
 
@@ -39,34 +38,4 @@ func ProfileDSSEstimates(db *engine.DB, w *workload.DSS) (*core.ProfileSet, erro
 		ps.AddPattern(pattern, prof)
 	}
 	return ps, nil
-}
-
-// ProfileDSSTestRuns builds the profile set by actually executing the
-// workload on every baseline layout (exact counts, higher profiling cost).
-func ProfileDSSTestRuns(db *engine.DB, w *workload.DSS) (*core.ProfileSet, error) {
-	ps := core.NewProfileSet()
-	saved := db.Layout()
-	defer db.SetLayout(saved)
-	for _, pattern := range core.BaselinePatterns(db.Cat, db.Box) {
-		layout := core.BaselineLayout(db.Cat, pattern)
-		if err := db.SetLayout(layout); err != nil {
-			return nil, err
-		}
-		_, prof, err := w.Run(db)
-		if err != nil {
-			return nil, fmt.Errorf("profiler: test run on %v: %w", pattern, err)
-		}
-		ps.AddPattern(pattern, prof)
-	}
-	return ps, nil
-}
-
-// ProfileSingle wraps one measured profile as a profile set answering every
-// pattern — the paper's TPC-C shortcut (§4.5.1: "we only need one simple
-// layout: namely, the All H-SSD case", because the plans stay random-access
-// whatever the placement).
-func ProfileSingle(prof iosim.Profile) *core.ProfileSet {
-	ps := core.NewProfileSet()
-	ps.SetSingle(prof)
-	return ps
 }

@@ -7,7 +7,6 @@ import (
 	"dotprov/internal/core"
 	"dotprov/internal/device"
 	"dotprov/internal/engine"
-	"dotprov/internal/iosim"
 	"dotprov/internal/plan"
 	"dotprov/internal/types"
 	"dotprov/internal/workload"
@@ -80,34 +79,5 @@ func TestProfilesReflectPlanChanges(t *testing.T) {
 	fast, _ := ps.For(core.Pattern{device.HSSD, device.HSSD})
 	if fast.Get(ix.ID)[device.RandRead] == 0 {
 		t.Fatal("all-H-SSD baseline should use the index for the point query")
-	}
-}
-
-func TestProfileDSSTestRuns(t *testing.T) {
-	db, w := buildDB(t)
-	saved := db.Layout()
-	ps, err := ProfileDSSTestRuns(db, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Patterns() != 9 {
-		t.Fatalf("patterns = %d, want 9", ps.Patterns())
-	}
-	// The engine's layout must be restored.
-	if !db.Layout().Equal(saved) {
-		t.Fatal("ProfileDSSTestRuns must restore the layout")
-	}
-}
-
-func TestProfileSingle(t *testing.T) {
-	prof := iosim.NewProfile()
-	prof.Add(1, device.RandRead, 42)
-	ps := ProfileSingle(prof)
-	got, err := ps.For(core.Pattern{device.HDD, device.HDD, device.HDD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Get(1)[device.RandRead] != 42 {
-		t.Fatal("single profile should answer any pattern")
 	}
 }

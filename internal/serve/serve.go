@@ -113,15 +113,15 @@ type Config struct {
 	// acknowledged with 202 get this long to fold before the worker stops
 	// (default 10s).
 	DrainTimeout time.Duration
-	// DegradeAfter is how many CONSECUTIVE snapshot failures flip the
-	// server into degraded mode — optimization endpoints shed with 503 +
-	// Retry-After (cached provisions still answer) until a snapshot
-	// succeeds again (default 3; meaningless without SnapshotDir).
-	DegradeAfter int
 	// Logf, when set, receives one line per background re-advise decision
 	// (cmd/dotserve wires log.Printf). Nil silences the ticker.
 	Logf func(format string, args ...any)
 }
+
+// degradeAfter is how many CONSECUTIVE snapshot failures flip the server
+// into degraded mode: optimization endpoints shed with 503 + Retry-After
+// (cached provisions still answer) until a snapshot succeeds again.
+const degradeAfter = 3
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -147,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.DegradeAfter <= 0 {
-		c.DegradeAfter = 3
 	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.NumCPU()
@@ -265,7 +262,7 @@ func New(cfg Config) *Server {
 			// new optimization work (degraded) until the operator intervenes.
 			s.logf("serve: snapshot store unavailable, starting degraded: %v", err)
 			s.snapFails.Add(1)
-			s.snapConsec.Store(int64(cfg.DegradeAfter))
+			s.snapConsec.Store(degradeAfter)
 		} else {
 			s.snap = store
 			s.restoreSnapshot()
@@ -345,13 +342,13 @@ func (s *Server) guard(what string, fn func()) {
 }
 
 // refuseState names why the server refuses new optimization work:
-// "draining" once Close has begun, "degraded" after DegradeAfter
+// "draining" once Close has begun, "degraded" after degradeAfter
 // consecutive snapshot failures, "" when accepting.
 func (s *Server) refuseState() string {
 	if s.draining.Load() {
 		return "draining"
 	}
-	if s.snapConsec.Load() >= int64(s.cfg.DegradeAfter) {
+	if s.snapConsec.Load() >= degradeAfter {
 		return "degraded"
 	}
 	return ""

@@ -21,14 +21,13 @@ import (
 
 // snapServer builds a snapshot-enabled server over dir with an idle
 // ticker (an hour), so tests control exactly when snapshots happen.
-func snapServer(t *testing.T, dir string, fsys faultinject.FS, degradeAfter int) (*Server, *httptest.Server) {
+func snapServer(t *testing.T, dir string, fsys faultinject.FS) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(Config{
 		Workers:       2,
 		SnapshotDir:   dir,
 		SnapshotEvery: time.Hour,
 		SnapshotFS:    fsys,
-		DegradeAfter:  degradeAfter,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -68,7 +67,7 @@ func forcedReadvise(t *testing.T, ts *httptest.Server, name string) ReadviseResp
 // cold.
 func TestServerSnapshotRestore(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := snapServer(t, dir, nil, 0)
+	s1, ts1 := snapServer(t, dir, nil)
 	defineStream(t, ts1, "orders")
 	// Drift the stream: two windows with a sequential-scan-heavy mix.
 	for i := 0; i < 2; i++ {
@@ -86,7 +85,7 @@ func TestServerSnapshotRestore(t *testing.T) {
 		t.Fatal("close wrote no snapshot generation")
 	}
 
-	_, ts2 := snapServer(t, dir, nil, 0)
+	_, ts2 := snapServer(t, dir, nil)
 	var h HealthResponse
 	getJSON(t, ts2, "/v1/healthz", &h)
 	if h.Restored != 1 || h.SnapshotGen == 0 {
@@ -98,7 +97,7 @@ func TestServerSnapshotRestore(t *testing.T) {
 
 	// Second independent restore of the SAME generation (before s2 writes
 	// any new one): decisions must match s2's bit for bit.
-	s3, ts3 := snapServer(t, dir, nil, 0)
+	s3, ts3 := snapServer(t, dir, nil)
 	_ = s3
 	r2 := forcedReadvise(t, ts2, "orders")
 	r3 := forcedReadvise(t, ts3, "orders")
@@ -120,7 +119,7 @@ func TestServerSnapshotRestore(t *testing.T) {
 // back to itself and re-encodes bit-identically — the canonical-codec
 // property FuzzDecodeSnapshot generalizes.
 func TestSnapshotPayloadRoundTrip(t *testing.T) {
-	s, ts := snapServer(t, t.TempDir(), nil, 0)
+	s, ts := snapServer(t, t.TempDir(), nil)
 	defineStream(t, ts, "orders")
 	_ = s
 
@@ -160,7 +159,7 @@ func normPayload(p snapshotPayload) snapshotPayload {
 }
 
 func TestDecodeSnapshotPayloadRejects(t *testing.T) {
-	s, ts := snapServer(t, t.TempDir(), nil, 0)
+	s, ts := snapServer(t, t.TempDir(), nil)
 	defineStream(t, ts, "orders")
 	valid := appendSnapshotPayload(nil, s.exportPayload())
 	corrupt := func(mut func(b []byte)) []byte {
@@ -205,7 +204,7 @@ func TestDecodeSnapshotPayloadRejects(t *testing.T) {
 // landing on the newest generation that fully restores.
 func TestRecoveryFallsBackPastTornGeneration(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := snapServer(t, dir, nil, 0)
+	s1, ts1 := snapServer(t, dir, nil)
 	defineStream(t, ts1, "orders")
 	gen1, err := s1.Snapshot()
 	if err != nil {
@@ -228,7 +227,7 @@ func TestRecoveryFallsBackPastTornGeneration(t *testing.T) {
 	if err := os.WriteFile(pathNewest, b[:len(b)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, ts2 := snapServer(t, dir, nil, 0)
+	s2, ts2 := snapServer(t, dir, nil)
 	_ = s2
 	var h HealthResponse
 	getJSON(t, ts2, "/v1/healthz", &h)
@@ -267,7 +266,7 @@ func (f *flakyFS) SyncDir(path string) error                  { return faultinje
 // snapshot restores readiness.
 func TestDegradedMode(t *testing.T) {
 	fsys := &flakyFS{}
-	s, ts := snapServer(t, t.TempDir(), fsys, 2)
+	s, ts := snapServer(t, t.TempDir(), fsys)
 	defineStream(t, ts, "orders")
 
 	// Warm the provision cache while healthy.
@@ -285,7 +284,7 @@ func TestDegradedMode(t *testing.T) {
 	}
 
 	fsys.fail.Store(true)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < degradeAfter; i++ {
 		if _, err := s.Snapshot(); err == nil {
 			t.Fatal("snapshot succeeded through a failing filesystem")
 		}
@@ -307,7 +306,7 @@ func TestDegradedMode(t *testing.T) {
 	}
 	var h HealthResponse
 	getJSON(t, ts, "/v1/healthz", &h)
-	if h.Status != "degraded" || h.SnapshotFails != 2 {
+	if h.Status != "degraded" || h.SnapshotFails != degradeAfter {
 		t.Fatalf("degraded healthz: status=%q snapshot_failures=%d", h.Status, h.SnapshotFails)
 	}
 	// ...the cached provision still answers...

@@ -169,27 +169,6 @@ func (s *Schema) ColIndex(name string) int {
 // Len returns the number of columns.
 func (s *Schema) Len() int { return len(s.Columns) }
 
-// Project returns a schema containing the named columns in order.
-func (s *Schema) Project(names ...string) (*Schema, error) {
-	out := &Schema{}
-	for _, n := range names {
-		i := s.ColIndex(n)
-		if i < 0 {
-			return nil, fmt.Errorf("types: unknown column %q", n)
-		}
-		out.Columns = append(out.Columns, s.Columns[i])
-	}
-	return out, nil
-}
-
-// Concat returns the schema of a join result: s's columns followed by o's.
-func (s *Schema) Concat(o *Schema) *Schema {
-	out := &Schema{Columns: make([]Column, 0, len(s.Columns)+len(o.Columns))}
-	out.Columns = append(out.Columns, s.Columns...)
-	out.Columns = append(out.Columns, o.Columns...)
-	return out
-}
-
 // ---- Record encoding ----------------------------------------------------
 //
 // Tuples are serialised into slotted pages with a compact, self-describing

@@ -54,20 +54,6 @@ func TestSchemaOps(t *testing.T) {
 	if s.ColIndex("zz") != -1 {
 		t.Fatal("ColIndex of missing column should be -1")
 	}
-	p, err := s.Project("c", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 || p.Columns[0].Name != "c" || p.Columns[1].Name != "a" {
-		t.Fatalf("Project wrong: %+v", p)
-	}
-	if _, err := s.Project("nope"); err == nil {
-		t.Fatal("Project of unknown column should fail")
-	}
-	j := s.Concat(p)
-	if j.Len() != 5 {
-		t.Fatalf("Concat len = %d, want 5", j.Len())
-	}
 }
 
 func TestEncodeDecodeTupleRoundtrip(t *testing.T) {

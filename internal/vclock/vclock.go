@@ -29,11 +29,6 @@ func (c *Clock) Now() time.Duration {
 	return time.Duration(c.ns)
 }
 
-// Reset rewinds the clock to its origin.
-func (c *Clock) Reset() {
-	c.ns = 0
-}
-
 // Max returns the largest current time among the given clocks. It is the
 // elapsed wall-clock equivalent for a set of concurrent workers that all
 // started at time zero. Max of no clocks is zero.

@@ -31,15 +31,6 @@ func TestAdvanceNegativeIgnored(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var c Clock
-	c.Advance(time.Second)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Now() after Reset = %v, want 0", c.Now())
-	}
-}
-
 func TestMaxAndSum(t *testing.T) {
 	a, b, c := &Clock{}, &Clock{}, &Clock{}
 	a.Advance(1 * time.Second)
