@@ -162,4 +162,3 @@ func TestPoolInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-

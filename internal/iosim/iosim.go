@@ -346,4 +346,3 @@ func (a *Accountant) CPUTime() time.Duration { return a.cpuTime }
 // Profile returns the live profile of I/Os charged so far. The caller must
 // not mutate it; use Profile().Clone() to keep a snapshot.
 func (a *Accountant) Profile() Profile { return a.profile }
-
