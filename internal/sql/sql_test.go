@@ -234,6 +234,48 @@ func TestExecAndRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExecCoercesIntegerLiterals: an integer literal loads into a FLOAT
+// column as that number and into a DATE column as that day number, while a
+// mismatch of any other kind is still refused by the engine.
+func TestExecCoercesIntegerLiterals(t *testing.T) {
+	db := engine.New(device.Box1(), 128)
+	if _, err := Exec(db, `
+		CREATE TABLE p (id INT, price FLOAT, d DATE, PRIMARY KEY (id));
+		INSERT INTO p VALUES (1, 39, 17), (2, 2.5, DATE 18);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := db.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := sess.LookupEq("p_pkey", types.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := types.Tuple{types.NewInt(1), types.NewFloat(39), types.NewDate(17)}
+	if len(rows) != 1 || len(rows[0]) != len(want) {
+		t.Fatalf("row 1 = %v, want %v", rows, want)
+	}
+	for i, v := range want {
+		if rows[0][i] != v {
+			t.Errorf("row 1 column %d = %+v, want %+v", i, rows[0][i], v)
+		}
+	}
+	for _, bad := range []string{
+		`INSERT INTO p VALUES (3, 'cheap', 17);`,
+		`INSERT INTO p VALUES (4.5, 1.0, 17);`,
+		`INSERT INTO p VALUES (5, 1.0, 1.5);`,
+	} {
+		if _, err := Exec(db, bad); err == nil {
+			t.Errorf("%s: loaded a value of the wrong kind", bad)
+		}
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	db := newSQLDB(t)
 	bad := []string{
