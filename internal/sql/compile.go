@@ -135,7 +135,9 @@ func Exec(db *engine.DB, script string) ([]*plan.Query, error) {
 				return nil, err
 			}
 		case *InsertStmt:
+			sch := db.TableSchema(st.Table)
 			for _, row := range st.Rows {
+				coerceIntLiterals(sch, row)
 				if err := db.Load(st.Table, row); err != nil {
 					return nil, err
 				}
@@ -151,6 +153,27 @@ func Exec(db *engine.DB, script string) ([]*plan.Query, error) {
 		}
 	}
 	return queries, nil
+}
+
+// coerceIntLiterals converts, in place, each INT literal in row whose
+// column is FLOAT (to that number) or DATE (to that day number): SQL takes
+// `39` for a price and `17` for a date. Every other mismatch, and a row
+// for an unknown table (sch nil), is left for the engine to refuse.
+func coerceIntLiterals(sch *types.Schema, row types.Tuple) {
+	if sch == nil {
+		return
+	}
+	for i, v := range row {
+		if v.Kind != types.KindInt || i >= len(sch.Columns) {
+			continue
+		}
+		switch sch.Columns[i].Kind {
+		case types.KindFloat:
+			row[i] = types.NewFloat(float64(v.Int))
+		case types.KindDate:
+			row[i] = types.NewDate(v.Int)
+		}
+	}
 }
 
 // ParseWorkload compiles a script of SELECT statements (only) against an
