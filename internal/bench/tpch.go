@@ -249,34 +249,37 @@ func Sec443(w io.Writer, opts Options) (*FigureResult, error) {
 	return fig, nil
 }
 
-// Provision reproduces §5.1: choose between the Box 1 and Box 2
-// configurations for the original TPC-H workload.
+// Provision reproduces §5.1, the generalized provisioning problem: run DOT
+// for the original TPC-H workload on the Box 1 and Box 2 configurations and
+// choose the feasible recommendation with the minimum TOC, ties going to
+// the first box.
 func Provision(w io.Writer, opts Options) (*FigureResult, error) {
 	fig := &FigureResult{ID: "Sec 5.1: generalized provisioning (pick the box)", Layouts: map[string]string{}}
-	var cands []provision.Candidate
+	var best *core.Result
+	var bestCat *catalog.Catalog
+	bestBox := ""
 	for _, box := range boxes() {
 		env, err := newTpchEnv(box, opts, false, false)
 		if err != nil {
 			return nil, err
 		}
-		cands = append(cands, provision.Candidate{Name: box.Name, In: env.input()})
-	}
-	choice, err := provision.ChooseConfiguration(cands, core.Options{RelativeSLA: 0.5})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range choice.Results {
-		fig.addRow(r.Name, LayoutRow{
+		res, err := core.Optimize(env.input(), core.Options{RelativeSLA: 0.5})
+		if err != nil {
+			return nil, fmt.Errorf("bench: provisioning %s: %w", box.Name, err)
+		}
+		fig.addRow(box.Name, LayoutRow{
 			Name:     "DOT recommendation",
-			Elapsed:  r.Result.Metrics.Elapsed,
-			TOCCents: r.Result.TOCCents,
-			PSR:      1,
+			Elapsed:  res.Metrics.Elapsed,
+			TOCCents: res.TOCCents,
+			PSR:      psrOf(res.Feasible),
 		})
+		if res.Feasible && (best == nil || res.TOCCents < best.TOCCents) {
+			best, bestBox, bestCat = res, box.Name, env.db.Cat
+		}
 	}
-	if choice.Best >= 0 {
-		best := choice.Results[choice.Best]
-		fig.note("chosen configuration: %s (estimated TOC %.4e cents)", best.Name, best.Result.TOCCents)
-		fig.Layouts["chosen "+best.Name] = best.Result.Layout.String(cands[choice.Best].In.Cat)
+	if best != nil {
+		fig.note("chosen configuration: %s (estimated TOC %.4e cents)", bestBox, best.TOCCents)
+		fig.Layouts["chosen "+bestBox] = best.Layout.String(bestCat)
 	}
 	fig.print(w)
 	return fig, nil

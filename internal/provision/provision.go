@@ -2,10 +2,11 @@
 // provisioning problem (§5.1 — choose the storage configuration, i.e. the
 // box, together with its layout) and the discrete-sized storage cost model
 // (§5.2 — devices are bought in whole units, blended with the linear
-// proportional cost by a parameter alpha). A candidate configuration is one
-// ordinary core search with an engine of its own, and the §5.2 model is one
-// function of a layout's per-class totals (DiscreteCost) installed as that
-// search's core.Input.LayoutCost.
+// proportional cost by a parameter alpha). SweepConfigurations is the one
+// entry: each candidate configuration of a grid is one ordinary core search
+// with an engine of its own, and the §5.2 model is one function of a
+// layout's per-class totals (DiscreteCost) installed as that search's
+// core.Input.LayoutCost.
 package provision
 
 import (
@@ -15,13 +16,6 @@ import (
 	"dotprov/internal/core"
 	"dotprov/internal/device"
 )
-
-// Candidate is one storage configuration option f_i of §5.1: a box plus the
-// DOT input bound to it (estimator, profiles, catalog).
-type Candidate struct {
-	Name string
-	In   core.Input
-}
 
 // Choice reports the winning configuration and every candidate's outcome.
 type Choice struct {
@@ -38,44 +32,18 @@ type Choice struct {
 	EstimatorCalls int
 }
 
-// CandidateResult pairs a candidate with its DOT recommendation.
+// CandidateResult pairs a grid candidate with its DOT recommendation.
 type CandidateResult struct {
 	Name string
 	// Result is the candidate's recommendation; its Layout is nil when some
 	// unit holds more than one copy.
 	Result *core.Result
-	// Spec is the enumerated grid candidate behind this result
-	// (SweepConfigurations only; nil otherwise).
-	Spec *BoxSpec
+	// Spec is the enumerated grid candidate behind this result.
+	Spec BoxSpec
 	// Failure explains why the candidate produced no feasible layout —
 	// over-capacity cases distinguished from SLA misses. Empty when the
 	// candidate is feasible.
 	Failure string
-}
-
-// ChooseConfiguration solves the generalized provisioning problem: run DOT
-// on every candidate configuration and pick the feasible recommendation
-// with the minimum TOC (paper §5.1.1). Candidates are evaluated in order on
-// the calling goroutine (each candidate carries its own estimator, which
-// need not be safe for concurrent use); for the engine-backed parallel grid
-// sweep see SweepConfigurations.
-func ChooseConfiguration(cands []Candidate, opts core.Options) (*Choice, error) {
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("provision: no candidate configurations")
-	}
-	ch := &Choice{Best: -1}
-	for _, c := range cands {
-		res, err := core.Optimize(c.In, opts)
-		if err != nil {
-			return nil, fmt.Errorf("provision: candidate %q: %w", c.Name, err)
-		}
-		cr := CandidateResult{Name: c.Name, Result: res}
-		if !res.Feasible {
-			cr.Failure = InfeasibilityReason(c.In.Cat, c.In.Box, opts)
-		}
-		ch.add(cr)
-	}
-	return ch, nil
 }
 
 // add appends a candidate's outcome: the totals grow by its search's work,

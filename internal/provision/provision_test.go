@@ -1,7 +1,6 @@
 package provision
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -51,60 +50,6 @@ func (e *profEst) Estimate(l catalog.Layout) (workload.Metrics, error) {
 		return workload.Metrics{}, err
 	}
 	return workload.Metrics{Elapsed: t, PerQuery: []time.Duration{t}}, nil
-}
-
-func TestChooseConfiguration(t *testing.T) {
-	cands := []Candidate{
-		{Name: "Box 1", In: fixture(t, device.Box1())},
-		{Name: "Box 2", In: fixture(t, device.Box2())},
-	}
-	ch, err := ChooseConfiguration(cands, core.Options{RelativeSLA: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Best < 0 {
-		t.Fatal("a feasible configuration should exist")
-	}
-	if len(ch.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(ch.Results))
-	}
-	best := ch.Results[ch.Best]
-	evaluated, calls := 0, 0
-	for _, r := range ch.Results {
-		if r.Result.Feasible && r.Result.TOCCents < best.Result.TOCCents {
-			t.Fatal("Best is not the cheapest feasible candidate")
-		}
-		evaluated += r.Result.Evaluated
-		calls += r.Result.EstimatorCalls
-	}
-	if calls == 0 || ch.Evaluated != evaluated || ch.EstimatorCalls != calls {
-		t.Fatalf("Choice totals %d evaluated / %d estimator calls, candidates sum to %d / %d",
-			ch.Evaluated, ch.EstimatorCalls, evaluated, calls)
-	}
-	if _, err := ChooseConfiguration(nil, core.Options{RelativeSLA: 0.5}); err == nil {
-		t.Fatal("no candidates should fail")
-	}
-}
-
-func TestChooseConfigurationAllInfeasible(t *testing.T) {
-	in := fixture(t, device.Box1())
-	// Shrink every device below the data size.
-	for _, c := range in.Box.Classes() {
-		in.Box.SetCapacity(c, 1)
-	}
-	ch, err := ChooseConfiguration([]Candidate{{Name: "tiny", In: in}}, core.Options{RelativeSLA: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Best != -1 {
-		t.Fatal("no configuration fits; Best should be -1")
-	}
-	if ch.Results[0].Failure == "" {
-		t.Fatal("infeasible candidate should carry a failure reason")
-	}
-	if !strings.Contains(ch.Results[0].Failure, "over capacity") {
-		t.Fatalf("failure %q should diagnose the capacity problem", ch.Results[0].Failure)
-	}
 }
 
 func TestDiscreteCostModel(t *testing.T) {

@@ -96,7 +96,7 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 		if err != nil {
 			return fmt.Errorf("provision: candidate %q: %w", spec.Name, err)
 		}
-		results[i] = CandidateResult{Name: spec.Name, Spec: &spec, Result: res}
+		results[i] = CandidateResult{Name: spec.Name, Spec: spec, Result: res}
 		if !res.Feasible {
 			results[i].Failure = InfeasibilityReason(base.Cat, box, opts)
 		}

@@ -930,9 +930,7 @@ func (s *Server) sweep(p *provisionParams) (*ProvisionResponse, int, error) {
 			Feasible: cr.Result.Feasible,
 			Failure:  cr.Failure,
 			TOCCents: cr.Result.TOCCents,
-		}
-		if cr.Spec != nil {
-			out.Alpha = cr.Spec.Alpha
+			Alpha:    cr.Spec.Alpha,
 		}
 		if cr.Result.Feasible {
 			out.Layout = renderLayout(base.Cat, cr.Result.Layout)
