@@ -1,20 +1,19 @@
 package dotprov_test
 
-// Repository-level benchmarks: wall-clock wrappers over the paper's
-// experiments that have no shape test yet (§4.4.3, §5.1, §5.2), run at the
-// harness's quick scale, and microbenchmarks of the search, the
+// Repository-level benchmarks: microbenchmarks of the search, the
 // estimators, the memo, ingest, the executor and the TPC-C driver, most of
-// which scripts/benchguard.sh gates. Tables 1 and 2 and Figures 3, 5, 7, 8
-// and 9 are checked by internal/bench's tests (TestTable1Reproduction,
-// TestTable2Reproduction, TestFigure3Shapes, TestFigure5And7Shapes,
-// TestFigure8Shapes, TestFigure9Shapes); `go run ./cmd/dotbench -exp <id>`
-// prints every experiment's rows, which EXPERIMENTS.md records. Run with:
+// which scripts/benchguard.sh gates. The paper's experiments are not
+// benchmarked here: `go run ./cmd/dotbench -exp <id>` prints each one's
+// rows, which EXPERIMENTS.md records, and internal/bench's shape tests
+// (TestTable1Reproduction, TestTable2Reproduction, TestFigure3Shapes,
+// TestFigure5And7Shapes, TestSec443Shapes, TestFigure8Shapes,
+// TestFigure9Shapes, TestProvisionShapes, TestDiscreteShapes) check them.
+// Run with:
 //
 //	go test -run '^$' -bench=. -benchmem .
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -36,32 +35,6 @@ import (
 	"dotprov/internal/types"
 	"dotprov/internal/workload"
 )
-
-func runExperiment(b *testing.B, f func(io.Writer, bench.Options) (*bench.FigureResult, error)) {
-	opts := bench.Quick()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := f(io.Discard, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSec443_DOTvsES(b *testing.B) { runExperiment(b, bench.Sec443) }
-func BenchmarkSec51_GeneralizedProvisioning(b *testing.B) {
-	runExperiment(b, bench.Provision)
-}
-
-func BenchmarkSec52_DiscreteCost(b *testing.B) {
-	opts := bench.Quick()
-	exp := bench.Experiments()["discrete"]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := exp.Run(io.Discard, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // ---- Algorithm microbenchmarks --------------------------------------------
 

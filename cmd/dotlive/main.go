@@ -8,7 +8,6 @@
 //
 //	go run ./cmd/dotlive
 //	go run ./cmd/dotlive -windows 8 -shift-at 4 -sla 0.25 -box 1
-//	go run ./cmd/dotlive -skew -sla 0.2
 //	go run ./cmd/dotlive -replication -sla 0.5
 //
 // With -replication the demo drives the replica-set advisor on the
@@ -18,13 +17,6 @@
 // pattern to their best replica, writes land on every copy — and when the
 // scans fade the next re-advise DROPS the copy again (drops are free,
 // adds are priced against the SLA headroom).
-//
-// With -skew the demo instead replays the Zipf hot/cold fixture
-// (workload.Skewed) and contrasts object-granular DOT with
-// partition-granular DOT on the same hardware and SLA: the partitioned
-// search keeps only each table's hot head on expensive storage and ships
-// the cold tail to a cheap class, meeting the same SLA at a fraction of
-// the storage cost.
 //
 // Expected shape of the output: the OLTP windows confirm the initial
 // layout (divergence ≈ 0, no re-advise); the first HTAP window trips the
@@ -40,7 +32,6 @@ import (
 	"log"
 	"time"
 
-	"dotprov/internal/bench"
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
 	"dotprov/internal/device"
@@ -63,7 +54,6 @@ func main() {
 		period     = flag.Duration("period", 2*time.Second, "virtual measured period per window and worker")
 		poolPages  = flag.Int("pool-pages", 512, "buffer pool pages")
 		threshold  = flag.Float64("drift-threshold", 0.2, "relative I/O-time divergence that triggers re-advising")
-		skew       = flag.Bool("skew", false, "replay the Zipf hot/cold fixture and contrast object- vs partition-granular DOT")
 		replicated = flag.Bool("replication", false, "drive the replica-set advisor on the HTAP box: grow a scan copy when analytics join the mix, drop it on revert")
 		revertAt   = flag.Int("revert-at", 5, "-replication: window (1-based) at which the analytical scans fade again")
 		maxCopies  = flag.Int("max-replicas", 2, "-replication: copies per object cap (<1 means one per storage class)")
@@ -72,12 +62,6 @@ func main() {
 		observeStr = flag.String("observe-stream", "dotlive", "stream name for -observe-url mirroring")
 	)
 	flag.Parse()
-	if *skew {
-		if err := runSkew(*boxNo, *sla); err != nil {
-			log.Fatalf("dotlive: %v", err)
-		}
-		return
-	}
 	if *replicated {
 		if err := runReplicated(*sla, *windows, *shiftAt, *revertAt, *maxCopies, *headroom); err != nil {
 			log.Fatalf("dotlive: %v", err)
@@ -87,59 +71,6 @@ func main() {
 	if err := run(*boxNo, *sla, *windows, *shiftAt, *workers, *period, *poolPages, *threshold, *observeURL, *observeStr); err != nil {
 		log.Fatalf("dotlive: %v", err)
 	}
-}
-
-// runSkew is the partition-granularity demo: the Zipf hot/cold fixture is
-// advised twice on the same box and SLA — once placing whole objects, once
-// placing heat-based partitions — and the layouts and storage costs are
-// printed side by side.
-func runSkew(boxNo int, sla float64) error {
-	box := device.Box1()
-	if boxNo == 2 {
-		box = device.Box2()
-	}
-	// The demo runs the exact fixture input the CI-gated experiment and
-	// benchmarks use; at -sla 0.2 (bench.SkewSLA, the gated setting) its
-	// numbers reproduce EXPERIMENTS.md's partition-granular table.
-	in, fx, err := bench.SkewFixtureInput(box)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("dotlive -skew: Zipf hot/cold fixture on %s, SLA %g\n", box.Name, sla)
-	opts := core.Options{RelativeSLA: sla}
-	obj, err := core.OptimizeBest(in, opts)
-	if err != nil {
-		return err
-	}
-	pt, err := catalog.BuildPartitioning(fx.Cat, fx.Stats, catalog.PartitionOptions{})
-	if err != nil {
-		return err
-	}
-	uin, err := in.Partitioned(pt)
-	if err != nil {
-		return err
-	}
-	pres, err := core.OptimizeBest(uin, opts)
-	if err != nil {
-		return err
-	}
-	if !obj.Feasible || !pres.Feasible {
-		return fmt.Errorf("fixture infeasible at SLA %g (object=%v partitioned=%v)", sla, obj.Feasible, pres.Feasible)
-	}
-	ocost, err := obj.Layout.CostCentsPerHour(fx.Cat, box)
-	if err != nil {
-		return err
-	}
-	pcost, err := pres.Layout.CostCentsPerHour(pt.UnitCatalog(), box)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nobject-granular DOT (%d candidates): storage %.4e cents/h\n%s",
-		obj.Evaluated, ocost, obj.Layout.String(fx.Cat))
-	fmt.Printf("\npartition-granular DOT (%d units, %d candidates, %d objects split): storage %.4e cents/h\n%s",
-		pt.NumUnits(), pres.Evaluated, pt.SplitObjects(pres.Layout), pcost, pres.Layout.String(pt.UnitCatalog()))
-	fmt.Printf("\nsame SLA, %.1fx cheaper storage with partition-granular placement\n", ocost/pcost)
-	return nil
 }
 
 // runReplicated is the -replication demo: the replica-set advisor on the
@@ -292,12 +223,16 @@ func analyticsMix() *workload.DSS {
 }
 
 func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Duration, poolPages int, threshold float64, observeURL, observeStream string) error {
-	box := device.Box1()
-	boxName := "box1"
-	if boxNo == 2 {
+	var box *device.Box
+	switch boxNo {
+	case 1:
+		box = device.Box1()
+	case 2:
 		box = device.Box2()
-		boxName = "box2"
+	default:
+		return fmt.Errorf("unknown box %d (want 1 or 2)", boxNo)
 	}
+	boxName := fmt.Sprintf("box%d", boxNo)
 	fmt.Printf("dotlive: TPC-C on %s, SLA %g, %d windows (mix shifts at window %d)\n",
 		box.Name, sla, windows, shiftAt)
 

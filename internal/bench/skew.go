@@ -24,6 +24,7 @@ type SkewOutcome struct {
 	Evaluated    int
 	Units        int // placement units searched
 	SplitObjects int // objects whose units landed on more than one class
+	layout       string
 }
 
 // SkewComparison is the experiment's structured output for one box:
@@ -99,6 +100,7 @@ func CompareSkew(box *device.Box) (SkewComparison, error) {
 			StorageCents: objCost,
 			Evaluated:    obj.Evaluated,
 			Units:        fx.Cat.NumObjects(),
+			layout:       obj.Layout.String(fx.Cat),
 		},
 		Partitioned: SkewOutcome{
 			Feasible:     pres.Feasible,
@@ -107,17 +109,19 @@ func CompareSkew(box *device.Box) (SkewComparison, error) {
 			Evaluated:    pres.Evaluated,
 			Units:        pt.NumUnits(),
 			SplitObjects: pt.SplitObjects(pres.Layout),
+			layout:       pres.Layout.String(pt.UnitCatalog()),
 		},
 	}, nil
 }
 
 // Skew is the partition-granularity experiment: on the Zipf hot/cold
 // fixture, DOT placing whole objects is contrasted with DOT placing
-// heat-based partitions at the same SLA on the paper's two boxes. The
+// heat-based partitions at the same SLA on the paper's two boxes, and both
+// layouts are printed per box. The
 // partitioned search must meet the SLA at strictly lower storage cost —
 // the claim the repository's acceptance test and benchguard gate on.
 func Skew(w io.Writer, _ Options) (*FigureResult, error) {
-	f := &FigureResult{ID: "skew: object vs partition granularity (Zipf hot/cold, SLA 0.2)"}
+	f := &FigureResult{ID: "skew: object vs partition granularity (Zipf hot/cold, SLA 0.2)", Layouts: map[string]string{}}
 	for _, box := range boxes() {
 		cmp, err := CompareSkew(box)
 		if err != nil {
@@ -132,6 +136,7 @@ func Skew(w io.Writer, _ Options) (*FigureResult, error) {
 				TOCCents: r.o.TOCCents,
 				PSR:      psrOf(r.o.Feasible),
 			})
+			f.Layouts[fmt.Sprintf("%s %s (%d candidates)", box.Name, r.name, r.o.Evaluated)] = r.o.layout
 		}
 		f.note("%s: storage %.4e -> %.4e cents/h (%.1fx cheaper), %d of %d objects split",
 			cmp.Box, cmp.Object.StorageCents, cmp.Partitioned.StorageCents,

@@ -43,7 +43,8 @@ func TestSkewExperimentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.BoxRows) != 2 {
-		t.Fatalf("expected rows for both boxes, got %d", len(f.BoxRows))
+	if len(f.BoxRows) != 2 || len(f.Layouts) != 4 {
+		t.Fatalf("expected rows for both boxes and both granularities' layouts on each, got %d and %d",
+			len(f.BoxRows), len(f.Layouts))
 	}
 }
