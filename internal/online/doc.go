@@ -46,6 +46,6 @@
 // paced: the driver decides when a window closes (Collector.Roll with the
 // elapsed virtual time it covered) or ships pre-closed windows; the
 // Manager aggregates the most recent AggregateWindows windows for every
-// drift check. Windows with fewer than MinWindowIOs I/Os are considered
-// too thin to judge and never trigger re-advising.
+// drift check. Windows with fewer than one I/O are considered too thin to
+// judge and never trigger re-advising.
 package online

@@ -52,23 +52,17 @@ type Detector struct {
 	// Threshold is the Divergence above which Drifted is reported
 	// (0 selects DefaultDriftThreshold).
 	Threshold float64
-	// MinIOs is the I/O count floor below which an observed window is Thin
-	// (0 selects 1).
-	MinIOs float64
 }
+
+// minWindowIOs is the I/O count below which an observed window, or the
+// aggregate a Manager checks, is Thin: too little traffic to judge.
+const minWindowIOs = 1
 
 func (d Detector) threshold() float64 {
 	if d.Threshold <= 0 {
 		return DefaultDriftThreshold
 	}
 	return d.Threshold
-}
-
-func (d Detector) minIOs() float64 {
-	if d.MinIOs <= 0 {
-		return 1
-	}
-	return d.MinIOs
 }
 
 // serviceTime resolves one I/O type's service time under a copy set: the
@@ -112,7 +106,7 @@ func (d Detector) Compare(ref, obs Window, layout catalog.SetLayout) (Drift, err
 	if dr.RefFingerprint == dr.ObsFingerprint {
 		return dr, nil // provably identical observations
 	}
-	if obs.IOs() < d.minIOs() {
+	if obs.IOs() < minWindowIOs {
 		dr.Thin = true
 		return dr, nil
 	}

@@ -35,9 +35,6 @@ type Config struct {
 	// DriftThreshold is the relative I/O-time divergence that triggers
 	// re-advising (0 selects DefaultDriftThreshold).
 	DriftThreshold float64
-	// MinWindowIOs is the aggregate I/O floor below which a check abstains
-	// (0 selects 1).
-	MinWindowIOs float64
 	// HeadroomFraction caps a candidate's migration time at this share of
 	// the SLA headroom (0 selects DefaultHeadroomFraction).
 	HeadroomFraction float64
@@ -166,7 +163,6 @@ func NewManager(cfg Config) (*Manager, error) {
 			Box:         cfg.Box,
 			Concurrency: cfg.Concurrency,
 			Threshold:   cfg.DriftThreshold,
-			MinIOs:      cfg.MinWindowIOs,
 		},
 		mig: MigrationModel{Cat: cat, Box: cfg.Box},
 		col: NewCollector(DefaultWindows),
@@ -301,7 +297,7 @@ func (m *Manager) AdviseWith(search SearchFunc) (*Decision, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	agg, n := m.col.Aggregate(m.aggWindows())
-	if n == 0 || agg.IOs() < m.det.minIOs() {
+	if n == 0 || agg.IOs() < minWindowIOs {
 		return nil, fmt.Errorf("online: no usable observations to advise from (windows=%d, ios=%g)", n, agg.IOs())
 	}
 	agg = m.lower(agg)

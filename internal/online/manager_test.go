@@ -144,10 +144,10 @@ func TestManagerMigrationGateNeverRegressesSLA(t *testing.T) {
 }
 
 func TestManagerThinWindowsAbstain(t *testing.T) {
-	mgr, ids := newTestManager(t, Config{MinWindowIOs: 1000})
-	// A drifted but thin window must not trigger anything.
+	mgr, ids := newTestManager(t, Config{})
+	// A drifted but thin window (under one I/O) must not trigger anything.
 	thin := dssWindow(ids)
-	thin.Profile.Scale(1e-4)
+	thin.Profile.Scale(1e-9)
 	thin.Txns = 1
 	mgr.Observe(thin)
 	dec, err := mgr.ReAdvise(false)

@@ -332,9 +332,9 @@ func TestDetectorAbstainsOnThinWindows(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
 	layout := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
-	det := Detector{Box: box, MinIOs: 100}
+	det := Detector{Box: box}
 	thin := Window{Profile: iosim.NewProfile(), Elapsed: time.Second}
-	thin.Profile.Add(ids["dim"], device.RandRead, 5)
+	thin.Profile.Add(ids["dim"], device.RandRead, 0.5)
 	dr, err := det.Compare(oltpWindow(ids), thin, layout)
 	if err != nil {
 		t.Fatal(err)
