@@ -117,9 +117,9 @@ func CompareSkew(box *device.Box) (SkewComparison, error) {
 // Skew is the partition-granularity experiment: on the Zipf hot/cold
 // fixture, DOT placing whole objects is contrasted with DOT placing
 // heat-based partitions at the same SLA on the paper's two boxes, and both
-// layouts are printed per box. The
-// partitioned search must meet the SLA at strictly lower storage cost —
-// the claim the repository's acceptance test and benchguard gate on.
+// layouts are printed per box. The partitioned search must meet the SLA at
+// strictly lower storage cost — the claim the repository's acceptance test
+// and benchguard gate on.
 func Skew(w io.Writer, _ Options) (*FigureResult, error) {
 	f := &FigureResult{ID: "skew: object vs partition granularity (Zipf hot/cold, SLA 0.2)", Layouts: map[string]string{}}
 	for _, box := range boxes() {
