@@ -46,18 +46,6 @@ type CandidateResult struct {
 	Failure string
 }
 
-// add appends a candidate's outcome: the totals grow by its search's work,
-// and it becomes Best when it is feasible and strictly cheaper than the
-// incumbent — so ties go to the candidate added first.
-func (ch *Choice) add(cr CandidateResult) {
-	ch.Results = append(ch.Results, cr)
-	ch.Evaluated += cr.Result.Evaluated
-	ch.EstimatorCalls += cr.Result.EstimatorCalls
-	if cr.Result.Feasible && (ch.Best < 0 || cr.Result.TOCCents < ch.Results[ch.Best].Result.TOCCents) {
-		ch.Best = len(ch.Results) - 1
-	}
-}
-
 // discreteClassCost prices one class holding `bytes` bytes under the §5.2
 // blend.
 func discreteClassCost(d *device.Device, bytes int64, alpha float64) float64 {

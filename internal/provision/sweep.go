@@ -105,9 +105,15 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 	if err != nil {
 		return nil, err
 	}
-	ch := &Choice{Best: -1}
-	for _, r := range results {
-		ch.add(r)
+	ch := &Choice{Best: -1, Results: results}
+	for i, r := range results {
+		ch.Evaluated += r.Result.Evaluated
+		ch.EstimatorCalls += r.Result.EstimatorCalls
+		// Only a strictly cheaper candidate displaces Best, so ties go to
+		// the lowest index.
+		if r.Result.Feasible && (ch.Best < 0 || r.Result.TOCCents < results[ch.Best].Result.TOCCents) {
+			ch.Best = i
+		}
 	}
 	return ch, nil
 }
