@@ -44,3 +44,6 @@ func SpareValues(st Storage) int {
 	}
 	return n
 }
+
+// ChunkRows is how many build rows one chunk of a hash join holds.
+const ChunkRows = chunkRows
