@@ -41,7 +41,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 
 	"dotprov/internal/btree"
 	"dotprov/internal/bufferpool"
@@ -344,8 +346,8 @@ func (s *Session) Acct() *iosim.Accountant { return s.acct }
 func (db *DB) Analyze() error {
 	opt := optimizer.New(db.Box, db.concurrency)
 	// One distinct-value set per column position, reused from table to
-	// table: each keeps its storage and is cleared before the next table.
-	var distinct []types.KeyMap[struct{}]
+	// table: each keeps its storage and is reset before the next table.
+	var distinct []distinctSet
 	for _, t := range db.Cat.Tables() {
 		heap := db.heaps[t.ID]
 		db.Cat.SetSize(t.ID, heap.SizeBytes())
@@ -362,10 +364,10 @@ func (db *DB) Analyze() error {
 		// are not ranged.
 		n := t.Schema.Len()
 		for len(distinct) < n {
-			distinct = append(distinct, types.KeyMap[struct{}]{})
+			distinct = append(distinct, distinctSet{})
 		}
 		for i := range n {
-			distinct[i].Clear()
+			distinct[i].reset()
 		}
 		mins := make([]types.Value, n)
 		maxs := make([]types.Value, n)
@@ -377,19 +379,20 @@ func (db *DB) Analyze() error {
 				decodeErr = err
 				return false
 			}
-			for i, v := range tu {
-				distinct[i].Put(v, struct{}{})
+			for i := range tu {
+				v := &tu[i]
+				distinct[i].add(v)
 				if v.Kind == types.KindString {
 					continue
 				}
 				if !seen[i] {
-					mins[i], maxs[i], seen[i] = v, v, true
+					mins[i], maxs[i], seen[i] = *v, *v, true
 				} else {
-					if types.Compare(v, mins[i]) < 0 {
-						mins[i] = v
+					if compare(v, &mins[i]) < 0 {
+						mins[i] = *v
 					}
-					if types.Compare(v, maxs[i]) > 0 {
-						maxs[i] = v
+					if compare(v, &maxs[i]) > 0 {
+						maxs[i] = *v
 					}
 				}
 			}
@@ -399,7 +402,7 @@ func (db *DB) Analyze() error {
 			return decodeErr
 		}
 		for i, col := range t.Schema.Columns {
-			st := &optimizer.ColStats{NDV: float64(distinct[i].Len())}
+			st := &optimizer.ColStats{NDV: float64(distinct[i].len())}
 			if st.NDV < 1 {
 				st.NDV = 1
 			}
@@ -427,6 +430,94 @@ func (db *DB) Analyze() error {
 	db.opt = opt
 	db.analyzed = true
 	return nil
+}
+
+// compare is types.Compare(*a, *b) for two numbers, with Compare's own
+// integral case in line: Analyze ranges every number of every table.
+func compare(a, b *types.Value) int {
+	if a.Kind == types.KindFloat || b.Kind == types.KindFloat {
+		return types.Compare(*a, *b)
+	}
+	return cmp.Compare(a.Int, b.Int)
+}
+
+// distinctSet counts one column's distinct values under the equality of
+// their types.EncodeKey encodings, as a hash join pairs them: a number by
+// its types.KeyBits word, in an open-addressing set of words that doubles
+// when half full, and a string by itself. So an int and a date of the same
+// day number are one value, -0 and +0 two, and a string never equals a
+// number. The set grows with the values it holds, never to a table's row
+// count up front, and keeps its storage when reset. The zero distinctSet
+// is empty and ready to use.
+type distinctSet struct {
+	words []uint64 // a power of two long; 0 marks an empty slot
+	shift uint     // 64 - log2(len(words))
+	n     int      // words held, the word 0 included
+	zero  bool     // whether the word 0, kept outside words, is held
+	strs  map[string]struct{}
+}
+
+// add counts *v. It takes v by address, as the executor's keyOf does: a
+// value handed over in registers is spilled a field at a time and read
+// back whole, which stalls on every value.
+func (d *distinctSet) add(v *types.Value) {
+	if v.Kind == types.KindString {
+		if d.strs == nil {
+			d.strs = make(map[string]struct{})
+		}
+		d.strs[v.Str] = struct{}{}
+		return
+	}
+	w := types.KeyBits(*v)
+	if w == 0 {
+		if !d.zero {
+			d.zero = true
+			d.n++
+		}
+		return
+	}
+	if 2*(d.n+1) > len(d.words) {
+		d.grow()
+	}
+	if d.insert(w) {
+		d.n++
+	}
+}
+
+// insert puts w, which is not 0, in its slot and reports whether it was new.
+func (d *distinctSet) insert(w uint64) bool {
+	mask := uint64(len(d.words) - 1)
+	for i := types.SpreadKey(w) >> d.shift; ; i = (i + 1) & mask {
+		switch d.words[i] {
+		case 0:
+			d.words[i] = w
+			return true
+		case w:
+			return false
+		}
+	}
+}
+
+// grow doubles the set's slots (to 16 at first) and puts its words back.
+func (d *distinctSet) grow() {
+	old := d.words
+	size := max(16, 2*len(old))
+	d.words, d.shift = make([]uint64, size), uint(64-bits.TrailingZeros(uint(size)))
+	for _, w := range old {
+		if w != 0 {
+			d.insert(w)
+		}
+	}
+}
+
+// len returns the number of distinct values counted.
+func (d *distinctSet) len() int { return d.n + len(d.strs) }
+
+// reset empties the set, keeping its storage.
+func (d *distinctSet) reset() {
+	clear(d.words)
+	clear(d.strs)
+	d.n, d.zero = 0, false
 }
 
 // Optimizer returns the current optimizer (nil before Analyze), whether or

@@ -49,6 +49,7 @@ package executor
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -426,25 +427,64 @@ func copyAt(dst, src types.Tuple, pos []int) {
 // chunkRows is how many build rows one chunk of a buildSide holds.
 const chunkRows = 256
 
-// buildSide retains a hash join's build rows: the wanted columns of each,
-// packed into chunks rather than one allocation a row, with the link that
-// chains the rows of one key in arrival order (tail is kept on a key's
-// first row), and the first row of each key. A validation run executes
-// hundreds of joins, so a build side and its chunks come from the
-// database's Spare and go back once the probe is done. Chunks go back one
-// by one: a join holds as many as its rows fill, whichever joins filled
-// them before.
+// buildSide retains a hash join's build rows, packed into chunks rather
+// than one allocation a row: the wanted columns of each, its key word — a
+// number's types.KeyBits, a string's hashString — and, for a string key
+// only, the string. When the build input ends, index links the rows into
+// chains, one per slot of a power-of-two directory at least twice as long
+// as the rows are many, each chain in arrival order; a probe hashes its key
+// once and walks its slot's chain comparing key words, and strings. A
+// validation run executes hundreds of joins, so a build side, with its
+// directory, and its chunks come from the database's Spare and go back once
+// the probe is done. Chunks go back one by one: a join holds as many as its
+// rows fill, whichever joins filled them before.
 type buildSide struct {
 	spare  *Spare
 	keep   []int // the columns retained
 	n      int32
 	chunks []*buildChunk
-	heads  types.KeyMap[int32] // key -> its first row
+	heads  []int32 // the directory: each slot's first row (-1 = none)
+	shift  uint    // 64 - log2(len(heads))
 }
 
 type buildChunk struct {
-	vals       []types.Value
-	next, tail [chunkRows]int32
+	vals []types.Value
+	keys [chunkRows]uint64 // each row's key word
+	next [chunkRows]int32  // the next row of each row's chain (-1 = none)
+	str  [chunkRows]bool   // whether each row's key is a string
+	strs []string          // the string keys; made at a chunk's first one
+}
+
+// joinKey is a join key as a build side keeps and probes it: a word, and
+// for a string the string itself, which the word hashes. Two keys are equal
+// exactly when their values' types.EncodeKey bytes are: an int meets a date
+// of the same day number, -0 does not meet +0, and a string never meets a
+// number — EncodeKey can equate the two only by a coincidence of bytes, and
+// no schema compares a string column with a numeric one.
+type joinKey struct {
+	word  uint64
+	str   string
+	isStr bool
+}
+
+// keyOf returns *v's key. It takes v by address: a value handed over in
+// registers is spilled a field at a time and read back whole, which stalls
+// on every row.
+func keyOf(v *types.Value) joinKey {
+	if v.Kind == types.KindString {
+		return joinKey{word: hashString(v.Str), str: v.Str, isStr: true}
+	}
+	return joinKey{word: types.KeyBits(*v)}
+}
+
+// hashString is 64-bit FNV-1a: a fixed hash, so what a join does is the
+// same in every process.
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // Spare holds the build storage of a database's finished hash joins for
@@ -491,15 +531,16 @@ func (s *Spare) chunk(w int) *buildChunk {
 	return c
 }
 
-// release gives b and its chunks back to its Spare. Their values are
-// cleared first so that the Spare keeps no string alive; nothing b lent out
-// outlives the probe, since a consumer that keeps a row copies it.
+// release gives b and its chunks back to its Spare. Their values and
+// string keys are cleared first so that the Spare keeps no string alive;
+// nothing b lent out outlives the probe, since a consumer that keeps a row
+// copies it. The directory goes back as it is: index fills it anew.
 func (b *buildSide) release() {
 	for _, c := range b.chunks {
 		clear(c.vals)
 		c.vals = c.vals[:0]
+		clear(c.strs)
 	}
-	b.heads.Clear()
 	s := b.spare
 	s.mu.Lock()
 	s.chunks = append(s.chunks, b.chunks...)
@@ -509,34 +550,72 @@ func (b *buildSide) release() {
 	s.mu.Unlock()
 }
 
-// add retains tu as the next row, chained behind the earlier rows of key.
-func (b *buildSide) add(tu types.Tuple, key types.Value) {
+// add retains tu as the next row, with tu[key] as its key.
+func (b *buildSide) add(tu types.Tuple, key int) {
 	r := b.n
 	b.n++
 	if r%chunkRows == 0 {
 		b.chunks = append(b.chunks, b.spare.chunk(len(b.keep)))
 	}
-	c := b.chunks[r/chunkRows]
+	c, i := b.chunks[r/chunkRows], r%chunkRows
 	for _, p := range b.keep {
 		c.vals = append(c.vals, tu[p])
 	}
-	c.next[r%chunkRows], c.tail[r%chunkRows] = -1, r
-	head, ok := b.heads.Get(key)
-	if !ok {
-		b.heads.Put(key, r)
-		return
+	k := keyOf(&tu[key])
+	c.keys[i], c.str[i] = k.word, k.isStr
+	if k.isStr {
+		if c.strs == nil {
+			c.strs = make([]string, chunkRows)
+		}
+		c.strs[i] = k.str
 	}
-	h := b.chunks[head/chunkRows]
-	last := h.tail[head%chunkRows]
-	b.chunks[last/chunkRows].next[last%chunkRows] = r
-	h.tail[head%chunkRows] = r
 }
 
-// row returns the retained columns of row r and the next row of its key
-// (-1 = none).
-func (b *buildSide) row(r int32) (types.Tuple, int32) {
+// index builds the directory over the rows added: at least twice as many
+// slots as rows, a power of two, each slot heading the chain of the rows
+// whose key words it holds. It links the last row first, so that each
+// chain lists its rows in arrival order.
+func (b *buildSide) index() {
+	size := 1
+	for size < 2*int(b.n) {
+		size <<= 1
+	}
+	b.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	b.heads = slices.Grow(b.heads[:0], size)[:size]
+	for i := range b.heads {
+		b.heads[i] = -1
+	}
+	for r := b.n - 1; r >= 0; r-- {
+		c, i := b.chunks[r/chunkRows], r%chunkRows
+		head := &b.heads[types.SpreadKey(c.keys[i])>>b.shift]
+		c.next[i], *head = *head, r
+	}
+}
+
+// first returns the first row, in arrival order, whose key is k (-1 =
+// none).
+func (b *buildSide) first(k joinKey) int32 {
+	return b.seek(b.heads[types.SpreadKey(k.word)>>b.shift], k)
+}
+
+// seek returns the first row whose key is k along the chain from r on (-1
+// = none).
+func (b *buildSide) seek(r int32, k joinKey) int32 {
+	for r >= 0 {
+		c, i := b.chunks[r/chunkRows], r%chunkRows
+		if c.keys[i] == k.word && c.str[i] == k.isStr && (!k.isStr || c.strs[i] == k.str) {
+			return r
+		}
+		r = c.next[i]
+	}
+	return -1
+}
+
+// row returns the retained columns of row r, whose key is k, and the next
+// row with key k (-1 = none).
+func (b *buildSide) row(r int32, k joinKey) (types.Tuple, int32) {
 	c, i, w := b.chunks[r/chunkRows], int(r%chunkRows), len(b.keep)
-	return c.vals[i*w : (i+1)*w], c.next[i]
+	return c.vals[i*w : (i+1)*w], b.seek(c.next[i], k)
 }
 
 func (e *exec) hashJoin(j *plan.Join, need []bool, emit func(types.Tuple) bool) error {
@@ -556,23 +635,21 @@ func (e *exec) hashJoin(j *plan.Join, need []bool, emit func(types.Tuple) bool) 
 	defer build.release()
 	err = e.run(j.Inner, widen(need, wo, w, innerPos), func(tu types.Tuple) bool {
 		e.acct.ChargeCPU(plan.CPUHashTime)
-		build.add(tu, tu[innerPos])
+		build.add(tu, innerPos)
 		return true
 	})
 	if err != nil {
 		return err
 	}
+	build.index()
 	// Probe phase: matches are assembled in one reused tuple.
 	joined, outerKeep := make(types.Tuple, w), wanted(need, 0, wo)
 	return e.run(j.Outer, widen(need, 0, wo, outerPos), func(outer types.Tuple) bool {
 		e.acct.ChargeCPU(plan.CPUHashTime)
-		r, ok := build.heads.Get(outer[outerPos])
-		if !ok {
-			return true
-		}
-		for r >= 0 {
+		k := keyOf(&outer[outerPos])
+		for r := build.first(k); r >= 0; {
 			var inner types.Tuple
-			inner, r = build.row(r)
+			inner, r = build.row(r, k)
 			e.acct.ChargeCPU(plan.CPUTupleTime)
 			copyAt(joined, outer, outerKeep)
 			for i, p := range build.keep {

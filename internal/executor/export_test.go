@@ -28,8 +28,9 @@ func RunPoisoned(st Storage, acct *iosim.Accountant, root plan.Node, consume fun
 	return e.run(root, nil, consume)
 }
 
-// SpareValues counts the values st's spare chunks still hold, up to their
-// capacity: a released build side's must all have been cleared.
+// SpareValues counts the values and string keys st's spare chunks still
+// hold, up to their capacity: a released build side's must all have been
+// cleared.
 func SpareValues(st Storage) int {
 	s := st.Spare()
 	s.mu.Lock()
@@ -38,6 +39,11 @@ func SpareValues(st Storage) int {
 	for _, c := range s.chunks {
 		for _, v := range c.vals[:cap(c.vals)] {
 			if v != (types.Value{}) {
+				n++
+			}
+		}
+		for _, k := range c.strs {
+			if k != "" {
 				n++
 			}
 		}

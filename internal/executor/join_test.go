@@ -208,6 +208,22 @@ func TestResultSurvivesRecycledBuildStorage(t *testing.T) {
 	}
 }
 
+// TestRecycledStorageHoldsNoStringKey: a join on a string column keeps
+// each build row's key string in its chunk beside the row. When the probe
+// ends the strings are cleared with the values, so the recycled storage
+// keeps none of them alive.
+func TestRecycledStorageHoldsNoStringKey(t *testing.T) {
+	db := recycleDB(t)
+	note := plan.ColRef{Table: "ord", Column: "note"}
+	ord := func() plan.Node { return &plan.SeqScan{Table: "ord", TableID: tableID(t, db, "ord"), Cols: ordCols} }
+	if res := runNode(t, db, &plan.Join{Algo: plan.HashJoin, Outer: ord(), OuterCol: note, Inner: ord(), InnerCol: note}); res.Rows != 2000 {
+		t.Fatalf("self-join on distinct notes: %d rows, want 2000", res.Rows)
+	}
+	if n := executor.SpareValues(db); n != 0 {
+		t.Errorf("the recycled chunks still hold %d values or string keys of a finished join", n)
+	}
+}
+
 // TestConcurrentJoinsShareNoStorage runs the joins of
 // TestResultSurvivesRecycledBuildStorage on two sessions at once, each on
 // a database of its own, as two advisor requests validating at once do (a

@@ -432,8 +432,9 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 
 // KeyBits returns a numeric value's EncodeKey encoding — its 8 bytes read
 // big-endian — as one word, so two numeric values encode alike exactly when
-// their KeyBits are equal, and order alike as the words do. Hash joins key
-// on it rather than on the bytes. v must be an int, date or float.
+// their KeyBits are equal, and order alike as the words do. Hash joins and
+// Analyze's distinct counts key on it rather than on the bytes. v must be
+// an int, date or float.
 func KeyBits(v Value) uint64 {
 	if v.Kind != KindFloat {
 		return uint64(v.Int) ^ (1 << 63)
@@ -445,48 +446,9 @@ func KeyBits(v Value) uint64 {
 	return bits | 1<<63
 }
 
-// KeyMap maps values to V under the equality of their EncodeKey encodings
-// without encoding them: a numeric value is looked up by its KeyBits, a
-// string by itself. So an int and a date of the same day number share an
-// entry, -0 and +0 do not, and no key is allocated. A string never meets a
-// number here — EncodeKey can equate the two only by a coincidence of
-// bytes, and no schema compares a string column with a numeric one. The
-// zero KeyMap is empty and ready to use.
-type KeyMap[V any] struct {
-	nums map[uint64]V
-	strs map[string]V
-}
-
-// Get returns the entry of v's key and whether there is one.
-func (m *KeyMap[V]) Get(v Value) (V, bool) {
-	if v.Kind == KindString {
-		x, ok := m.strs[v.Str]
-		return x, ok
-	}
-	x, ok := m.nums[KeyBits(v)]
-	return x, ok
-}
-
-// Put sets the entry of v's key to x.
-func (m *KeyMap[V]) Put(v Value, x V) {
-	if v.Kind == KindString {
-		if m.strs == nil {
-			m.strs = make(map[string]V)
-		}
-		m.strs[v.Str] = x
-		return
-	}
-	if m.nums == nil {
-		m.nums = make(map[uint64]V)
-	}
-	m.nums[KeyBits(v)] = x
-}
-
-// Len returns the number of distinct keys.
-func (m *KeyMap[V]) Len() int { return len(m.nums) + len(m.strs) }
-
-// Clear removes every entry, keeping the storage for reuse.
-func (m *KeyMap[V]) Clear() {
-	clear(m.nums)
-	clear(m.strs)
-}
+// SpreadKey mixes a key word — a number's KeyBits, or a string's hash —
+// so that its high bits depend on all of the word's: a hash table of 2^b
+// slots takes the top b bits (SpreadKey(w) >> (64-b)) as a slot. Words that
+// differ only in their high bits, as floats' do, spread like sequential
+// integers'.
+func SpreadKey(w uint64) uint64 { return (w ^ w>>32) * 0x9E3779B97F4A7C15 }
