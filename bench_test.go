@@ -1033,6 +1033,27 @@ func BenchmarkExecutorTPCH(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeTPCH gathers the statistics of a TPC-H database at SF
+// 0.01 (eight tables, 86,000 rows), which the offline pipeline does after
+// every load: one uncharged scan of every table, counting each column's
+// distinct values and ranging its numbers. What it allocates is the
+// statistics and the distinct-value sets, which grow with the values they
+// hold, not with the rows a table has: benchguard gate 17 holds its B/op
+// under a ceiling that sets sized to each table's rows exceed.
+func BenchmarkAnalyzeTPCH(b *testing.B) {
+	db := engine.New(device.Box2(), engine.DefaultPoolPages)
+	if err := tpch.Build(db, tpch.Config{ScaleFactor: 0.01, Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.Analyze(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTPCCRun measures one TPC-C driver run — DefaultConfig on Box 2's
 // most expensive class, eight workers, 500 ms of virtual time each, the
 // offline pipeline's test and validation run — after one untimed run, so

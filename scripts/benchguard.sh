@@ -135,6 +135,13 @@
 #      RunParallel's own goroutines count as allocations, and at one
 #      iteration they would read as a dozen per op.
 #
+#  17. Analyze's distinct-value sets grow with the values they hold:
+#      BenchmarkAnalyzeTPCH (the statistics of a TPC-H database at SF 0.01)
+#      stays under 5,500,000 B/op — the 4,614,080 B/op it read at 1x when
+#      the sets were Go maps, plus 20%. Open-addressing sets of key words
+#      read ~3,204,000; the same sets sized up front to each table's row
+#      count read 14,749,800.
+#
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the fleet-fold run, which
 # needs a timed benchtime for throughput to mean anything (default 1s).
@@ -146,7 +153,7 @@ benchtime="${BENCHTIME:-1x}"
 ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 
 raw=$(go test -run '^$' \
-  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate|BenchmarkSweepAllocs|BenchmarkTPCCRun|BenchmarkCollectorCharge' \
+  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkExecutorTPCH|BenchmarkDSSEstimate|BenchmarkSweepAllocs|BenchmarkTPCCRun|BenchmarkCollectorCharge|BenchmarkAnalyzeTPCH' \
   -benchmem -benchtime "$benchtime" .)
 # Gate 11 compares two sub-microsecond figures, so it takes the best of three
 # runs of each: a noisy neighbour inflates one run, a per-candidate walk of
@@ -473,4 +480,17 @@ END {
   if (allocs=="") { print "benchguard: BenchmarkBudgetAdmit allocs/op missing — benchmark names changed?"; exit 1 }
   if (allocs+0 != 0) { printf("REGRESSION: a budget admission allocated %s times per op (gate: 0)\n", allocs); exit 1 }
   printf("benchguard OK: a budget admission allocates %s times per op (gate: 0)\n", allocs)
+}'
+
+# Gate 17: Analyze's distinct-value sets grow with what they hold, not with
+# a table's rows.
+echo "$raw" | awk '
+/^BenchmarkAnalyzeTPCH/ {
+  for (i=3; i<NF; i++) if ($(i+1)=="B/op") bytes=$i
+  found=1
+}
+END {
+  if (!found) { print "benchguard: BenchmarkAnalyzeTPCH missing — benchmark names changed?"; exit 1 }
+  if (bytes+0 >= 5500000) { printf("REGRESSION: Analyze over TPC-H SF 0.01 allocated %s B/op (ceiling 5500000): its distinct-value sets are sized to the rows, not grown with the values\n", bytes); exit 1 }
+  printf("benchguard OK: Analyze over TPC-H SF 0.01 at %s B/op (ceiling 5500000)\n", bytes)
 }'
