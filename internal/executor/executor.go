@@ -39,11 +39,15 @@
 // virtual time, profiles and results are exactly those of an executor that
 // materialised every row (testdata/tpch.golden).
 //
-// A hash join hashes its keys on the value, through types.KeyMap — a
-// number by types.KeyBits, a string by itself — so it pairs exactly the
-// rows whose types.EncodeKey bytes are equal without encoding a key or
-// allocating one. Its build side's storage is recycled: the chunks and key
-// index come from the database's Spare and go back, cleared, when the
+// A hash join keys its rows on the value, as one word each — a number's
+// types.KeyBits, a string's fixed hash, with the string itself kept beside
+// it — so it pairs exactly the rows whose types.EncodeKey bytes are equal
+// without encoding a key or allocating one. The build side keeps its rows'
+// words in the chunks that hold the rows and, when its input ends, chains
+// the rows under a power-of-two directory in one pass; the probe hashes
+// once and walks its chain comparing words (and strings). No Go map is
+// involved. The build storage is recycled: the chunks and the directory
+// come from the database's Spare and go back, the chunks cleared, when the
 // probe ends, which is safe because nothing a join lends outlives its emit.
 package executor
 
@@ -487,12 +491,13 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// Spare holds the build storage of a database's finished hash joins for
-// its next ones to reuse: it grows to the most that joins running at once
-// on the database have held, and goes when the database goes. It is not a
-// sync.Pool: under the race detector a sync.Pool drops a quarter of what
-// it is given at random, and what a query allocates must not depend on
-// chance. The zero Spare is empty and ready to use.
+// Spare holds the build storage of a database's finished hash joins — build
+// sides, each with its directory, and chunks — for its next ones to reuse:
+// it grows to the most that joins running at once on the database have
+// held, and goes when the database goes. It is not a sync.Pool: under the
+// race detector a sync.Pool drops a quarter of what it is given at random,
+// and what a query allocates must not depend on chance. The zero Spare is
+// empty and ready to use.
 type Spare struct {
 	mu     sync.Mutex
 	sides  []*buildSide
