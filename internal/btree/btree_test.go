@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,17 @@ import (
 func intKey(v int64) []byte { return types.EncodeKey(nil, types.NewInt(v)) }
 
 func rid(n int) pagestore.RID { return pagestore.RID{Page: uint32(n / 100), Slot: uint16(n % 100)} }
+
+// searchEq returns the RIDs of the entries whose key starts with key, in
+// (key, RID) order, charging the descent plus any extra leaf pages walked.
+func searchEq(tr *Tree, pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte) []pagestore.RID {
+	var out []pagestore.RID
+	tr.Range(pool, ch, key, key, true, true, func(_ []byte, rid pagestore.RID) bool {
+		out = append(out, rid)
+		return true
+	})
+	return out
+}
 
 type counter struct {
 	rr int64
@@ -37,13 +49,13 @@ func TestInsertSearchSmall(t *testing.T) {
 		t.Fatalf("Len = %d, want 100", tr.Len())
 	}
 	for i := 0; i < 100; i++ {
-		got := tr.SearchEq(pool, bufferpool.NopCharger{}, intKey(int64(i)))
+		got := searchEq(tr, pool, bufferpool.NopCharger{}, intKey(int64(i)))
 		if len(got) != 1 || got[0] != rid(i) {
-			t.Fatalf("SearchEq(%d) = %v", i, got)
+			t.Fatalf("searchEq(%d) = %v", i, got)
 		}
 	}
-	if got := tr.SearchEq(pool, bufferpool.NopCharger{}, intKey(1000)); len(got) != 0 {
-		t.Fatalf("SearchEq(miss) = %v", got)
+	if got := searchEq(tr, pool, bufferpool.NopCharger{}, intKey(1000)); len(got) != 0 {
+		t.Fatalf("searchEq(miss) = %v", got)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -70,9 +82,9 @@ func TestSplitsProduceValidTree(t *testing.T) {
 		t.Fatalf("height = %d; small caps should force a deep tree", tr.Height())
 	}
 	for _, v := range []int{0, 1, 999, 1999} {
-		got := tr.SearchEq(pool, bufferpool.NopCharger{}, intKey(int64(v)))
+		got := searchEq(tr, pool, bufferpool.NopCharger{}, intKey(int64(v)))
 		if len(got) != 1 || got[0] != rid(v) {
-			t.Fatalf("SearchEq(%d) after splits = %v", v, got)
+			t.Fatalf("searchEq(%d) after splits = %v", v, got)
 		}
 	}
 }
@@ -83,7 +95,7 @@ func TestDuplicateKeys(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tr.Insert(pool, bufferpool.NopCharger{}, intKey(7), rid(i))
 	}
-	got := tr.SearchEq(pool, bufferpool.NopCharger{}, intKey(7))
+	got := searchEq(tr, pool, bufferpool.NopCharger{}, intKey(7))
 	if len(got) != 50 {
 		t.Fatalf("found %d duplicates, want 50", len(got))
 	}
@@ -169,7 +181,7 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("Len after deletes = %d, want 150", tr.Len())
 	}
 	for i := 0; i < 300; i++ {
-		got := tr.SearchEq(pool, bufferpool.NopCharger{}, intKey(int64(i)))
+		got := searchEq(tr, pool, bufferpool.NopCharger{}, intKey(int64(i)))
 		if i%2 == 0 && len(got) != 0 {
 			t.Fatalf("deleted key %d still found", i)
 		}
@@ -197,7 +209,7 @@ func TestDeleteSpecificDuplicate(t *testing.T) {
 	if !tr.Delete(pool, bufferpool.NopCharger{}, intKey(1), rid(4)) {
 		t.Fatal("delete of one duplicate failed")
 	}
-	got := tr.SearchEq(pool, bufferpool.NopCharger{}, intKey(1))
+	got := searchEq(tr, pool, bufferpool.NopCharger{}, intKey(1))
 	if len(got) != 9 {
 		t.Fatalf("%d duplicates left, want 9", len(got))
 	}
@@ -216,13 +228,13 @@ func TestIOChargedThroughPool(t *testing.T) {
 	}
 	pool.Clear()
 	ch := &counter{}
-	tr.SearchEq(pool, ch, intKey(42))
+	searchEq(tr, pool, ch, intKey(42))
 	if ch.rr < int64(tr.Height()) {
 		t.Fatalf("cold search charged %d RRs, want >= height %d", ch.rr, tr.Height())
 	}
 	// Warm search is free.
 	ch2 := &counter{}
-	tr.SearchEq(pool, ch2, intKey(42))
+	searchEq(tr, pool, ch2, intKey(42))
 	if ch2.rr != 0 {
 		t.Fatalf("warm search charged %d RRs, want 0", ch2.rr)
 	}
@@ -249,7 +261,7 @@ func TestStringKeys(t *testing.T) {
 	for i, n := range names {
 		tr.Insert(pool, bufferpool.NopCharger{}, types.EncodeKey(nil, types.NewString(n)), rid(i))
 	}
-	got := tr.SearchEq(pool, bufferpool.NopCharger{}, types.EncodeKey(nil, types.NewString("OUGHTPRES")))
+	got := searchEq(tr, pool, bufferpool.NopCharger{}, types.EncodeKey(nil, types.NewString("OUGHTPRES")))
 	if len(got) != 1 || got[0] != rid(1) {
 		t.Fatalf("string search = %v", got)
 	}
@@ -338,6 +350,74 @@ func BenchmarkSearch(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.SearchEq(pool, bufferpool.NopCharger{}, intKey(int64(i%100000)))
+		searchEq(tr, pool, bufferpool.NopCharger{}, intKey(int64(i%100000)))
+	}
+}
+
+// TestRangeOnKeyPrefix holds Range's bounds to be key prefixes: on a
+// two-column (INT, STRING) key, bounds that encode the leading column alone
+// select exactly the entries whose leading value satisfies the operator,
+// the way an index scan or an INLJ probe on that column asks. Each leading
+// value has a run of 11 entries, so with four entries to a leaf every run
+// crosses a leaf boundary; the second column holds 0x00 and 0xFF bytes,
+// which a bound padded with 0xFF bytes would mis-order.
+func TestRangeOnKeyPrefix(t *testing.T) {
+	tr := NewWithCaps(1, 4, 4)
+	pool := bufferpool.New(4096)
+	seconds := []string{"", "\x00", "a", "a\x00b", "b", "\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff", "zz", "\x01", "\xfe\xff", "m"}
+	type entry struct {
+		lead int64
+		id   int
+	}
+	var all []entry
+	r := rand.New(rand.NewSource(3))
+	for _, i := range r.Perm(10 * len(seconds)) {
+		lead, s := int64(i/len(seconds))*3, seconds[i%len(seconds)]
+		tr.Insert(pool, bufferpool.NopCharger{}, types.EncodeKey(nil, types.NewInt(lead), types.NewString(s)), rid(i))
+		all = append(all, entry{lead, i})
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ops := []struct {
+		name           string
+		lo, hi         func(v int64) []byte
+		loIncl, hiIncl bool
+		match          func(lead, v int64) bool
+	}{
+		{"Eq", intKey, intKey, true, true, func(l, v int64) bool { return l == v }},
+		{"Lt", nil, intKey, true, false, func(l, v int64) bool { return l < v }},
+		{"Le", nil, intKey, true, true, func(l, v int64) bool { return l <= v }},
+		{"Gt", intKey, nil, false, true, func(l, v int64) bool { return l > v }},
+		{"Ge", intKey, nil, true, true, func(l, v int64) bool { return l >= v }},
+		{"Between", intKey, func(v int64) []byte { return intKey(v + 6) }, true, true,
+			func(l, v int64) bool { return v <= l && l <= v+6 }},
+	}
+	for _, op := range ops {
+		for v := int64(-2); v <= 30; v++ {
+			var lo, hi []byte
+			if op.lo != nil {
+				lo = op.lo(v)
+			}
+			if op.hi != nil {
+				hi = op.hi(v)
+			}
+			var got []int
+			tr.Range(pool, bufferpool.NopCharger{}, lo, hi, op.loIncl, op.hiIncl, func(_ []byte, r pagestore.RID) bool {
+				got = append(got, int(r.Page)*100+int(r.Slot))
+				return true
+			})
+			var want []int
+			for _, e := range all {
+				if op.match(e.lead, v) {
+					want = append(want, e.id)
+				}
+			}
+			sort.Ints(got)
+			sort.Ints(want)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s %d: %d entries, want %d", op.name, v, len(got), len(want))
+			}
+		}
 	}
 }

@@ -525,6 +525,36 @@ func TestLookupEqPrefix(t *testing.T) {
 			t.Fatalf("prefix lookup leaked row %v", tu)
 		}
 	}
+
+	// A prefix is a prefix whatever the later columns hold: a string of ten
+	// 0xFF bytes sorts above any fixed padding of the prefix.
+	sch = types.NewSchema(
+		types.Column{Name: "k", Kind: types.KindInt},
+		types.Column{Name: "s", Kind: types.KindString},
+	)
+	if _, err := db.CreateTable("u", sch, []string{"k", "s"}); err != nil {
+		t.Fatal(err)
+	}
+	high := strings.Repeat("\xff", 10)
+	for _, row := range []struct {
+		k int64
+		s string
+	}{{1, "a"}, {1, high}, {2, ""}, {0, high}} {
+		if err := db.Load("u", types.Tuple{types.NewInt(row.k), types.NewString(row.s)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
+		t.Fatal(err)
+	}
+	sess, _ = db.NewSession()
+	tuples, _, err = sess.LookupEq("u_pkey", types.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tuples) != 2 || tuples[0][1].Str != "a" || tuples[1][1].Str != high {
+		t.Fatalf("prefix lookup on k = 1 returned %v, want the rows (1, a) and (1, ten 0xFF bytes)", tuples)
+	}
 }
 
 func TestSetLayoutValidation(t *testing.T) {
