@@ -302,42 +302,31 @@ func (t *Tree) splitInternal(n *node, key []byte) {
 	t.insertIntoParent(n, right, sep, key)
 }
 
-// SearchEq returns the RIDs of all entries with exactly the given key,
-// charging the descent plus any extra leaf pages walked.
-func (t *Tree) SearchEq(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte) []pagestore.RID {
-	var out []pagestore.RID
-	t.Range(pool, ch, key, key, true, true, func(k []byte, rid pagestore.RID) bool {
-		out = append(out, rid)
-		return true
-	})
-	return out
-}
-
-// Range iterates entries with lo <= key <= hi (bounds controlled by
-// loIncl/hiIncl; a nil lo starts at the smallest key, a nil hi runs to the
-// end). Iteration stops early when fn returns false; fn must not modify
-// the key it is handed. Every leaf page visited charges one random read
-// (on buffer miss).
+// Range iterates, in key order, the entries whose key lies between the
+// bounds lo and hi (inclusive as loIncl and hiIncl say; a nil lo starts at
+// the smallest key, a nil hi runs to the end). Each bound is a key prefix:
+// a key is compared with a bound on its first len(bound) bytes, so bounds
+// that encode an index's leading columns select on those columns alone.
+// That is exact because types.EncodeKey is self-delimiting. Iteration stops
+// early when fn returns false; fn must not modify the key it is handed.
+// Every leaf page visited charges one random read (on buffer miss).
 func (t *Tree) Range(pool *bufferpool.Pool, ch bufferpool.IOCharger, lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte, rid pagestore.RID) bool) {
 	var leaf *node
 	var pos int
 	if lo == nil {
 		leaf = t.leftmostLeaf(pool, ch)
-		pos = 0
 	} else {
 		leaf = t.descendLeft(pool, ch, lo)
 		pos = lowerBoundLeaf(leaf, lo)
-		if !loIncl {
-			for pos < len(leaf.keys) && bytes.Equal(leaf.keys[pos], lo) {
-				pos++
-			}
-		}
 	}
 	for leaf != nil {
 		for ; pos < len(leaf.keys); pos++ {
 			k := leaf.keys[pos]
+			if !loIncl && lo != nil && bytes.HasPrefix(k, lo) {
+				continue
+			}
 			if hi != nil {
-				c := bytes.Compare(k, hi)
+				c := bytes.Compare(k[:min(len(k), len(hi))], hi)
 				if c > 0 || (c == 0 && !hiIncl) {
 					return
 				}

@@ -110,20 +110,13 @@ func (s *Session) LookupEq(indexName string, vals ...types.Value) ([]types.Tuple
 	tree := db.trees[ix.ID]
 	heap := db.heaps[t.ID]
 	s.key = types.EncodeKey(s.key[:0], vals...)
-	hi := s.key
-	if len(vals) < len(ix.Columns) {
-		// Prefix lookup: the encoded prefix is a lower bound; extend the
-		// upper bound so all completions match.
-		s.hi = append(append(s.hi[:0], s.key...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-		hi = s.hi
-	}
 	if db.lookupHook != nil {
 		db.lookupHook(s)
 	}
 	n := t.Schema.Len()
 	s.vals, s.rids = s.vals[:0], s.rids[:0]
 	var innerErr error
-	tree.Range(db.pool, s.acct, s.key, hi, true, true, func(_ []byte, rid pagestore.RID) bool {
+	tree.Range(db.pool, s.acct, s.key, s.key, true, true, func(_ []byte, rid pagestore.RID) bool {
 		s.acct.ChargeCPU(plan.CPUIndexTime)
 		rec, err := heap.Fetch(db.pool, s.acct, rid)
 		if err != nil {

@@ -303,13 +303,13 @@ type Session struct {
 	db   *DB
 	acct *iosim.Accountant
 
-	// LookupEq's storage: its search key and upper bound, and the result it
-	// lends its caller until the next LookupEq — the matches decoded into
-	// one slab of values, the tuples slicing it, and their RIDs.
-	key, hi []byte
-	vals    []types.Value
-	tuples  []types.Tuple
-	rids    []pagestore.RID
+	// LookupEq's storage: its search key, and the result it lends its
+	// caller until the next LookupEq — the matches decoded into one slab of
+	// values, the tuples slicing it, and their RIDs.
+	key    []byte
+	vals   []types.Value
+	tuples []types.Tuple
+	rids   []pagestore.RID
 }
 
 // SetTap installs a live I/O observer on the engine: every device charge a
