@@ -207,10 +207,7 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool) (*c
 		if _, decodeErr = types.DecodeTupleInto(tu, rec, mask); decodeErr != nil {
 			return false
 		}
-		key = key[:0]
-		for _, p := range pos {
-			key = types.EncodeKey(key, tu[p])
-		}
+		key = encodeKey(key[:0], tu, pos)
 		tree.Insert(db.pool, bufferpool.NopCharger{}, key, rid)
 		return true
 	})
