@@ -294,6 +294,51 @@ func TestPredSelDefaults(t *testing.T) {
 	}
 }
 
+// TestPredSelCountsIntegerRange: an integer or date range is a count of
+// values, so BETWEEN x AND x on a column holding each of 1..n once matches
+// one row in n, where the span's width (zero) would price it at nothing.
+// A float range keeps the continuous width, and Lt is priced as Le.
+func TestPredSelCountsIntegerRange(t *testing.T) {
+	const n = 500
+	ti := &TableInfo{Name: "t", Rows: n, Cols: map[string]*ColStats{
+		"i": {NDV: n, Min: types.NewInt(1), Max: types.NewInt(n), HasRange: true},
+		"d": {NDV: n, Min: types.NewDate(1), Max: types.NewDate(n), HasRange: true},
+		"f": {NDV: n, Min: types.NewFloat(0), Max: types.NewFloat(n), HasRange: true},
+	}}
+	sel := func(col string, op plan.CmpOp, lo, hi types.Value) float64 {
+		return predSel(ti, plan.Pred{Column: col, Op: op, Lo: lo, Hi: hi})
+	}
+	for _, x := range []int64{1, 2, 250, n} {
+		if got := sel("i", plan.Between, types.NewInt(x), types.NewInt(x)); got != 1.0/n {
+			t.Errorf("int BETWEEN %d AND %d = %g, want 1/%d", x, x, got, n)
+		}
+		if got := sel("d", plan.Between, types.NewDate(x), types.NewDate(x)); got != 1.0/n {
+			t.Errorf("date BETWEEN %d AND %d = %g, want 1/%d", x, x, got, n)
+		}
+	}
+	if got := sel("i", plan.Between, types.NewInt(11), types.NewInt(20)); got != 10.0/n {
+		t.Errorf("int BETWEEN 11 AND 20 = %g, want 10/%d", got, n)
+	}
+	if got := sel("i", plan.Between, types.NewFloat(2.5), types.NewFloat(4.5)); got != 2.0/n {
+		t.Errorf("int BETWEEN 2.5 AND 4.5 = %g, want 2/%d (3 and 4)", got, n)
+	}
+	if got := sel("i", plan.Between, types.NewFloat(2.2), types.NewFloat(2.8)); got != 0 {
+		t.Errorf("int BETWEEN 2.2 AND 2.8 = %g, want 0 (no integer inside)", got)
+	}
+	if lt, le := sel("i", plan.Lt, types.NewInt(100), types.Value{}), sel("i", plan.Le, types.NewInt(100), types.Value{}); lt != le || le != 100.0/n {
+		t.Errorf("int < 100 = %g, <= 100 = %g, want both 100/%d", lt, le, n)
+	}
+	if got := sel("i", plan.Ge, types.NewInt(n), types.Value{}); got != 1.0/n {
+		t.Errorf("int >= %d = %g, want 1/%d", n, got, n)
+	}
+	if got := sel("f", plan.Between, types.NewFloat(100), types.NewFloat(350)); got != 0.5 {
+		t.Errorf("float BETWEEN 100 AND 350 = %g, want the span's half", got)
+	}
+	if got := sel("f", plan.Between, types.NewFloat(7), types.NewFloat(7)); got != minSelectivity {
+		t.Errorf("float BETWEEN 7 AND 7 = %g, want the floor %g", got, minSelectivity)
+	}
+}
+
 func TestConcurrencyAffectsEstimates(t *testing.T) {
 	o1, layout, _ := fixture()
 	o300, _, _ := fixture()
