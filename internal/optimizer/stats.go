@@ -11,6 +11,8 @@
 package optimizer
 
 import (
+	"math"
+
 	"dotprov/internal/catalog"
 	"dotprov/internal/types"
 )
@@ -102,7 +104,10 @@ func (s *ColStats) eqSelectivity() float64 {
 }
 
 // rangeFraction returns the fraction of the [Min, Max] span covered by
-// [lo, hi] (numeric columns only).
+// [lo, hi] (numeric columns only). An integer or date column holds whole
+// values, so its range is a count of them, (⌊hi⌋ − ⌈lo⌉ + 1) / (max − min + 1):
+// a one-value range matches one value, not a span of width zero. A float
+// range is the continuous width (hi − lo) / (max − min).
 func (s *ColStats) rangeFraction(lo, hi types.Value) float64 {
 	if !s.HasRange || !s.Min.IsNumeric() {
 		return -1
@@ -112,14 +117,16 @@ func (s *ColStats) rangeFraction(lo, hi types.Value) float64 {
 		return -1
 	}
 	l, h := lo.AsFloat(), hi.AsFloat()
-	if l < s.Min.AsFloat() {
-		l = s.Min.AsFloat()
+	whole := s.Min.Kind != types.KindFloat
+	if whole {
+		l, h = math.Ceil(l), math.Floor(h)
 	}
-	if h > s.Max.AsFloat() {
-		h = s.Max.AsFloat()
-	}
+	l, h = max(l, s.Min.AsFloat()), min(h, s.Max.AsFloat())
 	if h < l {
 		return 0
+	}
+	if whole {
+		return clampSel((h - l + 1) / (span + 1))
 	}
 	return clampSel((h - l) / span)
 }
