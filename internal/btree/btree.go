@@ -33,6 +33,7 @@ import (
 	"dotprov/internal/bufferpool"
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
+	"dotprov/internal/iosim"
 	"dotprov/internal/pagestore"
 )
 
@@ -165,13 +166,13 @@ func childIndexLeft(n *node, key []byte) int {
 }
 
 // access charges a node visit through the buffer pool as one random read.
-func (t *Tree) access(pool *bufferpool.Pool, ch bufferpool.IOCharger, n *node) {
+func (t *Tree) access(pool *bufferpool.Pool, ch iosim.Charger, n *node) {
 	pool.Access(ch, t.obj, n.pageNo, device.RandRead)
 }
 
 // descend walks from the root to the insertion leaf for key, charging one
 // page access per level.
-func (t *Tree) descend(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte) *node {
+func (t *Tree) descend(pool *bufferpool.Pool, ch iosim.Charger, key []byte) *node {
 	n := t.root
 	t.access(pool, ch, n)
 	for !n.leaf {
@@ -183,7 +184,7 @@ func (t *Tree) descend(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byt
 
 // descendLeft walks to the leftmost leaf that can contain key, so reads and
 // deletes see duplicates that straddle leaf boundaries.
-func (t *Tree) descendLeft(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte) *node {
+func (t *Tree) descendLeft(pool *bufferpool.Pool, ch iosim.Charger, key []byte) *node {
 	n := t.root
 	t.access(pool, ch, n)
 	for !n.leaf {
@@ -196,7 +197,7 @@ func (t *Tree) descendLeft(pool *bufferpool.Pool, ch bufferpool.IOCharger, key [
 // Insert adds an entry. The caller is responsible for charging the row
 // write itself (per the paper, writes are charged per row on the object);
 // node page touches during the descent go through the pool as reads.
-func (t *Tree) Insert(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte, rid pagestore.RID) {
+func (t *Tree) Insert(pool *bufferpool.Pool, ch iosim.Charger, key []byte, rid pagestore.RID) {
 	k := append([]byte(nil), key...)
 	leaf := t.descend(pool, ch, k)
 	pos := lowerBoundLeaf(leaf, k)
@@ -310,7 +311,7 @@ func (t *Tree) splitInternal(n *node, key []byte) {
 // That is exact because types.EncodeKey is self-delimiting. Iteration stops
 // early when fn returns false; fn must not modify the key it is handed.
 // Every leaf page visited charges one random read (on buffer miss).
-func (t *Tree) Range(pool *bufferpool.Pool, ch bufferpool.IOCharger, lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte, rid pagestore.RID) bool) {
+func (t *Tree) Range(pool *bufferpool.Pool, ch iosim.Charger, lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte, rid pagestore.RID) bool) {
 	var leaf *node
 	var pos int
 	if lo == nil {
@@ -343,7 +344,7 @@ func (t *Tree) Range(pool *bufferpool.Pool, ch bufferpool.IOCharger, lo, hi []by
 	}
 }
 
-func (t *Tree) leftmostLeaf(pool *bufferpool.Pool, ch bufferpool.IOCharger) *node {
+func (t *Tree) leftmostLeaf(pool *bufferpool.Pool, ch iosim.Charger) *node {
 	n := t.root
 	t.access(pool, ch, n)
 	for !n.leaf {
@@ -355,7 +356,7 @@ func (t *Tree) leftmostLeaf(pool *bufferpool.Pool, ch bufferpool.IOCharger) *nod
 
 // Delete removes the entry (key, rid). It reports whether an entry was
 // removed. The caller charges the row write.
-func (t *Tree) Delete(pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte, rid pagestore.RID) bool {
+func (t *Tree) Delete(pool *bufferpool.Pool, ch iosim.Charger, key []byte, rid pagestore.RID) bool {
 	leaf := t.descendLeft(pool, ch, key)
 	for leaf != nil {
 		pos := lowerBoundLeaf(leaf, key)

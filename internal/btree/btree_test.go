@@ -10,6 +10,7 @@ import (
 	"dotprov/internal/bufferpool"
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
+	"dotprov/internal/iosim"
 	"dotprov/internal/pagestore"
 	"dotprov/internal/types"
 )
@@ -20,7 +21,7 @@ func rid(n int) pagestore.RID { return pagestore.RID{Page: uint32(n / 100), Slot
 
 // searchEq returns the RIDs of the entries whose key starts with key, in
 // (key, RID) order, charging the descent plus any extra leaf pages walked.
-func searchEq(tr *Tree, pool *bufferpool.Pool, ch bufferpool.IOCharger, key []byte) []pagestore.RID {
+func searchEq(tr *Tree, pool *bufferpool.Pool, ch iosim.Charger, key []byte) []pagestore.RID {
 	var out []pagestore.RID
 	tr.Range(pool, ch, key, key, true, true, func(_ []byte, rid pagestore.RID) bool {
 		out = append(out, rid)
@@ -33,7 +34,7 @@ type counter struct {
 	rr int64
 }
 
-func (c *counter) ChargeIO(_ catalog.ObjectID, t device.IOType, n int64) {
+func (c *counter) ChargePageIO(_ catalog.ObjectID, t device.IOType, _ int64, n int64) {
 	if t == device.RandRead {
 		c.rr += n
 	}

@@ -12,46 +12,13 @@ package bufferpool
 import (
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
+	"dotprov/internal/iosim"
 )
 
-// IOCharger receives the device charges for buffer misses and row writes.
-// *iosim.Accountant implements it.
-type IOCharger interface {
-	ChargeIO(id catalog.ObjectID, t device.IOType, n int64)
-}
-
-// PageIOCharger is an IOCharger that also accepts page-located charges
-// (the method set of iosim.PageCharger). Charge sites that know the page —
-// the pool's miss path, the heap files' row writes — prefer it, so
-// observers can maintain the per-extent access statistics heat-based
-// partitioning splits on.
-type PageIOCharger interface {
-	IOCharger
-	ChargePageIO(id catalog.ObjectID, t device.IOType, page int64, n int64)
-}
-
-// ChargePage charges n I/Os of type t on a known page: through ChargePageIO
-// when the charger is page-aware, through plain ChargeIO otherwise. This is
-// the engine's observation path: with a tap installed, the chain is
-// ChargePage → Accountant → tap, and an online.Collector tap takes its
-// mutex once per charge.
-func ChargePage(ch IOCharger, id catalog.ObjectID, t device.IOType, page int64, n int64) {
-	if pc, ok := ch.(PageIOCharger); ok {
-		pc.ChargePageIO(id, t, page, n)
-		return
-	}
-	ch.ChargeIO(id, t, n)
-}
-
 // NopCharger discards charges; useful for loading data outside measurement.
-// It is page-aware so ChargePage stays on its fast path even when charges
-// are being discarded.
 type NopCharger struct{}
 
-// ChargeIO implements IOCharger by doing nothing.
-func (NopCharger) ChargeIO(catalog.ObjectID, device.IOType, int64) {}
-
-// ChargePageIO implements PageIOCharger by doing nothing.
+// ChargePageIO implements iosim.Charger by doing nothing.
 func (NopCharger) ChargePageIO(catalog.ObjectID, device.IOType, int64, int64) {}
 
 // PageKey identifies a page cluster-wide.
@@ -111,7 +78,7 @@ func (p *Pool) Resident(key PageKey) bool {
 // given type (SeqRead or RandRead) is charged to the object's device and
 // the page becomes resident, possibly evicting another page. It reports
 // whether the access was a hit.
-func (p *Pool) Access(ch IOCharger, obj catalog.ObjectID, pageNo uint32, t device.IOType) bool {
+func (p *Pool) Access(ch iosim.Charger, obj catalog.ObjectID, pageNo uint32, t device.IOType) bool {
 	key := PageKey{Object: obj, Page: pageNo}
 	if i, ok := p.index[key]; ok {
 		p.frames[i].ref = true
@@ -119,7 +86,7 @@ func (p *Pool) Access(ch IOCharger, obj catalog.ObjectID, pageNo uint32, t devic
 		return true
 	}
 	p.stats.Misses++
-	ChargePage(ch, obj, t, int64(pageNo), 1)
+	ch.ChargePageIO(obj, t, int64(pageNo), 1)
 	p.admit(key)
 	return false
 }
@@ -155,17 +122,6 @@ func (p *Pool) admit(key PageKey) {
 		}
 		f.ref = false
 		p.hand = (p.hand + 1) % p.capacity
-	}
-}
-
-// Invalidate drops all pages of an object (e.g. after truncation).
-func (p *Pool) Invalidate(obj catalog.ObjectID) {
-	for key, i := range p.index {
-		if key.Object == obj {
-			delete(p.index, key)
-			p.frames[i].key = PageKey{}
-			p.frames[i].ref = false
-		}
 	}
 }
 

@@ -17,7 +17,7 @@ func newCountCharger() *countCharger {
 	return &countCharger{n: make(map[device.IOType]int64)}
 }
 
-func (c *countCharger) ChargeIO(_ catalog.ObjectID, t device.IOType, n int64) {
+func (c *countCharger) ChargePageIO(_ catalog.ObjectID, t device.IOType, _ int64, n int64) {
 	c.n[t] += n
 }
 
@@ -99,18 +99,10 @@ func TestTouchDoesNotCharge(t *testing.T) {
 	p.Touch(3, 7) // touching a resident page is a no-op
 }
 
-func TestInvalidateAndClear(t *testing.T) {
+func TestClear(t *testing.T) {
 	p := New(8)
 	ch := newCountCharger()
-	p.Access(ch, 1, 0, device.SeqRead)
 	p.Access(ch, 2, 0, device.SeqRead)
-	p.Invalidate(1)
-	if p.Resident(PageKey{1, 0}) {
-		t.Fatal("invalidated page still resident")
-	}
-	if !p.Resident(PageKey{2, 0}) {
-		t.Fatal("other object's page should survive Invalidate")
-	}
 	p.Clear()
 	if p.Resident(PageKey{2, 0}) {
 		t.Fatal("Clear should drop everything")

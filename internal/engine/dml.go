@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"slices"
 
-	"dotprov/internal/bufferpool"
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
+	"dotprov/internal/iosim"
 	"dotprov/internal/pagestore"
 	"dotprov/internal/plan"
 	"dotprov/internal/types"
@@ -15,8 +15,9 @@ import (
 // insert is the shared write path: encode, append to the heap, maintain
 // every index. Writes are charged per row on each touched object, matching
 // how the paper benchmarked write costs (Table 1 SW/RW are ms/row): an
-// insert appends, so it charges SeqWrite.
-func (db *DB) insert(ch bufferpool.IOCharger, table string, tu types.Tuple) error {
+// insert appends, so it charges SeqWrite. An index entry's write is charged
+// with page -1: the tree does not report which leaf took the entry.
+func (db *DB) insert(ch iosim.Charger, table string, tu types.Tuple) error {
 	t, err := db.Cat.TableByName(table)
 	if err != nil {
 		return err
@@ -33,7 +34,7 @@ func (db *DB) insert(ch bufferpool.IOCharger, table string, tu types.Tuple) erro
 	for _, ix := range db.writes[t.ID].indexes {
 		db.key = encodeKey(db.key[:0], tu, ix.pos)
 		ix.tree.Insert(db.pool, ch, db.key, rid)
-		ch.ChargeIO(ix.id, device.SeqWrite, 1)
+		ch.ChargePageIO(ix.id, device.SeqWrite, -1, 1)
 	}
 	db.analyzed = false
 	return nil
@@ -67,7 +68,7 @@ func encodeKey(dst []byte, tu types.Tuple, pos []int) []byte {
 // oldKeys fetches the row at rid and decodes its index-key columns into the
 // DB's reused row, which it returns; the other positions hold whatever an
 // earlier row left there. The fetch is charged like any RID read.
-func (db *DB) oldKeys(ch bufferpool.IOCharger, t *catalog.Table, heap *pagestore.HeapFile, rid pagestore.RID) (types.Tuple, error) {
+func (db *DB) oldKeys(ch iosim.Charger, t *catalog.Table, heap *pagestore.HeapFile, rid pagestore.RID) (types.Tuple, error) {
 	rec, err := heap.Fetch(db.pool, ch, rid)
 	if err != nil {
 		return nil, err
@@ -181,7 +182,7 @@ func (s *Session) UpdateByRID(table string, rid pagestore.RID, newTu types.Tuple
 		db.key = encodeKey(db.key[:0], newTu, ix.pos)
 		ix.tree.Delete(db.pool, s.acct, db.oldKey, rid)
 		ix.tree.Insert(db.pool, s.acct, db.key, rid)
-		s.acct.ChargeIO(ix.id, device.RandWrite, 1)
+		s.acct.ChargePageIO(ix.id, device.RandWrite, -1, 1)
 	}
 	return nil
 }
@@ -205,7 +206,7 @@ func (s *Session) DeleteByRID(table string, rid pagestore.RID) error {
 	for _, ix := range db.writes[t.ID].indexes {
 		db.key = encodeKey(db.key[:0], oldTu, ix.pos)
 		ix.tree.Delete(db.pool, s.acct, db.key, rid)
-		s.acct.ChargeIO(ix.id, device.RandWrite, 1)
+		s.acct.ChargePageIO(ix.id, device.RandWrite, -1, 1)
 	}
 	return nil
 }

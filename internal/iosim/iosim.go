@@ -189,22 +189,14 @@ func (p Profile) ObjectIOTime(id catalog.ObjectID, d *device.Device, concurrency
 	return total
 }
 
-// Charger receives per-object device charges. It is the same method set as
-// bufferpool.IOCharger, restated here so observers (e.g. the online
-// advisor's live profile collector) can be attached to an Accountant
-// without iosim depending on the buffer pool.
+// Charger receives per-object device charges: n I/Os of type t on object
+// id, touching page, or with page -1 where the charging site does not know
+// which page it touched. Sites that know it (the buffer pool's miss path,
+// the heap files' row writes) pass it, giving observers the page-range
+// locality heat-based partitioning is built on. The Accountant implements
+// it, and so do the observers an Accountant mirrors its charges to (the
+// online advisor's live profile collector).
 type Charger interface {
-	ChargeIO(id catalog.ObjectID, t device.IOType, n int64)
-}
-
-// PageCharger is a Charger that additionally accepts page-located charges.
-// Call sites that know WHICH page an I/O touched (the buffer pool's miss
-// path, the heap files' row writes) charge through ChargePageIO, giving
-// observers the page-range locality that heat-based partitioning is built
-// on; page-blind call sites keep using ChargeIO and contribute counts
-// without locality.
-type PageCharger interface {
-	Charger
 	ChargePageIO(id catalog.ObjectID, t device.IOType, page int64, n int64)
 }
 
@@ -219,7 +211,8 @@ type Flusher interface {
 
 // Accountant charges I/O and CPU time for one simulated DB worker. It is
 // constructed against a fixed box + layout + concurrency so the per-object
-// service times can be resolved up front; Charge is then allocation-free.
+// service times can be resolved up front; ChargePageIO is then
+// allocation-free.
 //
 // An Accountant is not safe for concurrent use; each simulated worker owns
 // its own and results are merged afterwards. A tap installed with SetTap
@@ -233,23 +226,15 @@ type Accountant struct {
 	ioTime  time.Duration
 	cpuTime time.Duration
 	tap     Charger
-	// pageTap is tap's page-aware view, resolved once at SetTap so the
-	// charge hot path never type-asserts.
-	pageTap PageCharger
 }
 
-// SetTap installs a live observer that every subsequent ChargeIO is
-// mirrored to, in addition to the accountant's own profile. Nil removes
-// the tap. The engine uses this to stream per-object I/O charges into the
-// online advisor's rolling profile windows without touching the measured
-// accounting. A tap that also implements PageCharger additionally receives
-// the page-located charges (ChargePageIO), the locality feed for
-// heat-based partitioning. The tap sees each charge as it is made, so an
-// observer read after a charge has that charge.
-func (a *Accountant) SetTap(t Charger) {
-	a.tap = t
-	a.pageTap, _ = t.(PageCharger)
-}
+// SetTap installs a live observer that every subsequent charge is
+// mirrored to, page and all, in addition to the accountant's own profile.
+// Nil removes the tap. The engine uses this to stream per-object I/O
+// charges into the online advisor's rolling profile windows without
+// touching the measured accounting. The tap sees each charge as it is
+// made, so an observer read after a charge has that charge.
+func (a *Accountant) SetTap(t Charger) { a.tap = t }
 
 // NewAccountant validates that the layout places every object on a device
 // present in the box and resolves service times at the given degree of
@@ -278,11 +263,15 @@ func NewAccountant(box *device.Box, layout catalog.Layout, concurrency int, cloc
 	return a, nil
 }
 
-// account is the shared measured-accounting core of ChargeIO and
-// ChargePageIO: resolve service times, advance the clock, tally I/O time
-// and the profile. Both entry points MUST funnel through it so page-blind
-// and page-located charges can never diverge in what they measure.
-func (a *Accountant) account(id catalog.ObjectID, t device.IOType, n int64) {
+// ChargePageIO records n I/Os of type t against object id, advancing the
+// virtual clock by n service times, and mirrors the charge, page included,
+// to the tap. The page does not change what is measured. Objects unknown
+// to the layout panic: that is a programming error (the layout must be
+// total over O).
+func (a *Accountant) ChargePageIO(id catalog.ObjectID, t device.IOType, page int64, n int64) {
+	if n <= 0 {
+		return
+	}
 	times := a.svc[id]
 	if times == nil {
 		panic(fmt.Sprintf("iosim: charge on object %d not covered by layout", id))
@@ -291,34 +280,8 @@ func (a *Accountant) account(id catalog.ObjectID, t device.IOType, n int64) {
 	a.clock.Advance(d)
 	a.ioTime += d
 	a.profile.Add(id, t, float64(n))
-}
-
-// ChargeIO records n I/Os of type t against object id, advancing the
-// virtual clock by n service times. Objects unknown to the layout panic:
-// that is a programming error (the layout must be total over O).
-func (a *Accountant) ChargeIO(id catalog.ObjectID, t device.IOType, n int64) {
-	if n <= 0 {
-		return
-	}
-	a.account(id, t, n)
 	if a.tap != nil {
-		a.tap.ChargeIO(id, t, n)
-	}
-}
-
-// ChargePageIO is ChargeIO for a charge whose page is known: the measured
-// accounting is identical, and a page-aware tap additionally receives the
-// page so it can maintain per-extent access statistics. It implements
-// PageCharger.
-func (a *Accountant) ChargePageIO(id catalog.ObjectID, t device.IOType, page int64, n int64) {
-	if n <= 0 {
-		return
-	}
-	a.account(id, t, n)
-	if a.pageTap != nil {
-		a.pageTap.ChargePageIO(id, t, page, n)
-	} else if a.tap != nil {
-		a.tap.ChargeIO(id, t, n)
+		a.tap.ChargePageIO(id, t, page, n)
 	}
 }
 

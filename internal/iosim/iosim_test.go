@@ -34,7 +34,7 @@ func TestChargeIOAdvancesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.ChargeIO(tabID, device.RandRead, 10)
+	a.ChargePageIO(tabID, device.RandRead, -1, 10)
 	want := 10 * box.Device(device.HSSD).ServiceTime(device.RandRead, 1)
 	if a.Now() != want {
 		t.Fatalf("clock = %v, want %v", a.Now(), want)
@@ -50,7 +50,7 @@ func TestChargeIOAdvancesClock(t *testing.T) {
 func TestChargeIOUsesLayoutClass(t *testing.T) {
 	_, box, l, tabID, ixID := testSetup(t)
 	a, _ := NewAccountant(box, l, 300, nil)
-	a.ChargeIO(ixID, device.SeqRead, 100)
+	a.ChargePageIO(ixID, device.SeqRead, -1, 100)
 	want := 100 * box.Device(device.HDDRAID0).ServiceTime(device.SeqRead, 300)
 	if a.Now() != want {
 		t.Fatalf("index I/O charged %v, want %v (HDD RAID0 @300)", a.Now(), want)
@@ -71,8 +71,8 @@ func TestChargeCPU(t *testing.T) {
 func TestChargeZeroOrNegativeIgnored(t *testing.T) {
 	_, box, l, tabID, _ := testSetup(t)
 	a, _ := NewAccountant(box, l, 1, nil)
-	a.ChargeIO(tabID, device.SeqRead, 0)
-	a.ChargeIO(tabID, device.SeqRead, -5)
+	a.ChargePageIO(tabID, device.SeqRead, -1, 0)
+	a.ChargePageIO(tabID, device.SeqRead, -1, -5)
 	if a.Now() != 0 || a.Profile().Get(tabID).Total() != 0 {
 		t.Fatal("zero/negative charges should be ignored")
 	}
@@ -95,7 +95,7 @@ func TestChargeUnknownObjectPanics(t *testing.T) {
 			t.Fatal("expected panic for object not covered by layout")
 		}
 	}()
-	a.ChargeIO(9999, device.SeqRead, 1)
+	a.ChargePageIO(9999, device.SeqRead, -1, 1)
 }
 
 func TestSharedClockAcrossAccountants(t *testing.T) {
@@ -103,8 +103,8 @@ func TestSharedClockAcrossAccountants(t *testing.T) {
 	clk := &vclock.Clock{}
 	a1, _ := NewAccountant(box, l, 1, clk)
 	a2, _ := NewAccountant(box, l, 1, clk)
-	a1.ChargeIO(tabID, device.SeqRead, 1)
-	a2.ChargeIO(ixID, device.SeqRead, 1)
+	a1.ChargePageIO(tabID, device.SeqRead, -1, 1)
+	a2.ChargePageIO(ixID, device.SeqRead, -1, 1)
 	if clk.Now() != a1.Now() || a1.Now() != a2.Now() {
 		t.Fatal("shared clock should accumulate both workers")
 	}
@@ -180,7 +180,7 @@ func TestAccountantProfileConsistencyProperty(t *testing.T) {
 		for i, op := range ops {
 			obj := objs[i%2]
 			ty := device.AllIOTypes[int(op)%4]
-			a.ChargeIO(obj, ty, int64(op%7))
+			a.ChargePageIO(obj, ty, -1, int64(op%7))
 		}
 		want, err := a.Profile().IOTime(l, box, 42)
 		if err != nil {

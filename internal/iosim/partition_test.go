@@ -62,9 +62,8 @@ func TestApportionProfile(t *testing.T) {
 	}
 }
 
-// TestAccountantChargePageIO: page-located charges advance the clock and
-// profile exactly like ChargeIO and reach a page-aware tap with the page;
-// page-blind taps still receive the plain charge.
+// TestAccountantChargePageIO: a charge's page does not change what the
+// accountant measures, and the charge reaches its tap with the page.
 func TestAccountantChargePageIO(t *testing.T) {
 	c := catalog.New()
 	sch := types.NewSchema(types.Column{Name: "k", Kind: types.KindInt})
@@ -85,7 +84,7 @@ func TestAccountantChargePageIO(t *testing.T) {
 	tap := &pageTap{}
 	a.SetTap(tap)
 	a.ChargePageIO(tab.ID, device.RandRead, 7, 2)
-	b.ChargeIO(tab.ID, device.RandRead, 2)
+	b.ChargePageIO(tab.ID, device.RandRead, -1, 2)
 	if a.IOTime() != b.IOTime() || a.Now() != b.Now() {
 		t.Fatalf("page charge accounting diverged: %v vs %v", a.IOTime(), b.IOTime())
 	}
@@ -95,24 +94,12 @@ func TestAccountantChargePageIO(t *testing.T) {
 	if tap.page != 7 || tap.n != 2 {
 		t.Fatalf("page tap saw page=%d n=%d, want 7/2", tap.page, tap.n)
 	}
-
-	blind := &blindTap{}
-	a.SetTap(blind)
-	a.ChargePageIO(tab.ID, device.SeqRead, 3, 1)
-	if blind.n != 1 {
-		t.Fatal("page-blind tap missed the charge")
-	}
 }
 
 type pageTap struct {
 	page, n int64
 }
 
-func (p *pageTap) ChargeIO(catalog.ObjectID, device.IOType, int64) {}
 func (p *pageTap) ChargePageIO(_ catalog.ObjectID, _ device.IOType, page int64, n int64) {
 	p.page, p.n = page, n
 }
-
-type blindTap struct{ n int64 }
-
-func (b *blindTap) ChargeIO(_ catalog.ObjectID, _ device.IOType, n int64) { b.n += n }

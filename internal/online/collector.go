@@ -72,9 +72,9 @@ func (w Window) Fingerprint() string {
 }
 
 // Collector accumulates a live workload profile in rolling windows. I/O
-// charges stream into the current window through ChargeIO — the method set
-// of bufferpool.IOCharger and iosim.Charger, so a Collector plugs directly
-// into engine.DB.SetTap — until Roll closes the window into the ring;
+// charges stream into the current window through ChargePageIO — it is an
+// iosim.Charger, so a Collector plugs directly into engine.DB.SetTap —
+// until Roll closes the window into the ring;
 // alternatively, Observe ingests windows closed elsewhere (the /observe
 // wire path).
 //
@@ -85,8 +85,8 @@ func (w Window) Fingerprint() string {
 // Charges are positive integers, so their float64 sums are exact below
 // 2^53 and a window does not depend on the order charges arrive in.
 //
-// Page-located charges (iosim.PageCharger, fed by the buffer pool's miss
-// path and the heap files' row writes) additionally accumulate into
+// Charges that name their page (page >= 0: the buffer pool's misses and
+// the heap files' row writes) additionally accumulate into
 // per-object extent histograms — the per-extent access statistics that
 // heat-based partitioning (catalog.BuildPartitioning) splits and merges
 // on. Unlike windows, the histograms are cumulative over the collector's
@@ -131,7 +131,7 @@ func NewCollector(max int) *Collector {
 // end-to-end benchmark's collector_charge_ns probe
 // (benchmarks/e2e/offline.go) compiles against it; delete it once that
 // probe times ChargePageIO directly.
-func (c *Collector) Lane() iosim.PageCharger { return c }
+func (c *Collector) Lane() iosim.Charger { return c }
 
 // SetExtentPages overrides the extent-histogram bucket width in pages
 // (values < 1 keep the default). Call before charging; changing the width
@@ -145,28 +145,18 @@ func (c *Collector) SetExtentPages(pages int64) {
 	c.mu.Unlock()
 }
 
-// ChargeIO adds one device charge to the current window. It implements
-// bufferpool.IOCharger and iosim.Charger.
-func (c *Collector) ChargeIO(id catalog.ObjectID, t device.IOType, n int64) {
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.cur.Profile.Add(id, t, float64(n))
-	c.mu.Unlock()
-}
-
-// ChargePageIO adds one page-located device charge: the window profile
-// accumulates exactly as for ChargeIO, and the page lands in the object's
-// extent histogram. It implements iosim.PageCharger and
-// bufferpool.PageIOCharger.
+// ChargePageIO adds one device charge to the current window's profile
+// and, when its page is known (page >= 0), to the object's extent
+// histogram. It implements iosim.Charger.
 func (c *Collector) ChargePageIO(id catalog.ObjectID, t device.IOType, page int64, n int64) {
 	if n <= 0 {
 		return
 	}
 	c.mu.Lock()
 	c.cur.Profile.Add(id, t, float64(n))
-	c.addExtentLocked(id, int(page/c.extPages), float64(n))
+	if page >= 0 {
+		c.addExtentLocked(id, int(page/c.extPages), float64(n))
+	}
 	c.mu.Unlock()
 }
 

@@ -36,9 +36,9 @@ func newSerialTally(max int, extPages int64) *serialTally {
 	}
 }
 
-func (s *serialTally) charge(id catalog.ObjectID, t device.IOType, page, n int64, located bool) {
+func (s *serialTally) charge(id catalog.ObjectID, t device.IOType, page, n int64) {
 	s.cur.Profile.Add(id, t, float64(n))
-	if located {
+	if page >= 0 {
 		s.addExtent(id, int(page/s.extPages), float64(n))
 	}
 }
@@ -206,13 +206,11 @@ func TestCollectorMatchesSerialTally(t *testing.T) {
 			id := objs[rng.IntN(len(objs))]
 			tt := device.AllIOTypes[rng.IntN(len(device.AllIOTypes))]
 			page, n := rng.Int64N(20000), 1+rng.Int64N(4)
-			located := rng.IntN(3) != 0
-			if located {
-				a.ChargePageIO(id, tt, page, n)
-			} else {
-				a.ChargeIO(id, tt, n)
+			if rng.IntN(3) == 0 {
+				page = -1
 			}
-			want.charge(id, tt, page, n, located)
+			a.ChargePageIO(id, tt, page, n)
+			want.charge(id, tt, page, n)
 			switch rng.IntN(64) {
 			case 0:
 				d := time.Duration(1 + rng.Int64N(1e6))

@@ -7,8 +7,8 @@
 // The subsystem has three parts, composed by Manager:
 //
 //   - Collector accumulates a live workload profile in rolling windows. It
-//     implements the engine's I/O-charge interfaces (bufferpool.IOCharger,
-//     iosim.Charger), so installing it as the engine's tap
+//     implements the engine's one I/O-charge interface, iosim.Charger, so
+//     installing it as the engine's tap
 //     (engine.DB.SetTap) makes the running workload profile itself as a
 //     side effect of execution — every buffer-pool miss and row write is
 //     mirrored into the current window. Windows can also be ingested whole

@@ -84,10 +84,10 @@ func dssWindow(ids map[string]catalog.ObjectID) Window {
 func TestCollectorWindows(t *testing.T) {
 	c := NewCollector(3)
 	ids := map[string]catalog.ObjectID{"x": 1}
-	c.ChargeIO(ids["x"], device.SeqRead, 5)
-	c.ChargeIO(ids["x"], device.SeqRead, 3)
-	c.ChargeIO(ids["x"], device.RandWrite, 2)
-	c.ChargeIO(ids["x"], device.RandWrite, -1) // ignored
+	c.ChargePageIO(ids["x"], device.SeqRead, -1, 5)
+	c.ChargePageIO(ids["x"], device.SeqRead, -1, 3)
+	c.ChargePageIO(ids["x"], device.RandWrite, -1, 2)
+	c.ChargePageIO(ids["x"], device.RandWrite, -1, -1) // ignored
 	c.AddCPU(10 * time.Millisecond)
 	c.AddTxns(7)
 	w := c.Roll(time.Second)
@@ -102,7 +102,7 @@ func TestCollectorWindows(t *testing.T) {
 	}
 	// Ring capacity: 5 rolls through capacity 3 retain the last 3.
 	for i := 0; i < 4; i++ {
-		c.ChargeIO(1, device.SeqRead, int64(i+1))
+		c.ChargePageIO(1, device.SeqRead, -1, int64(i+1))
 		c.Roll(time.Second)
 	}
 	if c.Closed() != 3 {
@@ -139,8 +139,7 @@ func TestConcurrentChargesMatchSerial(t *testing.T) {
 	type op struct {
 		id      catalog.ObjectID
 		t       device.IOType
-		page, n int64
-		located bool
+		page, n int64 // page -1: not located
 	}
 	want := newSerialTally(4, extPages)
 	scripts := make([][]op, workers)
@@ -148,14 +147,16 @@ func TestConcurrentChargesMatchSerial(t *testing.T) {
 		rng := rand.New(rand.NewPCG(uint64(w), 8))
 		for range ops {
 			o := op{
-				id:      objs[rng.IntN(len(objs))],
-				t:       device.AllIOTypes[rng.IntN(len(device.AllIOTypes))],
-				page:    rng.Int64N(8192),
-				n:       1 + rng.Int64N(3),
-				located: rng.IntN(4) != 0,
+				id:   objs[rng.IntN(len(objs))],
+				t:    device.AllIOTypes[rng.IntN(len(device.AllIOTypes))],
+				page: rng.Int64N(8192),
+				n:    1 + rng.Int64N(3),
+			}
+			if rng.IntN(4) == 0 {
+				o.page = -1
 			}
 			scripts[w] = append(scripts[w], o)
-			want.charge(o.id, o.t, o.page, o.n, o.located)
+			want.charge(o.id, o.t, o.page, o.n)
 		}
 		want.cur.CPU += time.Duration(w+1) * time.Millisecond
 		want.cur.Txns += int64(w + 1)
@@ -199,11 +200,7 @@ func TestConcurrentChargesMatchSerial(t *testing.T) {
 			defer wg.Done()
 			a := accts[w]
 			for _, o := range scripts[w] {
-				if o.located {
-					a.ChargePageIO(o.id, o.t, o.page, o.n)
-				} else {
-					a.ChargeIO(o.id, o.t, o.n)
-				}
+				a.ChargePageIO(o.id, o.t, o.page, o.n)
 			}
 			c.AddCPU(time.Duration(w+1) * time.Millisecond)
 			c.AddTxns(int64(w + 1))

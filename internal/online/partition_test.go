@@ -19,8 +19,8 @@ func TestCollectorExtentStats(t *testing.T) {
 	for p := int64(0); p < 10; p++ { // bucket 0: 10 hits
 		col.ChargePageIO(obj, device.RandRead, p, 1)
 	}
-	col.ChargePageIO(obj, device.SeqRead, 25, 4) // bucket 2: 4 hits
-	col.ChargeIO(obj, device.RandRead, 3)        // page-blind: profile only
+	col.ChargePageIO(obj, device.SeqRead, 25, 4)  // bucket 2: 4 hits
+	col.ChargePageIO(obj, device.RandRead, -1, 3) // page unknown: profile only
 
 	st := col.ExtentStats()
 	exts := st.ByObject[obj]

@@ -6,6 +6,7 @@ import (
 	"dotprov/internal/bufferpool"
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
+	"dotprov/internal/iosim"
 )
 
 // RID is a record identifier: page number and slot within the page.
@@ -55,27 +56,24 @@ func (h *HeapFile) SizeBytes() int64 { return int64(len(h.pages)) * PageSize }
 
 // Insert appends a record, charging one sequential-write row operation, and
 // returns its RID.
-func (h *HeapFile) Insert(pool *bufferpool.Pool, ch bufferpool.IOCharger, rec []byte) (RID, error) {
+func (h *HeapFile) Insert(pool *bufferpool.Pool, ch iosim.Charger, rec []byte) (RID, error) {
+	slot, err := 0, ErrPageFull
 	if h.insertHint < len(h.pages) {
-		if slot, err := h.pages[h.insertHint].Insert(rec); err == nil {
-			h.versions[h.insertHint]++
-			ch.ChargeIO(h.obj, device.SeqWrite, 1)
-			pool.Touch(h.obj, uint32(h.insertHint))
-			h.rows++
-			return RID{Page: uint32(h.insertHint), Slot: uint16(slot)}, nil
-		} else if err != ErrPageFull {
+		slot, err = h.pages[h.insertHint].Insert(rec)
+	}
+	if err == ErrPageFull {
+		p := NewPage()
+		if slot, err = p.Insert(rec); err != nil {
 			return RID{}, err
 		}
-	}
-	p := NewPage()
-	slot, err := p.Insert(rec)
-	if err != nil {
+		h.pages = append(h.pages, p)
+		h.versions = append(h.versions, 0)
+		h.insertHint = len(h.pages) - 1
+	} else if err != nil {
 		return RID{}, err
 	}
-	h.pages = append(h.pages, p)
-	h.versions = append(h.versions, 1)
-	h.insertHint = len(h.pages) - 1
-	bufferpool.ChargePage(ch, h.obj, device.SeqWrite, int64(h.insertHint), 1)
+	h.versions[h.insertHint]++
+	ch.ChargePageIO(h.obj, device.SeqWrite, int64(h.insertHint), 1)
 	pool.Touch(h.obj, uint32(h.insertHint))
 	h.rows++
 	return RID{Page: uint32(h.insertHint), Slot: uint16(slot)}, nil
@@ -83,7 +81,7 @@ func (h *HeapFile) Insert(pool *bufferpool.Pool, ch bufferpool.IOCharger, rec []
 
 // Fetch reads the record at rid with a random page read (on buffer miss).
 // The returned bytes alias the page.
-func (h *HeapFile) Fetch(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RID) ([]byte, error) {
+func (h *HeapFile) Fetch(pool *bufferpool.Pool, ch iosim.Charger, rid RID) ([]byte, error) {
 	if int(rid.Page) >= len(h.pages) {
 		return nil, fmt.Errorf("pagestore: fetch %v: page out of range (have %d)", rid, len(h.pages))
 	}
@@ -93,7 +91,7 @@ func (h *HeapFile) Fetch(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RID
 
 // Update rewrites the record at rid in place, charging one random-write row
 // operation. (An update's read side is charged by whoever located the RID.)
-func (h *HeapFile) Update(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RID, rec []byte) error {
+func (h *HeapFile) Update(pool *bufferpool.Pool, ch iosim.Charger, rid RID, rec []byte) error {
 	if int(rid.Page) >= len(h.pages) {
 		return fmt.Errorf("pagestore: update %v: page out of range (have %d)", rid, len(h.pages))
 	}
@@ -101,13 +99,13 @@ func (h *HeapFile) Update(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RI
 		return err
 	}
 	h.versions[rid.Page]++
-	bufferpool.ChargePage(ch, h.obj, device.RandWrite, int64(rid.Page), 1)
+	ch.ChargePageIO(h.obj, device.RandWrite, int64(rid.Page), 1)
 	pool.Touch(h.obj, rid.Page)
 	return nil
 }
 
 // Delete removes the record at rid, charging one random-write row operation.
-func (h *HeapFile) Delete(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RID) error {
+func (h *HeapFile) Delete(pool *bufferpool.Pool, ch iosim.Charger, rid RID) error {
 	if int(rid.Page) >= len(h.pages) {
 		return fmt.Errorf("pagestore: delete %v: page out of range (have %d)", rid, len(h.pages))
 	}
@@ -115,7 +113,7 @@ func (h *HeapFile) Delete(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RI
 		return err
 	}
 	h.versions[rid.Page]++
-	bufferpool.ChargePage(ch, h.obj, device.RandWrite, int64(rid.Page), 1)
+	ch.ChargePageIO(h.obj, device.RandWrite, int64(rid.Page), 1)
 	h.rows--
 	return nil
 }
@@ -124,7 +122,7 @@ func (h *HeapFile) Delete(pool *bufferpool.Pool, ch bufferpool.IOCharger, rid RI
 // charging one sequential page read per page (on buffer miss) just before
 // the visit. Iteration stops when fn returns false. fn must not write to
 // the file.
-func (h *HeapFile) ScanPages(pool *bufferpool.Pool, ch bufferpool.IOCharger, fn func(pg int, p *Page, version uint64) bool) {
+func (h *HeapFile) ScanPages(pool *bufferpool.Pool, ch iosim.Charger, fn func(pg int, p *Page, version uint64) bool) {
 	for pg, p := range h.pages {
 		pool.Access(ch, h.obj, uint32(pg), device.SeqRead)
 		if !fn(pg, p, h.versions[pg]) {
@@ -136,7 +134,7 @@ func (h *HeapFile) ScanPages(pool *bufferpool.Pool, ch bufferpool.IOCharger, fn 
 // Scan iterates every live record in physical order, page by page as
 // ScanPages charges them. The callback's record slice aliases the page.
 // Iteration stops when fn returns false.
-func (h *HeapFile) Scan(pool *bufferpool.Pool, ch bufferpool.IOCharger, fn func(rid RID, rec []byte) bool) error {
+func (h *HeapFile) Scan(pool *bufferpool.Pool, ch iosim.Charger, fn func(rid RID, rec []byte) bool) error {
 	var err error
 	h.ScanPages(pool, ch, func(pg int, p *Page, _ uint64) bool {
 		for s := 0; s < p.NumSlots(); s++ {

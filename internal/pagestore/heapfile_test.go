@@ -18,7 +18,7 @@ func newRecorder() *recordingCharger {
 	return &recordingCharger{counts: make(map[device.IOType]int64)}
 }
 
-func (r *recordingCharger) ChargeIO(_ catalog.ObjectID, t device.IOType, n int64) {
+func (r *recordingCharger) ChargePageIO(_ catalog.ObjectID, t device.IOType, _ int64, n int64) {
 	r.counts[t] += n
 }
 
