@@ -161,7 +161,7 @@ func adviseSQL(box *device.Box, sla float64, schemaPath, queryPath string, searc
 		return err
 	}
 	in := core.Input{Cat: db.Cat, Box: box, Est: w.Estimator(db), Profiles: ps, Concurrency: 1, Workers: searchWorkers}
-	res, val, err := adviseDSS(in, core.Options{RelativeSLA: sla}, &runner{db: db, w: w})
+	res, val, err := adviseDSS(in, core.Options{RelativeSLA: sla}, workload.DSSRunner{DB: db, W: w})
 	if err != nil {
 		return err
 	}
@@ -210,7 +210,7 @@ func adviseTPCH(box *device.Box, modified bool, sla, sf float64, seed int64, sea
 		return err
 	}
 	in := core.Input{Cat: db.Cat, Box: box, Est: w.Estimator(db), Profiles: ps, Concurrency: 1, Workers: searchWorkers}
-	res, val, err := adviseDSS(in, core.Options{RelativeSLA: sla}, &runner{db: db, w: w})
+	res, val, err := adviseDSS(in, core.Options{RelativeSLA: sla}, workload.DSSRunner{DB: db, W: w})
 	if err != nil {
 		return err
 	}
@@ -220,18 +220,6 @@ func adviseTPCH(box *device.Box, modified bool, sla, sf float64, seed int64, sea
 			val.PSR*100, val.Measured.Elapsed.Round(time.Millisecond))
 	}
 	return nil
-}
-
-type runner struct {
-	db *engine.DB
-	w  *workload.DSS
-}
-
-func (r *runner) Run(l catalog.Layout) (workload.Observation, error) {
-	if err := r.db.SetLayout(l); err != nil {
-		return workload.Observation{}, err
-	}
-	return r.w.RunDetailed(r.db)
 }
 
 func adviseTPCC(box *device.Box, sla float64, workers, searchWorkers int, seed int64, partitioned bool) error {

@@ -156,7 +156,7 @@ func runTPCHFigure(w io.Writer, opts Options, id string, modified bool, sla floa
 		// DOT derives its constraints in estimate space (estimated L0 as
 		// the reference), then the validation phase test-runs the
 		// recommendation and refines on a miss (paper Fig. 2).
-		res, val, err := core.OptimizeValidated(env.input(), core.Options{RelativeSLA: sla}, &dssRunner{env: env}, 3)
+		res, val, err := core.OptimizeValidated(env.input(), core.Options{RelativeSLA: sla}, workload.DSSRunner{DB: env.db, W: env.w}, 3)
 		if err != nil {
 			return nil, err
 		}
@@ -317,18 +317,4 @@ func Discrete(w io.Writer, opts Options) (*FigureResult, error) {
 	}
 	fig.print(w)
 	return fig, nil
-}
-
-// dssRunner adapts the TPC-H environment to the validation phase's Runner.
-type dssRunner struct {
-	env *tpchEnv
-}
-
-// Run implements core.Runner: a cold test run of the workload on l with
-// per-query statistics for the refinement phase.
-func (r *dssRunner) Run(l catalog.Layout) (workload.Observation, error) {
-	if err := r.env.db.SetLayout(l); err != nil {
-		return workload.Observation{}, err
-	}
-	return r.env.w.RunDetailed(r.env.db)
 }

@@ -235,6 +235,23 @@ func (w *DSS) RunDetailed(db *engine.DB) (Observation, error) {
 	return obs, nil
 }
 
+// DSSRunner is the validation phase's test run of a DSS workload: it
+// implements core.Runner by installing each layout on DB and running W
+// cold with RunDetailed.
+type DSSRunner struct {
+	DB *engine.DB
+	W  *DSS
+}
+
+// Run installs l and returns a cold run of the workload on it, with the
+// per-query observations the refinement phase re-estimates from.
+func (r DSSRunner) Run(l catalog.Layout) (Observation, error) {
+	if err := r.DB.SetLayout(l); err != nil {
+		return Observation{}, err
+	}
+	return r.W.RunDetailed(r.DB)
+}
+
 // ObservedEstimator prices measured per-query I/O counts under candidate
 // layouts. Because the counts come from a real run they include buffer-pool
 // effects; the plans are frozen at the observed layout (the validation
