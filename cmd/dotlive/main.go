@@ -153,33 +153,7 @@ func runReplicated(sla float64, windows, shiftAt, revertAt, maxCopies int, headr
 		if err != nil {
 			return err
 		}
-		switch {
-		case dec.Drift.Thin:
-			fmt.Printf("window %d [%s]: window too thin to judge, no action\n", w, label)
-		case !dec.Drift.Drifted:
-			fmt.Printf("window %d [%s]: no drift (divergence %.3f), layout unchanged\n",
-				w, label, dec.Drift.Divergence)
-		case !dec.Feasible:
-			fmt.Printf("window %d [%s]: DRIFT (divergence %.3f) but no feasible layout — keeping current, will retry\n",
-				w, label, dec.Drift.Divergence)
-		case !dec.ReAdvised:
-			fmt.Printf("window %d [%s]: DRIFT (divergence %.3f), search confirmed the deployed layout (%d candidates)\n",
-				w, label, dec.Drift.Divergence, dec.Result.Evaluated)
-		default:
-			mode := "incremental"
-			if !dec.Incremental {
-				mode = "full fallback"
-			}
-			verb := "re-placed"
-			if grew := dec.Result.MaxCopies() - dec.SetFrom.MaxCopies(); grew > 0 {
-				verb = "GREW a copy"
-			} else if grew < 0 {
-				verb = "DROPPED a copy"
-			}
-			fmt.Printf("window %d [%s]: DRIFT (divergence %.3f) → %s (%s): %d transitions (%.1f MB copied, migration %v), TOC %.4e, %d candidates\n",
-				w, label, dec.Drift.Divergence, verb, mode, len(dec.Migration.Moves),
-				float64(dec.Migration.Bytes)/1e6, dec.Migration.Time.Round(time.Millisecond),
-				dec.Result.TOCCents, dec.Result.Evaluated)
+		if printDecision(w, label, dec) {
 			printSet(dec.SetTo)
 		}
 	}
@@ -333,28 +307,7 @@ func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Dura
 		if err != nil {
 			return err
 		}
-		switch {
-		case dec.Drift.Thin:
-			fmt.Printf("window %d [%s]: window too thin to judge, no action\n", w, label)
-		case !dec.Drift.Drifted:
-			fmt.Printf("window %d [%s]: no drift (divergence %.3f), layout unchanged\n",
-				w, label, dec.Drift.Divergence)
-		case !dec.Feasible:
-			fmt.Printf("window %d [%s]: DRIFT (divergence %.3f) but no feasible layout — keeping current, will retry\n",
-				w, label, dec.Drift.Divergence)
-		case !dec.ReAdvised:
-			fmt.Printf("window %d [%s]: DRIFT (divergence %.3f), search confirmed the deployed layout (%d candidates)\n",
-				w, label, dec.Drift.Divergence, dec.Result.Evaluated)
-		default:
-			mode := "incremental"
-			if !dec.Incremental {
-				mode = "full fallback"
-			}
-			fmt.Printf("window %d [%s]: DRIFT (divergence %.3f) → re-advised (%s): %d objects move (%.1f MB, migration %v), TOC %.4e, %d candidates in %v\n",
-				w, label, dec.Drift.Divergence, mode, len(dec.Migration.Moves),
-				float64(dec.Migration.Bytes)/1e6, dec.Migration.Time.Round(time.Millisecond),
-				dec.Result.TOCCents, dec.Result.Evaluated,
-				dec.Result.PlanTime.Round(time.Millisecond))
+		if printDecision(w, label, dec) {
 			if err := db.SetLayout(dec.Result.Layout); err != nil {
 				return err
 			}
@@ -365,4 +318,41 @@ func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Dura
 	fmt.Printf("done: %d windows, %d drift checks, %d drifted, %d re-advises (%d full fallbacks)\n",
 		st.WindowsClosed, st.Checks, st.Drifts, st.ReAdvises, st.Fallbacks)
 	return nil
+}
+
+// printDecision prints window w's re-advise decision, for both arcs, and
+// reports whether it adopted a new layout, which the caller then deploys.
+// A change in the most copies any object keeps reads as a grown or
+// dropped copy.
+func printDecision(w int, label string, dec *online.Decision) bool {
+	head := fmt.Sprintf("window %d [%s]: ", w, label)
+	switch {
+	case dec.Drift.Thin:
+		fmt.Println(head + "window too thin to judge, no action")
+	case !dec.Drift.Drifted:
+		fmt.Printf("%sno drift (divergence %.3f), layout unchanged\n", head, dec.Drift.Divergence)
+	case !dec.Feasible:
+		fmt.Printf("%sDRIFT (divergence %.3f) but no feasible layout — keeping current, will retry\n",
+			head, dec.Drift.Divergence)
+	case !dec.ReAdvised:
+		fmt.Printf("%sDRIFT (divergence %.3f), search confirmed the deployed layout (%d candidates)\n",
+			head, dec.Drift.Divergence, dec.Result.Evaluated)
+	default:
+		mode := "incremental"
+		if !dec.Incremental {
+			mode = "full fallback"
+		}
+		verb := "re-advised"
+		if grew := dec.Result.MaxCopies() - dec.SetFrom.MaxCopies(); grew > 0 {
+			verb = "GREW a copy"
+		} else if grew < 0 {
+			verb = "DROPPED a copy"
+		}
+		fmt.Printf("%sDRIFT (divergence %.3f) → %s (%s): %d moves (%.1f MB copied, migration %v), TOC %.4e, %d candidates in %v\n",
+			head, dec.Drift.Divergence, verb, mode, len(dec.Migration.Moves),
+			float64(dec.Migration.Bytes)/1e6, dec.Migration.Time.Round(time.Millisecond),
+			dec.Result.TOCCents, dec.Result.Evaluated, dec.Result.PlanTime.Round(time.Millisecond))
+		return true
+	}
+	return false
 }
