@@ -81,7 +81,7 @@ func TestAccountantChargePageIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := &pageTap{}
+	tap := &lastCharge{}
 	a.SetTap(tap)
 	a.ChargePageIO(tab.ID, device.RandRead, 7, 2)
 	b.ChargePageIO(tab.ID, device.RandRead, -1, 2)
@@ -96,10 +96,10 @@ func TestAccountantChargePageIO(t *testing.T) {
 	}
 }
 
-type pageTap struct {
+type lastCharge struct {
 	page, n int64
 }
 
-func (p *pageTap) ChargePageIO(_ catalog.ObjectID, _ device.IOType, page int64, n int64) {
+func (p *lastCharge) ChargePageIO(_ catalog.ObjectID, _ device.IOType, page int64, n int64) {
 	p.page, p.n = page, n
 }
