@@ -93,8 +93,14 @@ type Result struct {
 // Run executes a plan on behalf of one worker, charging I/O and CPU to the
 // accountant, and returns the result.
 func Run(st Storage, acct *iosim.Accountant, p *plan.Plan) (*Result, error) {
+	if executing != nil {
+		executing()
+	}
 	return (&exec{st: st, acct: acct}).collect(p.Root)
 }
+
+// executing, set only by tests, is called whenever Run executes a plan.
+var executing func()
 
 type exec struct {
 	st   Storage

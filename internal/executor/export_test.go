@@ -1,6 +1,9 @@
 package executor
 
 import (
+	"sync/atomic"
+	"testing"
+
 	"dotprov/internal/iosim"
 	"dotprov/internal/plan"
 	"dotprov/internal/types"
@@ -53,3 +56,12 @@ func SpareValues(st Storage) int {
 
 // ChunkRows is how many build rows one chunk of a hash join holds.
 const ChunkRows = chunkRows
+
+// CountExecutions counts, until t ends, the plans Run executes, and returns
+// a function that reads the count.
+func CountExecutions(t testing.TB) func() int {
+	var n atomic.Int64
+	executing = func() { n.Add(1) }
+	t.Cleanup(func() { executing = nil })
+	return func() int { return int(n.Load()) }
+}
