@@ -24,6 +24,7 @@ import (
 	"dotprov/internal/core"
 	"dotprov/internal/device"
 	"dotprov/internal/engine"
+	"dotprov/internal/executor"
 	"dotprov/internal/iosim"
 	"dotprov/internal/online"
 	"dotprov/internal/plan"
@@ -973,6 +974,8 @@ func BenchmarkPartitionedReplicatedDOT(b *testing.B) {
 // sides; every iteration then measures the steady state the later queries
 // of a validation run see, even at -benchtime 1x, and gate 14 holds Q5's
 // B/op under a ceiling that building in fresh storage exceeds tenfold.
+// Every run goes through noMemo, so each iteration executes the plan
+// rather than replaying the first run's trace.
 func BenchmarkExecutorTPCH(b *testing.B) {
 	cfg := tpch.Config{ScaleFactor: 0.01, Seed: 1}
 	db := engine.New(device.Box2(), engine.DefaultPoolPages)
@@ -1014,7 +1017,7 @@ func BenchmarkExecutorTPCH(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sess.RunPlan(pl); err != nil {
+			if _, err := executor.Run(noMemo{db}, sess.Acct(), pl); err != nil {
 				b.Fatal(err)
 			}
 			var before, after runtime.MemStats
@@ -1022,7 +1025,7 @@ func BenchmarkExecutorTPCH(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sess.RunPlan(pl); err != nil {
+				if _, err := executor.Run(noMemo{db}, sess.Acct(), pl); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1032,6 +1035,14 @@ func BenchmarkExecutorTPCH(b *testing.B) {
 		})
 	}
 }
+
+// noMemo lends a database to a benchmark of execution without its memo of
+// executed plans, so that Run executes every plan however often it ran
+// before instead of replaying it.
+type noMemo struct{ *engine.DB }
+
+// Traces implements executor.Storage: no memo.
+func (noMemo) Traces() *executor.Traces { return nil }
 
 // BenchmarkAnalyzeTPCH gathers the statistics of a TPC-H database at SF
 // 0.01 (eight tables, 86,000 rows), which the offline pipeline does after

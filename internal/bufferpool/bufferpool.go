@@ -38,6 +38,13 @@ type frame struct {
 	ref bool
 }
 
+// Access is one page access: the page, and the read it is charged as when
+// it misses.
+type Access struct {
+	Page PageKey
+	Type device.IOType
+}
+
 // Pool is a clock-sweep buffer pool. It tracks residency only (the bytes
 // live in the heap files); capacity is in pages. A Pool is not safe for
 // concurrent use; the engine serialises access (simulated workers interleave
@@ -48,6 +55,8 @@ type Pool struct {
 	index    map[PageKey]int
 	hand     int
 	stats    Stats
+	// rec, while recording, is where Access appends every access.
+	rec *[]Access
 }
 
 // New creates a pool holding up to capacity pages. Capacity below 1 is
@@ -80,6 +89,9 @@ func (p *Pool) Resident(key PageKey) bool {
 // whether the access was a hit.
 func (p *Pool) Access(ch iosim.Charger, obj catalog.ObjectID, pageNo uint32, t device.IOType) bool {
 	key := PageKey{Object: obj, Page: pageNo}
+	if p.rec != nil {
+		*p.rec = append(*p.rec, Access{key, t})
+	}
 	if i, ok := p.index[key]; ok {
 		p.frames[i].ref = true
 		p.stats.Hits++
@@ -89,6 +101,18 @@ func (p *Pool) Access(ch iosim.Charger, obj catalog.ObjectID, pageNo uint32, t d
 	ch.ChargePageIO(obj, t, int64(pageNo), 1)
 	p.admit(key)
 	return false
+}
+
+// Record makes every later Access append itself, in order, to *rec, until
+// Record(nil) stops the recording. Touch is not recorded.
+func (p *Pool) Record(rec *[]Access) { p.rec = rec }
+
+// Replay makes the accesses of a recording again, in order, on behalf of
+// ch: each hits or misses, and charges, as this pool decides now.
+func (p *Pool) Replay(ch iosim.Charger, accesses []Access) {
+	for _, a := range accesses {
+		p.Access(ch, a.Page.Object, a.Page.Page, a.Type)
+	}
 }
 
 // Touch makes a page resident without charging (used right after a page is

@@ -26,6 +26,7 @@ func (db *DB) insert(ch iosim.Charger, table string, tu types.Tuple) error {
 		return err
 	}
 	heap := db.heaps[t.ID]
+	db.traces.Advance()
 	db.rec = types.EncodeTuple(db.rec[:0], tu)
 	rid, err := heap.Insert(db.pool, ch, db.rec)
 	if err != nil {
@@ -163,6 +164,7 @@ func (s *Session) UpdateByRID(table string, rid pagestore.RID, newTu types.Tuple
 		return err
 	}
 	s.acct.ChargeCPU(plan.CPUPerRowWrite)
+	db.traces.Advance()
 	db.rec = types.EncodeTuple(db.rec[:0], newTu)
 	if err := heap.Update(db.pool, s.acct, rid, db.rec); err != nil {
 		return err
@@ -200,6 +202,7 @@ func (s *Session) DeleteByRID(table string, rid pagestore.RID) error {
 		return err
 	}
 	s.acct.ChargeCPU(plan.CPUPerRowWrite)
+	db.traces.Advance()
 	if err := heap.Delete(db.pool, s.acct, rid); err != nil {
 		return err
 	}

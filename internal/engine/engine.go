@@ -77,6 +77,7 @@ type DB struct {
 	tap         iosim.Charger
 	spare       executor.Spare
 	decoded     executor.Decoded
+	traces      executor.Traces
 	// writes holds, per table, what a write needs of its indexes.
 	writes map[catalog.ObjectID]*tableWrites
 
@@ -154,6 +155,10 @@ func (db *DB) Spare() *executor.Spare { return &db.spare }
 // Decoded implements executor.Storage.
 func (db *DB) Decoded() *executor.Decoded { return &db.decoded }
 
+// Traces implements executor.Storage. Every write to the stored data —
+// insert, update, delete, CreateTable, CreateIndex — advances its epoch.
+func (db *DB) Traces() *executor.Traces { return &db.traces }
+
 // ---- DDL ------------------------------------------------------------------
 
 // CreateTable creates a table plus, when primaryKey is non-empty, its
@@ -163,6 +168,7 @@ func (db *DB) CreateTable(name string, schema *types.Schema, primaryKey []string
 	if err != nil {
 		return nil, err
 	}
+	db.traces.Advance()
 	db.heaps[t.ID] = pagestore.NewHeapFile(t.ID)
 	db.writes[t.ID] = &tableWrites{mask: make([]bool, schema.Len())}
 	if len(primaryKey) > 0 {
@@ -189,6 +195,7 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool) (*c
 	for i, c := range columns {
 		pos[i] = t.Schema.ColIndex(c)
 	}
+	db.traces.Advance()
 	tree := btree.New(ix.ID)
 	db.trees[ix.ID] = tree
 	w := db.writes[t.ID]

@@ -123,7 +123,7 @@ func allocDB(t *testing.T, n int) (*engine.DB, func(plan.Node)) {
 		t.Fatal(err)
 	}
 	return db, func(root plan.Node) {
-		if _, err := executor.Run(db, sess.Acct(), &plan.Plan{Query: &plan.Query{Name: "alloc"}, Root: root}); err != nil {
+		if _, err := executor.Run(noMemo{db}, sess.Acct(), &plan.Plan{Query: &plan.Query{Name: "alloc"}, Root: root}); err != nil {
 			t.Fatal(err)
 		}
 	}

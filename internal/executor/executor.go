@@ -78,29 +78,56 @@ type Storage interface {
 	// Decoded is where the database's sequential scans keep the pages they
 	// have decoded.
 	Decoded() *Decoded
+	// Traces is the database's memo of executed plans, which Run replays
+	// instead of executing them again; nil means no memo, so Run executes
+	// every plan. A storage that returns one advances its epoch on every
+	// write to what Heap and Tree hold.
+	Traces() *Traces
 }
 
 // MaxResultTuples caps how many output tuples Run materialises in the
 // Result (counting always continues past the cap).
 const MaxResultTuples = 10000
 
-// Result summarises a query execution.
+// Result summarises a query execution. Its Tuples belong to the caller,
+// who may change them: Run hands out a copy of what its memo keeps.
 type Result struct {
 	Rows   int64
 	Tuples []types.Tuple // first MaxResultTuples output rows
 }
 
-// Run executes a plan on behalf of one worker, charging I/O and CPU to the
-// accountant, and returns the result.
+// Run runs a plan on behalf of one worker, charging I/O and CPU to the
+// accountant, and returns the result. When the storage's memo holds the
+// plan, Run replays it: it makes the recorded page accesses in order
+// through the storage's pool, charges the recorded CPU and returns a copy
+// of the recorded result, so the accountant, its tap and the pool end as
+// executing the plan would leave them. Otherwise it executes the plan,
+// recording the pool's accesses, and keeps what it did in the memo.
 func Run(st Storage, acct *iosim.Accountant, p *plan.Plan) (*Result, error) {
-	if executing != nil {
-		executing()
+	memo := st.Traces()
+	if memo == nil {
+		return execute(st, acct, p.Root)
 	}
-	return (&exec{st: st, acct: acct}).collect(p.Root)
+	key, hit := memo.find(p.Root)
+	if hit != nil {
+		return hit.replay(st.Pool(), acct), nil
+	}
+	if key == nil {
+		return execute(st, acct, p.Root)
+	}
+	return memo.record(key, st, acct, p.Root)
 }
 
 // executing, set only by tests, is called whenever Run executes a plan.
 var executing func()
+
+// execute executes the plan rooted at root.
+func execute(st Storage, acct *iosim.Accountant, root plan.Node) (*Result, error) {
+	if executing != nil {
+		executing()
+	}
+	return (&exec{st: st, acct: acct}).collect(root)
+}
 
 type exec struct {
 	st   Storage

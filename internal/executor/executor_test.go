@@ -59,19 +59,33 @@ func harness(t *testing.T) *engine.DB {
 	return db
 }
 
-// runNode executes a hand-built physical plan.
+// runNode runs a hand-built physical plan.
 func runNode(t *testing.T, db *engine.DB, root plan.Node) *executor.Result {
+	return runOn(t, db, db, root)
+}
+
+// runOn runs a hand-built physical plan on st in a new session of db.
+func runOn(t *testing.T, db *engine.DB, st executor.Storage, root plan.Node) *executor.Result {
 	t.Helper()
 	sess, err := db.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := executor.Run(db, sess.Acct(), &plan.Plan{Query: &plan.Query{Name: "manual"}, Root: root})
+	res, err := executor.Run(st, sess.Acct(), &plan.Plan{Query: &plan.Query{Name: "manual"}, Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
+
+// noMemo lends a database to the tests that measure execution itself —
+// what a run allocates, what its joins leave in the recycled storage —
+// without its memo, so that Run executes every plan however often it ran
+// before instead of replaying it.
+type noMemo struct{ *engine.DB }
+
+// Traces implements executor.Storage: no memo.
+func (noMemo) Traces() *executor.Traces { return nil }
 
 func tableID(t *testing.T, db *engine.DB, name string) catalog.ObjectID {
 	tab, err := db.Cat.TableByName(name)

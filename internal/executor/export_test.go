@@ -65,3 +65,12 @@ func CountExecutions(t testing.TB) func() int {
 	t.Cleanup(func() { executing = nil })
 	return func() int { return int(n.Load()) }
 }
+
+// MemoSize reports how many plans st's memo holds and the bytes it counts
+// for them.
+func MemoSize(st Storage) (plans int, bytes int64) {
+	m := st.Traces()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.plans), m.bytes
+}

@@ -186,7 +186,7 @@ func TestResultSurvivesRecycledBuildStorage(t *testing.T) {
 	kept := []*struct {
 		res  []types.Tuple
 		want []byte
-	}{{res: runNode(t, db, named).Tuples}, {res: runNode(t, db, perName).Tuples}}
+	}{{res: runOn(t, db, noMemo{db}, named).Tuples}, {res: runOn(t, db, noMemo{db}, perName).Tuples}}
 	for _, r := range kept {
 		r.want = encodeRows(r.res)
 	}
@@ -194,7 +194,7 @@ func TestResultSurvivesRecycledBuildStorage(t *testing.T) {
 		t.Fatalf("per-name counts: %d groups, group 7 = %v", n, kept[1].res[7])
 	}
 	for i := 0; i < 24; i++ {
-		if res := runNode(t, db, wide); res.Rows != 2000 {
+		if res := runOn(t, db, noMemo{db}, wide); res.Rows != 2000 {
 			t.Fatalf("later join %d: %d rows, want 2000", i, res.Rows)
 		}
 	}
@@ -216,7 +216,7 @@ func TestRecycledStorageHoldsNoStringKey(t *testing.T) {
 	db := recycleDB(t)
 	note := plan.ColRef{Table: "ord", Column: "note"}
 	ord := func() plan.Node { return &plan.SeqScan{Table: "ord", TableID: tableID(t, db, "ord"), Cols: ordCols} }
-	if res := runNode(t, db, &plan.Join{Algo: plan.HashJoin, Outer: ord(), OuterCol: note, Inner: ord(), InnerCol: note}); res.Rows != 2000 {
+	if res := runOn(t, db, noMemo{db}, &plan.Join{Algo: plan.HashJoin, Outer: ord(), OuterCol: note, Inner: ord(), InnerCol: note}); res.Rows != 2000 {
 		t.Fatalf("self-join on distinct notes: %d rows, want 2000", res.Rows)
 	}
 	if n := executor.SpareValues(db); n != 0 {
@@ -252,7 +252,7 @@ func TestConcurrentJoinsShareNoStorage(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
 				p := (i + w) % len(plans)
-				res, err := sess.RunPlan(&plan.Plan{Query: &plan.Query{Name: "concurrent"}, Root: plans[p]})
+				res, err := executor.Run(noMemo{db}, sess.Acct(), &plan.Plan{Query: &plan.Query{Name: "concurrent"}, Root: plans[p]})
 				if err != nil {
 					errs <- err
 					return

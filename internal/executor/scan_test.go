@@ -215,34 +215,64 @@ func (s ownPool) Pool() *bufferpool.Pool { return s.pool }
 
 // TestConcurrentScansOfOneDatabase runs the scans of the write tests from
 // two sessions at once on one database that nothing has scanned yet, each
-// session with its own buffer pool. Both must answer as a database of
-// their own does, and under -race nothing the scans share may race.
+// session with its own buffer pool, both running the same plans in the same
+// order: whichever executes a plan first records it while the other may
+// replay it, and later rounds replay it. Every run of both must show what
+// the same sequence of runs shows alone on a database of its own — the
+// rows, the CPU and clock it charged and its pool's hits and misses —
+// after its first round no session executes a plan, and under -race
+// nothing the scans share may race.
 func TestConcurrentScansOfOneDatabase(t *testing.T) {
-	want := scanAll(t, scanDB(t, scanRows()))
+	const rounds = 3
+	// steps runs every scan rounds times in one session of db on its own
+	// pool and renders each run.
+	steps := func(db *engine.DB, pool *bufferpool.Pool, plans []plan.Node, step func(i int, got string) bool) error {
+		sess, err := db.NewSession()
+		if err != nil {
+			return err
+		}
+		st, acct := ownPool{DB: db, pool: pool}, sess.Acct()
+		for i := 0; i < rounds*len(plans); i++ {
+			cpu, now, before := acct.CPUTime(), acct.Now(), pool.Stats()
+			res, err := executor.Run(st, acct, &plan.Plan{Query: &plan.Query{Name: "concurrent"}, Root: plans[i%len(plans)]})
+			if err != nil {
+				return err
+			}
+			after := pool.Stats()
+			got := fmt.Sprintf("cpu=%d now=%d hits=%d misses=%d rows=%x", acct.CPUTime()-cpu, acct.Now()-now,
+				after.Hits-before.Hits, after.Misses-before.Misses, encodeRows(res.Tuples))
+			if !step(i, got) {
+				return nil
+			}
+		}
+		return nil
+	}
+	var want []string
+	alone := scanDB(t, scanRows())
+	if err := steps(alone, bufferpool.New(64), scanPlans(t, alone), func(_ int, got string) bool {
+		want = append(want, got)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
 	db := scanDB(t, scanRows())
 	plans := scanPlans(t, db)
+	executed := executor.CountExecutions(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	for w := 0; w < 2; w++ {
-		sess, err := db.NewSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := ownPool{DB: db, pool: bufferpool.New(64)}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 3*len(plans); i++ {
-				p := (i + w) % len(plans)
-				res, err := executor.Run(st, sess.Acct(), &plan.Plan{Query: &plan.Query{Name: "concurrent"}, Root: plans[p]})
-				if err != nil {
-					errs <- err
-					return
+			err := steps(db, bufferpool.New(64), plans, func(i int, got string) bool {
+				if got != want[i] {
+					errs <- fmt.Errorf("session %d, run %d: scan %d showed\n  %.200s\nbeside another session, alone\n  %.200s", w, i, i%len(plans), got, want[i])
+					return false
 				}
-				if !bytes.Equal(encodeRows(res.Tuples), want[p]) {
-					errs <- fmt.Errorf("session %d, run %d: scan %d answered differently beside another session", w, i, p)
-					return
-				}
+				return true
+			})
+			if err != nil {
+				errs <- err
 			}
 		}(w)
 	}
@@ -250,5 +280,8 @@ func TestConcurrentScansOfOneDatabase(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if n := executed(); n > 2*len(plans) {
+		t.Errorf("the sessions executed %d of %d runs: after its first round each should replay", n, 2*rounds*len(plans))
 	}
 }
