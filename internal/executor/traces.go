@@ -51,7 +51,6 @@ type trace struct {
 	cpu      time.Duration
 	rows     int64
 	tuples   []types.Tuple
-	bytes    int64
 }
 
 // Advance starts a new write epoch, dropping every trace of the old one.
@@ -106,12 +105,15 @@ func (t *Traces) record(key []byte, st Storage, acct *iosim.Accountant, root pla
 // another run kept the plan first — and takes rec back for the next
 // recording. A nil res keeps nothing.
 func (t *Traces) keep(key []byte, rec []bufferpool.Access, cpu time.Duration, res *Result) {
-	var tr *trace
+	var (
+		tr   *trace
+		size int64
+	)
 	if res != nil {
 		tr = &trace{accesses: append([]bufferpool.Access(nil), rec...), cpu: cpu, rows: res.Rows}
 		var vals int
 		tr.tuples, vals = copyTuples(res.Tuples)
-		tr.bytes = int64(len(key)) + int64(len(rec))*int64(unsafe.Sizeof(bufferpool.Access{})) +
+		size = int64(len(key)) + int64(len(rec))*int64(unsafe.Sizeof(bufferpool.Access{})) +
 			int64(len(tr.tuples))*int64(unsafe.Sizeof(types.Tuple{})) + int64(vals)*int64(unsafe.Sizeof(types.Value{}))
 	}
 	t.mu.Lock()
@@ -126,7 +128,7 @@ func (t *Traces) keep(key []byte, rec []bufferpool.Access, cpu time.Duration, re
 		t.plans = make(map[string]*trace)
 	}
 	t.plans[string(key)] = tr
-	t.bytes += tr.bytes
+	t.bytes += size
 }
 
 // replay makes the traced run's page accesses through pool on behalf of
