@@ -49,6 +49,19 @@
 // involved. The build storage is recycled: the chunks and the directory
 // come from the database's Spare and go back, the chunks cleared, when the
 // probe ends, which is safe because nothing a join lends outlives its emit.
+//
+// A plan is executed once per write epoch of its database, and replayed
+// after that. Which pages a plan touches, in which order, is a function of
+// the plan and the stored data: no operator branches on whether a page hit the pool, and the
+// layout only prices a charge. So the database's Traces keeps, for every
+// plan Run has executed since the last write, the pool's recording of its
+// page accesses, the CPU it charged and its result, and Run replays a plan
+// it holds: the accesses go in order through the session's own pool and
+// accountant, hitting or missing as the pool decides now, the CPU is
+// charged, and the caller gets a copy of the rows. Misses, profile, tap
+// stream, pool state and clock are those of executing the plan, under any
+// layout or pool size (TestReplayMatchesExecution). A validation run on a
+// new layout therefore executes only the plans the layout changed.
 package executor
 
 import (
