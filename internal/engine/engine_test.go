@@ -591,6 +591,55 @@ func TestPlanRequiresAnalyze(t *testing.T) {
 	}
 }
 
+// TestPlanRefusesAfterRowWrites: every row write a session makes — an
+// insert, an update, a delete — changes what the statistics describe, so
+// planning refuses after each until Analyze runs again.
+func TestPlanRefusesAfterRowWrites(t *testing.T) {
+	db := newTestDB(t)
+	q := &plan.Query{Name: "q", Tables: []string{"item"}, Aggs: []plan.Agg{{Func: plan.Count}}}
+	sess, _ := db.NewSession()
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"insert", func() error {
+			return sess.Insert("item", types.Tuple{types.NewInt(5000), types.NewFloat(1), types.NewString("new")})
+		}},
+		{"update", func() error {
+			tuples, rids, err := sess.LookupEq("item_pkey", types.NewInt(5))
+			if err != nil {
+				return err
+			}
+			tu := tuples[0].Clone()
+			tu[1] = types.NewFloat(99.5)
+			return sess.UpdateByRID("item", rids[0], tu)
+		}},
+		{"delete", func() error {
+			_, rids, err := sess.LookupEq("item_pkey", types.NewInt(6))
+			if err != nil {
+				return err
+			}
+			return sess.DeleteByRID("item", rids[0])
+		}},
+	} {
+		if _, err := db.Plan(q); err != nil {
+			t.Fatalf("before the %s: %v", w.name, err)
+		}
+		if err := w.write(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Plan(q); err == nil {
+			t.Errorf("planning after the %s answered from the statistics it changed", w.name)
+		}
+		if err := db.Analyze(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Plan(q); err != nil {
+		t.Fatalf("after Analyze: %v", err)
+	}
+}
+
 func TestInsertArityChecked(t *testing.T) {
 	db := newTestDB(t)
 	sess, _ := db.NewSession()
