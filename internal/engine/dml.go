@@ -26,7 +26,7 @@ func (db *DB) insert(ch iosim.Charger, table string, tu types.Tuple) error {
 		return err
 	}
 	heap := db.heaps[t.ID]
-	db.traces.Advance()
+	db.epoch++
 	db.rec = types.EncodeTuple(db.rec[:0], tu)
 	rid, err := heap.Insert(db.pool, ch, db.rec)
 	if err != nil {
@@ -37,7 +37,6 @@ func (db *DB) insert(ch iosim.Charger, table string, tu types.Tuple) error {
 		ix.tree.Insert(db.pool, ch, db.key, rid)
 		ch.ChargePageIO(ix.id, device.SeqWrite, -1, 1)
 	}
-	db.analyzed = false
 	return nil
 }
 
@@ -164,7 +163,7 @@ func (s *Session) UpdateByRID(table string, rid pagestore.RID, newTu types.Tuple
 		return err
 	}
 	s.acct.ChargeCPU(plan.CPUPerRowWrite)
-	db.traces.Advance()
+	db.epoch++
 	db.rec = types.EncodeTuple(db.rec[:0], newTu)
 	if err := heap.Update(db.pool, s.acct, rid, db.rec); err != nil {
 		return err
@@ -202,7 +201,7 @@ func (s *Session) DeleteByRID(table string, rid pagestore.RID) error {
 		return err
 	}
 	s.acct.ChargeCPU(plan.CPUPerRowWrite)
-	db.traces.Advance()
+	db.epoch++
 	if err := heap.Delete(db.pool, s.acct, rid); err != nil {
 		return err
 	}

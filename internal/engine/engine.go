@@ -21,8 +21,13 @@
 //     concern, not the engine's.
 //   - Sessions bind the layout and concurrency at creation; re-create
 //     sessions after SetLayout/SetConcurrency.
-//   - DML invalidates Analyze-time statistics; Analyze must run again
-//     before planning (Plan/PlanUnder error otherwise).
+//   - The DB keeps one write epoch, which every write to the stored data
+//     moves: an insert, an update or a delete of a row, CreateTable and
+//     CreateIndex. What is derived from the stored data is kept for one
+//     epoch: the executor's decoded pages and traces of executed plans
+//     (see executor.Storage), and Analyze's statistics, so that after any
+//     write Analyze must run again before planning (Plan/PlanUnder error
+//     otherwise).
 //   - LookupEq lends its result, as the executor lends its tuples: the
 //     tuples, their values and the RIDs live in the session's storage and
 //     are valid until that session's next LookupEq. A caller copies what
@@ -73,11 +78,13 @@ type DB struct {
 	layout      catalog.Layout
 	concurrency int
 	opt         *optimizer.Optimizer
-	analyzed    bool
 	tap         iosim.Charger
 	spare       executor.Spare
 	decoded     executor.Decoded
 	traces      executor.Traces
+	// epoch is the write epoch (see Epoch); analyzedAt is the epoch opt's
+	// statistics were gathered in.
+	epoch, analyzedAt uint64
 	// writes holds, per table, what a write needs of its indexes.
 	writes map[catalog.ObjectID]*tableWrites
 
@@ -155,9 +162,12 @@ func (db *DB) Spare() *executor.Spare { return &db.spare }
 // Decoded implements executor.Storage.
 func (db *DB) Decoded() *executor.Decoded { return &db.decoded }
 
-// Traces implements executor.Storage. Every write to the stored data —
-// insert, update, delete, CreateTable, CreateIndex — advances its epoch.
+// Traces implements executor.Storage.
 func (db *DB) Traces() *executor.Traces { return &db.traces }
+
+// Epoch implements executor.Storage: the write epoch, which every insert,
+// update and delete, CreateTable and CreateIndex moves.
+func (db *DB) Epoch() uint64 { return db.epoch }
 
 // ---- DDL ------------------------------------------------------------------
 
@@ -168,7 +178,7 @@ func (db *DB) CreateTable(name string, schema *types.Schema, primaryKey []string
 	if err != nil {
 		return nil, err
 	}
-	db.traces.Advance()
+	db.epoch++
 	db.heaps[t.ID] = pagestore.NewHeapFile(t.ID)
 	db.writes[t.ID] = &tableWrites{mask: make([]bool, schema.Len())}
 	if len(primaryKey) > 0 {
@@ -176,7 +186,6 @@ func (db *DB) CreateTable(name string, schema *types.Schema, primaryKey []string
 			return nil, err
 		}
 	}
-	db.analyzed = false
 	return t, nil
 }
 
@@ -195,7 +204,7 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool) (*c
 	for i, c := range columns {
 		pos[i] = t.Schema.ColIndex(c)
 	}
-	db.traces.Advance()
+	db.epoch++
 	tree := btree.New(ix.ID)
 	db.trees[ix.ID] = tree
 	w := db.writes[t.ID]
@@ -224,7 +233,6 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool) (*c
 	if err != nil {
 		return nil, err
 	}
-	db.analyzed = false
 	return ix, nil
 }
 
@@ -346,7 +354,7 @@ func (s *Session) Acct() *iosim.Accountant { return s.acct }
 
 // Analyze gathers table and column statistics, refreshes catalog object
 // sizes, and (re)builds the optimizer. Must be called after loading and
-// before planning.
+// before planning, and again after any write.
 func (db *DB) Analyze() error {
 	opt := optimizer.New(db.Box, db.concurrency)
 	// One distinct-value set per column position, reused from table to
@@ -431,8 +439,7 @@ func (db *DB) Analyze() error {
 		}
 		opt.AddTable(ti)
 	}
-	db.opt = opt
-	db.analyzed = true
+	db.opt, db.analyzedAt = opt, db.epoch
 	return nil
 }
 
@@ -524,19 +531,15 @@ func (d *distinctSet) reset() {
 	d.n, d.zero = 0, false
 }
 
-// Optimizer returns the current optimizer (nil before Analyze), whether or
-// not its statistics are still current; planning goes through Planner.
-func (db *DB) Optimizer() *optimizer.Optimizer { return db.opt }
-
 // Planner returns the optimizer holding the latest Analyze's statistics, or
 // the error every planning entry point reports while there are none to plan
-// from: before the first Analyze, and after DDL or DML invalidated them.
+// from: before the first Analyze, and after any write since the latest.
 // Analyze builds a new optimizer each time, so callers that keep
 // optimizer.Prepared queries (or costs derived from them) across calls
 // compare the pointer — and its Concurrency, which SetConcurrency updates
 // in place — to know when what they hold is stale.
 func (db *DB) Planner() (*optimizer.Optimizer, error) {
-	if !db.analyzed || db.opt == nil {
+	if db.opt == nil || db.analyzedAt != db.epoch {
 		return nil, fmt.Errorf("engine: Analyze must run before planning")
 	}
 	return db.opt, nil

@@ -8,6 +8,7 @@ import (
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
+	"dotprov/internal/optimizer"
 	"dotprov/internal/pagestore"
 	"dotprov/internal/plan"
 	"dotprov/internal/types"
@@ -66,6 +67,17 @@ func newTestDB(t *testing.T) *DB {
 	return db
 }
 
+// planner returns db's optimizer, failing t while its statistics are not
+// current.
+func planner(t *testing.T, db *DB) *optimizer.Optimizer {
+	t.Helper()
+	opt, err := db.Planner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opt
+}
+
 func TestCreateTableMakesPKIndex(t *testing.T) {
 	db := newTestDB(t)
 	ix, err := db.Cat.IndexByName("item_pkey")
@@ -85,7 +97,7 @@ func TestCreateTableMakesPKIndex(t *testing.T) {
 
 func TestAnalyzeStats(t *testing.T) {
 	db := newTestDB(t)
-	ti := db.Optimizer().Tables["orders"]
+	ti := planner(t, db).Tables["orders"]
 	if ti == nil {
 		t.Fatal("no stats for orders")
 	}
@@ -172,7 +184,7 @@ func TestAnalyzeStatsAcrossTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tab := range tables {
-		ti := db.Optimizer().Tables[tab.name]
+		ti := planner(t, db).Tables[tab.name]
 		if ti == nil {
 			t.Fatalf("no stats for %s", tab.name)
 		}

@@ -64,7 +64,7 @@ func TestConcurrencySettings(t *testing.T) {
 	if db.Concurrency() != 300 {
 		t.Fatal("concurrency not stored")
 	}
-	if db.Optimizer().Concurrency != 300 {
+	if planner(t, db).Concurrency != 300 {
 		t.Fatal("optimizer concurrency not updated")
 	}
 	// Sessions resolve service times at the configured concurrency: H-SSD

@@ -137,7 +137,11 @@ func TestAnalyzeKeyEdgeValues(t *testing.T) {
 	}
 	for _, table := range []string{"l", "r"} {
 		rows := runNode(t, db, keyScan(t, db, table)).Tuples
-		ti := db.Optimizer().Tables[table]
+		opt, err := db.Planner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ti := opt.Tables[table]
 		if ti == nil {
 			t.Fatalf("no statistics for %s", table)
 		}

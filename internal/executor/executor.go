@@ -15,11 +15,11 @@
 // stream).
 //
 // A sequential scan reads decoded pages. The database keeps, in its
-// Decoded, a column-major copy of every heap page a scan has read (see
-// types.PageColumns), made once per write version of the page
-// (pagestore.HeapFile bumps it on every insert, update and delete), so the
+// Decoded, a column-major copy of every heap page a scan has read in the
+// current write epoch (see types.PageColumns and Storage.Epoch), so the
 // queries of a validation run, and the runs after it, decode each page
-// once instead of once per scan. The scan still charges the page read as
+// once instead of once per scan; the first scan after a write decodes
+// again every page it reads. The scan still charges the page read as
 // the pool decides, and each row's CPU in slot order, where a scan that
 // decoded record by record would; it evaluates its predicates a column at
 // a time and fills in only the columns its consumer reads. Index fetches
@@ -50,18 +50,19 @@
 // come from the database's Spare and go back, the chunks cleared, when the
 // probe ends, which is safe because nothing a join lends outlives its emit.
 //
-// A plan is executed once per write epoch of its database, and replayed
-// after that. Which pages a plan touches, in which order, is a function of
-// the plan and the stored data: no operator branches on whether a page hit the pool, and the
-// layout only prices a charge. So the database's Traces keeps, for every
-// plan Run has executed since the last write, the pool's recording of its
-// page accesses, the CPU it charged and its result, and Run replays a plan
-// it holds: the accesses go in order through the session's own pool and
-// accountant, hitting or missing as the pool decides now, the CPU is
-// charged, and the caller gets a copy of the rows. Misses, profile, tap
-// stream, pool state and clock are those of executing the plan, under any
-// layout or pool size (TestReplayMatchesExecution). A validation run on a
-// new layout therefore executes only the plans the layout changed.
+// A plan is executed once per write epoch of its database (Storage.Epoch),
+// and replayed after that. Which pages a plan touches, in which order, is
+// a function of the plan and the stored data: no operator branches on
+// whether a page hit the pool, and the layout only prices a charge. So the
+// database's Traces keeps, for every plan Run has executed in the current
+// epoch, the pool's recording of its page accesses, the CPU it charged and
+// its result, and Run replays a plan it holds: the accesses go in order
+// through the session's own pool and accountant, hitting or missing as the
+// pool decides now, the CPU is charged, and the caller gets a copy of the
+// rows. Misses, profile, tap stream, pool state and clock are those of
+// executing the plan, under any layout or pool size
+// (TestReplayMatchesExecution). A validation run on a new layout therefore
+// executes only the plans the layout changed.
 package executor
 
 import (
@@ -93,9 +94,12 @@ type Storage interface {
 	Decoded() *Decoded
 	// Traces is the database's memo of executed plans, which Run replays
 	// instead of executing them again; nil means no memo, so Run executes
-	// every plan. A storage that returns one advances its epoch on every
-	// write to what Heap and Tree hold.
+	// every plan.
 	Traces() *Traces
+	// Epoch is the database's write epoch. It moves on every write to what
+	// Heap and Tree hold, and on nothing else; Decoded and Traces keep only
+	// what was derived in the current one.
+	Epoch() uint64
 }
 
 // MaxResultTuples caps how many output tuples Run materialises in the
@@ -121,7 +125,7 @@ func Run(st Storage, acct *iosim.Accountant, p *plan.Plan) (*Result, error) {
 	if memo == nil {
 		return execute(st, acct, p.Root)
 	}
-	key, hit := memo.find(p.Root)
+	key, hit := memo.find(p.Root, st.Epoch())
 	if hit != nil {
 		return hit.replay(st.Pool(), acct), nil
 	}
@@ -283,44 +287,48 @@ func (d *rowDecoder) fetch(rid pagestore.RID) (types.Tuple, bool, error) {
 }
 
 // Decoded keeps, for one database, the decoded columns of every heap page
-// a sequential scan has read, keyed by object and page, each with the
-// write version of the page it was decoded at: an entry whose page has
-// been written since is decoded again. Entries are never changed once
-// made, so scans on several sessions at once may read one while another
-// replaces it. It goes when the database goes. The zero Decoded is empty
-// and ready to use.
+// a sequential scan has read in one write epoch, keyed by object and page.
+// A page decoded in a later epoch drops every page of the earlier one, so
+// a page is decoded again after any write to the database. Entries are
+// never changed once made, so scans on several sessions at once may read
+// one while another adds one. It goes when the database goes. The zero
+// Decoded is empty and ready to use.
 type Decoded struct {
 	mu    sync.Mutex
-	pages map[bufferpool.PageKey]decodedPage
+	epoch uint64 // the epoch pages were decoded in
+	pages map[bufferpool.PageKey]*types.PageColumns
 }
 
-type decodedPage struct {
-	version uint64
-	cols    *types.PageColumns
-}
-
-// get returns the page's columns as decoded at version, or nil.
-func (d *Decoded) get(key bufferpool.PageKey, version uint64) *types.PageColumns {
+// get returns the page's columns as decoded in epoch, or nil.
+func (d *Decoded) get(key bufferpool.PageKey, epoch uint64) *types.PageColumns {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if p, ok := d.pages[key]; ok && p.version == version {
-		return p.cols
+	if epoch != d.epoch {
+		return nil
 	}
-	return nil
+	return d.pages[key]
 }
 
-// put keeps the page's columns as decoded at version.
-func (d *Decoded) put(key bufferpool.PageKey, version uint64, cols *types.PageColumns) {
+// put keeps the page's columns as decoded in epoch, unless a later epoch's
+// pages are kept.
+func (d *Decoded) put(key bufferpool.PageKey, epoch uint64, cols *types.PageColumns) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if epoch < d.epoch {
+		return
+	}
+	if epoch > d.epoch {
+		d.epoch = epoch
+		clear(d.pages)
+	}
 	if d.pages == nil {
-		d.pages = make(map[bufferpool.PageKey]decodedPage)
+		d.pages = make(map[bufferpool.PageKey]*types.PageColumns)
 	}
-	d.pages[key] = decodedPage{version, cols}
+	d.pages[key] = cols
 }
 
 // seqScan reads the table page by page, each page's records decoded once
-// per write version into the database's Decoded. On each page it first
+// per write epoch into the database's Decoded. On each page it first
 // evaluates the predicates a column at a time into a selection, then walks
 // the rows in slot order, charging each row's CPU where a row-at-a-time
 // scan would, and emits each selected row's wanted columns in one reused
@@ -333,19 +341,19 @@ func (e *exec) seqScan(s *plan.SeqScan, need []bool, emit func(types.Tuple) bool
 	}
 	perRow, width := rowCPU(s.Filter), sch.Len()
 	row, out := make(types.Tuple, width), wanted(need, 0, width)
-	decoded := e.st.Decoded()
+	decoded, epoch := e.st.Decoded(), e.st.Epoch()
 	var (
 		recs [][]byte
 		strs []byte
 		sel  []bool
 	)
-	heap.ScanPages(e.st.Pool(), e.acct, func(pg int, p *pagestore.Page, version uint64) bool {
+	heap.ScanPages(e.st.Pool(), e.acct, func(pg int, p *pagestore.Page) bool {
 		key := bufferpool.PageKey{Object: s.TableID, Page: uint32(pg)}
-		cols := decoded.get(key, version)
+		cols := decoded.get(key, epoch)
 		if cols == nil {
 			recs = p.Records(recs[:0])
 			cols, strs = types.DecodePage(recs, width, strs)
-			decoded.put(key, version, cols)
+			decoded.put(key, epoch, cols)
 		}
 		sel = selectRows(sel, cols, s.Filter, idx)
 		for r, ok := range sel {

@@ -100,21 +100,31 @@ func TestPlanKeyCoversWhatOperatorsRead(t *testing.T) {
 }
 
 // TestKeepRefusesAnEndedEpoch: a run that began before a write keeps
-// nothing when it ends after it.
+// nothing when it ends after a run in the write's epoch has looked; a
+// lookup in an ended epoch is handed no key, and one in a later epoch
+// replays nothing kept before it.
 func TestKeepRefusesAnEndedEpoch(t *testing.T) {
 	var m Traces
-	key, hit := m.find(keyPlan())
+	key, hit := m.find(keyPlan(), 1)
 	if key == nil || hit != nil {
 		t.Fatal("an empty memo should hand out a key")
 	}
-	m.Advance()
+	if later, _ := m.find(keyPlan(), 2); later == nil {
+		t.Fatal("a later epoch should be handed a key")
+	}
 	m.keep(key, []bufferpool.Access{{Page: bufferpool.PageKey{Object: 1}}}, 1, &Result{Rows: 1})
 	if len(m.plans) != 0 || m.bytes != 0 {
 		t.Fatalf("a trace of an ended epoch was kept: %d plans, %d bytes", len(m.plans), m.bytes)
 	}
-	key, _ = m.find(keyPlan())
+	if ended, _ := m.find(keyPlan(), 1); ended != nil {
+		t.Fatal("an ended epoch was handed a key")
+	}
+	key, _ = m.find(keyPlan(), 2)
 	m.keep(key, []bufferpool.Access{{Page: bufferpool.PageKey{Object: 1}}}, 1, &Result{Rows: 1})
-	if _, hit = m.find(keyPlan()); hit == nil || hit.rows != 1 {
+	if _, hit = m.find(keyPlan(), 2); hit == nil || hit.rows != 1 {
 		t.Fatal("a trace of the current epoch was not kept")
+	}
+	if _, hit = m.find(keyPlan(), 3); hit != nil || len(m.plans) != 0 || m.bytes != 0 {
+		t.Fatalf("a later epoch found a trace (%v) or kept the earlier one's: %d plans, %d bytes", hit != nil, len(m.plans), m.bytes)
 	}
 }

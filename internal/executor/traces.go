@@ -14,26 +14,26 @@ import (
 )
 
 // Traces is a database's memo of executed plans: for each plan Run has
-// executed since the database's last write, the page accesses it made in
-// order, the CPU it charged and its result. A plan's page accesses are a
-// function of the plan and the stored data alone — no operator branches
-// on whether a page hit the pool, and the layout only prices a charge — so
-// running the plan again is replaying them: through the session's own pool
-// and accountant, each access hits or misses, and charges, exactly as
-// executing the plan there would (see Run).
+// executed in the database's current write epoch, the page accesses it
+// made in order, the CPU it charged and its result. A plan's page accesses
+// are a function of the plan and the stored data alone — no operator
+// branches on whether a page hit the pool, and the layout only prices a
+// charge — so running the plan again is replaying them: through the
+// session's own pool and accountant, each access hits or misses, and
+// charges, exactly as executing the plan there would (see Run).
 //
 // A plan is keyed by everything its operators read — tables, index IDs,
 // predicates with their values, column lists, join columns and algorithm,
 // group-by, aggregates, limit — never by the optimizer's estimates, and by
-// the write epoch, which Advance moves on every write to the stored data;
-// moving it drops every trace of the old epoch, so the memo only ever
-// holds plans of the data as it is. Traces are never changed once kept,
-// so sessions on several goroutines may replay one while another records.
-// The memo stops recording once it holds maxTraceBytes. The zero Traces is
-// empty and ready to use.
+// the storage's write epoch (Storage.Epoch). The first lookup in a later
+// epoch drops every trace of the earlier one, so the memo only ever holds
+// plans of one epoch and replays none of data since written. Traces are
+// never changed once kept, so sessions on several goroutines may replay
+// one while another records. The memo stops recording once it holds
+// maxTraceBytes. The zero Traces is empty and ready to use.
 type Traces struct {
 	mu    sync.Mutex
-	epoch uint64
+	epoch uint64 // the epoch of the plans held
 	plans map[string]*trace
 	bytes int64
 	// scratch is a recording buffer a finished run gave back, for the next
@@ -53,28 +53,25 @@ type trace struct {
 	tuples   []types.Tuple
 }
 
-// Advance starts a new write epoch, dropping every trace of the old one.
-// The database calls it on each insert, update and delete, and when it
-// creates a table or an index.
-func (t *Traces) Advance() {
-	t.mu.Lock()
-	t.epoch++
-	t.plans, t.bytes = nil, 0
-	t.mu.Unlock()
-}
-
-// find returns the trace kept for root in the current epoch. When there is
-// none it returns instead the key to keep root's trace under, or nil when
-// root's trace is not to be kept: the memo is full, or root holds a node
-// the executor does not know.
-func (t *Traces) find(root plan.Node) (key []byte, hit *trace) {
+// find returns the trace kept for root in epoch, first dropping the traces
+// of an earlier epoch. When there is none it returns instead the key to
+// keep root's trace under, or nil when root's trace is not to be kept: the
+// memo is full or holds a later epoch, or root holds a node the executor
+// does not know.
+func (t *Traces) find(root plan.Node, epoch uint64) (key []byte, hit *trace) {
 	w := planKey{b: make([]byte, 8, 256)}
 	if !w.node(root) {
 		return nil, nil
 	}
+	binary.LittleEndian.PutUint64(w.b, epoch)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	binary.LittleEndian.PutUint64(w.b, t.epoch)
+	if epoch < t.epoch {
+		return nil, nil
+	}
+	if epoch > t.epoch {
+		t.epoch, t.plans, t.bytes = epoch, nil, 0
+	}
 	if tr := t.plans[string(w.b)]; tr != nil {
 		return nil, tr
 	}
@@ -101,9 +98,9 @@ func (t *Traces) record(key []byte, st Storage, acct *iosim.Accountant, root pla
 }
 
 // keep keeps, under key, a copy of the accesses recorded in rec, the CPU
-// charged and the result — unless the epoch key was made in has ended, or
-// another run kept the plan first — and takes rec back for the next
-// recording. A nil res keeps nothing.
+// charged and the result — unless the memo has since seen a later epoch
+// than key's, or another run kept the plan first — and takes rec back for
+// the next recording. A nil res keeps nothing.
 func (t *Traces) keep(key []byte, rec []bufferpool.Access, cpu time.Duration, res *Result) {
 	var (
 		tr   *trace

@@ -23,15 +23,13 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 // random reads for RID fetches, and per-row write charges for inserts and
 // updates (matching the units of the paper's Table 1).
 //
-// Each page has a write version, bumped by every insert, update and delete
-// that lands on it, so a reader that keeps something derived from a page's
-// records — the executor's decoded columns — knows when it is stale. The
-// versions live here rather than on Page, which is exactly PageSize bytes.
+// What a reader derives from the records and keeps — the executor's
+// decoded columns — it keeps for one write epoch of the database that owns
+// the file (see executor.Storage), which every write to any file ends.
 type HeapFile struct {
-	obj      catalog.ObjectID
-	pages    []*Page
-	versions []uint64 // per page, bumped on every write to it
-	rows     int64
+	obj   catalog.ObjectID
+	pages []*Page
+	rows  int64
 	// insertHint is the page that last accepted an insert; appends go there
 	// first, then fall through to a new page.
 	insertHint int
@@ -67,12 +65,10 @@ func (h *HeapFile) Insert(pool *bufferpool.Pool, ch iosim.Charger, rec []byte) (
 			return RID{}, err
 		}
 		h.pages = append(h.pages, p)
-		h.versions = append(h.versions, 0)
 		h.insertHint = len(h.pages) - 1
 	} else if err != nil {
 		return RID{}, err
 	}
-	h.versions[h.insertHint]++
 	ch.ChargePageIO(h.obj, device.SeqWrite, int64(h.insertHint), 1)
 	pool.Touch(h.obj, uint32(h.insertHint))
 	h.rows++
@@ -98,7 +94,6 @@ func (h *HeapFile) Update(pool *bufferpool.Pool, ch iosim.Charger, rid RID, rec 
 	if err := h.pages[rid.Page].Update(int(rid.Slot), rec); err != nil {
 		return err
 	}
-	h.versions[rid.Page]++
 	ch.ChargePageIO(h.obj, device.RandWrite, int64(rid.Page), 1)
 	pool.Touch(h.obj, rid.Page)
 	return nil
@@ -112,20 +107,18 @@ func (h *HeapFile) Delete(pool *bufferpool.Pool, ch iosim.Charger, rid RID) erro
 	if err := h.pages[rid.Page].Delete(int(rid.Slot)); err != nil {
 		return err
 	}
-	h.versions[rid.Page]++
 	ch.ChargePageIO(h.obj, device.RandWrite, int64(rid.Page), 1)
 	h.rows--
 	return nil
 }
 
-// ScanPages visits every page in physical order with its write version,
-// charging one sequential page read per page (on buffer miss) just before
-// the visit. Iteration stops when fn returns false. fn must not write to
-// the file.
-func (h *HeapFile) ScanPages(pool *bufferpool.Pool, ch iosim.Charger, fn func(pg int, p *Page, version uint64) bool) {
+// ScanPages visits every page in physical order, charging one sequential
+// page read per page (on buffer miss) just before the visit. Iteration
+// stops when fn returns false. fn must not write to the file.
+func (h *HeapFile) ScanPages(pool *bufferpool.Pool, ch iosim.Charger, fn func(pg int, p *Page) bool) {
 	for pg, p := range h.pages {
 		pool.Access(ch, h.obj, uint32(pg), device.SeqRead)
-		if !fn(pg, p, h.versions[pg]) {
+		if !fn(pg, p) {
 			return
 		}
 	}
@@ -136,7 +129,7 @@ func (h *HeapFile) ScanPages(pool *bufferpool.Pool, ch iosim.Charger, fn func(pg
 // Iteration stops when fn returns false.
 func (h *HeapFile) Scan(pool *bufferpool.Pool, ch iosim.Charger, fn func(rid RID, rec []byte) bool) error {
 	var err error
-	h.ScanPages(pool, ch, func(pg int, p *Page, _ uint64) bool {
+	h.ScanPages(pool, ch, func(pg int, p *Page) bool {
 		for s := 0; s < p.NumSlots(); s++ {
 			rec, e := p.Get(s)
 			if e == ErrNoSlot {
