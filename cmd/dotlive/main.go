@@ -263,8 +263,7 @@ func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Dura
 				return err
 			}
 			// RunDetailed reports per-query CPU, so the window's CPU and
-			// elapsed stay consistent (Run would charge CPU to its private
-			// sessions where the tap cannot see it).
+			// elapsed stay consistent.
 			obs, err := analytics.RunDetailed(db)
 			if err != nil {
 				return fmt.Errorf("window %d analytics: %w", w, err)

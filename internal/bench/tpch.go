@@ -56,7 +56,7 @@ func newTpchEnv(box *device.Box, opts Options, modified bool, subset bool) (*tpc
 	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
 		return nil, err
 	}
-	base, _, err := w.Run(db)
+	base, err := w.RunDetailed(db)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func newTpchEnv(box *device.Box, opts Options, modified bool, subset bool) (*tpc
 	if err != nil {
 		return nil, err
 	}
-	return &tpchEnv{db: db, box: box, w: w, pw: pw, ps: ps, est: w.Estimator(db), base: base}, nil
+	return &tpchEnv{db: db, box: box, w: w, pw: pw, ps: ps, est: w.Estimator(db), base: base.Metrics}, nil
 }
 
 func (e *tpchEnv) input() core.Input {
@@ -80,10 +80,11 @@ func (e *tpchEnv) measure(name string, l catalog.Layout, cons workload.Constrain
 	if err := e.db.SetLayout(l); err != nil {
 		return LayoutRow{}, err
 	}
-	m, _, err := e.w.Run(e.db)
+	obs, err := e.w.RunDetailed(e.db)
 	if err != nil {
 		return LayoutRow{}, err
 	}
+	m := obs.Metrics
 	toc, err := workload.TOCCents(m, l, e.db.Cat, e.box)
 	if err != nil {
 		return LayoutRow{}, err

@@ -143,12 +143,13 @@ func TestOnlineEndToEnd(t *testing.T) {
 			if err := db.Analyze(); err != nil {
 				t.Fatal(err)
 			}
+			db.SetConcurrency(1) // the analytics run as one stream
 			for i := 0; i < 3; i++ {
-				m, _, err := analytics.Run(db)
+				obs, err := analytics.RunDetailed(db)
 				if err != nil {
 					t.Fatal(err)
 				}
-				elapsed += m.Elapsed
+				elapsed += obs.Metrics.Elapsed
 			}
 		}
 		return col.Roll(elapsed)

@@ -115,10 +115,11 @@ func TestOriginalWorkloadRuns(t *testing.T) {
 	if len(w.Queries) != 66 {
 		t.Fatalf("original workload has %d queries, want 66", len(w.Queries))
 	}
-	m, prof, err := w.Run(db)
+	obs, err := w.RunDetailed(db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, prof := obs.Metrics, obs.Profile
 	if m.Elapsed <= 0 || len(m.PerQuery) != 66 {
 		t.Fatalf("metrics wrong: %+v", m)
 	}
@@ -145,10 +146,11 @@ func TestModifiedWorkloadRuns(t *testing.T) {
 	if len(w.Queries) != 100 {
 		t.Fatalf("modified workload has %d queries, want 100", len(w.Queries))
 	}
-	m, prof, err := w.Run(db)
+	obs, err := w.RunDetailed(db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, prof := obs.Metrics, obs.Profile
 	if m.Elapsed <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -176,7 +178,7 @@ func TestSubsetWorkload(t *testing.T) {
 	if len(w.Queries) != 33 {
 		t.Fatalf("subset workload has %d queries, want 33", len(w.Queries))
 	}
-	if _, _, err := w.Run(db); err != nil {
+	if _, err := w.RunDetailed(db); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,12 +194,12 @@ func TestEstimatorConsistentWithRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured, _, err := w.Run(db)
+	measured, err := w.RunDetailed(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(predicted.Elapsed) / float64(measured.Elapsed)
+	ratio := float64(predicted.Elapsed) / float64(measured.Metrics.Elapsed)
 	if ratio < 0.1 || ratio > 10 {
-		t.Fatalf("estimate %v vs measured %v (ratio %.2f) — model out of range", predicted.Elapsed, measured.Elapsed, ratio)
+		t.Fatalf("estimate %v vs measured %v (ratio %.2f) — model out of range", predicted.Elapsed, measured.Metrics.Elapsed, ratio)
 	}
 }

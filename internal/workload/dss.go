@@ -107,7 +107,8 @@ func (pw *PreparedDSS) placements(i int, v *placement, dst []device.Class) ([]de
 }
 
 // EstimateProfile returns the per-object I/O profile the optimizer predicts
-// for the whole workload under a layout.
+// for the whole workload under a layout (the profiling-phase building block
+// for baseline layouts, paper §3.4).
 func (pw *PreparedDSS) EstimateProfile(l catalog.Layout) (iosim.Profile, error) {
 	if err := pw.current(); err != nil {
 		return nil, err
@@ -122,18 +123,6 @@ func (pw *PreparedDSS) EstimateProfile(l catalog.Layout) (iosim.Profile, error) 
 		total.Merge(pl.Est.Profile)
 	}
 	return total, nil
-}
-
-// EstimateProfile returns the per-object I/O profile the optimizer predicts
-// for the whole workload under a layout (the profiling-phase building block
-// for baseline layouts, paper §3.4). Callers with several layouts Prepare
-// once and ask the PreparedDSS.
-func (w *DSS) EstimateProfile(db *engine.DB, l catalog.Layout) (iosim.Profile, error) {
-	pw, err := w.Prepare(db)
-	if err != nil {
-		return nil, err
-	}
-	return pw.EstimateProfile(l)
 }
 
 // placement reads a candidate layout in either form: the map l, or — when l

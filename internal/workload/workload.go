@@ -130,54 +130,11 @@ func (c Constraints) PSR(m Metrics) float64 {
 
 // ---- DSS ----------------------------------------------------------------
 
-// DSS is a decision-support workload: Streams concurrent query sequences
-// (paper §2.3, W = {[q^1_1..q^1_n], ..., [q^c_1..q^c_n]}). The paper runs
-// the TPC-H mixes with a single stream (§4.4); Streams <= 1 selects that.
+// DSS is a decision-support workload: a query sequence run as one stream
+// (paper §2.3; the paper runs the TPC-H mixes with a single stream, §4.4).
 type DSS struct {
 	Name    string
 	Queries []*plan.Query
-	Streams int
-}
-
-func (w *DSS) streams() int {
-	if w.Streams < 1 {
-		return 1
-	}
-	return w.Streams
-}
-
-// Run executes the workload on the engine's current layout with a cold
-// buffer pool and returns measured metrics plus the observed I/O profile.
-// Each stream executes the query list on its own virtual clock at the
-// workload's degree of concurrency; the elapsed time is the slowest
-// stream's clock and each query's reported response time is its worst
-// across streams. (Streams share the buffer pool, approximating the warmed
-// steady state rather than interleaving page-level contention.)
-func (w *DSS) Run(db *engine.DB) (Metrics, iosim.Profile, error) {
-	db.ClearPool()
-	db.SetConcurrency(w.streams())
-	m := Metrics{PerQuery: make([]time.Duration, len(w.Queries))}
-	profile := iosim.NewProfile()
-	for s := 0; s < w.streams(); s++ {
-		sess, err := db.NewSession()
-		if err != nil {
-			return Metrics{}, nil, err
-		}
-		for i, q := range w.Queries {
-			start := sess.Acct().Now()
-			if _, err := sess.Run(q); err != nil {
-				return Metrics{}, nil, fmt.Errorf("workload %s stream %d query %s: %w", w.Name, s, q.Name, err)
-			}
-			if d := sess.Acct().Now() - start; d > m.PerQuery[i] {
-				m.PerQuery[i] = d
-			}
-		}
-		if e := sess.Acct().Now(); e > m.Elapsed {
-			m.Elapsed = e
-		}
-		profile.Merge(sess.Acct().Profile())
-	}
-	return m, profile, nil
 }
 
 // QueryObservation is one query's measured runtime statistics: its actual
@@ -197,9 +154,10 @@ type Observation struct {
 	PerQuery []QueryObservation // DSS runs only
 }
 
-// RunDetailed executes the workload like Run but also captures per-query
-// observations for the refinement phase. It always runs a single stream:
-// the refinement counts are per-sequence statistics.
+// RunDetailed executes the workload on the engine's current layout, at the
+// engine's degree of concurrency, with a cold buffer pool, and returns the
+// measured metrics, the observed I/O profile and each query's own
+// observation for the refinement phase.
 func (w *DSS) RunDetailed(db *engine.DB) (Observation, error) {
 	db.ClearPool()
 	sess, err := db.NewSession()
@@ -292,59 +250,6 @@ func (e *ObservedEstimator) estimate(ioTime func(iosim.Profile) (time.Duration, 
 }
 
 // ---- OLTP ----------------------------------------------------------------
-
-// Txn is one transaction executed in a session. Implementations return an
-// error only for real failures; business aborts (e.g. TPC-C's 1% rollbacks)
-// count as executed work.
-type Txn func(sess *engine.Session) error
-
-// OLTP is a transactional workload: Workers concurrent sessions each
-// drawing transactions from Next until the measured period of virtual time
-// elapses.
-type OLTP struct {
-	Name    string
-	Workers int
-	Period  time.Duration // measured period of virtual time per worker
-	// Next returns the next transaction for the given worker.
-	Next func(worker int) Txn
-}
-
-// Run executes the workload on the engine's current layout and returns
-// measured metrics (throughput in transactions/hour) and the observed I/O
-// profile. Each worker runs on its own virtual clock; the workload elapsed
-// time is the longest worker clock, and throughput counts all committed
-// transactions across workers.
-func (w *OLTP) Run(db *engine.DB) (Metrics, iosim.Profile, RunStats, error) {
-	db.SetConcurrency(w.Workers)
-	profile := iosim.NewProfile()
-	var txns int64
-	var maxElapsed time.Duration
-	for worker := 0; worker < w.Workers; worker++ {
-		sess, err := db.NewSession()
-		if err != nil {
-			return Metrics{}, nil, RunStats{}, err
-		}
-		for sess.Acct().Now() < w.Period {
-			txn := w.Next(worker)
-			if err := txn(sess); err != nil {
-				return Metrics{}, nil, RunStats{}, fmt.Errorf("workload %s worker %d: %w", w.Name, worker, err)
-			}
-			txns++
-		}
-		if e := sess.Acct().Now(); e > maxElapsed {
-			maxElapsed = e
-		}
-		profile.Merge(sess.Acct().Profile())
-	}
-	if maxElapsed == 0 {
-		return Metrics{}, nil, RunStats{}, fmt.Errorf("workload %s: no virtual time elapsed", w.Name)
-	}
-	m := Metrics{
-		Elapsed:    maxElapsed,
-		Throughput: float64(txns) / maxElapsed.Hours(),
-	}
-	return m, profile, RunStats{Txns: txns, Elapsed: maxElapsed}, nil
-}
 
 // RunStats carries the raw numbers of an OLTP test run that the profile
 // estimator needs.

@@ -134,10 +134,11 @@ func buildTinyDB(t *testing.T) (*engine.DB, *plan.Query) {
 func TestDSSRunAndEstimator(t *testing.T) {
 	db, q := buildTinyDB(t)
 	w := &DSS{Name: "w", Queries: []*plan.Query{q, q, q}}
-	m, prof, err := w.Run(db)
+	obs, err := w.RunDetailed(db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, prof := obs.Metrics, obs.Profile
 	if len(m.PerQuery) != 3 || m.Elapsed <= 0 {
 		t.Fatalf("metrics wrong: %+v", m)
 	}
@@ -165,7 +166,11 @@ func TestDSSRunAndEstimator(t *testing.T) {
 		t.Fatal("HDD RAID0 estimate should exceed H-SSD estimate")
 	}
 	// Profile estimation for a baseline layout works too.
-	p2, err := w.EstimateProfile(db, db.Layout())
+	pw, err := w.Prepare(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := pw.EstimateProfile(db.Layout())
 	if err != nil || p2.Get(tab.ID)[device.SeqRead] == 0 {
 		t.Fatalf("EstimateProfile: %v", err)
 	}
@@ -206,37 +211,6 @@ func TestDSSRunDetailed(t *testing.T) {
 	}
 }
 
-func TestOLTPRun(t *testing.T) {
-	db, _ := buildTinyDB(t)
-	db.ResizePool(2) // force buffer misses so the profile is non-empty
-	n := 0
-	w := &OLTP{
-		Name:    "oltp",
-		Workers: 3,
-		Period:  5 * time.Millisecond,
-		Next: func(worker int) Txn {
-			return func(sess *engine.Session) error {
-				n++
-				_, _, err := sess.LookupEq("t_pkey", types.NewInt(int64(n%2000)))
-				return err
-			}
-		},
-	}
-	m, prof, stats, err := w.Run(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Txns == 0 || m.Throughput <= 0 {
-		t.Fatalf("no work: %+v", stats)
-	}
-	if m.Elapsed < 5*time.Millisecond {
-		t.Fatalf("period not honoured: %v", m.Elapsed)
-	}
-	if len(prof) == 0 {
-		t.Fatal("no profile")
-	}
-}
-
 func TestProfileEstimator(t *testing.T) {
 	db, _ := buildTinyDB(t)
 	prof := iosim.NewProfile()
@@ -266,39 +240,5 @@ func TestProfileEstimator(t *testing.T) {
 	// Unplaceable layout errors.
 	if _, err := est.Estimate(catalog.Layout{}); err == nil {
 		t.Fatal("empty layout should fail")
-	}
-}
-
-func TestDSSMultiStream(t *testing.T) {
-	db, q := buildTinyDB(t)
-	single := &DSS{Name: "s1", Queries: []*plan.Query{q, q}}
-	m1, _, err := single.Run(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi := &DSS{Name: "s4", Queries: []*plan.Query{q, q}, Streams: 4}
-	m4, prof, err := multi.Run(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m4.PerQuery) != 2 {
-		t.Fatalf("per-query metrics = %d entries, want 2", len(m4.PerQuery))
-	}
-	if m4.Elapsed <= 0 {
-		t.Fatal("no elapsed time")
-	}
-	// Per-stream elapsed is comparable to a single stream (each stream does
-	// the same work); elapsed is the max, not the sum.
-	if m4.Elapsed > 4*m1.Elapsed {
-		t.Fatalf("multi-stream elapsed %v looks like a sum, not a max (single %v)", m4.Elapsed, m1.Elapsed)
-	}
-	// The profile accumulates all streams' charged I/O.
-	tab, _ := db.Cat.TableByName("t")
-	if prof.Get(tab.ID).Total() == 0 {
-		t.Fatal("multi-stream profile empty")
-	}
-	// Concurrency is propagated to the engine.
-	if db.Concurrency() != 4 {
-		t.Fatalf("engine concurrency = %d, want 4", db.Concurrency())
 	}
 }
