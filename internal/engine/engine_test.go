@@ -603,10 +603,11 @@ func TestPlanRequiresAnalyze(t *testing.T) {
 	}
 }
 
-// TestPlanRefusesAfterRowWrites: every row write a session makes — an
-// insert, an update, a delete — changes what the statistics describe, so
-// planning refuses after each until Analyze runs again.
-func TestPlanRefusesAfterRowWrites(t *testing.T) {
+// TestPlanRefusesAfterWrites: every write to the stored data — a session's
+// insert, update or delete, a table created without a primary key, an
+// index — changes what the statistics describe, so planning refuses after
+// each until Analyze runs again.
+func TestPlanRefusesAfterWrites(t *testing.T) {
 	db := newTestDB(t)
 	q := &plan.Query{Name: "q", Tables: []string{"item"}, Aggs: []plan.Agg{{Func: plan.Count}}}
 	sess, _ := db.NewSession()
@@ -632,6 +633,14 @@ func TestPlanRefusesAfterRowWrites(t *testing.T) {
 				return err
 			}
 			return sess.DeleteByRID("item", rids[0])
+		}},
+		{"create table", func() error {
+			_, err := db.CreateTable("more", types.NewSchema(types.Column{Name: "a", Kind: types.KindInt}), nil)
+			return err
+		}},
+		{"create index", func() error {
+			_, err := db.CreateIndex("orders_item", "orders", []string{"o_item"}, false)
+			return err
 		}},
 	} {
 		if _, err := db.Plan(q); err != nil {
