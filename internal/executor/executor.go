@@ -288,8 +288,8 @@ func (d *rowDecoder) fetch(rid pagestore.RID) (types.Tuple, bool, error) {
 
 // Decoded keeps, for one database, the decoded columns of every heap page
 // a sequential scan has read in one write epoch, keyed by object and page.
-// A page decoded in a later epoch drops every page of the earlier one, so
-// a page is decoded again after any write to the database. Entries are
+// A page decoded in another epoch drops every page of the one held, so a
+// page is decoded again after any write to the database. Entries are
 // never changed once made, so scans on several sessions at once may read
 // one while another adds one. It goes when the database goes. The zero
 // Decoded is empty and ready to use.
@@ -309,15 +309,12 @@ func (d *Decoded) get(key bufferpool.PageKey, epoch uint64) *types.PageColumns {
 	return d.pages[key]
 }
 
-// put keeps the page's columns as decoded in epoch, unless a later epoch's
-// pages are kept.
+// put keeps the page's columns as decoded in epoch, first dropping the
+// pages of any other epoch.
 func (d *Decoded) put(key bufferpool.PageKey, epoch uint64, cols *types.PageColumns) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if epoch < d.epoch {
-		return
-	}
-	if epoch > d.epoch {
+	if epoch != d.epoch {
 		d.epoch = epoch
 		clear(d.pages)
 	}

@@ -25,8 +25,8 @@ import (
 // A plan is keyed by everything its operators read — tables, index IDs,
 // predicates with their values, column lists, join columns and algorithm,
 // group-by, aggregates, limit — never by the optimizer's estimates, and by
-// the storage's write epoch (Storage.Epoch). The first lookup in a later
-// epoch drops every trace of the earlier one, so the memo only ever holds
+// the storage's write epoch (Storage.Epoch). The first lookup in another
+// epoch drops every trace of the one held, so the memo only ever holds
 // plans of one epoch and replays none of data since written. Traces are
 // never changed once kept, so sessions on several goroutines may replay
 // one while another records. The memo stops recording once it holds
@@ -54,10 +54,9 @@ type trace struct {
 }
 
 // find returns the trace kept for root in epoch, first dropping the traces
-// of an earlier epoch. When there is none it returns instead the key to
-// keep root's trace under, or nil when root's trace is not to be kept: the
-// memo is full or holds a later epoch, or root holds a node the executor
-// does not know.
+// of any other epoch. When there is none it returns instead the key to keep
+// root's trace under, or nil when root's trace is not to be kept: the memo
+// is full, or root holds a node the executor does not know.
 func (t *Traces) find(root plan.Node, epoch uint64) (key []byte, hit *trace) {
 	w := planKey{b: make([]byte, 8, 256)}
 	if !w.node(root) {
@@ -66,10 +65,7 @@ func (t *Traces) find(root plan.Node, epoch uint64) (key []byte, hit *trace) {
 	binary.LittleEndian.PutUint64(w.b, epoch)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if epoch < t.epoch {
-		return nil, nil
-	}
-	if epoch > t.epoch {
+	if epoch != t.epoch {
 		t.epoch, t.plans, t.bytes = epoch, nil, 0
 	}
 	if tr := t.plans[string(w.b)]; tr != nil {
@@ -98,9 +94,9 @@ func (t *Traces) record(key []byte, st Storage, acct *iosim.Accountant, root pla
 }
 
 // keep keeps, under key, a copy of the accesses recorded in rec, the CPU
-// charged and the result — unless the memo has since seen a later epoch
-// than key's, or another run kept the plan first — and takes rec back for
-// the next recording. A nil res keeps nothing.
+// charged and the result — unless the memo has since been looked up in
+// another epoch than key's, or another run kept the plan first — and takes
+// rec back for the next recording. A nil res keeps nothing.
 func (t *Traces) keep(key []byte, rec []bufferpool.Access, cpu time.Duration, res *Result) {
 	var (
 		tr   *trace
