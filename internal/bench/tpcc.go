@@ -189,7 +189,7 @@ func Figure9(w io.Writer, opts Options) (*FigureResult, error) {
 // hottestObjects ranks objects by their I/O time under the box's cheapest
 // class in the test-run profile and returns the top n.
 func hottestObjects(env *tpccEnv, n int) []catalog.ObjectID {
-	cheap := env.box.Cheapest()
+	cheap := env.box.ServiceTimes(env.driver.Workers)[env.box.Cheapest().Class]
 	type hot struct {
 		id catalog.ObjectID
 		t  float64
@@ -198,7 +198,7 @@ func hottestObjects(env *tpccEnv, n int) []catalog.ObjectID {
 	for _, o := range env.db.Cat.Objects() {
 		hots = append(hots, hot{
 			id: o.ID,
-			t:  float64(env.probe.Profile.ObjectIOTime(o.ID, cheap, env.driver.Workers)),
+			t:  float64(env.probe.Profile.ObjectIOTime(o.ID, cheap)),
 		})
 	}
 	sort.Slice(hots, func(i, j int) bool {

@@ -36,6 +36,7 @@ type Move struct {
 // width.
 func EnumerateMoves(cat *catalog.Catalog, box *device.Box, ps *ProfileSet, l0 device.Class, concurrency, workers int) ([]Move, error) {
 	l0Dev := box.Device(l0)
+	svc := box.ServiceTimes(concurrency)
 	groups := cat.Groups()
 	// Patterns depend only on the group size; enumerate each size once up
 	// front instead of per group (k is typically uniform across groups, so
@@ -74,7 +75,7 @@ func EnumerateMoves(cat *catalog.Catalog, box *device.Box, ps *ProfileSet, l0 de
 		// T0[g]: the group's I/O time share under L0 (Eq. 1).
 		var t0 time.Duration
 		for _, obj := range g.Objects {
-			t0 += prof0.ObjectIOTime(obj, l0Dev, concurrency)
+			t0 += prof0.ObjectIOTime(obj, svc[l0])
 		}
 		for _, p := range patternsByK[k] {
 			if p.equal(p0) {
@@ -88,7 +89,7 @@ func EnumerateMoves(cat *catalog.Catalog, box *device.Box, ps *ProfileSet, l0 de
 			var saving float64
 			for i, obj := range g.Objects {
 				dev := box.Device(p[i])
-				tp += profP.ObjectIOTime(obj, dev, concurrency)
+				tp += profP.ObjectIOTime(obj, svc[p[i]])
 				sizeGB := float64(cat.Object(obj).SizeBytes) / 1e9
 				saving += (l0Dev.PriceCents - dev.PriceCents) * sizeGB
 			}
@@ -205,12 +206,13 @@ func (ml *MoveLists) get(in Input, workers int) ([]Move, error) {
 // the price and every I/O type's service time at the concurrency. The
 // starting class L0 is the priciest device, so the key fixes it too.
 func moveKey(box *device.Box, concurrency int) string {
+	svc := box.ServiceTimes(concurrency)
 	b := make([]byte, 0, len(box.Devices)*(1+8*(1+device.NumIOTypes)))
 	for _, d := range box.Devices {
 		b = append(b, byte(d.Class))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.PriceCents))
 		for _, t := range device.AllIOTypes {
-			b = binary.LittleEndian.AppendUint64(b, uint64(d.ServiceTime(t, concurrency)))
+			b = binary.LittleEndian.AppendUint64(b, uint64(svc[d.Class][t]))
 		}
 	}
 	return string(b)

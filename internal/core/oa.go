@@ -43,10 +43,11 @@ func ObjectAdvisor(in Input) (catalog.Layout, error) {
 		size    int64
 		benefit time.Duration // I/O time saved by moving slow -> fast
 	}
+	svc := in.Box.ServiceTimes(in.conc())
 	var objs []scored
 	for _, o := range in.Cat.Objects() {
-		ts := prof.ObjectIOTime(o.ID, slow, in.conc())
-		tf := prof.ObjectIOTime(o.ID, fast, in.conc())
+		ts := prof.ObjectIOTime(o.ID, svc[slow.Class])
+		tf := prof.ObjectIOTime(o.ID, svc[fast.Class])
 		objs = append(objs, scored{obj: o.ID, size: o.SizeBytes, benefit: ts - tf})
 	}
 	sort.SliceStable(objs, func(i, j int) bool {

@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"sort"
+	"time"
 )
 
 // Box is a server's I/O subsystem: the set of storage classes available to
@@ -69,6 +70,38 @@ func (b *Box) Device(c Class) *Device {
 		}
 	}
 	return nil
+}
+
+// Carried returns the set of storage classes the box holds a device of.
+func (b *Box) Carried() ClassSet {
+	var s ClassSet
+	for _, d := range b.Devices {
+		if ValidClass(d.Class) {
+			s = s.Add(d.Class)
+		}
+	}
+	return s
+}
+
+// ServiceTimes resolves every carried class's service time per I/O type
+// at the degree of concurrency (paper §3.5): the one table every pricer
+// reads, resolved once per plan, compile, accountant, drift check or
+// migration model. A class the box lists twice takes its first device's
+// times, as Box.Device does; a class it does not carry reads zero, so callers
+// check membership against Carried.
+func (b *Box) ServiceTimes(concurrency int) [NumClasses][NumIOTypes]time.Duration {
+	var svc [NumClasses][NumIOTypes]time.Duration
+	var seen ClassSet
+	for _, d := range b.Devices {
+		if !ValidClass(d.Class) || seen.Has(d.Class) {
+			continue
+		}
+		seen = seen.Add(d.Class)
+		for _, t := range AllIOTypes {
+			svc[d.Class][t] = d.ServiceTime(t, concurrency)
+		}
+	}
+	return svc
 }
 
 // Classes lists the storage classes in the box.

@@ -166,6 +166,40 @@ func TestBoxConfigurations(t *testing.T) {
 	}
 }
 
+// TestBoxServiceTimes: the table holds each carried class's own
+// ServiceTime at the concurrency, zero rows for the classes the box lacks,
+// and the first device of a class listed twice, as Box.Device answers.
+func TestBoxServiceTimes(t *testing.T) {
+	for _, b := range []*Box{Box1(), Box2(), BoxHTAP()} {
+		for _, conc := range []int{0, 1, 8, 300, 1000} {
+			svc := b.ServiceTimes(conc)
+			for _, c := range AllClasses {
+				d := b.Device(c)
+				if b.Carried().Has(c) != (d != nil) {
+					t.Fatalf("%s: Carried has %v = %v, Device = %v", b.Name, c, b.Carried().Has(c), d)
+				}
+				for _, typ := range AllIOTypes {
+					var want time.Duration
+					if d != nil {
+						want = d.ServiceTime(typ, conc)
+					}
+					if svc[c][typ] != want {
+						t.Fatalf("%s c=%d: %v %v = %v, want %v", b.Name, conc, c, typ, svc[c][typ], want)
+					}
+				}
+			}
+		}
+	}
+	stripe := BoxHTAP().Device(HDD)
+	twice := NewBoxOf("twice", stripe, New(HSSD), New(HDD))
+	if got := twice.ServiceTimes(1)[HDD][SeqRead]; got != stripe.ServiceTime(SeqRead, 1) {
+		t.Fatalf("a class listed twice reads %v, want its first device's %v", got, stripe.ServiceTime(SeqRead, 1))
+	}
+	if got, want := twice.Carried(), NewClassSet(HDD, HSSD); got != want {
+		t.Fatalf("Carried = %v, want %v", got, want)
+	}
+}
+
 func TestBoxSetCapacityAndClone(t *testing.T) {
 	b := Box1()
 	if err := b.SetCapacity(HDDRAID0, 24e9); err != nil {

@@ -69,18 +69,7 @@ func CompileProfile(p Profile, box *device.Box, concurrency, n int, alphabet []d
 		cp.objs = append(cp.objs, id)
 	}
 	sort.Slice(cp.objs, func(i, j int) bool { return cp.objs[i] < cp.objs[j] })
-	// Per-class service times, resolved once.
-	var svc [device.NumClasses][device.NumIOTypes]time.Duration
-	var avail device.ClassSet
-	for _, d := range box.Devices {
-		if !device.ValidClass(d.Class) {
-			continue
-		}
-		avail = avail.Add(d.Class)
-		for _, t := range device.AllIOTypes {
-			svc[d.Class][t] = d.ServiceTime(t, concurrency)
-		}
-	}
+	svc, avail := box.ServiceTimes(concurrency), box.Carried()
 	for i := range cp.col {
 		cp.col[i] = -1
 	}

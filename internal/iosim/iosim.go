@@ -139,36 +139,25 @@ func notPlaced(id catalog.ObjectID) error {
 // ioTime is the one body of IOTime and SetIOTime: place resolves each
 // profiled object's class set, or the error its layout form reports.
 func (p Profile) ioTime(box *device.Box, concurrency int, place func(catalog.ObjectID) (device.ClassSet, error)) (time.Duration, error) {
+	svc, carried := box.ServiceTimes(concurrency), box.Carried()
 	var total time.Duration
 	for id, v := range p {
 		set, err := place(id)
 		if err != nil {
 			return 0, err
 		}
-		var devs [device.NumClasses]*device.Device
-		for c := device.Class(0); int(c) < device.NumClasses; c++ {
-			if !set.Has(c) {
-				continue
-			}
-			if devs[c] = box.Device(c); devs[c] == nil {
-				return 0, fmt.Errorf("iosim: layout places object %d on class set %v unusable for box %q", id, set, box.Name)
-			}
+		if set&^carried != 0 {
+			return 0, fmt.Errorf("iosim: layout places object %d on class set %v unusable for box %q", id, set, box.Name)
 		}
 		for _, t := range device.AllIOTypes {
 			n := v[t]
 			if n <= 0 {
 				continue
 			}
-			var st [device.NumClasses]time.Duration
-			for c, d := range devs {
-				if d != nil {
-					st[c] = d.ServiceTime(t, concurrency)
-				}
-			}
-			to := set.Route(t, func(c device.Class) time.Duration { return st[c] })
-			for c := range st {
+			to := set.Route(t, func(c device.Class) time.Duration { return svc[c][t] })
+			for c := range svc {
 				if to.Has(device.Class(c)) {
-					total += time.Duration(n * float64(st[c]))
+					total += time.Duration(n * float64(svc[c][t]))
 				}
 			}
 		}
@@ -176,14 +165,15 @@ func (p Profile) ioTime(box *device.Box, concurrency int, place func(catalog.Obj
 	return total, nil
 }
 
-// ObjectIOTime computes the I/O time share of a single object under a given
-// storage class (the inner term of Eq. 1).
-func (p Profile) ObjectIOTime(id catalog.ObjectID, d *device.Device, concurrency int) time.Duration {
+// ObjectIOTime computes the I/O time share of a single object on the class
+// whose service times svc holds, one row of device.Box.ServiceTimes (the
+// inner term of Eq. 1).
+func (p Profile) ObjectIOTime(id catalog.ObjectID, svc [device.NumIOTypes]time.Duration) time.Duration {
 	v := p.Get(id)
 	var total time.Duration
 	for _, t := range device.AllIOTypes {
 		if v[t] > 0 {
-			total += time.Duration(v[t] * float64(d.ServiceTime(t, concurrency)))
+			total += time.Duration(v[t] * float64(svc[t]))
 		}
 	}
 	return total
@@ -220,8 +210,10 @@ type Flusher interface {
 // concurrent use itself (online.Collector is: every charge takes its
 // mutex).
 type Accountant struct {
-	clock   *vclock.Clock
+	clock *vclock.Clock
+	// svc points each object at its class's row of table.
 	svc     map[catalog.ObjectID]*[device.NumIOTypes]time.Duration
+	table   [device.NumClasses][device.NumIOTypes]time.Duration
 	profile Profile
 	ioTime  time.Duration
 	cpuTime time.Duration
@@ -247,18 +239,15 @@ func NewAccountant(box *device.Box, layout catalog.Layout, concurrency int, cloc
 	a := &Accountant{
 		clock:   clock,
 		svc:     make(map[catalog.ObjectID]*[device.NumIOTypes]time.Duration, len(layout)),
+		table:   box.ServiceTimes(concurrency),
 		profile: NewProfile(),
 	}
+	carried := box.Carried()
 	for id, cls := range layout {
-		d := box.Device(cls)
-		if d == nil {
+		if !carried.Has(cls) {
 			return nil, fmt.Errorf("iosim: layout places object %d on class %v absent from box %q", id, cls, box.Name)
 		}
-		var times [device.NumIOTypes]time.Duration
-		for _, t := range device.AllIOTypes {
-			times[t] = d.ServiceTime(t, concurrency)
-		}
-		a.svc[id] = &times
+		a.svc[id] = &a.table[cls]
 	}
 	return a, nil
 }

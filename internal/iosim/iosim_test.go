@@ -157,11 +157,12 @@ func TestObjectIOTime(t *testing.T) {
 	p := NewProfile()
 	p.Add(5, device.RandWrite, 3)
 	d := device.New(device.LSSD)
-	got := p.ObjectIOTime(5, d, 1)
+	svc := device.NewBoxOf("b", d).ServiceTimes(1)[device.LSSD]
+	got := p.ObjectIOTime(5, svc)
 	if got != 3*d.ServiceTime(device.RandWrite, 1) {
 		t.Fatalf("ObjectIOTime = %v", got)
 	}
-	if p.ObjectIOTime(999, d, 1) != 0 {
+	if p.ObjectIOTime(999, svc) != 0 {
 		t.Fatal("absent object should cost zero")
 	}
 }

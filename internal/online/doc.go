@@ -15,26 +15,26 @@
 //     (Collector.Observe), which is how dotserve's /observe endpoint feeds
 //     remotely captured profiles.
 //
-//   - Detector decides whether the observed profile has drifted from the
-//     profile the deployed layout was optimized for. The cheap gate is a
-//     workload.Fingerprint comparison (equal digests → provably no drift);
-//     past it, the detector computes the relative I/O-time divergence of
-//     the two profiles under the deployed layout — the service-time-
-//     weighted L1 distance between the rate-normalized profiles, divided
-//     by the reference profile's I/O time — and reports drift only above a
-//     configurable threshold. Re-advising therefore triggers on material
-//     departures (read/write mix shifts, object heat changes), not on
-//     sampling noise.
+//   - The drift detector decides whether the observed profile has drifted
+//     from the profile the deployed layout was optimized for. The cheap
+//     gate is a workload.Fingerprint comparison (equal digests → provably
+//     no drift); past it, the detector computes the relative I/O-time
+//     divergence of the two profiles under the deployed layout — the
+//     service-time-weighted L1 distance between the rate-normalized
+//     profiles, divided by the reference profile's I/O time — and reports
+//     drift only above a configurable threshold. Re-advising therefore
+//     triggers on material departures (read/write mix shifts, object heat
+//     changes), not on sampling noise.
 //
 //   - Re-advising is incremental: core.OptimizeIncremental seeds the
 //     search engine's compiled/delta path with the currently deployed
-//     layout and admits candidates through a migration gate
-//     (MigrationModel): a candidate's migration time — the bytes it moves
-//     off the deployed layout, read sequentially from the source class and
-//     rewritten at the destination class's write rate — must fit within a
-//     configured fraction of the SLA headroom. Small drifts thus yield
-//     small layout moves; only when no gated feasible layout exists does
-//     the Manager fall back to a full cold search.
+//     layout and admits candidates through the migration model's gate: a
+//     candidate's migration time — the bytes it moves off the deployed
+//     layout, read sequentially from the source class and rewritten at the
+//     destination class's write rate — must fit within a configured
+//     fraction of the SLA headroom. Small drifts thus yield small layout
+//     moves; only when no gated feasible layout exists does the Manager
+//     fall back to a full cold search.
 //
 // Concurrency contract: Collector is safe for concurrent use — every
 // charge and every read takes the collector mutex, so engine sessions on

@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultDriftThreshold is the relative I/O-time divergence above which an
-// observed window counts as drifted when Detector.Threshold is 0. At 0.15,
+// observed window counts as drifted when Config.DriftThreshold is 0. At 0.15,
 // re-advising fires once the observed profile's placement-relevant I/O
 // time departs at least 15% from what the deployed layout was optimized
 // for — well above estimator noise, well below "the workload has turned
@@ -40,11 +40,11 @@ type Drift struct {
 	Thin bool
 }
 
-// Detector decides whether an observed profile window has materially
+// detector decides whether an observed profile window has materially
 // departed from the reference profile the deployed layout was optimized
-// for. The zero value is not usable: Box is required. A Detector is a pure
-// reader and safe for concurrent use.
-type Detector struct {
+// for. Box is required. A detector is a pure reader and safe for
+// concurrent use.
+type detector struct {
 	Box *device.Box
 	// Concurrency resolves device service times (paper §3.5), matching the
 	// degree of concurrency the advisor optimizes for.
@@ -58,34 +58,28 @@ type Detector struct {
 // aggregate a Manager checks, is Thin: too little traffic to judge.
 const minWindowIOs = 1
 
-func (d Detector) threshold() float64 {
+func (d detector) threshold() float64 {
 	if d.Threshold <= 0 {
 		return DefaultDriftThreshold
 	}
 	return d.Threshold
 }
 
-// serviceTime resolves one I/O type's service time under a copy set: the
-// sum over the members device.ClassSet.Route charges it to — the same rule
-// the estimators price candidates with.
-func (d Detector) serviceTime(s device.ClassSet, t device.IOType) (time.Duration, error) {
+// serviceTime resolves one I/O type's service time under a copy set from
+// the box's table svc: the sum over the members device.ClassSet.Route
+// charges it to — the same rule the estimators price candidates with.
+func (d detector) serviceTime(svc *[device.NumClasses][device.NumIOTypes]time.Duration, carried, s device.ClassSet, t device.IOType) (time.Duration, error) {
 	if !s.Valid() {
 		return 0, fmt.Errorf("online: invalid replica set %#x", uint8(s))
 	}
-	var devs [device.NumClasses]*device.Device
-	for c := device.Class(0); int(c) < device.NumClasses; c++ {
-		if !s.Has(c) {
-			continue
-		}
-		if devs[c] = d.Box.Device(c); devs[c] == nil {
-			return 0, fmt.Errorf("online: deployed layout places a copy on class set %v, not all in box %q", s, d.Box.Name)
-		}
+	if s&^carried != 0 {
+		return 0, fmt.Errorf("online: deployed layout places a copy on class set %v, not all in box %q", s, d.Box.Name)
 	}
 	var out time.Duration
-	to := s.Route(t, func(c device.Class) time.Duration { return devs[c].ServiceTime(t, d.Concurrency) })
-	for c, dev := range devs {
+	to := s.Route(t, func(c device.Class) time.Duration { return svc[c][t] })
+	for c := range svc {
 		if to.Has(device.Class(c)) {
-			out += dev.ServiceTime(t, d.Concurrency)
+			out += svc[c][t]
 		}
 	}
 	return out, nil
@@ -95,10 +89,7 @@ func (d Detector) serviceTime(s device.ClassSet, t device.IOType) (time.Duration
 // deployed layout. The layout must place every object either profile
 // touches. Windows of different lengths are rate-normalized on virtual
 // elapsed time when both windows carry it, on total I/O count otherwise.
-func (d Detector) Compare(ref, obs Window, layout catalog.SetLayout) (Drift, error) {
-	if d.Box == nil {
-		return Drift{}, fmt.Errorf("online: Detector requires a Box")
-	}
+func (d detector) Compare(ref, obs Window, layout catalog.SetLayout) (Drift, error) {
 	dr := Drift{
 		RefFingerprint: ref.Fingerprint(),
 		ObsFingerprint: obs.Fingerprint(),
@@ -120,6 +111,7 @@ func (d Detector) Compare(ref, obs Window, layout catalog.SetLayout) (Drift, err
 	}
 	// Service-time-weighted L1 distance under the deployed layout, over the
 	// union of touched objects.
+	svc, carried := d.Box.ServiceTimes(d.Concurrency), d.Box.Carried()
 	var num float64
 	seen := make(map[catalog.ObjectID]bool, len(ref.Profile)+len(obs.Profile))
 	union := make([]catalog.ObjectID, 0, len(ref.Profile)+len(obs.Profile))
@@ -149,7 +141,7 @@ func (d Detector) Compare(ref, obs Window, layout catalog.SetLayout) (Drift, err
 		for _, t := range device.AllIOTypes {
 			diff := math.Abs(rv[t] - scale*ov[t])
 			if diff > 0 {
-				st, err := d.serviceTime(set, t)
+				st, err := d.serviceTime(&svc, carried, set, t)
 				if err != nil {
 					return Drift{}, err
 				}

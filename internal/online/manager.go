@@ -113,8 +113,8 @@ type Manager struct {
 	// cat is the catalog layouts are keyed by: the partitioning's unit
 	// catalog at partition granularity, cfg.Cat otherwise.
 	cat *catalog.Catalog
-	det Detector
-	mig MigrationModel
+	det detector
+	mig migrationModel
 	col *Collector
 
 	mu sync.Mutex
@@ -159,12 +159,12 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg: cfg,
 		cat: cat,
-		det: Detector{
+		det: detector{
 			Box:         cfg.Box,
 			Concurrency: cfg.Concurrency,
 			Threshold:   cfg.DriftThreshold,
 		},
-		mig: MigrationModel{Cat: cat, Box: cfg.Box},
+		mig: newMigrationModel(cat, cfg.Box),
 		col: NewCollector(DefaultWindows),
 		// A configured deployed layout is single-class; a replicated loop
 		// grows copies from there.

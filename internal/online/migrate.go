@@ -22,7 +22,7 @@ const DefaultHeadroomFraction = 0.5
 // class's sequential-write rate — the "bytes moved × class write cost" of
 // the online objective — while dropping a copy is free (deleting bytes
 // moves nothing). A single-copy move is the case of one copy gained and one
-// dropped. At partition granularity (a MigrationModel over a partitioning's
+// dropped. At partition granularity (a migration model over a partitioning's
 // unit catalog) the moves are per-partition: re-advising a drifted hot tail
 // prices only the tail's extents, not its whole table.
 type MigrationPlan struct {
@@ -37,44 +37,43 @@ type MigrationPlan struct {
 	Time time.Duration
 }
 
-// MigrationModel prices layout transitions against a box. It is a pure
-// reader and safe for concurrent use.
-type MigrationModel struct {
-	// Cat is the catalog the priced layouts are keyed by — the unit catalog
+// migrationModel prices layout transitions against a box. Migration runs
+// as a single background stream, so it is priced at the box's service
+// times at concurrency 1, resolved once per model. It is a pure reader and
+// safe for concurrent use.
+type migrationModel struct {
+	// cat is the catalog the priced layouts are keyed by — the unit catalog
 	// when pricing partition-granular transitions.
-	Cat *catalog.Catalog
-	Box *device.Box
-	// Concurrency resolves the service times migration I/O is charged at;
-	// 0 selects 1 (migration as a single background stream).
-	Concurrency int
+	cat     *catalog.Catalog
+	svc     [device.NumClasses][device.NumIOTypes]time.Duration
+	carried device.ClassSet
+}
+
+func newMigrationModel(cat *catalog.Catalog, box *device.Box) migrationModel {
+	return migrationModel{cat: cat, svc: box.ServiceTimes(1), carried: box.Carried()}
 }
 
 // moveTime prices transitioning one unit of size bytes between copy sets.
 // Each copy gained is read sequentially off the fastest existing member (a
 // brand-new unit has no source and is charged writes only) and rewritten at
 // its destination's sequential-write rate; dropped copies cost nothing.
-func (m MigrationModel) moveTime(size int64, from, to device.ClassSet) time.Duration {
+func (m migrationModel) moveTime(size int64, from, to device.ClassSet) time.Duration {
 	added := to &^ from
 	if size <= 0 || added == 0 {
 		return 0
 	}
 	pages := (size + pagestore.PageSize - 1) / pagestore.PageSize
-	// The gate prices every candidate of a search through here: walk the
-	// box's devices rather than materializing member lists. A member the
-	// box does not carry is no source.
-	var inBox device.ClassSet
-	for _, d := range m.Box.Devices {
-		inBox = inBox.Add(d.Class)
-	}
-	seqRead := func(c device.Class) time.Duration { return m.Box.Device(c).ServiceTime(device.SeqRead, m.Concurrency) }
+	// A member the box does not carry is neither a source nor a
+	// destination.
+	seqRead := func(c device.Class) time.Duration { return m.svc[c][device.SeqRead] }
 	var src time.Duration
-	if c, ok := (from & inBox).Route(device.SeqRead, seqRead).Single(); ok {
+	if c, ok := (from & m.carried).Route(device.SeqRead, seqRead).Single(); ok {
 		src = seqRead(c)
 	}
 	var total time.Duration
-	for _, d := range m.Box.Devices {
-		if added.Has(d.Class) {
-			total += time.Duration(pages) * (src + d.ServiceTime(device.SeqWrite, m.Concurrency))
+	for c := range m.svc {
+		if (added & m.carried).Has(device.Class(c)) {
+			total += time.Duration(pages) * (src + m.svc[c][device.SeqWrite])
 		}
 	}
 	return total
@@ -84,9 +83,9 @@ func (m MigrationModel) moveTime(size int64, from, to device.ClassSet) time.Dura
 // either layout are ignored (a layout must be total over the catalog for
 // the engine to run it; partial inputs here would be a caller bug surfaced
 // elsewhere).
-func (m MigrationModel) Plan(from, to catalog.SetLayout) MigrationPlan {
+func (m migrationModel) Plan(from, to catalog.SetLayout) MigrationPlan {
 	var p MigrationPlan
-	for _, o := range m.Cat.Objects() {
+	for _, o := range m.cat.Objects() {
 		src, okFrom := from[o.ID]
 		dst, okTo := to[o.ID]
 		if !okFrom || !okTo || src == dst {
@@ -108,14 +107,14 @@ func (m MigrationModel) Plan(from, to catalog.SetLayout) MigrationPlan {
 // alone governs. The diff is a flat byte comparison of the candidate's
 // compact layout against the seed's; no maps are materialized per
 // candidate.
-func (m MigrationModel) Gate(seed catalog.SetLayout, frac float64) func(search.Eval, workload.Constraints) bool {
+func (m migrationModel) Gate(seed catalog.SetLayout, frac float64) func(search.Eval, workload.Constraints) bool {
 	if frac <= 0 {
 		frac = DefaultHeadroomFraction
 	}
-	sizes := m.Cat.DenseSizeBytes()
+	sizes := m.cat.DenseSizeBytes()
 	// A seed that does not encode never reaches a candidate: the search
 	// refuses it before the sweep starts.
-	seedCompact, _ := catalog.CompactFromSetLayout(m.Cat, seed)
+	seedCompact, _ := catalog.CompactFromSetLayout(m.cat, seed)
 	sb := seedCompact.Bytes()
 	return func(ev search.Eval, cons workload.Constraints) bool {
 		var mig time.Duration

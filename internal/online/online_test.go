@@ -244,7 +244,7 @@ func TestDetectorNoDriftOnIdenticalAndScaled(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
 	layout := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
-	det := Detector{Box: box, Concurrency: 1}
+	det := detector{Box: box, Concurrency: 1}
 
 	w := oltpWindow(ids)
 	dr, err := det.Compare(w, w.Clone(), layout)
@@ -280,7 +280,7 @@ func TestDetectorFiresOnMixShift(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
 	layout := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
-	det := Detector{Box: box, Concurrency: 1}
+	det := detector{Box: box, Concurrency: 1}
 	dr, err := det.Compare(oltpWindow(ids), dssWindow(ids), layout)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestDetectorFiresOnMixShift(t *testing.T) {
 		ids["fact"]: device.HDDRAID0, ids["fact_pkey"]: device.LSSD,
 		ids["dim"]: device.HSSD, ids["dim_pkey"]: device.HSSD, ids["wal"]: device.LSSD,
 	})
-	det = Detector{Box: box}
+	det = detector{Box: box}
 	single, err := det.Compare(oltpWindow(ids), dssWindow(ids), mixed)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestDetectorAbstainsOnThinWindows(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
 	layout := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
-	det := Detector{Box: box}
+	det := detector{Box: box}
 	thin := Window{Profile: iosim.NewProfile(), Elapsed: time.Second}
 	thin.Profile.Add(ids["dim"], device.RandRead, 0.5)
 	dr, err := det.Compare(oltpWindow(ids), thin, layout)
@@ -344,7 +344,7 @@ func TestDetectorAbstainsOnThinWindows(t *testing.T) {
 func TestMigrationPlanAndGate(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
-	m := MigrationModel{Cat: cat, Box: box}
+	m := newMigrationModel(cat, box)
 	from := catalog.NewUniformSetLayout(cat, device.Singleton(device.HSSD))
 	to := from.Clone()
 	to[ids["fact"]] = device.Singleton(device.HDDRAID0)

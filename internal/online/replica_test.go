@@ -255,7 +255,7 @@ func TestManagerReplicationRejectsLayoutCost(t *testing.T) {
 func TestPlanSetPricing(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
-	model := MigrationModel{Cat: cat, Box: box}
+	model := newMigrationModel(cat, box)
 
 	sizeOf := func(name string) int64 {
 		for _, o := range cat.Objects() {
@@ -311,7 +311,7 @@ func TestPlanSetPricing(t *testing.T) {
 func TestGateSetHeadroom(t *testing.T) {
 	cat, ids := testCatalog(t)
 	box := device.Box1()
-	model := MigrationModel{Cat: cat, Box: box}
+	model := newMigrationModel(cat, box)
 	seed := catalog.SingletonSetLayout(catalog.NewUniformLayout(cat, device.HSSD))
 	gate := model.Gate(seed, 0.5)
 
@@ -372,7 +372,7 @@ func TestDetectorRoutesHTAPReads(t *testing.T) {
 		ids["orders"]:      device.NewClassSet(device.HDD, device.HSSD),
 		ids["orders_pkey"]: device.Singleton(device.HSSD),
 	}
-	dr, err := Detector{Box: box}.Compare(ref, obs, layout)
+	dr, err := detector{Box: box}.Compare(ref, obs, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestDetectorRoutesHTAPReads(t *testing.T) {
 func TestPlanHTAPCopySource(t *testing.T) {
 	cat, ids := htapCatalog(t)
 	box := device.BoxHTAP()
-	model := MigrationModel{Cat: cat, Box: box}
+	model := newMigrationModel(cat, box)
 	size := int64(40e9) // orders
 	pages := (size + pagestore.PageSize - 1) / pagestore.PageSize
 	sr := func(c device.Class) time.Duration { return box.Device(c).ServiceTime(device.SeqRead, 1) }

@@ -132,7 +132,7 @@ func (m *Manager) validLayout(l catalog.SetLayout) error {
 	if len(l) != len(objs) {
 		return fmt.Errorf("layout places %d objects, catalog has %d", len(l), len(objs))
 	}
-	avail := device.NewClassSet(m.cfg.Box.Classes()...)
+	avail := m.cfg.Box.Carried()
 	for _, o := range objs {
 		set, ok := l[o.ID]
 		if !ok {

@@ -121,8 +121,8 @@ type cost struct {
 
 func (c cost) time() time.Duration { return c.io + c.cpu }
 
-// planner is the per-call state: the service times of the classes the
-// placement uses, resolved once each.
+// planner is the per-call state: the box's service-time table, resolved
+// once per plan.
 type planner struct {
 	classes []device.Class
 	svc     [device.NumClasses][device.NumIOTypes]time.Duration
@@ -151,24 +151,13 @@ func (p *Prepared) Plan(classes []device.Class) (*plan.Plan, error) {
 		return nil, fmt.Errorf("optimizer: query %q resolves %d objects, placement gives %d", p.query.Name, len(p.objs), len(classes))
 	}
 	o, q := p.opt, p.query
-	pl := &planner{classes: classes}
-	var resolved [device.NumClasses]bool
+	carried := o.Box.Carried()
 	for i, cls := range classes {
-		if !device.ValidClass(cls) {
+		if !carried.Has(cls) {
 			return nil, absentClass(p.objs[i], cls)
 		}
-		if resolved[cls] {
-			continue
-		}
-		d := o.Box.Device(cls)
-		if d == nil {
-			return nil, absentClass(p.objs[i], cls)
-		}
-		for _, t := range device.AllIOTypes {
-			pl.svc[cls][t] = d.ServiceTime(t, o.Concurrency)
-		}
-		resolved[cls] = true
 	}
+	pl := &planner{classes: classes, svc: o.Box.ServiceTimes(o.Concurrency)}
 
 	// Best access path per table, computed once: joins below reuse it for
 	// every alternative that attaches the table.
