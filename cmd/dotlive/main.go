@@ -226,7 +226,6 @@ func run(boxNo int, sla float64, windows, shiftAt, workers int, period time.Dura
 		Box:            box,
 		Concurrency:    workers,
 		SLA:            sla,
-		Deployed:       db.Layout(),
 		DriftThreshold: threshold,
 	})
 	if err != nil {

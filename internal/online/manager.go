@@ -23,11 +23,6 @@ type Config struct {
 	// SLA is the relative performance constraint in (0, 1] (§2.4), applied
 	// to every advise and re-advise.
 	SLA float64
-	// Deployed is the layout the engine currently runs — the layout live
-	// profiles are captured under and re-advising migrates from. Nil
-	// selects the all-most-expensive uniform layout L0 (the paper's
-	// profiling default).
-	Deployed catalog.Layout
 	// AggregateWindows is how many of the most recent closed windows merge
 	// into the profile each drift check and re-advise sees (0 selects 1:
 	// judge the latest window alone).
@@ -38,11 +33,10 @@ type Config struct {
 	// HeadroomFraction caps a candidate's migration time at this share of
 	// the SLA headroom (0 selects DefaultHeadroomFraction).
 	HeadroomFraction float64
-	// Workers bounds the layout-search fan-out; Budget, when set, shares
-	// one worker budget across managers and other engines (dotserve wires
-	// its server-wide budget here).
-	Workers int
-	Budget  *search.Budget
+	// Budget, when set, bounds the layout-search fan-out and shares one
+	// worker budget across managers and other engines (dotserve wires its
+	// server-wide budget here).
+	Budget *search.Budget
 	// LayoutCost optionally installs a custom cost model over per-class
 	// totals — the §5.2 discrete-sized model (provision.DiscreteCost) — in
 	// every search (see core.Input.LayoutCost).
@@ -147,15 +141,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		}
 		cat = cfg.Partitioning.UnitCatalog()
 	}
-	deployed := cfg.Deployed
-	switch {
-	case deployed == nil:
-		deployed = catalog.NewUniformLayout(cat, cfg.Box.MostExpensive().Class)
-	case cfg.Partitioning != nil:
-		// A configured deployed layout is object-granular (the engine runs
-		// objects); lift it onto the units.
-		deployed = cfg.Partitioning.ExpandLayout(deployed)
-	}
 	m := &Manager{
 		cfg: cfg,
 		cat: cat,
@@ -166,9 +151,10 @@ func NewManager(cfg Config) (*Manager, error) {
 		},
 		mig: newMigrationModel(cat, cfg.Box),
 		col: NewCollector(DefaultWindows),
-		// A configured deployed layout is single-class; a replicated loop
-		// grows copies from there.
-		cur: catalog.SingletonSetLayout(deployed),
+		// The engine starts on L0, every unit on the most expensive class
+		// (the paper's profiling default); a replicated loop grows copies
+		// from there.
+		cur: catalog.NewUniformSetLayout(cat, device.Singleton(cfg.Box.MostExpensive().Class)),
 	}
 	return m, nil
 }
@@ -270,7 +256,6 @@ func (m *Manager) input(w Window) (core.Input, error) {
 		Est:         est,
 		Profiles:    ps,
 		Concurrency: m.cfg.Concurrency,
-		Workers:     m.cfg.Workers,
 		Budget:      m.cfg.Budget,
 		LayoutCost:  m.cfg.LayoutCost,
 		Replication: m.cfg.Replication,
