@@ -88,10 +88,21 @@ func newRandExhaustiveFixture(t *testing.T, rng *rand.Rand, oltp bool) *randExha
 	return f
 }
 
+// compact encodes a map-form layout over cat, failing the test when it does
+// not encode.
+func compact(t *testing.T, cat *catalog.Catalog, l catalog.SetLayout) catalog.CompactLayout {
+	t.Helper()
+	cl, ok := catalog.CompactFromSetLayout(cat, l)
+	if !ok {
+		t.Fatalf("layout %v does not encode over the catalog", l)
+	}
+	return cl
+}
+
 // odometer is the exhaustive reference that runs through no
 // branch-and-bound code: every layout of the space in odometer order
 // (free[0] cycles fastest) over base, each evaluated in turn through
-// Engine.Evaluate on the estimator's map form, a feasible candidate winning
+// EvaluateCompact on the estimator's map form, a feasible candidate winning
 // only at a strictly lower TOC — ties to the lowest index — and, when
 // nothing is feasible, the exhaustive entry points' fallback (L0, or the
 // pinned base).
@@ -117,7 +128,7 @@ func odometer(t *testing.T, in Input, opts Options, copyCap int, free []catalog.
 		for i, id := range free {
 			l[id] = digits[pos[i]]
 		}
-		ev, err := eng.Evaluate(l)
+		ev, err := eng.EvaluateCompact(compact(t, in.Cat, l))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +145,7 @@ func odometer(t *testing.T, in Input, opts Options, copyCap int, free []catalog.
 	if !res.Feasible {
 		fallback := ev0
 		if base != nil {
-			if fallback, err = eng.Evaluate(base); err != nil {
+			if fallback, err = eng.EvaluateCompact(compact(t, in.Cat, base)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -62,7 +62,7 @@ func budgetEngine(t *testing.T, b *Budget, est workload.Estimator, n int) (*Engi
 // evaluateAll evaluates the layouts through Parallel at the engine's width.
 func evaluateAll(e *Engine, layouts []catalog.SetLayout) error {
 	return Parallel(e.Workers(), len(layouts), func(i int) error {
-		_, err := e.Evaluate(layouts[i])
+		_, err := evalMap(e, layouts[i])
 		return err
 	})
 }

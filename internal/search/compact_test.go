@@ -76,8 +76,9 @@ func evalEqual(a, b Eval) bool {
 		a.Compact.Equal(b.Compact)
 }
 
-// TestCompactEvaluateSharesMemoWithMap: Evaluate(map) and EvaluateCompact
-// of the same layout hit one memo entry — the estimator runs once.
+// TestCompactEvaluateSharesMemoWithMap: a map-form layout encoded by
+// evalMap and the same compact layout encoded here hit one memo entry —
+// the estimator runs once.
 func TestCompactEvaluateSharesMemoWithMap(t *testing.T) {
 	f := newCompactFix(t, 4)
 	eng, err := New(f.config(1, false))
@@ -85,7 +86,7 @@ func TestCompactEvaluateSharesMemoWithMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := catalog.NewUniformSetLayout(f.cat, device.Singleton(device.HSSD))
-	ev1, err := eng.Evaluate(l)
+	ev1, err := evalMap(eng, l)
 	if err != nil {
 		t.Fatal(err)
 	}

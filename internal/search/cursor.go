@@ -104,7 +104,7 @@ func (c *Cursor) Try(changes []workload.ObjectMove) (Eval, error) {
 	if deltaable {
 		c.moves = changes
 	}
-	return c.e.evaluateCompact(c.scratch, false, c.candHash, c)
+	return c.e.evaluateCompact(c.scratch, c.candHash, c)
 }
 
 // Commit makes the layout Try just evaluated the running layout.
@@ -129,7 +129,7 @@ func (c *Cursor) Revert(changes []workload.ObjectMove) {
 // levels directly and chains only the innermost siblings through Try).
 func (c *Cursor) reseat() (Eval, error) {
 	c.walk()
-	ev, err := c.e.evaluateCompact(c.scratch, false, c.candHash, c)
+	ev, err := c.e.evaluateCompact(c.scratch, c.candHash, c)
 	if err == nil {
 		c.Commit(ev)
 	}

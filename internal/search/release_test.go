@@ -23,7 +23,7 @@ func TestReleasedEngineRefuses(t *testing.T) {
 	}
 	hssd := device.Singleton(device.HSSD)
 	uniform := catalog.NewUniformSetLayout(f.cat, hssd)
-	ev0, err := eng.Evaluate(uniform)
+	ev0, err := evalMap(eng, uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,6 @@ func TestReleasedEngineRefuses(t *testing.T) {
 	cons := workload.Constraints{Relative: 0.25, Baseline: ev0.Metrics}
 	cl, _ := catalog.CompactFromSetLayout(f.cat, uniform)
 	for name, call := range map[string]func() error{
-		"Evaluate":        func() error { _, err := eng.Evaluate(uniform); return err },
 		"EvaluateCompact": func() error { _, err := eng.EvaluateCompact(cl); return err },
 		"Cursor.Try":      func() error { _, err := cur.Try(move); return err },
 		"ExhaustiveBnB": func() error {

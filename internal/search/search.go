@@ -315,17 +315,6 @@ func (e *Engine) memoLimit() int {
 	}
 }
 
-// Evaluate is EvaluateCompact for a layout in map form. A layout that does
-// not encode over the engine's catalog — an object the catalog lacks, a
-// placement that is not a class set — is an error, never a candidate.
-func (e *Engine) Evaluate(l catalog.SetLayout) (Eval, error) {
-	cl, ok := catalog.CompactFromSetLayout(e.cfg.Cat, l)
-	if !ok {
-		return Eval{}, fmt.Errorf("search: layout does not encode over the engine's catalog")
-	}
-	return e.evaluateCompact(cl, true, layoutHash(cl.Bytes()), nil)
-}
-
 // EvaluateCompact runs one layout through the pipeline, hashed and totalled
 // in full — seeds and other layouts with no evaluated predecessor (a
 // sweep's candidates go through a Cursor) — answering from the memo when
@@ -335,15 +324,14 @@ func (e *Engine) Evaluate(l catalog.SetLayout) (Eval, error) {
 // evaluated without being retained. The engine clones cl if it needs to
 // retain it, so callers may pass a scratch layout they mutate afterwards.
 func (e *Engine) EvaluateCompact(cl catalog.CompactLayout) (Eval, error) {
-	return e.evaluateCompact(cl, false, layoutHash(cl.Bytes()), nil)
+	return e.evaluateCompact(cl, layoutHash(cl.Bytes()), nil)
 }
 
-// evaluateCompact is the memoized pipeline. owned marks cl as transferable
-// (already a private copy), letting the engine retain it without another
-// clone; h is layoutHash of cl's bytes. A non-nil cur is the cursor whose
-// candidate cl is: a miss then takes its totals, and its delta base and
-// moves, from the cursor instead of walking cl.
-func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, h uint64, cur *Cursor) (Eval, error) {
+// evaluateCompact is the memoized pipeline; h is layoutHash of cl's bytes.
+// The engine retains a copy of cl, never cl itself. A non-nil cur is the
+// cursor whose candidate cl is: a miss then takes its totals, and its
+// delta base and moves, from the cursor instead of walking cl.
+func (e *Engine) evaluateCompact(cl catalog.CompactLayout, h uint64, cur *Cursor) (Eval, error) {
 	b := cl.Bytes()
 	h &= e.hashMask
 	e.mu.Lock()
@@ -360,16 +348,10 @@ func (e *Engine) evaluateCompact(cl catalog.CompactLayout, owned bool, h uint64,
 	if ent == nil {
 		if st.used >= e.memoLimit() {
 			e.mu.Unlock()
-			if !owned {
-				cl = cl.Clone()
-			}
-			return e.measureCompact(cl, cur)
+			return e.measureCompact(cl.Clone(), cur)
 		}
 		ent = st.newEntry()
-		if !owned {
-			cl = catalog.CompactFromBytes(st.cloneBytes(b))
-		}
-		ent.cl = cl
+		ent.cl = catalog.CompactFromBytes(st.cloneBytes(b))
 		ent.next = st.memo[h]
 		st.memo[h] = ent
 	}

@@ -43,6 +43,16 @@ var digits = device.EnumerateClassSets(classes, 1)
 // single lifts a single-class layout literal to the engine's map form.
 func single(l catalog.Layout) catalog.SetLayout { return catalog.SingletonSetLayout(l) }
 
+// evalMap evaluates a map-form layout through EvaluateCompact, refusing one
+// that does not encode over the engine's catalog.
+func evalMap(e *Engine, l catalog.SetLayout) (Eval, error) {
+	cl, ok := catalog.CompactFromSetLayout(e.cfg.Cat, l)
+	if !ok {
+		return Eval{}, fmt.Errorf("layout does not encode over the engine's catalog")
+	}
+	return e.EvaluateCompact(cl)
+}
+
 // hourly prices a layout's per-class totals at the fixture's per-class
 // prices, one charge per copy.
 func hourly(sp catalog.ClassSpace) float64 {
@@ -102,7 +112,7 @@ func cons(baseline workload.Metrics, rel float64) workload.Constraints {
 
 // odometer is the reference exhaustive walk the branch-and-bound search is
 // held to: every layout of the space in odometer order (free[0] cycles
-// fastest) over base, each evaluated in turn through Engine.Evaluate, with
+// fastest) over base, each evaluated in turn through evalMap, with
 // a feasible candidate replacing the incumbent only at a strictly lower TOC
 // — so ties go to the lowest index. It returns the winner, whether there is
 // one, how many layouts it evaluated, and the first error.
@@ -118,7 +128,7 @@ func odometer(eng *Engine, cs workload.Constraints, base catalog.SetLayout, free
 		for i, id := range free {
 			l[id] = digits[pos[i]]
 		}
-		ev, err := eng.Evaluate(l)
+		ev, err := evalMap(eng, l)
 		if err != nil {
 			return Eval{}, false, n, err
 		}
@@ -151,12 +161,12 @@ func TestEvaluateMemoizes(t *testing.T) {
 	est := testEst()
 	eng := newEngine(t, 1, est)
 	l := single(catalog.Layout{1: device.HSSD, 2: device.LSSD})
-	ev1, err := eng.Evaluate(l)
+	ev1, err := evalMap(eng, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-evaluating an equal (but distinct) map must be a memo hit.
-	ev2, err := eng.Evaluate(single(catalog.Layout{2: device.LSSD, 1: device.HSSD}))
+	ev2, err := evalMap(eng, single(catalog.Layout{2: device.LSSD, 1: device.HSSD}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +181,14 @@ func TestEvaluateMemoizes(t *testing.T) {
 		t.Fatalf("stats %+v, want 2 evaluated / 1 call / 1 hit", st)
 	}
 	// A different layout is a miss.
-	if _, err := eng.Evaluate(single(catalog.Layout{1: device.HDD, 2: device.LSSD})); err != nil {
+	if _, err := evalMap(eng, single(catalog.Layout{1: device.HDD, 2: device.LSSD})); err != nil {
 		t.Fatal(err)
 	}
 	if est.calls.Load() != 2 {
 		t.Fatalf("estimator called %d times, want 2", est.calls.Load())
 	}
 	// A layout naming an object the catalog lacks is no candidate.
-	if _, err := eng.Evaluate(single(catalog.Layout{1: device.HDD, 9: device.LSSD})); err == nil {
+	if _, err := evalMap(eng, single(catalog.Layout{1: device.HDD, 9: device.LSSD})); err == nil {
 		t.Fatal("a layout that does not encode must be refused")
 	}
 }
@@ -197,7 +207,7 @@ func TestMemoLimitBoundsRetention(t *testing.T) {
 	cached := single(catalog.Layout{1: device.HSSD})
 	overflow := single(catalog.Layout{1: device.LSSD})
 	for i := 0; i < 3; i++ {
-		if _, err := eng.Evaluate(cached); err != nil {
+		if _, err := evalMap(eng, cached); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,11 +215,11 @@ func TestMemoLimitBoundsRetention(t *testing.T) {
 		t.Fatalf("cached layout estimated %d times, want 1", est.calls.Load())
 	}
 	// Beyond the limit: still correct, just never retained.
-	want, err := eng.Evaluate(overflow)
+	want, err := evalMap(eng, overflow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Evaluate(overflow)
+	got, err := evalMap(eng, overflow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +240,10 @@ func TestEvaluateMemoizesErrors(t *testing.T) {
 	est.fail, est.failSet = device.HDD, true
 	eng := newEngine(t, 1, est)
 	l := single(catalog.Layout{1: device.HDD})
-	if _, err := eng.Evaluate(l); err == nil {
+	if _, err := evalMap(eng, l); err == nil {
 		t.Fatal("expected estimator error")
 	}
-	if _, err := eng.Evaluate(l); err == nil {
+	if _, err := evalMap(eng, l); err == nil {
 		t.Fatal("memoized error should persist")
 	}
 	if est.calls.Load() != 1 {
@@ -259,7 +269,7 @@ func TestParallelEvaluateMatchesSequential(t *testing.T) {
 		eng := newEngine(t, workers, est)
 		evs := make([]Eval, len(layouts))
 		if err := Parallel(workers, len(layouts), func(i int) (err error) {
-			evs[i], err = eng.Evaluate(layouts[i])
+			evs[i], err = evalMap(eng, layouts[i])
 			return err
 		}); err != nil {
 			t.Fatal(err)
