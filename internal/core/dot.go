@@ -401,7 +401,8 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 	}
 
 	res := &Result{Constraints: cons, Evaluated: 1}
-	// L0 is the first candidate (it may violate capacity).
+	// L0 is the first candidate. consider adopts only a feasible layout, so
+	// an L0 over capacity is never the answer; the sweep still starts there.
 	res.consider(ev0, cons)
 
 	// Seed the candidates with the uniform ("All <class>") layouts. They
@@ -478,9 +479,12 @@ func dotSweep(cur *search.Cursor, moves []Move, cons workload.Constraints, res *
 			res.Evaluated++
 			accepted := (gate == nil || gate(ev, cons)) && res.consider(ev, cons)
 			// Guard: only walk to layouts that do not worsen the running
-			// TOC (unless reproducing the literal Procedure 1). Infeasible
-			// starting points (L0 over capacity) always accept the first
-			// feasible layout.
+			// TOC (unless reproducing the literal Procedure 1). The walk
+			// goes only to layouts consider accepts, which are feasible, so
+			// from an infeasible start (L0 over capacity) its first step
+			// must be to a feasible layout one move away: when none of
+			// those fits, the sweep never leaves the start (ROADMAP.md,
+			// "DOT must walk out of a start that does not fit").
 			if !accepted || (pol == guarded && curFeasible && ev.TOCCents > curTOC) {
 				cur.Revert(changes)
 				continue
