@@ -87,8 +87,8 @@ func (b *Box) Carried() ClassSet {
 // at the degree of concurrency (paper §3.5): the one table every pricer
 // reads, resolved once per plan, compile, accountant, drift check or
 // migration model. A class the box lists twice takes its first device's
-// times, as Box.Device does; a class it does not carry reads zero, so callers
-// check membership against Carried.
+// times, as Box.Device does; a class it does not carry reads zero, so
+// callers check membership against Carried.
 func (b *Box) ServiceTimes(concurrency int) [NumClasses][NumIOTypes]time.Duration {
 	var svc [NumClasses][NumIOTypes]time.Duration
 	var seen ClassSet

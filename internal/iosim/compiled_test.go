@@ -80,31 +80,34 @@ func TestCompiledIOTimeMatchesMap(t *testing.T) {
 
 // TestSetIOTimeMapMatchesCompiled: random replicated layouts over wider
 // alphabets (a two-copy cap, every usable set) evaluate identically on the
-// map and compiled paths.
+// map and compiled paths — also on a box that lists a class twice, where
+// both price the class at its first device.
 func TestSetIOTimeMapMatchesCompiled(t *testing.T) {
 	cat, prof := compiledFixture(t)
-	box := device.Box1()
+	twice := device.NewBoxOf("twice", device.New(device.HDD), device.New(device.HSSD), device.BoxHTAP().Device(device.HDD))
 	rng := rand.New(rand.NewSource(13))
-	for _, cap := range []int{2, 0} {
-		alphabet := device.EnumerateClassSets(box.Classes(), cap)
-		for _, conc := range []int{1, 300} {
-			cp := CompileProfile(prof, box, conc, cat.NumObjects(), alphabet)
-			for trial := 0; trial < 200; trial++ {
-				sl := randomSets(rng, cat, alphabet)
-				want, err := prof.SetIOTime(sl, box, conc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cl, ok := catalog.CompactFromSetLayout(cat, sl)
-				if !ok {
-					t.Fatal("compact conversion failed")
-				}
-				got, err := cp.IOTime(cl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("cap %d conc %d trial %d: compiled %v, map %v", cap, conc, trial, got, want)
+	for _, box := range []*device.Box{device.Box1(), twice} {
+		for _, cap := range []int{2, 0} {
+			alphabet := device.EnumerateClassSets(box.Classes(), cap)
+			for _, conc := range []int{1, 300} {
+				cp := CompileProfile(prof, box, conc, cat.NumObjects(), alphabet)
+				for trial := 0; trial < 200; trial++ {
+					sl := randomSets(rng, cat, alphabet)
+					want, err := prof.SetIOTime(sl, box, conc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cl, ok := catalog.CompactFromSetLayout(cat, sl)
+					if !ok {
+						t.Fatal("compact conversion failed")
+					}
+					got, err := cp.IOTime(cl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s cap %d conc %d trial %d: compiled %v, map %v", box.Name, cap, conc, trial, got, want)
+					}
 				}
 			}
 		}
