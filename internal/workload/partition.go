@@ -71,9 +71,9 @@ func (e *ProfileEstimator) PartitionFor(pt *catalog.Partitioning) (Estimator, io
 }
 
 // UnitMigrationBytes sums the sizes of the units a unit-granular layout
-// transition moves. Production migration accounting comes from
-// online.MigrationModel (which also prices the moves); this is the
-// independent cross-check its per-partition byte totals are verified
+// transition moves. Production migration accounting comes from the online
+// manager's online.MigrationPlan (which also prices the moves); this is
+// the independent cross-check its per-partition byte totals are verified
 // against.
 func UnitMigrationBytes(pt *catalog.Partitioning, from, to catalog.Layout) int64 {
 	var total int64
