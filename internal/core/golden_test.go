@@ -27,6 +27,64 @@ func goldenLine(name string, sl catalog.SetLayout, res *Result) string {
 		math.Float64bits(res.TOCCents), res.Evaluated, res.EstimatorCalls)
 }
 
+// goldenCase is one seeded instance of TestSearchGolden: the input and SLA,
+// the deployed layouts the incremental searches start from (a random
+// single-class layout, and the same with a second copy on some units) and
+// the partitioning the partitioned searches run over.
+type goldenCase struct {
+	in      Input
+	opts    Options
+	seed    catalog.Layout
+	seedSet catalog.SetLayout
+	pt      *catalog.Partitioning
+}
+
+// goldenCases draws TestSearchGolden's 13 instances from its fixed seed: 12
+// random inputs over 3 boxes x DSS/OLTP, then the HTAP scan+lookup fixture.
+func goldenCases(t *testing.T) []goldenCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1211))
+	boxes := []func() *device.Box{device.Box1, device.Box2, device.BoxHTAP}
+	slas := []float64{1, 0.7, 0.3, 0.05}
+	var cases []goldenCase
+	for trial := 0; trial < 13; trial++ {
+		var gc goldenCase
+		if trial < 12 {
+			gc.in = randomReplicaInput(t, rng, boxes[trial%len(boxes)](), trial%2 == 1)
+			gc.opts = Options{RelativeSLA: slas[rng.Intn(len(slas))]}
+		} else {
+			// The fixture where a second copy strictly wins (non-total read
+			// order), so genuinely replicated recommendations are pinned too.
+			gc.in = htapScanLookupInput(t)
+			gc.opts = Options{RelativeSLA: 0.5}
+		}
+		classes := gc.in.Box.Classes()
+		gc.seed = make(catalog.Layout)
+		gc.seedSet = make(catalog.SetLayout)
+		stats := catalog.ExtentStats{ByObject: make(map[catalog.ObjectID][]catalog.Extent)}
+		for _, o := range gc.in.Cat.Objects() {
+			c := classes[rng.Intn(len(classes))]
+			gc.seed[o.ID] = c
+			gc.seedSet[o.ID] = device.Singleton(c)
+			if rng.Intn(2) == 0 {
+				gc.seedSet[o.ID] = gc.seedSet[o.ID].Add(classes[rng.Intn(len(classes))])
+			}
+			pages := (o.SizeBytes + catalog.DefaultPageBytes - 1) / catalog.DefaultPageBytes
+			for e := 0; e < 4; e++ {
+				stats.ByObject[o.ID] = append(stats.ByObject[o.ID],
+					catalog.Extent{Pages: pages/4 + 1, Count: float64(rng.Intn(1000) * rng.Intn(50))})
+			}
+		}
+		pt, err := catalog.BuildPartitioning(gc.in.Cat, stats, catalog.PartitionOptions{MaxUnitsPerObject: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc.pt = pt
+		cases = append(cases, gc)
+	}
+	return cases
+}
+
 // TestSearchGolden pins the search itself — which layout wins, at which TOC
 // bits, after how many evaluations and estimator calls — for every public
 // entry point over seeded random inputs: 3 boxes x DSS/OLTP (plus the HTAP
@@ -37,47 +95,9 @@ func goldenLine(name string, sl catalog.SetLayout, res *Result) string {
 // Regenerate with `go test ./internal/core -run TestSearchGolden -update`
 // only when a change of search is intended.
 func TestSearchGolden(t *testing.T) {
-	rng := rand.New(rand.NewSource(1211))
-	boxes := []func() *device.Box{device.Box1, device.Box2, device.BoxHTAP}
-	slas := []float64{1, 0.7, 0.3, 0.05}
 	var out bytes.Buffer
-	for trial := 0; trial < 13; trial++ {
-		var in Input
-		var opts Options
-		if trial < 12 {
-			in = randomReplicaInput(t, rng, boxes[trial%len(boxes)](), trial%2 == 1)
-			opts = Options{RelativeSLA: slas[rng.Intn(len(slas))]}
-		} else {
-			// The fixture where a second copy strictly wins (non-total read
-			// order), so genuinely replicated recommendations are pinned too.
-			in = htapScanLookupInput(t)
-			opts = Options{RelativeSLA: 0.5}
-		}
-		classes := in.Box.Classes()
-
-		// Deployed layouts the incremental searches start from: a random
-		// single-class layout, and the same with a second copy on some units.
-		seed := make(catalog.Layout)
-		seedSet := make(catalog.SetLayout)
-		stats := catalog.ExtentStats{ByObject: make(map[catalog.ObjectID][]catalog.Extent)}
-		for _, o := range in.Cat.Objects() {
-			c := classes[rng.Intn(len(classes))]
-			seed[o.ID] = c
-			seedSet[o.ID] = device.Singleton(c)
-			if rng.Intn(2) == 0 {
-				seedSet[o.ID] = seedSet[o.ID].Add(classes[rng.Intn(len(classes))])
-			}
-			pages := (o.SizeBytes + catalog.DefaultPageBytes - 1) / catalog.DefaultPageBytes
-			for e := 0; e < 4; e++ {
-				stats.ByObject[o.ID] = append(stats.ByObject[o.ID],
-					catalog.Extent{Pages: pages/4 + 1, Count: float64(rng.Intn(1000) * rng.Intn(50))})
-			}
-		}
-		pt, err := catalog.BuildPartitioning(in.Cat, stats, catalog.PartitionOptions{MaxUnitsPerObject: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-
+	for trial, gc := range goldenCases(t) {
+		in, opts, seed, seedSet, pt := gc.in, gc.opts, gc.seed, gc.seedSet, gc.pt
 		for _, noCompile := range []bool{false, true} {
 			in.NoCompile = noCompile
 			name := fmt.Sprintf("trial%02d/%s", trial, map[bool]string{false: "compiled", true: "map"}[noCompile])
@@ -149,5 +169,41 @@ func TestSearchGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("search changed: %d lines recorded, %d produced", len(wl), len(gl))
+	}
+}
+
+// TestSearchGoldenWorkerInvariant runs OptimizeBest and OptimizeIncremental
+// on every TestSearchGolden instance, copy cap and estimator form at Workers
+// 1 and 8 and requires the same layout, TOC bits, Evaluated and
+// EstimatorCalls. At 8 workers OptimizeBest's guarded and greedy passes run
+// at once over one engine, so a pass that reads the other's incumbent, or a
+// count that depends on which pass reached a layout first, shows here.
+func TestSearchGoldenWorkerInvariant(t *testing.T) {
+	caps := []ReplicationConfig{{}, {Enabled: true, MaxReplicas: 1}, {Enabled: true, MaxReplicas: 2}}
+	for trial, gc := range goldenCases(t) {
+		for _, noCompile := range []bool{false, true} {
+			for _, rep := range caps {
+				seed := gc.seedSet
+				if rep.Cap() == 1 {
+					seed = catalog.SingletonSetLayout(gc.seed)
+				}
+				run := func(workers int) string {
+					in := gc.in
+					in.NoCompile, in.Replication, in.Workers = noCompile, rep, workers
+					best, err := OptimizeBest(in, gc.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inc, err := OptimizeIncremental(in, IncrementalOptions{Options: gc.opts, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return goldenLine("best", best.SetLayout, best) + goldenLine("incremental", inc.SetLayout, inc)
+				}
+				if one, eight := run(1), run(8); one != eight {
+					t.Errorf("trial%02d noCompile=%v cap %d: 8 workers\n%s1 worker\n%s", trial, noCompile, rep.Cap(), eight, one)
+				}
+			}
+		}
 	}
 }
