@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dotprov/internal/catalog"
@@ -124,10 +123,10 @@ type Result struct {
 	// fallback) evaluations — which is why it can slightly exceed the
 	// memo-miss share of Evaluated.
 	EstimatorCalls int
-	// PlanTime is wall-clock search time: for the DOT entry points the whole
-	// call, engine construction and move scoring included; for one round of
-	// a relaxing loop or an exhaustive search, from the baseline evaluation
-	// on.
+	// PlanTime is the wall clock of the whole call for every DOT entry point
+	// — engine construction, move scoring and, for OptimizeRelaxing, every
+	// round included. An exhaustive search's clock starts once its engine is
+	// built.
 	PlanTime time.Duration
 	// Search reports the enumeration's statistics — candidates evaluated,
 	// subtrees cut by the bound, dominance groups, space sizes. Exhaustive
@@ -324,46 +323,48 @@ func (in Input) encode(what string, l catalog.SetLayout) (catalog.CompactLayout,
 	return catalog.CompactLayout{}, fmt.Errorf("core: %s layout places object %d on %v, which is not a class set", what, bad, l[bad])
 }
 
-// setup builds the engine at a copy cap, checks the SLA and scores the move
-// list — the preamble of every DOT entry point. The move list depends only
-// on the input (never on Options or the SLA), so callers that run several
-// sweeps against one engine — OptimizeBest, the relaxing loop — compute it
-// once and pass it to every optimizeWith call.
-func (in Input) setup(opts Options, copyCap int) (*search.Engine, []Move, error) {
+// dot is the one frame every DOT entry point runs in: build the engine at a
+// copy cap, check the SLA, score the move list, run the search body on
+// them, and finish the body's result, with PlanTime the wall clock of the
+// whole call. The move list depends only on the input (never on Options or
+// the SLA), so a body that runs several passes on the engine —
+// OptimizeBest's two policies, the relaxing loop's SLA levels — scores it
+// once and shares one memo table.
+func (in Input) dot(opts Options, copyCap int, body func(eng *search.Engine, moves []Move) (*Result, error)) (*Result, error) {
+	start := time.Now()
 	eng, err := in.engine(copyCap)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	// Deferred, so it runs after finish has materialized the layout.
+	defer eng.Release()
 	// Fail on a bad SLA before scoring the move list.
 	if err := opts.validateSLA(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if in.Profiles == nil {
-		return nil, nil, fmt.Errorf("core: Optimize requires workload profiles (run the profiling phase)")
+		return nil, fmt.Errorf("core: Optimize requires workload profiles (run the profiling phase)")
 	}
 	moves, err := in.Moves.get(in, eng.Workers())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return eng, moves, nil
+	res, err := body(eng, moves)
+	if err != nil {
+		return nil, err
+	}
+	res.Search.Candidates = res.Evaluated
+	res.PlanTime = time.Since(start)
+	return res.finish(), nil
 }
 
 // Optimize is Procedure 1, the DOT heuristic: start from L0 (every object
 // on the most expensive class), apply the scored moves in order, keep every
 // feasible layout, and return the one with the minimum estimated TOC.
 func Optimize(in Input, opts Options) (*Result, error) {
-	start := time.Now()
-	eng, moves, err := in.setup(opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Release()
-	res, err := optimizeWith(in, opts, eng, moves, nil, guarded)
-	if err != nil {
-		return nil, err
-	}
-	res.PlanTime = time.Since(start)
-	return res.finish(), nil
+	return in.dot(opts, 1, func(eng *search.Engine, moves []Move) (*Result, error) {
+		return in.pass(IncrementalOptions{Options: opts}, eng, moves, nil, guarded)
+	})
 }
 
 // sweepPasses bounds a cold DOT search's sweeps over the move list.
@@ -373,44 +374,67 @@ func Optimize(in Input, opts Options) (*Result, error) {
 // point.
 const sweepPasses = 2
 
-// policy is how a DOT sweep walks: guarded walks on only to candidates that
-// do not worsen the running TOC; greedy is the paper's literal Procedure 1,
-// which walks to every feasible candidate even when that worsens the
-// running layout (L* still tracks the best prefix).
-type policy bool
+// policy is a sweep's walk rule from a feasible cursor: guarded walks on
+// only to candidates that do not worsen the running TOC; greedy is the
+// paper's literal Procedure 1, which walks to every feasible candidate even
+// when that worsens the running layout (L* still tracks the best prefix);
+// improving, the copy refinement's rule, walks on only to a strictly lower
+// TOC (an equal-TOC change is not worth a copy).
+type policy uint8
 
 const (
-	guarded policy = false
-	greedy  policy = true
+	guarded policy = iota
+	greedy
+	improving
 )
 
-// optimizeWith is one DOT pass under a policy against a caller-supplied
-// engine and move list, so OptimizeBest's two sweeps and OptimizeRelaxing's
-// SLA halvings share one memo table and one scored move list instead of
-// recomputing both: the L0 baseline, the uniform single-copy anchors, the
-// move sweep, and — when trans is non-nil, i.e. the copy cap admits
-// replication — the add/drop/swap refinement from the sweep's incumbent.
-// The result carries its incumbent evaluation; callers materialize the
-// layout of the one they keep (Result.finish).
-func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, trans [][]device.ClassSet, pol policy) (*Result, error) {
-	start := time.Now()
+// pass is one DOT pass on a caller-supplied engine and move list, so
+// OptimizeBest's two policies and OptimizeRelaxing's SLA levels share one
+// memo table and one scored move list. It evaluates L0 and derives the
+// constraints, then starts where the pass does: a cold pass (no Seed) at
+// L0, offering the uniform single-copy anchors too, an incremental pass at
+// the deployed seed, offering candidates only past opts.Accept. It runs the
+// move sweep from the start and — when trans is non-nil, i.e. the copy cap
+// admits a second copy — the copy refinement from the incumbent (from the
+// start when nothing is feasible yet); a cold pass sweeps each list up to
+// sweepPasses times, an incremental one once. With nothing feasible the
+// result reports the start's numbers, so the caller can decide how to relax
+// the constraints (paper §3: "the performance constraints must be relaxed
+// in order to compute a layout"). EstimatorCalls counts this pass's memo
+// misses; the result carries its incumbent evaluation, which the frame
+// materializes (Result.finish).
+func (in Input) pass(opts IncrementalOptions, eng *search.Engine, moves []Move, trans [][]device.ClassSet, pol policy) (*Result, error) {
 	stats0 := eng.Stats()
-	l0Class, ev0, cons, err := in.prep(opts, eng)
+	l0, from, cons, err := in.prep(opts.Options, eng)
 	if err != nil {
 		return nil, err
 	}
-
 	res := &Result{Constraints: cons, Evaluated: 1}
-	// L0 is the first candidate. consider adopts only a feasible layout, so
-	// an L0 over capacity is never the answer; the sweep still starts there.
-	res.consider(ev0, cons)
-
-	// Seed the candidates with the uniform ("All <class>") layouts. They
-	// cost M extra evaluations and anchor the search under cost models with
-	// consolidation discounts (the discrete-sized model of §5.2 prices any
-	// second storage class at a whole device).
+	cold, passes := len(opts.Seed) == 0, sweepPasses
+	if !cold {
+		seed, err := in.encode("seed", opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		if from, err = eng.EvaluateCompact(seed); err != nil {
+			return nil, fmt.Errorf("core: estimating seed layout: %w", err)
+		}
+		// L0 is a constraint anchor only, never an incremental candidate
+		// (adopting it would be a full-database migration); staying put
+		// moves zero bytes, so the seed bypasses the gate.
+		res.Evaluated++
+		passes = 1
+	}
+	// The start is the first candidate. consider adopts only a feasible
+	// layout, so an L0 over capacity is never the answer; the sweep still
+	// starts there.
+	res.consider(from, cons)
+	// A cold pass seeds the candidates with the uniform ("All <class>")
+	// layouts. They cost M extra evaluations and anchor the search under
+	// cost models with consolidation discounts (the discrete-sized model of
+	// §5.2 prices any second storage class at a whole device).
 	for _, d := range in.Box.SortedByPrice() {
-		if d.Class == l0Class {
+		if !cold || d.Class == l0 {
 			continue
 		}
 		ev, err := eng.EvaluateCompact(catalog.CompactUniform(in.Cat, device.Singleton(d.Class)))
@@ -421,84 +445,117 @@ func optimizeWith(in Input, opts Options, eng *search.Engine, moves []Move, tran
 		res.consider(ev, cons)
 	}
 
-	if err := dotSweep(eng.NewCursor(ev0), moves, cons, res, sweepPasses, pol, nil); err != nil {
+	w := walk{res: res, pol: pol, gate: opts.Accept}
+	if err := w.sweep(eng, from, passes, func() (bool, error) { return w.moves(moves) }); err != nil {
 		return nil, err
 	}
 	if trans != nil {
-		from := ev0
+		at := from
 		if res.Feasible {
-			from = res.best
+			at = res.best
 		}
-		if err := refineSweep(eng.NewCursor(from), in.Cat.Objects(), trans, cons, res, sweepPasses, nil); err != nil {
+		w.pol = improving
+		if err := w.sweep(eng, at, passes, func() (bool, error) { return w.refine(in.Cat.Objects(), trans) }); err != nil {
 			return nil, err
 		}
 	}
 	if !res.Feasible {
-		// No feasible layout found: report L0's numbers so the caller can
-		// decide how to relax the constraints (paper §3: "the performance
-		// constraints must be relaxed in order to compute a layout").
-		res.fallBack(ev0)
+		res.fallBack(from)
 	}
 	res.EstimatorCalls = eng.Stats().Sub(stats0).EstimatorCalls
-	res.PlanTime = time.Since(start)
-	res.Search.Candidates = res.Evaluated
 	return res, nil
 }
 
-// gateFunc vets a candidate before a sweep may adopt or walk to it, on top
-// of capacity and the SLA (see IncrementalOptions.Accept).
-type gateFunc func(ev search.Eval, cons workload.Constraints) bool
+// walk is a sweep's cursor and its walk rule. Both candidate generators —
+// the move sweep and the copy refinement — offer every candidate through
+// try, so when the cursor moves on is decided in one place.
+type walk struct {
+	cur      *search.Cursor
+	res      *Result
+	pol      policy
+	gate     func(search.Eval, workload.Constraints) bool // IncrementalOptions.Accept
+	feasible bool                                         // the cursor's layout is feasible
+	changes  []workload.ObjectMove
+}
 
-// dotSweep is Procedure 1's move sweep: walk the scored moves in order,
-// place each move's group on its pattern's classes (one copy each), keep
-// every feasible candidate in res, and walk on to it as the policy allows.
-// A non-nil gate vets candidates before they can be adopted or walked to
-// (the incremental search's migration budget plugs in here); the cold
-// sweeps pass nil.
-func dotSweep(cur *search.Cursor, moves []Move, cons workload.Constraints, res *Result, passes int, pol policy, gate gateFunc) error {
-	curTOC := cur.Eval().TOCCents
-	curFeasible := cur.Eval().Feasible(cons)
-	var changes []workload.ObjectMove
-	for pass := 0; pass < passes; pass++ {
-		changed := false
-		for _, m := range moves {
-			changes = changes[:0]
-			for i, obj := range m.Group.Objects {
-				from, _ := cur.At(obj)
-				if to := device.Singleton(m.Placement[i]); from != to {
-					changes = append(changes, workload.ObjectMove{Obj: obj, From: from, To: to})
-				}
-			}
-			if len(changes) == 0 {
-				continue // identity move
-			}
-			ev, err := cur.Try(changes)
-			if err != nil {
-				return err
-			}
-			res.Evaluated++
-			accepted := (gate == nil || gate(ev, cons)) && res.consider(ev, cons)
-			// Guard: only walk to layouts that do not worsen the running
-			// TOC (unless reproducing the literal Procedure 1). The walk
-			// goes only to layouts consider accepts, which are feasible, so
-			// from an infeasible start (L0 over capacity) its first step
-			// must be to a feasible layout one move away: when none of
-			// those fits, the sweep never leaves the start (ROADMAP.md,
-			// "DOT must walk out of a start that does not fit").
-			if !accepted || (pol == guarded && curFeasible && ev.TOCCents > curTOC) {
-				cur.Revert(changes)
-				continue
-			}
-			cur.Commit(ev)
-			curTOC = ev.TOCCents
-			curFeasible = true
-			changed = true
-		}
-		if !changed {
-			break
+// sweep starts the cursor at an evaluated layout and runs a generator's
+// passes over it, at most passes of them, stopping early at a fixed point
+// (a pass that never moved the cursor).
+func (w *walk) sweep(eng *search.Engine, start search.Eval, passes int, pass func() (bool, error)) error {
+	w.cur, w.feasible = eng.NewCursor(start), start.Feasible(w.res.Constraints)
+	for i := 0; i < passes; i++ {
+		moved, err := pass()
+		if err != nil || !moved {
+			return err
 		}
 	}
 	return nil
+}
+
+// try evaluates the cursor's layout with the changes applied, offers it to
+// the result — which adopts it when it passes the gate, is feasible and
+// improves the incumbent — and walks on to it when the rule allows,
+// reverting the changes otherwise. It reports whether the cursor moved.
+func (w *walk) try(changes []workload.ObjectMove) (bool, error) {
+	ev, err := w.cur.Try(changes)
+	if err != nil {
+		return false, err
+	}
+	w.res.Evaluated++
+	cons := w.res.Constraints
+	accepted := (w.gate == nil || w.gate(ev, cons)) && w.res.consider(ev, cons)
+	if !w.walks(ev, accepted) {
+		w.cur.Revert(changes)
+		return false, nil
+	}
+	w.cur.Commit(ev)
+	w.feasible = accepted
+	return true, nil
+}
+
+// walks is the one walk rule. The cursor moves only to a candidate the
+// result accepted; from an infeasible cursor any such candidate is a step
+// forward, and from a feasible one the policy decides. So from an
+// infeasible start (L0 over capacity) the first step must be to a feasible
+// layout one move away: when none of those fits, the sweep never leaves
+// the start (ROADMAP.md, "DOT must walk out of a start that does not
+// fit").
+func (w *walk) walks(ev search.Eval, accepted bool) bool {
+	here := w.cur.Eval().TOCCents
+	switch {
+	case !accepted:
+		return false
+	case !w.feasible || w.pol == greedy:
+		return true
+	case w.pol == guarded:
+		return ev.TOCCents <= here
+	default: // improving
+		return ev.TOCCents < here
+	}
+}
+
+// moves is one pass of Procedure 1's move sweep: in score order, place each
+// move's group on its pattern's classes (one copy each).
+func (w *walk) moves(moves []Move) (bool, error) {
+	moved := false
+	for _, m := range moves {
+		w.changes = w.changes[:0]
+		for i, obj := range m.Group.Objects {
+			from, _ := w.cur.At(obj)
+			if to := device.Singleton(m.Placement[i]); from != to {
+				w.changes = append(w.changes, workload.ObjectMove{Obj: obj, From: from, To: to})
+			}
+		}
+		if len(w.changes) == 0 {
+			continue // identity move
+		}
+		ok, err := w.try(w.changes)
+		if err != nil {
+			return false, err
+		}
+		moved = moved || ok
+	}
+	return moved, nil
 }
 
 // replicaTransitions precomputes, per current class set, the candidate
@@ -532,55 +589,32 @@ func (in Input) replicaTransitions(copyCap int) [][]device.ClassSet {
 	return out
 }
 
-// refineSweep is the copy refinement: for every unit in catalog order, try
-// each add/drop/swap transition of its current set, adopt TOC improvements
-// (strictly: an equal-TOC change is not worth a copy), and repeat per unit
-// until no transition helps. The gate vets candidates exactly as in
-// dotSweep.
-func refineSweep(cur *search.Cursor, objs []*catalog.Object, trans [][]device.ClassSet, cons workload.Constraints, res *Result, passes int, gate gateFunc) error {
-	curTOC := cur.Eval().TOCCents
-	curFeasible := cur.Eval().Feasible(cons)
-	var move [1]workload.ObjectMove
-	for pass := 0; pass < passes; pass++ {
-		changed := false
-		for _, o := range objs {
-			from, placed := cur.At(o.ID)
-			if !placed {
-				continue
-			}
-			// Chase improvements on this unit to a local fixed point; each
-			// adoption changes the transition list, so re-resolve it. The step
-			// bound caps pathological equal-TOC cycles.
-			for step := 0; step < device.NumClassSets; step++ {
-				improved := false
-				for _, tgt := range trans[from] {
-					move[0] = workload.ObjectMove{Obj: o.ID, From: from, To: tgt}
-					ev, err := cur.Try(move[:])
-					if err != nil {
-						return err
-					}
-					res.Evaluated++
-					accepted := (gate == nil || gate(ev, cons)) && res.consider(ev, cons)
-					if !accepted || (curFeasible && ev.TOCCents >= curTOC) {
-						cur.Revert(move[:])
-						continue
-					}
-					cur.Commit(ev)
-					curTOC, curFeasible = ev.TOCCents, true
-					from = tgt
-					improved, changed = true, true
-					break
+// refine is one pass of the copy refinement: for every unit in catalog
+// order, try each add/drop/swap transition of its current set and, per
+// unit, chase the transitions the walk takes to a fixed point.
+func (w *walk) refine(objs []*catalog.Object, trans [][]device.ClassSet) (bool, error) {
+	moved := false
+	for _, o := range objs {
+		from, placed := w.cur.At(o.ID)
+		// Each step changes the transition list, so re-resolve it. The step
+		// bound caps pathological equal-TOC cycles.
+	chase:
+		for step := 0; placed && step < device.NumClassSets; step++ {
+			for _, tgt := range trans[from] {
+				w.changes = append(w.changes[:0], workload.ObjectMove{Obj: o.ID, From: from, To: tgt})
+				ok, err := w.try(w.changes)
+				if err != nil {
+					return false, err
 				}
-				if !improved {
-					break
+				if ok {
+					from, moved = tgt, true
+					continue chase
 				}
 			}
-		}
-		if !changed {
 			break
 		}
 	}
-	return nil
+	return moved, nil
 }
 
 // OptimizeBest is the cold DOT search at the input's copy cap: both
@@ -600,53 +634,29 @@ func refineSweep(cur *search.Cursor, objs []*catalog.Object, trans [][]device.Cl
 // memoized evaluations instead of re-estimating them; with Workers > 1 the
 // passes also run concurrently (the engine's worker budget still bounds
 // concurrent estimator calls at Workers). Evaluated reports the summed work
-// of both passes, EstimatorCalls the distinct layouts actually estimated,
-// and PlanTime the wall clock of this whole call — not the sum of two passes
-// that may have overlapped.
+// of both passes and EstimatorCalls the distinct layouts actually
+// estimated.
 func OptimizeBest(in Input, opts Options) (*Result, error) {
-	start := time.Now()
 	copyCap := in.Replication.Cap()
-	eng, moves, err := in.setup(opts, copyCap)
-	if err != nil {
-		return nil, err
-	}
-	// Deferred, so it runs after the greedy pass is joined and after finish.
-	defer eng.Release()
-	trans := in.replicaTransitions(copyCap)
-	var (
-		a, b       *Result
-		errA, errB error
-	)
-	if eng.Workers() > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b, errB = optimizeWith(in, opts, eng, moves, trans, greedy)
-		}()
-		a, errA = optimizeWith(in, opts, eng, moves, trans, guarded)
-		wg.Wait()
-	} else {
-		a, errA = optimizeWith(in, opts, eng, moves, trans, guarded)
-		if errA == nil {
-			b, errB = optimizeWith(in, opts, eng, moves, trans, greedy)
+	return in.dot(opts, copyCap, func(eng *search.Engine, moves []Move) (*Result, error) {
+		trans := in.replicaTransitions(copyCap)
+		pols := [2]policy{guarded, greedy}
+		var runs [2]*Result
+		if err := search.Parallel(eng.Workers(), len(pols), func(i int) (err error) {
+			runs[i], err = in.pass(IncrementalOptions{Options: opts}, eng, moves, trans, pols[i])
+			return err
+		}); err != nil {
+			return nil, err
 		}
-	}
-	if errA != nil {
-		return nil, errA
-	}
-	if errB != nil {
-		return nil, errB
-	}
-	best := a
-	if b.Feasible && (!a.Feasible || b.TOCCents < a.TOCCents) {
-		best = b
-	}
-	best.Evaluated = a.Evaluated + b.Evaluated
-	best.EstimatorCalls = eng.Stats().EstimatorCalls
-	best.Search.Candidates = best.Evaluated
-	best.PlanTime = time.Since(start)
-	return best.finish(), nil
+		a, b := runs[0], runs[1]
+		best := a
+		if b.Feasible && (!a.Feasible || b.TOCCents < a.TOCCents) {
+			best = b
+		}
+		best.Evaluated = a.Evaluated + b.Evaluated
+		best.EstimatorCalls = eng.Stats().EstimatorCalls
+		return best, nil
+	})
 }
 
 // ReplicaResult is the result type of the OptimizeReplicated forward.
@@ -668,32 +678,26 @@ const minSLAFloor = 1e-9
 
 // OptimizeRelaxing runs Optimize, halving the relative SLA until a feasible
 // layout appears (the paper's loop in §4.5.3: "we slightly relax the
-// relative SLA and repeat the optimization"). It returns the result and the
-// final SLA value. All rounds share one search engine: a layout estimated
-// at one SLA level is only re-checked, never re-estimated, at the next.
+// relative SLA and repeat the optimization"). It returns the final round's
+// result and SLA value. All rounds share one search engine: a layout
+// estimated at one SLA level is only re-checked, never re-estimated, at the
+// next.
 func OptimizeRelaxing(in Input, opts Options, minSLA float64) (*Result, float64, error) {
-	eng, moves, err := in.setup(opts, 1)
+	minSLA = max(minSLA, minSLAFloor)
+	sla := opts.RelativeSLA
+	res, err := in.dot(opts, 1, func(eng *search.Engine, moves []Move) (*Result, error) {
+		for {
+			o := opts
+			o.RelativeSLA = sla
+			res, err := in.pass(IncrementalOptions{Options: o}, eng, moves, nil, guarded)
+			if err != nil || res.Feasible || sla <= minSLA {
+				return res, err
+			}
+			sla = max(sla/2, minSLA)
+		}
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	defer eng.Release()
-	if minSLA < minSLAFloor {
-		minSLA = minSLAFloor
-	}
-	sla := opts.RelativeSLA
-	for {
-		o := opts
-		o.RelativeSLA = sla
-		res, err := optimizeWith(in, o, eng, moves, nil, guarded)
-		if err != nil {
-			return nil, 0, err
-		}
-		if res.Feasible || sla <= minSLA {
-			return res.finish(), sla, nil
-		}
-		sla /= 2
-		if sla < minSLA {
-			sla = minSLA
-		}
-	}
+	return res, sla, nil
 }

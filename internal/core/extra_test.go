@@ -7,6 +7,7 @@ import (
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
+	"dotprov/internal/search"
 	"dotprov/internal/workload"
 )
 
@@ -178,15 +179,13 @@ func TestOptimizeBestNotWorseThanEither(t *testing.T) {
 // Procedure 1.
 func optimizeGreedy(t *testing.T, in Input, opts Options) *Result {
 	t.Helper()
-	eng, moves, err := in.setup(opts, 1)
+	res, err := in.dot(opts, 1, func(eng *search.Engine, moves []Move) (*Result, error) {
+		return in.pass(IncrementalOptions{Options: opts}, eng, moves, nil, greedy)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := optimizeWith(in, opts, eng, moves, nil, greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.finish()
+	return res
 }
 
 func TestGreedyApplyStillTracksBestPrefix(t *testing.T) {

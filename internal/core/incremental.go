@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/search"
@@ -54,55 +53,11 @@ type IncrementalOptions struct {
 // relax the gate or fall back to a full cold search (online.Manager does
 // the latter).
 func OptimizeIncremental(in Input, opts IncrementalOptions) (*Result, error) {
-	start := time.Now()
 	copyCap := in.Replication.Cap()
-	eng, moves, err := in.setup(opts.Options, copyCap)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Release()
-	if len(opts.Seed) == 0 {
-		return nil, fmt.Errorf("core: incremental search requires a seed layout")
-	}
-	seedCompact, err := in.encode("seed", opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	stats0 := eng.Stats()
-	_, _, cons, err := in.prep(opts.Options, eng)
-	if err != nil {
-		return nil, err
-	}
-	evSeed, err := eng.EvaluateCompact(seedCompact)
-	if err != nil {
-		return nil, fmt.Errorf("core: estimating seed layout: %w", err)
-	}
-	res := &Result{Constraints: cons, Evaluated: 2} // L0 baseline + seed
-	// Staying put moves zero bytes, so the seed bypasses the gate; L0 is a
-	// constraint anchor only, never an incremental candidate (adopting it
-	// would be a full-database migration).
-	res.consider(evSeed, cons)
-
-	if err := dotSweep(eng.NewCursor(evSeed), moves, cons, res, 1, guarded, opts.Accept); err != nil {
-		return nil, err
-	}
-	if trans := in.replicaTransitions(copyCap); trans != nil {
-		from := evSeed
-		if res.Feasible {
-			from = res.best
+	return in.dot(opts.Options, copyCap, func(eng *search.Engine, moves []Move) (*Result, error) {
+		if len(opts.Seed) == 0 {
+			return nil, fmt.Errorf("core: incremental search requires a seed layout")
 		}
-		if err := refineSweep(eng.NewCursor(from), in.Cat.Objects(), trans, cons, res, 1, opts.Accept); err != nil {
-			return nil, err
-		}
-	}
-	if !res.Feasible {
-		// No gated feasible layout: report the seed's numbers (not L0's) so
-		// the caller sees what the deployed layout costs under the drifted
-		// profile while deciding how to proceed.
-		res.fallBack(evSeed)
-	}
-	res.EstimatorCalls = eng.Stats().Sub(stats0).EstimatorCalls
-	res.PlanTime = time.Since(start)
-	res.Search.Candidates = res.Evaluated
-	return res.finish(), nil
+		return in.pass(opts, eng, moves, in.replicaTransitions(copyCap), guarded)
+	})
 }
