@@ -445,7 +445,7 @@ func (in Input) pass(opts IncrementalOptions, eng *search.Engine, moves []Move, 
 		res.consider(ev, cons)
 	}
 
-	w := walk{res: res, pol: pol, gate: opts.Accept}
+	w := walk{res: res, pol: pol, gate: opts.Accept, escape: cold}
 	if err := w.sweep(eng, from, passes, func() (bool, error) { return w.moves(moves) }); err != nil {
 		return nil, err
 	}
@@ -454,7 +454,7 @@ func (in Input) pass(opts IncrementalOptions, eng *search.Engine, moves []Move, 
 		if res.Feasible {
 			at = res.best
 		}
-		w.pol = improving
+		w.pol, w.escape = improving, false
 		if err := w.sweep(eng, at, passes, func() (bool, error) { return w.refine(in.Cat.Objects(), trans) }); err != nil {
 			return nil, err
 		}
@@ -470,11 +470,16 @@ func (in Input) pass(opts IncrementalOptions, eng *search.Engine, moves []Move, 
 // the move sweep and the copy refinement — offer every candidate through
 // try, so when the cursor moves on is decided in one place.
 type walk struct {
-	cur      *search.Cursor
-	res      *Result
-	pol      policy
-	gate     func(search.Eval, workload.Constraints) bool // IncrementalOptions.Accept
-	feasible bool                                         // the cursor's layout is feasible
+	cur *search.Cursor
+	res *Result
+	pol policy
+	// gate is IncrementalOptions.Accept; nil admits every candidate.
+	gate func(search.Eval, workload.Constraints) bool
+	// escape marks the cold move sweep, which walks on from a cursor over
+	// capacity.
+	escape bool
+	// feasible is whether the cursor's layout is feasible.
+	feasible bool
 	changes  []workload.ObjectMove
 }
 
@@ -513,24 +518,30 @@ func (w *walk) try(changes []workload.ObjectMove) (bool, error) {
 	return true, nil
 }
 
-// walks is the one walk rule. The cursor moves only to a candidate the
-// result accepted; from an infeasible cursor any such candidate is a step
-// forward, and from a feasible one the policy decides. So from an
-// infeasible start (L0 over capacity) the first step must be to a feasible
-// layout one move away: when none of those fits, the sweep never leaves
-// the start (ROADMAP.md, "DOT must walk out of a start that does not
-// fit").
+// walks is the one walk rule. The cold move sweep walks on from a cursor
+// over capacity — L0, when the database overflows the top class — to a
+// candidate that does not fit either, so it can cross layouts that do not
+// fit to reach one that does. A walk that took only feasible steps left
+// such a start only when a layout one move away was feasible, and
+// otherwise answered infeasible beside a feasible optimum; walking on to
+// every candidate instead, fitting ones that miss the SLA included, can
+// strand the cursor on a layout that fits, misses the SLA and has no
+// feasible neighbour. Otherwise the cursor moves only to a candidate the
+// result accepted: from an infeasible cursor any such candidate is a step
+// forward, and from a feasible one the policy decides.
 func (w *walk) walks(ev search.Eval, accepted bool) bool {
-	here := w.cur.Eval().TOCCents
+	here := w.cur.Eval()
 	switch {
+	case w.escape && !here.CapacityOK && !ev.CapacityOK:
+		return true // still over capacity: cross it
 	case !accepted:
 		return false
 	case !w.feasible || w.pol == greedy:
 		return true
 	case w.pol == guarded:
-		return ev.TOCCents <= here
+		return ev.TOCCents <= here.TOCCents
 	default: // improving
-		return ev.TOCCents < here
+		return ev.TOCCents < here.TOCCents
 	}
 }
 

@@ -145,10 +145,13 @@ func TestRelaxingSharesMemoAcrossLevels(t *testing.T) {
 	if res.Evaluated != 34 || cold.Evaluated != 34 {
 		t.Fatalf("final round evaluated %d layouts, cold search %d, want 34", res.Evaluated, cold.Evaluated)
 	}
-	// The earlier SLA levels warmed the memo: the final round estimates 7
-	// of them, the cold search 18.
-	if res.EstimatorCalls != 7 || cold.EstimatorCalls != 18 {
-		t.Fatalf("final round made %d estimator calls, cold search %d, want 7 and 18 (memo)",
+	// The earlier SLA levels warmed the memo: the final round estimates 6
+	// of them, the cold search 18. L0 is over capacity here, and every
+	// round's cold sweep walks on from it through layouts that do not fit
+	// either, so the earlier rounds estimate more of the final round's
+	// candidates than a sweep that waited at L0 for a feasible step (7).
+	if res.EstimatorCalls != 6 || cold.EstimatorCalls != 18 {
+		t.Fatalf("final round made %d estimator calls, cold search %d, want 6 and 18 (memo)",
 			res.EstimatorCalls, cold.EstimatorCalls)
 	}
 }

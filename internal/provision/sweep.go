@@ -120,11 +120,17 @@ func SweepConfigurations(base core.Input, grid Grid, opts core.Options) (*Choice
 
 // InfeasibilityReason explains why a candidate produced no feasible layout:
 // the capacity cases (database larger than the box; one object larger than
-// every class) are distinguished from the SLA case, so Choice.Best == -1 is
-// diagnosable per candidate instead of a bare "nothing fit".
+// every class; a database the most expensive class cannot hold, so the
+// search started over capacity at L0) are distinguished from the SLA case,
+// so Choice.Best == -1 is diagnosable per candidate instead of a bare
+// "nothing fit".
 func InfeasibilityReason(cat *catalog.Catalog, box *device.Box, opts core.Options) string {
 	if r := CapacityInfeasibility(cat, box); r != "" {
 		return r
+	}
+	if top := box.MostExpensive(); cat.TotalSize() >= top.CapacityBytes {
+		return fmt.Sprintf("over capacity at the start: the database needs %.2f GB and the most expensive class %v holds %.2f GB; no evaluated layout fit the box within the relative SLA %g — add capacity to the faster classes or relax the SLA",
+			float64(cat.TotalSize())/1e9, top.Class, float64(top.CapacityBytes)/1e9, opts.RelativeSLA)
 	}
 	return fmt.Sprintf("SLA unmet: no evaluated layout satisfied the relative SLA %g within capacity — relax the SLA or add faster/larger classes", opts.RelativeSLA)
 }

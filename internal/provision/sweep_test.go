@@ -332,3 +332,19 @@ func TestSweepFailureReasons(t *testing.T) {
 		t.Fatal("the HDD RAID 0 box should be feasible")
 	}
 }
+
+// TestInfeasibilityReasonNamesAnOverfullStart: a database the box holds but
+// its most expensive class does not is diagnosed as a capacity problem —
+// the search started over capacity at L0 — not as an unmet SLA; one the top
+// class holds keeps the SLA text.
+func TestInfeasibilityReasonNamesAnOverfullStart(t *testing.T) {
+	base, _ := sweepBase(t, sweepGrid(), 1)
+	box, opts := device.Box1(), core.Options{RelativeSLA: 0.25}
+	if r := InfeasibilityReason(base.Cat, box, opts); !strings.HasPrefix(r, "SLA unmet") {
+		t.Fatalf("11 GB on Box 1: %q, want the SLA text", r)
+	}
+	base.Cat.SetSize(base.Cat.Lookup("data").ID, 100e9)
+	if r := InfeasibilityReason(base.Cat, box, opts); !strings.HasPrefix(r, "over capacity at the start") {
+		t.Fatalf("101 GB on Box 1 (80 GB H-SSD): %q, want the over-capacity start named", r)
+	}
+}
