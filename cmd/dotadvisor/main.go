@@ -142,7 +142,7 @@ func adviseSQL(box *device.Box, sla float64, schemaPath, queryPath string, searc
 	if _, err := sql.Exec(db, string(schemaSrc)); err != nil {
 		return fmt.Errorf("schema script: %w", err)
 	}
-	db.ResizePool(max32(db.TotalPages() / 8))
+	db.ResizePool(db.PaperPoolPages())
 	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
 		return err
 	}
@@ -154,14 +154,32 @@ func adviseSQL(box *device.Box, sla float64, schemaPath, queryPath string, searc
 		return fmt.Errorf("query script: %w", err)
 	}
 	w := &workload.DSS{Name: "sql", Queries: qs}
-	fmt.Printf("profiling %d queries on %d baseline layouts...\n",
-		len(qs), len(core.BaselinePatterns(db.Cat, box)))
+	return adviseDSS(db, box, w, fmt.Sprintf("%d queries", len(qs)), sla, searchWorkers)
+}
+
+// adviseDSS is the DSS paths' shared tail: profile the workload on the
+// baseline layouts, search, and report the layout. The search is the greedy
+// DOT optimizer with a validation loop by default, and the exhaustive
+// branch-and-bound enumeration under -exhaustive, with no validation round
+// (the enumeration is already the quality ceiling). what names the
+// workload in the profiling line.
+func adviseDSS(db *engine.DB, box *device.Box, w *workload.DSS, what string, sla float64, searchWorkers int) error {
+	fmt.Printf("profiling %s on %d baseline layouts...\n", what, len(core.BaselinePatterns(db.Cat, box)))
 	ps, err := profiler.ProfileDSSEstimates(db, w)
 	if err != nil {
 		return err
 	}
 	in := core.Input{Cat: db.Cat, Box: box, Est: w.Estimator(db), Profiles: ps, Concurrency: 1, Workers: searchWorkers}
-	res, val, err := adviseDSS(in, core.Options{RelativeSLA: sla}, workload.DSSRunner{DB: db, W: w})
+	opts := core.Options{RelativeSLA: sla}
+	var (
+		res *core.Result
+		val *core.Validation
+	)
+	if *exhaustiveFlag {
+		res, err = core.Exhaustive(in, opts)
+	} else {
+		res, val, err = core.OptimizeValidated(in, opts, workload.DSSRunner{DB: db, W: w}, 3)
+	}
 	if err != nil {
 		return err
 	}
@@ -171,19 +189,6 @@ func adviseSQL(box *device.Box, sla float64, schemaPath, queryPath string, searc
 			val.PSR*100, val.Measured.Elapsed.Round(time.Millisecond))
 	}
 	return nil
-}
-
-// adviseDSS runs the configured search for the DSS paths: the greedy DOT
-// optimizer with a validation loop by default, the exhaustive
-// branch-and-bound enumeration (no validation round — the enumeration is
-// already the quality ceiling) under -exhaustive.
-func adviseDSS(in core.Input, opts core.Options, r core.Runner) (*core.Result, *core.Validation, error) {
-	if *exhaustiveFlag {
-		res, err := core.Exhaustive(in, opts)
-		return res, nil, err
-	}
-	res, val, err := core.OptimizeValidated(in, opts, r, 3)
-	return res, val, err
 }
 
 func adviseTPCH(box *device.Box, modified bool, sla, sf float64, seed int64, searchWorkers int) error {
@@ -193,7 +198,7 @@ func adviseTPCH(box *device.Box, modified bool, sla, sf float64, seed int64, sea
 	if err := tpch.Build(db, cfg); err != nil {
 		return err
 	}
-	db.ResizePool(max32(db.TotalPages() / 8))
+	db.ResizePool(db.PaperPoolPages())
 	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
 		return err
 	}
@@ -203,23 +208,7 @@ func adviseTPCH(box *device.Box, modified bool, sla, sf float64, seed int64, sea
 	} else {
 		w = tpch.OriginalWorkload(cfg, seed+1)
 	}
-	fmt.Printf("profiling %s (%d queries) on %d baseline layouts...\n",
-		w.Name, len(w.Queries), len(core.BaselinePatterns(db.Cat, box)))
-	ps, err := profiler.ProfileDSSEstimates(db, w)
-	if err != nil {
-		return err
-	}
-	in := core.Input{Cat: db.Cat, Box: box, Est: w.Estimator(db), Profiles: ps, Concurrency: 1, Workers: searchWorkers}
-	res, val, err := adviseDSS(in, core.Options{RelativeSLA: sla}, workload.DSSRunner{DB: db, W: w})
-	if err != nil {
-		return err
-	}
-	report(db.Cat, box, res)
-	if val != nil {
-		fmt.Printf("validated: PSR %.0f%% (measured %v for the workload)\n",
-			val.PSR*100, val.Measured.Elapsed.Round(time.Millisecond))
-	}
-	return nil
+	return adviseDSS(db, box, w, fmt.Sprintf("%s (%d queries)", w.Name, len(w.Queries)), sla, searchWorkers)
 }
 
 func adviseTPCC(box *device.Box, sla float64, workers, searchWorkers int, seed int64, partitioned bool) error {
@@ -230,7 +219,7 @@ func adviseTPCC(box *device.Box, sla float64, workers, searchWorkers int, seed i
 	if err := tpcc.Build(db, cfg); err != nil {
 		return err
 	}
-	db.ResizePool(max32(db.TotalPages() / 8))
+	db.ResizePool(db.PaperPoolPages())
 	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
 		return err
 	}
@@ -430,11 +419,4 @@ func flatLayout(sl catalog.SetLayout, cat *catalog.Catalog) string {
 		fmt.Fprintf(&b, "  %-28s %s\n", r.name, r.classes)
 	}
 	return b.String()
-}
-
-func max32(n int) int {
-	if n < 32 {
-		return 32
-	}
-	return n
 }

@@ -61,7 +61,7 @@ func run() error {
 			return err
 		}
 	}
-	db.ResizePool(db.TotalPages() / 8)
+	db.ResizePool(db.PaperPoolPages())
 	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
 		return err
 	}

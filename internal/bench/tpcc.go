@@ -28,11 +28,7 @@ func newTpccEnv(box *device.Box, opts Options) (*tpccEnv, error) {
 	if err := tpcc.Build(db, opts.TpccCfg); err != nil {
 		return nil, err
 	}
-	pool := db.TotalPages() / 8
-	if pool < 32 {
-		pool = 32
-	}
-	db.ResizePool(pool)
+	db.ResizePool(db.PaperPoolPages())
 	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
 		return nil, err
 	}

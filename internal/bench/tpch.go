@@ -47,12 +47,7 @@ func newTpchEnv(box *device.Box, opts Options, modified bool, subset bool) (*tpc
 	default:
 		w = tpch.OriginalWorkload(cfg, opts.TpchSeed+1)
 	}
-	// Keep the DB-to-buffer ratio near the paper's 30 GB vs 4 GB.
-	pool := db.TotalPages() / 8
-	if pool < 32 {
-		pool = 32
-	}
-	db.ResizePool(pool)
+	db.ResizePool(db.PaperPoolPages())
 	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
 		return nil, err
 	}

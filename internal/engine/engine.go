@@ -288,6 +288,13 @@ func (db *DB) ResizePool(pages int) {
 	db.pool = bufferpool.New(pages)
 }
 
+// PaperPoolPages is the pool size, in pages, that keeps the paper's
+// database-to-buffer ratio (a 30 GB database behind 4 GB of shared buffers)
+// for the data loaded so far: TotalPages/8, and at least 32 pages.
+func (db *DB) PaperPoolPages() int {
+	return max(db.TotalPages()/8, 32)
+}
+
 // TotalPages reports the database size in pages across heaps and indexes.
 func (db *DB) TotalPages() int {
 	total := 0

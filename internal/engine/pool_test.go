@@ -45,6 +45,17 @@ func TestTotalPagesAndResizePool(t *testing.T) {
 	}
 }
 
+// TestPaperPoolPages: an eighth of the database's pages, never below 32.
+func TestPaperPoolPages(t *testing.T) {
+	db := newTestDB(t)
+	if got, want := db.PaperPoolPages(), max(db.TotalPages()/8, 32); got != want {
+		t.Fatalf("PaperPoolPages %d, want %d (TotalPages %d)", got, want, db.TotalPages())
+	}
+	if got := New(db.Box, DefaultPoolPages).PaperPoolPages(); got != 32 {
+		t.Fatalf("empty database: PaperPoolPages %d, want the 32-page floor", got)
+	}
+}
+
 func tableIDOf(t *testing.T, db *DB, name string) catalog.ObjectID {
 	t.Helper()
 	tab, err := db.Cat.TableByName(name)
