@@ -405,9 +405,9 @@ func (e *Engine) measureCompact(cl catalog.CompactLayout, cur *Cursor) (Eval, er
 	return Eval{Compact: cl, Metrics: m, TOCCents: toc, CapacityOK: fits, state: st}, nil
 }
 
-// Parallel runs fn(i) for every i in [0, n) on up to `workers` goroutines
-// and returns the lowest-index error. With workers < 2 it runs inline, in
-// order, stopping at the first error.
+// Parallel runs fn(i) for every i in [0, n) on up to `workers` goroutines,
+// the calling one among them, and returns the lowest-index error. With
+// workers < 2 it runs inline, in order, stopping at the first error.
 func Parallel(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -430,25 +430,29 @@ func Parallel(workers, n int, fn func(i int) error) error {
 	)
 	firstErr := error(nil)
 	firstIdx := n
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	work := func() {
+		for {
+			i := int(atomic.AddInt64(&next, 1))
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if i < firstIdx {
+					firstIdx, firstErr = i, err
+				}
+				mu.Unlock()
+			}
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					mu.Unlock()
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return firstErr
 }
