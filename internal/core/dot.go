@@ -521,14 +521,13 @@ func (w *walk) try(changes []workload.ObjectMove) (bool, error) {
 // walks is the one walk rule. The cold move sweep walks on from a cursor
 // over capacity — L0, when the database overflows the top class — to a
 // candidate that does not fit either, so it can cross layouts that do not
-// fit to reach one that does. A walk that took only feasible steps left
-// such a start only when a layout one move away was feasible, and
-// otherwise answered infeasible beside a feasible optimum; walking on to
-// every candidate instead, fitting ones that miss the SLA included, can
-// strand the cursor on a layout that fits, misses the SLA and has no
-// feasible neighbour. Otherwise the cursor moves only to a candidate the
-// result accepted: from an infeasible cursor any such candidate is a step
-// forward, and from a feasible one the policy decides.
+// fit to reach one that does: a walk that takes only feasible steps leaves
+// such a start only when a layout one move away is feasible. It does not
+// walk on to a fitting candidate that misses the SLA, which can strand the
+// cursor on a layout with no feasible neighbour. Otherwise the cursor
+// moves only to a candidate the result accepted: from an infeasible cursor
+// any such candidate is a step forward, and from a feasible one the policy
+// decides.
 func (w *walk) walks(ev search.Eval, accepted bool) bool {
 	here := w.cur.Eval()
 	switch {

@@ -148,8 +148,8 @@ func TestRelaxingSharesMemoAcrossLevels(t *testing.T) {
 	// The earlier SLA levels warmed the memo: the final round estimates 6
 	// of them, the cold search 18. L0 is over capacity here, and every
 	// round's cold sweep walks on from it through layouts that do not fit
-	// either, so the earlier rounds estimate more of the final round's
-	// candidates than a sweep that waited at L0 for a feasible step (7).
+	// either, so the earlier rounds have estimated most of the layouts the
+	// final round crosses.
 	if res.EstimatorCalls != 6 || cold.EstimatorCalls != 18 {
 		t.Fatalf("final round made %d estimator calls, cold search %d, want 6 and 18 (memo)",
 			res.EstimatorCalls, cold.EstimatorCalls)
