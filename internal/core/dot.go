@@ -529,18 +529,17 @@ func (w *walk) try(changes []workload.ObjectMove) (bool, error) {
 // any such candidate is a step forward, and from a feasible one the policy
 // decides.
 func (w *walk) walks(ev search.Eval, accepted bool) bool {
-	here := w.cur.Eval()
 	switch {
-	case w.escape && !here.CapacityOK && !ev.CapacityOK:
+	case w.escape && !ev.CapacityOK && !w.cur.Eval().CapacityOK:
 		return true // still over capacity: cross it
 	case !accepted:
 		return false
 	case !w.feasible || w.pol == greedy:
 		return true
 	case w.pol == guarded:
-		return ev.TOCCents <= here.TOCCents
+		return ev.TOCCents <= w.cur.Eval().TOCCents
 	default: // improving
-		return ev.TOCCents < here.TOCCents
+		return ev.TOCCents < w.cur.Eval().TOCCents
 	}
 }
 
