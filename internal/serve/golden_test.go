@@ -21,7 +21,7 @@ import (
 	"dotprov/internal/online"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/frames.golden and testdata/snapshot.golden from the current implementation")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens (frames, snapshot, advise) from the current implementation")
 
 // The two binary formats of the online plane — observation frames and
 // snapshot payloads (with the manager-state record they embed) — are pinned
