@@ -491,6 +491,54 @@ func TestValidationMeasuresBaselineOnce(t *testing.T) {
 	}
 }
 
+// TestOptimizeValidatedCountsEveryRound: the pipeline's Evaluated and
+// EstimatorCalls are the sums over every Optimize it ran, the first
+// search and each refinement round, not the last round's alone. The
+// fixture is TestValidationMeasuresBaselineOnce's: every validation run
+// observes the same profile, so every refinement round searches the same
+// input and the rounds can be replayed one by one.
+func TestOptimizeValidatedCountsEveryRound(t *testing.T) {
+	f := newFix(t)
+	real := f.prof.Clone()
+	real.Add(f.ids["big"], device.RandRead, 2e5)
+	runner := &countingRunner{est: &profEstimator{box: f.box, prof: real, conc: 1}}
+	opts := Options{RelativeSLA: 0.5}
+	res, val, err := OptimizeValidated(f.input(), opts, runner, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Runs are the baseline and one validation per search whose layout was
+	// new; a round ends the pipeline without a further run only when the
+	// last validation still missed (a fixed point or an infeasible round).
+	rounds := len(runner.runs) - 2
+	if val != nil && !val.Satisfied {
+		rounds++
+	}
+	if rounds < 1 {
+		t.Fatalf("%d runner calls: the fixture must refine at least once", len(runner.runs))
+	}
+	first, err := Optimize(f.input(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined := NewProfileSet()
+	refined.SetSingle(real)
+	in := f.input()
+	in.Profiles = refined
+	in.Est = &workload.ObservedEstimator{Box: f.box, Concurrency: 1, PerQuery: []workload.QueryObservation{{Profile: real}}}
+	round, err := Optimize(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEval := first.Evaluated + rounds*round.Evaluated
+	wantCalls := first.EstimatorCalls + rounds*round.EstimatorCalls
+	if res.Evaluated != wantEval || res.EstimatorCalls != wantCalls {
+		t.Fatalf("%d rounds: evaluated=%d estimator_calls=%d, want the sums %d and %d (first search %d/%d, each round %d/%d)",
+			rounds, res.Evaluated, res.EstimatorCalls, wantEval, wantCalls,
+			first.Evaluated, first.EstimatorCalls, round.Evaluated, round.EstimatorCalls)
+	}
+}
+
 // countingRunner records every layout it is asked to run and measures it
 // as est prices it, observing est's profile as one query's.
 type countingRunner struct {
