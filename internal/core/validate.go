@@ -51,7 +51,11 @@ func Validate(runner Runner, cons workload.Constraints, layout catalog.Layout) (
 // is relative to is measured once, on L0, before the first validation run,
 // and every round is checked against that one measurement: the runs are
 // the costly part of the pipeline, and a runner with state must not move
-// the reference between rounds.
+// the reference between rounds. The returned result is the last search's
+// recommendation, but its Evaluated, EstimatorCalls and PlanTime are summed
+// over every search the call ran — the first and each refinement round —
+// so they count the pipeline's whole search work (the test runs' time is
+// not in PlanTime).
 func OptimizeValidated(in Input, opts Options, runner Runner, maxRounds int) (*Result, *Validation, error) {
 	res, err := Optimize(in, opts)
 	if err != nil {
@@ -95,10 +99,14 @@ func OptimizeValidated(in Input, opts Options, runner Runner, maxRounds int) (*R
 		// estimator, so each round's Optimize builds a fresh engine:
 		// memoized evaluations are only valid for the estimator that
 		// produced them.
-		res, err = Optimize(in2, opts)
+		next, err := Optimize(in2, opts)
 		if err != nil {
 			return nil, nil, err
 		}
+		next.Evaluated += res.Evaluated
+		next.EstimatorCalls += res.EstimatorCalls
+		next.PlanTime += res.PlanTime
+		res = next
 		if !res.Feasible {
 			return res, val, nil
 		}
