@@ -423,36 +423,47 @@ func Parallel(workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	var (
-		next int64 = -1
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-	)
-	firstErr := error(nil)
-	firstIdx := n
-	work := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= n {
-				return
+	f := &fanOut{fn: fn, n: n, next: -1, firstIdx: n}
+	f.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go f.helper()
+	}
+	f.work()
+	f.wg.Wait()
+	return f.firstErr
+}
+
+// fanOut is one Parallel call's shared state, kept in one object so the
+// call allocates it once rather than once per variable its workers share.
+type fanOut struct {
+	fn       func(i int) error
+	n        int
+	next     int64
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	firstIdx int
+	firstErr error
+}
+
+// helper is the body of each goroutine beside the caller's.
+func (f *fanOut) helper() {
+	defer f.wg.Done()
+	f.work()
+}
+
+// work claims indexes until none is left, keeping the lowest-index error.
+func (f *fanOut) work() {
+	for {
+		i := int(atomic.AddInt64(&f.next, 1))
+		if i >= f.n {
+			return
+		}
+		if err := f.fn(i); err != nil {
+			f.mu.Lock()
+			if i < f.firstIdx {
+				f.firstIdx, f.firstErr = i, err
 			}
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if i < firstIdx {
-					firstIdx, firstErr = i, err
-				}
-				mu.Unlock()
-			}
+			f.mu.Unlock()
 		}
 	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return firstErr
 }

@@ -411,3 +411,14 @@ func TestParallelOrderAndErrors(t *testing.T) {
 		t.Fatalf("ran %d items, want 100", n.Load())
 	}
 }
+
+// TestParallelAllocs pins what one fan-out allocates: the shared state in
+// one object and the one goroutine beside the caller's.
+func TestParallelAllocs(t *testing.T) {
+	fn := func(int) error { return nil }
+	got := testing.AllocsPerRun(200, func() { _ = Parallel(2, 2, fn) })
+	t.Logf("Parallel(2, 2, fn) allocates %g times", got)
+	if got > 2 {
+		t.Fatalf("Parallel(2, 2, fn) allocates %g times, want at most 2", got)
+	}
+}
