@@ -22,8 +22,9 @@ type Layout map[ObjectID]device.Class
 // placement value; its dense form is CompactLayout.
 type SetLayout map[ObjectID]device.ClassSet
 
-// cloneLayout, equalLayouts and layoutKey are the map operations the two
-// public forms share; their value types are both one placement byte.
+// cloneLayout, equalLayouts, layoutKey and expandLayout (partition.go) are
+// the map operations the two public forms share; their value types are
+// both one placement byte.
 func cloneLayout[M ~map[ObjectID]V, V ~uint8](l M) M {
 	out := make(M, len(l))
 	for k, v := range l {

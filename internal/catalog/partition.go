@@ -386,11 +386,17 @@ func (pt *Partitioning) Partitioned() bool {
 // ExpandLayout lifts an object-granular layout to unit granularity: every
 // unit inherits its parent's class. Objects absent from the layout leave
 // their units unplaced, so partial layouts round-trip.
-func (pt *Partitioning) ExpandLayout(l Layout) Layout {
-	out := make(Layout, len(pt.units))
-	for obj, cls := range l {
+func (pt *Partitioning) ExpandLayout(l Layout) Layout { return expandLayout(pt, l) }
+
+// ExpandSetLayout is ExpandLayout over class sets: every unit inherits its
+// parent's set of copies.
+func (pt *Partitioning) ExpandSetLayout(l SetLayout) SetLayout { return expandLayout(pt, l) }
+
+func expandLayout[M ~map[ObjectID]V, V ~uint8](pt *Partitioning, l M) M {
+	out := make(M, len(pt.units))
+	for obj, v := range l {
 		for _, u := range pt.byObj[obj] {
-			out[u] = cls
+			out[u] = v
 		}
 	}
 	return out

@@ -163,6 +163,11 @@ func NewManager(cfg Config) (*Manager, error) {
 // granularity.
 func (m *Manager) Partitioning() *catalog.Partitioning { return m.cfg.Partitioning }
 
+// Catalog returns the catalog the manager's layouts and decisions are
+// keyed by: the partitioning's unit catalog at partition granularity,
+// Config.Cat otherwise.
+func (m *Manager) Catalog() *catalog.Catalog { return m.cat }
+
 // Box returns the device box the manager advises against.
 func (m *Manager) Box() *device.Box { return m.cfg.Box }
 
@@ -222,44 +227,53 @@ func (m *Manager) aggWindows() int {
 	return m.cfg.AggregateWindows
 }
 
-// input lowers an observed window onto a core.Input: the profile becomes
-// the estimator (throughput path when the window carries transactions,
-// observed-counts path otherwise — both captured under the deployed
-// layout) and the single-profile set DOT's move scoring reads. Callers
-// hold m.mu.
-func (m *Manager) input(w Window) (core.Input, error) {
+// Input lowers the window onto a core.Input over cat, the one lowering
+// every advise, provision and stream search takes: the profile becomes the
+// estimator — §4.5's throughput path when the window carries
+// transactions, the observed-counts path (§3.4) otherwise — and the
+// single-profile set DOT's move scoring reads. deployed is the layout the
+// window was measured under, which the throughput path anchors on; nil
+// means L0, every unit on the box's most expensive class. The caller sets
+// the search's budget, cost model and copy cap.
+func (w Window) Input(cat *catalog.Catalog, box *device.Box, concurrency int, deployed catalog.SetLayout) (core.Input, error) {
+	if len(box.Devices) == 0 {
+		return core.Input{}, fmt.Errorf("online: box %q has no devices", box.Name)
+	}
 	var est workload.Estimator
 	if w.Txns > 0 {
 		if w.Elapsed <= 0 {
 			return core.Input{}, fmt.Errorf("online: transactional window (txns=%d) without elapsed time", w.Txns)
 		}
-		// The window was measured under the deployed layout, so the
-		// throughput scaling anchors on its replica-routed I/O time.
-		pe, err := workload.NewSetProfileEstimator(m.cfg.Box, m.cfg.Concurrency, w.Profile, w.CPU,
-			workload.RunStats{Txns: w.Txns, Elapsed: w.Elapsed}, m.cur)
+		if deployed == nil {
+			deployed = catalog.NewUniformSetLayout(cat, device.Singleton(box.MostExpensive().Class))
+		}
+		pe, err := workload.NewSetProfileEstimator(box, concurrency, w.Profile, w.CPU,
+			workload.RunStats{Txns: w.Txns, Elapsed: w.Elapsed}, deployed)
 		if err != nil {
 			return core.Input{}, err
 		}
 		est = pe
 	} else {
 		est = &workload.ObservedEstimator{
-			Box:         m.cfg.Box,
-			Concurrency: m.cfg.Concurrency,
+			Box:         box,
+			Concurrency: concurrency,
 			PerQuery:    []workload.QueryObservation{{Profile: w.Profile, CPU: w.CPU}},
 		}
 	}
 	ps := core.NewProfileSet()
 	ps.SetSingle(w.Profile)
-	return core.Input{
-		Cat:         m.cat,
-		Box:         m.cfg.Box,
-		Est:         est,
-		Profiles:    ps,
-		Concurrency: m.cfg.Concurrency,
-		Budget:      m.cfg.Budget,
-		LayoutCost:  m.cfg.LayoutCost,
-		Replication: m.cfg.Replication,
-	}, nil
+	return core.Input{Cat: cat, Box: box, Est: est, Profiles: ps, Concurrency: concurrency}, nil
+}
+
+// input lowers an observed window, captured under the deployed layout,
+// onto the manager's search input. Callers hold m.mu.
+func (m *Manager) input(w Window) (core.Input, error) {
+	in, err := w.Input(m.cat, m.cfg.Box, m.cfg.Concurrency, m.cur)
+	if err != nil {
+		return core.Input{}, err
+	}
+	in.Budget, in.LayoutCost, in.Replication = m.cfg.Budget, m.cfg.LayoutCost, m.cfg.Replication
+	return in, nil
 }
 
 // SearchFunc runs one cold layout optimization — core.OptimizeBest's

@@ -186,3 +186,45 @@ func TestManagerReAdviseBeforeAdvise(t *testing.T) {
 		t.Fatal("Advise with no observations must error")
 	}
 }
+
+// TestWindowInputAnchors: a nil deployed layout is L0 on the throughput
+// path — the same estimates as naming L0 — and a deployed layout moves the
+// anchor; a window without transactions takes the observed-counts path,
+// which has no anchor.
+func TestWindowInputAnchors(t *testing.T) {
+	cat, ids := testCatalog(t)
+	box := device.Box1()
+	l0 := catalog.NewUniformSetLayout(cat, device.Singleton(box.MostExpensive().Class))
+	cheap := catalog.NewUniformSetLayout(cat, device.Singleton(box.Cheapest().Class))
+	at := catalog.NewUniformLayout(cat, box.MostExpensive().Class)
+	estimate := func(w Window, deployed catalog.SetLayout) float64 {
+		t.Helper()
+		in, err := w.Input(cat, box, 4, deployed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Cat != cat || in.Box != box || in.Concurrency != 4 || in.Profiles == nil {
+			t.Fatalf("input does not carry the lowering's arguments: %+v", in)
+		}
+		m, err := in.Est.Estimate(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(m.Elapsed)
+	}
+	oltp := oltpWindow(ids)
+	if a, b := estimate(oltp, nil), estimate(oltp, l0); a != b {
+		t.Fatalf("nil deployed estimates %g, L0 %g", a, b)
+	}
+	if a, b := estimate(oltp, nil), estimate(oltp, cheap); a == b {
+		t.Fatal("the throughput path ignores the deployed layout")
+	}
+	dss := oltp
+	dss.Txns = 0
+	if a, b := estimate(dss, nil), estimate(dss, cheap); a != b {
+		t.Fatalf("the observed-counts path read the deployed layout: %g vs %g", a, b)
+	}
+	if _, err := (Window{Txns: 1}).Input(cat, box, 4, nil); err == nil {
+		t.Fatal("a transactional window without elapsed time lowered")
+	}
+}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
@@ -350,51 +349,21 @@ func (c *compiled) concurrency() int {
 	return c.spec.Concurrency
 }
 
-// estimator builds the workload's estimator bound to the given box: the
-// test-run-profile path (§4.5) for transactional specs, the observed-counts
-// path for DSS specs. Both are pure readers, so they satisfy the engine's
-// concurrency contract.
-func (c *compiled) estimator(box *device.Box) (workload.Estimator, error) {
-	if len(box.Devices) == 0 {
-		return nil, fmt.Errorf("box %q has no devices", box.Name)
-	}
-	cpu := time.Duration(c.spec.CPUMillis * float64(time.Millisecond))
-	if c.spec.Txns > 0 {
-		profiled := catalog.NewUniformLayout(c.cat, box.MostExpensive().Class)
-		return workload.NewProfileEstimator(box, c.concurrency(), c.profile, cpu,
-			workload.RunStats{
-				Txns:    c.spec.Txns,
-				Elapsed: time.Duration(c.spec.ElapsedMillis * float64(time.Millisecond)),
-			}, profiled)
-	}
-	return &workload.ObservedEstimator{
-		Box:         box,
-		Concurrency: c.concurrency(),
-		PerQuery:    []workload.QueryObservation{{Profile: c.profile, CPU: cpu}},
-	}, nil
-}
-
-// input assembles the core.Input for this workload on a box, under the
-// server-wide search worker budget. The estimator is handed on uncompiled:
-// whoever builds the search engine (core for an advise, the provisioning
-// sweep once for all its candidates) compiles the dense time tables exactly
-// once, after the input has been lowered to its final granularity and for
-// the class sets that search enumerates.
+// input lowers the workload onto the core.Input for a box, under the
+// server-wide search worker budget: the spec's observation as one window,
+// measured under L0, through the lowering every stream search takes too.
+// The estimator is handed on uncompiled: whoever builds the search engine
+// (core for an advise, the provisioning sweep once for all its candidates)
+// compiles the dense time tables exactly once, after the input has been
+// lowered to its final granularity and for the class sets that search
+// enumerates.
 func (c *compiled) input(box *device.Box, budget *search.Budget) (core.Input, error) {
-	est, err := c.estimator(box)
+	in, err := c.window().Input(c.cat, box, c.concurrency(), nil)
 	if err != nil {
 		return core.Input{}, err
 	}
-	ps := core.NewProfileSet()
-	ps.SetSingle(c.profile)
-	return core.Input{
-		Cat:         c.cat,
-		Box:         box,
-		Est:         est,
-		Profiles:    ps,
-		Concurrency: c.concurrency(),
-		Budget:      budget,
-	}, nil
+	in.Budget = budget
+	return in, nil
 }
 
 // renderSetLayout maps a class-set layout onto placement-unit names -> copy
@@ -467,18 +436,6 @@ func (c *compiled) fingerprint() string {
 	return f.Sum()
 }
 
-// searchCatalog returns the catalog a request's search actually runs on:
-// the partitioning's unit catalog at partition granularity, the compiled
-// object catalog otherwise. Layouts render and infeasibility is diagnosed
-// over it — at partition granularity an object too big for every class
-// may still fit split.
-func searchCatalog(comp *compiled, pt *catalog.Partitioning) *catalog.Catalog {
-	if pt != nil {
-		return pt.UnitCatalog()
-	}
-	return comp.cat
-}
-
 // partitioning builds the heat-based partitioning from the spec's declared
 // extents (objects without extents stay whole).
 func (c *compiled) partitioning() (*catalog.Partitioning, error) {
@@ -517,17 +474,54 @@ func (c *compiled) partitioning() (*catalog.Partitioning, error) {
 	return catalog.BuildPartitioning(c.cat, stats, catalog.PartitionOptions{})
 }
 
-// parseGranularity validates a wire granularity value and reports whether
-// partition-granular placement was requested.
-func parseGranularity(s string) (bool, error) {
+// parseGranularity validates a wire granularity value and returns its
+// canonical label, "object" or "partition".
+func parseGranularity(s string) (string, error) {
 	switch s {
 	case "", "object":
-		return false, nil
+		return "object", nil
 	case "partition":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown granularity %q (want object or partition)", s)
+		return s, nil
 	}
+	return "", fmt.Errorf("unknown granularity %q (want object or partition)", s)
+}
+
+// target is a request's placement target, parsed once for an advise and
+// for a stream's define: the box, the canonical granularity label, the
+// partitioning (nil at object granularity) and the §5.2 discrete cost
+// model (nil under the paper's linear one).
+type target struct {
+	box         *device.Box
+	granularity string
+	pt          *catalog.Partitioning
+	layoutCost  func(catalog.ClassSpace) (float64, error)
+}
+
+// parseTarget validates a target and its relative SLA over the compiled
+// workload, whose declared extents the partitioning splits on.
+func parseTarget(comp *compiled, sla float64, box string, classes []string, granularity string, alpha float64) (target, error) {
+	if err := validSLA(sla); err != nil {
+		return target{}, err
+	}
+	b, err := parseBox(box, classes)
+	if err != nil {
+		return target{}, err
+	}
+	tg := target{box: b}
+	if tg.granularity, err = parseGranularity(granularity); err != nil {
+		return target{}, err
+	}
+	if tg.granularity == "partition" {
+		if tg.pt, err = comp.partitioning(); err != nil {
+			return target{}, err
+		}
+	}
+	if alpha != 0 {
+		if tg.layoutCost, err = provision.DiscreteCost(b, alpha); err != nil {
+			return target{}, err
+		}
+	}
+	return tg, nil
 }
 
 // parseGrid lowers a GridSpec onto provision.Grid.
@@ -546,12 +540,13 @@ func parseGrid(spec GridSpec) (provision.Grid, error) {
 	return g, nil
 }
 
-// parseBox resolves an AdviseRequest's box selection.
-func parseBox(req AdviseRequest) (*device.Box, error) {
-	if len(req.Classes) > 0 {
+// parseBox resolves a box selection: an explicit class list when one is
+// given, the named built-in box otherwise.
+func parseBox(name string, classes []string) (*device.Box, error) {
+	if len(classes) > 0 {
 		b := &device.Box{Name: "custom"}
 		seen := make(map[device.Class]bool)
-		for _, s := range req.Classes {
+		for _, s := range classes {
 			cls, err := device.ParseClass(s)
 			if err != nil {
 				return nil, err
@@ -564,7 +559,7 @@ func parseBox(req AdviseRequest) (*device.Box, error) {
 		}
 		return b, nil
 	}
-	switch req.Box {
+	switch name {
 	case "", "box1", "1":
 		return device.Box1(), nil
 	case "box2", "2":
@@ -572,6 +567,6 @@ func parseBox(req AdviseRequest) (*device.Box, error) {
 	case "htap":
 		return device.BoxHTAP(), nil
 	default:
-		return nil, fmt.Errorf("unknown box %q (want box1, box2 or htap, or set classes)", req.Box)
+		return nil, fmt.Errorf("unknown box %q (want box1, box2 or htap, or set classes)", name)
 	}
 }

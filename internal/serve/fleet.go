@@ -202,7 +202,7 @@ func (st *stream) rollup() TenantRollup {
 	ru.LastDecision = st.lastKind
 	ru.TOCCents = st.lastTOC
 	ru.MemoHit = st.memoHit
-	if cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(st.searchCatalog(), st.mgr.Box()); err == nil {
+	if cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(st.mgr.Catalog(), st.mgr.Box()); err == nil {
 		ru.StorageCentsPerHour = cost
 	}
 	return ru
@@ -223,11 +223,7 @@ func (st *stream) touch() { st.lastTouch.Store(time.Now().UnixNano()) }
 // everything the initial cold search depends on. Two streams with equal
 // keys compile identical catalogs (object IDs are assigned in declaration
 // order), so one memoized result's layout is valid for both.
-func fleetMemoKey(comp *compiled, box *device.Box, req ObserveRequest) string {
-	gran := "object"
-	if req.Granularity == "partition" {
-		gran = "partition"
-	}
+func fleetMemoKey(comp *compiled, box *device.Box, req ObserveRequest, gran string) string {
 	return fmt.Sprintf("%s|%s|%g|%g|%s", comp.fingerprint(), boxKey(box), req.SLA, req.Alpha, gran)
 }
 

@@ -82,7 +82,7 @@ func TestFleetEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(st.searchCatalog(), st.mgr.Box())
+		cost, err := st.mgr.CurrentSetLayout().CostCentsPerHour(st.mgr.Catalog(), st.mgr.Box())
 		if err != nil || ru.StorageCentsPerHour != cost {
 			t.Fatalf("rollup %s storage %v cents/hour, deployed set layout prices %v (%v)", want, ru.StorageCentsPerHour, cost, err)
 		}

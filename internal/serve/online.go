@@ -121,7 +121,6 @@ type stream struct {
 	mu    sync.Mutex
 	name  string
 	objFP string
-	comp  *compiled
 	mgr   *online.Manager
 	// shard is the stream's owning shard on the fleet ring, fixed at
 	// creation: its frames fold on that shard's ingest worker and its
@@ -154,12 +153,6 @@ func (st *stream) granularity() string {
 		return "partition"
 	}
 	return "object"
-}
-
-// searchCatalog returns the catalog the stream's searches run on; decision
-// layouts are keyed by it.
-func (st *stream) searchCatalog() *catalog.Catalog {
-	return searchCatalog(st.comp, st.mgr.Partitioning())
 }
 
 // lookup returns the named stream: a registered one through a lock-free
@@ -334,35 +327,21 @@ func (s *Server) newStream(name string, req ObserveRequest, comp *compiled, body
 	if err := validSLA(req.SLA); err != nil {
 		return nil, fmt.Errorf("first observe for stream %q must configure the stream: %w", name, err)
 	}
-	box, err := parseBox(AdviseRequest{Box: req.Box, Classes: req.Classes})
+	tg, err := parseTarget(comp, req.SLA, req.Box, req.Classes, req.Granularity, req.Alpha)
 	if err != nil {
 		return nil, err
-	}
-	partitioned, err := parseGranularity(req.Granularity)
-	if err != nil {
-		return nil, err
-	}
-	var pt *catalog.Partitioning
-	if partitioned {
-		if pt, err = comp.partitioning(); err != nil {
-			return nil, err
-		}
 	}
 	cfg := online.Config{
 		Cat:              comp.cat,
-		Box:              box,
+		Box:              tg.box,
 		Concurrency:      comp.concurrency(),
 		SLA:              req.SLA,
 		AggregateWindows: req.AggregateWindows,
 		DriftThreshold:   req.DriftThreshold,
 		HeadroomFraction: req.HeadroomFraction,
 		Budget:           s.budget,
-		Partitioning:     pt,
-	}
-	if req.Alpha != 0 {
-		if cfg.LayoutCost, err = provision.DiscreteCost(box, req.Alpha); err != nil {
-			return nil, err
-		}
+		LayoutCost:       tg.layoutCost,
+		Partitioning:     tg.pt,
 	}
 	mgr, err := online.NewManager(cfg)
 	if err != nil {
@@ -377,7 +356,7 @@ func (s *Server) newStream(name string, req ObserveRequest, comp *compiled, body
 			pages: (o.SizeBytes + catalog.DefaultPageBytes - 1) / catalog.DefaultPageBytes,
 		}
 	}
-	st := &stream{name: name, objFP: comp.objectsFingerprint(), comp: comp, mgr: mgr, shard: s.ring.Shard(name),
+	st := &stream{name: name, objFP: comp.objectsFingerprint(), mgr: mgr, shard: s.ring.Shard(name),
 		wire: wire, cfgJSON: body}
 	st.touch()
 	return st, nil
@@ -417,7 +396,7 @@ func (s *Server) define(name string, req ObserveRequest, comp *compiled, body []
 	// identical catalogs — object IDs are assigned in declaration order —
 	// so the shared layout is valid for every tenant with the key, and the
 	// manager clones it before adopting.
-	memoKey := fleetMemoKey(comp, st.mgr.Box(), req)
+	memoKey := fleetMemoKey(comp, st.mgr.Box(), req, st.granularity())
 	dec, err := st.mgr.AdviseWith(func(in core.Input, opts core.Options) (*core.Result, error) {
 		v, hit, err := s.fleetMemo.Do(memoKey, func() (any, error) { return core.OptimizeBest(in, opts) })
 		if err != nil {
@@ -440,7 +419,7 @@ func (s *Server) define(name string, req ObserveRequest, comp *compiled, body []
 		// configuration (e.g. at a corrected SLA) — and is never registered.
 		// Diagnose against the catalog the search actually ran on.
 		s.observed.Add(1)
-		resp.Failure = provision.InfeasibilityReason(st.searchCatalog(), st.mgr.Box(), core.Options{RelativeSLA: req.SLA})
+		resp.Failure = provision.InfeasibilityReason(st.mgr.Catalog(), st.mgr.Box(), core.Options{RelativeSLA: req.SLA})
 		return resp, http.StatusOK, nil
 	}
 	st.noteDecision("advise", true, dec.Result.TOCCents)
@@ -454,7 +433,7 @@ func (s *Server) define(name string, req ObserveRequest, comp *compiled, body []
 	s.observed.Add(1)
 	resp.Initialized = true
 	resp.Feasible = true
-	resp.Layout = renderLayout(st.searchCatalog(), dec.Result.Layout)
+	resp.Layout = renderLayout(st.mgr.Catalog(), dec.Result.Layout)
 	resp.TOCCents = dec.Result.TOCCents
 	return resp, http.StatusOK, nil
 }
@@ -508,7 +487,7 @@ func (s *Server) readviseResponse(st *stream, dec *online.Decision) ReadviseResp
 		}
 	}
 	if dec.ReAdvised {
-		resp.Layout = renderLayout(st.searchCatalog(), dec.Result.Layout)
+		resp.Layout = renderLayout(st.mgr.Catalog(), dec.Result.Layout)
 		resp.MovedObjects = len(dec.Migration.Moves)
 		resp.MovedBytes = dec.Migration.Bytes
 		resp.MigrationMillis = float64(dec.Migration.Time) / float64(time.Millisecond)

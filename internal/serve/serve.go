@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dotprov/internal/catalog"
 	"dotprov/internal/core"
 	"dotprov/internal/faultinject"
 	"dotprov/internal/fleet"
@@ -695,18 +694,11 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if err := validSLA(req.SLA); err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	box, err := parseBox(req)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
 	comp, err := compileWorkload(req.Workload)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	partitioned, err := parseGranularity(req.Granularity)
+	tg, err := parseTarget(comp, req.SLA, req.Box, req.Classes, req.Granularity, req.Alpha)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -715,7 +707,7 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("replication prices only the paper's linear cost model; drop alpha %g", req.Alpha)
 	}
-	in, err := comp.input(box, s.budget)
+	in, err := comp.input(tg.box, s.budget)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -723,25 +715,17 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	// many copies of a unit it may place) are orthogonal: set the cap, lower
 	// the input, and one search and one response serve all four requests.
 	in.Replication = replication
-	resp := AdviseResponse{Granularity: "object"}
-	var pt *catalog.Partitioning
-	if partitioned {
+	resp := AdviseResponse{Granularity: tg.granularity}
+	if tg.pt != nil {
 		// The input is lowered onto the heat-based unit catalog built from
 		// the request's declared extents; the layout renders under unit
 		// names.
-		if pt, err = comp.partitioning(); err != nil {
+		if in, err = in.Partitioned(tg.pt); err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		if in, err = in.Partitioned(pt); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		resp.Granularity, resp.Units = "partition", pt.NumUnits()
+		resp.Units = tg.pt.NumUnits()
 	}
-	if req.Alpha != 0 {
-		if in.LayoutCost, err = provision.DiscreteCost(box, req.Alpha); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-	}
+	in.LayoutCost = tg.layoutCost
 	opts := core.Options{RelativeSLA: req.SLA}
 	// The greedy DOT passes by default, the exhaustive branch-and-bound
 	// enumeration when asked for the provable optimum.
@@ -761,7 +745,7 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 		// catalog at partition granularity, where an object too big for
 		// every class may still fit split.
 		return nil, http.StatusUnprocessableEntity,
-			&failureError{err: err, failure: provision.CapacityInfeasibility(in.Cat, box)}
+			&failureError{err: err, failure: provision.CapacityInfeasibility(in.Cat, tg.box)}
 	}
 	resp.Feasible = res.Feasible
 	resp.TOCCents = res.TOCCents
@@ -770,15 +754,15 @@ func (s *Server) handleAdvise(body []byte) (any, int, error) {
 	resp.PlanMillis = float64(res.PlanTime) / float64(time.Millisecond)
 	resp.Search = searchStatsOut(res.Search)
 	if !res.Feasible {
-		resp.Failure = provision.InfeasibilityReason(in.Cat, box, opts)
+		resp.Failure = provision.InfeasibilityReason(in.Cat, tg.box, opts)
 		return resp, http.StatusOK, nil
 	}
 	resp.ElapsedMillis = float64(res.Metrics.Elapsed) / float64(time.Millisecond)
 	resp.ThroughputPerHour = res.Metrics.Throughput
 	if res.Layout != nil {
 		resp.Layout = renderLayout(in.Cat, res.Layout)
-		if pt != nil {
-			resp.SplitObjects = pt.SplitObjects(res.Layout)
+		if tg.pt != nil {
+			resp.SplitObjects = tg.pt.SplitObjects(res.Layout)
 		}
 	}
 	if req.Replication {
@@ -815,7 +799,7 @@ type provisionParams struct {
 	req         ProvisionRequest
 	grid        provision.Grid
 	comp        *compiled
-	partitioned bool
+	granularity string
 	key         string
 }
 
@@ -838,19 +822,15 @@ func parseProvision(body []byte) (*provisionParams, error) {
 	if err != nil {
 		return nil, err
 	}
-	partitioned, err := parseGranularity(req.Granularity)
+	gran, err := parseGranularity(req.Granularity)
 	if err != nil {
 		return nil, err
-	}
-	gran := "object"
-	if partitioned {
-		gran = "partition"
 	}
 	return &provisionParams{
 		req:         req,
 		grid:        grid,
 		comp:        comp,
-		partitioned: partitioned,
+		granularity: gran,
 		key:         fmt.Sprintf("%s|%s|%g|%s", comp.fingerprint(), grid.Key(), req.SLA, gran),
 	}, nil
 }
@@ -902,7 +882,7 @@ func (s *Server) sweep(p *provisionParams) (*ProvisionResponse, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 	opts := core.Options{RelativeSLA: req.SLA}
-	if p.partitioned {
+	if p.granularity == "partition" {
 		// Lowered once onto the heat-based unit catalog: the whole grid sweeps
 		// over per-unit placements, and layouts render under unit names.
 		pt, err := comp.partitioning()

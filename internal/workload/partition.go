@@ -59,11 +59,8 @@ func (e *ObservedEstimator) PartitionFor(pt *catalog.Partitioning) (Estimator, i
 // apportioned onto the units and the estimator is re-based on the expanded
 // profiled layout, so throughput scaling starts from the same test run.
 func (e *ProfileEstimator) PartitionFor(pt *catalog.Partitioning) (Estimator, iosim.Profile, error) {
-	if e.profiledLayout == nil {
-		return nil, nil, fmt.Errorf("workload: profile estimator lacks its profiled layout; build it with NewProfileEstimator")
-	}
 	up := iosim.ApportionProfile(e.Profile, pt)
-	pe, err := NewProfileEstimator(e.Box, e.Concurrency, up, e.CPUTime, e.Stats, pt.ExpandLayout(e.profiledLayout))
+	pe, err := NewSetProfileEstimator(e.Box, e.Concurrency, up, e.CPUTime, e.Stats, pt.ExpandSetLayout(e.profiled))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -152,6 +152,44 @@ func TestPartitionEstimatorThroughputPath(t *testing.T) {
 	}
 }
 
+// TestPartitionSetProfileEstimator: an estimator anchored on a replicated
+// deployment re-derives at partition granularity on the expanded anchor,
+// so the partitioned estimate of the deployment reproduces the test run
+// it measured, where an L0 anchor would not.
+func TestPartitionSetProfileEstimator(t *testing.T) {
+	fx, err := Skewed(SkewedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := device.Box2()
+	pt, err := catalog.BuildPartitioning(fx.Cat, fx.Stats, catalog.PartitionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployed := catalog.NewUniformSetLayout(fx.Cat, device.Singleton(device.LSSDRAID0))
+	deployed[catalog.ObjectID(1)] = device.Singleton(device.HSSD).Add(device.HDD)
+	l0 := catalog.NewUniformSetLayout(fx.Cat, device.Singleton(device.HSSD))
+	run := RunStats{Txns: 1000, Elapsed: time.Second}
+	units := pt.ExpandSetLayout(deployed)
+	for _, anchor := range []catalog.SetLayout{deployed, l0} {
+		pe, err := NewSetProfileEstimator(box, 4, fx.Profile, 10*time.Millisecond, run, anchor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uest, _, err := PartitionEstimator(pe, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := uest.(SetEstimator).EstimateSet(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reproduced := (m.Elapsed - run.Elapsed).Abs() <= time.Nanosecond; reproduced != anchor.Equal(deployed) {
+			t.Fatalf("anchor %v: the deployment's partitioned estimate is %v against the run's %v", anchor, m.Elapsed, run.Elapsed)
+		}
+	}
+}
+
 type estimatorFunc func(l catalog.Layout) (Metrics, error)
 
 func (f estimatorFunc) Estimate(l catalog.Layout) (Metrics, error) { return f(l) }

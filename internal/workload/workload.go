@@ -271,40 +271,31 @@ type ProfileEstimator struct {
 	CPUTime     time.Duration // measured CPU time of the test run
 	Stats       RunStats
 	baseTime    time.Duration // I/O time of the profile under the profiled layout
-	// profiledLayout is the layout of the test run, kept so the estimator
-	// can re-derive itself at partition granularity (PartitionFor).
-	profiledLayout catalog.Layout
+	// profiled is the layout the test run executed under, kept so the
+	// estimator can re-derive itself at partition granularity
+	// (PartitionFor). It is the constructor's argument, not a copy.
+	profiled catalog.SetLayout
 }
 
-// NewSetProfileEstimator builds a ProfileEstimator whose measured run
-// executed under a replicated deployment: the base I/O time the throughput
-// scaling anchors on is priced with per-pattern best-replica reads and
-// all-copy writes under profiledSet, exactly as the engine would route
-// them. On all-singleton sets it reduces to NewProfileEstimator bit for
-// bit. It does not retain an object-granular profiled layout, so it cannot
-// be re-based onto a partitioning with PartitionFor — build it over the
-// unit catalog directly instead.
-func NewSetProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile, cpu time.Duration, stats RunStats, profiledSet catalog.SetLayout) (*ProfileEstimator, error) {
-	e := &ProfileEstimator{Box: box, Concurrency: concurrency, Profile: profile, CPUTime: cpu, Stats: stats}
-	return e.based(profile.SetIOTime(profiledSet, box, concurrency))
-}
-
-// NewProfileEstimator builds the estimator; profiledLayout is the layout of
-// the test run (typically all H-SSD).
-func NewProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile, cpu time.Duration, stats RunStats, profiledLayout catalog.Layout) (*ProfileEstimator, error) {
-	e := &ProfileEstimator{Box: box, Concurrency: concurrency, Profile: profile, CPUTime: cpu, Stats: stats,
-		profiledLayout: profiledLayout.Clone()}
-	return e.based(profile.IOTime(profiledLayout, box, concurrency))
-}
-
-// based sets the base I/O time the constructors priced, or fails with
-// their pricing error.
-func (e *ProfileEstimator) based(base time.Duration, err error) (*ProfileEstimator, error) {
+// NewSetProfileEstimator builds a ProfileEstimator whose test run executed
+// under profiled, a possibly replicated deployment: the base I/O time the
+// throughput scaling anchors on is priced with per-pattern best-replica
+// reads and all-copy writes, exactly as the engine would route them. The
+// estimator keeps profiled without copying it, so the caller must not
+// modify the map afterwards.
+func NewSetProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile, cpu time.Duration, stats RunStats, profiled catalog.SetLayout) (*ProfileEstimator, error) {
+	base, err := profile.SetIOTime(profiled, box, concurrency)
 	if err != nil {
 		return nil, err
 	}
-	e.baseTime = base
-	return e, nil
+	return &ProfileEstimator{Box: box, Concurrency: concurrency, Profile: profile, CPUTime: cpu, Stats: stats,
+		baseTime: base, profiled: profiled}, nil
+}
+
+// NewProfileEstimator is NewSetProfileEstimator over a single-class
+// profiled layout (typically all H-SSD).
+func NewProfileEstimator(box *device.Box, concurrency int, profile iosim.Profile, cpu time.Duration, stats RunStats, profiled catalog.Layout) (*ProfileEstimator, error) {
+	return NewSetProfileEstimator(box, concurrency, profile, cpu, stats, catalog.SingletonSetLayout(profiled))
 }
 
 // Estimate implements Estimator.
