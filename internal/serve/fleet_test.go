@@ -213,7 +213,7 @@ func waitEvicted(t *testing.T, s *Server, n int64) {
 // deployed layout intact — including across a snapshot restart.
 func TestFleetEvictionRematerialize(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{Workers: 2, MaxStreams: 4, StreamTTL: 30 * time.Millisecond, EvictEvery: 5 * time.Millisecond,
+	s := New(Config{Workers: 2, MaxStreams: 4, StreamTTL: 30 * time.Millisecond,
 		SnapshotDir: dir, SnapshotEvery: time.Hour})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -88,12 +88,10 @@ type Config struct {
 	// StreamTTL, when positive, enables idle-tenant eviction: a stream
 	// idle (no observe/readvise) for at least the TTL is evicted — its
 	// state parked as a snapshot record, its registry slot freed — and
-	// transparently rematerialized on its next touch. 0 disables eviction
-	// (streams live until shutdown).
+	// transparently rematerialized on its next touch. The eviction janitor
+	// scans every StreamTTL/4 (at least every millisecond). 0 disables
+	// eviction (streams live until shutdown).
 	StreamTTL time.Duration
-	// EvictEvery is the eviction janitor's scan interval (default
-	// StreamTTL/4, floored at 1s; meaningless without StreamTTL).
-	EvictEvery time.Duration
 	// SnapshotDir, when set, enables durable snapshots of the online
 	// plane (see snapshot.go): the server restores the newest valid
 	// generation at construction, snapshots every SnapshotEvery, and
@@ -152,12 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MemoEntries <= 0 {
 		c.MemoEntries = 128
-	}
-	if c.EvictEvery <= 0 {
-		c.EvictEvery = c.StreamTTL / 4
-		if c.EvictEvery < time.Second {
-			c.EvictEvery = time.Second
-		}
 	}
 	return c
 }
@@ -275,7 +267,9 @@ func New(cfg Config) *Server {
 		}
 	}
 	if cfg.StreamTTL > 0 {
-		go s.every(cfg.EvictEvery, func() { s.guard("evict janitor", s.evictIdle) })
+		// The floor keeps a tiny TTL from handing time.NewTicker a
+		// non-positive interval.
+		go s.every(max(cfg.StreamTTL/4, time.Millisecond), func() { s.guard("evict janitor", s.evictIdle) })
 	}
 	return s
 }
