@@ -423,7 +423,7 @@ func Parallel(workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	f := &fanOut{fn: fn, n: n, next: -1, firstIdx: n}
+	f := &fanOut{fn: fn, n: n, firstIdx: n}
 	f.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go f.helper()
@@ -438,7 +438,7 @@ func Parallel(workers, n int, fn func(i int) error) error {
 type fanOut struct {
 	fn       func(i int) error
 	n        int
-	next     int64
+	next     atomic.Int64 // indexes claimed so far
 	wg       sync.WaitGroup
 	mu       sync.Mutex
 	firstIdx int
@@ -454,7 +454,7 @@ func (f *fanOut) helper() {
 // work claims indexes until none is left, keeping the lowest-index error.
 func (f *fanOut) work() {
 	for {
-		i := int(atomic.AddInt64(&f.next, 1))
+		i := int(f.next.Add(1)) - 1
 		if i >= f.n {
 			return
 		}
