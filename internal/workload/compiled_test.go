@@ -345,3 +345,28 @@ func (e *wrappedEst) Estimate(l catalog.Layout) (Metrics, error) { return e.inne
 type plainEst struct{}
 
 func (*plainEst) Estimate(l catalog.Layout) (Metrics, error) { return Metrics{}, nil }
+
+// TestThroughputEstimateAllocatesNothing: the compiled throughput
+// estimator prices a full layout and a one-move delta without a heap
+// allocation, so the OLTP search's per-candidate estimate adds none.
+func TestThroughputEstimateAllocatesNothing(t *testing.T) {
+	cat, _, pe := estimators(t)
+	de := CompileEstimator(pe, cat).(DeltaEstimator)
+	base := catalog.CompactUniform(cat, device.Singleton(device.HSSD))
+	baseM, baseState, err := de.EstimateCompactState(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := base.Clone()
+	next.Set(1, device.Singleton(device.LSSD))
+	moves := []ObjectMove{{Obj: 1, From: device.Singleton(device.HSSD), To: device.Singleton(device.LSSD)}}
+	if _, _, err := de.EstimateDelta(next, baseM, baseState, moves); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { de.EstimateCompactState(base) }); n != 0 {
+		t.Errorf("full estimate: %v allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { de.EstimateDelta(next, baseM, baseState, moves) }); n != 0 {
+		t.Errorf("one-move delta: %v allocations per call, want 0", n)
+	}
+}
