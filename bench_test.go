@@ -334,13 +334,13 @@ func BenchmarkIOTimeCompiledVsMap(b *testing.B) {
 // search.Config.MemoLimit (0: the default).
 func candidateEngine(in core.Input, memoLimit int) (*search.Engine, error) {
 	est := workload.CompileEstimator(in.Est, in.Cat)
-	de, ok := est.(workload.DeltaEstimator)
+	ce, ok := est.(workload.CompactEstimator)
 	if !ok {
-		return nil, fmt.Errorf("estimator %T has no delta form", est)
+		return nil, fmt.Errorf("estimator %T has no compiled form", est)
 	}
 	return search.New(search.Config{
 		Cat:       in.Cat,
-		Est:       de,
+		Est:       ce,
 		MemoLimit: memoLimit,
 		Price: func(m workload.Metrics, sp catalog.ClassSpace) (float64, bool, error) {
 			perHour, fits, err := sp.PriceLinear(in.Box)

@@ -197,16 +197,16 @@ func TestCompiledPathMatchesMapPath(t *testing.T) {
 func TestCompiledEngineEngages(t *testing.T) {
 	f := newCompiledFix(t)
 	in := f.input()
-	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.DeltaEstimator); !ok {
+	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.Compilable); !ok {
 		t.Fatal("ObservedEstimator input should search its compiled form")
 	}
 	in.NoCompile = true
-	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.DeltaEstimator); ok {
+	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.Compilable); ok {
 		t.Fatal("NoCompile must hand the search the map form")
 	}
 	in = f.input()
 	in.LayoutCost = func(catalog.ClassSpace) (float64, error) { return 1, nil }
-	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.DeltaEstimator); !ok {
+	if _, ok := in.searchEstimator(in.alphabet(1)).(workload.Compilable); !ok {
 		t.Fatal("a custom LayoutCost keeps the compiled form")
 	}
 }
@@ -245,7 +245,7 @@ func TestCustomLayoutCostOnBothPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.LayoutCost = consolidationCost(in.Box)
-		if _, ok := in.searchEstimator(in.alphabet(1)).(workload.DeltaEstimator); !ok {
+		if _, ok := in.searchEstimator(in.alphabet(1)).(workload.Compilable); !ok {
 			t.Fatalf("%s: the custom model must not cost the compiled form", name)
 		}
 		mapped := in

@@ -14,7 +14,7 @@ import (
 // first and the last estimate of a search ran — a span no honest PlanTime
 // can be shorter than.
 type stampedEstimator struct {
-	workload.DeltaEstimator
+	workload.CompactEstimator
 	mu          sync.Mutex
 	first, last time.Time
 }
@@ -29,14 +29,14 @@ func (s *stampedEstimator) stamp() {
 	s.mu.Unlock()
 }
 
-func (s *stampedEstimator) EstimateCompactState(cl catalog.CompactLayout) (workload.Metrics, workload.DeltaState, error) {
+func (s *stampedEstimator) EstimateCompact(cl catalog.CompactLayout) (workload.Metrics, error) {
 	s.stamp()
-	return s.DeltaEstimator.EstimateCompactState(cl)
+	return s.CompactEstimator.EstimateCompact(cl)
 }
 
-func (s *stampedEstimator) EstimateDelta(cl catalog.CompactLayout, base workload.Metrics, state workload.DeltaState, moves []workload.ObjectMove) (workload.Metrics, workload.DeltaState, error) {
+func (s *stampedEstimator) EstimateDelta(cl catalog.CompactLayout, base workload.Metrics, moves []workload.ObjectMove) (workload.Metrics, error) {
 	s.stamp()
-	return s.DeltaEstimator.EstimateDelta(cl, base, state, moves)
+	return s.CompactEstimator.EstimateDelta(cl, base, moves)
 }
 
 // TestPlanTimeIsTheWallClockOfTheCall: PlanTime is one clock around the
@@ -67,14 +67,14 @@ func TestPlanTimeIsTheWallClockOfTheCall(t *testing.T) {
 	if in.Cat.NumObjects() < 500 {
 		t.Fatalf("fixture yields %d units, want >= 500", in.Cat.NumObjects())
 	}
-	compiled, ok := workload.CompileEstimator(in.Est, in.Cat).(workload.DeltaEstimator)
+	compiled, ok := workload.CompileEstimator(in.Est, in.Cat).(workload.CompactEstimator)
 	if !ok {
-		t.Fatal("the skew fixture's estimator must compile to a delta estimator")
+		t.Fatal("the skew fixture's estimator must compile to a compact estimator")
 	}
 	opts := Options{RelativeSLA: 0.2}
 	check := func(what string, run func(Input) (*Result, error)) *Result {
 		t.Helper()
-		st := &stampedEstimator{DeltaEstimator: compiled}
+		st := &stampedEstimator{CompactEstimator: compiled}
 		in := in
 		in.Est = st
 		t0 := time.Now()

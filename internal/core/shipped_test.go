@@ -11,7 +11,7 @@ import (
 )
 
 // TestShippedEstimatorsCompile: every estimator this repository ships
-// compiles to a delta-capable form for the alphabets the searches
+// compiles to a CompactEstimator for the alphabets the searches
 // enumerate — the singleton alphabets of Box 1 and Box 2 and the two-copy
 // alphabet of the HTAP box — except the plan-aware DSS estimator on a
 // multi-member alphabet, which has no replica routing and declines. A
@@ -73,15 +73,15 @@ func TestShippedEstimatorsCompile(t *testing.T) {
 
 		for _, e := range ests {
 			compiled := workload.CompileEstimator(e.est, e.cat, bc.alphabet...)
-			_, delta := compiled.(workload.DeltaEstimator)
+			_, compact := compiled.(workload.CompactEstimator)
 			if e.name == "dss" && replicated {
-				if _, compact := compiled.(workload.CompactEstimator); compact {
+				if compact {
 					t.Errorf("%s on %s: compiled for a multi-member alphabet it cannot route", e.name, box.Name)
 				}
 				continue
 			}
-			if !delta {
-				t.Errorf("%s on %s: CompileEstimator returned %T, not a delta-capable compiled form", e.name, box.Name, compiled)
+			if !compact {
+				t.Errorf("%s on %s: CompileEstimator returned %T, not a compiled form", e.name, box.Name, compiled)
 			}
 		}
 	}

@@ -19,7 +19,7 @@ type compactFix struct {
 	box   *device.Box
 	sizes []int64
 	src   workload.Estimator // the estimator est was compiled from
-	est   workload.Estimator // compiled (compact/delta-capable)
+	est   workload.Estimator // compiled (a workload.CompactEstimator)
 }
 
 func newCompactFix(t *testing.T, n int) *compactFix {

@@ -35,9 +35,10 @@ func layoutHash(b []byte) uint64 {
 // moves. Every DOT, refinement and incremental sweep walks one. Beside the
 // scratch layout and its evaluation the cursor carries the layout's memo
 // hash and per-class totals, and derives a candidate's from them, so every
-// stage of a candidate — memo hash, estimate (with a delta-capable
-// estimator), totals, price — costs O(moves). What still touches every
-// slot is the memo's key comparison on a hit and its key copy on a miss.
+// stage of a candidate — memo hash, estimate (the estimator's EstimateDelta
+// from the running metrics), totals, price — costs O(moves). What still
+// touches every slot is the memo's key comparison on a hit and its key copy
+// on a miss.
 //
 // A Cursor is not safe for concurrent use; concurrent sweeps over one
 // engine each take their own.
@@ -46,8 +47,8 @@ type Cursor struct {
 	cur     Eval
 	scratch catalog.CompactLayout
 	// hash and space describe scratch as of cur; cand* describe it with the
-	// moves of the last Try applied, and moves is what Try hands the delta
-	// estimator (nil: estimate in full).
+	// moves of the last Try applied, and moves is what Try hands the
+	// estimator's EstimateDelta (nil: EstimateCompact, in full).
 	hash      uint64
 	space     catalog.ClassSpace
 	candHash  uint64

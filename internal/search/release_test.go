@@ -44,7 +44,7 @@ func TestReleasedEngineRefuses(t *testing.T) {
 	}
 	for i := range st.ents[0][:2] {
 		ent := &st.ents[0][i]
-		if !ent.cl.IsZero() || ent.next != nil || ent.err != nil || ent.done.Load() || ent.ev.state != nil || ent.ev.Metrics.PerQuery != nil {
+		if !ent.cl.IsZero() || ent.next != nil || ent.err != nil || ent.done.Load() || ent.ev.Metrics.PerQuery != nil {
 			t.Fatalf("released store's entry %d is not zeroed", i)
 		}
 	}

@@ -16,9 +16,10 @@
 //     recycled: Engine.Release returns it to a pool the next engine draws
 //     from, so a sweep of many small searches allocates it about once, and
 //     nothing an engine returned may be read after its Release;
-//   - a Cursor that derives a sweep candidate's memo hash, estimate (from a
-//     workload.DeltaEstimator) and per-class totals from its predecessor's
-//     in O(moves), so the per-candidate hot path does not allocate;
+//   - a Cursor that derives a sweep candidate's memo hash, estimate (the
+//     estimator's EstimateDelta) and per-class totals from its
+//     predecessor's in O(moves), so the per-candidate hot path does not
+//     allocate;
 //   - one exhaustive walk, the branch-and-bound DFS (ExhaustiveBnB), whose
 //     admissible floor and dominance collapse skip only candidates that
 //     provably cannot change the result — an estimator offering neither
@@ -58,9 +59,9 @@ type Config struct {
 	// per-class totals sum.
 	Cat *catalog.Catalog
 	// Est estimates compact layouts. It is called at most once per distinct
-	// layout; when Workers > 1 it must be safe for concurrent use. An
-	// estimator that is also a workload.DeltaEstimator re-estimates a
-	// Cursor's candidates from their predecessor in O(moves).
+	// layout; when Workers > 1 it must be safe for concurrent use. A
+	// Cursor's candidates go to its EstimateDelta with their predecessor's
+	// metrics, everything else to EstimateCompact.
 	Est workload.CompactEstimator
 	// Price prices the estimated metrics (the TOC model) and reports whether
 	// the layout fits the box — one hook, because both answers read the
@@ -103,9 +104,6 @@ type Eval struct {
 	Metrics    workload.Metrics
 	TOCCents   float64
 	CapacityOK bool
-	// state is the estimator's delta snapshot (delta-capable estimators
-	// only); a Cursor derives moved layouts from it.
-	state workload.DeltaState
 }
 
 // Feasible reports whether the evaluated layout fits the box and meets the
@@ -226,8 +224,6 @@ func (s *store) reset() {
 // recycled once the search is over: see Release.
 type Engine struct {
 	cfg Config
-	// delta is cfg.Est's delta form, when it has one.
-	delta workload.DeltaEstimator
 	// mu guards st, which is nil once the engine is released.
 	mu sync.Mutex
 	st *store
@@ -249,7 +245,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("search: Config requires Cat, Est and Price")
 	}
 	e := &Engine{cfg: cfg, st: storePool.Get().(*store), hashMask: ^uint64(0), sizes: cfg.Cat.DenseSizeBytes()}
-	e.delta, _ = cfg.Est.(workload.DeltaEstimator)
 	// cfg.Budget admits every estimator invocation. An engine fanning out
 	// on its own gets a private budget of its width, so concurrent sweeps
 	// sharing it (OptimizeBest) cannot oversubscribe past that width.
@@ -369,7 +364,7 @@ func (e *Engine) evaluateCompact(cl catalog.CompactLayout, h uint64, cur *Cursor
 // measureCompact runs the estimate → price pipeline once, uncached. cl is
 // the engine-owned copy of the layout; cur, when non-nil, is the cursor
 // that derived its totals and (unless it asked for a full estimate) its
-// moves from the running evaluation.
+// moves from the running evaluation, whose metrics the delta starts from.
 func (e *Engine) measureCompact(cl catalog.CompactLayout, cur *Cursor) (Eval, error) {
 	if b := e.cfg.Budget; b != nil {
 		b.Enter()
@@ -378,15 +373,11 @@ func (e *Engine) measureCompact(cl catalog.CompactLayout, cur *Cursor) (Eval, er
 	e.estCalls.Add(1)
 	var (
 		m   workload.Metrics
-		st  workload.DeltaState
 		err error
 	)
-	switch {
-	case e.delta != nil && cur != nil && cur.moves != nil:
-		m, st, err = e.delta.EstimateDelta(cl, cur.cur.Metrics, cur.cur.state, cur.moves)
-	case e.delta != nil:
-		m, st, err = e.delta.EstimateCompactState(cl)
-	default:
+	if cur != nil && cur.moves != nil {
+		m, err = e.cfg.Est.EstimateDelta(cl, cur.cur.Metrics, cur.moves)
+	} else {
 		m, err = e.cfg.Est.EstimateCompact(cl)
 	}
 	if err != nil {
@@ -402,7 +393,7 @@ func (e *Engine) measureCompact(cl catalog.CompactLayout, cur *Cursor) (Eval, er
 	if err != nil {
 		return Eval{}, err
 	}
-	return Eval{Compact: cl, Metrics: m, TOCCents: toc, CapacityOK: fits, state: st}, nil
+	return Eval{Compact: cl, Metrics: m, TOCCents: toc, CapacityOK: fits}, nil
 }
 
 // Parallel runs fn(i) for every i in [0, n) on up to `workers` goroutines,

@@ -1,11 +1,12 @@
 // Compiled estimators: the allocation-free evaluation path behind the
-// search engine's compact/delta pipeline. Profile-driven estimators
-// (ObservedEstimator, ProfileEstimator) compile their profiles into dense
-// per-(object, class-set) time tables (iosim.CompiledProfile) for the digit
-// alphabet the search will enumerate, so a candidate layout is estimated by
-// flat array sums, and a candidate differing from an evaluated base by a
-// few object moves is re-estimated in O(moves). Single-copy search is the
-// singleton alphabet of the same tables, not a second form.
+// search engine's one estimator contract, CompactEstimator. Profile-driven
+// estimators (ObservedEstimator, ProfileEstimator) compile their profiles
+// into dense per-(object, class-set) time tables (iosim.CompiledProfile) for
+// the digit alphabet the search will enumerate, so a candidate layout is
+// estimated by flat array sums, and a candidate differing from an evaluated
+// base by a few object moves is re-estimated in O(moves) from the base's
+// Metrics alone. Single-copy search is the singleton alphabet of the same
+// tables, not a second form.
 //
 // Every compiled path reuses the exact arithmetic of its map-form sibling
 // — integer I/O-time sums regrouped associatively, floats derived through
@@ -91,34 +92,20 @@ func (e maskValued) Estimate(l catalog.Layout) (Metrics, error) {
 	return e.est.EstimateSet(sl)
 }
 
-// CompactEstimator is implemented by estimators that can evaluate a
-// compact layout directly, without materializing the map form.
+// CompactEstimator is the search engine's estimator contract: a compact
+// layout estimated directly, without materializing the map form, and a
+// moved one re-estimated from its base's Metrics alone (per-query times are
+// integers; the throughput form keeps its exact profile I/O time in them).
 type CompactEstimator interface {
 	Estimator
 	// EstimateCompact must return exactly what Estimate returns for the
 	// layout's map form.
 	EstimateCompact(cl catalog.CompactLayout) (Metrics, error)
-}
-
-// DeltaState is an opaque, estimator-owned snapshot attached to an
-// evaluation, from which a DeltaEstimator can derive a moved layout's
-// metrics without re-reading the whole layout. Estimators whose metrics
-// already determine their internal state (e.g. per-query I/O times
-// recoverable from PerQuery) return nil and work from the base Metrics
-// alone.
-type DeltaState any
-
-// DeltaEstimator extends CompactEstimator with O(moves) re-estimation of a
-// layout that differs from an evaluated base by a set of object moves.
-type DeltaEstimator interface {
-	CompactEstimator
-	// EstimateCompactState is EstimateCompact plus the delta state for the
-	// evaluated layout.
-	EstimateCompactState(cl catalog.CompactLayout) (Metrics, DeltaState, error)
-	// EstimateDelta estimates cl, which differs from a previously evaluated
-	// layout (metrics base, state from that evaluation) by moves. The result
-	// must be bit-identical to EstimateCompact(cl).
-	EstimateDelta(cl catalog.CompactLayout, base Metrics, state DeltaState, moves []ObjectMove) (Metrics, DeltaState, error)
+	// EstimateDelta estimates cl, which differs by moves from a layout this
+	// estimator evaluated to base. The result must be bit-identical to
+	// EstimateCompact(cl); an estimator without an O(moves) form, or handed
+	// a base it cannot delta from, estimates cl in full.
+	EstimateDelta(cl catalog.CompactLayout, base Metrics, moves []ObjectMove) (Metrics, error)
 }
 
 // ElapsedDecomposable is implemented by compiled estimators whose predicted
@@ -157,13 +144,13 @@ type PlacementSignable interface {
 }
 
 // Compilable is implemented by estimators that can build a compiled
-// (compact/delta-capable) equivalent of themselves for a catalog and a
-// digit alphabet.
+// (CompactEstimator) equivalent of themselves for a catalog and a digit
+// alphabet.
 type Compilable interface {
 	// CompileFor returns an estimator whose Estimate matches the receiver's
-	// bit for bit and which additionally implements CompactEstimator (and
-	// usually DeltaEstimator) over compact layouts drawn from alphabet. An
-	// empty alphabet selects single-copy placement on the estimator's box.
+	// bit for bit and which additionally implements CompactEstimator over
+	// compact layouts drawn from alphabet. An empty alphabet selects
+	// single-copy placement on the estimator's box.
 	CompileFor(cat *catalog.Catalog, alphabet []device.ClassSet) (Estimator, error)
 }
 
@@ -187,10 +174,10 @@ func CompileEstimator(est Estimator, cat *catalog.Catalog, alphabet ...device.Cl
 // MapForm adapts any estimator to the compact form the search engine takes:
 // a compact layout is estimated through the estimator's own EstimateSet (or
 // Estimate, for a single-copy layout of an estimator without a replica form)
-// on the layout's map form. It offers no delta, elapsed decomposition or
-// placement signature, so a search over it estimates every candidate in
-// full and enumerates without pruning — the same candidates, the same
-// answers, each paid for in full.
+// on the layout's map form. Its delta is a full estimate, and it offers no
+// elapsed decomposition or placement signature, so a search over it
+// estimates every candidate in full and enumerates without pruning — the
+// same candidates, the same answers, each paid for in full.
 func MapForm(est Estimator) CompactEstimator { return mapForm{est} }
 
 // mapForm embeds the interface, so it exposes Estimate and nothing else of
@@ -200,6 +187,11 @@ type mapForm struct{ Estimator }
 // EstimateCompact implements CompactEstimator.
 func (e mapForm) EstimateCompact(cl catalog.CompactLayout) (Metrics, error) {
 	return EstimateSet(e.Estimator, cl.ToSetLayout())
+}
+
+// EstimateDelta implements CompactEstimator by estimating cl in full.
+func (e mapForm) EstimateDelta(cl catalog.CompactLayout, _ Metrics, _ []ObjectMove) (Metrics, error) {
+	return e.EstimateCompact(cl)
 }
 
 // alphabetOr resolves CompileFor's alphabet default.
@@ -213,10 +205,8 @@ func alphabetOr(alphabet []device.ClassSet, box *device.Box) []device.ClassSet {
 // ---- ObservedEstimator (DSS per-query counts) -----------------------------
 
 // compiledObserved is the compiled form of ObservedEstimator: one dense
-// time table per observed query. Its delta state is nil — per-query I/O
-// times are recoverable exactly from the base Metrics (PerQuery minus CPU).
-// The embedded source answers the map forms (Estimate, EstimateSet) and
-// PartitionFor, byte for byte.
+// time table per observed query. The embedded source answers the map forms
+// (Estimate, EstimateSet) and PartitionFor, byte for byte.
 type compiledObserved struct {
 	*ObservedEstimator
 	n       int // object count of the catalog compiled for
@@ -259,19 +249,12 @@ func (e *compiledObserved) EstimateCompact(cl catalog.CompactLayout) (Metrics, e
 	return m, nil
 }
 
-// EstimateCompactState implements DeltaEstimator.
-func (e *compiledObserved) EstimateCompactState(cl catalog.CompactLayout) (Metrics, DeltaState, error) {
-	m, err := e.EstimateCompact(cl)
-	return m, nil, err
-}
-
-// EstimateDelta implements DeltaEstimator: each query's base I/O time is
+// EstimateDelta implements CompactEstimator: each query's base I/O time is
 // PerQuery[i] - CPU[i] (exact — durations are integers), adjusted by the
 // moves' per-query time deltas.
-func (e *compiledObserved) EstimateDelta(cl catalog.CompactLayout, base Metrics, _ DeltaState, moves []ObjectMove) (Metrics, DeltaState, error) {
+func (e *compiledObserved) EstimateDelta(cl catalog.CompactLayout, base Metrics, moves []ObjectMove) (Metrics, error) {
 	if len(base.PerQuery) != len(e.queries) {
-		m, err := e.EstimateCompact(cl)
-		return m, nil, err
+		return e.EstimateCompact(cl)
 	}
 	m := Metrics{PerQuery: make([]time.Duration, 0, len(e.queries))}
 	for i, q := range e.queries {
@@ -279,7 +262,7 @@ func (e *compiledObserved) EstimateDelta(cl catalog.CompactLayout, base Metrics,
 		for _, mv := range moves {
 			d, err := q.DeltaIOTime(mv.Obj, mv.From, mv.To)
 			if err != nil {
-				return Metrics{}, nil, err
+				return Metrics{}, err
 			}
 			io += d
 		}
@@ -287,7 +270,7 @@ func (e *compiledObserved) EstimateDelta(cl catalog.CompactLayout, base Metrics,
 		m.PerQuery = append(m.PerQuery, t)
 		m.Elapsed += t
 	}
-	return m, nil, nil
+	return m, nil
 }
 
 // AccumulateElapsedTable implements ElapsedDecomposable: Elapsed is the sum
@@ -315,11 +298,6 @@ func (e *compiledObserved) AppendPlacementSignature(dst []byte, id catalog.Objec
 }
 
 // ---- ProfileEstimator (OLTP test-run profile) -----------------------------
-
-// throughputState carries the exact profile I/O time of an evaluated
-// layout; the elapsed/throughput floats are lossy, so the state is needed
-// to delta from.
-type throughputState time.Duration
 
 // compiledThroughput is the compiled form of ProfileEstimator. The
 // embedded source answers the map forms (Estimate, EstimateSet) and
@@ -354,16 +332,6 @@ func (e *compiledThroughput) EstimateCompact(cl catalog.CompactLayout) (Metrics,
 	return e.metricsFromIOTime(e.cp.IOTime(cl))
 }
 
-// EstimateCompactState implements DeltaEstimator.
-func (e *compiledThroughput) EstimateCompactState(cl catalog.CompactLayout) (Metrics, DeltaState, error) {
-	io, err := e.cp.IOTime(cl)
-	if err != nil {
-		return Metrics{}, nil, err
-	}
-	m, err := e.metricsFromIOTime(io, nil)
-	return m, throughputState(io), err
-}
-
 // AccumulateElapsedTable implements ElapsedDecomposable by declining:
 // throughput metrics derive Elapsed through float division, and the TOC
 // objective is C(L)/T — an elapsed-time floor cannot bound it.
@@ -378,20 +346,21 @@ func (e *compiledThroughput) AppendPlacementSignature(dst []byte, id catalog.Obj
 	return e.cp.AppendRow(dst, id)
 }
 
-// EstimateDelta implements DeltaEstimator.
-func (e *compiledThroughput) EstimateDelta(cl catalog.CompactLayout, _ Metrics, state DeltaState, moves []ObjectMove) (Metrics, DeltaState, error) {
-	st, ok := state.(throughputState)
-	if !ok {
-		return e.EstimateCompactState(cl)
+// EstimateDelta implements CompactEstimator: the base's exact profile I/O
+// time (Metrics.ioTime — the elapsed and throughput floats are lossy)
+// adjusted by the moves' time deltas. A base without throughput is not one
+// of this estimator's evaluations, and cl is estimated in full.
+func (e *compiledThroughput) EstimateDelta(cl catalog.CompactLayout, base Metrics, moves []ObjectMove) (Metrics, error) {
+	if base.Throughput <= 0 {
+		return e.EstimateCompact(cl)
 	}
-	io := time.Duration(st)
+	io := base.ioTime
 	for _, mv := range moves {
 		d, err := e.cp.DeltaIOTime(mv.Obj, mv.From, mv.To)
 		if err != nil {
-			return Metrics{}, nil, err
+			return Metrics{}, err
 		}
 		io += d
 	}
-	m, err := e.metricsFromIOTime(io, nil)
-	return m, throughputState(io), err
+	return e.metricsFromIOTime(io, nil)
 }

@@ -79,19 +79,20 @@ func maskMap(l catalog.SetLayout) catalog.Layout {
 // checkCompiledParity drives one estimator compiled for one alphabet
 // through a random walk of one-object moves and requires bit-identical
 // metrics from every path: the map-form replica reference
-// (NewSetEstimator), the full compiled estimate, and the chained
-// EstimateDelta — and, while every unit holds one copy, the single-class
-// Estimate too, since single-copy search is the singleton alphabet of the
-// same compiled form rather than a sibling implementation.
+// (NewSetEstimator), the full compiled estimate, the chained EstimateDelta
+// and a delta from a base the estimator did not evaluate — and, while every
+// unit holds one copy, the single-class Estimate too, since single-copy
+// search is the singleton alphabet of the same compiled form rather than a
+// sibling implementation.
 func checkCompiledParity(t *testing.T, src Estimator, cat *catalog.Catalog, alphabet []device.ClassSet, seed int64) {
 	t.Helper()
 	ce := CompileEstimator(src, cat, alphabet...)
 	if ce == src {
 		t.Fatalf("%T should compile to a new estimator", src)
 	}
-	de, ok := ce.(DeltaEstimator)
+	de, ok := ce.(CompactEstimator)
 	if !ok {
-		t.Fatalf("compiled %T must be delta-capable", src)
+		t.Fatalf("compiled %T must be a compact estimator", src)
 	}
 	ref, ok := NewSetEstimator(src)
 	if !ok {
@@ -99,7 +100,7 @@ func checkCompiledParity(t *testing.T, src Estimator, cat *catalog.Catalog, alph
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cur := catalog.CompactUniform(cat, device.Singleton(device.HSSD))
-	curM, curState, err := de.EstimateCompactState(cur)
+	curM, err := de.EstimateCompact(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +132,18 @@ func checkCompiledParity(t *testing.T, src Estimator, cat *catalog.Catalog, alph
 		if !metricsEqual(full, want) {
 			t.Fatalf("%T trial %d: EstimateCompact diverges from the map reference: %+v vs %+v", src, trial, full, want)
 		}
+		if fm, err := de.EstimateDelta(next, Metrics{}, nil); err != nil || !metricsEqual(fm, want) {
+			t.Fatalf("%T trial %d: a delta from a base it did not evaluate must estimate in full: %+v, %v vs %+v", src, trial, fm, err, want)
+		}
 		if from != to {
-			dm, dstate, err := de.EstimateDelta(next, curM, curState, []ObjectMove{{Obj: obj, From: from, To: to}})
+			dm, err := de.EstimateDelta(next, curM, []ObjectMove{{Obj: obj, From: from, To: to}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !metricsEqual(dm, want) {
 				t.Fatalf("%T trial %d: delta chain diverged: %+v vs %+v", src, trial, dm, want)
 			}
-			curM, curState = dm, dstate
+			curM = dm
 		}
 		cur = next
 	}
@@ -302,11 +306,11 @@ func TestCompileEstimatorFallback(t *testing.T) {
 	if got := CompileEstimator(wrapped, db.Cat); got != Estimator(wrapped) {
 		t.Fatal("a wrapped plan-aware estimator must pass through unchanged")
 	}
-	compiled, ok := CompileEstimator(bare, db.Cat).(DeltaEstimator)
+	compiled, ok := CompileEstimator(bare, db.Cat).(CompactEstimator)
 	if !ok {
 		t.Fatal("the bare plan-aware estimator must compile for its engine's catalog")
 	}
-	if _, ok := CompileEstimator(compiled, db.Cat).(DeltaEstimator); !ok {
+	if _, ok := CompileEstimator(compiled, db.Cat).(CompactEstimator); !ok {
 		t.Fatal("re-compiling the compiled form must stay compiled")
 	}
 	if got := CompileEstimator(bare, cat); got != bare {
@@ -351,22 +355,22 @@ func (*plainEst) Estimate(l catalog.Layout) (Metrics, error) { return Metrics{},
 // allocation, so the OLTP search's per-candidate estimate adds none.
 func TestThroughputEstimateAllocatesNothing(t *testing.T) {
 	cat, _, pe := estimators(t)
-	de := CompileEstimator(pe, cat).(DeltaEstimator)
+	ce := CompileEstimator(pe, cat).(CompactEstimator)
 	base := catalog.CompactUniform(cat, device.Singleton(device.HSSD))
-	baseM, baseState, err := de.EstimateCompactState(base)
+	baseM, err := ce.EstimateCompact(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := base.Clone()
 	next.Set(1, device.Singleton(device.LSSD))
 	moves := []ObjectMove{{Obj: 1, From: device.Singleton(device.HSSD), To: device.Singleton(device.LSSD)}}
-	if _, _, err := de.EstimateDelta(next, baseM, baseState, moves); err != nil {
+	if _, err := ce.EstimateDelta(next, baseM, moves); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { de.EstimateCompactState(base) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { ce.EstimateCompact(base) }); n != 0 {
 		t.Errorf("full estimate: %v allocations per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { de.EstimateDelta(next, baseM, baseState, moves) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { ce.EstimateDelta(next, baseM, moves) }); n != 0 {
 		t.Errorf("one-move delta: %v allocations per call, want 0", n)
 	}
 }

@@ -352,24 +352,17 @@ func (e compiledDSS) EstimateCompact(cl catalog.CompactLayout) (Metrics, error) 
 	return e.estimate(&placement{cl: cl})
 }
 
-// EstimateCompactState implements DeltaEstimator. There is no state to
-// keep: per-query times are integers, so PerQuery carries everything a
-// delta needs.
-func (e compiledDSS) EstimateCompactState(cl catalog.CompactLayout) (Metrics, DeltaState, error) {
-	m, err := e.EstimateCompact(cl)
-	return m, nil, err
-}
-
-// EstimateDelta implements DeltaEstimator: a query none of whose resolved
-// objects moved keeps its base time (exactly — nothing it reads changed);
-// the others are looked up under cl, in query order.
-func (e compiledDSS) EstimateDelta(cl catalog.CompactLayout, base Metrics, _ DeltaState, moves []ObjectMove) (Metrics, DeltaState, error) {
+// EstimateDelta implements CompactEstimator: a query none of whose
+// resolved objects moved keeps its base time (exactly — per-query times are
+// integers and nothing it reads changed); the others are looked up under
+// cl, in query order.
+func (e compiledDSS) EstimateDelta(cl catalog.CompactLayout, base Metrics, moves []ObjectMove) (Metrics, error) {
 	t, err := e.tables()
 	if err != nil {
-		return Metrics{}, nil, err
+		return Metrics{}, err
 	}
 	if len(base.PerQuery) != len(t.queries) {
-		return e.EstimateCompactState(cl)
+		return e.EstimateCompact(cl)
 	}
 	m := Metrics{Elapsed: base.Elapsed, PerQuery: append(make([]time.Duration, 0, len(base.PerQuery)), base.PerQuery...)}
 	v := &placement{cl: cl}
@@ -387,10 +380,10 @@ func (e compiledDSS) EstimateDelta(cl catalog.CompactLayout, base Metrics, _ Del
 		}
 		d, err := e.queryTime(t, i, v)
 		if err != nil {
-			return Metrics{}, nil, err
+			return Metrics{}, err
 		}
 		m.Elapsed += d - m.PerQuery[i]
 		m.PerQuery[i] = d
 	}
-	return m, nil, nil
+	return m, nil
 }

@@ -114,7 +114,7 @@ func TestDSSEstimatorLayoutErrors(t *testing.T) {
 	db, count := buildTinyDB(t)
 	w := &DSS{Name: "w", Queries: []*plan.Query{count}}
 	est := w.Estimator(db)
-	ce := CompileEstimator(est, db.Cat).(DeltaEstimator)
+	ce := CompileEstimator(est, db.Cat).(CompactEstimator)
 	good := db.Layout()
 	base, err := est.Estimate(good) // fills the table for "t on H-SSD"
 	if err != nil {
@@ -149,7 +149,7 @@ func TestDSSEstimatorLayoutErrors(t *testing.T) {
 	// A move of the index onto the absent class is refused by the delta too.
 	cl, _ := catalog.CompactFromSetLayout(db.Cat, catalog.SingletonSetLayout(absent))
 	mv := []ObjectMove{{Obj: ix.ID, From: device.Singleton(device.HSSD), To: device.Singleton(device.HDD)}}
-	if _, _, err := ce.EstimateDelta(cl, base, nil, mv); err == nil {
+	if _, err := ce.EstimateDelta(cl, base, mv); err == nil {
 		t.Fatal("EstimateDelta onto a class the box lacks must fail")
 	}
 	// Two copies of an object have no meaning to the planner.

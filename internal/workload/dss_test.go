@@ -76,7 +76,7 @@ func TestDSSEstimatorMatchesReplanning(t *testing.T) {
 				if limit >= 0 {
 					workload.SetCostTableLimit(est, limit)
 				}
-				ce := workload.CompileEstimator(est, db.Cat).(workload.DeltaEstimator)
+				ce := workload.CompileEstimator(est, db.Cat).(workload.CompactEstimator)
 				rng := rand.New(rand.NewSource(int64(7 + 10*bi + wi)))
 				for trial := 0; trial < 6; trial++ {
 					l := make(catalog.Layout)
@@ -92,7 +92,7 @@ func TestDSSEstimatorMatchesReplanning(t *testing.T) {
 					if err != nil || !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s/%s trial %d: Estimate = %+v, %v; replanned %+v", box.Name, w.Name, trial, got, err, want)
 					}
-					base, state, err := ce.EstimateCompactState(cl)
+					base, err := ce.EstimateCompact(cl)
 					if err != nil || !reflect.DeepEqual(base, want) {
 						t.Fatalf("%s/%s trial %d: EstimateCompact = %+v, %v; replanned %+v", box.Name, w.Name, trial, base, err, want)
 					}
@@ -111,7 +111,7 @@ func TestDSSEstimatorMatchesReplanning(t *testing.T) {
 							l[o.ID], _ = to.Single()
 							moves = append(moves, workload.ObjectMove{Obj: o.ID, From: from, To: to})
 						}
-						base, state, err = ce.EstimateDelta(cl, base, state, moves)
+						base, err = ce.EstimateDelta(cl, base, moves)
 						if want := replanned(t, db, w, l); err != nil || !reflect.DeepEqual(base, want) {
 							t.Fatalf("%s/%s trial %d step %d: EstimateDelta(%v) = %+v, %v; replanned %+v",
 								box.Name, w.Name, trial, step, moves, base, err, want)

@@ -28,6 +28,10 @@ type Metrics struct {
 	PerQuery []time.Duration
 	// Throughput is the task rate in tasks/hour (OLTP; 0 for DSS).
 	Throughput float64
+	// ioTime is the profile I/O time an OLTP estimate derives Elapsed and
+	// Throughput from (metricsFromIOTime). Those floats cannot give it back
+	// exactly, so the compiled form's EstimateDelta starts from it.
+	ioTime time.Duration
 }
 
 // Estimator predicts workload metrics under a hypothetical layout. DOT
@@ -310,9 +314,9 @@ func (e *ProfileEstimator) EstimateSet(l catalog.SetLayout) (Metrics, error) {
 }
 
 // metricsFromIOTime derives the metrics from a candidate layout's profile
-// I/O time, or passes on the error pricing it. The map path and the
-// compiled path both funnel through this one arithmetic, so their floats
-// are bit-identical.
+// I/O time, or passes on the error pricing it, and records the I/O time in
+// them for a later delta. The map path and the compiled path both funnel
+// through this one arithmetic, so their floats are bit-identical.
 func (e *ProfileEstimator) metricsFromIOTime(io time.Duration, err error) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
@@ -330,5 +334,6 @@ func (e *ProfileEstimator) metricsFromIOTime(io time.Duration, err error) (Metri
 	return Metrics{
 		Elapsed:    elapsed,
 		Throughput: float64(e.Stats.Txns) / elapsed.Hours(),
+		ioTime:     io,
 	}, nil
 }
