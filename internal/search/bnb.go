@@ -514,28 +514,26 @@ func (e *Engine) ExhaustiveBnB(cons workload.Constraints, sp BnBSpace) (Eval, bo
 	}
 
 	// The frontier is generated up front and never grows, so one atomic
-	// cursor over it is the whole scheduler: workers claim subtrees in
+	// cursor over it is the whole scheduler: walkers claim subtrees in
 	// frontier order — the sequential walk's order, which is what finds
-	// good incumbents early — until the slice or the search runs out.
+	// good incumbents early — until the slice or the search runs out. A
+	// walker's failure is recorded in sh by rank, so the fan-out's own
+	// error is always nil.
 	var next atomic.Int64
 	walkers := make([]*bnbWalker, workers)
-	var wg sync.WaitGroup
 	for k := range walkers {
 		cl := scratch.Clone()
-		w := &bnbWalker{sh: sh, scratch: cl, chain: &Cursor{e: e, scratch: cl}, digits: make([]uint8, n), rankBuf: make([]byte, n)}
-		walkers[k] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !sh.stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) || w.runTask(tasks[i]) != nil {
-					return
-				}
-			}
-		}()
+		walkers[k] = &bnbWalker{sh: sh, scratch: cl, chain: &Cursor{e: e, scratch: cl}, digits: make([]uint8, n), rankBuf: make([]byte, n)}
 	}
-	wg.Wait()
+	Parallel(workers, workers, func(k int) error {
+		for !sh.stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) || walkers[k].runTask(tasks[i]) != nil {
+				break
+			}
+		}
+		return nil
+	})
 	if sh.err != nil {
 		return Eval{}, false, stats, sh.err
 	}
