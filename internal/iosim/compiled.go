@@ -96,7 +96,8 @@ func CompileProfile(p Profile, box *device.Box, concurrency, n int, alphabet []d
 }
 
 // setIOTime prices one object's I/O vector on a class set from resolved
-// per-class service times — the arithmetic of every compiled table entry:
+// per-class service times — the arithmetic of every compiled table entry
+// and of every object's term in Profile.SetIOTime and Profile.IOTime:
 // each I/O type's count times the service time of every member
 // device.ClassSet.Route charges it to, members in ascending class order.
 func setIOTime(v *IOVector, set device.ClassSet, svc *[device.NumClasses][device.NumIOTypes]time.Duration) time.Duration {

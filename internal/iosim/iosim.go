@@ -115,8 +115,8 @@ func (p Profile) IOTime(layout catalog.Layout, box *device.Box, concurrency int)
 // SetIOTime is IOTime over class sets, with reads and writes charged to
 // the members device.ClassSet.Route picks. It is the map-form reference
 // the compiled tables are tested against: CompiledProfile shares its
-// per-entry arithmetic, not its indexing or delta arithmetic. Integer
-// Duration sums reorder exactly across the map's iteration order.
+// per-entry arithmetic (setIOTime), not its indexing or delta arithmetic.
+// Integer Duration sums reorder exactly across the map's iteration order.
 func (p Profile) SetIOTime(layout catalog.SetLayout, box *device.Box, concurrency int) (time.Duration, error) {
 	return p.ioTime(box, concurrency, func(id catalog.ObjectID) (device.ClassSet, error) {
 		set, ok := layout[id]
@@ -149,18 +149,7 @@ func (p Profile) ioTime(box *device.Box, concurrency int, place func(catalog.Obj
 		if set&^carried != 0 {
 			return 0, fmt.Errorf("iosim: layout places object %d on class set %v unusable for box %q", id, set, box.Name)
 		}
-		for _, t := range device.AllIOTypes {
-			n := v[t]
-			if n <= 0 {
-				continue
-			}
-			to := set.Route(t, func(c device.Class) time.Duration { return svc[c][t] })
-			for c := range svc {
-				if to.Has(device.Class(c)) {
-					total += time.Duration(n * float64(svc[c][t]))
-				}
-			}
-		}
+		total += setIOTime(v, set, &svc)
 	}
 	return total, nil
 }
