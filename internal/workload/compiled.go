@@ -348,10 +348,11 @@ func (e *compiledThroughput) AppendPlacementSignature(dst []byte, id catalog.Obj
 
 // EstimateDelta implements CompactEstimator: the base's exact profile I/O
 // time (Metrics.ioTime — the elapsed and throughput floats are lossy)
-// adjusted by the moves' time deltas. A base without throughput is not one
-// of this estimator's evaluations, and cl is estimated in full.
+// adjusted by the moves' time deltas. A base with no recorded I/O time (no
+// throughput, or metrics built outside this package) is not one of this
+// estimator's evaluations, and cl is estimated in full.
 func (e *compiledThroughput) EstimateDelta(cl catalog.CompactLayout, base Metrics, moves []ObjectMove) (Metrics, error) {
-	if base.Throughput <= 0 {
+	if base.ioTime <= 0 {
 		return e.EstimateCompact(cl)
 	}
 	io := base.ioTime

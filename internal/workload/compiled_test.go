@@ -132,7 +132,10 @@ func checkCompiledParity(t *testing.T, src Estimator, cat *catalog.Catalog, alph
 		if !metricsEqual(full, want) {
 			t.Fatalf("%T trial %d: EstimateCompact diverges from the map reference: %+v vs %+v", src, trial, full, want)
 		}
-		if fm, err := de.EstimateDelta(next, Metrics{}, nil); err != nil || !metricsEqual(fm, want) {
+		// Metrics built outside the estimator carry neither PerQuery nor the
+		// throughput form's exact I/O time, whatever their floats say.
+		foreign := Metrics{Elapsed: curM.Elapsed, Throughput: curM.Throughput}
+		if fm, err := de.EstimateDelta(next, foreign, nil); err != nil || !metricsEqual(fm, want) {
 			t.Fatalf("%T trial %d: a delta from a base it did not evaluate must estimate in full: %+v, %v vs %+v", src, trial, fm, err, want)
 		}
 		if from != to {
