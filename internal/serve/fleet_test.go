@@ -285,6 +285,32 @@ func TestFleetEvictionRematerialize(t *testing.T) {
 	}
 }
 
+// TestEvictedTenantKeepsFoldedFrames: a frame batch admitted just before
+// its tenant is evicted still folds into the tenant, and the next touch
+// sees it.
+func TestEvictedTenantKeepsFoldedFrames(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defineTenant(t, ts, "a", oltpObserveSpec(1, 0))
+	st, err := s.lookup("a")
+	if err != nil || st == nil {
+		t.Fatalf("lookup: %v %v", st, err)
+	}
+	want := st.mgr.Stats().WindowsClosed + 1
+	s.evictStream(st)
+	s.queued.Add(1)
+	s.ingestFrame(ingestItem{st: st, frame: frameFromSpec(oltpObserveSpec(1, 0))})
+	back, err := s.lookup("a")
+	if err != nil || back == nil {
+		t.Fatalf("touch: %v %v", back, err)
+	}
+	if got := back.mgr.Stats().WindowsClosed; got != want {
+		t.Fatalf("touched tenant holds %d windows, want %d", got, want)
+	}
+}
+
 // canonicalReadvise strips the only wall-clock field from a readvise
 // response so decisions can be compared across servers.
 func canonicalReadvise(t *testing.T, rv ReadviseResponse) string {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -477,4 +478,105 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("accepted input does not round-trip: %x -> %x", body, re)
 		}
 	})
+}
+
+// TestSnapshotListsMovingTenantOnce: a tenant evicted and touched again in
+// a tight loop is in every exported snapshot payload and every /v1/fleet
+// listing exactly once. A generation that missed it would lose the whole
+// tenant to a crash right after, not one snapshot interval of its state.
+func TestSnapshotListsMovingTenantOnce(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defineTenant(t, ts, "moving", oltpObserveSpec(1, 0))
+
+	stop := make(chan struct{})
+	moved := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				moved <- nil
+				return
+			default:
+			}
+			st, err := s.lookup("moving")
+			if err != nil || st == nil {
+				moved <- fmt.Errorf("lookup: stream=%v err=%v", st, err)
+				return
+			}
+			s.evictStream(st)
+		}
+	}()
+	var payloads, listings, missed int
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		n := 0
+		for _, rec := range s.exportPayload().streams {
+			if rec.name == "moving" {
+				n++
+			}
+		}
+		payloads++
+		if n != 1 {
+			missed++
+		}
+		rollups, _ := s.allRollups()
+		n = 0
+		for _, ru := range rollups {
+			if ru.Stream == "moving" {
+				n++
+			}
+		}
+		listings++
+		if n != 1 {
+			missed++
+		}
+	}
+	close(stop)
+	if err := <-moved; err != nil {
+		t.Fatal(err)
+	}
+	if missed > 0 {
+		t.Fatalf("the moving tenant was not listed exactly once in %d of %d payloads and listings", missed, payloads+listings)
+	}
+}
+
+// TestTTLRestoreFallsBackWhole: with idle eviction on, a generation holding
+// a stream that no longer rebuilds is rejected whole at boot, as it is
+// without eviction: the restart restores the previous generation, and the
+// tenant answers.
+func TestTTLRestoreFallsBackWhole(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, StreamTTL: time.Hour, SnapshotDir: dir, SnapshotEvery: time.Hour}
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1.Handler())
+	defineTenant(t, ts1, "orders", oltpObserveSpec(1, 0))
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good := s1.snapGen.Load()
+	// The newer generation's record names a fingerprint its defining observe
+	// no longer compiles to (a schema the binary reads differently since).
+	p := s1.exportPayload()
+	p.streams[0].objFP = strings.Repeat("0", len(p.streams[0].objFP))
+	store, err := online.OpenStore(dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Write(appendSnapshotPayload(nil, p)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(cfg)
+	defer s2.Close()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	var h HealthResponse
+	getJSON(t, ts2, "/v1/healthz", &h)
+	if h.SnapshotGen != good || h.Restored != 1 {
+		t.Fatalf("restored generation=%d streams=%d, want fallback to generation %d with 1 stream", h.SnapshotGen, h.Restored, good)
+	}
+	forcedReadvise(t, ts2, "orders")
 }
