@@ -85,7 +85,7 @@ func main() {
 	flag.IntVar(&o.ingestQ, "ingest-queue", 0, "binary-observe ingest queue depth in frames; overflow sheds with 429 (0 = default 1024)")
 	flag.IntVar(&o.shards, "shards", 0, "tenant fold shards: each stream's frames fold on its ring-owned shard (0 = one per CPU)")
 	flag.IntVar(&o.memo, "memo-entries", 0, "fleet advise-memo LRU entries, keyed by workload fingerprint + box + SLA (0 = default 128)")
-	flag.DurationVar(&o.ttl, "stream-ttl", 0, "idle-tenant eviction TTL: untouched streams park their state and re-materialize on the next touch (0 disables eviction)")
+	flag.DurationVar(&o.ttl, "stream-ttl", 0, "idle-tenant eviction TTL: untouched streams are parked out of the registry, freeing their slots, and return on the next touch (0 disables eviction)")
 	flag.StringVar(&o.snapDir, "snapshot-dir", "", "directory for durable online-plane snapshots (empty disables snapshots)")
 	flag.DurationVar(&o.snapEach, "snapshot-every", 0, "periodic snapshot interval (0 = default 10s; needs -snapshot-dir)")
 	flag.IntVar(&o.snapKeep, "snapshot-keep", 0, "snapshot generations retained on disk (0 = default 3)")

@@ -220,8 +220,8 @@ type HealthResponse struct {
 	SnapshotGen   uint64 `json:"snapshot_generation"`
 	Restored      int64  `json:"restored_streams"`
 	// Fleet-plane counters: the shard-ring width, the fleet advise memo's
-	// hit/miss totals, and the idle-eviction lifecycle (streams evicted to
-	// parked records, parked records rematerialized on touch).
+	// hit/miss totals, and the idle-eviction lifecycle (streams evicted
+	// out of the registry, evicted streams moved back on touch).
 	Shards         int   `json:"shards"`
 	MemoHits       int64 `json:"memo_hits"`
 	MemoMisses     int64 `json:"memo_misses"`

@@ -6,8 +6,9 @@
 // decisions stay bit-identical at any shard count. Initial cold advises go
 // through a fleet-wide single-flight memo keyed by (workload fingerprint,
 // box, SLA, alpha, granularity): equal-workload tenants share one search.
-// GET /v1/fleet reports per-tenant rollups; an optional TTL janitor evicts
-// idle tenants to parked snapshot records and rematerializes them on touch.
+// GET /v1/fleet reports per-tenant rollups; an optional TTL janitor parks
+// idle tenants out of the registry, freeing their slots, and a touch moves
+// them back.
 package serve
 
 import (
@@ -28,8 +29,8 @@ type TenantRollup struct {
 	Stream string `json:"stream"`
 	Shard  int    `json:"shard"`
 	// State is the tenant's lifecycle state: "active" (defined and
-	// registered) or "evicted" (idle past StreamTTL, parked as a snapshot
-	// record until touched).
+	// registered) or "evicted" (idle past StreamTTL, parked out of the
+	// registry until touched).
 	State       string  `json:"state"`
 	Granularity string  `json:"granularity,omitempty"`
 	SLA         float64 `json:"sla,omitempty"`
@@ -155,39 +156,40 @@ func fleetQueryInt(s string, def int) (int, error) {
 	return v, nil
 }
 
-// allRollups collects every tenant's rollup — live streams plus parked
-// (evicted) records — sorted by stream name, and counts the live ones.
+// allRollups collects every tenant's rollup — registered and parked
+// (evicted) streams — sorted by stream name, and counts the registered
+// ones.
 func (s *Server) allRollups() (rollups []TenantRollup, active int) {
-	for _, st := range s.snapshotStreams() {
-		rollups = append(rollups, st.rollup())
+	all, active := s.tenants()
+	rollups = make([]TenantRollup, len(all))
+	for i, st := range all {
+		rollups[i] = st.rollup(i < active)
 	}
-	active = len(rollups)
-	s.streamMu.Lock()
-	for name := range s.parked {
-		rollups = append(rollups, TenantRollup{Stream: name, Shard: s.ring.Shard(name), State: "evicted"})
-	}
-	s.streamMu.Unlock()
 	sort.Slice(rollups, func(i, j int) bool { return rollups[i].Stream < rollups[j].Stream })
 	return rollups, active
 }
 
 // tenantRollup builds one named tenant's rollup; ok is false when the name
-// is neither live nor parked.
+// is neither registered nor parked.
 func (s *Server) tenantRollup(name string) (TenantRollup, bool) {
-	if v, ok := s.streams.Load(name); ok {
-		return v.(*stream).rollup(), true
-	}
 	s.streamMu.Lock()
-	_, parked := s.parked[name]
-	s.streamMu.Unlock()
-	if parked {
-		return TenantRollup{Stream: name, Shard: s.ring.Shard(name), State: "evicted"}, true
+	st, parked := s.parked[name]
+	if v, live := s.streams.Load(name); live {
+		st = v.(*stream)
 	}
-	return TenantRollup{}, false
+	s.streamMu.Unlock()
+	if st == nil {
+		return TenantRollup{}, false
+	}
+	return st.rollup(!parked), true
 }
 
-// rollup snapshots one live stream's row.
-func (st *stream) rollup() TenantRollup {
+// rollup snapshots one stream's row; a parked (evicted) stream's row names
+// only its stream, shard and state.
+func (st *stream) rollup(live bool) TenantRollup {
+	if !live {
+		return TenantRollup{Stream: st.name, Shard: st.shard, State: "evicted"}
+	}
 	ru := TenantRollup{Stream: st.name, Shard: st.shard, State: "active", Granularity: st.granularity()}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -239,10 +241,9 @@ func boxKey(b *device.Box) string {
 }
 
 // evictIdle evicts every registered stream idle for at least StreamTTL,
-// least recently touched first (the LRU order), parking each as a snapshot
-// record. Evicted tenants keep surviving restarts — exportPayload merges
-// parked records into disk snapshots — and rematerialize on their next
-// touch.
+// least recently touched first (the LRU order). Evicted tenants keep
+// surviving restarts — exportPayload lists parked streams too — and return
+// on their next touch.
 func (s *Server) evictIdle() {
 	cutoff := time.Now().Add(-s.cfg.StreamTTL).UnixNano()
 	var idle []*stream
@@ -259,20 +260,16 @@ func (s *Server) evictIdle() {
 	}
 }
 
-// evictStream parks one stream: its state is exported to a snapshot record,
-// the registry slot freed. A frame already admitted for the stream may
-// still fold into the orphaned manager after the export — that window is
-// lost on rematerialization, a bounded, documented cost of eviction (the
-// same window would be lost to a crash; the ingest path stays lock-free).
+// evictStream parks one registered stream: it leaves the registry, freeing
+// its slot, and waits in parked as it is until a touch moves it back. A
+// frame already admitted for it still folds into it while parked.
 func (s *Server) evictStream(st *stream) {
-	rec := st.record()
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
-	if v, ok := s.streams.Load(st.name); !ok || v.(*stream) != st {
-		return // evicted and rematerialized since: another instance holds the name
+	if _, ok := s.streams.LoadAndDelete(st.name); !ok {
+		return // evicted since
 	}
-	s.streams.Delete(st.name)
 	s.streamN--
-	s.parked[st.name] = rec
+	s.parked[st.name] = st
 	s.evicted.Add(1)
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -257,7 +256,7 @@ func TestFleetEvictionRematerialize(t *testing.T) {
 	}
 
 	// A snapshot taken now must carry the tenant even if it is evicted
-	// again; a restarted server restores it (lazily) and answers the same
+	// again; a restarted server restores it (parked) and answers the same
 	// forced re-advise.
 	waitEvicted(t, s, 2)
 	if _, err := s.Snapshot(); err != nil {
@@ -367,12 +366,10 @@ func TestFleetShardParity(t *testing.T) {
 	}
 }
 
-// TestRematerializeFailureIsInternal: a parked tenant whose record no longer
-// rebuilds is a server fault no retry fixes — every path that touches it
-// answers 500 "internal", not the retry-later 429 it used to — while the
-// real capacity refusal, a parked tenant waiting for a slot, stays 429
-// "stream_capacity".
-func TestRematerializeFailureIsInternal(t *testing.T) {
+// TestParkedTenantWaitsForSlot: a parked tenant touched while another
+// tenant holds the registry's one slot waits for it — every path that
+// touches it answers 429 "stream_capacity", a refusal a retry can get past.
+func TestParkedTenantWaitsForSlot(t *testing.T) {
 	s := New(Config{Workers: 2, MaxStreams: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -384,38 +381,21 @@ func TestRematerializeFailureIsInternal(t *testing.T) {
 		t.Fatalf("lookup: %v %v", st, err)
 	}
 	s.evictStream(st)
-	// The record's fingerprint no longer matches what its config compiles to
-	// (a schema the binary reads differently since the record was written).
-	s.streamMu.Lock()
-	rec := s.parked["a"]
-	good := rec.objFP
-	rec.objFP = strings.Repeat("0", len(good))
-	s.parked["a"] = rec
-	s.streamMu.Unlock()
+	defineTenant(t, ts, "b", oltpObserveSpec(1, 0))
 
-	wantInternal := func(what string, status int, code string) {
+	wantCapacity := func(what string, status int, code string) {
 		t.Helper()
-		if status != http.StatusInternalServerError || code != "internal" {
-			t.Fatalf("%s on an unrebuildable tenant: status=%d code=%q, want 500 internal", what, status, code)
+		if status != http.StatusTooManyRequests || code != "stream_capacity" {
+			t.Fatalf("%s with the registry full: status=%d code=%q, want 429 stream_capacity", what, status, code)
 		}
 	}
 	status, e := postEnvelope(t, ts, "/v1/readvise", ReadviseRequest{Stream: "a", Force: true})
-	wantInternal("readvise", status, e.Code)
+	wantCapacity("readvise", status, e.Code)
 	status, e = postEnvelope(t, ts, "/v1/observe", ObserveRequest{Stream: "a", Workload: oltpObserveSpec(1, 0)})
-	wantInternal("JSON observe", status, e.Code)
+	wantCapacity("JSON observe", status, e.Code)
 	var fe errEnvelope
 	status, _ = postFrames(t, ts, "a", online.EncodeFrames([]online.Frame{{}}), &fe)
-	wantInternal("binary observe", status, fe.Code)
-
-	// Repaired, the record rebuilds — unless another tenant holds the slot.
-	s.streamMu.Lock()
-	rec.objFP = good
-	s.parked["a"] = rec
-	s.streamMu.Unlock()
-	defineTenant(t, ts, "b", oltpObserveSpec(1, 0))
-	if status, e := postEnvelope(t, ts, "/v1/readvise", ReadviseRequest{Stream: "a", Force: true}); status != http.StatusTooManyRequests || e.Code != "stream_capacity" {
-		t.Fatalf("readvise with the registry full: status=%d code=%q, want 429 stream_capacity", status, e.Code)
-	}
+	wantCapacity("binary observe", status, fe.Code)
 }
 
 // BenchmarkFleetFold measures the ingest fold plane's frame throughput at

@@ -73,7 +73,7 @@ func (s *Server) handleObserveFrames(w http.ResponseWriter, r *http.Request) {
 	name := streamName(r.URL.Query().Get("stream"))
 	st, err := s.lookup(name)
 	if err != nil {
-		writeError(w, streamErrStatus(err), err)
+		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	if st == nil {

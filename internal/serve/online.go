@@ -114,7 +114,7 @@ type ReadviseResponse struct {
 // stream is one online-advised workload: the compiled object mapping and
 // its manager. newStream builds it whole, and it is registered only once
 // defined, so its manager, wire index and object fingerprint are fixed for
-// as long as it is registered. Its mutex serializes observation, re-advise
+// its whole life, registered or parked. Its mutex serializes observation, re-advise
 // and export — per stream, so concurrent tenant streams never serialize on
 // each other.
 type stream struct {
@@ -156,8 +156,9 @@ func (st *stream) granularity() string {
 }
 
 // lookup returns the named stream: a registered one through a lock-free
-// sync.Map Load — the multi-tenant hot path — or a parked one
-// rematerialized under streamMu; nil when the name is unknown.
+// sync.Map Load — the multi-tenant hot path — or a parked one moved back
+// into the registry under streamMu; nil when the name is unknown. Its one
+// error is a full registry refusing a parked stream's return.
 func (s *Server) lookup(name string) (*stream, error) {
 	if v, ok := s.streams.Load(name); ok {
 		return v.(*stream), nil
@@ -167,26 +168,22 @@ func (s *Server) lookup(name string) (*stream, error) {
 	return s.lookupLocked(name)
 }
 
-// lookupLocked is lookup under streamMu. A parked record is rebuilt and
-// registered in its place, resuming drift detection mid-window with its
-// deployed layout and reference intact; the record is consumed only on
-// success.
+// lookupLocked is lookup under streamMu. A parked stream returns as it
+// was evicted — windows, reference, deployed layout — plus every frame
+// folded into it while parked.
 func (s *Server) lookupLocked(name string) (*stream, error) {
 	if v, ok := s.streams.Load(name); ok {
 		return v.(*stream), nil
 	}
-	rec, ok := s.parked[name]
+	st, ok := s.parked[name]
 	if !ok {
 		return nil, nil
 	}
-	if err := s.capacityLocked(fmt.Sprintf("evicted stream %q cannot rematerialize until a slot frees", name)); err != nil {
+	if err := s.capacityLocked(fmt.Sprintf("evicted stream %q returns once a slot frees", name)); err != nil {
 		return nil, err
 	}
-	st, err := s.revive(rec)
-	if err != nil {
-		return nil, fmt.Errorf("rematerializing evicted stream %q: %w", name, err)
-	}
 	delete(s.parked, name)
+	st.touch()
 	s.streams.Store(name, st)
 	s.streamN++
 	s.rematerialized.Add(1)
@@ -194,7 +191,7 @@ func (s *Server) lookupLocked(name string) (*stream, error) {
 }
 
 // insert registers a defined stream. The first definition of a name wins:
-// when the name is registered, or parked and rematerialized now, insert
+// when the name is registered, or parked and moved back now, insert
 // returns that stream instead of st. A full registry refuses st.
 func (s *Server) insert(st *stream) (*stream, error) {
 	s.streamMu.Lock()
@@ -222,15 +219,23 @@ func (s *Server) capacityLocked(hint string) error {
 	return &codedError{code: "stream_capacity", err: fmt.Errorf("stream capacity reached (%d); %s", s.cfg.MaxStreams, hint)}
 }
 
-// snapshotStreams copies the stream list for the ticker (never hold
-// streamMu across a re-advise).
-func (s *Server) snapshotStreams() []*stream {
-	var out []*stream
+// tenants copies the stream list — registered streams, then parked ones;
+// live counts the registered. Eviction and touch move a stream between the
+// two under streamMu, so reading both under it lists a moving tenant
+// exactly once. Callers range over the copy: never hold streamMu across a
+// re-advise or a stream's lock.
+func (s *Server) tenants() (all []*stream, live int) {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
 	s.streams.Range(func(_, v any) bool {
-		out = append(out, v.(*stream))
+		all = append(all, v.(*stream))
 		return true
 	})
-	return out
+	live = len(all)
+	for _, st := range s.parked {
+		all = append(all, st)
+	}
+	return all, live
 }
 
 func streamName(name string) string {
@@ -274,7 +279,7 @@ func (s *Server) handleObserve(body []byte) (any, int, error) {
 	}
 	st, err := s.lookup(name)
 	if err != nil {
-		return nil, streamErrStatus(err), err
+		return nil, http.StatusTooManyRequests, err
 	}
 	if st == nil {
 		return s.define(name, req, comp, body)
@@ -318,10 +323,9 @@ func (s *Server) observe(st *stream, comp *compiled) (any, int, error) {
 }
 
 // newStream builds a complete stream from its defining observe. It is the
-// one constructor behind a define, a snapshot restore and the
-// rematerialization of an evicted tenant, so a rebuilt stream is
-// configured bit-identically to the original — the precondition for
-// bit-identical re-advise decisions after recovery. body is the raw
+// one constructor behind a define and a snapshot restore, so a restored
+// stream is configured bit-identically to the original — the precondition
+// for bit-identical re-advise decisions after recovery. body is the raw
 // defining request, kept as the stream's durable configuration.
 func (s *Server) newStream(name string, req ObserveRequest, comp *compiled, body []byte) (*stream, error) {
 	if err := validSLA(req.SLA); err != nil {
@@ -425,7 +429,7 @@ func (s *Server) define(name string, req ObserveRequest, comp *compiled, body []
 	st.noteDecision("advise", true, dec.Result.TOCCents)
 	cur, err := s.insert(st)
 	if err != nil {
-		return nil, streamErrStatus(err), err
+		return nil, http.StatusTooManyRequests, err
 	}
 	if cur != st {
 		return s.observe(cur, comp)
@@ -446,7 +450,7 @@ func (s *Server) handleReadvise(body []byte) (any, int, error) {
 	name := streamName(req.Stream)
 	st, err := s.lookup(name)
 	if err != nil {
-		return nil, streamErrStatus(err), err
+		return nil, http.StatusTooManyRequests, err
 	}
 	if st == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("unknown stream %q (define it with /observe first)", name)
@@ -511,7 +515,8 @@ func (s *Server) readviseResponse(st *stream, dec *online.Decision) ReadviseResp
 // guard, so one panicking search is counted and contained while the sweep
 // — and the ticker — live on.
 func (s *Server) readviseShard(shard int) {
-	for _, st := range s.snapshotStreams() {
+	all, live := s.tenants()
+	for _, st := range all[:live] {
 		if st.shard == shard {
 			s.guard("re-advise ticker", func() { s.readviseOne(st) })
 		}

@@ -86,11 +86,11 @@ type Config struct {
 	// tenants share one search instead of repeating it per tenant.
 	MemoEntries int
 	// StreamTTL, when positive, enables idle-tenant eviction: a stream
-	// idle (no observe/readvise) for at least the TTL is evicted — its
-	// state parked as a snapshot record, its registry slot freed — and
-	// transparently rematerialized on its next touch. The eviction janitor
-	// scans every StreamTTL/4 (at least every millisecond). 0 disables
-	// eviction (streams live until shutdown).
+	// idle (no observe/readvise) for at least the TTL is evicted — parked
+	// out of the registry as it is, its slot freed — and moved back on its
+	// next touch. A snapshot restore parks every stream it rebuilds. The
+	// eviction janitor scans every StreamTTL/4 (at least every
+	// millisecond). 0 disables eviction (streams live until shutdown).
 	StreamTTL time.Duration
 	// SnapshotDir, when set, enables durable snapshots of the online
 	// plane (see snapshot.go): the server restores the newest valid
@@ -198,12 +198,12 @@ type Server struct {
 
 	// Fleet plane (see fleet.go): the consistent-hash shard ring, the
 	// fingerprint-keyed single-flight advise memo, and the idle-tenant
-	// eviction state. parked holds evicted streams' snapshot records,
-	// guarded by streamMu (it is registry state: a name is live in streams
-	// OR parked, never both).
+	// eviction state. parked holds evicted streams, guarded by streamMu
+	// (it is registry state: a name is live in streams OR parked, never
+	// both, and eviction and touch move the one *stream between them).
 	ring           *fleet.Ring
 	fleetMemo      *fleet.Memo
-	parked         map[string]streamRecord
+	parked         map[string]*stream
 	evicted        atomic.Int64
 	rematerialized atomic.Int64
 
@@ -241,7 +241,7 @@ func New(cfg Config) *Server {
 		shardQ:    make([]chan ingestItem, cfg.Shards),
 		ring:      fleet.NewRing(cfg.Shards, 0),
 		fleetMemo: fleet.NewMemo(cfg.MemoEntries),
-		parked:    make(map[string]streamRecord),
+		parked:    make(map[string]*stream),
 	}
 	for i := range s.shardQ {
 		s.shardQ[i] = make(chan ingestItem, cfg.IngestQueue)
@@ -511,18 +511,6 @@ func errorCode(status int, err error) string {
 	default:
 		return "internal"
 	}
-}
-
-// streamErrStatus is the status of a lookup or insert failure. The
-// capacity refusal passes once a slot frees, so it answers 429; anything
-// else — a parked record that no longer rebuilds — is a server fault no
-// retry fixes, and answers 500.
-func streamErrStatus(err error) int {
-	var ce *codedError
-	if errors.As(err, &ce) && ce.code == "stream_capacity" {
-		return http.StatusTooManyRequests
-	}
-	return http.StatusInternalServerError
 }
 
 // writeError writes the unified error envelope for a failed request.

@@ -148,10 +148,9 @@ func readStreamRecord(r *online.Reader) (streamRecord, error) {
 }
 
 // exportPayload assembles the snapshot payload from live state: every
-// registered stream plus every parked (idle-evicted) stream's record,
-// sorted by name for the canonical byte form, plus the durable counters.
-// Parked records are included, so evicted tenants survive restarts exactly
-// like live ones.
+// stream, registered or parked (idle-evicted), sorted by name for the
+// canonical byte form, plus the durable counters. Parked streams are
+// included, so evicted tenants survive restarts exactly like live ones.
 func (s *Server) exportPayload() snapshotPayload {
 	p := snapshotPayload{
 		observed:  s.observed.Load(),
@@ -159,22 +158,10 @@ func (s *Server) exportPayload() snapshotPayload {
 		ingested:  s.ingested.Load(),
 		shed:      s.shed.Load(),
 	}
-	for _, st := range s.snapshotStreams() {
+	all, _ := s.tenants()
+	for _, st := range all {
 		p.streams = append(p.streams, st.record())
 	}
-	seen := make(map[string]bool, len(p.streams))
-	for _, rec := range p.streams {
-		seen[rec.name] = true
-	}
-	s.streamMu.Lock()
-	for name, rec := range s.parked {
-		// A name both live and parked can only be a rematerialization race;
-		// the live instance's state is newer.
-		if !seen[name] {
-			p.streams = append(p.streams, rec)
-		}
-	}
-	s.streamMu.Unlock()
 	sort.Slice(p.streams, func(i, j int) bool { return p.streams[i].name < p.streams[j].name })
 	return p
 }
@@ -230,44 +217,36 @@ func (s *Server) restoreSnapshot() {
 }
 
 // applySnapshot commits one decoded generation: every stream is rebuilt
-// FIRST, then all are registered — so a generation whose any stream fails
-// to rebuild (schema drift since the snapshot, a box the binary no longer
-// knows) rejects whole with zero state left behind, and Store.Load falls
-// back to the previous generation.
+// FIRST, then all are registered — or, with idle eviction on, all parked —
+// so a generation whose any stream fails to rebuild (schema drift since the
+// snapshot, a box the binary no longer knows) rejects whole with zero state
+// left behind, and Store.Load falls back to the previous generation.
+// Parking takes no slot, so with eviction on a fleet larger than MaxStreams
+// (possible, since evicted tenants free their slots) restores; without it,
+// such a generation rejects.
 func (s *Server) applySnapshot(p snapshotPayload) error {
-	if s.cfg.StreamTTL > 0 {
-		// Idle eviction is on: restore lazily by parking every record and
-		// letting the first touch rematerialize it — boot stays O(1) per
-		// tenant regardless of fleet size, and a fleet larger than
-		// MaxStreams (possible, since evicted tenants free their slots)
-		// restores without violating the live-stream cap. Each record was
-		// structurally validated by the decoder; catalog-level validation
-		// happens at rematerialization, surfacing per-tenant instead of
-		// rejecting the whole generation.
-		s.streamMu.Lock()
-		for _, rec := range p.streams {
-			s.parked[rec.name] = rec
+	rebuilt := make([]*stream, 0, len(p.streams))
+	for _, rec := range p.streams {
+		st, err := s.revive(rec)
+		if err != nil {
+			return fmt.Errorf("stream %q: %w", rec.name, err)
 		}
-		s.streamMu.Unlock()
-	} else {
-		if len(p.streams) > s.cfg.MaxStreams {
-			return fmt.Errorf("snapshot holds %d streams, server caps at %d", len(p.streams), s.cfg.MaxStreams)
-		}
-		rebuilt := make([]*stream, 0, len(p.streams))
-		for _, rec := range p.streams {
-			st, err := s.revive(rec)
-			if err != nil {
-				return fmt.Errorf("stream %q: %w", rec.name, err)
-			}
-			rebuilt = append(rebuilt, st)
-		}
-		s.streamMu.Lock()
-		for _, st := range rebuilt {
+		rebuilt = append(rebuilt, st)
+	}
+	park := s.cfg.StreamTTL > 0
+	if !park && len(rebuilt) > s.cfg.MaxStreams {
+		return fmt.Errorf("snapshot holds %d streams, server caps at %d", len(rebuilt), s.cfg.MaxStreams)
+	}
+	s.streamMu.Lock()
+	for _, st := range rebuilt {
+		if park {
+			s.parked[st.name] = st
+		} else {
 			s.streams.Store(st.name, st)
 			s.streamN++
 		}
-		s.streamMu.Unlock()
 	}
+	s.streamMu.Unlock()
 	s.observed.Store(p.observed)
 	s.readvised.Store(p.readvised)
 	s.ingested.Store(p.ingested)
