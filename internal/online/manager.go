@@ -203,14 +203,6 @@ func (m *Manager) CurrentSetLayout() catalog.SetLayout {
 	return m.cur.Clone()
 }
 
-// Advised reports whether an initial Advise has anchored a reference
-// profile (ReAdvise requires it).
-func (m *Manager) Advised() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hasRef
-}
-
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()

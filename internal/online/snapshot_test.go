@@ -159,7 +159,7 @@ func TestManagerExportRestoreResumesDrift(t *testing.T) {
 	if err := restored.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if !restored.Advised() {
+	if !restored.ExportState().HasRef {
 		t.Fatal("restored manager lost its reference profile")
 	}
 	if !restored.CurrentSetLayout().Equal(orig.CurrentSetLayout()) {

@@ -100,22 +100,6 @@ func Parse(src string) ([]Stmt, error) {
 	return out, nil
 }
 
-// ParseQuery parses a single SELECT statement.
-func ParseQuery(src string) (*SelectStmt, error) {
-	stmts, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("sql: expected one statement, got %d", len(stmts))
-	}
-	sel, ok := stmts[0].(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: expected a SELECT statement, got %T", stmts[0])
-	}
-	return sel, nil
-}
-
 type parser struct {
 	toks []token
 	i    int

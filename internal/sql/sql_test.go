@@ -102,7 +102,7 @@ func TestParseInsert(t *testing.T) {
 }
 
 func TestParseSelectFull(t *testing.T) {
-	sel, err := ParseQuery(`
+	stmts, err := Parse(`
 		SELECT count(*), sum(l.price)
 		FROM orders, l
 		WHERE orders.o_id = l.o_id
@@ -112,6 +112,13 @@ func TestParseSelectFull(t *testing.T) {
 		LIMIT 10`)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(stmts) != 1 {
+		t.Fatalf("parsed %d statements, want 1", len(stmts))
+	}
+	sel, ok := stmts[0].(*SelectStmt)
+	if !ok {
+		t.Fatalf("parsed a %T, want *SelectStmt", stmts[0])
 	}
 	if len(sel.Items) != 2 || !sel.Items[0].IsAgg {
 		t.Fatalf("items: %+v", sel.Items)

@@ -38,9 +38,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is a laptop-scale configuration.
-func DefaultConfig() Config { return Config{ScaleFactor: 0.01, Seed: 1} }
-
 // Rows returns the row counts for the configuration.
 func (c Config) Rows() map[string]int {
 	sf := c.ScaleFactor

@@ -28,26 +28,3 @@ func (c *Clock) Advance(d time.Duration) {
 func (c *Clock) Now() time.Duration {
 	return time.Duration(c.ns)
 }
-
-// Max returns the largest current time among the given clocks. It is the
-// elapsed wall-clock equivalent for a set of concurrent workers that all
-// started at time zero. Max of no clocks is zero.
-func Max(clocks ...*Clock) time.Duration {
-	var m time.Duration
-	for _, c := range clocks {
-		if t := c.Now(); t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// Sum returns the total virtual time across clocks. It is the aggregate
-// device busy time, useful for utilisation accounting.
-func Sum(clocks ...*Clock) time.Duration {
-	var s time.Duration
-	for _, c := range clocks {
-		s += c.Now()
-	}
-	return s
-}
