@@ -7,8 +7,7 @@
 // through a fleet-wide single-flight memo keyed by (workload fingerprint,
 // box, SLA, alpha, granularity): equal-workload tenants share one search.
 // GET /v1/fleet reports per-tenant rollups; an optional TTL janitor parks
-// idle tenants out of the registry, freeing their slots, and a touch moves
-// them back.
+// idle tenants out of the registry, freeing their slots, until touched.
 package serve
 
 import (
@@ -156,9 +155,8 @@ func fleetQueryInt(s string, def int) (int, error) {
 	return v, nil
 }
 
-// allRollups collects every tenant's rollup — registered and parked
-// (evicted) streams — sorted by stream name, and counts the registered
-// ones.
+// allRollups collects every tenant's rollup, registered or parked
+// (evicted), sorted by stream name, and counts the registered ones.
 func (s *Server) allRollups() (rollups []TenantRollup, active int) {
 	all, active := s.tenants()
 	rollups = make([]TenantRollup, len(all))

@@ -114,9 +114,9 @@ type ReadviseResponse struct {
 // stream is one online-advised workload: the compiled object mapping and
 // its manager. newStream builds it whole, and it is registered only once
 // defined, so its manager, wire index and object fingerprint are fixed for
-// its whole life, registered or parked. Its mutex serializes observation, re-advise
-// and export — per stream, so concurrent tenant streams never serialize on
-// each other.
+// its whole life, registered or parked. Its mutex serializes observation,
+// re-advise and export — per stream, so concurrent tenant streams never
+// serialize on each other.
 type stream struct {
 	mu    sync.Mutex
 	name  string
@@ -219,11 +219,10 @@ func (s *Server) capacityLocked(hint string) error {
 	return &codedError{code: "stream_capacity", err: fmt.Errorf("stream capacity reached (%d); %s", s.cfg.MaxStreams, hint)}
 }
 
-// tenants copies the stream list — registered streams, then parked ones;
-// live counts the registered. Eviction and touch move a stream between the
-// two under streamMu, so reading both under it lists a moving tenant
-// exactly once. Callers range over the copy: never hold streamMu across a
-// re-advise or a stream's lock.
+// tenants copies the stream list: the registered streams (the first live),
+// then the parked. Eviction and touch move a stream between the two under
+// streamMu, so reading both under it lists a moving tenant exactly once.
+// Callers range over the copy, never holding streamMu across a re-advise.
 func (s *Server) tenants() (all []*stream, live int) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()

@@ -13,15 +13,18 @@
 //	                      Content-Type: application/x-dot-extents)
 //	POST /v1/readvise   — drift-gated incremental re-advise of a stream
 //	GET  /v1/healthz    — liveness + counters
+//	GET  /v1/readyz     — readiness: 503 while draining or degraded
+//	GET  /v1/fleet      — per-tenant rollups, paginated (see fleet.go)
 //
 // The server bounds concurrent optimization requests (excess requests get
 // 503 immediately rather than queuing unboundedly), applies a per-request
 // timeout (504), and answers repeated provisioning sweeps from a
-// single-flight fleet.Memo keyed by (workload fingerprint, grid, SLA):
-// concurrent identical sweeps run once, later ones are cache hits. Binary observations bypass the
-// optimization gate onto a bounded ingest queue that sheds with 429 +
-// Retry-After when full — a slow advisor degrades the tap, never the
-// engine. All error responses share one envelope: {error, code, failure?}.
+// single-flight fleet.Memo keyed by (workload fingerprint, grid, SLA,
+// granularity): concurrent identical sweeps run once, later ones are cache
+// hits. Binary observations bypass the optimization gate onto a bounded
+// ingest queue that sheds with 429 + Retry-After when full — a slow advisor
+// degrades the tap, never the engine. All error responses share one
+// envelope: {error, code, failure?}.
 package serve
 
 import (
